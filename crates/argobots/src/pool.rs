@@ -8,15 +8,15 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 
-use mochi_util::ordered_lock::{rank, OrderedMutex};
+use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
 use mochi_util::{StreamStats, Striped};
 
 use crate::config::{PoolConfig, PoolKind};
 use crate::ult::Ult;
 
-/// Wakes sleeping schedulers when work arrives anywhere. One notifier is
-/// shared by all pools of a runtime: an xstream may serve several pools,
-/// so per-pool condition variables would force it to pick one to sleep on.
+/// A generation-counted broadcast signal: every waiter wakes on each
+/// notification. Execution streams do not sleep on one (a push wakes a
+/// single stream, see `Parker`); raft's commit signal does.
 ///
 /// The generation mutex stays a plain `parking_lot::Mutex` rather than an
 /// `OrderedMutex`: `Condvar::wait_for` needs the raw guard, and the lock
@@ -33,7 +33,7 @@ impl Notifier {
         Self::default()
     }
 
-    /// Wakes all sleeping schedulers.
+    /// Wakes all waiters.
     pub fn notify_all(&self) {
         let mut generation = self.mutex.lock();
         *generation += 1;
@@ -55,6 +55,54 @@ impl Notifier {
         if *generation == seen {
             self.cv.wait_for(&mut generation, timeout);
         }
+    }
+}
+
+/// Where one execution stream sleeps while the pools it serves are empty.
+/// Every pool in its scheduler holds a reference, so that a push can wake
+/// exactly this stream. The mutex is a plain `parking_lot` one for the
+/// condition variable's sake and a strict leaf: `park`'s `still_idle`
+/// check reads atomics only.
+#[derive(Default)]
+pub(crate) struct Parker {
+    parked: Mutex<bool>,
+    cv: Condvar,
+    wakeups: AtomicU64,
+}
+
+impl Parker {
+    /// Sleeps until [`Parker::unpark`] or `timeout`, unless `still_idle`
+    /// (evaluated under the park mutex) says work arrived since the
+    /// caller last looked.
+    pub(crate) fn park(&self, timeout: Duration, still_idle: impl FnOnce() -> bool) {
+        let mut parked = self.parked.lock();
+        if !still_idle() {
+            return;
+        }
+        *parked = true;
+        self.cv.wait_for(&mut parked, timeout);
+        if *parked {
+            // Timed out (or woke spuriously): nobody claimed this stream.
+            *parked = false;
+        } else {
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Wakes the stream if it is parked; a busy stream is left alone (it
+    /// rescans its pools before it parks). Returns whether it was parked.
+    pub(crate) fn unpark(&self) -> bool {
+        let was_parked = std::mem::replace(&mut *self.parked.lock(), false);
+        if was_parked {
+            // Outside the mutex, so the woken thread does not run into it.
+            self.cv.notify_one();
+        }
+        was_parked
+    }
+
+    /// Times `unpark` cut a sleep short.
+    pub(crate) fn wakeups(&self) -> u64 {
+        self.wakeups.load(Ordering::Relaxed)
     }
 }
 
@@ -134,11 +182,16 @@ pub struct PoolStats {
 pub struct Pool {
     config: PoolConfig,
     queue: OrderedMutex<Queue>,
+    /// Doubles as the pool's push generation: a scheduler reads it before
+    /// scanning and again, under its park mutex, before sleeping.
     total_pushed: AtomicU64,
     total_popped: AtomicU64,
     stats: Striped<StatsInner>,
     seq: AtomicU64,
-    notifier: Arc<Notifier>,
+    /// Parkers of the `basic_wait` xstreams whose scheduler lists this
+    /// pool. Held only to walk the list; the one lock taken under it is a
+    /// parker's leaf mutex.
+    servers: OrderedRwLock<Vec<Arc<Parker>>>,
 }
 
 impl std::fmt::Debug for Pool {
@@ -152,8 +205,9 @@ impl std::fmt::Debug for Pool {
 }
 
 impl Pool {
-    /// Creates a pool from its configuration, wired to `notifier`.
-    pub fn new(config: PoolConfig, notifier: Arc<Notifier>) -> Self {
+    /// Creates a pool from its configuration. Nothing serves it until an
+    /// execution stream lists it.
+    pub fn new(config: PoolConfig) -> Self {
         let queue = match config.kind {
             PoolKind::Fifo | PoolKind::FifoWait => Queue::Fifo(VecDeque::new()),
             PoolKind::PrioWait => Queue::Prio(BinaryHeap::new()),
@@ -165,13 +219,13 @@ impl Pool {
             total_popped: AtomicU64::new(0),
             stats: Striped::new(rank::POOL_STATS, "pool.stats", STAT_STRIPES),
             seq: AtomicU64::new(0),
-            notifier,
+            servers: OrderedRwLock::new(rank::POOL_SERVERS, "pool.servers", Vec::new()),
         }
     }
 
-    /// Standalone pool with a private notifier (tests, simple uses).
+    /// A pool outside any runtime (tests, simple uses).
     pub fn standalone(config: PoolConfig) -> Self {
-        Self::new(config, Arc::new(Notifier::new()))
+        Self::new(config)
     }
 
     /// Pool name.
@@ -189,7 +243,8 @@ impl Pool {
         &self.config
     }
 
-    /// Enqueues a ULT and wakes schedulers.
+    /// Enqueues a ULT and wakes one parked xstream that serves this pool,
+    /// if there is one.
     pub fn push(&self, ult: Ult) {
         {
             let mut queue = self.queue.lock();
@@ -201,8 +256,38 @@ impl Pool {
                 }
             }
         }
-        self.total_pushed.fetch_add(1, Ordering::Relaxed);
-        self.notifier.notify_all();
+        // After the enqueue and before looking for a parked server: a
+        // scheduler that misses the ULT in its scan sees the count move
+        // (SeqCst here, in `pushes` and through the park mutex).
+        self.total_pushed.fetch_add(1, Ordering::SeqCst);
+        self.wake_one();
+    }
+
+    /// Wakes the first parked server. With none parked every server is
+    /// running or scanning, and rescans before it parks.
+    pub(crate) fn wake_one(&self) {
+        for server in self.servers.read().iter() {
+            if server.unpark() {
+                return;
+            }
+        }
+    }
+
+    /// Push generation (see [`Parker::park`]'s `still_idle`).
+    pub(crate) fn pushes(&self) -> u64 {
+        self.total_pushed.load(Ordering::SeqCst)
+    }
+
+    /// Lists an xstream that serves this pool, for `push` to wake.
+    pub(crate) fn add_server(&self, parker: Arc<Parker>) {
+        self.servers.write().push(parker);
+    }
+
+    /// Forgets a stopped xstream. A wake-up aimed at it may have been
+    /// swallowed by its exit, so it is passed on.
+    pub(crate) fn remove_server(&self, parker: &Arc<Parker>) {
+        self.servers.write().retain(|p| !Arc::ptr_eq(p, parker));
+        self.wake_one();
     }
 
     /// Dequeues the next ULT, if any, recording its queue-wait time.
@@ -257,12 +342,6 @@ impl Pool {
             wait,
             exec,
         }
-    }
-
-    /// The notifier shared with the runtime (exposed for schedulers
-    /// and tests).
-    pub fn notifier(&self) -> &Arc<Notifier> {
-        &self.notifier
     }
 }
 
@@ -363,25 +442,67 @@ mod tests {
     }
 
     #[test]
-    fn notifier_wakes_waiters() {
-        let pool = Arc::new(fifo());
+    fn notifier_wakes_all_waiters() {
+        let notifier = Arc::new(Notifier::new());
         let woke = Arc::new(AtomicUsize::new(0));
+        let generation = notifier.generation();
         let handles: Vec<_> = (0..2)
             .map(|_| {
-                let pool = Arc::clone(&pool);
+                let notifier = Arc::clone(&notifier);
                 let woke = Arc::clone(&woke);
                 std::thread::spawn(move || {
-                    let generation = pool.notifier().generation();
-                    pool.notifier().wait_if_unchanged(generation, Duration::from_secs(5));
+                    notifier.wait_if_unchanged(generation, Duration::from_secs(5));
                     woke.fetch_add(1, Ordering::SeqCst);
                 })
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(20));
-        pool.push(Ult::new("wake", || {}));
+        notifier.notify_all();
         for h in handles {
             h.join().unwrap();
         }
         assert_eq!(woke.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn push_unparks_at_most_one_parked_server() {
+        let pool = fifo();
+        let parkers: Vec<Arc<Parker>> = (0..3).map(|_| Arc::new(Parker::default())).collect();
+        for parker in &parkers {
+            pool.add_server(Arc::clone(parker));
+        }
+        // Nobody parked: a push wakes nobody and is not remembered.
+        pool.push(Ult::new("u", || {}));
+        assert!(parkers.iter().all(|p| !p.unpark()));
+
+        let sleepers: Vec<_> = parkers[..2]
+            .iter()
+            .map(|parker| {
+                let parker = Arc::clone(parker);
+                std::thread::spawn(move || parker.park(Duration::from_secs(5), || true))
+            })
+            .collect();
+        assert!(mochi_util::time::wait_until(
+            Duration::from_secs(5),
+            Duration::from_millis(1),
+            || parkers[..2].iter().all(|p| *p.parked.lock())
+        ));
+        // Three pushes, two parked servers: two wake-ups, one each.
+        for _ in 0..3 {
+            pool.push(Ult::new("u", || {}));
+        }
+        for sleeper in sleepers {
+            sleeper.join().unwrap();
+        }
+        let wakeups: Vec<u64> = parkers.iter().map(|p| p.wakeups()).collect();
+        assert_eq!(wakeups, vec![1, 1, 0]);
+    }
+
+    #[test]
+    fn park_refuses_to_sleep_when_work_arrived() {
+        let parker = Parker::default();
+        let t0 = std::time::Instant::now();
+        parker.park(Duration::from_secs(5), || false);
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        assert_eq!(parker.wakeups(), 0);
     }
 }

@@ -13,7 +13,7 @@ use mochi_util::ordered_lock::{rank, OrderedMutex};
 
 use crate::config::{AbtConfig, PoolConfig, XstreamConfig};
 use crate::error::AbtError;
-use crate::pool::{Notifier, Pool, PoolStats};
+use crate::pool::{Pool, PoolStats};
 use crate::ult::Ult;
 use crate::xstream::{ExecutionStream, XstreamStats};
 
@@ -31,7 +31,6 @@ struct Inner {
 #[derive(Clone)]
 pub struct AbtRuntime {
     inner: Arc<OrderedMutex<Inner>>,
-    notifier: Arc<Notifier>,
 }
 
 impl Default for AbtRuntime {
@@ -55,7 +54,6 @@ impl AbtRuntime {
                     shutdown: false,
                 },
             )),
-            notifier: Arc::new(Notifier::new()),
         }
     }
 
@@ -88,7 +86,7 @@ impl AbtRuntime {
             return Err(AbtError::PoolExists(config.name));
         }
         let name = config.name.clone();
-        let pool = Arc::new(Pool::new(config, Arc::clone(&self.notifier)));
+        let pool = Arc::new(Pool::new(config));
         inner.pools.insert(name.clone(), Arc::clone(&pool));
         inner.pool_order.push(name);
         Ok(pool)
@@ -140,7 +138,7 @@ impl AbtRuntime {
             pools.push(Arc::clone(pool));
         }
         let name = config.name.clone();
-        let es = ExecutionStream::spawn(config, pools, Arc::clone(&self.notifier));
+        let es = ExecutionStream::spawn(config, pools);
         inner.xstreams.insert(name.clone(), es);
         inner.xstream_order.push(name);
         Ok(())
@@ -377,6 +375,85 @@ mod tests {
         assert_eq!(rt.add_pool(PoolConfig::named("x")).unwrap_err(), AbtError::Shutdown);
         assert!(rt.find_pool("__primary__").is_none());
         // Idempotent.
+        rt.shutdown();
+    }
+
+    /// Submits `count` ULTs to `pool` one at a time, each waited for.
+    fn round_trips(rt: &AbtRuntime, pool: &str, count: usize) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..count {
+            let done = done_tx.clone();
+            rt.submit(pool, Ult::new("rt", move || done.send(()).unwrap())).unwrap();
+            done_rx.recv_timeout(Duration::from_secs(5)).expect("ULT ran");
+        }
+    }
+
+    fn idle_wakeups(rt: &AbtRuntime, prefix: &str) -> u64 {
+        rt.xstream_stats()
+            .iter()
+            .filter(|s| s.name.starts_with(prefix))
+            .map(|s| s.idle_wakeups)
+            .sum()
+    }
+
+    #[test]
+    fn push_leaves_other_pools_xstreams_asleep() {
+        let rt = AbtRuntime::new();
+        rt.add_pool(PoolConfig::named("a")).unwrap();
+        rt.add_pool(PoolConfig::named("b")).unwrap();
+        rt.add_xstream(XstreamConfig::named("a-es", "a")).unwrap();
+        for i in 0..4 {
+            rt.add_xstream(XstreamConfig::named(format!("b-es{i}"), "b")).unwrap();
+        }
+        round_trips(&rt, "a", 1000);
+        assert_eq!(idle_wakeups(&rt, "b-es"), 0);
+        assert!(idle_wakeups(&rt, "a-es") <= 1000);
+        // The sleepers are still reachable, one per push.
+        round_trips(&rt, "b", 10);
+        assert!(idle_wakeups(&rt, "b-es") <= 10);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_under_concurrent_submitters() {
+        use crate::xstream::IDLE_WAIT;
+        const PRODUCERS: usize = 4;
+        const ROUND_TRIPS: usize = 2000;
+        let rt = AbtRuntime::new();
+        rt.add_pool(PoolConfig::named("work")).unwrap();
+        rt.add_xstream(XstreamConfig::named("es0", "work")).unwrap();
+        rt.add_xstream(XstreamConfig::named("es1", "work")).unwrap();
+        let started = std::time::Instant::now();
+        std::thread::scope(|scope| {
+            for _ in 0..PRODUCERS {
+                scope.spawn(|| round_trips(&rt, "work", ROUND_TRIPS));
+            }
+        });
+        // A lost wake-up is found only when the sleep runs out, so it costs
+        // a whole IDLE_WAIT; a tenth of that per round trip leaves two
+        // orders of magnitude for a slow host.
+        let budget = IDLE_WAIT * ROUND_TRIPS as u32 / 10;
+        assert!(started.elapsed() < budget, "{:?} for {ROUND_TRIPS} round trips", started.elapsed());
+        rt.shutdown();
+    }
+
+    #[test]
+    fn push_reaches_the_remaining_xstream_after_a_parked_one_is_removed() {
+        use crate::xstream::IDLE_WAIT;
+        let rt = AbtRuntime::new();
+        rt.add_pool(PoolConfig::named("work")).unwrap();
+        // `gone` is listed first, so pushes would prefer it.
+        rt.add_xstream(XstreamConfig::named("gone", "work")).unwrap();
+        rt.add_xstream(XstreamConfig::named("stays", "work")).unwrap();
+        round_trips(&rt, "work", 10);
+        rt.remove_xstream("gone").unwrap();
+        let started = std::time::Instant::now();
+        round_trips(&rt, "work", 100);
+        // Found by time-out instead of by wake-up, each would take IDLE_WAIT.
+        assert!(started.elapsed() < IDLE_WAIT * 100 / 5, "{:?}", started.elapsed());
+        let stays = &rt.xstream_stats()[0];
+        assert_eq!(stays.name, "stays");
+        assert!(stays.ults_executed >= 100);
         rt.shutdown();
     }
 

@@ -1,5 +1,6 @@
 //! User-level threads: named units of work submitted to pools.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use mochi_util::unique_u64;
@@ -13,8 +14,9 @@ pub type UltTask = Box<dyn FnOnce() + Send + 'static>;
 pub struct Ult {
     /// Unique id (diagnostics).
     pub id: u64,
-    /// Human-readable label (e.g. the RPC name it serves).
-    pub name: String,
+    /// Human-readable label (e.g. the RPC name it serves; shared, so a
+    /// dispatcher labels every ULT of one RPC without allocating).
+    pub name: Arc<str>,
     /// Priority for `prio_wait` pools; higher runs first. FIFO pools
     /// ignore it.
     pub priority: i32,
@@ -25,7 +27,7 @@ pub struct Ult {
 
 impl Ult {
     /// Creates a ULT with priority 0.
-    pub fn new(name: impl Into<String>, task: impl FnOnce() + Send + 'static) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, task: impl FnOnce() + Send + 'static) -> Self {
         Self {
             id: unique_u64(),
             name: name.into(),
@@ -37,7 +39,7 @@ impl Ult {
 
     /// Creates a ULT with an explicit priority.
     pub fn with_priority(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         priority: i32,
         task: impl FnOnce() + Send + 'static,
     ) -> Self {
@@ -66,7 +68,6 @@ impl std::fmt::Debug for Ult {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn run_executes_task() {

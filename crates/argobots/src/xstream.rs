@@ -8,12 +8,12 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{SchedulerKind, XstreamConfig};
-use crate::pool::{Notifier, Pool};
+use crate::pool::{Parker, Pool};
 
-/// How long a `basic_wait` scheduler sleeps per idle round; the notifier
-/// cuts this short whenever work arrives, so it only bounds how quickly an
-/// ES notices its own shutdown flag.
-const IDLE_WAIT: Duration = Duration::from_millis(50);
+/// How long a `basic_wait` scheduler sleeps per idle round. A push to one
+/// of its pools or its own `stop` cuts the sleep short, so this only
+/// bounds what a wake-up that went to a stream on its way out can cost.
+pub(crate) const IDLE_WAIT: Duration = Duration::from_millis(50);
 
 /// Point-in-time statistics of one execution stream.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,6 +24,10 @@ pub struct XstreamStats {
     pub ults_executed: u64,
     /// Cumulative busy time in seconds.
     pub busy_seconds: f64,
+    /// Times a push to one of its pools (or its own stop) woke the stream
+    /// from its idle sleep; sleeps that ran out are not counted.
+    #[serde(default)]
+    pub idle_wakeups: u64,
 }
 
 struct Shared {
@@ -40,28 +44,36 @@ pub struct ExecutionStream {
     config: XstreamConfig,
     shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
-    notifier: Arc<Notifier>,
+    pools: Vec<Arc<Pool>>,
+    parker: Arc<Parker>,
 }
 
 impl ExecutionStream {
     /// Spawns an ES executing ULTs from `pools` (ordered: earlier pools
     /// win). `pools` must match `config.scheduler.pools`; the runtime
     /// guarantees this.
-    pub fn spawn(config: XstreamConfig, pools: Vec<Arc<Pool>>, notifier: Arc<Notifier>) -> Self {
+    pub fn spawn(config: XstreamConfig, pools: Vec<Arc<Pool>>) -> Self {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             ults_executed: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
         });
-        let thread_shared = Arc::clone(&shared);
-        let thread_notifier = Arc::clone(&notifier);
+        let parker = Arc::new(Parker::default());
         let kind = config.scheduler.kind;
-        let name = config.name.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("abt-es-{name}"))
-            .spawn(move || scheduler_loop(kind, pools, thread_shared, thread_notifier))
-            .expect("spawn execution stream");
-        Self { config, shared, thread: Some(thread), notifier }
+        if kind == SchedulerKind::BasicWait {
+            // A `basic` scheduler spins and never parks.
+            for pool in &pools {
+                pool.add_server(Arc::clone(&parker));
+            }
+        }
+        let thread = {
+            let (pools, shared, parker) = (pools.clone(), Arc::clone(&shared), Arc::clone(&parker));
+            std::thread::Builder::new()
+                .name(format!("abt-es-{}", config.name))
+                .spawn(move || scheduler_loop(kind, &pools, &shared, &parker))
+                .expect("spawn execution stream")
+        };
+        Self { config, shared, thread: Some(thread), pools, parker }
     }
 
     /// Xstream name.
@@ -85,6 +97,7 @@ impl ExecutionStream {
             name: self.config.name.clone(),
             ults_executed: self.shared.ults_executed.load(Ordering::Relaxed),
             busy_seconds: self.shared.busy_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
+            idle_wakeups: self.parker.wakeups(),
         }
     }
 
@@ -93,10 +106,12 @@ impl ExecutionStream {
     /// replacement — can drain them; this is what makes remapping
     /// providers to new ESs lossless).
     pub fn stop(&mut self) {
+        let Some(thread) = self.thread.take() else { return };
         self.shared.stop.store(true, Ordering::SeqCst);
-        self.notifier.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+        self.parker.unpark();
+        let _ = thread.join();
+        for pool in &self.pools {
+            pool.remove_server(&self.parker);
         }
     }
 }
@@ -107,13 +122,16 @@ impl Drop for ExecutionStream {
     }
 }
 
-fn scheduler_loop(kind: SchedulerKind, pools: Vec<Arc<Pool>>, shared: Arc<Shared>, notifier: Arc<Notifier>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        // Read the generation before scanning, so a push racing with the
-        // scan makes the subsequent wait return immediately.
-        let generation = notifier.generation();
+fn scheduler_loop(kind: SchedulerKind, pools: &[Arc<Pool>], shared: &Shared, parker: &Parker) {
+    let stopped = || shared.stop.load(Ordering::SeqCst);
+    // Strictly increasing with every push to any of the pools.
+    let pushes = || pools.iter().fold(0u64, |sum, pool| sum.wrapping_add(pool.pushes()));
+    while !stopped() {
+        // Read the push count before scanning, so a push (or a stop)
+        // racing with the scan makes `park` return without sleeping.
+        let seen = pushes();
         let mut ran = false;
-        for pool in &pools {
+        for pool in pools {
             if let Some(ult) = pool.try_pop() {
                 let start = std::time::Instant::now();
                 ult.run();
@@ -128,7 +146,9 @@ fn scheduler_loop(kind: SchedulerKind, pools: Vec<Arc<Pool>>, shared: Arc<Shared
         if !ran {
             match kind {
                 SchedulerKind::Basic => std::thread::yield_now(),
-                SchedulerKind::BasicWait => notifier.wait_if_unchanged(generation, IDLE_WAIT),
+                SchedulerKind::BasicWait => {
+                    parker.park(IDLE_WAIT, || !stopped() && pushes() == seen);
+                }
             }
         }
     }
@@ -143,11 +163,8 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn setup(kind: SchedulerKind, pool_names: &[&str]) -> (Vec<Arc<Pool>>, ExecutionStream) {
-        let notifier = Arc::new(Notifier::new());
-        let pools: Vec<Arc<Pool>> = pool_names
-            .iter()
-            .map(|n| Arc::new(Pool::new(PoolConfig::named(*n), Arc::clone(&notifier))))
-            .collect();
+        let pools: Vec<Arc<Pool>> =
+            pool_names.iter().map(|n| Arc::new(Pool::new(PoolConfig::named(*n)))).collect();
         let config = XstreamConfig {
             name: "es0".into(),
             scheduler: SchedulerConfig {
@@ -155,7 +172,7 @@ mod tests {
                 pools: pool_names.iter().map(|s| s.to_string()).collect(),
             },
         };
-        let es = ExecutionStream::spawn(config, pools.clone(), notifier);
+        let es = ExecutionStream::spawn(config, pools.clone());
         (pools, es)
     }
 
@@ -239,8 +256,7 @@ mod tests {
 
     #[test]
     fn two_xstreams_share_one_pool() {
-        let notifier = Arc::new(Notifier::new());
-        let pool = Arc::new(Pool::new(PoolConfig::named("shared"), Arc::clone(&notifier)));
+        let pool = Arc::new(Pool::new(PoolConfig::named("shared")));
         let mk = |name: &str| {
             ExecutionStream::spawn(
                 XstreamConfig {
@@ -251,7 +267,6 @@ mod tests {
                     },
                 },
                 vec![Arc::clone(&pool)],
-                Arc::clone(&notifier),
             )
         };
         let mut es1 = mk("es1");

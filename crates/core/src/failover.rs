@@ -10,16 +10,24 @@
 //! transport-class failure or an open breaker re-resolves and tries the
 //! next incarnation.
 //!
+//! The location that last resolved is kept and reused until something says
+//! it may have moved: an error of the rerouting kind, a change of the
+//! service's member set, or a new SSG view epoch (so a member the view
+//! calls dead is skipped without first paying a timeout on it).
+//!
 //! [`ResilienceManager`]: crate::resilience::ResilienceManager
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 use mochi_margo::{MargoError, MargoRuntime};
 use mochi_mercury::Address;
 use mochi_yokan::client::DatabaseHandle;
 
 use crate::service::DynamicService;
-use std::sync::Arc;
 
 /// Default wait between re-resolution rounds while the service recovers
 /// a member (SWIM detection + respawn are not instantaneous). Override
@@ -29,6 +37,13 @@ const REROUTE_BACKOFF: Duration = Duration::from_millis(50);
 /// Default resolution rounds before giving up. Override with
 /// [`FailoverKv::with_max_rounds`].
 const MAX_ROUNDS: u32 = 40;
+
+/// A resolved location and what it was resolved against
+/// ([`DynamicService::membership_stamp`]).
+struct Located {
+    handle: Arc<DatabaseHandle>,
+    stamp: (u64, u64),
+}
 
 /// A Yokan database handle that follows its provider across failovers.
 pub struct FailoverKv {
@@ -42,6 +57,10 @@ pub struct FailoverKv {
     /// Per-operation timeout; kept short so a stale location fails fast
     /// and the next round re-resolves.
     timeout: Duration,
+    /// A leaf lock: held to read or replace the slot, never across
+    /// resolution or an RPC.
+    located: Mutex<Option<Located>>,
+    resolutions: AtomicU64,
 }
 
 impl FailoverKv {
@@ -56,6 +75,8 @@ impl FailoverKv {
             max_rounds: MAX_ROUNDS,
             reroute_backoff: REROUTE_BACKOFF,
             timeout: Duration::from_millis(250),
+            located: Mutex::new(None),
+            resolutions: AtomicU64::new(0),
         }
     }
 
@@ -86,8 +107,10 @@ impl FailoverKv {
 
     /// Resolves the provider's current location: a member that is both in
     /// the service's records and alive per the SSG view, and that reports
-    /// hosting `self.provider`.
+    /// hosting `self.provider`. Always consults the service; operations go
+    /// through [`Self::handle`], which remembers the answer.
     pub fn resolve(&self) -> Option<(Address, u16)> {
+        self.resolutions.fetch_add(1, Ordering::Relaxed);
         let view = self.service.view()?;
         for addr in self.service.addresses() {
             if !view.contains(&addr) {
@@ -99,6 +122,41 @@ impl FailoverKv {
             }
         }
         None
+    }
+
+    /// How many times the service was asked where the provider is.
+    pub fn resolutions(&self) -> u64 {
+        self.resolutions.load(Ordering::Relaxed)
+    }
+
+    /// A handle to the provider's location: the remembered one while the
+    /// member set and the view epoch it was resolved against still stand,
+    /// a freshly resolved one otherwise.
+    pub fn handle(&self) -> Option<Arc<DatabaseHandle>> {
+        let stamp = self.service.membership_stamp()?;
+        if let Some(located) = &*self.located.lock() {
+            if located.stamp == stamp {
+                return Some(Arc::clone(&located.handle));
+            }
+        }
+        // `stamp` was read before resolving: a change that races with the
+        // resolution leaves a stamp that no longer matches, never a stale
+        // location under a current one.
+        let (addr, provider_id) = self.resolve()?;
+        let handle = Arc::new(
+            DatabaseHandle::new(&self.margo, addr, provider_id).with_timeout(self.timeout),
+        );
+        *self.located.lock() = Some(Located { handle: Arc::clone(&handle), stamp });
+        Some(handle)
+    }
+
+    /// Forgets `handle`'s location (it failed in a way that says the
+    /// provider may be elsewhere), unless a newer one replaced it already.
+    fn forget(&self, handle: &Arc<DatabaseHandle>) {
+        let mut located = self.located.lock();
+        if located.as_ref().is_some_and(|l| Arc::ptr_eq(&l.handle, handle)) {
+            *located = None;
+        }
     }
 
     /// Runs `op` against the provider's current location, re-resolving
@@ -130,14 +188,15 @@ impl FailoverKv {
             if round > 0 {
                 std::thread::sleep(self.reroute_backoff);
             }
-            let Some((addr, provider_id)) = self.resolve() else {
+            let Some(handle) = self.handle() else {
                 continue;
             };
-            let handle =
-                DatabaseHandle::new(&self.margo, addr, provider_id).with_timeout(self.timeout);
             match op(&handle) {
                 Ok(value) => return Ok(value),
-                Err(err) if Self::should_reroute(&err) => last_err = err,
+                Err(err) if Self::should_reroute(&err) => {
+                    self.forget(&handle);
+                    last_err = err;
+                }
                 Err(err) => return Err(err),
             }
         }

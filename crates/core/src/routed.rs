@@ -310,8 +310,6 @@ impl RouteSnapshot {
 /// coalescer pinned to the last resolved location.
 struct Leg {
     failover: FailoverKv,
-    margo: MargoRuntime,
-    timeout: Duration,
     coalescer_config: Option<CoalescerConfig>,
     coalescer: Mutex<Option<CoalescingHandle>>,
 }
@@ -329,8 +327,6 @@ impl Leg {
             .with_reroute_backoff(config.leg_reroute_backoff);
         Self {
             failover,
-            margo: margo.clone(),
-            timeout: config.leg_timeout,
             coalescer_config: config.coalescer,
             coalescer: Mutex::new(None),
         }
@@ -351,10 +347,8 @@ impl Leg {
         {
             let mut pinned = self.coalescer.lock();
             if pinned.is_none() {
-                if let Some((addr, provider_id)) = self.failover.resolve() {
-                    let handle = DatabaseHandle::new(&self.margo, addr, provider_id)
-                        .with_timeout(self.timeout);
-                    *pinned = Some(handle.coalescing(config));
+                if let Some(handle) = self.failover.handle() {
+                    *pinned = Some(DatabaseHandle::clone(&handle).coalescing(config));
                 }
             }
             if let Some(coalescer) = pinned.as_ref() {

@@ -102,11 +102,39 @@ pub(crate) struct MemberRecord {
     pub config: ProcessConfig,
 }
 
+/// The member records plus a count of the changes made to the set, so
+/// that a cached provider location can tell it may be stale. Reads go
+/// through `Deref`; the only ways to change the set bump the count.
+#[derive(Default)]
+pub(crate) struct Members {
+    records: BTreeMap<Address, MemberRecord>,
+    changes: u64,
+}
+
+impl std::ops::Deref for Members {
+    type Target = BTreeMap<Address, MemberRecord>;
+    fn deref(&self) -> &Self::Target {
+        &self.records
+    }
+}
+
+impl Members {
+    pub(crate) fn insert(&mut self, addr: Address, record: MemberRecord) {
+        self.changes += 1;
+        self.records.insert(addr, record);
+    }
+
+    pub(crate) fn remove(&mut self, addr: &Address) -> Option<MemberRecord> {
+        self.changes += 1;
+        self.records.remove(addr)
+    }
+}
+
 /// A running dynamic service.
 pub struct DynamicService {
     cluster: Arc<Cluster>,
     config: ServiceConfig,
-    pub(crate) members: Mutex<BTreeMap<Address, MemberRecord>>,
+    pub(crate) members: Mutex<Members>,
 }
 
 impl DynamicService {
@@ -130,7 +158,7 @@ impl DynamicService {
         }
         let addresses: Vec<Address> =
             servers.iter().map(|(_, _, s)| s.address()).collect();
-        let mut members = BTreeMap::new();
+        let mut members = Members::default();
         for (node, process, server) in servers {
             let group = SsgGroup::create(
                 server.margo(),
@@ -175,6 +203,15 @@ impl DynamicService {
     /// A membership view from any live member.
     pub fn view(&self) -> Option<GroupView> {
         self.members.lock().values().next().map(|m| m.group.view())
+    }
+
+    /// What a provider location was resolved against: the number of
+    /// changes to the member set and the epoch of the view [`Self::view`]
+    /// returns. While it stands still, resolving again gives the same
+    /// answer, unless a provider moved between two unchanged members.
+    pub fn membership_stamp(&self) -> Option<(u64, u64)> {
+        let members = self.members.lock();
+        members.values().next().map(|m| (members.changes, m.group.view_epoch()))
     }
 
     /// Scales out by one node: allocate, boot the library-only template
@@ -306,7 +343,7 @@ impl DynamicService {
     /// Stops every member (teardown).
     pub fn shutdown(&self) {
         let members = std::mem::take(&mut *self.members.lock());
-        for (addr, record) in members {
+        for (addr, record) in members.records {
             record.group.stop();
             let _ = self.cluster.stop(&addr);
             self.cluster.release_node(&record.node);

@@ -85,7 +85,7 @@ pub enum MonitoringEvent {
         identity: RpcIdentity,
         source: Arc<Address>,
         payload_size: usize,
-        pool: String,
+        pool: Arc<str>,
     },
     /// A handler ULT started executing (after waiting in its pool).
     HandlerStart { identity: RpcIdentity, source: Arc<Address>, queue_wait_s: f64 },

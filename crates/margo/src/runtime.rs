@@ -67,10 +67,11 @@ fn cached_rpc_name(rpc_name: &str) -> Arc<str> {
 
 struct Registration {
     name: Arc<str>,
-    pool: String,
+    pool: Arc<str>,
     handler: RpcHandler,
 }
 
+/// Fixed at `init`: read on every RPC, so deliberately behind no lock.
 struct Meta {
     progress_pool: String,
     default_rpc_pool: String,
@@ -83,7 +84,7 @@ struct Inner {
     endpoint: Endpoint,
     fabric: Fabric,
     abt: AbtRuntime,
-    meta: OrderedMutex<Meta>,
+    meta: Meta,
     handlers: OrderedRwLock<HashMap<(u64, u16), Arc<Registration>>>,
     monitor: OrderedRwLock<Arc<CompositeMonitor>>,
     stats: Option<Arc<StatisticsMonitor>>,
@@ -122,17 +123,13 @@ impl MargoRuntime {
             endpoint,
             fabric: fabric.clone(),
             abt,
-            meta: OrderedMutex::new(
-                rank::MARGO_META,
-                "margo.meta",
-                Meta {
-                    progress_pool: config.progress_pool.clone(),
-                    default_rpc_pool: config.default_rpc_pool.clone(),
-                    rpc_timeout: Duration::from_millis(config.rpc_timeout_ms),
-                    monitoring_enabled: config.monitoring.enabled,
-                    sampling_period: Duration::from_millis(config.monitoring.sampling_period_ms),
-                },
-            ),
+            meta: Meta {
+                progress_pool: config.progress_pool.clone(),
+                default_rpc_pool: config.default_rpc_pool.clone(),
+                rpc_timeout: Duration::from_millis(config.rpc_timeout_ms),
+                monitoring_enabled: config.monitoring.enabled,
+                sampling_period: Duration::from_millis(config.monitoring.sampling_period_ms),
+            },
             handlers: OrderedRwLock::new(rank::MARGO_HANDLERS, "margo.handlers", HashMap::new()),
             monitor: OrderedRwLock::new(rank::MARGO_MONITOR, "margo.monitor", Arc::new(composite)),
             stats,
@@ -178,11 +175,8 @@ impl MargoRuntime {
     }
 
     fn spawn_sampler(&self) -> Result<(), MargoError> {
-        let (enabled, period) = {
-            let meta = self.inner.meta.lock();
-            (meta.monitoring_enabled, meta.sampling_period)
-        };
-        if !enabled || period.is_zero() {
+        let period = self.inner.meta.sampling_period;
+        if !self.inner.meta.monitoring_enabled || period.is_zero() {
             return Ok(());
         }
         let this = self.clone();
@@ -246,7 +240,7 @@ impl MargoRuntime {
     }
 
     pub(crate) fn emit(&self, event: &MonitoringEvent) {
-        if self.inner.meta.lock().monitoring_enabled {
+        if self.inner.meta.monitoring_enabled {
             let monitor = Arc::clone(&*self.inner.monitor.read());
             monitor.observe(event);
         }
@@ -266,12 +260,9 @@ impl MargoRuntime {
         handler: RpcHandler,
     ) -> Result<u64, MargoError> {
         self.ensure_live()?;
-        let pool_name = match pool {
-            Some(p) => p.to_string(),
-            None => self.inner.meta.lock().default_rpc_pool.clone(),
-        };
-        if self.inner.abt.find_pool(&pool_name).is_none() {
-            return Err(MargoError::PoolNotFound(pool_name));
+        let pool_name = pool.unwrap_or(&self.inner.meta.default_rpc_pool);
+        if self.inner.abt.find_pool(pool_name).is_none() {
+            return Err(MargoError::PoolNotFound(pool_name.to_string()));
         }
         let rpc_id = rpc_id_for_name(rpc_name);
         let mut handlers = self.inner.handlers.write();
@@ -283,7 +274,11 @@ impl MargoRuntime {
         }
         handlers.insert(
             (rpc_id, provider_id),
-            Arc::new(Registration { name: Arc::from(rpc_name), pool: pool_name, handler }),
+            Arc::new(Registration {
+                name: Arc::from(rpc_name),
+                pool: Arc::from(pool_name),
+                handler,
+            }),
         );
         Ok(rpc_id)
     }
@@ -338,7 +333,7 @@ impl MargoRuntime {
             .handlers
             .read()
             .iter()
-            .map(|((_, provider), reg)| (reg.name.to_string(), *provider, reg.pool.clone()))
+            .map(|((_, provider), reg)| (reg.name.to_string(), *provider, reg.pool.to_string()))
             .collect();
         list.sort();
         list
@@ -387,14 +382,13 @@ impl MargoRuntime {
             identity: identity.clone(),
             source: request.source.clone(),
             payload_size: request.payload.len(),
-            pool: registration.pool.clone(),
+            pool: Arc::clone(&registration.pool),
         });
         self.inner.in_flight_server.fetch_add(1, Ordering::Relaxed);
         let received_at = Instant::now();
         let this = self.clone();
         let reg = Arc::clone(&registration);
-        let ult_name = registration.name.to_string();
-        let ult = Ult::new(ult_name, move || {
+        let ult = Ult::new(Arc::clone(&registration.name), move || {
             let source = request.source.clone();
             let queue_wait_s = received_at.elapsed().as_secs_f64();
             this.emit(&MonitoringEvent::HandlerStart {
@@ -461,7 +455,7 @@ impl MargoRuntime {
         input: &I,
         context: CallContext,
     ) -> Result<O, MargoError> {
-        let timeout = self.inner.meta.lock().rpc_timeout;
+        let timeout = self.inner.meta.rpc_timeout;
         self.forward_full(dest, rpc_name, provider_id, input, context, timeout)
     }
 
@@ -672,7 +666,12 @@ impl MargoRuntime {
     /// auto-retried — a non-idempotent call observes exactly one
     /// server-side invocation per forward.
     pub fn declare_idempotent(&self, rpc_name: &str) {
-        self.inner.idempotent.write().insert(rpc_id_for_name(rpc_name));
+        let rpc_id = rpc_id_for_name(rpc_name);
+        // Clients re-declare their surface with every handle they make;
+        // only the first declaration needs the write lock.
+        if !self.is_idempotent_rpc(rpc_id) {
+            self.inner.idempotent.write().insert(rpc_id);
+        }
     }
 
     /// Whether `rpc_name` has been declared idempotent.
@@ -798,21 +797,18 @@ impl MargoRuntime {
     /// handlers cannot be removed.
     pub fn remove_pool(&self, name: &str) -> Result<(), MargoError> {
         self.ensure_live()?;
-        {
-            let meta = self.inner.meta.lock();
-            if meta.progress_pool == name {
-                return Err(MargoError::PoolBusy {
-                    pool: name.to_string(),
-                    reason: "it is the progress pool".into(),
-                });
-            }
+        if self.inner.meta.progress_pool == name {
+            return Err(MargoError::PoolBusy {
+                pool: name.to_string(),
+                reason: "it is the progress pool".into(),
+            });
         }
         let users: Vec<String> = self
             .inner
             .handlers
             .read()
             .values()
-            .filter(|r| r.pool == name)
+            .filter(|r| &*r.pool == name)
             .map(|r| r.name.to_string())
             .collect();
         if !users.is_empty() {
@@ -853,7 +849,7 @@ impl MargoRuntime {
 
     /// Snapshot of the full configuration as JSON (what Bedrock reports).
     pub fn config_json(&self) -> Value {
-        let meta = self.inner.meta.lock();
+        let meta = &self.inner.meta;
         serde_json::json!({
             "argobots": self.inner.abt.config(),
             "progress_pool": meta.progress_pool,
@@ -904,12 +900,12 @@ impl MargoRuntime {
     /// Name of the pool used for handlers registered without an explicit
     /// pool.
     pub fn default_rpc_pool(&self) -> String {
-        self.inner.meta.lock().default_rpc_pool.clone()
+        self.inner.meta.default_rpc_pool.clone()
     }
 
     /// Default timeout applied to forwarded RPCs.
     pub fn rpc_timeout(&self) -> Duration {
-        self.inner.meta.lock().rpc_timeout
+        self.inner.meta.rpc_timeout
     }
 
     /// Number of RPCs this process forwarded that are still in flight.
@@ -1334,7 +1330,7 @@ mod tests {
                 let err =
                     ctx.forward::<String, String>(&dead_addr, "echo", 0, &input).unwrap_err();
                 *observed2.lock() = Some((start.elapsed(), err));
-                Err("upstream dead".into())
+                Err::<String, String>("upstream dead".into())
             })
             .unwrap();
         let client = boot(&fabric, "client");

@@ -2,9 +2,12 @@
 //!
 //! An [`Endpoint`] owns the mailbox for one address. The upper layer
 //! (Margo's progress loop) repeatedly calls [`Endpoint::progress`], which
-//! internally completes responses to outstanding requests and hands
-//! requests/notifications back to the caller for dispatch — the same
-//! division of labor as Mercury's `HG_Progress`/`HG_Trigger`.
+//! hands requests/notifications back to the caller for dispatch — the
+//! `HG_Progress`/`HG_Trigger` half of Mercury that runs handlers. The other
+//! half, completing a forward when its response arrives, needs no progress
+//! call here: the fabric completes the waiter at delivery (see
+//! `FabricInner::deliver_now`), as a completion callback runs on whichever
+//! thread makes progress.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -126,7 +129,9 @@ pub struct OneWayInfo {
     pub payload: Bytes,
 }
 
-type PendingMap = Mutex<HashMap<u64, Sender<ResponseBody>>>;
+/// An endpoint's outstanding requests by xid, shared with its fabric slot.
+/// A leaf lock: never held across a call into the fabric or a channel send.
+pub(crate) type PendingMap = Mutex<HashMap<u64, Sender<ResponseBody>>>;
 
 /// An outstanding request; wait on it for the response.
 #[must_use = "wait on the pending request to obtain the response"]
@@ -167,6 +172,7 @@ impl Endpoint {
         addr: Address,
         mailbox: Receiver<Envelope>,
         uid: u64,
+        pending: Arc<PendingMap>,
         fabric: Arc<FabricInner>,
     ) -> Self {
         Self {
@@ -174,8 +180,11 @@ impl Endpoint {
             uid,
             mailbox,
             fabric,
-            pending: Arc::new(Mutex::new(HashMap::new())),
-            next_xid: AtomicU64::new(1),
+            pending,
+            // Counting from a per-endpoint random origin keeps a late
+            // response to a predecessor at this address from matching a
+            // request of its successor.
+            next_xid: AtomicU64::new(uid),
             closed: AtomicBool::new(false),
         }
     }
@@ -197,9 +206,9 @@ impl Endpoint {
         }
     }
 
-    /// Sends a request; the returned [`PendingRequest`] completes when a
-    /// response is processed by *some* call to [`Endpoint::progress`] on
-    /// this endpoint (typically the runtime's progress loop).
+    /// Sends a request; the returned [`PendingRequest`] completes when the
+    /// fabric delivers the response, on the delivering thread — no call to
+    /// [`Endpoint::progress`] on this endpoint is involved.
     pub fn send_request(
         &self,
         dest: &Address,
@@ -265,68 +274,41 @@ impl Endpoint {
         self.fabric_handle().send(envelope)
     }
 
-    /// Drives the endpoint for up to `timeout`: responses to outstanding
-    /// requests are completed internally; the first request or one-way
-    /// message is returned for dispatch. `Ok(None)` means either the
-    /// timeout elapsed quietly or progress was made on responses only —
-    /// mirroring `HG_Progress`, which returns as soon as progress happens.
+    /// Waits up to `timeout` for the next request or one-way message and
+    /// returns it for dispatch; `Ok(None)` means the timeout elapsed
+    /// quietly. Responses never pass through here (the fabric completes
+    /// them at delivery), so a process that only forwards has nothing to
+    /// progress.
     pub fn progress(&self, timeout: Duration) -> Result<Option<Incoming>, MercuryError> {
-        use crossbeam::channel::TryRecvError;
-        let deadline = std::time::Instant::now() + timeout;
-        let mut made_progress = false;
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(MercuryError::LocalShutdown);
-            }
-            let envelope = if made_progress {
-                // Already completed at least one response: drain without
-                // blocking and return.
-                match self.mailbox.try_recv() {
-                    Ok(env) => env,
-                    Err(TryRecvError::Empty) => return Ok(None),
-                    Err(TryRecvError::Disconnected) => return Err(MercuryError::LocalShutdown),
-                }
-            } else {
-                let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                match self.mailbox.recv_timeout(remaining) {
-                    Ok(env) => env,
-                    Err(RecvTimeoutError::Timeout) => return Ok(None),
-                    Err(RecvTimeoutError::Disconnected) => return Err(MercuryError::LocalShutdown),
-                }
-            };
-            match envelope.message {
-                Message::Response(resp) => {
-                    if let Some(waiter) = self.pending.lock().remove(&resp.xid) {
-                        let _ = waiter.send(resp);
-                    }
-                    // Responses never surface to the caller; drain whatever
-                    // else is queued and then report progress.
-                    made_progress = true;
-                }
-                Message::Request(req) => {
-                    return Ok(Some(Incoming::Request(RequestInfo {
-                        source: Arc::new(envelope.source),
-                        rpc_id: req.rpc_id,
-                        provider_id: req.provider_id,
-                        xid: req.xid,
-                        context: CallContext {
-                            parent_rpc_id: req.parent_rpc_id,
-                            parent_provider_id: req.parent_provider_id,
-                            deadline: req.deadline,
-                        },
-                        payload: req.payload,
-                    })));
-                }
-                Message::OneWay(ow) => {
-                    return Ok(Some(Incoming::OneWay(OneWayInfo {
-                        source: Arc::new(envelope.source),
-                        rpc_id: ow.rpc_id,
-                        provider_id: ow.provider_id,
-                        payload: ow.payload,
-                    })));
-                }
-            }
-        }
+        self.ensure_open()?;
+        let envelope = match self.mailbox.recv_timeout(timeout) {
+            Ok(envelope) => envelope,
+            Err(RecvTimeoutError::Timeout) => return Ok(None),
+            Err(RecvTimeoutError::Disconnected) => return Err(MercuryError::LocalShutdown),
+        };
+        let source = Arc::new(envelope.source);
+        Ok(match envelope.message {
+            Message::Request(req) => Some(Incoming::Request(RequestInfo {
+                source,
+                rpc_id: req.rpc_id,
+                provider_id: req.provider_id,
+                xid: req.xid,
+                context: CallContext {
+                    parent_rpc_id: req.parent_rpc_id,
+                    parent_provider_id: req.parent_provider_id,
+                    deadline: req.deadline,
+                },
+                payload: req.payload,
+            })),
+            Message::OneWay(ow) => Some(Incoming::OneWay(OneWayInfo {
+                source,
+                rpc_id: ow.rpc_id,
+                provider_id: ow.provider_id,
+                payload: ow.payload,
+            })),
+            // The fabric never queues a response.
+            Message::Response(_) => None,
+        })
     }
 
     /// Exposes an in-memory buffer for bulk access by remote peers.
@@ -426,6 +408,7 @@ impl Drop for Endpoint {
 mod tests {
     use super::*;
     use crate::fabric::Fabric;
+    use crate::fault::LinkScript;
     use crate::netmodel::NetworkModel;
 
     fn pair(fabric: &Fabric) -> (Endpoint, Endpoint) {
@@ -443,11 +426,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn request_response_roundtrip() {
-        let fabric = Fabric::new();
-        let (client, server) = pair(&fabric);
-        let pending = client
+    fn ping(client: &Endpoint, server: &Endpoint) -> PendingRequest {
+        client
             .send_request(
                 server.address(),
                 42,
@@ -455,18 +435,97 @@ mod tests {
                 CallContext::TOP_LEVEL,
                 Bytes::from_static(b"ping"),
             )
-            .unwrap();
+            .unwrap()
+    }
 
-        std::thread::scope(|s| {
-            s.spawn(|| echo_server(&server, 1));
-            // The client needs its own progress to complete the pending
-            // request; run it here.
-            let incoming = client.progress(Duration::from_secs(5)).unwrap();
-            assert!(incoming.is_none(), "response should be consumed internally");
-            let resp = pending.wait(Duration::from_secs(1)).unwrap();
-            assert_eq!(resp.status, ResponseStatus::Ok);
-            assert_eq!(&resp.payload[..], b"ping");
-        });
+    /// The single-threaded sequence a caller that drives both ends uses:
+    /// the client's `progress` finds nothing and the response is there.
+    #[test]
+    fn request_response_roundtrip() {
+        let fabric = Fabric::new();
+        let (client, server) = pair(&fabric);
+        let pending = ping(&client, &server);
+        echo_server(&server, 1);
+        assert!(client.progress(Duration::ZERO).unwrap().is_none());
+        let resp = pending.wait(Duration::from_secs(1)).unwrap();
+        assert_eq!(resp.status, ResponseStatus::Ok);
+        assert_eq!(&resp.payload[..], b"ping");
+    }
+
+    #[test]
+    fn response_completes_without_client_progress() {
+        let fabric = Fabric::new();
+        let (client, server) = pair(&fabric);
+        let pending = ping(&client, &server);
+        echo_server(&server, 1);
+        // Already delivered: a zero wait polls the completed request.
+        let resp = pending.wait(Duration::ZERO).unwrap();
+        assert_eq!(&resp.payload[..], b"ping");
+    }
+
+    #[test]
+    fn delayed_response_completes_without_client_progress() {
+        let latency = Duration::from_millis(10);
+        let fabric = Fabric::with_model(NetworkModel::slow(latency));
+        let (client, server) = pair(&fabric);
+        let t0 = Instant::now();
+        let pending = ping(&client, &server);
+        echo_server(&server, 1);
+        let resp = pending.wait(Duration::from_secs(5)).unwrap();
+        assert_eq!(&resp.payload[..], b"ping");
+        // One modelled latency each way.
+        assert!(t0.elapsed() >= 2 * latency - Duration::from_millis(1), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn faults_still_drop_responses() {
+        let fabric = Fabric::new();
+        let (client, server) = pair(&fabric);
+        fabric.faults().push_script(Some("n2"), Some("n1"), LinkScript::FailFirst(1));
+        let pending = ping(&client, &server);
+        echo_server(&server, 1);
+        assert_eq!(pending.wait(Duration::from_millis(20)).unwrap_err(), MercuryError::Timeout);
+        // The script is spent: the next response gets through...
+        let pending = ping(&client, &server);
+        echo_server(&server, 1);
+        pending.wait(Duration::ZERO).unwrap();
+        // ...until a partition cuts the way back (the request is let in
+        // before the cut so only the response meets it).
+        let pending = ping(&client, &server);
+        fabric.faults().set_partition(&[vec!["n1".into()], vec!["n2".into()]]);
+        echo_server(&server, 1);
+        assert_eq!(pending.wait(Duration::from_millis(20)).unwrap_err(), MercuryError::Timeout);
+    }
+
+    #[test]
+    fn response_without_a_waiter_is_dropped() {
+        let fabric = Fabric::new();
+        let (client, server) = pair(&fabric);
+        let client_addr = client.address().clone();
+        let take_request = |server: &Endpoint| match server.progress(Duration::ZERO).unwrap() {
+            Some(Incoming::Request(request)) => request,
+            other => panic!("expected a request, got {other:?}"),
+        };
+
+        // The waiter gave up before the answer.
+        let pending = ping(&client, &server);
+        let late = take_request(&server);
+        assert_eq!(pending.wait(Duration::ZERO).unwrap_err(), MercuryError::Timeout);
+        server.respond(&late, ResponseStatus::Ok, Bytes::new()).unwrap();
+
+        // The requester was killed.
+        let _abandoned = ping(&client, &server);
+        let to_dead = take_request(&server);
+        fabric.kill(&client_addr);
+        server.respond(&to_dead, ResponseStatus::Ok, Bytes::new()).unwrap();
+
+        // A successor took the address: the predecessor's answer must not
+        // complete the successor's own outstanding request.
+        let successor = fabric.register(client_addr);
+        let own = ping(&successor, &server);
+        server.respond(&to_dead, ResponseStatus::Ok, Bytes::from_static(b"stale")).unwrap();
+        assert_eq!(own.wait(Duration::ZERO).unwrap_err(), MercuryError::Timeout);
+        assert!(successor.progress(Duration::ZERO).unwrap().is_none());
     }
 
     #[test]

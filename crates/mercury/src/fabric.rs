@@ -6,6 +6,11 @@
 //! between endpoints pass through [`FaultPlane::decide`] and are delayed
 //! according to the [`NetworkModel`] by a dedicated delivery thread, so a
 //! sender never blocks on the latency of its own messages.
+//!
+//! Delivery is where a message lands: requests and one-ways go into the
+//! destination's mailbox for its progress loop, while a response completes
+//! the request waiting for it right there, on the delivering thread (the
+//! responder's on a free link, the delivery thread on a modelled one).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -20,18 +25,19 @@ use mochi_util::SeededRng;
 
 use crate::address::Address;
 use crate::bulk::BulkRegistry;
-use crate::endpoint::Endpoint;
+use crate::endpoint::{Endpoint, PendingMap};
 use crate::error::MercuryError;
 use crate::fault::{FaultDecision, FaultPlane};
-use crate::message::Envelope;
+use crate::message::{Envelope, Message};
 use crate::netmodel::NetworkModel;
 
 /// State of a registered address.
 enum Slot {
-    /// Live endpoint; the `u64` identifies which [`Endpoint`] owns the
-    /// slot, so a stale endpoint being dropped cannot kill a successor
-    /// registered at the same address.
-    Live(Sender<Envelope>, u64),
+    /// Live endpoint: its mailbox, the id of the [`Endpoint`] that owns
+    /// the slot (so a stale endpoint being dropped cannot kill a successor
+    /// registered at the same address), and that endpoint's outstanding
+    /// requests, which responses complete at delivery.
+    Live(Sender<Envelope>, u64, Arc<PendingMap>),
     /// The endpoint existed but was shut down or crashed: traffic to it is
     /// silently dropped so peers observe timeouts, like a dead node.
     Dead,
@@ -80,12 +86,31 @@ pub(crate) struct FabricInner {
 }
 
 impl FabricInner {
+    /// The single point every message that survived the fault plane and
+    /// the network delay goes through. A response wakes its waiter from
+    /// this thread; one whose request already timed out, or whose endpoint
+    /// died or was re-registered since, finds no waiter and is dropped.
     fn deliver_now(&self, envelope: Envelope) {
+        let Envelope { source, dest, message } = envelope;
         let endpoints = self.endpoints.read();
-        if let Some(Slot::Live(tx, _)) = endpoints.get(&envelope.dest) {
-            // A receiver that disappeared between lookup and send is
-            // equivalent to a crash: drop silently.
-            let _ = tx.send(envelope);
+        let Some(Slot::Live(mailbox, _, pending)) = endpoints.get(&dest) else {
+            return;
+        };
+        match message {
+            Message::Response(response) => {
+                // `pending` is a leaf lock: the waiter is woken after both
+                // guards are gone.
+                let waiter = pending.lock().remove(&response.xid);
+                drop(endpoints);
+                if let Some(waiter) = waiter {
+                    let _ = waiter.send(response);
+                }
+            }
+            message => {
+                // A receiver that disappeared between lookup and send is
+                // equivalent to a crash: drop silently.
+                let _ = mailbox.send(Envelope { source, dest, message });
+            }
         }
     }
 
@@ -207,8 +232,12 @@ impl Fabric {
     pub fn register(&self, addr: Address) -> Endpoint {
         let (tx, rx) = unbounded();
         let uid = mochi_util::unique_u64();
-        self.inner.endpoints.write().insert(addr.clone(), Slot::Live(tx, uid));
-        Endpoint::new(addr, rx, uid, Arc::clone(&self.inner))
+        let pending = Arc::new(PendingMap::default());
+        self.inner
+            .endpoints
+            .write()
+            .insert(addr.clone(), Slot::Live(tx, uid, Arc::clone(&pending)));
+        Endpoint::new(addr, rx, uid, pending, Arc::clone(&self.inner))
     }
 
     /// Marks `addr` as crashed: its mailbox is torn down and all traffic
@@ -224,7 +253,7 @@ impl Fabric {
     /// not take out a successor registered at the same address.
     pub(crate) fn kill_if_owner(&self, addr: &Address, uid: u64) {
         if let Some(slot) = self.inner.endpoints.write().get_mut(addr) {
-            if matches!(slot, Slot::Live(_, owner) if *owner == uid) {
+            if matches!(slot, Slot::Live(_, owner, _) if *owner == uid) {
                 *slot = Slot::Dead;
             }
         }

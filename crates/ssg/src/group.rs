@@ -375,6 +375,11 @@ impl SsgGroup {
         self.inner.state.lock().view()
     }
 
+    /// [`GroupView::epoch`] of the current view, without building it.
+    pub fn view_epoch(&self) -> u64 {
+        self.inner.state.lock().epoch()
+    }
+
     /// The view's membership hash (the Colza staleness check).
     pub fn view_hash(&self) -> u64 {
         self.view().hash()

@@ -115,6 +115,12 @@ impl SwimState {
         &self.self_addr
     }
 
+    /// Epoch of the view [`SwimState::view`] would build: moves with every
+    /// membership change.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// This member's incarnation number.
     pub fn incarnation(&self) -> u64 {
         self.incarnation

@@ -38,8 +38,6 @@ pub mod rank {
     /// `raft::NodeInner::rng` — election-timeout RNG; a leaf, never held
     /// across another raft acquisition.
     pub const RAFT_RNG: u32 = 130;
-    /// `margo::Inner::meta` — instance metadata (addresses, config).
-    pub const MARGO_META: u32 = 200;
     /// `margo::Inner::handlers` — RPC id → registration table.
     pub const MARGO_HANDLERS: u32 = 210;
     /// `margo::Inner::monitor` — installed monitoring backend.
@@ -61,8 +59,12 @@ pub mod rank {
     pub const ABT_RUNTIME: u32 = 300;
     /// `argobots::Pool::queue` — the ready queue itself.
     pub const POOL_QUEUE: u32 = 310;
-    /// `argobots::Pool::stats` — pool counter stripes; innermost.
+    /// `argobots::Pool::stats` — pool counter stripes; a leaf.
     pub const POOL_STATS: u32 = 320;
+    /// `argobots::Pool::servers` — parkers of the xstreams serving the
+    /// pool; read on every push, after `queue` is released. Only a
+    /// parker's own (unranked, leaf) mutex is taken under it.
+    pub const POOL_SERVERS: u32 = 330;
     /// `yokan` memory-backend shard `i` uses rank `YOKAN_SHARD_BASE + i`.
     /// Multi-shard operations acquire shards in ascending stripe index,
     /// which is ascending rank, so whole-table scans are deadlock-free
@@ -301,12 +303,12 @@ mod tests {
     #[test]
     fn increasing_rank_order_is_allowed() {
         let a = OrderedMutex::new(rank::RAFT_CORE, "core", 1u32);
-        let b = OrderedMutex::new(rank::MARGO_META, "meta", 2u32);
+        let b = OrderedMutex::new(rank::MARGO_HANDLERS, "handlers", 2u32);
         let ga = a.lock();
         let gb = b.lock();
         assert_eq!(*ga + *gb, 3);
         if cfg!(debug_assertions) {
-            assert_eq!(held_ranks(), vec![rank::RAFT_CORE, rank::MARGO_META]);
+            assert_eq!(held_ranks(), vec![rank::RAFT_CORE, rank::MARGO_HANDLERS]);
         }
         drop(gb);
         drop(ga);

@@ -572,7 +572,8 @@ impl CoalescingHandle {
                 state.pairs[i].1 = value.to_vec();
             }
             None => {
-                state.index.insert(key.to_vec(), state.pairs.len());
+                let slot = state.pairs.len();
+                state.index.insert(key.to_vec(), slot);
                 state.bytes += key.len() + value.len();
                 state.pairs.push((key.to_vec(), value.to_vec()));
                 if state.opened_at.is_none() {

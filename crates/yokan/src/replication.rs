@@ -117,15 +117,17 @@ impl VirtualDatabaseProvider {
         let inner = Arc::new(Inner { replicas: parking_lot::RwLock::new(handles) });
 
         type FramedOp =
-            Box<dyn Fn(&Inner, &[u8], CallContext) -> Result<Bytes, String> + Send + Sync>;
+            Box<dyn Fn(&Inner, &Bytes, CallContext) -> Result<Bytes, String> + Send + Sync>;
         let raw = |inner: &Arc<Inner>, f: FramedOp| -> mochi_margo::RpcHandler {
             let inner = Arc::clone(inner);
-            Arc::new(move |ctx: RpcContext| match f(&inner, ctx.payload(), ctx.nested_context()) {
-                Ok(payload) => {
-                    let _ = ctx.respond_bytes(payload);
-                }
-                Err(message) => {
-                    let _ = ctx.respond_err(message);
+            Arc::new(move |ctx: RpcContext| {
+                match f(&inner, ctx.payload_bytes(), ctx.nested_context()) {
+                    Ok(payload) => {
+                        let _ = ctx.respond_bytes(payload);
+                    }
+                    Err(message) => {
+                        let _ = ctx.respond_err(message);
+                    }
                 }
             })
         };
@@ -137,9 +139,9 @@ impl VirtualDatabaseProvider {
             raw(
                 &inner,
                 Box::new(|inner, payload, cx| {
-                    let (header, body): (KeyHeader, &[u8]) =
+                    let (header, body): (KeyHeader, Bytes) =
                         decode_framed(payload).map_err(|e| e.to_string())?;
-                    inner.write_all(cx, |h| h.put(&header.key, body))?;
+                    inner.write_all(cx, |h| h.put(&header.key, &body))?;
                     encode_framed(&true, &[]).map_err(|e| e.to_string())
                 }),
             ),
@@ -151,7 +153,7 @@ impl VirtualDatabaseProvider {
             raw(
                 &inner,
                 Box::new(|inner, payload, cx| {
-                    let (header, body): (PutMultiHeader, &[u8]) =
+                    let (header, body): (PutMultiHeader, Bytes) =
                         decode_framed(payload).map_err(|e| e.to_string())?;
                     let mut pairs: Vec<(&[u8], &[u8])> = Vec::with_capacity(header.keys.len());
                     let mut cursor = 0usize;
@@ -172,7 +174,7 @@ impl VirtualDatabaseProvider {
             raw(
                 &inner,
                 Box::new(|inner, payload, cx| {
-                    let (header, _): (KeyHeader, &[u8]) =
+                    let (header, _): (KeyHeader, Bytes) =
                         decode_framed(payload).map_err(|e| e.to_string())?;
                     let value = inner.read_any(cx, |h| h.get(&header.key))?;
                     match value {
@@ -193,7 +195,7 @@ impl VirtualDatabaseProvider {
             raw(
                 &inner,
                 Box::new(|inner, payload, cx| {
-                    let (header, _): (GetMultiHeader, &[u8]) =
+                    let (header, _): (GetMultiHeader, Bytes) =
                         decode_framed(payload).map_err(|e| e.to_string())?;
                     let keys: Vec<&[u8]> = header.keys.iter().map(|k| k.as_slice()).collect();
                     let values = inner.read_any(cx, |h| h.get_multi(&keys))?;

@@ -28,6 +28,8 @@
 #   36 provider-kill chaos failed (replicated keyspace lost an acked
 #      write, stopped serving quorum reads, or failed to re-converge
 #      after a member was crashed mid-traffic at rf=3)
+#   37 benchmark smoke failed (mochi-perf's own tests, or a 2 s
+#      point_rf3_map run that read back a wrong value or got an error)
 #   10+ static-analysis failures (see scripts/lint.sh)
 set -u
 
@@ -71,6 +73,16 @@ fi
 
 echo "==> cargo test"
 cargo test -q || exit 21
+
+# Benchmark smoke (crates/perf/README.md): the one perf stage that needs no
+# cores, so it fires on the 1-2-CPU host too. mochi-perf's tests (stand-in
+# behaviour, metric registry vs BENCHMARK.json, a 300 ms run of every
+# workload), then two seconds of the replicated point workload, whose
+# driver checks every value it reads back and exits non-zero on any
+# failed operation. No timing is asserted.
+echo "==> mochi-perf smoke"
+python3 crates/perf/bench.py cargo test -p mochi-perf || exit 37
+python3 crates/perf/bench.py --workload point_rf3_map --seed 2 --seconds 2 --trace 0 || exit 37
 
 # Benches are not run in CI (timing-sensitive), but they must compile:
 # they carry the experiment assertions of EXPERIMENTS.md.
