@@ -1,10 +1,12 @@
 //! Consistent-hash ring: the keyspace router behind [`RoutedKv`].
 //!
-//! The same FNV-1a router that spreads keys across in-process shards
-//! (memory backend) and WAL stripes (LSM) here spreads them across
-//! *providers*: each member contributes `vnodes` points on a `u64` ring,
-//! a key hashes to a point, and the first member point at or after it
-//! (wrapping) owns the key. Virtual nodes keep the per-member share near
+//! Each member contributes `vnodes` points on a `u64` ring, a key hashes
+//! to a point ([`HashRing::key_hash`]), and the first member point at or
+//! after it (wrapping) owns the key. Both sides go through the `mix64`
+//! finalizer: raw FNV-1a (which the shard and stripe routers reduce
+//! `% n`, where the low bits suffice) moves only its low ~40 bits for
+//! inputs that differ in their last bytes, so sequential keys would land
+//! on one arc of the ring. Virtual nodes keep the per-member share near
 //! `1/N` and — the property the rebalance path depends on — make a
 //! membership change move only the arcs adjacent to the changed member's
 //! points, not reshuffle the whole keyspace.
@@ -121,9 +123,14 @@ impl HashRing {
         Some(&self.members[index])
     }
 
+    /// Where `key` lands on the ring.
+    pub fn key_hash(key: &[u8]) -> u64 {
+        mix64(fnv1a64(key))
+    }
+
     /// The member owning `key`.
     pub fn owner(&self, key: &[u8]) -> Option<&str> {
-        self.owner_of_hash(fnv1a64(key))
+        self.owner_of_hash(Self::key_hash(key))
     }
 
     /// The first `r` *distinct* members whose points follow hash `h` in
@@ -151,7 +158,7 @@ impl HashRing {
     /// The replica set for `key`: `r` distinct members in successor
     /// order, primary first.
     pub fn owners(&self, key: &[u8], r: usize) -> Vec<&str> {
-        self.owners_of_hash(fnv1a64(key), r)
+        self.owners_of_hash(Self::key_hash(key), r)
     }
 
     /// A new ring with `member` added (same `vnodes`).
@@ -295,6 +302,19 @@ mod tests {
     }
 
     #[test]
+    fn sequential_short_keys_reach_every_member() {
+        // Keys that differ only in their last bytes: raw FNV-1a puts all
+        // 200 on two of the four members.
+        let ring = HashRing::new(&["kv0a", "kv0b", "kv1a", "kv1b"]);
+        let ks: Vec<Vec<u8>> = (0..200).map(|i| format!("key-{i:04}").into_bytes()).collect();
+        let parts = ring.partition(&ks);
+        for member in ring.members() {
+            let share = parts.get(member.as_str()).map_or(0, Vec::len);
+            assert!(share >= 20, "{member} owns {share} of 200");
+        }
+    }
+
+    #[test]
     fn add_moves_only_toward_the_new_member() {
         let old = HashRing::new(&["db0", "db1", "db2"]);
         let new = old.with_member("db3");
@@ -328,7 +348,7 @@ mod tests {
         }
         let in_arcs = |h: u64| arcs.iter().any(|a| (a.start..=a.end).contains(&h));
         for key in keys(2000) {
-            let h = mochi_util::fnv1a64(&key);
+            let h = HashRing::key_hash(&key);
             assert_eq!(old.moves(&new, &key), in_arcs(h), "hash {h:#x}");
         }
     }

@@ -176,7 +176,7 @@ proptest! {
             // changed point), but an *unchanged* primary inside no arc
             // may still swap a tail replica — assert only the arc⇒set
             // direction, which is what the drain planner relies on.
-            let hash = mochi_util::fnv1a64(&key);
+            let hash = HashRing::key_hash(&key);
             let in_arcs = arcs.iter().any(|a| (a.start..=a.end).contains(&hash));
             if in_arcs {
                 prop_assert!(
@@ -202,7 +202,7 @@ proptest! {
         let to = HashRing::new(&to_members);
         let arcs = from.moved_arcs(&to);
         for key in salted_keys(salt, 500) {
-            let hash = mochi_util::fnv1a64(&key);
+            let hash = HashRing::key_hash(&key);
             let in_arcs = arcs.iter().any(|a| (a.start..=a.end).contains(&hash));
             prop_assert_eq!(from.moves(&to, &key), in_arcs);
         }
