@@ -435,13 +435,17 @@ impl YokanProvider {
             .as_ref()
             .map(|d| d.join("slices-out"))
             .unwrap_or_else(|| std::env::temp_dir().join(format!("yokan-slices-{provider_id}")));
+        // This process's REMI provider is rooted at the server directory,
+        // two levels above `<server>/providers/<name>`.
+        let local_remi_root =
+            data_dir.as_ref().and_then(|d| Some(d.parent()?.parent()?.to_path_buf()));
         margo.register_typed(
             rpc::SLICE_EXPORT,
             provider_id,
             pool,
             move |args: SliceExportArgs, ctx: &RpcContext| {
-                slice_export(&export_db, &export_margo, &export_scratch, args, ctx)
-                    .map_err(|e| e.to_string())
+                let local = local_remi_root.as_deref();
+                slice_export(&export_db, &export_margo, &export_scratch, local, args, ctx)
             },
         )?;
         // Versioned-record + hint surface (replicated keyspaces,
@@ -657,10 +661,17 @@ fn check_tag(tag: &str) -> Result<(), String> {
 /// `slices/<tag>` landing directory. The nested REMI forwards run under
 /// the export RPC's remaining deadline (`ctx.nested_context()`), so a
 /// caller-side timeout bounds the whole transfer.
+///
+/// A destination in this very process gets the file moved into its
+/// landing directory instead: the nested `remi_migration_*` RPCs would
+/// need an execution stream of the pool this handler is blocking, and
+/// with one stream per pool (the default) they would wait out the
+/// deadline.
 fn slice_export(
     db: &Arc<dyn Database>,
     margo: &MargoRuntime,
     scratch_root: &std::path::Path,
+    local_remi_root: Option<&std::path::Path>,
     args: SliceExportArgs,
     ctx: &RpcContext,
 ) -> Result<SliceExportReply, String> {
@@ -677,20 +688,38 @@ fn slice_export(
         .collect();
     let dir = scratch_root.join(&args.tag);
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    write_dump(&dir.join("slice.ykn"), &pairs).map_err(|e| e.to_string())?;
-    let fileset = FileSet::scan(&dir).map_err(|e| e.to_string())?;
-    let remi = RemiClient::new(margo).with_context(ctx.nested_context());
-    let options = MigrationOptions {
-        dest_subdir: Some(args.dest_subdir.clone()),
-        remove_source: true,
-        timeout: margo.rpc_timeout(),
+    let spill = dir.join("slice.ykn");
+    write_dump(&spill, &pairs).map_err(|e| e.to_string())?;
+    let bytes = if dest == margo.address() {
+        let root = local_remi_root
+            .ok_or("slice export to this process needs a data-dir-rooted provider")?;
+        let escapes = std::path::Path::new(&args.dest_subdir)
+            .components()
+            .any(|c| !matches!(c, std::path::Component::Normal(_)));
+        if escapes || args.dest_subdir.is_empty() {
+            return Err(format!("unsafe relative path '{}'", args.dest_subdir));
+        }
+        let landing = root.join(&args.dest_subdir);
+        std::fs::create_dir_all(&landing).map_err(|e| e.to_string())?;
+        let bytes = std::fs::metadata(&spill).map_err(|e| e.to_string())?.len();
+        // Same server directory, hence same filesystem: a rename.
+        std::fs::rename(&spill, landing.join("slice.ykn")).map_err(|e| e.to_string())?;
+        bytes
+    } else {
+        let fileset = FileSet::scan(&dir).map_err(|e| e.to_string())?;
+        let remi = RemiClient::new(margo).with_context(ctx.nested_context());
+        let options = MigrationOptions {
+            dest_subdir: Some(args.dest_subdir.clone()),
+            remove_source: true,
+            timeout: margo.rpc_timeout(),
+        };
+        remi.migrate(&dest, args.dest_remi_id, &fileset, Strategy::Rdma, &options)
+            .map_err(|e| e.to_string())?
+            .bytes
     };
-    let report = remi
-        .migrate(&dest, args.dest_remi_id, &fileset, Strategy::Rdma, &options)
-        .map_err(|e| e.to_string())?;
-    // remove_source dropped the spill file; drop its directory too.
+    // The spill file is gone either way; drop its directory too.
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(SliceExportReply { pairs: pairs.len() as u64, bytes: report.bytes })
+    Ok(SliceExportReply { pairs: pairs.len() as u64, bytes })
 }
 
 /// `SLICE_IMPORT` body: load the spill file REMI landed under
