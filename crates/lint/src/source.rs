@@ -122,7 +122,9 @@ fn extract_functions(text: &[u8]) -> Vec<Function> {
 }
 
 /// Recursively collects `.rs` files under `root`, skipping build output,
-/// VCS metadata, and test/bench/example trees (those may panic freely).
+/// VCS metadata, and test/bench/example trees (those may panic freely) —
+/// the benchmark harness `crates/perf`, dependency stand-ins included,
+/// is of that class.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -136,7 +138,8 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> 
                 if matches!(
                     name.as_ref(),
                     "target" | ".git" | "tests" | "examples" | "benches" | "fixtures"
-                ) {
+                ) || path == root.join("crates/perf")
+                {
                     continue;
                 }
                 stack.push(path);

@@ -188,6 +188,9 @@ fn shipped_batches_survive_transport_retries_exactly_once() {
 
     // Same fault against erase: no retry happens, the caller gets the
     // failure, and the key is untouched — at-most-once, surfaced.
+    // Scripts on one link share its message counter, so the first script
+    // goes before the second can see ordinal 1.
+    fabric.faults().clear_scripts(Some("client"), Some("server"));
     fabric.faults().push_script(Some("client"), Some("server"), LinkScript::FailFirst(1));
     assert!(db.erase(b"retried").is_err(), "dropped erase must surface, not silently retry");
     assert_eq!(
