@@ -203,7 +203,7 @@ impl FailoverKv {
         Err(last_err)
     }
 
-    fn should_reroute(err: &MargoError) -> bool {
+    pub(crate) fn should_reroute(err: &MargoError) -> bool {
         err.is_retryable()
             || matches!(err, MargoError::BreakerOpen { .. } | MargoError::DeadlineExceeded)
     }

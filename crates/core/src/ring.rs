@@ -141,24 +141,35 @@ impl HashRing {
     ///
     /// [`owner_of_hash`]: HashRing::owner_of_hash
     pub fn owners_of_hash(&self, h: u64, r: usize) -> Vec<&str> {
+        self.owner_indices_of_hash(h, r).into_iter().map(|i| self.members[i].as_str()).collect()
+    }
+
+    fn owner_indices_of_hash(&self, h: u64, r: usize) -> Vec<usize> {
         let want = r.min(self.members.len());
         let mut seen: Vec<usize> = Vec::with_capacity(want);
-        for (_, index) in self.points.range(h..).chain(self.points.range(..h)) {
-            if seen.contains(index) {
-                continue;
+        let mut full = |index: &usize| {
+            if !seen.contains(index) {
+                seen.push(*index);
             }
-            seen.push(*index);
-            if seen.len() == want {
-                break;
-            }
+            seen.len() == want
+        };
+        // The wrap-around half is looked up only if the first runs out:
+        // the common walk ends within a few points of `h`.
+        if !self.points.range(h..).any(|(_, index)| full(index)) {
+            let _ = self.points.range(..h).any(|(_, index)| full(index));
         }
-        seen.into_iter().map(|i| self.members[i].as_str()).collect()
+        seen
     }
 
     /// The replica set for `key`: `r` distinct members in successor
     /// order, primary first.
     pub fn owners(&self, key: &[u8], r: usize) -> Vec<&str> {
         self.owners_of_hash(Self::key_hash(key), r)
+    }
+
+    /// [`Self::owners`] as indices into [`Self::members`].
+    pub fn owner_indices(&self, key: &[u8], r: usize) -> Vec<usize> {
+        self.owner_indices_of_hash(Self::key_hash(key), r)
     }
 
     /// A new ring with `member` added (same `vnodes`).

@@ -4,36 +4,47 @@
 //! follows *one* provider across relocations, a routed handle spreads a
 //! keyspace over *many* providers with a client-side consistent-hash
 //! ring ([`HashRing`]) and keeps every per-provider behavior — retry,
-//! breaker, deadline, SSG-view re-resolution, write coalescing — by
-//! routing each leg through its own [`FailoverKv`].
+//! breaker, deadline, SSG-view re-resolution — by routing each leg
+//! through its own [`FailoverKv`].
 //!
-//! Three properties define the design:
+//! There is one data path, at every `replication_factor`:
 //!
 //! * **Names, not addresses.** The ring maps keys to provider *names*;
-//!   each leg resolves the name to a live `(address, provider_id)` per
-//!   operation. Provider-level REMI migrations (node scale-in, failover
-//!   rebuilds) are therefore invisible to the ring — only *keyspace*
-//!   rebalances ([`RoutedKv::join`] / [`RoutedKv::retire`]) change it.
-//! * **Concurrent fan-out.** Multi-key operations split into one batch
-//!   per destination and the batches run as Argobots ULTs on a dedicated
+//!   each leg resolves the name to a live `(address, provider_id)`.
+//!   Provider-level REMI migrations (node scale-in, failover rebuilds)
+//!   are therefore invisible to the ring — only *keyspace* rebalances
+//!   ([`RoutedKv::join`] / [`RoutedKv::retire`]) change it.
+//! * **Versioned records, quorum I/O** (DESIGN.md §18). Every key lives
+//!   on its first `replication_factor` distinct ring successors. A write
+//!   stamps an HLC-style version, is stored as a `mochi_yokan::version`
+//!   record by server-side put-if-newer on every replica, and acks at
+//!   the write quorum `W`; an erase is a write of a tombstone. A read
+//!   asks the replicas, needs the read quorum, merges freshest-wins and
+//!   repairs stale replicas asynchronously. `replication_factor 1` (the
+//!   default) is the replica set of one with `W = R = 1`.
+//! * **Concurrent fan-out.** Operations split into one batch per
+//!   destination and the batches run as Argobots ULTs on a dedicated
 //!   `routed-fanout` pool (the last leg runs inline on the caller), so a
 //!   `put_multi` over 4 providers costs one leg's latency, not four.
-//!   Failures stay per key: every slot reports its own leg's outcome.
+//!   Failures stay per key: every slot reports its own outcome.
 //! * **Live rebalance, zero acked-write loss.** Membership changes drain
 //!   the minimal moved-slice set through REMI while traffic continues:
-//!   writes to moving keys dual-write old and new owner, reads fall back
-//!   old-then-new, erases are logged and replayed, and slice imports are
-//!   put-if-absent under a client-side barrier. See [`RoutedKv::join`]
-//!   for the full protocol.
-//! * **Optional replication** (`replication_factor > 1`, DESIGN.md §18):
-//!   every key lives on R distinct ring successors. Writes stamp an
-//!   HLC-style version and fan to all R owners, acking at write-quorum
-//!   `W`; an unreachable owner's share lands on the next successor as a
-//!   *hint* that a background drainer replays when the owner returns.
-//!   Reads ask the owners, require read-quorum `R_q`, merge freshest-
-//!   wins, and repair stale replicas asynchronously. A killed member is
-//!   retired with **no drain** ([`RoutedKv::fail_member`]) — survivors
-//!   already hold every record; only a re-replication catch-up runs.
+//!   during the move window writes cover the serving replicas *and* the
+//!   future owners, and slice imports are per-key freshest-wins under a
+//!   client-side barrier, so neither an in-flight write nor an erase can
+//!   lose to the exported snapshot. See [`RoutedKv::join`].
+//! * **Hinted handoff and provider death** (replica sets larger than
+//!   one): an unreachable owner's share lands on another member as a
+//!   *hint* that a background drainer replays when the owner returns,
+//!   and a killed member is retired with **no drain**
+//!   ([`RoutedKv::fail_member`]) — survivors already hold every record.
+//!   A set of one has nobody to park a hint for: its owner's failure is
+//!   the write's failure.
+//!
+//! A member's backend therefore holds record envelopes, not raw values:
+//! a plain `DatabaseHandle` pointed at a member sees them. Raw values
+//! written before the keyspace was opened decode as version 0 and are
+//! upgraded by their next write.
 //!
 //! One instance of [`RoutedKv`] is the *coordinator* of its keyspace:
 //! concurrent data ops on the same instance are safe, but membership
@@ -57,7 +68,7 @@ use mochi_margo::{MargoError, MargoRuntime};
 use mochi_mercury::Address;
 use mochi_pufferscale::Weights;
 use mochi_util::unique_u64;
-use mochi_yokan::client::{CoalescerConfig, CoalescingHandle, DatabaseHandle, VersionedValue};
+use mochi_yokan::client::VersionedValue;
 use mochi_yokan::provider::{HintDropEntry, HintEntry};
 
 use crate::failover::FailoverKv;
@@ -69,6 +80,10 @@ use crate::service::DynamicService;
 /// which would serialize the fan-out).
 pub const FANOUT_POOL: &str = "routed-fanout";
 
+/// Re-resolution rounds of a leg whose loss the quorum and the hint
+/// machinery absorb: fail fast rather than stall the whole operation.
+const FAIL_FAST_ROUNDS: u32 = 2;
+
 /// Tuning knobs of a [`RoutedKv`].
 #[derive(Debug, Clone, Copy)]
 pub struct RoutedConfig {
@@ -78,31 +93,25 @@ pub struct RoutedConfig {
     pub fanout_streams: usize,
     /// Per-attempt timeout of each leg.
     pub leg_timeout: Duration,
-    /// Re-resolution rounds of each leg (see [`FailoverKv`]).
+    /// Re-resolution rounds of each leg (see [`FailoverKv`]). Data-path
+    /// legs of a replica set larger than one use two rounds instead.
     pub leg_max_rounds: u32,
     /// Wait between a leg's re-resolution rounds — deliberately shorter
     /// than the standalone [`FailoverKv`] default so one slow leg does
     /// not hold a whole scatter-gather hostage.
     pub leg_reroute_backoff: Duration,
-    /// When set, single-key `put`s coalesce client-side per destination
-    /// (see [`CoalescingHandle`]); multi-ops already batch per
-    /// destination and bypass it. Only effective at `replication_factor
-    /// 1` — the replicated write path stamps versions per key and always
-    /// writes through.
-    pub coalescer: Option<CoalescerConfig>,
     /// Keys listed per page while draining a rebalance.
     pub drain_batch: usize,
-    /// Copies of every key (distinct ring successors). `1` (the
-    /// default) keeps the single-owner behavior; `> 1` turns on quorum
-    /// writes/reads, hinted handoff, and [`RoutedKv::fail_member`].
+    /// Copies of every key (distinct ring successors). `> 1` adds hinted
+    /// handoff and [`RoutedKv::fail_member`] to the one data path.
     pub replication_factor: usize,
-    /// Acks required before a replicated write returns `Ok`; `None`
-    /// means a majority of the serving replicas. Clamped to
-    /// `1..=replicas`. At least one ack must always be a *real* owner
-    /// ack (hints alone never satisfy the quorum).
+    /// Acks required before a write returns `Ok`; `None` means a
+    /// majority of the serving replicas. Clamped to `1..=replicas`. At
+    /// least one ack must always be a *real* owner ack (hints alone
+    /// never satisfy the quorum).
     pub write_quorum: Option<usize>,
-    /// Replica answers required before a replicated read returns;
-    /// `None` means a majority of the serving replicas.
+    /// Replica answers required before a read returns; `None` means a
+    /// majority of the serving replicas.
     pub read_quorum: Option<usize>,
     /// How often the background drainer replays parked hints.
     pub hint_drain_interval: Duration,
@@ -122,7 +131,6 @@ impl Default for RoutedConfig {
             leg_timeout: Duration::from_millis(250),
             leg_max_rounds: 40,
             leg_reroute_backoff: Duration::from_millis(10),
-            coalescer: None,
             drain_batch: 512,
             replication_factor: 1,
             write_quorum: None,
@@ -137,10 +145,6 @@ impl Default for RoutedConfig {
 impl RoutedConfig {
     fn rf(&self) -> usize {
         self.replication_factor.max(1)
-    }
-
-    fn replicated(&self) -> bool {
-        self.rf() > 1
     }
 
     /// Write quorum over `replicas` live copies (majority by default).
@@ -162,12 +166,10 @@ impl RoutedConfig {
 /// [`RoutedKv::retire`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RebalanceReport {
-    /// Keys drained to a new owner.
+    /// Records (tombstones included) drained to a new owner.
     pub moved_keys: u64,
     /// REMI slice migrations issued.
     pub slices: u64,
-    /// Erases recorded during the move window and replayed at cutover.
-    pub replayed_erases: u64,
     /// Stale source copies removed after cutover.
     pub erased_stale: u64,
 }
@@ -262,242 +264,197 @@ impl Throttle {
     }
 }
 
-/// Routing snapshot: the serving ring plus, during a move window, the
-/// ring being drained toward.
-#[derive(Clone)]
-struct RouteSnapshot {
+/// An owned versioned record: key, version, value (`None` = tombstone).
+type Record = (Vec<u8>, u64, Option<Vec<u8>>);
+/// The same, borrowed from the caller.
+type RecordRef<'a> = (&'a [u8], u64, Option<&'a [u8]>);
+
+/// Immutable routing state: operations share the current one by `Arc`,
+/// membership changes publish a new one.
+struct Route {
+    /// Serving ring: reads route here.
     ring: HashRing,
+    /// The ring being drained toward, during a move window.
     to_ring: Option<HashRing>,
+    /// The members of either ring, sorted. Replica sets, batches and
+    /// quorum bookkeeping name members by position here.
+    members: Vec<String>,
+    /// One leg per member, in the same order.
+    legs: Vec<Arc<FailoverKv>>,
+    /// Where each member of `ring`, and of `to_ring`, sits in `members`.
+    ring_at: Vec<usize>,
+    to_at: Vec<usize>,
+    /// Replication factor (`>= 1`).
+    rf: usize,
 }
 
-impl RouteSnapshot {
-    /// The key's owner pair: serving owner, plus the future owner when
-    /// the key is mid-move.
-    fn owners<'s>(&'s self, key: &[u8]) -> (Option<&'s str>, Option<&'s str>) {
-        let owner = self.ring.owner(key);
-        let moving = match (&self.to_ring, owner) {
-            (Some(to), Some(from)) => to.owner(key).filter(|next| *next != from),
-            _ => None,
+/// A key's write set, as positions in [`Route::legs`].
+struct WriteSet {
+    /// Serving replicas first, then the future owners (move window) that
+    /// are not already serving.
+    members: Vec<usize>,
+    /// How many of `members` are serving replicas.
+    serving: usize,
+}
+
+impl WriteSet {
+    fn serving(&self) -> &[usize] {
+        &self.members[..self.serving]
+    }
+
+    fn future(&self) -> &[usize] {
+        &self.members[self.serving..]
+    }
+}
+
+impl Route {
+    /// A route over `ring` (and `to_ring` while a move window is open)
+    /// with what `make_legs` makes of its member names.
+    fn new(
+        ring: HashRing,
+        to_ring: Option<HashRing>,
+        rf: usize,
+        make_legs: impl FnOnce(&[String]) -> Vec<Arc<FailoverKv>>,
+    ) -> Self {
+        let mut members = ring.members().to_vec();
+        members.extend(to_ring.iter().flat_map(|to| to.members().iter().cloned()));
+        members.sort();
+        members.dedup();
+        let at = |names: &[String]| -> Vec<usize> {
+            names.iter().filter_map(|name| members.binary_search(name).ok()).collect()
         };
-        (owner, moving)
+        let ring_at = at(ring.members());
+        let to_at = at(to_ring.as_ref().map_or(&[], HashRing::members));
+        let legs = make_legs(&members);
+        Self { ring, to_ring, members, legs, ring_at, to_at, rf }
+    }
+
+    /// Position of `member` (`None` for a name on neither ring).
+    fn position(&self, member: &str) -> Option<usize> {
+        self.members.binary_search_by(|name| name.as_str().cmp(member)).ok()
+    }
+
+    fn leg(&self, member: &str) -> Result<&Arc<FailoverKv>, MargoError> {
+        self.position(member).map(|position| &self.legs[position]).ok_or_else(|| {
+            MargoError::Handler(format!("no leg for keyspace member '{member}'"))
+        })
     }
 
     /// The key's serving replica set: `rf` distinct successors on the
     /// serving ring. Reads route here.
-    fn replicas(&self, key: &[u8], rf: usize) -> Vec<String> {
-        self.ring.owners(key, rf).into_iter().map(str::to_string).collect()
+    fn replicas(&self, key: &[u8]) -> Vec<usize> {
+        let mut set = self.ring.owner_indices(key, self.rf);
+        set.iter_mut().for_each(|member| *member = self.ring_at[*member]);
+        set
     }
 
-    /// The key's write set: serving replicas first, then any future
-    /// owners (move window) not already serving — replicated writes
-    /// cover both so a cutover in either direction keeps every acked
-    /// write.
-    fn write_set(&self, key: &[u8], rf: usize) -> (Vec<String>, Vec<String>) {
-        let serving = self.replicas(key, rf);
-        let mut future = Vec::new();
+    /// The key's write set: writes cover the serving replicas *and* the
+    /// future owners, so a cutover in either direction keeps every
+    /// acked write.
+    fn write_set(&self, key: &[u8]) -> WriteSet {
+        let mut members = self.replicas(key);
+        let serving = members.len();
         if let Some(to) = &self.to_ring {
-            for member in to.owners(key, rf) {
-                if !serving.iter().any(|m| m == member) {
-                    future.push(member.to_string());
+            for position in to.owner_indices(key, self.rf).into_iter().map(|m| self.to_at[m]) {
+                if !members.contains(&position) {
+                    members.push(position);
                 }
             }
         }
-        (serving, future)
+        WriteSet { members, serving }
+    }
+
+    /// Whether a replica set holds more than one member: only then is
+    /// there a live replica to serve from while another member holds a
+    /// hint for the one that failed.
+    fn hints(&self) -> bool {
+        self.rf.min(self.ring.len()) > 1
+    }
+
+    /// Re-resolution rounds of a data-path leg. A set of one has no hint
+    /// to fall back on, so its leg waits out relocations and transient
+    /// faults; larger sets fail fast and let the quorum absorb the loss.
+    fn leg_rounds(&self, config: &RoutedConfig) -> u32 {
+        if self.hints() {
+            FAIL_FAST_ROUNDS
+        } else {
+            config.leg_max_rounds
+        }
     }
 }
 
-/// One per-member leg: a failover handle plus an optional write
-/// coalescer pinned to the last resolved location.
-struct Leg {
-    failover: FailoverKv,
-    coalescer_config: Option<CoalescerConfig>,
-    coalescer: Mutex<Option<CoalescingHandle>>,
+/// Groups item indices by member: `(member, indices)` for every member
+/// that some item's set names, in member order.
+fn by_member<'s>(
+    members: usize,
+    sets: impl Iterator<Item = &'s [usize]>,
+) -> Vec<(usize, Vec<usize>)> {
+    let mut batches: Vec<Vec<usize>> = vec![Vec::new(); members];
+    for (i, set) in sets.enumerate() {
+        for &member in set {
+            batches[member].push(i);
+        }
+    }
+    batches.into_iter().enumerate().filter(|(_, batch)| !batch.is_empty()).collect()
 }
 
-impl Leg {
-    fn new(
-        service: &Arc<DynamicService>,
-        margo: &MargoRuntime,
-        member: &str,
-        config: &RoutedConfig,
-    ) -> Self {
-        let failover = FailoverKv::new(service, margo, member)
+/// The members' legs: failover handles tuned by the keyspace's config.
+fn new_legs(
+    service: &Arc<DynamicService>,
+    margo: &MargoRuntime,
+    config: &RoutedConfig,
+    members: &[String],
+) -> Vec<Arc<FailoverKv>> {
+    let leg = |member: &String| {
+        FailoverKv::new(service, margo, member)
             .with_timeout(config.leg_timeout)
             .with_max_rounds(config.leg_max_rounds)
-            .with_reroute_backoff(config.leg_reroute_backoff);
-        Self {
-            failover,
-            coalescer_config: config.coalescer,
-            coalescer: Mutex::new(None),
+            .with_reroute_backoff(config.leg_reroute_backoff)
+    };
+    members.iter().map(|member| Arc::new(leg(member))).collect()
+}
+
+/// Batched put-if-newer on one leg; returns per-record `existed` flags.
+fn vput_multi(leg: &FailoverKv, records: &[Record], rounds: u32) -> Result<Vec<bool>, MargoError> {
+    let refs: Vec<RecordRef<'_>> =
+        records.iter().map(|(k, v, val)| (k.as_slice(), *v, val.as_deref())).collect();
+    leg.with_handle_rounds(rounds, |h| h.put_versioned_multi(&refs)).map(|reply| reply.existed)
+}
+
+/// Batched versioned read on one leg; `None` = this replica has no
+/// record.
+fn vget_multi(
+    leg: &FailoverKv,
+    keys: &[Vec<u8>],
+    rounds: u32,
+) -> Result<Vec<Option<VersionedValue>>, MargoError> {
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    leg.with_handle_rounds(rounds, |h| h.get_versioned_multi(&refs))
+}
+
+/// Who acked one record of a quorum write.
+#[derive(Default)]
+struct Tally {
+    /// Serving replicas that really acked.
+    real_serving: usize,
+    /// Serving replicas covered by a real ack or a hint.
+    covered_serving: usize,
+    /// Future owners covered by a real ack or a hint.
+    covered_future: usize,
+    /// Whether a live record existed on some replica before the write.
+    existed: bool,
+    /// First error of a member that is not covered.
+    error: Option<MargoError>,
+}
+
+impl Tally {
+    fn credit(&mut self, set: &WriteSet, member: usize, real: bool) {
+        if set.serving().contains(&member) {
+            self.covered_serving += 1;
+            self.real_serving += usize::from(real);
+        } else {
+            self.covered_future += 1;
         }
-    }
-
-    fn reroutable(err: &MargoError) -> bool {
-        err.is_retryable()
-            || matches!(err, MargoError::BreakerOpen { .. } | MargoError::DeadlineExceeded)
-    }
-
-    /// Buffered single-key put when coalescing is on; write-through
-    /// otherwise. A transport-class coalescer failure unpins it (the
-    /// location may have moved) and falls back to the failover path.
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), MargoError> {
-        let Some(config) = self.coalescer_config else {
-            return self.failover.put(key, value);
-        };
-        {
-            let mut pinned = self.coalescer.lock();
-            if pinned.is_none() {
-                if let Some(handle) = self.failover.handle() {
-                    *pinned = Some(DatabaseHandle::clone(&handle).coalescing(config));
-                }
-            }
-            if let Some(coalescer) = pinned.as_ref() {
-                match coalescer.put(key, value) {
-                    Ok(()) => return Ok(()),
-                    Err(err) if Self::reroutable(&err) => *pinned = None,
-                    Err(err) => return Err(err),
-                }
-            }
-        }
-        self.failover.put(key, value)
-    }
-
-    /// Ships any coalesced puts (barrier before reads/drains). A
-    /// transport-class failure unpins the coalescer and reports the
-    /// error — the batch was already dropped by the coalescer's own
-    /// no-requeue contract.
-    fn sync(&self) -> Result<(), MargoError> {
-        let mut pinned = self.coalescer.lock();
-        if let Some(coalescer) = pinned.as_ref() {
-            if let Err(err) = coalescer.sync() {
-                if Self::reroutable(&err) {
-                    *pinned = None;
-                }
-                return Err(err);
-            }
-        }
-        Ok(())
-    }
-
-    /// Direct batched write (multi-ops). Syncs first so a buffered
-    /// single-key put cannot ship *after* a newer batched value.
-    fn put_multi(&self, pairs: &[(Vec<u8>, Vec<u8>)]) -> Result<(), MargoError> {
-        self.sync()?;
-        let refs: Vec<(&[u8], &[u8])> =
-            pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-        self.failover.put_multi(&refs)
-    }
-
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, MargoError> {
-        self.sync()?;
-        self.failover.get(key)
-    }
-
-    fn get_multi(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
-        self.sync()?;
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        self.failover.get_multi(&refs)
-    }
-
-    fn erase(&self, key: &[u8]) -> Result<bool, MargoError> {
-        self.sync()?;
-        self.failover.erase(key)
-    }
-
-    fn erase_multi(&self, keys: &[Vec<u8>]) -> Result<u64, MargoError> {
-        self.sync()?;
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        self.failover.with_handle(|h| h.erase_multi(&refs))
-    }
-
-    fn exists(&self, key: &[u8]) -> Result<bool, MargoError> {
-        self.sync()?;
-        self.failover.exists(key)
-    }
-
-    fn list_keys(
-        &self,
-        prefix: &[u8],
-        start_after: Option<&[u8]>,
-        max: usize,
-    ) -> Result<Vec<Vec<u8>>, MargoError> {
-        self.sync()?;
-        self.failover.list_keys(prefix, start_after, max)
-    }
-
-    fn len(&self) -> Result<u64, MargoError> {
-        self.sync()?;
-        self.failover.len()
-    }
-
-    // Versioned (replicated-mode) operations. The replicated write path
-    // never feeds the coalescer, so these skip the sync barrier and talk
-    // straight to the failover handle with an explicit round budget —
-    // quorum legs fail fast and let the hint machinery absorb the loss.
-
-    /// Put-if-newer of one versioned record (`None` value = tombstone).
-    fn vput(
-        &self,
-        key: &[u8],
-        version: u64,
-        value: Option<&[u8]>,
-        rounds: u32,
-    ) -> Result<bool, MargoError> {
-        self.failover
-            .with_handle_rounds(rounds, |h| h.put_versioned(key, version, value))
-            .map(|reply| reply.existed)
-    }
-
-    /// Batched put-if-newer; returns per-record `existed` flags.
-    fn vput_multi(
-        &self,
-        records: &[(Vec<u8>, u64, Option<Vec<u8>>)],
-        rounds: u32,
-    ) -> Result<Vec<bool>, MargoError> {
-        self.failover
-            .with_handle_rounds(rounds, |h| {
-                let refs: Vec<(&[u8], u64, Option<&[u8]>)> = records
-                    .iter()
-                    .map(|(k, v, val)| (k.as_slice(), *v, val.as_deref()))
-                    .collect();
-                h.put_versioned_multi(&refs)
-            })
-            .map(|reply| reply.existed)
-    }
-
-    /// Batched versioned read; `None` = this replica has no record.
-    fn vget_multi(
-        &self,
-        keys: &[Vec<u8>],
-        rounds: u32,
-    ) -> Result<Vec<Option<VersionedValue>>, MargoError> {
-        self.failover.with_handle_rounds(rounds, |h| {
-            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            h.get_versioned_multi(&refs)
-        })
-    }
-
-    /// Parks a record destined for `target` on this member (handoff).
-    fn hint_put(
-        &self,
-        target: &str,
-        key: &[u8],
-        version: u64,
-        value: Option<&[u8]>,
-        rounds: u32,
-    ) -> Result<bool, MargoError> {
-        self.failover
-            .with_handle_rounds(rounds, |h| h.hint_put(target, key, version, value))
-    }
-
-    /// Lists up to `max` parked hints on this member.
-    fn hint_list(&self, max: usize, rounds: u32) -> Result<Vec<HintEntry>, MargoError> {
-        self.failover.with_handle_rounds(rounds, |h| h.hint_list(max))
-    }
-
-    /// Drops replayed hints (skipping any re-parked with a newer version).
-    fn hint_drop(&self, entries: &[HintDropEntry], rounds: u32) -> Result<u64, MargoError> {
-        self.failover.with_handle_rounds(rounds, |h| h.hint_drop(entries))
     }
 }
 
@@ -506,20 +463,12 @@ pub struct RoutedKv {
     service: Arc<DynamicService>,
     margo: MargoRuntime,
     config: RoutedConfig,
-    /// Serving ring (+ target ring during a move window). `Arc` so the
-    /// hint drainer thread shares the live routing state.
-    state: Arc<RwLock<RouteSnapshot>>,
-    /// Member name → leg (shared with the hint drainer).
-    legs: Arc<RwLock<BTreeMap<String, Arc<Leg>>>>,
-    /// Write barrier of the move protocol: writes to *moving* keys hold
-    /// it shared; slice imports, erase-log replay, and cutover hold it
-    /// exclusive, so an import batch never interleaves with a dual-write
-    /// it could shadow.
+    /// The current route (shared with the hint drainer thread).
+    state: Arc<RwLock<Arc<Route>>>,
+    /// Write barrier of the move protocol: writes hold it shared across
+    /// routing and RPCs; slice imports and ring swaps hold it exclusive,
+    /// so no write routed under an older ring is in flight behind them.
     barrier: RwLock<()>,
-    /// Keys erased during the move window; replayed on the new owners at
-    /// cutover so a put-if-absent import cannot resurrect them. Unused
-    /// in replicated mode (erases are versioned tombstones there).
-    erase_log: Mutex<Vec<Vec<u8>>>,
     /// One membership change at a time.
     rebalance_lock: Mutex<()>,
     /// Whether the fan-out pool installed (else legs run sequentially).
@@ -532,7 +481,7 @@ pub struct RoutedKv {
     stats: Arc<ReplicationStats>,
     /// Tells the hint drainer thread to exit.
     stop: Arc<AtomicBool>,
-    /// The hint drainer thread (replicated mode only).
+    /// The hint drainer thread (`replication_factor > 1` only).
     drainer: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -545,21 +494,18 @@ impl RoutedKv {
         members: &[S],
         config: RoutedConfig,
     ) -> Self {
-        let ring = HashRing::with_vnodes(members, config.vnodes);
-        let legs: BTreeMap<String, Arc<Leg>> = ring
-            .members()
-            .iter()
-            .map(|m| (m.clone(), Arc::new(Leg::new(service, margo, m, &config))))
-            .collect();
         let fanout_ok = Self::install_fanout(margo, config.fanout_streams);
         let kv = Self {
             service: Arc::clone(service),
             margo: margo.clone(),
             config,
-            state: Arc::new(RwLock::new(RouteSnapshot { ring, to_ring: None })),
-            legs: Arc::new(RwLock::new(legs)),
+            state: Arc::new(RwLock::new(Arc::new(Route::new(
+                HashRing::with_vnodes(members, config.vnodes),
+                None,
+                config.rf(),
+                |members| new_legs(service, margo, &config, members),
+            )))),
             barrier: RwLock::new(()),
-            erase_log: Mutex::new(Vec::new()),
             rebalance_lock: Mutex::new(()),
             fanout_ok,
             clock: AtomicU64::new(0),
@@ -567,7 +513,8 @@ impl RoutedKv {
             stop: Arc::new(AtomicBool::new(false)),
             drainer: Mutex::new(None),
         };
-        if kv.config.replicated() {
+        // A replica set of one never parks a hint: nothing to drain.
+        if config.rf() > 1 {
             kv.spawn_hint_drainer();
         }
         kv
@@ -579,20 +526,20 @@ impl RoutedKv {
     /// owners). Replays go through put-if-newer, so re-delivery is
     /// harmless.
     fn spawn_hint_drainer(&self) {
-        let config = self.config;
+        let interval = self.config.hint_drain_interval;
         let state = Arc::clone(&self.state);
-        let legs = Arc::clone(&self.legs);
         let stats = Arc::clone(&self.stats);
         let stop = Arc::clone(&self.stop);
         let handle = std::thread::Builder::new()
             .name("routed-hint-drainer".into())
             .spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(config.hint_drain_interval);
+                    std::thread::sleep(interval);
                     if stop.load(Ordering::Acquire) {
                         break;
                     }
-                    hint_drain_pass(&config, &state, &legs, &stats);
+                    let route = Arc::clone(&state.read());
+                    hint_drain_pass(&route, &stats);
                 }
             });
         match handle {
@@ -609,30 +556,32 @@ impl RoutedKv {
     /// were replayed. Deterministic alternative to waiting for the
     /// background drainer (tests, admin tooling).
     pub fn drain_hints_now(&self) -> u64 {
-        hint_drain_pass(&self.config, &self.state, &self.legs, &self.stats)
+        hint_drain_pass(&self.route(), &self.stats)
     }
 
-    /// Current replication counters (all zero at `replication_factor 1`).
+    /// Current replication counters (hints and their replays stay zero
+    /// at `replication_factor 1`).
     pub fn replication_stats(&self) -> ReplicationCounters {
         self.stats.snapshot()
     }
 
-    /// Next write version: `max(now_µs, prev + 1)` — unique and monotone
-    /// on this coordinator, wall-clock-comparable across coordinators.
-    fn next_version(&self) -> u64 {
+    /// Reserves `count` consecutive write versions and returns the first:
+    /// `max(now_µs, prev + 1)` — unique and monotone on this coordinator,
+    /// wall-clock-comparable across coordinators.
+    fn next_versions(&self, count: u64) -> u64 {
         let now = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| d.as_micros() as u64);
         let mut prev = self.clock.load(Ordering::Acquire);
         loop {
-            let next = now.max(prev + 1);
+            let first = now.max(prev + 1);
             match self.clock.compare_exchange_weak(
                 prev,
-                next,
+                first + count.saturating_sub(1),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return next,
+                Ok(_) => return first,
                 Err(current) => prev = current,
             }
         }
@@ -710,14 +659,17 @@ impl RoutedKv {
         self.state.read().to_ring.is_some()
     }
 
-    fn snapshot(&self) -> RouteSnapshot {
-        self.state.read().clone()
+    fn route(&self) -> Arc<Route> {
+        Arc::clone(&self.state.read())
     }
 
-    fn leg(&self, member: &str) -> Result<Arc<Leg>, MargoError> {
-        self.legs.read().get(member).cloned().ok_or_else(|| {
-            MargoError::Handler(format!("no leg for keyspace member '{member}'"))
-        })
+    /// Publishes the route over `ring` (and `to_ring`) and returns it.
+    fn publish(&self, ring: HashRing, to_ring: Option<HashRing>) -> Arc<Route> {
+        let route = Arc::new(Route::new(ring, to_ring, self.config.rf(), |members| {
+            new_legs(&self.service, &self.margo, &self.config, members)
+        }));
+        *self.state.write() = Arc::clone(&route);
+        route
     }
 
     fn empty_ring() -> MargoError {
@@ -785,127 +737,85 @@ impl RoutedKv {
     }
 
     // -----------------------------------------------------------------
-    // Single-key operations
+    // Operations
     // -----------------------------------------------------------------
 
-    /// Stores `value` under `key` at its ring owner. During a move
-    /// window a moving key dual-writes old then new owner — both must
-    /// ack before the put is acked, so the value survives cutover in
-    /// either direction.
+    /// Stamps and writes `records` under the write barrier.
     ///
-    /// Every write holds the barrier shared for its whole duration (the
-    /// snapshot included): the rebalance path fences with one exclusive
+    /// Every write holds the barrier shared for its whole duration
+    /// (routing included): the rebalance path fences with one exclusive
     /// acquisition after opening the move window, so no write routed
     /// under the steady ring can still be in flight when the drain
     /// starts listing keys.
+    fn write<'a>(
+        &self,
+        records: impl ExactSizeIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+    ) -> Vec<Result<bool, MargoError>> {
+        let _shared = self.barrier.read();
+        let first = self.next_versions(records.len() as u64);
+        let records: Vec<RecordRef<'a>> =
+            records.zip(first..).map(|((key, value), version)| (key, version, value)).collect();
+        self.quorum_write_multi(&self.route(), &records)
+    }
+
+    /// Stores `value` under `key` on its replica set (and, during a move
+    /// window, on its future owners — all must be covered before the put
+    /// is acked, so the value survives cutover in either direction).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), MargoError> {
-        let _shared = self.barrier.read();
-        let snap = self.snapshot();
-        if self.config.replicated() {
-            let records = vec![(key.to_vec(), self.next_version(), Some(value.to_vec()))];
-            return match self.quorum_write_multi(&snap, &records).pop() {
-                Some(slot) => slot.map(|_existed| ()),
-                None => Err(Self::empty_ring()),
-            };
-        }
-        let (owner, moving) = snap.owners(key);
-        let owner = owner.ok_or_else(Self::empty_ring)?;
-        match moving {
-            Some(next) => {
-                // Write-through on both legs: a buffered dual-write
-                // could ship after the import that must not shadow it.
-                self.leg(owner)?.failover.put(key, value)?;
-                self.leg(next)?.failover.put(key, value)?;
-                // The put supersedes any erase logged earlier in the
-                // window — replaying it would clobber this acked write.
-                self.erase_log.lock().retain(|logged| logged.as_slice() != key);
-                Ok(())
-            }
-            None => self.leg(owner)?.put(key, value),
-        }
+        self.put_multi(&[(key, value)]).pop().unwrap_or_else(|| Err(Self::empty_ring()))
     }
 
-    /// Fetches `key` from its owner; during a move window a miss on the
-    /// old owner falls through to the new owner (the key may already
-    /// have drained).
+    /// Fetches `key` from its serving replicas.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, MargoError> {
-        let snap = self.snapshot();
-        if self.config.replicated() {
-            return match self.quorum_read_multi(&snap, &[key.to_vec()]).pop() {
-                Some(slot) => slot,
-                None => Err(Self::empty_ring()),
-            };
-        }
-        let (owner, moving) = snap.owners(key);
-        let owner = owner.ok_or_else(Self::empty_ring)?;
-        match self.leg(owner)?.get(key)? {
-            Some(value) => Ok(Some(value)),
-            None => match moving {
-                Some(next) => self.leg(next)?.get(key),
-                None => Ok(None),
-            },
-        }
+        self.get_multi(&[key]).pop().unwrap_or_else(|| Err(Self::empty_ring()))
     }
 
-    /// Whether `key` exists (old-then-new fallback like [`Self::get`]).
+    /// Whether `key` exists.
     pub fn exists(&self, key: &[u8]) -> Result<bool, MargoError> {
-        let snap = self.snapshot();
-        if self.config.replicated() {
-            return match self.quorum_read_multi(&snap, &[key.to_vec()]).pop() {
-                Some(slot) => slot.map(|value| value.is_some()),
-                None => Err(Self::empty_ring()),
-            };
-        }
-        let (owner, moving) = snap.owners(key);
-        let owner = owner.ok_or_else(Self::empty_ring)?;
-        if self.leg(owner)?.exists(key)? {
-            return Ok(true);
-        }
-        match moving {
-            Some(next) => self.leg(next)?.exists(key),
-            None => Ok(false),
-        }
+        Ok(self.get(key)?.is_some())
     }
 
-    /// Removes `key`; returns whether it existed anywhere. During a move
-    /// window the erase hits both owners and is logged, and the log is
-    /// replayed after the slice import — otherwise a put-if-absent
-    /// import could resurrect a key erased mid-drain.
+    /// Removes `key`; returns whether it existed on some replica. An
+    /// erase is a write of a versioned *tombstone*: it out-versions any
+    /// earlier put, survives quorum merges, and cannot be resurrected by
+    /// a slice import, a stale copy or a hint.
     pub fn erase(&self, key: &[u8]) -> Result<bool, MargoError> {
-        let _shared = self.barrier.read();
-        let snap = self.snapshot();
-        if self.config.replicated() {
-            // A replicated erase is a versioned *tombstone* write — it
-            // must out-version any concurrent put and survive quorum
-            // merges, so it takes the exact write path a put takes.
-            let records = vec![(key.to_vec(), self.next_version(), None)];
-            return match self.quorum_write_multi(&snap, &records).pop() {
-                Some(slot) => slot,
-                None => Err(Self::empty_ring()),
-            };
-        }
-        let (owner, moving) = snap.owners(key);
-        let owner = owner.ok_or_else(Self::empty_ring)?;
-        match moving {
-            Some(next) => {
-                self.erase_log.lock().push(key.to_vec());
-                let old = self.leg(owner)?.erase(key)?;
-                let new = self.leg(next)?.erase(key)?;
-                Ok(old || new)
-            }
-            None => self.leg(owner)?.erase(key),
-        }
+        self.erase_multi(&[key]).pop().unwrap_or_else(|| Err(Self::empty_ring()))
+    }
+
+    /// Stores many pairs, one concurrent batched RPC per destination.
+    /// Partial-failure contract: slot `i` is `Ok` only if key `i`'s
+    /// write quorum was met (and, during a move, its future owners are
+    /// covered); a failed leg fails exactly its own keys' slots.
+    pub fn put_multi(&self, pairs: &[(&[u8], &[u8])]) -> Vec<Result<(), MargoError>> {
+        self.write(pairs.iter().map(|(key, value)| (*key, Some(*value))))
+            .into_iter()
+            .map(|slot| slot.map(|_existed| ()))
+            .collect()
+    }
+
+    /// Fetches many values, one concurrent batched RPC per replica, with
+    /// per-key error slots.
+    pub fn get_multi(&self, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>, MargoError>> {
+        self.quorum_read_multi(&self.route(), keys)
+    }
+
+    /// Removes many keys with per-key slots (`Ok(existed)`), batching
+    /// per destination.
+    pub fn erase_multi(&self, keys: &[&[u8]]) -> Vec<Result<bool, MargoError>> {
+        self.write(keys.iter().map(|key| (*key, None)))
     }
 
     // -----------------------------------------------------------------
-    // Replicated quorum I/O (replication_factor > 1)
+    // Quorum I/O
     // -----------------------------------------------------------------
 
-    /// Replicated write of versioned records (`None` value = tombstone).
-    /// Each record fans to its full write set — `rf` serving successors
-    /// plus any future owners mid-move — as one batched put-if-newer RPC
-    /// per member. A member that fails with a transport-class error gets
-    /// its records *hinted* onto the next available successor instead.
+    /// Writes versioned records (`None` value = tombstone). Each record
+    /// fans to its full write set — the serving replicas plus any future
+    /// owners mid-move — as one batched put-if-newer RPC per member.
+    /// When replica sets hold more than one member, a member that fails
+    /// with a transport-class error gets its records *hinted* onto the
+    /// next available successor instead.
     ///
     /// Slot `i` is `Ok(existed)` iff:
     /// * at least one **serving** replica really acked (a quorum of pure
@@ -916,195 +826,155 @@ impl RoutedKv {
     ///   either direction keeps the write).
     fn quorum_write_multi(
         &self,
-        snap: &RouteSnapshot,
-        records: &[(Vec<u8>, u64, Option<Vec<u8>>)],
+        route: &Route,
+        records: &[RecordRef<'_>],
     ) -> Vec<Result<bool, MargoError>> {
-        let rf = self.config.rf();
-        let mut slots: Vec<Result<bool, MargoError>> =
-            records.iter().map(|_| Ok(false)).collect();
-        if snap.ring.is_empty() {
-            for slot in &mut slots {
-                *slot = Err(Self::empty_ring());
-            }
-            return slots;
+        if route.ring.is_empty() {
+            return records.iter().map(|_| Err(Self::empty_ring())).collect();
         }
-        // Per-record replica sets, and member → record-index batches.
-        let sets: Vec<(Vec<String>, Vec<String>)> =
-            records.iter().map(|(key, _, _)| snap.write_set(key, rf)).collect();
-        let mut batches: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, (serving, future)) in sets.iter().enumerate() {
-            for member in serving.iter().chain(future) {
-                batches.entry(member.clone()).or_default().push(i);
-            }
-        }
-        let mut tasks = Vec::with_capacity(batches.len());
-        let mut routes: Vec<(String, Vec<usize>)> = Vec::with_capacity(batches.len());
-        for (dest, indices) in batches {
-            let batch: Vec<(Vec<u8>, u64, Option<Vec<u8>>)> =
-                indices.iter().map(|&i| records[i].clone()).collect();
-            let leg = self.leg(&dest);
-            routes.push((dest, indices));
-            // Two rounds only: fail fast, the hint machinery absorbs it.
-            tasks.push(move || match leg {
-                Ok(leg) => leg.vput_multi(&batch, 2),
-                Err(err) => Err(err),
-            });
-        }
+        let rounds = route.leg_rounds(&self.config);
+        let sets: Vec<WriteSet> = records.iter().map(|(key, _, _)| route.write_set(key)).collect();
+        let routes = by_member(route.legs.len(), sets.iter().map(|set| set.members.as_slice()));
+        let tasks: Vec<_> = routes
+            .iter()
+            .map(|(member, indices)| {
+                let leg = Arc::clone(&route.legs[*member]);
+                let batch: Vec<Record> = indices
+                    .iter()
+                    .map(|&i| {
+                        let (key, version, value) = records[i];
+                        (key.to_vec(), version, value.map(<[u8]>::to_vec))
+                    })
+                    .collect();
+                move || vput_multi(&leg, &batch, rounds)
+            })
+            .collect();
         let outcomes = self.scatter(tasks);
-        // Bookkeeping: who really acked / is hinted-for, per record.
-        let mut real: Vec<Vec<&str>> = records.iter().map(|_| Vec::new()).collect();
-        let mut hinted: Vec<Vec<&str>> = records.iter().map(|_| Vec::new()).collect();
-        let mut existed: Vec<bool> = records.iter().map(|_| false).collect();
-        let mut errors: Vec<Option<MargoError>> = records.iter().map(|_| None).collect();
-        let mut down: Vec<&str> = Vec::new();
-        let mut failed: Vec<(&str, &[usize], MargoError)> = Vec::new();
-        for ((dest, indices), outcome) in routes.iter().zip(outcomes) {
+        let mut tallies: Vec<Tally> = sets.iter().map(|_| Tally::default()).collect();
+        let mut down: Vec<usize> = Vec::new();
+        let mut failed: Vec<(usize, &[usize], MargoError)> = Vec::new();
+        for ((member, indices), outcome) in routes.iter().zip(outcomes) {
             match outcome {
                 Ok(acks) => {
                     for (&i, was_there) in indices.iter().zip(acks) {
-                        real[i].push(dest.as_str());
-                        existed[i] |= was_there;
+                        tallies[i].existed |= was_there;
+                        tallies[i].credit(&sets[i], *member, true);
                     }
                 }
+                Err(err) if route.hints() && FailoverKv::should_reroute(&err) => {
+                    down.push(*member);
+                    failed.push((*member, indices, err));
+                }
+                // Application-class error, or nobody to hint to.
                 Err(err) => {
-                    if Leg::reroutable(&err) {
-                        down.push(dest.as_str());
-                        failed.push((dest.as_str(), indices, err));
-                    } else {
-                        // Application-class error: hinting cannot fix it.
-                        for &i in indices {
-                            errors[i] = Some(err.clone());
-                        }
+                    for &i in indices {
+                        tallies[i].error.get_or_insert_with(|| err.clone());
                     }
                 }
             }
         }
         // Hinted handoff: each unreachable member's records park on the
         // next available successor, keyed by the member they belong to.
-        for (dest, indices, err) in failed {
+        for (member, indices, err) in failed {
             for &i in indices {
-                let (key, version, value) = &records[i];
-                if self.handoff_hint(snap, dest, &down, key, *version, value.as_deref()) {
-                    hinted[i].push(dest);
-                } else if errors[i].is_none() {
-                    errors[i] = Some(err.clone());
+                if self.handoff_hint(route, member, &down, records[i]) {
+                    tallies[i].credit(&sets[i], member, false);
+                } else {
+                    tallies[i].error.get_or_insert_with(|| err.clone());
                 }
             }
         }
-        // Quorum evaluation per record.
-        for (i, (serving, future)) in sets.iter().enumerate() {
-            if serving.is_empty() {
-                slots[i] = Err(Self::empty_ring());
-                continue;
-            }
-            let w = self.config.write_quorum_for(serving.len());
-            let real_serving = serving.iter().filter(|m| real[i].contains(&m.as_str())).count();
-            let covered_serving = serving
-                .iter()
-                .filter(|m| {
-                    real[i].contains(&m.as_str()) || hinted[i].contains(&m.as_str())
-                })
-                .count();
-            let future_covered = future.iter().all(|m| {
-                real[i].contains(&m.as_str()) || hinted[i].contains(&m.as_str())
-            });
-            if real_serving >= 1 && covered_serving >= w && future_covered {
-                slots[i] = Ok(existed[i]);
-            } else {
-                slots[i] = Err(errors[i].take().unwrap_or_else(|| {
+        sets.iter()
+            .zip(tallies)
+            .map(|(set, tally)| {
+                if set.serving == 0 {
+                    return Err(Self::empty_ring());
+                }
+                let w = self.config.write_quorum_for(set.serving);
+                if tally.real_serving >= 1
+                    && tally.covered_serving >= w
+                    && tally.covered_future == set.future().len()
+                {
+                    return Ok(tally.existed);
+                }
+                Err(tally.error.unwrap_or_else(|| {
                     MargoError::Handler(format!(
-                        "write quorum not met: {covered_serving} of {} covered \
-                         ({real_serving} real), need {w}",
-                        serving.len()
+                        "write quorum not met: {} of {} covered ({} real), need {w}",
+                        tally.covered_serving, set.serving, tally.real_serving
                     ))
-                }));
-            }
-        }
-        slots
+                }))
+            })
+            .collect()
     }
 
-    /// Parks `key`'s record on a handoff member as a hint for the
-    /// unreachable `target`. Candidates walk the key's full successor
-    /// list, skipping `target` and every member already observed down
-    /// this round, preferring members *outside* the replica set (they
-    /// add an extra durable copy) before falling back to replicas.
+    /// Parks a record on a handoff member as a hint for the unreachable
+    /// `target`. Candidates walk the key's full successor list, skipping
+    /// `target` and every member already observed down this round,
+    /// preferring members *outside* the replica set (they add an extra
+    /// durable copy) before falling back to replicas.
     fn handoff_hint(
         &self,
-        snap: &RouteSnapshot,
-        target: &str,
-        down: &[&str],
-        key: &[u8],
-        version: u64,
-        value: Option<&[u8]>,
+        route: &Route,
+        target: usize,
+        down: &[usize],
+        (key, version, value): RecordRef<'_>,
     ) -> bool {
-        let rf = self.config.rf();
-        let walk = snap.ring.owners(key, snap.ring.len());
+        let walk = route.ring.owner_indices(key, route.ring.len());
         let candidates = walk
             .iter()
-            .skip(rf)
-            .chain(walk.iter().take(rf))
-            .filter(|m| **m != target && !down.contains(*m));
+            .skip(route.rf)
+            .chain(walk.iter().take(route.rf))
+            .map(|&member| route.ring_at[member])
+            .filter(|candidate| *candidate != target && !down.contains(candidate));
+        let target = route.members[target].as_str();
         for candidate in candidates {
-            let Ok(leg) = self.leg(candidate) else { continue };
-            match leg.hint_put(target, key, version, value, 2) {
-                Ok(true) => {
-                    self.stats.hinted_writes.fetch_add(1, Ordering::AcqRel);
-                    return true;
-                }
-                // Full hint store or transport failure: try the next
-                // successor.
-                Ok(false) | Err(_) => continue,
+            let parked = route.legs[candidate]
+                .with_handle_rounds(FAIL_FAST_ROUNDS, |h| h.hint_put(target, key, version, value));
+            // A full hint store or a transport failure: try the next
+            // successor.
+            if let Ok(true) = parked {
+                self.stats.hinted_writes.fetch_add(1, Ordering::AcqRel);
+                return true;
             }
         }
         false
     }
 
-    /// Replicated read: fan each key to its `rf` serving replicas, wait
-    /// for the read quorum, merge freshest-wins (version, then the same
-    /// bytewise tie-break the server's put-if-newer uses), and repair
-    /// stale or missing replicas asynchronously on the fan-out pool.
-    /// Slot `i` resolves the merged record: `Ok(None)` for absent keys
-    /// *and* tombstones.
+    /// Reads each key from its serving replicas, waits for the read
+    /// quorum, merges freshest-wins (version, then the same bytewise
+    /// tie-break the server's put-if-newer uses), and repairs stale or
+    /// missing replicas asynchronously on the fan-out pool. Slot `i`
+    /// resolves the merged record: `Ok(None)` for absent keys *and*
+    /// tombstones.
     fn quorum_read_multi(
         &self,
-        snap: &RouteSnapshot,
-        keys: &[Vec<u8>],
+        route: &Route,
+        keys: &[&[u8]],
     ) -> Vec<Result<Option<Vec<u8>>, MargoError>> {
-        let rf = self.config.rf();
-        let mut slots: Vec<Result<Option<Vec<u8>>, MargoError>> =
-            keys.iter().map(|_| Err(Self::empty_ring())).collect();
-        if snap.ring.is_empty() {
-            return slots;
+        if route.ring.is_empty() {
+            return keys.iter().map(|_| Err(Self::empty_ring())).collect();
         }
-        let sets: Vec<Vec<String>> =
-            keys.iter().map(|key| snap.replicas(key, rf)).collect();
-        let mut batches: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, owners) in sets.iter().enumerate() {
-            for member in owners {
-                batches.entry(member.clone()).or_default().push(i);
-            }
-        }
-        let mut tasks = Vec::with_capacity(batches.len());
-        let mut routes: Vec<(String, Vec<usize>)> = Vec::with_capacity(batches.len());
-        for (dest, indices) in batches {
-            let batch: Vec<Vec<u8>> = indices.iter().map(|&i| keys[i].clone()).collect();
-            let leg = self.leg(&dest);
-            routes.push((dest, indices));
-            tasks.push(move || match leg {
-                Ok(leg) => leg.vget_multi(&batch, 2),
-                Err(err) => Err(err),
-            });
-        }
+        let rounds = route.leg_rounds(&self.config);
+        let sets: Vec<Vec<usize>> = keys.iter().map(|key| route.replicas(key)).collect();
+        let routes = by_member(route.legs.len(), sets.iter().map(Vec::as_slice));
+        let tasks: Vec<_> = routes
+            .iter()
+            .map(|(member, indices)| {
+                let leg = Arc::clone(&route.legs[*member]);
+                let batch: Vec<Vec<u8>> = indices.iter().map(|&i| keys[i].to_vec()).collect();
+                move || vget_multi(&leg, &batch, rounds)
+            })
+            .collect();
         let outcomes = self.scatter(tasks);
         // Per-key replica answers: (member, that replica's record).
-        let mut answers: Vec<Vec<(&str, Option<VersionedValue>)>> =
+        let mut answers: Vec<Vec<(usize, Option<VersionedValue>)>> =
             keys.iter().map(|_| Vec::new()).collect();
         let mut errors: Vec<Option<MargoError>> = keys.iter().map(|_| None).collect();
-        for ((dest, indices), outcome) in routes.iter().zip(outcomes) {
+        for ((member, indices), outcome) in routes.iter().zip(outcomes) {
             match outcome {
                 Ok(values) => {
                     for (&i, value) in indices.iter().zip(values) {
-                        answers[i].push((dest.as_str(), value));
+                        answers[i].push((*member, value));
                     }
                 }
                 Err(err) => {
@@ -1115,48 +985,37 @@ impl RoutedKv {
             }
         }
         // Merge + collect repairs (member → records to push).
-        let mut repairs: BTreeMap<String, Vec<(Vec<u8>, u64, Option<Vec<u8>>)>> =
-            BTreeMap::new();
-        for (i, owners) in sets.iter().enumerate() {
-            if owners.is_empty() {
-                slots[i] = Err(Self::empty_ring());
-                continue;
-            }
-            let r_q = self.config.read_quorum_for(owners.len());
-            if answers[i].len() < r_q {
-                slots[i] = Err(errors[i].take().unwrap_or_else(|| {
-                    MargoError::Handler(format!(
-                        "read quorum not met: {} of {} replicas answered, need {r_q}",
-                        answers[i].len(),
-                        owners.len()
-                    ))
-                }));
-                continue;
-            }
-            let winner = answers[i]
-                .iter()
-                .filter_map(|(_, record)| record.as_ref())
-                .max_by(|a, b| Self::freshness(a).cmp(&Self::freshness(b)));
-            let Some(winner) = winner else {
-                slots[i] = Ok(None); // every replica agrees: no record
-                continue;
-            };
-            let winner = winner.clone();
-            for (member, record) in &answers[i] {
-                let stale = record.as_ref() != Some(&winner);
-                if stale {
-                    let value =
-                        (!winner.tombstone).then(|| winner.value.clone());
-                    repairs.entry((*member).to_string()).or_default().push((
-                        keys[i].clone(),
-                        winner.version,
-                        value,
-                    ));
+        let mut repairs: Vec<Vec<Record>> = vec![Vec::new(); route.legs.len()];
+        let slots = answers
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut replies)| {
+                let r_q = self.config.read_quorum_for(sets[i].len());
+                if replies.len() < r_q {
+                    return Err(errors[i].take().unwrap_or_else(|| {
+                        MargoError::Handler(format!(
+                            "read quorum not met: {} of {} replicas answered, need {r_q}",
+                            replies.len(),
+                            sets[i].len()
+                        ))
+                    }));
                 }
-            }
-            slots[i] = Ok((!winner.tombstone).then(|| winner.value.clone()));
-        }
-        self.spawn_repairs(repairs);
+                let freshest = (0..replies.len()).max_by(|&a, &b| {
+                    let freshness = |j: usize| replies[j].1.as_ref().map(Self::freshness);
+                    freshness(a).cmp(&freshness(b))
+                });
+                let Some((_, Some(winner))) = freshest.map(|j| replies.swap_remove(j)) else {
+                    return Ok(None); // every replica agrees: no record
+                };
+                replies.retain(|(_, record)| record.as_ref() != Some(&winner));
+                let value = (!winner.tombstone).then_some(winner.value);
+                for (stale, _) in replies {
+                    repairs[stale].push((keys[i].to_vec(), winner.version, value.clone()));
+                }
+                Ok(value)
+            })
+            .collect();
+        self.spawn_repairs(route, repairs);
         slots
     }
 
@@ -1171,17 +1030,17 @@ impl RoutedKv {
     /// ULTs on the fan-out pool (one per member). Failures are counted,
     /// not retried — the next read of the key repairs again, and the
     /// anti-entropy of put-if-newer makes duplicate repairs harmless.
-    fn spawn_repairs(&self, repairs: BTreeMap<String, Vec<(Vec<u8>, u64, Option<Vec<u8>>)>>) {
-        for (member, batch) in repairs {
+    fn spawn_repairs(&self, route: &Route, repairs: Vec<Vec<Record>>) {
+        for (member, batch) in repairs.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
             let count = batch.len() as u64;
             self.stats.read_repairs.fetch_add(count, Ordering::AcqRel);
-            let Ok(leg) = self.leg(&member) else {
-                self.stats.repair_failures.fetch_add(count, Ordering::AcqRel);
-                continue;
-            };
+            let leg = Arc::clone(&route.legs[member]);
             let stats = Arc::clone(&self.stats);
             let repair = move || {
-                if leg.vput_multi(&batch, 1).is_err() {
+                if vput_multi(&leg, &batch, 1).is_err() {
                     stats.repair_failures.fetch_add(count, Ordering::AcqRel);
                 }
             };
@@ -1199,348 +1058,50 @@ impl RoutedKv {
     }
 
     // -----------------------------------------------------------------
-    // Multi-key operations (scatter-gather)
+    // Listing
     // -----------------------------------------------------------------
 
-    /// Splits `keys` into per-destination batches under the snapshot: a
-    /// stable key lands in its owner's batch, a moving key in both
-    /// owners' batches (dual write). Returns member → key indices.
-    fn write_batches<K: AsRef<[u8]>>(
-        snap: &RouteSnapshot,
-        keys: &[K],
-    ) -> BTreeMap<String, Vec<usize>> {
-        let mut by_dest: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            let (owner, moving) = snap.owners(key.as_ref());
-            if let Some(owner) = owner {
-                by_dest.entry(owner.to_string()).or_default().push(i);
-            }
-            if let Some(next) = moving {
-                by_dest.entry(next.to_string()).or_default().push(i);
-            }
-        }
-        by_dest
-    }
-
-    /// Stores many pairs, one concurrent batched RPC per destination.
-    /// Partial-failure contract: slot `i` is `Ok` only if *every* leg
-    /// holding key `i` acked its batch (during a move a moving key needs
-    /// both owners); a failed leg fails exactly its own keys' slots.
-    /// Slots that fail with a *transport-class* error retry once against
-    /// a fresh routing snapshot before being reported — a breaker that
-    /// opened (or a cutover that landed) mid-fan-out reroutes instead of
-    /// failing the whole slot.
-    pub fn put_multi(&self, pairs: &[(&[u8], &[u8])]) -> Vec<Result<(), MargoError>> {
-        let _shared = self.barrier.read();
-        let snap = self.snapshot();
-        if snap.ring.is_empty() {
-            return pairs.iter().map(|_| Err(Self::empty_ring())).collect();
-        }
-        if self.config.replicated() {
-            let records: Vec<(Vec<u8>, u64, Option<Vec<u8>>)> = pairs
-                .iter()
-                .map(|(k, v)| (k.to_vec(), self.next_version(), Some(v.to_vec())))
-                .collect();
-            return self
-                .quorum_write_multi(&snap, &records)
-                .into_iter()
-                .map(|slot| slot.map(|_existed| ()))
-                .collect();
-        }
-        let keys: Vec<&[u8]> = pairs.iter().map(|(k, _)| *k).collect();
-        let mut slots: Vec<Result<(), MargoError>> =
-            pairs.iter().map(|_| Ok(())).collect();
-        self.put_round(pairs, &snap, (0..pairs.len()).collect(), &mut slots);
-        // Reroute round: a fresh snapshot re-resolves keys whose leg
-        // failed with a reroutable error (stale breaker / moved owner).
-        let retry: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| matches!(slot, Err(err) if Leg::reroutable(err)))
-            .map(|(i, _)| i)
-            .collect();
-        let snap = if retry.is_empty() {
-            snap
-        } else {
-            let fresh = self.snapshot();
-            for &i in &retry {
-                slots[i] = Ok(()); // re-armed; the round below re-fails it
-            }
-            self.put_round(pairs, &fresh, retry, &mut slots);
-            fresh
-        };
-        // Acked puts supersede earlier logged erases of the same key.
-        if snap.to_ring.is_some() {
-            self.erase_log.lock().retain(|logged| {
-                !pairs.iter().enumerate().any(|(i, (key, _))| {
-                    slots[i].is_ok() && *key == logged.as_slice()
-                })
-            });
-        }
-        slots
-    }
-
-    /// One put fan-out round over `subset` (indices into `pairs`),
-    /// merging failures into `slots`.
-    fn put_round(
-        &self,
-        pairs: &[(&[u8], &[u8])],
-        snap: &RouteSnapshot,
-        subset: Vec<usize>,
-        slots: &mut [Result<(), MargoError>],
-    ) {
-        let subset_keys: Vec<&[u8]> = subset.iter().map(|&i| pairs[i].0).collect();
-        let by_dest: BTreeMap<String, Vec<usize>> = Self::write_batches(snap, &subset_keys)
-            .into_iter()
-            .map(|(dest, local)| (dest, local.into_iter().map(|j| subset[j]).collect()))
-            .collect();
-        let mut tasks = Vec::with_capacity(by_dest.len());
-        let mut routes: Vec<Vec<usize>> = Vec::with_capacity(by_dest.len());
-        for (dest, indices) in by_dest {
-            let batch: Vec<(Vec<u8>, Vec<u8>)> = indices
-                .iter()
-                .map(|&i| (pairs[i].0.to_vec(), pairs[i].1.to_vec()))
-                .collect();
-            let leg = self.leg(&dest);
-            routes.push(indices);
-            tasks.push(move || match leg {
-                Ok(leg) => leg.put_multi(&batch),
-                Err(err) => Err(err),
-            });
-        }
-        for (indices, outcome) in routes.iter().zip(self.scatter(tasks)) {
-            if let Err(err) = outcome {
-                for &i in indices {
-                    if slots[i].is_ok() {
-                        slots[i] = Err(err.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fetches many values, one concurrent batched RPC per owner, with
-    /// per-key error slots. During a move window, keys the old owner
-    /// misses retry on their new owner in a second fan-out round; keys
-    /// whose leg failed with a transport-class error retry once against
-    /// a fresh routing snapshot (stale-breaker reroute).
-    pub fn get_multi(&self, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>, MargoError>> {
-        let snap = self.snapshot();
-        if self.config.replicated() {
-            let owned: Vec<Vec<u8>> = keys.iter().map(|k| k.to_vec()).collect();
-            return self.quorum_read_multi(&snap, &owned);
-        }
-        let mut slots: Vec<Result<Option<Vec<u8>>, MargoError>> =
-            keys.iter().map(|_| Err(Self::empty_ring())).collect();
-        // Round 1: serving owners only.
-        let mut primary: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(owner) = snap.ring.owner(key) {
-                primary.entry(owner.to_string()).or_default().push(i);
-            }
-        }
-        self.gather_gets(keys, primary, &mut slots);
-        // Round 2: moving keys the old owner missed.
-        if snap.to_ring.is_some() {
-            let mut fallback: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-            for (i, key) in keys.iter().enumerate() {
-                if matches!(slots[i], Ok(None)) {
-                    if let (_, Some(next)) = snap.owners(key) {
-                        fallback.entry(next.to_string()).or_default().push(i);
-                    }
-                }
-            }
-            if !fallback.is_empty() {
-                self.gather_gets(keys, fallback, &mut slots);
-            }
-        }
-        // Round 3 (reroute): transport-failed slots retry once under a
-        // fresh snapshot — the serving owner may have moved, or the
-        // failed leg's breaker opened mid-fan-out.
-        let failed: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| matches!(slot, Err(err) if Leg::reroutable(err)))
-            .map(|(i, _)| i)
-            .collect();
-        if !failed.is_empty() {
-            let fresh = self.snapshot();
-            let mut retry: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-            for i in failed {
-                if let Some(owner) = fresh.ring.owner(keys[i]) {
-                    retry.entry(owner.to_string()).or_default().push(i);
-                }
-            }
-            self.gather_gets(keys, retry, &mut slots);
-        }
-        slots
-    }
-
-    /// One fan-out round of batched gets, merging results into `slots`.
-    fn gather_gets(
-        &self,
-        keys: &[&[u8]],
-        batches: BTreeMap<String, Vec<usize>>,
-        slots: &mut [Result<Option<Vec<u8>>, MargoError>],
-    ) {
-        let mut tasks = Vec::with_capacity(batches.len());
-        let mut routes: Vec<Vec<usize>> = Vec::with_capacity(batches.len());
-        for (dest, indices) in batches {
-            let batch: Vec<Vec<u8>> = indices.iter().map(|&i| keys[i].to_vec()).collect();
-            let leg = self.leg(&dest);
-            routes.push(indices);
-            tasks.push(move || match leg {
-                Ok(leg) => leg.get_multi(&batch),
-                Err(err) => Err(err),
-            });
-        }
-        for (indices, outcome) in routes.iter().zip(self.scatter(tasks)) {
-            match outcome {
-                Ok(values) => {
-                    for (&i, value) in indices.iter().zip(values) {
-                        slots[i] = Ok(value);
-                    }
-                }
-                Err(err) => {
-                    for &i in indices {
-                        slots[i] = Err(err.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Removes many keys with per-key slots (`Ok(existed)`), batching
-    /// per destination. Moving keys erase on both owners and are logged
-    /// for replay, like [`Self::erase`]. Transport-failed slots retry
-    /// once against a fresh routing snapshot.
-    pub fn erase_multi(&self, keys: &[&[u8]]) -> Vec<Result<bool, MargoError>> {
-        // Erase has per-key replies only in its single-key form, so the
-        // batched surface degrades to one fan-out of single erases per
-        // destination leg — still one concurrent leg per destination.
-        let _shared = self.barrier.read();
-        let snap = self.snapshot();
-        if snap.ring.is_empty() {
-            return keys.iter().map(|_| Err(Self::empty_ring())).collect();
-        }
-        if self.config.replicated() {
-            let records: Vec<(Vec<u8>, u64, Option<Vec<u8>>)> = keys
-                .iter()
-                .map(|k| (k.to_vec(), self.next_version(), None))
-                .collect();
-            return self.quorum_write_multi(&snap, &records);
-        }
-        let mut slots: Vec<Result<bool, MargoError>> =
-            keys.iter().map(|_| Ok(false)).collect();
-        self.erase_round(keys, &snap, (0..keys.len()).collect(), &mut slots);
-        // Reroute round for transport-failed slots (fresh snapshot).
-        let retry: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| matches!(slot, Err(err) if Leg::reroutable(err)))
-            .map(|(i, _)| i)
-            .collect();
-        if !retry.is_empty() {
-            let fresh = self.snapshot();
-            for &i in &retry {
-                slots[i] = Ok(false); // re-armed; the round re-fails it
-            }
-            self.erase_round(keys, &fresh, retry, &mut slots);
-        }
-        slots
-    }
-
-    /// One erase fan-out round over `subset` (indices into `keys`),
-    /// logging moving keys and merging outcomes into `slots`.
-    fn erase_round(
-        &self,
-        keys: &[&[u8]],
-        snap: &RouteSnapshot,
-        subset: Vec<usize>,
-        slots: &mut [Result<bool, MargoError>],
-    ) {
-        if snap.to_ring.is_some() {
-            let mut log = self.erase_log.lock();
-            for &i in &subset {
-                let (_, moving) = snap.owners(keys[i]);
-                if moving.is_some() {
-                    log.push(keys[i].to_vec());
-                }
-            }
-        }
-        let subset_keys: Vec<&[u8]> = subset.iter().map(|&i| keys[i]).collect();
-        let by_dest: BTreeMap<String, Vec<usize>> = Self::write_batches(snap, &subset_keys)
-            .into_iter()
-            .map(|(dest, local)| (dest, local.into_iter().map(|j| subset[j]).collect()))
-            .collect();
-        let mut tasks = Vec::with_capacity(by_dest.len());
-        let mut routes: Vec<Vec<usize>> = Vec::with_capacity(by_dest.len());
-        for (dest, indices) in by_dest {
-            let batch: Vec<Vec<u8>> = indices.iter().map(|&i| keys[i].to_vec()).collect();
-            let leg = self.leg(&dest);
-            routes.push(indices);
-            tasks.push(move || -> Vec<Result<bool, MargoError>> {
-                match leg {
-                    Ok(leg) => batch.iter().map(|k| leg.erase(k)).collect(),
-                    Err(err) => batch.iter().map(|_| Err(err.clone())).collect(),
-                }
-            });
-        }
-        for (indices, outcome) in routes.iter().zip(self.scatter(tasks)) {
-            for (&i, result) in indices.iter().zip(outcome) {
-                slots[i] = match (std::mem::replace(&mut slots[i], Ok(false)), result) {
-                    (Ok(prev), Ok(existed)) => Ok(prev || existed),
-                    (Ok(_), Err(err)) => Err(err),
-                    (prev @ Err(_), _) => prev,
-                };
-            }
-        }
-    }
-
-    /// Lists up to `max` keys with `prefix` after `start_after`, merging
-    /// the per-member result streams into one sorted, deduplicated view
-    /// (dual copies exist mid-move; dedup hides them). In replicated
-    /// mode the merged page is quorum-read to drop tombstoned keys, so a
-    /// page can come back shorter than `max` while more keys remain —
-    /// keep paginating until an *empty* page.
+    /// Lists up to `max` live keys with `prefix` after `start_after`,
+    /// sorted. Members store tombstones (and, mid-move or at
+    /// `replication_factor > 1`, several copies) as records, so pages of
+    /// the merged raw listing are quorum-read until `max` live keys are
+    /// found or the listing ends: O(records scanned), not O(`max`).
     pub fn list_keys(
         &self,
         prefix: &[u8],
         start_after: Option<&[u8]>,
         max: usize,
     ) -> Result<Vec<Vec<u8>>, MargoError> {
-        let raw = self.merged_keys(prefix, start_after, max)?;
-        if !self.config.replicated() {
-            return Ok(raw);
+        let mut live = Vec::new();
+        let mut cursor = start_after.map(<[u8]>::to_vec);
+        while live.len() < max {
+            let raw = self.merged_keys(prefix, cursor.as_deref(), max - live.len())?;
+            let Some(last) = raw.last() else { break };
+            cursor = Some(last.clone());
+            live.extend(self.filter_live(raw)?);
         }
-        self.filter_live(raw)
+        Ok(live)
     }
 
-    /// Raw merged key listing across members (replica copies deduped,
-    /// tombstones *included* — replicas store them as records).
+    /// Raw merged key listing across members (copies deduped,
+    /// tombstones *included*).
     fn merged_keys(
         &self,
         prefix: &[u8],
         start_after: Option<&[u8]>,
         max: usize,
     ) -> Result<Vec<Vec<u8>>, MargoError> {
-        let snap = self.snapshot();
-        let mut members = snap.ring.members().to_vec();
-        if let Some(to) = &snap.to_ring {
-            members.extend(to.members().iter().cloned());
-            members.sort();
-            members.dedup();
-        }
-        let mut tasks = Vec::with_capacity(members.len());
-        for member in &members {
-            let leg = self.leg(member);
-            let prefix = prefix.to_vec();
-            let start_after = start_after.map(<[u8]>::to_vec);
-            tasks.push(move || match leg {
-                Ok(leg) => leg.list_keys(&prefix, start_after.as_deref(), max),
-                Err(err) => Err(err),
-            });
-        }
+        let route = self.route();
+        let tasks: Vec<_> = route
+            .legs
+            .iter()
+            .map(|leg| {
+                let leg = Arc::clone(leg);
+                let prefix = prefix.to_vec();
+                let start_after = start_after.map(<[u8]>::to_vec);
+                move || leg.list_keys(&prefix, start_after.as_deref(), max)
+            })
+            .collect();
         let mut merged: Vec<Vec<u8>> = Vec::new();
         for outcome in self.scatter(tasks) {
             merged.extend(outcome?);
@@ -1553,11 +1114,8 @@ impl RoutedKv {
 
     /// Drops keys whose quorum-merged record is a tombstone (or gone).
     fn filter_live(&self, keys: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, MargoError> {
-        if keys.is_empty() {
-            return Ok(keys);
-        }
-        let snap = self.snapshot();
-        let outcomes = self.quorum_read_multi(&snap, &keys);
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let outcomes = self.quorum_read_multi(&self.route(), &refs);
         let mut live = Vec::with_capacity(keys.len());
         for (key, outcome) in keys.into_iter().zip(outcomes) {
             if outcome?.is_some() {
@@ -1567,36 +1125,17 @@ impl RoutedKv {
         Ok(live)
     }
 
-    /// Total keys across the keyspace. At `replication_factor 1` this is
-    /// one concurrent `len` per member (mid-move the count can include
-    /// dual copies — exact again once the post-cutover cleanup
-    /// finishes). Replicated mode must discount replica copies and
-    /// tombstones, so it degrades to an O(n) paged scan with quorum
-    /// reads — treat it as an admin/debug operation there.
+    /// Total live keys across the keyspace. Replica copies and
+    /// tombstones must be discounted, so this is an O(n) paged scan with
+    /// quorum reads — an admin/debug operation, not a counter lookup.
     pub fn len(&self) -> Result<u64, MargoError> {
-        if self.config.replicated() {
-            let mut total = 0u64;
-            let mut cursor: Option<Vec<u8>> = None;
-            loop {
-                let raw = self.merged_keys(b"", cursor.as_deref(), self.config.drain_batch)?;
-                let Some(last) = raw.last() else { break };
-                cursor = Some(last.clone());
-                total += self.filter_live(raw)?.len() as u64;
-            }
-            return Ok(total);
-        }
-        let members = self.members();
-        let mut tasks = Vec::with_capacity(members.len());
-        for member in &members {
-            let leg = self.leg(member);
-            tasks.push(move || match leg {
-                Ok(leg) => leg.len(),
-                Err(err) => Err(err),
-            });
-        }
         let mut total = 0u64;
-        for outcome in self.scatter(tasks) {
-            total += outcome?;
+        let mut cursor: Option<Vec<u8>> = None;
+        loop {
+            let raw = self.merged_keys(b"", cursor.as_deref(), self.config.drain_batch)?;
+            let Some(last) = raw.last() else { break };
+            cursor = Some(last.clone());
+            total += self.filter_live(raw)?.len() as u64;
         }
         Ok(total)
     }
@@ -1604,15 +1143,6 @@ impl RoutedKv {
     /// Whether the keyspace holds no keys.
     pub fn is_empty(&self) -> Result<bool, MargoError> {
         Ok(self.len()? == 0)
-    }
-
-    /// Ships every leg's coalesced writes.
-    pub fn sync(&self) -> Result<(), MargoError> {
-        let legs: Vec<Arc<Leg>> = self.legs.read().values().cloned().collect();
-        for leg in legs {
-            leg.sync()?;
-        }
-        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -1624,31 +1154,35 @@ impl RoutedKv {
     ///
     /// Protocol (all while ops keep flowing):
     ///
-    /// 1. **Open the move window.** Routing snapshots now carry both
-    ///    rings: writes to moving keys dual-write, reads fall back
-    ///    old-then-new, erases log themselves.
-    /// 2. **Drain.** Per source member, page through its keys, keep the
-    ///    ones whose owner changes ([`HashRing::moved_arcs`] minimality:
-    ///    only arcs adjacent to the new member's points move), and ship
-    ///    them per destination: `slice_export` spills the pairs on the
-    ///    source and pushes the file through REMI into the destination
-    ///    provider's directory; `slice_import` (under the exclusive
-    ///    write barrier) loads them *put-if-absent*, so a dual-written
-    ///    value newer than the export snapshot always wins.
-    /// 3. **Cutover.** Under the exclusive barrier: replay the erase
-    ///    log on the new owners, swap the serving ring, close the
-    ///    window.
-    /// 4. **Cleanup.** Source copies of moved keys are now stale (reads
-    ///    no longer route to them) — erase them batch-wise.
+    /// 1. **Open the move window.** The route now carries both rings:
+    ///    every write covers its serving replicas *and* its future
+    ///    owners before it acks; reads keep routing to the serving ring.
+    ///    One exclusive acquisition of the write barrier fences out the
+    ///    writes still routing under the steady ring.
+    /// 2. **Drain.** Per source member, page through its records, keep
+    ///    the ones whose owner set gains a member ([`HashRing::moved_arcs`]
+    ///    minimality: only arcs adjacent to the changed member's points
+    ///    move), and ship them per destination: `slice_export` spills
+    ///    the records on the source and pushes the file through REMI
+    ///    into the destination provider's directory; `slice_import`
+    ///    (under the exclusive write barrier) stores each record iff it
+    ///    is fresher than what the destination holds — a write or an
+    ///    erase that landed during the window always wins over the
+    ///    exported snapshot, and a stale copy loses to it.
+    /// 3. **Cutover.** Under the exclusive barrier: swap the serving
+    ///    ring, close the window.
+    /// 4. **Cleanup.** Source copies of moved records are now stale
+    ///    (reads no longer route to them) — erase them physically,
+    ///    batch-wise.
     pub fn join(&self, member: &str) -> Result<RebalanceReport, MargoError> {
         let to_ring = {
-            let snap = self.state.read();
-            if snap.ring.contains(member) {
+            let route = self.state.read();
+            if route.ring.contains(member) {
                 return Err(MargoError::Handler(format!(
                     "'{member}' is already a keyspace member"
                 )));
             }
-            snap.ring.with_member(member)
+            route.ring.with_member(member)
         };
         self.rebalance_to(to_ring)
     }
@@ -1659,18 +1193,18 @@ impl RoutedKv {
     /// it from the keyspace is independent of stopping its process.
     pub fn retire(&self, member: &str) -> Result<RebalanceReport, MargoError> {
         let to_ring = {
-            let snap = self.state.read();
-            if !snap.ring.contains(member) {
+            let route = self.state.read();
+            if !route.ring.contains(member) {
                 return Err(MargoError::Handler(format!(
                     "'{member}' is not a keyspace member"
                 )));
             }
-            if snap.ring.len() == 1 {
+            if route.ring.len() == 1 {
                 return Err(MargoError::Handler(
                     "cannot retire the last keyspace member".into(),
                 ));
             }
-            snap.ring.without_member(member)
+            route.ring.without_member(member)
         };
         self.rebalance_to(to_ring)
     }
@@ -1707,210 +1241,142 @@ impl RoutedKv {
 
     fn rebalance_to(&self, to_ring: HashRing) -> Result<RebalanceReport, MargoError> {
         let _coordinator = self.rebalance_lock.lock();
-        let from_ring = self.state.read().ring.clone();
-        // Legs for joining members must exist before the window opens
-        // (dual writes route to them immediately).
-        {
-            let mut legs = self.legs.write();
-            for member in to_ring.members() {
-                legs.entry(member.clone()).or_insert_with(|| {
-                    Arc::new(Leg::new(&self.service, &self.margo, member, &self.config))
-                });
-            }
-        }
-        // Ship coalesced writes so the server-side listings see them —
-        // only the members whose arcs the rebalance touches need the
-        // flush (ring-aware: an untouched member's buffered writes are
-        // invisible to this drain).
-        self.sync_affected(&from_ring, &to_ring)?;
-        // Open the move window.
-        self.erase_log.lock().clear();
-        self.state.write().to_ring = Some(to_ring.clone());
-        // Epoch fence: writes hold the barrier shared across snapshot
-        // and RPCs, so one exclusive acquisition here waits out every
-        // write still routing under the steady ring — after this, all
-        // in-flight writes dual-write, and the drain's listings cannot
-        // miss a single-owner write that landed behind an export.
+        let steady = self.route();
+        // Open the move window (joiners get their legs here).
+        let window = self.publish(steady.ring.clone(), Some(to_ring.clone()));
+        // Epoch fence: writes hold the barrier shared across routing and
+        // RPCs, so one exclusive acquisition here waits out every write
+        // still routing under the steady ring — after this, all
+        // in-flight writes cover the future owners too, and the drain's
+        // listings cannot miss a write that landed behind an export.
         drop(self.barrier.write());
         let throttle = Throttle::new(&self.config);
-        let result = self.drain(&from_ring, &to_ring, &throttle);
-        if result.is_err() {
-            // Close the window; copied keys on the target are harmless
-            // (reads route by the serving ring) and a later successful
-            // rebalance's put-if-absent import + cleanup reconciles them.
-            self.state.write().to_ring = None;
-        }
-        let mut report = result?;
-        // Cutover: replay erases, swap rings — atomically w.r.t. writes.
+        let mut report = match self.drain(&window, &to_ring, &throttle) {
+            Ok(report) => report,
+            Err(err) => {
+                // Close the window; records already copied to the target
+                // are harmless (reads route by the serving ring) and a
+                // later rebalance's freshest-wins import reconciles them.
+                *self.state.write() = steady;
+                return Err(err);
+            }
+        };
+        // Cutover: swap rings atomically w.r.t. writes.
         {
             let _exclusive = self.barrier.write();
-            let log = std::mem::take(&mut *self.erase_log.lock());
-            report.replayed_erases = log.len() as u64;
-            if !log.is_empty() {
-                let mut by_dest: BTreeMap<&str, Vec<Vec<u8>>> = BTreeMap::new();
-                for key in &log {
-                    if let Some(owner) = to_ring.owner(key) {
-                        by_dest.entry(owner).or_default().push(key.clone());
-                    }
-                }
-                for (dest, batch) in by_dest {
-                    self.leg(dest)?.erase_multi(&batch)?;
-                }
-            }
-            let mut snap = self.state.write();
-            snap.ring = to_ring.clone();
-            snap.to_ring = None;
+            self.publish(to_ring.clone(), None);
         }
-        report.erased_stale = self.cleanup(&from_ring, &to_ring)?;
-        // Drop legs of members that left the ring.
-        self.legs.write().retain(|name, _| to_ring.contains(name));
+        report.erased_stale = self.cleanup(&window, &to_ring)?;
         Ok(report)
     }
 
-    /// Flushes the coalescers of exactly the members a rebalance
-    /// touches: at `replication_factor 1` the union of `from`/`to` ends
-    /// of every moved arc; replicated mode flushes everything (replica
-    /// sets shift near every arc — and its write path never buffers, so
-    /// "everything" is a set of no-ops).
-    fn sync_affected(
-        &self,
-        from_ring: &HashRing,
-        to_ring: &HashRing,
-    ) -> Result<(), MargoError> {
-        if self.config.replicated() {
-            return self.sync();
-        }
-        let mut affected: Vec<String> = from_ring
-            .moved_arcs(to_ring)
-            .into_iter()
-            .flat_map(|arc| [arc.from, arc.to])
-            .collect();
-        affected.sort();
-        affected.dedup();
-        for member in &affected {
-            // A joiner's leg exists by now (pre-created above); a member
-            // unknown to the map has no coalescer to flush.
-            if let Ok(leg) = self.leg(member) {
-                leg.sync()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Pages through every source member's keys and drains the moved
-    /// ones, slice by slice, to their new owners. With replication each
-    /// key's *primary* old owner pushes to every new-owner-set member
-    /// that is not already a replica.
+    /// Pages through every source member's records and drains the moved
+    /// ones, slice by slice, to their new owners: each record's
+    /// *primary* old owner pushes it to every member of its new owner
+    /// set that is not already a replica.
     fn drain(
         &self,
-        from_ring: &HashRing,
+        window: &Route,
         to_ring: &HashRing,
         throttle: &Throttle,
     ) -> Result<RebalanceReport, MargoError> {
-        let rf = self.config.rf();
         let mut report = RebalanceReport::default();
-        for member in from_ring.members() {
-            let source = self.leg(member)?;
+        for member in window.ring.members() {
+            let source = window.leg(member)?;
             let mut start_after: Option<Vec<u8>> = None;
             loop {
                 let page =
                     source.list_keys(b"", start_after.as_deref(), self.config.drain_batch)?;
                 let Some(last) = page.last() else { break };
                 start_after = Some(last.clone());
-                let mut by_dest: BTreeMap<&str, Vec<Vec<u8>>> = BTreeMap::new();
+                let mut by_dest: BTreeMap<&str, Vec<&[u8]>> = BTreeMap::new();
                 for key in &page {
-                    let old_owners = from_ring.owners(key, rf);
+                    let old_owners = window.ring.owners(key, window.rf);
                     if old_owners.first().copied() != Some(member.as_str()) {
                         continue; // stale copy, or a non-primary replica
                     }
-                    for dest in to_ring.owners(key, rf) {
+                    for dest in to_ring.owners(key, window.rf) {
                         if !old_owners.contains(&dest) {
-                            by_dest.entry(dest).or_default().push(key.clone());
+                            by_dest.entry(dest).or_default().push(key.as_slice());
                         }
                     }
                 }
                 for (dest, keys) in by_dest {
                     report.moved_keys += keys.len() as u64;
                     report.slices += 1;
-                    self.drain_slice(&source, member, dest, &keys, throttle)?;
+                    self.drain_slice(source, window.leg(dest)?, &keys, throttle)?;
                 }
             }
         }
         Ok(report)
     }
 
-    /// Ships one slice of keys from `member` to `dest`: REMI-backed
-    /// export on the source, put-if-absent (put-if-newer when the
-    /// keyspace is replicated and stores versioned records) import on
-    /// the destination under the exclusive write barrier. Transfers are
-    /// charged against the rebalance throttle's byte budget.
+    /// Ships one slice of records from `source` to `dest_leg`: REMI-backed
+    /// export on the source, freshest-wins import on the destination
+    /// under the exclusive write barrier. Transfers are charged against
+    /// the rebalance throttle's byte budget.
+    ///
+    /// A message lost inside the nested REMI transfer, or the lost reply
+    /// of an import that did run, comes back as the handler's error,
+    /// which no transport retry covers. The whole slice is retried
+    /// instead: the tag makes a repeated export overwrite its own
+    /// leftovers, and a repeated import compares equal.
     fn drain_slice(
         &self,
-        source: &Leg,
-        member: &str,
-        dest: &str,
-        keys: &[Vec<u8>],
+        source: &FailoverKv,
+        dest_leg: &FailoverKv,
+        keys: &[&[u8]],
         throttle: &Throttle,
     ) -> Result<(), MargoError> {
-        let dest_leg = self.leg(dest)?;
-        let (dest_addr, _) = dest_leg.failover.resolve().ok_or_else(|| {
+        const SLICE_ATTEMPTS: u32 = 3;
+        let (member, dest) = (source.provider(), dest_leg.provider());
+        let (dest_addr, _) = dest_leg.resolve().ok_or_else(|| {
             MargoError::Handler(format!("cannot resolve keyspace member '{dest}'"))
         })?;
         let tag = format!("mv{}-{member}-to-{dest}", unique_u64());
         let dest_subdir = format!("providers/{dest}/slices/{tag}");
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let exported = source.failover.with_handle(|h| {
-            h.slice_export(&refs, &tag, &dest_addr, REMI_PROVIDER_ID, &dest_subdir)
-        })?;
-        throttle.consume(exported.bytes);
-        let versioned = self.config.replicated();
-        // Exclusive barrier: no dual-write may interleave with the
-        // import, so "absent" on the destination is authoritative (and
-        // the versioned compare races with nothing).
-        let _exclusive = self.barrier.write();
-        dest_leg.failover.with_handle(|h| h.slice_import(&tag, versioned))?;
-        // Erases logged before this import exported a pre-erase
-        // snapshot of these keys; replay them on the destination now so
-        // the import cannot resurrect them even transiently. (The
-        // cutover replay still covers erases that arrive later.)
-        let logged: Vec<Vec<u8>> = {
-            let in_slice: std::collections::BTreeSet<&[u8]> =
-                keys.iter().map(Vec::as_slice).collect();
-            let log = self.erase_log.lock();
-            log.iter().filter(|k| in_slice.contains(k.as_slice())).cloned().collect()
-        };
-        if !logged.is_empty() {
-            dest_leg.erase_multi(&logged)?;
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            let shipped = source
+                .with_handle(|h| {
+                    h.slice_export(keys, &tag, &dest_addr, REMI_PROVIDER_ID, &dest_subdir)
+                })
+                .and_then(|exported| {
+                    throttle.consume(exported.bytes);
+                    // Exclusive barrier: the import's per-key compare
+                    // races with no foreground write.
+                    let _exclusive = self.barrier.write();
+                    dest_leg.with_handle(|h| h.slice_import(&tag))
+                });
+            match shipped {
+                Ok(_) => return Ok(()),
+                Err(err) if attempt == SLICE_ATTEMPTS => return Err(err),
+                Err(_) => {}
+            }
         }
-        Ok(())
     }
 
-    /// Erases post-cutover stale source copies: keys a surviving member
-    /// still stores but no longer owns (at `replication_factor > 1`: is
-    /// no longer in the owner *set* of). The retired member (absent from
-    /// the new ring) is swept the same way — it owns nothing anymore, so
-    /// everything it stores goes.
-    fn cleanup(&self, from_ring: &HashRing, to_ring: &HashRing) -> Result<u64, MargoError> {
-        let rf = self.config.rf();
+    /// Erases post-cutover stale source copies: records a member of the
+    /// old ring still stores but is no longer in the owner set of. A
+    /// retired member (absent from the new ring) owns nothing anymore,
+    /// so everything it stores goes.
+    fn cleanup(&self, window: &Route, to_ring: &HashRing) -> Result<u64, MargoError> {
         let mut erased = 0u64;
-        for member in from_ring.members() {
-            let leg = self.leg(member).or_else(|_| -> Result<_, MargoError> {
-                // Retired member: its leg may already be dropped from
-                // the map on a repeat cleanup; build a transient one.
-                Ok(Arc::new(Leg::new(&self.service, &self.margo, member, &self.config)))
-            })?;
+        for member in window.ring.members() {
+            let leg = window.leg(member)?;
             let mut start_after: Option<Vec<u8>> = None;
             loop {
                 let page = leg.list_keys(b"", start_after.as_deref(), self.config.drain_batch)?;
                 let Some(last) = page.last() else { break };
                 start_after = Some(last.clone());
-                let stale: Vec<Vec<u8>> = page
+                let stale: Vec<&[u8]> = page
                     .iter()
-                    .filter(|key| !to_ring.owners(key, rf).contains(&member.as_str()))
-                    .cloned()
+                    .filter(|key| !to_ring.owners(key, window.rf).contains(&member.as_str()))
+                    .map(Vec::as_slice)
                     .collect();
                 if !stale.is_empty() {
-                    erased += leg.erase_multi(&stale)?;
+                    erased += leg.with_handle(|h| h.erase_multi(&stale))?;
                 }
             }
         }
@@ -1918,7 +1384,7 @@ impl RoutedKv {
     }
 
     // -----------------------------------------------------------------
-    // Provider death (replicated mode)
+    // Provider death
     // -----------------------------------------------------------------
 
     /// Retires a *dead* member from the keyspace **without draining it**
@@ -1945,7 +1411,7 @@ impl RoutedKv {
     /// For draining a *live* member out of the keyspace, use
     /// [`Self::retire`].
     pub fn fail_member(&self, member: &str) -> Result<CatchUpReport, MargoError> {
-        if !self.config.replicated() {
+        if self.config.rf() < 2 {
             return Err(MargoError::Handler(
                 "fail_member requires replication_factor > 1 \
                  (an unreplicated member's data exists nowhere else; \
@@ -1954,31 +1420,23 @@ impl RoutedKv {
             ));
         }
         let _coordinator = self.rebalance_lock.lock();
-        let (from_ring, to_ring) = {
-            let snap = self.state.read();
-            if !snap.ring.contains(member) {
-                return Err(MargoError::Handler(format!(
-                    "'{member}' is not a keyspace member"
-                )));
-            }
-            if snap.ring.len() == 1 {
-                return Err(MargoError::Handler(
-                    "cannot fail the last keyspace member".into(),
-                ));
-            }
-            if snap.to_ring.is_some() {
-                return Err(MargoError::Handler(
-                    "cannot fail a member while a rebalance window is open".into(),
-                ));
-            }
-            (snap.ring.clone(), snap.ring.without_member(member))
-        };
-        self.state.write().ring = to_ring.clone();
-        self.legs.write().remove(member);
+        let steady = self.route();
+        if !steady.ring.contains(member) {
+            return Err(MargoError::Handler(format!("'{member}' is not a keyspace member")));
+        }
+        if steady.ring.len() == 1 {
+            return Err(MargoError::Handler("cannot fail the last keyspace member".into()));
+        }
+        if steady.to_ring.is_some() {
+            return Err(MargoError::Handler(
+                "cannot fail a member while a rebalance window is open".into(),
+            ));
+        }
+        let survivors = self.publish(steady.ring.without_member(member), None);
         // Epoch fence (see step 2 above).
         drop(self.barrier.write());
         let throttle = Throttle::new(&self.config);
-        let mut report = self.catch_up(&from_ring, &to_ring, member, &throttle)?;
+        let mut report = self.catch_up(&steady.ring, &survivors, member, &throttle)?;
         report.replayed_hints = self.drain_hints_now();
         Ok(report)
     }
@@ -1992,24 +1450,26 @@ impl RoutedKv {
     fn catch_up(
         &self,
         from_ring: &HashRing,
-        to_ring: &HashRing,
+        survivors: &Route,
         dead: &str,
         throttle: &Throttle,
     ) -> Result<CatchUpReport, MargoError> {
-        let rf = self.config.rf();
+        let rf = survivors.rf;
         let mut report = CatchUpReport::default();
-        for member in to_ring.members() {
-            let leg = self.leg(member)?;
+        for member in survivors.ring.members() {
+            let leg = survivors.leg(member)?;
             let mut start_after: Option<Vec<u8>> = None;
             loop {
                 let page =
                     leg.list_keys(b"", start_after.as_deref(), self.config.drain_batch)?;
                 let Some(last) = page.last() else { break };
                 start_after = Some(last.clone());
-                // Keys this member is the designated repairer of.
-                let mut repair: Vec<(Vec<u8>, Vec<String>)> = Vec::new();
-                for key in &page {
-                    let old_owners = from_ring.owners(key, rf);
+                // Keys this member is the designated repairer of, with
+                // the members that entered their owner set.
+                let mut keys: Vec<Vec<u8>> = Vec::new();
+                let mut targets: Vec<Vec<usize>> = Vec::new();
+                for key in page {
+                    let old_owners = from_ring.owners(&key, rf);
                     if !old_owners.contains(&dead) {
                         continue;
                     }
@@ -2017,37 +1477,36 @@ impl RoutedKv {
                     if pusher != Some(member.as_str()) {
                         continue;
                     }
-                    let targets: Vec<String> = to_ring
-                        .owners(key, rf)
+                    let entered: Vec<usize> = survivors
+                        .ring
+                        .owners(&key, rf)
                         .into_iter()
                         .filter(|m| !old_owners.contains(m))
-                        .map(str::to_string)
+                        .filter_map(|m| survivors.position(m))
                         .collect();
-                    if !targets.is_empty() {
-                        repair.push((key.clone(), targets));
+                    if !entered.is_empty() {
+                        keys.push(key);
+                        targets.push(entered);
                     }
                 }
-                if repair.is_empty() {
+                if keys.is_empty() {
                     continue;
                 }
-                let keys: Vec<Vec<u8>> = repair.iter().map(|(k, _)| k.clone()).collect();
-                let records = leg.vget_multi(&keys, self.config.leg_max_rounds)?;
-                let mut by_target: BTreeMap<String, Vec<(Vec<u8>, u64, Option<Vec<u8>>)>> =
-                    BTreeMap::new();
-                for ((key, targets), record) in repair.into_iter().zip(records) {
+                let records = vget_multi(leg, &keys, self.config.leg_max_rounds)?;
+                let mut by_target: Vec<Vec<Record>> = vec![Vec::new(); survivors.legs.len()];
+                for ((key, targets), record) in keys.into_iter().zip(targets).zip(records) {
                     // A vanished record means a fresher erase+cleanup won;
                     // nothing to re-replicate.
                     let Some(record) = record else { continue };
                     let value = (!record.tombstone).then_some(record.value);
                     for target in targets {
-                        by_target.entry(target).or_default().push((
-                            key.clone(),
-                            record.version,
-                            value.clone(),
-                        ));
+                        by_target[target].push((key.clone(), record.version, value.clone()));
                     }
                 }
-                for (target, batch) in by_target {
+                for (target, batch) in by_target.iter().enumerate() {
+                    if batch.is_empty() {
+                        continue;
+                    }
                     let bytes: u64 = batch
                         .iter()
                         .map(|(key, _, value)| {
@@ -2059,7 +1518,7 @@ impl RoutedKv {
                         .sum();
                     throttle.consume(bytes);
                     // Patient rounds: this is recovery, not a quorum leg.
-                    self.leg(&target)?.vput_multi(&batch, self.config.leg_max_rounds)?;
+                    vput_multi(&survivors.legs[target], batch, self.config.leg_max_rounds)?;
                     report.recopied_keys += batch.len() as u64;
                     report.recopied_bytes += bytes;
                 }
@@ -2083,105 +1542,71 @@ impl Drop for RoutedKv {
 /// One hint-drain pass over every member (shared by the background
 /// drainer thread, [`RoutedKv::drain_hints_now`], and
 /// [`RoutedKv::fail_member`]): replay parked hints onto their target —
-/// or, when the target left the ring, onto each key's current owner set
+/// or, when the target left the ring, onto each key's current write set
 /// — then drop the replayed hints at the holder. Replays are
 /// put-if-newer, so re-delivery is idempotent; any error leaves the
 /// hint parked for the next pass. Returns the number of hints replayed.
-fn hint_drain_pass(
-    config: &RoutedConfig,
-    state: &RwLock<RouteSnapshot>,
-    legs: &RwLock<BTreeMap<String, Arc<Leg>>>,
-    stats: &ReplicationStats,
-) -> u64 {
+fn hint_drain_pass(route: &Route, stats: &ReplicationStats) -> u64 {
     /// Hints listed per holder per pass (a busy holder drains over
     /// several passes rather than monopolizing one).
     const HINT_PAGE: usize = 1024;
-    let snap = state.read().clone();
-    let holders: Vec<(String, Arc<Leg>)> =
-        legs.read().iter().map(|(name, leg)| (name.clone(), Arc::clone(leg))).collect();
     let mut replayed = 0u64;
-    for (_, holder) in &holders {
-        let hints = match holder.hint_list(HINT_PAGE, 2) {
+    for holder in &route.legs {
+        let hints = match holder.with_handle_rounds(FAIL_FAST_ROUNDS, |h| h.hint_list(HINT_PAGE)) {
             Ok(hints) => hints,
             Err(_) => {
                 stats.drain_errors.fetch_add(1, Ordering::AcqRel);
                 continue;
             }
         };
-        if hints.is_empty() {
-            continue;
-        }
         let mut by_target: BTreeMap<String, Vec<HintEntry>> = BTreeMap::new();
         for hint in hints {
             by_target.entry(hint.target.clone()).or_default().push(hint);
         }
         for (target, entries) in by_target {
-            let mut shipped: Vec<HintDropEntry> = Vec::new();
-            if snap.ring.contains(&target) {
+            let record =
+                |e: &HintEntry| (e.key.clone(), e.version, (!e.tombstone).then(|| e.value.clone()));
+            let delivered: Vec<&HintEntry> = match route.position(&target) {
                 // The owner is back (breaker half-open let a probe
                 // through, or the member recovered): deliver directly.
-                let Some((_, target_leg)) = holders.iter().find(|(name, _)| *name == target)
-                else {
-                    stats.drain_errors.fetch_add(1, Ordering::AcqRel);
-                    continue;
-                };
-                let records: Vec<(Vec<u8>, u64, Option<Vec<u8>>)> = entries
-                    .iter()
-                    .map(|e| {
-                        (e.key.clone(), e.version, (!e.tombstone).then(|| e.value.clone()))
-                    })
-                    .collect();
-                if target_leg.vput_multi(&records, 2).is_ok() {
-                    shipped = entries
-                        .iter()
-                        .map(|e| HintDropEntry {
-                            target: target.clone(),
-                            key: e.key.clone(),
-                            version: e.version,
-                        })
-                        .collect();
-                } else {
-                    stats.drain_errors.fetch_add(1, Ordering::AcqRel);
+                Some(owner) if route.ring.contains(&target) => {
+                    let records: Vec<Record> = entries.iter().map(record).collect();
+                    match vput_multi(&route.legs[owner], &records, FAIL_FAST_ROUNDS) {
+                        Ok(_) => entries.iter().collect(),
+                        Err(_) => Vec::new(),
+                    }
                 }
-            } else {
                 // The target died or retired: its records belong to each
-                // key's *current* owner set now.
-                for entry in &entries {
-                    let (serving, future) = snap.write_set(&entry.key, config.rf());
-                    let mut delivered = !serving.is_empty();
-                    let record = vec![(
-                        entry.key.clone(),
-                        entry.version,
-                        (!entry.tombstone).then(|| entry.value.clone()),
-                    )];
-                    for owner in serving.iter().chain(&future) {
-                        let Some((_, owner_leg)) =
-                            holders.iter().find(|(name, _)| name == owner)
-                        else {
-                            delivered = false;
-                            break;
-                        };
-                        if owner_leg.vput_multi(&record, 2).is_err() {
-                            delivered = false;
-                            break;
-                        }
-                    }
-                    if delivered {
-                        shipped.push(HintDropEntry {
-                            target: target.clone(),
-                            key: entry.key.clone(),
-                            version: entry.version,
-                        });
-                    } else {
-                        stats.drain_errors.fetch_add(1, Ordering::AcqRel);
-                    }
-                }
+                // key's *current* write set now.
+                _ => entries
+                    .iter()
+                    .filter(|entry| {
+                        let set = route.write_set(&entry.key);
+                        set.serving > 0
+                            && set.members.iter().all(|&owner| {
+                                vput_multi(&route.legs[owner], &[record(entry)], FAIL_FAST_ROUNDS)
+                                    .is_ok()
+                            })
+                    })
+                    .collect(),
+            };
+            if delivered.len() < entries.len() {
+                stats.drain_errors.fetch_add(1, Ordering::AcqRel);
             }
-            if !shipped.is_empty() {
-                replayed += shipped.len() as u64;
-                if holder.hint_drop(&shipped, 2).is_err() {
-                    stats.drain_errors.fetch_add(1, Ordering::AcqRel);
-                }
+            if delivered.is_empty() {
+                continue;
+            }
+            let shipped: Vec<HintDropEntry> = delivered
+                .iter()
+                .map(|e| HintDropEntry {
+                    target: target.clone(),
+                    key: e.key.clone(),
+                    version: e.version,
+                })
+                .collect();
+            replayed += shipped.len() as u64;
+            if holder.with_handle_rounds(FAIL_FAST_ROUNDS, |h| h.hint_drop(&shipped)).is_err() {
+                stats.drain_errors.fetch_add(1, Ordering::AcqRel);
             }
         }
     }
@@ -2222,11 +1647,9 @@ fn apply_keyspace_config(config: &mut RoutedConfig, value: &serde_json::Value) {
 mod tests {
     use super::*;
 
-    fn snap(members: &[&str], to: Option<&[&str]>) -> RouteSnapshot {
-        RouteSnapshot {
-            ring: HashRing::new(members),
-            to_ring: to.map(HashRing::new),
-        }
+    /// Routing reads member names only: no legs, no service.
+    fn route(members: &[&str], to: Option<&[&str]>, rf: usize) -> Route {
+        Route::new(HashRing::new(members), to.map(HashRing::new), rf, |_| Vec::new())
     }
 
     #[test]
@@ -2235,11 +1658,9 @@ mod tests {
         assert_eq!(config.vnodes, DEFAULT_VNODES);
         assert!(config.fanout_streams >= 1);
         assert!(config.leg_reroute_backoff < Duration::from_millis(50));
-        assert!(config.coalescer.is_none());
         assert!(config.drain_batch > 0);
-        // Replication defaults: off, majority quorums, unthrottled.
+        // Replication defaults: one copy, majority quorums, unthrottled.
         assert_eq!(config.replication_factor, 1);
-        assert!(!config.replicated());
         assert!(config.write_quorum.is_none());
         assert!(config.read_quorum.is_none());
         assert!(config.drain_bytes_per_tick.is_none());
@@ -2266,23 +1687,47 @@ mod tests {
 
     #[test]
     fn write_set_unions_serving_and_future_owners() {
-        let rf = 2;
-        let steady = snap(&["db0", "db1", "db2"], None);
-        let moving = snap(&["db0", "db1", "db2"], Some(&["db0", "db1", "db2", "db3"]));
-        let mut saw_future = false;
-        for i in 0..500 {
-            let key = format!("key-{i}").into_bytes();
-            let (serving, future) = steady.write_set(&key, rf);
-            assert_eq!(serving, steady.replicas(&key, rf));
-            assert!(future.is_empty(), "no window, no future owners");
-            let (serving, future) = moving.write_set(&key, rf);
-            assert_eq!(serving.len(), rf);
-            for member in &future {
-                assert!(!serving.contains(member), "future owners are disjoint");
-                saw_future = true;
+        for rf in [1, 2] {
+            let steady = route(&["db0", "db1", "db2"], None, rf);
+            let moving = route(&["db0", "db1", "db2"], Some(&["db0", "db1", "db2", "db3"]), rf);
+            let joiner = moving.position("db3").expect("the joiner is a member");
+            let mut saw_future = false;
+            for i in 0..500 {
+                let key = format!("key-{i}").into_bytes();
+                let set = steady.write_set(&key);
+                assert_eq!(set.serving(), steady.replicas(&key));
+                assert!(set.future().is_empty(), "no window, no future owners");
+                let set = moving.write_set(&key);
+                assert_eq!(set.serving().len(), rf);
+                for member in set.future() {
+                    assert_eq!(*member, joiner, "adds move keys only toward the joiner");
+                    assert!(!set.serving().contains(member), "future owners are disjoint");
+                    saw_future = true;
+                }
             }
+            assert!(saw_future, "rf {rf}: some key must gain db3 as a future owner");
         }
-        assert!(saw_future, "some key must gain db3 as a future replica");
+    }
+
+    #[test]
+    fn leg_patience_follows_the_replica_set_size() {
+        let config = RoutedConfig::default();
+        let one = route(&["db0", "db1", "db2"], None, 1);
+        assert!(!one.hints());
+        assert_eq!(one.leg_rounds(&config), config.leg_max_rounds);
+        let three = route(&["db0", "db1", "db2"], None, 3);
+        assert!(three.hints());
+        assert_eq!(three.leg_rounds(&config), FAIL_FAST_ROUNDS);
+        // A ring smaller than the factor clamps the set.
+        let lonely = route(&["db0"], None, 3);
+        assert!(!lonely.hints());
+        assert_eq!(lonely.leg_rounds(&config), config.leg_max_rounds);
+    }
+
+    #[test]
+    fn batches_group_indices_by_member() {
+        let sets: [&[usize]; 3] = [&[2, 0], &[2], &[0]];
+        assert_eq!(by_member(3, sets.into_iter()), vec![(0, vec![0, 2]), (2, vec![0, 1])]);
     }
 
     #[test]
@@ -2316,7 +1761,6 @@ mod tests {
             }),
         );
         assert_eq!(config.replication_factor, 3);
-        assert!(config.replicated());
         assert_eq!(config.write_quorum, Some(2));
         assert_eq!(config.read_quorum, Some(2));
         assert_eq!(config.drain_bytes_per_tick, Some(65536));
@@ -2350,59 +1794,5 @@ mod tests {
         free.consume(u64::MAX);
         free.consume(u64::MAX);
         assert!(start.elapsed() < Duration::from_millis(20));
-    }
-
-    #[test]
-    fn owners_reports_moving_keys() {
-        let steady = snap(&["db0", "db1"], None);
-        let moving = snap(&["db0", "db1"], Some(&["db0", "db1", "db2"]));
-        let mut saw_move = false;
-        for i in 0..500 {
-            let key = format!("key-{i}").into_bytes();
-            let (owner, next) = steady.owners(&key);
-            assert!(owner.is_some());
-            assert!(next.is_none(), "no move window, nothing moves");
-            let (owner, next) = moving.owners(&key);
-            if let Some(next) = next {
-                assert_eq!(next, "db2", "adds move keys only toward the joiner");
-                assert_ne!(Some(next), owner);
-                saw_move = true;
-            }
-        }
-        assert!(saw_move, "some key must move toward db2");
-    }
-
-    #[test]
-    fn write_batches_dual_route_moving_keys() {
-        let moving = snap(&["db0", "db1"], Some(&["db0", "db1", "db2"]));
-        let keys: Vec<Vec<u8>> =
-            (0..500).map(|i| format!("key-{i}").into_bytes()).collect();
-        let batches = RoutedKv::write_batches(&moving, &keys);
-        let joiner = batches.get("db2").expect("joiner receives dual writes");
-        for &i in joiner {
-            let (owner, next) = moving.owners(&keys[i]);
-            assert_eq!(next, Some("db2"));
-            // The same index must also sit in its serving owner's batch.
-            let owner = owner.expect("owned");
-            assert!(batches[owner].contains(&i), "dual write covers the old owner");
-        }
-        // Every key routes somewhere, and non-moving keys exactly once.
-        let total: usize = batches.values().map(Vec::len).sum();
-        let moving_count = keys
-            .iter()
-            .filter(|k| moving.owners(k).1.is_some())
-            .count();
-        assert_eq!(total, keys.len() + moving_count);
-    }
-
-    #[test]
-    fn write_batches_steady_state_is_a_partition() {
-        let steady = snap(&["db0", "db1", "db2"], None);
-        let keys: Vec<Vec<u8>> =
-            (0..300).map(|i| format!("key-{i}").into_bytes()).collect();
-        let batches = RoutedKv::write_batches(&steady, &keys);
-        let mut seen: Vec<usize> = batches.values().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..300).collect::<Vec<_>>());
     }
 }

@@ -73,6 +73,7 @@ use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
 use mochi_util::{crc32, fnv1a64};
 
 use super::{Database, YokanError};
+use crate::version::{decode_record, record_is_newer};
 
 /// Upper bound on the stripe count; the lock hierarchy reserves
 /// `LSM_STRIPE_MAX` ranks per lock class for the stripes.
@@ -1065,15 +1066,23 @@ impl LsmDatabase {
     }
 }
 
-impl Database for LsmDatabase {
-    fn backend_name(&self) -> &'static str {
-        "lsm"
-    }
-
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), YokanError> {
+impl LsmDatabase {
+    /// Writes `key` to its stripe's WAL and memtable if `admit` agrees.
+    /// `admit` runs under the stripe's writer lock, which freezes the
+    /// stripe's writes and seals: what it looks up cannot change before
+    /// the write lands. Returns whether it agreed.
+    fn put_with(
+        &self,
+        key: &[u8],
+        value: &[u8],
+        admit: impl FnOnce() -> Result<bool, YokanError>,
+    ) -> Result<bool, YokanError> {
         let stripe = self.inner.stripe_of(key);
         let schedule = {
             let mut writer = stripe.writer.lock();
+            if !admit()? {
+                return Ok(false);
+            }
             LsmInner::append_wal(&mut writer, OP_PUT, key, value)?;
             {
                 let mut active = stripe.active.write();
@@ -1085,7 +1094,31 @@ impl Database for LsmDatabase {
         if schedule {
             self.inner.schedule_maintenance(stripe.index);
         }
-        Ok(())
+        Ok(true)
+    }
+}
+
+impl Database for LsmDatabase {
+    fn backend_name(&self) -> &'static str {
+        "lsm"
+    }
+
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), YokanError> {
+        self.put_with(key, value, || Ok(true)).map(|_stored| ())
+    }
+
+    fn put_if_newer(&self, key: &[u8], record: &[u8]) -> Result<(bool, bool), YokanError> {
+        let mut was_live = false;
+        let stored = self.put_with(key, record, || {
+            Ok(match self.inner.lookup_live(key)? {
+                None => true,
+                Some(current) => {
+                    was_live = !decode_record(&current).tombstone;
+                    record_is_newer(record, &current)
+                }
+            })
+        })?;
+        Ok((stored, was_live))
     }
 
     fn put_multi(&self, pairs: &[(&[u8], &[u8])]) -> Result<(), YokanError> {
@@ -1330,7 +1363,7 @@ mod tests {
 
     #[test]
     fn conformance_suite() {
-        for case in 0..6 {
+        for case in 0..7 {
             let dir = TempDir::new("lsm-conf").unwrap();
             let db = open(&dir);
             match case {
@@ -1342,9 +1375,28 @@ mod tests {
                 }
                 3 => conformance::clear(&db),
                 4 => conformance::multi_ops(&db),
+                5 => conformance::put_if_newer(&db),
                 _ => conformance::empty_and_binary_keys(&db),
             }
         }
+    }
+
+    #[test]
+    fn put_if_newer_compares_against_flushed_tables_and_survives_reopen() {
+        use crate::version::encode_record;
+        let dir = TempDir::new("lsm-newer").unwrap();
+        let (old, new) = (encode_record(1, Some(b"old")), encode_record(2, Some(b"new")));
+        {
+            let db = open(&dir);
+            assert_eq!(db.put_if_newer(b"k", &new).unwrap(), (true, false));
+            db.flush().unwrap();
+            assert!(db.table_count() >= 1);
+            assert_eq!(db.put_if_newer(b"k", &old).unwrap(), (false, true), "incumbent on disk");
+            assert_eq!(db.put_if_newer(b"fresh", &old).unwrap(), (true, false));
+        }
+        let db = open(&dir);
+        assert_eq!(db.get(b"k").unwrap().as_deref(), Some(new.as_slice()));
+        assert_eq!(db.get(b"fresh").unwrap().as_deref(), Some(old.as_slice()), "replayed from WAL");
     }
 
     #[test]

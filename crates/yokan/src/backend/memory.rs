@@ -11,13 +11,14 @@
 //! operations (`put_multi`/`get_multi`) group keys by shard and take each
 //! shard lock once per group, in ascending order.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Bound;
 
 use mochi_util::fnv1a64;
 use mochi_util::ordered_lock::{rank, OrderedReadGuard, OrderedRwLock, OrderedWriteGuard};
 
 use super::{Database, YokanError};
+use crate::version::{decode_record, record_is_newer};
 
 /// Upper bound on the shard count; the lock hierarchy reserves ranks
 /// `YOKAN_SHARD_BASE .. YOKAN_SHARD_BASE + YOKAN_SHARD_MAX` for stripes.
@@ -98,6 +99,24 @@ impl Database for MemoryDatabase {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), YokanError> {
         self.shard_of(key).write().insert(key.to_vec(), value.to_vec());
         Ok(())
+    }
+
+    fn put_if_newer(&self, key: &[u8], record: &[u8]) -> Result<(bool, bool), YokanError> {
+        // One walk of the map under the shard's write lock.
+        match self.shard_of(key).write().entry(key.to_vec()) {
+            Entry::Vacant(slot) => {
+                slot.insert(record.to_vec());
+                Ok((true, false))
+            }
+            Entry::Occupied(mut slot) => {
+                let was_live = !decode_record(slot.get()).tombstone;
+                let newer = record_is_newer(record, slot.get());
+                if newer {
+                    slot.insert(record.to_vec());
+                }
+                Ok((newer, was_live))
+            }
+        }
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, YokanError> {
@@ -240,6 +259,11 @@ mod tests {
     #[test]
     fn multi_ops() {
         conformance::multi_ops(&MemoryDatabase::new());
+    }
+
+    #[test]
+    fn put_if_newer() {
+        conformance::put_if_newer(&MemoryDatabase::new());
     }
 
     #[test]

@@ -63,6 +63,14 @@ pub trait Database: Send + Sync {
     /// Removes `key`; returns whether it existed.
     fn erase(&self, key: &[u8]) -> Result<bool, YokanError>;
 
+    /// Stores the encoded [`crate::version`] record `record` under `key`
+    /// unless what is stored there is at least as fresh
+    /// ([`crate::version::record_is_newer`]). Atomic per key: a concurrent
+    /// write to the key lands wholly before or after. Returns whether the
+    /// record was stored, and whether a live (non-tombstone) value was
+    /// there before.
+    fn put_if_newer(&self, key: &[u8], record: &[u8]) -> Result<(bool, bool), YokanError>;
+
     /// Stores several pairs. Backends override this to amortize lock
     /// acquisition (one stripe lock per shard group, one WAL append per
     /// batch); atomicity remains per-key.
@@ -118,24 +126,6 @@ pub trait Database: Send + Sync {
         Ok(())
     }
 
-    /// Bulk-load contents, *keeping* existing keys; returns how many
-    /// pairs were stored. This is the rebalance drain's import primitive:
-    /// a drained slice is a snapshot taken before the move, so any key
-    /// the destination already holds was written *during* the move and
-    /// is newer than the snapshot — overwriting it would roll the key
-    /// back. Per-key check-then-put, not transactional: the routed
-    /// client serializes imports against its own writes (the only writer
-    /// during a move) with a write barrier.
-    fn load_absent(&self, pairs: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, YokanError> {
-        let mut stored = 0u64;
-        for (key, value) in pairs {
-            if self.get(key)?.is_none() {
-                self.put(key, value)?;
-                stored += 1;
-            }
-        }
-        Ok(stored)
-    }
 }
 
 /// Backend selection and tuning, from the provider's `config` JSON.
@@ -386,6 +376,25 @@ pub(crate) mod conformance {
         // Empty batches are fine.
         db.put_multi(&[]).unwrap();
         assert_eq!(db.get_multi(&[]).unwrap(), Vec::<Option<Vec<u8>>>::new());
+    }
+
+    pub fn put_if_newer(db: &dyn Database) {
+        use crate::version::encode_record;
+        let (v1, v2, dead) =
+            (encode_record(1, Some(b"a")), encode_record(2, Some(b"b")), encode_record(3, None));
+        assert_eq!(db.put_if_newer(b"k", &v2).unwrap(), (true, false), "absent: stored");
+        assert_eq!(db.put_if_newer(b"k", &v1).unwrap(), (false, true), "older: refused");
+        assert_eq!(db.put_if_newer(b"k", &v2).unwrap(), (false, true), "same record: no-op");
+        assert_eq!(db.get(b"k").unwrap().as_deref(), Some(v2.as_slice()));
+        assert_eq!(db.put_if_newer(b"k", &dead).unwrap(), (true, true), "tombstone wins");
+        assert_eq!(db.put_if_newer(b"k", &v2).unwrap(), (false, false), "no resurrection");
+        assert_eq!(db.get(b"k").unwrap().as_deref(), Some(dead.as_slice()));
+        // A raw value is version 0: any record replaces it, and it was live.
+        db.put(b"raw", b"legacy").unwrap();
+        assert_eq!(db.put_if_newer(b"raw", &v1).unwrap(), (true, true));
+        // A key the backend erased is absent, not a stale incumbent.
+        assert!(db.erase(b"raw").unwrap());
+        assert_eq!(db.put_if_newer(b"raw", &v1).unwrap(), (true, false));
     }
 
     pub fn empty_and_binary_keys(db: &dyn Database) {

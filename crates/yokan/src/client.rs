@@ -21,9 +21,8 @@ use serde::Serialize;
 
 use crate::provider::{
     GetMultiHeader, HintDropArgs, HintDropEntry, HintEntry, HintListArgs, HintPutArgs, KeyHeader,
-    ListKeysArgs, PutMultiHeader, PutVersionedHeader, PutVersionedMultiHeader,
-    PutVersionedMultiReply, PutVersionedReply, SliceExportArgs, SliceExportReply, SliceImportArgs,
-    SliceImportReply, ValuesHeader, VersionedValuesHeader,
+    ListKeysArgs, PutMultiHeader, PutVersionedMultiReply, SliceExportArgs, SliceExportReply,
+    SliceImportArgs, SliceImportReply, ValuesHeader,
 };
 use crate::provider::rpc;
 
@@ -44,9 +43,7 @@ const IDEMPOTENT_RPCS: &[&str] = &[
     rpc::LEN,
     rpc::FLUSH,
     rpc::CLEAR,
-    rpc::PUT_VERSIONED,
     rpc::PUT_VERSIONED_MULTI,
-    rpc::GET_VERSIONED_MULTI,
     rpc::HINT_PUT,
     rpc::HINT_LIST,
 ];
@@ -61,6 +58,17 @@ pub struct VersionedValue {
     pub tombstone: bool,
     /// Raw value bytes (empty for tombstones).
     pub value: Vec<u8>,
+}
+
+impl VersionedValue {
+    /// Decodes what the provider stores, keeping the value's buffer.
+    fn from_stored(mut stored: Vec<u8>) -> Self {
+        let record = crate::version::decode_record(&stored);
+        let (version, tombstone) = (record.version, record.tombstone);
+        let prefix = stored.len() - record.value.len();
+        stored.drain(..prefix);
+        Self { version, tombstone, value: stored }
+    }
 }
 
 /// Handle to a remote Yokan database.
@@ -249,49 +257,27 @@ impl DatabaseHandle {
     }
 
     /// Imports the REMI-delivered slice named `tag` (rebalance drain,
-    /// destination side). Unversioned keyspaces keep keys the provider
-    /// already holds; `versioned` keyspaces run the per-key
-    /// freshest-wins compare instead.
-    pub fn slice_import(&self, tag: &str, versioned: bool) -> Result<SliceImportReply, MargoError> {
-        self.call(rpc::SLICE_IMPORT, &SliceImportArgs { tag: tag.to_string(), versioned })
-    }
-
-    /// Put-if-newer of one versioned record. `value = None` writes a
-    /// tombstone (a deletion that wins freshest-wins merges).
-    pub fn put_versioned(
-        &self,
-        key: &[u8],
-        version: u64,
-        value: Option<&[u8]>,
-    ) -> Result<PutVersionedReply, MargoError> {
-        let header = PutVersionedHeader {
-            key: key.to_vec(),
-            version,
-            tombstone: value.is_none(),
-        };
-        let payload = encode_framed(&header, value.unwrap_or(&[]))?;
-        let reply = self.call_raw(rpc::PUT_VERSIONED, payload)?;
-        let (reply, _) = decode_framed::<PutVersionedReply>(&reply)?;
-        Ok(reply)
+    /// destination side), record by record, freshest wins.
+    pub fn slice_import(&self, tag: &str) -> Result<SliceImportReply, MargoError> {
+        self.call(rpc::SLICE_IMPORT, &SliceImportArgs { tag: tag.to_string() })
     }
 
     /// Put-if-newer of many versioned records in one RPC. Each record is
-    /// `(key, version, value-or-tombstone)`.
+    /// `(key, version, value-or-tombstone)`: `None` writes a tombstone (a
+    /// deletion that wins freshest-wins merges).
     pub fn put_versioned_multi(
         &self,
         records: &[(&[u8], u64, Option<&[u8]>)],
     ) -> Result<PutVersionedMultiReply, MargoError> {
         let keys: Vec<Vec<u8>> = records.iter().map(|(k, _, _)| k.to_vec()).collect();
-        let value_lens: Vec<u32> =
-            records.iter().map(|(_, _, v)| v.map_or(0, <[u8]>::len) as u32).collect();
-        let versions: Vec<u64> = records.iter().map(|(_, v, _)| *v).collect();
-        let tombstones: Vec<bool> = records.iter().map(|(_, _, v)| v.is_none()).collect();
-        let mut body = Vec::with_capacity(value_lens.iter().map(|l| *l as usize).sum());
-        for (_, _, value) in records {
-            body.extend_from_slice(value.unwrap_or(&[]));
+        let mut value_lens = Vec::with_capacity(records.len());
+        let mut body = Vec::new();
+        for (_, version, value) in records {
+            let start = body.len();
+            crate::version::encode_record_into(&mut body, *version, *value);
+            value_lens.push((body.len() - start) as u32);
         }
-        let header = PutVersionedMultiHeader { keys, value_lens, versions, tombstones };
-        let payload = encode_framed(&header, &body)?;
+        let payload = encode_framed(&PutMultiHeader { keys, value_lens }, &body)?;
         let reply = self.call_raw(rpc::PUT_VERSIONED_MULTI, payload)?;
         let (reply, _) = decode_framed::<PutVersionedMultiReply>(&reply)?;
         Ok(reply)
@@ -304,34 +290,8 @@ impl DatabaseHandle {
         &self,
         keys: &[&[u8]],
     ) -> Result<Vec<Option<VersionedValue>>, MargoError> {
-        let header = GetMultiHeader { keys: keys.iter().map(|k| k.to_vec()).collect() };
-        let payload = encode_framed(&header, &[])?;
-        let reply = self.call_raw(rpc::GET_VERSIONED_MULTI, payload)?;
-        let (header, body) = decode_framed::<VersionedValuesHeader>(&reply)?;
-        if header.versions.len() != header.lens.len()
-            || header.tombstones.len() != header.lens.len()
-        {
-            return Err(MargoError::Codec("get_versioned_multi header mismatch".into()));
-        }
-        let mut out = Vec::with_capacity(header.lens.len());
-        let mut cursor = 0usize;
-        for (i, len) in header.lens.iter().enumerate() {
-            if *len < 0 {
-                out.push(None);
-            } else {
-                let len = *len as usize;
-                if cursor + len > body.len() {
-                    return Err(MargoError::Codec("get_versioned_multi body truncated".into()));
-                }
-                out.push(Some(VersionedValue {
-                    version: header.versions[i],
-                    tombstone: header.tombstones[i],
-                    value: body[cursor..cursor + len].to_vec(),
-                }));
-                cursor += len;
-            }
-        }
-        Ok(out)
+        let stored = self.get_multi(keys)?;
+        Ok(stored.into_iter().map(|s| s.map(VersionedValue::from_stored)).collect())
     }
 
     /// Parks a hinted-handoff record on this provider for the

@@ -93,17 +93,13 @@ pub struct SliceExportReply {
 }
 
 /// Arguments of `SLICE_IMPORT`: load the REMI-delivered spill file named
-/// by `tag`, keeping keys the destination already holds (they were
-/// written during the move and are newer than the exported snapshot).
+/// by `tag`, record by record, each iff it is fresher than what the
+/// destination holds — a write that landed during the move never loses
+/// to the exported snapshot, and a stale copy never survives it.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct SliceImportArgs {
     /// Slice tag (matches the export's `tag`).
     pub tag: String,
-    /// Replicated keyspaces store versioned records: import with a
-    /// per-key freshest-wins compare (put-if-newer) instead of
-    /// put-if-absent, so an in-flight dual write never loses to the
-    /// exported snapshot.
-    pub versioned: bool,
 }
 
 /// Reply of `SLICE_IMPORT`.
@@ -111,66 +107,19 @@ pub struct SliceImportArgs {
 pub struct SliceImportReply {
     /// Pairs in the spill file.
     pub pairs: u64,
-    /// Pairs actually stored (absent before the import).
+    /// Pairs actually stored (fresher than what the provider held).
     pub stored: u64,
 }
 
-/// Framed-header of `PUT_VERSIONED` (body = raw value, empty for
-/// tombstones). See [`crate::version`] for the stored-record layout.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct PutVersionedHeader {
-    /// The key.
-    pub key: Vec<u8>,
-    /// Client-stamped HLC-style version.
-    pub version: u64,
-    /// Whether this write is a deletion marker.
-    pub tombstone: bool,
-}
-
-/// Reply of `PUT_VERSIONED` (and per-key element of the multi variant).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct PutVersionedReply {
-    /// Whether the record won the freshest-wins compare and was stored.
-    pub stored: bool,
-    /// Whether a *live* (non-tombstone) record existed before this op —
-    /// the replicated erase's "did the key exist" answer.
-    pub existed: bool,
-}
-
-/// Framed-header of `PUT_VERSIONED_MULTI`: parallel per-key arrays, body
-/// = concatenated raw values.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct PutVersionedMultiHeader {
-    /// Keys.
-    pub keys: Vec<Vec<u8>>,
-    /// Length of each raw value in the body (0 for tombstones).
-    pub value_lens: Vec<u32>,
-    /// Per-key version stamps.
-    pub versions: Vec<u64>,
-    /// Per-key tombstone flags.
-    pub tombstones: Vec<bool>,
-}
-
-/// Reply of `PUT_VERSIONED_MULTI`.
+/// Reply of `PUT_VERSIONED_MULTI`. The request is a [`PutMultiHeader`]
+/// whose values are encoded [`crate::version`] records.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct PutVersionedMultiReply {
     /// How many records won their compare and were stored.
     pub stored: u64,
-    /// Per-key: whether a live record existed before the op.
+    /// Per-key: whether a *live* (non-tombstone) record existed before
+    /// the op — an erase's "did the key exist" answer.
     pub existed: Vec<bool>,
-}
-
-/// Framed-header of `GET_VERSIONED_MULTI` responses: `lens[i] == -1`
-/// marks a key with *no record at all*; a tombstone is a present record
-/// with `tombstones[i]` set and a zero-length value.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct VersionedValuesHeader {
-    /// Per-key raw-value length or -1.
-    pub lens: Vec<i64>,
-    /// Per-key version (0 when missing or legacy-unversioned).
-    pub versions: Vec<u64>,
-    /// Per-key tombstone flag (false when missing).
-    pub tombstones: Vec<bool>,
 }
 
 /// Arguments of `HINT_PUT`: park a record for an unreachable `target`
@@ -229,11 +178,6 @@ pub struct HintDropArgs {
     /// Replayed hints to drop.
     pub entries: Vec<HintDropEntry>,
 }
-
-/// Stripes for the provider-side get-compare-put of `PUT_VERSIONED`:
-/// the backend has no compare-and-swap, so the compare runs under a
-/// striped mutex keyed like the memory backend's shards.
-const VLOCK_STRIPES: usize = 16;
 
 /// Bound on parked hints per provider. A full store rejects new hints
 /// (the writer counts that as a failed ack), so an extended outage
@@ -448,14 +392,8 @@ impl YokanProvider {
                 slice_export(&export_db, &export_margo, &export_scratch, local, args, ctx)
             },
         )?;
-        // Versioned-record + hint surface (replicated keyspaces,
-        // DESIGN.md §18). The get-compare-put of put-if-newer runs under
-        // striped mutexes; values stay framed raw bytes end to end.
-        let vlocks: Arc<Vec<parking_lot::Mutex<()>>> =
-            Arc::new((0..VLOCK_STRIPES).map(|_| parking_lot::Mutex::new(())).collect());
         let import_db = Arc::clone(&db);
         let import_root = data_dir.as_ref().map(|d| d.join("slices"));
-        let import_locks = Arc::clone(&vlocks);
         margo.register_typed(
             rpc::SLICE_IMPORT,
             provider_id,
@@ -464,95 +402,41 @@ impl YokanProvider {
                 let Some(root) = import_root.as_ref() else {
                     return Err("slice import needs a data-dir-rooted provider".into());
                 };
-                slice_import(&import_db, &import_locks, root, &args).map_err(|e| e.to_string())
+                slice_import(&import_db, root, &args)
             },
         )?;
-        let vput_locks = Arc::clone(&vlocks);
-        margo.register(
-            rpc::PUT_VERSIONED,
-            provider_id,
-            pool,
-            framed_handler(&db, move |db, payload| {
-                let (header, body) =
-                    decode_framed::<PutVersionedHeader>(payload).map_err(|e| e.to_string())?;
-                let reply =
-                    put_if_newer(db, &vput_locks, &header.key, header.version, header.tombstone, &body)?;
-                encode_framed(&reply, &[]).map_err(|e| e.to_string())
-            }),
-        )?;
-        let vput_multi_locks = Arc::clone(&vlocks);
+        // Versioned-record + hint surface (routed keyspaces, DESIGN.md
+        // §18). Records arrive encoded, the backend compares and stores,
+        // and the plain `GET`/`GET_MULTI` read them back.
         margo.register(
             rpc::PUT_VERSIONED_MULTI,
             provider_id,
             pool,
-            framed_handler(&db, move |db, payload| {
+            framed_handler(&db, |db, payload| {
                 let (header, body) =
-                    decode_framed::<PutVersionedMultiHeader>(payload).map_err(|e| e.to_string())?;
-                let n = header.keys.len();
-                if header.value_lens.len() != n
-                    || header.versions.len() != n
-                    || header.tombstones.len() != n
-                {
-                    return Err("parallel array length mismatch".into());
+                    decode_framed::<PutMultiHeader>(payload).map_err(|e| e.to_string())?;
+                if header.keys.len() != header.value_lens.len() {
+                    return Err("keys/value_lens length mismatch".into());
                 }
                 let total: usize = header.value_lens.iter().map(|l| *l as usize).sum();
                 if total != body.len() {
                     return Err("body length mismatch".into());
                 }
                 let mut stored = 0u64;
-                let mut existed = Vec::with_capacity(n);
+                let mut existed = Vec::with_capacity(header.keys.len());
                 let mut cursor = 0usize;
-                for i in 0..n {
-                    let len = header.value_lens[i] as usize;
-                    let value = &body[cursor..cursor + len];
-                    cursor += len;
-                    let reply = put_if_newer(
-                        db,
-                        &vput_multi_locks,
-                        &header.keys[i],
-                        header.versions[i],
-                        header.tombstones[i],
-                        value,
-                    )?;
-                    if reply.stored {
-                        stored += 1;
+                for (key, len) in header.keys.iter().zip(&header.value_lens) {
+                    let record = &body[cursor..cursor + *len as usize];
+                    cursor += *len as usize;
+                    if !crate::version::is_record(record) {
+                        return Err("value is not a versioned record".into());
                     }
-                    existed.push(reply.existed);
+                    let (won, was_live) =
+                        db.put_if_newer(key, record).map_err(|e| e.to_string())?;
+                    stored += u64::from(won);
+                    existed.push(was_live);
                 }
                 encode_framed(&PutVersionedMultiReply { stored, existed }, &[])
-                    .map_err(|e| e.to_string())
-            }),
-        )?;
-        margo.register(
-            rpc::GET_VERSIONED_MULTI,
-            provider_id,
-            pool,
-            framed_handler(&db, |db, payload| {
-                let (header, _) =
-                    decode_framed::<GetMultiHeader>(payload).map_err(|e| e.to_string())?;
-                let keys: Vec<&[u8]> = header.keys.iter().map(|k| k.as_slice()).collect();
-                let values = db.get_multi(&keys).map_err(|e| e.to_string())?;
-                let mut lens = Vec::with_capacity(values.len());
-                let mut versions = Vec::with_capacity(values.len());
-                let mut tombstones = Vec::with_capacity(values.len());
-                let mut body = Vec::new();
-                for value in &values {
-                    match value {
-                        Some(stored) => {
-                            let record = crate::version::decode_record(stored);
-                            lens.push(record.value.len() as i64);
-                            versions.push(record.version);
-                            tombstones.push(record.tombstone);
-                            body.extend_from_slice(record.value);
-                        }
-                        None => {
-                            lens.push(-1);
-                            versions.push(0);
-                            tombstones.push(false);
-                        }
-                    }
-                }
-                encode_framed(&VersionedValuesHeader { lens, versions, tombstones }, &body)
                     .map_err(|e| e.to_string())
             }),
         )?;
@@ -723,84 +607,22 @@ fn slice_export(
 }
 
 /// `SLICE_IMPORT` body: load the spill file REMI landed under
-/// `slices/<tag>`, then clean up. Unversioned keyspaces keep keys that
-/// already exist (written during the move, newer than the exported
-/// snapshot); versioned keyspaces run the per-key freshest-wins compare
-/// instead, because an existing record may be *older* than the snapshot
-/// (a replica that missed writes while partitioned).
+/// `slices/<tag>` with the per-key freshest-wins compare, then clean up.
+/// A record the provider already holds may be newer than the snapshot
+/// (written during the move) or *older* (a replica that missed writes
+/// while partitioned); the compare settles both.
 fn slice_import(
     db: &Arc<dyn Database>,
-    vlocks: &[parking_lot::Mutex<()>],
     import_root: &std::path::Path,
     args: &SliceImportArgs,
 ) -> Result<SliceImportReply, String> {
     check_tag(&args.tag)?;
     let dir = import_root.join(&args.tag);
     let pairs = read_dump(&dir.join("slice.ykn")).map_err(|e| e.to_string())?;
-    let stored = if args.versioned {
-        let mut stored = 0u64;
-        for (key, record) in &pairs {
-            if store_if_newer_record(db, vlocks, key, record)? {
-                stored += 1;
-            }
-        }
-        stored
-    } else {
-        db.load_absent(&pairs).map_err(|e| e.to_string())?
-    };
+    let mut stored = 0u64;
+    for (key, record) in &pairs {
+        stored += u64::from(db.put_if_newer(key, record).map_err(|e| e.to_string())?.0);
+    }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(SliceImportReply { pairs: pairs.len() as u64, stored })
-}
-
-/// Get-compare-put of one *already-encoded* record under the key's
-/// version-lock stripe. Returns whether the record won and was stored.
-fn store_if_newer_record(
-    db: &Arc<dyn Database>,
-    vlocks: &[parking_lot::Mutex<()>],
-    key: &[u8],
-    record: &[u8],
-) -> Result<bool, String> {
-    let stripe = (mochi_util::fnv1a64(key) as usize) % vlocks.len();
-    let guard = vlocks[stripe].lock();
-    let current = db.get(key).map_err(|e| e.to_string())?;
-    let newer = match &current {
-        None => true,
-        Some(stored) => crate::version::record_is_newer(record, stored),
-    };
-    if newer {
-        db.put(key, record).map_err(|e| e.to_string())?;
-    }
-    drop(guard);
-    Ok(newer)
-}
-
-/// `PUT_VERSIONED` body: encode the incoming write as a record and store
-/// it iff it is fresher than what the backend holds. `existed` reports
-/// whether a live (non-tombstone) record was present *before* the op —
-/// the answer a replicated erase surfaces to its caller.
-fn put_if_newer(
-    db: &Arc<dyn Database>,
-    vlocks: &[parking_lot::Mutex<()>],
-    key: &[u8],
-    version: u64,
-    tombstone: bool,
-    value: &[u8],
-) -> Result<PutVersionedReply, String> {
-    let record =
-        crate::version::encode_record(version, if tombstone { None } else { Some(value) });
-    let stripe = (mochi_util::fnv1a64(key) as usize) % vlocks.len();
-    let guard = vlocks[stripe].lock();
-    let current = db.get(key).map_err(|e| e.to_string())?;
-    let (newer, existed) = match &current {
-        None => (true, false),
-        Some(stored) => (
-            crate::version::record_is_newer(&record, stored),
-            !crate::version::decode_record(stored).tombstone,
-        ),
-    };
-    if newer {
-        db.put(key, &record).map_err(|e| e.to_string())?;
-    }
-    drop(guard);
-    Ok(PutVersionedReply { stored: newer, existed })
 }

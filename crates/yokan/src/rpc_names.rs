@@ -31,19 +31,15 @@ pub const ERASE_MULTI: &str = "yokan_erase_multi";
 /// Export a key slice to a spill file and push it to a peer provider
 /// through REMI (routing rebalance drain, source side).
 pub const SLICE_EXPORT: &str = "yokan_slice_export";
-/// Import a REMI-delivered spill file, keeping existing keys (routing
+/// Import a REMI-delivered spill file, per key freshest-wins (routing
 /// rebalance drain, destination side).
 pub const SLICE_IMPORT: &str = "yokan_slice_import";
-/// Put-if-newer of one versioned record (framed: header = key + version
-/// + tombstone flag, body = raw value). The replicated keyspace's write
-/// primitive: the server keeps whichever record is freshest.
-pub const PUT_VERSIONED: &str = "yokan_put_versioned";
-/// Put-if-newer of many versioned records in one RPC (replica fan-out,
-/// hint replay, read repair, re-replication catch-up).
+/// Put-if-newer of versioned records (framed like `PUT_MULTI`, each
+/// value an encoded record). The routed keyspace's write primitive —
+/// replica fan-out, hint replay, read repair, re-replication catch-up:
+/// the server keeps whichever record is freshest. Reads need no
+/// counterpart: `GET_MULTI` returns records as stored.
 pub const PUT_VERSIONED_MULTI: &str = "yokan_put_versioned_multi";
-/// Get many records *with* their version stamps and tombstone flags
-/// (quorum reads need versions to run the freshest-wins merge).
-pub const GET_VERSIONED_MULTI: &str = "yokan_get_versioned_multi";
 /// Park a hinted-handoff record on this provider for a currently
 /// unreachable owner (Dynamo-style sloppy quorum).
 pub const HINT_PUT: &str = "yokan_hint_put";
@@ -54,7 +50,7 @@ pub const HINT_LIST: &str = "yokan_hint_list";
 pub const HINT_DROP: &str = "yokan_hint_drop";
 
 /// Every name above (used for deregistration).
-pub const ALL: [&str; 19] = [
+pub const ALL: [&str; 17] = [
     PUT,
     PUT_MULTI,
     GET,
@@ -68,9 +64,7 @@ pub const ALL: [&str; 19] = [
     ERASE_MULTI,
     SLICE_EXPORT,
     SLICE_IMPORT,
-    PUT_VERSIONED,
     PUT_VERSIONED_MULTI,
-    GET_VERSIONED_MULTI,
     HINT_PUT,
     HINT_LIST,
     HINT_DROP,

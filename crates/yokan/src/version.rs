@@ -1,8 +1,8 @@
-//! Versioned record codec for replicated keyspaces.
+//! Versioned record codec of the routed keyspace.
 //!
-//! The routed replication layer (DESIGN.md §18) stamps every write with a
-//! client-side HLC-style version and stores it *inside the value*, so the
-//! backend stays a dumb byte store: a stored record is
+//! `RoutedKv` (DESIGN.md §18) stamps every write with a client-side
+//! HLC-style version and stores it *inside the value*, so the backend
+//! stays a dumb byte store: a stored record is
 //!
 //! ```text
 //! [ version: u64 BE ][ flag: u8 ][ raw value bytes ... ]
@@ -13,9 +13,11 @@
 //! Big-endian versions make records of the same key memcmp-comparable by
 //! recency, which the server-side put-if-newer compare relies on.
 //!
-//! Values written through the *unversioned* surfaces have no prefix; they
-//! decode as version 0 (older than any stamped write) so a keyspace can be
-//! upgraded to `replication_factor > 1` in place.
+//! The client encodes, the provider compares and stores, the client
+//! decodes what a plain `get` returns: records cross the wire as they are
+//! stored. Values written through the *unversioned* surfaces have no
+//! prefix; they decode as version 0 (older than any stamped write), so a
+//! keyspace can be opened over providers that already hold data.
 
 /// Flag byte of a live record.
 pub const FLAG_VALUE: u8 = 0;
@@ -37,34 +39,43 @@ pub struct Record<'a> {
     pub value: &'a [u8],
 }
 
+/// Appends to `out` the encoding of `value` (or of a tombstone when
+/// `value` is `None`) under `version`.
+pub fn encode_record_into(out: &mut Vec<u8>, version: u64, value: Option<&[u8]>) {
+    out.extend_from_slice(&version.to_be_bytes());
+    out.push(if value.is_some() { FLAG_VALUE } else { FLAG_TOMBSTONE });
+    out.extend_from_slice(value.unwrap_or(&[]));
+}
+
 /// Encodes `value` (or a tombstone when `value` is `None`) under
 /// `version`.
 pub fn encode_record(version: u64, value: Option<&[u8]>) -> Vec<u8> {
-    let raw = value.unwrap_or(&[]);
-    let mut out = Vec::with_capacity(RECORD_OVERHEAD + raw.len());
-    out.extend_from_slice(&version.to_be_bytes());
-    out.push(if value.is_some() { FLAG_VALUE } else { FLAG_TOMBSTONE });
-    out.extend_from_slice(raw);
+    let mut out = Vec::with_capacity(RECORD_OVERHEAD + value.map_or(0, <[u8]>::len));
+    encode_record_into(&mut out, version, value);
     out
+}
+
+/// Whether `stored` carries a record prefix (long enough, known flag, and
+/// nothing after a tombstone's).
+pub fn is_record(stored: &[u8]) -> bool {
+    match stored.get(RECORD_OVERHEAD - 1) {
+        Some(&FLAG_VALUE) => true,
+        Some(&FLAG_TOMBSTONE) => stored.len() == RECORD_OVERHEAD,
+        _ => false,
+    }
 }
 
 /// Decodes a stored record. Bytes that do not carry a valid prefix (too
 /// short, unknown flag) are treated as a *legacy unversioned value* at
 /// version 0, never an error — see the module docs.
 pub fn decode_record(stored: &[u8]) -> Record<'_> {
-    if stored.len() >= RECORD_OVERHEAD {
-        let mut v = [0u8; 8];
-        v.copy_from_slice(&stored[..8]);
-        let flag = stored[8];
-        if flag == FLAG_VALUE || flag == FLAG_TOMBSTONE {
-            return Record {
-                version: u64::from_be_bytes(v),
-                tombstone: flag == FLAG_TOMBSTONE,
-                value: if flag == FLAG_TOMBSTONE { &[] } else { &stored[RECORD_OVERHEAD..] },
-            };
-        }
+    if !is_record(stored) {
+        return Record { version: 0, tombstone: false, value: stored };
     }
-    Record { version: 0, tombstone: false, value: stored }
+    let (prefix, value) = stored.split_at(RECORD_OVERHEAD);
+    let mut version = [0u8; 8];
+    version.copy_from_slice(&prefix[..8]);
+    Record { version: u64::from_be_bytes(version), tombstone: prefix[8] == FLAG_TOMBSTONE, value }
 }
 
 /// The version of a stored record (0 for legacy unversioned bytes).
@@ -143,6 +154,19 @@ mod tests {
         assert!(!record_is_newer(&t1, &t1));
         // A versioned write beats a legacy unversioned value.
         assert!(record_is_newer(&v1, b"legacy-bytes"));
+    }
+
+    #[test]
+    fn a_tombstone_prefix_with_a_tail_is_not_a_record() {
+        assert!(is_record(&encode_record(3, Some(b""))));
+        assert!(is_record(&encode_record(3, None)));
+        let mut tailed = encode_record(3, None);
+        tailed.push(b'x');
+        assert!(!is_record(&tailed));
+        assert_eq!(decode_record(&tailed), Record { version: 0, tombstone: false, value: &tailed });
+        let mut appended = b"head".to_vec();
+        encode_record_into(&mut appended, 9, Some(b"v"));
+        assert_eq!(&appended[4..], encode_record(9, Some(b"v")).as_slice());
     }
 
     #[test]

@@ -74,10 +74,8 @@ fn contract_table_covers_the_workspace_rpc_surface() {
         "yokan_slice_export",
         "yokan_slice_import",
         // The replication surfaces (DESIGN.md §18): versioned
-        // put-if-newer, quorum reads, and the hinted-handoff triplet.
-        "yokan_put_versioned",
+        // put-if-newer and the hinted-handoff triplet.
         "yokan_put_versioned_multi",
-        "yokan_get_versioned_multi",
         "yokan_hint_put",
         "yokan_hint_list",
         "yokan_hint_drop",
