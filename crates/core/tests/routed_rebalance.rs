@@ -1,20 +1,22 @@
 //! End-to-end tests of the routed keyspace (`RoutedKv`): steady-state
-//! scatter-gather routing, keyspace-tag discovery, and — the acceptance
-//! bar of experiment A9 — a live rebalance soak where a provider joins
-//! and another retires mid-traffic under a scripted fault plane, with
-//! zero acked-write loss.
+//! scatter-gather routing, keyspace-tag discovery, what a replica set of
+//! one does and does not do, and — the acceptance bar of experiment A9 —
+//! a live rebalance soak where a provider joins and another retires
+//! mid-traffic under a scripted fault plane, with zero acked-write loss
+//! and no acked erase undone, at `replication_factor` 1 and 3.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use serde_json::json;
 
 use mochi_core::routed::{RoutedConfig, RoutedKv};
-use mochi_core::{Cluster, DynamicService, FailoverKv, ServiceConfig};
-use mochi_margo::{MargoConfig, MargoRuntime};
-use mochi_mercury::{Address, LinkScript};
+use mochi_core::{Cluster, DynamicService, FailoverKv, HashRing, ServiceConfig};
+use mochi_margo::{MargoConfig, MargoError, MargoRuntime};
+use mochi_mercury::{Address, LinkScript, MercuryError};
 use mochi_util::time::wait_until;
+use mochi_yokan::version::decode_record;
 
 const KEYSPACE: &str = "soak";
 
@@ -164,20 +166,111 @@ fn join_and_retire_move_minimal_slices() {
     client.finalize();
 }
 
+/// A replica set of one has nobody to park a hint for: when the owner
+/// is unreachable the write fails with the leg's own error, and nothing
+/// is hinted anywhere.
+#[test]
+fn a_replica_set_of_one_parks_no_hint() {
+    let cluster = Cluster::new(4);
+    let service =
+        DynamicService::deploy(&cluster, ServiceConfig::default(), 3, keyspace_namer).unwrap();
+    wait_for_view(&service, 3);
+    let client = soak_client(&cluster, "client");
+    let config = RoutedConfig {
+        leg_timeout: Duration::from_millis(50),
+        leg_max_rounds: 2,
+        ..RoutedConfig::default()
+    };
+    let routed = RoutedKv::for_keyspace(&service, &client, KEYSPACE, config).unwrap();
+    routed.put(b"reachable", b"v").unwrap();
+
+    // Cut the client off from the node hosting the key's owner.
+    let owner = HashRing::new(&routed.members()).owner(b"k").unwrap().to_string();
+    let (owner_addr, _) = FailoverKv::new(&service, &client, &owner).resolve().unwrap();
+    let faults = cluster.fabric().faults();
+    faults.set_drop_probability(Some("client"), Some(owner_addr.host()), 1.0);
+
+    let err = routed.put(b"k", b"v").unwrap_err();
+    assert!(
+        matches!(err, MargoError::Transport(MercuryError::Timeout) | MargoError::BreakerOpen { .. }),
+        "the owner's own failure, not a quorum verdict: {err}"
+    );
+    assert!(routed.erase(b"k").is_err());
+    assert!(routed.get(b"k").is_err());
+    assert_eq!(routed.replication_stats().hinted_writes, 0);
+    assert_eq!(routed.drain_hints_now(), 0);
+    assert!(routed.fail_member(&owner).is_err(), "rf=1 has no survivor to fail over to");
+
+    faults.clear();
+    service.shutdown();
+    client.finalize();
+}
+
+/// A keyspace opened over providers that already hold raw values (written
+/// through a plain handle, before `RoutedKv` existed for them) serves
+/// them as they are — version 0 — and the next put stamps them.
+#[test]
+fn raw_values_written_before_the_keyspace_are_served_and_upgraded() {
+    let cluster = Cluster::new(3);
+    let service =
+        DynamicService::deploy(&cluster, ServiceConfig::default(), 2, keyspace_namer).unwrap();
+    wait_for_view(&service, 2);
+    let client = soak_client(&cluster, "client");
+    let ring = HashRing::new(&["kv0", "kv1"]);
+    let keys: Vec<Vec<u8>> = (0..20).map(|i| format!("legacy-{i:02}").into_bytes()).collect();
+    let owner_of = |key: &[u8]| FailoverKv::new(&service, &client, ring.owner(key).unwrap());
+    for key in &keys {
+        owner_of(key).put(key, b"raw value").unwrap();
+    }
+
+    let routed =
+        RoutedKv::for_keyspace(&service, &client, KEYSPACE, RoutedConfig::default()).unwrap();
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    for slot in routed.get_multi(&refs) {
+        assert_eq!(slot.unwrap().as_deref(), Some(b"raw value".as_slice()));
+    }
+    assert_eq!(routed.len().unwrap(), 20);
+
+    routed.put(&keys[0], b"stamped").unwrap();
+    assert!(routed.erase(&keys[1]).unwrap(), "a raw value counts as existing");
+    assert_eq!(routed.get(&keys[0]).unwrap().as_deref(), Some(b"stamped".as_slice()));
+    assert_eq!(routed.get(&keys[1]).unwrap(), None);
+    assert_eq!(routed.len().unwrap(), 19);
+    let stored = owner_of(&keys[0]).get(&keys[0]).unwrap().unwrap();
+    let record = decode_record(&stored);
+    assert!(record.version > 0, "the put must stamp a version");
+    assert_eq!(record.value, b"stamped");
+    let stored = owner_of(&keys[1]).get(&keys[1]).unwrap().unwrap();
+    assert!(decode_record(&stored).tombstone, "an erase leaves a tombstone record");
+
+    service.shutdown();
+    client.finalize();
+}
+
 /// The A9 acceptance soak: under a seeded fault plane (probabilistic
 /// drops + deterministic delay spikes), a provider joins and another
 /// retires while a writer hammers the keyspace. Every write the client
 /// saw acked must read back with its exact value afterwards — zero
-/// acked-write loss across both membership changes — for every seed.
+/// acked-write loss across both membership changes — and every key
+/// whose erase was acked must stay erased, for every seed, with one copy
+/// of each key and with three.
 #[test]
 fn live_rebalance_soak_loses_no_acked_write() {
-    const SEEDS: [u64; 3] = [1, 2, 3];
-    for seed in SEEDS {
-        live_rebalance_round(seed);
+    for (seed, replication_factor) in [(1, 1), (2, 1), (3, 1), (4, 3)] {
+        live_rebalance_round(seed, replication_factor);
     }
 }
 
-fn live_rebalance_round(seed: u64) {
+/// Raises the flag when dropped, unwinding included.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+fn live_rebalance_round(seed: u64, replication_factor: usize) {
     let cluster = Cluster::new(4);
     let service =
         DynamicService::deploy(&cluster, ServiceConfig::default(), 3, keyspace_namer).unwrap();
@@ -187,7 +280,11 @@ fn live_rebalance_round(seed: u64) {
         &service,
         &client,
         KEYSPACE,
-        RoutedConfig { leg_timeout: Duration::from_millis(500), ..RoutedConfig::default() },
+        RoutedConfig {
+            leg_timeout: Duration::from_millis(500),
+            replication_factor,
+            ..RoutedConfig::default()
+        },
     )
     .unwrap();
 
@@ -215,6 +312,8 @@ fn live_rebalance_round(seed: u64) {
     let stop = AtomicBool::new(false);
     let acked: std::sync::Mutex<BTreeMap<Vec<u8>, Vec<u8>>> =
         std::sync::Mutex::new(preload.iter().cloned().collect());
+    // Keys whose erase was acked (no key is ever written twice).
+    let erased: std::sync::Mutex<BTreeSet<Vec<u8>>> = std::sync::Mutex::new(BTreeSet::new());
 
     std::thread::scope(|scope| {
         let writer = scope.spawn(|| {
@@ -231,7 +330,9 @@ fn live_rebalance_round(seed: u64) {
                     let victim = acked.lock().unwrap().keys().next().cloned();
                     if let Some(victim) = victim {
                         acked.lock().unwrap().remove(&victim);
-                        let _ = routed.erase(&victim);
+                        if routed.erase(&victim).is_ok() {
+                            erased.lock().unwrap().insert(victim);
+                        }
                     }
                 } else if routed.put(&key, &value).is_ok() {
                     acked.lock().unwrap().insert(key, value);
@@ -239,6 +340,10 @@ fn live_rebalance_round(seed: u64) {
             }
             i
         });
+
+        // A failed assertion below must fail the test, not leave the
+        // scope waiting for a writer nobody stops.
+        let _stop_writer = StopOnDrop(&stop);
 
         // Mid-traffic: grow the service by a node, join a fresh provider
         // on it, then retire one of the founding members.
@@ -273,6 +378,18 @@ fn live_rebalance_round(seed: u64) {
             read.as_deref(),
             Some(value.as_slice()),
             "seed {seed}: acked write lost for {:?}",
+            String::from_utf8_lossy(key)
+        );
+    }
+    // No import, stale copy or hint brought an erased key back.
+    let erased = erased.into_inner().unwrap();
+    assert!(!erased.is_empty(), "seed {seed}: the soak acked no erase");
+    let keys: Vec<&[u8]> = erased.iter().map(Vec::as_slice).collect();
+    for (slot, key) in routed.get_multi(&keys).into_iter().zip(&erased) {
+        assert_eq!(
+            slot.unwrap(),
+            None,
+            "seed {seed}: erased key {:?} is back",
             String::from_utf8_lossy(key)
         );
     }
