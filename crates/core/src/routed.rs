@@ -887,9 +887,6 @@ impl RoutedKv {
         sets.iter()
             .zip(tallies)
             .map(|(set, tally)| {
-                if set.serving == 0 {
-                    return Err(Self::empty_ring());
-                }
                 let w = self.config.write_quorum_for(set.serving);
                 if tally.real_serving >= 1
                     && tally.covered_serving >= w
@@ -1126,18 +1123,21 @@ impl RoutedKv {
     }
 
     /// Total live keys across the keyspace. Replica copies and
-    /// tombstones must be discounted, so this is an O(n) paged scan with
-    /// quorum reads — an admin/debug operation, not a counter lookup.
+    /// tombstones must be discounted, so this is [`Self::list_keys`] page
+    /// after page: an O(n) scan with quorum reads — an admin/debug
+    /// operation, not a counter lookup.
     pub fn len(&self) -> Result<u64, MargoError> {
+        let batch = self.config.drain_batch.max(1);
         let mut total = 0u64;
         let mut cursor: Option<Vec<u8>> = None;
         loop {
-            let raw = self.merged_keys(b"", cursor.as_deref(), self.config.drain_batch)?;
-            let Some(last) = raw.last() else { break };
-            cursor = Some(last.clone());
-            total += self.filter_live(raw)?.len() as u64;
+            let page = self.list_keys(b"", cursor.as_deref(), batch)?;
+            total += page.len() as u64;
+            if page.len() < batch {
+                return Ok(total);
+            }
+            cursor = page.last().cloned();
         }
-        Ok(total)
     }
 
     /// Whether the keyspace holds no keys.
@@ -1335,10 +1335,9 @@ impl RoutedKv {
         })?;
         let tag = format!("mv{}-{member}-to-{dest}", unique_u64());
         let dest_subdir = format!("providers/{dest}/slices/{tag}");
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let shipped = source
+        let mut shipped = Ok(());
+        for _ in 0..SLICE_ATTEMPTS {
+            shipped = source
                 .with_handle(|h| {
                     h.slice_export(keys, &tag, &dest_addr, REMI_PROVIDER_ID, &dest_subdir)
                 })
@@ -1347,14 +1346,13 @@ impl RoutedKv {
                     // Exclusive barrier: the import's per-key compare
                     // races with no foreground write.
                     let _exclusive = self.barrier.write();
-                    dest_leg.with_handle(|h| h.slice_import(&tag))
+                    dest_leg.with_handle(|h| h.slice_import(&tag)).map(|_imported| ())
                 });
-            match shipped {
-                Ok(_) => return Ok(()),
-                Err(err) if attempt == SLICE_ATTEMPTS => return Err(err),
-                Err(_) => {}
+            if shipped.is_ok() {
+                break;
             }
         }
+        shipped
     }
 
     /// Erases post-cutover stale source copies: records a member of the

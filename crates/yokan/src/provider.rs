@@ -37,6 +37,27 @@ pub struct PutMultiHeader {
     pub value_lens: Vec<u32>,
 }
 
+impl PutMultiHeader {
+    /// Checks the header against `body` and pairs each key with its slice
+    /// of it.
+    fn pairs<'a>(&'a self, body: &'a [u8]) -> Result<Vec<(&'a [u8], &'a [u8])>, String> {
+        if self.keys.len() != self.value_lens.len() {
+            return Err("keys/value_lens length mismatch".into());
+        }
+        let total: usize = self.value_lens.iter().map(|l| *l as usize).sum();
+        if total != body.len() {
+            return Err("body length mismatch".into());
+        }
+        let mut cursor = 0usize;
+        let pairs = self.keys.iter().zip(&self.value_lens).map(|(key, len)| {
+            let value = &body[cursor..cursor + *len as usize];
+            cursor += *len as usize;
+            (key.as_slice(), value)
+        });
+        Ok(pairs.collect())
+    }
+}
+
 /// Framed-header of `GET_MULTI` requests.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct GetMultiHeader {
@@ -267,23 +288,10 @@ impl YokanProvider {
             framed_handler(&db, |db, payload| {
                 let (header, body) =
                     decode_framed::<PutMultiHeader>(payload).map_err(|e| e.to_string())?;
-                if header.keys.len() != header.value_lens.len() {
-                    return Err("keys/value_lens length mismatch".into());
-                }
-                let total: usize = header.value_lens.iter().map(|l| *l as usize).sum();
-                if total != body.len() {
-                    return Err("body length mismatch".into());
-                }
-                let mut pairs: Vec<(&[u8], &[u8])> = Vec::with_capacity(header.keys.len());
-                let mut cursor = 0usize;
-                for (key, len) in header.keys.iter().zip(&header.value_lens) {
-                    let len = *len as usize;
-                    pairs.push((key.as_slice(), &body[cursor..cursor + len]));
-                    cursor += len;
-                }
+                let pairs = header.pairs(&body)?;
                 // One backend call: stripe-grouped / WAL-batched.
                 db.put_multi(&pairs).map_err(|e| e.to_string())?;
-                encode_framed(&(header.keys.len() as u64), &[]).map_err(|e| e.to_string())
+                encode_framed(&(pairs.len() as u64), &[]).map_err(|e| e.to_string())
             }),
         )?;
         // GET.
@@ -415,19 +423,9 @@ impl YokanProvider {
             framed_handler(&db, |db, payload| {
                 let (header, body) =
                     decode_framed::<PutMultiHeader>(payload).map_err(|e| e.to_string())?;
-                if header.keys.len() != header.value_lens.len() {
-                    return Err("keys/value_lens length mismatch".into());
-                }
-                let total: usize = header.value_lens.iter().map(|l| *l as usize).sum();
-                if total != body.len() {
-                    return Err("body length mismatch".into());
-                }
                 let mut stored = 0u64;
                 let mut existed = Vec::with_capacity(header.keys.len());
-                let mut cursor = 0usize;
-                for (key, len) in header.keys.iter().zip(&header.value_lens) {
-                    let record = &body[cursor..cursor + *len as usize];
-                    cursor += *len as usize;
+                for (key, record) in header.pairs(&body)? {
                     if !crate::version::is_record(record) {
                         return Err("value is not a versioned record".into());
                     }
@@ -577,13 +575,7 @@ fn slice_export(
     let bytes = if dest == margo.address() {
         let root = local_remi_root
             .ok_or("slice export to this process needs a data-dir-rooted provider")?;
-        let escapes = std::path::Path::new(&args.dest_subdir)
-            .components()
-            .any(|c| !matches!(c, std::path::Component::Normal(_)));
-        if escapes || args.dest_subdir.is_empty() {
-            return Err(format!("unsafe relative path '{}'", args.dest_subdir));
-        }
-        let landing = root.join(&args.dest_subdir);
+        let landing = mochi_remi::provider::safe_join(root, &args.dest_subdir)?;
         std::fs::create_dir_all(&landing).map_err(|e| e.to_string())?;
         let bytes = std::fs::metadata(&spill).map_err(|e| e.to_string())?.len();
         // Same server directory, hence same filesystem: a rename.
