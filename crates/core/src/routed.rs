@@ -68,7 +68,7 @@ use mochi_margo::{MargoError, MargoRuntime};
 use mochi_mercury::Address;
 use mochi_pufferscale::Weights;
 use mochi_util::unique_u64;
-use mochi_yokan::client::VersionedValue;
+use mochi_yokan::client::{KeyBatch, VersionedBatch, VersionedValue};
 use mochi_yokan::provider::{HintDropEntry, HintEntry};
 
 use crate::failover::FailoverKv;
@@ -334,10 +334,9 @@ impl Route {
         self.members.binary_search_by(|name| name.as_str().cmp(member)).ok()
     }
 
-    fn leg(&self, member: &str) -> Result<&Arc<FailoverKv>, MargoError> {
-        self.position(member).map(|position| &self.legs[position]).ok_or_else(|| {
-            MargoError::Handler(format!("no leg for keyspace member '{member}'"))
-        })
+    /// The serving ring's members with their legs.
+    fn serving_legs(&self) -> impl Iterator<Item = (&String, &Arc<FailoverKv>)> {
+        self.ring.members().iter().zip(self.ring_at.iter().map(|&at| &self.legs[at]))
     }
 
     /// The key's serving replica set: `rf` distinct successors on the
@@ -415,43 +414,53 @@ fn new_legs(
 }
 
 /// Batched put-if-newer on one leg; returns per-record `existed` flags.
-fn vput_multi(leg: &FailoverKv, records: &[Record], rounds: u32) -> Result<Vec<bool>, MargoError> {
-    let refs: Vec<RecordRef<'_>> =
-        records.iter().map(|(k, v, val)| (k.as_slice(), *v, val.as_deref())).collect();
-    leg.with_handle_rounds(rounds, |h| h.put_versioned_multi(&refs)).map(|reply| reply.existed)
+fn vput(
+    leg: &FailoverKv,
+    batch: Result<VersionedBatch, MargoError>,
+    rounds: u32,
+) -> Result<Vec<bool>, MargoError> {
+    let batch = batch?;
+    leg.with_handle_rounds(rounds, |h| h.put_versioned(&batch)).map(|reply| reply.existed)
+}
+
+/// [`vput`] of owned records.
+fn vput_records(leg: &FailoverKv, batch: &[Record], rounds: u32) -> Result<Vec<bool>, MargoError> {
+    let refs = batch.iter().map(|(key, version, value)| (&key[..], *version, value.as_deref()));
+    vput(leg, VersionedBatch::encode(refs), rounds)
 }
 
 /// Batched versioned read on one leg; `None` = this replica has no
 /// record.
-fn vget_multi(
+fn vget(
     leg: &FailoverKv,
-    keys: &[Vec<u8>],
+    keys: Result<KeyBatch, MargoError>,
     rounds: u32,
 ) -> Result<Vec<Option<VersionedValue>>, MargoError> {
-    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-    leg.with_handle_rounds(rounds, |h| h.get_versioned_multi(&refs))
+    let keys = keys?;
+    leg.with_handle_rounds(rounds, |h| h.get_versioned(&keys))
 }
 
 /// Who acked one record of a quorum write.
 #[derive(Default)]
 struct Tally {
     /// Serving replicas that really acked.
-    real_serving: usize,
+    real_serving: u32,
     /// Serving replicas covered by a real ack or a hint.
-    covered_serving: usize,
+    covered_serving: u32,
     /// Future owners covered by a real ack or a hint.
-    covered_future: usize,
+    covered_future: u32,
     /// Whether a live record existed on some replica before the write.
     existed: bool,
-    /// First error of a member that is not covered.
-    error: Option<MargoError>,
+    /// First error of a member that is not covered (boxed: a batch
+    /// keeps one tally per record, and errors are the rare case).
+    error: Option<Box<MargoError>>,
 }
 
 impl Tally {
     fn credit(&mut self, set: &WriteSet, member: usize, real: bool) {
         if set.serving().contains(&member) {
             self.covered_serving += 1;
-            self.real_serving += usize::from(real);
+            self.real_serving += u32::from(real);
         } else {
             self.covered_future += 1;
         }
@@ -839,14 +848,8 @@ impl RoutedKv {
             .iter()
             .map(|(member, indices)| {
                 let leg = Arc::clone(&route.legs[*member]);
-                let batch: Vec<Record> = indices
-                    .iter()
-                    .map(|&i| {
-                        let (key, version, value) = records[i];
-                        (key.to_vec(), version, value.map(<[u8]>::to_vec))
-                    })
-                    .collect();
-                move || vput_multi(&leg, &batch, rounds)
+                let batch = VersionedBatch::encode(indices.iter().map(|&i| records[i]));
+                move || vput(&leg, batch, rounds)
             })
             .collect();
         let outcomes = self.scatter(tasks);
@@ -868,7 +871,7 @@ impl RoutedKv {
                 // Application-class error, or nobody to hint to.
                 Err(err) => {
                     for &i in indices {
-                        tallies[i].error.get_or_insert_with(|| err.clone());
+                        tallies[i].error.get_or_insert_with(|| Box::new(err.clone()));
                     }
                 }
             }
@@ -880,7 +883,7 @@ impl RoutedKv {
                 if self.handoff_hint(route, member, &down, records[i]) {
                     tallies[i].credit(&sets[i], member, false);
                 } else {
-                    tallies[i].error.get_or_insert_with(|| err.clone());
+                    tallies[i].error.get_or_insert_with(|| Box::new(err.clone()));
                 }
             }
         }
@@ -889,17 +892,18 @@ impl RoutedKv {
             .map(|(set, tally)| {
                 let w = self.config.write_quorum_for(set.serving);
                 if tally.real_serving >= 1
-                    && tally.covered_serving >= w
-                    && tally.covered_future == set.future().len()
+                    && tally.covered_serving as usize >= w
+                    && tally.covered_future as usize == set.future().len()
                 {
                     return Ok(tally.existed);
                 }
-                Err(tally.error.unwrap_or_else(|| {
-                    MargoError::Handler(format!(
+                Err(match tally.error {
+                    Some(err) => *err,
+                    None => MargoError::Handler(format!(
                         "write quorum not met: {} of {} covered ({} real), need {w}",
                         tally.covered_serving, set.serving, tally.real_serving
-                    ))
-                }))
+                    )),
+                })
             })
             .collect()
     }
@@ -958,8 +962,8 @@ impl RoutedKv {
             .iter()
             .map(|(member, indices)| {
                 let leg = Arc::clone(&route.legs[*member]);
-                let batch: Vec<Vec<u8>> = indices.iter().map(|&i| keys[i].to_vec()).collect();
-                move || vget_multi(&leg, &batch, rounds)
+                let batch = KeyBatch::encode(indices.iter().map(|&i| keys[i]));
+                move || vget(&leg, batch, rounds)
             })
             .collect();
         let outcomes = self.scatter(tasks);
@@ -1037,7 +1041,7 @@ impl RoutedKv {
             let leg = Arc::clone(&route.legs[member]);
             let stats = Arc::clone(&self.stats);
             let repair = move || {
-                if vput_multi(&leg, &batch, 1).is_err() {
+                if vput_records(&leg, &batch, 1).is_err() {
                     stats.repair_failures.fetch_add(count, Ordering::AcqRel);
                 }
             };
@@ -1281,30 +1285,30 @@ impl RoutedKv {
         throttle: &Throttle,
     ) -> Result<RebalanceReport, MargoError> {
         let mut report = RebalanceReport::default();
-        for member in window.ring.members() {
-            let source = window.leg(member)?;
+        for (member, source) in window.serving_legs() {
             let mut start_after: Option<Vec<u8>> = None;
             loop {
                 let page =
                     source.list_keys(b"", start_after.as_deref(), self.config.drain_batch)?;
                 let Some(last) = page.last() else { break };
                 start_after = Some(last.clone());
-                let mut by_dest: BTreeMap<&str, Vec<&[u8]>> = BTreeMap::new();
+                // Destination (a position among the legs) → keys.
+                let mut by_dest: BTreeMap<usize, Vec<&[u8]>> = BTreeMap::new();
                 for key in &page {
                     let old_owners = window.ring.owners(key, window.rf);
                     if old_owners.first().copied() != Some(member.as_str()) {
                         continue; // stale copy, or a non-primary replica
                     }
-                    for dest in to_ring.owners(key, window.rf) {
-                        if !old_owners.contains(&dest) {
-                            by_dest.entry(dest).or_default().push(key.as_slice());
+                    for dest in to_ring.owner_indices(key, window.rf) {
+                        if !old_owners.contains(&to_ring.members()[dest].as_str()) {
+                            by_dest.entry(window.to_at[dest]).or_default().push(key.as_slice());
                         }
                     }
                 }
                 for (dest, keys) in by_dest {
                     report.moved_keys += keys.len() as u64;
                     report.slices += 1;
-                    self.drain_slice(source, window.leg(dest)?, &keys, throttle)?;
+                    self.drain_slice(source, &window.legs[dest], &keys, throttle)?;
                 }
             }
         }
@@ -1361,8 +1365,7 @@ impl RoutedKv {
     /// so everything it stores goes.
     fn cleanup(&self, window: &Route, to_ring: &HashRing) -> Result<u64, MargoError> {
         let mut erased = 0u64;
-        for member in window.ring.members() {
-            let leg = window.leg(member)?;
+        for (member, leg) in window.serving_legs() {
             let mut start_after: Option<Vec<u8>> = None;
             loop {
                 let page = leg.list_keys(b"", start_after.as_deref(), self.config.drain_batch)?;
@@ -1454,8 +1457,7 @@ impl RoutedKv {
     ) -> Result<CatchUpReport, MargoError> {
         let rf = survivors.rf;
         let mut report = CatchUpReport::default();
-        for member in survivors.ring.members() {
-            let leg = survivors.leg(member)?;
+        for (member, leg) in survivors.serving_legs() {
             let mut start_after: Option<Vec<u8>> = None;
             loop {
                 let page =
@@ -1490,7 +1492,8 @@ impl RoutedKv {
                 if keys.is_empty() {
                     continue;
                 }
-                let records = vget_multi(leg, &keys, self.config.leg_max_rounds)?;
+                let wanted = KeyBatch::encode(keys.iter().map(Vec::as_slice));
+                let records = vget(leg, wanted, self.config.leg_max_rounds)?;
                 let mut by_target: Vec<Vec<Record>> = vec![Vec::new(); survivors.legs.len()];
                 for ((key, targets), record) in keys.into_iter().zip(targets).zip(records) {
                     // A vanished record means a fresher erase+cleanup won;
@@ -1516,7 +1519,7 @@ impl RoutedKv {
                         .sum();
                     throttle.consume(bytes);
                     // Patient rounds: this is recovery, not a quorum leg.
-                    vput_multi(&survivors.legs[target], batch, self.config.leg_max_rounds)?;
+                    vput_records(&survivors.legs[target], batch, self.config.leg_max_rounds)?;
                     report.recopied_keys += batch.len() as u64;
                     report.recopied_bytes += bytes;
                 }
@@ -1569,7 +1572,7 @@ fn hint_drain_pass(route: &Route, stats: &ReplicationStats) -> u64 {
                 // through, or the member recovered): deliver directly.
                 Some(owner) if route.ring.contains(&target) => {
                     let records: Vec<Record> = entries.iter().map(record).collect();
-                    match vput_multi(&route.legs[owner], &records, FAIL_FAST_ROUNDS) {
+                    match vput_records(&route.legs[owner], &records, FAIL_FAST_ROUNDS) {
                         Ok(_) => entries.iter().collect(),
                         Err(_) => Vec::new(),
                     }
@@ -1582,7 +1585,7 @@ fn hint_drain_pass(route: &Route, stats: &ReplicationStats) -> u64 {
                         let set = route.write_set(&entry.key);
                         set.serving > 0
                             && set.members.iter().all(|&owner| {
-                                vput_multi(&route.legs[owner], &[record(entry)], FAIL_FAST_ROUNDS)
+                                vput_records(&route.legs[owner], &[record(entry)], FAIL_FAST_ROUNDS)
                                     .is_ok()
                             })
                     })

@@ -192,7 +192,10 @@ fn a_replica_set_of_one_parks_no_hint() {
 
     let err = routed.put(b"k", b"v").unwrap_err();
     assert!(
-        matches!(err, MargoError::Transport(MercuryError::Timeout) | MargoError::BreakerOpen { .. }),
+        matches!(
+            err,
+            MargoError::Transport(MercuryError::Timeout) | MargoError::BreakerOpen { .. }
+        ),
         "the owner's own failure, not a quorum verdict: {err}"
     );
     assert!(routed.erase(b"k").is_err());

@@ -48,7 +48,7 @@ const IDEMPOTENT_RPCS: &[&str] = &[
     rpc::HINT_LIST,
 ];
 
-/// One record as returned by [`DatabaseHandle::get_versioned_multi`]:
+/// One record as returned by [`DatabaseHandle::get_versioned`]:
 /// the decoded version stamp, tombstone flag, and raw value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedValue {
@@ -68,6 +68,41 @@ impl VersionedValue {
         let prefix = stored.len() - record.value.len();
         stored.drain(..prefix);
         Self { version, tombstone, value: stored }
+    }
+}
+
+/// A put-if-newer request in wire form: `(key, version, value)` records,
+/// `None` for a tombstone (a deletion that wins freshest-wins merges).
+/// Encoded once from borrowed data, then sent — or re-sent — to any
+/// provider ([`DatabaseHandle::put_versioned`]).
+#[derive(Clone)]
+pub struct VersionedBatch(Bytes);
+
+impl VersionedBatch {
+    /// Encodes `records`.
+    pub fn encode<'a>(
+        records: impl IntoIterator<Item = (&'a [u8], u64, Option<&'a [u8]>)>,
+    ) -> Result<Self, MargoError> {
+        let (mut keys, mut value_lens, mut body) = (Vec::new(), Vec::new(), Vec::new());
+        for (key, version, value) in records {
+            keys.push(key.to_vec());
+            let start = body.len();
+            crate::version::encode_record_into(&mut body, version, value);
+            value_lens.push((body.len() - start) as u32);
+        }
+        encode_framed(&PutMultiHeader { keys, value_lens }, &body).map(Self)
+    }
+}
+
+/// A multi-key read request in wire form ([`DatabaseHandle::get_versioned`]).
+#[derive(Clone)]
+pub struct KeyBatch(Bytes);
+
+impl KeyBatch {
+    /// Encodes `keys`.
+    pub fn encode<'a>(keys: impl IntoIterator<Item = &'a [u8]>) -> Result<Self, MargoError> {
+        let header = GetMultiHeader { keys: keys.into_iter().map(<[u8]>::to_vec).collect() };
+        encode_framed(&header, &[]).map(Self)
     }
 }
 
@@ -199,9 +234,11 @@ impl DatabaseHandle {
 
     /// Fetches many values in one RPC (entry is `None` for missing keys).
     pub fn get_multi(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
-        let header = GetMultiHeader { keys: keys.iter().map(|k| k.to_vec()).collect() };
-        let payload = encode_framed(&header, &[])?;
-        let reply = self.call_raw(rpc::GET_MULTI, payload)?;
+        self.get_batch(&KeyBatch::encode(keys.iter().copied())?)
+    }
+
+    fn get_batch(&self, keys: &KeyBatch) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
+        let reply = self.call_raw(rpc::GET_MULTI, keys.0.clone())?;
         let (header, body) = decode_framed::<ValuesHeader>(&reply)?;
         let mut out = Vec::with_capacity(header.lens.len());
         let mut cursor = 0usize;
@@ -262,23 +299,12 @@ impl DatabaseHandle {
         self.call(rpc::SLICE_IMPORT, &SliceImportArgs { tag: tag.to_string() })
     }
 
-    /// Put-if-newer of many versioned records in one RPC. Each record is
-    /// `(key, version, value-or-tombstone)`: `None` writes a tombstone (a
-    /// deletion that wins freshest-wins merges).
-    pub fn put_versioned_multi(
+    /// Put-if-newer of many versioned records in one RPC.
+    pub fn put_versioned(
         &self,
-        records: &[(&[u8], u64, Option<&[u8]>)],
+        batch: &VersionedBatch,
     ) -> Result<PutVersionedMultiReply, MargoError> {
-        let keys: Vec<Vec<u8>> = records.iter().map(|(k, _, _)| k.to_vec()).collect();
-        let mut value_lens = Vec::with_capacity(records.len());
-        let mut body = Vec::new();
-        for (_, version, value) in records {
-            let start = body.len();
-            crate::version::encode_record_into(&mut body, *version, *value);
-            value_lens.push((body.len() - start) as u32);
-        }
-        let payload = encode_framed(&PutMultiHeader { keys, value_lens }, &body)?;
-        let reply = self.call_raw(rpc::PUT_VERSIONED_MULTI, payload)?;
+        let reply = self.call_raw(rpc::PUT_VERSIONED_MULTI, batch.0.clone())?;
         let (reply, _) = decode_framed::<PutVersionedMultiReply>(&reply)?;
         Ok(reply)
     }
@@ -286,11 +312,11 @@ impl DatabaseHandle {
     /// Fetches many records with their version stamps (entry is `None`
     /// when the provider holds no record at all; a tombstone comes back
     /// as `Some` with the flag set).
-    pub fn get_versioned_multi(
+    pub fn get_versioned(
         &self,
-        keys: &[&[u8]],
+        keys: &KeyBatch,
     ) -> Result<Vec<Option<VersionedValue>>, MargoError> {
-        let stored = self.get_multi(keys)?;
+        let stored = self.get_batch(keys)?;
         Ok(stored.into_iter().map(|s| s.map(VersionedValue::from_stored)).collect())
     }
 
