@@ -15,8 +15,13 @@
 //! service's member set, or a new SSG view epoch (so a member the view
 //! calls dead is skipped without first paying a timeout on it).
 //!
+//! A caller with several providers to ask posts the first round of each
+//! operation ([`FailoverKv::post_rounds`]) before it waits on any; the
+//! rounds after a failed first one run blocking inside that wait.
+//!
 //! [`ResilienceManager`]: crate::resilience::ResilienceManager
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,7 +30,7 @@ use parking_lot::Mutex;
 
 use mochi_margo::{MargoError, MargoRuntime};
 use mochi_mercury::Address;
-use mochi_yokan::client::DatabaseHandle;
+use mochi_yokan::client::{DatabaseHandle, PendingCall};
 
 use crate::service::DynamicService;
 
@@ -180,27 +185,75 @@ impl FailoverKv {
         rounds: u32,
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, MargoError> {
-        let mut last_err = MargoError::Handler(format!(
-            "provider '{}' not found on any live member",
-            self.provider
-        ));
-        for round in 0..rounds.max(1) {
+        self.rounds_from(0, rounds, self.nowhere(), op)
+    }
+
+    /// Posting counterpart of [`Self::with_handle_rounds`]: the first
+    /// round's RPC is posted to the remembered (or freshly resolved)
+    /// location and this returns at once, so a caller with several legs
+    /// posts them all before it waits on any. `post` is a plain function
+    /// of the handle and `request` (a method path does:
+    /// `DatabaseHandle::post_put_versioned`), so the posted operation is a
+    /// value with a nameable type that can be handed to another thread.
+    /// Rounds after the first are the failure path and run blocking inside
+    /// [`PostedOp::wait`].
+    pub fn post_rounds<R, T>(
+        self: &Arc<Self>,
+        rounds: u32,
+        request: R,
+        post: fn(&DatabaseHandle, &R) -> PendingCall<T>,
+    ) -> PostedOp<R, T> {
+        let first = self.handle().map(|handle| {
+            let pending = post(&handle, &request);
+            (handle, pending)
+        });
+        PostedOp { leg: Arc::clone(self), rounds, request, post, first }
+    }
+
+    /// Rounds `from..rounds` of an operation: back off (after the first),
+    /// resolve, run `op`.
+    fn rounds_from<T>(
+        &self,
+        from: u32,
+        rounds: u32,
+        mut last_err: MargoError,
+        op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
+    ) -> Result<T, MargoError> {
+        for round in from..rounds.max(1) {
             if round > 0 {
                 std::thread::sleep(self.reroute_backoff);
             }
             let Some(handle) = self.handle() else {
                 continue;
             };
-            match op(&handle) {
-                Ok(value) => return Ok(value),
-                Err(err) if Self::should_reroute(&err) => {
-                    self.forget(&handle);
-                    last_err = err;
-                }
-                Err(err) => return Err(err),
+            match self.settle(&handle, op(&handle)) {
+                ControlFlow::Break(outcome) => return outcome,
+                ControlFlow::Continue(err) => last_err = err,
             }
         }
         Err(last_err)
+    }
+
+    /// What one round's result means: the operation's outcome, or — after
+    /// forgetting a location that failed in a rerouting way — the error to
+    /// carry into the next round.
+    fn settle<T>(
+        &self,
+        handle: &Arc<DatabaseHandle>,
+        result: Result<T, MargoError>,
+    ) -> ControlFlow<Result<T, MargoError>, MargoError> {
+        match result {
+            Err(err) if Self::should_reroute(&err) => {
+                self.forget(handle);
+                ControlFlow::Continue(err)
+            }
+            outcome => ControlFlow::Break(outcome),
+        }
+    }
+
+    /// The error of an operation that never found a location to run at.
+    fn nowhere(&self) -> MargoError {
+        MargoError::Handler(format!("provider '{}' not found on any live member", self.provider))
     }
 
     pub(crate) fn should_reroute(err: &MargoError) -> bool {
@@ -261,5 +314,33 @@ impl FailoverKv {
     /// Whether the database is empty.
     pub fn is_empty(&self) -> Result<bool, MargoError> {
         Ok(self.len()? == 0)
+    }
+}
+
+/// An operation whose first round has been posted
+/// ([`FailoverKv::post_rounds`]).
+#[must_use = "wait on the posted operation to obtain its outcome"]
+pub struct PostedOp<R, T> {
+    leg: Arc<FailoverKv>,
+    rounds: u32,
+    request: R,
+    post: fn(&DatabaseHandle, &R) -> PendingCall<T>,
+    /// The first round's location and call (`None`: nowhere to post to).
+    first: Option<(Arc<DatabaseHandle>, PendingCall<T>)>,
+}
+
+impl<R, T> PostedOp<R, T> {
+    /// Waits for the posted round; if its location failed underneath it,
+    /// runs the remaining rounds like [`FailoverKv::with_handle_rounds`].
+    pub fn wait(self) -> Result<T, MargoError> {
+        let Self { leg, rounds, request, post, first } = self;
+        let mut last_err = leg.nowhere();
+        if let Some((handle, pending)) = first {
+            match leg.settle(&handle, pending.wait()) {
+                ControlFlow::Break(outcome) => return outcome,
+                ControlFlow::Continue(err) => last_err = err,
+            }
+        }
+        leg.rounds_from(1, rounds, last_err, |handle| post(handle, &request).wait())
     }
 }

@@ -23,9 +23,10 @@
 //!   repairs stale replicas asynchronously. `replication_factor 1` (the
 //!   default) is the replica set of one with `W = R = 1`.
 //! * **Concurrent fan-out.** Operations split into one batch per
-//!   destination and the batches run as Argobots ULTs on a dedicated
-//!   `routed-fanout` pool (the last leg runs inline on the caller), so a
-//!   `put_multi` over 4 providers costs one leg's latency, not four.
+//!   destination; the caller's thread *posts* every batch
+//!   ([`FailoverKv::post_rounds`], non-blocking down to the fabric) and
+//!   only then waits for them all, so a `put_multi` over 4 providers
+//!   costs one leg's latency, not four, without a thread hand-off.
 //!   Failures stay per key: every slot reports its own outcome.
 //! * **Live rebalance, zero acked-write loss.** Membership changes drain
 //!   the minimal moved-slice set through REMI while traffic continues:
@@ -56,29 +57,24 @@
 //! [`HashRing`]: crate::ring::HashRing
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
-use mochi_argobots::{AbtError, PoolConfig, Ult, XstreamConfig};
 use mochi_bedrock::{ProviderSpec, REMI_PROVIDER_ID};
 use mochi_margo::{MargoError, MargoRuntime};
 use mochi_mercury::Address;
 use mochi_pufferscale::Weights;
 use mochi_util::unique_u64;
-use mochi_yokan::client::{KeyBatch, VersionedBatch, VersionedValue};
-use mochi_yokan::provider::{HintDropEntry, HintEntry};
+use mochi_yokan::client::{DatabaseHandle, KeyBatch, VersionedBatch, VersionedValue};
+use mochi_yokan::provider::{HintDropEntry, HintEntry, ListKeysArgs, PutVersionedMultiReply};
 
-use crate::failover::FailoverKv;
+use crate::failover::{FailoverKv, PostedOp};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::service::DynamicService;
-
-/// Pool the scatter-gather ULTs run in. Installed by [`RoutedKv::new`]
-/// on the client runtime (the default topology has a single xstream,
-/// which would serialize the fan-out).
-pub const FANOUT_POOL: &str = "routed-fanout";
 
 /// Re-resolution rounds of a leg whose loss the quorum and the hint
 /// machinery absorb: fail fast rather than stall the whole operation.
@@ -89,8 +85,6 @@ const FAIL_FAST_ROUNDS: u32 = 2;
 pub struct RoutedConfig {
     /// Virtual nodes per member on the ring.
     pub vnodes: usize,
-    /// Execution streams serving [`FANOUT_POOL`] (the fan-out width).
-    pub fanout_streams: usize,
     /// Per-attempt timeout of each leg.
     pub leg_timeout: Duration,
     /// Re-resolution rounds of each leg (see [`FailoverKv`]). Data-path
@@ -127,7 +121,6 @@ impl Default for RoutedConfig {
     fn default() -> Self {
         Self {
             vnodes: DEFAULT_VNODES,
-            fanout_streams: 4,
             leg_timeout: Duration::from_millis(250),
             leg_max_rounds: 40,
             leg_reroute_backoff: Duration::from_millis(10),
@@ -413,32 +406,36 @@ fn new_legs(
     members.iter().map(|member| Arc::new(leg(member))).collect()
 }
 
-/// Batched put-if-newer on one leg; returns per-record `existed` flags.
-fn vput(
-    leg: &FailoverKv,
-    batch: Result<VersionedBatch, MargoError>,
+/// A batched put-if-newer posted on one leg.
+type PostedVput = PostedOp<VersionedBatch, PutVersionedMultiReply>;
+
+/// Posts a batched put-if-newer of `records` on one leg.
+fn post_vput<'a>(
+    leg: &Arc<FailoverKv>,
+    records: impl IntoIterator<Item = RecordRef<'a>>,
     rounds: u32,
-) -> Result<Vec<bool>, MargoError> {
-    let batch = batch?;
-    leg.with_handle_rounds(rounds, |h| h.put_versioned(&batch)).map(|reply| reply.existed)
+) -> Result<PostedVput, MargoError> {
+    let batch = VersionedBatch::encode(records)?;
+    Ok(leg.post_rounds(rounds, batch, DatabaseHandle::post_put_versioned))
 }
 
-/// [`vput`] of owned records.
-fn vput_records(leg: &FailoverKv, batch: &[Record], rounds: u32) -> Result<Vec<bool>, MargoError> {
-    let refs = batch.iter().map(|(key, version, value)| (&key[..], *version, value.as_deref()));
-    vput(leg, VersionedBatch::encode(refs), rounds)
+/// Owned records as [`post_vput`] takes them.
+fn record_refs(batch: &[Record]) -> impl Iterator<Item = RecordRef<'_>> {
+    batch.iter().map(|(key, version, value)| (&key[..], *version, value.as_deref()))
 }
 
-/// Batched versioned read on one leg; `None` = this replica has no
-/// record.
-fn vget(
-    leg: &FailoverKv,
-    keys: Result<KeyBatch, MargoError>,
-    rounds: u32,
-) -> Result<Vec<Option<VersionedValue>>, MargoError> {
-    let keys = keys?;
-    leg.with_handle_rounds(rounds, |h| h.get_versioned(&keys))
+/// Batched put-if-newer of owned records on one leg, waited for.
+fn vput_records(leg: &Arc<FailoverKv>, batch: &[Record], rounds: u32) -> Result<(), MargoError> {
+    post_vput(leg, record_refs(batch), rounds)?.wait().map(|_acks| ())
 }
+
+/// A read repair on its way to a stale replica, with the number of
+/// records it carries.
+type Repair = (PostedVput, u64);
+
+/// Posted repairs the hint drainer has not settled yet; a read that finds
+/// the queue full leaves its gap for the next read.
+const REPAIR_QUEUE: usize = 1024;
 
 /// Who acked one record of a quorum write.
 #[derive(Default)]
@@ -480,18 +477,17 @@ pub struct RoutedKv {
     barrier: RwLock<()>,
     /// One membership change at a time.
     rebalance_lock: Mutex<()>,
-    /// Whether the fan-out pool installed (else legs run sequentially).
-    fanout_ok: bool,
     /// HLC-style version clock: `max(now_µs, prev + 1)`, so versions are
     /// monotone per coordinator and roughly wall-clock-ordered across
     /// coordinators.
     clock: AtomicU64,
     /// Replication counters (hints, repairs, drain errors).
     stats: Arc<ReplicationStats>,
-    /// Tells the hint drainer thread to exit.
-    stop: Arc<AtomicBool>,
-    /// The hint drainer thread (`replication_factor > 1` only).
-    drainer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The hint drainer thread and the queue of posted read repairs it
+    /// settles (`replication_factor > 1` only — a replica set of one
+    /// parks no hint and finds no stale copy). Dropping the queue's
+    /// sender stops the thread.
+    drainer: Option<(SyncSender<Repair>, std::thread::JoinHandle<()>)>,
 }
 
 impl RoutedKv {
@@ -503,61 +499,26 @@ impl RoutedKv {
         members: &[S],
         config: RoutedConfig,
     ) -> Self {
-        let fanout_ok = Self::install_fanout(margo, config.fanout_streams);
-        let kv = Self {
+        let state = Arc::new(RwLock::new(Arc::new(Route::new(
+            HashRing::with_vnodes(members, config.vnodes),
+            None,
+            config.rf(),
+            |members| new_legs(service, margo, &config, members),
+        ))));
+        let stats = Arc::new(ReplicationStats::default());
+        let drainer = (config.rf() > 1)
+            .then(|| spawn_hint_drainer(&state, &stats, config.hint_drain_interval))
+            .flatten();
+        Self {
             service: Arc::clone(service),
             margo: margo.clone(),
             config,
-            state: Arc::new(RwLock::new(Arc::new(Route::new(
-                HashRing::with_vnodes(members, config.vnodes),
-                None,
-                config.rf(),
-                |members| new_legs(service, margo, &config, members),
-            )))),
+            state,
             barrier: RwLock::new(()),
             rebalance_lock: Mutex::new(()),
-            fanout_ok,
             clock: AtomicU64::new(0),
-            stats: Arc::new(ReplicationStats::default()),
-            stop: Arc::new(AtomicBool::new(false)),
-            drainer: Mutex::new(None),
-        };
-        // A replica set of one never parks a hint: nothing to drain.
-        if config.rf() > 1 {
-            kv.spawn_hint_drainer();
-        }
-        kv
-    }
-
-    /// Spawns the background hint drainer: every `hint_drain_interval`
-    /// it lists parked hints on every member and replays them onto their
-    /// target (or, if the target left the ring, onto the keys' current
-    /// owners). Replays go through put-if-newer, so re-delivery is
-    /// harmless.
-    fn spawn_hint_drainer(&self) {
-        let interval = self.config.hint_drain_interval;
-        let state = Arc::clone(&self.state);
-        let stats = Arc::clone(&self.stats);
-        let stop = Arc::clone(&self.stop);
-        let handle = std::thread::Builder::new()
-            .name("routed-hint-drainer".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(interval);
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let route = Arc::clone(&state.read());
-                    hint_drain_pass(&route, &stats);
-                }
-            });
-        match handle {
-            Ok(handle) => *self.drainer.lock() = Some(handle),
-            // No thread — hints still drain via fail_member /
-            // drain_hints_now; record the degradation.
-            Err(_) => {
-                self.stats.drain_errors.fetch_add(1, Ordering::AcqRel);
-            }
+            stats,
+            drainer,
         }
     }
 
@@ -640,24 +601,6 @@ impl RoutedKv {
         Ok(Self::new(service, margo, &members, config))
     }
 
-    /// Installs the fan-out pool + xstreams, tolerating re-installation
-    /// (several `RoutedKv` on one runtime share the pool).
-    fn install_fanout(margo: &MargoRuntime, streams: usize) -> bool {
-        let abt = margo.abt();
-        match abt.add_pool(PoolConfig::named(FANOUT_POOL)) {
-            Ok(_) | Err(AbtError::PoolExists(_)) => {}
-            Err(_) => return false,
-        }
-        for i in 0..streams.max(1) {
-            let xstream = XstreamConfig::named(format!("{FANOUT_POOL}-{i}"), FANOUT_POOL);
-            match abt.add_xstream(xstream) {
-                Ok(()) | Err(AbtError::XstreamExists(_)) => {}
-                Err(_) => return false,
-            }
-        }
-        true
-    }
-
     /// Current members, sorted.
     pub fn members(&self) -> Vec<String> {
         self.state.read().ring.members().to_vec()
@@ -683,66 +626,6 @@ impl RoutedKv {
 
     fn empty_ring() -> MargoError {
         MargoError::Handler("routed keyspace has no members".into())
-    }
-
-    // -----------------------------------------------------------------
-    // Scatter-gather
-    // -----------------------------------------------------------------
-
-    /// Runs `tasks` concurrently: all but the last are submitted to the
-    /// fan-out pool as ULTs, the last runs inline on the caller (the
-    /// single-destination case never pays a handoff). Results come back
-    /// in task order.
-    fn scatter<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let total = tasks.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        if !self.fanout_ok || total == 1 {
-            return tasks.into_iter().map(|task| task()).collect();
-        }
-        // Tasks live in take-once cells: whoever gets to a cell first —
-        // the ULT, or the caller after a failed submit — runs it, so a
-        // task executes exactly once even if the pool vanishes under a
-        // teardown race.
-        struct Gather<T, F> {
-            pending: Vec<Mutex<Option<F>>>,
-            slots: Mutex<Vec<Option<T>>>,
-            done: Condvar,
-        }
-        impl<T, F: FnOnce() -> T> Gather<T, F> {
-            fn run(&self, i: usize) {
-                let Some(task) = self.pending[i].lock().take() else { return };
-                let value = task();
-                self.slots.lock()[i] = Some(value);
-                self.done.notify_all();
-            }
-        }
-        let gather: Arc<Gather<T, F>> = Arc::new(Gather {
-            pending: tasks.into_iter().map(|t| Mutex::new(Some(t))).collect(),
-            slots: Mutex::new((0..total).map(|_| None).collect()),
-            done: Condvar::new(),
-        });
-        for i in 0..total - 1 {
-            let leg_gather = Arc::clone(&gather);
-            let ult = Ult::new(format!("routed-leg-{i}"), move || leg_gather.run(i));
-            if self.margo.abt().submit(FANOUT_POOL, ult).is_err() {
-                gather.run(i);
-            }
-        }
-        // The last leg runs inline: the caller contributes its own
-        // thread instead of idling, and a single extra destination
-        // costs no handoff at all.
-        gather.run(total - 1);
-        let mut filled = gather.slots.lock();
-        while filled.iter().any(Option::is_none) {
-            gather.done.wait(&mut filled);
-        }
-        filled.drain(..).map(|slot| slot.expect("all filled")).collect()
     }
 
     // -----------------------------------------------------------------
@@ -844,15 +727,15 @@ impl RoutedKv {
         let rounds = route.leg_rounds(&self.config);
         let sets: Vec<WriteSet> = records.iter().map(|(key, _, _)| route.write_set(key)).collect();
         let routes = by_member(route.legs.len(), sets.iter().map(|set| set.members.as_slice()));
-        let tasks: Vec<_> = routes
+        // Post every member's batch from this thread, then wait for them
+        // all (the collect is what posts).
+        let posted: Vec<_> = routes
             .iter()
             .map(|(member, indices)| {
-                let leg = Arc::clone(&route.legs[*member]);
-                let batch = VersionedBatch::encode(indices.iter().map(|&i| records[i]));
-                move || vput(&leg, batch, rounds)
+                post_vput(&route.legs[*member], indices.iter().map(|&i| records[i]), rounds)
             })
             .collect();
-        let outcomes = self.scatter(tasks);
+        let outcomes = posted.into_iter().map(|posted| posted?.wait().map(|reply| reply.existed));
         let mut tallies: Vec<Tally> = sets.iter().map(|_| Tally::default()).collect();
         let mut down: Vec<usize> = Vec::new();
         let mut failed: Vec<(usize, &[usize], MargoError)> = Vec::new();
@@ -943,8 +826,8 @@ impl RoutedKv {
 
     /// Reads each key from its serving replicas, waits for the read
     /// quorum, merges freshest-wins (version, then the same bytewise
-    /// tie-break the server's put-if-newer uses), and repairs stale or
-    /// missing replicas asynchronously on the fan-out pool. Slot `i`
+    /// tie-break the server's put-if-newer uses), and posts repairs to
+    /// stale or missing replicas without waiting for them. Slot `i`
     /// resolves the merged record: `Ok(None)` for absent keys *and*
     /// tombstones.
     fn quorum_read_multi(
@@ -958,15 +841,15 @@ impl RoutedKv {
         let rounds = route.leg_rounds(&self.config);
         let sets: Vec<Vec<usize>> = keys.iter().map(|key| route.replicas(key)).collect();
         let routes = by_member(route.legs.len(), sets.iter().map(Vec::as_slice));
-        let tasks: Vec<_> = routes
+        let posted: Vec<_> = routes
             .iter()
             .map(|(member, indices)| {
-                let leg = Arc::clone(&route.legs[*member]);
-                let batch = KeyBatch::encode(indices.iter().map(|&i| keys[i]));
-                move || vget(&leg, batch, rounds)
+                let batch = KeyBatch::encode(indices.iter().map(|&i| keys[i]))?;
+                let leg = &route.legs[*member];
+                Ok(leg.post_rounds(rounds, batch, DatabaseHandle::post_get_versioned))
             })
             .collect();
-        let outcomes = self.scatter(tasks);
+        let outcomes = posted.into_iter().map(|posted: Result<_, MargoError>| posted?.wait());
         // Per-key replica answers: (member, that replica's record).
         let mut answers: Vec<Vec<(usize, Option<VersionedValue>)>> =
             keys.iter().map(|_| Vec::new()).collect();
@@ -1016,7 +899,7 @@ impl RoutedKv {
                 Ok(value)
             })
             .collect();
-        self.spawn_repairs(route, repairs);
+        self.post_repairs(route, repairs);
         slots
     }
 
@@ -1027,33 +910,28 @@ impl RoutedKv {
         (record.version, record.tombstone, record.value.as_slice())
     }
 
-    /// Pushes read-repair records to stale replicas as fire-and-forget
-    /// ULTs on the fan-out pool (one per member). Failures are counted,
-    /// not retried — the next read of the key repairs again, and the
-    /// anti-entropy of put-if-newer makes duplicate repairs harmless.
-    fn spawn_repairs(&self, route: &Route, repairs: Vec<Vec<Record>>) {
+    /// Posts read-repair records to stale replicas (one batch per
+    /// member) and hands the posted handles to the hint drainer thread,
+    /// which waits for them: the read that found the gap does not.
+    /// Failures are counted, not retried — the next read of the key
+    /// repairs again, and the anti-entropy of put-if-newer makes
+    /// duplicate repairs harmless.
+    fn post_repairs(&self, route: &Route, repairs: Vec<Vec<Record>>) {
         for (member, batch) in repairs.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
             let count = batch.len() as u64;
             self.stats.read_repairs.fetch_add(count, Ordering::AcqRel);
-            let leg = Arc::clone(&route.legs[member]);
-            let stats = Arc::clone(&self.stats);
-            let repair = move || {
-                if vput_records(&leg, &batch, 1).is_err() {
-                    stats.repair_failures.fetch_add(count, Ordering::AcqRel);
-                }
+            let posted = post_vput(&route.legs[member], record_refs(&batch), 1);
+            let handed = match (&self.drainer, posted) {
+                (Some((queue, _)), Ok(posted)) => queue.try_send((posted, count)).is_ok(),
+                _ => false,
             };
-            if self.fanout_ok {
-                let ult = Ult::new("routed-read-repair".to_string(), repair);
-                if self.margo.abt().submit(FANOUT_POOL, ult).is_err() {
-                    // The closure is consumed by the failed submit; the
-                    // repair is lost until the next read finds the gap.
-                    self.stats.repair_failures.fetch_add(count, Ordering::AcqRel);
-                }
-            } else {
-                repair();
+            if !handed {
+                // Nobody will wait for it: the repair is lost until the
+                // next read finds the gap.
+                self.stats.repair_failures.fetch_add(count, Ordering::AcqRel);
             }
         }
     }
@@ -1093,19 +971,20 @@ impl RoutedKv {
         max: usize,
     ) -> Result<Vec<Vec<u8>>, MargoError> {
         let route = self.route();
-        let tasks: Vec<_> = route
+        let page = || ListKeysArgs {
+            prefix: prefix.to_vec(),
+            start_after: start_after.map(<[u8]>::to_vec),
+            max,
+        };
+        let rounds = self.config.leg_max_rounds;
+        let posted: Vec<_> = route
             .legs
             .iter()
-            .map(|leg| {
-                let leg = Arc::clone(leg);
-                let prefix = prefix.to_vec();
-                let start_after = start_after.map(<[u8]>::to_vec);
-                move || leg.list_keys(&prefix, start_after.as_deref(), max)
-            })
+            .map(|leg| leg.post_rounds(rounds, page(), DatabaseHandle::post_list_keys))
             .collect();
         let mut merged: Vec<Vec<u8>> = Vec::new();
-        for outcome in self.scatter(tasks) {
-            merged.extend(outcome?);
+        for posted in posted {
+            merged.extend(posted.wait()?);
         }
         merged.sort();
         merged.dedup();
@@ -1492,8 +1371,9 @@ impl RoutedKv {
                 if keys.is_empty() {
                     continue;
                 }
-                let wanted = KeyBatch::encode(keys.iter().map(Vec::as_slice));
-                let records = vget(leg, wanted, self.config.leg_max_rounds)?;
+                let wanted = KeyBatch::encode(keys.iter().map(Vec::as_slice))?;
+                let records = leg
+                    .with_handle_rounds(self.config.leg_max_rounds, |h| h.get_versioned(&wanted))?;
                 let mut by_target: Vec<Vec<Record>> = vec![Vec::new(); survivors.legs.len()];
                 for ((key, targets), record) in keys.into_iter().zip(targets).zip(records) {
                     // A vanished record means a fresher erase+cleanup won;
@@ -1531,11 +1411,58 @@ impl RoutedKv {
 
 impl Drop for RoutedKv {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(drainer) = self.drainer.lock().take() {
+        if let Some((repairs, drainer)) = self.drainer.take() {
+            drop(repairs);
             if drainer.join().is_err() {
                 self.stats.drain_errors.fetch_add(1, Ordering::AcqRel);
             }
+        }
+    }
+}
+
+/// Spawns the background hint drainer: every `interval` it lists parked
+/// hints on every member and replays them onto their target (or, if the
+/// target left the ring, onto the keys' current owners). Replays go
+/// through put-if-newer, so re-delivery is harmless. Between passes it
+/// settles the read repairs posted to its queue; it exits when the
+/// queue's sender is dropped.
+fn spawn_hint_drainer(
+    state: &Arc<RwLock<Arc<Route>>>,
+    stats: &Arc<ReplicationStats>,
+    interval: Duration,
+) -> Option<(SyncSender<Repair>, std::thread::JoinHandle<()>)> {
+    let (repairs, queue) = sync_channel::<Repair>(REPAIR_QUEUE);
+    let (state, thread_stats) = (Arc::clone(state), Arc::clone(stats));
+    let spawned = std::thread::Builder::new().name("routed-hint-drainer".into()).spawn(move || {
+        let stats = thread_stats;
+        let mut next_pass = Instant::now() + interval;
+        loop {
+            match queue.recv_timeout(next_pass.saturating_duration_since(Instant::now())) {
+                Ok((posted, count)) => {
+                    if posted.wait().is_err() {
+                        stats.repair_failures.fetch_add(count, Ordering::AcqRel);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            // Checked after a repair too: a steady stream of them must
+            // not starve the pass.
+            if Instant::now() >= next_pass {
+                let route = Arc::clone(&state.read());
+                hint_drain_pass(&route, &stats);
+                next_pass = Instant::now() + interval;
+            }
+        }
+    });
+    match spawned {
+        Ok(drainer) => Some((repairs, drainer)),
+        // No thread — hints still drain via fail_member /
+        // drain_hints_now, repairs count as failed; record the
+        // degradation.
+        Err(_) => {
+            stats.drain_errors.fetch_add(1, Ordering::AcqRel);
+            None
         }
     }
 }
@@ -1657,7 +1584,6 @@ mod tests {
     fn config_defaults_are_sane() {
         let config = RoutedConfig::default();
         assert_eq!(config.vnodes, DEFAULT_VNODES);
-        assert!(config.fanout_streams >= 1);
         assert!(config.leg_reroute_backoff < Duration::from_millis(50));
         assert!(config.drain_batch > 0);
         // Replication defaults: one copy, majority quorums, unthrottled.

@@ -13,7 +13,7 @@
 //!    Bedrock `handler!` wrapper macro) and every call site (the
 //!    `forward` family, `notify`, `rpc_id_for_name`, the Bedrock
 //!    `ServiceHandle::call` wrapper, and the service-client
-//!    `call`/`call_raw` chokepoints) is extracted with its argument and
+//!    `call`/`call_raw`/`post`/`post_raw` chokepoints) is extracted with its argument and
 //!    reply types where they are syntactically evident — closure
 //!    parameter annotations, turbofish type parameters, `let x: T =`
 //!    bindings, inline struct literals, and local `let`/parameter
@@ -31,6 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{column_of, is_ident_byte, line_of, matching_brace};
+use crate::rawforward::FORWARD_FAMILY;
 use crate::source::SourceFile;
 
 /// Whether a site registers an RPC or calls one.
@@ -198,6 +199,7 @@ fn scan_consts(file: &SourceFile, table: &mut ConstTable) {
 // Site extraction
 // ----------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 struct Callee {
     name: &'static str,
     role: Role,
@@ -216,26 +218,41 @@ struct Callee {
     allow_free: bool,
 }
 
-const CALLEES: &[Callee] = &[
+/// Everything but the margo forward family, which [`callees`] adds.
+const FIXED_CALLEES: &[Callee] = &[
     Callee { name: "register_typed", role: Role::Register, name_arg: 0, input_arg: None, min_args: 3, is_macro: false, requires_resolution: false, allow_free: false },
     Callee { name: "register", role: Role::Register, name_arg: 0, input_arg: None, min_args: 3, is_macro: false, requires_resolution: false, allow_free: false },
     Callee { name: "handler", role: Role::Register, name_arg: 0, input_arg: Some(1), min_args: 2, is_macro: true, requires_resolution: false, allow_free: false },
-    Callee { name: "forward", role: Role::Call, name_arg: 1, input_arg: Some(3), min_args: 4, is_macro: false, requires_resolution: false, allow_free: false },
-    Callee { name: "forward_with_context", role: Role::Call, name_arg: 1, input_arg: Some(3), min_args: 4, is_macro: false, requires_resolution: false, allow_free: false },
-    Callee { name: "forward_timeout", role: Role::Call, name_arg: 1, input_arg: Some(3), min_args: 4, is_macro: false, requires_resolution: false, allow_free: false },
-    Callee { name: "forward_full", role: Role::Call, name_arg: 1, input_arg: Some(3), min_args: 4, is_macro: false, requires_resolution: false, allow_free: false },
-    Callee { name: "forward_raw", role: Role::Call, name_arg: 1, input_arg: None, min_args: 4, is_macro: false, requires_resolution: false, allow_free: false },
     Callee { name: "notify", role: Role::Call, name_arg: 1, input_arg: Some(3), min_args: 4, is_macro: false, requires_resolution: false, allow_free: false },
     Callee { name: "rpc_id_for_name", role: Role::Call, name_arg: 0, input_arg: None, min_args: 1, is_macro: false, requires_resolution: false, allow_free: true },
     Callee { name: "call", role: Role::Call, name_arg: 0, input_arg: Some(1), min_args: 2, is_macro: false, requires_resolution: true, allow_free: false },
     Callee { name: "call_raw", role: Role::Call, name_arg: 0, input_arg: None, min_args: 2, is_macro: false, requires_resolution: true, allow_free: false },
+    Callee { name: "post", role: Role::Call, name_arg: 0, input_arg: Some(1), min_args: 2, is_macro: false, requires_resolution: true, allow_free: false },
+    Callee { name: "post_raw", role: Role::Call, name_arg: 0, input_arg: None, min_args: 2, is_macro: false, requires_resolution: true, allow_free: false },
 ];
+
+/// The callee table: [`FIXED_CALLEES`] and one entry per forward-family
+/// method — `(dest, name, provider_id, input | payload, …)`, the input
+/// typed unless the method is a `*_raw` form.
+fn callees() -> impl Iterator<Item = Callee> {
+    let forwards = FORWARD_FAMILY.iter().map(|&name| Callee {
+        name,
+        role: Role::Call,
+        name_arg: 1,
+        input_arg: (!name.ends_with("_raw")).then_some(3),
+        min_args: 4,
+        is_macro: false,
+        requires_resolution: false,
+        allow_free: false,
+    });
+    FIXED_CALLEES.iter().copied().chain(forwards)
+}
 
 /// Extracts every registration and call site from one file.
 pub fn sites(file: &SourceFile, consts: &ConstTable) -> Vec<RpcSite> {
     let text = &file.text;
     let mut out = Vec::new();
-    for callee in CALLEES {
+    for callee in callees() {
         let needle = callee.name.as_bytes();
         let mut i = 1usize;
         while i + needle.len() < text.len() {
@@ -275,7 +292,7 @@ pub fn sites(file: &SourceFile, consts: &ConstTable) -> Vec<RpcSite> {
                 i = j + 1;
                 continue;
             }
-            if let Some(site) = build_site(file, consts, callee, i, &args, &turbofish, j, close) {
+            if let Some(site) = build_site(file, consts, &callee, i, &args, &turbofish, j, close) {
                 out.push(site);
             }
             i = j + 1;

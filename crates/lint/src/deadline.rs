@@ -20,8 +20,9 @@
 //!   unless the receiver is an `RpcContext` (whose `forward` threads
 //!   `nested_context` by construction).
 //! * `forward_timeout` — always `TOP_LEVEL`; flagged.
-//! * `forward_with_context` / `forward_full` / `forward_raw` /
-//!   `forward_bytes` — the context argument (index 4) is inspected:
+//! * `forward_with_context` / `forward_full` / `forward_raw` and the
+//!   posting `iforward_full` / `iforward_raw` — the context argument
+//!   (index 4) is inspected:
 //!   `nested_context` ⇒ clean, `TOP_LEVEL` ⇒ flagged, anything else (a
 //!   threaded context variable such as `self.context`) ⇒ assumed clean.
 //!   The variable case is deliberately optimistic: the client
@@ -42,6 +43,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::contracts::{Role, RpcSite};
+use crate::rawforward::FORWARD_FAMILY;
 use crate::source::SourceFile;
 
 /// One deadline-dropping forward reachable from a handler.
@@ -62,15 +64,6 @@ pub struct DeadlineSite {
 /// neither enters them nor scans their forward internals.
 pub const PLUMBING: &[&str] =
     &["argobots", "bench", "lint", "margo", "mercury", "util", "wire"];
-
-const SINKS: &[&str] = &[
-    "forward",
-    "forward_bytes",
-    "forward_full",
-    "forward_raw",
-    "forward_timeout",
-    "forward_with_context",
-];
 
 /// Index of the `CallContext` argument in the explicit-context forms.
 const CONTEXT_ARG: usize = 4;
@@ -97,7 +90,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph, sites: &[RpcSite]) -> Vec<
         for call in &graph.calls[node_id] {
             if call.in_spawn
                 || call.receiver.is_none()
-                || !SINKS.contains(&call.callee.as_str())
+                || !FORWARD_FAMILY.contains(&call.callee.as_str())
             {
                 continue;
             }

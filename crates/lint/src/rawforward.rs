@@ -2,7 +2,8 @@
 //! bypass the retry-aware chokepoint.
 //!
 //! The yokan/warabi/remi client libraries funnel every RPC through a
-//! single `call`/`call_raw` wrapper so retry, circuit-breaker, deadline,
+//! single `call`/`call_raw` wrapper (yokan's posting forms: `post`/
+//! `post_raw`) so retry, circuit-breaker, deadline,
 //! and idempotency handling apply uniformly (see `DESIGN.md` §13). A
 //! `forward_timeout` sprinkled directly into a client method silently
 //! opts that RPC out of the resilience plane — it still works on a
@@ -23,12 +24,26 @@ pub const CLIENT_PATHS: &[&str] = &[
     "crates/remi/src/client.rs",
 ];
 
-/// The forward family on `MargoRuntime` (and `RpcContext`).
-const FORWARD_FAMILY: &[&str] =
-    &["forward", "forward_timeout", "forward_full", "forward_raw", "forward_with_context"];
+/// The forward family on `MargoRuntime` (and `RpcContext`): every method
+/// through which an RPC leaves the process, the blocking forms and the
+/// posting ones (`iforward_*` — the request is on the wire when the call
+/// returns, whoever waits for the reply). The one list the contract
+/// table, the deadline-loss walk and both lock-held-across-RPC rules
+/// share with this lint; `*_raw` forms take a payload, the others a typed
+/// input.
+pub const FORWARD_FAMILY: &[&str] = &[
+    "forward",
+    "forward_full",
+    "forward_raw",
+    "forward_timeout",
+    "forward_with_context",
+    "iforward_full",
+    "iforward_raw",
+];
 
-/// Functions allowed to forward: the designated chokepoints.
-const WRAPPERS: &[&str] = &["call", "call_raw"];
+/// Functions allowed to forward: the designated chokepoints, posting
+/// (`post*`) and blocking (`call*`).
+pub const WRAPPERS: &[&str] = &["call", "call_raw", "post", "post_raw"];
 
 /// One raw forward call outside the chokepoints.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -46,9 +61,9 @@ pub fn in_client(rel_path: &str) -> bool {
     CLIENT_PATHS.iter().any(|p| rel_path == *p)
 }
 
-/// Scans one client file for `.forward*(…)` method calls outside
-/// `call`/`call_raw` (strings, comments, and test modules are already
-/// blanked by the sanitizer).
+/// Scans one client file for [`FORWARD_FAMILY`] method calls outside the
+/// [`WRAPPERS`] (strings, comments, and test modules are already blanked
+/// by the sanitizer).
 pub fn scan(file: &SourceFile) -> Vec<RawForwardSite> {
     let text = &file.text;
     let mut sites = Vec::new();
@@ -111,7 +126,9 @@ mod tests {
         let found = sites(
             "crates/yokan/src/client.rs",
             "fn call(&self) { self.margo.forward_timeout(&a, N, 1, &x, t) }\n\
-             fn call_raw(&self) { self.margo.forward_raw(&a, N, 1, p, c, t) }\n",
+             fn call_raw(&self) { self.margo.forward_raw(&a, N, 1, p, c, t) }\n\
+             fn post(&self) { self.margo.iforward_full(&a, N, 1, &x, c, t) }\n\
+             fn post_raw(&self) { self.margo.iforward_raw(&a, N, 1, p, c, t) }\n",
         );
         assert!(found.is_empty(), "{found:?}");
     }

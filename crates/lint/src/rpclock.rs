@@ -57,22 +57,11 @@ pub struct RpcLockSite {
     pub path: Vec<String>,
 }
 
-/// The suspending calls the reachability pass looks for: the MOCHI009
-/// yield family plus `forward_bytes` (the margo chokepoint service code
-/// can reach through wrappers).
-const FORWARD_FAMILY: &[&str] = &[
-    "forward",
-    "forward_bytes",
-    "forward_full",
-    "forward_raw",
-    "forward_timeout",
-    "forward_with_context",
-    "notify",
-    "bulk_pull",
-    "bulk_push",
-    "recv",
-    "recv_timeout",
-];
+/// Whether `callee` is one of the suspending calls the reachability pass
+/// looks for: the MOCHI009 yield family.
+fn suspends(callee: &str) -> bool {
+    yields::yield_method(callee).is_some()
+}
 
 /// Builds the `crate::field` index of rank-ordered lock declarations.
 /// Matches `name: OrderedMutex<…>` / `name: Arc<OrderedRwLock<…>>` (and
@@ -120,10 +109,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<RpcLockSite> {
         if PLUMBING.contains(&node.crate_name.as_str()) {
             continue;
         }
-        if let Some(call) = graph.calls[id]
-            .iter()
-            .find(|c| !c.in_spawn && FORWARD_FAMILY.contains(&c.callee.as_str()))
-        {
+        if let Some(call) = graph.calls[id].iter().find(|c| !c.in_spawn && suspends(&c.callee)) {
             reaches[id] = true;
             forward_name[id] = Some(call.callee.clone());
             queue.push_back(id);
@@ -147,9 +133,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<RpcLockSite> {
             continue;
         }
         let has_candidate = graph.calls[id].iter().any(|c| {
-            !c.in_spawn
-                && !FORWARD_FAMILY.contains(&c.callee.as_str())
-                && c.targets.iter().any(|&t| reaches[t])
+            !c.in_spawn && !suspends(&c.callee) && c.targets.iter().any(|&t| reaches[t])
         });
         if !has_candidate {
             continue;
@@ -158,7 +142,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<RpcLockSite> {
         let func = &file.functions[node.func_idx];
         let flow = BodyFlow::analyze(file, func.body_start, func.body_end, &BTreeSet::new());
         for call in &graph.calls[id] {
-            if call.in_spawn || FORWARD_FAMILY.contains(&call.callee.as_str()) {
+            if call.in_spawn || suspends(&call.callee) {
                 continue; // direct forwards under a guard are MOCHI009's
             }
             let Some(&target) = call.targets.iter().find(|&&t| reaches[t]) else {

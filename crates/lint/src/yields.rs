@@ -18,6 +18,7 @@
 //! releases the mutex while parked, which is the correct pattern.
 
 use crate::lexer::is_ident_byte;
+use crate::rawforward::FORWARD_FAMILY;
 
 /// One lock guard held across a suspension point.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -32,19 +33,15 @@ pub struct YieldSite {
     pub column: usize,
 }
 
-/// Method calls that suspend the current ULT.
-const YIELD_METHODS: &[&str] = &[
-    "forward",
-    "forward_with_context",
-    "forward_timeout",
-    "forward_full",
-    "forward_raw",
-    "notify",
-    "bulk_pull",
-    "bulk_push",
-    "recv",
-    "recv_timeout",
-];
+/// Method calls besides the forward family that suspend the current ULT.
+const OTHER_YIELDS: &[&str] = &["notify", "bulk_pull", "bulk_push", "recv", "recv_timeout"];
+
+/// The method's name if a call to it suspends the current ULT. A posting
+/// forward counts: the RPC it starts is still outstanding while the guard
+/// lives, and the wait usually follows under the same guard.
+pub fn yield_method(name: &str) -> Option<&'static str> {
+    FORWARD_FAMILY.iter().chain(OTHER_YIELDS).copied().find(|method| *method == name)
+}
 
 /// Paths where ULT/handler code runs and the analysis applies. The margo
 /// runtime itself is included: its dispatch path runs inside handler ULTs.
@@ -74,8 +71,7 @@ pub fn yield_method_at(text: &[u8], dot: usize, end: usize) -> Option<(&'static 
     while j < end && is_ident_byte(text[j]) {
         j += 1;
     }
-    let name = &text[name_start..j];
-    let method = YIELD_METHODS.iter().find(|m| m.as_bytes() == name)?;
+    let method = yield_method(std::str::from_utf8(&text[name_start..j]).ok()?)?;
     while j < end && text[j].is_ascii_whitespace() {
         j += 1;
     }
@@ -146,6 +142,15 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].lock, "demo::state");
         assert_eq!(found[0].yield_call, "forward_timeout");
+    }
+
+    #[test]
+    fn guard_held_across_a_post_flagged() {
+        let found = yields_of(
+            "fn f(&self) { let g = self.state.lock(); let p = self.margo.iforward_raw(&a, rpc::PING, 1, payload, cc, t); p.wait(); }",
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].yield_call, "iforward_raw");
     }
 
     #[test]

@@ -139,3 +139,66 @@ fn ignored_locks_suppress_instance_aliasing() {
     let report = mochi_lint::analyze(&files, &allowlist);
     assert!(report.is_clean(), "{}", report.render());
 }
+
+/// The provider side of the posting-form fixtures below.
+const POSTED_PROVIDER: (&str, &str) = (
+    "crates/yokan/src/provider.rs",
+    "pub fn register_all(margo: &MargoRuntime) {\n\
+         margo.register(\"yokan_put_versioned_multi\", 1, None, handler).ok();\n\
+     }\n",
+);
+
+#[test]
+fn posting_form_outside_the_client_chokepoint_is_a_raw_forward() {
+    // A post is the RPC it starts: `iforward_raw` in a client method
+    // bypasses the chokepoint exactly as `forward_raw` would, and the
+    // contract table counts it as the call that it is.
+    let files = parse(&[
+        POSTED_PROVIDER,
+        (
+            "crates/yokan/src/client.rs",
+            "impl DatabaseHandle {\n\
+                 pub fn post_put_versioned(&self, batch: &VersionedBatch) -> PendingForward {\n\
+                     self.margo.iforward_raw(&self.address, \"yokan_put_versioned_multi\", self.provider_id, batch.0.clone(), self.context, self.timeout)\n\
+                 }\n\
+             }\n",
+        ),
+    ]);
+    let report = mochi_lint::analyze(&files, &Allowlist::default());
+    assert_eq!(report.raw_forward_violations.len(), 1, "{}", report.render());
+    let site = &report.raw_forward_violations[0];
+    assert_eq!(
+        (site.function.as_str(), site.kind.as_str()),
+        ("post_put_versioned", "iforward_raw")
+    );
+    assert!(report.render().contains("MOCHI011"));
+    assert!(
+        report.rpc_names().contains(&("yokan_put_versioned_multi".to_string(), 1, 1)),
+        "the post is a call site of the contract table: {:?}",
+        report.rpc_names()
+    );
+}
+
+#[test]
+fn posting_form_through_the_client_chokepoint_passes() {
+    let files = parse(&[
+        POSTED_PROVIDER,
+        (
+            "crates/yokan/src/client.rs",
+            "impl DatabaseHandle {\n\
+                 fn post_raw(&self, rpc_name: &str, payload: Bytes) -> PendingForward {\n\
+                     self.margo.iforward_raw(&self.address, rpc_name, self.provider_id, payload, self.context, self.timeout)\n\
+                 }\n\
+                 pub fn post_put_versioned(&self, batch: &VersionedBatch) -> PendingForward {\n\
+                     self.post_raw(\"yokan_put_versioned_multi\", batch.0.clone())\n\
+                 }\n\
+             }\n",
+        ),
+    ]);
+    let report = mochi_lint::analyze(&files, &Allowlist::default());
+    assert!(report.is_clean(), "{}", report.render());
+    assert!(report.raw_forward_violations.is_empty());
+    // The chokepoint's own forward names its RPC by parameter; the site
+    // the contract table records is the `post_raw` that names it.
+    assert!(report.rpc_names().contains(&("yokan_put_versioned_multi".to_string(), 1, 1)));
+}

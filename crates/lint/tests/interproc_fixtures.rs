@@ -70,6 +70,28 @@ fn deadline_loss_accepts_rpc_context_forward_and_nested_context() {
 }
 
 #[test]
+fn deadline_loss_sees_a_posted_forward_as_the_rpc_it_is() {
+    // The posting form carries its context like `forward_full` does: a
+    // handler-reachable post under `TOP_LEVEL` restarts the budget, one
+    // under the nested context keeps it.
+    let files = parse(&[(
+        "crates/omega/src/server.rs",
+        "pub fn register_all(margo: &MargoRuntime) {\n\
+             margo.register_typed(\"omega_echo\", 1, None, move |v: u64, ctx| relay(ctx, v));\n\
+         }\n\
+         fn relay(ctx: &RpcContext, v: u64) -> Result<u64, String> {\n\
+             let lost = margo().iforward_full(&dest(), \"omega_next\", 1, &v, CallContext::TOP_LEVEL, t());\n\
+             let kept = margo().iforward_full(&dest(), \"omega_next\", 1, &v, ctx.nested_context(), t());\n\
+             settle(lost, kept)\n\
+         }\n",
+    )]);
+    let report = mochi_lint::analyze(&files, &Allowlist::default());
+    assert_eq!(report.deadline_violations.len(), 1, "{:?}", report.deadline_violations);
+    assert_eq!(report.deadline_violations[0].kind, "drop:iforward_full");
+    assert_eq!(report.deadline_violations[0].line, 5);
+}
+
+#[test]
 fn deadline_loss_ignores_forwards_not_reachable_from_a_handler() {
     // A TOP_LEVEL forward in plain client code is correct — only
     // handler-reachable forwards restart a budget that already exists.

@@ -25,8 +25,8 @@ use serde_json::Value;
 
 use mochi_argobots::{AbtRuntime, Pool, PoolConfig, Ult, XstreamConfig};
 use mochi_mercury::{
-    Address, BulkAccess, BulkHandle, CallContext, Endpoint, Fabric, Incoming, RequestInfo,
-    ResponseStatus,
+    Address, BulkAccess, BulkHandle, CallContext, Endpoint, Fabric, Incoming, MercuryError,
+    PendingRequest, RequestInfo, ResponseStatus,
 };
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
 use mochi_util::time::monotonic_seconds;
@@ -481,10 +481,7 @@ impl MargoRuntime {
         context: CallContext,
         timeout: Duration,
     ) -> Result<O, MargoError> {
-        self.ensure_live()?;
-        let payload = crate::codec::encode(input)?;
-        let response = self.forward_bytes(dest, rpc_name, provider_id, payload, context, timeout)?;
-        crate::codec::decode(&response)
+        self.iforward_full(dest, rpc_name, provider_id, input, context, timeout)?.wait_decoded()
     }
 
     /// Raw-payload forward for data-plane RPCs using [`crate::frame`]
@@ -500,13 +497,37 @@ impl MargoRuntime {
         context: CallContext,
         timeout: Duration,
     ) -> Result<Bytes, MargoError> {
-        self.forward_bytes(dest, rpc_name, provider_id, payload, context, timeout)
+        self.iforward_raw(dest, rpc_name, provider_id, payload, context, timeout).wait()
     }
 
-    /// Shared forward core: one `ForwardStart`/`ForwardEnd` pair per
-    /// *logical* call, with the transport attempt loop (retry policy,
-    /// circuit breakers, deadline propagation) in between.
-    fn forward_bytes(
+    /// Posting form of [`MargoRuntime::forward_full`]: encodes `input`
+    /// and posts it ([`MargoRuntime::iforward_raw`]);
+    /// [`PendingForward::wait_decoded`] yields the typed reply.
+    pub fn iforward_full<I: Serialize>(
+        &self,
+        dest: &Address,
+        rpc_name: &str,
+        provider_id: u16,
+        input: &I,
+        context: CallContext,
+        timeout: Duration,
+    ) -> Result<PendingForward, MargoError> {
+        let payload = crate::codec::encode(input)?;
+        Ok(self.iforward_raw(dest, rpc_name, provider_id, payload, context, timeout))
+    }
+
+    /// Posts a forward and returns without waiting for the response
+    /// (`margo_iforward`): the request is admitted — liveness, circuit
+    /// breaker, deadline clamp — and handed to the fabric on the caller's
+    /// thread, so a caller with several destinations posts them all and
+    /// then waits. An admission or send failure does not surface here but
+    /// from [`PendingForward::wait`], like any other failed attempt.
+    ///
+    /// Every blocking `forward_*` is this followed by `wait`: there is one
+    /// `ForwardStart`/`ForwardEnd` pair per *logical* call, and one
+    /// attempt path (retry policy, circuit breakers, deadline
+    /// propagation) behind both.
+    pub fn iforward_raw(
         &self,
         dest: &Address,
         rpc_name: &str,
@@ -514,83 +535,40 @@ impl MargoRuntime {
         payload: Bytes,
         context: CallContext,
         timeout: Duration,
-    ) -> Result<Bytes, MargoError> {
-        self.ensure_live()?;
+    ) -> PendingForward {
         let rpc_id = rpc_id_for_name(rpc_name);
         let name = cached_rpc_name(rpc_name);
         let identity = self.identity_for(rpc_id, &name, provider_id, context);
         // One shared destination for monitoring events and the breaker
         // key; the request itself borrows `dest`, so this is the only
         // deep clone per call.
-        let dest_shared = Arc::new(dest.clone());
+        let dest = Arc::new(dest.clone());
         self.emit(&MonitoringEvent::ForwardStart {
             identity: identity.clone(),
-            dest: Arc::clone(&dest_shared),
+            dest: Arc::clone(&dest),
             payload_size: payload.len(),
         });
         self.inner.in_flight_client.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let retryable_rpc = self.is_idempotent_rpc(rpc_id);
-        let mut attempts = 0u32;
-        let result = loop {
-            attempts += 1;
-            match self.forward_attempt(
-                &dest_shared,
-                rpc_id,
-                rpc_name,
-                provider_id,
-                payload.clone(),
-                context,
-                timeout,
-            ) {
-                Ok(response) => break Ok(response),
-                Err(err) => {
-                    // Only idempotent RPCs may be re-sent, and only for
-                    // failures where the request may not have executed
-                    // (transport-class, or no handler registered yet).
-                    // Handler errors are application outcomes; deadline
-                    // and breaker rejections end the loop immediately.
-                    if !(retryable_rpc
-                        && err.is_retryable()
-                        && self.inner.retry.admit_retry(attempts))
-                    {
-                        break Err(err);
-                    }
-                    let backoff = self.inner.retry.backoff(attempts);
-                    if let Some(deadline) = context.deadline {
-                        if Instant::now() + backoff >= deadline {
-                            break Err(err);
-                        }
-                    }
-                    std::thread::sleep(backoff);
-                }
-            }
-        };
-        self.inner.in_flight_client.fetch_sub(1, Ordering::Relaxed);
-        self.emit(&MonitoringEvent::ForwardEnd {
-            identity,
-            dest: dest_shared,
-            duration_s: start.elapsed().as_secs_f64(),
-            ok: result.is_ok(),
-            error: result.as_ref().err().map(MargoError::kind),
-            attempts,
-        });
-        result
+        let first = self.post_attempt(&identity, &dest, payload.clone(), timeout);
+        PendingForward {
+            margo: self.clone(),
+            call: Some(PostedCall { identity, dest, payload, timeout, start, first }),
+        }
     }
 
-    /// One transport attempt: breaker admission, deadline clamping, send,
-    /// wait, breaker bookkeeping.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_attempt(
+    /// The posting half of one transport attempt: liveness, deadline
+    /// clamping, breaker admission, send. The attempt's wait budget runs
+    /// from here, not from when the caller gets round to waiting.
+    fn post_attempt(
         &self,
+        identity: &RpcIdentity,
         dest: &Arc<Address>,
-        rpc_id: u64,
-        rpc_name: &str,
-        provider_id: u16,
         payload: Bytes,
-        context: CallContext,
         timeout: Duration,
-    ) -> Result<Bytes, MargoError> {
+    ) -> Result<Attempt, MargoError> {
+        self.ensure_live()?;
+        let context = identity.context;
         let now = Instant::now();
         // Clamp the wait to the remaining deadline budget, so a nested
         // chain with a 100 ms top-level deadline can never take
@@ -605,39 +583,59 @@ impl MargoRuntime {
             }
             None => timeout,
         };
-        match self.inner.breakers.admit(dest, provider_id) {
+        match self.inner.breakers.admit(dest, identity.provider_id) {
             Admission::Allowed | Admission::Probe => {}
             Admission::Rejected => {
-                return Err(MargoError::BreakerOpen { dest: dest.to_string(), provider_id });
+                return Err(MargoError::BreakerOpen {
+                    dest: dest.to_string(),
+                    provider_id: identity.provider_id,
+                });
             }
         }
         // Propagate the *absolute* deadline so handlers issuing nested
         // RPCs (via `RpcContext::nested_context`) inherit the remaining
         // budget rather than restarting the clock.
-        let attempt_deadline = now + effective;
-        let wire_context = context
-            .with_deadline(Some(context.deadline.map_or(attempt_deadline, |d| d.min(attempt_deadline))));
-        let outcome = (|| {
-            let pending = self.inner.endpoint.send_request(
-                dest,
-                rpc_id,
-                provider_id,
-                wire_context,
-                payload,
-            )?;
-            pending.wait(effective)
-        })();
-        match outcome {
+        let give_up_at = now + effective;
+        let wire_context =
+            context.with_deadline(Some(context.deadline.map_or(give_up_at, |d| d.min(give_up_at))));
+        let sent = self.inner.endpoint.send_request(
+            dest,
+            identity.rpc_id,
+            identity.provider_id,
+            wire_context,
+            payload,
+        );
+        Ok(Attempt { sent, give_up_at })
+    }
+
+    /// The waiting half of one transport attempt: takes the response
+    /// within what is left of the attempt's budget (nothing, for a handle
+    /// that is being dropped) and does the breaker bookkeeping.
+    fn finish_attempt(
+        &self,
+        identity: &RpcIdentity,
+        dest: &Arc<Address>,
+        attempt: Attempt,
+        patient: bool,
+    ) -> Result<Bytes, MargoError> {
+        let Attempt { sent, give_up_at } = attempt;
+        let budget = if patient {
+            give_up_at.saturating_duration_since(Instant::now())
+        } else {
+            Duration::ZERO
+        };
+        match sent.and_then(|pending| pending.wait(budget)) {
             Ok(response) => {
                 // The network round-tripped: the breaker closes whatever
                 // the application-level status says.
-                self.inner.breakers.record_success(dest, provider_id);
+                self.inner.breakers.record_success(dest, identity.provider_id);
                 match response.status {
                     ResponseStatus::Ok => Ok(response.payload),
                     ResponseStatus::Error(message) => Err(MargoError::Handler(message)),
-                    ResponseStatus::NoHandler => {
-                        Err(MargoError::NoHandler { rpc: rpc_name.to_string(), provider_id })
-                    }
+                    ResponseStatus::NoHandler => Err(MargoError::NoHandler {
+                        rpc: identity.rpc_name.to_string(),
+                        provider_id: identity.provider_id,
+                    }),
                 }
             }
             Err(err) => {
@@ -645,12 +643,12 @@ impl MargoRuntime {
                 if err.is_retryable() {
                     // Transport-class failure (timeout / unreachable):
                     // counts against the breaker threshold.
-                    self.inner.breakers.record_failure(dest, provider_id);
+                    self.inner.breakers.record_failure(dest, identity.provider_id);
                 }
                 // A wait that timed out because the *deadline* clipped it
                 // is a budget exhaustion, not a transport verdict.
                 if err.is_timeout() {
-                    if let Some(deadline) = context.deadline {
+                    if let Some(deadline) = identity.context.deadline {
                         if Instant::now() >= deadline {
                             return Err(MargoError::DeadlineExceeded);
                         }
@@ -659,6 +657,56 @@ impl MargoRuntime {
                 Err(err)
             }
         }
+    }
+
+    /// Ends a posted logical call: finishes its first attempt, makes the
+    /// retry policy's further attempts (a `patient` caller only — a
+    /// dropped handle takes what is there and leaves), and closes the
+    /// books: in-flight gauge, `ForwardEnd`.
+    fn finish_call(&self, call: PostedCall, patient: bool) -> Result<Bytes, MargoError> {
+        let PostedCall { identity, dest, payload, timeout, start, first } = call;
+        let mut attempts = 1u32;
+        let mut outcome =
+            first.and_then(|attempt| self.finish_attempt(&identity, &dest, attempt, patient));
+        let result = loop {
+            let err = match outcome {
+                Ok(response) => break Ok(response),
+                Err(err) => err,
+            };
+            // Only idempotent RPCs may be re-sent, and only for failures
+            // where the request may not have executed (transport-class,
+            // or no handler registered yet). Handler errors are
+            // application outcomes; deadline and breaker rejections end
+            // the loop immediately.
+            if !(patient
+                && err.is_retryable()
+                && self.is_idempotent_rpc(identity.rpc_id)
+                && self.inner.retry.admit_retry(attempts))
+            {
+                break Err(err);
+            }
+            let backoff = self.inner.retry.backoff(attempts);
+            if let Some(deadline) = identity.context.deadline {
+                if Instant::now() + backoff >= deadline {
+                    break Err(err);
+                }
+            }
+            std::thread::sleep(backoff);
+            attempts += 1;
+            outcome = self
+                .post_attempt(&identity, &dest, payload.clone(), timeout)
+                .and_then(|attempt| self.finish_attempt(&identity, &dest, attempt, true));
+        };
+        self.inner.in_flight_client.fetch_sub(1, Ordering::Relaxed);
+        self.emit(&MonitoringEvent::ForwardEnd {
+            identity,
+            dest,
+            duration_s: start.elapsed().as_secs_f64(),
+            ok: result.is_ok(),
+            error: result.as_ref().err().map(MargoError::kind),
+            attempts,
+        });
+        result
     }
 
     /// Declares an RPC idempotent: safe for the runtime to re-send on
@@ -938,6 +986,68 @@ impl MargoRuntime {
         }
         self.inner.abt.shutdown();
         self.monitoring_json()
+    }
+}
+
+/// One transport attempt between its post and its wait.
+struct Attempt {
+    /// The outstanding request, or why the fabric refused it.
+    sent: Result<PendingRequest, MercuryError>,
+    /// When the attempt's wait budget runs out.
+    give_up_at: Instant,
+}
+
+/// What a [`PendingForward`] keeps of its logical call: enough to finish
+/// the first attempt and, for an idempotent RPC, to make the next ones.
+struct PostedCall {
+    identity: RpcIdentity,
+    dest: Arc<Address>,
+    payload: Bytes,
+    timeout: Duration,
+    start: Instant,
+    /// The first attempt, or the admission failure that kept it from
+    /// being sent.
+    first: Result<Attempt, MargoError>,
+}
+
+/// A forward that has been posted ([`MargoRuntime::iforward_raw`]) and
+/// not yet waited for. The logical call ends exactly once — its breaker
+/// and in-flight bookkeeping done, its `ForwardEnd` emitted — in
+/// [`PendingForward::wait`], or on drop, which is a wait with no time
+/// left.
+#[must_use = "wait on the posted forward to obtain the response"]
+pub struct PendingForward {
+    margo: MargoRuntime,
+    /// `None` once the call has ended.
+    call: Option<PostedCall>,
+}
+
+impl PendingForward {
+    /// Blocks until the response arrives or the budget that started at
+    /// the post runs out. Only if the first attempt failed in a way that
+    /// may be retried (an idempotent RPC, a transport-class failure, the
+    /// retry budget allowing) are further attempts made, blocking, from
+    /// here.
+    pub fn wait(mut self) -> Result<Bytes, MargoError> {
+        match self.call.take() {
+            Some(call) => self.margo.finish_call(call, true),
+            // Unreachable: only `wait` and `drop` take the call, and
+            // `wait` consumes the handle.
+            None => Err(MargoError::Finalized),
+        }
+    }
+
+    /// [`PendingForward::wait`], then decodes the reply.
+    pub fn wait_decoded<O: DeserializeOwned>(self) -> Result<O, MargoError> {
+        crate::codec::decode(&self.wait()?)
+    }
+}
+
+impl Drop for PendingForward {
+    fn drop(&mut self) {
+        if let Some(call) = self.call.take() {
+            let _ = self.margo.finish_call(call, false);
+        }
     }
 }
 
@@ -1456,6 +1566,193 @@ mod tests {
         assert_eq!(peer["retries"], 0);
         assert_eq!(peer["errors"]["timeout"], 1);
         server.finalize();
+        client.finalize();
+    }
+
+    /// Counts `ForwardStart`s and keeps every `ForwardEnd`'s
+    /// `(ok, error, attempts)`.
+    #[derive(Default)]
+    struct ForwardLog {
+        starts: AtomicI64,
+        ends: Mutex<Vec<(bool, Option<&'static str>, u32)>>,
+    }
+
+    impl Monitor for ForwardLog {
+        fn observe(&self, event: &MonitoringEvent) {
+            match event {
+                MonitoringEvent::ForwardStart { .. } => {
+                    self.starts.fetch_add(1, Ordering::SeqCst);
+                }
+                MonitoringEvent::ForwardEnd { ok, error, attempts, .. } => {
+                    self.ends.lock().push((*ok, *error, *attempts));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn logged(client: &MargoRuntime) -> Arc<ForwardLog> {
+        let log = Arc::new(ForwardLog::default());
+        client.add_monitor(log.clone());
+        log
+    }
+
+    fn post_unit(
+        client: &MargoRuntime,
+        dest: &Address,
+        rpc: &str,
+        timeout: Duration,
+    ) -> PendingForward {
+        client.iforward_full(dest, rpc, 0, &(), CallContext::TOP_LEVEL, timeout).unwrap()
+    }
+
+    #[test]
+    fn posted_forwards_overlap_from_one_caller_thread() {
+        const NAP: Duration = Duration::from_millis(30);
+        let fabric = Fabric::new();
+        let client = boot(&fabric, "client");
+        let servers: Vec<MargoRuntime> =
+            (0..4).map(|i| boot(&fabric, &format!("server-{i}"))).collect();
+        for server in &servers {
+            server
+                .register_typed("nap", 0, None, |_: (), _| {
+                    std::thread::sleep(NAP);
+                    Ok(())
+                })
+                .unwrap();
+        }
+        let start = Instant::now();
+        let posted: Vec<PendingForward> = servers
+            .iter()
+            .map(|server| post_unit(&client, &server.address(), "nap", Duration::from_secs(5)))
+            .collect();
+        assert_eq!(client.in_flight_client(), 4);
+        for pending in posted {
+            pending.wait_decoded::<()>().unwrap();
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed >= NAP, "nobody napped: {elapsed:?}");
+        assert!(elapsed < 2 * NAP, "four 30 ms legs took {elapsed:?}: they ran one after another");
+        assert_eq!(client.in_flight_client(), 0);
+        for server in &servers {
+            server.finalize();
+        }
+        client.finalize();
+    }
+
+    /// Posts "get" over a link that drops its first request
+    /// (`idempotent_rpc_survives_transient_drops`' script) and waits.
+    /// Returns the outcome, how often the handler ran and the logged ends.
+    fn post_over_a_dropped_first_send(
+        idempotent: bool,
+    ) -> (Result<(), MargoError>, i64, Vec<(bool, Option<&'static str>, u32)>) {
+        let fabric = Fabric::new();
+        let server = boot(&fabric, "server");
+        let client = boot(&fabric, "client");
+        let hits = Arc::new(AtomicI64::new(0));
+        let hits2 = Arc::clone(&hits);
+        server
+            .register_typed("get", 0, None, move |_: (), _| {
+                hits2.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            })
+            .unwrap();
+        if idempotent {
+            client.declare_idempotent("get");
+        }
+        let log = logged(&client);
+        fabric.faults().push_script(
+            Some("client"),
+            Some("server"),
+            mochi_mercury::LinkScript::FailFirst(1),
+        );
+        let pending = post_unit(&client, &server.address(), "get", Duration::from_millis(50));
+        let outcome = pending.wait_decoded::<()>();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(log.starts.load(Ordering::SeqCst), 1);
+        let ends = log.ends.lock().clone();
+        server.finalize();
+        client.finalize();
+        (outcome, hits.load(Ordering::SeqCst), ends)
+    }
+
+    #[test]
+    fn posted_idempotent_forward_retries_from_wait() {
+        // The post's own send is the one that vanishes; the second
+        // attempt is made from `wait`.
+        let (outcome, hits, ends) = post_over_a_dropped_first_send(true);
+        outcome.unwrap();
+        assert_eq!(hits, 1, "only the delivered attempt executed");
+        assert_eq!(ends, vec![(true, None, 2)]);
+    }
+
+    #[test]
+    fn posted_non_idempotent_forward_is_sent_once() {
+        let (outcome, hits, ends) = post_over_a_dropped_first_send(false);
+        assert!(outcome.unwrap_err().is_timeout());
+        assert_eq!(hits, 0, "non-idempotent call was silently re-sent");
+        assert_eq!(ends, vec![(false, Some("timeout"), 1)]);
+    }
+
+    #[test]
+    fn posted_budget_runs_from_the_post() {
+        let fabric = Fabric::new();
+        let dead = boot(&fabric, "dead");
+        let dead_addr = dead.address();
+        dead.finalize();
+        let client = boot(&fabric, "client");
+        let timeout = Duration::from_millis(100);
+        let start = Instant::now();
+        let posted: Vec<PendingForward> =
+            (0..3).map(|_| post_unit(&client, &dead_addr, "echo", timeout)).collect();
+        for pending in posted {
+            assert!(pending.wait().unwrap_err().is_timeout());
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed >= timeout, "{elapsed:?}");
+        assert!(elapsed < 2 * timeout, "three dead legs cost {elapsed:?}, not one timeout");
+        client.finalize();
+    }
+
+    #[test]
+    fn posted_forward_balances_its_books_on_every_exit() {
+        let fabric = Fabric::new();
+        let mut config = MargoConfig::default();
+        config.breaker.failure_threshold = 2;
+        config.breaker.probe_interval_ms = 10_000;
+        let client = MargoRuntime::init(&fabric, Address::tcp("client", 1), &config).unwrap();
+        let log = logged(&client);
+        let dead = boot(&fabric, "dead");
+        let dead_addr = dead.address();
+        dead.finalize();
+        let nobody = Address::tcp("nobody", 1);
+        let short = Duration::from_millis(20);
+
+        // Send error: the fabric refuses an address nobody registered.
+        let pending = post_unit(&client, &nobody, "echo", short);
+        assert_eq!(client.in_flight_client(), 1);
+        assert_eq!(pending.wait().unwrap_err().kind(), "transport");
+        // Timeout: a finalized peer swallows the request.
+        assert!(post_unit(&client, &dead_addr, "echo", short).wait().unwrap_err().is_timeout());
+        // Dropped handle: ends as a wait with no time left, and withdraws
+        // its request from the endpoint (the second failure to `dead`
+        // trips its breaker).
+        drop(post_unit(&client, &dead_addr, "echo", short));
+        // Breaker-rejected post: nothing is sent, the handle says why.
+        let rejected = post_unit(&client, &dead_addr, "echo", short);
+        assert_eq!(rejected.wait().unwrap_err().kind(), "breaker-open");
+
+        assert_eq!(client.in_flight_client(), 0);
+        assert_eq!(log.starts.load(Ordering::SeqCst), 4);
+        assert_eq!(
+            *log.ends.lock(),
+            vec![
+                (false, Some("transport"), 1),
+                (false, Some("timeout"), 1),
+                (false, Some("timeout"), 1),
+                (false, Some("breaker-open"), 1),
+            ]
+        );
         client.finalize();
     }
 

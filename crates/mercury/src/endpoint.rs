@@ -133,7 +133,10 @@ pub struct OneWayInfo {
 /// A leaf lock: never held across a call into the fabric or a channel send.
 pub(crate) type PendingMap = Mutex<HashMap<u64, Sender<ResponseBody>>>;
 
-/// An outstanding request; wait on it for the response.
+/// An outstanding request; wait on it for the response. Dropping it,
+/// waited on or not, withdraws the request from the endpoint's map: a
+/// caller that posts and then gives up leaves nothing behind for a peer
+/// that never answers.
 #[must_use = "wait on the pending request to obtain the response"]
 pub struct PendingRequest {
     xid: u64,
@@ -146,12 +149,15 @@ impl PendingRequest {
     pub fn wait(self, timeout: Duration) -> Result<ResponseBody, MercuryError> {
         match self.rx.recv_timeout(timeout) {
             Ok(resp) => Ok(resp),
-            Err(RecvTimeoutError::Timeout) => {
-                self.pending.lock().remove(&self.xid);
-                Err(MercuryError::Timeout)
-            }
+            Err(RecvTimeoutError::Timeout) => Err(MercuryError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(MercuryError::LocalShutdown),
         }
+    }
+}
+
+impl Drop for PendingRequest {
+    fn drop(&mut self) {
+        self.pending.lock().remove(&self.xid);
     }
 }
 
@@ -539,6 +545,24 @@ mod tests {
             .unwrap();
         let err = pending.wait(Duration::from_millis(50)).unwrap_err();
         assert_eq!(err, MercuryError::Timeout);
+    }
+
+    #[test]
+    fn dropped_request_leaves_no_waiter_behind() {
+        let fabric = Fabric::new();
+        let (client, server) = pair(&fabric);
+        let dest = server.address().clone();
+        server.shutdown();
+        let pending =
+            client.send_request(&dest, 1, 0, CallContext::TOP_LEVEL, Bytes::new()).unwrap();
+        assert_eq!(client.pending.lock().len(), 1);
+        drop(pending);
+        assert!(client.pending.lock().is_empty(), "the dead peer will never clear it");
+        // A wait that times out clears it the same way.
+        let pending =
+            client.send_request(&dest, 1, 0, CallContext::TOP_LEVEL, Bytes::new()).unwrap();
+        pending.wait(Duration::ZERO).unwrap_err();
+        assert!(client.pending.lock().is_empty());
     }
 
     #[test]

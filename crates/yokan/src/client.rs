@@ -2,7 +2,9 @@
 //!
 //! A [`DatabaseHandle`] "maps to a remote resource by encapsulating the
 //! address and provider ID of the provider holding that resource" and
-//! offers put/get-style access. [`CoalescingHandle`] layers opt-in
+//! offers put/get-style access; the operations a caller fans out over
+//! several providers also come in a posting form (`post_*` returns a
+//! [`PendingCall`] to wait on). [`CoalescingHandle`] layers opt-in
 //! client-side write coalescing on top: small `put`s batch into
 //! `put_multi` RPCs, amortizing per-RPC overhead on ingest-heavy
 //! workloads without changing the observable per-key semantics.
@@ -13,7 +15,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use mochi_margo::{decode_framed, encode_framed, CallContext, MargoError, MargoRuntime};
+use mochi_margo::{
+    decode, decode_framed, encode_framed, CallContext, MargoError, MargoRuntime, PendingForward,
+};
 use mochi_mercury::Address;
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
@@ -106,6 +110,45 @@ impl KeyBatch {
     }
 }
 
+/// An RPC that has been posted to a provider and not yet waited for
+/// (the `post_*` methods of [`DatabaseHandle`]): a caller with several
+/// providers to ask posts to all of them, then waits.
+#[must_use = "wait on the posted call to obtain the reply"]
+pub struct PendingCall<T> {
+    /// The posted forward, or why the request could not be encoded.
+    posted: Result<PendingForward, MargoError>,
+    /// Decodes the raw reply.
+    finish: fn(Bytes) -> Result<T, MargoError>,
+}
+
+impl<T> PendingCall<T> {
+    /// Blocks until the reply arrives (or the call fails) and decodes it.
+    pub fn wait(self) -> Result<T, MargoError> {
+        self.posted?.wait().and_then(self.finish)
+    }
+}
+
+/// Splits a `ValuesHeader`-framed reply into per-key values (`None` for
+/// missing keys).
+fn decode_values(reply: Bytes) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
+    let (header, body) = decode_framed::<ValuesHeader>(&reply)?;
+    let mut out = Vec::with_capacity(header.lens.len());
+    let mut cursor = 0usize;
+    for len in header.lens {
+        if len < 0 {
+            out.push(None);
+        } else {
+            let len = len as usize;
+            if cursor + len > body.len() {
+                return Err(MargoError::Codec("get_multi body truncated".into()));
+            }
+            out.push(Some(body[cursor..cursor + len].to_vec()));
+            cursor += len;
+        }
+    }
+    Ok(out)
+}
+
 /// Handle to a remote Yokan database.
 #[derive(Clone)]
 pub struct DatabaseHandle {
@@ -132,16 +175,12 @@ impl DatabaseHandle {
         }
     }
 
-    /// Single chokepoint for typed RPCs: every forward in this client
-    /// routes through here (or [`Self::call_raw`]) so retry, breaker, and
+    /// Single chokepoint for typed RPCs: every forward in this client is
+    /// posted here (or in [`Self::post_raw`]) so retry, breaker, and
     /// deadline handling apply uniformly — `mochi-lint` MOCHI011 enforces
     /// this.
-    fn call<I: Serialize, O: DeserializeOwned>(
-        &self,
-        rpc_name: &str,
-        input: &I,
-    ) -> Result<O, MargoError> {
-        self.margo.forward_full(
+    fn post<I: Serialize>(&self, rpc_name: &str, input: &I) -> Result<PendingForward, MargoError> {
+        self.margo.iforward_full(
             &self.address,
             rpc_name,
             self.provider_id,
@@ -151,10 +190,10 @@ impl DatabaseHandle {
         )
     }
 
-    /// Raw-payload counterpart of [`Self::call`] for framed data-plane
+    /// Raw-payload counterpart of [`Self::post`] for framed data-plane
     /// RPCs.
-    fn call_raw(&self, rpc_name: &str, payload: Bytes) -> Result<Bytes, MargoError> {
-        self.margo.forward_raw(
+    fn post_raw(&self, rpc_name: &str, payload: Bytes) -> PendingForward {
+        self.margo.iforward_raw(
             &self.address,
             rpc_name,
             self.provider_id,
@@ -162,6 +201,20 @@ impl DatabaseHandle {
             self.context,
             self.timeout,
         )
+    }
+
+    /// [`Self::post`], waited for on the spot.
+    fn call<I: Serialize, O: DeserializeOwned>(
+        &self,
+        rpc_name: &str,
+        input: &I,
+    ) -> Result<O, MargoError> {
+        self.post(rpc_name, input)?.wait_decoded()
+    }
+
+    /// [`Self::post_raw`], waited for on the spot.
+    fn call_raw(&self, rpc_name: &str, payload: Bytes) -> Result<Bytes, MargoError> {
+        self.post_raw(rpc_name, payload).wait()
     }
 
     /// Overrides the per-RPC timeout.
@@ -238,23 +291,7 @@ impl DatabaseHandle {
     }
 
     fn get_batch(&self, keys: &KeyBatch) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
-        let reply = self.call_raw(rpc::GET_MULTI, keys.0.clone())?;
-        let (header, body) = decode_framed::<ValuesHeader>(&reply)?;
-        let mut out = Vec::with_capacity(header.lens.len());
-        let mut cursor = 0usize;
-        for len in header.lens {
-            if len < 0 {
-                out.push(None);
-            } else {
-                let len = len as usize;
-                if cursor + len > body.len() {
-                    return Err(MargoError::Codec("get_multi body truncated".into()));
-                }
-                out.push(Some(body[cursor..cursor + len].to_vec()));
-                cursor += len;
-            }
-        }
-        Ok(out)
+        decode_values(self.call_raw(rpc::GET_MULTI, keys.0.clone())?)
     }
 
     /// Removes `key`; returns whether it existed.
@@ -304,9 +341,18 @@ impl DatabaseHandle {
         &self,
         batch: &VersionedBatch,
     ) -> Result<PutVersionedMultiReply, MargoError> {
-        let reply = self.call_raw(rpc::PUT_VERSIONED_MULTI, batch.0.clone())?;
-        let (reply, _) = decode_framed::<PutVersionedMultiReply>(&reply)?;
-        Ok(reply)
+        self.post_put_versioned(batch).wait()
+    }
+
+    /// Posts [`Self::put_versioned`] without waiting for the reply.
+    pub fn post_put_versioned(
+        &self,
+        batch: &VersionedBatch,
+    ) -> PendingCall<PutVersionedMultiReply> {
+        PendingCall {
+            posted: Ok(self.post_raw(rpc::PUT_VERSIONED_MULTI, batch.0.clone())),
+            finish: |reply| Ok(decode_framed::<PutVersionedMultiReply>(&reply)?.0),
+        }
     }
 
     /// Fetches many records with their version stamps (entry is `None`
@@ -316,8 +362,18 @@ impl DatabaseHandle {
         &self,
         keys: &KeyBatch,
     ) -> Result<Vec<Option<VersionedValue>>, MargoError> {
-        let stored = self.get_batch(keys)?;
-        Ok(stored.into_iter().map(|s| s.map(VersionedValue::from_stored)).collect())
+        self.post_get_versioned(keys).wait()
+    }
+
+    /// Posts [`Self::get_versioned`] without waiting for the reply.
+    pub fn post_get_versioned(&self, keys: &KeyBatch) -> PendingCall<Vec<Option<VersionedValue>>> {
+        PendingCall {
+            posted: Ok(self.post_raw(rpc::GET_MULTI, keys.0.clone())),
+            finish: |reply| {
+                let stored = decode_values(reply)?;
+                Ok(stored.into_iter().map(|s| s.map(VersionedValue::from_stored)).collect())
+            },
+        }
     }
 
     /// Parks a hinted-handoff record on this provider for the
@@ -364,14 +420,17 @@ impl DatabaseHandle {
         start_after: Option<&[u8]>,
         max: usize,
     ) -> Result<Vec<Vec<u8>>, MargoError> {
-        self.call(
-            rpc::LIST_KEYS,
-            &ListKeysArgs {
-                prefix: prefix.to_vec(),
-                start_after: start_after.map(<[u8]>::to_vec),
-                max,
-            },
-        )
+        let page = ListKeysArgs {
+            prefix: prefix.to_vec(),
+            start_after: start_after.map(<[u8]>::to_vec),
+            max,
+        };
+        self.post_list_keys(&page).wait()
+    }
+
+    /// Posts [`Self::list_keys`] without waiting for the reply.
+    pub fn post_list_keys(&self, page: &ListKeysArgs) -> PendingCall<Vec<Vec<u8>>> {
+        PendingCall { posted: self.post(rpc::LIST_KEYS, page), finish: |reply| decode(&reply) }
     }
 
     /// Number of keys.

@@ -31,6 +31,9 @@
 #      after a member was crashed mid-traffic at rf=3)
 #   37 benchmark smoke failed (mochi-perf's own tests, or a 2 s
 #      point_rf3_map run that read back a wrong value or got an error)
+#   38 leg concurrency failed (posted forwards, or the legs of one
+#      routed operation, ran one after another instead of overlapping;
+#      or a posted forward left its books unbalanced)
 #   10+ static-analysis failures (see scripts/lint.sh)
 set -u
 
@@ -68,6 +71,16 @@ cargo test -q -p mochi-core --test routed_rebalance || exit 35
 # the test is part of `cargo test -q` anyway and takes ~15 s on 2 CPUs.
 echo "==> cargo test -p mochi-core --test replicated_kill"
 cargo test -q -p mochi-core --test replicated_kill || exit 36
+
+# Leg concurrency (DESIGN.md §7, §17.2): a routed operation posts every
+# leg from the caller's thread and then waits. Nothing but wall time
+# tells a fan-out that quietly went back to one leg after another from
+# one that overlaps, so the tests that time it — margo's `posted_*` and
+# crates/core/tests/leg_concurrency.rs — run on their own and triage as
+# 38 rather than as one more failure inside 21.
+echo "==> leg concurrency (mochi-margo posted_*, mochi-core leg_concurrency)"
+cargo test -q -p mochi-margo --lib posted_ || exit 38
+cargo test -q -p mochi-core --test leg_concurrency || exit 38
 
 echo "==> cargo test"
 cargo test -q || exit 21
