@@ -13,69 +13,30 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::Finding;
+
 /// Allowance key: (file, function, kind).
 pub type Key = (String, String, String);
+
+/// Finding counts by allowlist section (a [`crate::Rule::section`]) and
+/// key.
+pub type Sections = BTreeMap<&'static str, BTreeMap<Key, usize>>;
 
 /// Parsed allowlist.
 #[derive(Debug, Default, Clone)]
 pub struct Allowlist {
-    /// Permitted finding counts for the panic-path lint.
-    pub panic_paths: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the blocking-call lint.
-    pub blocking: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the data-plane JSON lint.
-    pub serde_json: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the RPC contract checker. The kind
-    /// encodes the issue class and RPC name, e.g. `dead:yokan_watch`.
-    pub contracts: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the lock-held-across-yield analysis.
-    /// The kind encodes the suspending call and lock class, e.g.
-    /// `forward_timeout:raft::core`.
-    pub lock_across_yield: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the raw-forward-in-client lint. The
-    /// kind is the forward-family method, e.g. `forward_timeout`.
-    pub raw_forward: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the interprocedural deadline-loss
-    /// analysis. The kind encodes the sink, e.g. `drop:forward_timeout`.
-    pub deadline_loss: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the retry-soundness analysis. The
-    /// kind encodes effect and RPC, e.g. `remove:remi_migration_pull`.
-    pub retry_soundness: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the relaxed-atomic analysis. The
-    /// kind encodes op and field, e.g. `load:closed`.
-    pub relaxed_atomics: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the RPC-under-lock analysis. The
-    /// kind encodes callee and lock class, e.g. `flush:yokan::writer`.
-    pub rpc_under_lock: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the swallowed-background-error
-    /// analysis. The kind encodes discard form and callee, e.g.
-    /// `let_underscore:send`.
-    pub background_errors: BTreeMap<Key, usize>,
-    /// Permitted finding counts for the unbounded-queue-growth analysis.
-    /// The kind encodes grow method and field, e.g. `grow:push:pending`.
-    pub queue_growth: BTreeMap<Key, usize>,
-    /// One-line justifications for allowlist entries, keyed
-    /// `(section, file, function, kind)`. Written back verbatim by
-    /// `--write-allowlist` so hand-added reasons survive regeneration.
-    pub reasons: BTreeMap<(String, String, String, String), String>,
+    /// Permitted finding counts. What a `kind` encodes is the rule's
+    /// business (`unwrap`, `dead:yokan_watch`, `forward_timeout:raft::core`,
+    /// …): see [`Finding::kind`] and the rule's module.
+    pub sections: Sections,
+    /// One-line justifications for allowlist entries, keyed by section
+    /// and entry. Written back verbatim by `--write-allowlist` so
+    /// hand-added reasons survive regeneration.
+    pub reasons: BTreeMap<(&'static str, Key), String>,
     /// Lock field names (or `crate::field` ids) excluded from the
     /// lock-order graph — for per-instance locks whose class identity
     /// would alias distinct objects.
     pub ignored_locks: Vec<String>,
-}
-
-/// One allowlist entry the current tree no longer needs: its key matched
-/// zero findings, so the frozen debt has been paid down (or the code
-/// moved) and the entry should be pruned.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct StaleEntry {
-    /// Allowlist section the entry lives in (`panic_paths`, …).
-    pub section: String,
-    pub file: String,
-    pub function: String,
-    pub kind: String,
-    /// The recorded (now unused) allowance count.
-    pub count: usize,
 }
 
 impl Allowlist {
@@ -84,8 +45,8 @@ impl Allowlist {
         let value = parse_json(text)?;
         let object = value.as_object().ok_or("allowlist root must be an object")?;
         let mut allowlist = Allowlist::default();
-        for (key, value) in object {
-            match key.as_str() {
+        for (name, value) in object {
+            match name.as_str() {
                 "version" => {}
                 "ignored_locks" => {
                     let items = value.as_array().ok_or("ignored_locks must be an array")?;
@@ -95,180 +56,93 @@ impl Allowlist {
                             .push(item.as_str().ok_or("ignored_locks entries must be strings")?.to_string());
                     }
                 }
-                "panic_paths" | "blocking" | "serde_json" | "contracts" | "lock_across_yield"
-                | "raw_forward" | "deadline_loss" | "retry_soundness" | "relaxed_atomics"
-                | "rpc_under_lock" | "background_errors" | "queue_growth" => {
+                other => {
+                    let section = crate::sections()
+                        .find(|s| *s == other)
+                        .ok_or_else(|| format!("unknown allowlist section '{other}'"))?;
                     let items = value.as_array().ok_or("allowance sections must be arrays")?;
-                    let section_name = key.clone();
-                    let section = match key.as_str() {
-                        "panic_paths" => &mut allowlist.panic_paths,
-                        "blocking" => &mut allowlist.blocking,
-                        "contracts" => &mut allowlist.contracts,
-                        "lock_across_yield" => &mut allowlist.lock_across_yield,
-                        "raw_forward" => &mut allowlist.raw_forward,
-                        "deadline_loss" => &mut allowlist.deadline_loss,
-                        "retry_soundness" => &mut allowlist.retry_soundness,
-                        "relaxed_atomics" => &mut allowlist.relaxed_atomics,
-                        "rpc_under_lock" => &mut allowlist.rpc_under_lock,
-                        "background_errors" => &mut allowlist.background_errors,
-                        "queue_growth" => &mut allowlist.queue_growth,
-                        _ => &mut allowlist.serde_json,
-                    };
                     for item in items {
-                        let entry = item.as_object().ok_or("allowance entries must be objects")?;
-                        let get = |name: &str| -> Result<&str, String> {
-                            entry
-                                .iter()
-                                .find(|(k, _)| k == name)
-                                .and_then(|(_, v)| v.as_str())
+                        let field = |name: &str| -> Result<String, String> {
+                            item.get(name)
+                                .and_then(Json::as_str)
+                                .map(str::to_string)
                                 .ok_or_else(|| format!("allowance entry missing '{name}'"))
                         };
-                        let count = entry
-                            .iter()
-                            .find(|(k, _)| k == "count")
-                            .and_then(|(_, v)| v.as_usize())
+                        let key = (field("file")?, field("function")?, field("kind")?);
+                        let count = item
+                            .get("count")
+                            .and_then(Json::as_usize)
                             .ok_or("allowance entry missing numeric 'count'")?;
-                        let entry_key =
-                            (get("file")?.to_string(), get("function")?.to_string(), get("kind")?.to_string());
-                        if let Some(reason) = entry
-                            .iter()
-                            .find(|(k, _)| k == "reason")
-                            .and_then(|(_, v)| v.as_str())
-                        {
-                            allowlist.reasons.insert(
-                                (
-                                    section_name.clone(),
-                                    entry_key.0.clone(),
-                                    entry_key.1.clone(),
-                                    entry_key.2.clone(),
-                                ),
-                                reason.to_string(),
-                            );
+                        if let Some(reason) = item.get("reason").and_then(Json::as_str) {
+                            allowlist.reasons.insert((section, key.clone()), reason.to_string());
                         }
-                        section.insert(entry_key, count);
+                        allowlist.sections.entry(section).or_default().insert(key, count);
                     }
                 }
-                other => return Err(format!("unknown allowlist section '{other}'")),
             }
         }
         Ok(allowlist)
     }
 
-    /// Serializes back to the canonical JSON layout.
+    /// Serializes back to the canonical JSON layout: every section of the
+    /// registry, in registry order, empty or not.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n");
-        out.push_str("  \"ignored_locks\": [");
-        for (i, lock) in self.ignored_locks.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{}", quote(lock));
+        let locks: Vec<String> = self.ignored_locks.iter().map(|l| quote(l)).collect();
+        let mut out = format!("{{\n  \"version\": 1,\n  \"ignored_locks\": [{}]", locks.join(", "));
+        for section in crate::sections() {
+            let entries: Vec<String> = self
+                .sections
+                .get(section)
+                .into_iter()
+                .flatten()
+                .map(|(key, count)| {
+                    let (file, function, kind) = key;
+                    let reason = self.reasons.get(&(section, key.clone()));
+                    format!(
+                        "    {{\"file\": {}, \"function\": {}, \"kind\": {}, \"count\": {count}{}}}",
+                        quote(file),
+                        quote(function),
+                        quote(kind),
+                        reason.map_or(String::new(), |r| format!(", \"reason\": {}", quote(r))),
+                    )
+                })
+                .collect();
+            let body = if entries.is_empty() {
+                String::new()
+            } else {
+                format!("\n{}\n  ", entries.join(",\n"))
+            };
+            let _ = write!(out, ",\n  \"{section}\": [{body}]");
         }
-        out.push_str("],\n");
-        for (name, section) in [
-            ("panic_paths", &self.panic_paths),
-            ("blocking", &self.blocking),
-            ("serde_json", &self.serde_json),
-            ("contracts", &self.contracts),
-            ("lock_across_yield", &self.lock_across_yield),
-            ("raw_forward", &self.raw_forward),
-            ("deadline_loss", &self.deadline_loss),
-            ("retry_soundness", &self.retry_soundness),
-            ("relaxed_atomics", &self.relaxed_atomics),
-            ("rpc_under_lock", &self.rpc_under_lock),
-            ("background_errors", &self.background_errors),
-            ("queue_growth", &self.queue_growth),
-        ] {
-            let _ = write!(out, "  \"{name}\": [");
-            for (i, ((file, function, kind), count)) in section.iter().enumerate() {
-                out.push_str(if i == 0 { "\n" } else { ",\n" });
-                let _ = write!(
-                    out,
-                    "    {{\"file\": {}, \"function\": {}, \"kind\": {}, \"count\": {}",
-                    quote(file),
-                    quote(function),
-                    quote(kind),
-                    count
-                );
-                let reason_key =
-                    (name.to_string(), file.clone(), function.clone(), kind.clone());
-                if let Some(reason) = self.reasons.get(&reason_key) {
-                    let _ = write!(out, ", \"reason\": {}", quote(reason));
-                }
-                out.push('}');
-            }
-            out.push_str(if section.is_empty() { "]" } else { "\n  ]" });
-            out.push_str(if name == "queue_growth" { "\n" } else { ",\n" });
-        }
-        out.push_str("}\n");
+        out.push_str("\n}\n");
         out
     }
 
-    /// Builds a freeze of the given finding counts. `reasons` carries
-    /// over hand-written justifications from the previous allowlist.
-    #[allow(clippy::too_many_arguments)]
-    pub fn freeze(
-        panic_counts: BTreeMap<Key, usize>,
-        blocking_counts: BTreeMap<Key, usize>,
-        json_counts: BTreeMap<Key, usize>,
-        contract_counts: BTreeMap<Key, usize>,
-        yield_counts: BTreeMap<Key, usize>,
-        raw_forward_counts: BTreeMap<Key, usize>,
-        deadline_counts: BTreeMap<Key, usize>,
-        retry_counts: BTreeMap<Key, usize>,
-        atomics_counts: BTreeMap<Key, usize>,
-        rpc_lock_counts: BTreeMap<Key, usize>,
-        bg_error_counts: BTreeMap<Key, usize>,
-        queue_counts: BTreeMap<Key, usize>,
-        reasons: BTreeMap<(String, String, String, String), String>,
-        ignored_locks: Vec<String>,
-    ) -> Allowlist {
-        Allowlist {
-            panic_paths: panic_counts,
-            blocking: blocking_counts,
-            serde_json: json_counts,
-            contracts: contract_counts,
-            lock_across_yield: yield_counts,
-            raw_forward: raw_forward_counts,
-            deadline_loss: deadline_counts,
-            retry_soundness: retry_counts,
-            relaxed_atomics: atomics_counts,
-            rpc_under_lock: rpc_lock_counts,
-            background_errors: bg_error_counts,
-            queue_growth: queue_counts,
-            reasons,
-            ignored_locks,
-        }
+    /// The frozen count for `key` in `section` (0 when absent).
+    pub fn allowance(&self, section: &str, key: &Key) -> usize {
+        self.sections.get(section).and_then(|s| s.get(key)).copied().unwrap_or(0)
     }
 
-    /// Entries whose key matches zero current findings, per section.
-    /// `actual` maps section name to the raw (pre-allowlist) counts.
-    pub fn stale_entries(&self, actual: &[(&str, &BTreeMap<Key, usize>)]) -> Vec<StaleEntry> {
+    /// One MOCHI010 finding per entry whose key matches none of the
+    /// `actual` (raw, pre-allowlist) findings: the frozen debt has been
+    /// paid down (or the code moved) and the entry should be pruned.
+    pub fn stale_entries(&self, actual: &Sections) -> Vec<Finding> {
         let mut stale = Vec::new();
-        for (section_name, allowed) in [
-            ("panic_paths", &self.panic_paths),
-            ("blocking", &self.blocking),
-            ("serde_json", &self.serde_json),
-            ("contracts", &self.contracts),
-            ("lock_across_yield", &self.lock_across_yield),
-            ("raw_forward", &self.raw_forward),
-            ("deadline_loss", &self.deadline_loss),
-            ("retry_soundness", &self.retry_soundness),
-            ("relaxed_atomics", &self.relaxed_atomics),
-            ("rpc_under_lock", &self.rpc_under_lock),
-            ("background_errors", &self.background_errors),
-            ("queue_growth", &self.queue_growth),
-        ] {
-            let counts = actual.iter().find(|(n, _)| *n == section_name).map(|(_, c)| *c);
-            for ((file, function, kind), count) in allowed {
-                let live = counts.and_then(|c| c.get(&(file.clone(), function.clone(), kind.clone()))).copied().unwrap_or(0);
-                if live == 0 {
-                    stale.push(StaleEntry {
-                        section: section_name.to_string(),
-                        file: file.clone(),
-                        function: function.clone(),
-                        kind: kind.clone(),
-                        count: *count,
+        for (section, entries) in &self.sections {
+            for (key, count) in entries {
+                if actual.get(section).is_none_or(|live| !live.contains_key(key)) {
+                    let (file, function, kind) = key;
+                    stale.push(Finding {
+                        rule: "MOCHI010",
+                        file: "lint-allow.json".to_string(),
+                        function: section.to_string(),
+                        kind: format!("{file}/{function}/{kind}"),
+                        line: 1,
+                        column: 1,
+                        message: format!(
+                            "stale allowlist entry ({file} / {function} / {kind} / count {count}) matches no current finding — prune it"
+                        ),
+                        path: Vec::new(),
                     });
                 }
             }
@@ -278,7 +152,8 @@ impl Allowlist {
     }
 }
 
-fn quote(s: &str) -> String {
+/// `s` as a JSON string literal.
+pub(crate) fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -286,6 +161,11 @@ fn quote(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -332,9 +212,13 @@ impl Json {
             _ => None,
         }
     }
+    /// Field `name` of an object.
+    pub(crate) fn get(&self, name: &str) -> Option<&Json> {
+        self.as_object()?.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
 }
 
-pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
+fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     let value = parse_value(bytes, &mut pos)?;
@@ -482,132 +366,64 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    fn key(file: &str, function: &str, kind: &str) -> Key {
+        (file.to_string(), function.to_string(), kind.to_string())
+    }
+
     #[test]
     fn round_trip() {
-        let mut panic_counts = BTreeMap::new();
-        panic_counts
-            .insert(("crates/raft/src/node.rs".into(), "start".into(), "expect".into()), 2);
-        let mut blocking = BTreeMap::new();
-        blocking.insert(("crates/raft/src/node.rs".into(), "submit".into(), "recv_timeout".into()), 1);
-        let mut json_counts = BTreeMap::new();
-        json_counts
-            .insert(("crates/margo/src/codec.rs".into(), "encode".into(), "serde_json".into()), 1);
-        let mut contract_counts = BTreeMap::new();
-        contract_counts.insert(
-            ("crates/yokan/src/provider.rs".into(), "register".into(), "dead:yokan_watch".into()),
-            1,
-        );
-        let mut yield_counts = BTreeMap::new();
-        yield_counts.insert(
-            ("crates/raft/src/node.rs".into(), "replicate".into(), "forward_timeout:raft::core".into()),
-            1,
-        );
-        let mut raw_forward_counts = BTreeMap::new();
-        raw_forward_counts.insert(
-            ("crates/remi/src/client.rs".into(), "pump_chunks".into(), "forward_raw".into()),
-            1,
-        );
-        let mut deadline_counts = BTreeMap::new();
-        deadline_counts.insert(
-            ("crates/bedrock/src/server.rs".into(), "resolve_dependencies".into(), "drop:forward".into()),
-            1,
-        );
-        let mut retry_counts = BTreeMap::new();
-        retry_counts.insert(
-            ("crates/remi/src/provider.rs".into(), "verify_and_finish".into(), "remove:remi_migration_pull".into()),
-            1,
-        );
-        let mut atomics_counts = BTreeMap::new();
-        atomics_counts
-            .insert(("crates/mercury/src/endpoint.rs".into(), "poll".into(), "load:closed".into()), 1);
-        let mut reasons = BTreeMap::new();
-        reasons.insert(
-            (
-                "retry_soundness".to_string(),
-                "crates/remi/src/provider.rs".to_string(),
-                "verify_and_finish".to_string(),
-                "remove:remi_migration_pull".to_string(),
-            ),
+        // One entry in every section of the registry, so a section the
+        // writer or the reader forgot cannot round-trip.
+        let mut allowlist =
+            Allowlist { ignored_locks: vec!["buffer".into()], ..Allowlist::default() };
+        for (i, section) in crate::sections().enumerate() {
+            let entry = key("crates/raft/src/node.rs", "start", &format!("kind:{section}"));
+            allowlist.sections.entry(section).or_default().insert(entry, i + 1);
+        }
+        allowlist.reasons.insert(
+            ("retry_soundness", key("crates/raft/src/node.rs", "start", "kind:retry_soundness")),
             "replay-guarded by the completed-transfer map".to_string(),
-        );
-        let mut rpc_lock_counts = BTreeMap::new();
-        rpc_lock_counts.insert(
-            ("crates/yokan/src/provider.rs".into(), "flush_all".into(), "flush:yokan::writer".into()),
-            1,
-        );
-        let mut bg_error_counts = BTreeMap::new();
-        bg_error_counts.insert(
-            ("crates/raft/src/node.rs".into(), "collect_votes".into(), "let_underscore:send".into()),
-            1,
-        );
-        let mut queue_counts = BTreeMap::new();
-        queue_counts.insert(
-            ("crates/margo/src/runtime.rs".into(), "enqueue".into(), "grow:push:pending".into()),
-            1,
-        );
-        let allowlist = Allowlist::freeze(
-            panic_counts,
-            blocking,
-            json_counts,
-            contract_counts,
-            yield_counts,
-            raw_forward_counts,
-            deadline_counts,
-            retry_counts,
-            atomics_counts,
-            rpc_lock_counts,
-            bg_error_counts,
-            queue_counts,
-            reasons,
-            vec!["buffer".into()],
         );
         let json = allowlist.to_json();
         let back = Allowlist::from_json(&json).unwrap();
-        assert_eq!(back.panic_paths, allowlist.panic_paths);
-        assert_eq!(back.blocking, allowlist.blocking);
-        assert_eq!(back.serde_json, allowlist.serde_json);
-        assert_eq!(back.contracts, allowlist.contracts);
-        assert_eq!(back.lock_across_yield, allowlist.lock_across_yield);
-        assert_eq!(back.raw_forward, allowlist.raw_forward);
-        assert_eq!(back.deadline_loss, allowlist.deadline_loss);
-        assert_eq!(back.retry_soundness, allowlist.retry_soundness);
-        assert_eq!(back.relaxed_atomics, allowlist.relaxed_atomics);
-        assert_eq!(back.rpc_under_lock, allowlist.rpc_under_lock);
-        assert_eq!(back.background_errors, allowlist.background_errors);
-        assert_eq!(back.queue_growth, allowlist.queue_growth);
+        assert_eq!(back.sections.len(), crate::sections().count());
+        assert_eq!(back.sections, allowlist.sections);
         assert_eq!(back.reasons, allowlist.reasons, "reason strings must round-trip");
         assert_eq!(back.ignored_locks, allowlist.ignored_locks);
+        assert_eq!(back.to_json(), json, "stable ordering");
     }
 
     #[test]
     fn stale_entries_detected_per_section() {
-        let mut panic_counts = BTreeMap::new();
-        let live_key: Key = ("a.rs".into(), "f".into(), "unwrap".into());
-        let dead_key: Key = ("b.rs".into(), "g".into(), "expect".into());
-        panic_counts.insert(live_key.clone(), 1);
-        panic_counts.insert(dead_key.clone(), 2);
-        let allowlist = Allowlist {
-            panic_paths: panic_counts,
-            ..Allowlist::default()
-        };
-        let mut actual = BTreeMap::new();
-        actual.insert(live_key, 1usize);
-        let stale = allowlist.stale_entries(&[("panic_paths", &actual)]);
+        let live_key = key("a.rs", "f", "unwrap");
+        let mut allowlist = Allowlist::default();
+        let frozen = allowlist.sections.entry("panic_paths").or_default();
+        frozen.insert(live_key.clone(), 1);
+        frozen.insert(key("b.rs", "g", "expect"), 2);
+        let mut actual = Sections::new();
+        actual.entry("panic_paths").or_default().insert(live_key.clone(), 1);
+        // The same key live in another section does not keep this one alive.
+        actual.entry("blocking").or_default().insert(key("b.rs", "g", "expect"), 1);
+        let stale = allowlist.stale_entries(&actual);
         assert_eq!(stale.len(), 1);
-        assert_eq!(stale[0].file, "b.rs");
-        assert_eq!(stale[0].section, "panic_paths");
-        assert_eq!(stale[0].count, 2);
+        assert_eq!(stale[0].rule, "MOCHI010");
+        assert_eq!(stale[0].function, "panic_paths", "the section stands in for the function");
+        assert_eq!(stale[0].kind, "b.rs/g/expect");
+        assert!(stale[0].message.contains("count 2"), "{}", stale[0].message);
+        assert_eq!(allowlist.allowance("panic_paths", &live_key), 1);
+        assert_eq!(allowlist.allowance("blocking", &live_key), 0);
     }
 
     #[test]
     fn empty_document_is_valid() {
         let allowlist = Allowlist::from_json("{\"version\": 1}").unwrap();
-        assert!(allowlist.panic_paths.is_empty());
+        assert!(allowlist.sections.is_empty());
     }
 
     #[test]
     fn malformed_document_reports_error() {
         assert!(Allowlist::from_json("{\"panic_paths\": 3}").is_err());
+        assert!(Allowlist::from_json("{\"panic_paths\": [{\"file\": \"a.rs\"}]}").is_err());
         assert!(Allowlist::from_json("not json").is_err());
     }
 }

@@ -36,22 +36,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{column_of, is_ident_byte, line_of};
+use crate::lexer::{is_ident_byte, matching_paren, word_at};
 use crate::source::SourceFile;
-
-/// One misused relaxed atomic op.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct AtomicSite {
-    pub file: String,
-    pub function: String,
-    pub crate_name: String,
-    pub line: usize,
-    pub column: usize,
-    /// The atomic field or static involved.
-    pub field: String,
-    /// `load:<field>` or `store:<field>` — the allowlist kind.
-    pub kind: String,
-}
+use crate::Finding;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
@@ -73,8 +60,10 @@ struct Op {
     site: (String, String),
 }
 
-/// Runs the analysis over all parsed files.
-pub fn check(files: &[SourceFile]) -> Vec<AtomicSite> {
+/// Runs the analysis over all parsed files. One finding per misused
+/// relaxed op: kind `load:<field>` or `store:<field>`, the atomic field
+/// or static involved.
+pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     // 1. Atomic declarations: `name: [Arc<]Atomic…`.
     let mut atomics: BTreeSet<(String, String)> = BTreeSet::new();
     for file in files {
@@ -128,17 +117,20 @@ pub fn check(files: &[SourceFile]) -> Vec<AtomicSite> {
                 OpKind::Rmw => false,
             };
             if flagged {
-                let file = &files[op.file_idx];
-                let verb = if op.kind == OpKind::Load { "load" } else { "store" };
-                findings.push(AtomicSite {
-                    file: file.rel_path.clone(),
-                    function: op.site.1.clone(),
-                    crate_name: file.crate_name.clone(),
-                    line: line_of(&file.text, op.offset),
-                    column: column_of(&file.text, op.offset),
-                    field: op.field.clone(),
-                    kind: format!("{verb}:{}", op.field),
-                });
+                let (verb, what) = if op.kind == OpKind::Load {
+                    ("load", "decision load of")
+                } else {
+                    ("store", "publish to")
+                };
+                findings.push(files[op.file_idx].finding(
+                    "MOCHI014",
+                    op.offset,
+                    format!("{verb}:{}", op.field),
+                    format!(
+                        "Relaxed {what} atomic flag `{}` crossing functions — use Acquire for the decision load and Release for the publish",
+                        op.field
+                    ),
+                ));
             }
         }
     }
@@ -227,9 +219,9 @@ fn condition_spans(text: &[u8]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
     while i < text.len() {
-        let kw_len = if word_at(text, i, b"if") {
+        let kw_len = if word_at(text, i, "if") {
             2
-        } else if word_at(text, i, b"while") || word_at(text, i, b"match") {
+        } else if word_at(text, i, "while") || word_at(text, i, "match") {
             5
         } else {
             i += 1;
@@ -313,7 +305,7 @@ fn scan_ops(
             continue;
         }
         // Ordering: scan the argument list for `Relaxed`.
-        let close = crate::contracts::matching_paren(text, j);
+        let close = matching_paren(text, j);
         let args = String::from_utf8_lossy(&text[j..close.min(text.len())]);
         let relaxed = args.contains("Relaxed");
         let in_condition = conditions.iter().any(|&(s, e)| s <= i && i < e);
@@ -332,11 +324,4 @@ fn scan_ops(
         });
         i = j;
     }
-}
-
-fn word_at(text: &[u8], i: usize, word: &[u8]) -> bool {
-    i + word.len() <= text.len()
-        && &text[i..i + word.len()] == word
-        && (i == 0 || !is_ident_byte(text[i - 1]))
-        && !text.get(i + word.len()).map(|&b| is_ident_byte(b)).unwrap_or(false)
 }

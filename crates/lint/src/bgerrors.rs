@@ -22,21 +22,9 @@
 //! when its resolved signature mentions `Result`.
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{column_of, is_ident_byte, line_of};
+use crate::lexer::{column_of, is_ident_byte, line_of, matching_paren};
 use crate::source::SourceFile;
-
-/// One discarded background error.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct BgErrorSite {
-    pub file: String,
-    pub function: String,
-    pub crate_name: String,
-    pub line: usize,
-    pub column: usize,
-    /// `<form>:<callee>` — e.g. `let_underscore:send`, `ok:forward`,
-    /// `unused_result:persist_wal`.
-    pub kind: String,
-}
+use crate::Finding;
 
 /// Names that return `Result` by contract even when the callee can't be
 /// resolved through the graph (std/channel/file surface).
@@ -60,7 +48,9 @@ const FALLIBLE: &[&str] = &[
 /// Crates whose spawn bodies are test harness / tooling, not services.
 const OUT_OF_SCOPE: &[&str] = &["lint", "bench"];
 
-pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<BgErrorSite> {
+/// One finding per discarded background error: kind `<form>:<callee>`,
+/// e.g. `let_underscore:send`, `ok:forward`, `unused_result:persist_wal`.
+pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (id, node) in graph.nodes.iter().enumerate() {
         if OUT_OF_SCOPE.contains(&node.crate_name.as_str()) {
@@ -84,7 +74,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<BgErrorSite> {
                 };
                 let stmt_end = statement_end(text, eq, hi);
                 if let Some(callee) = fallible_in(text, eq, stmt_end, graph, files, id) {
-                    findings.push(site(node, text, i, format!("let_underscore:{callee}")));
+                    findings.push(site(node, text, i, "let_underscore", &callee));
                 }
                 i = stmt_end;
             }
@@ -122,7 +112,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<BgErrorSite> {
                         .as_deref()
                         .and_then(last_call_name)
                         .unwrap_or_else(|| "call".to_string());
-                    findings.push(site(node, text, call.offset, format!("ok:{method}")));
+                    findings.push(site(node, text, call.offset, "ok", &method));
                 }
                 continue;
             }
@@ -138,7 +128,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<BgErrorSite> {
                 .iter()
                 .all(|&t| returns_result(files, graph, t))
             {
-                findings.push(site(node, text, call.offset, format!("unused_result:{}", call.callee)));
+                findings.push(site(node, text, call.offset, "unused_result", &call.callee));
             }
         }
     }
@@ -147,14 +137,29 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<BgErrorSite> {
     findings
 }
 
-fn site(node: &crate::callgraph::Node, text: &[u8], offset: usize, kind: String) -> BgErrorSite {
-    BgErrorSite {
+fn site(
+    node: &crate::callgraph::Node,
+    text: &[u8],
+    offset: usize,
+    form: &str,
+    callee: &str,
+) -> Finding {
+    let how = match form {
+        "let_underscore" => "discarded via `let _ =`",
+        "ok" => "shrugged away via a statement-level `.ok()`",
+        _ => "dropped as an unused statement value",
+    };
+    Finding {
+        rule: "MOCHI016",
         file: node.file.clone(),
         function: node.name.clone(),
-        crate_name: node.crate_name.clone(),
+        kind: format!("{form}:{callee}"),
         line: line_of(text, offset),
         column: column_of(text, offset),
-        kind,
+        message: format!(
+            "`{callee}` result {how} inside a spawn body — park the error on the BackgroundExecutor (or handle it) so the supervisor can see the task die"
+        ),
+        path: Vec::new(),
     }
 }
 
@@ -176,7 +181,7 @@ pub fn spawn_spans(text: &[u8], start: usize, end: usize) -> Vec<(usize, usize)>
                     j += 1;
                 }
                 if j < end && text[j] == b'(' {
-                    let close = matching_paren(text, j, end);
+                    let close = matching_paren(&text[..end], j);
                     spans.push((j + 1, close));
                 }
             }
@@ -185,26 +190,6 @@ pub fn spawn_spans(text: &[u8], start: usize, end: usize) -> Vec<(usize, usize)>
         i += 1;
     }
     spans
-}
-
-/// Matching `)` for the `(` at `open`, clamped to `end`.
-fn matching_paren(text: &[u8], open: usize, end: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < end {
-        match text[i] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    end
 }
 
 /// If a wildcard-only `let _ =` statement starts at `i`, returns the
@@ -307,7 +292,7 @@ fn call_close(text: &[u8], offset: usize, end: usize) -> Option<usize> {
         i += 1;
     }
     if i < end && text[i] == b'(' {
-        let close = matching_paren(text, i, end);
+        let close = matching_paren(&text[..end], i);
         (close < end).then_some(close)
     } else {
         None
@@ -432,7 +417,7 @@ fn last_call_name(chain: &str) -> Option<String> {
 mod tests {
     use super::*;
 
-    fn run(src: &str) -> Vec<BgErrorSite> {
+    fn run(src: &str) -> Vec<Finding> {
         let files = vec![SourceFile::parse("crates/demo/src/lib.rs", src)];
         let graph = CallGraph::build(&files);
         check(&files, &graph)

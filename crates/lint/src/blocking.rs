@@ -9,27 +9,18 @@
 //! submissions waiting for commit in a dedicated pool) is frozen in the
 //! allowlist with its rationale.
 
-use crate::lexer::{column_of, is_ident_byte, line_of, matching_brace};
+use crate::lexer::{is_ident_byte, matching_brace, matching_paren};
 use crate::source::SourceFile;
-
-/// One blocking call inside a ULT closure.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct BlockingSite {
-    pub file: String,
-    pub function: String,
-    /// `sleep`, `recv`, `recv_timeout`, `join`.
-    pub kind: String,
-    pub line: usize,
-    pub column: usize,
-}
+use crate::Finding;
 
 /// Call sites whose closure arguments run as ULTs.
 const ULT_ENTRYPOINTS: &[&str] =
     &["Ult::new", "Ult::with_priority", "register_typed", "register"];
 
 /// Scans one file: finds ULT entry points, then flags blocking calls
-/// inside their closure arguments.
-pub fn scan(file: &SourceFile) -> Vec<BlockingSite> {
+/// inside their closure arguments. The kind is `sleep`, `recv`,
+/// `recv_timeout` or `join`.
+pub fn scan(file: &SourceFile) -> Vec<Finding> {
     let text = &file.text;
     let mut sites = Vec::new();
     for entry in ULT_ENTRYPOINTS {
@@ -70,28 +61,9 @@ fn next_open_paren(text: &[u8], mut i: usize) -> Option<usize> {
     (i < text.len() && text[i] == b'(').then_some(i)
 }
 
-fn matching_paren(text: &[u8], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < text.len() {
-        match text[i] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    text.len()
-}
-
 /// Finds `|…| { … }` closures inside an argument span and scans their
 /// bodies for blocking calls.
-fn scan_closures_in(file: &SourceFile, start: usize, end: usize, sites: &mut Vec<BlockingSite>) {
+fn scan_closures_in(file: &SourceFile, start: usize, end: usize, sites: &mut Vec<Finding>) {
     let text = &file.text;
     let mut i = start;
     while i < end {
@@ -122,7 +94,7 @@ fn scan_closures_in(file: &SourceFile, start: usize, end: usize, sites: &mut Vec
     }
 }
 
-fn scan_blocking(file: &SourceFile, start: usize, end: usize, sites: &mut Vec<BlockingSite>) {
+fn scan_blocking(file: &SourceFile, start: usize, end: usize, sites: &mut Vec<Finding>) {
     let text = &file.text;
     let patterns: &[(&[u8], &str)] = &[
         (b"thread::sleep", "sleep"),
@@ -136,16 +108,12 @@ fn scan_blocking(file: &SourceFile, start: usize, end: usize, sites: &mut Vec<Bl
             if &text[i..i + needle.len()] == *needle
                 && (i == 0 || !is_ident_byte(text[i - 1]) || needle[0] == b'.')
             {
-                sites.push(BlockingSite {
-                    file: file.rel_path.clone(),
-                    function: file
-                        .function_at(i)
-                        .map(|f| f.name.clone())
-                        .unwrap_or_else(|| "<module>".to_string()),
-                    kind: kind.to_string(),
-                    line: line_of(text, i),
-                    column: column_of(text, i),
-                });
+                sites.push(file.finding(
+                    "MOCHI004",
+                    i,
+                    kind.to_string(),
+                    format!("{kind} inside a ULT closure would stall an xstream"),
+                ));
                 i += needle.len();
             } else {
                 i += 1;

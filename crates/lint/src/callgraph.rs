@@ -38,13 +38,14 @@
 //! caller's RPC deadline, so walking into it would make every
 //! background replication loop a false deadline-loss positive.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::contracts::{
-    matching_paren, normalize_type, parse_turbofish, preceded_by_fn_keyword, skip_ws, split_args,
-    word_at,
+    normalize_type, parse_turbofish, preceded_by_fn_keyword, skip_ws, split_args,
 };
-use crate::lexer::{column_of, is_ident_byte, line_of, matching_brace};
+use crate::lexer::{
+    column_of, is_ident_byte, line_of, matching_brace, matching_paren, word_at,
+};
 use crate::source::SourceFile;
 
 /// How a call edge was resolved.
@@ -1053,11 +1054,6 @@ fn top_level_colon(field: &str) -> Option<usize> {
         }
     }
     None
-}
-
-/// Reachability set helper for analyses that only need membership.
-pub fn reachable_set(parents: &BTreeMap<usize, usize>) -> BTreeSet<usize> {
-    parents.keys().copied().collect()
 }
 
 #[cfg(test)]

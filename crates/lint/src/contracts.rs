@@ -30,9 +30,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{column_of, is_ident_byte, line_of, matching_brace};
+use crate::lexer::{column_of, is_ident_byte, line_of, matching_brace, matching_paren, word_at};
 use crate::rawforward::FORWARD_FAMILY;
 use crate::source::SourceFile;
+use crate::Finding;
 
 /// Whether a site registers an RPC or calls one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -63,20 +64,6 @@ pub struct RpcSite {
     pub arg_type: Option<String>,
     /// Normalized reply type ident, when syntactically evident.
     pub reply_type: Option<String>,
-}
-
-/// One contract violation.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ContractIssue {
-    pub file: String,
-    pub function: String,
-    /// `unregistered:<rpc>`, `dead:<rpc>`, `arg-mismatch:<rpc>`, or
-    /// `reply-mismatch:<rpc>` — the allowlist kind key.
-    pub kind: String,
-    pub rpc: String,
-    pub line: usize,
-    pub column: usize,
-    pub detail: String,
 }
 
 // ----------------------------------------------------------------------
@@ -116,15 +103,6 @@ impl ConstTable {
         }
     }
 
-    /// Number of distinct (crate, ident) definitions.
-    pub fn len(&self) -> usize {
-        self.by_crate.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_crate.is_empty()
-    }
 }
 
 /// Finds `const IDENT: &str = "…";` (with any `pub` qualifier and an
@@ -804,8 +782,21 @@ fn closure_ok_type(text: &[u8], (start, end): (usize, usize)) -> Option<String> 
 // Cross-workspace check
 // ----------------------------------------------------------------------
 
-/// Checks the merged contract table for the three mismatch classes.
-pub fn check(sites: &[RpcSite]) -> Vec<ContractIssue> {
+/// Checks the merged contract table for the three mismatch classes:
+/// MOCHI006 (kind `unregistered:<rpc>`), MOCHI007 (`dead:<rpc>`) and
+/// MOCHI008 (`arg-mismatch:<rpc>` or `reply-mismatch:<rpc>`).
+pub fn check(sites: &[RpcSite]) -> Vec<Finding> {
+    let issue = |rule, site: &RpcSite, kind: String, message: String| Finding {
+        rule,
+        file: site.file.clone(),
+        function: site.function.clone(),
+        kind,
+        line: site.line,
+        column: site.column,
+        message,
+        path: Vec::new(),
+    };
+
     let mut registrations: BTreeMap<&str, Vec<&RpcSite>> = BTreeMap::new();
     let mut calls: BTreeMap<&str, Vec<&RpcSite>> = BTreeMap::new();
     for site in sites {
@@ -825,18 +816,12 @@ pub fn check(sites: &[RpcSite]) -> Vec<ContractIssue> {
             continue;
         }
         for call in call_sites {
-            issues.push(ContractIssue {
-                file: call.file.clone(),
-                function: call.function.clone(),
-                kind: format!("unregistered:{name}"),
-                rpc: name.to_string(),
-                line: call.line,
-                column: call.column,
-                detail: format!(
-                    "`{}` forwards RPC \"{name}\" but no provider registers it",
-                    call.via
-                ),
-            });
+            issues.push(issue(
+                "MOCHI006",
+                call,
+                format!("unregistered:{name}"),
+                format!("`{}` forwards RPC \"{name}\" but no provider registers it", call.via),
+            ));
         }
     }
 
@@ -846,15 +831,12 @@ pub fn check(sites: &[RpcSite]) -> Vec<ContractIssue> {
             continue;
         }
         let reg = reg_sites[0];
-        issues.push(ContractIssue {
-            file: reg.file.clone(),
-            function: reg.function.clone(),
-            kind: format!("dead:{name}"),
-            rpc: name.to_string(),
-            line: reg.line,
-            column: reg.column,
-            detail: format!("RPC \"{name}\" is registered but never called from any client"),
-        });
+        issues.push(issue(
+            "MOCHI007",
+            reg,
+            format!("dead:{name}"),
+            format!("RPC \"{name}\" is registered but never called from any client"),
+        ));
     }
 
     // (c) Argument / reply type disagreements.
@@ -875,36 +857,30 @@ pub fn check(sites: &[RpcSite]) -> Vec<ContractIssue> {
             if args_checkable {
                 if let Some(arg) = call.arg_type.as_deref() {
                     if !is_wildcard(arg) && !reg_args.contains(arg) {
-                        issues.push(ContractIssue {
-                            file: call.file.clone(),
-                            function: call.function.clone(),
-                            kind: format!("arg-mismatch:{name}"),
-                            rpc: name.to_string(),
-                            line: call.line,
-                            column: call.column,
-                            detail: format!(
+                        issues.push(issue(
+                            "MOCHI008",
+                            call,
+                            format!("arg-mismatch:{name}"),
+                            format!(
                                 "RPC \"{name}\" is called with argument type `{arg}` but registered with `{}`",
                                 reg_args.iter().copied().collect::<Vec<_>>().join("` / `")
                             ),
-                        });
+                        ));
                     }
                 }
             }
             if replies_checkable {
                 if let Some(reply) = call.reply_type.as_deref() {
                     if !is_wildcard(reply) && !reg_replies.contains(reply) {
-                        issues.push(ContractIssue {
-                            file: call.file.clone(),
-                            function: call.function.clone(),
-                            kind: format!("reply-mismatch:{name}"),
-                            rpc: name.to_string(),
-                            line: call.line,
-                            column: call.column,
-                            detail: format!(
+                        issues.push(issue(
+                            "MOCHI008",
+                            call,
+                            format!("reply-mismatch:{name}"),
+                            format!(
                                 "RPC \"{name}\" reply is decoded as `{reply}` but the handler replies `{}`",
                                 reg_replies.iter().copied().collect::<Vec<_>>().join("` / `")
                             ),
-                        });
+                        ));
                     }
                 }
             }
@@ -934,16 +910,6 @@ pub(crate) fn preceded_by_fn_keyword(text: &[u8], i: usize) -> bool {
         p -= 1;
     }
     p >= 2 && &text[p - 2..p] == b"fn" && (p == 2 || !is_ident_byte(text[p - 3]))
-}
-
-pub(crate) fn word_at(text: &[u8], i: usize, word: &str) -> bool {
-    let w = word.as_bytes();
-    if i + w.len() > text.len() || &text[i..i + w.len()] != w {
-        return false;
-    }
-    let before_ok = i == 0 || !is_ident_byte(text[i - 1]);
-    let after_ok = i + w.len() >= text.len() || !is_ident_byte(text[i + w.len()]);
-    before_ok && after_ok
 }
 
 /// `::<A, B>` immediately after a method name; advances `j` past it and
@@ -980,25 +946,6 @@ pub(crate) fn parse_turbofish(text: &[u8], j: &mut usize) -> Vec<String> {
         k += 1;
     }
     Vec::new()
-}
-
-pub(crate) fn matching_paren(text: &[u8], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < text.len() {
-        match text[i] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    text.len()
 }
 
 /// Splits an argument span at depth-0 commas (parens, brackets, braces).

@@ -42,7 +42,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{column_of, is_ident_byte, line_of};
+use crate::lexer::{column_of, is_ident_byte, line_of, word_at};
 use crate::source::SourceFile;
 
 /// One lock guard's live range inside a function body.
@@ -491,16 +491,6 @@ fn returned_ident(text: &[u8], mut j: usize, end: usize) -> Option<String> {
         Some(b';') | Some(b'}') => Some(var),
         _ => None,
     }
-}
-
-fn word_at(text: &[u8], i: usize, word: &str) -> bool {
-    let w = word.as_bytes();
-    if i + w.len() > text.len() || &text[i..i + w.len()] != w {
-        return false;
-    }
-    let before_ok = i == 0 || !is_ident_byte(text[i - 1]);
-    let after_ok = i + w.len() >= text.len() || !is_ident_byte(text[i + w.len()]);
-    before_ok && after_ok
 }
 
 fn ends_with_word(text: &[u8], end: usize, word: &str) -> bool {

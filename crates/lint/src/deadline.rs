@@ -45,20 +45,7 @@ use crate::callgraph::CallGraph;
 use crate::contracts::{Role, RpcSite};
 use crate::rawforward::FORWARD_FAMILY;
 use crate::source::SourceFile;
-
-/// One deadline-dropping forward reachable from a handler.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct DeadlineSite {
-    pub file: String,
-    pub function: String,
-    pub crate_name: String,
-    pub line: usize,
-    pub column: usize,
-    /// `drop:<forward-family method>` — the allowlist kind.
-    pub kind: String,
-    /// Witness path from a registering function to the sink.
-    pub path: Vec<String>,
-}
+use crate::Finding;
 
 /// Crates that implement the RPC plane rather than use it; the walk
 /// neither enters them nor scans their forward internals.
@@ -68,8 +55,11 @@ pub const PLUMBING: &[&str] =
 /// Index of the `CallContext` argument in the explicit-context forms.
 const CONTEXT_ARG: usize = 4;
 
-/// Runs the analysis over the built graph and contract table.
-pub fn check(files: &[SourceFile], graph: &CallGraph, sites: &[RpcSite]) -> Vec<DeadlineSite> {
+/// Runs the analysis over the built graph and contract table. One
+/// finding per deadline-dropping forward reachable from a handler: kind
+/// `drop:<forward-family method>`, path from a registering function to
+/// the sink.
+pub fn check(files: &[SourceFile], graph: &CallGraph, sites: &[RpcSite]) -> Vec<Finding> {
     let mut entries: Vec<usize> = Vec::new();
     for site in sites {
         if site.role != Role::Register || PLUMBING.contains(&site.crate_name.as_str()) {
@@ -116,14 +106,20 @@ pub fn check(files: &[SourceFile], graph: &CallGraph, sites: &[RpcSite]) -> Vec<
                 },
             };
             if dropped {
-                findings.push(DeadlineSite {
+                let path = graph.path_names(&parents, node_id);
+                findings.push(Finding {
+                    rule: "MOCHI012",
                     file: node.file.clone(),
                     function: node.name.clone(),
-                    crate_name: node.crate_name.clone(),
+                    kind: format!("drop:{}", call.callee),
                     line: call.line,
                     column: call.column,
-                    kind: format!("drop:{}", call.callee),
-                    path: graph.path_names(&parents, node_id),
+                    message: format!(
+                        "`{}` rebuilds a TOP_LEVEL context on a handler-reachable path ({}) — thread `ctx.nested_context()` (or a `with_context` client) so the caller's deadline propagates",
+                        call.callee,
+                        path.join(" -> ")
+                    ),
+                    path,
                 });
             }
         }

@@ -8,8 +8,9 @@
 //! 2/3), Jx9 artifacts — so those modules are deliberately *not* listed
 //! here. Existing debt is frozen in the allowlist; new sites fail.
 
-use crate::lexer::{column_of, is_ident_byte, line_of};
+use crate::lexer::is_ident_byte;
 use crate::source::SourceFile;
+use crate::Finding;
 
 /// Data-plane modules where a `serde_json::` use is a finding. Exact
 /// files, not prefixes: the sibling config/bedrock/monitoring modules in
@@ -27,41 +28,27 @@ pub const DATA_PLANE_PATHS: &[&str] = &[
     "crates/remi/src/provider.rs",
 ];
 
-/// One `serde_json::` use in a data-plane module.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct JsonSite {
-    pub file: String,
-    pub function: String,
-    /// Always `serde_json` (the allowlist key format wants a kind).
-    pub kind: String,
-    pub line: usize,
-    pub column: usize,
-}
-
 /// Whether the data-plane JSON lint applies to `rel_path`.
 pub fn in_data_plane(rel_path: &str) -> bool {
     DATA_PLANE_PATHS.iter().any(|p| rel_path == *p)
 }
 
 /// Scans one file for `serde_json::` path uses (strings, comments, and
-/// test modules are already blanked by the sanitizer).
-pub fn scan(file: &SourceFile) -> Vec<JsonSite> {
+/// test modules are already blanked by the sanitizer). The kind is always
+/// `serde_json` (the allowlist key wants one).
+pub fn scan(file: &SourceFile) -> Vec<Finding> {
     const NEEDLE: &[u8] = b"serde_json::";
     let text = &file.text;
     let mut sites = Vec::new();
     let mut i = 0usize;
     while i + NEEDLE.len() <= text.len() {
         if &text[i..i + NEEDLE.len()] == NEEDLE && (i == 0 || !is_ident_byte(text[i - 1])) {
-            sites.push(JsonSite {
-                file: file.rel_path.clone(),
-                function: file
-                    .function_at(i)
-                    .map(|f| f.name.clone())
-                    .unwrap_or_else(|| "<module>".to_string()),
-                kind: "serde_json".to_string(),
-                line: line_of(text, i),
-                column: column_of(text, i),
-            });
+            sites.push(file.finding(
+                "MOCHI005",
+                i,
+                "serde_json".to_string(),
+                "serde_json on the RPC hot path — use the mochi-wire codec".to_string(),
+            ));
             i += NEEDLE.len();
         } else {
             i += 1;

@@ -109,6 +109,42 @@ pub fn matching_brace(bytes: &[u8], open: usize) -> usize {
     bytes.len()
 }
 
+/// Offset of the `)` matching the `(` at `open`; `bytes.len()` when the
+/// text ends first (callers clamp the text to search a span).
+pub fn matching_paren(bytes: &[u8], open: usize) -> usize {
+    let mut depth = 0usize;
+    let mut i = open;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'(' => depth += 1,
+            b')' => {
+                depth -= 1;
+                if depth == 0 {
+                    return i;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    bytes.len()
+}
+
+/// Whether the whole word `word` (no identifier byte on either side)
+/// starts at offset `i`.
+pub fn word_at(bytes: &[u8], i: usize, word: &str) -> bool {
+    let w = word.as_bytes();
+    i + w.len() <= bytes.len()
+        && &bytes[i..i + w.len()] == w
+        && (i == 0 || !is_ident_byte(bytes[i - 1]))
+        && bytes.get(i + w.len()).is_none_or(|&b| !is_ident_byte(b))
+}
+
+/// The next whole-word occurrence of `word` at or after `from`.
+pub fn find_word(bytes: &[u8], word: &str, from: usize) -> Option<usize> {
+    (from..bytes.len()).find(|&i| word_at(bytes, i, word))
+}
+
 /// 1-based line number of a byte offset.
 pub fn line_of(bytes: &[u8], offset: usize) -> usize {
     1 + bytes[..offset.min(bytes.len())].iter().filter(|&&b| b == b'\n').count()

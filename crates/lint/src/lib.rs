@@ -1,76 +1,29 @@
 //! `mochi-lint`: workspace-specific static analysis for the mochi-rs
-//! stack.
+//! stack, tuned to the failure modes that matter for dynamic HPC data
+//! services (a panicking or deadlocked provider is a dead node, which
+//! defeats the resilience layer; a mistyped RPC name only fails on a
+//! live, reconfigured cluster).
 //!
-//! Thirteen analyses, all tuned to the failure modes that matter for dynamic
-//! HPC data services (a panicking or deadlocked provider is a dead node,
-//! which defeats the resilience layer; a mistyped RPC name only fails on
-//! a live, reconfigured cluster):
+//! One module per analysis, each documented where it lives and each
+//! returning [`Finding`]s under the rule ids of [`RULES`]:
 //!
-//! 1. **Lock-order analysis** ([`locks`], MOCHI001/002): extracts nested
-//!    `.lock()`/`.read()`/`.write()` spans per function, merges them into
-//!    a workspace lock-order graph, and reports cycles (potential
-//!    deadlocks) and identical-receiver re-locks (immediate deadlocks
-//!    with `parking_lot`).
-//! 2. **Panic-path lint** ([`panics`], MOCHI003): `unwrap()`/`expect()`/
-//!    `panic!` inside provider and RPC-handler crates. Existing debt is
-//!    frozen in `lint-allow.json`; new sites fail.
-//! 3. **Blocking-call-in-ULT lint** ([`blocking`], MOCHI004): sleeps and
-//!    channel waits inside closures that run as ULTs on the fixed
-//!    xstream threads.
-//! 4. **Data-plane JSON lint** ([`jsonuse`], MOCHI005): `serde_json::`
-//!    in the RPC hot path (codec/frame and the yokan/warabi/remi
-//!    client/provider modules), which must use the mochi-wire binary
-//!    codec. Monitoring, Bedrock config, and Jx9 surfaces stay JSON and
-//!    are not scanned.
-//! 5. **RPC contract checker** ([`contracts`], MOCHI006/007/008): builds
-//!    a workspace table of every `register`/`register_typed`/`handler!`
-//!    site and every `forward`-family/`call` site, resolves RPC-name
-//!    constants through the per-crate `rpc_names` modules, and reports
-//!    unregistered calls, dead surface, and argument/reply type
-//!    disagreements.
-//! 6. **Lock-held-across-yield analysis** ([`yields`], MOCHI009): a lock
-//!    guard whose span encloses a `forward`, bulk transfer, channel
-//!    receive, or `yield_now` in ULT/handler code.
-//! 7. **Raw-forward-in-client lint** ([`rawforward`], MOCHI011):
-//!    `forward`-family calls in the yokan/warabi/remi client modules
-//!    outside the `call`/`call_raw` chokepoints, which would bypass the
-//!    retry/breaker/deadline plane.
+//! * per file, on the sanitized text ([`lexer`], [`source`]): [`locks`]
+//!   (lock-order cycles and re-locks, with [`yields`]: a guard held
+//!   across a ULT suspension — both read the [`dataflow`] guard spans),
+//!   [`panics`], [`blocking`], [`jsonuse`], [`rawforward`];
+//! * over the workspace RPC table: [`contracts`] (unregistered calls,
+//!   dead surface, argument/reply type disagreements);
+//! * over the workspace call graph ([`callgraph`] — method/trait/free
+//!   edges with receiver typing, handler registrations as entry points):
+//!   [`deadline`], [`retry`], [`rpclock`], [`bgerrors`], [`queues`]; and
+//!   [`atomics`], which needs only the files.
 //!
-//! Three interprocedural analyses run on a workspace-wide call graph
-//! ([`callgraph`] — method/trait/free-call edges with receiver-type
-//! inference, plus handler-registration entry points from the contract
-//! table):
-//!
-//! 8. **Deadline-loss analysis** ([`deadline`], MOCHI012): a
-//!    `forward`-family call reachable from a registered RPC handler that
-//!    builds its context from `CallContext::TOP_LEVEL` instead of
-//!    threading `nested_context`, silently restarting the caller's
-//!    deadline budget mid-fan-out.
-//! 9. **Retry-soundness analysis** ([`retry`], MOCHI013): a
-//!    non-idempotent effect (unkeyed collection mutation, counter bump,
-//!    REMI file append) reachable from the server-side handler of an RPC
-//!    in a `declare_idempotent` set — the retry plane would duplicate it.
-//! 10. **Relaxed-atomic analysis** ([`atomics`], MOCHI014):
-//!    `Ordering::Relaxed` on cross-function decision flags (shutdown /
-//!    closed state read in `if`/`while` conditions) where publish and
-//!    decision happen in different functions; stats counters pass by
-//!    construction.
-//! 11. **RPC-under-lock analysis** ([`rpclock`], MOCHI015): an
-//!    `OrderedMutex`/`OrderedRwLock` guard (tracked by the [`dataflow`]
-//!    engine) live across a call whose callee transitively reaches a
-//!    `forward`-family RPC — the interprocedural form of MOCHI009.
-//! 12. **Swallowed-background-error analysis** ([`bgerrors`], MOCHI016):
-//!    fallible calls inside `spawn` bodies whose `Result` is discarded
-//!    via `let _ =`, a statement-terminated `.ok()`, or an unused bare
-//!    return; `BackgroundExecutor` error parking is the blessed pattern.
-//! 13. **Unbounded-queue-growth analysis** ([`queues`], MOCHI017):
-//!    push/send/extend into shared state inside a handler-reachable loop
-//!    with no bound check, capacity, or drain evidence.
-//!
-//! Stale `lint-allow.json` entries (MOCHI010) are reported so frozen
-//! debt burns down instead of rotting. Output formats: `text` (default),
-//! `json`, and `sarif` — see [`report`]; `--baseline` diffs findings
-//! against a committed SARIF baseline by stable fingerprint.
+//! A finding whose rule has an allowlist section may be frozen in
+//! `lint-allow.json` ([`allowlist`]) by `(file, function, kind)` and
+//! count; anything beyond the frozen count is a violation, and an entry
+//! that matches nothing is reported stale so debt burns down instead of
+//! rotting. Adding a rule is its module, one [`RULES`] row, one line in
+//! [`analyze`], and its fixture.
 //!
 //! Run as `cargo run -p mochi-lint -- --root . [--format json]`, or
 //! through the umbrella crate's `lint_gate` test, which makes it part of
@@ -99,22 +52,85 @@ pub mod yields;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use allowlist::{Allowlist, StaleEntry};
-use atomics::AtomicSite;
-use bgerrors::BgErrorSite;
-use blocking::BlockingSite;
+use allowlist::{Allowlist, Key, Sections};
 use callgraph::{CallGraph, GraphStats};
-use contracts::{ContractIssue, RpcSite};
-use deadline::DeadlineSite;
-use jsonuse::JsonSite;
-use locks::{LockCycle, LockEdge, RecursiveLock};
-use panics::PanicSite;
-use queues::QueueSite;
-use rawforward::RawForwardSite;
-use retry::RetrySite;
-use rpclock::RpcLockSite;
+use contracts::RpcSite;
+use locks::LockEdge;
 use source::SourceFile;
-use yields::YieldSite;
+
+/// One row of the rule registry.
+pub struct Rule {
+    /// Stable id, what a [`Finding`] carries.
+    pub id: &'static str,
+    /// Human name, for the reports.
+    pub name: &'static str,
+    /// The `lint-allow.json` section that can freeze this rule's
+    /// findings; `None` for rules that are never allowlisted.
+    pub section: Option<&'static str>,
+}
+
+/// The rule registry: the one place a rule's id, name and allowlist
+/// section are spelled out. Row order is report order and, for the
+/// sections, `lint-allow.json` order.
+pub const RULES: &[Rule] = &[
+    Rule { id: "MOCHI001", name: "lock-order-cycle", section: None },
+    Rule { id: "MOCHI002", name: "recursive-lock", section: None },
+    Rule { id: "MOCHI003", name: "panic-path", section: Some("panic_paths") },
+    Rule { id: "MOCHI004", name: "blocking-in-ult", section: Some("blocking") },
+    Rule { id: "MOCHI005", name: "data-plane-json", section: Some("serde_json") },
+    Rule { id: "MOCHI006", name: "rpc-unregistered", section: Some("contracts") },
+    Rule { id: "MOCHI007", name: "rpc-dead-surface", section: Some("contracts") },
+    Rule { id: "MOCHI008", name: "rpc-type-mismatch", section: Some("contracts") },
+    Rule { id: "MOCHI009", name: "lock-across-yield", section: Some("lock_across_yield") },
+    Rule { id: "MOCHI010", name: "stale-allowlist", section: None },
+    Rule { id: "MOCHI011", name: "raw-forward-in-client", section: Some("raw_forward") },
+    Rule { id: "MOCHI012", name: "deadline-loss", section: Some("deadline_loss") },
+    Rule { id: "MOCHI013", name: "retry-unsound", section: Some("retry_soundness") },
+    Rule { id: "MOCHI014", name: "relaxed-atomic", section: Some("relaxed_atomics") },
+    Rule { id: "MOCHI015", name: "rpc-under-lock", section: Some("rpc_under_lock") },
+    Rule { id: "MOCHI016", name: "swallowed-bg-error", section: Some("background_errors") },
+    Rule { id: "MOCHI017", name: "unbounded-queue-growth", section: Some("queue_growth") },
+];
+
+/// The registry row of rule `id`.
+pub fn rule(id: &str) -> Option<&'static Rule> {
+    RULES.iter().find(|r| r.id == id)
+}
+
+/// The allowlist sections, each once, in registry order.
+pub fn sections() -> impl Iterator<Item = &'static str> {
+    let mut seen = BTreeSet::new();
+    RULES.iter().filter_map(|r| r.section).filter(move |s| seen.insert(*s))
+}
+
+/// What every analysis reports: one site, the rule it breaks, and the
+/// message for it, built where the site is found. The derived order
+/// (rule, file, function, kind, line, column) is report order and decides
+/// which sites of one allowlist key a frozen count covers: the first ones.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Finding {
+    /// The [`Rule::id`].
+    pub rule: &'static str,
+    pub file: String,
+    /// Enclosing function, `<module>` outside any.
+    pub function: String,
+    /// What was found, in the rule's own vocabulary (`unwrap`,
+    /// `dead:yokan_watch`, `relay:yokan::state`, …): with file and
+    /// function, the allowlist key.
+    pub kind: String,
+    pub line: usize,
+    pub column: usize,
+    pub message: String,
+    /// Witness call path for the interprocedural rules, else empty.
+    pub path: Vec<String>,
+}
+
+impl Finding {
+    /// The allowlist key of this finding.
+    pub fn key(&self) -> Key {
+        (self.file.clone(), self.function.clone(), self.kind.clone())
+    }
+}
 
 /// Everything one run of the analysis produced.
 pub struct LintReport {
@@ -122,99 +138,33 @@ pub struct LintReport {
     pub files: usize,
     /// All lock-order edges observed (the workspace lock-order graph).
     pub lock_edges: Vec<LockEdge>,
-    /// Lock-order cycles — always fatal, never allowlisted.
-    pub lock_cycles: Vec<LockCycle>,
-    /// Identical-receiver re-locks — always fatal.
-    pub recursive_locks: Vec<RecursiveLock>,
-    /// Panic-path findings beyond the allowlist.
-    pub panic_violations: Vec<PanicSite>,
-    /// Panic-path findings covered by the allowlist (frozen debt).
-    pub panic_allowed: usize,
-    /// Blocking-call findings beyond the allowlist.
-    pub blocking_violations: Vec<BlockingSite>,
-    /// Blocking-call findings covered by the allowlist.
-    pub blocking_allowed: usize,
-    /// Data-plane JSON findings beyond the allowlist.
-    pub json_violations: Vec<JsonSite>,
-    /// Data-plane JSON findings covered by the allowlist.
-    pub json_allowed: usize,
     /// The full workspace RPC contract table (every register/forward
     /// site, resolved or not).
     pub contract_sites: Vec<RpcSite>,
-    /// Contract issues beyond the allowlist.
-    pub contract_violations: Vec<ContractIssue>,
-    /// Contract issues covered by the allowlist.
-    pub contract_allowed: usize,
-    /// Lock-held-across-yield findings beyond the allowlist.
-    pub yield_violations: Vec<YieldSite>,
-    /// Lock-held-across-yield findings covered by the allowlist.
-    pub yield_allowed: usize,
-    /// Raw-forward-in-client findings beyond the allowlist.
-    pub raw_forward_violations: Vec<RawForwardSite>,
-    /// Raw-forward-in-client findings covered by the allowlist.
-    pub raw_forward_allowed: usize,
-    /// Deadline-loss findings beyond the allowlist.
-    pub deadline_violations: Vec<DeadlineSite>,
-    /// Deadline-loss findings covered by the allowlist.
-    pub deadline_allowed: usize,
-    /// Retry-soundness findings beyond the allowlist.
-    pub retry_violations: Vec<RetrySite>,
-    /// Retry-soundness findings covered by the allowlist.
-    pub retry_allowed: usize,
-    /// Relaxed-atomic findings beyond the allowlist.
-    pub atomics_violations: Vec<AtomicSite>,
-    /// Relaxed-atomic findings covered by the allowlist.
-    pub atomics_allowed: usize,
-    /// RPC-under-lock findings beyond the allowlist.
-    pub rpc_lock_violations: Vec<RpcLockSite>,
-    /// RPC-under-lock findings covered by the allowlist.
-    pub rpc_lock_allowed: usize,
-    /// Swallowed-background-error findings beyond the allowlist.
-    pub bg_error_violations: Vec<BgErrorSite>,
-    /// Swallowed-background-error findings covered by the allowlist.
-    pub bg_error_allowed: usize,
-    /// Unbounded-queue-growth findings beyond the allowlist.
-    pub queue_violations: Vec<QueueSite>,
-    /// Unbounded-queue-growth findings covered by the allowlist.
-    pub queue_allowed: usize,
     /// Call-graph construction counters (nodes, edges, resolution).
     pub graph_stats: GraphStats,
-    /// Allowlist entries matching no current finding.
-    pub stale_entries: Vec<StaleEntry>,
-    /// Raw (pre-allowlist) finding counts, for `--write-allowlist` and
-    /// stale detection.
-    pub panic_counts: BTreeMap<allowlist::Key, usize>,
-    pub blocking_counts: BTreeMap<allowlist::Key, usize>,
-    pub json_counts: BTreeMap<allowlist::Key, usize>,
-    pub contract_counts: BTreeMap<allowlist::Key, usize>,
-    pub yield_counts: BTreeMap<allowlist::Key, usize>,
-    pub raw_forward_counts: BTreeMap<allowlist::Key, usize>,
-    pub deadline_counts: BTreeMap<allowlist::Key, usize>,
-    pub retry_counts: BTreeMap<allowlist::Key, usize>,
-    pub atomics_counts: BTreeMap<allowlist::Key, usize>,
-    pub rpc_lock_counts: BTreeMap<allowlist::Key, usize>,
-    pub bg_error_counts: BTreeMap<allowlist::Key, usize>,
-    pub queue_counts: BTreeMap<allowlist::Key, usize>,
+    /// The findings that fail the gate: every one the allowlist does not
+    /// cover, sorted.
+    pub violations: Vec<Finding>,
+    /// Findings covered by the allowlist (frozen debt), per section.
+    pub allowed: BTreeMap<&'static str, usize>,
+    /// Raw (pre-allowlist) finding counts per section: what
+    /// `--write-allowlist` freezes and stale detection compares against.
+    pub counts: Sections,
+    /// Allowlist entries matching no current finding (MOCHI010).
+    pub stale_entries: Vec<Finding>,
 }
 
 impl LintReport {
     /// True when nothing fails the gate (stale allowlist entries are a
     /// separate, warning-level condition — see [`LintReport::stale_entries`]).
     pub fn is_clean(&self) -> bool {
-        self.lock_cycles.is_empty()
-            && self.recursive_locks.is_empty()
-            && self.panic_violations.is_empty()
-            && self.blocking_violations.is_empty()
-            && self.json_violations.is_empty()
-            && self.contract_violations.is_empty()
-            && self.yield_violations.is_empty()
-            && self.raw_forward_violations.is_empty()
-            && self.deadline_violations.is_empty()
-            && self.retry_violations.is_empty()
-            && self.atomics_violations.is_empty()
-            && self.rpc_lock_violations.is_empty()
-            && self.bg_error_violations.is_empty()
-            && self.queue_violations.is_empty()
+        self.violations.is_empty()
+    }
+
+    /// The violations of one rule.
+    pub fn violations_of(&self, rule: &str) -> Vec<&Finding> {
+        self.violations.iter().filter(|f| f.rule == rule).collect()
     }
 
     /// The resolved RPC names in the contract table with their
@@ -243,194 +193,77 @@ impl LintReport {
 /// and the fixture tests drive this directly with in-memory snippets.
 pub fn analyze(files: &[SourceFile], allowlist: &Allowlist) -> LintReport {
     let ignored: BTreeSet<String> = allowlist.ignored_locks.iter().cloned().collect();
-
-    let mut lock_edges = Vec::new();
-    let mut recursive_locks = Vec::new();
-    let mut yield_sites: Vec<YieldSite> = Vec::new();
-    let mut panic_sites: Vec<PanicSite> = Vec::new();
-    let mut blocking_sites: Vec<BlockingSite> = Vec::new();
-    let mut json_sites: Vec<JsonSite> = Vec::new();
-    let mut raw_forward_sites: Vec<RawForwardSite> = Vec::new();
-
     let consts = contracts::ConstTable::build(files);
-    let mut contract_sites: Vec<RpcSite> = Vec::new();
 
+    let mut findings: Vec<Finding> = Vec::new();
+    let mut lock_edges = Vec::new();
+    let mut contract_sites: Vec<RpcSite> = Vec::new();
     for file in files {
         let (edges, recursive, yields_found) = locks::extract(file, &ignored);
         lock_edges.extend(edges);
-        recursive_locks.extend(recursive);
+        findings.extend(recursive);
         if yields::in_scope(&file.rel_path) {
-            yield_sites.extend(yields_found);
+            findings.extend(yields_found);
         }
         if panics::in_provider_path(&file.rel_path) {
-            panic_sites.extend(panics::scan(file));
+            findings.extend(panics::scan(file));
         }
         if jsonuse::in_data_plane(&file.rel_path) {
-            json_sites.extend(jsonuse::scan(file));
+            findings.extend(jsonuse::scan(file));
         }
         if rawforward::in_client(&file.rel_path) {
-            raw_forward_sites.extend(rawforward::scan(file));
+            findings.extend(rawforward::scan(file));
         }
-        blocking_sites.extend(blocking::scan(file));
+        findings.extend(blocking::scan(file));
         contract_sites.extend(contracts::sites(file, &consts));
     }
     lock_edges.sort();
-    recursive_locks.sort();
-    yield_sites.sort();
-    panic_sites.sort();
-    blocking_sites.sort();
-    json_sites.sort();
-    raw_forward_sites.sort();
     contract_sites.sort();
+    findings.extend(locks::cycles(&lock_edges));
+    findings.extend(contracts::check(&contract_sites));
 
-    let lock_cycles = locks::find_cycles(&lock_edges);
-    let contract_issues = contracts::check(&contract_sites);
-
-    // The interprocedural layer: one call graph, three analyses.
+    // The interprocedural layer: one call graph under five analyses.
     let graph = CallGraph::build(files);
-    let graph_stats = graph.stats();
-    let deadline_sites = deadline::check(files, &graph, &contract_sites);
-    let retry_sites = retry::check(files, &graph, &consts, &contract_sites);
-    let atomics_sites = atomics::check(files);
-    let rpc_lock_sites = rpclock::check(files, &graph);
-    let bg_error_sites = bgerrors::check(files, &graph);
-    let queue_sites = queues::check(files, &graph, &contract_sites);
+    findings.extend(deadline::check(files, &graph, &contract_sites));
+    findings.extend(retry::check(files, &graph, &consts, &contract_sites));
+    findings.extend(atomics::check(files));
+    findings.extend(rpclock::check(files, &graph));
+    findings.extend(bgerrors::check(files, &graph));
+    findings.extend(queues::check(files, &graph, &contract_sites));
+    findings.sort();
 
-    let (panic_violations, panic_allowed, panic_counts) =
-        apply_allowances(&panic_sites, &allowlist.panic_paths, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (blocking_violations, blocking_allowed, blocking_counts) =
-        apply_allowances(&blocking_sites, &allowlist.blocking, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (json_violations, json_allowed, json_counts) =
-        apply_allowances(&json_sites, &allowlist.serde_json, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (contract_violations, contract_allowed, contract_counts) =
-        apply_allowances(&contract_issues, &allowlist.contracts, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (yield_violations, yield_allowed, yield_counts) =
-        apply_allowances(&yield_sites, &allowlist.lock_across_yield, |s| {
-            (s.file.clone(), s.function.clone(), format!("{}:{}", s.yield_call, s.lock))
-        });
-    let (raw_forward_violations, raw_forward_allowed, raw_forward_counts) =
-        apply_allowances(&raw_forward_sites, &allowlist.raw_forward, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (deadline_violations, deadline_allowed, deadline_counts) =
-        apply_allowances(&deadline_sites, &allowlist.deadline_loss, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (retry_violations, retry_allowed, retry_counts) =
-        apply_allowances(&retry_sites, &allowlist.retry_soundness, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (atomics_violations, atomics_allowed, atomics_counts) =
-        apply_allowances(&atomics_sites, &allowlist.relaxed_atomics, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (rpc_lock_violations, rpc_lock_allowed, rpc_lock_counts) =
-        apply_allowances(&rpc_lock_sites, &allowlist.rpc_under_lock, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (bg_error_violations, bg_error_allowed, bg_error_counts) =
-        apply_allowances(&bg_error_sites, &allowlist.background_errors, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-    let (queue_violations, queue_allowed, queue_counts) =
-        apply_allowances(&queue_sites, &allowlist.queue_growth, |s| {
-            (s.file.clone(), s.function.clone(), s.kind.clone())
-        });
-
-    let stale_entries = allowlist.stale_entries(&[
-        ("panic_paths", &panic_counts),
-        ("blocking", &blocking_counts),
-        ("serde_json", &json_counts),
-        ("contracts", &contract_counts),
-        ("lock_across_yield", &yield_counts),
-        ("raw_forward", &raw_forward_counts),
-        ("deadline_loss", &deadline_counts),
-        ("retry_soundness", &retry_counts),
-        ("relaxed_atomics", &atomics_counts),
-        ("rpc_under_lock", &rpc_lock_counts),
-        ("background_errors", &bg_error_counts),
-        ("queue_growth", &queue_counts),
-    ]);
+    // Split into frozen debt and violations: of the sites sharing one
+    // allowlist key, the first `count` (in report order) are allowed.
+    let mut violations = Vec::new();
+    let mut allowed: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut counts = Sections::new();
+    for finding in findings {
+        let Some(section) = rule(finding.rule).and_then(|r| r.section) else {
+            violations.push(finding);
+            continue;
+        };
+        let key = finding.key();
+        let allowance = allowlist.allowance(section, &key);
+        let seen = counts.entry(section).or_default().entry(key).or_insert(0);
+        *seen += 1;
+        if *seen <= allowance {
+            *allowed.entry(section).or_default() += 1;
+        } else {
+            violations.push(finding);
+        }
+    }
+    let stale_entries = allowlist.stale_entries(&counts);
 
     LintReport {
         files: files.len(),
         lock_edges,
-        lock_cycles,
-        recursive_locks,
-        panic_violations,
-        panic_allowed,
-        blocking_violations,
-        blocking_allowed,
-        json_violations,
-        json_allowed,
         contract_sites,
-        contract_violations,
-        contract_allowed,
-        yield_violations,
-        yield_allowed,
-        raw_forward_violations,
-        raw_forward_allowed,
-        deadline_violations,
-        deadline_allowed,
-        retry_violations,
-        retry_allowed,
-        atomics_violations,
-        atomics_allowed,
-        rpc_lock_violations,
-        rpc_lock_allowed,
-        bg_error_violations,
-        bg_error_allowed,
-        queue_violations,
-        queue_allowed,
-        graph_stats,
+        graph_stats: graph.stats(),
+        violations,
+        allowed,
+        counts,
         stale_entries,
-        panic_counts,
-        blocking_counts,
-        json_counts,
-        contract_counts,
-        yield_counts,
-        raw_forward_counts,
-        deadline_counts,
-        retry_counts,
-        atomics_counts,
-        rpc_lock_counts,
-        bg_error_counts,
-        queue_counts,
     }
-}
-
-/// Splits findings into allowed (within frozen counts) and violations.
-fn apply_allowances<T: Clone>(
-    sites: &[T],
-    allowances: &BTreeMap<allowlist::Key, usize>,
-    key_of: impl Fn(&T) -> allowlist::Key,
-) -> (Vec<T>, usize, BTreeMap<allowlist::Key, usize>) {
-    let mut counts: BTreeMap<allowlist::Key, usize> = BTreeMap::new();
-    for site in sites {
-        *counts.entry(key_of(site)).or_insert(0) += 1;
-    }
-    let mut seen: BTreeMap<allowlist::Key, usize> = BTreeMap::new();
-    let mut violations = Vec::new();
-    let mut allowed = 0usize;
-    for site in sites {
-        let key = key_of(site);
-        let used = seen.entry(key.clone()).or_insert(0);
-        *used += 1;
-        if *used <= allowances.get(&key).copied().unwrap_or(0) {
-            allowed += 1;
-        } else {
-            violations.push(site.clone());
-        }
-    }
-    (violations, allowed, counts)
 }
 
 /// Loads and analyzes every production `.rs` file under `root`.

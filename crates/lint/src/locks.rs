@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::dataflow::BodyFlow;
 use crate::lexer::{column_of, line_of};
 use crate::source::SourceFile;
-use crate::yields::YieldSite;
+use crate::Finding;
 
 /// One observed nested acquisition.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -38,29 +38,32 @@ pub struct LockEdge {
     pub function: String,
 }
 
-/// A re-acquisition of an already-held lock through the identical
-/// receiver chain — an immediate self-deadlock with `parking_lot`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RecursiveLock {
-    pub lock: String,
-    pub file: String,
-    pub line: usize,
-    pub column: usize,
-    pub function: String,
-}
-
-/// Extracts lock-order edges, recursive-lock findings, and
-/// lock-held-across-yield findings from one file. All three are
-/// projections of the same [`BodyFlow`] guard spans.
+/// Extracts lock-order edges, recursive-lock findings (MOCHI002: a
+/// re-acquisition of an already-held lock through the identical receiver
+/// chain — an immediate self-deadlock with `parking_lot`; the kind is the
+/// lock class), and lock-held-across-yield findings (MOCHI009, kind
+/// `<suspending call>:<lock class>`; scoped by [`crate::yields::in_scope`])
+/// from one file. All three are projections of the same [`BodyFlow`]
+/// guard spans.
 pub fn extract(
     file: &SourceFile,
     ignored: &BTreeSet<String>,
-) -> (Vec<LockEdge>, Vec<RecursiveLock>, Vec<YieldSite>) {
+) -> (Vec<LockEdge>, Vec<Finding>, Vec<Finding>) {
     let mut edges = Vec::new();
     let mut recursive = Vec::new();
     let mut yield_sites = Vec::new();
     for function in &file.functions {
         let flow = BodyFlow::analyze(file, function.body_start, function.body_end, ignored);
+        let finding = |rule, line, column, kind, message| Finding {
+            rule,
+            file: file.rel_path.clone(),
+            function: function.name.clone(),
+            kind,
+            line,
+            column,
+            message,
+            path: Vec::new(),
+        };
         // An acquisition B while span A is live (same context) is either
         // a recursive re-lock (identical class and receiver chain) or a
         // lock-order edge A → B.
@@ -70,13 +73,13 @@ pub fn extract(
                     continue;
                 }
                 if a.lock == b.lock && a.chain == b.chain {
-                    recursive.push(RecursiveLock {
-                        lock: b.lock.clone(),
-                        file: file.rel_path.clone(),
-                        line: b.line,
-                        column: b.column,
-                        function: function.name.clone(),
-                    });
+                    recursive.push(finding(
+                        "MOCHI002",
+                        b.line,
+                        b.column,
+                        b.lock.clone(),
+                        format!("{} re-acquired while already held — immediate deadlock", b.lock),
+                    ));
                 } else {
                     edges.push(LockEdge {
                         from: a.lock.clone(),
@@ -95,18 +98,47 @@ pub fn extract(
             for span in flow.spans.iter().filter(|s| {
                 s.ctx == y.ctx && s.start < y.offset && y.offset < s.end
             }) {
-                yield_sites.push(YieldSite {
-                    file: file.rel_path.clone(),
-                    function: function.name.clone(),
-                    lock: span.lock.clone(),
-                    yield_call: y.call.to_string(),
-                    line: line_of(&file.text, y.offset),
-                    column: column_of(&file.text, y.offset),
-                });
+                yield_sites.push(finding(
+                    "MOCHI009",
+                    line_of(&file.text, y.offset),
+                    column_of(&file.text, y.offset),
+                    format!("{}:{}", y.call, span.lock),
+                    format!(
+                        "lock {} held across `{}` — the guard outlives a ULT suspension point",
+                        span.lock, y.call
+                    ),
+                ));
             }
         }
     }
     (edges, recursive, yield_sites)
+}
+
+/// The lock-order cycles of the merged edge set as MOCHI001 findings:
+/// one per edge that closes a cycle, at the nested acquisition's site
+/// (kind `<from>-><to>`).
+pub fn cycles(edges: &[LockEdge]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for cycle in find_cycles(edges) {
+        for edge in cycle.edges {
+            findings.push(Finding {
+                rule: "MOCHI001",
+                kind: format!("{}->{}", edge.from, edge.to),
+                message: format!(
+                    "lock-order cycle between {}: edge {} -> {}",
+                    cycle.locks.join(" <-> "),
+                    edge.from,
+                    edge.to
+                ),
+                file: edge.file,
+                function: edge.function,
+                line: edge.line,
+                column: edge.column,
+                path: Vec::new(),
+            });
+        }
+    }
+    findings
 }
 
 /// A cycle in the lock-order graph: the participating lock classes and
@@ -315,7 +347,7 @@ mod tests {
         let (edges, recursive, _) = extract(&file, &BTreeSet::new());
         assert!(edges.is_empty());
         assert_eq!(recursive.len(), 1);
-        assert_eq!(recursive[0].lock, "demo::alpha");
+        assert_eq!((recursive[0].rule, recursive[0].kind.as_str()), ("MOCHI002", "demo::alpha"));
     }
 
     #[test]
@@ -334,6 +366,8 @@ mod tests {
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].locks, vec!["one::alpha".to_string(), "one::beta".to_string()]);
         assert_eq!(cycles[0].edges.len(), 2);
+        let kinds: Vec<String> = super::cycles(&edges).into_iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, vec!["one::alpha->one::beta", "one::beta->one::alpha"]);
     }
 
     #[test]

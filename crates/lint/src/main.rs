@@ -2,25 +2,15 @@
 //!
 //! ```text
 //! cargo run -p mochi-lint -- --root . [--allowlist lint-allow.json]
-//!     [--format text|json|sarif] [--json-report <path>]
-//!     [--allow-stale] [--write-allowlist]
-//!     [--baseline <sarif>] [--write-baseline <sarif>]
+//!     [--format text|json] [--write-allowlist]
 //! ```
 //!
 //! Exit codes:
-//! * 0 — clean (no findings; no stale allowlist entries, unless
-//!   `--allow-stale` downgraded them to warnings). In `--baseline` mode:
-//!   no findings *beyond the baseline*.
-//! * 1 — findings (cycles / new panic paths / new blocking calls /
-//!   data-plane JSON / contract issues / locks across yields /
-//!   deadline loss / retry-unsound effects / relaxed-atomic misuse /
-//!   RPC-under-lock / swallowed background errors / unbounded queues).
-//!   In `--baseline` mode: findings whose fingerprint the baseline
-//!   doesn't contain.
+//! * 0 — clean: no finding beyond the allowlist, no stale allowlist entry
+//! * 1 — findings (any rule of the registry but MOCHI010)
 //! * 2 — usage or I/O error
-//! * 3 — no findings, but stale `lint-allow.json` entries (frozen debt
-//!   that has been paid down must be pruned; pass `--allow-stale` to
-//!   warn instead)
+//! * 3 — no findings, but stale `lint-allow.json` entries (MOCHI010:
+//!   frozen debt that has been paid down must be pruned)
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -32,11 +22,7 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut allowlist_path: Option<PathBuf> = None;
     let mut write_allowlist = false;
-    let mut allow_stale = false;
-    let mut format = String::from("text");
-    let mut json_report: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
+    let mut json = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -50,30 +36,16 @@ fn main() -> ExitCode {
                 None => return usage("--allowlist needs a path"),
             },
             "--format" => match args.next().as_deref() {
-                Some(v @ ("text" | "json" | "sarif")) => format = v.to_string(),
+                Some("text") => json = false,
+                Some("json") => json = true,
                 Some(other) => return usage(&format!("unknown format '{other}'")),
-                None => return usage("--format needs text|json|sarif"),
+                None => return usage("--format needs text|json"),
             },
-            "--json-report" => match args.next() {
-                Some(v) => json_report = Some(PathBuf::from(v)),
-                None => return usage("--json-report needs a path"),
-            },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage("--baseline needs a SARIF path"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(v) => write_baseline = Some(PathBuf::from(v)),
-                None => return usage("--write-baseline needs a SARIF path"),
-            },
-            "--allow-stale" => allow_stale = true,
             "--write-allowlist" => write_allowlist = true,
             "--help" | "-h" => {
                 eprintln!(
                     "mochi-lint --root <workspace> [--allowlist <json>] \
-                     [--format text|json|sarif] [--json-report <path>] \
-                     [--allow-stale] [--write-allowlist] \
-                     [--baseline <sarif>] [--write-baseline <sarif>]"
+                     [--format text|json] [--write-allowlist]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -89,26 +61,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    // Read the baseline before the (long) analysis so a bad path fails
-    // fast.
-    let baseline = match &baseline_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match report::parse_baseline(&text) {
-                Ok(prints) => Some(prints),
-                Err(e) => {
-                    eprintln!("mochi-lint: parsing baseline {path:?}: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("mochi-lint: reading baseline {path:?}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
     let lint = match mochi_lint::run(&root, &allowlist) {
         Ok(r) => r,
         Err(e) => {
@@ -118,130 +70,36 @@ fn main() -> ExitCode {
     };
 
     if write_allowlist {
-        let frozen = Allowlist::freeze(
-            lint.panic_counts.clone(),
-            lint.blocking_counts.clone(),
-            lint.json_counts.clone(),
-            lint.contract_counts.clone(),
-            lint.yield_counts.clone(),
-            lint.raw_forward_counts.clone(),
-            lint.deadline_counts.clone(),
-            lint.retry_counts.clone(),
-            lint.atomics_counts.clone(),
-            lint.rpc_lock_counts.clone(),
-            lint.bg_error_counts.clone(),
-            lint.queue_counts.clone(),
-            allowlist.reasons.clone(),
-            allowlist.ignored_locks.clone(),
-        );
+        // Freeze what is there now; reasons and ignored locks carry over.
+        let frozen = Allowlist { sections: lint.counts.clone(), ..allowlist };
         if let Err(e) = std::fs::write(&allowlist_path, frozen.to_json()) {
             eprintln!("mochi-lint: writing {allowlist_path:?}: {e}");
             return ExitCode::from(2);
         }
-        println!(
-            "wrote {} panic-path, {} blocking, {} data-plane JSON, {} contract, {} lock-across-yield, {} raw-forward, {} deadline-loss, {} retry-soundness, {} relaxed-atomic, {} rpc-under-lock, {} background-error, and {} queue-growth allowances to {}",
-            lint.panic_counts.values().sum::<usize>(),
-            lint.blocking_counts.values().sum::<usize>(),
-            lint.json_counts.values().sum::<usize>(),
-            lint.contract_counts.values().sum::<usize>(),
-            lint.yield_counts.values().sum::<usize>(),
-            lint.raw_forward_counts.values().sum::<usize>(),
-            lint.deadline_counts.values().sum::<usize>(),
-            lint.retry_counts.values().sum::<usize>(),
-            lint.atomics_counts.values().sum::<usize>(),
-            lint.rpc_lock_counts.values().sum::<usize>(),
-            lint.bg_error_counts.values().sum::<usize>(),
-            lint.queue_counts.values().sum::<usize>(),
-            allowlist_path.display()
-        );
+        let per_section: Vec<String> = lint
+            .counts
+            .iter()
+            .map(|(section, entries)| format!("{section} {}", entries.values().sum::<usize>()))
+            .collect();
+        println!("wrote allowances to {}: {}", allowlist_path.display(), per_section.join(", "));
     }
 
-    if let Some(path) = &write_baseline {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("mochi-lint: creating {parent:?}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(path, report::render_sarif(&lint)) {
-            eprintln!("mochi-lint: writing baseline {path:?}: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "wrote {} fingerprinted findings to baseline {}",
-            report::findings(&lint).len(),
-            path.display()
-        );
+    if json {
+        print!("{}", report::render_json(&lint));
+    } else {
+        print!("{}", report::render_text(&lint));
     }
 
-    // The JSON report file is written regardless of the stdout format, so
-    // CI always has the machine-readable document. A failed directory
-    // creation surfaces through the write error below either way, but
-    // report it in its own words when it is the root cause.
-    if let Some(path) = &json_report {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("mochi-lint: creating {parent:?}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(path, report::render_json(&lint)) {
-            eprintln!("mochi-lint: writing {path:?}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    match format.as_str() {
-        "json" => print!("{}", report::render_json(&lint)),
-        "sarif" => print!("{}", report::render_sarif(&lint)),
-        _ => print!("{}", report::render_text(&lint)),
-    }
-
-    // Baseline mode replaces the absolute gate with a delta gate: only
-    // findings missing from the committed baseline fail the run.
-    if let Some(baseline) = &baseline {
-        let new = report::baseline_diff(&lint, baseline);
-        if new.is_empty() {
-            eprintln!("mochi-lint: baseline: no new findings");
-        } else {
-            for f in &new {
-                eprintln!(
-                    "NEW {} [{} {}] {}:{}:{} (fn {}): {}",
-                    f.level.to_uppercase(),
-                    f.rule,
-                    f.rule_name,
-                    f.file,
-                    f.line,
-                    f.column,
-                    f.function,
-                    f.message
-                );
-            }
-            eprintln!("mochi-lint: {} finding(s) not in the baseline", new.len());
-            return ExitCode::FAILURE;
-        }
-    } else if !lint.is_clean() {
+    if !lint.is_clean() {
         return ExitCode::FAILURE;
     }
     if !lint.stale_entries.is_empty() {
-        if allow_stale {
-            eprintln!(
-                "mochi-lint: warning: {} stale allowlist entr{} (--allow-stale)",
-                lint.stale_entries.len(),
-                if lint.stale_entries.len() == 1 { "y" } else { "ies" }
-            );
-        } else {
-            eprintln!(
-                "mochi-lint: {} stale allowlist entr{} — prune lint-allow.json or pass --allow-stale",
-                lint.stale_entries.len(),
-                if lint.stale_entries.len() == 1 { "y" } else { "ies" }
-            );
-            return ExitCode::from(3);
-        }
+        eprintln!(
+            "mochi-lint: {} stale allowlist entr{} — prune lint-allow.json",
+            lint.stale_entries.len(),
+            if lint.stale_entries.len() == 1 { "y" } else { "ies" }
+        );
+        return ExitCode::from(3);
     }
     ExitCode::SUCCESS
 }

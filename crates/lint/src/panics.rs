@@ -7,8 +7,9 @@
 //! crates therefore must propagate errors to the RPC response instead of
 //! panicking. Existing debt is frozen in the allowlist; new sites fail.
 
-use crate::lexer::{column_of, is_ident_byte, line_of};
+use crate::lexer::is_ident_byte;
 use crate::source::SourceFile;
+use crate::Finding;
 
 /// Crate source prefixes considered "provider / RPC handler paths".
 pub const PROVIDER_PATHS: &[&str] = &[
@@ -20,25 +21,15 @@ pub const PROVIDER_PATHS: &[&str] = &[
     "crates/raft/src",
 ];
 
-/// One panic-capable site.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PanicSite {
-    pub file: String,
-    pub function: String,
-    /// `unwrap`, `expect`, `panic`, `unreachable`, `todo`, `unimplemented`.
-    pub kind: String,
-    pub line: usize,
-    pub column: usize,
-}
-
 /// Whether the panic-path lint applies to `rel_path`.
 pub fn in_provider_path(rel_path: &str) -> bool {
     PROVIDER_PATHS.iter().any(|p| rel_path.starts_with(p))
 }
 
 /// Scans one file for panic-capable call sites (test code is already
-/// blanked by the sanitizer).
-pub fn scan(file: &SourceFile) -> Vec<PanicSite> {
+/// blanked by the sanitizer). The kind is `unwrap`, `expect`, `panic`,
+/// `unreachable`, `todo` or `unimplemented`.
+pub fn scan(file: &SourceFile) -> Vec<Finding> {
     let text = &file.text;
     let mut sites = Vec::new();
     let mut i = 0usize;
@@ -64,17 +55,9 @@ pub fn scan(file: &SourceFile) -> Vec<PanicSite> {
     sites
 }
 
-fn site(file: &SourceFile, offset: usize, kind: &str) -> PanicSite {
-    PanicSite {
-        file: file.rel_path.clone(),
-        function: file
-            .function_at(offset)
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| "<module>".to_string()),
-        kind: kind.to_string(),
-        line: line_of(&file.text, offset),
-        column: column_of(&file.text, offset),
-    }
+fn site(file: &SourceFile, offset: usize, kind: &str) -> Finding {
+    let message = format!("{kind} in an RPC/provider path — propagate an error instead");
+    file.finding("MOCHI003", offset, kind.to_string(), message)
 }
 
 /// `.unwrap()` (empty args, so `unwrap_or*` never matches) or `.expect(`.

@@ -27,21 +27,7 @@ use crate::dataflow::BodyFlow;
 use crate::deadline::PLUMBING;
 use crate::lexer::{is_ident_byte, matching_brace};
 use crate::source::SourceFile;
-
-/// One unbounded grow site in a handler-reachable loop.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct QueueSite {
-    pub file: String,
-    pub function: String,
-    pub crate_name: String,
-    pub line: usize,
-    pub column: usize,
-    /// `grow:<method>:<base>` — the allowlist kind
-    /// (e.g. `grow:push:pending`).
-    pub kind: String,
-    /// Witness path from a registering function to this site.
-    pub path: Vec<String>,
-}
+use crate::Finding;
 
 const GROW: &[&str] = &["push", "push_back", "push_front", "extend", "append", "send"];
 
@@ -66,7 +52,10 @@ const CONSUME: &[&str] = &[
 /// expression: `std::mem::take(&mut *x.lock())`, `mem::replace(…)`.
 const TAKE: &[&str] = &["take(", "replace("];
 
-pub fn check(files: &[SourceFile], graph: &CallGraph, sites: &[RpcSite]) -> Vec<QueueSite> {
+/// One finding per unbounded grow site in a handler-reachable loop: kind
+/// `grow:<method>:<base>` (e.g. `grow:push:pending`), path from a
+/// registering function to the site.
+pub fn check(files: &[SourceFile], graph: &CallGraph, sites: &[RpcSite]) -> Vec<Finding> {
     let mut entries: Vec<usize> = Vec::new();
     for site in sites {
         if site.role != Role::Register || PLUMBING.contains(&site.crate_name.as_str()) {
@@ -108,14 +97,20 @@ pub fn check(files: &[SourceFile], graph: &CallGraph, sites: &[RpcSite]) -> Vec<
             if bounded(&file.text, &base, call.callee == "send") {
                 continue;
             }
-            findings.push(QueueSite {
+            let path = graph.path_names(&parents, node_id);
+            findings.push(Finding {
+                rule: "MOCHI017",
                 file: node.file.clone(),
                 function: node.name.clone(),
-                crate_name: node.crate_name.clone(),
+                kind: format!("grow:{}:{}", call.callee, base),
                 line: call.line,
                 column: call.column,
-                kind: format!("grow:{}:{}", call.callee, base),
-                path: graph.path_names(&parents, node_id),
+                message: format!(
+                    "`{}` into shared `{base}` inside a handler-reachable loop ({}) with no bound check, capacity, or drain — add backpressure",
+                    call.callee,
+                    path.join(" -> ")
+                ),
+                path,
             });
         }
     }
@@ -249,7 +244,7 @@ mod tests {
     use super::*;
     use crate::contracts;
 
-    fn run(files: &[(&str, &str)]) -> Vec<QueueSite> {
+    fn run(files: &[(&str, &str)]) -> Vec<Finding> {
         let parsed: Vec<SourceFile> =
             files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
         let graph = CallGraph::build(&parsed);

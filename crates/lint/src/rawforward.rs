@@ -12,8 +12,9 @@
 //! windowed chunk pipeline, which manages its own in-flight tracking)
 //! are frozen in the allowlist with the reason recorded in the code.
 
-use crate::lexer::{column_of, is_ident_byte, line_of};
+use crate::lexer::is_ident_byte;
 use crate::source::SourceFile;
+use crate::Finding;
 
 /// Service-client modules where a raw forward is a finding. Exact files:
 /// providers and the margo runtime itself legitimately call the forward
@@ -45,17 +46,6 @@ pub const FORWARD_FAMILY: &[&str] = &[
 /// (`post*`) and blocking (`call*`).
 pub const WRAPPERS: &[&str] = &["call", "call_raw", "post", "post_raw"];
 
-/// One raw forward call outside the chokepoints.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RawForwardSite {
-    pub file: String,
-    pub function: String,
-    /// The forward-family method called (`forward_timeout`, …).
-    pub kind: String,
-    pub line: usize,
-    pub column: usize,
-}
-
 /// Whether the raw-forward lint applies to `rel_path`.
 pub fn in_client(rel_path: &str) -> bool {
     CLIENT_PATHS.iter().any(|p| rel_path == *p)
@@ -63,8 +53,8 @@ pub fn in_client(rel_path: &str) -> bool {
 
 /// Scans one client file for [`FORWARD_FAMILY`] method calls outside the
 /// [`WRAPPERS`] (strings, comments, and test modules are already blanked
-/// by the sanitizer).
-pub fn scan(file: &SourceFile) -> Vec<RawForwardSite> {
+/// by the sanitizer). The kind is the method called (`forward_timeout`, …).
+pub fn scan(file: &SourceFile) -> Vec<Finding> {
     let text = &file.text;
     let mut sites = Vec::new();
     let mut i = 0usize;
@@ -83,18 +73,16 @@ pub fn scan(file: &SourceFile) -> Vec<RawForwardSite> {
             continue;
         };
         if FORWARD_FAMILY.contains(&name) {
-            let function = file
-                .function_at(i)
-                .map(|f| f.name.clone())
-                .unwrap_or_else(|| "<module>".to_string());
-            if !WRAPPERS.contains(&function.as_str()) {
-                sites.push(RawForwardSite {
-                    file: file.rel_path.clone(),
-                    function,
-                    kind: name.to_string(),
-                    line: line_of(text, i),
-                    column: column_of(text, i),
-                });
+            let site = file.finding(
+                "MOCHI011",
+                i,
+                name.to_string(),
+                format!(
+                    "raw `{name}` in a service client — route through `call`/`call_raw` so retry, breaker, and deadline handling apply"
+                ),
+            );
+            if !WRAPPERS.contains(&site.function.as_str()) {
+                sites.push(site);
             }
         }
         i = end.max(i + 1);

@@ -1,326 +1,21 @@
-//! Reporting layer: stable rule IDs and `text` / `json` / `sarif`
-//! renderers over a [`LintReport`].
-//!
-//! Every analysis maps to a stable rule ID so findings are diffable
-//! across runs and consumable by CI dashboards and SARIF viewers:
-//!
-//! | rule     | name               | analysis                              |
-//! |----------|--------------------|---------------------------------------|
-//! | MOCHI001 | lock-order-cycle   | cycle in the workspace lock graph     |
-//! | MOCHI002 | recursive-lock     | identical-receiver re-lock            |
-//! | MOCHI003 | panic-path         | unwrap/expect/panic in provider code  |
-//! | MOCHI004 | blocking-in-ult    | blocking call inside a ULT closure    |
-//! | MOCHI005 | data-plane-json    | serde_json on the RPC hot path        |
-//! | MOCHI006 | rpc-unregistered   | call names an RPC nobody registers    |
-//! | MOCHI007 | rpc-dead-surface   | registered RPC nobody calls           |
-//! | MOCHI008 | rpc-type-mismatch  | register/forward arg or reply differ  |
-//! | MOCHI009 | lock-across-yield  | guard held across a ULT suspension    |
-//! | MOCHI010 | stale-allowlist    | allowlist entry matching no site      |
-//! | MOCHI011 | raw-forward-in-client | forward bypasses the retry-aware chokepoint |
-//! | MOCHI012 | deadline-loss      | handler-reachable forward drops the caller's deadline |
-//! | MOCHI013 | retry-unsound      | non-idempotent effect behind a retryable RPC |
-//! | MOCHI014 | relaxed-atomic     | Relaxed ordering on a cross-function decision flag |
-//! | MOCHI015 | rpc-under-lock     | ordered-lock guard live across a forward-reaching call |
-//! | MOCHI016 | swallowed-bg-error | fallible call's Result discarded inside a spawn body |
-//! | MOCHI017 | unbounded-queue-growth | grow call into shared state in a handler-reachable loop |
-//!
-//! The JSON document is the machine-readable contract (written to
-//! `target/lint-report.json` by `scripts/lint.sh`); SARIF 2.1.0 is for
-//! code-scanning UIs.
-//!
-//! ## Baseline diffing
-//!
-//! Every finding carries a stable fingerprint — FNV-1a 64 over
-//! `rule | normalized path | function | digit-stripped message`, plus an
-//! occurrence ordinal for identical tuples — emitted in SARIF as
-//! `partialFingerprints["mochiLintFingerprint/v1"]`. Line and column
-//! are deliberately *not* hashed, so a finding keeps its identity when
-//! unrelated edits shift the file; the digit-strip keeps messages that
-//! embed counts or offsets stable too. `--baseline <file>` compares the
-//! current run's fingerprints against a committed SARIF baseline and
-//! fails only on fingerprints the baseline doesn't contain.
+//! Reporting layer: the `text` and `json` renderers over a
+//! [`LintReport`]. Rule ids and names come from [`crate::RULES`]; the
+//! JSON document is the machine-readable form of the same report.
 
 use std::fmt::Write as _;
 
-use crate::LintReport;
+use crate::allowlist::quote;
+use crate::{Finding, LintReport};
 
-/// One rendered finding with a stable rule ID and source span.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Finding {
-    /// Stable rule ID (`MOCHI001` …).
-    pub rule: &'static str,
-    /// Human rule name (`lock-order-cycle` …).
-    pub rule_name: &'static str,
-    /// `error` for gate-failing findings, `warning` for stale-allowlist.
-    pub level: &'static str,
-    pub file: String,
-    pub line: usize,
-    pub column: usize,
-    pub function: String,
-    pub message: String,
+/// Every finding of the report with its level: the violations (`error`,
+/// they fail the gate) and then the stale allowlist entries (`warning`).
+fn leveled(report: &LintReport) -> impl Iterator<Item = (&'static str, &Finding)> {
+    let errors = report.violations.iter().map(|f| ("error", f));
+    errors.chain(report.stale_entries.iter().map(|f| ("warning", f)))
 }
 
-/// Rule registry: (id, name, short description) — drives the SARIF
-/// `rules` array and keeps IDs in one place.
-pub const RULES: &[(&str, &str, &str)] = &[
-    ("MOCHI001", "lock-order-cycle", "Cycle in the workspace lock-order graph (potential deadlock)"),
-    ("MOCHI002", "recursive-lock", "Identical-receiver re-lock (immediate deadlock with parking_lot)"),
-    ("MOCHI003", "panic-path", "Panic-capable call in an RPC/provider path"),
-    ("MOCHI004", "blocking-in-ult", "Blocking call inside a ULT closure stalls an execution stream"),
-    ("MOCHI005", "data-plane-json", "serde_json on the RPC hot path (must use the mochi-wire codec)"),
-    ("MOCHI006", "rpc-unregistered", "Client forwards an RPC name no provider registers"),
-    ("MOCHI007", "rpc-dead-surface", "Registered RPC never called from any client"),
-    ("MOCHI008", "rpc-type-mismatch", "Argument or reply type disagrees between register and forward"),
-    ("MOCHI009", "lock-across-yield", "Lock guard held across a ULT suspension point"),
-    ("MOCHI010", "stale-allowlist", "lint-allow.json entry matches no current finding"),
-    ("MOCHI011", "raw-forward-in-client", "forward call in a service client bypasses the retry-aware call/call_raw chokepoint"),
-    ("MOCHI012", "deadline-loss", "forward reachable from an RPC handler rebuilds a TOP_LEVEL context, dropping the caller's deadline"),
-    ("MOCHI013", "retry-unsound", "non-idempotent effect reachable from the handler of a declared-idempotent RPC"),
-    ("MOCHI014", "relaxed-atomic", "Ordering::Relaxed on an atomic flag written and condition-read in different functions"),
-    ("MOCHI015", "rpc-under-lock", "OrderedMutex/OrderedRwLock guard live across a call that transitively reaches a forward-family RPC"),
-    ("MOCHI016", "swallowed-bg-error", "fallible call inside a spawn body whose Result is discarded instead of parked on the BackgroundExecutor"),
-    ("MOCHI017", "unbounded-queue-growth", "push/send/extend into shared state inside a handler-reachable loop with no bound or drain evidence"),
-];
-
-/// Flattens a report into findings, errors first. Stale-allowlist
-/// entries surface as `warning`-level MOCHI010 findings.
-pub fn findings(report: &LintReport) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for cycle in &report.lock_cycles {
-        for edge in &cycle.edges {
-            out.push(Finding {
-                rule: "MOCHI001",
-                rule_name: "lock-order-cycle",
-                level: "error",
-                file: edge.file.clone(),
-                line: edge.line,
-                column: edge.column,
-                function: edge.function.clone(),
-                message: format!(
-                    "lock-order cycle between {}: edge {} -> {}",
-                    cycle.locks.join(" <-> "),
-                    edge.from,
-                    edge.to
-                ),
-            });
-        }
-    }
-    for r in &report.recursive_locks {
-        out.push(Finding {
-            rule: "MOCHI002",
-            rule_name: "recursive-lock",
-            level: "error",
-            file: r.file.clone(),
-            line: r.line,
-            column: r.column,
-            function: r.function.clone(),
-            message: format!("{} re-acquired while already held — immediate deadlock", r.lock),
-        });
-    }
-    for p in &report.panic_violations {
-        out.push(Finding {
-            rule: "MOCHI003",
-            rule_name: "panic-path",
-            level: "error",
-            file: p.file.clone(),
-            line: p.line,
-            column: p.column,
-            function: p.function.clone(),
-            message: format!("{} in an RPC/provider path — propagate an error instead", p.kind),
-        });
-    }
-    for b in &report.blocking_violations {
-        out.push(Finding {
-            rule: "MOCHI004",
-            rule_name: "blocking-in-ult",
-            level: "error",
-            file: b.file.clone(),
-            line: b.line,
-            column: b.column,
-            function: b.function.clone(),
-            message: format!("{} inside a ULT closure would stall an xstream", b.kind),
-        });
-    }
-    for j in &report.json_violations {
-        out.push(Finding {
-            rule: "MOCHI005",
-            rule_name: "data-plane-json",
-            level: "error",
-            file: j.file.clone(),
-            line: j.line,
-            column: j.column,
-            function: j.function.clone(),
-            message: "serde_json on the RPC hot path — use the mochi-wire codec".to_string(),
-        });
-    }
-    for c in &report.contract_violations {
-        let (rule, rule_name) = if c.kind.starts_with("unregistered:") {
-            ("MOCHI006", "rpc-unregistered")
-        } else if c.kind.starts_with("dead:") {
-            ("MOCHI007", "rpc-dead-surface")
-        } else {
-            ("MOCHI008", "rpc-type-mismatch")
-        };
-        out.push(Finding {
-            rule,
-            rule_name,
-            level: "error",
-            file: c.file.clone(),
-            line: c.line,
-            column: c.column,
-            function: c.function.clone(),
-            message: c.detail.clone(),
-        });
-    }
-    for y in &report.yield_violations {
-        out.push(Finding {
-            rule: "MOCHI009",
-            rule_name: "lock-across-yield",
-            level: "error",
-            file: y.file.clone(),
-            line: y.line,
-            column: y.column,
-            function: y.function.clone(),
-            message: format!(
-                "lock {} held across `{}` — the guard outlives a ULT suspension point",
-                y.lock, y.yield_call
-            ),
-        });
-    }
-    for r in &report.raw_forward_violations {
-        out.push(Finding {
-            rule: "MOCHI011",
-            rule_name: "raw-forward-in-client",
-            level: "error",
-            file: r.file.clone(),
-            line: r.line,
-            column: r.column,
-            function: r.function.clone(),
-            message: format!(
-                "raw `{}` in a service client — route through `call`/`call_raw` so retry, breaker, and deadline handling apply",
-                r.kind
-            ),
-        });
-    }
-    for d in &report.deadline_violations {
-        out.push(Finding {
-            rule: "MOCHI012",
-            rule_name: "deadline-loss",
-            level: "error",
-            file: d.file.clone(),
-            line: d.line,
-            column: d.column,
-            function: d.function.clone(),
-            message: format!(
-                "`{}` rebuilds a TOP_LEVEL context on a handler-reachable path ({}) — thread `ctx.nested_context()` (or a `with_context` client) so the caller's deadline propagates",
-                d.kind.trim_start_matches("drop:"),
-                d.path.join(" -> ")
-            ),
-        });
-    }
-    for r in &report.retry_violations {
-        out.push(Finding {
-            rule: "MOCHI013",
-            rule_name: "retry-unsound",
-            level: "error",
-            file: r.file.clone(),
-            line: r.line,
-            column: r.column,
-            function: r.function.clone(),
-            message: format!(
-                "non-idempotent `{}` effect reachable from the handler of `{}`, which is declared idempotent — a transport-level retry would duplicate it",
-                r.effect, r.rpc
-            ),
-        });
-    }
-    for a in &report.atomics_violations {
-        let verb = if a.kind.starts_with("load:") { "decision load of" } else { "publish to" };
-        out.push(Finding {
-            rule: "MOCHI014",
-            rule_name: "relaxed-atomic",
-            level: "error",
-            file: a.file.clone(),
-            line: a.line,
-            column: a.column,
-            function: a.function.clone(),
-            message: format!(
-                "Relaxed {verb} atomic flag `{}` crossing functions — use Acquire for the decision load and Release for the publish",
-                a.field
-            ),
-        });
-    }
-    for r in &report.rpc_lock_violations {
-        out.push(Finding {
-            rule: "MOCHI015",
-            rule_name: "rpc-under-lock",
-            level: "error",
-            file: r.file.clone(),
-            line: r.line,
-            column: r.column,
-            function: r.function.clone(),
-            message: format!(
-                "ordered lock {} held across `{}`, which reaches an RPC ({}) — drop the guard before the call or park the work",
-                r.lock,
-                r.kind.split(':').next().unwrap_or(&r.kind),
-                r.path.join(" -> ")
-            ),
-        });
-    }
-    for b in &report.bg_error_violations {
-        let (form, callee) = b.kind.split_once(':').unwrap_or(("discard", b.kind.as_str()));
-        let how = match form {
-            "let_underscore" => "discarded via `let _ =`",
-            "ok" => "shrugged away via a statement-level `.ok()`",
-            _ => "dropped as an unused statement value",
-        };
-        out.push(Finding {
-            rule: "MOCHI016",
-            rule_name: "swallowed-bg-error",
-            level: "error",
-            file: b.file.clone(),
-            line: b.line,
-            column: b.column,
-            function: b.function.clone(),
-            message: format!(
-                "`{callee}` result {how} inside a spawn body — park the error on the BackgroundExecutor (or handle it) so the supervisor can see the task die"
-            ),
-        });
-    }
-    for q in &report.queue_violations {
-        let mut parts = q.kind.splitn(3, ':');
-        let _ = parts.next();
-        let method = parts.next().unwrap_or("push");
-        let base = parts.next().unwrap_or("queue");
-        out.push(Finding {
-            rule: "MOCHI017",
-            rule_name: "unbounded-queue-growth",
-            level: "error",
-            file: q.file.clone(),
-            line: q.line,
-            column: q.column,
-            function: q.function.clone(),
-            message: format!(
-                "`{method}` into shared `{base}` inside a handler-reachable loop ({}) with no bound check, capacity, or drain — add backpressure",
-                q.path.join(" -> ")
-            ),
-        });
-    }
-    for s in &report.stale_entries {
-        out.push(Finding {
-            rule: "MOCHI010",
-            rule_name: "stale-allowlist",
-            level: "warning",
-            file: "lint-allow.json".to_string(),
-            line: 1,
-            column: 1,
-            function: s.section.clone(),
-            message: format!(
-                "stale allowlist entry ({} / {} / {} / count {}) matches no current finding — prune it",
-                s.file, s.function, s.kind, s.count
-            ),
-        });
-    }
-    out
+fn rule_name(finding: &Finding) -> &'static str {
+    crate::rule(finding.rule).map_or("unregistered-rule", |r| r.name)
 }
 
 /// Human-readable report (the default `--format text`).
@@ -333,18 +28,7 @@ pub fn render_text(report: &LintReport) -> String {
         report.lock_edges.len(),
         report.contract_sites.len(),
         report.rpc_names().len(),
-        report.panic_allowed
-            + report.blocking_allowed
-            + report.json_allowed
-            + report.contract_allowed
-            + report.yield_allowed
-            + report.raw_forward_allowed
-            + report.deadline_allowed
-            + report.retry_allowed
-            + report.atomics_allowed
-            + report.rpc_lock_allowed
-            + report.bg_error_allowed
-            + report.queue_allowed,
+        report.allowed.values().sum::<usize>(),
     );
     let _ = writeln!(
         out,
@@ -355,13 +39,13 @@ pub fn render_text(report: &LintReport) -> String {
         report.graph_stats.unresolved_calls,
         report.graph_stats.fallback_edges,
     );
-    for f in findings(report) {
+    for (level, f) in leveled(report) {
         let _ = writeln!(
             out,
             "{} [{} {}] {}:{}:{} (fn {}): {}",
-            f.level.to_uppercase(),
+            level.to_uppercase(),
             f.rule,
-            f.rule_name,
+            rule_name(f),
             f.file,
             f.line,
             f.column,
@@ -370,14 +54,19 @@ pub fn render_text(report: &LintReport) -> String {
         );
     }
     if report.is_clean() && report.stale_entries.is_empty() {
-        let _ = writeln!(out, "OK: all thirteen analyses clean, allowlist has no stale entries");
+        let _ = writeln!(out, "OK: every analysis clean, allowlist has no stale entries");
     }
     out
 }
 
+/// The items of a JSON array, one per line.
+fn array_body(items: &[String]) -> String {
+    let lines: Vec<String> = items.iter().map(|item| format!("    {item}")).collect();
+    lines.join(",\n") + if lines.is_empty() { "" } else { "\n" }
+}
+
 /// Machine-readable JSON document.
 pub fn render_json(report: &LintReport) -> String {
-    let all = findings(report);
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"version\": 1,");
     let _ = writeln!(out, "  \"summary\": {{");
@@ -385,26 +74,12 @@ pub fn render_json(report: &LintReport) -> String {
     let _ = writeln!(out, "    \"lock_edges\": {},", report.lock_edges.len());
     let _ = writeln!(out, "    \"rpc_sites\": {},", report.contract_sites.len());
     let _ = writeln!(out, "    \"rpc_names\": {},", report.rpc_names().len());
-    let _ = writeln!(
-        out,
-        "    \"errors\": {},",
-        all.iter().filter(|f| f.level == "error").count()
-    );
+    let _ = writeln!(out, "    \"errors\": {},", report.violations.len());
     let _ = writeln!(out, "    \"stale_allowlist\": {},", report.stale_entries.len());
-    let _ = writeln!(out, "    \"allowed\": {{");
-    let _ = writeln!(out, "      \"panic_paths\": {},", report.panic_allowed);
-    let _ = writeln!(out, "      \"blocking\": {},", report.blocking_allowed);
-    let _ = writeln!(out, "      \"serde_json\": {},", report.json_allowed);
-    let _ = writeln!(out, "      \"contracts\": {},", report.contract_allowed);
-    let _ = writeln!(out, "      \"lock_across_yield\": {},", report.yield_allowed);
-    let _ = writeln!(out, "      \"raw_forward\": {},", report.raw_forward_allowed);
-    let _ = writeln!(out, "      \"deadline_loss\": {},", report.deadline_allowed);
-    let _ = writeln!(out, "      \"retry_soundness\": {},", report.retry_allowed);
-    let _ = writeln!(out, "      \"relaxed_atomics\": {},", report.atomics_allowed);
-    let _ = writeln!(out, "      \"rpc_under_lock\": {},", report.rpc_lock_allowed);
-    let _ = writeln!(out, "      \"background_errors\": {},", report.bg_error_allowed);
-    let _ = writeln!(out, "      \"queue_growth\": {}", report.queue_allowed);
-    let _ = writeln!(out, "    }},");
+    let allowed: Vec<String> = crate::sections()
+        .map(|s| format!("      \"{s}\": {}", report.allowed.get(s).copied().unwrap_or(0)))
+        .collect();
+    let _ = writeln!(out, "    \"allowed\": {{\n{}\n    }},", allowed.join(",\n"));
     let _ = writeln!(out, "    \"call_graph\": {{");
     let _ = writeln!(out, "      \"nodes\": {},", report.graph_stats.nodes);
     let _ = writeln!(out, "      \"edges\": {},", report.graph_stats.edges);
@@ -413,198 +88,32 @@ pub fn render_json(report: &LintReport) -> String {
     let _ = writeln!(out, "      \"fallback\": {}", report.graph_stats.fallback_edges);
     let _ = writeln!(out, "    }}");
     let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"findings\": [");
-    for (i, f) in all.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"rule\": {}, \"name\": {}, \"level\": {}, \"file\": {}, \"line\": {}, \"column\": {}, \"function\": {}, \"message\": {}}}",
-            quote(f.rule),
-            quote(f.rule_name),
-            quote(f.level),
-            quote(&f.file),
-            f.line,
-            f.column,
-            quote(&f.function),
-            quote(&f.message)
-        );
-        out.push_str(if i + 1 == all.len() { "\n" } else { ",\n" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"contracts\": [");
-    let names = report.rpc_names();
-    for (i, (name, registrations, calls)) in names.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"rpc\": {}, \"registrations\": {}, \"calls\": {}}}",
-            quote(name),
-            registrations,
-            calls
-        );
-        out.push_str(if i + 1 == names.len() { "\n" } else { ",\n" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
-}
-
-/// SARIF 2.1.0 document for code-scanning UIs.
-pub fn render_sarif(report: &LintReport) -> String {
-    let all = findings(report);
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\","
-    );
-    let _ = writeln!(out, "  \"version\": \"2.1.0\",");
-    let _ = writeln!(out, "  \"runs\": [");
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"tool\": {{");
-    let _ = writeln!(out, "        \"driver\": {{");
-    let _ = writeln!(out, "          \"name\": \"mochi-lint\",");
-    let _ = writeln!(out, "          \"rules\": [");
-    for (i, (id, name, description)) in RULES.iter().enumerate() {
-        let _ = write!(
-            out,
-            "            {{\"id\": {}, \"name\": {}, \"shortDescription\": {{\"text\": {}}}}}",
-            quote(id),
-            quote(name),
-            quote(description)
-        );
-        out.push_str(if i + 1 == RULES.len() { "\n" } else { ",\n" });
-    }
-    let _ = writeln!(out, "          ]");
-    let _ = writeln!(out, "        }}");
-    let _ = writeln!(out, "      }},");
-    let _ = writeln!(out, "      \"results\": [");
-    let prints = fingerprints(&all);
-    for (i, f) in all.iter().enumerate() {
-        let _ = write!(
-            out,
-            "        {{\"ruleId\": {}, \"level\": {}, \"message\": {{\"text\": {}}}, \"partialFingerprints\": {{\"{FINGERPRINT_KEY}\": {}}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}",
-            quote(f.rule),
-            quote(f.level),
-            quote(&f.message),
-            quote(&prints[i]),
-            quote(&f.file),
-            f.line.max(1),
-            f.column.max(1)
-        );
-        out.push_str(if i + 1 == all.len() { "\n" } else { ",\n" });
-    }
-    let _ = writeln!(out, "      ]");
-    let _ = writeln!(out, "    }}");
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
-}
-
-/// The SARIF `partialFingerprints` key the baseline machinery owns.
-/// Versioned so a future hash-scheme change can coexist with old
-/// baselines during a migration.
-pub const FINGERPRINT_KEY: &str = "mochiLintFingerprint/v1";
-
-/// Stable fingerprints, parallel to `all`. The hash input is
-/// `rule | normalized path | function | digit-stripped message`, plus a
-/// per-tuple occurrence ordinal — never the line or column — so a
-/// finding survives unrelated edits that shift the file, while two
-/// identical findings in one function stay distinct.
-pub fn fingerprints(all: &[Finding]) -> Vec<String> {
-    use std::collections::BTreeMap;
-    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-    all.iter()
-        .map(|f| {
-            let base = fingerprint_base(f);
-            let ordinal = seen.entry(base.clone()).or_insert(0);
-            let hash = fnv64(&format!("{base}#{ordinal}"));
-            *ordinal += 1;
-            format!("{hash:016x}")
+    let findings: Vec<String> = leveled(report)
+        .map(|(level, f)| {
+            format!(
+                "{{\"rule\": {}, \"name\": {}, \"level\": {}, \"file\": {}, \"line\": {}, \"column\": {}, \"function\": {}, \"message\": {}}}",
+                quote(f.rule),
+                quote(rule_name(f)),
+                quote(level),
+                quote(&f.file),
+                f.line,
+                f.column,
+                quote(&f.function),
+                quote(&f.message)
+            )
         })
-        .collect()
-}
-
-fn fingerprint_base(f: &Finding) -> String {
-    let path = f.file.replace('\\', "/");
-    let path = path.trim_start_matches("./");
-    let message: String = f.message.chars().filter(|c| !c.is_ascii_digit()).collect();
-    format!("{}|{}|{}|{}", f.rule, path, f.function, message)
-}
-
-/// FNV-1a 64 — dependency-free and stable across platforms.
-fn fnv64(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Extracts the fingerprint set from a committed SARIF baseline.
-/// Results without the versioned key are ignored (a baseline written by
-/// an older tool simply matches nothing, so everything reports as new —
-/// loud, not silent).
-pub fn parse_baseline(text: &str) -> Result<std::collections::BTreeSet<String>, String> {
-    let value = crate::allowlist::parse_json(text)?;
-    let root = value.as_object().ok_or("baseline root must be an object")?;
-    let runs = root
+        .collect();
+    let _ = writeln!(out, "  \"findings\": [\n{}  ],", array_body(&findings));
+    let contracts: Vec<String> = report
+        .rpc_names()
         .iter()
-        .find(|(k, _)| k == "runs")
-        .and_then(|(_, v)| v.as_array())
-        .ok_or("baseline missing 'runs' array")?;
-    let mut prints = std::collections::BTreeSet::new();
-    for run in runs {
-        let Some(results) = run
-            .as_object()
-            .and_then(|o| o.iter().find(|(k, _)| k == "results"))
-            .and_then(|(_, v)| v.as_array())
-        else {
-            continue;
-        };
-        for result in results {
-            if let Some(fp) = result
-                .as_object()
-                .and_then(|o| o.iter().find(|(k, _)| k == "partialFingerprints"))
-                .and_then(|(_, v)| v.as_object())
-                .and_then(|o| o.iter().find(|(k, _)| k == FINGERPRINT_KEY))
-                .and_then(|(_, v)| v.as_str())
-            {
-                prints.insert(fp.to_string());
-            }
-        }
-    }
-    Ok(prints)
-}
-
-/// Findings whose fingerprint the baseline doesn't contain — the delta
-/// gate's input. Fixed findings (baseline entries matching nothing) are
-/// fine: the gate fails only on *new* debt.
-pub fn baseline_diff(report: &LintReport, baseline: &std::collections::BTreeSet<String>) -> Vec<Finding> {
-    let all = findings(report);
-    let prints = fingerprints(&all);
-    all.into_iter()
-        .zip(prints)
-        .filter(|(_, fp)| !baseline.contains(fp))
-        .map(|(f, _)| f)
-        .collect()
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+        .map(|(name, registrations, calls)| {
+            let name = quote(name);
+            format!("{{\"rpc\": {name}, \"registrations\": {registrations}, \"calls\": {calls}}}")
+        })
+        .collect();
+    let _ = writeln!(out, "  \"contracts\": [\n{}  ]", array_body(&contracts));
+    out.push_str("}\n");
     out
 }
 
@@ -629,92 +138,39 @@ mod tests {
     }
 
     #[test]
-    fn findings_carry_stable_rule_ids() {
+    fn findings_carry_registered_rule_ids() {
         let report = demo_report();
-        let all = findings(&report);
-        assert!(all.iter().any(|f| f.rule == "MOCHI003"), "{all:?}");
-        for f in &all {
-            assert!(RULES.iter().any(|(id, name, _)| *id == f.rule && *name == f.rule_name));
+        assert!(!report.violations_of("MOCHI003").is_empty(), "{:?}", report.violations);
+        for f in &report.violations {
+            assert!(crate::rule(f.rule).is_some(), "{} is not in the registry", f.rule);
         }
     }
 
     #[test]
     fn json_document_parses_with_allowlist_reader() {
-        // Reuse the crate's own minimal JSON parser as a syntax check.
+        // Reuse the crate's own minimal JSON parser as a syntax check:
+        // the document is JSON, and not an allowlist.
         let report = demo_report();
         let json = render_json(&report);
-        assert!(crate::allowlist::Allowlist::from_json(&json).is_err()); // wrong schema…
+        let error = Allowlist::from_json(&json).unwrap_err();
+        assert!(error.contains("unknown allowlist section"), "{error}");
         assert!(json.contains("\"findings\""));
         assert!(json.contains("\"rpc\": \"yokan_put\""));
         assert!(json.contains("MOCHI003"));
     }
 
     #[test]
-    fn sarif_document_lists_all_rules() {
-        let report = demo_report();
-        let sarif = render_sarif(&report);
-        for (id, _, _) in RULES {
-            assert!(sarif.contains(id), "missing {id}");
-        }
-        assert!(sarif.contains("\"version\": \"2.1.0\""));
-    }
-
-    #[test]
-    fn sarif_results_carry_versioned_fingerprints() {
-        let report = demo_report();
-        let sarif = render_sarif(&report);
-        assert!(sarif.contains(FINGERPRINT_KEY), "{sarif}");
-        let prints = parse_baseline(&sarif).unwrap();
-        assert_eq!(prints.len(), findings(&report).len(), "one fingerprint per finding");
-    }
-
-    #[test]
-    fn fingerprints_ignore_line_drift() {
-        let report = demo_report();
-        let all = findings(&report);
-        let before = fingerprints(&all);
-        let mut shifted = all.clone();
-        for f in &mut shifted {
-            f.line += 50;
-            f.column += 3;
-        }
-        assert_eq!(before, fingerprints(&shifted));
-    }
-
-    #[test]
-    fn duplicate_findings_get_distinct_ordinals() {
-        let report = demo_report();
-        let all = findings(&report);
-        let mut doubled = all.clone();
-        doubled.extend(all.iter().cloned());
-        let prints = fingerprints(&doubled);
-        let unique: std::collections::BTreeSet<_> = prints.iter().collect();
-        assert_eq!(unique.len(), prints.len(), "every occurrence distinct: {prints:?}");
-    }
-
-    #[test]
-    fn baseline_diff_reports_only_new_findings() {
-        let report = demo_report();
-        let baseline = parse_baseline(&render_sarif(&report)).unwrap();
-        assert!(baseline_diff(&report, &baseline).is_empty(), "self-diff must be empty");
-        assert_eq!(
-            baseline_diff(&report, &std::collections::BTreeSet::new()).len(),
-            findings(&report).len(),
-            "empty baseline reports everything as new"
-        );
-    }
-
-    #[test]
     fn stale_entries_render_as_warnings() {
         let mut allowlist = Allowlist::default();
-        allowlist.panic_paths.insert(
+        allowlist.sections.entry("panic_paths").or_default().insert(
             ("gone.rs".to_string(), "gone".to_string(), "unwrap".to_string()),
             1,
         );
         let report = crate::analyze(&[], &allowlist);
-        let all = findings(&report);
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].rule, "MOCHI010");
-        assert_eq!(all[0].level, "warning");
+        assert!(report.is_clean(), "a stale entry is a warning, not a violation");
+        assert_eq!(report.stale_entries.len(), 1);
+        let text = render_text(&report);
+        assert!(text.contains("WARNING [MOCHI010 stale-allowlist] lint-allow.json:1:1"), "{text}");
+        assert!(render_json(&report).contains("\"level\": \"warning\""));
     }
 }

@@ -37,38 +37,25 @@ use std::collections::BTreeSet;
 
 use crate::callgraph::CallGraph;
 use crate::contracts::{
-    matching_paren, preceded_by_fn_keyword, resolve_name, skip_ws, split_args, ConstTable, Role,
-    RpcSite,
+    preceded_by_fn_keyword, resolve_name, skip_ws, split_args, ConstTable, Role, RpcSite,
 };
 use crate::deadline::PLUMBING;
-use crate::lexer::{column_of, is_ident_byte, line_of};
+use crate::lexer::{find_word, is_ident_byte, matching_paren};
 use crate::source::SourceFile;
-
-/// One non-idempotent effect reachable from a retryable RPC's handler.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RetrySite {
-    pub file: String,
-    pub function: String,
-    pub crate_name: String,
-    pub line: usize,
-    pub column: usize,
-    /// The RPC whose retry declaration this effect undermines.
-    pub rpc: String,
-    /// Effect shape (`remove`, `push`, `counter`, `file-append`, …).
-    pub effect: String,
-    /// `<effect>:<rpc>` — the allowlist kind.
-    pub kind: String,
-}
+use crate::Finding;
 
 const MUTATING_METHODS: &[&str] = &["append", "extend", "pop", "push", "remove", "take"];
 
-/// Runs the analysis.
+/// Runs the analysis. One finding per non-idempotent effect reachable
+/// from a retryable RPC's handler: kind `<effect>:<rpc>`, the effect shape
+/// (`remove`, `push`, `counter`, `file-append`, …) and the RPC whose retry
+/// declaration it undermines.
 pub fn check(
     files: &[SourceFile],
     graph: &CallGraph,
     consts: &ConstTable,
     sites: &[RpcSite],
-) -> Vec<RetrySite> {
+) -> Vec<Finding> {
     let idempotent = idempotent_rpcs(files, consts);
     if idempotent.is_empty() {
         return Vec::new();
@@ -116,23 +103,17 @@ pub fn check(
                 for (file_idx, start, end) in spans {
                     let in_file = &files[file_idx];
                     for (effect, offset) in scan_effects(in_file, start, end) {
-                        let function = in_file
-                            .function_at(offset)
-                            .map(|f| f.name.clone())
-                            .unwrap_or_default();
                         if !seen.insert((rpc.clone(), in_file.rel_path.clone(), offset)) {
                             continue;
                         }
-                        findings.push(RetrySite {
-                            file: in_file.rel_path.clone(),
-                            function,
-                            crate_name: in_file.crate_name.clone(),
-                            line: line_of(&in_file.text, offset),
-                            column: column_of(&in_file.text, offset),
-                            rpc: rpc.clone(),
-                            effect: effect.clone(),
-                            kind: format!("{effect}:{rpc}"),
-                        });
+                        findings.push(in_file.finding(
+                            "MOCHI013",
+                            offset,
+                            format!("{effect}:{rpc}"),
+                            format!(
+                                "non-idempotent `{effect}` effect reachable from the handler of `{rpc}`, which is declared idempotent — a transport-level retry would duplicate it"
+                            ),
+                        ));
                     }
                 }
             }
@@ -155,7 +136,7 @@ pub fn idempotent_rpcs(files: &[SourceFile], consts: &ConstTable) -> BTreeSet<St
     for file in files {
         let text = &file.text;
         let mut i = 0usize;
-        while let Some(pos) = find_word(text, b"declare_idempotent", i) {
+        while let Some(pos) = find_word(text, "declare_idempotent", i) {
             i = pos + 1;
             if preceded_by_fn_keyword(text, pos) {
                 continue; // the definition in margo
@@ -199,7 +180,7 @@ fn enclosing_loop_iterable(file: &SourceFile, pos: usize, var: &str) -> Option<S
     let text = &file.text;
     let mut best = None;
     let mut i = function.body_start;
-    while let Some(kw) = find_word(text, b"for", i) {
+    while let Some(kw) = find_word(text, "for", i) {
         if kw >= pos {
             break;
         }
@@ -245,7 +226,7 @@ fn resolve_array(
     for file in files.iter().filter(|f| f.crate_name == crate_name) {
         let text = &file.text;
         let mut i = 0usize;
-        while let Some(kw) = find_word(text, b"const", i) {
+        while let Some(kw) = find_word(text, "const", i) {
             i = kw + 1;
             let j = skip_ws(text, kw + 5);
             if !word_eq(text, j, ident) {
@@ -401,20 +382,6 @@ fn receiver_scan_back(text: &[u8], mut i: usize) -> usize {
         }
     }
     i
-}
-
-fn find_word(text: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    let mut i = from;
-    while i + needle.len() <= text.len() {
-        if &text[i..i + needle.len()] == needle
-            && (i == 0 || !is_ident_byte(text[i - 1]))
-            && !text.get(i + needle.len()).map(|&b| is_ident_byte(b)).unwrap_or(false)
-        {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
 }
 
 fn word_eq(text: &[u8], i: usize, word: &str) -> bool {

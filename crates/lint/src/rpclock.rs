@@ -37,25 +37,10 @@ use std::collections::BTreeSet;
 use crate::dataflow::BodyFlow;
 use crate::deadline::PLUMBING;
 use crate::callgraph::CallGraph;
-use crate::lexer::is_ident_byte;
+use crate::lexer::{find_word, is_ident_byte};
 use crate::source::SourceFile;
 use crate::yields;
-
-/// One ordered guard held across a forward-reaching call.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RpcLockSite {
-    pub file: String,
-    pub function: String,
-    pub crate_name: String,
-    pub line: usize,
-    pub column: usize,
-    /// `<callee>:<lock>` — the allowlist kind (e.g. `flush_all:yokan::writer`).
-    pub kind: String,
-    /// The ordered lock class held at the call.
-    pub lock: String,
-    /// Witness path from the call site's callee down to the forward.
-    pub path: Vec<String>,
-}
+use crate::Finding;
 
 /// Whether `callee` is one of the suspending calls the reachability pass
 /// looks for: the MOCHI009 yield family.
@@ -71,10 +56,9 @@ pub fn ordered_lock_index(files: &[SourceFile]) -> BTreeSet<String> {
     for file in files {
         let text = &file.text;
         for marker in ["OrderedMutex", "OrderedRwLock"] {
-            let needle = marker.as_bytes();
             let mut from = 0usize;
-            while let Some(pos) = find_word(text, needle, from) {
-                from = pos + needle.len();
+            while let Some(pos) = find_word(text, marker, from) {
+                from = pos + marker.len();
                 if let Some(field) = declared_field_before(text, pos) {
                     index.insert(format!("{}::{}", file.crate_name, field));
                 }
@@ -84,8 +68,11 @@ pub fn ordered_lock_index(files: &[SourceFile]) -> BTreeSet<String> {
     index
 }
 
-/// Runs the analysis over the built graph.
-pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<RpcLockSite> {
+/// Runs the analysis over the built graph. One finding per ordered guard
+/// held across a forward-reaching call: kind `<callee>:<lock class>` (e.g.
+/// `flush_all:yokan::writer`), path from the call site's callee down to
+/// the forward.
+pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
     let ordered = ordered_lock_index(files);
     if ordered.is_empty() {
         return Vec::new();
@@ -162,14 +149,19 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<RpcLockSite> {
                 if let Some(fwd) = &forward_name[at] {
                     path.push(format!(".{fwd}()"));
                 }
-                findings.push(RpcLockSite {
+                findings.push(Finding {
+                    rule: "MOCHI015",
                     file: node.file.clone(),
                     function: node.name.clone(),
-                    crate_name: node.crate_name.clone(),
+                    kind: format!("{}:{}", call.callee, span.lock),
                     line: call.line,
                     column: call.column,
-                    kind: format!("{}:{}", call.callee, span.lock),
-                    lock: span.lock.clone(),
+                    message: format!(
+                        "ordered lock {} held across `{}`, which reaches an RPC ({}) — drop the guard before the call or park the work",
+                        span.lock,
+                        call.callee,
+                        path.join(" -> ")
+                    ),
                     path,
                 });
             }
@@ -178,24 +170,6 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<RpcLockSite> {
     findings.sort();
     findings.dedup();
     findings
-}
-
-/// Finds the next whole-word occurrence of `needle` at or after `from`.
-fn find_word(text: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    if needle.is_empty() || text.len() < needle.len() {
-        return None;
-    }
-    let mut i = from;
-    while i + needle.len() <= text.len() {
-        if &text[i..i + needle.len()] == needle
-            && (i == 0 || !is_ident_byte(text[i - 1]))
-            && (i + needle.len() == text.len() || !is_ident_byte(text[i + needle.len()]))
-        {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
 }
 
 /// Given the offset of an `OrderedMutex`/`OrderedRwLock` type use, walks
@@ -285,7 +259,6 @@ mod tests {
         let found = check(&files, &graph);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].function, "handle");
-        assert_eq!(found[0].lock, "yokan::state");
         assert_eq!(found[0].kind, "relay:yokan::state");
         assert_eq!(
             found[0].path,

@@ -4,6 +4,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::lexer;
+use crate::Finding;
 
 /// One `.rs` file prepared for analysis.
 pub struct SourceFile {
@@ -55,6 +56,29 @@ impl SourceFile {
             .iter()
             .filter(|f| f.body_start <= offset && offset < f.body_end)
             .min_by_key(|f| f.body_end - f.body_start)
+    }
+
+    /// A finding of `rule` at byte `offset` of this file, attributed to
+    /// the function around it.
+    pub fn finding(
+        &self,
+        rule: &'static str,
+        offset: usize,
+        kind: String,
+        message: String,
+    ) -> Finding {
+        Finding {
+            rule,
+            file: self.rel_path.clone(),
+            function: self
+                .function_at(offset)
+                .map_or_else(|| "<module>".to_string(), |f| f.name.clone()),
+            kind,
+            line: lexer::line_of(&self.text, offset),
+            column: lexer::column_of(&self.text, offset),
+            message,
+            path: Vec::new(),
+        }
     }
 }
 

@@ -12,26 +12,13 @@
 //! Detection is integrated into the `locks.rs` guard-liveness scan
 //! (`locks::extract` returns the yield findings alongside lock edges):
 //! whenever a yield-shaped call is seen while the current context holds
-//! at least one guard, a [`YieldSite`] is recorded per held lock class.
+//! at least one guard, a finding is recorded per held lock class.
 //!
 //! Condvar `.wait(…)` is deliberately *not* a yield kind: waiting
 //! releases the mutex while parked, which is the correct pattern.
 
 use crate::lexer::is_ident_byte;
 use crate::rawforward::FORWARD_FAMILY;
-
-/// One lock guard held across a suspension point.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct YieldSite {
-    pub file: String,
-    pub function: String,
-    /// Lock class held at the suspension point (e.g. `raft::core`).
-    pub lock: String,
-    /// The suspending call (`forward_timeout`, `yield_now`, …).
-    pub yield_call: String,
-    pub line: usize,
-    pub column: usize,
-}
 
 /// Method calls besides the forward family that suspend the current ULT.
 const OTHER_YIELDS: &[&str] = &["notify", "bulk_pull", "bulk_push", "recv", "recv_timeout"];
@@ -129,9 +116,10 @@ mod tests {
     use crate::source::SourceFile;
     use std::collections::BTreeSet;
 
-    fn yields_of(src: &str) -> Vec<YieldSite> {
+    /// The findings' kinds: `<suspending call>:<lock class>`.
+    fn yields_of(src: &str) -> Vec<String> {
         let file = SourceFile::parse("crates/demo/src/lib.rs", src);
-        crate::locks::extract(&file, &BTreeSet::new()).2
+        crate::locks::extract(&file, &BTreeSet::new()).2.into_iter().map(|y| y.kind).collect()
     }
 
     #[test]
@@ -139,9 +127,7 @@ mod tests {
         let found = yields_of(
             "fn f(&self) { let g = self.state.lock(); self.margo.forward_timeout(&a, rpc::PING, 1, &args, t); }",
         );
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].lock, "demo::state");
-        assert_eq!(found[0].yield_call, "forward_timeout");
+        assert_eq!(found, vec!["forward_timeout:demo::state"]);
     }
 
     #[test]
@@ -149,8 +135,7 @@ mod tests {
         let found = yields_of(
             "fn f(&self) { let g = self.state.lock(); let p = self.margo.iforward_raw(&a, rpc::PING, 1, payload, cc, t); p.wait(); }",
         );
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].yield_call, "iforward_raw");
+        assert_eq!(found, vec!["iforward_raw:demo::state"]);
     }
 
     #[test]
@@ -182,8 +167,10 @@ mod tests {
         let found = yields_of(
             "fn f(&self) { let g = self.state.lock(); margo::yield_now(); self.margo.bulk_pull(&h, 0, len); let m = rx.recv(); }",
         );
-        let calls: Vec<&str> = found.iter().map(|y| y.yield_call.as_str()).collect();
-        assert_eq!(calls, vec!["yield_now", "bulk_pull", "recv"]);
+        assert_eq!(
+            found,
+            vec!["yield_now:demo::state", "bulk_pull:demo::state", "recv:demo::state"]
+        );
     }
 
     #[test]
@@ -207,8 +194,7 @@ mod tests {
         let found = yields_of(
             "fn f(&self) { let g = self.state.lock(); self.margo.forward_full::<_, PingReply>(&a, rpc::PING, 1, &args, cc, t); }",
         );
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].yield_call, "forward_full");
+        assert_eq!(found, vec!["forward_full:demo::state"]);
     }
 
     #[test]

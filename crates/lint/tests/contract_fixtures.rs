@@ -12,6 +12,7 @@ use mochi_lint::allowlist::Allowlist;
 use mochi_lint::contracts::Role;
 use mochi_lint::report;
 use mochi_lint::source::SourceFile;
+use mochi_lint::Finding;
 
 /// Loads the fixture mini-crate as if it were `crates/mini` in a
 /// workspace.
@@ -57,11 +58,7 @@ fn contract_table_covers_every_register_site() {
 #[test]
 fn unregistered_call_is_mochi006() {
     let report = mochi_lint::analyze(&fixture_files(), &Allowlist::default());
-    let findings = report::findings(&report);
-    let f = findings
-        .iter()
-        .find(|f| f.rule == "MOCHI006")
-        .expect("MOCHI006 finding");
+    let f: &Finding = report.violations_of("MOCHI006").first().expect("MOCHI006 finding");
     assert!(f.message.contains("mini_missing"), "{}", f.message);
     assert_eq!(f.file, "crates/mini/src/client.rs");
     assert_eq!(f.function, "missing");
@@ -70,11 +67,7 @@ fn unregistered_call_is_mochi006() {
 #[test]
 fn dead_surface_is_mochi007() {
     let report = mochi_lint::analyze(&fixture_files(), &Allowlist::default());
-    let findings = report::findings(&report);
-    let f = findings
-        .iter()
-        .find(|f| f.rule == "MOCHI007")
-        .expect("MOCHI007 finding");
+    let f: &Finding = report.violations_of("MOCHI007").first().expect("MOCHI007 finding");
     assert!(f.message.contains("mini_orphan"), "{}", f.message);
     assert_eq!(f.file, "crates/mini/src/provider.rs");
 }
@@ -82,17 +75,16 @@ fn dead_surface_is_mochi007() {
 #[test]
 fn both_type_mismatch_directions_are_mochi008() {
     let report = mochi_lint::analyze(&fixture_files(), &Allowlist::default());
-    let kinds: Vec<_> = report.contract_violations.iter().map(|c| c.kind.as_str()).collect();
+    let kinds: Vec<_> = report.violations.iter().map(|c| c.kind.as_str()).collect();
     assert!(kinds.contains(&"arg-mismatch:mini_put"), "{kinds:?}");
     assert!(kinds.contains(&"reply-mismatch:mini_put"), "{kinds:?}");
     // The clean RPC produces nothing.
     assert!(!kinds.iter().any(|k| k.ends_with(":mini_get")), "{kinds:?}");
-    let findings = report::findings(&report);
-    assert_eq!(findings.iter().filter(|f| f.rule == "MOCHI008").count(), 2);
+    assert_eq!(report.violations_of("MOCHI008").len(), 2);
 }
 
 #[test]
-fn fixture_findings_render_in_all_formats() {
+fn fixture_findings_render_in_both_formats() {
     let report = mochi_lint::analyze(&fixture_files(), &Allowlist::default());
     let text = report::render_text(&report);
     for rule in ["MOCHI006", "MOCHI007", "MOCHI008"] {
@@ -100,8 +92,6 @@ fn fixture_findings_render_in_all_formats() {
     }
     let json = report::render_json(&report);
     assert!(json.contains("\"rule\": \"MOCHI006\""), "{json}");
-    let sarif = report::render_sarif(&report);
-    assert!(sarif.contains("\"id\": \"MOCHI008\""), "{sarif}");
 }
 
 #[test]
@@ -117,6 +107,6 @@ fn contract_findings_can_be_frozen_in_the_allowlist() {
     .unwrap();
     let report = mochi_lint::analyze(&fixture_files(), &allowlist);
     assert!(report.is_clean(), "{}", report::render_text(&report));
-    assert_eq!(report.contract_allowed, 4);
+    assert_eq!(report.allowed.get("contracts"), Some(&4));
     assert!(report.stale_entries.is_empty());
 }

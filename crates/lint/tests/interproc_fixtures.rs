@@ -26,8 +26,9 @@ fn deadline_loss_flags_handler_reachable_top_level_forward() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.deadline_violations.len(), 1, "{:?}", report.deadline_violations);
-    let d = &report.deadline_violations[0];
+    let found = report.violations_of("MOCHI012");
+    assert_eq!(found.len(), 1, "{found:?}");
+    let d = found[0];
     assert_eq!(d.kind, "drop:forward");
     assert_eq!(d.function, "relay");
     assert_eq!(d.path, vec!["register_all".to_string(), "relay".to_string()]);
@@ -45,8 +46,9 @@ fn deadline_loss_flags_forward_timeout_even_in_the_registering_fn() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.deadline_violations.len(), 1);
-    assert_eq!(report.deadline_violations[0].kind, "drop:forward_timeout");
+    let found = report.violations_of("MOCHI012");
+    assert_eq!(found.len(), 1);
+    assert_eq!(found[0].kind, "drop:forward_timeout");
 }
 
 #[test]
@@ -66,7 +68,7 @@ fn deadline_loss_accepts_rpc_context_forward_and_nested_context() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.deadline_violations.is_empty(), "{:?}", report.deadline_violations);
+    assert!(report.violations_of("MOCHI012").is_empty(), "{}", report.render());
 }
 
 #[test]
@@ -86,9 +88,10 @@ fn deadline_loss_sees_a_posted_forward_as_the_rpc_it_is() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.deadline_violations.len(), 1, "{:?}", report.deadline_violations);
-    assert_eq!(report.deadline_violations[0].kind, "drop:iforward_full");
-    assert_eq!(report.deadline_violations[0].line, 5);
+    let found = report.violations_of("MOCHI012");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].kind, "drop:iforward_full");
+    assert_eq!(found[0].line, 5);
 }
 
 #[test]
@@ -102,7 +105,7 @@ fn deadline_loss_ignores_forwards_not_reachable_from_a_handler() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.deadline_violations.is_empty(), "{:?}", report.deadline_violations);
+    assert!(report.violations_of("MOCHI012").is_empty(), "{}", report.render());
 }
 
 // ---------------------------------------------------------------- MOCHI013
@@ -123,10 +126,9 @@ fn retry_soundness_flags_remove_behind_declared_idempotent_handler() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.retry_violations.len(), 1, "{:?}", report.retry_violations);
-    let r = &report.retry_violations[0];
-    assert_eq!(r.rpc, "omega_put");
-    assert_eq!(r.effect, "remove");
+    let found = report.violations_of("MOCHI013");
+    assert_eq!(found.len(), 1, "{found:?}");
+    let r = found[0];
     assert_eq!(r.function, "finish");
     assert_eq!(r.kind, "remove:omega_put");
     assert!(report.render().contains("MOCHI013"));
@@ -147,7 +149,7 @@ fn retry_soundness_accepts_keyed_overwrites() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.retry_violations.is_empty(), "{:?}", report.retry_violations);
+    assert!(report.violations_of("MOCHI013").is_empty(), "{}", report.render());
 }
 
 #[test]
@@ -164,7 +166,7 @@ fn retry_soundness_ignores_effects_behind_undeclared_rpcs() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.retry_violations.is_empty(), "{:?}", report.retry_violations);
+    assert!(report.violations_of("MOCHI013").is_empty(), "{}", report.render());
 }
 
 #[test]
@@ -185,8 +187,9 @@ fn retry_soundness_resolves_the_const_array_loop_form() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.retry_violations.len(), 1, "{:?}", report.retry_violations);
-    assert_eq!(report.retry_violations[0].rpc, "omega_put");
+    let found = report.violations_of("MOCHI013");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].kind, "remove:omega_put");
 }
 
 // ---------------------------------------------------------------- MOCHI014
@@ -209,8 +212,9 @@ fn relaxed_atomics_flags_decision_load_with_foreign_writer() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.atomics_violations.len(), 1, "{:?}", report.atomics_violations);
-    let a = &report.atomics_violations[0];
+    let found = report.violations_of("MOCHI014");
+    assert_eq!(found.len(), 1, "{found:?}");
+    let a = found[0];
     assert_eq!(a.kind, "load:closed");
     assert_eq!(a.function, "admit");
     assert!(report.render().contains("MOCHI014"));
@@ -234,9 +238,10 @@ fn relaxed_atomics_flags_relaxed_publish_with_foreign_decider() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.atomics_violations.len(), 1, "{:?}", report.atomics_violations);
-    assert_eq!(report.atomics_violations[0].kind, "store:closed");
-    assert_eq!(report.atomics_violations[0].function, "trip");
+    let found = report.violations_of("MOCHI014");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].kind, "store:closed");
+    assert_eq!(found[0].function, "trip");
 }
 
 #[test]
@@ -257,7 +262,7 @@ fn relaxed_atomics_accepts_the_counter_idiom() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.atomics_violations.is_empty(), "{:?}", report.atomics_violations);
+    assert!(report.violations_of("MOCHI014").is_empty(), "{}", report.render());
 }
 
 #[test]
@@ -278,7 +283,7 @@ fn relaxed_atomics_accepts_acquire_release_pairing() {
          }\n",
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.atomics_violations.is_empty(), "{:?}", report.atomics_violations);
+    assert!(report.violations_of("MOCHI014").is_empty(), "{}", report.render());
 }
 
 // ------------------------------------------------- allowlist interaction
@@ -305,8 +310,8 @@ fn interproc_findings_respect_the_allowlist_and_staleness() {
     }"#;
     let allowlist = Allowlist::from_json(json).expect("parse allowlist");
     let report = mochi_lint::analyze(&files, &allowlist);
-    assert!(report.retry_violations.is_empty(), "{:?}", report.retry_violations);
-    assert_eq!(report.retry_allowed, 1);
+    assert!(report.violations_of("MOCHI013").is_empty(), "{}", report.render());
+    assert_eq!(report.allowed.get("retry_soundness"), Some(&1));
     assert!(report.stale_entries.is_empty());
 
     // The same allowlist against clean sources is stale debt: MOCHI010.

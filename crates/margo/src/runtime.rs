@@ -1191,15 +1191,23 @@ mod tests {
             let _: String =
                 client.forward(&server.address(), "echo", 0, &"x".to_string()).unwrap();
         }
-        let stats = server.monitoring_json().unwrap();
         let echo_id = rpc_id_for_name("echo");
         let key = format!("65535:65535:{echo_id}:0");
+        let peer_key = format!("received from {}", client.address());
+        // A reply can reach the client before the server's handler ULT has
+        // recorded its `HandlerEnd`: wait for the third one to be counted.
+        let mut stats = server.monitoring_json().unwrap();
+        assert!(mochi_util::time::wait_until(
+            Duration::from_secs(2),
+            Duration::from_millis(1),
+            || {
+                stats = server.monitoring_json().unwrap();
+                stats["rpcs"][&key]["target"][&peer_key]["ult"]["duration"]["num"] == 3
+            }
+        ));
         let entry = &stats["rpcs"][&key];
         assert_eq!(entry["name"], "echo");
-        let target = entry["target"].as_object().unwrap();
-        let peer_key = format!("received from {}", client.address());
-        let ult = &target[&peer_key]["ult"]["duration"];
-        assert_eq!(ult["num"], 3);
+        let ult = &entry["target"][&peer_key]["ult"]["duration"];
         assert!(ult["avg"].as_f64().unwrap() >= 0.0);
         // Client-side origin stats too.
         let client_stats = client.monitoring_json().unwrap();

@@ -243,7 +243,7 @@ impl RemiClient {
                 if n == 0 {
                     break;
                 }
-                // Coalesce with the previous segment when contiguous.
+                // Merge with the previous segment when contiguous.
                 match header.segments.last_mut() {
                     Some(last)
                         if last.file_index == file_index as u32

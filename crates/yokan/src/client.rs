@@ -4,22 +4,15 @@
 //! address and provider ID of the provider holding that resource" and
 //! offers put/get-style access; the operations a caller fans out over
 //! several providers also come in a posting form (`post_*` returns a
-//! [`PendingCall`] to wait on). [`CoalescingHandle`] layers opt-in
-//! client-side write coalescing on top: small `put`s batch into
-//! `put_multi` RPCs, amortizing per-RPC overhead on ingest-heavy
-//! workloads without changing the observable per-key semantics.
+//! [`PendingCall`] to wait on).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use mochi_margo::{
     decode, decode_framed, encode_framed, CallContext, MargoError, MargoRuntime, PendingForward,
 };
 use mochi_mercury::Address;
-use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -230,13 +223,6 @@ impl DatabaseHandle {
     pub fn with_context(mut self, context: CallContext) -> Self {
         self.context = context;
         self
-    }
-
-    /// Wraps this handle in a client-side write coalescer: small `put`s
-    /// are buffered and shipped in batched `put_multi` RPCs. See
-    /// [`CoalescingHandle`] for the exact ordering contract.
-    pub fn coalescing(&self, config: CoalescerConfig) -> CoalescingHandle {
-        CoalescingHandle::new(self.clone(), config)
     }
 
     /// The provider's address.
@@ -453,280 +439,5 @@ impl DatabaseHandle {
     pub fn clear(&self) -> Result<(), MargoError> {
         let _: bool = self.call(rpc::CLEAR, &())?;
         Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Client-side write coalescing
-// ---------------------------------------------------------------------
-
-/// Tuning knobs of the [`CoalescingHandle`].
-#[derive(Debug, Clone, Copy)]
-pub struct CoalescerConfig {
-    /// Batch is shipped once it holds this many distinct keys.
-    pub max_pending: usize,
-    /// Batch is shipped once keys + values reach this many bytes.
-    pub max_bytes: usize,
-    /// Oldest buffered `put` waits at most this long before the
-    /// background ticker ships the batch.
-    pub max_delay: Duration,
-}
-
-impl Default for CoalescerConfig {
-    fn default() -> Self {
-        Self {
-            max_pending: 64,
-            max_bytes: 256 << 10,
-            max_delay: Duration::from_millis(2),
-        }
-    }
-}
-
-/// Pending batch: insertion-ordered pairs plus a key index so a repeated
-/// `put` to the same key overwrites in place (last-writer-wins before the
-/// batch ever leaves the client — the same semantics the server would
-/// apply).
-#[derive(Default)]
-struct PendingState {
-    pairs: Vec<(Vec<u8>, Vec<u8>)>,
-    index: HashMap<Vec<u8>, usize>,
-    bytes: usize,
-    opened_at: Option<Instant>,
-    /// A batch the ticker (or `Drop`) failed to ship; surfaced by the
-    /// next caller so the failure is never silently swallowed.
-    last_error: Option<MargoError>,
-}
-
-struct CoalescerShared {
-    inner: DatabaseHandle,
-    config: CoalescerConfig,
-    state: Mutex<PendingState>,
-    stop: AtomicBool,
-}
-
-impl CoalescerShared {
-    /// Ships the pending batch as one `put_multi`. Caller holds `state`.
-    fn ship_locked(&self, state: &mut PendingState) -> Result<(), MargoError> {
-        if state.pairs.is_empty() {
-            return Ok(());
-        }
-        let refs: Vec<(&[u8], &[u8])> =
-            state.pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-        let result = self.inner.put_multi(&refs);
-        // Drop the batch either way: a transport-class failure was
-        // already retried by the runtime (PUT_MULTI is idempotent), so
-        // re-queueing here would turn one broken server into unbounded
-        // client memory growth.
-        state.pairs.clear();
-        state.index.clear();
-        state.bytes = 0;
-        state.opened_at = None;
-        result
-    }
-}
-
-/// A write-coalescing wrapper around [`DatabaseHandle`].
-///
-/// `put` buffers locally and ships batches as `put_multi` when any of the
-/// [`CoalescerConfig`] thresholds trips (count, bytes, or age — the last
-/// via a background ticker thread). Ordering contract:
-///
-/// * **Within a key**: strictly preserved. A buffered `put` is
-///   overwritten in place, and every non-`put` operation (`get`,
-///   `erase`, `list_keys`, …) is a barrier that ships the pending batch
-///   first, *while holding the batch lock*, so it observes all prior
-///   `put`s and no later ones.
-/// * **Across keys**: batched `put`s reach the server in first-`put`
-///   order within the batch; independent keys may land in a different
-///   stripe order server-side, which is indistinguishable to callers.
-/// * **Retry interaction**: the coalescer only ever ships `PUT_MULTI`
-///   (declared idempotent — last-writer-wins over full values), so the
-///   runtime's transport retries cannot double-apply effects. `erase`,
-///   the one non-idempotent surface, is *never* coalesced or retried: it
-///   runs exactly once, after the barrier flush.
-/// * **Failures**: a batch shipped by a caller (threshold or barrier)
-///   reports the error to that caller. A batch shipped by the ticker or
-///   by `Drop` parks the error; the next operation returns it.
-///
-/// Dropping the handle flushes the remaining batch (best effort) and
-/// stops the ticker.
-pub struct CoalescingHandle {
-    shared: Arc<CoalescerShared>,
-    ticker: Option<std::thread::JoinHandle<()>>,
-}
-
-impl CoalescingHandle {
-    fn new(inner: DatabaseHandle, config: CoalescerConfig) -> Self {
-        let shared = Arc::new(CoalescerShared {
-            inner,
-            config,
-            state: Mutex::new(PendingState::default()),
-            stop: AtomicBool::new(false),
-        });
-        let ticker_shared = Arc::clone(&shared);
-        // A plain thread, not a ULT: it sleeps for most of its life, and
-        // parking an execution stream on a client-side timer would starve
-        // real handlers. The tick is capped so `Drop` (which joins the
-        // ticker) returns promptly even under a very large `max_delay`.
-        let tick = (config.max_delay / 4)
-            .clamp(Duration::from_millis(1), Duration::from_millis(100));
-        let ticker = std::thread::Builder::new()
-            .name("yokan-coalescer".into())
-            .spawn(move || {
-                while !ticker_shared.stop.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
-                    let mut state = ticker_shared.state.lock();
-                    let expired = state
-                        .opened_at
-                        .is_some_and(|t| t.elapsed() >= ticker_shared.config.max_delay);
-                    if expired {
-                        if let Err(e) = ticker_shared.ship_locked(&mut state) {
-                            state.last_error = Some(e);
-                        }
-                    }
-                }
-            })
-            // If the OS refuses a thread, the coalescer still works —
-            // count/byte thresholds, barriers, and Drop all ship batches;
-            // only the `max_delay` backstop is lost.
-            .ok();
-        Self { shared, ticker }
-    }
-
-    /// The wrapped handle (batches bypass-free access if needed).
-    pub fn handle(&self) -> &DatabaseHandle {
-        &self.shared.inner
-    }
-
-    /// Takes a parked ticker/Drop error, if any. Callers get this
-    /// surfaced automatically on their next operation.
-    fn take_parked(&self, state: &mut PendingState) -> Result<(), MargoError> {
-        match state.last_error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Buffers `value` under `key`; ships the batch if a threshold trips.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), MargoError> {
-        let mut state = self.shared.state.lock();
-        self.take_parked(&mut state)?;
-        match state.index.get(key) {
-            Some(&i) => {
-                state.bytes = state.bytes - state.pairs[i].1.len() + value.len();
-                state.pairs[i].1 = value.to_vec();
-            }
-            None => {
-                let slot = state.pairs.len();
-                state.index.insert(key.to_vec(), slot);
-                state.bytes += key.len() + value.len();
-                state.pairs.push((key.to_vec(), value.to_vec()));
-                if state.opened_at.is_none() {
-                    state.opened_at = Some(Instant::now());
-                }
-            }
-        }
-        if state.pairs.len() >= self.shared.config.max_pending
-            || state.bytes >= self.shared.config.max_bytes
-        {
-            self.shared.ship_locked(&mut state)?;
-        }
-        Ok(())
-    }
-
-    /// Buffers many pairs at once (one lock acquisition).
-    pub fn put_multi(&self, pairs: &[(&[u8], &[u8])]) -> Result<(), MargoError> {
-        for (key, value) in pairs {
-            self.put(key, value)?;
-        }
-        Ok(())
-    }
-
-    /// Ships any buffered `put`s now.
-    pub fn sync(&self) -> Result<(), MargoError> {
-        let mut state = self.shared.state.lock();
-        self.take_parked(&mut state)?;
-        self.shared.ship_locked(&mut state)
-    }
-
-    /// Barrier + delegate: ships pending `put`s, then runs `op` while
-    /// still holding the batch lock so no concurrent `put` can reorder
-    /// around the delegated operation.
-    fn barrier<T>(
-        &self,
-        op: impl FnOnce(&DatabaseHandle) -> Result<T, MargoError>,
-    ) -> Result<T, MargoError> {
-        let mut state = self.shared.state.lock();
-        self.take_parked(&mut state)?;
-        self.shared.ship_locked(&mut state)?;
-        op(&self.shared.inner)
-    }
-
-    /// Fetches `key`, observing every `put` issued before this call.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, MargoError> {
-        self.barrier(|h| h.get(key))
-    }
-
-    /// Fetches many values, observing every prior `put`.
-    pub fn get_multi(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
-        self.barrier(|h| h.get_multi(keys))
-    }
-
-    /// Removes `key`. Non-idempotent: runs exactly once, after the
-    /// barrier flush, and is never buffered or retried.
-    pub fn erase(&self, key: &[u8]) -> Result<bool, MargoError> {
-        self.barrier(|h| h.erase(key))
-    }
-
-    /// Whether `key` exists, observing every prior `put`.
-    pub fn exists(&self, key: &[u8]) -> Result<bool, MargoError> {
-        self.barrier(|h| h.exists(key))
-    }
-
-    /// Lists keys, observing every prior `put`.
-    pub fn list_keys(
-        &self,
-        prefix: &[u8],
-        start_after: Option<&[u8]>,
-        max: usize,
-    ) -> Result<Vec<Vec<u8>>, MargoError> {
-        self.barrier(|h| h.list_keys(prefix, start_after, max))
-    }
-
-    /// Number of keys, observing every prior `put`.
-    pub fn len(&self) -> Result<u64, MargoError> {
-        self.barrier(|h| h.len())
-    }
-
-    /// Whether the database is empty, observing every prior `put`.
-    pub fn is_empty(&self) -> Result<bool, MargoError> {
-        Ok(self.len()? == 0)
-    }
-
-    /// Ships pending `put`s, then persists the database server-side.
-    pub fn flush(&self) -> Result<(), MargoError> {
-        self.barrier(|h| h.flush())
-    }
-
-    /// Ships pending `put`s, then removes all keys.
-    pub fn clear(&self) -> Result<(), MargoError> {
-        self.barrier(|h| h.clear())
-    }
-}
-
-impl Drop for CoalescingHandle {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        {
-            let mut state = self.shared.state.lock();
-            if let Err(e) = self.shared.ship_locked(&mut state) {
-                // Nowhere left to surface it; parking keeps the contract
-                // ("never silently swallowed") for clones of `shared`.
-                state.last_error = Some(e);
-            }
-        }
-        if let Some(ticker) = self.ticker.take() {
-            let _ = ticker.join();
-        }
     }
 }

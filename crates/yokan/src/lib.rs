@@ -26,6 +26,6 @@ pub mod rpc_names;
 pub mod version;
 
 pub use backend::{create_backend, BackendConfig, Database, YokanError};
-pub use client::{CoalescerConfig, CoalescingHandle, DatabaseHandle};
+pub use client::DatabaseHandle;
 pub use provider::YokanProvider;
 pub use replication::VirtualDatabaseProvider;

@@ -51,23 +51,16 @@ impl Inner {
         cx: CallContext,
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, String> {
-        let replicas = self.replicas.read();
-        if replicas.is_empty() {
-            return Err("virtual database has no replicas".into());
-        }
-        let mut last = None;
-        for handle in replicas.iter() {
+        let mut last = Err("virtual database has no replicas".to_string());
+        for handle in self.replicas.read().iter() {
             // Per-request clone so the fan-out inherits the caller's
             // remaining deadline budget instead of restarting it.
             let handle = handle.clone().with_context(cx);
-            match op(&handle) {
-                Ok(value) => last = Some(value),
-                Err(e) => {
-                    return Err(format!("replica {} failed: {e}", handle.address()));
-                }
-            }
+            let value =
+                op(&handle).map_err(|e| format!("replica {} failed: {e}", handle.address()))?;
+            last = Ok(value);
         }
-        Ok(last.expect("nonempty replicas"))
+        last
     }
 
     fn read_any<T>(
@@ -90,6 +83,23 @@ impl Inner {
         Err(format!("all replicas failed: {errors:?}"))
     }
 }
+
+/// The part of the yokan surface a virtual database serves: the names
+/// [`VirtualDatabaseProvider::register`] installs, one `register` call
+/// each, and so the names `deregister` removes (`rpc::ALL` also lists the
+/// routing, versioned and hint RPCs, which only a real provider has).
+const SURFACE: [&str; 10] = [
+    rpc::PUT,
+    rpc::PUT_MULTI,
+    rpc::GET,
+    rpc::GET_MULTI,
+    rpc::ERASE,
+    rpc::EXISTS,
+    rpc::LIST_KEYS,
+    rpc::LEN,
+    rpc::FLUSH,
+    rpc::CLEAR,
+];
 
 /// A provider that replicates over N backing Yokan databases.
 pub struct VirtualDatabaseProvider {
@@ -261,7 +271,7 @@ impl VirtualDatabaseProvider {
 
     /// Deregisters the virtual provider's RPCs.
     pub fn deregister(&self) -> Result<(), MargoError> {
-        for name in rpc::ALL {
+        for name in SURFACE {
             self.margo.deregister(name, self.provider_id)?;
         }
         Ok(())

@@ -141,6 +141,30 @@ fn virtual_database_replicates_transparently() {
 }
 
 #[test]
+fn virtual_database_deregisters_exactly_what_it_registered() {
+    let fabric = Fabric::new();
+    let front = boot(&fabric, "front");
+    let client = boot(&fabric, "client");
+    let virtual_db =
+        VirtualDatabaseProvider::register(&front, 9, None, vec![], Duration::from_millis(500))
+            .unwrap();
+    assert!(!front.registrations().is_empty());
+
+    // No replica to write to is an error reply, not a panic in the handler.
+    let db = DatabaseHandle::new(&client, front.address(), 9);
+    let error = db.put(b"k", b"v").unwrap_err().to_string();
+    assert!(error.contains("no replicas"), "{error}");
+
+    // A virtual database serves part of the yokan surface; stopping it
+    // removes that part and reports success (Bedrock's `stop` relies on it).
+    virtual_db.deregister().expect("deregister what was registered");
+    assert_eq!(front.registrations(), vec![], "a registration outlived deregister");
+
+    front.finalize();
+    client.finalize();
+}
+
+#[test]
 fn virtual_database_multi_and_erase_paths() {
     let fabric = Fabric::new();
     let rep1 = boot(&fabric, "rep1");

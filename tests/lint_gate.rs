@@ -1,26 +1,31 @@
 //! The `mochi-lint` gate as a tier-1 test: the workspace's own sources
-//! must stay free of lock-order cycles, recursive re-locks, data-plane
-//! `serde_json` uses, RPC contract violations, locks held across yield
-//! points, raw forwards in service clients that bypass the retry-aware
-//! chokepoints, the interprocedural hazards (handler-reachable deadline
-//! loss, retry-unsound effects, relaxed decision flags — MOCHI012–014),
-//! the guard-dataflow hazards (RPC under an ordered lock, swallowed
-//! background errors, unbounded queue growth — MOCHI015–017),
-//! and *new* panic paths or blocking calls beyond the debt frozen in
-//! `lint-allow.json` — and the allowlist itself must carry no stale
-//! entries (debt that was paid down but never pruned).
+//! must break no rule of the linter's registry (`mochi_lint::RULES`,
+//! DESIGN.md §11) beyond the debt frozen in `lint-allow.json` — and the
+//! allowlist itself must carry no stale entries (debt that was paid down
+//! but never pruned). Both tests read one analysis of the workspace.
 //!
 //! To regenerate the allowlist after deliberately accepting new debt:
 //! `cargo run -p mochi-lint -- --root . --write-allowlist`.
 
 use std::path::Path;
+use std::sync::OnceLock;
+
+use mochi_lint::LintReport;
+
+/// The one analysis of the workspace both tests read.
+fn workspace_report() -> &'static LintReport {
+    static REPORT: OnceLock<LintReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let allowlist = mochi_lint::load_allowlist(&root.join("lint-allow.json"))
+            .expect("load lint-allow.json");
+        mochi_lint::run(root, &allowlist).expect("run mochi-lint")
+    })
+}
 
 #[test]
 fn workspace_passes_mochi_lint() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let allowlist =
-        mochi_lint::load_allowlist(&root.join("lint-allow.json")).expect("load lint-allow.json");
-    let report = mochi_lint::run(root, &allowlist).expect("run mochi-lint");
+    let report = workspace_report();
     assert!(report.files > 0, "lint walked no files — wrong root?");
     assert!(
         !report.lock_edges.is_empty(),
@@ -49,10 +54,7 @@ fn workspace_passes_mochi_lint() {
 
 #[test]
 fn contract_table_covers_the_workspace_rpc_surface() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let allowlist =
-        mochi_lint::load_allowlist(&root.join("lint-allow.json")).expect("load lint-allow.json");
-    let report = mochi_lint::run(root, &allowlist).expect("run mochi-lint");
+    let report = workspace_report();
 
     assert!(
         !report.contract_sites.is_empty(),

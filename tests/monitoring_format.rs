@@ -3,8 +3,11 @@
 //! `received from <addr>` blocks, ULT duration statistics, and the
 //! periodic in-flight/pool-size samples the paper's §4 describes.
 
+use std::time::Duration;
+
 use mochi_rs::margo::{rpc_id_for_name, MargoConfig, MargoRuntime};
 use mochi_rs::mercury::{Address, Fabric};
+use mochi_rs::util::time::wait_until;
 
 #[test]
 fn listing1_shape_from_a_live_service() {
@@ -79,10 +82,17 @@ fn nested_rpcs_attribute_parent_context() {
         .unwrap();
     let _: u64 = client.forward(&frontend.address(), "ingest", 7, &9u64).unwrap();
 
-    let stats = backend.monitoring_json().unwrap();
     let ingest_id = rpc_id_for_name("ingest");
     let store_id = rpc_id_for_name("store");
     let nested_key = format!("{ingest_id}:7:{store_id}:2");
+    let peer_key = format!("received from {}", frontend.address());
+    // The reply can be back at the client before the backend's handler ULT
+    // has recorded its end: wait for the dump to count it.
+    let mut stats = backend.monitoring_json().unwrap();
+    wait_until(Duration::from_secs(2), Duration::from_millis(1), || {
+        stats = backend.monitoring_json().unwrap();
+        stats["rpcs"][&nested_key]["target"][&peer_key]["ult"]["duration"]["num"] == 1
+    });
     assert!(
         stats["rpcs"].as_object().unwrap().contains_key(&nested_key),
         "expected parent-attributed key {nested_key}, got {:?}",
@@ -92,7 +102,6 @@ fn nested_rpcs_attribute_parent_context() {
     assert_eq!(entry["parent_rpc_id"].as_u64().unwrap(), ingest_id);
     assert_eq!(entry["parent_provider_id"], 7);
     // And it was received from the *frontend*, not the client.
-    let peer_key = format!("received from {}", frontend.address());
     assert_eq!(entry["target"][&peer_key]["ult"]["duration"]["num"], 1);
 
     backend.finalize();
