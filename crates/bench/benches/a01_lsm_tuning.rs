@@ -2,8 +2,10 @@
 //!
 //! DESIGN.md §7 claims the ingest/analysis trade-off of E11 rests on two
 //! component-level facts:
-//!   (a) small memtables + eager compaction make ingestion pay a
-//!       maintenance cost that grows superlinearly with per-shard data;
+//!   (a) small memtables + narrow compaction tiers make ingestion pay
+//!       a maintenance cost per memtable — a table write and its
+//!       `sync_data` per flush, and each byte rewritten once per tier:
+//!       O(n log n) in per-shard data;
 //!   (b) scan cost depends on the number of live SSTables, which the
 //!       same tuning controls.
 //! This ablation sweeps the two knobs in isolation (no network) to show

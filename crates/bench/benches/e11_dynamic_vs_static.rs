@@ -5,7 +5,8 @@
 //! ordered scans. Configuration dimension (from the HEPnOS autotuning
 //! study [3]): the number of databases the data is sharded over.
 //!
-//! * ingest favors many shards (LSM compaction cost ∝ n²/K),
+//! * ingest favors many shards (each LSM stays small: fewer flushes per
+//!   stripe and fewer compaction tiers per byte),
 //! * ordered analysis favors one shard (scatter-gather RPCs ∝ K),
 //! * the dynamic run ingests on 8 shards, then reconfigures online
 //!   (start a scan-tuned provider, re-shard, stop the old providers)

@@ -15,12 +15,22 @@
 //!   its memtable is durable in a table, so a crash at *any* point
 //!   between seal and truncation replays without losing an acked write;
 //! * `sst-<stripe>-<seq>.tbl` — immutable sorted tables of one stripe,
-//!   newest sequence wins; tombstones mark deletions until compaction
-//!   drops them.
+//!   newest sequence wins; tombstones mark deletions until a compaction
+//!   that reaches the stripe's oldest table drops them;
+//! * `sst-<stripe>-<seq>.tmp` — a table still being written. It gets its
+//!   `.tbl` name by rename once complete and `sync_data`'d, so a `.tbl`
+//!   file is never torn; `open` deletes leftovers.
 //!
-//! A stripe's memtable seals once it exceeds `memtable_bytes`; when more
-//! than `max_tables` tables accumulate in a stripe, a compaction merges
-//! them into one. Flush and compaction normally run *off* the request
+//! A stripe's memtable seals once it exceeds `memtable_bytes`. Compaction
+//! is size-tiered over the *newest suffix* of a stripe's table list: a
+//! table's tier is `⌊log_(max_tables+1)(bytes / memtable_bytes)⌋`, and
+//! while the run of newest tables whose tier does not exceed the newest
+//! table's is longer than `max_tables`, exactly that run is merged into
+//! one table with a fresh sequence number (`LsmInner::pick_run`).
+//! A byte is therefore rewritten once per tier — O(log n) times, not
+//! once per compaction — and because a merge always takes the newest
+//! tables, "higher sequence = newer" keeps holding with no manifest.
+//! Flush and compaction normally run *off* the request
 //! path: [`LsmDatabase::set_background_executor`] installs a scheduler
 //! (in production, a low-priority Argobots pool; see
 //! `crate::bedrock`) and sealing merely enqueues a maintenance task.
@@ -62,15 +72,16 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::ops::Bound;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use mochi_util::checksum::Crc32Hasher;
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
-use mochi_util::{crc32, fnv1a64};
+use mochi_util::{crc32, fnv1a64, mix64};
 
 use super::{Database, YokanError};
 use crate::version::{decode_record, record_is_newer};
@@ -95,7 +106,10 @@ pub type BackgroundExecutor = Arc<dyn Fn(Box<dyn FnOnce() + Send + 'static>) + S
 pub struct LsmConfig {
     /// Seal a stripe's memtable to a sealed segment beyond this many bytes.
     pub memtable_bytes: usize,
-    /// Compact a stripe when its number of SSTables exceeds this.
+    /// Width of a compaction tier: once more than this many of a
+    /// stripe's newest tables sit in one size tier (or below), they are
+    /// merged into one table of the next. A stripe holds at most about
+    /// `max_tables` tables per tier.
     pub max_tables: usize,
     /// Number of independent stripes (clamped to `1..=MAX_STRIPES`).
     /// `stripes: 1` reproduces the historical single-writer layout and
@@ -118,10 +132,9 @@ impl Default for LsmConfig {
     }
 }
 
-/// Fault-injection points inside the flush path, for crash-recovery
-/// tests: the drain errors out (simulating a crash of the process at
-/// that instant) either before the table file is written or after the
-/// table is durable but before the sealed segment is deleted.
+/// Fault-injection points inside the flush and compaction paths, for
+/// crash-recovery tests: maintenance errors out (simulating a crash of
+/// the process at that instant) and leaves the files as they were then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum LsmFailPoint {
@@ -133,6 +146,12 @@ pub enum LsmFailPoint {
     /// both the table and the segment survive (recovery must be
     /// idempotent against the duplicate).
     AfterTablePersist = 2,
+    /// Fail while a table (flushed or merged) is being written: its
+    /// records are on disk, its checksum trailer is not — a torn file.
+    MidTableWrite = 3,
+    /// Fail after a merged table is durable and the oldest of its inputs
+    /// is unlinked: the merged table and the newer inputs survive.
+    AfterMergePersist = 4,
 }
 
 const OP_PUT: u8 = 1;
@@ -169,47 +188,136 @@ struct ValueLoc {
     len: u32, // TOMBSTONE for deletions
 }
 
+/// Bloom-filter bits per key (~1 % false positives with
+/// [`BLOOM_PROBES`] probes).
+const BLOOM_BITS_PER_KEY: usize = 10;
+const BLOOM_PROBES: u32 = 7;
+
+/// In-memory Bloom filter over one table's keys, rebuilt from the index
+/// whenever a table is written or opened — nothing of it is on disk. A
+/// lookup that misses a table costs a few words of it instead of a
+/// descent of the table's index.
+struct Bloom {
+    words: Box<[u64]>,
+}
+
+impl Bloom {
+    /// The hash every probe derives from; computed once per lookup.
+    fn hash(key: &[u8]) -> u64 {
+        mix64(fnv1a64(key))
+    }
+
+    fn build<'a>(keys: impl ExactSizeIterator<Item = &'a Vec<u8>>) -> Bloom {
+        let words = (keys.len() * BLOOM_BITS_PER_KEY).div_ceil(64).max(1);
+        let mut bloom = Bloom { words: vec![0u64; words].into_boxed_slice() };
+        for key in keys {
+            for bit in bloom.probes(Self::hash(key)) {
+                if let Some(word) = bloom.words.get_mut((bit / 64) as usize) {
+                    *word |= 1 << (bit % 64);
+                }
+            }
+        }
+        bloom
+    }
+
+    /// Bit positions of `hash`: double hashing over its two halves.
+    fn probes(&self, hash: u64) -> impl Iterator<Item = u64> {
+        let bits = self.words.len() as u64 * 64;
+        let (first, step) = (hash as u32, (hash >> 32) as u32 | 1);
+        (0..BLOOM_PROBES)
+            .map(move |i| (u64::from(first.wrapping_add(i.wrapping_mul(step))) * bits) >> 32)
+    }
+
+    /// `false` = the key is certainly not in the table.
+    fn may_contain(&self, hash: u64) -> bool {
+        self.probes(hash).all(|bit| {
+            self.words.get((bit / 64) as usize).is_some_and(|w| w & (1 << (bit % 64)) != 0)
+        })
+    }
+}
+
 struct SsTable {
     path: PathBuf,
     seq: u64,
     file: File,
+    /// File length; decides the table's compaction tier.
+    bytes: u64,
     index: BTreeMap<Vec<u8>, ValueLoc>,
+    bloom: Bloom,
 }
 
-impl SsTable {
-    /// Writes `entries` (sorted; `None` value = tombstone) to `path` as
-    /// table `seq`.
-    fn write(path: PathBuf, seq: u64, entries: &Memtable) -> Result<SsTable, YokanError> {
-        let mut buffer = Vec::new();
-        let mut index = BTreeMap::new();
-        for (key, value) in entries {
-            buffer.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            match value {
-                Some(v) => buffer.extend_from_slice(&(v.len() as u32).to_le_bytes()),
-                None => buffer.extend_from_slice(&TOMBSTONE.to_le_bytes()),
-            }
-            buffer.extend_from_slice(key);
-            let offset = buffer.len() as u64;
-            if let Some(v) = value {
-                buffer.extend_from_slice(v);
-                index.insert(key.clone(), ValueLoc { offset, len: v.len() as u32 });
-            } else {
-                index.insert(key.clone(), ValueLoc { offset, len: TOMBSTONE });
-            }
-        }
-        let crc = crc32(&buffer);
-        let mut file = OpenOptions::new()
+/// Streams one table to disk record by record — a flush and a compaction
+/// emit through the same path. The records go through a buffered writer
+/// into `<table>.tmp` with the CRC fed as they pass; [`Self::finish`]
+/// appends the trailer, syncs and renames the file to its `.tbl` name,
+/// so a table that exists under that name is complete. A write that
+/// fails leaves its `.tmp` behind for the next `open` to delete.
+struct TableWriter {
+    tmp_path: PathBuf,
+    out: BufWriter<File>,
+    crc: Crc32Hasher,
+    /// Sorted, because records are appended in key order.
+    entries: Vec<(Vec<u8>, ValueLoc)>,
+    /// Bytes emitted so far: the file offset of whatever comes next.
+    offset: u64,
+}
+
+impl TableWriter {
+    fn create(path: &Path) -> Result<TableWriter, YokanError> {
+        let tmp_path = path.with_extension("tmp");
+        let file = OpenOptions::new()
             .create_new(true)
             .write(true)
             .read(true)
-            .open(&path)
-            .map_err(|e| YokanError::Io(format!("create {}: {e}", path.display())))?;
-        file.write_all(&buffer)?;
-        file.write_all(&crc.to_le_bytes())?;
-        file.sync_data().ok();
-        Ok(SsTable { path, seq, file, index })
+            .open(&tmp_path)
+            .map_err(|e| YokanError::Io(format!("create {}: {e}", tmp_path.display())))?;
+        Ok(TableWriter {
+            tmp_path,
+            out: BufWriter::with_capacity(256 << 10, file),
+            crc: Crc32Hasher::new(),
+            entries: Vec::new(),
+            offset: 0,
+        })
     }
 
+    fn emit(&mut self, bytes: &[u8]) -> Result<(), YokanError> {
+        self.crc.update(bytes);
+        self.out.write_all(bytes)?;
+        self.offset += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Appends one record; keys must arrive in ascending order. `None`
+    /// value = tombstone.
+    fn append(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(), YokanError> {
+        let len = value.map_or(TOMBSTONE, |v| v.len() as u32);
+        self.emit(&(key.len() as u32).to_le_bytes())?;
+        self.emit(&len.to_le_bytes())?;
+        self.emit(key)?;
+        self.entries.push((key.to_vec(), ValueLoc { offset: self.offset, len }));
+        self.emit(value.unwrap_or_default())
+    }
+
+    /// Completes the file and publishes it as table `seq` at `path`.
+    fn finish(mut self, path: PathBuf, seq: u64) -> Result<SsTable, YokanError> {
+        let crc = self.crc.finish();
+        self.out.write_all(&crc.to_le_bytes())?;
+        let file = self
+            .out
+            .into_inner()
+            .map_err(|e| YokanError::Io(format!("write {}: {e}", self.tmp_path.display())))?;
+        // Durable before it is visible under a name `open` trusts, and
+        // before the caller unlinks the segment or tables it replaces.
+        file.sync_data()?;
+        std::fs::rename(&self.tmp_path, &path)
+            .map_err(|e| YokanError::Io(format!("publish {}: {e}", path.display())))?;
+        let bloom = Bloom::build(self.entries.iter().map(|(key, _)| key));
+        let index = self.entries.into_iter().collect();
+        Ok(SsTable { path, seq, file, bytes: self.offset + 4, index, bloom })
+    }
+}
+
+impl SsTable {
     /// Opens and validates an existing table.
     fn open(path: PathBuf) -> Result<SsTable, YokanError> {
         let (_, seq) = parse_striped_name(&path, "sst-")
@@ -255,7 +363,8 @@ impl SsTable {
             }
             index.insert(key, ValueLoc { offset, len: vlen_raw });
         }
-        Ok(SsTable { path, seq, file, index })
+        let bloom = Bloom::build(index.keys());
+        Ok(SsTable { path, seq, file, bytes: data.len() as u64, index, bloom })
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>, YokanError> {
@@ -296,12 +405,48 @@ impl Snapshot {
                 return Ok(Some(entry.clone()));
             }
         }
-        for table in self.tables.iter().rev() {
+        let hash = Bloom::hash(key);
+        for table in self.tables.iter().rev().filter(|t| t.bloom.may_contain(hash)) {
             if let Some(found) = table.get(key)? {
                 return Ok(Some(found));
             }
         }
         Ok(None)
+    }
+}
+
+/// A sorted source of a [`NewestWins`] merge.
+type Cursor<'a, T> = Box<dyn Iterator<Item = (&'a Vec<u8>, T)> + 'a>;
+
+/// K-way merge over sorted sources ordered oldest → newest: yields each
+/// distinct key once, ascending, with the entry of the newest source
+/// that holds it. Listing walks key aliveness with it, compaction walks
+/// the input tables' indexes.
+struct NewestWins<'a, T> {
+    cursors: Vec<Cursor<'a, T>>,
+    heads: Vec<Option<(&'a Vec<u8>, T)>>,
+}
+
+impl<'a, T: Copy> NewestWins<'a, T> {
+    fn new(mut cursors: Vec<Cursor<'a, T>>) -> Self {
+        let heads = cursors.iter_mut().map(|c| c.next()).collect();
+        Self { cursors, heads }
+    }
+}
+
+impl<'a, T: Copy> Iterator for NewestWins<'a, T> {
+    type Item = (&'a Vec<u8>, T);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let key = self.heads.iter().flatten().map(|head| head.0).min()?;
+        let mut newest = None;
+        for (head, cursor) in self.heads.iter_mut().zip(&mut self.cursors) {
+            if let Some((_, entry)) = head.filter(|(head_key, _)| *head_key == key) {
+                newest = Some(entry); // later sources overwrite
+                *head = cursor.next();
+            }
+        }
+        newest.map(|entry| (key, entry))
     }
 }
 
@@ -353,6 +498,8 @@ struct LsmInner {
     background_error: OrderedMutex<Option<YokanError>>,
     /// Armed [`LsmFailPoint`] (tests only; `LsmFailPoint::None` normally).
     fail_point: AtomicU8,
+    /// Bytes of merged tables written by compaction since `open`.
+    compaction_bytes: AtomicU64,
 }
 
 /// The LSM database.
@@ -500,16 +647,25 @@ impl LsmInner {
         Ok(snap.lookup(key)?.flatten())
     }
 
-    /// Seals the stripe's active memtable: publishes it into the
-    /// snapshot, rotates `wal-<s>.log` to a `.seg` file, and records the
-    /// pair in the writer's sealed list. No-op on an empty memtable.
+    /// Seals the stripe's active memtable: rotates `wal-<s>.log` to a
+    /// `.seg` file, publishes the memtable into the snapshot, and records
+    /// the pair in the writer's sealed list. No-op on an empty memtable.
+    /// The WAL is synced and rotated first, so a failure there leaves the
+    /// stripe as it was and the next write tries again.
     fn seal_locked(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<(), YokanError> {
+        // Only this stripe's writer-lock holder — us — mutates `active`.
+        if stripe.active.read().is_empty() {
+            writer.active_bytes = 0;
+            return Ok(());
+        }
+        let seg = seg_path(&self.dir, stripe.index, writer.next_epoch);
+        writer.wal.sync_data()?;
+        std::fs::rename(&writer.wal_path, &seg)
+            .map_err(|e| YokanError::Io(format!("rotate {}: {e}", seg.display())))?;
+        writer.next_epoch += 1;
+        writer.wal = OpenOptions::new().create(true).append(true).open(&writer.wal_path)?;
         let sealed = {
             let mut active = stripe.active.write();
-            if active.is_empty() {
-                writer.active_bytes = 0;
-                return Ok(());
-            }
             let sealed = Arc::new(std::mem::take(&mut *active));
             // Publish under the active write lock: readers check
             // `active` first, so anything they no longer find there must
@@ -521,13 +677,6 @@ impl LsmInner {
             });
             sealed
         };
-        let epoch = writer.next_epoch;
-        writer.next_epoch += 1;
-        let seg = seg_path(&self.dir, stripe.index, epoch);
-        writer.wal.sync_data().ok();
-        std::fs::rename(&writer.wal_path, &seg)
-            .map_err(|e| YokanError::Io(format!("rotate {}: {e}", seg.display())))?;
-        writer.wal = OpenOptions::new().create(true).append(true).open(&writer.wal_path)?;
         let bytes = writer.active_bytes;
         writer.active_bytes = 0;
         writer.sealed_bytes += bytes;
@@ -579,22 +728,49 @@ impl LsmInner {
         }
     }
 
+    /// Writes table `seq` of stripe `stripe` from whatever `emit` appends
+    /// — the one place table files come from.
+    fn write_table(
+        &self,
+        stripe: usize,
+        seq: u64,
+        emit: impl FnOnce(&mut TableWriter) -> Result<(), YokanError>,
+    ) -> Result<Arc<SsTable>, YokanError> {
+        let path = table_path(&self.dir, stripe, seq);
+        let mut writer = TableWriter::create(&path)?;
+        emit(&mut writer)?;
+        if let Err(fault) = self.check_fail(LsmFailPoint::MidTableWrite) {
+            // What a crash here leaves: the records, no trailer.
+            writer.out.flush()?;
+            return Err(fault);
+        }
+        writer.finish(path, seq).map(Arc::new)
+    }
+
+    /// Persists one sealed memtable as table `seq`.
+    fn flush_memtable(
+        &self,
+        stripe: &Stripe,
+        seq: u64,
+        memtable: &Memtable,
+    ) -> Result<Arc<SsTable>, YokanError> {
+        self.check_fail(LsmFailPoint::BeforeTablePersist)?;
+        let table = self.write_table(stripe.index, seq, |out| {
+            memtable.iter().try_for_each(|(key, value)| out.append(key, value.as_deref()))
+        })?;
+        self.check_fail(LsmFailPoint::AfterTablePersist)?;
+        Ok(table)
+    }
+
     /// Persists every sealed segment of `stripe` (oldest first), then
-    /// compacts if the table count exceeds the limit. Runs with the
-    /// writer lock held; callers guarantee no concurrent maintenance
+    /// compacts until no run qualifies. Runs with the writer lock held;
+    /// callers guarantee no concurrent maintenance
     /// (`!writer.maintaining`).
     fn drain_locked(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<(), YokanError> {
-        while !writer.sealed.is_empty() {
-            self.check_fail(LsmFailPoint::BeforeTablePersist)?;
-            let memtable = Arc::clone(&writer.sealed[0].memtable);
+        while let Some(memtable) = writer.sealed.first().map(|s| Arc::clone(&s.memtable)) {
             let seq = writer.next_seq;
             writer.next_seq += 1;
-            let table = Arc::new(SsTable::write(
-                table_path(&self.dir, stripe.index, seq),
-                seq,
-                &memtable,
-            )?);
-            self.check_fail(LsmFailPoint::AfterTablePersist)?;
+            let table = self.flush_memtable(stripe, seq, &memtable)?;
             // Swap the sealed memtable for its durable table in one
             // publication; readers see one or the other, never neither.
             Self::publish(stripe, |old| Snapshot {
@@ -612,55 +788,98 @@ impl LsmInner {
             // Everything the segment covered is now durable in a table.
             std::fs::remove_file(&segment.seg_path).ok();
         }
-        if Self::snapshot_arc(stripe).tables.len() > self.config.max_tables {
-            self.compact_locked(stripe, writer)?;
+        while let Some(start) = self.pick_run(&Self::snapshot_arc(stripe).tables) {
+            let seq = writer.next_seq;
+            writer.next_seq += 1;
+            self.compact_run(stripe, seq, start)?;
         }
         Ok(())
     }
 
-    /// Merges all of one stripe's tables into one, dropping tombstones
-    /// (nothing older remains to resurrect). Sealed and active memtables
-    /// sit above the tables and are unaffected. Callers hold the writer
-    /// lock or own `maintaining`, so the table list cannot change.
-    fn compact_locked(
-        &self,
-        stripe: &Stripe,
-        writer: &mut StripeWriter,
-    ) -> Result<(), YokanError> {
+    /// Size tier of a table of `bytes` bytes:
+    /// `⌊log_(max_tables+1)(bytes / memtable_bytes)⌋`, 0 for anything
+    /// smaller than a memtable. Merging a full tier (`max_tables + 1`
+    /// tables) of flushed memtables yields a table of the next tier.
+    fn tier(&self, bytes: u64) -> u32 {
+        let width = self.config.max_tables as u64 + 1;
+        let mut tier = 0;
+        let mut next_tier_at = (self.config.memtable_bytes.max(1) as u64).saturating_mul(width);
+        while bytes >= next_tier_at && next_tier_at < u64::MAX {
+            tier += 1;
+            next_tier_at = next_tier_at.saturating_mul(width);
+        }
+        tier
+    }
+
+    /// The compaction picker, shared by the inline and background paths:
+    /// the longest run of newest tables whose tier does not exceed the
+    /// newest table's, if it is longer than `max_tables`; returns where
+    /// it starts in `tables` (oldest → newest).
+    ///
+    /// A run is always a suffix of the list and its product takes a
+    /// fresh — the highest — sequence number, so the list stays sorted by
+    /// age with no manifest: `open`, recovery and the read order rely on
+    /// "higher sequence = newer" and nothing else. When every table sits
+    /// in one tier the run is the whole stripe.
+    fn pick_run(&self, tables: &[Arc<SsTable>]) -> Option<usize> {
+        let newest = self.tier(tables.last()?.bytes);
+        let run = tables.iter().rev().take_while(|t| self.tier(t.bytes) <= newest).count();
+        (run > self.config.max_tables).then(|| tables.len() - run)
+    }
+
+    /// Merges the stripe's tables from position `start` on (a run chosen
+    /// by [`Self::pick_run`]) into table `seq`: a streaming k-way walk
+    /// over the inputs' indexes, newest entry winning, each surviving
+    /// value read from its table's open file and written straight out.
+    /// Tombstones are dropped only when the run starts at the stripe's
+    /// oldest table — otherwise an older table could still hold the key.
+    /// Sealed and active memtables sit above the tables and are
+    /// unaffected. Callers hold the writer lock or own `maintaining`, so
+    /// the table list cannot change under the merge.
+    fn compact_run(&self, stripe: &Stripe, seq: u64, start: usize) -> Result<(), YokanError> {
         let snap = Self::snapshot_arc(stripe);
-        let merged = Self::merge_tables(&snap)?;
-        let seq = writer.next_seq;
-        writer.next_seq += 1;
-        let new_table =
-            Arc::new(SsTable::write(table_path(&self.dir, stripe.index, seq), seq, &merged)?);
-        let old_paths: Vec<PathBuf> = snap.tables.iter().map(|t| t.path.clone()).collect();
+        let inputs = snap.tables.get(start..).unwrap_or_default();
+        let merged = self.write_table(stripe.index, seq, |out| {
+            let cursors = inputs
+                .iter()
+                .map(|table| {
+                    let table = table.as_ref();
+                    Box::new(table.index.iter().map(move |(key, loc)| (key, (table, *loc))))
+                        as Cursor<'_, (&SsTable, ValueLoc)>
+                })
+                .collect();
+            let mut value = Vec::new();
+            for (key, (table, loc)) in NewestWins::new(cursors) {
+                if loc.len != TOMBSTONE {
+                    value.resize(loc.len as usize, 0);
+                    table.file.read_exact_at(&mut value, loc.offset).map_err(|e| {
+                        YokanError::Io(format!("read {}: {e}", table.path.display()))
+                    })?;
+                    out.append(key, Some(&value))?;
+                } else if start > 0 {
+                    out.append(key, None)?;
+                }
+            }
+            Ok(())
+        })?;
+        self.compaction_bytes.fetch_add(merged.bytes, Ordering::Relaxed);
         Self::publish(stripe, |old| Snapshot {
             generation: old.generation + 1,
             sealed: old.sealed.clone(),
-            tables: vec![Arc::clone(&new_table)],
+            tables: old.tables.iter().take(start).cloned().chain([merged]).collect(),
         });
-        // In-flight readers may still hold the old tables' `Arc`s; their
-        // open descriptors keep the unlinked files readable.
-        for path in old_paths {
-            std::fs::remove_file(&path).ok();
-        }
-        Ok(())
-    }
-
-    /// Merge all tables oldest → newest; newest value wins; tombstones
-    /// dropped.
-    fn merge_tables(snap: &Snapshot) -> Result<Memtable, YokanError> {
-        let mut merged: Memtable = BTreeMap::new();
-        for table in &snap.tables {
-            for key in table.index.keys() {
-                // An indexed key is always present in its own table.
-                if let Some(value) = table.get(key)? {
-                    merged.insert(key.clone(), value);
-                }
+        // In-flight readers may still hold the inputs' `Arc`s; their open
+        // descriptors keep the unlinked files readable. Oldest first:
+        // what a crash part-way leaves is a suffix of the run, and a
+        // suffix holding any entry for a key holds the run's newest — a
+        // value never outlives the tombstone the merged table dropped.
+        for (position, table) in inputs.iter().enumerate() {
+            std::fs::remove_file(&table.path).ok();
+            if position == 0 {
+                self.check_fail(LsmFailPoint::AfterMergePersist)?;
             }
         }
-        merged.retain(|_, v| v.is_some());
-        Ok(merged)
+        Ok(())
     }
 
     /// Background entry point for one stripe: claim maintenance, flush
@@ -695,46 +914,37 @@ impl LsmInner {
         }
     }
 
-    /// One maintenance round. Returns `Ok(false)` — after clearing
-    /// `maintaining` — when the stripe has no work left.
+    /// One maintenance round: flush what is sealed, else merge one run.
+    /// Returns `Ok(false)` — after clearing `maintaining` — when the
+    /// stripe has no work left, so rounds cascade until no run qualifies.
     fn maintain_round(&self, stripe: &Stripe) -> Result<bool, YokanError> {
-        // Claim the current sealed list and a sequence range under the
-        // lock; write the tables with no lock held.
-        let (to_flush, base_seq) = {
+        // Claim the current sealed list (or a run to merge) and a
+        // sequence range under the lock; write the tables with no lock
+        // held. `maintaining` keeps the table list frozen meanwhile.
+        let (to_flush, run, base_seq) = {
             let mut writer = stripe.writer.lock();
-            if writer.sealed.is_empty() {
-                if Self::snapshot_arc(stripe).tables.len() <= self.config.max_tables {
-                    writer.maintaining = false;
-                    return Ok(false);
-                }
-                (Vec::new(), writer.next_seq)
+            let to_flush: Vec<Arc<Memtable>> =
+                writer.sealed.iter().map(|s| Arc::clone(&s.memtable)).collect();
+            let run = if to_flush.is_empty() {
+                self.pick_run(&Self::snapshot_arc(stripe).tables)
             } else {
-                let to_flush: Vec<Arc<Memtable>> =
-                    writer.sealed.iter().map(|s| Arc::clone(&s.memtable)).collect();
-                let base = writer.next_seq;
-                writer.next_seq += to_flush.len() as u64;
-                (to_flush, base)
+                None
+            };
+            if to_flush.is_empty() && run.is_none() {
+                writer.maintaining = false;
+                return Ok(false);
             }
+            let base = writer.next_seq;
+            writer.next_seq += to_flush.len().max(1) as u64;
+            (to_flush, run, base)
         };
-        if to_flush.is_empty() {
-            // Compaction-only round. `maintaining` keeps the table list
-            // frozen, so merging from a snapshot clone off-lock is safe;
-            // the lock is re-taken only to allocate the sequence number
-            // and publish.
-            let mut writer = stripe.writer.lock();
-            self.compact_locked(stripe, &mut writer)?;
+        if let Some(start) = run {
+            self.compact_run(stripe, base_seq, start)?;
             return Ok(true);
         }
         let mut tables = Vec::with_capacity(to_flush.len());
-        for (i, memtable) in to_flush.iter().enumerate() {
-            self.check_fail(LsmFailPoint::BeforeTablePersist)?;
-            let seq = base_seq + i as u64;
-            tables.push(Arc::new(SsTable::write(
-                table_path(&self.dir, stripe.index, seq),
-                seq,
-                memtable,
-            )?));
-            self.check_fail(LsmFailPoint::AfterTablePersist)?;
+        for (seq, memtable) in (base_seq..).zip(&to_flush) {
+            tables.push(self.flush_memtable(stripe, seq, memtable)?);
         }
         // Publish and retire the segments. New seals may have appended
         // to `writer.sealed` meanwhile; they keep their position and are
@@ -796,105 +1006,36 @@ impl LsmInner {
         (actives, snaps)
     }
 
-    /// Merged aliveness of keys with `prefix` in one stripe, newer
-    /// sources overriding older ones. `active` must be the caller-held
-    /// guard's contents so the cut is consistent.
-    fn merged_keys(snap: &Snapshot, active: &Memtable, prefix: &[u8]) -> BTreeMap<Vec<u8>, bool> {
-        let mut alive: BTreeMap<Vec<u8>, bool> = BTreeMap::new();
-        let range = (Bound::Included(prefix.to_vec()), Bound::Unbounded);
-        for table in &snap.tables {
-            for (key, loc) in table.index.range::<Vec<u8>, _>(range.clone()) {
-                if !key.starts_with(prefix) {
-                    break;
-                }
-                alive.insert(key.clone(), loc.len != TOMBSTONE);
-            }
-        }
-        for memtable in &snap.sealed {
-            for (key, value) in memtable.range::<Vec<u8>, _>(range.clone()) {
-                if !key.starts_with(prefix) {
-                    break;
-                }
-                alive.insert(key.clone(), value.is_some());
-            }
-        }
-        for (key, value) in active.range::<Vec<u8>, _>(range) {
-            if !key.starts_with(prefix) {
-                break;
-            }
-            alive.insert(key.clone(), value.is_some());
-        }
-        alive
-    }
-
-    /// K-way merge over one stripe's table indexes, sealed memtables and
-    /// active memtable, newest source winning on ties, stopping after
-    /// `max` live keys — O(max) per page instead of O(range).
-    fn stripe_keys(
-        snap: &Snapshot,
-        active: &Memtable,
-        prefix: &[u8],
+    /// Live keys of one stripe that start with `prefix`, from `lower`
+    /// on, ascending: a k-way merge over the table indexes, the sealed
+    /// memtables and the active memtable, newest source winning, which a
+    /// caller can stop early — O(page) per page instead of O(range).
+    /// `active` must be the caller-held guard's contents so the cut is
+    /// consistent.
+    fn live_keys<'a>(
+        snap: &'a Snapshot,
+        active: &'a Memtable,
+        prefix: &'a [u8],
         lower: &Bound<Vec<u8>>,
-        max: usize,
-    ) -> Vec<Vec<u8>> {
+    ) -> impl Iterator<Item = &'a Vec<u8>> {
         // Sources ordered oldest → newest; the active memtable is last.
-        type KeyCursor<'a> = Box<dyn Iterator<Item = (&'a Vec<u8>, bool)> + 'a>;
-        let mut cursors: Vec<KeyCursor<'_>> = Vec::new();
+        let from = || (lower.clone(), Bound::Unbounded);
+        let mut cursors: Vec<Cursor<'a, bool>> = Vec::new();
         for table in &snap.tables {
             cursors.push(Box::new(
-                table
-                    .index
-                    .range::<Vec<u8>, _>((lower.clone(), Bound::Unbounded))
-                    .map(|(k, loc)| (k, loc.len != TOMBSTONE)),
+                table.index.range::<Vec<u8>, _>(from()).map(|(k, loc)| (k, loc.len != TOMBSTONE)),
             ));
         }
-        for memtable in &snap.sealed {
+        for memtable in snap.sealed.iter().map(Arc::as_ref).chain([active]) {
             cursors.push(Box::new(
-                memtable
-                    .range::<Vec<u8>, _>((lower.clone(), Bound::Unbounded))
-                    .map(|(k, v)| (k, v.is_some())),
+                memtable.range::<Vec<u8>, _>(from()).map(|(k, v)| (k, v.is_some())),
             ));
         }
-        cursors.push(Box::new(
-            active
-                .range::<Vec<u8>, _>((lower.clone(), Bound::Unbounded))
-                .map(|(k, v)| (k, v.is_some())),
-        ));
-        let mut heads: Vec<Option<(&Vec<u8>, bool)>> =
-            cursors.iter_mut().map(|c| c.next()).collect();
-        let mut out: Vec<Vec<u8>> = Vec::new();
-        while out.len() < max {
-            // Smallest key among heads; among ties, the newest source
-            // (highest index) is authoritative.
-            let mut smallest: Option<&Vec<u8>> = None;
-            for head in heads.iter().flatten() {
-                if smallest.is_none_or(|s| head.0 < s) {
-                    smallest = Some(head.0);
-                }
-            }
-            let Some(key) = smallest else { break };
-            if !key.starts_with(prefix) {
-                // All further keys in every cursor are >= key; any source
-                // still inside the prefix would have produced a smaller
-                // head, so once the global minimum leaves the prefix we
-                // are done.
-                break;
-            }
-            let key = key.clone();
-            let mut alive = false;
-            for i in 0..heads.len() {
-                if let Some((head_key, live)) = heads[i] {
-                    if *head_key == key {
-                        alive = live; // later sources overwrite
-                        heads[i] = cursors[i].next();
-                    }
-                }
-            }
-            if alive {
-                out.push(key);
-            }
-        }
-        out
+        // Every cursor is sorted, so once the smallest head leaves the
+        // prefix nothing later can be inside it.
+        NewestWins::new(cursors)
+            .take_while(move |(key, _)| key.starts_with(prefix))
+            .filter_map(|(key, alive)| alive.then_some(key))
     }
 }
 
@@ -923,6 +1064,12 @@ impl LsmDatabase {
             let (bucket, prefix) = match path.extension().and_then(|x| x.to_str()) {
                 Some("tbl") => (&mut table_paths, "sst-"),
                 Some("seg") => (&mut seg_paths, "wal-"),
+                Some("tmp") => {
+                    // A table whose write never completed: everything in
+                    // it is still in a segment or in the merge's inputs.
+                    std::fs::remove_file(&path).ok();
+                    continue;
+                }
                 _ => continue,
             };
             let Some((stripe, number)) = parse_striped_name(&path, prefix) else {
@@ -1007,7 +1154,13 @@ impl LsmDatabase {
         Ok(Self {
             inner: Arc::new(LsmInner {
                 dir,
-                config: LsmConfig { stripes: stripe_count, ..config },
+                // A tier is at least one table wide: a run of one table
+                // has nothing to merge with.
+                config: LsmConfig {
+                    stripes: stripe_count,
+                    max_tables: config.max_tables.max(1),
+                    ..config
+                },
                 stripes: stripes.into_boxed_slice(),
                 executor: OnceLock::new(),
                 background_error: OrderedMutex::new(
@@ -1016,6 +1169,7 @@ impl LsmDatabase {
                     None,
                 ),
                 fail_point: AtomicU8::new(LsmFailPoint::None as u8),
+                compaction_bytes: AtomicU64::new(0),
             }),
         })
     }
@@ -1028,7 +1182,8 @@ impl LsmDatabase {
     }
 
     /// Arms (or with [`LsmFailPoint::None`] clears) a fault-injection
-    /// point in the flush path. Test hook for crash-recovery coverage.
+    /// point in the flush and compaction paths. Test hook for
+    /// crash-recovery coverage.
     pub fn set_fail_point(&self, point: LsmFailPoint) {
         self.inner.fail_point.store(point as u8, Ordering::Release);
     }
@@ -1051,6 +1206,13 @@ impl LsmDatabase {
     /// Total sealed-but-unflushed bytes across stripes (diagnostics).
     pub fn sealed_bytes(&self) -> usize {
         self.inner.stripes.iter().map(|s| s.writer.lock().sealed_bytes).sum()
+    }
+
+    /// Bytes compaction has written — the merged tables' file sizes —
+    /// since this instance was opened (diagnostics / tests): over the
+    /// user bytes ingested, the write amplification compaction adds.
+    pub fn compaction_bytes_written(&self) -> u64 {
+        self.inner.compaction_bytes.load(Ordering::Relaxed)
     }
 
     /// Sum of per-stripe snapshot generations (diagnostics / tests);
@@ -1249,7 +1411,7 @@ impl Database for LsmDatabase {
         // `max`.
         let mut keys: Vec<Vec<u8>> = Vec::new();
         for (snap, active) in snaps.iter().zip(&actives) {
-            keys.extend(LsmInner::stripe_keys(snap, active, prefix, &lower, max));
+            keys.extend(LsmInner::live_keys(snap, active, prefix, &lower).take(max).cloned());
         }
         keys.sort_unstable();
         keys.truncate(max);
@@ -1260,8 +1422,7 @@ impl Database for LsmDatabase {
         let (actives, snaps) = self.inner.atomic_cut();
         let mut count = 0u64;
         for (snap, active) in snaps.iter().zip(&actives) {
-            let alive = LsmInner::merged_keys(snap, active, b"");
-            count += alive.values().filter(|a| **a).count() as u64;
+            count += LsmInner::live_keys(snap, active, b"", &Bound::Unbounded).count() as u64;
         }
         Ok(count)
     }
@@ -1317,17 +1478,14 @@ impl Database for LsmDatabase {
         let (actives, snaps) = self.inner.atomic_cut();
         let mut out = Vec::new();
         for (snap, active) in snaps.iter().zip(&actives) {
-            let alive = LsmInner::merged_keys(snap, active, b"");
-            for (key, is_alive) in alive {
-                if is_alive {
-                    let value = match active.get(&key) {
-                        Some(entry) => entry.clone(),
-                        None => snap.lookup(&key)?.flatten(),
-                    };
-                    let value = value
-                        .ok_or_else(|| YokanError::Corrupt("key vanished during dump".into()))?;
-                    out.push((key, value));
-                }
+            for key in LsmInner::live_keys(snap, active, b"", &Bound::Unbounded) {
+                let value = match active.get(key) {
+                    Some(entry) => entry.clone(),
+                    None => snap.lookup(key)?.flatten(),
+                };
+                let value =
+                    value.ok_or_else(|| YokanError::Corrupt("key vanished during dump".into()))?;
+                out.push((key.clone(), value));
             }
         }
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -1456,13 +1614,116 @@ mod tests {
             }
             db.flush().unwrap();
         }
-        // After a flush, every stripe compacted itself down to at most
-        // `max_tables` tables.
+        // Twenty keys overwritten every round never outgrow tier 0, so
+        // every stripe's run is the whole stripe and a flush leaves at
+        // most `max_tables` tables behind.
         let config = tiny_config();
         assert!(db.table_count() <= config.stripes * config.max_tables);
         // Latest round wins.
         assert_eq!(db.get(b"k010").unwrap().as_deref(), Some(b"r9".as_slice()));
         assert_eq!(db.len().unwrap(), 20);
+    }
+
+    #[test]
+    fn max_tables_zero_is_clamped_to_tiers_of_one_table() {
+        // From a provider's JSON config; unclamped, a run of one table
+        // would qualify for ever.
+        let dir = TempDir::new("lsm-zero").unwrap();
+        let db =
+            LsmDatabase::open(dir.path(), LsmConfig { max_tables: 0, ..tiny_config() }).unwrap();
+        for round in 0..5u32 {
+            for i in 0..20u32 {
+                db.put(format!("k{i:03}").as_bytes(), format!("r{round}").as_bytes()).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        assert!(db.table_count() <= tiny_config().stripes);
+        assert_eq!(db.get(b"k010").unwrap().as_deref(), Some(b"r4".as_slice()));
+        assert_eq!(db.len().unwrap(), 20);
+    }
+
+    #[test]
+    fn tiered_ingest_rewrites_each_byte_once_per_tier() {
+        // 64 memtables of never-seen keys, 16 records of 12 + 116 bytes
+        // each, into one stripe with tiers of `max_tables + 1` = 5.
+        let config =
+            LsmConfig { memtable_bytes: 2048, max_tables: 4, stripes: 1, ..LsmConfig::default() };
+        let dir = TempDir::new("lsm-tiers").unwrap();
+        let key = |i: u32| format!("ingest-{i:05}").into_bytes();
+        let value = |i: u32| vec![i as u8; 116];
+        let check = |db: &LsmDatabase| {
+            assert_eq!(db.len().unwrap(), 1024);
+            for i in 0..1024 {
+                assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+            }
+        };
+        {
+            let db = LsmDatabase::open(dir.path(), config).unwrap();
+            for i in 0..1024 {
+                db.put(&key(i), &value(i)).unwrap();
+            }
+            assert_eq!(db.sealed_bytes(), 0, "every memtable drained inline");
+            // A record is 8 + 12 + 116 bytes on disk, a file ends in a
+            // 4-byte trailer. Every fifth flush merged 5 × 16 records
+            // into a tier-1 table (12 times), every fifth of those 5 × 80
+            // into a tier-2 table (twice): 1.83 bytes rewritten per user
+            // byte. Merging the whole stripe whenever it exceeded four
+            // tables rewrote 5 + 9 + … + 61 = 495 memtables for 64: 7.7.
+            let user_bytes = 1024 * (12 + 116);
+            let rewritten = 12 * (80 * 136 + 4) + 2 * (400 * 136 + 4);
+            assert_eq!(db.compaction_bytes_written(), rewritten);
+            assert!(rewritten <= 3 * user_bytes);
+            // Two tier-2 tables, two tier-1, four flushed memtables.
+            assert_eq!(db.table_count(), 8);
+            assert!(db.table_count() <= config.max_tables * 3);
+            check(&db);
+        }
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        assert_eq!(db.table_count(), 8);
+        check(&db);
+    }
+
+    #[test]
+    fn partial_run_keeps_tombstones_that_an_older_table_needs() {
+        let config =
+            LsmConfig { memtable_bytes: 256, max_tables: 2, stripes: 1, ..LsmConfig::default() };
+        let dir = TempDir::new("lsm-partial").unwrap();
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        // One batch seals once: a tier-1 table (≥ 3 × 256 bytes) that
+        // holds `doomed`.
+        let batch: Vec<(Vec<u8>, Vec<u8>)> = (0..10u32)
+            .map(|i| (format!("big-{i}").into_bytes(), vec![b'x'; 100]))
+            .chain([(b"doomed".to_vec(), b"v".to_vec())])
+            .collect();
+        let refs: Vec<(&[u8], &[u8])> =
+            batch.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
+        db.put_multi(&refs).unwrap();
+        assert_eq!(db.table_count(), 1);
+        // Three small tables above it: the run is those three, and its
+        // product must still carry the tombstone.
+        assert!(db.erase(b"doomed").unwrap());
+        db.flush().unwrap();
+        for name in [b"a", b"b"] {
+            db.put(name, b"1").unwrap();
+            db.flush().unwrap();
+        }
+        assert_eq!(db.table_count(), 2, "the big table and the merged run");
+        assert_eq!(db.get(b"doomed").unwrap(), None);
+        assert_eq!(db.len().unwrap(), 12);
+    }
+
+    #[test]
+    fn bloom_filter_has_no_false_negatives_and_few_false_positives() {
+        let keys: Vec<Vec<u8>> =
+            (0..10_000u32).map(|i| format!("k-{i:014}").into_bytes()).collect();
+        let bloom = Bloom::build(keys.iter());
+        assert!(keys.iter().all(|k| bloom.may_contain(Bloom::hash(k))));
+        let false_positives = (10_000..20_000u32)
+            .filter(|i| bloom.may_contain(Bloom::hash(format!("k-{i:014}").as_bytes())))
+            .count();
+        assert!(false_positives < 300, "{false_positives} of 10000 absent keys passed the filter");
+        // A table without keys still answers.
+        assert!(!Bloom::build([].iter()).may_contain(Bloom::hash(b"any")));
     }
 
     #[test]

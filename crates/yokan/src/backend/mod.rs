@@ -137,7 +137,9 @@ pub struct BackendConfig {
     /// LSM: flush the memtable after this many bytes.
     #[serde(default = "default_memtable_bytes")]
     pub memtable_bytes: usize,
-    /// LSM: compact when more than this many SSTables exist.
+    /// LSM: width of a compaction tier — once more than this many of a
+    /// stripe's newest tables sit in one size tier, they merge into one
+    /// table of the next ([`lsm::LsmConfig::max_tables`]).
     #[serde(default = "default_max_tables")]
     pub max_tables: usize,
     /// Memory backend: number of hash-striped shards (clamped to

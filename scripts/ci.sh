@@ -25,6 +25,9 @@
 #   38 leg concurrency failed (posted forwards, or the legs of one
 #      routed operation, ran one after another instead of overlapping;
 #      or a posted forward left its books unbalanced)
+#   39 LSM backend failed (mochi-yokan's own suites — unit, concurrent
+#      consistency, integration, the seeded model check — or a 2 s
+#      ingest_rf1_lsm run that read back a wrong value or got an error)
 #   10-13, 2 static-analysis failures (see scripts/lint.sh)
 set -u
 
@@ -68,6 +71,19 @@ cargo test -q -p mochi-core --test replicated_kill || exit 36
 echo "==> leg concurrency (mochi-margo posted_*, mochi-core leg_concurrency)"
 cargo test -q -p mochi-margo --lib posted_ || exit 38
 cargo test -q -p mochi-core --test leg_concurrency || exit 38
+
+# The LSM backend (DESIGN.md §15). The root `cargo test -q` below is the
+# umbrella package only, so mochi-yokan's own suites run here: its unit
+# tests (backend conformance, tier arithmetic, Bloom filter), concurrent
+# consistency, integration, and the seeded model check (200 histories
+# against a BTreeMap through three compaction tiers; a failure prints the
+# seed that replays it). Then two seconds of ingest_rf1_lsm — the only
+# gate run that drives seal -> flush -> tiered merge under RoutedKv, with
+# every value read back checked. Triages as 39.
+echo "==> LSM backend (mochi-yokan suites, ingest_rf1_lsm smoke)"
+cargo test -q -p mochi-yokan --lib --test concurrent_consistency \
+    --test yokan_integration --test lsm_model || exit 39
+python3 crates/perf/bench.py --workload ingest_rf1_lsm --seed 2 --seconds 2 --trace 0 || exit 39
 
 echo "==> cargo test"
 cargo test -q || exit 21

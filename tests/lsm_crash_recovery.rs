@@ -6,7 +6,10 @@
 //! The contract under test: every acknowledged write survives a crash
 //! at ANY point of the seal → persist → truncate pipeline, and recovery
 //! is idempotent when the crash left both a table and its source
-//! segment behind.
+//! segment behind. The same for compaction: a crash while the merged
+//! table is being written, or after it is durable with its inputs only
+//! partly unlinked, recovers the exact acknowledged state — an erased
+//! key stays erased.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -155,4 +158,147 @@ fn mid_churn_crash_recovers_exactly_the_acked_state() {
             "churn-{i:04} must hold the last acknowledged overwrite"
         );
     }
+}
+
+/// Every `torn-<i>` below `keys` holds `v<i>` and nothing else exists.
+fn expect_torn_keys(db: &LsmDatabase, keys: u32) {
+    assert_eq!(db.len().unwrap(), u64::from(keys));
+    for i in 0..keys {
+        assert_eq!(
+            db.get(format!("torn-{i}").as_bytes()).unwrap().as_deref(),
+            Some(format!("v{i}").as_bytes()),
+            "acked write torn-{i} lost"
+        );
+    }
+}
+
+/// Crash while a flush is writing its table: the records are on disk,
+/// the checksum trailer is not. The torn file must not be mistaken for
+/// a table — everything in it is still in the sealed segment.
+#[test]
+fn torn_flush_does_not_brick_the_database() {
+    let dir = TempDir::new("crash-torn-flush").unwrap();
+    let config = LsmConfig { stripes: 1, ..LsmConfig::default() };
+    {
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        db.put(b"torn-0", b"v0").unwrap();
+        db.set_fail_point(LsmFailPoint::MidTableWrite);
+        assert!(db.flush().is_err(), "fault never fired");
+        assert_eq!(files_with_ext(dir.path(), "seg"), 1);
+    }
+    let db = LsmDatabase::open(dir.path(), config).expect("reopen after a torn flush");
+    assert_eq!(files_with_ext(dir.path(), "tmp"), 0, "leftover not cleaned up");
+    assert_eq!(files_with_ext(dir.path(), "tbl"), 0);
+    expect_torn_keys(&db, 1);
+    db.flush().unwrap();
+    assert_eq!(files_with_ext(dir.path(), "tbl"), 1);
+    expect_torn_keys(&db, 1);
+}
+
+/// The same crash inside a compaction, whose table is the longest write
+/// there is: the inputs are untouched until the merged table is durable,
+/// so the torn file is simply dropped.
+#[test]
+fn torn_merge_does_not_brick_the_database() {
+    let dir = TempDir::new("crash-torn-merge").unwrap();
+    let config = LsmConfig { max_tables: 8, stripes: 1, ..LsmConfig::default() };
+    {
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        for i in 0..3u32 {
+            db.put(format!("torn-{i}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+            db.flush().unwrap();
+        }
+        assert_eq!(files_with_ext(dir.path(), "tbl"), 3);
+    }
+    // Reopened with narrower tiers, the next drain has nothing to flush
+    // and one run to merge.
+    let config = LsmConfig { max_tables: 2, ..config };
+    {
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        db.set_fail_point(LsmFailPoint::MidTableWrite);
+        assert!(db.flush().is_err(), "fault never fired");
+    }
+    let db = LsmDatabase::open(dir.path(), config).expect("reopen after a torn merge");
+    assert_eq!(files_with_ext(dir.path(), "tmp"), 0, "leftover not cleaned up");
+    assert_eq!(files_with_ext(dir.path(), "tbl"), 3, "inputs must outlive a torn merge");
+    expect_torn_keys(&db, 3);
+    db.flush().unwrap();
+    assert_eq!(files_with_ext(dir.path(), "tbl"), 1, "the merge completes after recovery");
+    expect_torn_keys(&db, 3);
+}
+
+/// Crash between "merged table durable" and "inputs unlinked" — after
+/// the first unlink — with a key's value in the oldest input and its
+/// tombstone in the newest. The run reaches the stripe's oldest table,
+/// so the merged table carries no tombstone: the erased key stays
+/// erased only because inputs are unlinked oldest first (newest first
+/// would have left the value and removed the tombstone).
+#[test]
+fn crash_after_whole_stripe_merge_keeps_the_erased_key_erased() {
+    let dir = TempDir::new("crash-merge-whole").unwrap();
+    let config = LsmConfig { max_tables: 2, stripes: 1, ..LsmConfig::default() };
+    {
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        db.put(b"doomed", b"value").unwrap();
+        db.put(b"kept-0", b"a").unwrap();
+        db.flush().unwrap();
+        db.put(b"kept-1", b"b").unwrap();
+        db.flush().unwrap();
+        assert!(db.erase(b"doomed").unwrap());
+        db.put(b"kept-0", b"a2").unwrap();
+        db.set_fail_point(LsmFailPoint::AfterMergePersist);
+        assert!(db.flush().is_err(), "fault never fired");
+        // Merged table + the two newer inputs; the oldest is gone.
+        assert_eq!(files_with_ext(dir.path(), "tbl"), 3);
+    }
+    let db = LsmDatabase::open(dir.path(), config).unwrap();
+    let acked = vec![(b"kept-0".to_vec(), b"a2".to_vec()), (b"kept-1".to_vec(), b"b".to_vec())];
+    assert_eq!(db.get(b"doomed").unwrap(), None, "erased key resurrected");
+    assert_eq!(db.dump().unwrap(), acked);
+    // The leftovers merge away; the state does not change.
+    db.flush().unwrap();
+    assert_eq!(files_with_ext(dir.path(), "tbl"), 1);
+    assert_eq!(db.dump().unwrap(), acked);
+}
+
+/// The same crash when the run stops short of the oldest table: a
+/// tier-1 table holds the value, the run above it holds the tombstone,
+/// and the merged table must keep it — nothing else stands between the
+/// old value and a reader once the input that held the tombstone is
+/// unlinked.
+#[test]
+fn crash_after_partial_merge_keeps_the_erased_key_erased() {
+    let dir = TempDir::new("crash-merge-partial").unwrap();
+    let config =
+        LsmConfig { memtable_bytes: 256, max_tables: 2, stripes: 1, ..LsmConfig::default() };
+    let mut acked: Vec<(Vec<u8>, Vec<u8>)> =
+        (0..10u32).map(|i| (format!("big-{i}").into_bytes(), vec![b'x'; 100])).collect();
+    {
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        // One batch seals once: a single table of ≥ 3 × 256 bytes.
+        let batch: Vec<(&[u8], &[u8])> = acked
+            .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+            .chain([(b"doomed".as_slice(), b"value".as_slice())])
+            .collect();
+        db.put_multi(&batch).unwrap();
+        assert_eq!(files_with_ext(dir.path(), "tbl"), 1);
+        assert!(db.erase(b"doomed").unwrap());
+        db.flush().unwrap();
+        db.put(b"small-0", b"a").unwrap();
+        db.flush().unwrap();
+        db.put(b"small-1", b"b").unwrap();
+        db.set_fail_point(LsmFailPoint::AfterMergePersist);
+        assert!(db.flush().is_err(), "fault never fired");
+        // The big table, the merged run, and the run's two newer inputs
+        // — the input that held the tombstone is the one unlinked.
+        assert_eq!(files_with_ext(dir.path(), "tbl"), 4);
+    }
+    acked.push((b"small-0".to_vec(), b"a".to_vec()));
+    acked.push((b"small-1".to_vec(), b"b".to_vec()));
+    let db = LsmDatabase::open(dir.path(), config).unwrap();
+    assert_eq!(db.get(b"doomed").unwrap(), None, "erased key resurrected");
+    assert_eq!(db.dump().unwrap(), acked);
+    db.flush().unwrap();
+    assert_eq!(db.dump().unwrap(), acked);
 }
