@@ -20,25 +20,31 @@
 //!   record by server-side put-if-newer on every replica, and acks at
 //!   the write quorum `W`; an erase is a write of a tombstone. A read
 //!   asks the replicas, needs the read quorum, merges freshest-wins and
-//!   repairs stale replicas asynchronously. `replication_factor 1` (the
-//!   default) is the replica set of one with `W = R = 1`.
+//!   repairs stale replicas asynchronously. Both quorums are the majority
+//!   of the serving set, so `R + W > N` by construction;
+//!   `replication_factor 1` (the default) is the replica set of one with
+//!   `W = R = 1`.
 //! * **Concurrent fan-out.** Operations split into one batch per
 //!   destination; the caller's thread *posts* every batch
 //!   ([`FailoverKv::post_rounds`], non-blocking down to the fabric) and
 //!   only then waits for them all, so a `put_multi` over 4 providers
 //!   costs one leg's latency, not four, without a thread hand-off.
 //!   Failures stay per key: every slot reports its own outcome.
-//! * **Live rebalance, zero acked-write loss.** Membership changes drain
-//!   the minimal moved-slice set through REMI while traffic continues:
-//!   during the move window writes cover the serving replicas *and* the
-//!   future owners, and slice imports are per-key freshest-wins under a
-//!   client-side barrier, so neither an in-flight write nor an erase can
-//!   lose to the exported snapshot. See [`RoutedKv::join`].
+//! * **Live rebalance, zero acked-write loss.** Membership changes copy
+//!   the minimal moved set (the keys whose owner set gains a member)
+//!   while traffic continues, the way a read repair or a hint replay
+//!   moves a record: a versioned read, then put-if-newer. During the move
+//!   window writes cover the serving replicas *and* the future owners,
+//!   and the compare is atomic per key in the backend, so neither an
+//!   in-flight write nor an erase can lose to the copied snapshot. See
+//!   [`RoutedKv::join`]. (REMI moves a whole provider's files —
+//!   `DynamicService::rebalance` — never records between members.)
 //! * **Hinted handoff and provider death** (replica sets larger than
 //!   one): an unreachable owner's share lands on another member as a
 //!   *hint* that a background drainer replays when the owner returns,
-//!   and a killed member is retired with **no drain**
-//!   ([`RoutedKv::fail_member`]) — survivors already hold every record.
+//!   and a killed member is retired with nothing read from it
+//!   ([`RoutedKv::fail_member`]) — survivors already hold every record,
+//!   and the same copier restores the lost copy from them.
 //!   A set of one has nobody to park a hint for: its owner's failure is
 //!   the write's failure.
 //!
@@ -50,7 +56,7 @@
 //! One instance of [`RoutedKv`] is the *coordinator* of its keyspace:
 //! concurrent data ops on the same instance are safe, but membership
 //! changes must not race from multiple client processes (nothing
-//! arbitrates two simultaneous drains — the same single-admin assumption
+//! arbitrates two simultaneous copies — the same single-admin assumption
 //! Bedrock's reconfiguration interface makes).
 //!
 //! [`FailoverKv`]: crate::failover::FailoverKv
@@ -64,73 +70,52 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::{Mutex, RwLock};
 
-use mochi_bedrock::{ProviderSpec, REMI_PROVIDER_ID};
+use mochi_bedrock::ProviderSpec;
 use mochi_margo::{MargoError, MargoRuntime};
 use mochi_mercury::Address;
 use mochi_pufferscale::Weights;
-use mochi_util::unique_u64;
 use mochi_yokan::client::{DatabaseHandle, KeyBatch, VersionedBatch, VersionedValue};
 use mochi_yokan::provider::{HintDropEntry, HintEntry, ListKeysArgs, PutVersionedMultiReply};
+use mochi_yokan::version::RECORD_OVERHEAD;
 
 use crate::failover::{FailoverKv, PostedOp};
-use crate::ring::{HashRing, DEFAULT_VNODES};
+use crate::ring::HashRing;
 use crate::service::DynamicService;
 
 /// Re-resolution rounds of a leg whose loss the quorum and the hint
 /// machinery absorb: fail fast rather than stall the whole operation.
 const FAIL_FAST_ROUNDS: u32 = 2;
 
+/// Wait between a leg's re-resolution rounds — deliberately shorter than
+/// the standalone [`FailoverKv`] default so one slow leg does not hold a
+/// whole scatter-gather hostage.
+const LEG_REROUTE_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Keys listed per page by the copier, the cleanup and [`RoutedKv::len`].
+const PAGE: usize = 512;
+
 /// Tuning knobs of a [`RoutedKv`].
 #[derive(Debug, Clone, Copy)]
 pub struct RoutedConfig {
-    /// Virtual nodes per member on the ring.
-    pub vnodes: usize,
     /// Per-attempt timeout of each leg.
     pub leg_timeout: Duration,
     /// Re-resolution rounds of each leg (see [`FailoverKv`]). Data-path
     /// legs of a replica set larger than one use two rounds instead.
     pub leg_max_rounds: u32,
-    /// Wait between a leg's re-resolution rounds — deliberately shorter
-    /// than the standalone [`FailoverKv`] default so one slow leg does
-    /// not hold a whole scatter-gather hostage.
-    pub leg_reroute_backoff: Duration,
-    /// Keys listed per page while draining a rebalance.
-    pub drain_batch: usize,
     /// Copies of every key (distinct ring successors). `> 1` adds hinted
     /// handoff and [`RoutedKv::fail_member`] to the one data path.
     pub replication_factor: usize,
-    /// Acks required before a write returns `Ok`; `None` means a
-    /// majority of the serving replicas. Clamped to `1..=replicas`. At
-    /// least one ack must always be a *real* owner ack (hints alone
-    /// never satisfy the quorum).
-    pub write_quorum: Option<usize>,
-    /// Replica answers required before a read returns; `None` means a
-    /// majority of the serving replicas.
-    pub read_quorum: Option<usize>,
     /// How often the background drainer replays parked hints.
     pub hint_drain_interval: Duration,
-    /// Byte budget per [`Self::drain_tick`] for background copies —
-    /// rebalance slice drains and `fail_member` re-replication. `None`
-    /// (default) is unthrottled.
-    pub drain_bytes_per_tick: Option<u64>,
-    /// Window over which [`Self::drain_bytes_per_tick`] is accounted.
-    pub drain_tick: Duration,
 }
 
 impl Default for RoutedConfig {
     fn default() -> Self {
         Self {
-            vnodes: DEFAULT_VNODES,
             leg_timeout: Duration::from_millis(250),
             leg_max_rounds: 40,
-            leg_reroute_backoff: Duration::from_millis(10),
-            drain_batch: 512,
             replication_factor: 1,
-            write_quorum: None,
-            read_quorum: None,
             hint_drain_interval: Duration::from_millis(100),
-            drain_bytes_per_tick: None,
-            drain_tick: Duration::from_millis(50),
         }
     }
 }
@@ -139,36 +124,30 @@ impl RoutedConfig {
     fn rf(&self) -> usize {
         self.replication_factor.max(1)
     }
+}
 
-    /// Write quorum over `replicas` live copies (majority by default).
-    fn write_quorum_for(&self, replicas: usize) -> usize {
-        self.write_quorum
-            .unwrap_or(replicas / 2 + 1)
-            .clamp(1, replicas.max(1))
-    }
-
-    /// Read quorum over `replicas` live copies (majority by default).
-    fn read_quorum_for(&self, replicas: usize) -> usize {
-        self.read_quorum
-            .unwrap_or(replicas / 2 + 1)
-            .clamp(1, replicas.max(1))
-    }
+/// The write quorum and the read quorum over `replicas` serving copies:
+/// a majority, so every read quorum meets every write quorum
+/// (`R + W > N`) whatever the set's size.
+fn majority(replicas: usize) -> usize {
+    replicas / 2 + 1
 }
 
 /// What a rebalance moved (returned by [`RoutedKv::join`]/
 /// [`RoutedKv::retire`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RebalanceReport {
-    /// Records (tombstones included) drained to a new owner.
+    /// Records (tombstones included) copied to a new owner.
     pub moved_keys: u64,
-    /// REMI slice migrations issued.
+    /// Batches shipped: one put-if-newer RPC per destination per page of
+    /// the source's listing.
     pub slices: u64,
     /// Stale source copies removed after cutover.
     pub erased_stale: u64,
 }
 
 /// What [`RoutedKv::fail_member`] re-replicated after retiring a dead
-/// member without a drain.
+/// member.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CatchUpReport {
     /// Records copied to restore the replication factor.
@@ -218,43 +197,15 @@ impl ReplicationStats {
     }
 }
 
-/// Byte-budget throttle for background copies (satellite: rebalance and
-/// re-replication must not starve foreground traffic). `consume` charges
-/// a transfer against the current tick's budget and sleeps into the next
-/// tick once the budget is spent. A single transfer larger than the
-/// budget still proceeds (charged against one whole tick) so progress is
-/// always possible.
-struct Throttle {
-    budget: Option<u64>,
-    tick: Duration,
-    window: Mutex<(Instant, u64)>,
-}
-
-impl Throttle {
-    fn new(config: &RoutedConfig) -> Self {
-        Self {
-            budget: config.drain_bytes_per_tick,
-            tick: config.drain_tick,
-            window: Mutex::new((Instant::now(), 0)),
-        }
-    }
-
-    fn consume(&self, bytes: u64) {
-        let Some(budget) = self.budget else { return };
-        loop {
-            let mut window = self.window.lock();
-            if window.0.elapsed() >= self.tick {
-                *window = (Instant::now(), 0);
-            }
-            if window.1 < budget {
-                window.1 = window.1.saturating_add(bytes);
-                return;
-            }
-            let wait = self.tick.saturating_sub(window.0.elapsed());
-            drop(window);
-            std::thread::sleep(wait.max(Duration::from_millis(1)));
-        }
-    }
+/// What one run of the bulk copier shipped.
+#[derive(Default)]
+struct Copied {
+    /// Records put on a member that entered their owner set.
+    records: u64,
+    /// Put-if-newer RPCs that carried them.
+    batches: u64,
+    /// Key, value and version-envelope bytes of those records.
+    bytes: u64,
 }
 
 /// An owned versioned record: key, version, value (`None` = tombstone).
@@ -401,7 +352,7 @@ fn new_legs(
         FailoverKv::new(service, margo, member)
             .with_timeout(config.leg_timeout)
             .with_max_rounds(config.leg_max_rounds)
-            .with_reroute_backoff(config.leg_reroute_backoff)
+            .with_reroute_backoff(LEG_REROUTE_BACKOFF)
     };
     members.iter().map(|member| Arc::new(leg(member))).collect()
 }
@@ -472,8 +423,10 @@ pub struct RoutedKv {
     /// The current route (shared with the hint drainer thread).
     state: Arc<RwLock<Arc<Route>>>,
     /// Write barrier of the move protocol: writes hold it shared across
-    /// routing and RPCs; slice imports and ring swaps hold it exclusive,
-    /// so no write routed under an older ring is in flight behind them.
+    /// routing and RPCs; a membership change holds it exclusive to fence
+    /// a newly published route and to swap the serving ring, so no write
+    /// routed under an older ring is in flight behind either. It orders
+    /// routing only: what a copy may overwrite, put-if-newer decides.
     barrier: RwLock<()>,
     /// One membership change at a time.
     rebalance_lock: Mutex<()>,
@@ -500,7 +453,7 @@ impl RoutedKv {
         config: RoutedConfig,
     ) -> Self {
         let state = Arc::new(RwLock::new(Arc::new(Route::new(
-            HashRing::with_vnodes(members, config.vnodes),
+            HashRing::new(members),
             None,
             config.rf(),
             |members| new_legs(service, margo, &config, members),
@@ -563,8 +516,7 @@ impl RoutedKv {
     ///
     /// Providers may carry a `"keyspace"` object inside their Bedrock
     /// config to tune the keyspace declaratively (the Yokan backend
-    /// ignores unknown fields): `replication_factor`, `write_quorum`,
-    /// `read_quorum`, `drain_bytes_per_tick`, `drain_tick_ms`, and
+    /// ignores unknown fields): `replication_factor` and
     /// `hint_drain_interval_ms` override the corresponding
     /// [`RoutedConfig`] fields; the last tagged provider listing a
     /// setting wins (operators normally set it identically everywhere).
@@ -637,7 +589,7 @@ impl RoutedKv {
     /// Every write holds the barrier shared for its whole duration
     /// (routing included): the rebalance path fences with one exclusive
     /// acquisition after opening the move window, so no write routed
-    /// under the steady ring can still be in flight when the drain
+    /// under the steady ring can still be in flight when the copier
     /// starts listing keys.
     fn write<'a>(
         &self,
@@ -670,7 +622,7 @@ impl RoutedKv {
     /// Removes `key`; returns whether it existed on some replica. An
     /// erase is a write of a versioned *tombstone*: it out-versions any
     /// earlier put, survives quorum merges, and cannot be resurrected by
-    /// a slice import, a stale copy or a hint.
+    /// a rebalance copy, a stale replica or a hint.
     pub fn erase(&self, key: &[u8]) -> Result<bool, MargoError> {
         self.erase_multi(&[key]).pop().unwrap_or_else(|| Err(Self::empty_ring()))
     }
@@ -773,7 +725,7 @@ impl RoutedKv {
         sets.iter()
             .zip(tallies)
             .map(|(set, tally)| {
-                let w = self.config.write_quorum_for(set.serving);
+                let w = majority(set.serving);
                 if tally.real_serving >= 1
                     && tally.covered_serving as usize >= w
                     && tally.covered_future as usize == set.future().len()
@@ -874,7 +826,7 @@ impl RoutedKv {
             .into_iter()
             .enumerate()
             .map(|(i, mut replies)| {
-                let r_q = self.config.read_quorum_for(sets[i].len());
+                let r_q = majority(sets[i].len());
                 if replies.len() < r_q {
                     return Err(errors[i].take().unwrap_or_else(|| {
                         MargoError::Handler(format!(
@@ -1010,13 +962,12 @@ impl RoutedKv {
     /// after page: an O(n) scan with quorum reads — an admin/debug
     /// operation, not a counter lookup.
     pub fn len(&self) -> Result<u64, MargoError> {
-        let batch = self.config.drain_batch.max(1);
         let mut total = 0u64;
         let mut cursor: Option<Vec<u8>> = None;
         loop {
-            let page = self.list_keys(b"", cursor.as_deref(), batch)?;
+            let page = self.list_keys(b"", cursor.as_deref(), PAGE)?;
             total += page.len() as u64;
-            if page.len() < batch {
+            if page.len() < PAGE {
                 return Ok(total);
             }
             cursor = page.last().cloned();
@@ -1032,8 +983,8 @@ impl RoutedKv {
     // Live rebalance
     // -----------------------------------------------------------------
 
-    /// Adds `member` (an existing Yokan provider) to the ring and drains
-    /// the minimal moved-slice set to it while traffic continues.
+    /// Adds `member` (an existing Yokan provider) to the ring and copies
+    /// the minimal moved set to it while traffic continues.
     ///
     /// Protocol (all while ops keep flowing):
     ///
@@ -1041,19 +992,20 @@ impl RoutedKv {
     ///    every write covers its serving replicas *and* its future
     ///    owners before it acks; reads keep routing to the serving ring.
     ///    One exclusive acquisition of the write barrier fences out the
-    ///    writes still routing under the steady ring.
-    /// 2. **Drain.** Per source member, page through its records, keep
-    ///    the ones whose owner set gains a member ([`HashRing::moved_arcs`]
-    ///    minimality: only arcs adjacent to the changed member's points
-    ///    move), and ship them per destination: `slice_export` spills
-    ///    the records on the source and pushes the file through REMI
-    ///    into the destination provider's directory; `slice_import`
-    ///    (under the exclusive write barrier) stores each record iff it
-    ///    is fresher than what the destination holds — a write or an
-    ///    erase that landed during the window always wins over the
-    ///    exported snapshot, and a stale copy loses to it.
+    ///    writes still routing under the steady ring, so the copier's
+    ///    listings cannot miss a write that reaches no future owner.
+    /// 2. **Copy** ([`Self::copy_moved`]). Per source member, page
+    ///    through its records, keep the ones whose owner set gains a
+    ///    member ([`HashRing::moved_arcs`] minimality: only arcs adjacent
+    ///    to the changed member's points move), read them with their
+    ///    versions and put them if newer on each new owner. No barrier
+    ///    is held: the compare is atomic per key in the backend, so a
+    ///    write or an erase that lands during the window out-versions
+    ///    the copied snapshot whichever of the two arrives first, and a
+    ///    stale copy loses to it.
     /// 3. **Cutover.** Under the exclusive barrier: swap the serving
-    ///    ring, close the window.
+    ///    ring, close the window. No write is routing while the ring it
+    ///    routes by changes.
     /// 4. **Cleanup.** Source copies of moved records are now stale
     ///    (reads no longer route to them) — erase them physically,
     ///    batch-wise.
@@ -1130,16 +1082,15 @@ impl RoutedKv {
         // Epoch fence: writes hold the barrier shared across routing and
         // RPCs, so one exclusive acquisition here waits out every write
         // still routing under the steady ring — after this, all
-        // in-flight writes cover the future owners too, and the drain's
-        // listings cannot miss a write that landed behind an export.
+        // in-flight writes cover the future owners too, and the copier's
+        // listings cannot miss a write that reached none of them.
         drop(self.barrier.write());
-        let throttle = Throttle::new(&self.config);
-        let mut report = match self.drain(&window, &to_ring, &throttle) {
-            Ok(report) => report,
+        let copied = match self.copy_moved(&window, &window.ring, &to_ring, None) {
+            Ok(copied) => copied,
             Err(err) => {
                 // Close the window; records already copied to the target
                 // are harmless (reads route by the serving ring) and a
-                // later rebalance's freshest-wins import reconciles them.
+                // later rebalance's put-if-newer reconciles them.
                 *self.state.write() = steady;
                 return Err(err);
             }
@@ -1149,93 +1100,74 @@ impl RoutedKv {
             let _exclusive = self.barrier.write();
             self.publish(to_ring.clone(), None);
         }
-        report.erased_stale = self.cleanup(&window, &to_ring)?;
-        Ok(report)
+        Ok(RebalanceReport {
+            moved_keys: copied.records,
+            slices: copied.batches,
+            erased_stale: self.cleanup(&window, &to_ring)?,
+        })
     }
 
-    /// Pages through every source member's records and drains the moved
-    /// ones, slice by slice, to their new owners: each record's
-    /// *primary* old owner pushes it to every member of its new owner
-    /// set that is not already a replica.
-    fn drain(
+    /// The keyspace's one bulk copier: brings the members that enter a
+    /// key's owner set when the ring changes from `from` to `to` up to
+    /// date. Each member `route` serves from pages through what it
+    /// stores, keeps the keys it is the designated pusher of
+    /// ([`designation`]: one per key, so nobody probes and nothing is
+    /// copied twice), reads the page's records once and puts them if
+    /// newer on each target — so racing foreground writes and hint
+    /// replays all converge. A lost message is an ordinary retry: both
+    /// RPCs are declared idempotent, and the legs run their patient
+    /// rounds (this is recovery, not a quorum leg).
+    fn copy_moved(
         &self,
-        window: &Route,
-        to_ring: &HashRing,
-        throttle: &Throttle,
-    ) -> Result<RebalanceReport, MargoError> {
-        let mut report = RebalanceReport::default();
-        for (member, source) in window.serving_legs() {
+        route: &Route,
+        from: &HashRing,
+        to: &HashRing,
+        gone: Option<&str>,
+    ) -> Result<Copied, MargoError> {
+        let rounds = self.config.leg_max_rounds;
+        let mut copied = Copied::default();
+        for (holder, leg) in route.serving_legs() {
             let mut start_after: Option<Vec<u8>> = None;
             loop {
-                let page =
-                    source.list_keys(b"", start_after.as_deref(), self.config.drain_batch)?;
+                let page = leg.list_keys(b"", start_after.as_deref(), PAGE)?;
                 let Some(last) = page.last() else { break };
                 start_after = Some(last.clone());
-                // Destination (a position among the legs) → keys.
-                let mut by_dest: BTreeMap<usize, Vec<&[u8]>> = BTreeMap::new();
+                // Keys this member pushes, with the members that entered
+                // their owner set. The rest: a stale copy, another
+                // replica's push, or an owner set that gains nobody.
+                let mut keys: Vec<&[u8]> = Vec::new();
+                let mut targets: Vec<Vec<&str>> = Vec::new();
                 for key in &page {
-                    let old_owners = window.ring.owners(key, window.rf);
-                    if old_owners.first().copied() != Some(member.as_str()) {
-                        continue; // stale copy, or a non-primary replica
-                    }
-                    for dest in to_ring.owner_indices(key, window.rf) {
-                        if !old_owners.contains(&to_ring.members()[dest].as_str()) {
-                            by_dest.entry(window.to_at[dest]).or_default().push(key.as_slice());
-                        }
+                    let pushed = designation(from, to, gone, route.rf, key);
+                    if let Some((_, entered)) = pushed.filter(|(pusher, _)| pusher == holder) {
+                        keys.push(key);
+                        targets.push(entered);
                     }
                 }
-                for (dest, keys) in by_dest {
-                    report.moved_keys += keys.len() as u64;
-                    report.slices += 1;
-                    self.drain_slice(source, &window.legs[dest], &keys, throttle)?;
+                if keys.is_empty() {
+                    continue;
+                }
+                let wanted = KeyBatch::encode(keys.iter().copied())?;
+                let records = leg.with_handle_rounds(rounds, |h| h.get_versioned(&wanted))?;
+                let mut by_target: Vec<Vec<Record>> = vec![Vec::new(); route.legs.len()];
+                for ((key, entered), record) in keys.into_iter().zip(targets).zip(records) {
+                    // Physically gone since the listing: nothing to copy.
+                    let Some(record) = record else { continue };
+                    let bytes = key.len() + record.value.len() + RECORD_OVERHEAD;
+                    let value = (!record.tombstone).then_some(record.value);
+                    for target in entered.into_iter().filter_map(|m| route.position(m)) {
+                        by_target[target].push((key.to_vec(), record.version, value.clone()));
+                        copied.records += 1;
+                        copied.bytes += bytes as u64;
+                    }
+                }
+                for (target, batch) in by_target.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+                    vput_records(&route.legs[target], batch, rounds)?;
+                    copied.batches += 1;
                 }
             }
         }
-        Ok(report)
-    }
-
-    /// Ships one slice of records from `source` to `dest_leg`: REMI-backed
-    /// export on the source, freshest-wins import on the destination
-    /// under the exclusive write barrier. Transfers are charged against
-    /// the rebalance throttle's byte budget.
-    ///
-    /// A message lost inside the nested REMI transfer, or the lost reply
-    /// of an import that did run, comes back as the handler's error,
-    /// which no transport retry covers. The whole slice is retried
-    /// instead: the tag makes a repeated export overwrite its own
-    /// leftovers, and a repeated import compares equal.
-    fn drain_slice(
-        &self,
-        source: &FailoverKv,
-        dest_leg: &FailoverKv,
-        keys: &[&[u8]],
-        throttle: &Throttle,
-    ) -> Result<(), MargoError> {
-        const SLICE_ATTEMPTS: u32 = 3;
-        let (member, dest) = (source.provider(), dest_leg.provider());
-        let (dest_addr, _) = dest_leg.resolve().ok_or_else(|| {
-            MargoError::Handler(format!("cannot resolve keyspace member '{dest}'"))
-        })?;
-        let tag = format!("mv{}-{member}-to-{dest}", unique_u64());
-        let dest_subdir = format!("providers/{dest}/slices/{tag}");
-        let mut shipped = Ok(());
-        for _ in 0..SLICE_ATTEMPTS {
-            shipped = source
-                .with_handle(|h| {
-                    h.slice_export(keys, &tag, &dest_addr, REMI_PROVIDER_ID, &dest_subdir)
-                })
-                .and_then(|exported| {
-                    throttle.consume(exported.bytes);
-                    // Exclusive barrier: the import's per-key compare
-                    // races with no foreground write.
-                    let _exclusive = self.barrier.write();
-                    dest_leg.with_handle(|h| h.slice_import(&tag)).map(|_imported| ())
-                });
-            if shipped.is_ok() {
-                break;
-            }
-        }
-        shipped
+        Ok(copied)
     }
 
     /// Erases post-cutover stale source copies: records a member of the
@@ -1247,7 +1179,7 @@ impl RoutedKv {
         for (member, leg) in window.serving_legs() {
             let mut start_after: Option<Vec<u8>> = None;
             loop {
-                let page = leg.list_keys(b"", start_after.as_deref(), self.config.drain_batch)?;
+                let page = leg.list_keys(b"", start_after.as_deref(), PAGE)?;
                 let Some(last) = page.last() else { break };
                 start_after = Some(last.clone());
                 let stale: Vec<&[u8]> = page
@@ -1267,24 +1199,26 @@ impl RoutedKv {
     // Provider death
     // -----------------------------------------------------------------
 
-    /// Retires a *dead* member from the keyspace **without draining it**
-    /// — the explicit provider-death path. Requires `replication_factor
-    /// > 1`: every key the dead member served still has `rf - 1` live
-    /// replicas, so quorum reads and writes keep working throughout; the
-    /// only follow-up is a re-replication catch-up restoring the `rf`-th
-    /// copy from the survivors.
+    /// Retires a *dead* member from the keyspace with nothing read from
+    /// it — the explicit provider-death path. Requires
+    /// `replication_factor > 1`: every key the dead member served still
+    /// has `rf - 1` live replicas, so quorum reads and writes keep working
+    /// throughout; the only follow-up is restoring the `rf`-th copy from
+    /// the survivors.
     ///
     /// Protocol:
     ///
     /// 1. Swap the serving ring to `ring ∖ member` immediately. No move
-    ///    window opens — there is nothing to drain from a corpse.
+    ///    window opens — there is no serving set to keep reads on while
+    ///    a corpse is copied from.
     /// 2. Epoch-fence on the write barrier: every write still fanning
     ///    under the old ring completes first (its share on the dead
     ///    member either landed — unreadable now, but re-replicated from
     ///    a survivor below — or was hinted onto a live successor).
-    /// 3. Catch-up: each affected key's first surviving replica pushes
-    ///    the record to the members that joined its owner set, via
-    ///    put-if-newer, under the rebalance byte-budget throttle.
+    /// 3. Copy ([`Self::copy_moved`], the copier a rebalance runs, with
+    ///    the dead member excluded): each affected key's first surviving
+    ///    replica puts the record, if newer, on the members that entered
+    ///    its owner set.
     /// 4. Replay hints: writes parked *for* the dead member while it was
     ///    flapping re-route to the keys' current owner sets.
     ///
@@ -1315,98 +1249,33 @@ impl RoutedKv {
         let survivors = self.publish(steady.ring.without_member(member), None);
         // Epoch fence (see step 2 above).
         drop(self.barrier.write());
-        let throttle = Throttle::new(&self.config);
-        let mut report = self.catch_up(&steady.ring, &survivors, member, &throttle)?;
-        report.replayed_hints = self.drain_hints_now();
-        Ok(report)
+        let copied = self.copy_moved(&survivors, &steady.ring, &survivors.ring, Some(member))?;
+        Ok(CatchUpReport {
+            recopied_keys: copied.records,
+            recopied_bytes: copied.bytes,
+            replayed_hints: self.drain_hints_now(),
+        })
     }
+}
 
-    /// Restores the replication factor after [`Self::fail_member`]: for
-    /// every key that counted `dead` among its `rf` owners, the first
-    /// *surviving* old replica (exactly one per key — dedup by
-    /// designation, not by probing) pushes its record to the members
-    /// that entered the key's new owner set. Push is put-if-newer, so
-    /// racing foreground writes and hint replays all converge.
-    fn catch_up(
-        &self,
-        from_ring: &HashRing,
-        survivors: &Route,
-        dead: &str,
-        throttle: &Throttle,
-    ) -> Result<CatchUpReport, MargoError> {
-        let rf = survivors.rf;
-        let mut report = CatchUpReport::default();
-        for (member, leg) in survivors.serving_legs() {
-            let mut start_after: Option<Vec<u8>> = None;
-            loop {
-                let page =
-                    leg.list_keys(b"", start_after.as_deref(), self.config.drain_batch)?;
-                let Some(last) = page.last() else { break };
-                start_after = Some(last.clone());
-                // Keys this member is the designated repairer of, with
-                // the members that entered their owner set.
-                let mut keys: Vec<Vec<u8>> = Vec::new();
-                let mut targets: Vec<Vec<usize>> = Vec::new();
-                for key in page {
-                    let old_owners = from_ring.owners(&key, rf);
-                    if !old_owners.contains(&dead) {
-                        continue;
-                    }
-                    let pusher = old_owners.iter().find(|m| **m != dead).copied();
-                    if pusher != Some(member.as_str()) {
-                        continue;
-                    }
-                    let entered: Vec<usize> = survivors
-                        .ring
-                        .owners(&key, rf)
-                        .into_iter()
-                        .filter(|m| !old_owners.contains(m))
-                        .filter_map(|m| survivors.position(m))
-                        .collect();
-                    if !entered.is_empty() {
-                        keys.push(key);
-                        targets.push(entered);
-                    }
-                }
-                if keys.is_empty() {
-                    continue;
-                }
-                let wanted = KeyBatch::encode(keys.iter().map(Vec::as_slice))?;
-                let records = leg
-                    .with_handle_rounds(self.config.leg_max_rounds, |h| h.get_versioned(&wanted))?;
-                let mut by_target: Vec<Vec<Record>> = vec![Vec::new(); survivors.legs.len()];
-                for ((key, targets), record) in keys.into_iter().zip(targets).zip(records) {
-                    // A vanished record means a fresher erase+cleanup won;
-                    // nothing to re-replicate.
-                    let Some(record) = record else { continue };
-                    let value = (!record.tombstone).then_some(record.value);
-                    for target in targets {
-                        by_target[target].push((key.clone(), record.version, value.clone()));
-                    }
-                }
-                for (target, batch) in by_target.iter().enumerate() {
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    let bytes: u64 = batch
-                        .iter()
-                        .map(|(key, _, value)| {
-                            (key.len()
-                                + value.as_ref().map_or(0, Vec::len)
-                                + mochi_yokan::version::RECORD_OVERHEAD)
-                                as u64
-                        })
-                        .sum();
-                    throttle.consume(bytes);
-                    // Patient rounds: this is recovery, not a quorum leg.
-                    vput_records(&survivors.legs[target], batch, self.config.leg_max_rounds)?;
-                    report.recopied_keys += batch.len() as u64;
-                    report.recopied_bytes += bytes;
-                }
-            }
-        }
-        Ok(report)
-    }
+/// Who copies `key` when the ring changes from `from` to `to`, and where
+/// to: the first of the key's `from`-owners that is not `gone` puts it on
+/// the `to`-owners that were not `from`-owners. `None` when the key's
+/// owner set gains nobody — which, because [`HashRing::owners`] is a
+/// successor list, is every key whose set the joining, retiring or dead
+/// member is not part of.
+fn designation<'r>(
+    from: &'r HashRing,
+    to: &'r HashRing,
+    gone: Option<&str>,
+    rf: usize,
+    key: &[u8],
+) -> Option<(&'r str, Vec<&'r str>)> {
+    let holders = from.owners(key, rf);
+    let targets: Vec<&str> =
+        to.owners(key, rf).into_iter().filter(|member| !holders.contains(member)).collect();
+    let pusher = holders.into_iter().find(|member| Some(*member) != gone)?;
+    (!targets.is_empty()).then_some((pusher, targets))
 }
 
 impl Drop for RoutedKv {
@@ -1554,18 +1423,6 @@ fn apply_keyspace_config(config: &mut RoutedConfig, value: &serde_json::Value) {
     if let Some(rf) = value["replication_factor"].as_u64() {
         config.replication_factor = rf.max(1) as usize;
     }
-    if let Some(w) = value["write_quorum"].as_u64() {
-        config.write_quorum = Some(w.max(1) as usize);
-    }
-    if let Some(r) = value["read_quorum"].as_u64() {
-        config.read_quorum = Some(r.max(1) as usize);
-    }
-    if let Some(bytes) = value["drain_bytes_per_tick"].as_u64() {
-        config.drain_bytes_per_tick = Some(bytes);
-    }
-    if let Some(ms) = value["drain_tick_ms"].as_u64() {
-        config.drain_tick = Duration::from_millis(ms.max(1));
-    }
     if let Some(ms) = value["hint_drain_interval_ms"].as_u64() {
         config.hint_drain_interval = Duration::from_millis(ms.max(1));
     }
@@ -1583,33 +1440,24 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let config = RoutedConfig::default();
-        assert_eq!(config.vnodes, DEFAULT_VNODES);
-        assert!(config.leg_reroute_backoff < Duration::from_millis(50));
-        assert!(config.drain_batch > 0);
-        // Replication defaults: one copy, majority quorums, unthrottled.
+        // Replication defaults: one copy.
         assert_eq!(config.replication_factor, 1);
-        assert!(config.write_quorum.is_none());
-        assert!(config.read_quorum.is_none());
-        assert!(config.drain_bytes_per_tick.is_none());
         assert!(config.hint_drain_interval > Duration::ZERO);
-        assert!(config.drain_tick > Duration::ZERO);
+        assert!(LEG_REROUTE_BACKOFF < Duration::from_millis(50));
     }
 
     #[test]
-    fn quorums_default_to_majority_and_clamp() {
-        let mut config = RoutedConfig { replication_factor: 3, ..RoutedConfig::default() };
-        assert_eq!(config.write_quorum_for(3), 2);
-        assert_eq!(config.read_quorum_for(3), 2);
-        // Quorums clamp into 1..=replicas (a member loss shrank the set).
-        config.write_quorum = Some(5);
-        assert_eq!(config.write_quorum_for(3), 3);
-        config.write_quorum = Some(0);
-        assert_eq!(config.write_quorum_for(3), 1);
-        config.read_quorum = Some(1);
-        assert_eq!(config.read_quorum_for(3), 1);
+    fn quorums_are_majorities_that_always_intersect() {
+        assert_eq!(majority(3), 2);
+        // A member loss shrank the set: still a majority of what serves.
+        assert_eq!(majority(2), 2);
         // Degenerate single-replica set always quorums at 1.
-        assert_eq!(config.write_quorum_for(1), 1);
-        assert_eq!(config.read_quorum_for(1), 1);
+        assert_eq!(majority(1), 1);
+        for replicas in 1..=9 {
+            let quorum = majority(replicas);
+            assert!((1..=replicas).contains(&quorum));
+            assert!(quorum + quorum > replicas, "R + W > N at {replicas}");
+        }
     }
 
     #[test]
@@ -1633,6 +1481,43 @@ mod tests {
                 }
             }
             assert!(saw_future, "rf {rf}: some key must gain db3 as a future owner");
+        }
+    }
+
+    /// One pusher rule serves a join, a retire and a fail: every key
+    /// whose owner set gains a member has exactly one pusher, a
+    /// `from`-owner other than `gone`, pushing to exactly the members
+    /// that entered; a key whose set did not change has none.
+    #[test]
+    fn every_moved_key_has_one_pusher_and_unmoved_keys_have_none() {
+        let four = HashRing::new(&["db0", "db1", "db2", "db3"]);
+        let join = (four.without_member("db3"), four.clone(), None, [1, 3]);
+        let retire = (four.clone(), four.without_member("db1"), None, [1, 3]);
+        // `fail_member` refuses a replica set of one: nobody else holds it.
+        let fail = (four.clone(), four.without_member("db1"), Some("db1"), [2, 3]);
+        for (from, to, gone, factors) in [join, retire, fail] {
+            for rf in factors {
+                let mut moved = 0;
+                for i in 0..2500 {
+                    let key = format!("key-{i:05}").into_bytes();
+                    let (old, new) = (from.owners(&key, rf), to.owners(&key, rf));
+                    let entered: Vec<&str> =
+                        new.iter().filter(|m| !old.contains(m)).copied().collect();
+                    let designated = designation(&from, &to, gone, rf, &key);
+                    if entered.is_empty() {
+                        assert_eq!(designated, None, "rf {rf}: unchanged owner set");
+                        continue;
+                    }
+                    moved += 1;
+                    let (pusher, targets) = designated.expect("a moved key has a pusher");
+                    // `copy_moved` asks every serving member: one says yes.
+                    let serving = from.members().iter().filter(|m| Some(m.as_str()) != gone);
+                    assert_eq!(serving.filter(|holder| *holder == pusher).count(), 1);
+                    assert!(old.contains(&pusher), "the pusher holds the record");
+                    assert_eq!(targets, entered);
+                }
+                assert!((1..2500).contains(&moved), "rf {rf}: some keys move, not all");
+            }
         }
     }
 
@@ -1678,48 +1563,13 @@ mod tests {
         let mut config = RoutedConfig::default();
         apply_keyspace_config(
             &mut config,
-            &serde_json::json!({
-                "replication_factor": 3,
-                "write_quorum": 2,
-                "read_quorum": 2,
-                "drain_bytes_per_tick": 65536,
-                "drain_tick_ms": 20,
-                "hint_drain_interval_ms": 250,
-            }),
+            &serde_json::json!({ "replication_factor": 3, "hint_drain_interval_ms": 250 }),
         );
         assert_eq!(config.replication_factor, 3);
-        assert_eq!(config.write_quorum, Some(2));
-        assert_eq!(config.read_quorum, Some(2));
-        assert_eq!(config.drain_bytes_per_tick, Some(65536));
-        assert_eq!(config.drain_tick, Duration::from_millis(20));
         assert_eq!(config.hint_drain_interval, Duration::from_millis(250));
         // Non-object (absent) config is a no-op.
         let before = config;
         apply_keyspace_config(&mut config, &serde_json::Value::Null);
         assert_eq!(config.replication_factor, before.replication_factor);
-    }
-
-    #[test]
-    fn throttle_sleeps_once_budget_is_spent() {
-        let config = RoutedConfig {
-            drain_bytes_per_tick: Some(1024),
-            drain_tick: Duration::from_millis(20),
-            ..RoutedConfig::default()
-        };
-        let throttle = Throttle::new(&config);
-        let start = Instant::now();
-        throttle.consume(800); // fits the first tick
-        throttle.consume(800); // fits (budget not yet exhausted at check)
-        throttle.consume(100); // must wait for the next tick
-        assert!(
-            start.elapsed() >= Duration::from_millis(10),
-            "third transfer should have slept into the next tick"
-        );
-        // Unthrottled config never sleeps.
-        let free = Throttle::new(&RoutedConfig::default());
-        let start = Instant::now();
-        free.consume(u64::MAX);
-        free.consume(u64::MAX);
-        assert!(start.elapsed() < Duration::from_millis(20));
     }
 }

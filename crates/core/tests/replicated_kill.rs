@@ -62,6 +62,15 @@ fn provider_kill_loses_no_acked_write() {
     }
 }
 
+/// Raises the flag when dropped, unwinding included.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 fn provider_kill_round(seed: u64) {
     const VICTIM: &str = "kv1";
     let cluster = Cluster::new(5);
@@ -150,6 +159,10 @@ fn provider_kill_round(seed: u64) {
             }
             i
         });
+
+        // A failed assertion below must fail the test, not leave the
+        // scope waiting for a writer nobody stops.
+        let _stop_writer = StopOnDrop(&stop);
 
         // Let the writer establish traffic, then kill the victim's node
         // abruptly: no provider shutdown, no farewell — SWIM finds out.

@@ -16,7 +16,7 @@ use mochi_core::{Cluster, DynamicService, FailoverKv, HashRing, ServiceConfig};
 use mochi_margo::{MargoConfig, MargoError, MargoRuntime};
 use mochi_mercury::{Address, LinkScript, MercuryError};
 use mochi_util::time::wait_until;
-use mochi_yokan::version::decode_record;
+use mochi_yokan::version::{decode_record, is_record};
 
 const KEYSPACE: &str = "soak";
 
@@ -127,13 +127,14 @@ fn join_and_retire_move_minimal_slices() {
         slot.unwrap();
     }
 
-    // Join: Pufferscale picks the host, REMI drains the moved slices.
+    // Join: Pufferscale picks the host, the copier moves the keys whose
+    // owner set gains the joiner.
     let spec = mochi_bedrock::ProviderSpec::new("kv2", "yokan", 12)
         .with_config(json!({"backend": "lsm"}))
         .with_tag(format!("keyspace:{KEYSPACE}"));
     let report = routed.join_provider(&spec, None).unwrap();
     assert!(report.moved_keys > 0, "the joiner must receive keys");
-    assert!(report.slices > 0, "drain goes through REMI slices");
+    assert!(report.slices > 0, "moved records ship in batches");
     assert!(
         report.moved_keys < 300,
         "minimal disruption: only the joiner's arcs move, not the keyspace"
@@ -211,7 +212,9 @@ fn a_replica_set_of_one_parks_no_hint() {
 
 /// A keyspace opened over providers that already hold raw values (written
 /// through a plain handle, before `RoutedKv` existed for them) serves
-/// them as they are — version 0 — and the next put stamps them.
+/// them as they are — version 0 — and the next put stamps them. A
+/// membership change copies records, not stored bytes: a raw value that
+/// moves arrives as a version-0 record, and a tombstone as a tombstone.
 #[test]
 fn raw_values_written_before_the_keyspace_are_served_and_upgraded() {
     let cluster = Cluster::new(3);
@@ -245,6 +248,39 @@ fn raw_values_written_before_the_keyspace_are_served_and_upgraded() {
     assert_eq!(record.value, b"stamped");
     let stored = owner_of(&keys[1]).get(&keys[1]).unwrap().unwrap();
     assert!(decode_record(&stored).tombstone, "an erase leaves a tombstone record");
+
+    // A still-raw value and an erased key that a join moves to kv2 and a
+    // retire of kv2 moves back.
+    let grown = HashRing::new(&["kv0", "kv1", "kv2"]);
+    let mut movers = keys[2..].iter().filter(|key| grown.owner(key) == Some("kv2"));
+    let raw = movers.next().expect("some raw key moves to the joiner");
+    let erased = movers.next().expect("a second key moves to the joiner");
+    assert!(routed.erase(erased).unwrap());
+    let reads_back = |stage: &str| {
+        assert_eq!(routed.get(raw).unwrap().as_deref(), Some(b"raw value".as_slice()), "{stage}");
+        assert_eq!(routed.get(erased).unwrap(), None, "{stage}: the erased key is back");
+        assert_eq!(routed.len().unwrap(), 18, "{stage}");
+    };
+    let spec = mochi_bedrock::ProviderSpec::new("kv2", "yokan", 12)
+        .with_config(json!({"backend": "lsm"}))
+        .with_tag(format!("keyspace:{KEYSPACE}"));
+    routed.join_provider(&spec, None).unwrap();
+    reads_back("after the join");
+    let joiner = FailoverKv::new(&service, &client, "kv2");
+    let stored = joiner.get(raw).unwrap().expect("the joiner holds the moved raw value");
+    assert!(is_record(&stored), "a copied raw value is stored as a record");
+    let record = decode_record(&stored);
+    assert_eq!((record.version, record.value), (0, b"raw value".as_slice()));
+    let stored = joiner.get(erased).unwrap().expect("the joiner holds the moved tombstone");
+    assert!(decode_record(&stored).tombstone);
+
+    routed.retire("kv2").unwrap();
+    reads_back("after the retire");
+    assert_eq!(joiner.len().unwrap(), 0, "retired member keeps nothing");
+    for member in grown.members() {
+        let stored = FailoverKv::new(&service, &client, member).get(erased).unwrap();
+        assert!(stored.is_none_or(|s| decode_record(&s).tombstone), "{member} lists it live");
+    }
 
     service.shutdown();
     client.finalize();

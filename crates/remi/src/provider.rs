@@ -44,10 +44,9 @@ fn ensure_parent(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Joins `rel` under `root`, refusing a path that would leave it. The rule
-/// for where a migrated file may land, shared with callers that place a
-/// file under this process's own root without a transfer.
-pub fn safe_join(root: &Path, rel: &str) -> Result<PathBuf, String> {
+/// Joins `rel` under `root`, refusing a path that would leave it: the rule
+/// for where a migrated file may land.
+fn safe_join(root: &Path, rel: &str) -> Result<PathBuf, String> {
     if rel.split('/').any(|c| c == ".." || c.is_empty() && !rel.is_empty()) || rel.starts_with('/') {
         return Err(format!("unsafe relative path '{rel}'"));
     }

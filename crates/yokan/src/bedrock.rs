@@ -111,17 +111,9 @@ impl Module for YokanModule {
         };
         let db: Arc<dyn Database> =
             Arc::from(create_backend_with(&config, &db_dir, executor).map_err(|e| e.to_string())?);
-        // Data-dir-rooted registration: the slice-drain RPCs (routing
-        // rebalance) spill and land under the provider's own directory,
-        // which is what the server's REMI provider is rooted above.
-        let provider = YokanProvider::register_with_data_dir(
-            &ctx.margo,
-            ctx.provider_id,
-            Some(&ctx.pool),
-            Arc::clone(&db),
-            Some(ctx.data_dir.clone()),
-        )
-        .map_err(|e| e.to_string())?;
+        let provider =
+            YokanProvider::register(&ctx.margo, ctx.provider_id, Some(&ctx.pool), Arc::clone(&db))
+                .map_err(|e| e.to_string())?;
         Ok(Box::new(YokanInstance { provider, db, config, data_dir: ctx.data_dir }))
     }
 }

@@ -17,9 +17,8 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 
 use crate::provider::{
-    GetMultiHeader, HintDropArgs, HintDropEntry, HintEntry, HintListArgs, HintPutArgs, KeyHeader,
-    ListKeysArgs, PutMultiHeader, PutVersionedMultiReply, SliceExportArgs, SliceExportReply,
-    SliceImportArgs, SliceImportReply, ValuesHeader,
+    GetMultiHeader, HintDropArgs, HintDropEntry, HintEntry, HintListArgs, KeyHeader, ListKeysArgs,
+    PutMultiHeader, PutVersionedMultiReply, ValuesHeader,
 };
 use crate::provider::rpc;
 
@@ -293,35 +292,6 @@ impl DatabaseHandle {
         self.call(rpc::ERASE_MULTI, &keys)
     }
 
-    /// Exports `keys` into a spill file on the provider and pushes it
-    /// through REMI to `dest`'s provider-rooted `dest_subdir` (rebalance
-    /// drain, source side). Missing keys are skipped.
-    pub fn slice_export(
-        &self,
-        keys: &[&[u8]],
-        tag: &str,
-        dest: &Address,
-        dest_remi_id: u16,
-        dest_subdir: &str,
-    ) -> Result<SliceExportReply, MargoError> {
-        self.call(
-            rpc::SLICE_EXPORT,
-            &SliceExportArgs {
-                keys: keys.iter().map(|k| k.to_vec()).collect(),
-                tag: tag.to_string(),
-                dest: dest.to_string(),
-                dest_remi_id,
-                dest_subdir: dest_subdir.to_string(),
-            },
-        )
-    }
-
-    /// Imports the REMI-delivered slice named `tag` (rebalance drain,
-    /// destination side), record by record, freshest wins.
-    pub fn slice_import(&self, tag: &str) -> Result<SliceImportReply, MargoError> {
-        self.call(rpc::SLICE_IMPORT, &SliceImportArgs { tag: tag.to_string() })
-    }
-
     /// Put-if-newer of many versioned records in one RPC.
     pub fn put_versioned(
         &self,
@@ -374,7 +344,7 @@ impl DatabaseHandle {
     ) -> Result<bool, MargoError> {
         self.call(
             rpc::HINT_PUT,
-            &HintPutArgs {
+            &HintEntry {
                 target: target.to_string(),
                 key: key.to_vec(),
                 version,

@@ -5,16 +5,14 @@
 //! so values travel as raw bytes and body slices stay zero-copy views of
 //! the request buffer.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use mochi_margo::{decode_framed, encode_framed, MargoError, MargoRuntime, RpcContext};
-use mochi_remi::{FileSet, MigrationOptions, RemiClient, Strategy};
 
-use crate::backend::{read_dump, write_dump, Database, KvPairs};
+use crate::backend::Database;
 
 /// RPC names registered by a Yokan provider (one set per provider id).
 /// The constants themselves live in [`crate::rpc_names`].
@@ -40,7 +38,7 @@ pub struct PutMultiHeader {
 impl PutMultiHeader {
     /// Checks the header against `body` and pairs each key with its slice
     /// of it.
-    fn pairs<'a>(&'a self, body: &'a [u8]) -> Result<Vec<(&'a [u8], &'a [u8])>, String> {
+    pub(crate) fn pairs<'a>(&'a self, body: &'a [u8]) -> Result<Vec<(&'a [u8], &'a [u8])>, String> {
         if self.keys.len() != self.value_lens.len() {
             return Err("keys/value_lens length mismatch".into());
         }
@@ -84,54 +82,6 @@ pub struct ListKeysArgs {
     pub max: usize,
 }
 
-/// Arguments of `SLICE_EXPORT`: dump the listed keys to a spill file and
-/// push it to the destination's REMI provider (the rebalance drain's
-/// source half — "drain through REMI", not through per-key RPCs).
-#[derive(Debug, Serialize, Deserialize)]
-pub struct SliceExportArgs {
-    /// Keys to export (missing ones are skipped, not an error — the
-    /// caller's listing may be stale by the time the export runs).
-    pub keys: Vec<Vec<u8>>,
-    /// Slice tag; names the spill directory on both sides, so a retried
-    /// export overwrites its own leftovers instead of accumulating.
-    pub tag: String,
-    /// Destination server address (string form of [`mochi_mercury::Address`]).
-    pub dest: String,
-    /// REMI provider id on the destination server.
-    pub dest_remi_id: u16,
-    /// Destination directory, relative to the destination REMI
-    /// provider's root (the importing provider's `slices/<tag>`).
-    pub dest_subdir: String,
-}
-
-/// Reply of `SLICE_EXPORT`.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct SliceExportReply {
-    /// Pairs exported.
-    pub pairs: u64,
-    /// Bytes REMI transferred.
-    pub bytes: u64,
-}
-
-/// Arguments of `SLICE_IMPORT`: load the REMI-delivered spill file named
-/// by `tag`, record by record, each iff it is fresher than what the
-/// destination holds — a write that landed during the move never loses
-/// to the exported snapshot, and a stale copy never survives it.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct SliceImportArgs {
-    /// Slice tag (matches the export's `tag`).
-    pub tag: String,
-}
-
-/// Reply of `SLICE_IMPORT`.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct SliceImportReply {
-    /// Pairs in the spill file.
-    pub pairs: u64,
-    /// Pairs actually stored (fresher than what the provider held).
-    pub stored: u64,
-}
-
 /// Reply of `PUT_VERSIONED_MULTI`. The request is a [`PutMultiHeader`]
 /// whose values are encoded [`crate::version`] records.
 #[derive(Debug, Serialize, Deserialize)]
@@ -143,22 +93,6 @@ pub struct PutVersionedMultiReply {
     pub existed: Vec<bool>,
 }
 
-/// Arguments of `HINT_PUT`: park a record for an unreachable `target`
-/// member on this provider (Dynamo-style hinted handoff).
-#[derive(Debug, Serialize, Deserialize)]
-pub struct HintPutArgs {
-    /// Ring member the record is destined for.
-    pub target: String,
-    /// The key.
-    pub key: Vec<u8>,
-    /// Version stamp of the hinted write.
-    pub version: u64,
-    /// Whether the hinted write is a deletion.
-    pub tombstone: bool,
-    /// Raw value (empty for tombstones).
-    pub value: Vec<u8>,
-}
-
 /// Arguments of `HINT_LIST`.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct HintListArgs {
@@ -166,7 +100,9 @@ pub struct HintListArgs {
     pub max: usize,
 }
 
-/// One parked hint, as listed by `HINT_LIST`.
+/// One hinted-handoff record (Dynamo-style): the argument of `HINT_PUT`,
+/// which parks it on this provider for its unreachable `target`, and an
+/// element of `HINT_LIST`'s reply.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HintEntry {
     /// Ring member the record is destined for.
@@ -213,7 +149,7 @@ struct HintRecord {
 
 /// In-memory hint store: deliberately *not* part of the [`Database`]
 /// (hints are transient routing state — they must not pollute
-/// `list_keys`/`len` or ride along slice drains).
+/// `list_keys`/`len` or ride along a rebalance copy).
 struct HintStore {
     map: parking_lot::Mutex<std::collections::BTreeMap<(String, Vec<u8>), HintRecord>>,
 }
@@ -223,7 +159,6 @@ pub struct YokanProvider {
     margo: MargoRuntime,
     provider_id: u16,
     db: Arc<dyn Database>,
-    data_dir: Option<PathBuf>,
     hints: Arc<HintStore>,
 }
 
@@ -243,30 +178,12 @@ fn framed_handler(
 }
 
 impl YokanProvider {
-    /// Registers a provider serving `db` under `provider_id` with no
-    /// data directory: the slice-drain RPCs spill under a temp dir on
-    /// export and reject imports (REMI needs a provider-rooted landing
-    /// directory). Bedrock-managed providers use
-    /// [`Self::register_with_data_dir`] and get the full drain surface.
+    /// Registers a provider serving `db` under `provider_id`.
     pub fn register(
         margo: &MargoRuntime,
         provider_id: u16,
         pool: Option<&str>,
         db: Arc<dyn Database>,
-    ) -> Result<Arc<Self>, MargoError> {
-        Self::register_with_data_dir(margo, provider_id, pool, db, None)
-    }
-
-    /// Registers a provider rooted at `data_dir` (the per-provider
-    /// directory Bedrock assigns, `<server>/providers/<name>`): slice
-    /// exports spill under `data_dir/slices-out/<tag>` and imports read
-    /// REMI-delivered files from `data_dir/slices/<tag>`.
-    pub fn register_with_data_dir(
-        margo: &MargoRuntime,
-        provider_id: u16,
-        pool: Option<&str>,
-        db: Arc<dyn Database>,
-        data_dir: Option<PathBuf>,
     ) -> Result<Arc<Self>, MargoError> {
         // PUT: header = key, body = value.
         margo.register(
@@ -363,9 +280,9 @@ impl YokanProvider {
         margo.register_typed(rpc::CLEAR, provider_id, pool, move |_: (), _| {
             clear_db.clear().map(|()| true).map_err(|e| e.to_string())
         })?;
-        // Routing drain surface: batch erase + REMI-backed slice moves.
-        // None of the three is idempotent-declared — the routed client
-        // drives them with explicit round-level retries instead.
+        // Batch erase (a rebalance's post-cutover cleanup). Like `ERASE`
+        // it is not idempotent-declared — the routed client drives it
+        // with explicit round-level retries instead.
         let erase_multi_db = Arc::clone(&db);
         margo.register_typed(
             rpc::ERASE_MULTI,
@@ -379,38 +296,6 @@ impl YokanProvider {
                     }
                 }
                 Ok(erased)
-            },
-        )?;
-        let export_db = Arc::clone(&db);
-        let export_margo = margo.clone();
-        let export_scratch = data_dir
-            .as_ref()
-            .map(|d| d.join("slices-out"))
-            .unwrap_or_else(|| std::env::temp_dir().join(format!("yokan-slices-{provider_id}")));
-        // This process's REMI provider is rooted at the server directory,
-        // two levels above `<server>/providers/<name>`.
-        let local_remi_root =
-            data_dir.as_ref().and_then(|d| Some(d.parent()?.parent()?.to_path_buf()));
-        margo.register_typed(
-            rpc::SLICE_EXPORT,
-            provider_id,
-            pool,
-            move |args: SliceExportArgs, ctx: &RpcContext| {
-                let local = local_remi_root.as_deref();
-                slice_export(&export_db, &export_margo, &export_scratch, local, args, ctx)
-            },
-        )?;
-        let import_db = Arc::clone(&db);
-        let import_root = data_dir.as_ref().map(|d| d.join("slices"));
-        margo.register_typed(
-            rpc::SLICE_IMPORT,
-            provider_id,
-            pool,
-            move |args: SliceImportArgs, _| {
-                let Some(root) = import_root.as_ref() else {
-                    return Err("slice import needs a data-dir-rooted provider".into());
-                };
-                slice_import(&import_db, root, &args)
             },
         )?;
         // Versioned-record + hint surface (routed keyspaces, DESIGN.md
@@ -442,7 +327,7 @@ impl YokanProvider {
             map: parking_lot::Mutex::new(std::collections::BTreeMap::new()),
         });
         let hint_put_store = Arc::clone(&hints);
-        margo.register_typed(rpc::HINT_PUT, provider_id, pool, move |args: HintPutArgs, _| {
+        margo.register_typed(rpc::HINT_PUT, provider_id, pool, move |args: HintEntry, _| {
             let slot = (args.target, args.key);
             let mut map = hint_put_store.map.lock();
             if map.len() >= HINT_CAP && !map.contains_key(&slot) {
@@ -493,7 +378,7 @@ impl YokanProvider {
             Ok(dropped)
         })?;
 
-        Ok(Arc::new(Self { margo: margo.clone(), provider_id, db, data_dir, hints }))
+        Ok(Arc::new(Self { margo: margo.clone(), provider_id, db, hints }))
     }
 
     /// This provider's id.
@@ -504,11 +389,6 @@ impl YokanProvider {
     /// Direct access to the backing database (local callers, tests).
     pub fn database(&self) -> &Arc<dyn Database> {
         &self.db
-    }
-
-    /// The per-provider data directory, when Bedrock-managed.
-    pub fn data_dir(&self) -> Option<&PathBuf> {
-        self.data_dir.as_ref()
     }
 
     /// Number of parked hinted-handoff records (monitoring, tests).
@@ -524,97 +404,4 @@ impl YokanProvider {
         }
         Ok(())
     }
-}
-
-/// Rejects tags that would escape the spill directory when joined.
-fn check_tag(tag: &str) -> Result<(), String> {
-    if tag.is_empty()
-        || tag.contains(['/', '\\'])
-        || tag.contains("..")
-        || tag.starts_with('.')
-    {
-        return Err(format!("invalid slice tag {tag:?}"));
-    }
-    Ok(())
-}
-
-/// `SLICE_EXPORT` body: snapshot the listed keys into a one-file spill
-/// fileset and hand it to REMI, addressed at the destination provider's
-/// `slices/<tag>` landing directory. The nested REMI forwards run under
-/// the export RPC's remaining deadline (`ctx.nested_context()`), so a
-/// caller-side timeout bounds the whole transfer.
-///
-/// A destination in this very process gets the file moved into its
-/// landing directory instead: the nested `remi_migration_*` RPCs would
-/// need an execution stream of the pool this handler is blocking, and
-/// with one stream per pool (the default) they would wait out the
-/// deadline.
-fn slice_export(
-    db: &Arc<dyn Database>,
-    margo: &MargoRuntime,
-    scratch_root: &std::path::Path,
-    local_remi_root: Option<&std::path::Path>,
-    args: SliceExportArgs,
-    ctx: &RpcContext,
-) -> Result<SliceExportReply, String> {
-    check_tag(&args.tag)?;
-    let dest: mochi_mercury::Address =
-        args.dest.parse().map_err(|e: mochi_mercury::MercuryError| e.to_string())?;
-    let keys: Vec<&[u8]> = args.keys.iter().map(|k| k.as_slice()).collect();
-    let values = db.get_multi(&keys).map_err(|e| e.to_string())?;
-    let pairs: KvPairs = args
-        .keys
-        .iter()
-        .zip(values)
-        .filter_map(|(k, v)| v.map(|v| (k.clone(), v)))
-        .collect();
-    let dir = scratch_root.join(&args.tag);
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let spill = dir.join("slice.ykn");
-    write_dump(&spill, &pairs).map_err(|e| e.to_string())?;
-    let bytes = if dest == margo.address() {
-        let root = local_remi_root
-            .ok_or("slice export to this process needs a data-dir-rooted provider")?;
-        let landing = mochi_remi::provider::safe_join(root, &args.dest_subdir)?;
-        std::fs::create_dir_all(&landing).map_err(|e| e.to_string())?;
-        let bytes = std::fs::metadata(&spill).map_err(|e| e.to_string())?.len();
-        // Same server directory, hence same filesystem: a rename.
-        std::fs::rename(&spill, landing.join("slice.ykn")).map_err(|e| e.to_string())?;
-        bytes
-    } else {
-        let fileset = FileSet::scan(&dir).map_err(|e| e.to_string())?;
-        let remi = RemiClient::new(margo).with_context(ctx.nested_context());
-        let options = MigrationOptions {
-            dest_subdir: Some(args.dest_subdir.clone()),
-            remove_source: true,
-            timeout: margo.rpc_timeout(),
-        };
-        remi.migrate(&dest, args.dest_remi_id, &fileset, Strategy::Rdma, &options)
-            .map_err(|e| e.to_string())?
-            .bytes
-    };
-    // The spill file is gone either way; drop its directory too.
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(SliceExportReply { pairs: pairs.len() as u64, bytes })
-}
-
-/// `SLICE_IMPORT` body: load the spill file REMI landed under
-/// `slices/<tag>` with the per-key freshest-wins compare, then clean up.
-/// A record the provider already holds may be newer than the snapshot
-/// (written during the move) or *older* (a replica that missed writes
-/// while partitioned); the compare settles both.
-fn slice_import(
-    db: &Arc<dyn Database>,
-    import_root: &std::path::Path,
-    args: &SliceImportArgs,
-) -> Result<SliceImportReply, String> {
-    check_tag(&args.tag)?;
-    let dir = import_root.join(&args.tag);
-    let pairs = read_dump(&dir.join("slice.ykn")).map_err(|e| e.to_string())?;
-    let mut stored = 0u64;
-    for (key, record) in &pairs {
-        stored += u64::from(db.put_if_newer(key, record).map_err(|e| e.to_string())?.0);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(SliceImportReply { pairs: pairs.len() as u64, stored })
 }

@@ -165,13 +165,7 @@ impl VirtualDatabaseProvider {
                 Box::new(|inner, payload, cx| {
                     let (header, body): (PutMultiHeader, Bytes) =
                         decode_framed(payload).map_err(|e| e.to_string())?;
-                    let mut pairs: Vec<(&[u8], &[u8])> = Vec::with_capacity(header.keys.len());
-                    let mut cursor = 0usize;
-                    for (key, len) in header.keys.iter().zip(&header.value_lens) {
-                        let len = *len as usize;
-                        pairs.push((key.as_slice(), &body[cursor..cursor + len]));
-                        cursor += len;
-                    }
+                    let pairs = header.pairs(&body)?;
                     inner.write_all(cx, |h| h.put_multi(&pairs))?;
                     encode_framed(&(pairs.len() as u64), &[]).map_err(|e| e.to_string())
                 }),

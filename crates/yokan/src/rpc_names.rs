@@ -28,16 +28,10 @@ pub const FLUSH: &str = "yokan_flush";
 pub const CLEAR: &str = "yokan_clear";
 /// Erase many keys in one RPC (routing drain cleanup).
 pub const ERASE_MULTI: &str = "yokan_erase_multi";
-/// Export a key slice to a spill file and push it to a peer provider
-/// through REMI (routing rebalance drain, source side).
-pub const SLICE_EXPORT: &str = "yokan_slice_export";
-/// Import a REMI-delivered spill file, per key freshest-wins (routing
-/// rebalance drain, destination side).
-pub const SLICE_IMPORT: &str = "yokan_slice_import";
 /// Put-if-newer of versioned records (framed like `PUT_MULTI`, each
 /// value an encoded record). The routed keyspace's write primitive —
-/// replica fan-out, hint replay, read repair, re-replication catch-up:
-/// the server keeps whichever record is freshest. Reads need no
+/// replica fan-out, hint replay, read repair, rebalance and catch-up
+/// copies: the server keeps whichever record is freshest. Reads need no
 /// counterpart: `GET_MULTI` returns records as stored.
 pub const PUT_VERSIONED_MULTI: &str = "yokan_put_versioned_multi";
 /// Park a hinted-handoff record on this provider for a currently
@@ -50,7 +44,7 @@ pub const HINT_LIST: &str = "yokan_hint_list";
 pub const HINT_DROP: &str = "yokan_hint_drop";
 
 /// Every name above (used for deregistration).
-pub const ALL: [&str; 17] = [
+pub const ALL: [&str; 15] = [
     PUT,
     PUT_MULTI,
     GET,
@@ -62,8 +56,6 @@ pub const ALL: [&str; 17] = [
     FLUSH,
     CLEAR,
     ERASE_MULTI,
-    SLICE_EXPORT,
-    SLICE_IMPORT,
     PUT_VERSIONED_MULTI,
     HINT_PUT,
     HINT_LIST,

@@ -6,10 +6,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mochi_bedrock::{BedrockServer, Client, ModuleCatalog, ProcessConfig};
-use mochi_margo::MargoRuntime;
+use mochi_margo::{encode_framed, CallContext, MargoRuntime};
 use mochi_mercury::{Address, Fabric};
 use mochi_util::TempDir;
 use mochi_yokan::backend::memory::MemoryDatabase;
+use mochi_yokan::provider::{rpc, PutMultiHeader};
 use mochi_yokan::{DatabaseHandle, VirtualDatabaseProvider, YokanProvider};
 
 fn boot(fabric: &Fabric, host: &str) -> MargoRuntime {
@@ -191,6 +192,50 @@ fn virtual_database_multi_and_erase_paths() {
     assert_eq!(db.list_keys(b"", None, 10).unwrap(), vec![b"b".to_vec()]);
     rep1.finalize();
     rep2.finalize();
+    front.finalize();
+    client.finalize();
+}
+
+/// A `PUT_MULTI` whose header disagrees with its body is refused with the
+/// same error by a real provider and by a virtual database: neither
+/// slices past the body (a panic in the handler, a timeout at the caller)
+/// nor stores the pairs a keys/lengths mismatch leaves over.
+#[test]
+fn malformed_put_multi_gets_the_same_error_from_both_providers() {
+    let fabric = Fabric::new();
+    let rep = boot(&fabric, "rep");
+    let front = boot(&fabric, "front");
+    let client = boot(&fabric, "client");
+    let real = memory_provider(&rep, 1);
+    let _virtual_db = VirtualDatabaseProvider::register(
+        &front,
+        9,
+        None,
+        vec![(rep.address(), 1)],
+        Duration::from_millis(500),
+    )
+    .unwrap();
+    let key = |k: &[u8]| k.to_vec();
+    let short_body = PutMultiHeader { keys: vec![key(b"k")], value_lens: vec![100] };
+    let lone_key = PutMultiHeader { keys: vec![key(b"a"), key(b"b")], value_lens: vec![5] };
+    for (header, expected) in
+        [(short_body, "body length mismatch"), (lone_key, "keys/value_lens length mismatch")]
+    {
+        let payload = encode_framed(&header, b"12345").unwrap();
+        let refusal = |to: &MargoRuntime, id: u16| {
+            let (top, wait) = (CallContext::TOP_LEVEL, Duration::from_secs(1));
+            client
+                .forward_raw(&to.address(), rpc::PUT_MULTI, id, payload.clone(), top, wait)
+                .unwrap_err()
+                .to_string()
+        };
+        let from_real = refusal(&rep, 1);
+        assert!(from_real.contains(expected), "{from_real}");
+        assert_eq!(refusal(&front, 9), from_real);
+    }
+    assert_eq!(real.database().len().unwrap(), 0, "a refused batch stores nothing");
+
+    rep.finalize();
     front.finalize();
     client.finalize();
 }

@@ -16,7 +16,9 @@
 #   23 chaos soak failed (fault-injection resilience regression)
 #   35 live-rebalance soak failed (zero-acked-write-loss or
 #      erase-resurrection regression while a keyspace member
-#      joins/retires mid-traffic, at rf=1 or rf=3)
+#      joins/retires mid-traffic, at rf=1 or rf=3), or a mochi-core
+#      unit test did (ring, write sets, who copies a moved key where,
+#      quorum arithmetic)
 #   36 provider-kill chaos failed (replicated keyspace lost an acked
 #      write, stopped serving quorum reads, or failed to re-converge
 #      after a member was crashed mid-traffic at rf=3)
@@ -49,9 +51,11 @@ cargo test -q --test chaos_soak || exit 23
 # The routed-keyspace soak (crates/core/tests/routed_rebalance.rs): a
 # zero-acked-write-loss regression during a live rebalance triages as
 # 35. The suite covers both replication factors (rf=1 over three seeds,
-# rf=3 over one): they share one data path.
-echo "==> cargo test -p mochi-core --test routed_rebalance"
-cargo test -q -p mochi-core --test routed_rebalance || exit 35
+# rf=3 over one): they share one data path. mochi-core's unit tests run
+# with it (no other stage does): the ring, the write sets, the copier's
+# pusher designation and the quorum arithmetic the soak relies on.
+echo "==> cargo test -p mochi-core --lib --test routed_rebalance"
+cargo test -q -p mochi-core --lib --test routed_rebalance || exit 35
 
 # Provider-kill chaos (crates/core/tests/replicated_kill.rs, DESIGN.md
 # §18): at replication_factor 3 a member process is crashed abruptly

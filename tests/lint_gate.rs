@@ -70,11 +70,9 @@ fn contract_table_covers_the_workspace_rpc_surface() {
     for expected in [
         "yokan_put",
         "yokan_get",
-        // The routed-keyspace surfaces (DESIGN.md §17): batch erase and
-        // the REMI-backed slice drain used by live rebalance.
+        // The routed-keyspace surface (DESIGN.md §17): the batch erase of
+        // a live rebalance's cleanup.
         "yokan_erase_multi",
-        "yokan_slice_export",
-        "yokan_slice_import",
         // The replication surfaces (DESIGN.md §18): versioned
         // put-if-newer and the hinted-handoff triplet.
         "yokan_put_versioned_multi",
