@@ -1,8 +1,8 @@
 //! Margo configuration document.
 //!
 //! The JSON shape extends Listing 2 with the fields Margo adds around the
-//! `argobots` section: which pool the progress loop is associated with,
-//! the default handler pool, RPC timeout, and monitoring settings.
+//! `argobots` section: which pool network progress runs in, the default
+//! handler pool, RPC timeout, and monitoring settings.
 
 use serde::{Deserialize, Serialize};
 
@@ -141,7 +141,14 @@ pub struct MargoConfig {
     /// to the primary-only topology when omitted, like `margo_init`.
     #[serde(default = "AbtConfig::primary_only")]
     pub argobots: AbtConfig,
-    /// Name of the pool associated with the network progress loop.
+    /// Name of the pool network progress runs in: each burst of arriving
+    /// requests schedules one ULT there, which dispatches them into their
+    /// handlers' pools. ULTs run to completion on their xstream, so a
+    /// handler that blocks an xstream serving this pool holds up dispatch
+    /// into *every* pool of the process until it returns. With the default
+    /// topology (one xstream) that is no loss, since the same xstream runs
+    /// the handlers; a topology with several handler pools gives this
+    /// pool an xstream of its own, as the paper's Figure 2 does.
     #[serde(default = "default_progress_pool")]
     pub progress_pool: String,
     /// Pool used for RPC handlers registered without an explicit pool.
@@ -197,7 +204,8 @@ impl MargoConfig {
     }
 
     /// Structural validation: delegate to Argobots, then check that the
-    /// progress and default pools exist.
+    /// progress and default pools exist and that some xstream serves the
+    /// progress pool (the process would otherwise never receive).
     pub fn validate(&self) -> Result<(), MargoError> {
         self.argobots.validate()?;
         for (role, pool) in
@@ -208,6 +216,12 @@ impl MargoConfig {
                     "{role} '{pool}' is not defined in the argobots section"
                 )));
             }
+        }
+        if !self.argobots.xstreams.iter().any(|x| x.scheduler.pools.contains(&self.progress_pool)) {
+            return Err(MargoError::BadConfig(format!(
+                "no xstream serves progress_pool '{}'",
+                self.progress_pool
+            )));
         }
         Ok(())
     }
@@ -248,6 +262,17 @@ mod tests {
         { "argobots": { "pools": [ { "name": "p" } ],
                         "xstreams": [ { "name": "es", "scheduler": { "pools": ["p"] } } ] },
           "progress_pool": "ghost", "default_rpc_pool": "p" }
+        "#;
+        let err = MargoConfig::from_json(json).unwrap_err();
+        assert!(matches!(err, MargoError::BadConfig(_)));
+    }
+
+    #[test]
+    fn rejects_a_progress_pool_nobody_serves() {
+        let json = r#"
+        { "argobots": { "pools": [ { "name": "p" }, { "name": "z" } ],
+                        "xstreams": [ { "name": "es", "scheduler": { "pools": ["p"] } } ] },
+          "progress_pool": "z", "default_rpc_pool": "p" }
         "#;
         let err = MargoConfig::from_json(json).unwrap_err();
         assert!(matches!(err, MargoError::BadConfig(_)));

@@ -25,12 +25,12 @@ pub enum MargoError {
     /// The referenced pool does not exist.
     PoolNotFound(String),
     /// Refusing to remove a pool that registered handlers dispatch into,
-    /// or the progress pool.
+    /// the progress pool, or the last xstream that serves the progress
+    /// pool.
     PoolBusy { pool: String, reason: String },
     /// A configuration document was invalid.
     BadConfig(String),
-    /// A background OS thread (progress loop, sampler) could not be
-    /// spawned.
+    /// A background OS thread (the sampler) could not be spawned.
     Spawn(String),
     /// The runtime is finalized.
     Finalized,
@@ -67,7 +67,7 @@ impl fmt::Display for MargoError {
             }
             MargoError::PoolNotFound(p) => write!(f, "pool '{p}' not found"),
             MargoError::PoolBusy { pool, reason } => {
-                write!(f, "pool '{pool}' cannot be removed: {reason}")
+                write!(f, "pool '{pool}' is busy: {reason}")
             }
             MargoError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
             MargoError::Spawn(msg) => write!(f, "spawning background thread: {msg}"),

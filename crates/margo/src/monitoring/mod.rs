@@ -80,7 +80,8 @@ pub enum MonitoringEvent {
         error: Option<&'static str>,
         attempts: u32,
     },
-    /// The progress loop received a request and is scheduling its ULT.
+    /// The progress ULT took a request from the mailbox and is scheduling
+    /// its handler ULT.
     RequestReceived {
         identity: RpcIdentity,
         source: Arc<Address>,
@@ -101,7 +102,7 @@ pub enum MonitoringEvent {
 }
 
 /// A monitoring callback sink. Implementations must be cheap and
-/// non-blocking: events are emitted from the progress loop and from
+/// non-blocking: events are emitted from the progress ULT and from
 /// handler ULTs.
 pub trait Monitor: Send + Sync {
     /// Observes one event.

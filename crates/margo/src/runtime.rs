@@ -1,8 +1,10 @@
 //! The Margo runtime: one simulated Mochi process.
 //!
 //! Owns the process's endpoint, its Argobots topology, the RPC handler
-//! registry, the progress loop, and the monitoring pipeline. The dynamic
-//! capabilities of the paper live here:
+//! registry, and the monitoring pipeline. Network progress is a ULT of
+//! `progress_pool`, scheduled by the endpoint's arrival hook: no thread of
+//! the process exists only to receive. The dynamic capabilities of the
+//! paper live here:
 //!
 //! * §4 performance introspection: every RPC lifecycle step is emitted to
 //!   the installed [`Monitor`]s; [`MargoRuntime::monitoring_json`] is the
@@ -14,7 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -41,9 +43,6 @@ use crate::monitoring::{
 };
 use crate::rpc::{rpc_id_for_name, RpcContext, RpcHandler};
 
-/// How often the progress loop wakes to check for shutdown.
-const PROGRESS_TICK: Duration = Duration::from_millis(10);
-
 /// Interns an RPC name as an `Arc<str>` in a per-thread cache, so the
 /// forward hot path does not allocate a fresh `Arc<str>` for every call of
 /// the same RPC. Thread-local to stay lock-free (the lock-rank graph gains
@@ -67,13 +66,17 @@ fn cached_rpc_name(rpc_name: &str) -> Arc<str> {
 
 struct Registration {
     name: Arc<str>,
-    pool: Arc<str>,
+    pool_name: Arc<str>,
+    /// Resolved once, at registration: `remove_pool` refuses a pool with
+    /// registrations, so it cannot go stale.
+    pool: Arc<Pool>,
     handler: RpcHandler,
 }
 
 /// Fixed at `init`: read on every RPC, so deliberately behind no lock.
 struct Meta {
-    progress_pool: String,
+    /// `remove_pool` refuses it, `remove_xstream` its last xstream.
+    progress_pool: Arc<Pool>,
     default_rpc_pool: String,
     rpc_timeout: Duration,
     monitoring_enabled: bool,
@@ -96,6 +99,9 @@ struct Inner {
     idempotent: OrderedRwLock<HashSet<u64>>,
     in_flight_client: AtomicI64,
     in_flight_server: AtomicI64,
+    /// A progress ULT is queued in `progress_pool` and has not yet begun
+    /// to drain the mailbox (see `arm_progress`).
+    progress_armed: AtomicBool,
     finalized: AtomicBool,
     threads: OrderedMutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -113,6 +119,9 @@ impl MargoRuntime {
     pub fn init(fabric: &Fabric, addr: Address, config: &MargoConfig) -> Result<Self, MargoError> {
         config.validate()?;
         let abt = AbtRuntime::from_config(&config.argobots)?;
+        let progress_pool = abt
+            .find_pool(&config.progress_pool)
+            .ok_or_else(|| MargoError::PoolNotFound(config.progress_pool.clone()))?;
         let endpoint = fabric.register(addr);
         let stats = config.monitoring.enabled.then(|| Arc::new(StatisticsMonitor::new()));
         let mut composite = CompositeMonitor::new();
@@ -124,7 +133,7 @@ impl MargoRuntime {
             fabric: fabric.clone(),
             abt,
             meta: Meta {
-                progress_pool: config.progress_pool.clone(),
+                progress_pool,
                 default_rpc_pool: config.default_rpc_pool.clone(),
                 rpc_timeout: Duration::from_millis(config.rpc_timeout_ms),
                 monitoring_enabled: config.monitoring.enabled,
@@ -142,11 +151,18 @@ impl MargoRuntime {
             ),
             in_flight_client: AtomicI64::new(0),
             in_flight_server: AtomicI64::new(0),
+            progress_armed: AtomicBool::new(false),
             finalized: AtomicBool::new(false),
             threads: OrderedMutex::new(rank::MARGO_THREADS, "margo.threads", Vec::new()),
         });
         let runtime = Self { inner };
-        runtime.spawn_progress_loop()?;
+        // The fabric slot owns the hook, and the hook this runtime: like a
+        // process, it lives until it is finalized or killed, whoever still
+        // holds a handle.
+        let this = runtime.clone();
+        runtime.inner.endpoint.set_arrival_hook(move || this.arm_progress());
+        // For what arrived before the hook was there.
+        runtime.arm_progress();
         runtime.spawn_sampler()?;
         Ok(runtime)
     }
@@ -156,22 +172,36 @@ impl MargoRuntime {
         Self::init(fabric, addr, &MargoConfig::default())
     }
 
-    fn spawn_progress_loop(&self) -> Result<(), MargoError> {
-        let this = self.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("margo-progress-{}", self.address()))
-            .spawn(move || {
-                while !this.inner.finalized.load(Ordering::SeqCst) {
-                    match this.inner.endpoint.progress(PROGRESS_TICK) {
-                        Ok(Some(incoming)) => this.dispatch(incoming),
-                        Ok(None) => {}
-                        Err(_) => break,
-                    }
-                }
-            })
-            .map_err(|e| MargoError::Spawn(format!("progress loop: {e}")))?;
-        self.inner.threads.lock().push(handle);
-        Ok(())
+    /// The arrival hook: called by the thread that just queued a request or
+    /// one-way in the mailbox (a sender, or `mercury-delivery`). Schedules
+    /// one progress ULT in `progress_pool` unless one is already waiting
+    /// there — N arrivals, one ULT, one xstream woken.
+    fn arm_progress(&self) {
+        if self.inner.progress_armed.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        static NAME: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from("__progress__"));
+        // Weak: a ULT left in the pool of a finalized process must not
+        // keep that process's memory alive.
+        let inner = Arc::downgrade(&self.inner);
+        self.inner.meta.progress_pool.push(Ult::new(Arc::clone(&NAME), move || {
+            if let Some(inner) = inner.upgrade() {
+                MargoRuntime { inner }.make_progress();
+            }
+        }));
+    }
+
+    /// The progress ULT: dispatches everything in the mailbox. It disarms
+    /// *before* it drains, so no arrival is left behind: a message queued
+    /// after the drain's last, empty look found `progress_armed == false`
+    /// (its hook runs after the queueing, which came after that look, which
+    /// came after this store) and scheduled the next ULT; one queued
+    /// earlier is found here (DESIGN.md §9.3).
+    fn make_progress(&self) {
+        self.inner.progress_armed.store(false, Ordering::SeqCst);
+        while let Ok(Some(incoming)) = self.inner.endpoint.progress(Duration::ZERO) {
+            self.dispatch(incoming);
+        }
     }
 
     fn spawn_sampler(&self) -> Result<(), MargoError> {
@@ -261,9 +291,11 @@ impl MargoRuntime {
     ) -> Result<u64, MargoError> {
         self.ensure_live()?;
         let pool_name = pool.unwrap_or(&self.inner.meta.default_rpc_pool);
-        if self.inner.abt.find_pool(pool_name).is_none() {
-            return Err(MargoError::PoolNotFound(pool_name.to_string()));
-        }
+        let pool = self
+            .inner
+            .abt
+            .find_pool(pool_name)
+            .ok_or_else(|| MargoError::PoolNotFound(pool_name.to_string()))?;
         let rpc_id = rpc_id_for_name(rpc_name);
         let mut handlers = self.inner.handlers.write();
         if handlers.contains_key(&(rpc_id, provider_id)) {
@@ -276,7 +308,8 @@ impl MargoRuntime {
             (rpc_id, provider_id),
             Arc::new(Registration {
                 name: Arc::from(rpc_name),
-                pool: Arc::from(pool_name),
+                pool_name: Arc::from(pool_name),
+                pool,
                 handler,
             }),
         );
@@ -333,7 +366,9 @@ impl MargoRuntime {
             .handlers
             .read()
             .iter()
-            .map(|((_, provider), reg)| (reg.name.to_string(), *provider, reg.pool.to_string()))
+            .map(|((_, provider), reg)| {
+                (reg.name.to_string(), *provider, reg.pool_name.to_string())
+            })
             .collect();
         list.sort();
         list
@@ -382,7 +417,7 @@ impl MargoRuntime {
             identity: identity.clone(),
             source: request.source.clone(),
             payload_size: request.payload.len(),
-            pool: Arc::clone(&registration.pool),
+            pool: Arc::clone(&registration.pool_name),
         });
         self.inner.in_flight_server.fetch_add(1, Ordering::Relaxed);
         let received_at = Instant::now();
@@ -421,12 +456,7 @@ impl MargoRuntime {
             });
             this.inner.in_flight_server.fetch_sub(1, Ordering::Relaxed);
         });
-        if self.inner.abt.submit(&registration.pool, ult).is_err() && !oneway {
-            // The pool disappeared between registration and dispatch
-            // (shutdown race): report rather than hang the caller.
-            // The request was moved into the ULT; nothing to respond to.
-            self.inner.in_flight_server.fetch_sub(1, Ordering::Relaxed);
-        }
+        registration.pool.push(ult);
     }
 
     // ------------------------------------------------------------------
@@ -845,7 +875,7 @@ impl MargoRuntime {
     /// handlers cannot be removed.
     pub fn remove_pool(&self, name: &str) -> Result<(), MargoError> {
         self.ensure_live()?;
-        if self.inner.meta.progress_pool == name {
+        if self.inner.meta.progress_pool.name() == name {
             return Err(MargoError::PoolBusy {
                 pool: name.to_string(),
                 reason: "it is the progress pool".into(),
@@ -856,7 +886,7 @@ impl MargoRuntime {
             .handlers
             .read()
             .values()
-            .filter(|r| &*r.pool == name)
+            .filter(|r| &*r.pool_name == name)
             .map(|r| r.name.to_string())
             .collect();
         if !users.is_empty() {
@@ -884,9 +914,18 @@ impl MargoRuntime {
         Ok(())
     }
 
-    /// Stops and removes an xstream.
+    /// Stops and removes an xstream — unless it is the last one whose
+    /// scheduler lists the progress pool: without it the process would
+    /// silently stop receiving.
     pub fn remove_xstream(&self, name: &str) -> Result<(), MargoError> {
         self.ensure_live()?;
+        let progress_pool = self.inner.meta.progress_pool.name();
+        if self.inner.abt.xstreams_using_pool(progress_pool) == [name] {
+            return Err(MargoError::PoolBusy {
+                pool: progress_pool.to_string(),
+                reason: "it is the last xstream serving the progress pool".into(),
+            });
+        }
         self.inner.abt.remove_xstream(name)?;
         Ok(())
     }
@@ -900,7 +939,7 @@ impl MargoRuntime {
         let meta = &self.inner.meta;
         serde_json::json!({
             "argobots": self.inner.abt.config(),
-            "progress_pool": meta.progress_pool,
+            "progress_pool": meta.progress_pool.name(),
             "default_rpc_pool": meta.default_rpc_pool,
             "rpc_timeout_ms": meta.rpc_timeout.as_millis() as u64,
             "monitoring": {
@@ -972,9 +1011,9 @@ impl MargoRuntime {
     }
 
     /// Shuts the process down: the endpoint closes (peers see a dead
-    /// node), the progress loop and sampler exit, all xstreams join, and
-    /// the final monitoring dump is returned ("outputs them as JSON when
-    /// shutting down the service").
+    /// node; its slot drops the arrival hook), the sampler exits, all
+    /// xstreams join, and the final monitoring dump is returned ("outputs
+    /// them as JSON when shutting down the service").
     pub fn finalize(&self) -> Option<Value> {
         if self.inner.finalized.swap(true, Ordering::SeqCst) {
             return self.monitoring_json();
@@ -985,6 +1024,13 @@ impl MargoRuntime {
             let _ = handle.join();
         }
         self.inner.abt.shutdown();
+        // The pools outlive `abt` in the registrations and `meta`, and a
+        // handler ULT nobody will run any more holds this runtime.
+        let handlers = self.inner.handlers.read();
+        for pool in handlers.values().map(|r| &r.pool).chain([&self.inner.meta.progress_pool]) {
+            while pool.try_pop().is_some() {}
+        }
+        drop(handlers);
         self.monitoring_json()
     }
 }
@@ -1088,6 +1134,17 @@ mod tests {
                 |input: String, _ctx| Ok(input),
             )
             .unwrap();
+    }
+
+    /// Registers the one-way "note" and returns the count of those handled.
+    fn register_note(server: &MargoRuntime) -> Arc<AtomicI64> {
+        let noted = Arc::new(AtomicI64::new(0));
+        let counter = Arc::clone(&noted);
+        let handler = move |_ctx: RpcContext| {
+            counter.fetch_add(1, Ordering::SeqCst);
+        };
+        server.register("note", 0, None, Arc::new(handler)).unwrap();
+        noted
     }
 
     #[test]
@@ -1761,6 +1818,229 @@ mod tests {
                 (false, Some("breaker-open"), 1),
             ]
         );
+        client.finalize();
+    }
+
+    /// Four callers, each alternating a one-way and a forward against one
+    /// default-config server, then quiescence: nothing may be left in the
+    /// mailbox and no progress ULT armed. A progress ULT that disarmed
+    /// *after* its drain would strand the arrival that fell between its
+    /// last look and the store — a forward that times out here, or a
+    /// one-way that is never counted.
+    fn every_arrival_is_dispatched(model: mochi_mercury::NetworkModel) {
+        const CALLERS: u64 = 4;
+        const CALLS: u64 = 5_000;
+        let fabric = Fabric::with_model(model);
+        let server = boot(&fabric, "server");
+        let client = boot(&fabric, "client");
+        register_echo(&server, 0);
+        let noted = register_note(&server);
+        let dest = server.address();
+        // In rounds: once the last message of a round is in the mailbox
+        // nothing else arrives until every caller has its answer, so a
+        // stranded message stays stranded. (Not a `Barrier`: a caller that
+        // fails must not leave the others waiting for it.)
+        let answered = std::sync::atomic::AtomicU64::new(0);
+        let failed = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for caller in 0..CALLERS {
+                let (client, dest, answered, failed) = (&client, &dest, &answered, &failed);
+                scope.spawn(move || {
+                    for call in 0..CALLS {
+                        while answered.load(Ordering::SeqCst) < call * CALLERS {
+                            if failed.load(Ordering::SeqCst) {
+                                return;
+                            }
+                            std::thread::yield_now();
+                        }
+                        client.notify(dest, "note", 0, &()).unwrap();
+                        let sent = format!("{caller}/{call}");
+                        let echoed: Result<String, _> =
+                            client.forward_timeout(dest, "echo", 0, &sent, Duration::from_secs(5));
+                        if echoed.as_ref() != Ok(&sent) {
+                            failed.store(true, Ordering::SeqCst);
+                            panic!("call {sent} got {echoed:?}");
+                        }
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        let quiet = || {
+            noted.load(Ordering::SeqCst) == (CALLERS * CALLS) as i64
+                && server.in_flight_server() == 0
+                && !server.inner.progress_armed.load(Ordering::SeqCst)
+        };
+        assert!(
+            mochi_util::time::wait_until(Duration::from_secs(10), Duration::from_millis(1), quiet),
+            "{} of {} one-ways handled, {} handlers in flight, armed: {}",
+            noted.load(Ordering::SeqCst),
+            CALLERS * CALLS,
+            server.in_flight_server(),
+            server.inner.progress_armed.load(Ordering::SeqCst),
+        );
+        assert!(server.inner.endpoint.progress(Duration::ZERO).unwrap().is_none());
+        server.finalize();
+        client.finalize();
+    }
+
+    #[test]
+    fn every_arrival_is_dispatched_on_a_free_link() {
+        every_arrival_is_dispatched(mochi_mercury::NetworkModel::instant());
+    }
+
+    /// The hook runs on `mercury-delivery` here, not on the senders.
+    #[test]
+    fn every_arrival_is_dispatched_on_a_modelled_link() {
+        every_arrival_is_dispatched(mochi_mercury::NetworkModel::slow(Duration::from_micros(200)));
+    }
+
+    /// Steps one progress ULT by hand (its own xstream is kept busy) and
+    /// lets a message arrive in the middle of its drain: the arrival must
+    /// find the ULT disarmed and schedule a successor. Disarming after the
+    /// drain would leave the pool empty here — and, in a real schedule,
+    /// the arrival that falls after the drain's last look stranded.
+    #[test]
+    fn progress_disarms_before_it_drains() {
+        /// Sends one more one-way to the server while the first is being
+        /// dispatched.
+        struct SendAnother {
+            server: std::sync::OnceLock<MargoRuntime>,
+            sent: AtomicBool,
+        }
+        impl Monitor for SendAnother {
+            fn observe(&self, event: &MonitoringEvent) {
+                if matches!(event, MonitoringEvent::RequestReceived { .. })
+                    && !self.sent.swap(true, Ordering::SeqCst)
+                {
+                    let server = self.server.get().unwrap();
+                    server.notify(&server.address(), "note", 0, &()).unwrap();
+                }
+            }
+        }
+
+        let fabric = Fabric::new();
+        let config = MargoConfig::from_json(
+            r#"{ "argobots": {
+                   "pools": [ { "name": "handlers" }, { "name": "progress" } ],
+                   "xstreams": [
+                     { "name": "es-handlers", "scheduler": { "pools": ["handlers"] } },
+                     { "name": "es-progress", "scheduler": { "pools": ["progress"] } } ] },
+                 "progress_pool": "progress", "default_rpc_pool": "handlers" }"#,
+        )
+        .unwrap();
+        let server = MargoRuntime::init(&fabric, Address::tcp("server", 1), &config).unwrap();
+        let noted = register_note(&server);
+        let monitor = Arc::new(SendAnother {
+            server: std::sync::OnceLock::new(),
+            sent: AtomicBool::new(false),
+        });
+        monitor.server.set(server.clone()).ok().unwrap();
+        server.add_monitor(monitor);
+
+        // Let `init`'s own arming run out, then occupy the progress xstream.
+        let pool = server.find_pool_by_name("progress").unwrap();
+        let armed = || server.inner.progress_armed.load(Ordering::SeqCst);
+        assert!(mochi_util::time::wait_until(
+            Duration::from_secs(5),
+            Duration::from_millis(1),
+            || !armed() && pool.stats().total_popped == 1
+        ));
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        pool.push(Ult::new("occupy", move || {
+            started_tx.send(()).unwrap();
+            let _ = released.recv();
+        }));
+        started.recv().unwrap();
+
+        let client = boot(&fabric, "client");
+        client.notify(&server.address(), "note", 0, &()).unwrap();
+        assert!(armed());
+        assert_eq!(pool.len(), 1, "one arrival, one progress ULT");
+        pool.try_pop().unwrap().run();
+        // It dispatched both messages, and the one that arrived meanwhile
+        // armed its successor.
+        assert!(armed());
+        assert_eq!(pool.len(), 1, "the arrival during the drain scheduled no progress ULT");
+        pool.try_pop().unwrap().run();
+        assert!(!armed());
+        assert!(pool.is_empty());
+        assert!(mochi_util::time::wait_until(
+            Duration::from_secs(5),
+            Duration::from_millis(1),
+            || noted.load(Ordering::SeqCst) == 2
+        ));
+        release.send(()).unwrap();
+        server.finalize();
+        client.finalize();
+    }
+
+    /// The fabric slot's arrival hook is what keeps a process alive, as its
+    /// progress thread used to: a runtime nobody holds a handle to serves
+    /// until it is killed, and is then torn down by whoever killed it.
+    #[test]
+    fn an_unheld_runtime_serves_until_its_slot_goes() {
+        let fabric = Fabric::new();
+        let mut config = MargoConfig::default();
+        config.monitoring.sampling_period_ms = 0; // no sampler holding a handle
+        let addr = Address::tcp("server", 1);
+        let server = MargoRuntime::init(&fabric, addr.clone(), &config).unwrap();
+        register_echo(&server, 0);
+        let inner = Arc::downgrade(&server.inner);
+        drop(server);
+        let client = boot(&fabric, "client");
+        let out: String = client.forward(&addr, "echo", 0, &"unheld".to_string()).unwrap();
+        assert_eq!(out, "unheld");
+        // The handler ULT that answered holds a handle until it returns.
+        assert!(mochi_util::time::wait_until(
+            Duration::from_secs(5),
+            Duration::from_millis(1),
+            || inner.strong_count() == 1
+        ));
+        fabric.kill(&addr);
+        assert!(inner.upgrade().is_none(), "the slot's hook held the last handle");
+        let err = client
+            .forward_timeout::<String, String>(
+                &addr,
+                "echo",
+                0,
+                &"x".to_string(),
+                Duration::from_millis(20),
+            )
+            .unwrap_err();
+        assert!(err.is_timeout());
+        client.finalize();
+    }
+
+    #[test]
+    fn last_xstream_of_the_progress_pool_cannot_be_removed() {
+        let fabric = Fabric::new();
+        let server = boot(&fabric, "server");
+        let client = boot(&fabric, "client");
+        register_echo(&server, 0);
+        let err = server.remove_xstream("__primary__").unwrap_err();
+        assert_eq!(
+            err,
+            MargoError::PoolBusy {
+                pool: "__primary__".into(),
+                reason: "it is the last xstream serving the progress pool".into(),
+            }
+        );
+        // With a second xstream on the pool the first may go, and the
+        // process still receives.
+        server
+            .add_xstream_from_json(r#"{"name": "second", "scheduler": {"pools": ["__primary__"]}}"#)
+            .unwrap();
+        server.remove_xstream("__primary__").unwrap();
+        assert!(matches!(
+            server.remove_xstream("second").unwrap_err(),
+            MargoError::PoolBusy { .. }
+        ));
+        let out: String =
+            client.forward(&server.address(), "echo", 0, &"still".to_string()).unwrap();
+        assert_eq!(out, "still");
+        server.finalize();
         client.finalize();
     }
 

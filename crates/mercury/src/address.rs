@@ -8,24 +8,27 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::MercuryError;
 
-/// A parsed Mercury address.
+/// A parsed Mercury address. The string parts are shared, so a clone —
+/// every message carries two addresses — bumps two reference counts and
+/// copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[serde(try_from = "String", into = "String")]
 pub struct Address {
-    scheme: String,
-    host: String,
+    scheme: Arc<str>,
+    host: Arc<str>,
     port: u32,
 }
 
 impl Address {
     /// Builds an address from parts. `scheme` is e.g. `"ofi+tcp"`.
     pub fn new(scheme: impl Into<String>, host: impl Into<String>, port: u32) -> Self {
-        Self { scheme: scheme.into(), host: host.into(), port }
+        Self { scheme: scheme.into().into(), host: host.into().into(), port }
     }
 
     /// Convenience constructor for a simulated node: `ofi+tcp://<node>:<port>`.
@@ -61,7 +64,7 @@ impl Address {
 
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.scheme == "na+sm" {
+        if &*self.scheme == "na+sm" {
             write!(f, "{}://{}-{}", self.scheme, self.host, self.port)
         } else {
             write!(f, "{}://{}:{}", self.scheme, self.host, self.port)

@@ -1,22 +1,24 @@
 //! Endpoints: the per-process attachment point to the fabric.
 //!
-//! An [`Endpoint`] owns the mailbox for one address. The upper layer
-//! (Margo's progress loop) repeatedly calls [`Endpoint::progress`], which
-//! hands requests/notifications back to the caller for dispatch — the
-//! `HG_Progress`/`HG_Trigger` half of Mercury that runs handlers. The other
-//! half, completing a forward when its response arrives, needs no progress
-//! call here: the fabric completes the waiter at delivery (see
-//! `FabricInner::deliver_now`), as a completion callback runs on whichever
-//! thread makes progress.
+//! An [`Endpoint`] reads the mailbox of one address. Whoever owns it calls
+//! [`Endpoint::progress`], which hands requests/notifications back for
+//! dispatch — the `HG_Progress`/`HG_Trigger` half of Mercury that runs
+//! handlers. A raw endpoint (tests, the `mercury.rtt_ns` rung) polls or
+//! blocks in it; Margo instead installs an arrival hook
+//! ([`Endpoint::set_arrival_hook`]), which the delivering thread calls
+//! after queueing a message, and drains the mailbox from a ULT without
+//! ever blocking here. The other half, completing a forward when its
+//! response arrives, needs no progress call at all: the fabric fills the
+//! request's completion slot at delivery (see `FabricInner::deliver_now`),
+//! as a completion callback runs on whichever thread makes progress.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use mochi_util::time::precise_sleep;
 
@@ -129,9 +131,66 @@ pub struct OneWayInfo {
     pub payload: Bytes,
 }
 
+/// Sleeps on `cv` until `ready` finds what it waits for in the guarded
+/// state or `timeout` runs out. A zero timeout polls: no clock is read and
+/// nothing sleeps.
+fn wait_for_some<S, T>(
+    cv: &Condvar,
+    state: &mut parking_lot::MutexGuard<'_, S>,
+    timeout: Duration,
+    mut ready: impl FnMut(&mut S) -> Option<T>,
+) -> Option<T> {
+    if let Some(found) = ready(state) {
+        return Some(found);
+    }
+    if timeout.is_zero() {
+        return None;
+    }
+    let start = Instant::now();
+    let mut left = timeout;
+    loop {
+        cv.wait_for(state, left);
+        if let Some(found) = ready(state) {
+            return Some(found);
+        }
+        // Woken for nothing, or out of time.
+        left = timeout.saturating_sub(start.elapsed());
+        if left.is_zero() {
+            return None;
+        }
+    }
+}
+
+/// Where one outstanding request's response lands: filled once, by the
+/// thread that delivers it, which signals only a caller already asleep.
+/// A leaf lock, like an xstream's `Parker`.
+#[derive(Default)]
+pub(crate) struct Completion {
+    state: Mutex<CompletionState>,
+    filled: Condvar,
+}
+
+#[derive(Default)]
+struct CompletionState {
+    response: Option<ResponseBody>,
+    waiting: bool,
+}
+
+impl Completion {
+    pub(crate) fn complete(&self, response: ResponseBody) {
+        let mut state = self.state.lock();
+        state.response = Some(response);
+        let waiting = state.waiting;
+        drop(state);
+        if waiting {
+            self.filled.notify_one();
+        }
+    }
+}
+
 /// An endpoint's outstanding requests by xid, shared with its fabric slot.
-/// A leaf lock: never held across a call into the fabric or a channel send.
-pub(crate) type PendingMap = Mutex<HashMap<u64, Sender<ResponseBody>>>;
+/// A leaf lock: never held across a call into the fabric or a completion.
+pub(crate) type PendingMap = Mutex<HashMap<u64, Arc<Completion>>>;
 
 /// An outstanding request; wait on it for the response. Dropping it,
 /// waited on or not, withdraws the request from the endpoint's map: a
@@ -140,18 +199,18 @@ pub(crate) type PendingMap = Mutex<HashMap<u64, Sender<ResponseBody>>>;
 #[must_use = "wait on the pending request to obtain the response"]
 pub struct PendingRequest {
     xid: u64,
-    rx: Receiver<ResponseBody>,
+    completion: Arc<Completion>,
     pending: Arc<PendingMap>,
 }
 
 impl PendingRequest {
-    /// Blocks until the response arrives or `timeout` elapses.
+    /// Blocks until the response arrives or `timeout` elapses; a zero
+    /// timeout polls.
     pub fn wait(self, timeout: Duration) -> Result<ResponseBody, MercuryError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(resp) => Ok(resp),
-            Err(RecvTimeoutError::Timeout) => Err(MercuryError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(MercuryError::LocalShutdown),
-        }
+        let mut state = self.completion.state.lock();
+        state.waiting = true;
+        wait_for_some(&self.completion.filled, &mut state, timeout, |state| state.response.take())
+            .ok_or(MercuryError::Timeout)
     }
 }
 
@@ -161,12 +220,66 @@ impl Drop for PendingRequest {
     }
 }
 
+/// Requests and one-ways delivered to an address and not yet taken by its
+/// endpoint. `push` signals only a reader blocked in `pop`: an owner that
+/// drains from an arrival hook never is.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    state: Mutex<MailboxState>,
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct MailboxState {
+    queue: VecDeque<Envelope>,
+    blocked_readers: usize,
+    /// The fabric slot that fed this mailbox is gone (killed, replaced or
+    /// shut down): what is queued can still be read, nothing more arrives.
+    closed: bool,
+}
+
+impl Mailbox {
+    pub(crate) fn push(&self, envelope: Envelope) {
+        let mut state = self.state.lock();
+        if state.closed {
+            return;
+        }
+        state.queue.push_back(envelope);
+        let blocked = state.blocked_readers > 0;
+        drop(state);
+        if blocked {
+            self.arrived.notify_one();
+        }
+    }
+
+    pub(crate) fn close(&self) {
+        self.state.lock().closed = true;
+        self.arrived.notify_all();
+    }
+
+    /// The next message, waiting up to `timeout` for one; `LocalShutdown`
+    /// once the mailbox is closed and empty.
+    fn pop(&self, timeout: Duration) -> Result<Option<Envelope>, MercuryError> {
+        let mut state = self.state.lock();
+        state.blocked_readers += 1;
+        let next = wait_for_some(&self.arrived, &mut state, timeout, |state| {
+            match state.queue.pop_front() {
+                Some(envelope) => Some(Ok(envelope)),
+                None if state.closed => Some(Err(MercuryError::LocalShutdown)),
+                None => None,
+            }
+        });
+        state.blocked_readers -= 1;
+        next.transpose()
+    }
+}
+
 /// A process's attachment to the fabric.
 pub struct Endpoint {
     addr: Address,
     /// Identifies this endpoint to the fabric (see `Fabric::kill_if_owner`).
     uid: u64,
-    mailbox: Receiver<Envelope>,
+    mailbox: Arc<Mailbox>,
     fabric: Arc<FabricInner>,
     pending: Arc<PendingMap>,
     next_xid: AtomicU64,
@@ -176,7 +289,7 @@ pub struct Endpoint {
 impl Endpoint {
     pub(crate) fn new(
         addr: Address,
-        mailbox: Receiver<Envelope>,
+        mailbox: Arc<Mailbox>,
         uid: u64,
         pending: Arc<PendingMap>,
         fabric: Arc<FabricInner>,
@@ -198,6 +311,19 @@ impl Endpoint {
     /// This endpoint's address.
     pub fn address(&self) -> &Address {
         &self.addr
+    }
+
+    /// Installs the arrival hook: from now on the thread that delivers a
+    /// request or a one-way to this endpoint — the sender's on a free
+    /// link, `mercury-delivery` on a modelled one — calls `hook` once the
+    /// message is queued, holding no lock of the fabric. Responses never
+    /// call it. An owner that drains the mailbox from its hook (Margo
+    /// schedules a ULT) needs no thread blocked in [`Endpoint::progress`].
+    /// The fabric slot holds the hook and drops it with the slot, so the
+    /// hook may own what owns this endpoint. Set once; on an endpoint
+    /// whose slot is already gone it is dropped unused.
+    pub fn set_arrival_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
+        self.fabric_handle().set_arrival_hook(&self.addr, self.uid, Arc::new(hook));
     }
 
     fn fabric_handle(&self) -> crate::fabric::Fabric {
@@ -225,8 +351,8 @@ impl Endpoint {
     ) -> Result<PendingRequest, MercuryError> {
         self.ensure_open()?;
         let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.pending.lock().insert(xid, tx);
+        let completion = Arc::new(Completion::default());
+        self.pending.lock().insert(xid, Arc::clone(&completion));
         let envelope = Envelope {
             source: self.addr.clone(),
             dest: dest.clone(),
@@ -240,11 +366,11 @@ impl Endpoint {
                 payload,
             }),
         };
-        if let Err(e) = self.fabric_handle().send(envelope) {
+        if let Err(e) = self.fabric.send(envelope) {
             self.pending.lock().remove(&xid);
             return Err(e);
         }
-        Ok(PendingRequest { xid, rx, pending: Arc::clone(&self.pending) })
+        Ok(PendingRequest { xid, completion, pending: Arc::clone(&self.pending) })
     }
 
     /// Sends a fire-and-forget notification.
@@ -261,7 +387,7 @@ impl Endpoint {
             dest: dest.clone(),
             message: Message::OneWay(OneWayBody { rpc_id, provider_id, payload }),
         };
-        self.fabric_handle().send(envelope)
+        self.fabric.send(envelope)
     }
 
     /// Answers `request` with `status` and `payload`.
@@ -277,20 +403,18 @@ impl Endpoint {
             dest: (*request.source).clone(),
             message: Message::Response(ResponseBody { xid: request.xid, status, payload }),
         };
-        self.fabric_handle().send(envelope)
+        self.fabric.send(envelope)
     }
 
     /// Waits up to `timeout` for the next request or one-way message and
     /// returns it for dispatch; `Ok(None)` means the timeout elapsed
-    /// quietly. Responses never pass through here (the fabric completes
-    /// them at delivery), so a process that only forwards has nothing to
-    /// progress.
+    /// quietly, and a zero timeout polls without blocking. Responses never
+    /// pass through here (the fabric completes them at delivery), so a
+    /// process that only forwards has nothing to progress.
     pub fn progress(&self, timeout: Duration) -> Result<Option<Incoming>, MercuryError> {
         self.ensure_open()?;
-        let envelope = match self.mailbox.recv_timeout(timeout) {
-            Ok(envelope) => envelope,
-            Err(RecvTimeoutError::Timeout) => return Ok(None),
-            Err(RecvTimeoutError::Disconnected) => return Err(MercuryError::LocalShutdown),
+        let Some(envelope) = self.mailbox.pop(timeout)? else {
+            return Ok(None);
         };
         let source = Arc::new(envelope.source);
         Ok(match envelope.message {
@@ -532,6 +656,74 @@ mod tests {
         server.respond(&to_dead, ResponseStatus::Ok, Bytes::from_static(b"stale")).unwrap();
         assert_eq!(own.wait(Duration::ZERO).unwrap_err(), MercuryError::Timeout);
         assert!(successor.progress(Duration::ZERO).unwrap().is_none());
+    }
+
+    #[test]
+    fn arrival_hook_fires_for_requests_and_oneways_only() {
+        let fabric = Fabric::new();
+        let (client, server) = pair(&fabric);
+        let arrivals = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&arrivals);
+        server.set_arrival_hook(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        let pending = ping(&client, &server);
+        assert_eq!(arrivals.load(Ordering::SeqCst), 1);
+        client.send_oneway(server.address(), 7, 0, Bytes::new()).unwrap();
+        assert_eq!(arrivals.load(Ordering::SeqCst), 2);
+        // The hook announces, it does not consume: both are in the mailbox.
+        // The response goes to the client, which has no hook to call.
+        echo_server(&server, 2);
+        pending.wait(Duration::ZERO).unwrap();
+        assert_eq!(arrivals.load(Ordering::SeqCst), 2);
+        // A request in the other direction completes on the hooked endpoint
+        // without announcing itself there.
+        let pending = ping(&server, &client);
+        echo_server(&client, 1);
+        pending.wait(Duration::ZERO).unwrap();
+        assert_eq!(arrivals.load(Ordering::SeqCst), 2);
+        // Dropped by the fault plane before delivery: nothing arrived.
+        fabric.faults().push_script(Some("n1"), Some("n2"), LinkScript::FailFirst(1));
+        let _lost = ping(&client, &server);
+        assert_eq!(arrivals.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn arrival_hook_runs_on_the_delivery_thread_of_a_modelled_link() {
+        let fabric = Fabric::with_model(NetworkModel::slow(Duration::from_millis(2)));
+        let (client, server) = pair(&fabric);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        server.set_arrival_hook(move || {
+            let _ = tx.lock().send(std::thread::current().name().map(str::to_string));
+        });
+        let _pending = ping(&client, &server);
+        let thread = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(thread.as_deref(), Some("mercury-delivery"));
+        assert!(server.progress(Duration::ZERO).unwrap().is_some(), "queued before the hook ran");
+    }
+
+    #[test]
+    fn a_slot_that_goes_wakes_its_blocked_reader() {
+        let fabric = Fabric::new();
+        let (client, server) = pair(&fabric);
+        let blocked = |endpoint: &Endpoint| endpoint.mailbox.state.lock().blocked_readers;
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| server.progress(Duration::from_secs(30)));
+            while blocked(&server) == 0 {
+                std::thread::yield_now();
+            }
+            fabric.kill(server.address());
+            assert_eq!(reader.join().unwrap().unwrap_err(), MercuryError::LocalShutdown);
+        });
+        // A replaced slot: what was queued can still be read, then the same.
+        let _pending = ping(&server, &client);
+        let _successor = fabric.register(client.address().clone());
+        assert!(client.progress(Duration::from_secs(30)).unwrap().is_some());
+        assert_eq!(
+            client.progress(Duration::from_secs(30)).unwrap_err(),
+            MercuryError::LocalShutdown
+        );
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! according to the [`NetworkModel`] by a dedicated delivery thread, so a
 //! sender never blocks on the latency of its own messages.
 //!
-//! Delivery is where a message lands: requests and one-ways go into the
-//! destination's mailbox for its progress loop, while a response completes
-//! the request waiting for it right there, on the delivering thread (the
-//! responder's on a free link, the delivery thread on a modelled one).
+//! Delivery is where a message lands, on the delivering thread (the
+//! sender's on a free link, the delivery thread on a modelled one): a
+//! request or one-way goes into the destination's mailbox, after which the
+//! endpoint's arrival hook, if its owner set one, is called; a response
+//! completes the request waiting for it right there.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -18,29 +19,52 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use mochi_util::SeededRng;
 
 use crate::address::Address;
 use crate::bulk::BulkRegistry;
-use crate::endpoint::{Endpoint, PendingMap};
+use crate::endpoint::{Endpoint, Mailbox, PendingMap};
 use crate::error::MercuryError;
 use crate::fault::{FaultDecision, FaultPlane};
 use crate::message::{Envelope, Message};
 use crate::netmodel::NetworkModel;
 
+/// Called by the delivering thread after it queued a request or one-way.
+type ArrivalHook = Arc<dyn Fn() + Send + Sync>;
+
 /// State of a registered address.
 enum Slot {
-    /// Live endpoint: its mailbox, the id of the [`Endpoint`] that owns
-    /// the slot (so a stale endpoint being dropped cannot kill a successor
-    /// registered at the same address), and that endpoint's outstanding
-    /// requests, which responses complete at delivery.
-    Live(Sender<Envelope>, u64, Arc<PendingMap>),
+    /// Live endpoint.
+    Live {
+        mailbox: Arc<Mailbox>,
+        /// Id of the [`Endpoint`] that owns the slot, so a stale endpoint
+        /// being dropped cannot kill a successor registered at the same
+        /// address.
+        owner: u64,
+        /// That endpoint's outstanding requests, which responses complete
+        /// at delivery.
+        pending: Arc<PendingMap>,
+        /// See [`Endpoint::set_arrival_hook`].
+        hook: Option<ArrivalHook>,
+    },
     /// The endpoint existed but was shut down or crashed: traffic to it is
     /// silently dropped so peers observe timeouts, like a dead node.
     Dead,
+}
+
+/// However a live slot goes — killed, replaced, shut down with the fabric —
+/// its endpoint's `progress` reads `LocalShutdown` once the mailbox is empty.
+/// A slot is taken out of the registry under the registry's lock and dropped
+/// after it: the arrival hook may own a whole process, whose teardown calls
+/// back into the fabric.
+impl Drop for Slot {
+    fn drop(&mut self) {
+        if let Slot::Live { mailbox, .. } = self {
+            mailbox.close();
+        }
+    }
 }
 
 struct DelayedDelivery {
@@ -90,28 +114,63 @@ impl FabricInner {
     /// the network delay goes through. A response wakes its waiter from
     /// this thread; one whose request already timed out, or whose endpoint
     /// died or was re-registered since, finds no waiter and is dropped.
+    /// A request or one-way is queued and then announced to the arrival
+    /// hook. Both calls out are made with the registry guard released.
     fn deliver_now(&self, envelope: Envelope) {
-        let Envelope { source, dest, message } = envelope;
         let endpoints = self.endpoints.read();
-        let Some(Slot::Live(mailbox, _, pending)) = endpoints.get(&dest) else {
+        let Some(Slot::Live { mailbox, pending, hook, .. }) = endpoints.get(&envelope.dest)
+        else {
             return;
         };
-        match message {
+        match envelope.message {
             Message::Response(response) => {
-                // `pending` is a leaf lock: the waiter is woken after both
-                // guards are gone.
+                // `pending` is a leaf lock.
                 let waiter = pending.lock().remove(&response.xid);
                 drop(endpoints);
                 if let Some(waiter) = waiter {
-                    let _ = waiter.send(response);
+                    waiter.complete(response);
                 }
             }
-            message => {
-                // A receiver that disappeared between lookup and send is
-                // equivalent to a crash: drop silently.
-                let _ = mailbox.send(Envelope { source, dest, message });
+            _ => {
+                mailbox.push(envelope);
+                let hook = hook.clone();
+                drop(endpoints);
+                if let Some(hook) = hook {
+                    hook();
+                }
             }
         }
+    }
+
+    /// See [`Fabric::send`].
+    pub(crate) fn send(self: &Arc<Self>, envelope: Envelope) -> Result<(), MercuryError> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(MercuryError::LocalShutdown);
+        }
+        {
+            let endpoints = self.endpoints.read();
+            match endpoints.get(&envelope.dest) {
+                None => return Err(MercuryError::AddressUnknown(envelope.dest.to_string())),
+                Some(Slot::Dead) => return Ok(()), // silent drop
+                Some(Slot::Live { .. }) => {}
+            }
+        }
+        let (decision, extra) = self.faults.decide(&envelope.source, &envelope.dest);
+        if decision == FaultDecision::Drop {
+            return Ok(());
+        }
+        let jitter_draw = self.jitter.lock().next_f64();
+        let delay = self
+            .model
+            .read()
+            .delay(&envelope.source, &envelope.dest, envelope.message.payload_len(), jitter_draw)
+            + extra;
+        if delay.is_zero() {
+            self.deliver_now(envelope);
+        } else {
+            self.schedule(Instant::now() + delay, envelope);
+        }
+        Ok(())
     }
 
     fn schedule(self: &Arc<Self>, due: Instant, envelope: Envelope) {
@@ -230,38 +289,58 @@ impl Fabric {
     /// down); registering over a dead slot resurrects the address, which
     /// is how a restarted process reuses its address.
     pub fn register(&self, addr: Address) -> Endpoint {
-        let (tx, rx) = unbounded();
+        let mailbox = Arc::new(Mailbox::default());
         let uid = mochi_util::unique_u64();
         let pending = Arc::new(PendingMap::default());
-        self.inner
-            .endpoints
-            .write()
-            .insert(addr.clone(), Slot::Live(tx, uid, Arc::clone(&pending)));
-        Endpoint::new(addr, rx, uid, pending, Arc::clone(&self.inner))
+        let slot = Slot::Live {
+            mailbox: Arc::clone(&mailbox),
+            owner: uid,
+            pending: Arc::clone(&pending),
+            hook: None,
+        };
+        let replaced = self.inner.endpoints.write().insert(addr.clone(), slot);
+        drop(replaced);
+        Endpoint::new(addr, mailbox, uid, pending, Arc::clone(&self.inner))
+    }
+
+    /// Installs `hook` on the slot at `addr` if the endpoint identified by
+    /// `uid` still owns it.
+    pub(crate) fn set_arrival_hook(&self, addr: &Address, uid: u64, hook: ArrivalHook) {
+        if let Some(Slot::Live { owner, hook: slot_hook, .. }) =
+            self.inner.endpoints.write().get_mut(addr)
+        {
+            if *owner == uid {
+                *slot_hook = Some(hook);
+            }
+        }
     }
 
     /// Marks `addr` as crashed: its mailbox is torn down and all traffic
     /// to it is silently dropped from now on.
     pub fn kill(&self, addr: &Address) {
-        if let Some(slot) = self.inner.endpoints.write().get_mut(addr) {
-            *slot = Slot::Dead;
-        }
+        self.kill_if(addr, |_| true);
     }
 
     /// Like [`Fabric::kill`], but only if the slot is still owned by the
     /// endpoint identified by `uid` — a stale endpoint shutting down must
     /// not take out a successor registered at the same address.
     pub(crate) fn kill_if_owner(&self, addr: &Address, uid: u64) {
-        if let Some(slot) = self.inner.endpoints.write().get_mut(addr) {
-            if matches!(slot, Slot::Live(_, owner, _) if *owner == uid) {
-                *slot = Slot::Dead;
-            }
-        }
+        self.kill_if(addr, |slot| matches!(slot, Slot::Live { owner, .. } if *owner == uid));
+    }
+
+    fn kill_if(&self, addr: &Address, doomed: impl FnOnce(&Slot) -> bool) {
+        let mut endpoints = self.inner.endpoints.write();
+        let killed = endpoints
+            .get_mut(addr)
+            .filter(|slot| doomed(slot))
+            .map(|slot| std::mem::replace(slot, Slot::Dead));
+        drop(endpoints);
+        drop(killed);
     }
 
     /// Whether `addr` is currently registered and live.
     pub fn is_live(&self, addr: &Address) -> bool {
-        matches!(self.inner.endpoints.read().get(addr), Some(Slot::Live(..)))
+        matches!(self.inner.endpoints.read().get(addr), Some(Slot::Live { .. }))
     }
 
     /// All currently live addresses (diagnostics).
@@ -270,7 +349,7 @@ impl Fabric {
             .endpoints
             .read()
             .iter()
-            .filter(|(_, s)| matches!(s, Slot::Live(..)))
+            .filter(|(_, s)| matches!(s, Slot::Live { .. }))
             .map(|(a, _)| a.clone())
             .collect()
     }
@@ -282,34 +361,7 @@ impl Fabric {
     /// silently dropped (peers must rely on timeouts, like on real HPC
     /// fabrics where a dead node just stops answering).
     pub fn send(&self, envelope: Envelope) -> Result<(), MercuryError> {
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(MercuryError::LocalShutdown);
-        }
-        {
-            let endpoints = self.inner.endpoints.read();
-            match endpoints.get(&envelope.dest) {
-                None => return Err(MercuryError::AddressUnknown(envelope.dest.to_string())),
-                Some(Slot::Dead) => return Ok(()), // silent drop
-                Some(Slot::Live(..)) => {}
-            }
-        }
-        let (decision, extra) = self.inner.faults.decide(&envelope.source, &envelope.dest);
-        if decision == FaultDecision::Drop {
-            return Ok(());
-        }
-        let jitter_draw = self.inner.jitter.lock().next_f64();
-        let delay = self
-            .inner
-            .model
-            .read()
-            .delay(&envelope.source, &envelope.dest, envelope.message.payload_len(), jitter_draw)
-            + extra;
-        if delay.is_zero() {
-            self.inner.deliver_now(envelope);
-        } else {
-            self.inner.schedule(Instant::now() + delay, envelope);
-        }
-        Ok(())
+        self.inner.send(envelope)
     }
 
     /// Modeled transfer time for `len` bulk bytes between two addresses.
@@ -329,9 +381,10 @@ impl Fabric {
         }
         self.inner.scheduler_cv.notify_all();
         let mut endpoints = self.inner.endpoints.write();
-        for slot in endpoints.values_mut() {
-            *slot = Slot::Dead;
-        }
+        let killed: Vec<Slot> =
+            endpoints.values_mut().map(|slot| std::mem::replace(slot, Slot::Dead)).collect();
+        drop(endpoints);
+        drop(killed);
     }
 }
 
@@ -456,6 +509,36 @@ mod tests {
         assert!(fabric.is_live(&b));
         fabric.send(oneway(&a, &b, b"back")).unwrap();
         assert!(eb2.progress(Duration::from_secs(1)).unwrap().is_some());
+    }
+
+    /// What Margo's hook does when it holds the last handle to its runtime:
+    /// its drop shuts the endpoint down, which locks the registry.
+    #[test]
+    fn a_hook_may_call_the_fabric_when_it_is_dropped() {
+        struct CallsBack(Fabric, Address);
+        impl Drop for CallsBack {
+            fn drop(&mut self) {
+                self.0.kill(&self.1);
+            }
+        }
+        let fabric = Fabric::new();
+        let addr = Address::tcp("n1", 1);
+        let hooked = |fabric: &Fabric| {
+            let endpoint = fabric.register(addr.clone());
+            let owned = CallsBack(fabric.clone(), addr.clone());
+            endpoint.set_arrival_hook(move || {
+                let _ = &owned;
+            });
+            endpoint
+        };
+        let killed = hooked(&fabric);
+        fabric.kill(&addr);
+        let replaced = hooked(&fabric);
+        let closed = hooked(&fabric);
+        closed.shutdown();
+        let _swept = hooked(&fabric);
+        fabric.shutdown();
+        drop((killed, replaced));
     }
 
     #[test]

@@ -85,16 +85,68 @@ struct LinkFaults {
     seen: u64,
 }
 
+/// One rule: the faults of a directed link, `None` host = wildcard.
+#[derive(Debug)]
+struct Rule {
+    source: Option<String>,
+    dest: Option<String>,
+    faults: LinkFaults,
+}
+
+impl Rule {
+    /// How specifically this rule matches a message between two hosts —
+    /// 0 `(s,d)`, 1 `(s,*)`, 2 `(*,d)`, 3 `(*,*)` — or `None` if it does not.
+    fn specificity(&self, source: &str, dest: &str) -> Option<u8> {
+        let side = |rule: &Option<String>, host: &str| match rule.as_deref() {
+            Some(named) if named == host => Some(0),
+            Some(_) => None,
+            None => Some(1),
+        };
+        Some(2 * side(&self.source, source)? + side(&self.dest, dest)?)
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    /// Faults keyed by (source host, dest host); `None` host = wildcard.
-    links: HashMap<(Option<String>, Option<String>), LinkFaults>,
+    /// At most one rule per `(source, dest)` pair: a handful, scanned.
+    links: Vec<Rule>,
     /// Host → partition group id. Hosts in different groups can't talk.
     /// Hosts absent from the map are in the implicit group `usize::MAX`.
     partition: HashMap<String, usize>,
     /// Addresses whose traffic (in and out) is silently dropped.
     blackholes: HashSet<Address>,
     rng: Option<SeededRng>,
+}
+
+impl Inner {
+    /// No blackhole, partition or link rule: every message is delivered.
+    fn is_quiet(&self) -> bool {
+        self.blackholes.is_empty() && self.partition.is_empty() && self.links.is_empty()
+    }
+
+    fn position(&self, source: Option<&str>, dest: Option<&str>) -> Option<usize> {
+        self.links
+            .iter()
+            .position(|rule| rule.source.as_deref() == source && rule.dest.as_deref() == dest)
+    }
+
+    fn rule(&mut self, source: Option<&str>, dest: Option<&str>) -> Option<&mut LinkFaults> {
+        let index = self.position(source, dest)?;
+        Some(&mut self.links[index].faults)
+    }
+
+    /// The rule for `(source, dest)`, created empty if there is none.
+    fn rule_or_default(&mut self, source: Option<&str>, dest: Option<&str>) -> &mut LinkFaults {
+        let index = self.position(source, dest).unwrap_or_else(|| {
+            self.links.push(Rule {
+                source: source.map(str::to_string),
+                dest: dest.map(str::to_string),
+                faults: LinkFaults::default(),
+            });
+            self.links.len() - 1
+        });
+        &mut self.links[index].faults
+    }
 }
 
 /// Decision made for one message.
@@ -127,17 +179,13 @@ impl FaultPlane {
     /// Sets the drop probability for messages from `source` host to
     /// `dest` host. `None` acts as a wildcard.
     pub fn set_drop_probability(&self, source: Option<&str>, dest: Option<&str>, p: f64) {
-        let mut inner = self.inner.lock();
-        let key = (source.map(str::to_string), dest.map(str::to_string));
-        inner.links.entry(key).or_default().drop_probability = p.clamp(0.0, 1.0);
+        self.inner.lock().rule_or_default(source, dest).drop_probability = p.clamp(0.0, 1.0);
     }
 
     /// Adds a fixed extra delay to messages from `source` host to `dest`
     /// host. `None` acts as a wildcard.
     pub fn set_extra_delay(&self, source: Option<&str>, dest: Option<&str>, delay: Duration) {
-        let mut inner = self.inner.lock();
-        let key = (source.map(str::to_string), dest.map(str::to_string));
-        inner.links.entry(key).or_default().extra_delay = delay;
+        self.inner.lock().rule_or_default(source, dest).extra_delay = delay;
     }
 
     /// Appends a deterministic [`LinkScript`] to the rule for messages
@@ -145,16 +193,12 @@ impl FaultPlane {
     /// the same rule share one message counter and compose: any script
     /// voting "drop" drops, delay spikes add up.
     pub fn push_script(&self, source: Option<&str>, dest: Option<&str>, script: LinkScript) {
-        let mut inner = self.inner.lock();
-        let key = (source.map(str::to_string), dest.map(str::to_string));
-        inner.links.entry(key).or_default().scripts.push(script);
+        self.inner.lock().rule_or_default(source, dest).scripts.push(script);
     }
 
     /// Drops all scripts (and resets the message counter) on one rule.
     pub fn clear_scripts(&self, source: Option<&str>, dest: Option<&str>) {
-        let mut inner = self.inner.lock();
-        let key = (source.map(str::to_string), dest.map(str::to_string));
-        if let Some(faults) = inner.links.get_mut(&key) {
+        if let Some(faults) = self.inner.lock().rule(source, dest) {
             faults.scripts.clear();
             faults.seen = 0;
         }
@@ -197,9 +241,15 @@ impl FaultPlane {
         inner.blackholes.clear();
     }
 
-    /// Decides the fate of a message and returns any extra delay.
+    /// Decides the fate of a message and returns any extra delay. With
+    /// nothing configured — the state every measurement runs in — this is
+    /// the lock and three emptiness checks; with rules it compares borrowed
+    /// host names and allocates nothing either.
     pub fn decide(&self, source: &Address, dest: &Address) -> (FaultDecision, Duration) {
         let mut inner = self.inner.lock();
+        if inner.is_quiet() {
+            return (FaultDecision::Deliver, Duration::ZERO);
+        }
 
         if inner.blackholes.contains(source) || inner.blackholes.contains(dest) {
             return (FaultDecision::Drop, Duration::ZERO);
@@ -212,21 +262,13 @@ impl FaultPlane {
         }
 
         // Most specific matching rule wins: (s,d), (s,*), (*,d), (*,*).
-        let keys = [
-            (Some(source.host().to_string()), Some(dest.host().to_string())),
-            (Some(source.host().to_string()), None),
-            (None, Some(dest.host().to_string())),
-            (None, None),
-        ];
         let inner = &mut *inner;
-        let mut matched: Option<&mut LinkFaults> = None;
-        for key in keys {
-            if inner.links.contains_key(&key) {
-                matched = inner.links.get_mut(&key);
-                break;
-            }
-        }
-        let Some(faults) = matched else {
+        let matched = inner
+            .links
+            .iter_mut()
+            .filter_map(|rule| Some((rule.specificity(source.host(), dest.host())?, rule)))
+            .min_by_key(|(specificity, _)| *specificity);
+        let Some((_, Rule { faults, .. })) = matched else {
             return (FaultDecision::Deliver, Duration::ZERO);
         };
 
@@ -464,5 +506,46 @@ mod tests {
         f.clear_scripts(Some("a"), Some("b"));
         // Counter reset: no drops, no spikes.
         assert_eq!(f.decide(&addr("a"), &addr("b")), (FaultDecision::Deliver, Duration::ZERO));
+    }
+
+    #[test]
+    fn clear_returns_to_the_quiet_path() {
+        let f = FaultPlane::new();
+        assert!(f.inner.lock().is_quiet());
+        f.blackhole(&addr("dead"));
+        f.set_partition(&[vec!["a".into()], vec!["b".into()]]);
+        f.push_script(Some("a"), None, LinkScript::FailFirst(1));
+        assert!(!f.inner.lock().is_quiet());
+        f.clear();
+        assert!(f.inner.lock().is_quiet());
+        assert_eq!(f.decide(&addr("a"), &addr("b")), (FaultDecision::Deliver, Duration::ZERO));
+        // Each kind of fault alone leaves the quiet path, and removing it returns.
+        f.blackhole(&addr("dead"));
+        assert!(!f.inner.lock().is_quiet());
+        f.unblackhole(&addr("dead"));
+        f.set_partition(&[vec!["a".into()]]);
+        assert!(!f.inner.lock().is_quiet());
+        f.heal_partition();
+        assert!(f.inner.lock().is_quiet());
+    }
+
+    #[test]
+    fn a_message_counts_on_the_one_rule_it_matches() {
+        let f = FaultPlane::new();
+        f.push_script(None, None, LinkScript::FailFirst(1));
+        f.push_script(None, Some("b"), LinkScript::FailFirst(1));
+        f.push_script(Some("a"), None, LinkScript::FailFirst(1));
+        f.push_script(Some("a"), Some("b"), LinkScript::FailFirst(1));
+        // Each first message is the first its own rule sees — (s,d), (s,*),
+        // (*,d), (*,*) in that order of precedence — so each is dropped: a
+        // message that had also counted on a less specific rule would have
+        // used up that rule's one drop.
+        for (source, dest) in [("a", "b"), ("a", "c"), ("c", "b"), ("c", "d")] {
+            let (decision, _) = f.decide(&addr(source), &addr(dest));
+            assert_eq!(decision, FaultDecision::Drop, "{source}->{dest}");
+        }
+        for (source, dest) in [("a", "b"), ("a", "c"), ("c", "b"), ("c", "d")] {
+            assert_eq!(f.decide(&addr(source), &addr(dest)).0, FaultDecision::Deliver);
+        }
     }
 }

@@ -42,7 +42,7 @@ pub mod rank {
     pub const MARGO_HANDLERS: u32 = 210;
     /// `margo::Inner::monitor` — installed monitoring backend.
     pub const MARGO_MONITOR: u32 = 220;
-    /// `margo::Inner::threads` — progress-loop/sampler join handles.
+    /// `margo::Inner::threads` — the sampler's join handle.
     pub const MARGO_THREADS: u32 = 230;
     /// `margo::monitoring` statistics stripes (`Striped<State>`); a leaf —
     /// stripes share this rank and are never held together (see
