@@ -3,7 +3,7 @@
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -292,6 +292,12 @@ impl Pool {
 
     /// Dequeues the next ULT, if any, recording its queue-wait time.
     pub fn try_pop(&self) -> Option<Ult> {
+        self.pop_at().map(|(ult, _)| ult)
+    }
+
+    /// [`Pool::try_pop`], with the instant the ULT left the queue: where
+    /// its wait ends its execution starts, on one reading of the clock.
+    pub(crate) fn pop_at(&self) -> Option<(Ult, Instant)> {
         let ult = {
             let mut queue = self.queue.lock();
             match &mut *queue {
@@ -300,9 +306,10 @@ impl Pool {
             }
         }?;
         self.total_popped.fetch_add(1, Ordering::Relaxed);
-        let waited = ult.submitted_at.elapsed().as_secs_f64();
+        let popped_at = Instant::now();
+        let waited = popped_at.saturating_duration_since(ult.submitted_at).as_secs_f64();
         self.stats.with(|stats| stats.wait.push(waited));
-        Some(ult)
+        Some((ult, popped_at))
     }
 
     /// Current queue depth.

@@ -28,13 +28,18 @@ pub struct Ult {
 impl Ult {
     /// Creates a ULT with priority 0.
     pub fn new(name: impl Into<Arc<str>>, task: impl FnOnce() + Send + 'static) -> Self {
-        Self {
-            id: unique_u64(),
-            name: name.into(),
-            priority: 0,
-            submitted_at: Instant::now(),
-            task: Box::new(task),
-        }
+        Self::new_at(Instant::now(), name, task)
+    }
+
+    /// [`Ult::new`] for a caller that has just read the clock: the ULT's
+    /// queue wait counts from `submitted_at`, and the clock is not read
+    /// again.
+    pub fn new_at(
+        submitted_at: Instant,
+        name: impl Into<Arc<str>>,
+        task: impl FnOnce() + Send + 'static,
+    ) -> Self {
+        Self { id: unique_u64(), name: name.into(), priority: 0, submitted_at, task: Box::new(task) }
     }
 
     /// Creates a ULT with an explicit priority.

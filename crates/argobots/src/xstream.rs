@@ -132,8 +132,7 @@ fn scheduler_loop(kind: SchedulerKind, pools: &[Arc<Pool>], shared: &Shared, par
         let seen = pushes();
         let mut ran = false;
         for pool in pools {
-            if let Some(ult) = pool.try_pop() {
-                let start = std::time::Instant::now();
+            if let Some((ult, start)) = pool.pop_at() {
                 ult.run();
                 let elapsed = start.elapsed();
                 pool.record_execution(elapsed.as_secs_f64());

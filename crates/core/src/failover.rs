@@ -185,7 +185,7 @@ impl FailoverKv {
         rounds: u32,
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, MargoError> {
-        self.rounds_from(0, rounds, self.nowhere(), op)
+        self.rounds_from(0, rounds, None, op)
     }
 
     /// Posting counterpart of [`Self::with_handle_rounds`]: the first
@@ -211,12 +211,14 @@ impl FailoverKv {
     }
 
     /// Rounds `from..rounds` of an operation: back off (after the first),
-    /// resolve, run `op`.
+    /// resolve, run `op`. `last_err` is what an earlier round failed with;
+    /// an operation that ends without any round having found a location
+    /// fails with [`Self::nowhere`], built only then.
     fn rounds_from<T>(
         &self,
         from: u32,
         rounds: u32,
-        mut last_err: MargoError,
+        mut last_err: Option<MargoError>,
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, MargoError> {
         for round in from..rounds.max(1) {
@@ -228,10 +230,10 @@ impl FailoverKv {
             };
             match self.settle(&handle, op(&handle)) {
                 ControlFlow::Break(outcome) => return outcome,
-                ControlFlow::Continue(err) => last_err = err,
+                ControlFlow::Continue(err) => last_err = Some(err),
             }
         }
-        Err(last_err)
+        Err(last_err.unwrap_or_else(|| self.nowhere()))
     }
 
     /// What one round's result means: the operation's outcome, or — after
@@ -334,11 +336,11 @@ impl<R, T> PostedOp<R, T> {
     /// runs the remaining rounds like [`FailoverKv::with_handle_rounds`].
     pub fn wait(self) -> Result<T, MargoError> {
         let Self { leg, rounds, request, post, first } = self;
-        let mut last_err = leg.nowhere();
+        let mut last_err = None;
         if let Some((handle, pending)) = first {
             match leg.settle(&handle, pending.wait()) {
                 ControlFlow::Break(outcome) => return outcome,
-                ControlFlow::Continue(err) => last_err = err,
+                ControlFlow::Continue(err) => last_err = Some(err),
             }
         }
         leg.rounds_from(1, rounds, last_err, |handle| post(handle, &request).wait())

@@ -145,20 +145,31 @@ impl HashRing {
     }
 
     fn owner_indices_of_hash(&self, h: u64, r: usize) -> Vec<usize> {
-        let want = r.min(self.members.len());
-        let mut seen: Vec<usize> = Vec::with_capacity(want);
+        let mut set = vec![0; r.min(self.members.len())];
+        let found = self.successors_into(h, &mut set);
+        set.truncate(found);
+        set
+    }
+
+    /// Writes the first `out.len()` distinct members whose points follow
+    /// `h` into `out` — fewer when the ring is smaller — and returns how
+    /// many: the walk behind every owner lookup, allocating nothing.
+    fn successors_into(&self, h: u64, out: &mut [usize]) -> usize {
+        let want = out.len().min(self.members.len());
+        let mut found = 0;
         let mut full = |index: &usize| {
-            if !seen.contains(index) {
-                seen.push(*index);
+            if !out[..found].contains(index) {
+                out[found] = *index;
+                found += 1;
             }
-            seen.len() == want
+            found == want
         };
         // The wrap-around half is looked up only if the first runs out:
         // the common walk ends within a few points of `h`.
-        if !self.points.range(h..).any(|(_, index)| full(index)) {
+        if want > 0 && !self.points.range(h..).any(|(_, index)| full(index)) {
             let _ = self.points.range(..h).any(|(_, index)| full(index));
         }
-        seen
+        found
     }
 
     /// The replica set for `key`: `r` distinct members in successor
@@ -170,6 +181,13 @@ impl HashRing {
     /// [`Self::owners`] as indices into [`Self::members`].
     pub fn owner_indices(&self, key: &[u8], r: usize) -> Vec<usize> {
         self.owner_indices_of_hash(Self::key_hash(key), r)
+    }
+
+    /// [`Self::owner_indices`] written into the caller's buffer: the first
+    /// `out.len()` owners, or all of them if the ring is smaller. Returns
+    /// how many were written.
+    pub fn owner_indices_into(&self, key: &[u8], out: &mut [usize]) -> usize {
+        self.successors_into(Self::key_hash(key), out)
     }
 
     /// A new ring with `member` added (same `vnodes`).

@@ -232,23 +232,42 @@ struct Route {
     rf: usize,
 }
 
-/// A key's write set, as positions in [`Route::legs`].
-struct WriteSet {
-    /// Serving replicas first, then the future owners (move window) that
-    /// are not already serving.
+/// Fills the slots of a write set that has fewer future owners than the
+/// widest one: names no member.
+const NOBODY: usize = usize::MAX;
+
+/// One set of positions in [`Route::legs`] per item of an operation — a
+/// key's replica set, a record's write set — `width` consecutive entries
+/// of one array each: routing an operation allocates per call, not per
+/// key.
+struct Sets {
+    width: usize,
     members: Vec<usize>,
-    /// How many of `members` are serving replicas.
-    serving: usize,
 }
 
-impl WriteSet {
-    fn serving(&self) -> &[usize] {
-        &self.members[..self.serving]
+impl Sets {
+    /// `items` sets of `width` (at least one) entries, each written by
+    /// `fill`.
+    fn new(items: usize, width: usize, mut fill: impl FnMut(usize, &mut [usize])) -> Self {
+        let mut members = vec![NOBODY; items * width];
+        for (item, set) in members.chunks_exact_mut(width).enumerate() {
+            fill(item, set);
+        }
+        Self { width, members }
     }
 
-    fn future(&self) -> &[usize] {
-        &self.members[self.serving..]
+    fn of(&self, item: usize) -> &[usize] {
+        &self.members[item * self.width..][..self.width]
     }
+
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.members.chunks_exact(self.width)
+    }
+}
+
+/// The members a set names.
+fn named(set: &[usize]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().copied().filter(|&member| member != NOBODY)
 }
 
 impl Route {
@@ -283,35 +302,52 @@ impl Route {
         self.ring.members().iter().zip(self.ring_at.iter().map(|&at| &self.legs[at]))
     }
 
-    /// The key's serving replica set: `rf` distinct successors on the
-    /// serving ring. Reads route here.
-    fn replicas(&self, key: &[u8]) -> Vec<usize> {
-        let mut set = self.ring.owner_indices(key, self.rf);
-        set.iter_mut().for_each(|member| *member = self.ring_at[*member]);
-        set
+    /// Size of every key's serving replica set: `rf`, or the whole ring
+    /// if that is smaller.
+    fn serving(&self) -> usize {
+        self.rf.min(self.ring.len())
     }
 
-    /// The key's write set: writes cover the serving replicas *and* the
-    /// future owners, so a cutover in either direction keeps every
-    /// acked write.
-    fn write_set(&self, key: &[u8]) -> WriteSet {
-        let mut members = self.replicas(key);
-        let serving = members.len();
-        if let Some(to) = &self.to_ring {
-            for position in to.owner_indices(key, self.rf).into_iter().map(|m| self.to_at[m]) {
-                if !members.contains(&position) {
-                    members.push(position);
-                }
+    /// Writes the key's serving replica set — its [`Self::serving`]
+    /// distinct successors on the serving ring — into `set`. Reads route
+    /// here.
+    fn replicas_into(&self, key: &[u8], set: &mut [usize]) {
+        let found = self.ring.owner_indices_into(key, set);
+        set[..found].iter_mut().for_each(|member| *member = self.ring_at[*member]);
+    }
+
+    /// Size of a write set: the serving replicas and, while a move window
+    /// is open, room for as many future owners.
+    fn write_width(&self) -> usize {
+        self.serving() + self.to_ring.as_ref().map_or(0, |to| self.rf.min(to.len()))
+    }
+
+    /// Writes the key's write set into `set` ([`Self::write_width`]
+    /// entries): the serving replicas first, then the future owners that
+    /// are not already serving, then [`NOBODY`]. Writes cover both, so a
+    /// cutover in either direction keeps every acked write.
+    fn write_set_into(&self, key: &[u8], set: &mut [usize]) {
+        let (replicas, future) = set.split_at_mut(self.serving());
+        self.replicas_into(key, replicas);
+        let Some(to) = &self.to_ring else { return };
+        // The walk lands in `future`, which is then compacted in place.
+        let owners = to.owner_indices_into(key, future);
+        let mut kept = 0;
+        for walked in 0..owners {
+            let position = self.to_at[future[walked]];
+            if !replicas.contains(&position) {
+                future[kept] = position;
+                kept += 1;
             }
         }
-        WriteSet { members, serving }
+        future[kept..].fill(NOBODY);
     }
 
     /// Whether a replica set holds more than one member: only then is
     /// there a live replica to serve from while another member holds a
     /// hint for the one that failed.
     fn hints(&self) -> bool {
-        self.rf.min(self.ring.len()) > 1
+        self.serving() > 1
     }
 
     /// Re-resolution rounds of a data-path leg. A set of one has no hint
@@ -326,19 +362,64 @@ impl Route {
     }
 }
 
-/// Groups item indices by member: `(member, indices)` for every member
-/// that some item's set names, in member order.
-fn by_member<'s>(
+/// Item indices grouped by the members their sets name, in one array: a
+/// counting sort, `members` group ends followed by the grouped indices.
+struct ByMember {
     members: usize,
-    sets: impl Iterator<Item = &'s [usize]>,
-) -> Vec<(usize, Vec<usize>)> {
-    let mut batches: Vec<Vec<usize>> = vec![Vec::new(); members];
-    for (i, set) in sets.enumerate() {
-        for &member in set {
-            batches[member].push(i);
+    buf: Vec<usize>,
+}
+
+impl ByMember {
+    fn new(members: usize, sets: &Sets) -> Self {
+        let mut buf = Vec::with_capacity(members + sets.members.len());
+        buf.resize(members, 0);
+        for member in sets.iter().flat_map(named) {
+            buf[member] += 1;
         }
+        // Counts to group starts.
+        let mut total = 0;
+        for slot in &mut buf {
+            total += std::mem::replace(slot, total);
+        }
+        buf.resize(members + total, 0);
+        let (cursors, grouped) = buf.split_at_mut(members);
+        for (item, set) in sets.iter().enumerate() {
+            for member in named(set) {
+                grouped[cursors[member]] = item;
+                cursors[member] += 1;
+            }
+        }
+        // Every cursor has reached its group's end.
+        Self { members, buf }
     }
-    batches.into_iter().enumerate().filter(|(_, batch)| !batch.is_empty()).collect()
+
+    /// `(member, its items)` for every member some set names, in member
+    /// order; a member's items are in item order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        let (ends, grouped) = self.buf.split_at(self.members);
+        let mut start = 0;
+        ends.iter().enumerate().filter_map(move |(member, &end)| {
+            let items = &grouped[std::mem::replace(&mut start, end)..end];
+            (!items.is_empty()).then_some((member, items))
+        })
+    }
+}
+
+/// One member's request, made by `encode` — unless the member is sent
+/// every item of the operation (`covers_all`) and so was a member before
+/// it: then the request kept in `whole` is shared (a `Bytes` clone). At
+/// `rf > 1` a single-key operation, or any whose keys all have the same
+/// replica set, is encoded once and sends the same bytes to each member.
+fn encoded_once<B: Clone>(
+    whole: &mut Option<B>,
+    covers_all: bool,
+    encode: impl FnOnce() -> Result<B, MargoError>,
+) -> Result<B, MargoError> {
+    match whole {
+        _ if !covers_all => encode(),
+        Some(request) => Ok(request.clone()),
+        None => Ok(whole.insert(encode()?).clone()),
+    }
 }
 
 /// The members' legs: failover handles tuned by the keyspace's config.
@@ -363,21 +444,21 @@ type PostedVput = PostedOp<VersionedBatch, PutVersionedMultiReply>;
 /// Posts a batched put-if-newer of `records` on one leg.
 fn post_vput<'a>(
     leg: &Arc<FailoverKv>,
-    records: impl IntoIterator<Item = RecordRef<'a>>,
+    records: impl Iterator<Item = RecordRef<'a>> + Clone,
     rounds: u32,
 ) -> Result<PostedVput, MargoError> {
     let batch = VersionedBatch::encode(records)?;
     Ok(leg.post_rounds(rounds, batch, DatabaseHandle::post_put_versioned))
 }
 
-/// Owned records as [`post_vput`] takes them.
-fn record_refs(batch: &[Record]) -> impl Iterator<Item = RecordRef<'_>> {
-    batch.iter().map(|(key, version, value)| (&key[..], *version, value.as_deref()))
+/// An owned record as [`post_vput`] takes it.
+fn record_ref((key, version, value): &Record) -> RecordRef<'_> {
+    (key, *version, value.as_deref())
 }
 
 /// Batched put-if-newer of owned records on one leg, waited for.
 fn vput_records(leg: &Arc<FailoverKv>, batch: &[Record], rounds: u32) -> Result<(), MargoError> {
-    post_vput(leg, record_refs(batch), rounds)?.wait().map(|_acks| ())
+    post_vput(leg, batch.iter().map(record_ref), rounds)?.wait().map(|_acks| ())
 }
 
 /// A read repair on its way to a stale replica, with the number of
@@ -405,8 +486,10 @@ struct Tally {
 }
 
 impl Tally {
-    fn credit(&mut self, set: &WriteSet, member: usize, real: bool) {
-        if set.serving().contains(&member) {
+    /// Counts `member`, one of the record's `serving` replicas or one of
+    /// its future owners.
+    fn credit(&mut self, serving: &[usize], member: usize, real: bool) {
+        if serving.contains(&member) {
             self.covered_serving += 1;
             self.real_serving += u32::from(real);
         } else {
@@ -677,18 +760,26 @@ impl RoutedKv {
             return records.iter().map(|_| Err(Self::empty_ring())).collect();
         }
         let rounds = route.leg_rounds(&self.config);
-        let sets: Vec<WriteSet> = records.iter().map(|(key, _, _)| route.write_set(key)).collect();
-        let routes = by_member(route.legs.len(), sets.iter().map(|set| set.members.as_slice()));
+        let serving = route.serving();
+        let sets = Sets::new(records.len(), route.write_width(), |record, set| {
+            route.write_set_into(records[record].0, set);
+        });
+        let routes = ByMember::new(route.legs.len(), &sets);
         // Post every member's batch from this thread, then wait for them
         // all (the collect is what posts).
-        let posted: Vec<_> = routes
+        let mut whole = None;
+        let posted: Vec<Result<PostedVput, MargoError>> = routes
             .iter()
             .map(|(member, indices)| {
-                post_vput(&route.legs[*member], indices.iter().map(|&i| records[i]), rounds)
+                let batch = encoded_once(&mut whole, indices.len() == records.len(), || {
+                    VersionedBatch::encode(indices.iter().map(|&i| records[i]))
+                })?;
+                let leg = &route.legs[member];
+                Ok(leg.post_rounds(rounds, batch, DatabaseHandle::post_put_versioned))
             })
             .collect();
         let outcomes = posted.into_iter().map(|posted| posted?.wait().map(|reply| reply.existed));
-        let mut tallies: Vec<Tally> = sets.iter().map(|_| Tally::default()).collect();
+        let mut tallies: Vec<Tally> = records.iter().map(|_| Tally::default()).collect();
         let mut down: Vec<usize> = Vec::new();
         let mut failed: Vec<(usize, &[usize], MargoError)> = Vec::new();
         for ((member, indices), outcome) in routes.iter().zip(outcomes) {
@@ -696,12 +787,12 @@ impl RoutedKv {
                 Ok(acks) => {
                     for (&i, was_there) in indices.iter().zip(acks) {
                         tallies[i].existed |= was_there;
-                        tallies[i].credit(&sets[i], *member, true);
+                        tallies[i].credit(&sets.of(i)[..serving], member, true);
                     }
                 }
                 Err(err) if route.hints() && FailoverKv::should_reroute(&err) => {
-                    down.push(*member);
-                    failed.push((*member, indices, err));
+                    down.push(member);
+                    failed.push((member, indices, err));
                 }
                 // Application-class error, or nobody to hint to.
                 Err(err) => {
@@ -716,27 +807,27 @@ impl RoutedKv {
         for (member, indices, err) in failed {
             for &i in indices {
                 if self.handoff_hint(route, member, &down, records[i]) {
-                    tallies[i].credit(&sets[i], member, false);
+                    tallies[i].credit(&sets.of(i)[..serving], member, false);
                 } else {
                     tallies[i].error.get_or_insert_with(|| Box::new(err.clone()));
                 }
             }
         }
+        let w = majority(serving);
         sets.iter()
             .zip(tallies)
             .map(|(set, tally)| {
-                let w = majority(set.serving);
                 if tally.real_serving >= 1
                     && tally.covered_serving as usize >= w
-                    && tally.covered_future as usize == set.future().len()
+                    && tally.covered_future as usize == named(&set[serving..]).count()
                 {
                     return Ok(tally.existed);
                 }
                 Err(match tally.error {
                     Some(err) => *err,
                     None => MargoError::Handler(format!(
-                        "write quorum not met: {} of {} covered ({} real), need {w}",
-                        tally.covered_serving, set.serving, tally.real_serving
+                        "write quorum not met: {} of {serving} covered ({} real), need {w}",
+                        tally.covered_serving, tally.real_serving
                     )),
                 })
             })
@@ -791,64 +882,73 @@ impl RoutedKv {
             return keys.iter().map(|_| Err(Self::empty_ring())).collect();
         }
         let rounds = route.leg_rounds(&self.config);
-        let sets: Vec<Vec<usize>> = keys.iter().map(|key| route.replicas(key)).collect();
-        let routes = by_member(route.legs.len(), sets.iter().map(Vec::as_slice));
-        let posted: Vec<_> = routes
+        let serving = route.serving();
+        let sets = Sets::new(keys.len(), serving, |key, set| route.replicas_into(keys[key], set));
+        let routes = ByMember::new(route.legs.len(), &sets);
+        let mut whole = None;
+        let posted: Vec<Result<_, MargoError>> = routes
             .iter()
             .map(|(member, indices)| {
-                let batch = KeyBatch::encode(indices.iter().map(|&i| keys[i]))?;
-                let leg = &route.legs[*member];
+                let batch = encoded_once(&mut whole, indices.len() == keys.len(), || {
+                    KeyBatch::encode(indices.iter().map(|&i| keys[i]))
+                })?;
+                let leg = &route.legs[member];
                 Ok(leg.post_rounds(rounds, batch, DatabaseHandle::post_get_versioned))
             })
             .collect();
-        let outcomes = posted.into_iter().map(|posted: Result<_, MargoError>| posted?.wait());
-        // Per-key replica answers: (member, that replica's record).
-        let mut answers: Vec<Vec<(usize, Option<VersionedValue>)>> =
-            keys.iter().map(|_| Vec::new()).collect();
-        let mut errors: Vec<Option<MargoError>> = keys.iter().map(|_| None).collect();
-        for ((member, indices), outcome) in routes.iter().zip(outcomes) {
-            match outcome {
+        // What each replica answered, laid out like `sets`: `None` until
+        // (and unless) the replica in that slot answers, then its record.
+        let mut answers: Vec<Option<Option<VersionedValue>>> = Vec::new();
+        answers.resize_with(keys.len() * serving, || None);
+        let mut failed: Vec<(usize, MargoError)> = Vec::new();
+        for ((member, indices), posted) in routes.iter().zip(posted) {
+            match posted.and_then(PostedOp::wait) {
                 Ok(values) => {
                     for (&i, value) in indices.iter().zip(values) {
-                        answers[i].push((*member, value));
+                        if let Some(slot) = sets.of(i).iter().position(|&m| m == member) {
+                            answers[i * serving + slot] = Some(value);
+                        }
                     }
                 }
-                Err(err) => {
-                    for &i in indices {
-                        errors[i] = Some(err.clone());
-                    }
-                }
+                Err(err) => failed.push((member, err)),
             }
         }
-        // Merge + collect repairs (member → records to push).
-        let mut repairs: Vec<Vec<Record>> = vec![Vec::new(); route.legs.len()];
+        // Merge + collect repairs (stale member, record to push).
+        let r_q = majority(serving);
+        let mut repairs: Vec<(usize, Record)> = Vec::new();
         let slots = answers
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut replies)| {
-                let r_q = majority(sets[i].len());
-                if replies.len() < r_q {
-                    return Err(errors[i].take().unwrap_or_else(|| {
-                        MargoError::Handler(format!(
-                            "read quorum not met: {} of {} replicas answered, need {r_q}",
-                            replies.len(),
-                            sets[i].len()
-                        ))
-                    }));
+            .chunks_exact_mut(serving)
+            .zip(sets.iter())
+            .zip(keys)
+            .map(|((replies, set), key)| {
+                let answered = replies.iter().flatten().count();
+                if answered < r_q {
+                    // The error of the last failed member the key was read from.
+                    let refused = failed.iter().rev().find(|(member, _)| set.contains(member));
+                    return Err(refused.map_or_else(
+                        || {
+                            MargoError::Handler(format!(
+                                "read quorum not met: {answered} of {serving} replicas answered, \
+                                 need {r_q}"
+                            ))
+                        },
+                        |(_, err)| err.clone(),
+                    ));
                 }
-                let freshest = (0..replies.len()).max_by(|&a, &b| {
-                    let freshness = |j: usize| replies[j].1.as_ref().map(Self::freshness);
+                let freshest = (0..serving).max_by(|&a, &b| {
+                    let freshness = |slot: usize| replies[slot].iter().flatten().map(Self::freshness).next();
                     freshness(a).cmp(&freshness(b))
                 });
-                let Some((_, Some(winner))) = freshest.map(|j| replies.swap_remove(j)) else {
+                let Some(Some(winner)) = freshest.and_then(|slot| replies[slot].take()) else {
                     return Ok(None); // every replica agrees: no record
                 };
-                replies.retain(|(_, record)| record.as_ref() != Some(&winner));
-                let value = (!winner.tombstone).then_some(winner.value);
-                for (stale, _) in replies {
-                    repairs[stale].push((keys[i].to_vec(), winner.version, value.clone()));
+                let value = (!winner.tombstone).then_some(&winner.value);
+                for (held, &stale) in replies.iter().zip(set) {
+                    if held.as_ref().is_some_and(|held| held.as_ref() != Some(&winner)) {
+                        repairs.push((stale, (key.to_vec(), winner.version, value.cloned())));
+                    }
                 }
-                Ok(value)
+                Ok((!winner.tombstone).then_some(winner.value))
             })
             .collect();
         self.post_repairs(route, repairs);
@@ -868,14 +968,14 @@ impl RoutedKv {
     /// Failures are counted, not retried — the next read of the key
     /// repairs again, and the anti-entropy of put-if-newer makes
     /// duplicate repairs harmless.
-    fn post_repairs(&self, route: &Route, repairs: Vec<Vec<Record>>) {
-        for (member, batch) in repairs.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
+    fn post_repairs(&self, route: &Route, mut repairs: Vec<(usize, Record)>) {
+        repairs.sort_by_key(|(member, _)| *member);
+        for batch in repairs.chunk_by(|(a, _), (b, _)| a == b) {
+            let Some(&(member, _)) = batch.first() else { continue };
             let count = batch.len() as u64;
             self.stats.read_repairs.fetch_add(count, Ordering::AcqRel);
-            let posted = post_vput(&route.legs[member], record_refs(&batch), 1);
+            let records = batch.iter().map(|(_, record)| record_ref(record));
+            let posted = post_vput(&route.legs[member], records, 1);
             let handed = match (&self.drainer, posted) {
                 (Some((queue, _)), Ok(posted)) => queue.try_send((posted, count)).is_ok(),
                 _ => false,
@@ -1378,9 +1478,10 @@ fn hint_drain_pass(route: &Route, stats: &ReplicationStats) -> u64 {
                 _ => entries
                     .iter()
                     .filter(|entry| {
-                        let set = route.write_set(&entry.key);
-                        set.serving > 0
-                            && set.members.iter().all(|&owner| {
+                        let mut set = vec![NOBODY; route.write_width()];
+                        route.write_set_into(&entry.key, &mut set);
+                        route.serving() > 0
+                            && named(&set).all(|owner| {
                                 vput_records(&route.legs[owner], &[record(entry)], FAIL_FAST_ROUNDS)
                                     .is_ok()
                             })
@@ -1437,6 +1538,14 @@ mod tests {
         Route::new(HashRing::new(members), to.map(HashRing::new), rf, |_| Vec::new())
     }
 
+    /// A key's write set: its serving replicas, and its future owners.
+    fn write_set(route: &Route, key: &[u8]) -> (Vec<usize>, Vec<usize>) {
+        let mut set = vec![NOBODY; route.write_width()];
+        route.write_set_into(key, &mut set);
+        let (serving, future) = set.split_at(route.serving());
+        (serving.to_vec(), named(future).collect())
+    }
+
     #[test]
     fn config_defaults_are_sane() {
         let config = RoutedConfig::default();
@@ -1469,14 +1578,16 @@ mod tests {
             let mut saw_future = false;
             for i in 0..500 {
                 let key = format!("key-{i}").into_bytes();
-                let set = steady.write_set(&key);
-                assert_eq!(set.serving(), steady.replicas(&key));
-                assert!(set.future().is_empty(), "no window, no future owners");
-                let set = moving.write_set(&key);
-                assert_eq!(set.serving().len(), rf);
-                for member in set.future() {
-                    assert_eq!(*member, joiner, "adds move keys only toward the joiner");
-                    assert!(!set.serving().contains(member), "future owners are disjoint");
+                let (serving, future) = write_set(&steady, &key);
+                let owners = steady.ring.owner_indices(&key, rf);
+                assert!(serving.iter().copied().eq(owners.iter().map(|&m| steady.ring_at[m])));
+                assert!(future.is_empty(), "no window, no future owners");
+                let (serving, future) = write_set(&moving, &key);
+                assert_eq!(serving.len(), rf);
+                assert!(!serving.contains(&NOBODY));
+                for member in future {
+                    assert_eq!(member, joiner, "adds move keys only toward the joiner");
+                    assert!(!serving.contains(&member), "future owners are disjoint");
                     saw_future = true;
                 }
             }
@@ -1538,8 +1649,33 @@ mod tests {
 
     #[test]
     fn batches_group_indices_by_member() {
-        let sets: [&[usize]; 3] = [&[2, 0], &[2], &[0]];
-        assert_eq!(by_member(3, sets.into_iter()), vec![(0, vec![0, 2]), (2, vec![0, 1])]);
+        let sets = Sets { width: 2, members: vec![2, 0, 2, NOBODY, 0, NOBODY] };
+        let grouped = ByMember::new(3, &sets);
+        let groups: Vec<(usize, &[usize])> = grouped.iter().collect();
+        assert_eq!(groups, vec![(0, &[0, 2][..]), (2, &[0, 1][..])]);
+        // Nothing to group: no member is named.
+        let nobody = Sets { width: 1, members: vec![NOBODY; 2] };
+        assert_eq!(ByMember::new(3, &nobody).iter().count(), 0);
+    }
+
+    #[test]
+    fn a_request_for_every_item_is_encoded_once() {
+        let mut encodes = 0;
+        let mut whole = None;
+        for _ in 0..3 {
+            let batch = encoded_once(&mut whole, true, || {
+                encodes += 1;
+                Ok(vec![7u8])
+            });
+            assert_eq!(batch.unwrap(), vec![7u8]);
+        }
+        assert_eq!(encodes, 1);
+        // A member that is sent some of the items gets a request of its own.
+        assert_eq!(encoded_once(&mut whole, false, || Ok(vec![8u8])).unwrap(), vec![8u8]);
+        assert_eq!(whole, Some(vec![7u8]));
+        let mut never: Option<Vec<u8>> = None;
+        assert!(encoded_once(&mut never, true, || Err(MargoError::Codec("no".into()))).is_err());
+        assert!(never.is_none());
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! from the transport's point of view, and `NoHandler` is expected during
 //! reconfiguration — neither should isolate a healthy destination.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mochi_mercury::Address;
 use mochi_util::ordered_lock::{rank, OrderedMutex};
+use mochi_util::IdMap;
 
 use crate::config::BreakerConfig;
 
@@ -82,7 +82,7 @@ pub enum Admission {
 #[derive(Debug)]
 pub struct BreakerRegistry {
     config: BreakerConfig,
-    breakers: OrderedMutex<HashMap<(Arc<Address>, u16), Breaker>>,
+    breakers: OrderedMutex<IdMap<(Arc<Address>, u16), Breaker>>,
 }
 
 impl BreakerRegistry {
@@ -90,7 +90,7 @@ impl BreakerRegistry {
     pub fn new(config: BreakerConfig) -> Self {
         Self {
             config,
-            breakers: OrderedMutex::new(rank::MARGO_BREAKERS, "margo.breakers", HashMap::new()),
+            breakers: OrderedMutex::new(rank::MARGO_BREAKERS, "margo.breakers", IdMap::default()),
         }
     }
 
@@ -98,12 +98,11 @@ impl BreakerRegistry {
         (Arc::clone(dest), provider_id)
     }
 
-    /// Asks to admit a call to `(dest, provider_id)`.
-    pub fn admit(&self, dest: &Arc<Address>, provider_id: u16) -> Admission {
+    /// Asks to admit, at `now`, a call to `(dest, provider_id)`.
+    pub fn admit(&self, dest: &Arc<Address>, provider_id: u16, now: Instant) -> Admission {
         if !self.config.enabled {
             return Admission::Allowed;
         }
-        let now = Instant::now();
         let mut breakers = self.breakers.lock();
         let breaker =
             breakers.entry(Self::key(dest, provider_id)).or_insert_with(|| Breaker::new(now));
@@ -220,13 +219,13 @@ mod tests {
         let d = dest("a");
         for _ in 0..2 {
             reg.record_failure(&d, 0);
-            assert_eq!(reg.admit(&d, 0), Admission::Allowed);
+            assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Allowed);
         }
         reg.record_failure(&d, 0);
-        assert_eq!(reg.admit(&d, 0), Admission::Rejected);
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Rejected);
         // Other providers and destinations unaffected.
-        assert_eq!(reg.admit(&d, 1), Admission::Allowed);
-        assert_eq!(reg.admit(&dest("b"), 0), Admission::Allowed);
+        assert_eq!(reg.admit(&d, 1, Instant::now()), Admission::Allowed);
+        assert_eq!(reg.admit(&dest("b"), 0, Instant::now()), Admission::Allowed);
     }
 
     #[test]
@@ -235,11 +234,11 @@ mod tests {
         let d = dest("a");
         reg.record_failure(&d, 0);
         // probe_interval 0: next admit is immediately a probe.
-        assert_eq!(reg.admit(&d, 0), Admission::Probe);
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Probe);
         // While the probe is out, other calls are rejected.
-        assert_eq!(reg.admit(&d, 0), Admission::Rejected);
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Rejected);
         reg.record_success(&d, 0);
-        assert_eq!(reg.admit(&d, 0), Admission::Allowed);
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Allowed);
         assert!(reg.all_closed_among(|_| true));
     }
 
@@ -248,11 +247,11 @@ mod tests {
         let reg = registry(1, 0);
         let d = dest("a");
         reg.record_failure(&d, 0);
-        assert_eq!(reg.admit(&d, 0), Admission::Probe);
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Probe);
         reg.record_failure(&d, 0);
         // Re-opened with probe_at in the past (interval 0) — next admit
         // probes again rather than flat-out rejecting.
-        assert_eq!(reg.admit(&d, 0), Admission::Probe);
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Probe);
         assert!(!reg.all_closed_among(|_| true));
         assert!(reg.all_closed_among(|_| false), "scoping to no live addresses ignores it");
     }
@@ -262,7 +261,7 @@ mod tests {
         let reg = registry(1, 60_000);
         let d = dest("a");
         reg.record_failure(&d, 0);
-        assert_eq!(reg.admit(&d, 0), Admission::Rejected, "probe due only after a minute");
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Rejected, "probe due only after a minute");
     }
 
     #[test]
@@ -274,7 +273,7 @@ mod tests {
         reg.record_success(&d, 0);
         reg.record_failure(&d, 0);
         reg.record_failure(&d, 0);
-        assert_eq!(reg.admit(&d, 0), Admission::Allowed, "streak broken by success");
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Allowed, "streak broken by success");
     }
 
     #[test]
@@ -288,7 +287,7 @@ mod tests {
         for _ in 0..10 {
             reg.record_failure(&d, 0);
         }
-        assert_eq!(reg.admit(&d, 0), Admission::Allowed);
+        assert_eq!(reg.admit(&d, 0, Instant::now()), Admission::Allowed);
     }
 
     #[test]
@@ -296,7 +295,7 @@ mod tests {
         let reg = registry(1, 60_000);
         let d = dest("a");
         reg.record_failure(&d, 0);
-        reg.admit(&d, 0);
+        reg.admit(&d, 0, Instant::now());
         let json = reg.to_json();
         let entry = &json[format!("{}:0", d)];
         assert_eq!(entry["state"], "open");

@@ -12,16 +12,20 @@
 //! - [`encode_framed`] serializes the header *directly into* a thread-local
 //!   reusable [`BytesMut`] scratch (length prefix patched in place), then
 //!   hands the frame off with `split().freeze()` — no intermediate header
-//!   `Vec`, no copy-into-`Bytes`.
-//! - [`decode_framed`] returns the body as a [`Bytes`] slice of the incoming
-//!   frame (`Bytes::slice` is a refcount bump), so callers hold onto bodies
-//!   without copying them out first.
+//!   `Vec`, no copy-into-`Bytes`. [`encode_framed_with`] lets the caller
+//!   write the body into the same buffer piece by piece, so a body made of
+//!   several values is never assembled anywhere else first.
+//! - [`decode_framed_borrowed`] hands out a header that borrows from the
+//!   frame (keys stay slices of the request buffer) and the body as a
+//!   slice; [`decode_framed`] returns an owned header and the body as a
+//!   [`Bytes`] slice of the incoming frame (`Bytes::slice` is a refcount
+//!   bump), for callers that hold onto bodies.
 
 use std::cell::RefCell;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use serde::de::DeserializeOwned;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::error::MargoError;
 
@@ -34,39 +38,62 @@ thread_local! {
 
 /// Encodes `header` + `body` into a framed payload.
 pub fn encode_framed<H: Serialize>(header: &H, body: &[u8]) -> Result<Bytes, MargoError> {
+    encode_framed_with(header, body.len(), |frame| frame.put_slice(body))
+}
+
+/// Encodes `header`, then lets `write_body` append the body straight to
+/// the frame. `size_hint` is what the caller expects header and body to
+/// take beyond a small header's worth; it sizes the buffer, nothing else.
+pub fn encode_framed_with<H: Serialize>(
+    header: &H,
+    size_hint: usize,
+    write_body: impl FnOnce(&mut BytesMut),
+) -> Result<Bytes, MargoError> {
     SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
         // A failed encode on a previous call may have left partial bytes.
         buf.clear();
-        buf.reserve(4 + 32 + body.len());
+        buf.reserve(4 + 64 + size_hint);
         buf.put_u32_le(0);
         mochi_wire::encode_into(header, &mut *buf)
             .map_err(|e| MargoError::Codec(e.to_string()))?;
         let header_len = buf.len() - 4;
         buf[..4].copy_from_slice(&(header_len as u32).to_le_bytes());
-        buf.put_slice(body);
+        write_body(&mut buf);
         Ok(buf.split().freeze())
     })
 }
 
-/// Decodes a framed payload into its header and body.
+/// Splits a frame into its encoded header and its body.
+fn split_frame(frame: &[u8]) -> Result<(&[u8], &[u8]), MargoError> {
+    let Some((prefix, rest)) = frame.split_first_chunk::<4>() else {
+        return Err(MargoError::Codec("frame shorter than header length".into()));
+    };
+    let header_len = u32::from_le_bytes(*prefix) as usize;
+    rest.split_at_checked(header_len).ok_or_else(|| {
+        MargoError::Codec(format!("frame truncated: header {header_len} > {}", rest.len()))
+    })
+}
+
+fn decode_header<'de, H: Deserialize<'de>>(header: &'de [u8]) -> Result<H, MargoError> {
+    mochi_wire::from_slice(header).map_err(|e| MargoError::Codec(e.to_string()))
+}
+
+/// Decodes a framed payload into a header that may borrow from `frame`
+/// (byte runs and strings come back as slices of it) and the body.
+pub fn decode_framed_borrowed<'de, H: Deserialize<'de>>(
+    frame: &'de [u8],
+) -> Result<(H, &'de [u8]), MargoError> {
+    let (header, body) = split_frame(frame)?;
+    Ok((decode_header(header)?, body))
+}
+
+/// Decodes a framed payload into its (owned) header and body.
 ///
 /// The body is a zero-copy [`Bytes::slice`] of `frame`.
 pub fn decode_framed<H: DeserializeOwned>(frame: &Bytes) -> Result<(H, Bytes), MargoError> {
-    if frame.len() < 4 {
-        return Err(MargoError::Codec("frame shorter than header length".into()));
-    }
-    let header_len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
-    let rest = &frame[4..];
-    if rest.len() < header_len {
-        return Err(MargoError::Codec(format!(
-            "frame truncated: header {header_len} > {}",
-            rest.len()
-        )));
-    }
-    let header: H = mochi_wire::from_slice(&rest[..header_len])
-        .map_err(|e| MargoError::Codec(e.to_string()))?;
-    Ok((header, frame.slice(4 + header_len..)))
+    let (header, _) = split_frame(frame)?;
+    Ok((decode_header(header)?, frame.slice(4 + header.len()..)))
 }
 
 #[cfg(test)]
@@ -124,6 +151,30 @@ mod tests {
         assert_eq!(&body_a[..], b"first");
         assert_eq!(hb.key, "b");
         assert_eq!(&body_b[..], b"second");
+    }
+
+    #[test]
+    fn body_written_in_pieces_matches_body_in_one() {
+        let header = Header { key: "k".into(), flag: false };
+        let whole = encode_framed(&header, b"first-second").unwrap();
+        let pieces = encode_framed_with(&header, 12, |frame| {
+            frame.put_slice(b"first-");
+            frame.put_slice(b"second");
+        })
+        .unwrap();
+        assert_eq!(whole, pieces);
+    }
+
+    #[test]
+    fn borrowed_header_and_body_point_into_the_frame() {
+        let frame = encode_framed(&"a borrowed string", b"body").unwrap();
+        let (header, body): (&str, &[u8]) = decode_framed_borrowed(&frame).unwrap();
+        assert_eq!((header, body), ("a borrowed string", &b"body"[..]));
+        let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+        assert!(frame_range.contains(&(header.as_ptr() as usize)));
+        assert!(frame_range.contains(&(body.as_ptr() as usize)));
+        assert!(decode_framed_borrowed::<&str>(&frame[..3]).is_err());
+        assert!(decode_framed_borrowed::<&str>(&frame[..9]).is_err());
     }
 
     #[test]

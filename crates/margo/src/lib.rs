@@ -38,7 +38,7 @@ pub mod runtime;
 
 pub use breaker::{Admission, BreakerRegistry};
 pub use codec::{decode, encode};
-pub use frame::{decode_framed, encode_framed};
+pub use frame::{decode_framed, decode_framed_borrowed, encode_framed, encode_framed_with};
 pub use config::{BreakerConfig, MargoConfig, MonitoringConfig, RetryConfig};
 pub use error::MargoError;
 pub use retry::RetryPolicy;

@@ -58,14 +58,15 @@ pub struct RuntimeSample {
 
 /// One step in the lifetime of an RPC (or a runtime sample).
 ///
-/// Peer addresses are `Arc`-shared with the runtime: several events fire per
-/// RPC (forward start/end, request received, handler start/end, response
-/// sent) and each used to deep-clone the address. An `Arc` bump per event
-/// keeps monitoring overhead flat as address strings grow.
-#[derive(Debug, Clone)]
-pub enum MonitoringEvent {
+/// An event lends what it describes: the runtime holds one
+/// [`RpcIdentity`] and one shared peer address per call, six events fire
+/// per RPC, and each borrows them for the duration of
+/// [`Monitor::observe`]. A monitor that keeps something (a peer as a map
+/// key) clones the `Arc` it was lent.
+#[derive(Debug, Clone, Copy)]
+pub enum MonitoringEvent<'a> {
     /// A client is about to forward a request.
-    ForwardStart { identity: RpcIdentity, dest: Arc<Address>, payload_size: usize },
+    ForwardStart { identity: &'a RpcIdentity, dest: &'a Arc<Address>, payload_size: usize },
     /// A forwarded request completed (response received, or failed).
     /// `error` is `None` on success, or the fault-mode tag from
     /// [`crate::MargoError::kind`] (timeout / handler / no-handler /
@@ -73,8 +74,8 @@ pub enum MonitoringEvent {
     /// `attempts` counts the transport attempts of this logical call
     /// (> 1 when the retry policy re-sent it).
     ForwardEnd {
-        identity: RpcIdentity,
-        dest: Arc<Address>,
+        identity: &'a RpcIdentity,
+        dest: &'a Arc<Address>,
         duration_s: f64,
         ok: bool,
         error: Option<&'static str>,
@@ -83,22 +84,22 @@ pub enum MonitoringEvent {
     /// The progress ULT took a request from the mailbox and is scheduling
     /// its handler ULT.
     RequestReceived {
-        identity: RpcIdentity,
-        source: Arc<Address>,
+        identity: &'a RpcIdentity,
+        source: &'a Arc<Address>,
         payload_size: usize,
-        pool: Arc<str>,
+        pool: &'a Arc<str>,
     },
     /// A handler ULT started executing (after waiting in its pool).
-    HandlerStart { identity: RpcIdentity, source: Arc<Address>, queue_wait_s: f64 },
+    HandlerStart { identity: &'a RpcIdentity, source: &'a Arc<Address>, queue_wait_s: f64 },
     /// A handler ULT finished; `duration_s` is its execution time — the
     /// `ult.duration` statistic of Listing 1.
-    HandlerEnd { identity: RpcIdentity, source: Arc<Address>, duration_s: f64, ok: bool },
+    HandlerEnd { identity: &'a RpcIdentity, source: &'a Arc<Address>, duration_s: f64, ok: bool },
     /// A response was sent back.
-    ResponseSent { identity: RpcIdentity, dest: Arc<Address>, payload_size: usize },
+    ResponseSent { identity: &'a RpcIdentity, dest: &'a Arc<Address>, payload_size: usize },
     /// A bulk transfer completed.
-    Bulk { direction: BulkDirection, peer: Address, size: usize, duration_s: f64 },
+    Bulk { direction: BulkDirection, peer: &'a Address, size: usize, duration_s: f64 },
     /// Periodic load sample.
-    Sample(RuntimeSample),
+    Sample(&'a RuntimeSample),
 }
 
 /// A monitoring callback sink. Implementations must be cheap and
@@ -106,7 +107,7 @@ pub enum MonitoringEvent {
 /// handler ULTs.
 pub trait Monitor: Send + Sync {
     /// Observes one event.
-    fn observe(&self, event: &MonitoringEvent);
+    fn observe(&self, event: &MonitoringEvent<'_>);
 }
 
 /// Monitor that discards everything (monitoring disabled).
@@ -114,7 +115,7 @@ pub trait Monitor: Send + Sync {
 pub struct NullMonitor;
 
 impl Monitor for NullMonitor {
-    fn observe(&self, _event: &MonitoringEvent) {}
+    fn observe(&self, _event: &MonitoringEvent<'_>) {}
 }
 
 /// Fans events out to several monitors (e.g. the default statistics
@@ -137,7 +138,7 @@ impl CompositeMonitor {
 }
 
 impl Monitor for CompositeMonitor {
-    fn observe(&self, event: &MonitoringEvent) {
+    fn observe(&self, event: &MonitoringEvent<'_>) {
         for sink in &self.sinks {
             sink.observe(event);
         }
@@ -152,18 +153,16 @@ mod tests {
     struct Counting(AtomicUsize);
 
     impl Monitor for Counting {
-        fn observe(&self, _e: &MonitoringEvent) {
+        fn observe(&self, _e: &MonitoringEvent<'_>) {
             self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    fn sample_event() -> MonitoringEvent {
-        MonitoringEvent::Sample(RuntimeSample {
-            time_s: 0.0,
-            in_flight_client: 0,
-            in_flight_server: 0,
-            pools: vec![],
-        })
+    static SAMPLE: RuntimeSample =
+        RuntimeSample { time_s: 0.0, in_flight_client: 0, in_flight_server: 0, pools: vec![] };
+
+    fn sample_event() -> MonitoringEvent<'static> {
+        MonitoringEvent::Sample(&SAMPLE)
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! with [`StreamStats::merge`] (the parallel Welford merge), which keeps
 //! `{num, avg, min, max, var, sum}` exact for sequential pushes and
 //! within floating-point roundoff of single-lock accumulation otherwise.
+//!
+//! Recording an event is two probes of an [`IdMap`] — the RPC by its four
+//! integers, the peer by the hash its [`Address`] carries — and, once both
+//! entries exist, allocates and formats nothing: the RPC's name is stored
+//! when its entry is made, the peer's text is rendered at dump time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +28,7 @@ use serde_json::{json, Value};
 
 use mochi_mercury::{Address, CallContext};
 use mochi_util::ordered_lock::rank;
-use mochi_util::{StreamStats, Striped};
+use mochi_util::{IdMap, StreamStats, Striped};
 
 use super::{Monitor, MonitoringEvent, RpcIdentity};
 
@@ -42,7 +47,7 @@ fn render_parent_rpc(context: &CallContext) -> u64 {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     parent_rpc_id: u64,
     parent_provider_id: u16,
@@ -114,11 +119,12 @@ impl TargetPeer {
 
 #[derive(Default)]
 struct RpcEntry {
-    name: String,
-    // Keyed by the Arc the runtime already holds: inserting a new peer
-    // bumps a refcount instead of deep-cloning the address.
-    origin: HashMap<Arc<Address>, OriginPeer>,
-    target: HashMap<Arc<Address>, TargetPeer>,
+    /// Set when the entry is made.
+    name: Arc<str>,
+    // Keyed by the Arc the runtime already holds: a new peer bumps a
+    // refcount instead of deep-cloning the address.
+    origin: IdMap<Arc<Address>, OriginPeer>,
+    target: IdMap<Arc<Address>, TargetPeer>,
 }
 
 #[derive(Default)]
@@ -139,19 +145,27 @@ struct SampleStats {
 
 #[derive(Default)]
 struct State {
-    rpcs: HashMap<Key, RpcEntry>,
+    rpcs: IdMap<Key, RpcEntry>,
     bulk: BulkStats,
     samples: SampleStats,
 }
 
 impl State {
+    /// The entry of `identity`'s RPC, made (and named) on its first event.
+    fn rpc(&mut self, identity: &RpcIdentity) -> &mut RpcEntry {
+        self.rpcs.entry(Key::from_identity(identity)).or_insert_with(|| RpcEntry {
+            name: Arc::clone(&identity.rpc_name),
+            ..RpcEntry::default()
+        })
+    }
+
     /// Folds another stripe's accumulators into this one.
     fn merge_from(&mut self, other: &State) {
         for (key, entry) in &other.rpcs {
-            let target = self.rpcs.entry(key.clone()).or_default();
-            if target.name.is_empty() {
-                target.name = entry.name.clone();
-            }
+            let target = self.rpcs.entry(*key).or_insert_with(|| RpcEntry {
+                name: Arc::clone(&entry.name),
+                ..RpcEntry::default()
+            });
             for (addr, peer) in &entry.origin {
                 target.origin.entry(Arc::clone(addr)).or_default().merge_from(peer);
             }
@@ -251,7 +265,7 @@ impl StatisticsMonitor {
                     "provider_id": key.provider_id,
                     "parent_rpc_id": key.parent_rpc_id,
                     "parent_provider_id": key.parent_provider_id,
-                    "name": entry.name,
+                    "name": &*entry.name,
                     "origin": Value::Object(origin),
                     "target": Value::Object(target),
                 }),
@@ -295,20 +309,18 @@ impl StatisticsMonitor {
 }
 
 impl Monitor for StatisticsMonitor {
-    fn observe(&self, event: &MonitoringEvent) {
+    fn observe(&self, event: &MonitoringEvent<'_>) {
         // Only the calling thread's stripe is locked: handlers on
         // different execution streams record concurrently.
-        self.state.with(|state| match event {
+        self.state.with(|state| match *event {
             MonitoringEvent::ForwardStart { .. } => {
                 // Per-call state is carried by the runtime; the duration
                 // arrives with ForwardEnd. The arm documents that the
                 // hook exists for custom monitors.
             }
             MonitoringEvent::ForwardEnd { identity, dest, duration_s, ok, error, attempts } => {
-                let entry = state.rpcs.entry(Key::from_identity(identity)).or_default();
-                entry.name = identity.rpc_name.to_string();
-                let peer = entry.origin.entry(dest.clone()).or_default();
-                peer.forward_duration.push(*duration_s);
+                let peer = state.rpc(identity).origin.entry(Arc::clone(dest)).or_default();
+                peer.forward_duration.push(duration_s);
                 if !ok {
                     peer.failures += 1;
                 }
@@ -318,37 +330,32 @@ impl Monitor for StatisticsMonitor {
                 peer.retries += u64::from(attempts.saturating_sub(1));
             }
             MonitoringEvent::RequestReceived { identity, source, payload_size, .. } => {
-                let entry = state.rpcs.entry(Key::from_identity(identity)).or_default();
-                entry.name = identity.rpc_name.to_string();
-                let peer = entry.target.entry(source.clone()).or_default();
-                peer.request_payload.push(*payload_size as f64);
+                let peer = state.rpc(identity).target.entry(Arc::clone(source)).or_default();
+                peer.request_payload.push(payload_size as f64);
             }
             MonitoringEvent::HandlerStart { identity, source, queue_wait_s } => {
-                let entry = state.rpcs.entry(Key::from_identity(identity)).or_default();
-                let peer = entry.target.entry(source.clone()).or_default();
-                peer.queue_wait.push(*queue_wait_s);
+                let peer = state.rpc(identity).target.entry(Arc::clone(source)).or_default();
+                peer.queue_wait.push(queue_wait_s);
             }
             MonitoringEvent::HandlerEnd { identity, source, duration_s, ok } => {
-                let entry = state.rpcs.entry(Key::from_identity(identity)).or_default();
-                let peer = entry.target.entry(source.clone()).or_default();
-                peer.ult_duration.push(*duration_s);
+                let peer = state.rpc(identity).target.entry(Arc::clone(source)).or_default();
+                peer.ult_duration.push(duration_s);
                 if !ok {
                     peer.failures += 1;
                 }
             }
             MonitoringEvent::ResponseSent { identity, dest, payload_size } => {
-                let entry = state.rpcs.entry(Key::from_identity(identity)).or_default();
-                let peer = entry.target.entry(dest.clone()).or_default();
-                peer.response_payload.push(*payload_size as f64);
+                let peer = state.rpc(identity).target.entry(Arc::clone(dest)).or_default();
+                peer.response_payload.push(payload_size as f64);
             }
             MonitoringEvent::Bulk { direction, size, duration_s, .. } => match direction {
                 super::BulkDirection::Pull => {
-                    state.bulk.pull_duration.push(*duration_s);
-                    state.bulk.pull_size.push(*size as f64);
+                    state.bulk.pull_duration.push(duration_s);
+                    state.bulk.pull_size.push(size as f64);
                 }
                 super::BulkDirection::Push => {
-                    state.bulk.push_duration.push(*duration_s);
-                    state.bulk.push_size.push(*size as f64);
+                    state.bulk.push_duration.push(duration_s);
+                    state.bulk.push_size.push(size as f64);
                 }
             },
             MonitoringEvent::Sample(sample) => {
@@ -356,12 +363,15 @@ impl Monitor for StatisticsMonitor {
                 state.samples.in_flight_client.push(sample.in_flight_client as f64);
                 state.samples.in_flight_server.push(sample.in_flight_server as f64);
                 for pool in &sample.pools {
-                    state
-                        .samples
-                        .pool_sizes
-                        .entry(pool.name.clone())
-                        .or_default()
-                        .push(pool.size as f64);
+                    // Looked up before it is named: the name is cloned
+                    // for a pool's first sample only.
+                    match state.samples.pool_sizes.get_mut(&pool.name) {
+                        Some(sizes) => sizes.push(pool.size as f64),
+                        None => {
+                            let sizes = state.samples.pool_sizes.entry(pool.name.clone());
+                            sizes.or_default().push(pool.size as f64);
+                        }
+                    }
                 }
             }
         });
@@ -387,8 +397,8 @@ mod tests {
         let monitor = StatisticsMonitor::new();
         let id = identity("echo", 2_924_675_071, 65_535, CallContext::TOP_LEVEL);
         monitor.observe(&MonitoringEvent::HandlerEnd {
-            identity: id,
-            source: Arc::new(addr("client")),
+            identity: &id,
+            source: &Arc::new(addr("client")),
             duration_s: 0.083,
             ok: true,
         });
@@ -409,16 +419,16 @@ mod tests {
         let monitor = StatisticsMonitor::new();
         let nested = CallContext { parent_rpc_id: 42, parent_provider_id: 3, deadline: None };
         monitor.observe(&MonitoringEvent::ForwardEnd {
-            identity: identity("get", 100, 1, nested),
-            dest: Arc::new(addr("server")),
+            identity: &identity("get", 100, 1, nested),
+            dest: &Arc::new(addr("server")),
             duration_s: 0.01,
             ok: true,
             error: None,
             attempts: 1,
         });
         monitor.observe(&MonitoringEvent::ForwardEnd {
-            identity: identity("get", 100, 1, CallContext::TOP_LEVEL),
-            dest: Arc::new(addr("server")),
+            identity: &identity("get", 100, 1, CallContext::TOP_LEVEL),
+            dest: &Arc::new(addr("server")),
             duration_s: 0.02,
             ok: true,
             error: None,
@@ -436,8 +446,8 @@ mod tests {
         let monitor = StatisticsMonitor::new();
         for (host, duration) in [("s1", 0.01), ("s1", 0.03), ("s2", 0.5)] {
             monitor.observe(&MonitoringEvent::ForwardEnd {
-                identity: identity("put", 7, 0, CallContext::TOP_LEVEL),
-                dest: Arc::new(addr(host)),
+                identity: &identity("put", 7, 0, CallContext::TOP_LEVEL),
+                dest: &Arc::new(addr(host)),
                 duration_s: duration,
                 ok: true,
                 error: None,
@@ -457,8 +467,8 @@ mod tests {
     fn failures_counted() {
         let monitor = StatisticsMonitor::new();
         monitor.observe(&MonitoringEvent::ForwardEnd {
-            identity: identity("put", 7, 0, CallContext::TOP_LEVEL),
-            dest: Arc::new(addr("s1")),
+            identity: &identity("put", 7, 0, CallContext::TOP_LEVEL),
+            dest: &Arc::new(addr("s1")),
             duration_s: 1.0,
             ok: false,
             error: Some("timeout"),
@@ -476,8 +486,8 @@ mod tests {
         let monitor = StatisticsMonitor::new();
         for kind in ["timeout", "timeout", "handler", "breaker-open"] {
             monitor.observe(&MonitoringEvent::ForwardEnd {
-                identity: identity("put", 7, 0, CallContext::TOP_LEVEL),
-                dest: Arc::new(addr("s1")),
+                identity: &identity("put", 7, 0, CallContext::TOP_LEVEL),
+                dest: &Arc::new(addr("s1")),
                 duration_s: 0.5,
                 ok: false,
                 error: Some(kind),
@@ -496,11 +506,11 @@ mod tests {
         let monitor = StatisticsMonitor::new();
         monitor.observe(&MonitoringEvent::Bulk {
             direction: BulkDirection::Pull,
-            peer: addr("s"),
+            peer: &addr("s"),
             size: 4096,
             duration_s: 0.001,
         });
-        monitor.observe(&MonitoringEvent::Sample(RuntimeSample {
+        monitor.observe(&MonitoringEvent::Sample(&RuntimeSample {
             time_s: 1.0,
             in_flight_client: 3,
             in_flight_server: 1,
@@ -516,8 +526,8 @@ mod tests {
     fn reset_clears_state() {
         let monitor = StatisticsMonitor::new();
         monitor.observe(&MonitoringEvent::ForwardEnd {
-            identity: identity("x", 1, 0, CallContext::TOP_LEVEL),
-            dest: Arc::new(addr("s")),
+            identity: &identity("x", 1, 0, CallContext::TOP_LEVEL),
+            dest: &Arc::new(addr("s")),
             duration_s: 0.1,
             ok: true,
             error: None,
@@ -536,8 +546,8 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..250 {
                         monitor.observe(&MonitoringEvent::ForwardEnd {
-                            identity: identity("put", 7, 0, CallContext::TOP_LEVEL),
-                            dest: Arc::new(addr("s1")),
+                            identity: &identity("put", 7, 0, CallContext::TOP_LEVEL),
+                            dest: &Arc::new(addr("s1")),
                             duration_s: (t * 250 + i) as f64,
                             ok: i % 50 == 0,
                             error: (i % 50 != 0).then_some("timeout"),

@@ -124,13 +124,13 @@ impl RpcContext {
         let payload_size = payload.len();
         self.margo.endpoint().respond(&self.request, status, payload)?;
         self.margo.emit(&MonitoringEvent::ResponseSent {
-            identity: self.margo.identity_for(
+            identity: &self.margo.identity_for(
                 self.request.rpc_id,
                 &self.rpc_name,
                 self.request.provider_id,
                 self.request.context,
             ),
-            dest: self.request.source.clone(),
+            dest: &self.request.source,
             payload_size,
         });
         Ok(())

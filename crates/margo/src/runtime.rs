@@ -31,6 +31,7 @@ use mochi_mercury::{
     PendingRequest, RequestInfo, ResponseStatus,
 };
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
+use mochi_util::IdMap;
 use mochi_util::time::monotonic_seconds;
 
 use crate::breaker::{Admission, BreakerRegistry};
@@ -88,7 +89,7 @@ struct Inner {
     fabric: Fabric,
     abt: AbtRuntime,
     meta: Meta,
-    handlers: OrderedRwLock<HashMap<(u64, u16), Arc<Registration>>>,
+    handlers: OrderedRwLock<IdMap<(u64, u16), Arc<Registration>>>,
     monitor: OrderedRwLock<Arc<CompositeMonitor>>,
     stats: Option<Arc<StatisticsMonitor>>,
     retry: RetryPolicy,
@@ -139,7 +140,7 @@ impl MargoRuntime {
                 monitoring_enabled: config.monitoring.enabled,
                 sampling_period: Duration::from_millis(config.monitoring.sampling_period_ms),
             },
-            handlers: OrderedRwLock::new(rank::MARGO_HANDLERS, "margo.handlers", HashMap::new()),
+            handlers: OrderedRwLock::new(rank::MARGO_HANDLERS, "margo.handlers", IdMap::default()),
             monitor: OrderedRwLock::new(rank::MARGO_MONITOR, "margo.monitor", Arc::new(composite)),
             stats,
             retry: RetryPolicy::new(config.retry.clone()),
@@ -221,7 +222,7 @@ impl MargoRuntime {
                         in_flight_server: this.inner.in_flight_server.load(Ordering::Relaxed),
                         pools: this.inner.abt.pool_stats(),
                     };
-                    this.emit(&MonitoringEvent::Sample(sample));
+                    this.emit(&MonitoringEvent::Sample(&sample));
                 }
             })
             .map_err(|e| MargoError::Spawn(format!("sampler: {e}")))?;
@@ -269,7 +270,7 @@ impl MargoRuntime {
         RpcIdentity { rpc_id, rpc_name: Arc::clone(name), provider_id, context }
     }
 
-    pub(crate) fn emit(&self, event: &MonitoringEvent) {
+    pub(crate) fn emit(&self, event: &MonitoringEvent<'_>) {
         if self.inner.meta.monitoring_enabled {
             let monitor = Arc::clone(&*self.inner.monitor.read());
             monitor.observe(event);
@@ -414,22 +415,24 @@ impl MargoRuntime {
             request.context,
         );
         self.emit(&MonitoringEvent::RequestReceived {
-            identity: identity.clone(),
-            source: request.source.clone(),
+            identity: &identity,
+            source: &request.source,
             payload_size: request.payload.len(),
-            pool: Arc::clone(&registration.pool_name),
+            pool: &registration.pool_name,
         });
         self.inner.in_flight_server.fetch_add(1, Ordering::Relaxed);
+        // One reading: where the request was received its ULT was submitted.
         let received_at = Instant::now();
         let this = self.clone();
         let reg = Arc::clone(&registration);
-        let ult = Ult::new(Arc::clone(&registration.name), move || {
-            let source = request.source.clone();
-            let queue_wait_s = received_at.elapsed().as_secs_f64();
+        let ult = Ult::new_at(received_at, Arc::clone(&registration.name), move || {
+            let source = Arc::clone(&request.source);
+            // One reading: where the wait in the pool ends the handler starts.
+            let start = Instant::now();
             this.emit(&MonitoringEvent::HandlerStart {
-                identity: identity.clone(),
-                source: source.clone(),
-                queue_wait_s,
+                identity: &identity,
+                source: &source,
+                queue_wait_s: start.saturating_duration_since(received_at).as_secs_f64(),
             });
             let ctx = RpcContext {
                 margo: this.clone(),
@@ -438,7 +441,6 @@ impl MargoRuntime {
                 responded: AtomicBool::new(false),
                 oneway,
             };
-            let start = Instant::now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 (reg.handler)(ctx)
             }));
@@ -449,8 +451,8 @@ impl MargoRuntime {
             // response is ignored.
             let ok = outcome.is_ok();
             this.emit(&MonitoringEvent::HandlerEnd {
-                identity,
-                source,
+                identity: &identity,
+                source: &source,
                 duration_s: start.elapsed().as_secs_f64(),
                 ok,
             });
@@ -511,7 +513,8 @@ impl MargoRuntime {
         context: CallContext,
         timeout: Duration,
     ) -> Result<O, MargoError> {
-        self.iforward_full(dest, rpc_name, provider_id, input, context, timeout)?.wait_decoded()
+        let dest = Arc::new(dest.clone());
+        self.iforward_full(&dest, rpc_name, provider_id, input, context, timeout)?.wait_decoded()
     }
 
     /// Raw-payload forward for data-plane RPCs using [`crate::frame`]
@@ -527,7 +530,8 @@ impl MargoRuntime {
         context: CallContext,
         timeout: Duration,
     ) -> Result<Bytes, MargoError> {
-        self.iforward_raw(dest, rpc_name, provider_id, payload, context, timeout).wait()
+        let dest = Arc::new(dest.clone());
+        self.iforward_raw(&dest, rpc_name, provider_id, payload, context, timeout).wait()
     }
 
     /// Posting form of [`MargoRuntime::forward_full`]: encodes `input`
@@ -535,7 +539,7 @@ impl MargoRuntime {
     /// [`PendingForward::wait_decoded`] yields the typed reply.
     pub fn iforward_full<I: Serialize>(
         &self,
-        dest: &Address,
+        dest: &Arc<Address>,
         rpc_name: &str,
         provider_id: u16,
         input: &I,
@@ -557,9 +561,13 @@ impl MargoRuntime {
     /// `ForwardStart`/`ForwardEnd` pair per *logical* call, and one
     /// attempt path (retry policy, circuit breakers, deadline
     /// propagation) behind both.
+    ///
+    /// `dest` is shared with the posted call (monitoring events, the
+    /// breaker key, re-sends): a client that keeps its peer's address in an
+    /// `Arc` posts without copying it.
     pub fn iforward_raw(
         &self,
-        dest: &Address,
+        dest: &Arc<Address>,
         rpc_name: &str,
         provider_id: u16,
         payload: Bytes,
@@ -569,37 +577,36 @@ impl MargoRuntime {
         let rpc_id = rpc_id_for_name(rpc_name);
         let name = cached_rpc_name(rpc_name);
         let identity = self.identity_for(rpc_id, &name, provider_id, context);
-        // One shared destination for monitoring events and the breaker
-        // key; the request itself borrows `dest`, so this is the only
-        // deep clone per call.
-        let dest = Arc::new(dest.clone());
         self.emit(&MonitoringEvent::ForwardStart {
-            identity: identity.clone(),
-            dest: Arc::clone(&dest),
+            identity: &identity,
+            dest,
             payload_size: payload.len(),
         });
         self.inner.in_flight_client.fetch_add(1, Ordering::Relaxed);
+        // One reading: the call starts where its first attempt does.
         let start = Instant::now();
-        let first = self.post_attempt(&identity, &dest, payload.clone(), timeout);
+        let first = self.post_attempt(&identity, dest, payload.clone(), timeout, start);
+        let dest = Arc::clone(dest);
         PendingForward {
             margo: self.clone(),
             call: Some(PostedCall { identity, dest, payload, timeout, start, first }),
         }
     }
 
-    /// The posting half of one transport attempt: liveness, deadline
-    /// clamping, breaker admission, send. The attempt's wait budget runs
-    /// from here, not from when the caller gets round to waiting.
+    /// The posting half of one transport attempt, made at `now`: liveness,
+    /// deadline clamping, breaker admission, send. The attempt's wait
+    /// budget runs from here, not from when the caller gets round to
+    /// waiting.
     fn post_attempt(
         &self,
         identity: &RpcIdentity,
         dest: &Arc<Address>,
         payload: Bytes,
         timeout: Duration,
+        now: Instant,
     ) -> Result<Attempt, MargoError> {
         self.ensure_live()?;
         let context = identity.context;
-        let now = Instant::now();
         // Clamp the wait to the remaining deadline budget, so a nested
         // chain with a 100 ms top-level deadline can never take
         // 3 × 100 ms: each hop inherits only what its parent has left.
@@ -613,7 +620,7 @@ impl MargoRuntime {
             }
             None => timeout,
         };
-        match self.inner.breakers.admit(dest, identity.provider_id) {
+        match self.inner.breakers.admit(dest, identity.provider_id, now) {
             Admission::Allowed | Admission::Probe => {}
             Admission::Rejected => {
                 return Err(MargoError::BreakerOpen {
@@ -724,13 +731,13 @@ impl MargoRuntime {
             std::thread::sleep(backoff);
             attempts += 1;
             outcome = self
-                .post_attempt(&identity, &dest, payload.clone(), timeout)
+                .post_attempt(&identity, &dest, payload.clone(), timeout, Instant::now())
                 .and_then(|attempt| self.finish_attempt(&identity, &dest, attempt, true));
         };
         self.inner.in_flight_client.fetch_sub(1, Ordering::Relaxed);
         self.emit(&MonitoringEvent::ForwardEnd {
-            identity,
-            dest,
+            identity: &identity,
+            dest: &dest,
             duration_s: start.elapsed().as_secs_f64(),
             ok: result.is_ok(),
             error: result.as_ref().err().map(MargoError::kind),
@@ -819,7 +826,7 @@ impl MargoRuntime {
         let result = self.inner.endpoint.bulk_pull(remote, remote_offset, local, local_offset, len);
         self.emit(&MonitoringEvent::Bulk {
             direction: BulkDirection::Pull,
-            peer: remote.owner.clone(),
+            peer: &remote.owner,
             size: len,
             duration_s: start.elapsed().as_secs_f64(),
         });
@@ -839,7 +846,7 @@ impl MargoRuntime {
         let result = self.inner.endpoint.bulk_push(local, local_offset, remote, remote_offset, len);
         self.emit(&MonitoringEvent::Bulk {
             direction: BulkDirection::Push,
-            peer: remote.owner.clone(),
+            peer: &remote.owner,
             size: len,
             duration_s: start.elapsed().as_secs_f64(),
         });
@@ -1643,7 +1650,7 @@ mod tests {
     }
 
     impl Monitor for ForwardLog {
-        fn observe(&self, event: &MonitoringEvent) {
+        fn observe(&self, event: &MonitoringEvent<'_>) {
             match event {
                 MonitoringEvent::ForwardStart { .. } => {
                     self.starts.fetch_add(1, Ordering::SeqCst);
@@ -1668,7 +1675,8 @@ mod tests {
         rpc: &str,
         timeout: Duration,
     ) -> PendingForward {
-        client.iforward_full(dest, rpc, 0, &(), CallContext::TOP_LEVEL, timeout).unwrap()
+        let dest = Arc::new(dest.clone());
+        client.iforward_full(&dest, rpc, 0, &(), CallContext::TOP_LEVEL, timeout).unwrap()
     }
 
     #[test]
@@ -1909,7 +1917,7 @@ mod tests {
             sent: AtomicBool,
         }
         impl Monitor for SendAnother {
-            fn observe(&self, event: &MonitoringEvent) {
+            fn observe(&self, event: &MonitoringEvent<'_>) {
                 if matches!(event, MonitoringEvent::RequestReceived { .. })
                     && !self.sent.swap(true, Ordering::SeqCst)
                 {
@@ -2091,7 +2099,7 @@ mod tests {
         use crate::monitoring::{Monitor, MonitoringEvent};
         struct CountForwards(AtomicI64);
         impl Monitor for CountForwards {
-            fn observe(&self, event: &MonitoringEvent) {
+            fn observe(&self, event: &MonitoringEvent<'_>) {
                 if matches!(event, MonitoringEvent::ForwardEnd { .. }) {
                     self.0.fetch_add(1, Ordering::SeqCst);
                 }

@@ -7,6 +7,7 @@
 //! decide whether two endpoints are "on the same node".
 
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -17,18 +18,43 @@ use crate::error::MercuryError;
 /// A parsed Mercury address. The string parts are shared, so a clone —
 /// every message carries two addresses — bumps two reference counts and
 /// copies nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 #[serde(try_from = "String", into = "String")]
 pub struct Address {
     scheme: Arc<str>,
     host: Arc<str>,
     port: u32,
+    /// Hash of the three parts, taken once at construction and fed to
+    /// hashers in their place: every message looks its destination up in
+    /// the fabric twice, every RPC its peer in the breakers and the
+    /// statistics, and none of them reads the text again. (Declared last:
+    /// the derived order compares the parts first.)
+    hash: u64,
+}
+
+impl fmt::Debug for Address {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Address")
+            .field("scheme", &self.scheme)
+            .field("host", &self.host)
+            .field("port", &self.port)
+            .finish()
+    }
+}
+
+impl Hash for Address {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl Address {
     /// Builds an address from parts. `scheme` is e.g. `"ofi+tcp"`.
     pub fn new(scheme: impl Into<String>, host: impl Into<String>, port: u32) -> Self {
-        Self { scheme: scheme.into().into(), host: host.into().into(), port }
+        let (scheme, host): (Arc<str>, Arc<str>) = (scheme.into().into(), host.into().into());
+        let mut hasher = DefaultHasher::new();
+        (&*scheme, &*host, port).hash(&mut hasher);
+        Self { scheme, host, port, hash: hasher.finish() }
     }
 
     /// Convenience constructor for a simulated node: `ofi+tcp://<node>:<port>`.
@@ -152,6 +178,30 @@ mod tests {
         let c = Address::tcp("node2", 1);
         assert!(a.same_node(&b));
         assert!(!a.same_node(&c));
+    }
+
+    #[test]
+    fn the_carried_hash_follows_the_parts_and_nothing_else() {
+        let hash_of = |a: &Address| {
+            let mut hasher = DefaultHasher::new();
+            a.hash(&mut hasher);
+            hasher.finish()
+        };
+        let a = Address::tcp("node1", 1);
+        // However it was built, an equal address hashes equally.
+        let parsed: Address = "ofi+tcp://node1:1".parse().unwrap();
+        assert_eq!(parsed, a);
+        assert_eq!(hash_of(&parsed), hash_of(&a));
+        assert_eq!(hash_of(&a.clone()), hash_of(&a));
+        // Each part counts: a map must not take these for one peer.
+        for other in [Address::tcp("node1", 2), Address::tcp("node2", 1), Address::new("na+sm", "node1", 1)] {
+            assert_ne!(other, a);
+            assert_ne!(hash_of(&other), hash_of(&a), "{other}");
+        }
+        // The order is the parts' order, as before the hash was carried.
+        assert!(Address::tcp("a", 9) < Address::tcp("b", 1));
+        assert!(Address::tcp("a", 1) < Address::tcp("a", 2));
+        assert_eq!(format!("{a:?}"), r#"Address { scheme: "ofi+tcp", host: "node1", port: 1 }"#);
     }
 
     #[test]

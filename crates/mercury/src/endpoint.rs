@@ -12,7 +12,7 @@
 //! request's completion slot at delivery (see `FabricInner::deliver_now`),
 //! as a completion callback runs on whichever thread makes progress.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,6 +21,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use mochi_util::time::precise_sleep;
+use mochi_util::IdMap;
 
 use crate::address::Address;
 use crate::bulk::{BulkAccess, BulkHandle};
@@ -190,7 +191,7 @@ impl Completion {
 
 /// An endpoint's outstanding requests by xid, shared with its fabric slot.
 /// A leaf lock: never held across a call into the fabric or a completion.
-pub(crate) type PendingMap = Mutex<HashMap<u64, Arc<Completion>>>;
+pub(crate) type PendingMap = Mutex<IdMap<u64, Arc<Completion>>>;
 
 /// An outstanding request; wait on it for the response. Dropping it,
 /// waited on or not, withdraws the request from the endpoint's map: a
@@ -276,7 +277,7 @@ impl Mailbox {
 
 /// A process's attachment to the fabric.
 pub struct Endpoint {
-    addr: Address,
+    addr: Arc<Address>,
     /// Identifies this endpoint to the fabric (see `Fabric::kill_if_owner`).
     uid: u64,
     mailbox: Arc<Mailbox>,
@@ -295,7 +296,7 @@ impl Endpoint {
         fabric: Arc<FabricInner>,
     ) -> Self {
         Self {
-            addr,
+            addr: Arc::new(addr),
             uid,
             mailbox,
             fabric,
@@ -354,7 +355,7 @@ impl Endpoint {
         let completion = Arc::new(Completion::default());
         self.pending.lock().insert(xid, Arc::clone(&completion));
         let envelope = Envelope {
-            source: self.addr.clone(),
+            source: Arc::clone(&self.addr),
             dest: dest.clone(),
             message: Message::Request(RequestBody {
                 rpc_id,
@@ -383,7 +384,7 @@ impl Endpoint {
     ) -> Result<(), MercuryError> {
         self.ensure_open()?;
         let envelope = Envelope {
-            source: self.addr.clone(),
+            source: Arc::clone(&self.addr),
             dest: dest.clone(),
             message: Message::OneWay(OneWayBody { rpc_id, provider_id, payload }),
         };
@@ -399,7 +400,7 @@ impl Endpoint {
     ) -> Result<(), MercuryError> {
         self.ensure_open()?;
         let envelope = Envelope {
-            source: self.addr.clone(),
+            source: Arc::clone(&self.addr),
             dest: (*request.source).clone(),
             message: Message::Response(ResponseBody { xid: request.xid, status, payload }),
         };
@@ -416,7 +417,7 @@ impl Endpoint {
         let Some(envelope) = self.mailbox.pop(timeout)? else {
             return Ok(None);
         };
-        let source = Arc::new(envelope.source);
+        let source = envelope.source;
         Ok(match envelope.message {
             Message::Request(req) => Some(Incoming::Request(RequestInfo {
                 source,

@@ -405,7 +405,7 @@ mod tests {
 
     fn oneway(source: &Address, dest: &Address, payload: &'static [u8]) -> Envelope {
         Envelope {
-            source: source.clone(),
+            source: Arc::new(source.clone()),
             dest: dest.clone(),
             message: Message::OneWay(OneWayBody {
                 rpc_id: 1,

@@ -6,6 +6,7 @@
 //! serializes RPC inputs/outputs, mirroring Mercury's proc/serialization
 //! split).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -92,8 +93,9 @@ impl Message {
 /// A message together with its source and destination addresses.
 #[derive(Debug, Clone)]
 pub struct Envelope {
-    /// Sender address.
-    pub source: Address,
+    /// Sender address, shared with the sending endpoint: the receiver
+    /// hands the same allocation on to its handlers.
+    pub source: Arc<Address>,
     /// Destination address.
     pub dest: Address,
     /// The message.

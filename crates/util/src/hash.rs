@@ -5,6 +5,15 @@
 //! the memory backend's shards and the LSM backend's stripes use this
 //! same function, so a key's stripe is stable across backends of equal
 //! stripe count.
+//!
+//! [`IdMap`] is a `HashMap` for keys this program makes itself out of a
+//! few integers — RPC ids, provider ids, correlation ids, an address's
+//! precomputed hash — probed several times per RPC. Its hasher folds each
+//! integer in with one multiply; it does not resist crafted collisions, so
+//! keys that arrive from outside the program keep the default hasher.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -35,9 +44,70 @@ pub fn mix64(mut hash: u64) -> u64 {
     hash
 }
 
+/// Hasher of [`IdMap`]: one rotate-xor-multiply per integer written.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn fold(&mut self, word: u64) {
+        // The odd constant is 2^64 / phi: consecutive ids land far apart.
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.fold(u64::from(byte));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits and tags by the high ones.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A `HashMap` hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_map_keeps_sequential_and_tuple_keys_apart() {
+        let mut map: IdMap<(u64, u16), u64> = IdMap::default();
+        for id in 0..10_000u64 {
+            map.insert((id, (id % 7) as u16), id);
+        }
+        assert_eq!(map.len(), 10_000);
+        assert!((0..10_000u64).all(|id| map[&(id, (id % 7) as u16)] == id));
+        // Sequential ids spread over the low bits a table indexes by.
+        let hash = |id: u64| {
+            let mut hasher = IdHasher::default();
+            hasher.write_u64(id);
+            hasher.finish()
+        };
+        let low: std::collections::BTreeSet<u64> = (0..256).map(|id| hash(id) & 0xff).collect();
+        assert!(low.len() > 128, "{} of 256 buckets", low.len());
+    }
 
     #[test]
     fn known_vectors() {

@@ -36,7 +36,7 @@ pub mod tempdir;
 pub mod time;
 
 pub use checksum::{crc32, crc64};
-pub use hash::{fnv1a64, mix64};
+pub use hash::{fnv1a64, mix64, IdMap};
 pub use histogram::Histogram;
 pub use id::unique_u64;
 pub use ordered_lock::{OrderedMutex, OrderedRwLock};

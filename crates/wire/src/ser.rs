@@ -198,10 +198,9 @@ impl<'a, 'b, B: BufMut> ser::Serializer for &'b mut Serializer<'a, B> {
     fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq, WireError> {
         let mode = match len {
             // Probe for an all-u8 sequence before committing to a layout.
-            Some(n) => SeqMode::Probing {
-                expected: n,
-                bytes: Vec::with_capacity(n.min(4096)),
-            },
+            // The probe buffer is allocated by the first `u8` it holds: a
+            // sequence of anything else (keys, lengths) never pays for it.
+            Some(n) => SeqMode::Probing { expected: n, bytes: Vec::new() },
             None => SeqMode::Buffering { count: 0, buf: Vec::new() },
         };
         Ok(SeqSerializer { ser: self, mode })
@@ -302,6 +301,9 @@ impl<'b, 'a, B: BufMut> ser::SerializeSeq for SeqSerializer<'b, 'a, B> {
             SeqMode::Probing { expected, bytes } => {
                 match value.serialize(ProbeU8) {
                     Ok(byte) => {
+                        if bytes.is_empty() {
+                            bytes.reserve((*expected).min(4096));
+                        }
                         bytes.push(byte);
                         Ok(())
                     }

@@ -463,6 +463,9 @@ struct SealedSegment {
 struct StripeWriter {
     wal: File,
     wal_path: PathBuf,
+    /// The record (or, for a batch, the records) being appended to `wal`:
+    /// one buffer, reused under the writer lock, one `write_all` each time.
+    record: Vec<u8>,
     /// Approximate bytes in the active memtable (seal trigger).
     active_bytes: usize,
     /// Next SSTable sequence number of this stripe.
@@ -517,16 +520,17 @@ impl std::fmt::Debug for LsmDatabase {
     }
 }
 
-fn wal_record(op: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut record = Vec::with_capacity(13 + key.len() + value.len());
-    record.push(op);
-    record.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    record.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    record.extend_from_slice(key);
-    record.extend_from_slice(value);
-    let crc = crc32(&record);
-    record.extend_from_slice(&crc.to_le_bytes());
-    record
+/// Appends one WAL record to `out`; its CRC covers that record alone.
+fn wal_record_into(out: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
+    let start = out.len();
+    out.reserve(13 + key.len() + value.len());
+    out.push(op);
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Replays a WAL buffer, stopping cleanly at the first partial or corrupt
@@ -618,8 +622,9 @@ impl LsmInner {
         key: &[u8],
         value: &[u8],
     ) -> Result<(), YokanError> {
-        let record = wal_record(op, key, value);
-        writer.wal.write_all(&record)?;
+        writer.record.clear();
+        wal_record_into(&mut writer.record, op, key, value);
+        writer.wal.write_all(&writer.record)?;
         Ok(())
     }
 
@@ -1131,6 +1136,7 @@ impl LsmDatabase {
                     StripeWriter {
                         wal,
                         wal_path,
+                        record: Vec::new(),
                         active_bytes,
                         next_seq,
                         next_epoch,
@@ -1300,12 +1306,13 @@ impl Database for LsmDatabase {
             }
             let schedule = {
                 let mut writer = stripe.writer.lock();
-                let mut batch = Vec::new();
+                let StripeWriter { wal, record, .. } = &mut *writer;
+                record.clear();
                 for &i in group {
                     let (key, value) = pairs[i];
-                    batch.extend_from_slice(&wal_record(OP_PUT, key, value));
+                    wal_record_into(record, OP_PUT, key, value);
                 }
-                writer.wal.write_all(&batch)?;
+                wal.write_all(record)?;
                 {
                     let mut active = stripe.active.write();
                     for &i in group {

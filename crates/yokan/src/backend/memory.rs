@@ -8,16 +8,17 @@
 //! lock rank (`rank::YOKAN_SHARD_BASE + i`) — and hold all guards
 //! simultaneously, so they observe an atomic cut of the table and cannot
 //! deadlock against each other or against single-shard writers. The bulk
-//! operations (`put_multi`/`get_multi`) group keys by shard and take each
-//! shard lock once per group, in ascending order.
+//! operations (`put_multi`/`get_multi`/`read_with`) lock the shards their
+//! keys touch — each once, in ascending order, all held until the batch is
+//! done — so a batch sees (or makes) an atomic cut of those shards too.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use mochi_util::fnv1a64;
 use mochi_util::ordered_lock::{rank, OrderedReadGuard, OrderedRwLock, OrderedWriteGuard};
 
-use super::{Database, YokanError};
+use super::{Database, ReadVisitor, YokanError};
 use crate::version::{decode_record, record_is_newer};
 
 /// Upper bound on the shard count; the lock hierarchy reserves ranks
@@ -73,11 +74,29 @@ impl MemoryDatabase {
     }
 
     fn shard_of(&self, key: &[u8]) -> &OrderedRwLock<Shard> {
-        &self.shards[(fnv1a64(key) % self.shards.len() as u64) as usize]
+        &self.shards[self.shard_index(key)]
     }
 
     fn shard_index(&self, key: &[u8]) -> usize {
         (fnv1a64(key) % self.shards.len() as u64) as usize
+    }
+
+    /// Locks (with `lock`) the shards `keys` touch, each once and in
+    /// ascending rank order.
+    fn lock_touched<'s, 'k, G>(
+        &'s self,
+        keys: impl Iterator<Item = &'k [u8]>,
+        lock: impl Fn(&'s OrderedRwLock<Shard>) -> G,
+    ) -> Held<G> {
+        // `MAX_SHARDS` is 64: one bit per shard.
+        let touched = keys.fold(0u64, |mask, key| mask | 1 << self.shard_index(key));
+        let mut guards = Vec::with_capacity(touched.count_ones() as usize);
+        let mut rest = touched;
+        while rest != 0 {
+            guards.push(lock(&self.shards[rest.trailing_zeros() as usize]));
+            rest &= rest - 1;
+        }
+        Held { touched, guards }
     }
 
     /// Read-locks every shard in ascending rank order (an atomic cut).
@@ -88,6 +107,20 @@ impl MemoryDatabase {
     /// Write-locks every shard in ascending rank order.
     fn write_all(&self) -> Vec<OrderedWriteGuard<'_, Shard>> {
         self.shards.iter().map(|shard| shard.write()).collect()
+    }
+}
+
+/// Guards of the shards a batch touches ([`MemoryDatabase::lock_touched`]).
+struct Held<G> {
+    touched: u64,
+    /// One guard per set bit of `touched`, lowest shard first.
+    guards: Vec<G>,
+}
+
+impl<G> Held<G> {
+    /// Position of `shard`'s guard: the touched shards below it.
+    fn at(&self, shard: usize) -> usize {
+        (self.touched & ((1 << shard) - 1)).count_ones() as usize
     }
 }
 
@@ -102,17 +135,21 @@ impl Database for MemoryDatabase {
     }
 
     fn put_if_newer(&self, key: &[u8], record: &[u8]) -> Result<(bool, bool), YokanError> {
-        // One walk of the map under the shard's write lock.
-        match self.shard_of(key).write().entry(key.to_vec()) {
-            Entry::Vacant(slot) => {
-                slot.insert(record.to_vec());
+        // Compare and store under the shard's write lock. The key is
+        // looked up before it is allocated — a routed keyspace mostly
+        // overwrites — at the price of a second descent for a new key
+        // (`put`, which the ingest-shaped callers use, inserts outright).
+        let mut map = self.shard_of(key).write();
+        match map.get_mut(key) {
+            None => {
+                map.insert(key.to_vec(), record.to_vec());
                 Ok((true, false))
             }
-            Entry::Occupied(mut slot) => {
-                let was_live = !decode_record(slot.get()).tombstone;
-                let newer = record_is_newer(record, slot.get());
+            Some(stored) => {
+                let was_live = !decode_record(stored).tombstone;
+                let newer = record_is_newer(record, stored);
                 if newer {
-                    slot.insert(record.to_vec());
+                    record.clone_into(stored);
                 }
                 Ok((newer, was_live))
             }
@@ -132,41 +169,30 @@ impl Database for MemoryDatabase {
     }
 
     fn put_multi(&self, pairs: &[(&[u8], &[u8])]) -> Result<(), YokanError> {
-        // Group by shard so each stripe lock is taken once, in ascending
-        // rank order, instead of once per key.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (key, _)) in pairs.iter().enumerate() {
-            groups[self.shard_index(key)].push(i);
-        }
-        for (shard, group) in self.shards.iter().zip(&groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let mut map = shard.write();
-            for &i in group {
-                let (key, value) = pairs[i];
-                map.insert(key.to_vec(), value.to_vec());
-            }
+        let mut held = self.lock_touched(pairs.iter().map(|(key, _)| *key), OrderedRwLock::write);
+        for (key, value) in pairs {
+            let at = held.at(self.shard_index(key));
+            held.guards[at].insert(key.to_vec(), value.to_vec());
         }
         Ok(())
     }
 
     fn get_multi(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, key) in keys.iter().enumerate() {
-            groups[self.shard_index(key)].push(i);
-        }
-        let mut values: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        for (shard, group) in self.shards.iter().zip(&groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let map = shard.read();
-            for &i in group {
-                values[i] = map.get(keys[i]).cloned();
-            }
-        }
+        let mut values = Vec::new();
+        self.read_with(keys, &mut |lent| {
+            values = lent.iter().map(|value| value.map(<[u8]>::to_vec)).collect();
+        })?;
         Ok(values)
+    }
+
+    fn read_with(&self, keys: &[&[u8]], visit: &mut ReadVisitor<'_>) -> Result<(), YokanError> {
+        let held = self.lock_touched(keys.iter().copied(), OrderedRwLock::read);
+        let lent: Vec<Option<&[u8]>> = keys
+            .iter()
+            .map(|key| held.guards[held.at(self.shard_index(key))].get(*key).map(Vec::as_slice))
+            .collect();
+        visit(&lent);
+        Ok(())
     }
 
     fn list_keys(

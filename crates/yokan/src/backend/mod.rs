@@ -18,6 +18,10 @@ use std::path::Path;
 /// A full key–value dump, sorted by key.
 pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
 
+/// What [`Database::read_with`] calls with the values it lends: one entry
+/// per key asked for, `None` for a missing key.
+pub type ReadVisitor<'v> = dyn FnMut(&[Option<&[u8]>]) + 'v;
+
 use serde::{Deserialize, Serialize};
 
 /// Errors raised by database backends.
@@ -84,6 +88,18 @@ pub trait Database: Send + Sync {
     /// Fetches several keys; `result[i]` is the value of `keys[i]`.
     fn get_multi(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
         keys.iter().map(|key| self.get(key)).collect()
+    }
+
+    /// Reads `keys` and lends what is stored to `visit`, called once:
+    /// `values[i]` is the value of `keys[i]`, valid for the duration of the
+    /// call. A provider frames its reply from inside `visit`, so a backend
+    /// that can lend its stored bytes (the memory backend, under its shard
+    /// locks) serves a read without copying a value out first.
+    fn read_with(&self, keys: &[&[u8]], visit: &mut ReadVisitor<'_>) -> Result<(), YokanError> {
+        let values = self.get_multi(keys)?;
+        let lent: Vec<Option<&[u8]>> = values.iter().map(Option::as_deref).collect();
+        visit(&lent);
+        Ok(())
     }
 
     /// Whether `key` exists.

@@ -6,21 +6,25 @@
 //! several providers also come in a posting form (`post_*` returns a
 //! [`PendingCall`] to wait on).
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use mochi_margo::{
-    decode, decode_framed, encode_framed, CallContext, MargoError, MargoRuntime, PendingForward,
+    decode, decode_framed, decode_framed_borrowed, encode_framed, encode_framed_with, CallContext,
+    MargoError, MargoRuntime, PendingForward,
 };
 use mochi_mercury::Address;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use crate::provider::{
-    GetMultiHeader, HintDropArgs, HintDropEntry, HintEntry, HintListArgs, KeyHeader, ListKeysArgs,
-    PutMultiHeader, PutVersionedMultiReply, ValuesHeader,
-};
 use crate::provider::rpc;
+use crate::provider::{
+    HintDropArgs, HintDropEntry, HintEntry, HintListArgs, ListKeysArgs, PutVersionedMultiReply,
+    ValuesHeader,
+};
+use crate::version::{decode_record, encode_record_into, RECORD_OVERHEAD};
+use crate::views::{key_seq, GetMultiHeaderView, Key, KeyHeaderView, PutMultiHeaderView, Seq};
 
 /// RPCs the runtime may safely re-send on transport-class failures.
 /// Yokan's mutations are last-writer-wins over full values, so re-running
@@ -57,14 +61,29 @@ pub struct VersionedValue {
 }
 
 impl VersionedValue {
-    /// Decodes what the provider stores, keeping the value's buffer.
-    fn from_stored(mut stored: Vec<u8>) -> Self {
-        let record = crate::version::decode_record(&stored);
-        let (version, tombstone) = (record.version, record.tombstone);
-        let prefix = stored.len() - record.value.len();
-        stored.drain(..prefix);
-        Self { version, tombstone, value: stored }
+    /// Decodes what the provider stores; the value is copied out once.
+    fn from_stored(stored: &[u8]) -> Self {
+        let record = decode_record(stored);
+        Self { version: record.version, tombstone: record.tombstone, value: record.value.to_vec() }
     }
+}
+
+/// Frames `keys` with the values `write_values` appends to the frame, whose
+/// lengths are `value_lens`: the wire form of `PUT_MULTI` and
+/// `PUT_VERSIONED_MULTI`. Keys are encoded from the caller's slices and
+/// values copied once, into the frame.
+fn encode_pairs<'a>(
+    keys: impl Iterator<Item = &'a [u8]> + Clone,
+    value_lens: impl Iterator<Item = usize> + Clone,
+    write_values: impl FnOnce(&mut BytesMut),
+) -> Result<Bytes, MargoError> {
+    // Per key: its bytes, two bytes of framing, three for its length.
+    let size: usize = keys.clone().map(|key| key.len() + 5).chain(value_lens.clone()).sum();
+    let header = PutMultiHeaderView {
+        keys: key_seq(keys),
+        value_lens: Seq(value_lens.map(|len| len as u32)),
+    };
+    encode_framed_with(&header, size, write_values)
 }
 
 /// A put-if-newer request in wire form: `(key, version, value)` records,
@@ -75,18 +94,21 @@ impl VersionedValue {
 pub struct VersionedBatch(Bytes);
 
 impl VersionedBatch {
-    /// Encodes `records`.
+    /// Encodes `records` (the iterator is walked three times: keys,
+    /// lengths, values).
     pub fn encode<'a>(
-        records: impl IntoIterator<Item = (&'a [u8], u64, Option<&'a [u8]>)>,
+        records: impl Iterator<Item = (&'a [u8], u64, Option<&'a [u8]>)> + Clone,
     ) -> Result<Self, MargoError> {
-        let (mut keys, mut value_lens, mut body) = (Vec::new(), Vec::new(), Vec::new());
-        for (key, version, value) in records {
-            keys.push(key.to_vec());
-            let start = body.len();
-            crate::version::encode_record_into(&mut body, version, value);
-            value_lens.push((body.len() - start) as u32);
-        }
-        encode_framed(&PutMultiHeader { keys, value_lens }, &body).map(Self)
+        encode_pairs(
+            records.clone().map(|(key, _, _)| key),
+            records.clone().map(|(_, _, value)| RECORD_OVERHEAD + value.map_or(0, <[u8]>::len)),
+            |frame| {
+                for (_, version, value) in records {
+                    encode_record_into(frame, version, value);
+                }
+            },
+        )
+        .map(Self)
     }
 }
 
@@ -96,9 +118,9 @@ pub struct KeyBatch(Bytes);
 
 impl KeyBatch {
     /// Encodes `keys`.
-    pub fn encode<'a>(keys: impl IntoIterator<Item = &'a [u8]>) -> Result<Self, MargoError> {
-        let header = GetMultiHeader { keys: keys.into_iter().map(<[u8]>::to_vec).collect() };
-        encode_framed(&header, &[]).map(Self)
+    pub fn encode<'a>(keys: impl Iterator<Item = &'a [u8]> + Clone) -> Result<Self, MargoError> {
+        let size = keys.clone().map(|key| key.len() + 2).sum();
+        encode_framed_with(&GetMultiHeaderView { keys: key_seq(keys) }, size, |_| {}).map(Self)
     }
 }
 
@@ -121,22 +143,20 @@ impl<T> PendingCall<T> {
 }
 
 /// Splits a `ValuesHeader`-framed reply into per-key values (`None` for
-/// missing keys).
-fn decode_values(reply: Bytes) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
-    let (header, body) = decode_framed::<ValuesHeader>(&reply)?;
+/// missing keys), each made of its slice of the reply by `value`.
+fn decode_values<T>(reply: &[u8], value: fn(&[u8]) -> T) -> Result<Vec<Option<T>>, MargoError> {
+    let (header, mut body) = decode_framed_borrowed::<ValuesHeader>(reply)?;
     let mut out = Vec::with_capacity(header.lens.len());
-    let mut cursor = 0usize;
     for len in header.lens {
-        if len < 0 {
+        let Ok(len) = usize::try_from(len) else {
             out.push(None);
-        } else {
-            let len = len as usize;
-            if cursor + len > body.len() {
-                return Err(MargoError::Codec("get_multi body truncated".into()));
-            }
-            out.push(Some(body[cursor..cursor + len].to_vec()));
-            cursor += len;
-        }
+            continue;
+        };
+        let Some((stored, rest)) = body.split_at_checked(len) else {
+            return Err(MargoError::Codec("get_multi body truncated".into()));
+        };
+        out.push(Some(value(stored)));
+        body = rest;
     }
     Ok(out)
 }
@@ -145,7 +165,8 @@ fn decode_values(reply: Bytes) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
 #[derive(Clone)]
 pub struct DatabaseHandle {
     margo: MargoRuntime,
-    address: Address,
+    /// Shared with every forward this handle posts.
+    address: Arc<Address>,
     provider_id: u16,
     timeout: Duration,
     context: CallContext,
@@ -160,7 +181,7 @@ impl DatabaseHandle {
         let timeout = margo.rpc_timeout();
         Self {
             margo: margo.clone(),
-            address,
+            address: Arc::new(address),
             provider_id,
             timeout,
             context: CallContext::TOP_LEVEL,
@@ -236,47 +257,33 @@ impl DatabaseHandle {
 
     /// Stores `value` under `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), MargoError> {
-        let payload = encode_framed(&KeyHeader { key: key.to_vec() }, value)?;
+        let payload = encode_framed(&KeyHeaderView { key: Key(key) }, value)?;
         let _reply = self.call_raw(rpc::PUT, payload)?;
         Ok(())
     }
 
     /// Stores many pairs in one RPC.
     pub fn put_multi(&self, pairs: &[(&[u8], &[u8])]) -> Result<(), MargoError> {
-        let keys: Vec<Vec<u8>> = pairs.iter().map(|(k, _)| k.to_vec()).collect();
-        let value_lens: Vec<u32> = pairs.iter().map(|(_, v)| v.len() as u32).collect();
-        let mut body = Vec::with_capacity(value_lens.iter().map(|l| *l as usize).sum());
-        for (_, value) in pairs {
-            body.extend_from_slice(value);
-        }
-        let payload = encode_framed(&PutMultiHeader { keys, value_lens }, &body)?;
+        let payload = encode_pairs(
+            pairs.iter().map(|(key, _)| *key),
+            pairs.iter().map(|(_, value)| value.len()),
+            |frame| pairs.iter().for_each(|(_, value)| frame.put_slice(value)),
+        )?;
         let _reply = self.call_raw(rpc::PUT_MULTI, payload)?;
         Ok(())
     }
 
     /// Fetches the value under `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, MargoError> {
-        let payload = encode_framed(&KeyHeader { key: key.to_vec() }, &[])?;
+        let payload = encode_framed(&KeyHeaderView { key: Key(key) }, &[])?;
         let reply = self.call_raw(rpc::GET, payload)?;
-        let (header, body) = decode_framed::<ValuesHeader>(&reply)?;
-        match header.lens.first() {
-            Some(&len) if len >= 0 => {
-                if len as usize > body.len() {
-                    return Err(MargoError::Codec("get body truncated".into()));
-                }
-                Ok(Some(body[..len as usize].to_vec()))
-            }
-            _ => Ok(None),
-        }
+        Ok(decode_values(&reply, <[u8]>::to_vec)?.into_iter().next().flatten())
     }
 
     /// Fetches many values in one RPC (entry is `None` for missing keys).
     pub fn get_multi(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
-        self.get_batch(&KeyBatch::encode(keys.iter().copied())?)
-    }
-
-    fn get_batch(&self, keys: &KeyBatch) -> Result<Vec<Option<Vec<u8>>>, MargoError> {
-        decode_values(self.call_raw(rpc::GET_MULTI, keys.0.clone())?)
+        let batch = KeyBatch::encode(keys.iter().copied())?;
+        decode_values(&self.call_raw(rpc::GET_MULTI, batch.0)?, <[u8]>::to_vec)
     }
 
     /// Removes `key`; returns whether it existed.
@@ -325,10 +332,7 @@ impl DatabaseHandle {
     pub fn post_get_versioned(&self, keys: &KeyBatch) -> PendingCall<Vec<Option<VersionedValue>>> {
         PendingCall {
             posted: Ok(self.post_raw(rpc::GET_MULTI, keys.0.clone())),
-            finish: |reply| {
-                let stored = decode_values(reply)?;
-                Ok(stored.into_iter().map(|s| s.map(VersionedValue::from_stored)).collect())
-            },
+            finish: |reply| decode_values(&reply, VersionedValue::from_stored),
         }
     }
 

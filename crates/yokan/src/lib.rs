@@ -24,6 +24,7 @@ pub mod provider;
 pub mod replication;
 pub mod rpc_names;
 pub mod version;
+pub mod views;
 
 pub use backend::{create_backend, BackendConfig, Database, YokanError};
 pub use client::DatabaseHandle;

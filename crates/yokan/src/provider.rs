@@ -2,17 +2,25 @@
 //!
 //! Control RPCs (erase, exists, list, len, flush, clear) use the argument
 //! codec; data-plane RPCs (put/get, single and multi) use binary framing
-//! so values travel as raw bytes and body slices stay zero-copy views of
-//! the request buffer.
+//! so values travel as raw bytes. A handler decodes a request's header as
+//! a [`crate::views`] view: keys and values stay slices of the request
+//! buffer all the way into the backend, and a value read travels from the
+//! store into the reply frame in one copy ([`encode_values`]).
 
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use serde::{Deserialize, Serialize};
 
-use mochi_margo::{decode_framed, encode_framed, MargoError, MargoRuntime, RpcContext};
+use mochi_margo::{
+    decode_framed_borrowed, encode_framed, encode_framed_with, MargoError, MargoRuntime,
+    RpcContext,
+};
 
 use crate::backend::Database;
+use crate::views::{
+    DecodedGetMultiHeader, DecodedKeyHeader, DecodedPutMultiHeader, Seq, ValuesHeaderView,
+};
 
 /// RPC names registered by a Yokan provider (one set per provider id).
 /// The constants themselves live in [`crate::rpc_names`].
@@ -33,27 +41,6 @@ pub struct PutMultiHeader {
     pub keys: Vec<Vec<u8>>,
     /// Length of each value in the body, in order.
     pub value_lens: Vec<u32>,
-}
-
-impl PutMultiHeader {
-    /// Checks the header against `body` and pairs each key with its slice
-    /// of it.
-    pub(crate) fn pairs<'a>(&'a self, body: &'a [u8]) -> Result<Vec<(&'a [u8], &'a [u8])>, String> {
-        if self.keys.len() != self.value_lens.len() {
-            return Err("keys/value_lens length mismatch".into());
-        }
-        let total: usize = self.value_lens.iter().map(|l| *l as usize).sum();
-        if total != body.len() {
-            return Err("body length mismatch".into());
-        }
-        let mut cursor = 0usize;
-        let pairs = self.keys.iter().zip(&self.value_lens).map(|(key, len)| {
-            let value = &body[cursor..cursor + *len as usize];
-            cursor += *len as usize;
-            (key.as_slice(), value)
-        });
-        Ok(pairs.collect())
-    }
 }
 
 /// Framed-header of `GET_MULTI` requests.
@@ -162,12 +149,33 @@ pub struct YokanProvider {
     hints: Arc<HintStore>,
 }
 
+/// Frames a `GET`/`GET_MULTI` reply: the lengths (`-1` for a missing
+/// key), then every value copied straight into the frame.
+pub(crate) fn encode_values(values: &[Option<&[u8]>]) -> Result<Bytes, MargoError> {
+    let lens = Seq(values.iter().map(|value| value.map_or(-1, |value| value.len() as i64)));
+    let body: usize = values.iter().flatten().map(|value| value.len()).sum();
+    // A length takes a tag and a varint: three bytes up to 16 KiB.
+    encode_framed_with(&ValuesHeaderView { lens }, body + 3 * values.len(), |frame| {
+        for value in values.iter().flatten() {
+            frame.put_slice(value);
+        }
+    })
+}
+
+/// Reads `keys` and frames the reply while the backend lends the values.
+fn read_reply(db: &dyn Database, keys: &[&[u8]]) -> Result<Bytes, String> {
+    let mut reply = None;
+    db.read_with(keys, &mut |values| reply = Some(encode_values(values)))
+        .map_err(|e| e.to_string())?;
+    reply.ok_or("backend lent no values")?.map_err(|e| e.to_string())
+}
+
 fn framed_handler(
     db: &Arc<dyn Database>,
-    handler: impl Fn(&Arc<dyn Database>, &Bytes) -> Result<Bytes, String> + Send + Sync + 'static,
+    handler: impl Fn(&dyn Database, &[u8]) -> Result<Bytes, String> + Send + Sync + 'static,
 ) -> mochi_margo::RpcHandler {
     let db = Arc::clone(db);
-    Arc::new(move |ctx: RpcContext| match handler(&db, ctx.payload_bytes()) {
+    Arc::new(move |ctx: RpcContext| match handler(&*db, ctx.payload()) {
         Ok(payload) => {
             let _ = ctx.respond_bytes(payload);
         }
@@ -192,8 +200,8 @@ impl YokanProvider {
             pool,
             framed_handler(&db, |db, payload| {
                 let (header, body) =
-                    decode_framed::<KeyHeader>(payload).map_err(|e| e.to_string())?;
-                db.put(&header.key, &body).map_err(|e| e.to_string())?;
+                    decode_framed_borrowed::<DecodedKeyHeader<'_>>(payload).map_err(|e| e.to_string())?;
+                db.put(header.key.0, body).map_err(|e| e.to_string())?;
                 encode_framed(&true, &[]).map_err(|e| e.to_string())
             }),
         )?;
@@ -203,9 +211,9 @@ impl YokanProvider {
             provider_id,
             pool,
             framed_handler(&db, |db, payload| {
-                let (header, body) =
-                    decode_framed::<PutMultiHeader>(payload).map_err(|e| e.to_string())?;
-                let pairs = header.pairs(&body)?;
+                let (header, body) = decode_framed_borrowed::<DecodedPutMultiHeader<'_>>(payload)
+                    .map_err(|e| e.to_string())?;
+                let pairs = header.pairs(body)?;
                 // One backend call: stripe-grouped / WAL-batched.
                 db.put_multi(&pairs).map_err(|e| e.to_string())?;
                 encode_framed(&(pairs.len() as u64), &[]).map_err(|e| e.to_string())
@@ -218,15 +226,8 @@ impl YokanProvider {
             pool,
             framed_handler(&db, |db, payload| {
                 let (header, _) =
-                    decode_framed::<KeyHeader>(payload).map_err(|e| e.to_string())?;
-                match db.get(&header.key).map_err(|e| e.to_string())? {
-                    Some(value) => {
-                        encode_framed(&ValuesHeader { lens: vec![value.len() as i64] }, &value)
-                            .map_err(|e| e.to_string())
-                    }
-                    None => encode_framed(&ValuesHeader { lens: vec![-1] }, &[])
-                        .map_err(|e| e.to_string()),
-                }
+                    decode_framed_borrowed::<DecodedKeyHeader<'_>>(payload).map_err(|e| e.to_string())?;
+                read_reply(db, &[header.key.0])
             }),
         )?;
         // GET_MULTI.
@@ -235,22 +236,9 @@ impl YokanProvider {
             provider_id,
             pool,
             framed_handler(&db, |db, payload| {
-                let (header, _) =
-                    decode_framed::<GetMultiHeader>(payload).map_err(|e| e.to_string())?;
-                let keys: Vec<&[u8]> = header.keys.iter().map(|k| k.as_slice()).collect();
-                let values = db.get_multi(&keys).map_err(|e| e.to_string())?;
-                let mut lens = Vec::with_capacity(values.len());
-                let mut body = Vec::new();
-                for value in &values {
-                    match value {
-                        Some(value) => {
-                            lens.push(value.len() as i64);
-                            body.extend_from_slice(value);
-                        }
-                        None => lens.push(-1),
-                    }
-                }
-                encode_framed(&ValuesHeader { lens }, &body).map_err(|e| e.to_string())
+                let (header, _) = decode_framed_borrowed::<DecodedGetMultiHeader<'_>>(payload)
+                    .map_err(|e| e.to_string())?;
+                read_reply(db, &header.keys.0)
             }),
         )?;
         // Control plane (argument codec).
@@ -306,14 +294,16 @@ impl YokanProvider {
             provider_id,
             pool,
             framed_handler(&db, |db, payload| {
-                let (header, body) =
-                    decode_framed::<PutMultiHeader>(payload).map_err(|e| e.to_string())?;
+                let (header, body) = decode_framed_borrowed::<DecodedPutMultiHeader<'_>>(payload)
+                    .map_err(|e| e.to_string())?;
+                let pairs = header.pairs(body)?;
+                // Refused as a whole, before anything is stored.
+                if !pairs.iter().all(|(_, record)| crate::version::is_record(record)) {
+                    return Err("value is not a versioned record".into());
+                }
                 let mut stored = 0u64;
-                let mut existed = Vec::with_capacity(header.keys.len());
-                for (key, record) in header.pairs(&body)? {
-                    if !crate::version::is_record(record) {
-                        return Err("value is not a versioned record".into());
-                    }
+                let mut existed = Vec::with_capacity(pairs.len());
+                for (key, record) in pairs {
                     let (won, was_live) =
                         db.put_if_newer(key, record).map_err(|e| e.to_string())?;
                     stored += u64::from(won);

@@ -18,12 +18,12 @@ use std::time::Duration;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use mochi_margo::{decode_framed, encode_framed, MargoError, MargoRuntime, RpcContext};
+use mochi_margo::{decode_framed_borrowed, encode_framed, MargoError, MargoRuntime, RpcContext};
 use mochi_mercury::{Address, CallContext};
 
 use crate::client::DatabaseHandle;
-use crate::provider::rpc;
-use crate::provider::{GetMultiHeader, KeyHeader, ListKeysArgs, PutMultiHeader, ValuesHeader};
+use crate::provider::{encode_values, rpc, ListKeysArgs};
+use crate::views::{DecodedGetMultiHeader, DecodedKeyHeader, DecodedPutMultiHeader};
 
 /// Location of one replica.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -142,6 +142,8 @@ impl VirtualDatabaseProvider {
             })
         };
 
+        // The same header views, and so the same refusals, as a real
+        // provider's handlers.
         margo.register(
             rpc::PUT,
             provider_id,
@@ -149,9 +151,9 @@ impl VirtualDatabaseProvider {
             raw(
                 &inner,
                 Box::new(|inner, payload, cx| {
-                    let (header, body): (KeyHeader, Bytes) =
-                        decode_framed(payload).map_err(|e| e.to_string())?;
-                    inner.write_all(cx, |h| h.put(&header.key, &body))?;
+                    let (header, body) = decode_framed_borrowed::<DecodedKeyHeader<'_>>(payload)
+                        .map_err(|e| e.to_string())?;
+                    inner.write_all(cx, |h| h.put(header.key.0, body))?;
                     encode_framed(&true, &[]).map_err(|e| e.to_string())
                 }),
             ),
@@ -163,9 +165,10 @@ impl VirtualDatabaseProvider {
             raw(
                 &inner,
                 Box::new(|inner, payload, cx| {
-                    let (header, body): (PutMultiHeader, Bytes) =
-                        decode_framed(payload).map_err(|e| e.to_string())?;
-                    let pairs = header.pairs(&body)?;
+                    let (header, body) =
+                        decode_framed_borrowed::<DecodedPutMultiHeader<'_>>(payload)
+                            .map_err(|e| e.to_string())?;
+                    let pairs = header.pairs(body)?;
                     inner.write_all(cx, |h| h.put_multi(&pairs))?;
                     encode_framed(&(pairs.len() as u64), &[]).map_err(|e| e.to_string())
                 }),
@@ -178,17 +181,10 @@ impl VirtualDatabaseProvider {
             raw(
                 &inner,
                 Box::new(|inner, payload, cx| {
-                    let (header, _): (KeyHeader, Bytes) =
-                        decode_framed(payload).map_err(|e| e.to_string())?;
-                    let value = inner.read_any(cx, |h| h.get(&header.key))?;
-                    match value {
-                        Some(v) => {
-                            encode_framed(&ValuesHeader { lens: vec![v.len() as i64] }, &v)
-                                .map_err(|e| e.to_string())
-                        }
-                        None => encode_framed(&ValuesHeader { lens: vec![-1] }, &[])
-                            .map_err(|e| e.to_string()),
-                    }
+                    let (header, _) = decode_framed_borrowed::<DecodedKeyHeader<'_>>(payload)
+                        .map_err(|e| e.to_string())?;
+                    let value = inner.read_any(cx, |h| h.get(header.key.0))?;
+                    encode_values(&[value.as_deref()]).map_err(|e| e.to_string())
                 }),
             ),
         )?;
@@ -199,22 +195,12 @@ impl VirtualDatabaseProvider {
             raw(
                 &inner,
                 Box::new(|inner, payload, cx| {
-                    let (header, _): (GetMultiHeader, Bytes) =
-                        decode_framed(payload).map_err(|e| e.to_string())?;
-                    let keys: Vec<&[u8]> = header.keys.iter().map(|k| k.as_slice()).collect();
-                    let values = inner.read_any(cx, |h| h.get_multi(&keys))?;
-                    let mut lens = Vec::with_capacity(values.len());
-                    let mut body = Vec::new();
-                    for value in values {
-                        match value {
-                            Some(v) => {
-                                lens.push(v.len() as i64);
-                                body.extend_from_slice(&v);
-                            }
-                            None => lens.push(-1),
-                        }
-                    }
-                    encode_framed(&ValuesHeader { lens }, &body).map_err(|e| e.to_string())
+                    let (header, _) =
+                        decode_framed_borrowed::<DecodedGetMultiHeader<'_>>(payload)
+                            .map_err(|e| e.to_string())?;
+                    let values = inner.read_any(cx, |h| h.get_multi(&header.keys.0))?;
+                    let lent: Vec<Option<&[u8]>> = values.iter().map(Option::as_deref).collect();
+                    encode_values(&lent).map_err(|e| e.to_string())
                 }),
             ),
         )?;

@@ -19,6 +19,8 @@
 //! prefix; they decode as version 0 (older than any stamped write), so a
 //! keyspace can be opened over providers that already hold data.
 
+use bytes::BufMut;
+
 /// Flag byte of a live record.
 pub const FLAG_VALUE: u8 = 0;
 /// Flag byte of a tombstone.
@@ -39,12 +41,13 @@ pub struct Record<'a> {
     pub value: &'a [u8],
 }
 
-/// Appends to `out` the encoding of `value` (or of a tombstone when
-/// `value` is `None`) under `version`.
-pub fn encode_record_into(out: &mut Vec<u8>, version: u64, value: Option<&[u8]>) {
-    out.extend_from_slice(&version.to_be_bytes());
-    out.push(if value.is_some() { FLAG_VALUE } else { FLAG_TOMBSTONE });
-    out.extend_from_slice(value.unwrap_or(&[]));
+/// Appends to `out` (a `Vec<u8>`, or a frame under construction) the
+/// encoding of `value` (or of a tombstone when `value` is `None`) under
+/// `version`.
+pub fn encode_record_into(out: &mut impl BufMut, version: u64, value: Option<&[u8]>) {
+    out.put_slice(&version.to_be_bytes());
+    out.put_u8(if value.is_some() { FLAG_VALUE } else { FLAG_TOMBSTONE });
+    out.put_slice(value.unwrap_or(&[]));
 }
 
 /// Encodes `value` (or a tombstone when `value` is `None`) under

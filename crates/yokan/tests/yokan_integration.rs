@@ -11,6 +11,8 @@ use mochi_mercury::{Address, Fabric};
 use mochi_util::TempDir;
 use mochi_yokan::backend::memory::MemoryDatabase;
 use mochi_yokan::provider::{rpc, PutMultiHeader};
+use mochi_yokan::version::encode_record;
+use mochi_yokan::views::{key_seq, PutMultiHeaderView, Seq};
 use mochi_yokan::{DatabaseHandle, VirtualDatabaseProvider, YokanProvider};
 
 fn boot(fabric: &Fabric, host: &str) -> MargoRuntime {
@@ -237,6 +239,56 @@ fn malformed_put_multi_gets_the_same_error_from_both_providers() {
 
     rep.finalize();
     front.finalize();
+    client.finalize();
+}
+
+/// A put-if-newer batch holding a value that is not a versioned record is
+/// refused as a whole: the valid record ahead of it is not stored either.
+/// And what a provider is sent does not depend on who encoded it: the
+/// owned header structs (the ladder, older clients) and the client's
+/// borrowed views put the same bytes on the wire.
+#[test]
+fn a_non_record_value_refuses_the_whole_versioned_batch() {
+    let fabric = Fabric::new();
+    let server = boot(&fabric, "server");
+    let client = boot(&fabric, "client");
+    let provider = memory_provider(&server, 1);
+    let db = DatabaseHandle::new(&client, server.address(), 1);
+
+    let record = encode_record(7, Some(b"value"));
+    let body = [&record[..], b"raw"].concat();
+    let header = PutMultiHeader {
+        keys: vec![b"good".to_vec(), b"bad".to_vec()],
+        value_lens: vec![record.len() as u32, 3],
+    };
+    let (top, wait) = (CallContext::TOP_LEVEL, Duration::from_secs(1));
+    let refusal = client
+        .forward_raw(
+            &server.address(),
+            rpc::PUT_VERSIONED_MULTI,
+            1,
+            encode_framed(&header, &body).unwrap(),
+            top,
+            wait,
+        )
+        .unwrap_err()
+        .to_string();
+    assert!(refusal.contains("not a versioned record"), "{refusal}");
+    assert_eq!(provider.database().len().unwrap(), 0, "the valid record was stored");
+
+    // The same batch without the raw value, encoded by the client's views
+    // and by the owned header: one frame, and it is stored.
+    let owned = PutMultiHeader { keys: vec![b"good".to_vec()], value_lens: vec![record.len() as u32] };
+    let viewed = PutMultiHeaderView {
+        keys: key_seq([&b"good"[..]].into_iter()),
+        value_lens: Seq([record.len() as u32].into_iter()),
+    };
+    let frame = encode_framed(&owned, &record).unwrap();
+    assert_eq!(frame, encode_framed(&viewed, &record).unwrap());
+    client.forward_raw(&server.address(), rpc::PUT_VERSIONED_MULTI, 1, frame, top, wait).unwrap();
+    assert_eq!(db.get(b"good").unwrap(), Some(record));
+
+    server.finalize();
     client.finalize();
 }
 

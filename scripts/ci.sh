@@ -32,6 +32,10 @@
 #   39 LSM backend failed (mochi-yokan's own suites — unit, concurrent
 #      consistency, integration, the seeded model check — or a 2 s
 #      ingest_rf1_lsm run that read back a wrong value or got an error)
+#   40 allocation budget exceeded (a layer of the data path went back to
+#      allocating per key or per monitoring event:
+#      crates/core/tests/alloc_budget.rs counts heap allocations per
+#      RoutedKv call with a counting global allocator)
 #   10-13, 2 static-analysis failures (see scripts/lint.sh)
 set -u
 
@@ -99,6 +103,14 @@ echo "==> LSM backend (mochi-yokan suites, ingest_rf1_lsm smoke)"
 cargo test -q -p mochi-yokan --lib --test concurrent_consistency \
     --test yokan_integration --test lsm_model || exit 39
 python3 crates/perf/bench.py --workload ingest_rf1_lsm --seed 2 --seconds 2 --trace 0 || exit 39
+
+# Allocation budget (DESIGN.md §10.2, §12.3, §17.2): a point get at
+# rf=1 allocates 18 times (41 before PR 22), a 64-key batch under two
+# times per key, and recording an RPC in the statistics allocates nothing.
+# No timing is involved, so the stage means the same on every host; its
+# own process, because the counting allocator is process-wide.
+echo "==> allocation budget (mochi-core alloc_budget)"
+cargo test -q -p mochi-core --test alloc_budget || exit 40
 
 echo "==> cargo test"
 cargo test -q || exit 21

@@ -93,7 +93,7 @@ fn figure2_topology_boots_and_routes() {
 struct Receptions(Mutex<Vec<(u16, Instant)>>);
 
 impl Monitor for Receptions {
-    fn observe(&self, event: &MonitoringEvent) {
+    fn observe(&self, event: &MonitoringEvent<'_>) {
         if let MonitoringEvent::RequestReceived { identity, .. } = event {
             self.0.lock().unwrap().push((identity.provider_id, Instant::now()));
         }
@@ -123,10 +123,11 @@ fn blocked_handler_xstream_does_not_delay_reception() {
     let receptions = Arc::new(Receptions::default());
     server.add_monitor(receptions.clone());
 
+    let server_address = Arc::new(server.address());
     let post = |provider_id| {
         client
             .iforward_full(
-                &server.address(),
+                &server_address,
                 "work",
                 provider_id,
                 &(),

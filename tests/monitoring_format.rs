@@ -110,6 +110,52 @@ fn nested_rpcs_attribute_parent_context() {
 }
 
 #[test]
+fn peers_that_differ_only_in_port_keep_their_own_blocks() {
+    // A peer is found by the hash its address carries: two processes of
+    // one node (same scheme, same host) must not share a block, on either
+    // side of the call.
+    let fabric = Fabric::new();
+    let server = MargoRuntime::init_default(&fabric, Address::tcp("node", 1)).unwrap();
+    let twin = MargoRuntime::init_default(&fabric, Address::tcp("node", 2)).unwrap();
+    let first = MargoRuntime::init_default(&fabric, Address::tcp("peer", 1)).unwrap();
+    let second = MargoRuntime::init_default(&fabric, Address::tcp("peer", 2)).unwrap();
+    for process in [&server, &twin] {
+        process.register_typed("echo", 0, None, |s: String, _| Ok(s)).unwrap();
+    }
+    for (client, calls) in [(&first, 2), (&second, 5)] {
+        for _ in 0..calls {
+            let _: String = client.forward(&server.address(), "echo", 0, &"x".to_string()).unwrap();
+        }
+    }
+    let _: String = first.forward(&twin.address(), "echo", 0, &"x".to_string()).unwrap();
+
+    let key = format!("65535:65535:{}:0", rpc_id_for_name("echo"));
+    let received = |stats: &serde_json::Value, from: &MargoRuntime| {
+        let block = format!("received from {}", from.address());
+        stats["rpcs"][&key]["target"][&block]["ult"]["duration"]["num"].as_u64()
+    };
+    // As above: a reply can beat the handler's end into the dump.
+    let mut stats = server.monitoring_json().unwrap();
+    wait_until(Duration::from_secs(2), Duration::from_millis(1), || {
+        stats = server.monitoring_json().unwrap();
+        received(&stats, &first) == Some(2) && received(&stats, &second) == Some(5)
+    });
+    assert_eq!(received(&stats, &first), Some(2), "{}", stats["rpcs"][&key]["target"]);
+    assert_eq!(received(&stats, &second), Some(5), "{}", stats["rpcs"][&key]["target"]);
+    assert_eq!(stats["rpcs"][&key]["target"].as_object().unwrap().len(), 2);
+
+    let origin = &first.monitoring_json().unwrap()["rpcs"][&key]["origin"];
+    let sent = |to: &MargoRuntime| {
+        origin[format!("sent to {}", to.address())]["forward"]["duration"]["num"].as_u64()
+    };
+    assert_eq!((sent(&server), sent(&twin)), (Some(2), Some(1)), "{origin}");
+
+    for process in [&server, &twin, &first, &second] {
+        process.finalize();
+    }
+}
+
+#[test]
 fn monitoring_can_be_disabled_entirely() {
     let fabric = Fabric::new();
     let mut config = MargoConfig::default();
