@@ -13,9 +13,8 @@
 //!      writer lock" design; plus a single-thread get p50 check.
 //!   3. LSM puts at 1/2/4/8 threads, 8 stripes (per-stripe WALs +
 //!      background flush) vs. a single stripe — the DESIGN.md §15 write
-//!      path. Emits `BENCH_a04.json` with throughput and put p50/p99,
-//!      under `target/` for the CI gate (`scripts/ci.sh`) and at the
-//!      repo root where it is committed (perf-trajectory persistence).
+//!      path. Emits `target/BENCH_a04.json` with throughput and put
+//!      p50/p99, which `scripts/bench-multicore.sh` checks for.
 //!   4. Echo RPCs through two monitored Margo runtimes, confirming the
 //!      striped statistics monitor still emits Listing-1-shaped dumps.
 //!
@@ -385,9 +384,7 @@ fn main() {
     let writes = bench_lsm_writes(parallel);
     bench_echo();
 
-    // Machine-readable record: once under target/ for the ci.sh bench
-    // gate, once at the repo root where it is committed so the perf
-    // trajectory survives `cargo clean`.
+    // Machine-readable record for `scripts/bench-multicore.sh`.
     let report = json!({
         "bench": "a04_contention",
         "measured": true,
@@ -396,14 +393,10 @@ fn main() {
         "lsm_writes": writes,
     });
     let rendered = serde_json::to_string_pretty(&report).unwrap();
-    for out in [
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_a04.json"),
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_a04.json"),
-    ] {
-        std::fs::create_dir_all(out.parent().unwrap()).unwrap();
-        std::fs::write(&out, &rendered).unwrap();
-        println!("wrote {}", out.display());
-    }
+    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_a04.json");
+    std::fs::create_dir_all(out.parent().unwrap()).unwrap();
+    std::fs::write(&out, &rendered).unwrap();
+    println!("wrote {}", out.display());
 
     println!("claim: striping removes data-plane lock contention; single-thread");
     println!("latency and the Listing-1 monitoring contract are unchanged.");

@@ -20,10 +20,8 @@
 //! shared core and the scaling cannot manifest); the numbers still
 //! print and land in the JSON with `"asserted": false`.
 //!
-//! Emits `BENCH_a09.json` twice: under `target/` (consumed by the
-//! `scripts/ci.sh` routing gate) and at the repo root, where it is
-//! committed so the perf trajectory survives `cargo clean` and rides
-//! along with the PR that changed the routing layer.
+//! Emits `target/BENCH_a09.json`, which `scripts/bench-multicore.sh`'s
+//! routing gate checks for.
 
 use std::path::Path;
 use std::sync::Barrier;
@@ -214,9 +212,7 @@ fn main() {
         );
     }
 
-    // Machine-readable record: once under target/ for the ci.sh routing
-    // gate, once at the repo root where it is committed so the perf
-    // trajectory survives `cargo clean`.
+    // Machine-readable record for `scripts/bench-multicore.sh`.
     let report = json!({
         "bench": "a09_routing",
         "measured": true,
@@ -228,14 +224,10 @@ fn main() {
         "ratio_4_vs_1_providers": ratio,
     });
     let rendered = serde_json::to_string_pretty(&report).expect("render report");
-    for out in [
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_a09.json"),
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_a09.json"),
-    ] {
-        std::fs::create_dir_all(out.parent().expect("parent")).expect("create dir");
-        std::fs::write(&out, &rendered).expect("write report");
-        println!("wrote {}", out.display());
-    }
+    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_a09.json");
+    std::fs::create_dir_all(out.parent().expect("parent")).expect("create dir");
+    std::fs::write(&out, &rendered).expect("write report");
+    println!("wrote {}", out.display());
 
     println!("claim: consistent-hash routing aggregates independent provider");
     println!("pipelines; batch latency stays flat while throughput scales.");

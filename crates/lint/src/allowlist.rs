@@ -2,8 +2,8 @@
 //!
 //! Counting-based: each entry permits up to `count` findings of `kind`
 //! in `(file, function)`. Existing debt is frozen; anything beyond the
-//! recorded count — a *new* `unwrap()` in a handler, an extra blocking
-//! call — fails the lint. Entries are keyed by function, not line, so
+//! recorded count — a *new* `unwrap()` in a handler, one more raw
+//! forward — fails the lint. Entries are keyed by function, not line, so
 //! unrelated edits don't invalidate the freeze.
 //!
 //! The format is JSON, parsed by the tiny reader below so this crate
@@ -26,17 +26,13 @@ pub type Sections = BTreeMap<&'static str, BTreeMap<Key, usize>>;
 #[derive(Debug, Default, Clone)]
 pub struct Allowlist {
     /// Permitted finding counts. What a `kind` encodes is the rule's
-    /// business (`unwrap`, `dead:yokan_watch`, `forward_timeout:raft::core`,
-    /// …): see [`Finding::kind`] and the rule's module.
+    /// business (`unwrap`, `drop:forward_timeout`, `load:closed`, …): see
+    /// [`Finding::kind`] and the rule's module.
     pub sections: Sections,
     /// One-line justifications for allowlist entries, keyed by section
     /// and entry. Written back verbatim by `--write-allowlist` so
     /// hand-added reasons survive regeneration.
     pub reasons: BTreeMap<(&'static str, Key), String>,
-    /// Lock field names (or `crate::field` ids) excluded from the
-    /// lock-order graph — for per-instance locks whose class identity
-    /// would alias distinct objects.
-    pub ignored_locks: Vec<String>,
 }
 
 impl Allowlist {
@@ -48,14 +44,6 @@ impl Allowlist {
         for (name, value) in object {
             match name.as_str() {
                 "version" => {}
-                "ignored_locks" => {
-                    let items = value.as_array().ok_or("ignored_locks must be an array")?;
-                    for item in items {
-                        allowlist
-                            .ignored_locks
-                            .push(item.as_str().ok_or("ignored_locks entries must be strings")?.to_string());
-                    }
-                }
                 other => {
                     let section = crate::sections()
                         .find(|s| *s == other)
@@ -87,8 +75,7 @@ impl Allowlist {
     /// Serializes back to the canonical JSON layout: every section of the
     /// registry, in registry order, empty or not.
     pub fn to_json(&self) -> String {
-        let locks: Vec<String> = self.ignored_locks.iter().map(|l| quote(l)).collect();
-        let mut out = format!("{{\n  \"version\": 1,\n  \"ignored_locks\": [{}]", locks.join(", "));
+        let mut out = String::from("{\n  \"version\": 1");
         for section in crate::sections() {
             let entries: Vec<String> = self
                 .sections
@@ -153,7 +140,7 @@ impl Allowlist {
 }
 
 /// `s` as a JSON string literal.
-pub(crate) fn quote(s: &str) -> String {
+fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -374,8 +361,7 @@ mod tests {
     fn round_trip() {
         // One entry in every section of the registry, so a section the
         // writer or the reader forgot cannot round-trip.
-        let mut allowlist =
-            Allowlist { ignored_locks: vec!["buffer".into()], ..Allowlist::default() };
+        let mut allowlist = Allowlist::default();
         for (i, section) in crate::sections().enumerate() {
             let entry = key("crates/raft/src/node.rs", "start", &format!("kind:{section}"));
             allowlist.sections.entry(section).or_default().insert(entry, i + 1);
@@ -389,7 +375,6 @@ mod tests {
         assert_eq!(back.sections.len(), crate::sections().count());
         assert_eq!(back.sections, allowlist.sections);
         assert_eq!(back.reasons, allowlist.reasons, "reason strings must round-trip");
-        assert_eq!(back.ignored_locks, allowlist.ignored_locks);
         assert_eq!(back.to_json(), json, "stable ordering");
     }
 
@@ -403,7 +388,7 @@ mod tests {
         let mut actual = Sections::new();
         actual.entry("panic_paths").or_default().insert(live_key.clone(), 1);
         // The same key live in another section does not keep this one alive.
-        actual.entry("blocking").or_default().insert(key("b.rs", "g", "expect"), 1);
+        actual.entry("serde_json").or_default().insert(key("b.rs", "g", "expect"), 1);
         let stale = allowlist.stale_entries(&actual);
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].rule, "MOCHI010");
@@ -411,7 +396,7 @@ mod tests {
         assert_eq!(stale[0].kind, "b.rs/g/expect");
         assert!(stale[0].message.contains("count 2"), "{}", stale[0].message);
         assert_eq!(allowlist.allowance("panic_paths", &live_key), 1);
-        assert_eq!(allowlist.allowance("blocking", &live_key), 0);
+        assert_eq!(allowlist.allowance("serde_json", &live_key), 0);
     }
 
     #[test]

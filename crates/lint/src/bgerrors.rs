@@ -392,7 +392,7 @@ fn returns_result(files: &[SourceFile], graph: &CallGraph, node_id: usize) -> bo
     }
     let Some(s) = sig_start else { return false };
     let sig = &text[s..func.body_start];
-    sig.windows(2).rposition(|w| w == b"->").map_or(false, |arrow| {
+    sig.windows(2).rposition(|w| w == b"->").is_some_and(|arrow| {
         let ret = &sig[arrow..];
         ret.windows(6).any(|w| w == b"Result")
     })

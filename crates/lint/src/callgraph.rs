@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 
 use crate::contracts::{
-    normalize_type, parse_turbofish, preceded_by_fn_keyword, skip_ws, split_args,
+    normalize_type, preceded_by_fn_keyword, skip_turbofish, skip_ws, split_args,
 };
 use crate::lexer::{
     column_of, is_ident_byte, line_of, matching_brace, matching_paren, word_at,
@@ -163,8 +163,8 @@ struct Indexes {
     field_types: BTreeMap<(String, String), String>,
     /// Function name → node ids, workspace-wide.
     by_name: BTreeMap<String, Vec<usize>>,
-    /// Per file: `(impl span, owner, trait)` blocks.
-    impls: Vec<Vec<(usize, usize, String, Option<String>)>>,
+    /// Per file: its impl blocks.
+    impls: Vec<Vec<ImplBlock>>,
 }
 
 impl CallGraph {
@@ -329,7 +329,7 @@ impl CallGraph {
                 continue; // macro invocation
             }
             let mut j = k;
-            let _turbofish = parse_turbofish(text, &mut j);
+            skip_turbofish(text, &mut j);
             j = skip_ws(text, j);
             if text.get(j) != Some(&b'(') {
                 continue;
@@ -883,10 +883,12 @@ pub(crate) fn base_of(normalized: &str) -> Option<String> {
     }
 }
 
-/// Finds `impl [Trait for] Type { … }` blocks: `(start, end, owner,
-/// trait)`. `impl Trait`-in-type-position (bounds, return types) is
-/// filtered by the preceding token.
-fn impl_blocks(text: &[u8]) -> Vec<(usize, usize, String, Option<String>)> {
+/// One `impl [Trait for] Type { … }` block: `(start, end, owner, trait)`.
+type ImplBlock = (usize, usize, String, Option<String>);
+
+/// Finds the impl blocks of a file. `impl Trait`-in-type-position
+/// (bounds, return types) is filtered by the preceding token.
+fn impl_blocks(text: &[u8]) -> Vec<ImplBlock> {
     let mut blocks = Vec::new();
     let mut i = 0usize;
     while i + 4 < text.len() {

@@ -1,20 +1,8 @@
-//! Intraprocedural guard/dataflow engine.
+//! Intraprocedural guard-liveness scan.
 //!
-//! Generalizes the guard-liveness state machine that used to live inside
-//! `locks.rs` into a reusable module: one pass over a function body
-//! produces [`GuardSpan`]s (lock-guard birth → death offsets), the
-//! closure-context tree, yield events, and value-escape marks. The
-//! downstream rules then *query* the flow instead of re-implementing the
-//! scan:
-//!
-//! * `locks.rs` (MOCHI001/002) derives lock-order edges and recursive
-//!   re-locks from span overlap;
-//! * `yields.rs` (MOCHI009) derives guard-across-suspension findings
-//!   from yield events falling inside spans;
-//! * `rpclock.rs` (MOCHI015) asks which ordered guards are live at a
-//!   call site whose callee transitively reaches a `forward`;
-//! * `queues.rs` (MOCHI017) resolves guard variables back to the lock
-//!   field they borrow from.
+//! One pass over a function body produces [`GuardSpan`]s (lock-guard
+//! birth → death offsets, per closure context); `locks.rs` (MOCHI001/002)
+//! derives lock-order edges and recursive re-locks from span overlap.
 //!
 //! The lattice is deliberately simple — a guard is a contiguous byte
 //! span per closure context:
@@ -35,12 +23,7 @@
 //!   (see `raft::replicator_loop`);
 //! * **contexts** — a braced closure body runs later, possibly on
 //!   another thread, so it opens a fresh context: spans never cross
-//!   context boundaries, and liveness queries compare contexts;
-//! * **escape** — `return g;` marks the span as escaping (the guard
-//!   outlives this function in the caller); the span itself still ends
-//!   at the return, because no code *in this body* runs under it after.
-
-use std::collections::BTreeSet;
+//!   context boundaries, and overlap is only read within one context.
 
 use crate::lexer::{column_of, is_ident_byte, line_of, word_at};
 use crate::source::SourceFile;
@@ -60,246 +43,148 @@ pub struct GuardSpan {
     pub end: usize,
     /// Closure context the span lives in (0 = the function body).
     pub ctx: usize,
-    /// True when the guard value leaves the function via `return g;`.
-    pub escapes: bool,
     pub line: usize,
     pub column: usize,
 }
 
-/// One suspension point (`forward`-family call or `yield_now`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct YieldEvent {
-    /// The suspending call name.
-    pub call: &'static str,
-    /// Report offset (start of the callee name) in the sanitized text.
-    pub offset: usize,
-    /// Closure context the event occurred in.
-    pub ctx: usize,
-}
-
-/// One closure-body context. Context 0 is the function body itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowContext {
-    pub parent: usize,
-    pub start: usize,
-    pub end: usize,
-}
-
-/// The dataflow facts for one function body.
-#[derive(Debug, Clone)]
-pub struct BodyFlow {
-    pub spans: Vec<GuardSpan>,
-    pub yields: Vec<YieldEvent>,
-    pub contexts: Vec<FlowContext>,
-}
-
-impl BodyFlow {
-    /// The innermost context containing `offset`.
-    pub fn ctx_of(&self, offset: usize) -> usize {
-        let mut best = 0usize;
-        let mut best_start = self.contexts[0].start;
-        for (id, ctx) in self.contexts.iter().enumerate() {
-            if ctx.start <= offset && offset < ctx.end && ctx.start >= best_start {
-                best = id;
-                best_start = ctx.start;
-            }
-        }
-        best
+/// Runs the scan over `file.text[start..end]` (a function body span).
+pub fn guard_spans(file: &SourceFile, start: usize, end: usize) -> Vec<GuardSpan> {
+    let text = &file.text;
+    let mut spans: Vec<GuardSpan> = Vec::new();
+    // Context 0 is the function body itself.
+    let mut next_ctx = 1usize;
+    // (context id, block depth at which the context opened, held guards)
+    struct Scan {
+        id: usize,
+        start_depth: usize,
+        held: Vec<HeldMeta>,
     }
-
-    /// Guards live at `offset` in the same context as `offset`.
-    pub fn live_at(&self, offset: usize) -> impl Iterator<Item = &GuardSpan> {
-        let ctx = self.ctx_of(offset);
-        self.spans.iter().filter(move |s| s.ctx == ctx && s.start < offset && offset < s.end)
+    struct HeldMeta {
+        span: usize,
+        depth: usize,
+        temp: bool,
     }
-
-    /// The span bound to variable `var` and live at `offset`, if any —
-    /// lets rules resolve a guard variable (`q` in `let q =
-    /// self.queue.lock();`) back to the lock field it borrows from.
-    pub fn guard_var_at(&self, var: &str, offset: usize) -> Option<&GuardSpan> {
-        self.live_at(offset).find(|s| s.var.as_deref() == Some(var))
-    }
-
-    /// Runs the scan over `file.text[start..end]` (a function body span).
-    pub fn analyze(
-        file: &SourceFile,
-        start: usize,
-        end: usize,
-        ignored: &BTreeSet<String>,
-    ) -> BodyFlow {
-        let text = &file.text;
-        let mut flow = BodyFlow {
-            spans: Vec::new(),
-            yields: Vec::new(),
-            contexts: vec![FlowContext { parent: 0, start, end }],
-        };
-        // (context id, block depth at which the context opened, held guards)
-        struct Scan {
-            id: usize,
-            start_depth: usize,
-            held: Vec<HeldMeta>,
-        }
-        struct HeldMeta {
-            span: usize,
-            depth: usize,
-            temp: bool,
-        }
-        let mut ctxs = vec![Scan { id: 0, start_depth: 0, held: Vec::new() }];
-        let mut depth = 0usize;
-        let mut stmt_start = start + 1;
-        let mut pending_closure = false;
-        let mut i = start;
-        while i < end {
-            match text[i] {
-                b'{' => {
-                    depth += 1;
-                    if pending_closure {
-                        let id = flow.contexts.len();
-                        let parent = ctxs.last().map(|c| c.id).unwrap_or(0);
-                        flow.contexts.push(FlowContext { parent, start: i, end });
-                        ctxs.push(Scan { id, start_depth: depth, held: Vec::new() });
-                        pending_closure = false;
-                    } else if scrutinee_extends_temporaries(text, stmt_start, i) {
-                        // `match`/`for`/`if let`/`while let` scrutinee
-                        // temporaries live for the whole block (edition
-                        // 2021): promote them to block-scoped guards.
-                        if let Some(ctx) = ctxs.last_mut() {
-                            for h in ctx.held.iter_mut().filter(|h| h.temp) {
-                                h.temp = false;
-                                h.depth = depth;
-                            }
-                        }
-                    } else if let Some(ctx) = ctxs.last_mut() {
-                        for h in ctx.held.iter().filter(|h| h.temp) {
-                            flow.spans[h.span].end = i;
-                        }
-                        ctx.held.retain(|h| !h.temp);
-                    }
-                    stmt_start = i + 1;
-                }
-                b'}' => {
+    let mut ctxs = vec![Scan { id: 0, start_depth: 0, held: Vec::new() }];
+    let mut depth = 0usize;
+    let mut stmt_start = start + 1;
+    let mut pending_closure = false;
+    let mut i = start;
+    while i < end {
+        match text[i] {
+            b'{' => {
+                depth += 1;
+                if pending_closure {
+                    ctxs.push(Scan { id: next_ctx, start_depth: depth, held: Vec::new() });
+                    next_ctx += 1;
+                    pending_closure = false;
+                } else if scrutinee_extends_temporaries(text, stmt_start, i) {
+                    // `match`/`for`/`if let`/`while let` scrutinee
+                    // temporaries live for the whole block (edition
+                    // 2021): promote them to block-scoped guards.
                     if let Some(ctx) = ctxs.last_mut() {
-                        for h in ctx.held.iter().filter(|h| h.temp || h.depth >= depth) {
-                            flow.spans[h.span].end = i;
+                        for h in ctx.held.iter_mut().filter(|h| h.temp) {
+                            h.temp = false;
+                            h.depth = depth;
                         }
-                        ctx.held.retain(|h| !h.temp && h.depth < depth);
                     }
-                    depth = depth.saturating_sub(1);
-                    if ctxs.len() > 1 && ctxs.last().map(|c| c.start_depth > depth).unwrap_or(false)
-                    {
-                        let closed = ctxs.pop().expect("checked non-empty");
-                        flow.contexts[closed.id].end = i;
+                } else if let Some(ctx) = ctxs.last_mut() {
+                    for h in ctx.held.iter().filter(|h| h.temp) {
+                        spans[h.span].end = i;
+                    }
+                    ctx.held.retain(|h| !h.temp);
+                }
+                stmt_start = i + 1;
+            }
+            b'}' => {
+                if let Some(ctx) = ctxs.last_mut() {
+                    for h in ctx.held.iter().filter(|h| h.temp || h.depth >= depth) {
+                        spans[h.span].end = i;
+                    }
+                    ctx.held.retain(|h| !h.temp && h.depth < depth);
+                }
+                depth = depth.saturating_sub(1);
+                if ctxs.len() > 1 {
+                    if let Some(closed) = ctxs.pop_if(|c| c.start_depth > depth) {
                         for h in &closed.held {
-                            flow.spans[h.span].end = i;
+                            spans[h.span].end = i;
                         }
                     }
-                    stmt_start = i + 1;
                 }
-                b';' => {
+                stmt_start = i + 1;
+            }
+            b';' => {
+                if let Some(ctx) = ctxs.last_mut() {
+                    for h in ctx.held.iter().filter(|h| h.temp) {
+                        spans[h.span].end = i;
+                    }
+                    ctx.held.retain(|h| !h.temp);
+                }
+                stmt_start = i + 1;
+            }
+            b'|' => {
+                if let Some(params_end) = closure_params_end(text, i, end) {
+                    let mut j = params_end + 1;
+                    while j < end && text[j].is_ascii_whitespace() {
+                        j += 1;
+                    }
+                    if j < end && text[j] == b'{' {
+                        pending_closure = true;
+                    }
+                    // Expression-bodied closures keep the outer context
+                    // (conservative over-approximation; rare and benign).
+                    i = params_end;
+                }
+            }
+            b'd' if word_at(text, i, "drop") => {
+                if let Some((var, after)) = drop_argument(text, i + 4, end) {
                     if let Some(ctx) = ctxs.last_mut() {
-                        for h in ctx.held.iter().filter(|h| h.temp) {
-                            flow.spans[h.span].end = i;
-                        }
-                        ctx.held.retain(|h| !h.temp);
-                    }
-                    stmt_start = i + 1;
-                }
-                b'|' => {
-                    if let Some(params_end) = closure_params_end(text, i, end) {
-                        let mut j = params_end + 1;
-                        while j < end && text[j].is_ascii_whitespace() {
-                            j += 1;
-                        }
-                        if j < end && text[j] == b'{' {
-                            pending_closure = true;
-                        }
-                        // Expression-bodied closures keep the outer context
-                        // (conservative over-approximation; rare and benign).
-                        i = params_end;
-                    }
-                }
-                b'd' if word_at(text, i, "drop") => {
-                    if let Some((var, after)) = drop_argument(text, i + 4, end) {
-                        if let Some(ctx) = ctxs.last_mut() {
-                            if let Some(pos) = ctx
-                                .held
-                                .iter()
-                                .rposition(|h| flow.spans[h.span].var.as_deref() == Some(var.as_str()))
-                            {
-                                let h = ctx.held.remove(pos);
-                                flow.spans[h.span].end = i;
-                            }
-                        }
-                        i = after;
-                        continue;
-                    }
-                }
-                b'r' if word_at(text, i, "return") => {
-                    // `return g;` — the guard value escapes to the caller.
-                    if let Some(var) = returned_ident(text, i + 6, end) {
-                        if let Some(ctx) = ctxs.last() {
-                            for h in &ctx.held {
-                                if flow.spans[h.span].var.as_deref() == Some(var.as_str()) {
-                                    flow.spans[h.span].escapes = true;
-                                }
-                            }
+                        if let Some(pos) = ctx
+                            .held
+                            .iter()
+                            .rposition(|h| spans[h.span].var.as_deref() == Some(var.as_str()))
+                        {
+                            let h = ctx.held.remove(pos);
+                            spans[h.span].end = i;
                         }
                     }
+                    i = after;
+                    continue;
                 }
-                b'y' => {
-                    if let Some(open) = crate::yields::yield_now_at(text, i, end) {
-                        let ctx = ctxs.last().map(|c| c.id).unwrap_or(0);
-                        flow.yields.push(YieldEvent { call: "yield_now", offset: i, ctx });
-                        i = open;
-                        continue;
-                    }
-                }
-                b'.' => {
-                    if let Some((method, open)) = crate::yields::yield_method_at(text, i, end) {
-                        let ctx = ctxs.last().map(|c| c.id).unwrap_or(0);
-                        flow.yields.push(YieldEvent { call: method, offset: i + 1, ctx });
-                        i = open;
-                        continue;
-                    }
-                    if let Some(acq) = acquisition_at(text, i, end) {
-                        if let Some(chain) = receiver_chain(text, i) {
-                            let field = chain.rsplit('.').next().unwrap_or(&chain).to_string();
-                            let lock_id = format!("{}::{}", file.crate_name, field);
-                            if !ignored.contains(&field) && !ignored.contains(&lock_id) {
-                                let (bound_var, temp) =
-                                    binding_of(text, stmt_start, acq.close_paren);
-                                let ctx = ctxs.last_mut().expect("context stack never empty");
-                                let span_id = flow.spans.len();
-                                flow.spans.push(GuardSpan {
-                                    lock: lock_id,
-                                    chain,
-                                    var: bound_var,
-                                    start: i,
-                                    end, // provisional; finalized on death
-                                    ctx: ctx.id,
-                                    escapes: false,
-                                    line: line_of(text, i),
-                                    column: column_of(text, i),
-                                });
-                                ctx.held.push(HeldMeta { span: span_id, depth, temp });
-                            }
-                        }
-                        i = acq.close_paren + 1;
-                        continue;
-                    }
-                }
-                _ => {}
             }
-            i += 1;
-        }
-        // Anything still held at the end of the body dies there.
-        for scan in &ctxs {
-            for h in &scan.held {
-                flow.spans[h.span].end = end;
+            b'.' => {
+                if let Some(acq) = acquisition_at(text, i, end) {
+                    if let (Some(chain), Some(ctx)) = (receiver_chain(text, i), ctxs.last_mut()) {
+                        let field = chain.rsplit('.').next().unwrap_or(&chain);
+                        let lock_id = format!("{}::{}", file.crate_name, field);
+                        let (bound_var, temp) = binding_of(text, stmt_start, acq.close_paren);
+                        let span_id = spans.len();
+                        spans.push(GuardSpan {
+                            lock: lock_id,
+                            chain,
+                            var: bound_var,
+                            start: i,
+                            end, // provisional; finalized on death
+                            ctx: ctx.id,
+                            line: line_of(text, i),
+                            column: column_of(text, i),
+                        });
+                        ctx.held.push(HeldMeta { span: span_id, depth, temp });
+                    }
+                    i = acq.close_paren + 1;
+                    continue;
+                }
             }
+            _ => {}
         }
-        flow
+        i += 1;
     }
+    // Anything still held at the end of the body dies there.
+    for scan in &ctxs {
+        for h in &scan.held {
+            spans[h.span].end = end;
+        }
+    }
+    spans
 }
 
 struct Acquisition {
@@ -469,30 +354,6 @@ fn drop_argument(text: &[u8], mut j: usize, end: usize) -> Option<(String, usize
     }
 }
 
-/// Parses the identifier of a `return <ident> ;`/`return <ident> }` form
-/// starting just after the `return` keyword; anything else (method call,
-/// expression, bare `return`) is not a value escape of a guard variable.
-fn returned_ident(text: &[u8], mut j: usize, end: usize) -> Option<String> {
-    while j < end && text[j].is_ascii_whitespace() {
-        j += 1;
-    }
-    let start = j;
-    while j < end && is_ident_byte(text[j]) {
-        j += 1;
-    }
-    if j == start {
-        return None;
-    }
-    let var = String::from_utf8_lossy(&text[start..j]).into_owned();
-    while j < end && text[j].is_ascii_whitespace() {
-        j += 1;
-    }
-    match text.get(j) {
-        Some(b';') | Some(b'}') => Some(var),
-        _ => None,
-    }
-}
-
 fn ends_with_word(text: &[u8], end: usize, word: &str) -> bool {
     let w = word.as_bytes();
     end >= w.len()
@@ -534,34 +395,39 @@ mod tests {
     use super::*;
     use crate::source::SourceFile;
 
-    fn flow_of(src: &str) -> (SourceFile, BodyFlow) {
+    fn spans_of(src: &str) -> (SourceFile, Vec<GuardSpan>) {
         let file = SourceFile::parse("crates/demo/src/lib.rs", src);
         let f = &file.functions[0];
-        let flow = BodyFlow::analyze(&file, f.body_start, f.body_end, &BTreeSet::new());
-        (file, flow)
+        let spans = guard_spans(&file, f.body_start, f.body_end);
+        (file, spans)
+    }
+
+    /// How many guards of context `ctx` are live where `needle` starts.
+    fn live_at(spans: &[GuardSpan], src: &str, needle: &str, ctx: usize) -> usize {
+        let offset = src.find(needle).unwrap();
+        spans.iter().filter(|s| s.ctx == ctx && s.start < offset && offset < s.end).count()
     }
 
     #[test]
     fn block_guard_spans_to_block_close() {
         let src = "fn f(&self) { { let g = self.alpha.lock(); g.touch(); } other(); }";
-        let (file, flow) = flow_of(src);
-        assert_eq!(flow.spans.len(), 1);
-        let s = &flow.spans[0];
+        let (file, spans) = spans_of(src);
+        assert_eq!(spans.len(), 1);
+        let s = &spans[0];
         assert_eq!(s.lock, "demo::alpha");
         assert_eq!(s.var.as_deref(), Some("g"));
         // Dead by the time `other()` runs.
-        let other = src.find("other").unwrap();
-        assert!(s.end < other);
+        assert_eq!(live_at(&spans, src, "other", 0), 0);
         assert_eq!(file.text[s.end], b'}');
     }
 
     #[test]
     fn temporary_dies_at_statement_end() {
         let src = "fn f(&self) { self.alpha.lock().push(1); later(); }";
-        let (file, flow) = flow_of(src);
-        assert_eq!(flow.spans.len(), 1);
-        assert_eq!(file.text[flow.spans[0].end], b';');
-        assert!(flow.live_at(src.find("later").unwrap()).next().is_none());
+        let (file, spans) = spans_of(src);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(file.text[spans[0].end], b';');
+        assert_eq!(live_at(&spans, src, "later", 0), 0);
     }
 
     #[test]
@@ -570,77 +436,38 @@ mod tests {
         // "drop the guard in this arm, then RPC" — a maybe-live join
         // would flag the correct pattern.
         let src = "fn f(&self) { let g = self.alpha.lock(); match x { A => { drop(g); post(); } _ => {} } }";
-        let (_, flow) = flow_of(src);
-        let post = src.find("post").unwrap();
-        assert!(flow.live_at(post).next().is_none());
+        let (_, spans) = spans_of(src);
+        assert_eq!(live_at(&spans, src, "post", 0), 0);
         // …but the guard was live before the drop.
-        let m = src.find("match").unwrap();
-        assert_eq!(flow.live_at(m).count(), 1);
+        assert_eq!(live_at(&spans, src, "match", 0), 1);
     }
 
     #[test]
     fn guard_born_before_branch_lives_past_the_join() {
         let src = "fn f(&self) { let g = self.alpha.lock(); if c { a(); } else { b(); } after(); }";
-        let (_, flow) = flow_of(src);
-        assert_eq!(flow.live_at(src.find("after").unwrap()).count(), 1);
+        let (_, spans) = spans_of(src);
+        assert_eq!(live_at(&spans, src, "after", 0), 1);
     }
 
     #[test]
     fn closure_body_is_a_fresh_context() {
-        let src = "fn f(&self) { let g = self.alpha.lock(); run(move || { inner(); }); tail(); }";
-        let (_, flow) = flow_of(src);
-        assert_eq!(flow.contexts.len(), 2);
-        let inner = src.find("inner").unwrap();
-        let tail = src.find("tail").unwrap();
-        assert_eq!(flow.ctx_of(inner), 1);
-        assert_eq!(flow.ctx_of(tail), 0);
-        // The outer guard is not live inside the closure…
-        assert!(flow.live_at(inner).next().is_none());
-        // …but is live at the same-context tail call.
-        assert_eq!(flow.live_at(tail).count(), 1);
-    }
-
-    #[test]
-    fn guard_var_resolves_to_its_lock() {
-        let src = "fn f(&self) { let q = self.queue.lock(); use_it(); }";
-        let (_, flow) = flow_of(src);
-        let at = src.find("use_it").unwrap();
-        let span = flow.guard_var_at("q", at).expect("guard var q live");
-        assert_eq!(span.lock, "demo::queue");
-        assert!(flow.guard_var_at("r", at).is_none());
-    }
-
-    #[test]
-    fn returned_guard_marked_escaping() {
-        let src = "fn f(&self) -> G { let g = self.alpha.lock(); return g; }";
-        let (_, flow) = flow_of(src);
-        assert_eq!(flow.spans.len(), 1);
-        assert!(flow.spans[0].escapes);
-    }
-
-    #[test]
-    fn returned_expression_is_not_an_escape() {
-        let src = "fn f(&self) -> usize { let g = self.alpha.lock(); return g.len(); }";
-        let (_, flow) = flow_of(src);
-        assert!(!flow.spans[0].escapes);
-    }
-
-    #[test]
-    fn yield_events_carry_context() {
-        let src = "fn f(&self) { let g = self.alpha.lock(); self.m.forward(&a, N, 1, &v); spawn(move || { self.m.notify(&a, N, 1, &v); }); }";
-        let (_, flow) = flow_of(src);
-        assert_eq!(flow.yields.len(), 2);
-        assert_eq!(flow.yields[0].call, "forward");
-        assert_eq!(flow.yields[0].ctx, 0);
-        assert_eq!(flow.yields[1].call, "notify");
-        assert_eq!(flow.yields[1].ctx, 1);
+        let src = "fn f(&self) { let g = self.alpha.lock(); run(move || { let h = self.beta.lock(); inner(); }); tail(); }";
+        let (_, spans) = spans_of(src);
+        let ctxs: Vec<(&str, usize)> = spans.iter().map(|s| (s.lock.as_str(), s.ctx)).collect();
+        assert_eq!(ctxs, vec![("demo::alpha", 0), ("demo::beta", 1)]);
+        // Inside the closure only its own guard is live in its context…
+        assert_eq!(live_at(&spans, src, "inner", 1), 1);
+        // …which dies with the closure body, while the outer guard is
+        // still live at the same-context tail call.
+        assert_eq!(live_at(&spans, src, "tail", 1), 0);
+        assert_eq!(live_at(&spans, src, "tail", 0), 1);
     }
 
     #[test]
     fn scrutinee_temporary_promoted_to_block_scope() {
         let src = "fn f(&self) { match self.alpha.lock().kind { _ => { arm(); } } after(); }";
-        let (_, flow) = flow_of(src);
-        assert_eq!(flow.live_at(src.find("arm").unwrap()).count(), 1);
-        assert!(flow.live_at(src.find("after").unwrap()).next().is_none());
+        let (_, spans) = spans_of(src);
+        assert_eq!(live_at(&spans, src, "arm", 0), 1);
+        assert_eq!(live_at(&spans, src, "after", 0), 0);
     }
 }

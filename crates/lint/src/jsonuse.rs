@@ -30,7 +30,7 @@ pub const DATA_PLANE_PATHS: &[&str] = &[
 
 /// Whether the data-plane JSON lint applies to `rel_path`.
 pub fn in_data_plane(rel_path: &str) -> bool {
-    DATA_PLANE_PATHS.iter().any(|p| rel_path == *p)
+    DATA_PLANE_PATHS.contains(&rel_path)
 }
 
 /// Scans one file for `serde_json::` path uses (strings, comments, and

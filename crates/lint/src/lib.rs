@@ -1,38 +1,36 @@
 //! `mochi-lint`: workspace-specific static analysis for the mochi-rs
 //! stack, tuned to the failure modes that matter for dynamic HPC data
 //! services (a panicking or deadlocked provider is a dead node, which
-//! defeats the resilience layer; a mistyped RPC name only fails on a
-//! live, reconfigured cluster).
+//! defeats the resilience layer; a nested RPC that restarts its deadline
+//! or a retried handler that is not idempotent only fails under load, on
+//! a live, reconfigured cluster).
 //!
 //! One module per analysis, each documented where it lives and each
 //! returning [`Finding`]s under the rule ids of [`RULES`]:
 //!
 //! * per file, on the sanitized text ([`lexer`], [`source`]): [`locks`]
-//!   (lock-order cycles and re-locks, with [`yields`]: a guard held
-//!   across a ULT suspension — both read the [`dataflow`] guard spans),
-//!   [`panics`], [`blocking`], [`jsonuse`], [`rawforward`];
-//! * over the workspace RPC table: [`contracts`] (unregistered calls,
-//!   dead surface, argument/reply type disagreements);
+//!   (lock-order cycles and re-locks, read off the [`dataflow`] guard
+//!   spans), [`panics`], [`jsonuse`], [`rawforward`];
 //! * over the workspace call graph ([`callgraph`] — method/trait/free
-//!   edges with receiver typing, handler registrations as entry points):
-//!   [`deadline`], [`retry`], [`rpclock`], [`bgerrors`], [`queues`]; and
-//!   [`atomics`], which needs only the files.
+//!   edges with receiver typing) entered at the handler registrations of
+//!   the workspace RPC table ([`contracts`]): [`deadline`], [`retry`],
+//!   [`bgerrors`]; and [`atomics`], which needs only the files.
 //!
 //! A finding whose rule has an allowlist section may be frozen in
 //! `lint-allow.json` ([`allowlist`]) by `(file, function, kind)` and
 //! count; anything beyond the frozen count is a violation, and an entry
 //! that matches nothing is reported stale so debt burns down instead of
 //! rotting. Adding a rule is its module, one [`RULES`] row, one line in
-//! [`analyze`], and its fixture.
+//! [`analyze`], and its fixture; a rule stays while it has a finding on
+//! record (DESIGN.md §11.1), and a retired rule's id is not reused.
 //!
-//! Run as `cargo run -p mochi-lint -- --root . [--format json]`, or
+//! Run as `cargo run -p mochi-lint -- --root .`, or
 //! through the umbrella crate's `lint_gate` test, which makes it part of
 //! the tier-1 gate.
 
 pub mod allowlist;
 pub mod atomics;
 pub mod bgerrors;
-pub mod blocking;
 pub mod callgraph;
 pub mod contracts;
 pub mod dataflow;
@@ -41,15 +39,12 @@ pub mod jsonuse;
 pub mod lexer;
 pub mod locks;
 pub mod panics;
-pub mod queues;
 pub mod rawforward;
 pub mod report;
 pub mod retry;
-pub mod rpclock;
 pub mod source;
-pub mod yields;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use allowlist::{Allowlist, Key, Sections};
@@ -76,20 +71,13 @@ pub const RULES: &[Rule] = &[
     Rule { id: "MOCHI001", name: "lock-order-cycle", section: None },
     Rule { id: "MOCHI002", name: "recursive-lock", section: None },
     Rule { id: "MOCHI003", name: "panic-path", section: Some("panic_paths") },
-    Rule { id: "MOCHI004", name: "blocking-in-ult", section: Some("blocking") },
     Rule { id: "MOCHI005", name: "data-plane-json", section: Some("serde_json") },
-    Rule { id: "MOCHI006", name: "rpc-unregistered", section: Some("contracts") },
-    Rule { id: "MOCHI007", name: "rpc-dead-surface", section: Some("contracts") },
-    Rule { id: "MOCHI008", name: "rpc-type-mismatch", section: Some("contracts") },
-    Rule { id: "MOCHI009", name: "lock-across-yield", section: Some("lock_across_yield") },
     Rule { id: "MOCHI010", name: "stale-allowlist", section: None },
     Rule { id: "MOCHI011", name: "raw-forward-in-client", section: Some("raw_forward") },
     Rule { id: "MOCHI012", name: "deadline-loss", section: Some("deadline_loss") },
     Rule { id: "MOCHI013", name: "retry-unsound", section: Some("retry_soundness") },
     Rule { id: "MOCHI014", name: "relaxed-atomic", section: Some("relaxed_atomics") },
-    Rule { id: "MOCHI015", name: "rpc-under-lock", section: Some("rpc_under_lock") },
     Rule { id: "MOCHI016", name: "swallowed-bg-error", section: Some("background_errors") },
-    Rule { id: "MOCHI017", name: "unbounded-queue-growth", section: Some("queue_growth") },
 ];
 
 /// The registry row of rule `id`.
@@ -97,10 +85,9 @@ pub fn rule(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// The allowlist sections, each once, in registry order.
+/// The allowlist sections in registry order; no two rules share one.
 pub fn sections() -> impl Iterator<Item = &'static str> {
-    let mut seen = BTreeSet::new();
-    RULES.iter().filter_map(|r| r.section).filter(move |s| seen.insert(*s))
+    RULES.iter().filter_map(|r| r.section)
 }
 
 /// What every analysis reports: one site, the rule it breaks, and the
@@ -115,7 +102,7 @@ pub struct Finding {
     /// Enclosing function, `<module>` outside any.
     pub function: String,
     /// What was found, in the rule's own vocabulary (`unwrap`,
-    /// `dead:yokan_watch`, `relay:yokan::state`, …): with file and
+    /// `drop:forward_timeout`, `load:closed`, …): with file and
     /// function, the allowlist key.
     pub kind: String,
     pub line: usize,
@@ -183,7 +170,7 @@ impl LintReport {
         table.into_iter().map(|(n, (r, c))| (n.to_string(), r, c)).collect()
     }
 
-    /// Human-readable report (the default `--format text`).
+    /// Human-readable report.
     pub fn render(&self) -> String {
         report::render_text(self)
     }
@@ -192,19 +179,15 @@ impl LintReport {
 /// Analyzes already-parsed sources against an allowlist. The unit tests
 /// and the fixture tests drive this directly with in-memory snippets.
 pub fn analyze(files: &[SourceFile], allowlist: &Allowlist) -> LintReport {
-    let ignored: BTreeSet<String> = allowlist.ignored_locks.iter().cloned().collect();
     let consts = contracts::ConstTable::build(files);
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut lock_edges = Vec::new();
     let mut contract_sites: Vec<RpcSite> = Vec::new();
     for file in files {
-        let (edges, recursive, yields_found) = locks::extract(file, &ignored);
+        let (edges, recursive) = locks::extract(file);
         lock_edges.extend(edges);
         findings.extend(recursive);
-        if yields::in_scope(&file.rel_path) {
-            findings.extend(yields_found);
-        }
         if panics::in_provider_path(&file.rel_path) {
             findings.extend(panics::scan(file));
         }
@@ -214,22 +197,18 @@ pub fn analyze(files: &[SourceFile], allowlist: &Allowlist) -> LintReport {
         if rawforward::in_client(&file.rel_path) {
             findings.extend(rawforward::scan(file));
         }
-        findings.extend(blocking::scan(file));
         contract_sites.extend(contracts::sites(file, &consts));
     }
     lock_edges.sort();
     contract_sites.sort();
     findings.extend(locks::cycles(&lock_edges));
-    findings.extend(contracts::check(&contract_sites));
 
-    // The interprocedural layer: one call graph under five analyses.
+    // The interprocedural layer: one call graph under three analyses.
     let graph = CallGraph::build(files);
     findings.extend(deadline::check(files, &graph, &contract_sites));
     findings.extend(retry::check(files, &graph, &consts, &contract_sites));
     findings.extend(atomics::check(files));
-    findings.extend(rpclock::check(files, &graph));
     findings.extend(bgerrors::check(files, &graph));
-    findings.extend(queues::check(files, &graph, &contract_sites));
     findings.sort();
 
     // Split into frozen debt and violations: of the sites sharing one

@@ -16,14 +16,11 @@
 //!
 //! The guard-liveness model (birth/death offsets, statement temporaries,
 //! block scopes, `drop`, scrutinee promotion, fresh closure contexts) is
-//! documented on [`crate::dataflow::BodyFlow`]; the lock-held-across-yield
-//! findings (MOCHI009) are derived here too, from yield events falling
-//! inside guard spans.
+//! documented on [`crate::dataflow`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dataflow::BodyFlow;
-use crate::lexer::{column_of, line_of};
+use crate::dataflow::guard_spans;
 use crate::source::SourceFile;
 use crate::Finding;
 
@@ -38,48 +35,38 @@ pub struct LockEdge {
     pub function: String,
 }
 
-/// Extracts lock-order edges, recursive-lock findings (MOCHI002: a
+/// Extracts lock-order edges and recursive-lock findings (MOCHI002: a
 /// re-acquisition of an already-held lock through the identical receiver
 /// chain — an immediate self-deadlock with `parking_lot`; the kind is the
-/// lock class), and lock-held-across-yield findings (MOCHI009, kind
-/// `<suspending call>:<lock class>`; scoped by [`crate::yields::in_scope`])
-/// from one file. All three are projections of the same [`BodyFlow`]
-/// guard spans.
-pub fn extract(
-    file: &SourceFile,
-    ignored: &BTreeSet<String>,
-) -> (Vec<LockEdge>, Vec<Finding>, Vec<Finding>) {
+/// lock class) from one file. Both are projections of the same
+/// [`crate::dataflow::GuardSpan`]s.
+pub fn extract(file: &SourceFile) -> (Vec<LockEdge>, Vec<Finding>) {
     let mut edges = Vec::new();
     let mut recursive = Vec::new();
-    let mut yield_sites = Vec::new();
     for function in &file.functions {
-        let flow = BodyFlow::analyze(file, function.body_start, function.body_end, ignored);
-        let finding = |rule, line, column, kind, message| Finding {
-            rule,
-            file: file.rel_path.clone(),
-            function: function.name.clone(),
-            kind,
-            line,
-            column,
-            message,
-            path: Vec::new(),
-        };
+        let spans = guard_spans(file, function.body_start, function.body_end);
         // An acquisition B while span A is live (same context) is either
         // a recursive re-lock (identical class and receiver chain) or a
         // lock-order edge A → B.
-        for (bi, b) in flow.spans.iter().enumerate() {
-            for (ai, a) in flow.spans.iter().enumerate() {
+        for (bi, b) in spans.iter().enumerate() {
+            for (ai, a) in spans.iter().enumerate() {
                 if ai == bi || a.ctx != b.ctx || !(a.start < b.start && b.start < a.end) {
                     continue;
                 }
                 if a.lock == b.lock && a.chain == b.chain {
-                    recursive.push(finding(
-                        "MOCHI002",
-                        b.line,
-                        b.column,
-                        b.lock.clone(),
-                        format!("{} re-acquired while already held — immediate deadlock", b.lock),
-                    ));
+                    recursive.push(Finding {
+                        rule: "MOCHI002",
+                        file: file.rel_path.clone(),
+                        function: function.name.clone(),
+                        kind: b.lock.clone(),
+                        line: b.line,
+                        column: b.column,
+                        message: format!(
+                            "{} re-acquired while already held — immediate deadlock",
+                            b.lock
+                        ),
+                        path: Vec::new(),
+                    });
                 } else {
                     edges.push(LockEdge {
                         from: a.lock.clone(),
@@ -92,26 +79,8 @@ pub fn extract(
                 }
             }
         }
-        // A suspension point inside a guard span (same context) holds the
-        // guard across the yield.
-        for y in &flow.yields {
-            for span in flow.spans.iter().filter(|s| {
-                s.ctx == y.ctx && s.start < y.offset && y.offset < s.end
-            }) {
-                yield_sites.push(finding(
-                    "MOCHI009",
-                    line_of(&file.text, y.offset),
-                    column_of(&file.text, y.offset),
-                    format!("{}:{}", y.call, span.lock),
-                    format!(
-                        "lock {} held across `{}` — the guard outlives a ULT suspension point",
-                        span.lock, y.call
-                    ),
-                ));
-            }
-        }
     }
-    (edges, recursive, yield_sites)
+    (edges, recursive)
 }
 
 /// The lock-order cycles of the merged edge set as MOCHI001 findings:
@@ -252,7 +221,7 @@ mod tests {
 
     fn edges_of(src: &str) -> Vec<LockEdge> {
         let file = SourceFile::parse("crates/demo/src/lib.rs", src);
-        extract(&file, &BTreeSet::new()).0
+        extract(&file).0
     }
 
     #[test]
@@ -344,7 +313,7 @@ mod tests {
             "crates/demo/src/lib.rs",
             "fn f(&self) { let a = self.alpha.lock(); let b = self.alpha.lock(); }",
         );
-        let (edges, recursive, _) = extract(&file, &BTreeSet::new());
+        let (edges, recursive) = extract(&file);
         assert!(edges.is_empty());
         assert_eq!(recursive.len(), 1);
         assert_eq!((recursive[0].rule, recursive[0].kind.as_str()), ("MOCHI002", "demo::alpha"));
@@ -360,8 +329,8 @@ mod tests {
             "crates/one/src/other.rs",
             "fn g(&self) { let b = self.beta.lock(); let a = self.alpha.lock(); }",
         );
-        let mut edges = extract(&a, &BTreeSet::new()).0;
-        edges.extend(extract(&b, &BTreeSet::new()).0);
+        let mut edges = extract(&a).0;
+        edges.extend(extract(&b).0);
         let cycles = find_cycles(&edges);
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].locks, vec!["one::alpha".to_string(), "one::beta".to_string()]);
@@ -376,18 +345,7 @@ mod tests {
             "crates/one/src/lib.rs",
             "fn f(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); }\nfn g(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); }",
         );
-        let edges = extract(&a, &BTreeSet::new()).0;
+        let edges = extract(&a).0;
         assert!(find_cycles(&edges).is_empty());
-    }
-
-    #[test]
-    fn ignored_locks_are_skipped() {
-        let file = SourceFile::parse(
-            "crates/demo/src/lib.rs",
-            "fn f(&self) { let a = self.buffer.lock(); let b = self.beta.lock(); }",
-        );
-        let ignored: BTreeSet<String> = ["buffer".to_string()].into_iter().collect();
-        let (edges, _, _) = extract(&file, &ignored);
-        assert!(edges.is_empty(), "{edges:?}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p mochi-lint -- --root . [--allowlist lint-allow.json]
-//!     [--format text|json] [--write-allowlist]
+//!     [--write-allowlist]
 //! ```
 //!
 //! Exit codes:
@@ -22,7 +22,6 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut allowlist_path: Option<PathBuf> = None;
     let mut write_allowlist = false;
-    let mut json = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -35,18 +34,9 @@ fn main() -> ExitCode {
                 Some(v) => allowlist_path = Some(PathBuf::from(v)),
                 None => return usage("--allowlist needs a path"),
             },
-            "--format" => match args.next().as_deref() {
-                Some("text") => json = false,
-                Some("json") => json = true,
-                Some(other) => return usage(&format!("unknown format '{other}'")),
-                None => return usage("--format needs text|json"),
-            },
             "--write-allowlist" => write_allowlist = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "mochi-lint --root <workspace> [--allowlist <json>] \
-                     [--format text|json] [--write-allowlist]"
-                );
+                eprintln!("mochi-lint --root <workspace> [--allowlist <json>] [--write-allowlist]");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument '{other}'")),
@@ -70,7 +60,7 @@ fn main() -> ExitCode {
     };
 
     if write_allowlist {
-        // Freeze what is there now; reasons and ignored locks carry over.
+        // Freeze what is there now; reasons carry over.
         let frozen = Allowlist { sections: lint.counts.clone(), ..allowlist };
         if let Err(e) = std::fs::write(&allowlist_path, frozen.to_json()) {
             eprintln!("mochi-lint: writing {allowlist_path:?}: {e}");
@@ -84,11 +74,7 @@ fn main() -> ExitCode {
         println!("wrote allowances to {}: {}", allowlist_path.display(), per_section.join(", "));
     }
 
-    if json {
-        print!("{}", report::render_json(&lint));
-    } else {
-        print!("{}", report::render_text(&lint));
-    }
+    print!("{}", report::render_text(&lint));
 
     if !lint.is_clean() {
         return ExitCode::FAILURE;

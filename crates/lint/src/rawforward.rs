@@ -48,7 +48,7 @@ pub const WRAPPERS: &[&str] = &["call", "call_raw", "post", "post_raw"];
 
 /// Whether the raw-forward lint applies to `rel_path`.
 pub fn in_client(rel_path: &str) -> bool {
-    CLIENT_PATHS.iter().any(|p| rel_path == *p)
+    CLIENT_PATHS.contains(&rel_path)
 }
 
 /// Scans one client file for [`FORWARD_FAMILY`] method calls outside the

@@ -1,10 +1,8 @@
-//! Reporting layer: the `text` and `json` renderers over a
-//! [`LintReport`]. Rule ids and names come from [`crate::RULES`]; the
-//! JSON document is the machine-readable form of the same report.
+//! Reporting layer: the text renderer over a [`LintReport`]. Rule ids
+//! and names come from [`crate::RULES`].
 
 use std::fmt::Write as _;
 
-use crate::allowlist::quote;
 use crate::{Finding, LintReport};
 
 /// Every finding of the report with its level: the violations (`error`,
@@ -18,7 +16,7 @@ fn rule_name(finding: &Finding) -> &'static str {
     crate::rule(finding.rule).map_or("unregistered-rule", |r| r.name)
 }
 
-/// Human-readable report (the default `--format text`).
+/// Human-readable report.
 pub fn render_text(report: &LintReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -59,64 +57,6 @@ pub fn render_text(report: &LintReport) -> String {
     out
 }
 
-/// The items of a JSON array, one per line.
-fn array_body(items: &[String]) -> String {
-    let lines: Vec<String> = items.iter().map(|item| format!("    {item}")).collect();
-    lines.join(",\n") + if lines.is_empty() { "" } else { "\n" }
-}
-
-/// Machine-readable JSON document.
-pub fn render_json(report: &LintReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"version\": 1,");
-    let _ = writeln!(out, "  \"summary\": {{");
-    let _ = writeln!(out, "    \"files\": {},", report.files);
-    let _ = writeln!(out, "    \"lock_edges\": {},", report.lock_edges.len());
-    let _ = writeln!(out, "    \"rpc_sites\": {},", report.contract_sites.len());
-    let _ = writeln!(out, "    \"rpc_names\": {},", report.rpc_names().len());
-    let _ = writeln!(out, "    \"errors\": {},", report.violations.len());
-    let _ = writeln!(out, "    \"stale_allowlist\": {},", report.stale_entries.len());
-    let allowed: Vec<String> = crate::sections()
-        .map(|s| format!("      \"{s}\": {}", report.allowed.get(s).copied().unwrap_or(0)))
-        .collect();
-    let _ = writeln!(out, "    \"allowed\": {{\n{}\n    }},", allowed.join(",\n"));
-    let _ = writeln!(out, "    \"call_graph\": {{");
-    let _ = writeln!(out, "      \"nodes\": {},", report.graph_stats.nodes);
-    let _ = writeln!(out, "      \"edges\": {},", report.graph_stats.edges);
-    let _ = writeln!(out, "      \"resolved\": {},", report.graph_stats.resolved_calls);
-    let _ = writeln!(out, "      \"unresolved\": {},", report.graph_stats.unresolved_calls);
-    let _ = writeln!(out, "      \"fallback\": {}", report.graph_stats.fallback_edges);
-    let _ = writeln!(out, "    }}");
-    let _ = writeln!(out, "  }},");
-    let findings: Vec<String> = leveled(report)
-        .map(|(level, f)| {
-            format!(
-                "{{\"rule\": {}, \"name\": {}, \"level\": {}, \"file\": {}, \"line\": {}, \"column\": {}, \"function\": {}, \"message\": {}}}",
-                quote(f.rule),
-                quote(rule_name(f)),
-                quote(level),
-                quote(&f.file),
-                f.line,
-                f.column,
-                quote(&f.function),
-                quote(&f.message)
-            )
-        })
-        .collect();
-    let _ = writeln!(out, "  \"findings\": [\n{}  ],", array_body(&findings));
-    let contracts: Vec<String> = report
-        .rpc_names()
-        .iter()
-        .map(|(name, registrations, calls)| {
-            let name = quote(name);
-            format!("{{\"rpc\": {name}, \"registrations\": {registrations}, \"calls\": {calls}}}")
-        })
-        .collect();
-    let _ = writeln!(out, "  \"contracts\": [\n{}  ]", array_body(&contracts));
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,19 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn json_document_parses_with_allowlist_reader() {
-        // Reuse the crate's own minimal JSON parser as a syntax check:
-        // the document is JSON, and not an allowlist.
-        let report = demo_report();
-        let json = render_json(&report);
-        let error = Allowlist::from_json(&json).unwrap_err();
-        assert!(error.contains("unknown allowlist section"), "{error}");
-        assert!(json.contains("\"findings\""));
-        assert!(json.contains("\"rpc\": \"yokan_put\""));
-        assert!(json.contains("MOCHI003"));
-    }
-
-    #[test]
     fn stale_entries_render_as_warnings() {
         let mut allowlist = Allowlist::default();
         allowlist.sections.entry("panic_paths").or_default().insert(
@@ -171,6 +98,5 @@ mod tests {
         assert_eq!(report.stale_entries.len(), 1);
         let text = render_text(&report);
         assert!(text.contains("WARNING [MOCHI010 stale-allowlist] lint-allow.json:1:1"), "{text}");
-        assert!(render_json(&report).contains("\"level\": \"warning\""));
     }
 }

@@ -126,12 +126,12 @@ fn extract_functions(text: &[u8]) -> Vec<Function> {
                 }
             }
             if let Some(open) = body {
-                let end = lexer::matching_brace(&text, open);
+                let end = lexer::matching_brace(text, open);
                 functions.push(Function {
                     name,
                     body_start: open,
                     body_end: end,
-                    start_line: lexer::line_of(&text, i),
+                    start_line: lexer::line_of(text, i),
                 });
                 // Continue scanning *inside* the body too (nested fns).
                 i = open + 1;

@@ -98,26 +98,6 @@ fn panic_outside_provider_paths_is_not_flagged() {
 }
 
 #[test]
-fn sleep_in_ult_closure_is_flagged_and_freezable() {
-    let files = parse(&[(
-        "crates/core/src/service.rs",
-        "fn spawn_work(pool: &Pool) { pool.push(Ult::new(\"w\", move || { std::thread::sleep(TICK); })); }",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert_eq!(report.violations_of("MOCHI004").len(), 1);
-    assert_eq!(report.violations_of("MOCHI004")[0].kind, "sleep");
-
-    let allowlist = Allowlist::from_json(
-        r#"{"version": 1, "blocking": [
-            {"file": "crates/core/src/service.rs", "function": "spawn_work", "kind": "sleep", "count": 1}
-        ]}"#,
-    )
-    .unwrap();
-    let report = mochi_lint::analyze(&files, &allowlist);
-    assert!(report.is_clean(), "{}", report.render());
-}
-
-#[test]
 fn recursive_relock_is_fatal_and_not_allowlistable() {
     let files = parse(&[(
         "crates/argobots/src/pool.rs",
@@ -130,10 +110,9 @@ fn recursive_relock_is_fatal_and_not_allowlistable() {
 }
 
 #[test]
-fn ignored_locks_suppress_instance_aliasing() {
-    // Two different *instances* of the same per-object lock class held
-    // together would alias into a self-edge; `ignored_locks` opts the
-    // class out of the graph.
+fn two_instances_of_one_lock_class_read_as_a_self_edge() {
+    // Locks are identified by class: two different *instances* of the
+    // same per-object lock held together alias into a self-edge.
     let files = parse(&[(
         "crates/mercury/src/bulk.rs",
         "fn copy(src: &Region, dst: &Region) { let a = src.buffer.lock(); let mut b = dst.buffer.lock(); }",
@@ -143,11 +122,6 @@ fn ignored_locks_suppress_instance_aliasing() {
     let cycle = report.violations_of("MOCHI001");
     assert_eq!(cycle.len(), 1);
     assert_eq!(cycle[0].kind, "mercury::buffer->mercury::buffer");
-
-    let allowlist =
-        Allowlist::from_json(r#"{"version": 1, "ignored_locks": ["buffer"]}"#).unwrap();
-    let report = mochi_lint::analyze(&files, &allowlist);
-    assert!(report.is_clean(), "{}", report.render());
 }
 
 /// The provider side of the posting-form fixtures below.
@@ -215,11 +189,12 @@ fn posting_form_through_the_client_chokepoint_passes() {
 
 #[test]
 fn the_rule_registry_is_consistent_with_the_committed_allowlist() {
-    // Every rule id and name once.
+    // Every rule id, name and allowlist section once.
     for (i, a) in mochi_lint::RULES.iter().enumerate() {
         for b in &mochi_lint::RULES[i + 1..] {
             assert_ne!(a.id, b.id, "rule id registered twice");
             assert_ne!(a.name, b.name, "rule name registered twice");
+            assert!(a.section.is_none() || a.section != b.section, "section owned twice");
         }
     }
 
@@ -238,7 +213,12 @@ fn the_rule_registry_is_consistent_with_the_committed_allowlist() {
     }
     assert_eq!(allowlist.to_json(), committed, "the committed file is in canonical form");
 
-    // A section no rule owns is still rejected.
-    let error = Allowlist::from_json(r#"{"version": 1, "no_such_rule": []}"#).unwrap_err();
-    assert!(error.contains("unknown allowlist section 'no_such_rule'"), "{error}");
+    // A key no rule owns is rejected by name — a retired rule's section
+    // and the retired `ignored_locks` opt-out included, so a stale debt
+    // file cannot silently pass.
+    for key in ["no_such_rule", "blocking", "ignored_locks"] {
+        let error =
+            Allowlist::from_json(&format!(r#"{{"version": 1, "{key}": []}}"#)).unwrap_err();
+        assert!(error.contains(&format!("unknown allowlist section '{key}'")), "{error}");
+    }
 }

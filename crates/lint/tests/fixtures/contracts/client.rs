@@ -1,15 +1,12 @@
-//! Fixture client: one call with both an argument and a reply type that
-//! disagree with the registration, one clean call, and one call to an
-//! RPC name nothing registers.
+//! Fixture client: two calls to registered RPCs and one to a name
+//! nothing registers.
 
 use crate::rpc_names as rpc;
 
 impl MiniClient {
     fn put(&self) -> Result<(), E> {
-        // Wrong argument type (GetArgs, registered as PutArgs) and wrong
-        // reply type (WrongReply, registered as PutReply).
-        let _: WrongReply =
-            self.margo.forward(&self.addr, rpc::PUT, 1, &GetArgs { value: 1 })?;
+        let _: PutReply =
+            self.margo.forward(&self.addr, rpc::PUT, 1, &PutArgs { value: 1 })?;
         Ok(())
     }
 

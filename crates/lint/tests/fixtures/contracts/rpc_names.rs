@@ -1,12 +1,11 @@
-//! RPC names of the fixture mini-crate. `MISSING` is deliberately never
-//! registered and `ORPHAN` is deliberately never called — the contract
-//! checker must flag both.
+//! RPC names of the fixture mini-crate. `MISSING` is never registered and
+//! `ORPHAN` is never called: the table must count both sides separately.
 
-/// Registered and called, but with mismatched types on both directions.
+/// Registered and called.
 pub const PUT: &str = "mini_put";
-/// Registered and called consistently (the one clean RPC).
+/// Registered and called.
 pub const GET: &str = "mini_get";
-/// Registered, never called: dead surface (MOCHI007).
+/// Registered, never called.
 pub const ORPHAN: &str = "mini_orphan";
-/// Called, never registered (MOCHI006).
+/// Called, never registered.
 pub const MISSING: &str = "mini_missing";

@@ -1,8 +1,6 @@
-//! End-to-end fixtures for the guard/dataflow rules: each of MOCHI015
-//! (RPC under lock), MOCHI016 (swallowed background error), and
-//! MOCHI017 (unbounded queue growth) gets at least one true-positive
-//! and one true-negative case, driven through the full `analyze`
-//! pipeline the CLI uses.
+//! End-to-end fixtures for MOCHI016 (swallowed background error):
+//! true-positive and true-negative cases, driven through the full
+//! `analyze` pipeline the CLI uses.
 
 use mochi_lint::allowlist::Allowlist;
 use mochi_lint::source::SourceFile;
@@ -11,111 +9,90 @@ fn parse(files: &[(&str, &str)]) -> Vec<SourceFile> {
     files.iter().map(|(path, src)| SourceFile::parse(path, src)).collect()
 }
 
-// ---------------------------------------------------------------- MOCHI015
-
-#[test]
-fn rpc_under_lock_flags_guard_across_direct_forwarding_call() {
-    let files = parse(&[(
-        "crates/yokan/src/provider.rs",
-        "struct Prov { state: OrderedMutex<Inner> }\n\
-         impl Prov {\n\
-             fn handle(&self, v: u64) { let g = self.state.lock(); self.relay(v); }\n\
-             fn relay(&self, v: u64) { self.margo.forward(&dest(), \"yokan_next\", 1, &v).ok(); }\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI015");
-    assert_eq!(found.len(), 1, "{found:?}");
-    let r = found[0];
-    assert_eq!(r.function, "handle");
-    assert_eq!(r.kind, "relay:yokan::state");
-    assert!(report.render().contains("MOCHI015"));
-}
-
-#[test]
-fn rpc_under_lock_follows_trait_dispatch_to_the_forward() {
-    // The guard-holding caller only sees `dyn Sink`; the forward lives
-    // in one of the impls. The trait edge must carry reachability.
-    let files = parse(&[(
-        "crates/yokan/src/provider.rs",
-        "trait Sink { fn emit(&self, v: u64); }\n\
-         struct Remote { margo: MargoRuntime }\n\
-         impl Sink for Remote {\n\
-             fn emit(&self, v: u64) { self.margo.forward(&dest(), \"yokan_next\", 1, &v).ok(); }\n\
-         }\n\
-         struct Local;\n\
-         impl Sink for Local { fn emit(&self, _v: u64) {} }\n\
-         struct Prov { state: OrderedMutex<Inner>, sink: Arc<dyn Sink> }\n\
-         impl Prov {\n\
-             fn handle(&self, v: u64) { let g = self.state.lock(); self.sink.emit(v); }\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI015");
-    assert_eq!(found.len(), 1, "{found:?}");
-    let r = found[0];
-    assert_eq!(r.function, "handle");
-    assert_eq!(r.kind, "emit:yokan::state");
-    assert!(r.path.last().unwrap().contains("forward"), "{:?}", r.path);
-}
-
-#[test]
-fn rpc_under_lock_accepts_drop_before_the_call() {
-    // The workspace idiom: compute under the lock, drop the guard, then
-    // RPC. Must stay clean even when the drop is inside a branch.
-    let files = parse(&[(
-        "crates/yokan/src/provider.rs",
-        "struct Prov { state: OrderedMutex<Inner> }\n\
-         impl Prov {\n\
-             fn handle(&self, v: u64) {\n\
-                 let g = self.state.lock();\n\
-                 match v { 0 => { drop(g); } _ => { drop(g); } }\n\
-                 self.relay(v);\n\
-             }\n\
-             fn relay(&self, v: u64) { self.margo.forward(&dest(), \"yokan_next\", 1, &v).ok(); }\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.violations_of("MOCHI015").is_empty(), "{}", report.render());
-}
-
-#[test]
-fn rpc_under_lock_ignores_plain_mutexes() {
-    // Only the rank-ordered lock hierarchy is in scope; a parking_lot
-    // Mutex on a leaf cache does not carry the progress-engine risk the
-    // rule models (MOCHI009 still covers direct forwards under it).
-    let files = parse(&[(
-        "crates/yokan/src/provider.rs",
-        "struct Prov { state: Mutex<Inner> }\n\
-         impl Prov {\n\
-             fn handle(&self, v: u64) { let g = self.state.lock(); self.relay(v); }\n\
-             fn relay(&self, v: u64) { self.margo.forward(&dest(), \"yokan_next\", 1, &v).ok(); }\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.violations_of("MOCHI015").is_empty(), "{}", report.render());
-}
-
 // ---------------------------------------------------------------- MOCHI016
 
 #[test]
 fn swallowed_bg_error_flags_let_underscore_in_spawn() {
-    let files = parse(&[(
+    // The second input is the bug the rule last caught in this tree (raft
+    // at `2aac269`): an election thread that drops a failed `save_meta` of
+    // its own vote, and vote threads that drop a failed `send` of the
+    // reply.
+    let writer: &[(&str, &str)] = &[(
         "crates/yokan/src/writer.rs",
         "impl Writer {\n\
-             fn kick(&self) {\n\
-                 let tx = self.tx.clone();\n\
-                 std::thread::spawn(move || { let _ = tx.send(compact()); });\n\
-             }\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI016");
-    assert_eq!(found.len(), 1, "{found:?}");
-    let b = found[0];
-    assert_eq!(b.kind, "let_underscore:send");
-    assert_eq!(b.function, "kick");
-    assert!(report.render().contains("MOCHI016"));
+                 fn kick(&self) {\n\
+                     let tx = self.tx.clone();\n\
+                     std::thread::spawn(move || { let _ = tx.send(compact()); });\n\
+                 }\n\
+             }\n",
+    )];
+    let raft: &[(&str, &str)] = &[
+        (
+            "crates/raft/src/node.rs",
+            "impl RaftNode {\n\
+                 fn collect_votes(inner: &Arc<Inner>, args: &RequestVoteArgs, peers: &[Address]) -> bool {\n\
+                     let (tx, rx) = bounded::<RequestVoteReply>(peers.len().max(1));\n\
+                     for peer in peers {\n\
+                         let tx = tx.clone();\n\
+                         std::thread::Builder::new()\n\
+                             .name(\"raft-vote\".into())\n\
+                             .spawn(move || {\n\
+                                 let reply: Result<RequestVoteReply, _> = inner.margo.forward_timeout(&peer, rpc::REQUEST_VOTE, inner.provider_id, &args, t);\n\
+                                 if let Ok(reply) = reply {\n\
+                                     let _ = tx.send(reply);\n\
+                                 }\n\
+                             })\n\
+                             .expect(\"spawn vote thread\");\n\
+                     }\n\
+                     tally(rx)\n\
+                 }\n\
+                 fn run_election(&self, proposed: Term, prevote_args: RequestVoteArgs, peers: Vec<Address>) {\n\
+                     let inner = Arc::clone(&self.inner);\n\
+                     std::thread::Builder::new()\n\
+                         .name(\"raft-election\".into())\n\
+                         .spawn(move || {\n\
+                             if !Self::collect_votes(&inner, &prevote_args, &peers) {\n\
+                                 return;\n\
+                             }\n\
+                             let mut core = inner.core.lock();\n\
+                             core.meta.term = proposed;\n\
+                             core.meta.voted_for = Some(inner.margo.address());\n\
+                             let _ = inner.storage.save_meta(&core.meta);\n\
+                         })\n\
+                         .expect(\"spawn election thread\");\n\
+                 }\n\
+             }\n",
+        ),
+        (
+            "crates/raft/src/storage.rs",
+            "impl Storage {\n\
+                 pub fn save_meta(&self, meta: &PersistentMeta) -> Result<(), RaftError> {\n\
+                     std::fs::write(&self.meta_path, encode(meta)).map_err(RaftError::Io)\n\
+                 }\n\
+             }\n",
+        ),
+    ];
+    // (input, the findings as (function, kind))
+    let cases: [(&[(&str, &str)], &[(&str, &str)]); 2] = [
+        (writer, &[("kick", "let_underscore:send")]),
+        (
+            raft,
+            &[
+                ("collect_votes", "let_underscore:send"),
+                ("run_election", "let_underscore:save_meta"),
+            ],
+        ),
+    ];
+    for (input, expected) in cases {
+        let report = mochi_lint::analyze(&parse(input), &Allowlist::default());
+        let found: Vec<(&str, &str)> = report
+            .violations_of("MOCHI016")
+            .iter()
+            .map(|f| (f.function.as_str(), f.kind.as_str()))
+            .collect();
+        assert_eq!(found, expected, "{}", report.render());
+        assert!(report.render().contains("MOCHI016"));
+    }
 }
 
 #[test]
@@ -170,55 +147,4 @@ fn swallowed_bg_error_ignores_foreground_discards() {
     )]);
     let report = mochi_lint::analyze(&files, &Allowlist::default());
     assert!(report.violations_of("MOCHI016").is_empty(), "{}", report.render());
-}
-
-// ---------------------------------------------------------------- MOCHI017
-
-const QUEUE_PREAMBLE: &str = "fn register_all(margo: &MargoRuntime) {\n\
-     margo.register_typed(\"yokan_put\", 1, None, move |v: u64, _ctx| { worker(v); Ok(0) });\n\
- }\n";
-
-#[test]
-fn queue_growth_flags_unbounded_push_loop() {
-    let src = format!(
-        "{QUEUE_PREAMBLE}\
-         fn worker(v: u64) {{ for item in expand(v) {{ STATE.pending.lock().push(item); }} }}\n"
-    );
-    let files = parse(&[("crates/yokan/src/provider.rs", &src)]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI017");
-    assert_eq!(found.len(), 1, "{found:?}");
-    let q = found[0];
-    assert_eq!(q.kind, "grow:push:pending");
-    assert_eq!(q.function, "worker");
-    assert!(report.render().contains("MOCHI017"));
-}
-
-#[test]
-fn queue_growth_accepts_bounded_push_loop() {
-    // The same loop gated on a capacity check is backpressure, not
-    // growth.
-    let src = format!(
-        "{QUEUE_PREAMBLE}\
-         fn worker(v: u64) {{ for item in expand(v) {{ if STATE.pending.lock().len() < CAP {{ STATE.pending.lock().push(item); }} }} }}\n"
-    );
-    let files = parse(&[("crates/yokan/src/provider.rs", &src)]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.violations_of("MOCHI017").is_empty(), "{}", report.render());
-}
-
-#[test]
-fn queue_growth_accepts_drained_queue_and_local_accumulators() {
-    let src = format!(
-        "{QUEUE_PREAMBLE}\
-         fn worker(v: u64) {{\n\
-             let mut out = Vec::new();\n\
-             for item in expand(v) {{ out.push(item); STATE.pending.lock().push(item); }}\n\
-             consume(out);\n\
-         }}\n\
-         fn flush() {{ while let Some(x) = STATE.pending.lock().pop() {{ emit(x); }} }}\n"
-    );
-    let files = parse(&[("crates/yokan/src/provider.rs", &src)]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.violations_of("MOCHI017").is_empty(), "{}", report.render());
 }

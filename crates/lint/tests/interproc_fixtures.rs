@@ -16,7 +16,12 @@ fn parse(files: &[(&str, &str)]) -> Vec<SourceFile> {
 
 #[test]
 fn deadline_loss_flags_handler_reachable_top_level_forward() {
-    let files = parse(&[(
+    // The second input is the bug the rule last caught in this tree
+    // (bedrock + remi at `92429ac`): the `start_provider` handler looks a
+    // dependency up on another process with a context-less `forward`,
+    // and the `migrate_provider` handler reaches the REMI client's
+    // `forward_timeout` chokepoint three calls down.
+    let minimal: &[(&str, &str)] = &[(
         "crates/omega/src/server.rs",
         "pub fn register_all(margo: &MargoRuntime) {\n\
              margo.register_typed(\"omega_echo\", 1, None, move |v: u64, _ctx| relay(margo2, v));\n\
@@ -24,15 +29,90 @@ fn deadline_loss_flags_handler_reachable_top_level_forward() {
          fn relay(margo: &MargoRuntime, v: u64) -> Result<u64, String> {\n\
              margo.forward(&dest(), \"omega_next\", 1, &v).map_err(|e| e.to_string())\n\
          }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI012");
-    assert_eq!(found.len(), 1, "{found:?}");
-    let d = found[0];
-    assert_eq!(d.kind, "drop:forward");
-    assert_eq!(d.function, "relay");
-    assert_eq!(d.path, vec!["register_all".to_string(), "relay".to_string()]);
-    assert!(report.render().contains("MOCHI012"));
+    )];
+    let bedrock_and_remi: &[(&str, &str)] = &[
+        (
+            "crates/bedrock/src/server.rs",
+            "pub mod proto {\n\
+                 pub const START_PROVIDER: &str = \"bedrock_start_provider\";\n\
+                 pub const MIGRATE_PROVIDER: &str = \"bedrock_migrate_provider\";\n\
+                 pub const LOOKUP_PROVIDER: &str = \"bedrock_lookup_provider\";\n\
+             }\n\
+             impl BedrockServer {\n\
+                 fn register_rpcs(&self) -> Result<(), BedrockError> {\n\
+                     handler!(proto::START_PROVIDER, ProviderSpec, |server, a| {\n\
+                         server.start_provider(&a).map(|_| json!(true)).map_err(|e| e.to_rpc_string())\n\
+                     });\n\
+                     handler!(proto::MIGRATE_PROVIDER, proto::MigrateArgs, |server, a| {\n\
+                         server.migrate_provider(&a.name, &dest, a.strategy).map_err(|e| e.to_rpc_string())\n\
+                     });\n\
+                     Ok(())\n\
+                 }\n\
+                 pub fn start_provider(&self, spec: &ProviderSpec) -> Result<(), BedrockError> {\n\
+                     let dependencies = self.resolve_dependencies(spec)?;\n\
+                     self.instantiate(spec, dependencies)\n\
+                 }\n\
+                 fn resolve_dependencies(&self, spec: &ProviderSpec) -> Result<Vec<proto::ProviderInfo>, BedrockError> {\n\
+                     let info = self\n\
+                         .inner\n\
+                         .margo\n\
+                         .forward::<_, proto::ProviderInfo>(&address, proto::LOOKUP_PROVIDER, self.inner.provider_id, &proto::NameArgs { name: name.clone() })\n\
+                         .map_err(BedrockError::Margo)?;\n\
+                     Ok(vec![info])\n\
+                 }\n\
+                 pub fn migrate_provider(&self, name: &str, dest: &Address, strategy: Strategy) -> Result<proto::MigrateReply, BedrockError> {\n\
+                     let remi = RemiClient::new(&self.inner.margo);\n\
+                     let report = remi\n\
+                         .migrate(dest, REMI_PROVIDER_ID, &fileset, strategy, &options)\n\
+                         .map_err(BedrockError::Margo)?;\n\
+                     Ok(proto::MigrateReply { files: report.files })\n\
+                 }\n\
+             }\n",
+        ),
+        (
+            "crates/remi/src/client.rs",
+            "impl RemiClient {\n\
+                 fn call<I: Serialize, O: DeserializeOwned>(&self, rpc_name: &str, input: &I, dest: &Address, provider_id: u16, timeout: Duration) -> Result<O, MargoError> {\n\
+                     self.margo.forward_timeout(dest, rpc_name, provider_id, input, timeout)\n\
+                 }\n\
+                 pub fn migrate(&self, dest: &Address, provider_id: u16, fileset: &FileSet, strategy: Strategy, options: &MigrationOptions) -> Result<MigrationReport, MargoError> {\n\
+                     let started: StartReply = self.call(rpc::START, &start, dest, provider_id, options.timeout)?;\n\
+                     self.finish(started)\n\
+                 }\n\
+             }\n",
+        ),
+    ];
+    // (input, the findings as (function, kind, witness path))
+    let cases: [(&[(&str, &str)], &[(&str, &str, &str)]); 2] = [
+        (minimal, &[("relay", "drop:forward", "register_all -> relay")]),
+        (
+            bedrock_and_remi,
+            &[
+                (
+                    "resolve_dependencies",
+                    "drop:forward",
+                    "register_rpcs -> start_provider -> resolve_dependencies",
+                ),
+                (
+                    "call",
+                    "drop:forward_timeout",
+                    "register_rpcs -> migrate_provider -> migrate -> call",
+                ),
+            ],
+        ),
+    ];
+    for (input, expected) in cases {
+        let report = mochi_lint::analyze(&parse(input), &Allowlist::default());
+        let found: Vec<(&str, &str, String)> = report
+            .violations_of("MOCHI012")
+            .iter()
+            .map(|f| (f.function.as_str(), f.kind.as_str(), f.path.join(" -> ")))
+            .collect();
+        let expected: Vec<(&str, &str, String)> =
+            expected.iter().map(|(f, k, p)| (*f, *k, p.to_string())).collect();
+        assert_eq!(found, expected, "{}", report.render());
+        assert!(report.render().contains("MOCHI012"));
+    }
 }
 
 #[test]
@@ -196,7 +276,11 @@ fn retry_soundness_resolves_the_const_array_loop_form() {
 
 #[test]
 fn relaxed_atomics_flags_decision_load_with_foreign_writer() {
-    let files = parse(&[(
+    // The second input is the bug the rule last caught in this tree
+    // (mercury at `92429ac`): the fabric's and the endpoint's `closed`
+    // flags, published `Relaxed` by `shutdown` and read `Relaxed` by the
+    // send and progress paths that decide on them.
+    let breaker: &[(&str, &str)] = &[(
         "crates/omega/src/breaker.rs",
         "pub struct Breaker { closed: AtomicBool }\n\
          impl Breaker {\n\
@@ -210,14 +294,64 @@ fn relaxed_atomics_flags_decision_load_with_foreign_writer() {
                  self.closed.store(true, Ordering::SeqCst);\n\
              }\n\
          }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI014");
-    assert_eq!(found.len(), 1, "{found:?}");
-    let a = found[0];
-    assert_eq!(a.kind, "load:closed");
-    assert_eq!(a.function, "admit");
-    assert!(report.render().contains("MOCHI014"));
+    )];
+    let mercury: &[(&str, &str)] = &[
+        (
+            "crates/mercury/src/endpoint.rs",
+            "pub struct Endpoint { closed: AtomicBool }\n\
+             impl Endpoint {\n\
+                 fn ensure_open(&self) -> Result<(), MercuryError> {\n\
+                     if self.closed.load(Ordering::Relaxed) {\n\
+                         Err(MercuryError::LocalShutdown)\n\
+                     } else {\n\
+                         Ok(())\n\
+                     }\n\
+                 }\n\
+                 pub fn progress(&self, timeout: Duration) -> Result<Option<Incoming>, MercuryError> {\n\
+                     loop {\n\
+                         if self.closed.load(Ordering::Relaxed) {\n\
+                             return Err(MercuryError::LocalShutdown);\n\
+                         }\n\
+                         if let Some(incoming) = self.poll(timeout) {\n\
+                             return Ok(Some(incoming));\n\
+                         }\n\
+                     }\n\
+                 }\n\
+             }\n",
+        ),
+        (
+            "crates/mercury/src/fabric.rs",
+            "struct FabricInner { closed: AtomicBool }\n\
+             impl Fabric {\n\
+                 pub fn shutdown(&self) {\n\
+                     self.inner.closed.store(true, Ordering::Relaxed);\n\
+                     self.inner.scheduler.lock().heap.clear();\n\
+                 }\n\
+             }\n",
+        ),
+    ];
+    // (input, the findings as (function, kind))
+    let cases: [(&[(&str, &str)], &[(&str, &str)]); 2] = [
+        (breaker, &[("admit", "load:closed")]),
+        (
+            mercury,
+            &[
+                ("ensure_open", "load:closed"),
+                ("progress", "load:closed"),
+                ("shutdown", "store:closed"),
+            ],
+        ),
+    ];
+    for (input, expected) in cases {
+        let report = mochi_lint::analyze(&parse(input), &Allowlist::default());
+        let found: Vec<(&str, &str)> = report
+            .violations_of("MOCHI014")
+            .iter()
+            .map(|f| (f.function.as_str(), f.kind.as_str()))
+            .collect();
+        assert_eq!(found, expected, "{}", report.render());
+        assert!(report.render().contains("MOCHI014"));
+    }
 }
 
 #[test]

@@ -123,23 +123,21 @@ impl RaftStorage {
             return Vec::new();
         };
         let mut entries = Vec::new();
-        let mut pos = 0usize;
-        while pos + 4 <= data.len() {
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-            if pos + 4 + len + 4 > data.len() {
-                break;
-            }
-            let body = &data[pos + 4..pos + 4 + len];
-            let stored =
-                u32::from_le_bytes(data[pos + 4 + len..pos + 8 + len].try_into().unwrap());
-            if crc32(body) != stored {
+        // `[u32 len][body][u32 crc]` records; the first one that is short,
+        // fails its checksum or does not parse is the torn tail.
+        let mut rest = data.as_slice();
+        while let Some((len, after)) = rest.split_first_chunk::<4>() {
+            let len = u32::from_le_bytes(*len) as usize;
+            let Some((body, after)) = after.split_at_checked(len) else { break };
+            let Some((stored, after)) = after.split_first_chunk::<4>() else { break };
+            if crc32(body) != u32::from_le_bytes(*stored) {
                 break;
             }
             match serde_json::from_slice(body) {
                 Ok(entry) => entries.push(entry),
                 Err(_) => break,
             }
-            pos += 8 + len;
+            rest = after;
         }
         entries
     }

@@ -83,7 +83,7 @@ use mochi_util::checksum::Crc32Hasher;
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
 use mochi_util::{crc32, fnv1a64, mix64};
 
-use super::{Database, YokanError};
+use super::{le_u32_at, Database, YokanError};
 use crate::version::{decode_record, record_is_newer};
 
 /// Upper bound on the stripe count; the lock hierarchy reserves
@@ -328,22 +328,20 @@ impl SsTable {
             .map_err(|e| YokanError::Io(format!("open {}: {e}", path.display())))?;
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
-        if data.len() < 4 {
+        let Some((body, crc_bytes)) = data.split_last_chunk::<4>() else {
             return Err(YokanError::Corrupt(format!("{} too short", path.display())));
-        }
-        let (body, crc_bytes) = data.split_at(data.len() - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(body) != stored_crc {
+        };
+        if crc32(body) != u32::from_le_bytes(*crc_bytes) {
             return Err(YokanError::Corrupt(format!("{} checksum mismatch", path.display())));
         }
         let mut index = BTreeMap::new();
         let mut pos = 0usize;
         while pos < body.len() {
-            if pos + 8 > body.len() {
+            let (Some(klen), Some(vlen_raw)) = (le_u32_at(body, pos), le_u32_at(body, pos + 4))
+            else {
                 return Err(YokanError::Corrupt(format!("{} truncated record", path.display())));
-            }
-            let klen = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
-            let vlen_raw = u32::from_le_bytes(body[pos + 4..pos + 8].try_into().unwrap());
+            };
+            let klen = klen as usize;
             pos += 8;
             if pos + klen > body.len() {
                 return Err(YokanError::Corrupt(format!("{} truncated key", path.display())));
@@ -538,18 +536,14 @@ fn wal_record_into(out: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
 fn replay_wal(data: &[u8], memtable: &mut Memtable) -> usize {
     let mut pos = 0usize;
     let mut bytes = 0usize;
-    while pos + 13 <= data.len() {
-        let op = data[pos];
-        let klen = u32::from_le_bytes(data[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        let vlen = u32::from_le_bytes(data[pos + 5..pos + 9].try_into().unwrap()) as usize;
+    while let (Some(&op), Some(klen), Some(vlen)) =
+        (data.get(pos), le_u32_at(data, pos + 1), le_u32_at(data, pos + 5))
+    {
+        let (klen, vlen) = (klen as usize, vlen as usize);
         let total = 9 + klen + vlen + 4;
-        if pos + total > data.len() {
-            break;
-        }
-        let record = &data[pos..pos + total];
-        let (body, crc_bytes) = record.split_at(total - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored {
+        let Some(record) = data.get(pos..pos + total) else { break };
+        let Some((body, crc_bytes)) = record.split_last_chunk::<4>() else { break };
+        if crc32(body) != u32::from_le_bytes(*crc_bytes) {
             break;
         }
         let key = record[9..9 + klen].to_vec();

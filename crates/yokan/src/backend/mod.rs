@@ -273,27 +273,34 @@ pub fn write_dump(path: &Path, pairs: &[(Vec<u8>, Vec<u8>)]) -> Result<(), Yokan
     std::fs::write(path, buffer).map_err(|e| YokanError::Io(format!("{}: {e}", path.display())))
 }
 
+/// The little-endian `u32` at `data[pos..pos + 4]`, `None` when `data`
+/// ends before it does.
+pub(crate) fn le_u32_at(data: &[u8], pos: usize) -> Option<u32> {
+    data.get(pos..)?.first_chunk().map(|bytes| u32::from_le_bytes(*bytes))
+}
+
 /// Reads a checkpoint dump written by [`write_dump`].
 pub fn read_dump(path: &Path) -> Result<KvPairs, YokanError> {
     let data =
         std::fs::read(path).map_err(|e| YokanError::Io(format!("{}: {e}", path.display())))?;
-    if data.len() < 12 {
-        return Err(YokanError::Corrupt("dump too short".into()));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if mochi_util::crc32(body) != stored {
+    let too_short = || YokanError::Corrupt("dump too short".into());
+    let (body, crc_bytes) = data.split_last_chunk::<4>().ok_or_else(too_short)?;
+    if mochi_util::crc32(body) != u32::from_le_bytes(*crc_bytes) {
         return Err(YokanError::Corrupt("dump checksum mismatch".into()));
     }
-    let count = u64::from_le_bytes(body[..8].try_into().expect("8 bytes")) as usize;
-    let mut pairs = Vec::with_capacity(count);
+    let count = u64::from_le_bytes(*body.first_chunk::<8>().ok_or_else(too_short)?);
+    // Each pair costs at least its two length words, so a larger count is
+    // corruption the checksum cannot see — and must not size an allocation.
+    if count > (body.len() / 8) as u64 {
+        return Err(YokanError::Corrupt(format!("dump count {count} exceeds its body")));
+    }
+    let mut pairs = Vec::with_capacity(count as usize);
     let mut pos = 8usize;
     for _ in 0..count {
-        if pos + 8 > body.len() {
+        let (Some(klen), Some(vlen)) = (le_u32_at(body, pos), le_u32_at(body, pos + 4)) else {
             return Err(YokanError::Corrupt("dump truncated".into()));
-        }
-        let klen = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
-        let vlen = u32::from_le_bytes(body[pos + 4..pos + 8].try_into().unwrap()) as usize;
+        };
+        let (klen, vlen) = (klen as usize, vlen as usize);
         pos += 8;
         if pos + klen + vlen > body.len() {
             return Err(YokanError::Corrupt("dump truncated".into()));
@@ -438,6 +445,24 @@ mod tests {
         assert_eq!(lsm.backend_name(), "lsm");
         let bad = BackendConfig { backend: "rocksdb".into(), ..Default::default() };
         assert!(create_backend(&bad, dir.path()).is_err());
+    }
+
+    #[test]
+    fn dump_with_an_absurd_pair_count_is_corrupt() {
+        let dir = mochi_util::TempDir::new("yokan-dump").unwrap();
+        let path = dir.path().join("dump.ykn");
+        let pairs = vec![(b"k".to_vec(), b"v".to_vec())];
+        write_dump(&path, &pairs).unwrap();
+        assert_eq!(read_dump(&path).unwrap(), pairs);
+
+        // The same dump claiming u64::MAX pairs, under a correct checksum.
+        let mut data = std::fs::read(&path).unwrap();
+        data.truncate(data.len() - 4);
+        data[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let crc = mochi_util::crc32(&data);
+        data.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, data).unwrap();
+        assert!(matches!(read_dump(&path), Err(YokanError::Corrupt(_))));
     }
 
     #[test]

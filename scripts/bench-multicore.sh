@@ -42,8 +42,7 @@ echo "==> concurrent_consistency tests"
 cargo test -q -p mochi-yokan --test concurrent_consistency || exit 32
 
 # Routing gate (DESIGN.md §17.4): aggregate mixed read/write throughput
-# through the routed keyspace at 4 providers vs 1. (Both benches also
-# write their BENCH_a0*.json record at the repository root: commit it.)
+# through the routed keyspace at 4 providers vs 1.
 echo "==> a09_routing ($cpus CPUs; routing assertion active)"
 rm -f target/BENCH_a09.json
 cargo bench -p mochi-bench --bench a09_routing || exit 33

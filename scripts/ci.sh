@@ -11,7 +11,8 @@
 # Exit codes (distinct per stage, for CI triage):
 #   0  everything green
 #   20 workspace build failed
-#   21 test suite failed (the umbrella package's tests, or mochi-lint's own)
+#   21 test suite failed (the umbrella package's tests, or mochi-lint's
+#      own — or mochi-lint is no longer clippy-clean)
 #   22 benchmark harness failed to compile
 #   23 chaos soak failed (fault-injection resilience regression)
 #   35 live-rebalance soak failed (zero-acked-write-loss or
@@ -131,9 +132,14 @@ echo "==> cargo bench --no-run"
 cargo bench -p mochi-bench --no-run || exit 22
 
 # Static analysis, last. The linter's own unit and fixture tests first:
-# they are the oracle for what the rules catch, and no other stage runs
-# them. Then scripts/lint.sh: one mochi-lint run over the workspace.
+# they are the oracle for what the ten rules of its registry catch, and
+# no other stage runs them; where clippy exists, the crate also stays
+# clippy-clean (it is the one crate that is). Then scripts/lint.sh: one
+# mochi-lint run over the workspace.
 echo "==> cargo test -p mochi-lint"
 cargo test -q -p mochi-lint || exit 21
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy -q -p mochi-lint --lib --bins -- -D warnings || exit 21
+fi
 
 exec "$root/scripts/lint.sh" "$root"

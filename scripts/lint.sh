@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Pre-PR gate: workspace-specific static analysis plus (when available)
-# clippy and rustfmt. mochi-lint is the hard gate: a violation of any
-# rule of its registry (crates/lint/src/lib.rs, DESIGN.md §11) that is
-# not frozen in lint-allow.json fails the build, and so does a frozen
-# entry that no longer matches anything.
+# clippy and rustfmt. mochi-lint is the hard gate: a violation of any of
+# the ten rules of its registry (`RULES`, crates/lint/src/lib.rs;
+# DESIGN.md §11) that is not frozen in lint-allow.json fails the build,
+# and so does a frozen entry that no longer matches anything.
 #
 # Usage: scripts/lint.sh [workspace-root]
 #
