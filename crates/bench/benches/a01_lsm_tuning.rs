@@ -46,7 +46,7 @@ fn main() {
         let dir = TempDir::new("a01").unwrap();
         // One stripe: this sweep isolates the memtable/compaction knobs,
         // so stripe parallelism must not blur the picture.
-        let config = LsmConfig { memtable_bytes, max_tables, stripes: 1, ..LsmConfig::default() };
+        let config = LsmConfig { memtable_bytes, max_tables, stripes: 1 };
         let db = LsmDatabase::open(dir.path(), config).unwrap();
         let value = vec![0xAAu8; VALUE];
         let sw = Stopwatch::start();
@@ -85,7 +85,7 @@ fn main() {
     table.print(&format!(
         "A1 — LSM tuning ablation ({KEYS} keys x {VALUE} B, single backend, no network)"
     ));
-    println!("shape: small memtables inflate ingest (flush+compaction churn)");
+    println!("shape: small memtables inflate ingest (seal+compaction churn)");
     println!("while large memtables avoid it — the asymmetry E11's dynamic");
     println!("reconfiguration exploits per step.");
     println!();
@@ -101,8 +101,7 @@ fn stripe_sweep() {
         let mut row = vec![stripes.to_string()];
         for &threads in &thread_counts {
             let dir = TempDir::new("a01-stripes").unwrap();
-            let config =
-                LsmConfig { memtable_bytes: 64 << 10, max_tables: 4, stripes, ..LsmConfig::default() };
+            let config = LsmConfig { memtable_bytes: 64 << 10, max_tables: 4, stripes };
             let db = Arc::new(LsmDatabase::open(dir.path(), config).unwrap());
             let per_thread = KEYS / threads;
             let barrier = Arc::new(Barrier::new(threads + 1));
@@ -134,5 +133,5 @@ fn stripe_sweep() {
     ));
     println!("shape: one stripe serializes every writer on one WAL; stripe");
     println!("counts at or above the thread count let ingest scale until the");
-    println!("flush path (shared disk) becomes the limit.");
+    println!("sync path (shared disk) becomes the limit.");
 }

@@ -238,12 +238,7 @@ fn thread_executor() -> BackgroundExecutor {
 }
 
 fn write_db(dir: &Path, stripes: usize) -> LsmDatabase {
-    let config = LsmConfig {
-        memtable_bytes: 64 * 1024,
-        max_tables: 4,
-        stripes,
-        ..LsmConfig::default()
-    };
+    let config = LsmConfig { memtable_bytes: 64 * 1024, max_tables: 4, stripes };
     let db = LsmDatabase::open(dir, config).unwrap();
     db.set_background_executor(thread_executor());
     db

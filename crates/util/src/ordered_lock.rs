@@ -94,7 +94,7 @@ pub mod rank {
     /// bases above reserves `LSM_STRIPE_MAX` consecutive ranks.
     pub const LSM_STRIPE_MAX: u32 = 16;
     /// `yokan::lsm` deferred background-maintenance error slot; a leaf,
-    /// taken with no other LSM lock held.
+    /// taken last (at most a stripe's writer lock is held).
     pub const LSM_BG_ERROR: u32 = 560;
 }
 

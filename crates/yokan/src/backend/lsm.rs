@@ -9,34 +9,46 @@
 //!   whatever the config says on a later open;
 //! * `wal-<stripe>.log` — stripe `s`'s active write-ahead log, one
 //!   CRC-protected record per operation since that stripe's last seal;
-//! * `wal-<stripe>-<epoch>.seg` — a sealed WAL segment: when a stripe's
-//!   memtable seals, its WAL is atomically renamed to a `.seg` file and a
-//!   fresh `wal-<stripe>.log` starts. The segment is deleted only after
-//!   its memtable is durable in a table, so a crash at *any* point
-//!   between seal and truncation replays without losing an acked write;
-//! * `sst-<stripe>-<seq>.tbl` — immutable sorted tables of one stripe,
-//!   newest sequence wins; tombstones mark deletions until a compaction
-//!   that reaches the stripe's oldest table drops them;
-//! * `sst-<stripe>-<seq>.tmp` — a table still being written. It gets its
-//!   `.tbl` name by rename once complete and `sync_data`'d, so a `.tbl`
-//!   file is never torn; `open` deletes leftovers.
+//! * `sst-<stripe>-<seq>.seg` — a sealed WAL, which *is* a table: when a
+//!   stripe's memtable seals, its WAL is `sync_data`'d and renamed to
+//!   the stripe's next sequence number, and a fresh `wal-<stripe>.log`
+//!   starts. Records are in append order; the index built at the seal
+//!   (or, on `open`, from the records, stopping at the first partial or
+//!   corrupt one as for the WAL) says which record of a key is current;
+//! * `sst-<stripe>-<seq>.tbl` — the product of a merge: records sorted by
+//!   key under one whole-file CRC. Tables of either kind are immutable
+//!   and share the stripe's one sequence, newest sequence wins;
+//!   tombstones mark deletions until a merge that reaches the stripe's
+//!   oldest table drops them;
+//! * `sst-<stripe>-<seq>.tmp` — a merge's product still being written. It
+//!   gets its `.tbl` name by rename once complete and `sync_data`'d, so
+//!   a `.tbl` file is never torn; `open` deletes leftovers;
+//! * `wal-<stripe>-<epoch>.seg` — a sealed segment as written before
+//!   sealed segments were tables; `open` renames each into the sequence
+//!   (oldest epoch first: it is newer than every table of its stripe).
 //!
-//! A stripe's memtable seals once it exceeds `memtable_bytes`. Compaction
+//! A stripe's memtable — the framed WAL bytes appended so far plus an
+//! index `key → (offset, len)` into them — seals once it exceeds
+//! `memtable_bytes`: an ingested byte is written once by the WAL append
+//! and never again until a merge. A table's index is all of it that
+//! stays in memory, one entry per key on disk, so it is kept compact
+//! ([`table_index::TableIndex`]: one buffer of keys, one sorted array).
+//! Compaction
 //! is size-tiered over the *newest suffix* of a stripe's table list: a
 //! table's tier is `⌊log_(max_tables+1)(bytes / memtable_bytes)⌋`, and
 //! while the run of newest tables whose tier does not exceed the newest
 //! table's is longer than `max_tables`, exactly that run is merged into
-//! one table with a fresh sequence number (`LsmInner::pick_run`).
+//! one table with a fresh sequence number (`LsmInner::claim_run`).
 //! A byte is therefore rewritten once per tier — O(log n) times, not
 //! once per compaction — and because a merge always takes the newest
-//! tables, "higher sequence = newer" keeps holding with no manifest.
-//! Flush and compaction normally run *off* the request
+//! tables of its moment, "higher sequence = newer" keeps holding with no
+//! manifest. Merges normally run *off* the request
 //! path: [`LsmDatabase::set_background_executor`] installs a scheduler
 //! (in production, a low-priority Argobots pool; see
 //! `crate::bedrock`) and sealing merely enqueues a maintenance task.
-//! Without an executor — or when a stripe's sealed bytes exceed
-//! `max_sealed_bytes` (backpressure) — the sealing writer drains inline,
-//! exactly like the historical single-stripe code.
+//! Without an executor — or when a seal leaves a run of more than
+//! `2 × (max_tables + 1)` tables that no maintenance owns, which is what
+//! a stalled executor looks like — the sealing writer merges inline.
 //!
 //! # Concurrency
 //!
@@ -45,30 +57,34 @@
 //! `LSM_WRITER_BASE + s < LSM_ACTIVE_BASE + s < LSM_SNAPSHOT_BASE + s`):
 //!
 //! * `writer` — serializes that stripe's mutations: WAL appends, seals,
-//!   and (via the `maintaining` flag) flush/compaction exclusivity;
-//! * `active` — the stripe's mutable memtable, briefly write-locked per
-//!   put and read-locked by readers;
-//! * `snapshot` — an `Arc<Snapshot>` slot holding the stripe's sealed
-//!   memtables and immutable table list; held only to clone or swap.
+//!   and (via the `maintaining` flag) merge exclusivity;
+//! * `active` — the stripe's mutable memtable, briefly write-locked to
+//!   frame a record and again to index it, and read-locked by readers
+//!   (the WAL write in between holds it only for reading: a reader never
+//!   waits for file I/O);
+//! * `snapshot` — an `Arc<Snapshot>` slot holding the stripe's immutable
+//!   table list; held only to clone or swap.
 //!
 //! Readers check `active` first, then clone the snapshot `Arc` and run
-//! lock-free against it. Sealing publishes the sealed memtable into the
-//! snapshot *before* the emptied active map becomes visible (both happen
-//! under the `active` write lock), so a key a reader no longer finds in
-//! `active` is guaranteed to be in whichever snapshot it clones next.
+//! lock-free against it. Sealing publishes the sealed segment into the
+//! snapshot *before* the emptied active memtable becomes visible (both
+//! happen under the `active` write lock), so a key a reader no longer
+//! finds in `active` is guaranteed to be in whichever snapshot it clones
+//! next.
 //! Whole-table operations acquire every stripe's `active` read lock in
 //! ascending stripe index (ascending rank), then every snapshot — an
 //! atomic cut across stripes, deadlock-free by construction.
 //!
 //! Background maintenance claims a stripe by setting `maintaining` under
 //! the writer lock, then does all file I/O *without* holding any lock:
-//! it pre-allocates table sequence numbers under the lock, writes the
-//! tables, and re-takes the lock only to publish. `maintaining` makes
-//! flush/compaction single-writer per stripe, so the table list a
-//! compaction merges cannot change under it. Foreground `flush()` (the
-//! durability barrier) waits for in-flight maintenance, then drains
-//! inline; errors from background maintenance park in a deferred slot
-//! that the next `flush()` surfaces.
+//! it claims a run and its product's sequence number under the lock,
+//! writes the table, and publishes by replacing exactly its inputs.
+//! `maintaining` makes merging single-writer per stripe; seals still
+//! land meanwhile, *behind* the run, and keep their place above its
+//! product. Foreground `flush()` (the durability barrier) waits for
+//! in-flight maintenance, then seals and merges inline; errors from
+//! background maintenance park in a deferred slot that the next
+//! `flush()` surfaces.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -85,6 +101,9 @@ use mochi_util::{crc32, fnv1a64, mix64};
 
 use super::{le_u32_at, Database, YokanError};
 use crate::version::{decode_record, record_is_newer};
+use table_index::TableIndex;
+
+mod table_index;
 
 /// Upper bound on the stripe count; the lock hierarchy reserves
 /// `LSM_STRIPE_MAX` ranks per lock class for the stripes.
@@ -95,7 +114,7 @@ pub const MAX_STRIPES: usize = rank::LSM_STRIPE_MAX as usize;
 /// scans and per-stripe file sets stay cheap.
 pub const DEFAULT_STRIPES: usize = 8;
 
-/// Scheduler for background flush/compaction work: called with a closure
+/// Scheduler for background merges: called with a closure
 /// to run off the request path (in production, a ULT pushed to a
 /// low-priority Argobots pool). The closure is self-contained; dropping
 /// it without running it only delays maintenance, never loses data.
@@ -104,7 +123,8 @@ pub type BackgroundExecutor = Arc<dyn Fn(Box<dyn FnOnce() + Send + 'static>) + S
 /// Tuning knobs of the LSM backend.
 #[derive(Debug, Clone, Copy)]
 pub struct LsmConfig {
-    /// Seal a stripe's memtable to a sealed segment beyond this many bytes.
+    /// Seal a stripe's memtable to a sealed segment beyond this many
+    /// bytes of keys and values.
     pub memtable_bytes: usize,
     /// Width of a compaction tier: once more than this many of a
     /// stripe's newest tables sit in one size tier (or below), they are
@@ -115,39 +135,31 @@ pub struct LsmConfig {
     /// `stripes: 1` reproduces the historical single-writer layout and
     /// serves as the contention baseline in `a04_contention`.
     pub stripes: usize,
-    /// Backpressure budget: once a stripe holds more than this many
-    /// sealed-but-unflushed bytes, the sealing writer drains inline
-    /// instead of queueing more work behind a lagging background pool.
-    pub max_sealed_bytes: usize,
 }
 
 impl Default for LsmConfig {
     fn default() -> Self {
-        Self {
-            memtable_bytes: 4 << 20,
-            max_tables: 4,
-            stripes: DEFAULT_STRIPES,
-            max_sealed_bytes: 32 << 20,
-        }
+        Self { memtable_bytes: 4 << 20, max_tables: 4, stripes: DEFAULT_STRIPES }
     }
 }
 
-/// Fault-injection points inside the flush and compaction paths, for
-/// crash-recovery tests: maintenance errors out (simulating a crash of
-/// the process at that instant) and leaves the files as they were then.
+/// Fault-injection points inside the write and merge paths, for
+/// crash-recovery tests: the operation errors out (simulating a crash of
+/// the process at that instant, or a failing file system) and leaves the
+/// files as they were then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum LsmFailPoint {
     /// No fault injected (the default).
     None = 0,
-    /// Fail before writing the SSTable: the sealed segment survives.
-    BeforeTablePersist = 1,
-    /// Fail after the SSTable is durable, before the segment is deleted:
-    /// both the table and the segment survive (recovery must be
-    /// idempotent against the duplicate).
-    AfterTablePersist = 2,
-    /// Fail while a table (flushed or merged) is being written: its
-    /// records are on disk, its checksum trailer is not — a torn file.
+    /// A WAL append writes the first half of its bytes, then reports an
+    /// error — a full disk.
+    WalAppendTorn = 1,
+    /// The first unlink of a merge's inputs reports an error and removes
+    /// nothing.
+    InputUnlinkFails = 2,
+    /// Fail while a merged table is being written: its records are on
+    /// disk, its checksum trailer is not — a torn file.
     MidTableWrite = 3,
     /// Fail after a merged table is durable and the oldest of its inputs
     /// is unlinked: the merged table and the newer inputs survive.
@@ -156,22 +168,67 @@ pub enum LsmFailPoint {
 
 const OP_PUT: u8 = 1;
 const OP_ERASE: u8 = 2;
-/// Value length marking a tombstone in an SSTable.
+/// Value length marking a tombstone in a table's index and in a `.tbl`.
 const TOMBSTONE: u32 = u32::MAX;
+/// Bytes of a WAL record around its key and value: op, two lengths, CRC.
+const WAL_FRAMING: usize = 13;
 
-/// `None` value = tombstone.
-type Memtable = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
+/// Where a value lies in a file — a table's, or the WAL's, whose bytes
+/// the active memtable mirrors.
+#[derive(Debug, Clone, Copy)]
+struct ValueLoc {
+    offset: u64,
+    len: u32, // TOMBSTONE for deletions
+}
+
+/// The active memtable's index: it takes inserts.
+type Index = BTreeMap<Vec<u8>, ValueLoc>;
+
+/// One logged mutation: `OP_PUT` or `OP_ERASE`, key, value (empty for an
+/// erase).
+type Record<'a> = (u8, &'a [u8], &'a [u8]);
+
+/// A stripe's mutable top: the framed records appended to the active WAL
+/// so far — byte `i` of `log` is byte `i` of the file — and which of them
+/// is current for each key. A put frames its record once, straight into
+/// `log`; sealing hands `index` to the segment's table and reuses the
+/// buffer.
+#[derive(Default)]
+struct Memtable {
+    log: Vec<u8>,
+    index: Index,
+}
+
+impl Memtable {
+    /// `Some(None)` = deleted here.
+    fn get(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        let loc = self.index.get(key)?;
+        if loc.len == TOMBSTONE {
+            return Some(None);
+        }
+        let start = loc.offset as usize;
+        Some(self.log.get(start..start + loc.len as usize).map(<[u8]>::to_vec))
+    }
+}
 
 fn wal_path(dir: &Path, stripe: usize) -> PathBuf {
     dir.join(format!("wal-{stripe:03}.log"))
 }
 
-fn seg_path(dir: &Path, stripe: usize, epoch: u64) -> PathBuf {
-    dir.join(format!("wal-{stripe:03}-{epoch:010}.seg"))
+/// `ext` is `"seg"` for a sealed WAL, `"tbl"` for a merge's product.
+fn table_path(dir: &Path, stripe: usize, seq: u64, ext: &str) -> PathBuf {
+    dir.join(format!("sst-{stripe:03}-{seq:010}.{ext}"))
 }
 
-fn table_path(dir: &Path, stripe: usize, seq: u64) -> PathBuf {
-    dir.join(format!("sst-{stripe:03}-{seq:010}.tbl"))
+/// Opens (creating it if need be) a stripe's WAL: appended to while
+/// active, read by offset once sealed.
+fn open_wal(path: &Path) -> Result<File, YokanError> {
+    OpenOptions::new()
+        .create(true)
+        .append(true)
+        .read(true)
+        .open(path)
+        .map_err(|e| YokanError::Io(format!("open {}: {e}", path.display())))
 }
 
 /// Parses `prefix-<stripe:03>-<number:010>` stems (tables and segments).
@@ -180,12 +237,6 @@ fn parse_striped_name(path: &Path, prefix: &str) -> Option<(usize, u64)> {
     let rest = stem.strip_prefix(prefix)?;
     let (stripe, number) = rest.split_once('-')?;
     Some((stripe.parse().ok()?, number.parse().ok()?))
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ValueLoc {
-    offset: u64,
-    len: u32, // TOMBSTONE for deletions
 }
 
 /// Bloom-filter bits per key (~1 % false positives with
@@ -207,8 +258,8 @@ impl Bloom {
         mix64(fnv1a64(key))
     }
 
-    fn build<'a>(keys: impl ExactSizeIterator<Item = &'a Vec<u8>>) -> Bloom {
-        let words = (keys.len() * BLOOM_BITS_PER_KEY).div_ceil(64).max(1);
+    fn build<'a>(count: usize, keys: impl Iterator<Item = &'a [u8]>) -> Bloom {
+        let words = (count * BLOOM_BITS_PER_KEY).div_ceil(64).max(1);
         let mut bloom = Bloom { words: vec![0u64; words].into_boxed_slice() };
         for key in keys {
             for bit in bloom.probes(Self::hash(key)) {
@@ -236,18 +287,28 @@ impl Bloom {
     }
 }
 
+/// An immutable table of one stripe: a sealed WAL (`.seg`, records in
+/// append order, a CRC each) or a merge's product (`.tbl`, sorted, one
+/// CRC). Past `open` the two differ in nothing: `index` says where each
+/// key's current value lies in `file`.
 struct SsTable {
     path: PathBuf,
-    seq: u64,
     file: File,
     /// File length; decides the table's compaction tier.
     bytes: u64,
-    index: BTreeMap<Vec<u8>, ValueLoc>,
+    index: TableIndex,
     bloom: Bloom,
 }
 
-/// Streams one table to disk record by record — a flush and a compaction
-/// emit through the same path. The records go through a buffered writer
+impl SsTable {
+    fn new(path: PathBuf, file: File, bytes: u64, index: TableIndex) -> SsTable {
+        let bloom = Bloom::build(index.len(), index.iter_from(&Bound::Unbounded).map(|(k, _)| k));
+        SsTable { path, file, bytes, index, bloom }
+    }
+}
+
+/// Streams a merge's product to disk record by record. The records go
+/// through a buffered writer
 /// into `<table>.tmp` with the CRC fed as they pass; [`Self::finish`]
 /// appends the trailer, syncs and renames the file to its `.tbl` name,
 /// so a table that exists under that name is complete. A write that
@@ -257,7 +318,7 @@ struct TableWriter {
     out: BufWriter<File>,
     crc: Crc32Hasher,
     /// Sorted, because records are appended in key order.
-    entries: Vec<(Vec<u8>, ValueLoc)>,
+    index: TableIndex,
     /// Bytes emitted so far: the file offset of whatever comes next.
     offset: u64,
 }
@@ -275,7 +336,7 @@ impl TableWriter {
             tmp_path,
             out: BufWriter::with_capacity(256 << 10, file),
             crc: Crc32Hasher::new(),
-            entries: Vec::new(),
+            index: TableIndex::default(),
             offset: 0,
         })
     }
@@ -294,12 +355,12 @@ impl TableWriter {
         self.emit(&(key.len() as u32).to_le_bytes())?;
         self.emit(&len.to_le_bytes())?;
         self.emit(key)?;
-        self.entries.push((key.to_vec(), ValueLoc { offset: self.offset, len }));
+        self.index.push(key, ValueLoc { offset: self.offset, len })?;
         self.emit(value.unwrap_or_default())
     }
 
-    /// Completes the file and publishes it as table `seq` at `path`.
-    fn finish(mut self, path: PathBuf, seq: u64) -> Result<SsTable, YokanError> {
+    /// Completes the file and publishes it as the table at `path`.
+    fn finish(mut self, path: PathBuf) -> Result<SsTable, YokanError> {
         let crc = self.crc.finish();
         self.out.write_all(&crc.to_le_bytes())?;
         let file = self
@@ -307,34 +368,41 @@ impl TableWriter {
             .into_inner()
             .map_err(|e| YokanError::Io(format!("write {}: {e}", self.tmp_path.display())))?;
         // Durable before it is visible under a name `open` trusts, and
-        // before the caller unlinks the segment or tables it replaces.
+        // before the caller unlinks the tables it replaces.
         file.sync_data()?;
         std::fs::rename(&self.tmp_path, &path)
             .map_err(|e| YokanError::Io(format!("publish {}: {e}", path.display())))?;
-        let bloom = Bloom::build(self.entries.iter().map(|(key, _)| key));
-        let index = self.entries.into_iter().collect();
-        Ok(SsTable { path, seq, file, bytes: self.offset + 4, index, bloom })
+        Ok(SsTable::new(path, file, self.offset + 4, self.index))
     }
 }
 
 impl SsTable {
-    /// Opens and validates an existing table.
+    /// Opens an existing table: a `.tbl` is validated as a whole, a
+    /// `.seg` record by record, exactly as tolerantly as the WAL it was.
     fn open(path: PathBuf) -> Result<SsTable, YokanError> {
-        let (_, seq) = parse_striped_name(&path, "sst-")
-            .ok_or_else(|| YokanError::Corrupt(format!("bad table name {}", path.display())))?;
         let mut file = OpenOptions::new()
             .read(true)
             .open(&path)
             .map_err(|e| YokanError::Io(format!("open {}: {e}", path.display())))?;
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
+        let index = if path.extension().is_some_and(|x| x == "seg") {
+            TableIndex::from_sorted(&scan_wal(&data).0)?
+        } else {
+            Self::sorted_index(&path, &data)?
+        };
+        Ok(SsTable::new(path, file, data.len() as u64, index))
+    }
+
+    /// Validates the bytes of a `.tbl` file and indexes its records.
+    fn sorted_index(path: &Path, data: &[u8]) -> Result<TableIndex, YokanError> {
         let Some((body, crc_bytes)) = data.split_last_chunk::<4>() else {
             return Err(YokanError::Corrupt(format!("{} too short", path.display())));
         };
         if crc32(body) != u32::from_le_bytes(*crc_bytes) {
             return Err(YokanError::Corrupt(format!("{} checksum mismatch", path.display())));
         }
-        let mut index = BTreeMap::new();
+        let mut index = TableIndex::default();
         let mut pos = 0usize;
         while pos < body.len() {
             let (Some(klen), Some(vlen_raw)) = (le_u32_at(body, pos), le_u32_at(body, pos + 4))
@@ -346,7 +414,7 @@ impl SsTable {
             if pos + klen > body.len() {
                 return Err(YokanError::Corrupt(format!("{} truncated key", path.display())));
             }
-            let key = body[pos..pos + klen].to_vec();
+            let key = &body[pos..pos + klen];
             pos += klen;
             let offset = pos as u64;
             if vlen_raw != TOMBSTONE {
@@ -359,10 +427,9 @@ impl SsTable {
                 }
                 pos += vlen;
             }
-            index.insert(key, ValueLoc { offset, len: vlen_raw });
+            index.push(key, ValueLoc { offset, len: vlen_raw })?;
         }
-        let bloom = Bloom::build(index.keys());
-        Ok(SsTable { path, seq, file, bytes: data.len() as u64, index, bloom })
+        Ok(index)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>, YokanError> {
@@ -382,27 +449,19 @@ impl SsTable {
 
 /// An immutable, atomically swapped view of everything below one
 /// stripe's active memtable. Readers clone the `Arc` and then run
-/// entirely lock-free; whatever a snapshot references (sealed memtables,
-/// open table files) stays alive as long as any reader holds the clone,
-/// even across a concurrent compaction that unlinks the table files.
+/// entirely lock-free; the open table files a snapshot references stay
+/// alive as long as any reader holds the clone, even across a
+/// concurrent compaction that unlinks them.
 struct Snapshot {
-    /// Publication counter; bumps on every seal, table swap, compaction
-    /// and clear.
+    /// Publication counter; bumps on every seal, compaction and clear.
     generation: u64,
-    /// Sealed memtables not yet persisted as tables, oldest → newest.
-    sealed: Vec<Arc<Memtable>>,
-    /// On-disk tables, oldest → newest.
+    /// Sealed segments and merged tables, oldest → newest.
     tables: Vec<Arc<SsTable>>,
 }
 
 impl Snapshot {
     /// Looks `key` up below the active memtable; `Some(None)` = deleted.
     fn lookup(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>, YokanError> {
-        for memtable in self.sealed.iter().rev() {
-            if let Some(entry) = memtable.get(key) {
-                return Ok(Some(entry.clone()));
-            }
-        }
         let hash = Bloom::hash(key);
         for table in self.tables.iter().rev().filter(|t| t.bloom.may_contain(hash)) {
             if let Some(found) = table.get(key)? {
@@ -414,7 +473,7 @@ impl Snapshot {
 }
 
 /// A sorted source of a [`NewestWins`] merge.
-type Cursor<'a, T> = Box<dyn Iterator<Item = (&'a Vec<u8>, T)> + 'a>;
+type Cursor<'a, T> = Box<dyn Iterator<Item = (&'a [u8], T)> + 'a>;
 
 /// K-way merge over sorted sources ordered oldest → newest: yields each
 /// distinct key once, ascending, with the entry of the newest source
@@ -422,7 +481,7 @@ type Cursor<'a, T> = Box<dyn Iterator<Item = (&'a Vec<u8>, T)> + 'a>;
 /// the input tables' indexes.
 struct NewestWins<'a, T> {
     cursors: Vec<Cursor<'a, T>>,
-    heads: Vec<Option<(&'a Vec<u8>, T)>>,
+    heads: Vec<Option<(&'a [u8], T)>>,
 }
 
 impl<'a, T: Copy> NewestWins<'a, T> {
@@ -433,7 +492,7 @@ impl<'a, T: Copy> NewestWins<'a, T> {
 }
 
 impl<'a, T: Copy> Iterator for NewestWins<'a, T> {
-    type Item = (&'a Vec<u8>, T);
+    type Item = (&'a [u8], T);
 
     fn next(&mut self) -> Option<Self::Item> {
         let key = self.heads.iter().flatten().map(|head| head.0).min()?;
@@ -448,38 +507,42 @@ impl<'a, T: Copy> Iterator for NewestWins<'a, T> {
     }
 }
 
-/// A sealed memtable together with the WAL segment that backs it; the
-/// segment is deleted only once the memtable is durable in a table.
-struct SealedSegment {
-    memtable: Arc<Memtable>,
-    seg_path: PathBuf,
-    bytes: usize,
-}
-
 /// One stripe's mutator-side state, serialized by that stripe's
 /// `writer` lock.
 struct StripeWriter {
+    /// The active WAL, `wal_path`; as long as the active memtable's `log`.
     wal: File,
     wal_path: PathBuf,
-    /// The record (or, for a batch, the records) being appended to `wal`:
-    /// one buffer, reused under the writer lock, one `write_all` each time.
-    record: Vec<u8>,
-    /// Approximate bytes in the active memtable (seal trigger).
+    /// Bytes of keys and values in the active memtable (seal trigger).
     active_bytes: usize,
-    /// Next SSTable sequence number of this stripe.
+    /// Next sequence number of this stripe: seals and merges draw on it.
     next_seq: u64,
-    /// Next WAL-segment epoch of this stripe.
-    next_epoch: u64,
-    /// Sealed-but-unflushed segments, oldest → newest. Mirrors the
-    /// snapshot's `sealed` list, plus the backing file of each entry.
-    sealed: Vec<SealedSegment>,
-    /// Total bytes across `sealed` (backpressure trigger).
-    sealed_bytes: usize,
-    /// Whether a flush/compaction (background or foreground) currently
-    /// owns this stripe's maintenance. While set, nobody else may write
-    /// tables for this stripe — this is what keeps the table list stable
-    /// under an off-lock compaction merge.
+    /// Whether a background merge currently owns this stripe's
+    /// maintenance. While set, nobody else may merge or clear this
+    /// stripe; seals still append tables behind the run being merged.
     maintaining: bool,
+    /// Why this stripe accepts no more writes until the directory is
+    /// reopened: a file step failed and so did undoing it, and a write
+    /// acknowledged now could be lost behind a torn record.
+    poisoned: Option<String>,
+}
+
+impl StripeWriter {
+    /// An error while the stripe is poisoned.
+    fn check_usable(&self) -> Result<(), YokanError> {
+        self.poisoned.as_ref().map_or(Ok(()), |why| Err(YokanError::Io(why.clone())))
+    }
+}
+
+/// A run of a stripe's newest tables claimed for a merge.
+struct Run {
+    inputs: Vec<Arc<SsTable>>,
+    /// Sequence number of the product: above every input's, below that
+    /// of any seal that lands while the merge runs.
+    seq: u64,
+    /// The run starts at the stripe's oldest table, so nothing older can
+    /// hold a key and its tombstones may go.
+    reaches_oldest: bool,
 }
 
 struct Stripe {
@@ -521,7 +584,7 @@ impl std::fmt::Debug for LsmDatabase {
 /// Appends one WAL record to `out`; its CRC covers that record alone.
 fn wal_record_into(out: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
     let start = out.len();
-    out.reserve(13 + key.len() + value.len());
+    out.reserve(WAL_FRAMING + key.len() + value.len());
     out.push(op);
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
     out.extend_from_slice(&(value.len() as u32).to_le_bytes());
@@ -531,37 +594,36 @@ fn wal_record_into(out: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Replays a WAL buffer, stopping cleanly at the first partial or corrupt
-/// record (a crash mid-append).
-fn replay_wal(data: &[u8], memtable: &mut Memtable) -> usize {
+/// Where the value of the WAL record framed at `pos` lies, and where the
+/// record after it starts.
+fn wal_record_layout(pos: usize, op: u8, klen: usize, vlen: usize) -> (ValueLoc, usize) {
+    let len = if op == OP_ERASE { TOMBSTONE } else { vlen as u32 };
+    (ValueLoc { offset: (pos + 9 + klen) as u64, len }, pos + WAL_FRAMING + klen + vlen)
+}
+
+/// Indexes the records of a WAL or sealed-segment buffer, stopping
+/// cleanly at the first partial or corrupt record (a crash mid-append).
+/// Returns the index, the bytes of keys and values it stands for, and the
+/// length of the valid prefix.
+fn scan_wal(data: &[u8]) -> (Index, usize, usize) {
+    let mut index = Index::new();
     let mut pos = 0usize;
     let mut bytes = 0usize;
     while let (Some(&op), Some(klen), Some(vlen)) =
         (data.get(pos), le_u32_at(data, pos + 1), le_u32_at(data, pos + 5))
     {
         let (klen, vlen) = (klen as usize, vlen as usize);
-        let total = 9 + klen + vlen + 4;
-        let Some(record) = data.get(pos..pos + total) else { break };
+        let (loc, next) = wal_record_layout(pos, op, klen, vlen);
+        let Some(record) = data.get(pos..next) else { break };
         let Some((body, crc_bytes)) = record.split_last_chunk::<4>() else { break };
-        if crc32(body) != u32::from_le_bytes(*crc_bytes) {
+        if crc32(body) != u32::from_le_bytes(*crc_bytes) || !matches!(op, OP_PUT | OP_ERASE) {
             break;
         }
-        let key = record[9..9 + klen].to_vec();
-        let value = record[9 + klen..9 + klen + vlen].to_vec();
-        match op {
-            OP_PUT => {
-                bytes += klen + vlen;
-                memtable.insert(key, Some(value));
-            }
-            OP_ERASE => {
-                bytes += klen;
-                memtable.insert(key, None);
-            }
-            _ => break,
-        }
-        pos += total;
+        index.insert(body[9..9 + klen].to_vec(), loc);
+        bytes += klen + vlen;
+        pos = next;
     }
-    bytes
+    (index, bytes, pos)
 }
 
 /// Reads or creates the stripe-count manifest. Routing must be stable
@@ -610,21 +672,65 @@ impl LsmInner {
         *slot = Arc::new(next(&slot));
     }
 
-    fn append_wal(
-        writer: &mut StripeWriter,
-        op: u8,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<(), YokanError> {
-        writer.record.clear();
-        wal_record_into(&mut writer.record, op, key, value);
-        writer.wal.write_all(&writer.record)?;
-        Ok(())
-    }
-
     fn check_fail(&self, point: LsmFailPoint) -> Result<(), YokanError> {
         if self.fail_point.load(Ordering::Acquire) == point as u8 {
             return Err(YokanError::Io(format!("injected fault: {point:?}")));
+        }
+        Ok(())
+    }
+
+    /// Logs `records` to the stripe's WAL in one
+    /// write and only then makes them visible: framed once, straight into
+    /// the active memtable's log (no index entry points there yet, so no
+    /// reader sees them), written to the file from that buffer, indexed.
+    /// A failed write takes its bytes back out of the buffer and the
+    /// file: a torn record in the middle of the log would end replay
+    /// there and lose every write acknowledged after it.
+    fn append<'a>(
+        &self,
+        stripe: &Stripe,
+        writer: &mut StripeWriter,
+        records: impl Iterator<Item = Record<'a>> + Clone,
+    ) -> Result<(), YokanError> {
+        writer.check_usable()?;
+        let start = {
+            let mut active = stripe.active.write();
+            let start = active.log.len();
+            for (op, key, value) in records.clone() {
+                wal_record_into(&mut active.log, op, key, value);
+            }
+            start
+        };
+        // Only this stripe's writer-lock holder — us — mutates `active`,
+        // so the read guard is enough to write from it, and readers go on.
+        let written = {
+            let active = stripe.active.read();
+            let new = active.log.get(start..).unwrap_or_default();
+            match self.check_fail(LsmFailPoint::WalAppendTorn) {
+                Ok(()) => (&writer.wal).write_all(new).map_err(YokanError::from),
+                Err(fault) => (&writer.wal)
+                    .write_all(new.get(..new.len() / 2).unwrap_or_default())
+                    .map_err(YokanError::from)
+                    .and(Err(fault)),
+            }
+        };
+        let mut active = stripe.active.write();
+        if let Err(e) = written {
+            active.log.truncate(start);
+            if let Err(undo) = writer.wal.set_len(start as u64) {
+                writer.poisoned = Some(format!(
+                    "{} may end in a torn record ({e}) and could not be truncated: {undo}",
+                    writer.wal_path.display()
+                ));
+            }
+            return Err(e);
+        }
+        let mut pos = start;
+        for (op, key, value) in records {
+            let (loc, next) = wal_record_layout(pos, op, key.len(), value.len());
+            active.index.insert(key.to_vec(), loc);
+            pos = next;
+            writer.active_bytes += key.len() + value.len();
         }
         Ok(())
     }
@@ -633,82 +739,98 @@ impl LsmInner {
     /// writer lock.
     ///
     /// Read order matters: active memtable first, then the snapshot.
-    /// Sealing publishes the sealed memtable into the snapshot before
-    /// the emptied active map becomes visible, so a key missing from
-    /// `active` is always present in (or genuinely absent from) the
+    /// Sealing publishes the sealed segment into the snapshot before
+    /// the emptied active memtable becomes visible, so a key missing
+    /// from `active` is always present in (or genuinely absent from) the
     /// snapshot read afterwards.
     fn lookup_live(&self, key: &[u8]) -> Result<Option<Vec<u8>>, YokanError> {
         let stripe = self.stripe_of(key);
         if let Some(entry) = stripe.active.read().get(key) {
-            return Ok(entry.clone());
+            return Ok(entry);
         }
         let snap = Self::snapshot_arc(stripe);
         Ok(snap.lookup(key)?.flatten())
     }
 
-    /// Seals the stripe's active memtable: rotates `wal-<s>.log` to a
-    /// `.seg` file, publishes the memtable into the snapshot, and records
-    /// the pair in the writer's sealed list. No-op on an empty memtable.
-    /// The WAL is synced and rotated first, so a failure there leaves the
-    /// stripe as it was and the next write tries again.
+    /// Seals the stripe's active memtable: the WAL, synced, becomes
+    /// `sst-<s>-<seq>.seg` — the stripe's newest table, its file handle
+    /// the WAL's and its index a copy of the memtable's — and a fresh
+    /// `wal-<s>.log` starts. No-op on an empty memtable. The file steps
+    /// come first and are all-or-nothing: a failed sync or rename leaves
+    /// the stripe as it was and the next write tries again; so does a
+    /// fresh WAL that cannot be opened, once the rename is undone — and
+    /// if it cannot be, the stripe stops taking writes rather than
+    /// append through the old handle to a file `open` would read as a
+    /// table.
     fn seal_locked(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<(), YokanError> {
-        // Only this stripe's writer-lock holder — us — mutates `active`.
-        if stripe.active.read().is_empty() {
-            writer.active_bytes = 0;
-            return Ok(());
-        }
-        let seg = seg_path(&self.dir, stripe.index, writer.next_epoch);
-        writer.wal.sync_data()?;
-        std::fs::rename(&writer.wal_path, &seg)
-            .map_err(|e| YokanError::Io(format!("rotate {}: {e}", seg.display())))?;
-        writer.next_epoch += 1;
-        writer.wal = OpenOptions::new().create(true).append(true).open(&writer.wal_path)?;
-        let sealed = {
-            let mut active = stripe.active.write();
-            let sealed = Arc::new(std::mem::take(&mut *active));
-            // Publish under the active write lock: readers check
-            // `active` first, so anything they no longer find there must
-            // already be visible in the snapshot.
-            Self::publish(stripe, |old| Snapshot {
-                generation: old.generation + 1,
-                sealed: old.sealed.iter().cloned().chain([Arc::clone(&sealed)]).collect(),
-                tables: old.tables.clone(),
-            });
-            sealed
+        writer.check_usable()?;
+        // Only this stripe's writer-lock holder — us — mutates `active`:
+        // what is indexed under the read lock is what is sealed.
+        let (index, bytes) = {
+            let active = stripe.active.read();
+            if active.index.is_empty() {
+                return Ok(());
+            }
+            (TableIndex::from_sorted(&active.index)?, active.log.len() as u64)
         };
-        let bytes = writer.active_bytes;
+        let seq = writer.next_seq;
+        let path = table_path(&self.dir, stripe.index, seq, "seg");
+        writer.wal.sync_data()?;
+        std::fs::rename(&writer.wal_path, &path)
+            .map_err(|e| YokanError::Io(format!("seal {}: {e}", path.display())))?;
+        let fresh = match open_wal(&writer.wal_path) {
+            Ok(fresh) => fresh,
+            Err(e) => {
+                if let Err(undo) = std::fs::rename(&path, &writer.wal_path) {
+                    writer.poisoned = Some(format!(
+                        "{e}, and {} could not be renamed back: {undo}",
+                        path.display()
+                    ));
+                }
+                return Err(e);
+            }
+        };
+        writer.next_seq += 1;
         writer.active_bytes = 0;
-        writer.sealed_bytes += bytes;
-        writer.sealed.push(SealedSegment { memtable: sealed, seg_path: seg, bytes });
+        let file = std::mem::replace(&mut writer.wal, fresh);
+        let table = Arc::new(SsTable::new(path, file, bytes, index));
+        let mut active = stripe.active.write();
+        active.index.clear();
+        active.log.clear();
+        // Publish under the active write lock: readers check `active`
+        // first, so anything they no longer find there must already be
+        // visible in the snapshot.
+        Self::publish(stripe, |old| Snapshot {
+            generation: old.generation + 1,
+            tables: old.tables.iter().cloned().chain([table]).collect(),
+        });
         Ok(())
     }
 
-    /// Post-append check: seals past `memtable_bytes`, then either asks
-    /// the caller to hand the stripe to the background executor (returns
-    /// `true`; the caller must drop the writer guard *before* calling
-    /// [`Self::schedule_maintenance`], since a synchronous executor
-    /// would re-enter this stripe's writer lock) or drains inline (no
-    /// executor installed, or sealed bytes past the backpressure budget
-    /// while no maintenance is in flight).
-    fn maybe_seal_and_flush(
-        &self,
-        stripe: &Stripe,
-        writer: &mut StripeWriter,
-    ) -> Result<bool, YokanError> {
+    /// Post-append check: seals past `memtable_bytes`; the new table may
+    /// complete a run. With an executor installed that is the
+    /// background's work (returns `true`; the caller must drop the
+    /// writer guard *before* calling [`Self::schedule_maintenance`],
+    /// since a synchronous executor would re-enter this stripe's writer
+    /// lock). Without one the writer merges inline — as it does when the
+    /// run has grown past two full tiers with no maintenance owning the
+    /// stripe: an executor that has stalled must not defer work without
+    /// bound, and a healthy one never lets a run get there.
+    fn maybe_seal(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<bool, YokanError> {
         if writer.active_bytes < self.config.memtable_bytes {
             return Ok(false);
         }
         self.seal_locked(stripe, writer)?;
-        let over_budget = writer.sealed_bytes > self.config.max_sealed_bytes;
-        if self.executor.get().is_some() && !over_budget {
+        if writer.maintaining {
+            // The merge in flight looks for more work before it lets go.
+            return Ok(false);
+        }
+        let deferred = self.executor.get().is_some()
+            && self.run_len(&Self::snapshot_arc(stripe).tables) <= 2 * (self.config.max_tables + 1);
+        if deferred {
             return Ok(true);
         }
-        // Inline drain — unless background maintenance currently owns
-        // the stripe, in which case the budget is soft: the in-flight
-        // maintenance will pick the new segment up.
-        if !writer.maintaining {
-            self.drain_locked(stripe, writer)?;
-        }
+        self.merge_locked(stripe, writer)?;
         Ok(false)
     }
 
@@ -727,70 +849,12 @@ impl LsmInner {
         }
     }
 
-    /// Writes table `seq` of stripe `stripe` from whatever `emit` appends
-    /// — the one place table files come from.
-    fn write_table(
-        &self,
-        stripe: usize,
-        seq: u64,
-        emit: impl FnOnce(&mut TableWriter) -> Result<(), YokanError>,
-    ) -> Result<Arc<SsTable>, YokanError> {
-        let path = table_path(&self.dir, stripe, seq);
-        let mut writer = TableWriter::create(&path)?;
-        emit(&mut writer)?;
-        if let Err(fault) = self.check_fail(LsmFailPoint::MidTableWrite) {
-            // What a crash here leaves: the records, no trailer.
-            writer.out.flush()?;
-            return Err(fault);
-        }
-        writer.finish(path, seq).map(Arc::new)
-    }
-
-    /// Persists one sealed memtable as table `seq`.
-    fn flush_memtable(
-        &self,
-        stripe: &Stripe,
-        seq: u64,
-        memtable: &Memtable,
-    ) -> Result<Arc<SsTable>, YokanError> {
-        self.check_fail(LsmFailPoint::BeforeTablePersist)?;
-        let table = self.write_table(stripe.index, seq, |out| {
-            memtable.iter().try_for_each(|(key, value)| out.append(key, value.as_deref()))
-        })?;
-        self.check_fail(LsmFailPoint::AfterTablePersist)?;
-        Ok(table)
-    }
-
-    /// Persists every sealed segment of `stripe` (oldest first), then
-    /// compacts until no run qualifies. Runs with the writer lock held;
-    /// callers guarantee no concurrent maintenance
+    /// Merges until no run of `stripe` qualifies. Runs with the writer
+    /// lock held; callers guarantee no concurrent maintenance
     /// (`!writer.maintaining`).
-    fn drain_locked(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<(), YokanError> {
-        while let Some(memtable) = writer.sealed.first().map(|s| Arc::clone(&s.memtable)) {
-            let seq = writer.next_seq;
-            writer.next_seq += 1;
-            let table = self.flush_memtable(stripe, seq, &memtable)?;
-            // Swap the sealed memtable for its durable table in one
-            // publication; readers see one or the other, never neither.
-            Self::publish(stripe, |old| Snapshot {
-                generation: old.generation + 1,
-                sealed: old
-                    .sealed
-                    .iter()
-                    .filter(|m| !Arc::ptr_eq(m, &memtable))
-                    .cloned()
-                    .collect(),
-                tables: old.tables.iter().cloned().chain([Arc::clone(&table)]).collect(),
-            });
-            let segment = writer.sealed.remove(0);
-            writer.sealed_bytes -= segment.bytes;
-            // Everything the segment covered is now durable in a table.
-            std::fs::remove_file(&segment.seg_path).ok();
-        }
-        while let Some(start) = self.pick_run(&Self::snapshot_arc(stripe).tables) {
-            let seq = writer.next_seq;
-            writer.next_seq += 1;
-            self.compact_run(stripe, seq, start)?;
+    fn merge_locked(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<(), YokanError> {
+        while let Some(run) = self.claim_run(stripe, writer) {
+            self.compact_run(stripe, &run)?;
         }
         Ok(())
     }
@@ -798,7 +862,7 @@ impl LsmInner {
     /// Size tier of a table of `bytes` bytes:
     /// `⌊log_(max_tables+1)(bytes / memtable_bytes)⌋`, 0 for anything
     /// smaller than a memtable. Merging a full tier (`max_tables + 1`
-    /// tables) of flushed memtables yields a table of the next tier.
+    /// tables) of sealed memtables yields a table of the next tier.
     fn tier(&self, bytes: u64) -> u32 {
         let width = self.config.max_tables as u64 + 1;
         let mut tier = 0;
@@ -810,70 +874,106 @@ impl LsmInner {
         tier
     }
 
-    /// The compaction picker, shared by the inline and background paths:
-    /// the longest run of newest tables whose tier does not exceed the
-    /// newest table's, if it is longer than `max_tables`; returns where
-    /// it starts in `tables` (oldest → newest).
-    ///
-    /// A run is always a suffix of the list and its product takes a
-    /// fresh — the highest — sequence number, so the list stays sorted by
-    /// age with no manifest: `open`, recovery and the read order rely on
-    /// "higher sequence = newer" and nothing else. When every table sits
-    /// in one tier the run is the whole stripe.
-    fn pick_run(&self, tables: &[Arc<SsTable>]) -> Option<usize> {
-        let newest = self.tier(tables.last()?.bytes);
-        let run = tables.iter().rev().take_while(|t| self.tier(t.bytes) <= newest).count();
-        (run > self.config.max_tables).then(|| tables.len() - run)
+    /// Length of the run: the longest suffix of `tables` (oldest →
+    /// newest) whose tiers do not exceed the newest table's.
+    fn run_len(&self, tables: &[Arc<SsTable>]) -> usize {
+        let Some(newest) = tables.last().map(|t| self.tier(t.bytes)) else { return 0 };
+        tables.iter().rev().take_while(|t| self.tier(t.bytes) <= newest).count()
     }
 
-    /// Merges the stripe's tables from position `start` on (a run chosen
-    /// by [`Self::pick_run`]) into table `seq`: a streaming k-way walk
+    /// The compaction picker, shared by the inline and background paths:
+    /// claims the stripe's run if it is longer than `max_tables`, with
+    /// the next sequence number for its product. Callers hold the writer
+    /// lock.
+    ///
+    /// A run is a suffix of the list when it is claimed and its product
+    /// takes the then-highest sequence number. Seals that land while a
+    /// background merge runs come after both in the list and in
+    /// sequence, so the list stays sorted by age with no manifest:
+    /// `open` and the read order rely on "higher sequence = newer" and
+    /// nothing else. When every table sits in one tier the run is the
+    /// whole stripe.
+    fn claim_run(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Option<Run> {
+        let snap = Self::snapshot_arc(stripe);
+        let run = self.run_len(&snap.tables);
+        if run <= self.config.max_tables {
+            return None;
+        }
+        let seq = writer.next_seq;
+        writer.next_seq += 1;
+        let inputs = snap.tables.iter().skip(snap.tables.len() - run).cloned().collect();
+        Some(Run { inputs, seq, reaches_oldest: run == snap.tables.len() })
+    }
+
+    /// Merges `run` into one table: a streaming k-way walk
     /// over the inputs' indexes, newest entry winning, each surviving
     /// value read from its table's open file and written straight out.
-    /// Tombstones are dropped only when the run starts at the stripe's
+    /// Tombstones are dropped only when the run reaches the stripe's
     /// oldest table — otherwise an older table could still hold the key.
-    /// Sealed and active memtables sit above the tables and are
-    /// unaffected. Callers hold the writer lock or own `maintaining`, so
-    /// the table list cannot change under the merge.
-    fn compact_run(&self, stripe: &Stripe, seq: u64, start: usize) -> Result<(), YokanError> {
-        let snap = Self::snapshot_arc(stripe);
-        let inputs = snap.tables.get(start..).unwrap_or_default();
-        let merged = self.write_table(stripe.index, seq, |out| {
-            let cursors = inputs
-                .iter()
-                .map(|table| {
-                    let table = table.as_ref();
-                    Box::new(table.index.iter().map(move |(key, loc)| (key, (table, *loc))))
-                        as Cursor<'_, (&SsTable, ValueLoc)>
-                })
-                .collect();
-            let mut value = Vec::new();
-            for (key, (table, loc)) in NewestWins::new(cursors) {
-                if loc.len != TOMBSTONE {
-                    value.resize(loc.len as usize, 0);
-                    table.file.read_exact_at(&mut value, loc.offset).map_err(|e| {
-                        YokanError::Io(format!("read {}: {e}", table.path.display()))
-                    })?;
-                    out.append(key, Some(&value))?;
-                } else if start > 0 {
-                    out.append(key, None)?;
-                }
+    /// The product replaces exactly its inputs in the list: whatever
+    /// seals appended behind them meanwhile stays above it. Callers hold
+    /// the writer lock or own `maintaining`, so no other merge runs.
+    fn compact_run(&self, stripe: &Stripe, run: &Run) -> Result<(), YokanError> {
+        let path = table_path(&self.dir, stripe.index, run.seq, "tbl");
+        let mut out = TableWriter::create(&path)?;
+        let cursors = run
+            .inputs
+            .iter()
+            .map(|table| {
+                let table = table.as_ref();
+                let entries = table.index.iter_from(&Bound::Unbounded);
+                Box::new(entries.map(move |(key, loc)| (key, (table, loc))))
+                    as Cursor<'_, (&SsTable, ValueLoc)>
+            })
+            .collect();
+        let mut value = Vec::new();
+        for (key, (table, loc)) in NewestWins::new(cursors) {
+            if loc.len != TOMBSTONE {
+                value.resize(loc.len as usize, 0);
+                table
+                    .file
+                    .read_exact_at(&mut value, loc.offset)
+                    .map_err(|e| YokanError::Io(format!("read {}: {e}", table.path.display())))?;
+                out.append(key, Some(&value))?;
+            } else if !run.reaches_oldest {
+                out.append(key, None)?;
             }
-            Ok(())
-        })?;
+        }
+        if let Err(fault) = self.check_fail(LsmFailPoint::MidTableWrite) {
+            // What a crash here leaves: the records, no trailer.
+            out.out.flush()?;
+            return Err(fault);
+        }
+        let merged = Arc::new(out.finish(path)?);
         self.compaction_bytes.fetch_add(merged.bytes, Ordering::Relaxed);
+        let is_input = |table: &Arc<SsTable>| run.inputs.iter().any(|i| Arc::ptr_eq(i, table));
+        let mut merged = Some(merged);
         Self::publish(stripe, |old| Snapshot {
             generation: old.generation + 1,
-            sealed: old.sealed.clone(),
-            tables: old.tables.iter().take(start).cloned().chain([merged]).collect(),
+            tables: old
+                .tables
+                .iter()
+                .filter_map(|t| if is_input(t) { merged.take() } else { Some(Arc::clone(t)) })
+                .collect(),
         });
         // In-flight readers may still hold the inputs' `Arc`s; their open
-        // descriptors keep the unlinked files readable. Oldest first:
-        // what a crash part-way leaves is a suffix of the run, and a
-        // suffix holding any entry for a key holds the run's newest — a
-        // value never outlives the tombstone the merged table dropped.
-        for (position, table) in inputs.iter().enumerate() {
-            std::fs::remove_file(&table.path).ok();
+        // descriptors keep the unlinked files readable. Oldest first, and
+        // no further once one fails: what a crash — or the failure —
+        // leaves is a suffix of the run, and a suffix holding any entry
+        // for a key holds the run's newest — a value never outlives the
+        // tombstone the merged table dropped.
+        for (position, table) in run.inputs.iter().enumerate() {
+            let unlinked = match self.check_fail(LsmFailPoint::InputUnlinkFails) {
+                Err(fault) if position == 0 => Err(fault),
+                _ => std::fs::remove_file(&table.path).map_err(YokanError::from),
+            };
+            if let Err(e) = unlinked {
+                // The merge stands; the leftovers merge again after the
+                // next `open`. `flush()` reports it.
+                *self.background_error.lock() =
+                    Some(YokanError::Io(format!("unlink {}: {e}", table.path.display())));
+                break;
+            }
             if position == 0 {
                 self.check_fail(LsmFailPoint::AfterMergePersist)?;
             }
@@ -881,11 +981,10 @@ impl LsmInner {
         Ok(())
     }
 
-    /// Background entry point for one stripe: claim maintenance, flush
-    /// sealed segments (file I/O off-lock), compact if needed, repeat
-    /// until the stripe is clean. Errors park in `background_error` for
-    /// the next `flush()` to surface; the sealed segments stay queued
-    /// and are retried by the next seal or flush.
+    /// Background entry point for one stripe: claim maintenance, merge
+    /// (file I/O off-lock) until no run qualifies. Errors park in
+    /// `background_error` for the next `flush()` to surface; the run
+    /// stays as it is and is retried after the next seal or flush.
     fn maintain_stripe(&self, index: usize) {
         let stripe = &self.stripes[index];
         {
@@ -898,77 +997,27 @@ impl LsmInner {
             writer.maintaining = true;
         }
         loop {
-            match self.maintain_round(stripe) {
-                Ok(true) => continue,
-                // `maintain_round` released ownership under the writer
-                // lock after seeing no work, so no seal can slip between
-                // the check and the release.
-                Ok(false) => break,
-                Err(e) => {
-                    stripe.writer.lock().maintaining = false;
-                    *self.background_error.lock() = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// One maintenance round: flush what is sealed, else merge one run.
-    /// Returns `Ok(false)` — after clearing `maintaining` — when the
-    /// stripe has no work left, so rounds cascade until no run qualifies.
-    fn maintain_round(&self, stripe: &Stripe) -> Result<bool, YokanError> {
-        // Claim the current sealed list (or a run to merge) and a
-        // sequence range under the lock; write the tables with no lock
-        // held. `maintaining` keeps the table list frozen meanwhile.
-        let (to_flush, run, base_seq) = {
-            let mut writer = stripe.writer.lock();
-            let to_flush: Vec<Arc<Memtable>> =
-                writer.sealed.iter().map(|s| Arc::clone(&s.memtable)).collect();
-            let run = if to_flush.is_empty() {
-                self.pick_run(&Self::snapshot_arc(stripe).tables)
-            } else {
-                None
+            // Claim a run and its product's sequence under the lock;
+            // merge with no lock held. Ownership is released under the
+            // same lock that saw no run, so no seal can slip between the
+            // check and the release.
+            let run = {
+                let mut writer = stripe.writer.lock();
+                let run = self.claim_run(stripe, &mut writer);
+                writer.maintaining = run.is_some();
+                run
             };
-            if to_flush.is_empty() && run.is_none() {
-                writer.maintaining = false;
-                return Ok(false);
-            }
-            let base = writer.next_seq;
-            writer.next_seq += to_flush.len().max(1) as u64;
-            (to_flush, run, base)
-        };
-        if let Some(start) = run {
-            self.compact_run(stripe, base_seq, start)?;
-            return Ok(true);
-        }
-        let mut tables = Vec::with_capacity(to_flush.len());
-        for (seq, memtable) in (base_seq..).zip(&to_flush) {
-            tables.push(self.flush_memtable(stripe, seq, memtable)?);
-        }
-        // Publish and retire the segments. New seals may have appended
-        // to `writer.sealed` meanwhile; they keep their position and are
-        // handled next round (their sequence numbers are larger, so
-        // table order stays correct).
-        let mut writer = stripe.writer.lock();
-        for (memtable, table) in to_flush.iter().zip(&tables) {
-            Self::publish(stripe, |old| Snapshot {
-                generation: old.generation + 1,
-                sealed: old.sealed.iter().filter(|m| !Arc::ptr_eq(m, memtable)).cloned().collect(),
-                tables: old.tables.iter().cloned().chain([Arc::clone(table)]).collect(),
-            });
-            if let Some(pos) =
-                writer.sealed.iter().position(|s| Arc::ptr_eq(&s.memtable, memtable))
-            {
-                let segment = writer.sealed.remove(pos);
-                writer.sealed_bytes -= segment.bytes;
-                std::fs::remove_file(&segment.seg_path).ok();
+            let Some(run) = run else { break };
+            if let Err(e) = self.compact_run(stripe, &run) {
+                stripe.writer.lock().maintaining = false;
+                *self.background_error.lock() = Some(e);
+                break;
             }
         }
-        Ok(true)
     }
 
     /// Foreground durability barrier: waits out in-flight background
-    /// maintenance per stripe, seals and drains everything inline, then
+    /// maintenance per stripe, seals and merges everything inline, then
     /// surfaces any parked background error.
     fn flush_all(&self) -> Result<(), YokanError> {
         for stripe in self.stripes.iter() {
@@ -984,7 +1033,7 @@ impl LsmInner {
                     continue;
                 }
                 self.seal_locked(stripe, &mut writer)?;
-                self.drain_locked(stripe, &mut writer)?;
+                self.merge_locked(stripe, &mut writer)?;
                 break;
             }
         }
@@ -1006,8 +1055,8 @@ impl LsmInner {
     }
 
     /// Live keys of one stripe that start with `prefix`, from `lower`
-    /// on, ascending: a k-way merge over the table indexes, the sealed
-    /// memtables and the active memtable, newest source winning, which a
+    /// on, ascending: a k-way merge over the table indexes and the
+    /// active memtable's, newest source winning, which a
     /// caller can stop early — O(page) per page instead of O(range).
     /// `active` must be the caller-held guard's contents so the cut is
     /// consistent.
@@ -1016,56 +1065,53 @@ impl LsmInner {
         active: &'a Memtable,
         prefix: &'a [u8],
         lower: &Bound<Vec<u8>>,
-    ) -> impl Iterator<Item = &'a Vec<u8>> {
+    ) -> impl Iterator<Item = &'a [u8]> {
         // Sources ordered oldest → newest; the active memtable is last.
-        let from = || (lower.clone(), Bound::Unbounded);
-        let mut cursors: Vec<Cursor<'a, bool>> = Vec::new();
-        for table in &snap.tables {
-            cursors.push(Box::new(
-                table.index.range::<Vec<u8>, _>(from()).map(|(k, loc)| (k, loc.len != TOMBSTONE)),
-            ));
-        }
-        for memtable in snap.sealed.iter().map(Arc::as_ref).chain([active]) {
-            cursors.push(Box::new(
-                memtable.range::<Vec<u8>, _>(from()).map(|(k, v)| (k, v.is_some())),
-            ));
-        }
+        let from_active = active.index.range::<Vec<u8>, _>((lower.clone(), Bound::Unbounded));
+        let cursors = snap
+            .tables
+            .iter()
+            .map(|table| Box::new(table.index.iter_from(lower)) as Cursor<'a, ValueLoc>)
+            .chain([Box::new(from_active.map(|(k, loc)| (k.as_slice(), *loc))) as Cursor<'a, _>])
+            .collect();
         // Every cursor is sorted, so once the smallest head leaves the
         // prefix nothing later can be inside it.
         NewestWins::new(cursors)
             .take_while(move |(key, _)| key.starts_with(prefix))
-            .filter_map(|(key, alive)| alive.then_some(key))
+            .filter_map(|(key, loc)| (loc.len != TOMBSTONE).then_some(key))
     }
 }
 
 impl LsmDatabase {
-    /// Opens (or creates) a database in `dir`, replaying any WAL state
-    /// and loading existing tables.
+    /// Opens (or creates) a database in `dir`, loading existing tables
+    /// and replaying the active WALs.
     ///
-    /// Recovery restores the exact pre-crash structure per stripe: each
-    /// sealed segment (`.seg`) replays into its own sealed memtable —
-    /// published in the snapshot, queued for flush — and the active WAL
-    /// replays into the active memtable. A segment whose contents
-    /// already reached a table (crash after persist, before truncation)
-    /// replays to the same values the table holds and simply shadows it,
-    /// so recovery is idempotent.
+    /// Per stripe, `.tbl` and `.seg` files load into one list sorted by
+    /// sequence — a sealed segment *is* a table, so a crash at any point
+    /// after a seal's rename loses nothing and leaves nothing to redo —
+    /// and the active WAL replays into the active memtable. A torn tail,
+    /// which only a crash mid-append leaves, is cut off the WAL so that
+    /// what is appended next follows the last whole record.
     pub fn open(dir: impl Into<PathBuf>, config: LsmConfig) -> Result<Self, YokanError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let configured = config.stripes.clamp(1, MAX_STRIPES);
         let stripe_count = stripe_manifest(&dir, configured)?;
 
-        // Bucket on-disk tables and sealed segments by stripe.
+        // Bucket on-disk tables by stripe; `legacy` are the sealed
+        // segments of the format in which they were not yet tables.
         let mut table_paths: Vec<Vec<(u64, PathBuf)>> = vec![Vec::new(); stripe_count];
-        let mut seg_paths: Vec<Vec<(u64, PathBuf)>> = vec![Vec::new(); stripe_count];
+        let mut legacy: Vec<Vec<(u64, PathBuf)>> = vec![Vec::new(); stripe_count];
         for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
+            let sealed_wal =
+                path.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("wal-"));
             let (bucket, prefix) = match path.extension().and_then(|x| x.to_str()) {
-                Some("tbl") => (&mut table_paths, "sst-"),
-                Some("seg") => (&mut seg_paths, "wal-"),
+                Some("seg") if sealed_wal => (&mut legacy, "wal-"),
+                Some("tbl" | "seg") => (&mut table_paths, "sst-"),
                 Some("tmp") => {
-                    // A table whose write never completed: everything in
-                    // it is still in a segment or in the merge's inputs.
+                    // A merge whose write never completed: everything in
+                    // it is still in its inputs.
                     std::fs::remove_file(&path).ok();
                     continue;
                 }
@@ -1087,41 +1133,32 @@ impl LsmDatabase {
         for index in 0..stripe_count {
             let mut paths = std::mem::take(&mut table_paths[index]);
             paths.sort();
+            let mut next_seq = paths.last().map(|(seq, _)| seq + 1).unwrap_or(0);
+            // Oldest epoch first: each is newer than every table of its
+            // stripe and than the segments before it.
+            let mut segments = std::mem::take(&mut legacy[index]);
+            segments.sort();
+            for (_, old_path) in segments {
+                let path = table_path(&dir, index, next_seq, "seg");
+                std::fs::rename(&old_path, &path)
+                    .map_err(|e| YokanError::Io(format!("adopt {}: {e}", old_path.display())))?;
+                paths.push((next_seq, path));
+                next_seq += 1;
+            }
             let mut tables = Vec::with_capacity(paths.len());
             for (_, path) in paths {
                 tables.push(Arc::new(SsTable::open(path)?));
             }
-            let next_seq = tables.last().map(|t| t.seq + 1).unwrap_or(0);
-
-            // Sealed segments, oldest epoch first.
-            let mut segs = std::mem::take(&mut seg_paths[index]);
-            segs.sort();
-            let next_epoch = segs.last().map(|(e, _)| e + 1).unwrap_or(0);
-            let mut sealed = Vec::new();
-            let mut published: Vec<Arc<Memtable>> = Vec::new();
-            let mut sealed_bytes = 0usize;
-            for (_, path) in segs {
-                let data = std::fs::read(&path)?;
-                let mut memtable = Memtable::new();
-                let bytes = replay_wal(&data, &mut memtable);
-                if memtable.is_empty() {
-                    std::fs::remove_file(&path).ok();
-                    continue;
-                }
-                let memtable = Arc::new(memtable);
-                published.push(Arc::clone(&memtable));
-                sealed_bytes += bytes;
-                sealed.push(SealedSegment { memtable, seg_path: path, bytes });
-            }
 
             let wal_path = wal_path(&dir, index);
-            let mut active = Memtable::new();
-            let mut active_bytes = 0;
-            if wal_path.exists() {
-                let data = std::fs::read(&wal_path)?;
-                active_bytes = replay_wal(&data, &mut active);
+            let wal = open_wal(&wal_path)?;
+            let mut log = Vec::new();
+            (&wal).read_to_end(&mut log)?;
+            let (active_index, active_bytes, valid) = scan_wal(&log);
+            if valid < log.len() {
+                log.truncate(valid);
+                wal.set_len(valid as u64)?;
             }
-            let wal = OpenOptions::new().create(true).append(true).open(&wal_path)?;
             stripes.push(Stripe {
                 index,
                 writer: OrderedMutex::new(
@@ -1130,24 +1167,21 @@ impl LsmDatabase {
                     StripeWriter {
                         wal,
                         wal_path,
-                        record: Vec::new(),
                         active_bytes,
                         next_seq,
-                        next_epoch,
-                        sealed,
-                        sealed_bytes,
                         maintaining: false,
+                        poisoned: None,
                     },
                 ),
                 active: OrderedRwLock::new(
                     rank::LSM_ACTIVE_BASE + index as u32,
                     "lsm.active",
-                    active,
+                    Memtable { log, index: active_index },
                 ),
                 snapshot: OrderedRwLock::new(
                     rank::LSM_SNAPSHOT_BASE + index as u32,
                     "lsm.snapshot",
-                    Arc::new(Snapshot { generation: 0, sealed: published, tables }),
+                    Arc::new(Snapshot { generation: 0, tables }),
                 ),
             });
         }
@@ -1174,15 +1208,15 @@ impl LsmDatabase {
         })
     }
 
-    /// Installs the background flush/compaction scheduler. At most one
+    /// Installs the background merge scheduler. At most one
     /// executor can be installed; later calls are ignored (returns
-    /// `false`). Until one is installed, sealing writers drain inline.
+    /// `false`). Until one is installed, sealing writers merge inline.
     pub fn set_background_executor(&self, executor: BackgroundExecutor) -> bool {
         self.inner.executor.set(executor).is_ok()
     }
 
     /// Arms (or with [`LsmFailPoint::None`] clears) a fault-injection
-    /// point in the flush and compaction paths. Test hook for
+    /// point in the write and merge paths. Test hook for
     /// crash-recovery coverage.
     pub fn set_fail_point(&self, point: LsmFailPoint) {
         self.inner.fail_point.store(point as u8, Ordering::Release);
@@ -1198,14 +1232,10 @@ impl LsmDatabase {
         self.inner.stripes.len()
     }
 
-    /// Total SSTables on disk across stripes (diagnostics / tests).
+    /// Total tables — sealed segments and merged tables — on disk across
+    /// stripes (diagnostics / tests).
     pub fn table_count(&self) -> usize {
         self.inner.stripes.iter().map(|s| LsmInner::snapshot_arc(s).tables.len()).sum()
-    }
-
-    /// Total sealed-but-unflushed bytes across stripes (diagnostics).
-    pub fn sealed_bytes(&self) -> usize {
-        self.inner.stripes.iter().map(|s| s.writer.lock().sealed_bytes).sum()
     }
 
     /// Bytes compaction has written — the merged tables' file sizes —
@@ -1229,29 +1259,24 @@ impl LsmDatabase {
 }
 
 impl LsmDatabase {
-    /// Writes `key` to its stripe's WAL and memtable if `admit` agrees.
-    /// `admit` runs under the stripe's writer lock, which freezes the
-    /// stripe's writes and seals: what it looks up cannot change before
-    /// the write lands. Returns whether it agreed.
-    fn put_with(
+    /// Logs and applies `records` to `stripe` under its writer lock if
+    /// `admit` agrees, then seals if that filled the memtable. `admit`
+    /// runs under the lock, which freezes the stripe's writes and seals:
+    /// what it looks up cannot change before the write lands. Returns
+    /// whether it agreed.
+    fn write_with<'a>(
         &self,
-        key: &[u8],
-        value: &[u8],
+        stripe: &Stripe,
+        records: impl Iterator<Item = Record<'a>> + Clone,
         admit: impl FnOnce() -> Result<bool, YokanError>,
     ) -> Result<bool, YokanError> {
-        let stripe = self.inner.stripe_of(key);
         let schedule = {
             let mut writer = stripe.writer.lock();
             if !admit()? {
                 return Ok(false);
             }
-            LsmInner::append_wal(&mut writer, OP_PUT, key, value)?;
-            {
-                let mut active = stripe.active.write();
-                active.insert(key.to_vec(), Some(value.to_vec()));
-            }
-            writer.active_bytes += key.len() + value.len();
-            self.inner.maybe_seal_and_flush(stripe, &mut writer)?
+            self.inner.append(stripe, &mut writer, records)?;
+            self.inner.maybe_seal(stripe, &mut writer)?
         };
         if schedule {
             self.inner.schedule_maintenance(stripe.index);
@@ -1266,12 +1291,14 @@ impl Database for LsmDatabase {
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), YokanError> {
-        self.put_with(key, value, || Ok(true)).map(|_stored| ())
+        let put = std::iter::once((OP_PUT, key, value));
+        self.write_with(self.inner.stripe_of(key), put, || Ok(true)).map(|_stored| ())
     }
 
     fn put_if_newer(&self, key: &[u8], record: &[u8]) -> Result<(bool, bool), YokanError> {
         let mut was_live = false;
-        let stored = self.put_with(key, record, || {
+        let put = std::iter::once((OP_PUT, key, record));
+        let stored = self.write_with(self.inner.stripe_of(key), put, || {
             Ok(match self.inner.lookup_live(key)? {
                 None => true,
                 Some(current) => {
@@ -1284,42 +1311,16 @@ impl Database for LsmDatabase {
     }
 
     fn put_multi(&self, pairs: &[(&[u8], &[u8])]) -> Result<(), YokanError> {
-        if pairs.is_empty() {
-            return Ok(());
-        }
         // Group by stripe so each stripe's writer lock is taken once per
-        // batch (one WAL write, one active-lock acquisition per group),
+        // batch (one WAL write per group),
         // one stripe at a time — never two writer locks together.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.inner.stripes.len()];
-        for (i, (key, _)) in pairs.iter().enumerate() {
-            groups[self.inner.stripe_index(key)].push(i);
+        let mut groups: Vec<Vec<Record<'_>>> = vec![Vec::new(); self.inner.stripes.len()];
+        for &(key, value) in pairs {
+            groups[self.inner.stripe_index(key)].push((OP_PUT, key, value));
         }
         for (stripe, group) in self.inner.stripes.iter().zip(&groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let schedule = {
-                let mut writer = stripe.writer.lock();
-                let StripeWriter { wal, record, .. } = &mut *writer;
-                record.clear();
-                for &i in group {
-                    let (key, value) = pairs[i];
-                    wal_record_into(record, OP_PUT, key, value);
-                }
-                wal.write_all(record)?;
-                {
-                    let mut active = stripe.active.write();
-                    for &i in group {
-                        let (key, value) = pairs[i];
-                        active.insert(key.to_vec(), Some(value.to_vec()));
-                    }
-                }
-                writer.active_bytes +=
-                    group.iter().map(|&i| pairs[i].0.len() + pairs[i].1.len()).sum::<usize>();
-                self.inner.maybe_seal_and_flush(stripe, &mut writer)?
-            };
-            if schedule {
-                self.inner.schedule_maintenance(stripe.index);
+            if !group.is_empty() {
+                self.write_with(stripe, group.iter().copied(), || Ok(true))?;
             }
         }
         Ok(())
@@ -1346,7 +1347,7 @@ impl Database for LsmDatabase {
                 let active = stripe.active.read();
                 for &i in group {
                     match active.get(keys[i]) {
-                        Some(entry) => values[i] = entry.clone(),
+                        Some(entry) => values[i] = entry,
                         None => misses.push(i),
                     }
                 }
@@ -1363,37 +1364,15 @@ impl Database for LsmDatabase {
     }
 
     fn erase(&self, key: &[u8]) -> Result<bool, YokanError> {
-        let stripe = self.inner.stripe_of(key);
-        let (existed, schedule) = {
-            let mut writer = stripe.writer.lock();
-            // Stripe-local liveness check under this stripe's writer
-            // lock: holding it freezes the stripe's seals, so the
-            // active-then-snapshot lookup is stable, and no other stripe
-            // is consulted — a key can only ever live in the stripe it
-            // hashes to.
-            let existed = {
-                let active = stripe.active.read();
-                match active.get(key) {
-                    Some(entry) => entry.is_some(),
-                    None => {
-                        drop(active);
-                        LsmInner::snapshot_arc(stripe).lookup(key)?.flatten().is_some()
-                    }
-                }
-            };
-            let mut schedule = false;
-            if existed {
-                LsmInner::append_wal(&mut writer, OP_ERASE, key, &[])?;
-                stripe.active.write().insert(key.to_vec(), None);
-                writer.active_bytes += key.len();
-                schedule = self.inner.maybe_seal_and_flush(stripe, &mut writer)?;
-            }
-            (existed, schedule)
-        };
-        if schedule {
-            self.inner.schedule_maintenance(stripe.index);
-        }
-        Ok(existed)
+        // Stripe-local liveness check under this stripe's writer lock:
+        // holding it freezes the stripe's seals, so the
+        // active-then-snapshot lookup is stable, and no other stripe is
+        // consulted — a key can only ever live in the stripe it hashes
+        // to. A key that is not live logs no tombstone.
+        let erase = std::iter::once((OP_ERASE, key, &[][..]));
+        self.write_with(self.inner.stripe_of(key), erase, || {
+            Ok(self.inner.lookup_live(key)?.is_some())
+        })
     }
 
     fn list_keys(
@@ -1412,7 +1391,7 @@ impl Database for LsmDatabase {
         // `max`.
         let mut keys: Vec<Vec<u8>> = Vec::new();
         for (snap, active) in snaps.iter().zip(&actives) {
-            keys.extend(LsmInner::live_keys(snap, active, prefix, &lower).take(max).cloned());
+            keys.extend(LsmInner::live_keys(snap, active, prefix, &lower).take(max).map(<[u8]>::to_vec));
         }
         keys.sort_unstable();
         keys.truncate(max);
@@ -1448,24 +1427,15 @@ impl Database for LsmDatabase {
                     .collect();
                 {
                     let mut active = stripe.active.write();
-                    active.clear();
+                    active.log.clear();
+                    active.index.clear();
                     LsmInner::publish(stripe, |old| Snapshot {
                         generation: old.generation + 1,
-                        sealed: Vec::new(),
                         tables: Vec::new(),
                     });
                 }
                 writer.active_bytes = 0;
-                let segments = std::mem::take(&mut writer.sealed);
-                writer.sealed_bytes = 0;
-                writer.wal = OpenOptions::new()
-                    .create(true)
-                    .write(true)
-                    .truncate(true)
-                    .open(&writer.wal_path)?;
-                for segment in segments {
-                    std::fs::remove_file(&segment.seg_path).ok();
-                }
+                writer.wal.set_len(0)?;
                 for path in old_paths {
                     std::fs::remove_file(&path).ok();
                 }
@@ -1481,12 +1451,12 @@ impl Database for LsmDatabase {
         for (snap, active) in snaps.iter().zip(&actives) {
             for key in LsmInner::live_keys(snap, active, b"", &Bound::Unbounded) {
                 let value = match active.get(key) {
-                    Some(entry) => entry.clone(),
+                    Some(entry) => entry,
                     None => snap.lookup(key)?.flatten(),
                 };
                 let value =
                     value.ok_or_else(|| YokanError::Corrupt("key vanished during dump".into()))?;
-                out.push((key.clone(), value));
+                out.push((key.to_vec(), value));
             }
         }
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -1503,9 +1473,9 @@ mod tests {
     use std::time::{Duration, Instant};
 
     fn tiny_config() -> LsmConfig {
-        // Small thresholds so tests exercise seal + flush + compaction;
+        // Small thresholds so tests exercise seals and compaction;
         // several stripes so routing is exercised too.
-        LsmConfig { memtable_bytes: 256, max_tables: 3, stripes: 4, ..LsmConfig::default() }
+        LsmConfig { memtable_bytes: 256, max_tables: 3, stripes: 4 }
     }
 
     fn open(dir: &TempDir) -> LsmDatabase {
@@ -1643,15 +1613,26 @@ mod tests {
         assert_eq!(db.len().unwrap(), 20);
     }
 
+    /// Bytes this thread has handed to `write` so far (Linux task I/O
+    /// accounting) — whatever file they went to.
+    fn thread_bytes_written() -> u64 {
+        let io = std::fs::read_to_string("/proc/thread-self/io").expect("task I/O accounting");
+        let wchar = io.lines().find_map(|line| line.strip_prefix("wchar: "));
+        wchar.expect("a wchar line").parse().unwrap()
+    }
+
     #[test]
     fn tiered_ingest_rewrites_each_byte_once_per_tier() {
         // 64 memtables of never-seen keys, 16 records of 12 + 116 bytes
         // each, into one stripe with tiers of `max_tables + 1` = 5.
-        let config =
-            LsmConfig { memtable_bytes: 2048, max_tables: 4, stripes: 1, ..LsmConfig::default() };
+        let config = LsmConfig { memtable_bytes: 2048, max_tables: 4, stripes: 1 };
         let dir = TempDir::new("lsm-tiers").unwrap();
         let key = |i: u32| format!("ingest-{i:05}").into_bytes();
         let value = |i: u32| vec![i as u8; 116];
+        let files = |ext: &str| {
+            let entries = std::fs::read_dir(dir.path()).unwrap().map(|e| e.unwrap().path());
+            entries.filter(|p| p.extension().is_some_and(|x| x == ext)).count()
+        };
         let check = |db: &LsmDatabase| {
             assert_eq!(db.len().unwrap(), 1024);
             for i in 0..1024 {
@@ -1660,22 +1641,35 @@ mod tests {
         };
         {
             let db = LsmDatabase::open(dir.path(), config).unwrap();
+            let written_before = thread_bytes_written();
             for i in 0..1024 {
+                if i == 4 * 16 {
+                    // Four seals, no merge yet: a sealed WAL is the
+                    // table, nothing was written a second time.
+                    assert_eq!((files("seg"), files("tbl")), (4, 0));
+                    assert_eq!(db.table_count(), 4);
+                    assert_eq!(db.compaction_bytes_written(), 0);
+                }
                 db.put(&key(i), &value(i)).unwrap();
             }
-            assert_eq!(db.sealed_bytes(), 0, "every memtable drained inline");
-            // A record is 8 + 12 + 116 bytes on disk, a file ends in a
-            // 4-byte trailer. Every fifth flush merged 5 × 16 records
-            // into a tier-1 table (12 times), every fifth of those 5 × 80
-            // into a tier-2 table (twice): 1.83 bytes rewritten per user
-            // byte. Merging the whole stripe whenever it exceeded four
-            // tables rewrote 5 + 9 + … + 61 = 495 memtables for 64: 7.7.
+            // A record is 8 + 12 + 116 bytes in a merged table, which
+            // ends in a 4-byte trailer. Every fifth seal merged 5 × 16
+            // records into a tier-1 table (12 times), every fifth of
+            // those 5 × 80 into a tier-2 table (twice): 1.83 bytes
+            // rewritten per user byte. Merging the whole stripe whenever
+            // it exceeded four tables rewrote 5 + 9 + … + 61 = 495
+            // memtables for 64: 7.7.
             let user_bytes = 1024 * (12 + 116);
             let rewritten = 12 * (80 * 136 + 4) + 2 * (400 * 136 + 4);
             assert_eq!(db.compaction_bytes_written(), rewritten);
             assert!(rewritten <= 3 * user_bytes);
-            // Two tier-2 tables, two tier-1, four flushed memtables.
+            // Everything this thread wrote to any file: each record once
+            // to the WAL, framed, and the merges. There is no third term.
+            let wal_bytes = 1024 * (WAL_FRAMING as u64 + 12 + 116);
+            assert_eq!(thread_bytes_written() - written_before, wal_bytes + rewritten);
+            // Two tier-2 tables, two tier-1, four sealed segments.
             assert_eq!(db.table_count(), 8);
+            assert_eq!((files("seg"), files("tbl")), (4, 4));
             assert!(db.table_count() <= config.max_tables * 3);
             check(&db);
         }
@@ -1686,8 +1680,7 @@ mod tests {
 
     #[test]
     fn partial_run_keeps_tombstones_that_an_older_table_needs() {
-        let config =
-            LsmConfig { memtable_bytes: 256, max_tables: 2, stripes: 1, ..LsmConfig::default() };
+        let config = LsmConfig { memtable_bytes: 256, max_tables: 2, stripes: 1 };
         let dir = TempDir::new("lsm-partial").unwrap();
         let db = LsmDatabase::open(dir.path(), config).unwrap();
         // One batch seals once: a tier-1 table (≥ 3 × 256 bytes) that
@@ -1717,14 +1710,14 @@ mod tests {
     fn bloom_filter_has_no_false_negatives_and_few_false_positives() {
         let keys: Vec<Vec<u8>> =
             (0..10_000u32).map(|i| format!("k-{i:014}").into_bytes()).collect();
-        let bloom = Bloom::build(keys.iter());
+        let bloom = Bloom::build(keys.len(), keys.iter().map(Vec::as_slice));
         assert!(keys.iter().all(|k| bloom.may_contain(Bloom::hash(k))));
         let false_positives = (10_000..20_000u32)
             .filter(|i| bloom.may_contain(Bloom::hash(format!("k-{i:014}").as_bytes())))
             .count();
         assert!(false_positives < 300, "{false_positives} of 10000 absent keys passed the filter");
         // A table without keys still answers.
-        assert!(!Bloom::build([].iter()).may_contain(Bloom::hash(b"any")));
+        assert!(!Bloom::build(0, [].into_iter()).may_contain(Bloom::hash(b"any")));
     }
 
     #[test]
@@ -1762,8 +1755,13 @@ mod tests {
         let db = LsmDatabase::open(dir.path(), config).unwrap();
         assert_eq!(db.get(b"ok").unwrap().as_deref(), Some(b"1".as_slice()));
         assert_eq!(db.get(b"torn").unwrap(), None);
-        // And the database remains writable.
+        // And the database remains writable — after the last whole
+        // record, not after the torn one, where replay would never reach.
         db.put(b"torn", b"retry").unwrap();
+        assert_eq!(db.get(b"torn").unwrap().as_deref(), Some(b"retry".as_slice()));
+        drop(db);
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        assert_eq!(db.get(b"ok").unwrap().as_deref(), Some(b"1".as_slice()));
         assert_eq!(db.get(b"torn").unwrap().as_deref(), Some(b"retry".as_slice()));
     }
 
@@ -1771,9 +1769,12 @@ mod tests {
     fn corrupt_sstable_detected() {
         let dir = TempDir::new("lsm-corrupt").unwrap();
         {
+            // One key, so one stripe: its fourth seal merges into a `.tbl`.
             let db = open(&dir);
-            db.put(b"k", b"v").unwrap();
-            db.flush().unwrap();
+            for round in 0..4u8 {
+                db.put(b"k", &[round]).unwrap();
+                db.flush().unwrap();
+            }
         }
         let table = std::fs::read_dir(dir.path())
             .unwrap()
@@ -1808,8 +1809,8 @@ mod tests {
         assert_eq!(db.snapshot_generation(), 0);
         db.put(b"a", b"1").unwrap();
         db.flush().unwrap();
-        // One publication for the seal, one for the sealed→table swap.
-        assert!(db.snapshot_generation() >= 2);
+        // One publication: the seal's, which is all a flush of one key is.
+        assert_eq!(db.snapshot_generation(), 1);
         let before = db.snapshot_generation();
         db.flush().unwrap(); // nothing to do: no publication
         assert_eq!(db.snapshot_generation(), before);
@@ -1897,7 +1898,7 @@ mod tests {
     }
 
     #[test]
-    fn background_executor_flushes_off_the_write_path() {
+    fn background_executor_merges_off_the_write_path() {
         let dir = TempDir::new("lsm-bg").unwrap();
         let db = LsmDatabase::open(
             dir.path(),
@@ -1916,48 +1917,39 @@ mod tests {
             db.put(format!("bg-{i:04}").as_bytes(), &[b'x'; 64]).unwrap();
         }
         assert!(scheduled.load(Ordering::Relaxed) > 0, "seals must schedule maintenance");
-        // Background flush materializes tables without any flush() call.
+        // ~13 seals per stripe: the background merges without any
+        // flush() call.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while db.table_count() == 0 && Instant::now() < deadline {
+        while db.compaction_bytes_written() == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(db.table_count() > 0, "background maintenance never flushed");
+        assert!(db.compaction_bytes_written() > 0, "background maintenance never merged");
         // Data stays readable throughout, and a foreground flush joins
         // cleanly with in-flight maintenance.
         db.flush().unwrap();
-        assert_eq!(db.sealed_bytes(), 0);
         assert_eq!(db.len().unwrap(), 200);
         assert_eq!(db.get(b"bg-0042").unwrap().as_deref(), Some([b'x'; 64].as_slice()));
     }
 
     #[test]
-    fn backpressure_drains_inline_when_over_budget() {
-        let dir = TempDir::new("lsm-budget").unwrap();
-        let db = LsmDatabase::open(
-            dir.path(),
-            LsmConfig {
-                memtable_bytes: 256,
-                stripes: 1,
-                max_sealed_bytes: 512,
-                ..LsmConfig::default()
-            },
-        )
-        .unwrap();
+    fn stalled_executor_merges_inline_past_two_full_tiers() {
+        let dir = TempDir::new("lsm-stalled").unwrap();
+        let config = LsmConfig { memtable_bytes: 256, max_tables: 2, stripes: 1 };
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
         // Executor that never runs its tasks: a stalled background pool.
         assert!(db.set_background_executor(Arc::new(|_task| {})));
-        for i in 0..200u32 {
+        let mut longest = 0;
+        for i in 0..400u32 {
             db.put(format!("bp-{i:04}").as_bytes(), &[b'x'; 64]).unwrap();
+            let snap = LsmInner::snapshot_arc(&db.inner.stripes[0]);
+            longest = longest.max(db.inner.run_len(&snap.tables));
         }
-        // The budget forced inline drains despite the stalled pool:
-        // sealed bytes stay bounded and tables exist.
-        assert!(
-            db.sealed_bytes() <= 512 + 256 + 128,
-            "sealed bytes {} escaped the backpressure budget",
-            db.sealed_bytes()
-        );
-        assert!(db.table_count() > 0);
+        // ~110 seals. A run waits for the executor until it is two full
+        // tiers long; the seal after that merges it inline.
+        assert_eq!(longest, 2 * (config.max_tables + 1));
+        assert!(db.compaction_bytes_written() > 0);
         db.flush().unwrap();
-        assert_eq!(db.len().unwrap(), 200);
+        assert_eq!(db.len().unwrap(), 400);
     }
 
     #[test]
@@ -1971,18 +1963,73 @@ mod tests {
         // Run maintenance synchronously on the caller so the fault is
         // deterministic.
         assert!(db.set_background_executor(Arc::new(|task| task())));
-        db.set_fail_point(LsmFailPoint::BeforeTablePersist);
-        for i in 0..10u32 {
+        db.set_fail_point(LsmFailPoint::MidTableWrite);
+        for i in 0..30u32 {
             db.put(format!("e{i:02}").as_bytes(), &[b'x'; 32]).unwrap();
         }
         db.set_fail_point(LsmFailPoint::None);
         let err = db.take_background_error();
         assert!(matches!(err, Some(YokanError::Io(_))), "expected parked error, got {err:?}");
-        // The failed segments were retained and the next flush drains
-        // them.
+        // The run a failed merge leaves is merged by the next flush.
+        assert_eq!(db.compaction_bytes_written(), 0);
         db.flush().unwrap();
-        assert_eq!(db.len().unwrap(), 10);
-        assert_eq!(db.sealed_bytes(), 0);
+        assert!(db.compaction_bytes_written() > 0);
+        assert_eq!(db.len().unwrap(), 30);
+    }
+
+    /// The paths of stripe 0's tables, oldest → newest.
+    fn table_names(db: &LsmDatabase) -> Vec<String> {
+        let snap = LsmInner::snapshot_arc(&db.inner.stripes[0]);
+        snap.tables.iter().map(|t| t.path.file_name().unwrap().to_string_lossy().into()).collect()
+    }
+
+    #[test]
+    fn a_merge_publishes_below_the_seals_that_landed_while_it_ran() {
+        let config = LsmConfig { memtable_bytes: 256, max_tables: 2, stripes: 1 };
+        let dir = TempDir::new("lsm-behind").unwrap();
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        let seal = |name: &str, value: &[u8]| {
+            db.put(name.as_bytes(), value).unwrap();
+            let stripe = &db.inner.stripes[0];
+            db.inner.seal_locked(stripe, &mut stripe.writer.lock()).unwrap();
+        };
+        // An older, tier-1 table the run stops short of, then a run of
+        // three that a background task claims.
+        seal("big", &[b'x'; 1000]);
+        for (name, value) in [("a", "a0"), ("b", "b0"), ("c", "c0")] {
+            seal(name, value.as_bytes());
+        }
+        assert!(db.erase(b"big").unwrap());
+        let stripe = &db.inner.stripes[0];
+        let run = {
+            let mut writer = stripe.writer.lock();
+            writer.maintaining = true;
+            db.inner.claim_run(stripe, &mut writer).expect("three tables of a tier are a run")
+        };
+        assert_eq!((run.seq, run.inputs.len(), run.reaches_oldest), (4, 3, false));
+        // Off-lock, the merge has not written yet; two seals land,
+        // overwriting what it is about to merge.
+        seal("a", b"a1");
+        seal("c", b"c1");
+        db.inner.compact_run(stripe, &run).unwrap();
+        stripe.writer.lock().maintaining = false;
+        let published = [
+            "sst-000-0000000000.seg",
+            "sst-000-0000000004.tbl",
+            "sst-000-0000000005.seg",
+            "sst-000-0000000006.seg",
+        ];
+        assert_eq!(table_names(&db), published);
+        let acked = vec![
+            (b"a".to_vec(), b"a1".to_vec()),
+            (b"b".to_vec(), b"b0".to_vec()),
+            (b"c".to_vec(), b"c1".to_vec()),
+        ];
+        assert_eq!(db.dump().unwrap(), acked);
+        drop(db);
+        let db = LsmDatabase::open(dir.path(), config).unwrap();
+        assert_eq!(table_names(&db), published, "sequence order is age order");
+        assert_eq!(db.dump().unwrap(), acked);
     }
 
     #[test]
@@ -2028,7 +2075,7 @@ mod tests {
         let db = std::sync::Arc::new(
             LsmDatabase::open(
                 dir.path(),
-                LsmConfig { memtable_bytes: 512, max_tables: 2, stripes: 4, ..Default::default() },
+                LsmConfig { memtable_bytes: 512, max_tables: 2, stripes: 4 },
             )
             .unwrap(),
         );

@@ -150,7 +150,7 @@ pub struct BackendConfig {
     /// `"map"` or `"lsm"`.
     #[serde(default = "default_backend")]
     pub backend: String,
-    /// LSM: flush the memtable after this many bytes.
+    /// LSM: seal the memtable after this many bytes.
     #[serde(default = "default_memtable_bytes")]
     pub memtable_bytes: usize,
     /// LSM: width of a compaction tier — once more than this many of a
@@ -168,12 +168,8 @@ pub struct BackendConfig {
     /// on-disk manifest.
     #[serde(default = "default_lsm_stripes")]
     pub lsm_stripes: usize,
-    /// LSM: per-stripe sealed-bytes budget; past it, sealing writers
-    /// drain inline instead of queueing behind the background pool.
-    #[serde(default = "default_max_sealed_bytes")]
-    pub max_sealed_bytes: usize,
-    /// LSM: name of the Argobots pool for background flush/compaction.
-    /// `None` (the default) keeps flush/compaction inline on the writer.
+    /// LSM: name of the Argobots pool for background compaction.
+    /// `None` (the default) keeps compaction inline on the writer.
     /// Interpreted by the Bedrock module (`crate::bedrock`), which
     /// creates the pool and a dedicated xstream on demand.
     #[serde(default)]
@@ -200,10 +196,6 @@ fn default_lsm_stripes() -> usize {
     lsm::DEFAULT_STRIPES
 }
 
-fn default_max_sealed_bytes() -> usize {
-    32 << 20
-}
-
 impl Default for BackendConfig {
     fn default() -> Self {
         Self {
@@ -212,14 +204,13 @@ impl Default for BackendConfig {
             max_tables: default_max_tables(),
             shards: default_shards(),
             lsm_stripes: default_lsm_stripes(),
-            max_sealed_bytes: default_max_sealed_bytes(),
             background_pool: None,
         }
     }
 }
 
 /// Instantiates a backend in `dir` (the provider's data directory; only
-/// used by file-backed backends). Flush/compaction stays inline on the
+/// used by file-backed backends). Compaction stays inline on the
 /// writer; see [`create_backend_with`] to move it to a background
 /// executor.
 pub fn create_backend(
@@ -230,7 +221,7 @@ pub fn create_backend(
 }
 
 /// [`create_backend`], plus an optional background executor for the LSM
-/// backend's flush/compaction work (ignored by memory backends).
+/// backend's compaction work (ignored by memory backends).
 pub fn create_backend_with(
     config: &BackendConfig,
     dir: &Path,
@@ -245,7 +236,6 @@ pub fn create_backend_with(
                     memtable_bytes: config.memtable_bytes,
                     max_tables: config.max_tables,
                     stripes: config.lsm_stripes,
-                    max_sealed_bytes: config.max_sealed_bytes,
                 },
             )?;
             if let Some(executor) = executor {

@@ -44,7 +44,7 @@ struct YokanModule;
 
 /// Ensures `pool` exists (priority queue, so maintenance sorts below any
 /// request handlers sharing it) with a dedicated xstream, and returns an
-/// executor that submits LSM flush/compaction work to it.
+/// executor that submits LSM compaction work to it.
 ///
 /// The xstream matters: maintenance ULTs do file I/O and briefly spin
 /// waiting for a stripe's `maintaining` flag, so they must never compete
@@ -77,7 +77,7 @@ fn background_executor(
             let _ = abt.submit(&pool, Ult::with_priority("yokan-lsm-maint", -1, task));
         } else {
             // Pool torn down (shutdown): run inline rather than drop a
-            // flush on the floor.
+            // merge on the floor.
             task();
         }
     }))

@@ -18,8 +18,7 @@ const OPS_PER_SEED: usize = 300;
 /// Tiers of three (`max_tables + 1`): a table of 9 × 128 bytes or more
 /// sits in the third tier. Two stripes, so ~300 operations fill them
 /// that far while the reopen op still exercises routing stability.
-const CONFIG: LsmConfig =
-    LsmConfig { memtable_bytes: 128, max_tables: 2, stripes: 2, max_sealed_bytes: 32 << 20 };
+const CONFIG: LsmConfig = LsmConfig { memtable_bytes: 128, max_tables: 2, stripes: 2 };
 const THIRD_TIER_BYTES: u64 = 9 * 128;
 
 /// Small key space (73 keys, the empty one included) so operations

@@ -30,7 +30,8 @@
 #      or a posted forward left its books unbalanced), or the RPC
 #      layers' unit tests failed pinned to one CPU (a lost progress
 #      arming or a lost unpark)
-#   39 LSM backend failed (mochi-yokan's own suites — unit, concurrent
+#   39 LSM backend failed (mochi-util's unit tests — the CRC-32 kernels
+#      against each other — mochi-yokan's own suites — unit, concurrent
 #      consistency, integration, the seeded model check — or a 2 s
 #      ingest_rf1_lsm run that read back a wrong value or got an error)
 #   40 allocation budget exceeded (a layer of the data path went back to
@@ -97,10 +98,14 @@ fi
 # tests (backend conformance, tier arithmetic, Bloom filter), concurrent
 # consistency, integration, and the seeded model check (200 histories
 # against a BTreeMap through three compaction tiers; a failure prints the
-# seed that replays it). Then two seconds of ingest_rf1_lsm — the only
-# gate run that drives seal -> flush -> tiered merge under RoutedKv, with
-# every value read back checked. Triages as 39.
-echo "==> LSM backend (mochi-yokan suites, ingest_rf1_lsm smoke)"
+# seed that replays it). Before them mochi-util's unit tests, for the same
+# reason and because every file the LSM writes is checked by its CRC-32:
+# on a host with `pclmulqdq` they pin the carry-less-multiply kernel to
+# the tables bit for bit (DESIGN.md §15.7). Then two seconds of
+# ingest_rf1_lsm — the only gate run that drives seal -> tiered merge
+# under RoutedKv, with every value read back checked. Triages as 39.
+echo "==> LSM backend (mochi-util and mochi-yokan suites, ingest_rf1_lsm smoke)"
+cargo test -q -p mochi-util --lib || exit 39
 cargo test -q -p mochi-yokan --lib --test concurrent_consistency \
     --test yokan_integration --test lsm_model || exit 39
 python3 crates/perf/bench.py --workload ingest_rf1_lsm --seed 2 --seconds 2 --trace 0 || exit 39

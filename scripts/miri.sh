@@ -3,7 +3,9 @@
 # dependency-light foundation crates, mochi-wire (zero-copy frame
 # encoding: the only crate that reinterprets byte buffers) and
 # mochi-util (lock-free queues and the striped counters behind the
-# stats plane: the only crate with hand-rolled atomics orderings).
+# stats plane: the only crate with hand-rolled atomics orderings; its
+# one `unsafe` module, the PCLMULQDQ CRC-32 kernel, is `cfg(not(miri))`,
+# so miri interprets the table kernel the intrinsics are pinned to).
 #
 # Deliberately NOT tier-1 — see EXPERIMENTS.md ("Why miri is opt-in")
 # for the rationale: miri is a rustup component the pinned offline CI
