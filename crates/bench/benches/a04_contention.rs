@@ -13,10 +13,11 @@
 //!   2. LSM gets at 1/2/4/8 threads, snapshot reads vs. a bench-local
 //!      global-mutex wrapper reproducing the old "every op takes the
 //!      writer lock" design; plus a single-thread get p50 check.
-//!   3. LSM puts at 1/2/4/8 threads, 8 stripes (per-stripe WALs +
-//!      background flush) vs. a single stripe — the DESIGN.md §15 write
-//!      path. Emits `target/BENCH_a04.json` with throughput and put
-//!      p50/p99, which `scripts/bench-multicore.sh` checks for.
+//!   3. LSM puts at 1/2/4/8 threads, 8 stripes (per-stripe value logs,
+//!      each merging on its sealing writer) vs. a single stripe — the
+//!      DESIGN.md §15 write path. Emits `target/BENCH_a04.json` with
+//!      throughput and put p50/p99, which `scripts/bench-multicore.sh`
+//!      checks for.
 //!   4. Echo RPCs through two monitored Margo runtimes, confirming the
 //!      striped statistics monitor still emits Listing-1-shaped dumps.
 //!
@@ -26,13 +27,13 @@
 //! `"asserted": false` in the JSON).
 
 use std::path::Path;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 
 use mochi_bench::{fmt_rate, measure, Table};
 use mochi_margo::{MargoConfig, MargoRuntime};
 use mochi_mercury::{Address, Fabric};
 use mochi_util::TempDir;
-use mochi_yokan::backend::lsm::{BackgroundExecutor, LsmConfig, LsmDatabase};
+use mochi_yokan::backend::lsm::{LsmConfig, LsmDatabase};
 use mochi_yokan::backend::memory::MemoryDatabase;
 use mochi_yokan::backend::Database;
 use serde_json::json;
@@ -230,20 +231,9 @@ fn bench_lsm(parallel: bool) {
     }
 }
 
-/// Per-flush thread executor: moves flush/compaction off the writer the
-/// same way the Bedrock module's Argobots pool does, without needing a
-/// runtime in a backend-only bench.
-fn thread_executor() -> BackgroundExecutor {
-    Arc::new(|task| {
-        std::thread::spawn(task);
-    })
-}
-
 fn write_db(dir: &Path, stripes: usize) -> LsmDatabase {
     let config = LsmConfig { memtable_bytes: 64 * 1024, max_tables: 4, stripes };
-    let db = LsmDatabase::open(dir, config).unwrap();
-    db.set_background_executor(thread_executor());
-    db
+    LsmDatabase::open(dir, config).unwrap()
 }
 
 /// Leg 3: the §15 parallel write path. Returns the JSON fragment for
@@ -297,12 +287,8 @@ fn bench_lsm_writes(parallel: bool) -> serde_json::Value {
             "single_stripe_ops_per_s": rate_single,
             "striped_ops_per_s": rate_striped,
         }));
-        // Flush before dropping so background work quiesces inside the
-        // TempDir's lifetime.
-        single.flush().unwrap();
-        striped.flush().unwrap();
     }
-    table.print("A4 — LSM put throughput: 1 stripe vs 8 stripes (background flush)");
+    table.print("A4 — LSM put throughput: 1 stripe vs 8 stripes (inline merges)");
 
     assert!(
         p50_striped <= p50_single * 1.5,

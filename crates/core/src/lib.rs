@@ -16,10 +16,10 @@
 //!    SSG/SWIM failure notifications and restores dead processes from
 //!    checkpoints on freshly allocated nodes (the top-down loop of §7).
 //!
-//! [`workflow`] provides the HEPnOS/NOvA-inspired synthetic workload whose
-//! phases have contrasting I/O patterns — the motivation for dynamic
-//! reconfiguration in the paper's introduction and the workload of
-//! experiment E11.
+//! [`workflow::sharded`] provides the HEPnOS/NOvA-inspired synthetic
+//! workload whose phases have contrasting I/O patterns — the motivation
+//! for dynamic reconfiguration in the paper's introduction and the
+//! workload of experiment E11.
 
 //! [`ring`] + [`routed`] extend capability 3 horizontally: one logical
 //! keyspace consistent-hash-routed across N Yokan providers, with
@@ -44,4 +44,3 @@ pub use resilience::{ResilienceConfig, ResilienceManager};
 pub use ring::{HashRing, MovedArc};
 pub use routed::{RebalanceReport, RoutedConfig, RoutedKv};
 pub use service::{DynamicService, ServiceConfig};
-pub use workflow::{Phase, PhaseReport, WorkloadSpec};

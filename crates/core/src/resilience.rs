@@ -8,7 +8,7 @@
 //! components: they only implement `checkpoint`/`restore` hooks, keeping
 //! the coupling the paper warns about to a minimum.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,9 +50,12 @@ pub struct ResilienceManager {
     service: Arc<DynamicService>,
     config: ResilienceConfig,
     stats: Arc<ResilienceStats>,
-    stopped: Arc<AtomicBool>,
+    stopped: AtomicBool,
     // leaf: set operations only.
-    recovering: Arc<Mutex<HashSet<Address>>>,
+    recovering: Mutex<HashSet<Address>>,
+    /// Who has reported each member dead that is not yet recovered.
+    // leaf: map operations only; cloned out before `service.members`.
+    deaths: Mutex<HashMap<Address, HashSet<Address>>>,
     // leaf: handles are taken out before they are joined.
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -65,8 +68,9 @@ impl ResilienceManager {
             service: Arc::clone(service),
             config,
             stats: Arc::new(ResilienceStats::default()),
-            stopped: Arc::new(AtomicBool::new(false)),
-            recovering: Arc::new(Mutex::new(HashSet::new())),
+            stopped: AtomicBool::new(false),
+            recovering: Mutex::new(HashSet::new()),
+            deaths: Mutex::new(HashMap::new()),
             threads: Mutex::new(Vec::new()),
         });
         // Checkpoint sweeper.
@@ -90,31 +94,53 @@ impl ResilienceManager {
         if config.auto_recover {
             for addr in service.addresses() {
                 if let Some(group) = service.group(&addr) {
-                    manager.subscribe(&group);
+                    manager.subscribe(addr, &group);
                 }
             }
         }
         manager
     }
 
-    fn subscribe(self: &Arc<Self>, group: &Arc<SsgGroup>) {
+    /// Reports every member that `reporter`'s group sees die to
+    /// [`Self::report_death`].
+    fn subscribe(self: &Arc<Self>, reporter: Address, group: &Arc<SsgGroup>) {
         let manager = Arc::clone(self);
         group.on_change(Arc::new(move |event| {
             if let MembershipEvent::Died(dead) = event {
                 if manager.stopped.load(Ordering::SeqCst) {
                     return;
                 }
-                let dead = dead.clone();
+                let (reporter, dead) = (reporter.clone(), dead.clone());
                 let manager = Arc::clone(&manager);
                 // Recover off the callback thread (it holds SWIM state).
                 std::thread::Builder::new()
                     .name("resilience-recover".into())
-                    .spawn(move || {
-                        manager.recover(&dead);
-                    })
+                    .spawn(move || manager.report_death(&reporter, &dead))
                     .expect("spawn recovery thread");
             }
         }));
+    }
+
+    /// Recovers `dead` once a majority of the other members have reported
+    /// it dead. A member cut off from its peers sees every one of them
+    /// die, so one member's word is not enough; nor is that of a member
+    /// the service has since replaced.
+    fn report_death(self: &Arc<Self>, reporter: &Address, dead: &Address) {
+        let reporters = {
+            let mut deaths = self.deaths.lock();
+            let reporters = deaths.entry(dead.clone()).or_default();
+            reporters.insert(reporter.clone());
+            reporters.clone()
+        };
+        let confirmed = {
+            let members = self.service.members.lock();
+            let others = members.keys().filter(|m| *m != dead).count();
+            let votes = reporters.iter().filter(|r| members.contains_key(*r)).count();
+            2 * votes > others
+        };
+        if confirmed {
+            self.recover(dead);
+        }
     }
 
     /// Counters.
@@ -154,7 +180,7 @@ impl ResilienceManager {
 
     /// Rebuilds the member that ran at `dead` on a freshly allocated
     /// node, restoring each of its providers from its latest checkpoint.
-    pub fn recover(&self, dead: &Address) {
+    pub fn recover(self: &Arc<Self>, dead: &Address) {
         // Deduplicate: several members will report the same death.
         {
             let mut recovering = self.recovering.lock();
@@ -164,12 +190,13 @@ impl ResilienceManager {
         }
         let result = self.recover_inner(dead);
         self.recovering.lock().remove(dead);
+        self.deaths.lock().remove(dead);
         if result {
             self.stats.recoveries.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    fn recover_inner(&self, dead: &Address) -> bool {
+    fn recover_inner(self: &Arc<Self>, dead: &Address) -> bool {
         // Fetch and drop the dead member's record.
         let Some(record) = self.service.members.lock().remove(dead) else {
             return false; // already recovered or never a member
@@ -209,42 +236,13 @@ impl ResilienceManager {
         let Ok(group) = group else {
             return false;
         };
-        self.subscribe_arc(&group);
-        self.service.members.lock().insert(
-            server.address(),
-            MemberRecord { server, group, node: new_node, config },
-        );
+        let address = server.address();
+        let record = MemberRecord { server, group: Arc::clone(&group), node: new_node, config };
+        self.service.members.lock().insert(address.clone(), record);
+        if self.config.auto_recover {
+            self.subscribe(address, &group);
+        }
         true
-    }
-
-    fn subscribe_arc(&self, group: &Arc<SsgGroup>) {
-        // Reconstruct an Arc<Self> for the subscription closure.
-        // SAFETY-free approach: we clone the fields we need instead.
-        let service = Arc::clone(&self.service);
-        let stats = Arc::clone(&self.stats);
-        let stopped = Arc::clone(&self.stopped);
-        let recovering = Arc::clone(&self.recovering);
-        let config = self.config;
-        group.on_change(Arc::new(move |event| {
-            if let MembershipEvent::Died(dead) = event {
-                if stopped.load(Ordering::SeqCst) || !config.auto_recover {
-                    return;
-                }
-                let helper = ResilienceManager {
-                    service: Arc::clone(&service),
-                    config,
-                    stats: Arc::clone(&stats),
-                    stopped: Arc::clone(&stopped),
-                    recovering: Arc::clone(&recovering),
-                    threads: Mutex::new(Vec::new()),
-                };
-                let dead = dead.clone();
-                std::thread::Builder::new()
-                    .name("resilience-recover".into())
-                    .spawn(move || helper.recover(&dead))
-                    .expect("spawn recovery thread");
-            }
-        }));
     }
 
     /// Stops the sweeper; in-flight recoveries complete.

@@ -3,144 +3,25 @@
 //! "The high-energy physics NOvA workflow … presents steps with vastly
 //! different I/O patterns. Our work in autotuning HEPnOS showed that the
 //! best configuration of the service for one step of the workflow is not
-//! necessarily the best for other steps." This module generates a
-//! multi-phase workload with exactly that property:
+//! necessarily the best for other steps." [`sharded`] generates a
+//! two-step workload with exactly that property:
 //!
-//! * [`Phase::Ingest`] — a storm of small puts (event ingestion): bound
-//!   by per-RPC handler throughput, it loves many execution streams;
-//! * [`Phase::Analysis`] — large scans and big-value reads: bound by
-//!   data movement, it loves few streams (less contention) and bulk
-//!   transfers.
+//! * ingest — a storm of small batched puts (event ingestion), spread
+//!   over K databases;
+//! * ordered analysis — globally ordered scans that merge across the
+//!   shards and fetch every value.
 //!
-//! Experiment E11 runs this workload against static configurations and a
-//! dynamically reconfigured service and compares makespans.
+//! Experiment E11 and the `hepnos_workflow` example run it against static
+//! configurations and a dynamically reconfigured service and compare
+//! makespans.
 
-use serde::{Deserialize, Serialize};
-
-use mochi_margo::MargoError;
-use mochi_util::time::Stopwatch;
-use mochi_util::SeededRng;
-use mochi_yokan::DatabaseHandle;
-
-/// One workflow step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Phase {
-    /// Many small writes (event ingestion).
-    Ingest {
-        /// Number of put operations.
-        ops: usize,
-        /// Value size in bytes.
-        value_size: usize,
-    },
-    /// Scan-heavy analysis over previously ingested data.
-    Analysis {
-        /// Number of scan passes.
-        scans: usize,
-        /// Keys listed (and fetched) per pass.
-        keys_per_scan: usize,
-    },
-}
-
-/// A whole workflow: named phases in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadSpec {
-    /// Phases in execution order.
-    pub phases: Vec<(String, Phase)>,
-    /// RNG seed for key/value generation.
-    pub seed: u64,
-}
-
-impl WorkloadSpec {
-    /// The two-step NOvA-like default: ingest then analysis.
-    pub fn hepnos_like(scale: usize) -> Self {
-        Self {
-            phases: vec![
-                ("ingest".into(), Phase::Ingest { ops: 40 * scale, value_size: 128 }),
-                (
-                    "analysis".into(),
-                    Phase::Analysis { scans: 4 * scale, keys_per_scan: 32 },
-                ),
-            ],
-            seed: 0x0a57,
-        }
-    }
-}
-
-/// Outcome of one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseReport {
-    /// Phase label.
-    pub name: String,
-    /// Operations performed.
-    pub ops: u64,
-    /// Wall-clock seconds.
-    pub duration_s: f64,
-    /// Operations per second.
-    pub throughput: f64,
-}
-
-/// Runs one phase against a database handle.
-pub fn run_phase(
-    db: &DatabaseHandle,
-    name: &str,
-    phase: &Phase,
-    rng: &mut SeededRng,
-) -> Result<PhaseReport, MargoError> {
-    let stopwatch = Stopwatch::start();
-    let mut ops = 0u64;
-    match phase {
-        Phase::Ingest { ops: count, value_size } => {
-            let mut value = vec![0u8; *value_size];
-            for i in 0..*count {
-                rng.fill_bytes(&mut value);
-                let key = format!("event/{:010}/{:04}", i, rng.range(0, 10_000));
-                db.put(key.as_bytes(), &value)?;
-                ops += 1;
-            }
-        }
-        Phase::Analysis { scans, keys_per_scan } => {
-            for _ in 0..*scans {
-                let keys = db.list_keys(b"event/", None, *keys_per_scan)?;
-                ops += 1;
-                if keys.is_empty() {
-                    continue;
-                }
-                let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                let values = db.get_multi(&refs)?;
-                ops += values.len() as u64;
-            }
-        }
-    }
-    let duration_s = stopwatch.elapsed_secs();
-    Ok(PhaseReport {
-        name: name.to_string(),
-        ops,
-        duration_s,
-        throughput: if duration_s > 0.0 { ops as f64 / duration_s } else { 0.0 },
-    })
-}
-
-/// Runs a whole workflow, returning per-phase reports.
-pub fn run_workload(
-    db: &DatabaseHandle,
-    spec: &WorkloadSpec,
-) -> Result<Vec<PhaseReport>, MargoError> {
-    let mut rng = SeededRng::new(spec.seed);
-    let mut reports = Vec::with_capacity(spec.phases.len());
-    for (name, phase) in &spec.phases {
-        reports.push(run_phase(db, name, phase, &mut rng)?);
-    }
-    Ok(reports)
-}
-
-/// The sharded variant of the workflow, used by experiment E11 and the
-/// `hepnos_workflow` example: data spread over K databases, with a
-/// *globally ordered* analysis scan that must merge across shards. The
-/// two phases have opposite optimal shard counts — many shards keep each
-/// LSM small during ingest (fewer flushes per stripe, fewer compaction
-/// tiers for a byte to be rewritten through); one shard minimizes
-/// scatter-gather RPCs during ordered analysis — which is the paper's §1
-/// motivation for per-step reconfiguration.
+/// The workflow over K databases, with a *globally ordered* analysis
+/// scan that must merge across shards. The two phases have opposite
+/// optimal shard counts — many shards keep each LSM small during ingest
+/// (fewer flushes per stripe, fewer compaction tiers for a byte to be
+/// rewritten through); one shard minimizes scatter-gather RPCs during
+/// ordered analysis — which is the paper's §1 motivation for per-step
+/// reconfiguration.
 pub mod sharded {
     use std::collections::VecDeque;
 
@@ -303,43 +184,5 @@ pub mod sharded {
         }
         merged.flush().unwrap();
         (stopwatch.elapsed_secs(), merged)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mochi_mercury::{Address, Fabric};
-    use mochi_yokan::backend::memory::MemoryDatabase;
-    use mochi_yokan::YokanProvider;
-    use std::sync::Arc;
-
-    #[test]
-    fn workload_runs_end_to_end() {
-        let fabric = Fabric::new();
-        let server =
-            mochi_margo::MargoRuntime::init_default(&fabric, Address::tcp("s", 1)).unwrap();
-        let client =
-            mochi_margo::MargoRuntime::init_default(&fabric, Address::tcp("c", 1)).unwrap();
-        let _provider =
-            YokanProvider::register(&server, 1, None, Arc::new(MemoryDatabase::new())).unwrap();
-        let db = DatabaseHandle::new(&client, server.address(), 1);
-        let spec = WorkloadSpec::hepnos_like(1);
-        let reports = run_workload(&db, &spec).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].name, "ingest");
-        assert_eq!(reports[0].ops, 40);
-        assert!(reports[1].ops > 0, "analysis found ingested data");
-        assert!(reports.iter().all(|r| r.throughput > 0.0));
-        server.finalize();
-        client.finalize();
-    }
-
-    #[test]
-    fn spec_serializes() {
-        let spec = WorkloadSpec::hepnos_like(2);
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: WorkloadSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
     }
 }

@@ -179,3 +179,44 @@ fn resilience_recovers_crashed_member_from_checkpoint() {
     service.shutdown();
     client.finalize();
 }
+
+/// A member rebuilt after one death reports the next death like any
+/// other, and neither recovery stops the checkpoint sweeper.
+#[test]
+fn resilience_keeps_checkpointing_after_two_deaths() {
+    let cluster = Cluster::new(5); // 3 in use + 2 spares for recovery
+    let service =
+        DynamicService::deploy(&cluster, ServiceConfig::default(), 3, kv_namer).unwrap();
+    let interval = Duration::from_millis(100);
+    let manager = ResilienceManager::attach(
+        &service,
+        ResilienceConfig { checkpoint_interval: interval, auto_recover: true },
+    );
+    let stat =
+        |counter: &std::sync::atomic::AtomicU64| counter.load(std::sync::atomic::Ordering::SeqCst);
+    let replaced = |victim: &Address, recoveries: u64| {
+        wait_until(Duration::from_secs(30), Duration::from_millis(20), || {
+            stat(&manager.stats().recoveries) >= recoveries
+                && !service.addresses().contains(victim)
+                && service.addresses().len() == 3
+        })
+    };
+    let originals = service.addresses();
+    cluster.crash(&originals[2]).unwrap();
+    assert!(replaced(&originals[2], 1), "first victim was not replaced");
+    // An original member dies; the rebuilt one sees it die too.
+    cluster.crash(&originals[0]).unwrap();
+    assert!(replaced(&originals[0], 2), "second victim was not replaced");
+
+    let swept = stat(&manager.stats().checkpoints);
+    assert!(
+        wait_until(Duration::from_secs(10), interval / 4, || {
+            stat(&manager.stats().checkpoints) >= swept + 5
+        }),
+        "checkpoint sweeps stopped after the second recovery (stuck at {})",
+        stat(&manager.stats().checkpoints)
+    );
+
+    manager.stop();
+    service.shutdown();
+}

@@ -4,9 +4,10 @@
 //! nobody observes its `Result`. The resilience literature treats this
 //! as a detection gap — the task dies, the service keeps serving, and
 //! the failure surfaces minutes later as lost data or a stuck queue.
-//! PR 7's `BackgroundExecutor` parks task errors for the supervisor to
-//! harvest; that is the blessed pattern. Everything else that discards a
-//! fallible result *inside a spawn span* is a finding:
+//! Parking the error in a slot a supervisor harvests (as the LSM parks a
+//! failed unlink for the next `flush()`) is the blessed pattern.
+//! Everything else that discards a fallible result *inside a spawn span*
+//! is a finding:
 //!
 //! - `let _ = fallible(…);` — wildcard-only discard of a fallible call
 //!   (`let _res = …` keeps the binding observable and is not flagged);
@@ -157,7 +158,7 @@ fn site(
         line: line_of(text, offset),
         column: column_of(text, offset),
         message: format!(
-            "`{callee}` result {how} inside a spawn body — park the error on the BackgroundExecutor (or handle it) so the supervisor can see the task die"
+            "`{callee}` result {how} inside a spawn body — park the error where a supervisor reads it (or handle it) so the supervisor can see the task die"
         ),
         path: Vec::new(),
     }

@@ -98,8 +98,8 @@ fn swallowed_bg_error_flags_let_underscore_in_spawn() {
 #[test]
 fn swallowed_bg_error_accepts_parked_errors() {
     // The blessed pattern: the spawn body routes its failure somewhere a
-    // supervisor can observe it (the BackgroundExecutor's parked-error
-    // sink) instead of discarding it.
+    // supervisor can observe it (a parked-error sink) instead of
+    // discarding it.
     let files = parse(&[(
         "crates/yokan/src/writer.rs",
         "impl Writer {\n\

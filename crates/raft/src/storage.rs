@@ -8,12 +8,12 @@
 //! * `snapshot.bin` — latest snapshot: metadata + state machine bytes.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
 use mochi_mercury::Address;
-use mochi_util::crc32;
+use mochi_util::{atomic_write, crc32};
 
 use crate::types::{LogEntry, LogIndex, Term};
 
@@ -42,16 +42,6 @@ pub struct SnapshotRecord {
 /// File-backed Raft storage.
 pub struct RaftStorage {
     dir: PathBuf,
-}
-
-fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 impl RaftStorage {

@@ -21,10 +21,13 @@
 //!   workspace lock hierarchy in debug builds (see DESIGN.md and the
 //!   `mochi-lint` crate for the static half of the story),
 //! * [`striped`] — thread-striped accumulators merged at dump time, the
-//!   contention-free backing store for hot-path statistics.
+//!   contention-free backing store for hot-path statistics,
+//! * [`durable`] — [`atomic_write`], the temp-name, sync and rename that
+//!   replaces a persisted file without ever tearing it.
 
 pub mod bytesize;
 pub mod checksum;
+pub mod durable;
 pub mod hash;
 pub mod histogram;
 pub mod id;
@@ -36,6 +39,7 @@ pub mod tempdir;
 pub mod time;
 
 pub use checksum::{crc32, crc64};
+pub use durable::atomic_write;
 pub use hash::{fnv1a64, mix64, IdMap};
 pub use histogram::Histogram;
 pub use id::unique_u64;

@@ -121,10 +121,10 @@ pub mod rank {
     /// reserved for its stripes.
     pub const YOKAN_SHARD_MAX: u32 = 64;
     /// `yokan::lsm` stripe-`i` writer lock (`LSM_WRITER_BASE + i`) — that
-    /// stripe's WAL file, sealed-segment list, and flush/compaction
-    /// scheduling; outermost of the per-stripe trio. Single-key mutations
-    /// hold exactly one writer lock; batched mutations visit stripes one
-    /// at a time, never holding two writer locks at once.
+    /// stripe's value log, seals and merges; outermost of the per-stripe
+    /// trio. Single-key mutations hold exactly one writer lock; batched
+    /// mutations visit stripes one at a time, never holding two writer
+    /// locks at once.
     pub const LSM_WRITER_BASE: u32 = 500;
     /// `yokan::lsm` stripe-`i` active (mutable) memtable
     /// (`LSM_ACTIVE_BASE + i`). Whole-table reads acquire every stripe's
@@ -139,7 +139,7 @@ pub mod rank {
     /// Maximum stripe count of the yokan LSM backend; each of the three
     /// bases above reserves `LSM_STRIPE_MAX` consecutive ranks.
     pub const LSM_STRIPE_MAX: u32 = 16;
-    /// `yokan::lsm` deferred background-maintenance error slot; a leaf,
+    /// `yokan::lsm` slot of a failed unlink after a good merge; a leaf,
     /// taken last (at most a stripe's writer lock is held).
     pub const LSM_BG_ERROR: u32 = 560;
     /// `mercury` fabric: the delayed-delivery queue (condition variable)

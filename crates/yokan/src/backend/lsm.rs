@@ -44,13 +44,8 @@
 //! number (`LsmInner::claim_run`). A merge moves keys and references, not
 //! values; each file counts the value bytes current tables reference, and
 //! a file that is no longer appended to, no longer a table, and has no
-//! live byte left is unlinked. Merges normally run *off* the request
-//! path: [`LsmDatabase::set_background_executor`] installs a scheduler
-//! (in production, a low-priority Argobots pool; see `crate::bedrock`)
-//! and sealing merely enqueues a maintenance task. Without an executor —
-//! or when a seal leaves a run of more than `2 × (max_tables + 1)` tables
-//! that no maintenance owns, which is what a stalled executor looks like
-//! — the sealing writer merges inline.
+//! live byte left is unlinked. Merges run on the sealing writer: a seal
+//! that completes a run merges it before the write returns.
 //!
 //! # Concurrency
 //!
@@ -59,8 +54,7 @@
 //! `LSM_WRITER_BASE + s < LSM_ACTIVE_BASE + s < LSM_SNAPSHOT_BASE + s`):
 //!
 //! * `writer` — serializes that stripe's mutations: log appends, seals,
-//!   the set of files on disk, and (via the `maintaining` flag) merge
-//!   exclusivity;
+//!   merges, `clear`, and the set of files on disk;
 //! * `active` — the stripe's mutable memtable, briefly write-locked to
 //!   frame a record and again to index it, and read-locked by readers
 //!   (the log write in between holds it only for reading: a reader never
@@ -77,16 +71,12 @@
 //! in ascending stripe index (ascending rank), then every snapshot — an
 //! atomic cut across stripes, deadlock-free by construction.
 //!
-//! Background maintenance claims a stripe by setting `maintaining` under
-//! the writer lock, then does all file I/O *without* holding any lock:
-//! it claims a run and its product's sequence number under the lock,
-//! writes the table, publishes by replacing exactly its inputs, and
-//! takes the lock again to retire them. `maintaining` makes merging
-//! single-writer per stripe; seals still land meanwhile, *behind* the
-//! run, and keep their place above its product. Foreground `flush()`
-//! (the durability barrier) waits for in-flight maintenance, then seals
-//! and merges inline; errors from background maintenance park in a
-//! deferred slot that the next `flush()` surfaces.
+//! A merge holds its stripe's writer lock from claiming a run to
+//! retiring its inputs, so it is the only merge of that stripe and no seal
+//! lands while it runs; readers keep using the snapshot they cloned until
+//! the product is published in place of its inputs. A failed unlink after
+//! a good merge parks in a deferred slot that the next `flush()`
+//! surfaces; the next merge retries it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
@@ -95,7 +85,7 @@ use std::ops::Bound;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use mochi_util::checksum::Crc32Hasher;
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
@@ -115,12 +105,6 @@ pub const MAX_STRIPES: usize = rank::LSM_STRIPE_MAX as usize;
 /// 8 execution streams rarely collide, small enough that whole-table
 /// scans and per-stripe file sets stay cheap.
 pub const DEFAULT_STRIPES: usize = 8;
-
-/// Scheduler for background merges: called with a closure
-/// to run off the request path (in production, a ULT pushed to a
-/// low-priority Argobots pool). The closure is self-contained; dropping
-/// it without running it only delays maintenance, never loses data.
-pub type BackgroundExecutor = Arc<dyn Fn(Box<dyn FnOnce() + Send + 'static>) + Send + Sync>;
 
 /// Tuning knobs of the LSM backend.
 #[derive(Debug, Clone, Copy)]
@@ -798,10 +782,6 @@ struct StripeWriter {
     /// Next sequence number of this stripe: seals, merges and new logs
     /// draw on it.
     next_seq: u64,
-    /// Whether a background merge currently owns this stripe's
-    /// maintenance. While set, nobody else may merge or clear this
-    /// stripe; seals still append ranges behind the run being merged.
-    maintaining: bool,
     /// Why this stripe accepts no more writes until the directory is
     /// reopened: an append failed and so did taking it back, and a write
     /// acknowledged now could be lost behind a torn record.
@@ -867,10 +847,8 @@ struct LsmInner {
     dir: PathBuf,
     config: LsmConfig,
     stripes: Box<[Stripe]>,
-    /// Background scheduler, installed at most once.
-    executor: OnceLock<BackgroundExecutor>,
-    /// Last error from background maintenance; surfaced by `flush()`.
-    background_error: OrderedMutex<Option<YokanError>>,
+    /// A failed unlink after a good merge; surfaced by `flush()`.
+    parked_error: OrderedMutex<Option<YokanError>>,
     /// Armed [`LsmFailPoint`] (tests only; `LsmFailPoint::None` normally).
     fail_point: AtomicU8,
     /// Bytes of merged tables written since `open`.
@@ -881,7 +859,7 @@ struct LsmInner {
 
 /// The LSM database.
 pub struct LsmDatabase {
-    inner: Arc<LsmInner>,
+    inner: LsmInner,
 }
 
 impl std::fmt::Debug for LsmDatabase {
@@ -1280,51 +1258,19 @@ impl LsmInner {
         Ok(())
     }
 
-    /// Post-append check: seals past `memtable_bytes`; the new range may
-    /// complete a run. With an executor installed that is the
-    /// background's work (returns `true`; the caller must drop the
-    /// writer guard *before* calling [`Self::schedule_maintenance`],
-    /// since a synchronous executor would re-enter this stripe's writer
-    /// lock). Without one the writer merges inline — as it does when the
-    /// run has grown past two full tiers with no maintenance owning the
-    /// stripe: an executor that has stalled must not defer work without
-    /// bound, and a healthy one never lets a run get there.
-    fn maybe_seal(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<bool, YokanError> {
+    /// Post-append check: seals past `memtable_bytes`, and merges before
+    /// returning if the new range completes a run.
+    fn maybe_seal(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<(), YokanError> {
         if writer.active_bytes < self.config.memtable_bytes {
-            return Ok(false);
+            return Ok(());
         }
         self.seal_locked(stripe, writer)?;
-        if writer.maintaining {
-            // The merge in flight looks for more work before it lets go.
-            return Ok(false);
-        }
-        let deferred = self.executor.get().is_some()
-            && self.run_len(&Self::snapshot_arc(stripe).tables) <= 2 * (self.config.max_tables + 1);
-        if deferred {
-            return Ok(true);
-        }
-        self.merge_locked(stripe, writer)?;
-        Ok(false)
+        self.merge_locked(stripe, writer)
     }
 
-    /// Enqueues a maintenance task for stripe `index` on the installed
-    /// executor. Must be called with no stripe lock held. The task holds
-    /// only a `Weak` back-reference, so a queued task never outlives the
-    /// database it serves.
-    fn schedule_maintenance(self: &Arc<Self>, index: usize) {
-        if let Some(executor) = self.executor.get() {
-            let weak = Arc::downgrade(self);
-            executor(Box::new(move || {
-                if let Some(inner) = weak.upgrade() {
-                    inner.maintain_stripe(index);
-                }
-            }));
-        }
-    }
-
-    /// Merges until no run of `stripe` qualifies. Runs with the writer
-    /// lock held; callers guarantee no concurrent maintenance
-    /// (`!writer.maintaining`).
+    /// Merges until no run of `stripe` qualifies: the only merge loop.
+    /// Runs with the writer lock held, so no other merge of the stripe
+    /// runs and no seal lands meanwhile.
     fn merge_locked(&self, stripe: &Stripe, writer: &mut StripeWriter) -> Result<(), YokanError> {
         while let Some(run) = self.claim_run(stripe, writer) {
             let product = self.compact_run(stripe, &run)?;
@@ -1355,15 +1301,13 @@ impl LsmInner {
         tables.iter().rev().take_while(|t| self.tier(t.bytes) <= newest).count()
     }
 
-    /// The compaction picker, shared by the inline and background paths:
-    /// claims the stripe's run if it is longer than `max_tables`, with
-    /// the next sequence number for its product. Callers hold the writer
-    /// lock.
+    /// The compaction picker: claims the stripe's run if it is longer than
+    /// `max_tables`, with the next sequence number for its product.
+    /// Callers hold the writer lock.
     ///
     /// A run is a suffix of the list when it is claimed and its product
-    /// takes the then-highest sequence number; seals that land while a
-    /// background merge runs come after both in the list and in
-    /// sequence, so "higher sequence = newer" keeps holding. A run also
+    /// takes the then-highest sequence number, so "higher sequence =
+    /// newer" keeps holding. A run also
     /// takes every unmerged range, whatever its size: unmerged ranges are
     /// then always the newest tables, and a product's watermark says that
     /// every seal up to it is merged — which is how `open` knows which
@@ -1393,11 +1337,9 @@ impl LsmInner {
     /// dropped only when the run reaches the stripe's oldest table —
     /// otherwise an older table could still hold the key; a clear's
     /// product keeps no entry at all. The product
-    /// replaces exactly its inputs in the list: whatever seals appended
-    /// behind them meanwhile stays above it. What the merge shadowed or
+    /// replaces exactly its inputs in the list. What the merge shadowed or
     /// copied stops counting as live in its file. Callers hold the writer
-    /// lock or own `maintaining`, so no other merge runs, and call
-    /// [`Self::retire`] next.
+    /// lock, so no other merge runs, and call [`Self::retire`] next.
     fn compact_run(&self, stripe: &Stripe, run: &Run) -> Result<Arc<SsTable>, YokanError> {
         let path = table_path(&self.dir, stripe.index, run.seq);
         let mut out = TableWriter::create(&path, &run_prefix(&run.inputs))?;
@@ -1507,7 +1449,7 @@ impl LsmInner {
     /// then logs with no live value that are neither appended to nor
     /// hold an unmerged range. Readers holding an older snapshot keep the
     /// files open until they let go. The first failure parks in the
-    /// background-error slot and ends the pass; the next merge retries.
+    /// deferred-error slot and ends the pass; the next merge retries.
     fn unlink_unneeded(&self, stripe: &Stripe, writer: &mut StripeWriter) {
         let snap = Self::snapshot_arc(stripe);
         let holds_range = |id: u64| snap.tables.iter().any(|t| t.range_log() == Some(id));
@@ -1526,7 +1468,7 @@ impl LsmInner {
                 _ => std::fs::remove_file(&path).map_err(YokanError::from),
             };
             if let Err(e) = unlinked {
-                *self.background_error.lock() =
+                *self.parked_error.lock() =
                     Some(YokanError::Io(format!("unlink {}: {e}", path.display())));
                 break;
             }
@@ -1535,66 +1477,15 @@ impl LsmInner {
         }
     }
 
-    /// Background entry point for one stripe: claim maintenance, merge
-    /// (file I/O off-lock) until no run qualifies. Errors park in
-    /// `background_error` for the next `flush()` to surface; the run
-    /// stays as it is and is retried after the next seal or flush.
-    fn maintain_stripe(&self, index: usize) {
-        let stripe = &self.stripes[index];
-        {
-            let mut writer = stripe.writer.lock();
-            if writer.maintaining {
-                // Another task owns the stripe; it will re-check for our
-                // work before releasing ownership.
-                return;
-            }
-            writer.maintaining = true;
-        }
-        loop {
-            // Claim a run and its product's sequence under the lock;
-            // merge with no lock held. Ownership is released under the
-            // same lock that saw no run, so no seal can slip between the
-            // check and the release.
-            let run = {
-                let mut writer = stripe.writer.lock();
-                let run = self.claim_run(stripe, &mut writer);
-                writer.maintaining = run.is_some();
-                run
-            };
-            let Some(run) = run else { break };
-            let merged = self
-                .compact_run(stripe, &run)
-                .and_then(|product| self.retire(stripe, &mut stripe.writer.lock(), &run, &product));
-            if let Err(e) = merged {
-                stripe.writer.lock().maintaining = false;
-                *self.background_error.lock() = Some(e);
-                break;
-            }
-        }
-    }
-
-    /// Foreground durability barrier: waits out in-flight background
-    /// maintenance per stripe, seals and merges everything inline, then
-    /// surfaces any parked background error.
+    /// The durability barrier: seals and merges every stripe, then
+    /// surfaces a parked unlink error.
     fn flush_all(&self) -> Result<(), YokanError> {
         for stripe in self.stripes.iter() {
-            loop {
-                let mut writer = stripe.writer.lock();
-                if writer.maintaining {
-                    // Background maintenance owns the stripe; spin-yield
-                    // until it hands back. The maintainer runs on its
-                    // own xstream and never waits on us, so this always
-                    // terminates.
-                    drop(writer);
-                    std::thread::yield_now();
-                    continue;
-                }
-                self.seal_locked(stripe, &mut writer)?;
-                self.merge_locked(stripe, &mut writer)?;
-                break;
-            }
+            let mut writer = stripe.writer.lock();
+            self.seal_locked(stripe, &mut writer)?;
+            self.merge_locked(stripe, &mut writer)?;
         }
-        if let Some(e) = self.background_error.lock().take() {
+        if let Some(e) = self.parked_error.lock().take() {
             return Err(e);
         }
         Ok(())
@@ -1796,7 +1687,6 @@ fn recover_stripe(
                 active_bytes,
                 active_value_bytes,
                 next_seq,
-                maintaining: false,
                 poisoned: None,
                 files,
                 retired: retired_paths,
@@ -1860,7 +1750,7 @@ impl LsmDatabase {
             stripes.push(recover_stripe(&dir, index, tables, logs)?);
         }
         Ok(Self {
-            inner: Arc::new(LsmInner {
+            inner: LsmInner {
                 dir,
                 // A tier is at least one table wide: a run of one table
                 // has nothing to merge with.
@@ -1870,20 +1760,12 @@ impl LsmDatabase {
                     ..config
                 },
                 stripes: stripes.into_boxed_slice(),
-                executor: OnceLock::new(),
-                background_error: OrderedMutex::new(rank::LSM_BG_ERROR, "lsm.bg_error", None),
+                parked_error: OrderedMutex::new(rank::LSM_BG_ERROR, "lsm.bg_error", None),
                 fail_point: AtomicU8::new(LsmFailPoint::None as u8),
                 compaction_bytes: AtomicU64::new(0),
                 relocated_bytes: AtomicU64::new(0),
-            }),
+            },
         })
-    }
-
-    /// Installs the background merge scheduler. At most one
-    /// executor can be installed; later calls are ignored (returns
-    /// `false`). Until one is installed, sealing writers merge inline.
-    pub fn set_background_executor(&self, executor: BackgroundExecutor) -> bool {
-        self.inner.executor.set(executor).is_ok()
     }
 
     /// Arms (or with [`LsmFailPoint::None`] clears) a fault-injection
@@ -1929,10 +1811,10 @@ impl LsmDatabase {
         self.inner.stripes.iter().map(|s| LsmInner::snapshot_arc(s).generation).sum()
     }
 
-    /// Takes the deferred background-maintenance error, if any, without
-    /// forcing a flush (diagnostics / tests).
+    /// Takes the deferred unlink error, if any, without forcing a flush
+    /// (diagnostics / tests).
     pub fn take_background_error(&self) -> Option<YokanError> {
-        self.inner.background_error.lock().take()
+        self.inner.parked_error.lock().take()
     }
 
     /// Files, value bytes, merge traffic and index memory, for the
@@ -1969,27 +1851,22 @@ impl LsmDatabase {
     }
 
     /// Logs and applies `records` to `stripe` under its writer lock if
-    /// `admit` agrees, then seals if that filled the memtable. `admit`
-    /// runs under the lock, which freezes the stripe's writes and seals:
-    /// what it looks up cannot change before the write lands. Returns
-    /// whether it agreed.
+    /// `admit` agrees, then seals (and merges) if that filled the
+    /// memtable. `admit` runs under the lock, which freezes the stripe's
+    /// writes and seals: what it looks up cannot change before the write
+    /// lands. Returns whether it agreed.
     fn write_with<'a>(
         &self,
         stripe: &Stripe,
         records: impl Iterator<Item = Record<'a>> + Clone,
         admit: impl FnOnce() -> Result<bool, YokanError>,
     ) -> Result<bool, YokanError> {
-        let schedule = {
-            let mut writer = stripe.writer.lock();
-            if !admit()? {
-                return Ok(false);
-            }
-            self.inner.append(stripe, &mut writer, records)?;
-            self.inner.maybe_seal(stripe, &mut writer)?
-        };
-        if schedule {
-            self.inner.schedule_maintenance(stripe.index);
+        let mut writer = stripe.writer.lock();
+        if !admit()? {
+            return Ok(false);
         }
+        self.inner.append(stripe, &mut writer, records)?;
+        self.inner.maybe_seal(stripe, &mut writer)?;
         Ok(true)
     }
 }
@@ -2124,49 +2001,41 @@ impl Database for LsmDatabase {
 
     fn clear(&self) -> Result<(), YokanError> {
         for stripe in self.inner.stripes.iter() {
-            loop {
-                let mut writer = stripe.writer.lock();
-                if writer.maintaining {
-                    drop(writer);
-                    std::thread::yield_now();
-                    continue;
-                }
-                // Everything goes at once, the way a merge retires its run:
-                // the tail is sealed into a range, the stripe moves on to a
-                // fresh log, and one empty `.tbl` replaces every table —
-                // its trailer lists every current and retired one, its
-                // watermark covers every seal. A crash before its rename
-                // leaves the stripe as it was, one after it an empty
-                // stripe; the old files go as a merge's inputs do.
-                let inner = &self.inner;
-                inner.seal_locked(stripe, &mut writer)?;
-                let snap = LsmInner::snapshot_arc(stripe);
-                if snap.tables.iter().all(|table| table.index.first().is_none()) {
-                    // Nothing to clear: no table holds a key.
-                    break;
-                }
-                if writer.log_len > 0 {
-                    inner.rotate(stripe.index, &mut writer)?;
-                    let log = Arc::clone(&writer.log);
-                    // The memtable is empty, and now at the new log's start.
-                    stripe.active.write().base = 0;
-                    LsmInner::publish(stripe, |old| Snapshot {
-                        generation: old.generation + 1,
-                        tables: old.tables.clone(),
-                        log,
-                    });
-                }
-                let run = Run {
-                    inputs: snap.tables.clone(),
-                    seq: writer.take_seq(),
-                    reaches_oldest: true,
-                    retired: writer.retired.keys().copied().collect(),
-                    clear: true,
-                };
-                let product = inner.compact_run(stripe, &run)?;
-                inner.retire(stripe, &mut writer, &run, &product)?;
-                break;
+            let mut writer = stripe.writer.lock();
+            // Everything goes at once, the way a merge retires its run:
+            // the tail is sealed into a range, the stripe moves on to a
+            // fresh log, and one empty `.tbl` replaces every table — its
+            // trailer lists every current and retired one, its watermark
+            // covers every seal. A crash before its rename leaves the
+            // stripe as it was, one after it an empty stripe; the old
+            // files go as a merge's inputs do.
+            let inner = &self.inner;
+            inner.seal_locked(stripe, &mut writer)?;
+            let snap = LsmInner::snapshot_arc(stripe);
+            if snap.tables.iter().all(|table| table.index.first().is_none()) {
+                // Nothing to clear: no table holds a key.
+                continue;
             }
+            if writer.log_len > 0 {
+                inner.rotate(stripe.index, &mut writer)?;
+                let log = Arc::clone(&writer.log);
+                // The memtable is empty, and now at the new log's start.
+                stripe.active.write().base = 0;
+                LsmInner::publish(stripe, |old| Snapshot {
+                    generation: old.generation + 1,
+                    tables: old.tables.clone(),
+                    log,
+                });
+            }
+            let run = Run {
+                inputs: snap.tables.clone(),
+                seq: writer.take_seq(),
+                reaches_oldest: true,
+                retired: writer.retired.keys().copied().collect(),
+                clear: true,
+            };
+            let product = inner.compact_run(stripe, &run)?;
+            inner.retire(stripe, &mut writer, &run, &product)?;
         }
         Ok(())
     }
@@ -2196,8 +2065,7 @@ mod tests {
     use super::super::conformance;
     use super::*;
     use mochi_util::TempDir;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::{Duration, Instant};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn tiny_config() -> LsmConfig {
         // Small thresholds so tests exercise seals and compaction;
@@ -2207,14 +2075,6 @@ mod tests {
 
     fn open(dir: &TempDir) -> LsmDatabase {
         LsmDatabase::open(dir.path(), tiny_config()).unwrap()
-    }
-
-    /// A background executor backed by plain threads — simulates the
-    /// Argobots pool without needing a runtime in unit tests.
-    fn thread_executor() -> BackgroundExecutor {
-        Arc::new(|task: Box<dyn FnOnce() + Send + 'static>| {
-            std::thread::spawn(task);
-        })
     }
 
     /// The files in `dir` with extension `ext`, by name.
@@ -2740,152 +2600,6 @@ mod tests {
     }
 
     #[test]
-    fn background_executor_merges_off_the_write_path() {
-        let dir = TempDir::new("lsm-bg").unwrap();
-        let db = LsmDatabase::open(
-            dir.path(),
-            LsmConfig { memtable_bytes: 512, stripes: 2, ..LsmConfig::default() },
-        )
-        .unwrap();
-        let scheduled = Arc::new(AtomicUsize::new(0));
-        let count = Arc::clone(&scheduled);
-        assert!(db.set_background_executor(Arc::new(move |task| {
-            count.fetch_add(1, Ordering::Relaxed);
-            std::thread::spawn(task);
-        })));
-        // Second install is rejected.
-        assert!(!db.set_background_executor(thread_executor()));
-        for i in 0..200u32 {
-            db.put(format!("bg-{i:04}").as_bytes(), &[b'x'; 64]).unwrap();
-        }
-        assert!(scheduled.load(Ordering::Relaxed) > 0, "seals must schedule maintenance");
-        // ~13 seals per stripe: the background merges without any
-        // flush() call.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while db.compaction_bytes_written() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(db.compaction_bytes_written() > 0, "background maintenance never merged");
-        // Data stays readable throughout, and a foreground flush joins
-        // cleanly with in-flight maintenance.
-        db.flush().unwrap();
-        assert_eq!(db.len().unwrap(), 200);
-        assert_eq!(db.get(b"bg-0042").unwrap().as_deref(), Some([b'x'; 64].as_slice()));
-    }
-
-    #[test]
-    fn stalled_executor_merges_inline_past_two_full_tiers() {
-        let dir = TempDir::new("lsm-stalled").unwrap();
-        let config = LsmConfig { memtable_bytes: 256, max_tables: 2, stripes: 1 };
-        let db = LsmDatabase::open(dir.path(), config).unwrap();
-        // Executor that never runs its tasks: a stalled background pool.
-        assert!(db.set_background_executor(Arc::new(|_task| {})));
-        let mut longest = 0;
-        for i in 0..400u32 {
-            db.put(format!("bp-{i:04}").as_bytes(), &[b'x'; 64]).unwrap();
-            let snap = LsmInner::snapshot_arc(&db.inner.stripes[0]);
-            longest = longest.max(db.inner.run_len(&snap.tables));
-        }
-        // ~110 seals. A run waits for the executor until it is two full
-        // tiers long; the seal after that merges it inline.
-        assert_eq!(longest, 2 * (config.max_tables + 1));
-        assert!(db.compaction_bytes_written() > 0);
-        db.flush().unwrap();
-        assert_eq!(db.len().unwrap(), 400);
-    }
-
-    #[test]
-    fn background_error_surfaces_on_next_flush() {
-        let dir = TempDir::new("lsm-bgerr").unwrap();
-        let db = LsmDatabase::open(
-            dir.path(),
-            LsmConfig { memtable_bytes: 128, stripes: 1, ..LsmConfig::default() },
-        )
-        .unwrap();
-        // Run maintenance synchronously on the caller so the fault is
-        // deterministic.
-        assert!(db.set_background_executor(Arc::new(|task| task())));
-        db.set_fail_point(LsmFailPoint::MidTableWrite);
-        for i in 0..30u32 {
-            db.put(format!("e{i:02}").as_bytes(), &[b'x'; 32]).unwrap();
-        }
-        db.set_fail_point(LsmFailPoint::None);
-        let err = db.take_background_error();
-        assert!(matches!(err, Some(YokanError::Io(_))), "expected parked error, got {err:?}");
-        // The run a failed merge leaves is merged by the next flush.
-        assert_eq!(db.compaction_bytes_written(), 0);
-        db.flush().unwrap();
-        assert!(db.compaction_bytes_written() > 0);
-        assert_eq!(db.len().unwrap(), 30);
-    }
-
-    /// Stripe 0's tables, oldest → newest: `tbl <seq>` or `range <seq>`.
-    fn table_names(db: &LsmDatabase) -> Vec<String> {
-        let snap = LsmInner::snapshot_arc(&db.inner.stripes[0]);
-        let kind = |t: &SsTable| if t.range_log().is_some() { "range" } else { "tbl" };
-        snap.tables.iter().map(|t| format!("{} {}", kind(t), t.seq)).collect()
-    }
-
-    #[test]
-    fn a_merge_publishes_below_the_seals_that_landed_while_it_ran() {
-        let config = LsmConfig { memtable_bytes: 256, max_tables: 2, stripes: 1 };
-        let dir = TempDir::new("lsm-behind").unwrap();
-        let db = LsmDatabase::open(dir.path(), config).unwrap();
-        let seal = |name: &str, value: &[u8]| {
-            db.put(name.as_bytes(), value).unwrap();
-            let stripe = &db.inner.stripes[0];
-            db.inner.seal_locked(stripe, &mut stripe.writer.lock()).unwrap();
-        };
-        // Log 1; three batches that seal once each (2, 3, 4) merge inline
-        // into a second-tier table, 5, which holds `big`.
-        let mut acked: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for batch in 0..3u32 {
-            let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..10u32)
-                .map(|i| (format!("bulk-{batch}-{i}").into_bytes(), vec![b'x'; 100]))
-                .collect();
-            let refs: Vec<(&[u8], &[u8])> = pairs
-                .iter()
-                .map(|(k, v)| (k.as_slice(), v.as_slice()))
-                .chain([(b"big".as_slice(), b"v".as_slice())])
-                .collect();
-            db.put_multi(&refs).unwrap();
-            acked.extend(pairs);
-        }
-        assert_eq!(table_names(&db), ["tbl 5"]);
-        // `big` erased in the first of three seals (6, 7, 8) that a
-        // background task claims: a run short of the oldest table, so its
-        // product must keep the tombstone.
-        assert!(db.erase(b"big").unwrap());
-        for (name, value) in [("a", "a0"), ("b", "b0"), ("c", "c0")] {
-            seal(name, value.as_bytes());
-        }
-        let stripe = &db.inner.stripes[0];
-        let run = {
-            let mut writer = stripe.writer.lock();
-            writer.maintaining = true;
-            db.inner.claim_run(stripe, &mut writer).expect("three tables of a tier are a run")
-        };
-        assert_eq!((run.seq, run.inputs.len(), run.reaches_oldest), (9, 3, false));
-        // Off-lock, the merge has not written yet; two seals land,
-        // overwriting what it is about to merge.
-        seal("a", b"a1");
-        seal("c", b"c1");
-        let product = db.inner.compact_run(stripe, &run).unwrap();
-        db.inner.retire(stripe, &mut stripe.writer.lock(), &run, &product).unwrap();
-        stripe.writer.lock().maintaining = false;
-        let published = ["tbl 5", "tbl 9", "range 10", "range 11"];
-        assert_eq!(table_names(&db), published);
-        acked.extend([("a", "a1"), ("b", "b0"), ("c", "c1")].map(|(k, v)| (k.into(), v.into())));
-        acked.sort();
-        assert_eq!(db.get(b"big").unwrap(), None);
-        assert_eq!(db.dump().unwrap(), acked);
-        drop(db);
-        let db = LsmDatabase::open(dir.path(), config).unwrap();
-        assert_eq!(table_names(&db), published, "sequence order is age order");
-        assert_eq!(db.dump().unwrap(), acked);
-    }
-
-    #[test]
     fn concurrent_reads_during_flush_and_compaction_churn() {
         let dir = TempDir::new("lsm-churn").unwrap();
         let db = std::sync::Arc::new(open(&dir));
@@ -2918,46 +2632,5 @@ mod tests {
         }
         assert_eq!(db.get(b"stable").unwrap().as_deref(), Some(b"value".as_slice()));
         assert_eq!(db.len().unwrap(), 41);
-    }
-
-    #[test]
-    fn concurrent_reads_during_background_churn() {
-        // Same invariant as above, but with maintenance running on
-        // background threads instead of inline.
-        let dir = TempDir::new("lsm-bg-churn").unwrap();
-        let db = std::sync::Arc::new(
-            LsmDatabase::open(
-                dir.path(),
-                LsmConfig { memtable_bytes: 512, max_tables: 2, stripes: 4 },
-            )
-            .unwrap(),
-        );
-        assert!(db.set_background_executor(thread_executor()));
-        db.put(b"stable", b"value").unwrap();
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let db = std::sync::Arc::clone(&db);
-                let stop = std::sync::Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        assert_eq!(
-                            db.get(b"stable").unwrap().as_deref(),
-                            Some(b"value".as_slice())
-                        );
-                    }
-                })
-            })
-            .collect();
-        for i in 0..400u32 {
-            db.put(format!("churn-{i:04}").as_bytes(), &[b'x'; 64]).unwrap();
-        }
-        db.flush().unwrap();
-        stop.store(true, Ordering::Relaxed);
-        for reader in readers {
-            reader.join().unwrap();
-        }
-        assert_eq!(db.get(b"stable").unwrap().as_deref(), Some(b"value".as_slice()));
-        assert_eq!(db.len().unwrap(), 401);
     }
 }

@@ -169,12 +169,6 @@ pub struct BackendConfig {
     /// on-disk manifest.
     #[serde(default = "default_lsm_stripes")]
     pub lsm_stripes: usize,
-    /// LSM: name of the Argobots pool for background compaction.
-    /// `None` (the default) keeps compaction inline on the writer.
-    /// Interpreted by the Bedrock module (`crate::bedrock`), which
-    /// creates the pool and a dedicated xstream on demand.
-    #[serde(default)]
-    pub background_pool: Option<String>,
 }
 
 fn default_backend() -> String {
@@ -205,55 +199,33 @@ impl Default for BackendConfig {
             max_tables: default_max_tables(),
             shards: default_shards(),
             lsm_stripes: default_lsm_stripes(),
-            background_pool: None,
         }
     }
 }
 
 /// Instantiates a backend in `dir` (the provider's data directory; only
-/// used by file-backed backends). Compaction stays inline on the
-/// writer; see [`create_backend_with`] to move it to a background
-/// executor.
+/// used by file-backed backends).
 pub fn create_backend(
     config: &BackendConfig,
     dir: &Path,
 ) -> Result<Box<dyn Database>, YokanError> {
-    create_backend_with(config, dir, None)
-}
-
-/// [`create_backend`], plus an optional background executor for the LSM
-/// backend's compaction work (ignored by memory backends).
-pub fn create_backend_with(
-    config: &BackendConfig,
-    dir: &Path,
-    executor: Option<lsm::BackgroundExecutor>,
-) -> Result<Box<dyn Database>, YokanError> {
     match config.backend.as_str() {
         "map" => Ok(Box::new(memory::MemoryDatabase::with_shards(config.shards))),
-        "lsm" => Ok(Box::new(open_lsm(config, dir, executor)?)),
+        "lsm" => Ok(Box::new(open_lsm(config, dir)?)),
         other => Err(YokanError::Config(format!("unknown backend '{other}'"))),
     }
 }
 
-/// Opens the LSM backend `config` describes in `dir`, with an optional
-/// background executor for its merges.
-pub fn open_lsm(
-    config: &BackendConfig,
-    dir: &Path,
-    executor: Option<lsm::BackgroundExecutor>,
-) -> Result<lsm::LsmDatabase, YokanError> {
-    let db = lsm::LsmDatabase::open(
+/// Opens the LSM backend `config` describes in `dir`.
+pub fn open_lsm(config: &BackendConfig, dir: &Path) -> Result<lsm::LsmDatabase, YokanError> {
+    lsm::LsmDatabase::open(
         dir,
         lsm::LsmConfig {
             memtable_bytes: config.memtable_bytes,
             max_tables: config.max_tables,
             stripes: config.lsm_stripes,
         },
-    )?;
-    if let Some(executor) = executor {
-        db.set_background_executor(executor);
-    }
-    Ok(db)
+    )
 }
 
 /// Writes a checkpoint dump: `[u64 count]` then, per pair,
@@ -269,7 +241,8 @@ pub fn write_dump(path: &Path, pairs: &[(Vec<u8>, Vec<u8>)]) -> Result<(), Yokan
     }
     let crc = mochi_util::crc32(&buffer);
     buffer.extend_from_slice(&crc.to_le_bytes());
-    std::fs::write(path, buffer).map_err(|e| YokanError::Io(format!("{}: {e}", path.display())))
+    mochi_util::atomic_write(path, &buffer)
+        .map_err(|e| YokanError::Io(format!("{}: {e}", path.display())))
 }
 
 /// The little-endian `u32` at `data[pos..pos + 4]`, `None` when `data`
@@ -462,6 +435,23 @@ mod tests {
         data.extend_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, data).unwrap();
         assert!(matches!(read_dump(&path), Err(YokanError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_dump_replaces_the_old_one_without_overwriting_it() {
+        let dir = mochi_util::TempDir::new("yokan-dump-replace").unwrap();
+        let path = dir.path().join("yokan.ckpt");
+        write_dump(&path, &[(b"k".to_vec(), b"old".to_vec())]).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+        let mut reader = std::fs::File::open(&path).unwrap();
+        let new = vec![(b"k".to_vec(), b"new".to_vec())];
+        write_dump(&path, &new).unwrap();
+        // Written in place, the bytes under this handle would be the new
+        // ones — and a crash mid-write would have torn them.
+        let mut seen = Vec::new();
+        std::io::Read::read_to_end(&mut reader, &mut seen).unwrap();
+        assert_eq!(seen, old_bytes, "the old checkpoint was overwritten in place");
+        assert_eq!(read_dump(&path).unwrap(), new);
     }
 
     #[test]

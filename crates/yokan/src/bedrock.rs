@@ -12,14 +12,12 @@ use std::time::Duration;
 
 use serde_json::{json, Value};
 
-use mochi_argobots::{AbtError, PoolAccess, PoolConfig, PoolKind, Ult, XstreamConfig};
 use mochi_bedrock::{Module, ProviderContext, ProviderInstance};
-use mochi_margo::MargoRuntime;
 use mochi_mercury::Address;
 use mochi_remi::FileSet;
 
 use crate::backend::{
-    create_backend_with, lsm, open_lsm, read_dump, write_dump, BackendConfig, Database,
+    create_backend, lsm, open_lsm, read_dump, write_dump, BackendConfig, Database,
 };
 use crate::provider::YokanProvider;
 use crate::replication::{VirtualConfig, VirtualDatabaseProvider};
@@ -41,47 +39,6 @@ pub fn virtual_bedrock_module() -> Arc<dyn Module> {
 }
 
 struct YokanModule;
-
-/// Ensures `pool` exists (priority queue, so maintenance sorts below any
-/// request handlers sharing it) with a dedicated xstream, and returns an
-/// executor that submits LSM compaction work to it.
-///
-/// The xstream matters: maintenance ULTs do file I/O and briefly spin
-/// waiting for a stripe's `maintaining` flag, so they must never compete
-/// with RPC handlers for an execution stream. Idempotent on reuse — a
-/// second Yokan provider naming the same pool shares it.
-fn background_executor(
-    margo: &MargoRuntime,
-    pool: &str,
-) -> Result<lsm::BackgroundExecutor, String> {
-    let abt = margo.abt();
-    match abt.add_pool(PoolConfig {
-        name: pool.into(),
-        kind: PoolKind::PrioWait,
-        access: PoolAccess::Mpmc,
-    }) {
-        Ok(_) | Err(AbtError::PoolExists(_)) => {}
-        Err(e) => return Err(e.to_string()),
-    }
-    match abt.add_xstream(XstreamConfig::named(format!("{pool}-es"), pool)) {
-        Ok(()) | Err(AbtError::XstreamExists(_)) => {}
-        Err(e) => return Err(e.to_string()),
-    }
-    let margo = margo.clone();
-    let pool = pool.to_string();
-    Ok(Arc::new(move |task: Box<dyn FnOnce() + Send + 'static>| {
-        let abt = margo.abt();
-        if abt.find_pool(&pool).is_some() {
-            // Negative priority: request ULTs (priority 0) sharing the
-            // pool drain first.
-            let _ = abt.submit(&pool, Ult::with_priority("yokan-lsm-maint", -1, task));
-        } else {
-            // Pool torn down (shutdown): run inline rather than drop a
-            // merge on the floor.
-            task();
-        }
-    }))
-}
 
 struct YokanInstance {
     provider: Arc<YokanProvider>,
@@ -107,15 +64,11 @@ impl Module for YokanModule {
             serde_json::from_value(ctx.config.clone()).map_err(|e| e.to_string())?
         };
         let db_dir = ctx.data_dir.join("db");
-        let executor = match config.background_pool.as_deref() {
-            Some(pool) => Some(background_executor(&ctx.margo, pool)?),
-            None => None,
-        };
         let (db, lsm): (Arc<dyn Database>, _) = if config.backend == "lsm" {
-            let lsm = Arc::new(open_lsm(&config, &db_dir, executor).map_err(|e| e.to_string())?);
+            let lsm = Arc::new(open_lsm(&config, &db_dir).map_err(|e| e.to_string())?);
             (Arc::clone(&lsm) as Arc<dyn Database>, Some(lsm))
         } else {
-            let db = create_backend_with(&config, &db_dir, executor).map_err(|e| e.to_string())?;
+            let db = create_backend(&config, &db_dir).map_err(|e| e.to_string())?;
             (Arc::from(db), None)
         };
         let provider =

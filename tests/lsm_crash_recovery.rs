@@ -16,7 +16,6 @@
 //! corruption, not a torn tail.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use mochi_util::TempDir;
 use mochi_yokan::backend::lsm::{LsmConfig, LsmDatabase, LsmFailPoint};
@@ -37,23 +36,20 @@ fn pairs(items: &[(&str, &str)]) -> Vec<(Vec<u8>, Vec<u8>)> {
     items.iter().map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec())).collect()
 }
 
-/// Crash right after seals that nothing merged — a stalled background
-/// pool holds the pipeline in exactly that state. The sealed ranges of
-/// the logs *are* the tables: there is nothing to redo and nothing queued.
+/// Crash right after seals that nothing merged. The sealed ranges of the
+/// logs *are* the tables: there is nothing to redo and nothing queued.
 #[test]
 fn acked_writes_survive_crash_after_seals_nothing_merged() {
     let dir = TempDir::new("crash-sealed").unwrap();
-    // Tiers wide enough that the ~14 seals per stripe stay below the two
-    // full tiers past which a writer would merge inline, and logs of 81.
-    let config = LsmConfig { memtable_bytes: 256, max_tables: 8, stripes: 2 };
+    // Tiers wider than the ~14 seals per stripe, so no seal completes a
+    // run and nothing merges; logs of 289 seals.
+    let config = LsmConfig { memtable_bytes: 256, max_tables: 16, stripes: 2 };
     let sealed = {
         let db = LsmDatabase::open(dir.path(), config).unwrap();
-        // Never runs its tasks: no merge ever happens.
-        assert!(db.set_background_executor(Arc::new(|_task| {})));
         for i in 0..100u32 {
             db.put(format!("seal-{i:04}").as_bytes(), &[b'a'; 64]).unwrap();
         }
-        assert_eq!(db.compaction_bytes_written(), 0, "stalled pool must not have merged");
+        assert_eq!(db.compaction_bytes_written(), 0, "wide tiers must not have merged");
         assert_eq!(files(dir.path(), "tbl").len(), 0);
         assert!(db.table_count() > 2, "expected sealed ranges");
         assert_eq!(files(dir.path(), "log").len(), 2, "one log per stripe holds every range");
@@ -140,33 +136,24 @@ fn a_failed_wal_append_leaves_no_torn_record_behind_later_writes() {
     assert_eq!(db.dump().unwrap(), acked, "reopen holds exactly the acknowledged writes");
 }
 
-/// Crash while background maintenance is genuinely concurrent: writers
-/// overwrite keys while merges race on real threads, then the process
-/// "dies" mid-churn. Recovery must hold exactly the acknowledged final
-/// values — no loss, no resurrection of overwritten data.
+/// Crash mid-churn: writers overwrite keys while their seals merge
+/// inline, then the process "dies" without a flush. Recovery must hold
+/// exactly the acknowledged final values — no loss, no resurrection of
+/// overwritten data.
 #[test]
 fn mid_churn_crash_recovers_exactly_the_acked_state() {
     let dir = TempDir::new("crash-churn").unwrap();
-    let config = LsmConfig { memtable_bytes: 1024, stripes: 4, ..LsmConfig::default() };
-    let pending: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
+    // ~9 seals per stripe in tiers of 3: several merges per stripe.
+    let config = LsmConfig { memtable_bytes: 128, max_tables: 2, stripes: 4 };
     {
         let db = LsmDatabase::open(dir.path(), config).unwrap();
-        let handles = Arc::clone(&pending);
-        assert!(db.set_background_executor(Arc::new(move |task| {
-            handles.lock().unwrap().push(std::thread::spawn(task));
-        })));
         for round in 0..2u32 {
             for i in 0..200u32 {
                 db.put(format!("churn-{i:04}").as_bytes(), format!("r{round}").as_bytes()).unwrap();
             }
         }
-        // Crash: drop with maintenance possibly mid-flight.
-    }
-    // The dropped instance's in-flight tasks abort via their dead weak
-    // handle (or finish their current drain); wait them out so reopen
-    // reads a quiescent directory, as a post-crash restart would.
-    for handle in pending.lock().unwrap().drain(..) {
-        handle.join().unwrap();
+        assert!(db.compaction_bytes_written() > 0, "the churn must have merged");
+        // Crash: drop without flush.
     }
     let db = LsmDatabase::open(dir.path(), config).unwrap();
     assert_eq!(db.len().unwrap(), 200);
