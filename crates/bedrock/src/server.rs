@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use serde_json::{json, Value};
 
 use mochi_margo::{MargoRuntime, MargoError};
-use mochi_mercury::{Address, CallContext, Fabric};
+use mochi_mercury::{Address, Fabric};
 use mochi_remi::{MigrationOptions, RemiClient, RemiProvider, Strategy};
 use mochi_util::ordered_lock::{rank, OrderedMutex};
 
@@ -316,7 +316,6 @@ impl BedrockServer {
     fn resolve_dependencies(
         &self,
         spec: &ProviderSpec,
-        cx: CallContext,
     ) -> Result<HashMap<String, ResolvedDependency>, BedrockError> {
         let mut resolved = HashMap::new();
         let self_addr = self.address();
@@ -350,12 +349,11 @@ impl BedrockServer {
             } else {
                 self.inner
                     .margo
-                    .forward_with_context::<_, proto::ProviderInfo>(
+                    .forward::<_, proto::ProviderInfo>(
                         &address,
                         proto::LOOKUP_PROVIDER,
                         self.inner.provider_id,
                         &proto::NameArgs { name: name.clone() },
-                        cx,
                     )
                     .map_err(|e| BedrockError::DependencyError {
                         provider: spec.name.clone(),
@@ -374,7 +372,7 @@ impl BedrockServer {
                     .or_default()
                     .insert(dependent_tag);
             } else {
-                let _: Result<bool, _> = self.inner.margo.forward_with_context(
+                let _: Result<bool, _> = self.inner.margo.forward(
                     &address,
                     proto::ADD_DEPENDENT,
                     self.inner.provider_id,
@@ -382,7 +380,6 @@ impl BedrockServer {
                         provider: info.name.clone(),
                         dependent: dependent_tag,
                     },
-                    cx,
                 );
             }
             resolved.insert(
@@ -402,7 +399,7 @@ impl BedrockServer {
     /// Drops the reverse edges this provider registered on its
     /// dependencies' processes (best-effort: the dependency process may
     /// already be gone).
-    fn deregister_dependents(&self, spec: &ProviderSpec, cx: CallContext) {
+    fn deregister_dependents(&self, spec: &ProviderSpec) {
         let self_addr = self.address();
         let dependent_tag = format!("{}@{}", spec.name, self_addr);
         for dep in spec.dependencies.values() {
@@ -425,12 +422,11 @@ impl BedrockServer {
                     }
                 }
             } else {
-                let _: Result<bool, _> = self.inner.margo.forward_with_context(
+                let _: Result<bool, _> = self.inner.margo.forward(
                     &address,
                     proto::REMOVE_DEPENDENT,
                     self.inner.provider_id,
                     &proto::DependentArgs { provider: name, dependent: dependent_tag.clone() },
-                    cx,
                 );
             }
         }
@@ -447,13 +443,6 @@ impl BedrockServer {
 
     /// Starts a provider from its spec (Listing 5's `startProvider`).
     pub fn start_provider(&self, spec: &ProviderSpec) -> Result<(), BedrockError> {
-        self.start_provider_cx(spec, CallContext::TOP_LEVEL)
-    }
-
-    /// [`Self::start_provider`] with an explicit calling context: the RPC
-    /// handler passes `ctx.nested_context()` so dependency lookups on
-    /// other processes inherit the caller's remaining deadline budget.
-    fn start_provider_cx(&self, spec: &ProviderSpec, cx: CallContext) -> Result<(), BedrockError> {
         // Preconditions that don't need the instance yet.
         {
             let providers = self.inner.providers.lock();
@@ -492,7 +481,7 @@ impl BedrockServer {
             }
             None => self.inner.margo.default_rpc_pool(),
         };
-        let dependencies = self.resolve_dependencies(spec, cx)?;
+        let dependencies = self.resolve_dependencies(spec)?;
         let data_dir = self.inner.data_dir.join("providers").join(&spec.name);
         std::fs::create_dir_all(&data_dir)
             .map_err(|e| BedrockError::Provider(format!("creating provider dir: {e}")))?;
@@ -539,10 +528,6 @@ impl BedrockServer {
 
     /// Stops and removes a provider (Listing 5's `stopProvider` mirror).
     pub fn stop_provider(&self, name: &str) -> Result<(), BedrockError> {
-        self.stop_provider_cx(name, CallContext::TOP_LEVEL)
-    }
-
-    fn stop_provider_cx(&self, name: &str, cx: CallContext) -> Result<(), BedrockError> {
         if self.inner.txns.lock().blocks_stop(name) {
             return Err(BedrockError::TxnConflict(format!(
                 "provider '{name}' is locked by a prepared transaction"
@@ -561,7 +546,7 @@ impl BedrockServer {
                 .remove(name)
                 .ok_or_else(|| BedrockError::ProviderNotFound(name.to_string()))?
         };
-        self.deregister_dependents(&record.spec, cx);
+        self.deregister_dependents(&record.spec);
         record.instance.stop().map_err(BedrockError::Provider)
     }
 
@@ -591,16 +576,6 @@ impl BedrockServer {
         name: &str,
         dest: &Address,
         strategy: Strategy,
-    ) -> Result<proto::MigrateReply, BedrockError> {
-        self.migrate_provider_cx(name, dest, strategy, CallContext::TOP_LEVEL)
-    }
-
-    fn migrate_provider_cx(
-        &self,
-        name: &str,
-        dest: &Address,
-        strategy: Strategy,
-        cx: CallContext,
     ) -> Result<proto::MigrateReply, BedrockError> {
         if *dest == self.address() {
             return Err(BedrockError::BadConfig("cannot migrate a provider to itself".into()));
@@ -634,9 +609,9 @@ impl BedrockServer {
             }
         };
         record.instance.stop().map_err(BedrockError::Provider)?;
-        self.deregister_dependents(&record.spec, cx);
+        self.deregister_dependents(&record.spec);
         // Transfer the files into the destination's provider directory.
-        let remi = RemiClient::new(&self.inner.margo).with_context(cx);
+        let remi = RemiClient::new(&self.inner.margo);
         let options = MigrationOptions {
             dest_subdir: Some(format!("providers/{name}")),
             remove_source: true,
@@ -652,7 +627,7 @@ impl BedrockServer {
         let _: bool = self
             .inner
             .margo
-            .forward_with_context(dest, proto::START_PROVIDER, self.inner.provider_id, &spec, cx)
+            .forward(dest, proto::START_PROVIDER, self.inner.provider_id, &spec)
             .map_err(BedrockError::Margo)?;
         Ok(proto::MigrateReply {
             files: report.files,
@@ -754,12 +729,12 @@ impl BedrockServer {
         self.inner.txns.lock().prepare(txn_id, ops)
     }
 
-    fn txn_commit(&self, txn_id: &str, cx: CallContext) -> Result<(), BedrockError> {
+    fn txn_commit(&self, txn_id: &str) -> Result<(), BedrockError> {
         let ops = self.inner.txns.lock().take_prepared(txn_id)?;
         for op in ops {
             match op {
-                TxnOp::StartProvider { spec } => self.start_provider_cx(&spec, cx)?,
-                TxnOp::StopProvider { name } => self.stop_provider_cx(&name, cx)?,
+                TxnOp::StartProvider { spec } => self.start_provider(&spec)?,
+                TxnOp::StopProvider { name } => self.stop_provider(&name)?,
                 TxnOp::KeepProvider { .. } => {}
             }
         }
@@ -779,24 +754,19 @@ impl BedrockServer {
         let id = self.inner.provider_id;
         let pool = self.inner.pool.clone();
         let reg = |name: &str,
-                   handler: Box<dyn Fn(Value, CallContext) -> Result<Value, String> + Send + Sync>|
+                   handler: Box<dyn Fn(Value) -> Result<Value, String> + Send + Sync>|
          -> Result<(), MargoError> {
             margo
-                .register_typed(name, id, Some(&pool), move |args: Value, ctx| {
-                    handler(args, ctx.nested_context())
-                })
+                .register_typed(name, id, Some(&pool), move |args: Value, _| handler(args))
                 .map(|_| ())
         };
 
         macro_rules! handler {
-            ($rpc:expr, $args:ty, |$server:ident, $a:ident| $body:expr) => {
-                handler!($rpc, $args, |$server, $a, _cx| $body)
-            };
-            ($rpc:expr, $args:ty, |$server:ident, $a:ident, $cx:ident| $body:expr) => {{
+            ($rpc:expr, $args:ty, |$server:ident, $a:ident| $body:expr) => {{
                 let $server = self.clone();
                 reg(
                     $rpc,
-                    Box::new(move |value: Value, $cx: CallContext| {
+                    Box::new(move |value: Value| {
                         let $a: $args = serde_json::from_value(value)
                             .map_err(|e| format!("bad arguments: {e}"))?;
                         $body
@@ -845,11 +815,11 @@ impl BedrockServer {
                 .map(|_| json!(true))
                 .map_err(|e| e.to_rpc_string())
         });
-        handler!(proto::START_PROVIDER, ProviderSpec, |server, a, cx| {
-            server.start_provider_cx(&a, cx).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
+        handler!(proto::START_PROVIDER, ProviderSpec, |server, a| {
+            server.start_provider(&a).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
         });
-        handler!(proto::STOP_PROVIDER, proto::NameArgs, |server, a, cx| {
-            server.stop_provider_cx(&a.name, cx).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
+        handler!(proto::STOP_PROVIDER, proto::NameArgs, |server, a| {
+            server.stop_provider(&a.name).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
         });
         handler!(proto::LOOKUP_PROVIDER, proto::NameArgs, |server, a| {
             server
@@ -857,10 +827,10 @@ impl BedrockServer {
                 .map(|info| serde_json::to_value(info).expect("info serializes"))
                 .map_err(|e| e.to_rpc_string())
         });
-        handler!(proto::MIGRATE_PROVIDER, proto::MigrateArgs, |server, a, cx| {
+        handler!(proto::MIGRATE_PROVIDER, proto::MigrateArgs, |server, a| {
             let dest: Address = a.dest.parse().map_err(|e| format!("{e}"))?;
             server
-                .migrate_provider_cx(&a.name, &dest, a.strategy, cx)
+                .migrate_provider(&a.name, &dest, a.strategy)
                 .map(|reply| serde_json::to_value(reply).expect("reply serializes"))
                 .map_err(|e| e.to_rpc_string())
         });
@@ -902,8 +872,8 @@ impl BedrockServer {
         handler!(proto::TXN_PREPARE, proto::TxnPrepareArgs, |server, a| {
             server.txn_prepare(&a.txn_id, a.ops).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
         });
-        handler!(proto::TXN_COMMIT, proto::TxnIdArgs, |server, a, cx| {
-            server.txn_commit(&a.txn_id, cx).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
+        handler!(proto::TXN_COMMIT, proto::TxnIdArgs, |server, a| {
+            server.txn_commit(&a.txn_id).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
         });
         handler!(proto::TXN_ABORT, proto::TxnIdArgs, |server, a| {
             server.txn_abort(&a.txn_id).map(|_| json!(true)).map_err(|e| e.to_rpc_string())

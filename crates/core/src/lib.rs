@@ -28,7 +28,6 @@
 
 pub mod adaptive;
 pub mod cluster;
-pub mod consistent;
 pub mod failover;
 pub mod resilience;
 pub mod ring;
@@ -38,7 +37,6 @@ pub mod workflow;
 
 pub use adaptive::{AdaptiveController, ScalingPolicy};
 pub use cluster::{default_catalog, Cluster, ClusterError};
-pub use consistent::ConsistentGroup;
 pub use failover::FailoverKv;
 pub use resilience::{ResilienceConfig, ResilienceManager};
 pub use ring::{HashRing, MovedArc};

@@ -1,5 +1,5 @@
 //! Workspace-wide call graph for the interprocedural analyses
-//! (MOCHI012/013/014).
+//! (MOCHI013/016).
 //!
 //! Nodes are the function bodies [`crate::source::SourceFile`] already
 //! extracts; edges are calls resolved lexically:
@@ -34,9 +34,9 @@
 //! **Fire-and-forget boundary:** any call site lexically inside the
 //! argument span of a `spawn`-family call (`std::thread::spawn`,
 //! `Builder::new().spawn`, `ExecutionStream::spawn`, …) produces no
-//! edge. Work handed to another thread/ULT no longer runs under the
-//! caller's RPC deadline, so walking into it would make every
-//! background replication loop a false deadline-loss positive.
+//! edge. Work handed to another thread/ULT runs at top level, not as
+//! part of the handler that started it, so walking into it would charge
+//! every background replication loop's effects to that handler.
 
 use std::collections::BTreeMap;
 

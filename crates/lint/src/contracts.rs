@@ -15,8 +15,8 @@
 //!    its resolved name.
 //!
 //! The table itself reports nothing: the registration sites are the
-//! entry points of the call-graph walks ([`crate::deadline`],
-//! [`crate::retry`]), and `tests/lint_gate.rs` spot-checks the names.
+//! entry points of the call-graph walks ([`crate::retry`]), and
+//! `tests/lint_gate.rs` spot-checks the names.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -575,7 +575,7 @@ fn register(margo: &M) {
     fn unresolved_plumbing_sites_are_recorded_unnamed() {
         let found = all_sites(&[(
             "crates/margo/src/runtime.rs",
-            "impl R { pub fn forward_timeout<I, O>(&self, dest: &Address, rpc_name: &str, pid: u16, input: &I, t: Duration) -> Result<O, E> { self.forward_full(dest, rpc_name, pid, input, CallContext::TOP_LEVEL, t) } }",
+            "impl R { pub fn forward_timeout<I, O>(&self, dest: &Address, rpc_name: &str, pid: u16, input: &I, t: Duration) -> Result<O, E> { self.iforward_full(&Arc::new(dest.clone()), rpc_name, pid, input, t)?.wait_decoded() } }",
         )]);
         assert_eq!(found.len(), 1);
         assert!(found[0].name.is_none());

@@ -1,9 +1,8 @@
 //! `mochi-lint`: workspace-specific static analysis for the mochi-rs
 //! stack, tuned to the failure modes that matter for dynamic HPC data
 //! services (a panicking or deadlocked provider is a dead node, which
-//! defeats the resilience layer; a nested RPC that restarts its deadline
-//! or a retried handler that is not idempotent only fails under load, on
-//! a live, reconfigured cluster).
+//! defeats the resilience layer; a retried handler that is not idempotent
+//! only fails under load, on a live, reconfigured cluster).
 //!
 //! One module per analysis, each documented where it lives and each
 //! returning [`Finding`]s under the rule ids of [`RULES`]:
@@ -12,8 +11,8 @@
 //!   [`jsonuse`], [`rawforward`];
 //! * over the workspace call graph ([`callgraph`] — method/trait/free
 //!   edges with receiver typing) entered at the handler registrations of
-//!   the workspace RPC table ([`contracts`]): [`deadline`], [`retry`],
-//!   [`bgerrors`]; and [`atomics`], which needs only the files.
+//!   the workspace RPC table ([`contracts`]): [`retry`], [`bgerrors`];
+//!   and [`atomics`], which needs only the files.
 //!
 //! A finding whose rule has an allowlist section may be frozen in
 //! `lint-allow.json` ([`allowlist`]) by `(file, function, kind)` and
@@ -32,7 +31,6 @@ pub mod atomics;
 pub mod bgerrors;
 pub mod callgraph;
 pub mod contracts;
-pub mod deadline;
 pub mod jsonuse;
 pub mod lexer;
 pub mod panics;
@@ -68,7 +66,6 @@ pub const RULES: &[Rule] = &[
     Rule { id: "MOCHI005", name: "data-plane-json", section: Some("serde_json") },
     Rule { id: "MOCHI010", name: "stale-allowlist", section: None },
     Rule { id: "MOCHI011", name: "raw-forward-in-client", section: Some("raw_forward") },
-    Rule { id: "MOCHI012", name: "deadline-loss", section: Some("deadline_loss") },
     Rule { id: "MOCHI013", name: "retry-unsound", section: Some("retry_soundness") },
     Rule { id: "MOCHI014", name: "relaxed-atomic", section: Some("relaxed_atomics") },
     Rule { id: "MOCHI016", name: "swallowed-bg-error", section: Some("background_errors") },
@@ -189,9 +186,8 @@ pub fn analyze(files: &[SourceFile], allowlist: &Allowlist) -> LintReport {
     }
     contract_sites.sort();
 
-    // The interprocedural layer: one call graph under three analyses.
+    // The interprocedural layer: one call graph under two analyses.
     let graph = CallGraph::build(files);
-    findings.extend(deadline::check(files, &graph, &contract_sites));
     findings.extend(retry::check(files, &graph, &consts, &contract_sites));
     findings.extend(atomics::check(files));
     findings.extend(bgerrors::check(files, &graph));

@@ -29,17 +29,10 @@ pub const CLIENT_PATHS: &[&str] = &[
 /// through which an RPC leaves the process, the blocking forms and the
 /// posting ones (`iforward_*` — the request is on the wire when the call
 /// returns, whoever waits for the reply). The one list the contract
-/// table and the deadline-loss walk share with this lint; `*_raw` forms
-/// take a payload, the others a typed input.
-pub const FORWARD_FAMILY: &[&str] = &[
-    "forward",
-    "forward_full",
-    "forward_raw",
-    "forward_timeout",
-    "forward_with_context",
-    "iforward_full",
-    "iforward_raw",
-];
+/// table shares with this lint; `*_raw` forms take a payload, the others
+/// a typed input.
+pub const FORWARD_FAMILY: &[&str] =
+    &["forward", "forward_raw", "forward_timeout", "iforward_full", "iforward_raw"];
 
 /// Functions allowed to forward: the designated chokepoints, posting
 /// (`post*`) and blocking (`call*`).
@@ -113,9 +106,9 @@ mod tests {
         let found = sites(
             "crates/yokan/src/client.rs",
             "fn call(&self) { self.margo.forward_timeout(&a, N, 1, &x, t) }\n\
-             fn call_raw(&self) { self.margo.forward_raw(&a, N, 1, p, c, t) }\n\
-             fn post(&self) { self.margo.iforward_full(&a, N, 1, &x, c, t) }\n\
-             fn post_raw(&self) { self.margo.iforward_raw(&a, N, 1, p, c, t) }\n",
+             fn call_raw(&self) { self.margo.forward_raw(&a, N, 1, p, t) }\n\
+             fn post(&self) { self.margo.iforward_full(&a, N, 1, &x, t) }\n\
+             fn post_raw(&self) { self.margo.iforward_raw(&a, N, 1, p, t) }\n",
         );
         assert!(found.is_empty(), "{found:?}");
     }

@@ -73,7 +73,7 @@ fn posting_form_outside_the_client_chokepoint_is_a_raw_forward() {
             "crates/yokan/src/client.rs",
             "impl DatabaseHandle {\n\
                  pub fn post_put_versioned(&self, batch: &VersionedBatch) -> PendingForward {\n\
-                     self.margo.iforward_raw(&self.address, \"yokan_put_versioned_multi\", self.provider_id, batch.0.clone(), self.context, self.timeout)\n\
+                     self.margo.iforward_raw(&self.address, \"yokan_put_versioned_multi\", self.provider_id, batch.0.clone(), self.timeout)\n\
                  }\n\
              }\n",
         ),
@@ -101,7 +101,7 @@ fn posting_form_through_the_client_chokepoint_passes() {
             "crates/yokan/src/client.rs",
             "impl DatabaseHandle {\n\
                  fn post_raw(&self, rpc_name: &str, payload: Bytes) -> PendingForward {\n\
-                     self.margo.iforward_raw(&self.address, rpc_name, self.provider_id, payload, self.context, self.timeout)\n\
+                     self.margo.iforward_raw(&self.address, rpc_name, self.provider_id, payload, self.timeout)\n\
                  }\n\
                  pub fn post_put_versioned(&self, batch: &VersionedBatch) -> PendingForward {\n\
                      self.post_raw(\"yokan_put_versioned_multi\", batch.0.clone())\n\

@@ -1,191 +1,14 @@
-//! End-to-end fixtures for the interprocedural rules: each of
-//! MOCHI012 (deadline loss), MOCHI013 (retry soundness), and MOCHI014
-//! (relaxed atomics) gets at least one true-positive and one
-//! true-negative case, driven through the full `analyze` pipeline the
-//! CLI uses so registration discovery, call-graph construction, and
-//! allowlist filtering are all in the loop.
+//! End-to-end fixtures for the interprocedural rules: each of MOCHI013
+//! (retry soundness) and MOCHI014 (relaxed atomics) gets at least one
+//! true-positive and one true-negative case, driven through the full
+//! `analyze` pipeline the CLI uses so registration discovery, call-graph
+//! construction, and allowlist filtering are all in the loop.
 
 use mochi_lint::allowlist::Allowlist;
 use mochi_lint::source::SourceFile;
 
 fn parse(files: &[(&str, &str)]) -> Vec<SourceFile> {
     files.iter().map(|(path, src)| SourceFile::parse(path, src)).collect()
-}
-
-// ---------------------------------------------------------------- MOCHI012
-
-#[test]
-fn deadline_loss_flags_handler_reachable_top_level_forward() {
-    // The second input is the bug the rule last caught in this tree
-    // (bedrock + remi at `92429ac`): the `start_provider` handler looks a
-    // dependency up on another process with a context-less `forward`,
-    // and the `migrate_provider` handler reaches the REMI client's
-    // `forward_timeout` chokepoint three calls down.
-    let minimal: &[(&str, &str)] = &[(
-        "crates/omega/src/server.rs",
-        "pub fn register_all(margo: &MargoRuntime) {\n\
-             margo.register_typed(\"omega_echo\", 1, None, move |v: u64, _ctx| relay(margo2, v));\n\
-         }\n\
-         fn relay(margo: &MargoRuntime, v: u64) -> Result<u64, String> {\n\
-             margo.forward(&dest(), \"omega_next\", 1, &v).map_err(|e| e.to_string())\n\
-         }\n",
-    )];
-    let bedrock_and_remi: &[(&str, &str)] = &[
-        (
-            "crates/bedrock/src/server.rs",
-            "pub mod proto {\n\
-                 pub const START_PROVIDER: &str = \"bedrock_start_provider\";\n\
-                 pub const MIGRATE_PROVIDER: &str = \"bedrock_migrate_provider\";\n\
-                 pub const LOOKUP_PROVIDER: &str = \"bedrock_lookup_provider\";\n\
-             }\n\
-             impl BedrockServer {\n\
-                 fn register_rpcs(&self) -> Result<(), BedrockError> {\n\
-                     handler!(proto::START_PROVIDER, ProviderSpec, |server, a| {\n\
-                         server.start_provider(&a).map(|_| json!(true)).map_err(|e| e.to_rpc_string())\n\
-                     });\n\
-                     handler!(proto::MIGRATE_PROVIDER, proto::MigrateArgs, |server, a| {\n\
-                         server.migrate_provider(&a.name, &dest, a.strategy).map_err(|e| e.to_rpc_string())\n\
-                     });\n\
-                     Ok(())\n\
-                 }\n\
-                 pub fn start_provider(&self, spec: &ProviderSpec) -> Result<(), BedrockError> {\n\
-                     let dependencies = self.resolve_dependencies(spec)?;\n\
-                     self.instantiate(spec, dependencies)\n\
-                 }\n\
-                 fn resolve_dependencies(&self, spec: &ProviderSpec) -> Result<Vec<proto::ProviderInfo>, BedrockError> {\n\
-                     let info = self\n\
-                         .inner\n\
-                         .margo\n\
-                         .forward::<_, proto::ProviderInfo>(&address, proto::LOOKUP_PROVIDER, self.inner.provider_id, &proto::NameArgs { name: name.clone() })\n\
-                         .map_err(BedrockError::Margo)?;\n\
-                     Ok(vec![info])\n\
-                 }\n\
-                 pub fn migrate_provider(&self, name: &str, dest: &Address, strategy: Strategy) -> Result<proto::MigrateReply, BedrockError> {\n\
-                     let remi = RemiClient::new(&self.inner.margo);\n\
-                     let report = remi\n\
-                         .migrate(dest, REMI_PROVIDER_ID, &fileset, strategy, &options)\n\
-                         .map_err(BedrockError::Margo)?;\n\
-                     Ok(proto::MigrateReply { files: report.files })\n\
-                 }\n\
-             }\n",
-        ),
-        (
-            "crates/remi/src/client.rs",
-            "impl RemiClient {\n\
-                 fn call<I: Serialize, O: DeserializeOwned>(&self, rpc_name: &str, input: &I, dest: &Address, provider_id: u16, timeout: Duration) -> Result<O, MargoError> {\n\
-                     self.margo.forward_timeout(dest, rpc_name, provider_id, input, timeout)\n\
-                 }\n\
-                 pub fn migrate(&self, dest: &Address, provider_id: u16, fileset: &FileSet, strategy: Strategy, options: &MigrationOptions) -> Result<MigrationReport, MargoError> {\n\
-                     let started: StartReply = self.call(rpc::START, &start, dest, provider_id, options.timeout)?;\n\
-                     self.finish(started)\n\
-                 }\n\
-             }\n",
-        ),
-    ];
-    // (input, the findings as (function, kind, witness path))
-    let cases: [(&[(&str, &str)], &[(&str, &str, &str)]); 2] = [
-        (minimal, &[("relay", "drop:forward", "register_all -> relay")]),
-        (
-            bedrock_and_remi,
-            &[
-                (
-                    "resolve_dependencies",
-                    "drop:forward",
-                    "register_rpcs -> start_provider -> resolve_dependencies",
-                ),
-                (
-                    "call",
-                    "drop:forward_timeout",
-                    "register_rpcs -> migrate_provider -> migrate -> call",
-                ),
-            ],
-        ),
-    ];
-    for (input, expected) in cases {
-        let report = mochi_lint::analyze(&parse(input), &Allowlist::default());
-        let found: Vec<(&str, &str, String)> = report
-            .violations_of("MOCHI012")
-            .iter()
-            .map(|f| (f.function.as_str(), f.kind.as_str(), f.path.join(" -> ")))
-            .collect();
-        let expected: Vec<(&str, &str, String)> =
-            expected.iter().map(|(f, k, p)| (*f, *k, p.to_string())).collect();
-        assert_eq!(found, expected, "{}", report.render());
-        assert!(report.render().contains("MOCHI012"));
-    }
-}
-
-#[test]
-fn deadline_loss_flags_forward_timeout_even_in_the_registering_fn() {
-    let files = parse(&[(
-        "crates/omega/src/server.rs",
-        "pub fn register_all(margo: &MargoRuntime) {\n\
-             margo.register_typed(\"omega_echo\", 1, None, move |v: u64, _ctx| {\n\
-                 margo2.forward_timeout(&dest(), \"omega_next\", 1, &v, t())\n\
-             });\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI012");
-    assert_eq!(found.len(), 1);
-    assert_eq!(found[0].kind, "drop:forward_timeout");
-}
-
-#[test]
-fn deadline_loss_accepts_rpc_context_forward_and_nested_context() {
-    // Clean on both counts: an `RpcContext`-receiver `forward` threads
-    // the nested context by construction, and an explicit-context form
-    // whose argument is `…nested_context()` is the fix itself.
-    let files = parse(&[(
-        "crates/omega/src/server.rs",
-        "pub fn register_all(margo: &MargoRuntime) {\n\
-             margo.register_typed(\"omega_echo\", 1, None, move |v: u64, ctx| relay(ctx, v));\n\
-         }\n\
-         fn relay(ctx: &RpcContext, v: u64) -> Result<u64, String> {\n\
-             ctx.forward(&dest(), \"omega_next\", 1, &v)?;\n\
-             margo().forward_full(&dest(), \"omega_next\", 1, &v, ctx.nested_context(), t())\n\
-                 .map_err(|e| e.to_string())\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.violations_of("MOCHI012").is_empty(), "{}", report.render());
-}
-
-#[test]
-fn deadline_loss_sees_a_posted_forward_as_the_rpc_it_is() {
-    // The posting form carries its context like `forward_full` does: a
-    // handler-reachable post under `TOP_LEVEL` restarts the budget, one
-    // under the nested context keeps it.
-    let files = parse(&[(
-        "crates/omega/src/server.rs",
-        "pub fn register_all(margo: &MargoRuntime) {\n\
-             margo.register_typed(\"omega_echo\", 1, None, move |v: u64, ctx| relay(ctx, v));\n\
-         }\n\
-         fn relay(ctx: &RpcContext, v: u64) -> Result<u64, String> {\n\
-             let lost = margo().iforward_full(&dest(), \"omega_next\", 1, &v, CallContext::TOP_LEVEL, t());\n\
-             let kept = margo().iforward_full(&dest(), \"omega_next\", 1, &v, ctx.nested_context(), t());\n\
-             settle(lost, kept)\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI012");
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].kind, "drop:iforward_full");
-    assert_eq!(found[0].line, 5);
-}
-
-#[test]
-fn deadline_loss_ignores_forwards_not_reachable_from_a_handler() {
-    // A TOP_LEVEL forward in plain client code is correct — only
-    // handler-reachable forwards restart a budget that already exists.
-    let files = parse(&[(
-        "crates/omega/src/client.rs",
-        "pub fn ping(margo: &MargoRuntime, v: u64) -> Result<u64, String> {\n\
-             margo.forward(&dest(), \"omega_echo\", 1, &v).map_err(|e| e.to_string())\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.violations_of("MOCHI012").is_empty(), "{}", report.render());
 }
 
 // ---------------------------------------------------------------- MOCHI013

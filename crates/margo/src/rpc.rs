@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use mochi_mercury::{Address, BulkAccess, BulkHandle, CallContext, RequestInfo, ResponseStatus};
+use mochi_mercury::{Address, BulkAccess, BulkHandle, RequestInfo, ResponseStatus};
 use mochi_util::crc32;
 
 use crate::codec;
@@ -77,20 +77,11 @@ impl RpcContext {
         self.request.provider_id
     }
 
-    /// The runtime this handler runs in.
+    /// The runtime this handler runs in. Its forwards, made while the
+    /// handler runs, are nested calls of this RPC: they carry it as
+    /// parent and its caller's deadline.
     pub fn margo(&self) -> &MargoRuntime {
         &self.margo
-    }
-
-    /// The calling context to use for RPCs issued *from* this handler:
-    /// this RPC becomes the parent, which is how Listing 1's
-    /// `parent_rpc_id`/`parent_provider_id` fields get populated.
-    pub fn nested_context(&self) -> CallContext {
-        CallContext {
-            parent_rpc_id: self.request.rpc_id,
-            parent_provider_id: self.request.provider_id,
-            deadline: self.request.context.deadline,
-        }
     }
 
     /// Whether a response has been sent.
@@ -164,17 +155,6 @@ impl RpcContext {
         len: usize,
     ) -> Result<(), MargoError> {
         self.margo.bulk_push(local, local_offset, remote, remote_offset, len)
-    }
-
-    /// Issues a nested RPC, tagging it with this handler's context.
-    pub fn forward<I: Serialize, O: DeserializeOwned>(
-        &self,
-        dest: &Address,
-        rpc_name: &str,
-        provider_id: u16,
-        input: &I,
-    ) -> Result<O, MargoError> {
-        self.margo.forward_with_context(dest, rpc_name, provider_id, input, self.nested_context())
     }
 }
 

@@ -14,6 +14,7 @@
 //!   and [`MargoRuntime::remove_xstream`] mutate the live topology under
 //!   the validity rules the paper describes.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, LazyLock};
@@ -63,6 +64,30 @@ fn cached_rpc_name(rpc_name: &str) -> Arc<str> {
             name
         }
     })
+}
+
+thread_local! {
+    /// The context a forward made on this thread carries. A handler's ULT
+    /// runs to completion on one xstream, so for the length of its run
+    /// this is the handler's nested context; everywhere else (a client
+    /// thread, a thread or later ULT a handler started) it is top level.
+    static AMBIENT: Cell<CallContext> = const { Cell::new(CallContext::TOP_LEVEL) };
+}
+
+/// Makes a context ambient until dropped, then puts back the one it
+/// replaced — on return and on unwind alike.
+struct AmbientScope(CallContext);
+
+impl AmbientScope {
+    fn enter(context: CallContext) -> Self {
+        Self(AMBIENT.replace(context))
+    }
+}
+
+impl Drop for AmbientScope {
+    fn drop(&mut self) {
+        AMBIENT.set(self.0);
+    }
 }
 
 struct Registration {
@@ -423,6 +448,13 @@ impl MargoRuntime {
         self.inner.in_flight_server.fetch_add(1, Ordering::Relaxed);
         // One reading: where the request was received its ULT was submitted.
         let received_at = Instant::now();
+        // What the handler's own forwards carry: this RPC as parent, its
+        // caller's deadline.
+        let nested = CallContext {
+            parent_rpc_id: request.rpc_id,
+            parent_provider_id: request.provider_id,
+            deadline: request.context.deadline,
+        };
         let this = self.clone();
         let reg = Arc::clone(&registration);
         let ult = Ult::new_at(received_at, Arc::clone(&registration.name), move || {
@@ -442,6 +474,7 @@ impl MargoRuntime {
                 oneway,
             };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _scope = AmbientScope::enter(nested);
                 (reg.handler)(ctx)
             }));
             // `ctx` moved into the handler; on panic we can no longer tell
@@ -465,8 +498,19 @@ impl MargoRuntime {
     // Forward (client side)
     // ------------------------------------------------------------------
 
-    /// Calls `(rpc_name, provider_id)` at `dest` with the default timeout
-    /// from top-level context.
+    /// The context a forward made now, on this thread, carries: inside a
+    /// handler, that handler as parent and its caller's deadline;
+    /// anywhere else [`CallContext::TOP_LEVEL`]. For callers that send
+    /// through the endpoint directly.
+    pub fn current_context() -> CallContext {
+        AMBIENT.get()
+    }
+
+    /// Calls `(rpc_name, provider_id)` at `dest` with the default timeout.
+    ///
+    /// Every forward carries the calling thread's context: inside a
+    /// handler, that handler as parent and its caller's deadline (see
+    /// [`MargoRuntime::current_context`]); anywhere else, top level.
     pub fn forward<I: Serialize, O: DeserializeOwned>(
         &self,
         dest: &Address,
@@ -474,21 +518,7 @@ impl MargoRuntime {
         provider_id: u16,
         input: &I,
     ) -> Result<O, MargoError> {
-        self.forward_with_context(dest, rpc_name, provider_id, input, CallContext::TOP_LEVEL)
-    }
-
-    /// Calls with an explicit calling context (used by [`RpcContext`] for
-    /// nested RPCs so monitoring can attribute them to their parent).
-    pub fn forward_with_context<I: Serialize, O: DeserializeOwned>(
-        &self,
-        dest: &Address,
-        rpc_name: &str,
-        provider_id: u16,
-        input: &I,
-        context: CallContext,
-    ) -> Result<O, MargoError> {
-        let timeout = self.inner.meta.rpc_timeout;
-        self.forward_full(dest, rpc_name, provider_id, input, context, timeout)
+        self.forward_timeout(dest, rpc_name, provider_id, input, self.inner.meta.rpc_timeout)
     }
 
     /// Calls with an explicit timeout.
@@ -500,21 +530,8 @@ impl MargoRuntime {
         input: &I,
         timeout: Duration,
     ) -> Result<O, MargoError> {
-        self.forward_full(dest, rpc_name, provider_id, input, CallContext::TOP_LEVEL, timeout)
-    }
-
-    /// Fully explicit forward.
-    pub fn forward_full<I: Serialize, O: DeserializeOwned>(
-        &self,
-        dest: &Address,
-        rpc_name: &str,
-        provider_id: u16,
-        input: &I,
-        context: CallContext,
-        timeout: Duration,
-    ) -> Result<O, MargoError> {
         let dest = Arc::new(dest.clone());
-        self.iforward_full(&dest, rpc_name, provider_id, input, context, timeout)?.wait_decoded()
+        self.iforward_full(&dest, rpc_name, provider_id, input, timeout)?.wait_decoded()
     }
 
     /// Raw-payload forward for data-plane RPCs using [`crate::frame`]
@@ -527,14 +544,13 @@ impl MargoRuntime {
         rpc_name: &str,
         provider_id: u16,
         payload: Bytes,
-        context: CallContext,
         timeout: Duration,
     ) -> Result<Bytes, MargoError> {
         let dest = Arc::new(dest.clone());
-        self.iforward_raw(&dest, rpc_name, provider_id, payload, context, timeout).wait()
+        self.iforward_raw(&dest, rpc_name, provider_id, payload, timeout).wait()
     }
 
-    /// Posting form of [`MargoRuntime::forward_full`]: encodes `input`
+    /// Posting form of [`MargoRuntime::forward_timeout`]: encodes `input`
     /// and posts it ([`MargoRuntime::iforward_raw`]);
     /// [`PendingForward::wait_decoded`] yields the typed reply.
     pub fn iforward_full<I: Serialize>(
@@ -543,11 +559,10 @@ impl MargoRuntime {
         rpc_name: &str,
         provider_id: u16,
         input: &I,
-        context: CallContext,
         timeout: Duration,
     ) -> Result<PendingForward, MargoError> {
         let payload = crate::codec::encode(input)?;
-        Ok(self.iforward_raw(dest, rpc_name, provider_id, payload, context, timeout))
+        Ok(self.iforward_raw(dest, rpc_name, provider_id, payload, timeout))
     }
 
     /// Posts a forward and returns without waiting for the response
@@ -560,7 +575,9 @@ impl MargoRuntime {
     /// Every blocking `forward_*` is this followed by `wait`: there is one
     /// `ForwardStart`/`ForwardEnd` pair per *logical* call, and one
     /// attempt path (retry policy, circuit breakers, deadline
-    /// propagation) behind both.
+    /// propagation) behind both. It is also the one place a forward
+    /// takes its context: the calling thread's
+    /// ([`MargoRuntime::current_context`]).
     ///
     /// `dest` is shared with the posted call (monitoring events, the
     /// breaker key, re-sends): a client that keeps its peer's address in an
@@ -571,12 +588,11 @@ impl MargoRuntime {
         rpc_name: &str,
         provider_id: u16,
         payload: Bytes,
-        context: CallContext,
         timeout: Duration,
     ) -> PendingForward {
         let rpc_id = rpc_id_for_name(rpc_name);
         let name = cached_rpc_name(rpc_name);
-        let identity = self.identity_for(rpc_id, &name, provider_id, context);
+        let identity = self.identity_for(rpc_id, &name, provider_id, Self::current_context());
         self.emit(&MonitoringEvent::ForwardStart {
             identity: &identity,
             dest,
@@ -629,9 +645,9 @@ impl MargoRuntime {
                 });
             }
         }
-        // Propagate the *absolute* deadline so handlers issuing nested
-        // RPCs (via `RpcContext::nested_context`) inherit the remaining
-        // budget rather than restarting the clock.
+        // Propagate the *absolute* deadline so the handler's nested RPCs
+        // (which carry its context) inherit the remaining budget rather
+        // than restarting the clock.
         let give_up_at = now + effective;
         let wire_context =
             context.with_deadline(Some(context.deadline.map_or(give_up_at, |d| d.min(give_up_at))));
@@ -1221,7 +1237,8 @@ mod tests {
         let back_addr = back.address();
         front
             .register_typed("relay", 5, None, move |input: String, ctx| {
-                ctx.forward::<String, String>(&back_addr, "echo", 0, &input)
+                ctx.margo()
+                    .forward::<String, String>(&back_addr, "echo", 0, &input)
                     .map_err(|e| e.to_string())
             })
             .unwrap();
@@ -1509,8 +1526,10 @@ mod tests {
                 // parent's remaining budget, so a chain under a 100 ms
                 // top-level deadline can never take 3 × 100 ms.
                 let start = Instant::now();
-                let err =
-                    ctx.forward::<String, String>(&dead_addr, "echo", 0, &input).unwrap_err();
+                let err = ctx
+                    .margo()
+                    .forward::<String, String>(&dead_addr, "echo", 0, &input)
+                    .unwrap_err();
                 *observed2.lock() = Some((start.elapsed(), err));
                 Err::<String, String>("upstream dead".into())
             })
@@ -1545,6 +1564,179 @@ mod tests {
     }
 
     #[test]
+    fn a_captured_runtime_forwards_under_the_handlers_context() {
+        // The handler forwards through a runtime it captured, not through
+        // `ctx`, with a 2 s timeout of its own: the forward still carries
+        // the handler's context, so the caller's 100 ms deadline clamps it
+        // and the relay's statistics key it under its parent.
+        let fabric = Fabric::new();
+        let dead = boot(&fabric, "dead");
+        register_echo(&dead, 0);
+        let dead_addr = dead.address();
+        dead.finalize();
+        let relay = boot(&fabric, "relay");
+        let captured = relay.clone();
+        let observed: Arc<Mutex<Option<(Duration, MargoError)>>> = Arc::new(Mutex::new(None));
+        let observed2 = Arc::clone(&observed);
+        relay
+            .register_typed("relay", 5, None, move |input: String, _ctx| {
+                let start = Instant::now();
+                let err = captured
+                    .forward_timeout::<String, String>(
+                        &dead_addr,
+                        "echo",
+                        0,
+                        &input,
+                        Duration::from_secs(2),
+                    )
+                    .unwrap_err();
+                *observed2.lock() = Some((start.elapsed(), err));
+                Err::<String, String>("upstream dead".into())
+            })
+            .unwrap();
+        let client = boot(&fabric, "client");
+        let _ = client.forward_timeout::<String, String>(
+            &relay.address(),
+            "relay",
+            5,
+            &"x".to_string(),
+            Duration::from_millis(100),
+        );
+        assert!(mochi_util::time::wait_until(
+            Duration::from_secs(5),
+            Duration::from_millis(1),
+            || observed.lock().is_some()
+        ));
+        let (elapsed, err) = observed.lock().take().unwrap();
+        assert_eq!(err, MargoError::DeadlineExceeded);
+        assert!(elapsed < Duration::from_secs(1), "waited {elapsed:?} past a 100 ms deadline");
+        let stats = relay.monitoring_json().unwrap();
+        let key = format!("{}:5:{}:0", rpc_id_for_name("relay"), rpc_id_for_name("echo"));
+        assert!(
+            stats["rpcs"].as_object().unwrap().contains_key(&key),
+            "expected nested key {key} in {:?}",
+            stats["rpcs"].as_object().unwrap().keys()
+        );
+        relay.finalize();
+        client.finalize();
+    }
+
+    /// The context and thread of every forward a runtime starts, by
+    /// provider id.
+    #[derive(Default)]
+    struct ContextLog(Mutex<Vec<(u16, CallContext, std::thread::ThreadId)>>);
+
+    impl Monitor for ContextLog {
+        fn observe(&self, event: &MonitoringEvent<'_>) {
+            if let MonitoringEvent::ForwardStart { identity, .. } = event {
+                let thread = std::thread::current().id();
+                self.0.lock().push((identity.provider_id, identity.context, thread));
+            }
+        }
+    }
+
+    impl ContextLog {
+        /// Waits for the `n`-th forward and returns the log so far.
+        fn wait_for(&self, n: usize) -> Vec<(u16, CallContext, std::thread::ThreadId)> {
+            assert!(mochi_util::time::wait_until(
+                Duration::from_secs(5),
+                Duration::from_millis(1),
+                || self.0.lock().len() >= n
+            ));
+            self.0.lock().clone()
+        }
+    }
+
+    #[test]
+    fn the_next_ult_after_a_handler_forwards_at_top_level() {
+        // One xstream runs every ULT of `server`, so a ULT a handler
+        // pushes runs right after it, on the same thread: the handler's
+        // context must be gone by then, whether it returned or panicked.
+        let fabric = Fabric::new();
+        let peer = boot(&fabric, "peer");
+        register_echo(&peer, 0);
+        register_echo(&peer, 1);
+        let server = boot(&fabric, "server");
+        let log = Arc::new(ContextLog::default());
+        server.add_monitor(log.clone());
+        let peer_addr = peer.address();
+        for (name, panics) in [("tidy", false), ("boom", true)] {
+            let peer_addr = peer_addr.clone();
+            let handler = move |ctx: RpcContext| {
+                let margo = ctx.margo().clone();
+                let _: String = margo.forward(&peer_addr, "echo", 0, &"in".to_string()).unwrap();
+                let pool = margo.find_pool_by_name(&margo.default_rpc_pool()).unwrap();
+                let next_addr = peer_addr.clone();
+                pool.push(Ult::new("next", move || {
+                    let _: String =
+                        margo.forward(&next_addr, "echo", 1, &"after".to_string()).unwrap();
+                }));
+                if panics {
+                    panic!("intentional");
+                }
+                let _ = ctx.respond(&());
+            };
+            server.register(name, 0, None, Arc::new(handler)).unwrap();
+        }
+        let client = boot(&fabric, "client");
+        let budget = Duration::from_millis(300);
+        client.forward_timeout::<(), ()>(&server.address(), "tidy", 0, &(), budget).unwrap();
+        let _ = client.forward_timeout::<(), ()>(&server.address(), "boom", 0, &(), budget);
+        let forwards = log.wait_for(4);
+        for (pair, parent) in forwards.chunks(2).zip(["tidy", "boom"]) {
+            let (inside, next) = (&pair[0], &pair[1]);
+            assert_eq!((inside.0, next.0), (0, 1), "forwards out of order: {forwards:?}");
+            assert_eq!(inside.1.parent_rpc_id, rpc_id_for_name(parent));
+            assert_eq!(inside.1.parent_provider_id, 0);
+            assert!(inside.1.deadline.is_some());
+            assert_eq!(next.2, inside.2, "the next ULT ran on another thread");
+            assert_eq!(next.1, CallContext::TOP_LEVEL, "after {parent}");
+            assert_eq!((next.1.parent_rpc_id, next.1.parent_provider_id), (u64::MAX, 65535));
+        }
+        server.finalize();
+        peer.finalize();
+        client.finalize();
+    }
+
+    #[test]
+    fn a_thread_a_handler_spawns_forwards_at_top_level() {
+        let fabric = Fabric::new();
+        let peer = boot(&fabric, "peer");
+        register_echo(&peer, 0);
+        register_echo(&peer, 1);
+        let server = boot(&fabric, "server");
+        let log = Arc::new(ContextLog::default());
+        server.add_monitor(log.clone());
+        let peer_addr = peer.address();
+        server
+            .register_typed("spawner", 3, None, move |_: (), ctx| {
+                let margo = ctx.margo().clone();
+                let addr = peer_addr.clone();
+                std::thread::spawn(move || {
+                    margo.forward::<String, String>(&addr, "echo", 1, &"off".to_string())
+                })
+                .join()
+                .unwrap()
+                .map_err(|e| e.to_string())?;
+                ctx.margo()
+                    .forward::<String, String>(&peer_addr, "echo", 0, &"on".to_string())
+                    .map_err(|e| e.to_string())
+            })
+            .unwrap();
+        let client = boot(&fabric, "client");
+        let _: String = client.forward(&server.address(), "spawner", 3, &()).unwrap();
+        let forwards = log.wait_for(2);
+        let (spawned, handler) = (&forwards[0], &forwards[1]);
+        assert_eq!((spawned.0, handler.0), (1, 0));
+        assert_eq!(spawned.1, CallContext::TOP_LEVEL);
+        assert_eq!(handler.1.parent_rpc_id, rpc_id_for_name("spawner"));
+        assert_eq!(handler.1.parent_provider_id, 3);
+        server.finalize();
+        peer.finalize();
+        client.finalize();
+    }
+
+    #[test]
     fn expired_deadline_fails_before_sending() {
         let fabric = Fabric::new();
         let server = boot(&fabric, "server");
@@ -1557,15 +1749,42 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let past = Instant::now().checked_sub(Duration::from_millis(10)).unwrap_or_else(Instant::now);
-        let context = CallContext::TOP_LEVEL.with_deadline(Some(past));
-        let err = client
-            .forward_full::<(), ()>(&server.address(), "count", 0, &(), context, Duration::from_secs(1))
-            .unwrap_err();
+        // A handler that sleeps past its caller's 50 ms budget and then
+        // forwards holds an expired deadline.
+        let relay = boot(&fabric, "relay");
+        let server_addr = server.address();
+        let observed: Arc<Mutex<Option<MargoError>>> = Arc::new(Mutex::new(None));
+        let observed2 = Arc::clone(&observed);
+        relay
+            .register_typed("late", 0, None, move |_: (), ctx| {
+                std::thread::sleep(Duration::from_millis(80));
+                let wait = Duration::from_secs(1);
+                let err = ctx
+                    .margo()
+                    .forward_timeout::<(), ()>(&server_addr, "count", 0, &(), wait)
+                    .unwrap_err();
+                *observed2.lock() = Some(err);
+                Ok(())
+            })
+            .unwrap();
+        let _ = client.forward_timeout::<(), ()>(
+            &relay.address(),
+            "late",
+            0,
+            &(),
+            Duration::from_millis(50),
+        );
+        assert!(mochi_util::time::wait_until(
+            Duration::from_secs(5),
+            Duration::from_millis(1),
+            || observed.lock().is_some()
+        ));
+        let err = observed.lock().take().unwrap();
         assert_eq!(err, MargoError::DeadlineExceeded);
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(hits.load(Ordering::SeqCst), 0, "request must never reach the server");
         server.finalize();
+        relay.finalize();
         client.finalize();
     }
 
@@ -1676,7 +1895,7 @@ mod tests {
         timeout: Duration,
     ) -> PendingForward {
         let dest = Arc::new(dest.clone());
-        client.iforward_full(&dest, rpc, 0, &(), CallContext::TOP_LEVEL, timeout).unwrap()
+        client.iforward_full(&dest, rpc, 0, &(), timeout).unwrap()
     }
 
     #[test]

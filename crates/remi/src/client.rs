@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mochi_margo::{rpc_id_for_name, MargoError, MargoRuntime};
-use mochi_mercury::{Address, BulkAccess, CallContext, PendingRequest, ResponseStatus};
+use mochi_mercury::{Address, BulkAccess, PendingRequest, ResponseStatus};
 use mochi_util::id::unique_token;
 use mochi_util::time::Stopwatch;
 use serde::de::DeserializeOwned;
@@ -54,7 +54,6 @@ pub struct MigrationReport {
 #[derive(Clone)]
 pub struct RemiClient {
     margo: MargoRuntime,
-    context: CallContext,
 }
 
 impl RemiClient {
@@ -65,16 +64,7 @@ impl RemiClient {
         // the session down, chunks are sequenced) and stay retry-free.
         margo.declare_idempotent(rpc::START);
         margo.declare_idempotent(rpc::PULL);
-        Self { margo: margo.clone(), context: CallContext::TOP_LEVEL }
-    }
-
-    /// Threads a calling context (a handler passes
-    /// `ctx.nested_context()`) so migration RPCs issued by this client
-    /// count as nested calls and inherit the parent's remaining deadline
-    /// budget instead of restarting it.
-    pub fn with_context(mut self, context: CallContext) -> Self {
-        self.context = context;
-        self
+        Self { margo: margo.clone() }
     }
 
     /// Single chokepoint for typed RPCs: every forward in this client
@@ -89,7 +79,7 @@ impl RemiClient {
         provider_id: u16,
         timeout: Duration,
     ) -> Result<O, MargoError> {
-        self.margo.forward_full(dest, rpc_name, provider_id, input, self.context, timeout)
+        self.margo.forward_timeout(dest, rpc_name, provider_id, input, timeout)
     }
 
     /// Migrates `fileset` to the REMI provider `(dest, provider_id)`.
@@ -214,7 +204,7 @@ impl RemiClient {
                 dest,
                 chunk_rpc_id,
                 provider_id,
-                self.context,
+                MargoRuntime::current_context(),
                 Bytes::from(frame),
             )?;
             pending.push_back(request);

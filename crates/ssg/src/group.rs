@@ -329,19 +329,18 @@ impl SsgGroup {
         })?;
 
         let req_inner = Arc::clone(inner);
-        margo.register_typed(rpc::PING_REQ, provider_id, None, move |args: PingReqArgs, ctx| {
+        margo.register_typed(rpc::PING_REQ, provider_id, None, move |args: PingReqArgs, _| {
             req_inner.apply_updates(&args.updates);
             // Relay the probe with the short ping timeout — the relay's
             // handler must not block its ES behind a dead target.
             let probe = PingArgs { from: req_inner.margo.address(), updates: Vec::new() };
             let ok = req_inner
                 .margo
-                .forward_full::<_, PingReply>(
+                .forward_timeout::<_, PingReply>(
                     &args.target,
                     rpc::PING,
                     req_inner.provider_id,
                     &probe,
-                    ctx.nested_context(),
                     req_inner.config.ping_timeout(),
                 )
                 .is_ok();

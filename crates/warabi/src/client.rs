@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use mochi_margo::{decode_framed, encode_framed, CallContext, MargoError, MargoRuntime};
+use mochi_margo::{decode_framed, encode_framed, MargoError, MargoRuntime};
 use mochi_mercury::{Address, BulkAccess};
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
@@ -38,7 +38,6 @@ pub struct TargetHandle {
     address: Address,
     provider_id: u16,
     timeout: Duration,
-    context: CallContext,
 }
 
 impl TargetHandle {
@@ -48,13 +47,7 @@ impl TargetHandle {
             margo.declare_idempotent(name);
         }
         let timeout = margo.rpc_timeout();
-        Self {
-            margo: margo.clone(),
-            address,
-            provider_id,
-            timeout,
-            context: CallContext::TOP_LEVEL,
-        }
+        Self { margo: margo.clone(), address, provider_id, timeout }
     }
 
     /// Single chokepoint for typed RPCs: every forward in this client
@@ -66,41 +59,18 @@ impl TargetHandle {
         rpc_name: &str,
         input: &I,
     ) -> Result<O, MargoError> {
-        self.margo.forward_full(
-            &self.address,
-            rpc_name,
-            self.provider_id,
-            input,
-            self.context,
-            self.timeout,
-        )
+        self.margo.forward_timeout(&self.address, rpc_name, self.provider_id, input, self.timeout)
     }
 
     /// Raw-payload counterpart of [`Self::call`] for framed data-plane
     /// RPCs.
     fn call_raw(&self, rpc_name: &str, payload: Bytes) -> Result<Bytes, MargoError> {
-        self.margo.forward_raw(
-            &self.address,
-            rpc_name,
-            self.provider_id,
-            payload,
-            self.context,
-            self.timeout,
-        )
+        self.margo.forward_raw(&self.address, rpc_name, self.provider_id, payload, self.timeout)
     }
 
     /// Overrides the per-RPC timeout.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Threads a calling context (a handler passes
-    /// `ctx.nested_context()`) so this handle's RPCs count as nested
-    /// calls and inherit the parent's remaining deadline budget instead
-    /// of restarting it.
-    pub fn with_context(mut self, context: CallContext) -> Self {
-        self.context = context;
         self
     }
 

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use mochi_margo::{
-    decode, decode_framed, decode_framed_borrowed, encode_framed, encode_framed_with, CallContext,
-    MargoError, MargoRuntime, PendingForward,
+    decode, decode_framed, decode_framed_borrowed, encode_framed, encode_framed_with, MargoError,
+    MargoRuntime, PendingForward,
 };
 use mochi_mercury::Address;
 use serde::de::DeserializeOwned;
@@ -169,7 +169,6 @@ pub struct DatabaseHandle {
     address: Arc<Address>,
     provider_id: u16,
     timeout: Duration,
-    context: CallContext,
 }
 
 impl DatabaseHandle {
@@ -179,13 +178,7 @@ impl DatabaseHandle {
             margo.declare_idempotent(name);
         }
         let timeout = margo.rpc_timeout();
-        Self {
-            margo: margo.clone(),
-            address: Arc::new(address),
-            provider_id,
-            timeout,
-            context: CallContext::TOP_LEVEL,
-        }
+        Self { margo: margo.clone(), address: Arc::new(address), provider_id, timeout }
     }
 
     /// Single chokepoint for typed RPCs: every forward in this client is
@@ -193,27 +186,13 @@ impl DatabaseHandle {
     /// deadline handling apply uniformly — `mochi-lint` MOCHI011 enforces
     /// this.
     fn post<I: Serialize>(&self, rpc_name: &str, input: &I) -> Result<PendingForward, MargoError> {
-        self.margo.iforward_full(
-            &self.address,
-            rpc_name,
-            self.provider_id,
-            input,
-            self.context,
-            self.timeout,
-        )
+        self.margo.iforward_full(&self.address, rpc_name, self.provider_id, input, self.timeout)
     }
 
     /// Raw-payload counterpart of [`Self::post`] for framed data-plane
     /// RPCs.
     fn post_raw(&self, rpc_name: &str, payload: Bytes) -> PendingForward {
-        self.margo.iforward_raw(
-            &self.address,
-            rpc_name,
-            self.provider_id,
-            payload,
-            self.context,
-            self.timeout,
-        )
+        self.margo.iforward_raw(&self.address, rpc_name, self.provider_id, payload, self.timeout)
     }
 
     /// [`Self::post`], waited for on the spot.
@@ -233,15 +212,6 @@ impl DatabaseHandle {
     /// Overrides the per-RPC timeout.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Threads a calling context (a handler passes
-    /// `ctx.nested_context()`) so this handle's RPCs count as nested
-    /// calls and inherit the parent's remaining deadline budget instead
-    /// of restarting it.
-    pub fn with_context(mut self, context: CallContext) -> Self {
-        self.context = context;
         self
     }
 

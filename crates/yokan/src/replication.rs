@@ -19,7 +19,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use mochi_margo::{decode_framed_borrowed, encode_framed, MargoError, MargoRuntime, RpcContext};
-use mochi_mercury::{Address, CallContext};
+use mochi_mercury::Address;
 use mochi_util::ordered_lock::{rank, OrderedRwLock};
 
 use crate::client::DatabaseHandle;
@@ -49,16 +49,12 @@ struct Inner {
 impl Inner {
     fn write_all<T>(
         &self,
-        cx: CallContext,
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, String> {
         let mut last = Err("virtual database has no replicas".to_string());
         for handle in self.replicas.read().iter() {
-            // Per-request clone so the fan-out inherits the caller's
-            // remaining deadline budget instead of restarting it.
-            let handle = handle.clone().with_context(cx);
             let value =
-                op(&handle).map_err(|e| format!("replica {} failed: {e}", handle.address()))?;
+                op(handle).map_err(|e| format!("replica {} failed: {e}", handle.address()))?;
             last = Ok(value);
         }
         last
@@ -66,7 +62,6 @@ impl Inner {
 
     fn read_any<T>(
         &self,
-        cx: CallContext,
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, String> {
         let replicas = self.replicas.read();
@@ -75,8 +70,7 @@ impl Inner {
         }
         let mut errors = Vec::new();
         for handle in replicas.iter() {
-            let handle = handle.clone().with_context(cx);
-            match op(&handle) {
+            match op(handle) {
                 Ok(value) => return Ok(value),
                 Err(e) => errors.push(format!("{}: {e}", handle.address())),
             }
@@ -129,12 +123,11 @@ impl VirtualDatabaseProvider {
             replicas: OrderedRwLock::new(rank::YOKAN_REPLICAS, "yokan.replicas", handles),
         });
 
-        type FramedOp =
-            Box<dyn Fn(&Inner, &Bytes, CallContext) -> Result<Bytes, String> + Send + Sync>;
+        type FramedOp = Box<dyn Fn(&Inner, &Bytes) -> Result<Bytes, String> + Send + Sync>;
         let raw = |inner: &Arc<Inner>, f: FramedOp| -> mochi_margo::RpcHandler {
             let inner = Arc::clone(inner);
             Arc::new(move |ctx: RpcContext| {
-                match f(&inner, ctx.payload_bytes(), ctx.nested_context()) {
+                match f(&inner, ctx.payload_bytes()) {
                     Ok(payload) => {
                         let _ = ctx.respond_bytes(payload);
                     }
@@ -153,10 +146,10 @@ impl VirtualDatabaseProvider {
             pool,
             raw(
                 &inner,
-                Box::new(|inner, payload, cx| {
+                Box::new(|inner, payload| {
                     let (header, body) = decode_framed_borrowed::<DecodedKeyHeader<'_>>(payload)
                         .map_err(|e| e.to_string())?;
-                    inner.write_all(cx, |h| h.put(header.key.0, body))?;
+                    inner.write_all(|h| h.put(header.key.0, body))?;
                     encode_framed(&true, &[]).map_err(|e| e.to_string())
                 }),
             ),
@@ -167,12 +160,12 @@ impl VirtualDatabaseProvider {
             pool,
             raw(
                 &inner,
-                Box::new(|inner, payload, cx| {
+                Box::new(|inner, payload| {
                     let (header, body) =
                         decode_framed_borrowed::<DecodedPutMultiHeader<'_>>(payload)
                             .map_err(|e| e.to_string())?;
                     let pairs = header.pairs(body)?;
-                    inner.write_all(cx, |h| h.put_multi(&pairs))?;
+                    inner.write_all(|h| h.put_multi(&pairs))?;
                     encode_framed(&(pairs.len() as u64), &[]).map_err(|e| e.to_string())
                 }),
             ),
@@ -183,10 +176,10 @@ impl VirtualDatabaseProvider {
             pool,
             raw(
                 &inner,
-                Box::new(|inner, payload, cx| {
+                Box::new(|inner, payload| {
                     let (header, _) = decode_framed_borrowed::<DecodedKeyHeader<'_>>(payload)
                         .map_err(|e| e.to_string())?;
-                    let value = inner.read_any(cx, |h| h.get(header.key.0))?;
+                    let value = inner.read_any(|h| h.get(header.key.0))?;
                     encode_values(&[value.as_deref()]).map_err(|e| e.to_string())
                 }),
             ),
@@ -197,41 +190,40 @@ impl VirtualDatabaseProvider {
             pool,
             raw(
                 &inner,
-                Box::new(|inner, payload, cx| {
+                Box::new(|inner, payload| {
                     let (header, _) =
                         decode_framed_borrowed::<DecodedGetMultiHeader<'_>>(payload)
                             .map_err(|e| e.to_string())?;
-                    let values = inner.read_any(cx, |h| h.get_multi(&header.keys.0))?;
+                    let values = inner.read_any(|h| h.get_multi(&header.keys.0))?;
                     let lent: Vec<Option<&[u8]>> = values.iter().map(Option::as_deref).collect();
                     encode_values(&lent).map_err(|e| e.to_string())
                 }),
             ),
         )?;
         let erase_inner = Arc::clone(&inner);
-        margo.register_typed(rpc::ERASE, provider_id, pool, move |key: Vec<u8>, ctx| {
-            erase_inner.write_all(ctx.nested_context(), |h| h.erase(&key))
+        margo.register_typed(rpc::ERASE, provider_id, pool, move |key: Vec<u8>, _| {
+            erase_inner.write_all(|h| h.erase(&key))
         })?;
         let exists_inner = Arc::clone(&inner);
-        margo.register_typed(rpc::EXISTS, provider_id, pool, move |key: Vec<u8>, ctx| {
-            exists_inner.read_any(ctx.nested_context(), |h| h.exists(&key))
+        margo.register_typed(rpc::EXISTS, provider_id, pool, move |key: Vec<u8>, _| {
+            exists_inner.read_any(|h| h.exists(&key))
         })?;
         let list_inner = Arc::clone(&inner);
-        margo.register_typed(rpc::LIST_KEYS, provider_id, pool, move |args: ListKeysArgs, ctx| {
-            list_inner.read_any(ctx.nested_context(), |h| {
-                h.list_keys(&args.prefix, args.start_after.as_deref(), args.max)
-            })
+        margo.register_typed(rpc::LIST_KEYS, provider_id, pool, move |args: ListKeysArgs, _| {
+            let after = args.start_after.as_deref();
+            list_inner.read_any(|h| h.list_keys(&args.prefix, after, args.max))
         })?;
         let len_inner = Arc::clone(&inner);
-        margo.register_typed(rpc::LEN, provider_id, pool, move |_: (), ctx| {
-            len_inner.read_any(ctx.nested_context(), |h| h.len())
+        margo.register_typed(rpc::LEN, provider_id, pool, move |_: (), _| {
+            len_inner.read_any(|h| h.len())
         })?;
         let flush_inner = Arc::clone(&inner);
-        margo.register_typed(rpc::FLUSH, provider_id, pool, move |_: (), ctx| {
-            flush_inner.write_all(ctx.nested_context(), |h| h.flush()).map(|()| true)
+        margo.register_typed(rpc::FLUSH, provider_id, pool, move |_: (), _| {
+            flush_inner.write_all(|h| h.flush()).map(|()| true)
         })?;
         let clear_inner = Arc::clone(&inner);
-        margo.register_typed(rpc::CLEAR, provider_id, pool, move |_: (), ctx| {
-            clear_inner.write_all(ctx.nested_context(), |h| h.clear()).map(|()| true)
+        margo.register_typed(rpc::CLEAR, provider_id, pool, move |_: (), _| {
+            clear_inner.write_all(|h| h.clear()).map(|()| true)
         })?;
 
         Ok(Arc::new(Self { margo: margo.clone(), provider_id, inner }))

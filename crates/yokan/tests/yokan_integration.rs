@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mochi_bedrock::{BedrockServer, Client, ModuleCatalog, ProcessConfig};
-use mochi_margo::{encode_framed, CallContext, MargoRuntime};
+use mochi_margo::{encode_framed, MargoRuntime};
 use mochi_mercury::{Address, Fabric};
 use mochi_util::TempDir;
 use mochi_yokan::backend::memory::MemoryDatabase;
@@ -225,9 +225,9 @@ fn malformed_put_multi_gets_the_same_error_from_both_providers() {
     {
         let payload = encode_framed(&header, b"12345").unwrap();
         let refusal = |to: &MargoRuntime, id: u16| {
-            let (top, wait) = (CallContext::TOP_LEVEL, Duration::from_secs(1));
+            let wait = Duration::from_secs(1);
             client
-                .forward_raw(&to.address(), rpc::PUT_MULTI, id, payload.clone(), top, wait)
+                .forward_raw(&to.address(), rpc::PUT_MULTI, id, payload.clone(), wait)
                 .unwrap_err()
                 .to_string()
         };
@@ -261,14 +261,13 @@ fn a_non_record_value_refuses_the_whole_versioned_batch() {
         keys: vec![b"good".to_vec(), b"bad".to_vec()],
         value_lens: vec![record.len() as u32, 3],
     };
-    let (top, wait) = (CallContext::TOP_LEVEL, Duration::from_secs(1));
+    let wait = Duration::from_secs(1);
     let refusal = client
         .forward_raw(
             &server.address(),
             rpc::PUT_VERSIONED_MULTI,
             1,
             encode_framed(&header, &body).unwrap(),
-            top,
             wait,
         )
         .unwrap_err()
@@ -285,7 +284,7 @@ fn a_non_record_value_refuses_the_whole_versioned_batch() {
     };
     let frame = encode_framed(&owned, &record).unwrap();
     assert_eq!(frame, encode_framed(&viewed, &record).unwrap());
-    client.forward_raw(&server.address(), rpc::PUT_VERSIONED_MULTI, 1, frame, top, wait).unwrap();
+    client.forward_raw(&server.address(), rpc::PUT_VERSIONED_MULTI, 1, frame, wait).unwrap();
     assert_eq!(db.get(b"good").unwrap(), Some(record));
 
     server.finalize();

@@ -214,7 +214,7 @@ echo "==> cargo bench --no-run"
 cargo bench -p mochi-bench --no-run || exit 22
 
 # Static analysis, last. The linter's own unit and fixture tests first:
-# they are the oracle for what the eight rules of its registry catch, and
+# they are the oracle for what the seven rules of its registry catch, and
 # no other stage runs them. Where clippy exists, the crates that are
 # clippy-clean stay so: mochi-lint, and the libraries of mochi-yokan and
 # mochi-util. Then scripts/lint.sh: one mochi-lint run over the workspace.

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Pre-PR gate: workspace-specific static analysis plus (when available)
 # clippy and rustfmt. mochi-lint is the hard gate: a violation of any of
-# the eight rules of its registry (`RULES`, crates/lint/src/lib.rs;
+# the seven rules of its registry (`RULES`, crates/lint/src/lib.rs;
 # DESIGN.md §11) that is not frozen in lint-allow.json fails the build,
 # and so does a frozen entry that no longer matches anything.
 #

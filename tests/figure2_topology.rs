@@ -8,9 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mochi_rs::margo::{
-    CallContext, MargoConfig, MargoError, MargoRuntime, Monitor, MonitoringEvent,
-};
+use mochi_rs::margo::{MargoConfig, MargoError, MargoRuntime, Monitor, MonitoringEvent};
 use mochi_rs::mercury::{Address, Fabric};
 
 fn figure2_config() -> MargoConfig {
@@ -126,14 +124,7 @@ fn blocked_handler_xstream_does_not_delay_reception() {
     let server_address = Arc::new(server.address());
     let post = |provider_id| {
         client
-            .iforward_full(
-                &server_address,
-                "work",
-                provider_id,
-                &(),
-                CallContext::TOP_LEVEL,
-                Duration::from_secs(5),
-            )
+            .iforward_full(&server_address, "work", provider_id, &(), Duration::from_secs(5))
             .unwrap()
     };
     let blocker = post(1);

@@ -28,7 +28,7 @@ fn workspace_passes_mochi_lint() {
     let report = workspace_report();
     assert!(report.files > 0, "lint walked no files — wrong root?");
     // The interprocedural analyses are only as good as the graph under
-    // them: an empty or unresolved graph would let MOCHI012/013 pass
+    // them: an empty or unresolved graph would let MOCHI013/016 pass
     // vacuously, so a resolution collapse must fail loudly here.
     assert!(
         report.graph_stats.nodes > 500 && report.graph_stats.edges > 500,

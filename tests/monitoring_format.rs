@@ -77,7 +77,9 @@ fn nested_rpcs_attribute_parent_context() {
     let backend_addr = backend.address();
     frontend
         .register_typed("ingest", 7, None, move |v: u64, ctx| {
-            ctx.forward::<u64, u64>(&backend_addr, "store", 2, &v).map_err(|e| e.to_string())
+            ctx.margo()
+                .forward::<u64, u64>(&backend_addr, "store", 2, &v)
+                .map_err(|e| e.to_string())
         })
         .unwrap();
     let _: u64 = client.forward(&frontend.address(), "ingest", 7, &9u64).unwrap();
