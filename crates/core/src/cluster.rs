@@ -26,8 +26,6 @@ pub enum ClusterError {
     NoFreeNodes,
     /// No process runs at this address.
     NoSuchProcess(String),
-    /// A node name outside the machine.
-    UnknownNode(String),
     /// Underlying Bedrock failure.
     Bedrock(String),
 }
@@ -37,7 +35,6 @@ impl fmt::Display for ClusterError {
         match self {
             ClusterError::NoFreeNodes => write!(f, "no free nodes in the pool"),
             ClusterError::NoSuchProcess(a) => write!(f, "no process at {a}"),
-            ClusterError::UnknownNode(n) => write!(f, "unknown node '{n}'"),
             ClusterError::Bedrock(m) => write!(f, "bedrock: {m}"),
         }
     }
@@ -141,9 +138,7 @@ impl Cluster {
     }
 
     /// Boots a Bedrock process on `node`. Each spawn gets a fresh port,
-    /// so a node can be reused after a crash without address collisions
-    /// (callers that want address *reuse* pass the old address to
-    /// [`Cluster::spawn_at`]).
+    /// so a node can be reused after a crash without address collisions.
     pub fn spawn(
         &self,
         node: &str,
@@ -155,15 +150,7 @@ impl Cluster {
             *next += 1;
             p
         };
-        self.spawn_at(Address::tcp(node, port), config)
-    }
-
-    /// Boots a Bedrock process at an exact address.
-    pub fn spawn_at(
-        &self,
-        addr: Address,
-        config: &ProcessConfig,
-    ) -> Result<BedrockServer, ClusterError> {
+        let addr = Address::tcp(node, port);
         let data_dir = self
             .root
             .path()
@@ -185,11 +172,6 @@ impl Cluster {
     /// The process at `addr`, if any.
     pub fn process(&self, addr: &Address) -> Option<BedrockServer> {
         self.processes.lock().get(addr).cloned()
-    }
-
-    /// Addresses of all live processes.
-    pub fn process_addresses(&self) -> Vec<Address> {
-        self.processes.lock().keys().cloned().collect()
     }
 
     /// Crashes the process at `addr` abruptly: no provider shutdown, no
@@ -218,19 +200,14 @@ impl Cluster {
         server.shutdown();
         Ok(())
     }
-
-    /// Stops everything (test teardown).
-    pub fn shutdown_all(&self) {
-        let processes = std::mem::take(&mut *self.processes.lock());
-        for (_, server) in processes {
-            server.shutdown();
-        }
-    }
 }
 
 impl Drop for Cluster {
+    /// Stops every process still running.
     fn drop(&mut self) {
-        self.shutdown_all();
+        for (_, server) in std::mem::take(self.processes.get_mut()) {
+            server.shutdown();
+        }
     }
 }
 
@@ -258,7 +235,6 @@ mod tests {
         let config = ProcessConfig::default();
         let server = cluster.spawn(&node, &config).unwrap();
         let addr = server.address();
-        assert_eq!(cluster.process_addresses(), vec![addr.clone()]);
         assert!(cluster.process(&addr).is_some());
         cluster.stop(&addr).unwrap();
         assert!(cluster.process(&addr).is_none());
@@ -286,7 +262,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.is_timeout());
-        cluster.shutdown_all();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! SSG-view-driven failover for resource handles (paper §7).
 //!
-//! A [`DatabaseHandle`](mochi_yokan::client::DatabaseHandle) pins one
-//! `(address, provider_id)`; when the [`ResilienceManager`] rebuilds a
-//! dead member on a fresh node, that pinned address points at a grave.
+//! A [`DatabaseHandle`] pins one `(address, provider_id)`; when the
+//! [`ResilienceManager`] rebuilds a dead member on a fresh node, that
+//! pinned address points at a grave.
 //! [`FailoverKv`] closes the loop: it resolves the provider's *current*
 //! location from the service's own bookkeeping filtered by the SSG view
 //! (Observation 12 — SWIM tells us who is actually alive), issues the

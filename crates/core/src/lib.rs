@@ -4,8 +4,9 @@
 //! four capabilities the paper demands of dynamic services (§2.3), with
 //! the dependency order the paper observes — each builds on the previous:
 //!
-//! 1. **performance introspection** — Margo monitoring, consumed by
-//!    [`adaptive::AdaptiveController`];
+//! 1. **performance introspection** — Margo monitoring, which supplies
+//!    the data for reconfiguration decisions: the per-RPC statistics of
+//!    each process's dump and Bedrock's configuration queries;
 //! 2. **online reconfiguration** — Bedrock processes managed by a
 //!    [`cluster::Cluster`] (the simulated machine + a Flux-like resource
 //!    manager granting and revoking nodes);
@@ -26,7 +27,6 @@
 //! concurrent scatter-gather multi-ops and zero-loss live rebalance
 //! (experiment A9).
 
-pub mod adaptive;
 pub mod cluster;
 pub mod failover;
 pub mod resilience;
@@ -35,7 +35,6 @@ pub mod routed;
 pub mod service;
 pub mod workflow;
 
-pub use adaptive::{AdaptiveController, ScalingPolicy};
 pub use cluster::{default_catalog, Cluster, ClusterError};
 pub use failover::FailoverKv;
 pub use resilience::{ResilienceConfig, ResilienceManager};

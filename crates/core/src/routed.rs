@@ -1231,7 +1231,7 @@ impl RoutedKv {
     ///    One exclusive acquisition of the write barrier fences out the
     ///    writes still routing under the steady ring, so the copier's
     ///    listings cannot miss a write that reaches no future owner.
-    /// 2. **Copy** ([`Self::copy_moved`]). Per source member, page
+    /// 2. **Copy** (`copy_moved`). Per source member, page
     ///    through its records, keep the ones whose owner set gains a
     ///    member ([`HashRing::moved_arcs`] minimality: only arcs adjacent
     ///    to the changed member's points move), read them with their
@@ -1283,7 +1283,7 @@ impl RoutedKv {
 
     /// Picks the least-loaded service node (Pufferscale placement over
     /// the live provider weights) to host a joining provider.
-    pub fn plan_host(&self, weights: &Weights) -> Option<Address> {
+    fn plan_host(&self, weights: &Weights) -> Option<Address> {
         let placement = self.service.placement();
         placement.least_loaded(weights)?.parse().ok()
     }
@@ -1457,7 +1457,7 @@ impl RoutedKv {
     ///    a survivor below — or was hinted onto a live successor), and
     ///    the copies the old ring's writes owe its replicas ship (the
     ///    dead member's park as hints).
-    /// 3. Copy ([`Self::copy_moved`], the copier a rebalance runs, with
+    /// 3. Copy (`copy_moved`, the copier a rebalance runs, with
     ///    the dead member excluded): each affected key's first surviving
     ///    replica puts the record, if newer, on the members that entered
     ///    its owner set.

@@ -101,18 +101,15 @@ impl MargoError {
     }
 
     /// True if retrying the call might succeed: transient transport
-    /// failures (timeout, unknown/unreachable peer) and `NoHandler`
+    /// failures (timeout, unknown peer) and `NoHandler`
     /// (providers reappear during reconfiguration/migration). `Handler`
     /// errors are application outcomes and never retryable; deadline and
     /// breaker rejections mean retrying locally is pointless.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            MargoError::Transport(
-                MercuryError::Timeout
-                    | MercuryError::AddressUnknown(_)
-                    | MercuryError::EndpointDown(_)
-            ) | MargoError::NoHandler { .. }
+            MargoError::Transport(MercuryError::Timeout | MercuryError::AddressUnknown(_))
+                | MargoError::NoHandler { .. }
         )
     }
 

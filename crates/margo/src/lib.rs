@@ -46,7 +46,3 @@ pub use monitoring::{Monitor, MonitoringEvent, StatisticsMonitor};
 pub use mochi_mercury::CallContext;
 pub use rpc::{rpc_id_for_name, RpcContext, RpcHandler};
 pub use runtime::{MargoRuntime, PendingForward};
-
-/// The provider id Margo uses for "no particular provider" — `u16::MAX`,
-/// which renders as the `65535` sentinels in Listing 1.
-pub const ANONYMOUS_PROVIDER: u16 = u16::MAX;

@@ -110,14 +110,6 @@ pub trait Monitor: Send + Sync {
     fn observe(&self, event: &MonitoringEvent<'_>);
 }
 
-/// Monitor that discards everything (monitoring disabled).
-#[derive(Debug, Default)]
-pub struct NullMonitor;
-
-impl Monitor for NullMonitor {
-    fn observe(&self, _event: &MonitoringEvent<'_>) {}
-}
-
 /// Fans events out to several monitors (e.g. the default statistics
 /// monitor plus a user-injected one).
 #[derive(Default)]
@@ -176,10 +168,5 @@ mod tests {
         composite.observe(&sample_event());
         assert_eq!(a.0.load(Ordering::SeqCst), 2);
         assert_eq!(b.0.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn null_monitor_is_inert() {
-        NullMonitor.observe(&sample_event());
     }
 }

@@ -84,11 +84,6 @@ impl RpcContext {
         &self.margo
     }
 
-    /// Whether a response has been sent.
-    pub fn has_responded(&self) -> bool {
-        self.responded.load(Ordering::SeqCst)
-    }
-
     /// Serializes `output` and answers the request. Subsequent calls (and
     /// calls for one-way messages) are no-ops returning `Ok`.
     pub fn respond<T: Serialize>(&self, output: &T) -> Result<(), MargoError> {

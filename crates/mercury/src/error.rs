@@ -7,11 +7,6 @@ use std::fmt;
 pub enum MercuryError {
     /// The destination address was never registered with the fabric.
     AddressUnknown(String),
-    /// The destination endpoint existed but has been shut down or crashed.
-    /// Note: crashed endpoints usually *silently* swallow traffic (like a
-    /// dead node); this variant is only returned by operations that are
-    /// documented to check liveness eagerly.
-    EndpointDown(String),
     /// A request did not receive a response within its timeout.
     Timeout,
     /// The local endpoint was shut down while the operation was in flight.
@@ -30,7 +25,6 @@ impl fmt::Display for MercuryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MercuryError::AddressUnknown(a) => write!(f, "unknown address: {a}"),
-            MercuryError::EndpointDown(a) => write!(f, "endpoint down: {a}"),
             MercuryError::Timeout => write!(f, "operation timed out"),
             MercuryError::LocalShutdown => write!(f, "local endpoint shut down"),
             MercuryError::Remote(msg) => write!(f, "remote error: {msg}"),

@@ -354,17 +354,6 @@ impl Fabric {
         matches!(self.inner.endpoints.read().get(addr), Some(Slot::Live { .. }))
     }
 
-    /// All currently live addresses (diagnostics).
-    pub fn live_addresses(&self) -> Vec<Address> {
-        self.inner
-            .endpoints
-            .read()
-            .iter()
-            .filter(|(_, s)| matches!(s, Slot::Live { .. }))
-            .map(|(a, _)| a.clone())
-            .collect()
-    }
-
     /// Sends `envelope` through the fault plane and network model.
     ///
     /// Returns `Err(AddressUnknown)` only if the destination was *never*

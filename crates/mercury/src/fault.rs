@@ -5,7 +5,8 @@
 //! [`FaultPlane`] sits on the fabric's send path and can:
 //!
 //! * drop messages on a link with a configurable probability,
-//! * add extra delay to a link,
+//! * run deterministic per-link scripts that drop or delay messages by
+//!   their ordinal,
 //! * partition the fabric into groups that cannot reach each other,
 //! * blackhole individual addresses (a "crashed" process whose peers only
 //!   notice through timeouts — exactly how SWIM and Raft experience real
@@ -76,7 +77,6 @@ impl LinkScript {
 #[derive(Debug, Clone, Default)]
 struct LinkFaults {
     drop_probability: f64,
-    extra_delay: Duration,
     /// Deterministic scripts, all evaluated against the same per-rule
     /// message counter; any script voting "drop" drops the message and
     /// delay spikes accumulate.
@@ -183,12 +183,6 @@ impl FaultPlane {
         self.inner.lock().rule_or_default(source, dest).drop_probability = p.clamp(0.0, 1.0);
     }
 
-    /// Adds a fixed extra delay to messages from `source` host to `dest`
-    /// host. `None` acts as a wildcard.
-    pub fn set_extra_delay(&self, source: Option<&str>, dest: Option<&str>, delay: Duration) {
-        self.inner.lock().rule_or_default(source, dest).extra_delay = delay;
-    }
-
     /// Appends a deterministic [`LinkScript`] to the rule for messages
     /// from `source` host to `dest` host (`None` = wildcard). Scripts on
     /// the same rule share one message counter and compose: any script
@@ -277,7 +271,7 @@ impl FaultPlane {
         // must count every message that consults this rule, including ones
         // the probabilistic stage would also have dropped.
         faults.seen += 1;
-        let mut extra = faults.extra_delay;
+        let mut extra = Duration::ZERO;
         let mut scripted_drop = false;
         for script in &faults.scripts {
             let (drop, spike) = script.apply(faults.seen);
@@ -377,15 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn extra_delay_reported() {
-        let f = FaultPlane::new();
-        f.set_extra_delay(Some("a"), None, Duration::from_millis(5));
-        let (d, extra) = f.decide(&addr("a"), &addr("b"));
-        assert_eq!(d, FaultDecision::Deliver);
-        assert_eq!(extra, Duration::from_millis(5));
-    }
-
-    #[test]
     fn clear_resets_everything() {
         let f = FaultPlane::new();
         f.blackhole(&addr("dead"));
@@ -475,15 +460,14 @@ mod tests {
     #[test]
     fn delay_spike_script_hits_on_period() {
         let f = FaultPlane::new();
-        f.set_extra_delay(Some("a"), Some("b"), Duration::from_millis(1));
         f.push_script(
             Some("a"),
             Some("b"),
             LinkScript::DelaySpike { period: 3, spike: Duration::from_millis(10) },
         );
         let delays: Vec<_> = (0..6).map(|_| f.decide(&addr("a"), &addr("b")).1).collect();
-        let base = Duration::from_millis(1);
-        let spiked = Duration::from_millis(11);
+        let base = Duration::ZERO;
+        let spiked = Duration::from_millis(10);
         assert_eq!(delays, vec![base, base, spiked, base, base, spiked]);
     }
 

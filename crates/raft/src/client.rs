@@ -14,8 +14,7 @@ use crate::messages::{rpc, MembershipArgs, StatusReply, SubmitArgs, SubmitReply}
 pub struct RaftClient {
     margo: MargoRuntime,
     provider_id: u16,
-    // leaf: copied out before any forward.
-    members: RwLock<Vec<Address>>,
+    members: Vec<Address>,
     // leaf: read or replaced whole.
     leader_hint: RwLock<Option<Address>>,
     /// Overall deadline per operation.
@@ -33,7 +32,7 @@ impl RaftClient {
         Self {
             margo: margo.clone(),
             provider_id,
-            members: RwLock::new(members),
+            members,
             leader_hint: RwLock::new(None),
             op_timeout: Duration::from_secs(10),
             rpc_timeout: Duration::from_secs(5),
@@ -53,17 +52,12 @@ impl RaftClient {
         self
     }
 
-    /// Updates the member list (e.g. from an SSG view).
-    pub fn set_members(&self, members: Vec<Address>) {
-        *self.members.write() = members;
-    }
-
     fn candidates(&self) -> Vec<Address> {
         let mut list = Vec::new();
         if let Some(hint) = self.leader_hint.read().clone() {
             list.push(hint);
         }
-        for member in self.members.read().iter() {
+        for member in &self.members {
             if !list.contains(member) {
                 list.push(member.clone());
             }

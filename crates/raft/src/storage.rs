@@ -66,7 +66,7 @@ impl RaftStorage {
 
     /// Persists term/vote.
     pub fn save_meta(&self, meta: &Meta) -> std::io::Result<()> {
-        atomic_write(&self.meta_path(), &serde_json::to_vec(meta).expect("meta serializes"))
+        atomic_write(&self.meta_path(), &serde_json::to_vec(meta)?)
     }
 
     /// Loads term/vote (default when absent).
@@ -77,20 +77,20 @@ impl RaftStorage {
             .unwrap_or_default()
     }
 
-    fn encode_entry(entry: &LogEntry) -> Vec<u8> {
-        let body = serde_json::to_vec(entry).expect("entry serializes");
+    fn encode_entry(entry: &LogEntry) -> std::io::Result<Vec<u8>> {
+        let body = serde_json::to_vec(entry)?;
         let mut record = Vec::with_capacity(8 + body.len());
         record.extend_from_slice(&(body.len() as u32).to_le_bytes());
         record.extend_from_slice(&body);
         record.extend_from_slice(&crc32(&body).to_le_bytes());
-        record
+        Ok(record)
     }
 
     /// Appends entries to the log file.
     pub fn append_entries(&self, entries: &[LogEntry]) -> std::io::Result<()> {
         let mut buffer = Vec::new();
         for entry in entries {
-            buffer.extend_from_slice(&Self::encode_entry(entry));
+            buffer.extend_from_slice(&Self::encode_entry(entry)?);
         }
         let mut file =
             std::fs::OpenOptions::new().create(true).append(true).open(self.log_path())?;
@@ -102,7 +102,7 @@ impl RaftStorage {
     pub fn rewrite_log(&self, entries: &[LogEntry]) -> std::io::Result<()> {
         let mut buffer = Vec::new();
         for entry in entries {
-            buffer.extend_from_slice(&Self::encode_entry(entry));
+            buffer.extend_from_slice(&Self::encode_entry(entry)?);
         }
         atomic_write(&self.log_path(), &buffer)
     }
@@ -134,10 +134,7 @@ impl RaftStorage {
 
     /// Persists a snapshot.
     pub fn save_snapshot(&self, snapshot: &SnapshotRecord) -> std::io::Result<()> {
-        atomic_write(
-            &self.snapshot_path(),
-            &serde_json::to_vec(snapshot).expect("snapshot serializes"),
-        )
+        atomic_write(&self.snapshot_path(), &serde_json::to_vec(snapshot)?)
     }
 
     /// Loads the latest snapshot, if any.

@@ -246,11 +246,6 @@ impl RemiProvider {
         &self.inner.root
     }
 
-    /// Number of transfers currently in progress.
-    pub fn in_progress(&self) -> usize {
-        self.inner.transfers.lock().len()
-    }
-
     /// Unregisters the provider's RPCs (used when a Bedrock process stops
     /// the provider).
     pub fn deregister(&self) -> Result<(), mochi_margo::MargoError> {

@@ -63,16 +63,6 @@ impl GroupView {
         }
         crc64(&buffer)
     }
-
-    /// Addresses present here but not in `other`.
-    pub fn added_since(&self, other: &GroupView) -> Vec<Address> {
-        self.members.iter().filter(|m| !other.contains(m)).cloned().collect()
-    }
-
-    /// Addresses present in `other` but not here.
-    pub fn removed_since(&self, other: &GroupView) -> Vec<Address> {
-        other.members.iter().filter(|m| !self.contains(m)).cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -99,14 +89,6 @@ mod tests {
         let c = GroupView::new(1, vec![addr(1), addr(3)]);
         assert_eq!(a.hash(), b.hash());
         assert_ne!(a.hash(), c.hash());
-    }
-
-    #[test]
-    fn diffs() {
-        let old = GroupView::new(1, vec![addr(1), addr(2)]);
-        let new = GroupView::new(2, vec![addr(2), addr(3)]);
-        assert_eq!(new.added_since(&old), vec![addr(3)]);
-        assert_eq!(new.removed_since(&old), vec![addr(1)]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Human-readable byte sizes for reports and workload definitions.
+//! Human-readable byte sizes for reports.
 
 /// Formats `bytes` using binary units (`KiB`, `MiB`, ...), e.g. `4.0 MiB`.
 pub fn format_bytes(bytes: u64) -> String {
@@ -15,32 +15,6 @@ pub fn format_bytes(bytes: u64) -> String {
     format!("{value:.1} {}", UNITS[unit])
 }
 
-/// Parses sizes like `"4KiB"`, `"10 MiB"`, `"512"`, `"1GB"` (decimal units
-/// accepted as their binary equivalents for convenience). Returns `None`
-/// on malformed input or overflow.
-pub fn parse_bytes(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let split = s.find(|c: char| !(c.is_ascii_digit() || c == '.')).unwrap_or(s.len());
-    if split == 0 {
-        return None;
-    }
-    let (num, unit) = s.split_at(split);
-    let value: f64 = num.parse().ok()?;
-    let mult: u64 = match unit.trim().to_ascii_lowercase().as_str() {
-        "b" | "" => 1,
-        "k" | "kb" | "kib" => 1 << 10,
-        "m" | "mb" | "mib" => 1 << 20,
-        "g" | "gb" | "gib" => 1 << 30,
-        "t" | "tb" | "tib" => 1 << 40,
-        _ => return None,
-    };
-    let total = value * mult as f64;
-    if !total.is_finite() || total < 0.0 || total > u64::MAX as f64 {
-        return None;
-    }
-    Some(total as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,36 +26,5 @@ mod tests {
         assert_eq!(format_bytes(1024), "1.0 KiB");
         assert_eq!(format_bytes(4 * 1024 * 1024), "4.0 MiB");
         assert_eq!(format_bytes(3 * 1024 * 1024 * 1024 / 2), "1.5 GiB");
-    }
-
-    #[test]
-    fn parse_examples() {
-        assert_eq!(parse_bytes("4KiB"), Some(4096));
-        assert_eq!(parse_bytes("10 MiB"), Some(10 << 20));
-        assert_eq!(parse_bytes("1GB"), Some(1 << 30));
-        assert_eq!(parse_bytes("0.5k"), Some(512));
-    }
-
-    #[test]
-    fn parse_plain_number_needs_no_unit() {
-        assert_eq!(parse_bytes("123"), Some(123));
-        assert_eq!(parse_bytes("123b"), Some(123));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(parse_bytes("abc"), None);
-        assert_eq!(parse_bytes("12xy"), None);
-        assert_eq!(parse_bytes(""), None);
-    }
-
-    #[test]
-    fn round_trip_through_format() {
-        for v in [1u64, 1024, 4096, 1 << 20, 1 << 30] {
-            let s = format_bytes(v);
-            let parsed = parse_bytes(&s).unwrap();
-            let err = (parsed as f64 - v as f64).abs() / v as f64;
-            assert!(err < 0.06, "{v} -> {s} -> {parsed}");
-        }
     }
 }

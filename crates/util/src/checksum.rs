@@ -7,7 +7,7 @@
 //! write path — every ingested byte passes through it at least twice —
 //! and has two kernels with bit-identical outputs: tables that consume
 //! eight bytes per step (slicing-by-8), and, on `x86_64` processors that
-//! have it, the carry-less multiply ([`clmul`]), which folds 64 bytes per
+//! have it, the carry-less multiply (`clmul`), which folds 64 bytes per
 //! step. [`Crc32Hasher::update`] picks per call.
 
 /// Reflected polynomial for CRC-32 (IEEE).

@@ -66,9 +66,6 @@ pub mod rank {
     /// `remi` provider: summaries of finished sessions, read under the
     /// open ones to replay a retried `end`/`pull`.
     pub const REMI_COMPLETED: u32 = 78;
-    /// `yokan` replicated virtual database: its replica handles; held
-    /// shared across the fan-out to them.
-    pub const YOKAN_REPLICAS: u32 = 80;
     /// `raft::NodeInner::core` — consensus state; outermost raft lock.
     pub const RAFT_CORE: u32 = 100;
     /// `raft::NodeInner::replicators` — set of peers with live replicator ULTs.

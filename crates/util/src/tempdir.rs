@@ -37,13 +37,6 @@ impl TempDir {
         &self.path
     }
 
-    /// Creates (if needed) and returns a subdirectory.
-    pub fn subdir(&self, name: &str) -> std::io::Result<PathBuf> {
-        let p = self.path.join(name);
-        std::fs::create_dir_all(&p)?;
-        Ok(p)
-    }
-
     /// Disables deletion on drop (e.g. to inspect artifacts after a
     /// failing experiment).
     pub fn keep(&mut self) {
@@ -92,14 +85,6 @@ mod tests {
         let a = TempDir::new("same").unwrap();
         let b = TempDir::new("same").unwrap();
         assert_ne!(a.path(), b.path());
-    }
-
-    #[test]
-    fn subdir_created_under_root() {
-        let d = TempDir::new("unit-sub").unwrap();
-        let s = d.subdir("nested/deep").unwrap();
-        assert!(s.is_dir());
-        assert!(s.starts_with(d.path()));
     }
 
     #[test]

@@ -61,13 +61,6 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
-
-    /// Restarts the stopwatch, returning the elapsed seconds up to now.
-    pub fn lap(&mut self) -> f64 {
-        let e = self.elapsed_secs();
-        self.start = Instant::now();
-        e
-    }
 }
 
 /// Polls `condition` every `interval` until it returns true or `timeout`
@@ -109,15 +102,6 @@ mod tests {
             // Upper bound is generous to tolerate CI scheduling noise.
             assert!(elapsed < d + Duration::from_millis(10), "slept {elapsed:?} for {d:?}");
         }
-    }
-
-    #[test]
-    fn stopwatch_lap_resets() {
-        let mut sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(5));
-        let first = sw.lap();
-        assert!(first >= 0.005);
-        assert!(sw.elapsed_secs() < first);
     }
 
     #[test]

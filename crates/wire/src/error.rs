@@ -18,8 +18,6 @@ pub enum WireError {
     /// An integer does not fit the representable range (e.g. `u128` above
     /// `u64::MAX`, or a negative run below `i64::MIN`).
     IntOutOfRange,
-    /// The data model feature is not representable on the wire.
-    Unsupported(&'static str),
     /// Error reported by a `Serialize`/`Deserialize` implementation.
     Message(String),
 }
@@ -33,7 +31,6 @@ impl fmt::Display for WireError {
             WireError::InvalidUtf8 => write!(f, "string run is not valid UTF-8"),
             WireError::VarintOverflow => write!(f, "varint overflows u64"),
             WireError::IntOutOfRange => write!(f, "integer out of representable range"),
-            WireError::Unsupported(what) => write!(f, "unsupported: {what}"),
             WireError::Message(msg) => write!(f, "{msg}"),
         }
     }

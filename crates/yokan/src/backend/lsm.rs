@@ -33,7 +33,7 @@
 //! seal plus an index `key → (offset, len)` into them — seals once it
 //! exceeds `memtable_bytes`. A table's index is all of it that stays in
 //! memory, one entry per key on disk, so it is kept compact
-//! ([`table_index::TableIndex`]: the keys' common prefix once, the rest in
+//! (`table_index::TableIndex`: the keys' common prefix once, the rest in
 //! one buffer, one sorted array). Compaction is size-tiered over the
 //! *newest suffix* of a stripe's table list: a table's tier is
 //! `⌊log_(max_tables+1)(bytes / memtable_bytes)⌋`, where `bytes` is what

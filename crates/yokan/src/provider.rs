@@ -5,7 +5,7 @@
 //! so values travel as raw bytes. A handler decodes a request's header as
 //! a [`crate::views`] view: keys and values stay slices of the request
 //! buffer all the way into the backend, and a value read travels from the
-//! store into the reply frame in one copy ([`encode_values`]).
+//! store into the reply frame in one copy (`encode_values`).
 
 use std::sync::Arc;
 
@@ -147,7 +147,6 @@ pub struct YokanProvider {
     margo: MargoRuntime,
     provider_id: u16,
     db: Arc<dyn Database>,
-    hints: Arc<HintStore>,
 }
 
 /// Frames a `GET`/`GET_MULTI` reply: the lengths (`-1` for a missing
@@ -354,7 +353,7 @@ impl YokanProvider {
                 .collect();
             Ok(entries)
         })?;
-        let hint_drop_store = Arc::clone(&hints);
+        let hint_drop_store = hints;
         margo.register_typed(rpc::HINT_DROP, provider_id, pool, move |args: HintDropArgs, _| {
             let mut map = hint_drop_store.map.lock();
             let mut dropped = 0u64;
@@ -369,7 +368,7 @@ impl YokanProvider {
             Ok(dropped)
         })?;
 
-        Ok(Arc::new(Self { margo: margo.clone(), provider_id, db, hints }))
+        Ok(Arc::new(Self { margo: margo.clone(), provider_id, db }))
     }
 
     /// This provider's id.
@@ -380,12 +379,6 @@ impl YokanProvider {
     /// Direct access to the backing database (local callers, tests).
     pub fn database(&self) -> &Arc<dyn Database> {
         &self.db
-    }
-
-    /// Number of parked hinted-handoff records (monitoring, tests).
-    pub fn hint_len(&self) -> usize {
-        let map = self.hints.map.lock();
-        map.len()
     }
 
     /// Deregisters all RPCs of this provider.

@@ -20,7 +20,6 @@ use serde::{Deserialize, Serialize};
 
 use mochi_margo::{decode_framed_borrowed, encode_framed, MargoError, MargoRuntime, RpcContext};
 use mochi_mercury::Address;
-use mochi_util::ordered_lock::{rank, OrderedRwLock};
 
 use crate::client::DatabaseHandle;
 use crate::provider::{encode_values, rpc, ListKeysArgs};
@@ -43,7 +42,7 @@ pub struct VirtualConfig {
 }
 
 struct Inner {
-    replicas: OrderedRwLock<Vec<DatabaseHandle>>,
+    replicas: Vec<DatabaseHandle>,
 }
 
 impl Inner {
@@ -52,7 +51,7 @@ impl Inner {
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, String> {
         let mut last = Err("virtual database has no replicas".to_string());
-        for handle in self.replicas.read().iter() {
+        for handle in &self.replicas {
             let value =
                 op(handle).map_err(|e| format!("replica {} failed: {e}", handle.address()))?;
             last = Ok(value);
@@ -64,12 +63,11 @@ impl Inner {
         &self,
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, String> {
-        let replicas = self.replicas.read();
-        if replicas.is_empty() {
+        if self.replicas.is_empty() {
             return Err("virtual database has no replicas".into());
         }
         let mut errors = Vec::new();
-        for handle in replicas.iter() {
+        for handle in &self.replicas {
             match op(handle) {
                 Ok(value) => return Ok(value),
                 Err(e) => errors.push(format!("{}: {e}", handle.address())),
@@ -115,13 +113,11 @@ impl VirtualDatabaseProvider {
         replicas: Vec<(Address, u16)>,
         timeout: Duration,
     ) -> Result<Arc<Self>, MargoError> {
-        let handles = replicas
+        let replicas = replicas
             .into_iter()
             .map(|(address, id)| DatabaseHandle::new(margo, address, id).with_timeout(timeout))
             .collect();
-        let inner = Arc::new(Inner {
-            replicas: OrderedRwLock::new(rank::YOKAN_REPLICAS, "yokan.replicas", handles),
-        });
+        let inner = Arc::new(Inner { replicas });
 
         type FramedOp = Box<dyn Fn(&Inner, &Bytes) -> Result<Bytes, String> + Send + Sync>;
         let raw = |inner: &Arc<Inner>, f: FramedOp| -> mochi_margo::RpcHandler {
@@ -231,17 +227,7 @@ impl VirtualDatabaseProvider {
 
     /// Current replica addresses, in read order.
     pub fn replicas(&self) -> Vec<Address> {
-        self.inner.replicas.read().iter().map(|h| h.address().clone()).collect()
-    }
-
-    /// Replaces the replica set (used by the top-down resilience manager
-    /// after re-replication).
-    pub fn set_replicas(&self, margo: &MargoRuntime, replicas: Vec<(Address, u16)>, timeout: Duration) {
-        let handles: Vec<DatabaseHandle> = replicas
-            .into_iter()
-            .map(|(address, id)| DatabaseHandle::new(margo, address, id).with_timeout(timeout))
-            .collect();
-        *self.inner.replicas.write() = handles;
+        self.inner.replicas.iter().map(|h| h.address().clone()).collect()
     }
 
     /// Deregisters the virtual provider's RPCs.

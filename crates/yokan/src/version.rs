@@ -81,11 +81,6 @@ pub fn decode_record(stored: &[u8]) -> Record<'_> {
     Record { version: u64::from_be_bytes(version), tombstone: prefix[8] == FLAG_TOMBSTONE, value }
 }
 
-/// The version of a stored record (0 for legacy unversioned bytes).
-pub fn stored_version(stored: &[u8]) -> u64 {
-    decode_record(stored).version
-}
-
 /// Whether encoded record `candidate` should replace `incumbent` under
 /// freshest-wins: a strictly newer version wins; an equal version falls
 /// back to a bytewise compare of the encodings — an arbitrary but
@@ -140,7 +135,7 @@ mod tests {
         let a = encode_record(1, Some(b"z"));
         let b = encode_record(2, Some(b"a"));
         assert!(a[..8] < b[..8]);
-        assert!(stored_version(&a) < stored_version(&b));
+        assert!(decode_record(&a).version < decode_record(&b).version);
     }
 
     #[test]

@@ -55,6 +55,9 @@
 #      of mochi-bedrock, -raft, -ssg, -warabi, -remi and -pufferscale,
 #      their integration suites (bedrock, raft, ssg, warabi), or
 #      mochi-core's failover_cache and service_integration
+#   43 the API documentation has a warning (`cargo doc` of the
+#      workspace: a doc comment links to an item that is gone or
+#      private, or its link is broken or redundant)
 #   10-13, 2 static-analysis failures (see scripts/lint.sh)
 set -u
 
@@ -151,7 +154,8 @@ fi
 # before any input is unlinked (whole-stripe and partial runs), a failed
 # unlink, a flipped byte before a log's last SEAL, a table referencing a
 # missing log, a log nothing references, a crash inside a clear before and
-# after its empty table is durable, a leftover manifest temp file
+# after its empty table is durable, a leftover manifest temp file, a
+# stripe manifest that is empty, not a number or out of range
 # (DESIGN.md §15.3). Before them mochi-util's unit
 # tests, for the same reason and because every file the LSM writes is
 # checked by its CRC-32: on a host with `pclmulqdq` they pin the
@@ -212,6 +216,12 @@ python3 crates/perf/bench.py --workload point_rf3_map --seed 2 --seconds 2 --tra
 # they carry the experiment assertions of EXPERIMENTS.md.
 echo "==> cargo bench --no-run"
 cargo bench -p mochi-bench --no-run || exit 22
+
+# The API documentation builds without a warning, so a deleted or
+# private item that a doc comment still links to fails here. Triages
+# as 43.
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || exit 43
 
 # Static analysis, last. The linter's own unit and fixture tests first:
 # they are the oracle for what the seven rules of its registry catch, and

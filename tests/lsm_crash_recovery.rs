@@ -18,7 +18,7 @@
 use std::path::{Path, PathBuf};
 
 use mochi_util::TempDir;
-use mochi_yokan::backend::lsm::{LsmConfig, LsmDatabase, LsmFailPoint};
+use mochi_yokan::backend::lsm::{LsmConfig, LsmDatabase, LsmFailPoint, MAX_STRIPES};
 use mochi_yokan::backend::YokanError;
 use mochi_yokan::Database;
 
@@ -540,4 +540,28 @@ fn a_leftover_manifest_tmp_is_ignored() {
     let db = LsmDatabase::open(dir.path(), LsmConfig { stripes: 4, ..config }).unwrap();
     assert_eq!(db.stripe_count(), 2);
     assert_eq!(db.get(b"k").unwrap().as_deref(), Some(b"v".as_slice()));
+}
+
+/// A manifest that is not a stripe count in `1..=MAX_STRIPES` — empty
+/// (what a manifest renamed into place before its bytes were durable
+/// reads as after a power loss), not a number, zero, or too large — is
+/// refused as corruption naming it, and left as it was: the directory
+/// never opens with the configured count instead.
+#[test]
+fn a_bad_stripe_manifest_is_refused_naming_it() {
+    let too_many = format!("{}\n", MAX_STRIPES + 1);
+    for manifest in ["", "x", "0", too_many.as_str()] {
+        let dir = TempDir::new("crash-bad-manifest").unwrap();
+        let path = dir.path().join("lsm-stripes");
+        std::fs::write(&path, manifest).unwrap();
+        let config = LsmConfig { stripes: 2, ..LsmConfig::default() };
+        match LsmDatabase::open(dir.path(), config) {
+            Err(YokanError::Corrupt(why)) => {
+                assert!(why.contains("lsm-stripes"), "{manifest:?}: {why}")
+            }
+            Ok(db) => panic!("{manifest:?}: opened with {} stripes", db.stripe_count()),
+            Err(other) => panic!("{manifest:?}: expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), manifest);
+    }
 }
