@@ -68,6 +68,10 @@ impl ExecutionStream {
         }
         let thread = {
             let (pools, shared, parker) = (pools.clone(), Arc::clone(&shared), Arc::clone(&parker));
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn failure is unrecoverable resource exhaustion"
+            )]
             std::thread::Builder::new()
                 .name(format!("abt-es-{}", config.name))
                 .spawn(move || scheduler_loop(kind, &pools, &shared, &parker))

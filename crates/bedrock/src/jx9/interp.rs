@@ -171,16 +171,21 @@ impl Env {
                     if !cursor.is_object() {
                         *cursor = json!({});
                     }
-                    cursor = cursor
-                        .as_object_mut()
-                        .expect("just coerced to object")
-                        .entry(key)
-                        .or_insert(Value::Null);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cursor was coerced to an object on the line above; its shape cannot change between"
+                    )]
+                    let object = cursor.as_object_mut().expect("just coerced to object");
+                    cursor = object.entry(key).or_insert(Value::Null);
                 }
                 ResolvedStep::Index(index) => {
                     if !cursor.is_array() {
                         *cursor = json!([]);
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cursor was coerced to an array on the line above; its shape cannot change between"
+                    )]
                     let array = cursor.as_array_mut().expect("just coerced to array");
                     if array.len() <= index {
                         array.resize(index + 1, Value::Null);
@@ -335,7 +340,7 @@ impl Env {
                 }
                 a % b
             }
-            _ => unreachable!(),
+            other => return Err(Jx9Error(format!("unknown operator '{other}'"))),
         };
         Ok(number_value(result))
     }
@@ -352,10 +357,9 @@ impl Env {
             values.push(self.eval(arg)?);
         }
         let slot = self.vars.entry(name.clone()).or_insert_with(|| json!([]));
-        if !slot.is_array() {
+        let Some(array) = slot.as_array_mut() else {
             return Err(Jx9Error(format!("array_push on non-array ${name}")));
-        }
-        let array = slot.as_array_mut().expect("checked");
+        };
         let count = values.len();
         array.extend(values);
         let _ = count;
@@ -390,17 +394,13 @@ impl Env {
                 Ok(json!(out))
             }
             ("min", values) | ("max", values) if !values.is_empty() => {
-                let mut best: Option<f64> = None;
+                let mut best = if name == "min" { f64::INFINITY } else { f64::NEG_INFINITY };
                 for v in values {
                     let n =
                         as_number(v).ok_or_else(|| Jx9Error(format!("{name} of non-number")))?;
-                    best = Some(match best {
-                        None => n,
-                        Some(b) if name == "min" => b.min(n),
-                        Some(b) => b.max(n),
-                    });
+                    best = if name == "min" { best.min(n) } else { best.max(n) };
                 }
-                Ok(number_value(best.expect("nonempty")))
+                Ok(number_value(best))
             }
             _ => Err(Jx9Error(format!("unknown function '{name}' ({} args)", args.len()))),
         }

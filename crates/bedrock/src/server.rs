@@ -667,6 +667,10 @@ impl BedrockServer {
             .lock()
             .values()
             .map(|record| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "serializing an in-memory config value is infallible"
+                )]
                 let mut spec =
                     serde_json::to_value(&record.spec).expect("spec serializes");
                 spec["pool"] = json!(record.pool);
@@ -781,7 +785,7 @@ impl BedrockServer {
             server.query(&a.script).map_err(|e| e.to_rpc_string())
         });
         handler!(proto::ADD_POOL, Value, |server, a| {
-            let json = serde_json::to_string(&a).expect("value serializes");
+            let json = serde_json::to_string(&a).map_err(|e| e.to_string())?;
             server
                 .inner
                 .margo
@@ -793,7 +797,7 @@ impl BedrockServer {
             server.inner.margo.remove_pool(&a.name).map(|_| json!(true)).map_err(|e| e.to_string())
         });
         handler!(proto::ADD_XSTREAM, Value, |server, a| {
-            let json = serde_json::to_string(&a).expect("value serializes");
+            let json = serde_json::to_string(&a).map_err(|e| e.to_string())?;
             server
                 .inner
                 .margo
@@ -824,15 +828,15 @@ impl BedrockServer {
         handler!(proto::LOOKUP_PROVIDER, proto::NameArgs, |server, a| {
             server
                 .lookup_provider(&a.name)
-                .map(|info| serde_json::to_value(info).expect("info serializes"))
                 .map_err(|e| e.to_rpc_string())
+                .and_then(|info| serde_json::to_value(info).map_err(|e| e.to_string()))
         });
         handler!(proto::MIGRATE_PROVIDER, proto::MigrateArgs, |server, a| {
             let dest: Address = a.dest.parse().map_err(|e| format!("{e}"))?;
             server
                 .migrate_provider(&a.name, &dest, a.strategy)
-                .map(|reply| serde_json::to_value(reply).expect("reply serializes"))
                 .map_err(|e| e.to_rpc_string())
+                .and_then(|reply| serde_json::to_value(reply).map_err(|e| e.to_string()))
         });
         handler!(proto::CHECKPOINT_PROVIDER, proto::CheckpointArgs, |server, a| {
             server

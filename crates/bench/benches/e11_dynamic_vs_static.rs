@@ -59,7 +59,7 @@ fn boot_service(
     (server, handles, names, client)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fabric = Fabric::new();
     let dir = TempDir::new("e11").unwrap();
     println!("E11 workload: {EVENTS} events x {VALUE_SIZE} B, then {SCANS} ordered scans");
@@ -76,8 +76,8 @@ fn main() {
     for shards in [1usize, 2, 8] {
         let label = format!("static-{shards}");
         let (server, handles, _names, client) = boot_service(&fabric, &label, shards, &dir);
-        let ingest_s = sharded::ingest(&handles, EVENTS, VALUE_SIZE);
-        let analysis_s = sharded::ordered_analysis(&handles, SCANS, PAGE, EVENTS);
+        let ingest_s = sharded::ingest(&handles, EVENTS, VALUE_SIZE)?;
+        let analysis_s = sharded::ordered_analysis(&handles, SCANS, PAGE, EVENTS)?;
         let makespan = ingest_s + analysis_s;
         best_static = best_static.min(makespan);
         table.row(&[
@@ -92,15 +92,15 @@ fn main() {
     }
 
     let (server, handles, names, client) = boot_service(&fabric, "dynamic", 8, &dir);
-    let ingest_s = sharded::ingest(&handles, EVENTS, VALUE_SIZE);
+    let ingest_s = sharded::ingest(&handles, EVENTS, VALUE_SIZE)?;
     let (reconfig_s, merged) =
-        sharded::reshard(&server, &client, &handles, &names, "merged", 200);
+        sharded::reshard(&server, &client, &handles, &names, "merged", 200)?;
     let analysis_s = sharded::ordered_analysis(
         std::slice::from_ref(&merged),
         SCANS,
         PAGE,
         EVENTS,
-    );
+    )?;
     let makespan = ingest_s + reconfig_s + analysis_s;
     table.row(&[
         "dynamic (8 -> 1)".into(),
@@ -125,4 +125,5 @@ fn main() {
     println!("claim reproduced: each step has a different optimal configuration;");
     println!("a service that reconfigures online outperforms every static one,");
     println!("even counting the cost of the reconfiguration itself.");
+    Ok(())
 }

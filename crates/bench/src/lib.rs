@@ -108,6 +108,10 @@ pub fn fmt_latency(h: &Histogram) -> String {
 }
 
 /// Boots a plain Margo process on `fabric` (benchmark boilerplate).
+#[expect(
+    clippy::expect_used,
+    reason = "a benchmark that cannot boot has nothing to measure"
+)]
 pub fn boot(fabric: &Fabric, host: &str) -> MargoRuntime {
     MargoRuntime::init_default(fabric, Address::tcp(host, 1)).expect("margo init")
 }

@@ -89,6 +89,10 @@ impl Cluster {
         model: NetworkModel,
     ) -> Arc<Self> {
         let fabric = Fabric::with_model(model);
+        #[expect(
+            clippy::expect_used,
+            reason = "a simulated cluster without its scratch directory cannot host a process"
+        )]
         let root = TempDir::new("cluster").expect("create cluster temp dir");
         Arc::new(Self {
             fabric,
@@ -111,6 +115,10 @@ impl Cluster {
     /// The shared "parallel file system" directory for checkpoints.
     pub fn pfs_dir(&self) -> PathBuf {
         let dir = self.root.path().join("pfs");
+        #[expect(
+            clippy::expect_used,
+            reason = "the shared checkpoint directory lives under the cluster's own scratch directory"
+        )]
         std::fs::create_dir_all(&dir).expect("create pfs dir");
         dir
     }

@@ -76,6 +76,10 @@ impl ResilienceManager {
         // Checkpoint sweeper.
         {
             let m = Arc::clone(&manager);
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn failure is unrecoverable resource exhaustion"
+            )]
             let handle = std::thread::Builder::new()
                 .name("resilience-ckpt".into())
                 .spawn(move || {
@@ -113,6 +117,10 @@ impl ResilienceManager {
                 let (reporter, dead) = (reporter.clone(), dead.clone());
                 let manager = Arc::clone(&manager);
                 // Recover off the callback thread (it holds SWIM state).
+                #[expect(
+                    clippy::expect_used,
+                    reason = "thread spawn failure is unrecoverable resource exhaustion"
+                )]
                 std::thread::Builder::new()
                     .name("resilience-recover".into())
                     .spawn(move || manager.report_death(&reporter, &dead))

@@ -220,9 +220,9 @@ impl HashRing {
             .collect();
         cuts.sort_unstable();
         cuts.dedup();
-        if cuts.is_empty() {
+        let Some(&last) = cuts.last() else {
             return Vec::new();
-        }
+        };
         let mut arcs: Vec<MovedArc> = Vec::new();
         // Segment i covers (cuts[i-1], cuts[i]] — i.e. hashes whose
         // successor point is cuts[i]; the segment below cuts[0] wraps.
@@ -256,8 +256,8 @@ impl HashRing {
         }
         // The wrapping tail (last point, u64::MAX] owns like hash
         // u64::MAX, whose successor wraps to the first point.
-        if *cuts.last().expect("non-empty") < u64::MAX {
-            push(cuts.last().expect("non-empty") + 1, u64::MAX);
+        if last < u64::MAX {
+            push(last + 1, u64::MAX);
         }
         arcs
     }

@@ -267,7 +267,11 @@ impl DynamicService {
         let plan = plan_rebalance(&placement, &survivors, weights);
         self.execute_plan(&plan, strategy)?;
         // Graceful departure.
-        let record = self.members.lock().remove(addr).expect("checked above");
+        let record = self
+            .members
+            .lock()
+            .remove(addr)
+            .ok_or_else(|| ServiceError::NotAMember(addr.clone()))?;
         record.group.leave();
         self.cluster.stop(addr)?;
         self.cluster.release_node(&record.node);
@@ -283,6 +287,7 @@ impl DynamicService {
         let mut placement =
             Placement::empty(&members.keys().map(|a| a.to_string()).collect::<Vec<_>>());
         for (addr, record) in members.iter() {
+            let Some(node) = placement.nodes.get_mut(&addr.to_string()) else { continue };
             let config = record.server.get_config();
             if let Some(providers) = config["providers"].as_array() {
                 for provider in providers {
@@ -295,11 +300,7 @@ impl DynamicService {
                         .or_else(|| provider["state"]["blobs"].as_u64())
                         .unwrap_or(0)
                         .max(1);
-                    placement.nodes.get_mut(&addr.to_string()).expect("member").push(Resource {
-                        id: name,
-                        load: weight as f64,
-                        size: weight,
-                    });
+                    node.push(Resource { id: name, load: weight as f64, size: weight });
                 }
             }
         }

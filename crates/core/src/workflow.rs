@@ -25,8 +25,8 @@
 pub mod sharded {
     use std::collections::VecDeque;
 
-    use mochi_bedrock::{BedrockServer, ProviderSpec};
-    use mochi_margo::MargoRuntime;
+    use mochi_bedrock::{BedrockError, BedrockServer, ProviderSpec};
+    use mochi_margo::{MargoError, MargoRuntime};
     use mochi_util::time::Stopwatch;
     use mochi_yokan::DatabaseHandle;
 
@@ -44,29 +44,34 @@ pub mod sharded {
 
     /// Ingests `events` fixed-size values round-robin over the shards in
     /// batched `put_multi` calls; returns seconds taken.
-    pub fn ingest(handles: &[DatabaseHandle], events: usize, value_size: usize) -> f64 {
+    pub fn ingest(
+        handles: &[DatabaseHandle],
+        events: usize,
+        value_size: usize,
+    ) -> Result<f64, MargoError> {
         let stopwatch = Stopwatch::start();
         let value = vec![0xEEu8; value_size];
         let mut batches: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); handles.len()];
-        let flush = |batches: &mut Vec<Vec<(Vec<u8>, Vec<u8>)>>| {
+        let flush = |batches: &mut Vec<Vec<(Vec<u8>, Vec<u8>)>>| -> Result<(), MargoError> {
             for (shard, batch) in batches.iter_mut().enumerate() {
                 if !batch.is_empty() {
                     let refs: Vec<(&[u8], &[u8])> =
                         batch.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-                    handles[shard].put_multi(&refs).unwrap();
+                    handles[shard].put_multi(&refs)?;
                     batch.clear();
                 }
             }
+            Ok(())
         };
         for event in 0..events {
             batches[event % handles.len()]
                 .push((format!("event/{event:08}").into_bytes(), value.clone()));
             if event % 64 == 63 {
-                flush(&mut batches);
+                flush(&mut batches)?;
             }
         }
-        flush(&mut batches);
-        stopwatch.elapsed_secs()
+        flush(&mut batches)?;
+        Ok(stopwatch.elapsed_secs())
     }
 
     /// Runs `scans` globally ordered full scans (merge across shards with
@@ -77,7 +82,7 @@ pub mod sharded {
         scans: usize,
         page: usize,
         events: usize,
-    ) -> f64 {
+    ) -> Result<f64, MargoError> {
         let stopwatch = Stopwatch::start();
         for _ in 0..scans {
             let mut seen = 0usize;
@@ -87,29 +92,22 @@ pub mod sharded {
                 for (shard, db) in handles.iter().enumerate() {
                     if buffers[shard].is_empty() {
                         if let Some(cursor) = cursors[shard].clone() {
-                            let keys =
-                                db.list_keys(b"event/", cursor.as_deref(), page).unwrap();
-                            if keys.is_empty() {
-                                cursors[shard] = None;
-                            } else {
-                                cursors[shard] = Some(Some(keys.last().unwrap().clone()));
-                                buffers[shard].extend(keys);
-                            }
+                            let keys = db.list_keys(b"event/", cursor.as_deref(), page)?;
+                            cursors[shard] = keys.last().cloned().map(Some);
+                            buffers[shard].extend(keys);
                         }
                     }
                 }
                 let mut batch: Vec<(usize, Vec<u8>)> = Vec::with_capacity(page);
                 while batch.len() < page {
-                    let mut best: Option<usize> = None;
-                    for shard in 0..handles.len() {
-                        if let Some(front) = buffers[shard].front() {
-                            if best.is_none_or(|b| front < buffers[b].front().unwrap()) {
-                                best = Some(shard);
-                            }
-                        }
-                    }
-                    let Some(shard) = best else { break };
-                    batch.push((shard, buffers[shard].pop_front().unwrap()));
+                    let Some(shard) = (0..handles.len())
+                        .filter_map(|shard| Some((buffers[shard].front()?, shard)))
+                        .min()
+                        .map(|(_, shard)| shard)
+                    else {
+                        break;
+                    };
+                    batch.extend(buffers[shard].pop_front().map(|key| (shard, key)));
                     if buffers[shard].is_empty() && cursors[shard].is_some() {
                         break; // refill before risking out-of-order keys
                     }
@@ -131,13 +129,13 @@ pub mod sharded {
                     if keys.is_empty() {
                         continue;
                     }
-                    let values = db.get_multi(&keys).unwrap();
+                    let values = db.get_multi(&keys)?;
                     seen += values.iter().filter(|v| v.is_some()).count();
                 }
             }
             assert_eq!(seen, events, "ordered scan must see every event");
         }
-        stopwatch.elapsed_secs()
+        Ok(stopwatch.elapsed_secs())
     }
 
     /// The online reconfiguration step: start one scan-tuned provider,
@@ -150,24 +148,22 @@ pub mod sharded {
         old_names: &[String],
         merged_name: &str,
         merged_provider_id: u16,
-    ) -> (f64, DatabaseHandle) {
+    ) -> Result<(f64, DatabaseHandle), BedrockError> {
         let stopwatch = Stopwatch::start();
-        server
-            .start_provider(
-                &ProviderSpec::new(merged_name, "yokan", merged_provider_id)
-                    .with_config(scan_shard_config()),
-            )
-            .unwrap();
+        server.start_provider(
+            &ProviderSpec::new(merged_name, "yokan", merged_provider_id)
+                .with_config(scan_shard_config()),
+        )?;
         let merged = DatabaseHandle::new(client, server.address(), merged_provider_id);
         for db in old {
             let mut cursor: Option<Vec<u8>> = None;
             loop {
-                let keys = db.list_keys(b"", cursor.as_deref(), 256).unwrap();
+                let keys = db.list_keys(b"", cursor.as_deref(), 256)?;
                 if keys.is_empty() {
                     break;
                 }
                 let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                let values = db.get_multi(&refs).unwrap();
+                let values = db.get_multi(&refs)?;
                 let pairs: Vec<(&[u8], Vec<u8>)> = keys
                     .iter()
                     .zip(values)
@@ -175,14 +171,14 @@ pub mod sharded {
                     .collect();
                 let refs2: Vec<(&[u8], &[u8])> =
                     pairs.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-                merged.put_multi(&refs2).unwrap();
+                merged.put_multi(&refs2)?;
                 cursor = keys.last().cloned();
             }
         }
         for name in old_names {
-            server.stop_provider(name).unwrap();
+            server.stop_provider(name)?;
         }
-        merged.flush().unwrap();
-        (stopwatch.elapsed_secs(), merged)
+        merged.flush()?;
+        Ok((stopwatch.elapsed_secs(), merged))
     }
 }

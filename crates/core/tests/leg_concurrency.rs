@@ -195,8 +195,11 @@ fn refused_put_with_replicas_cut(positions: Range<usize>, leg_timeout: Duration)
     let (outcome, elapsed) = timed(|| d.routed.put(b"key", b"value"));
     // One real ack is not the write quorum, whatever the two hints parked
     // on the reachable replica.
-    let refused = outcome.expect_err("a write acked by one of three replicas");
-    assert!(refused.to_string().contains("write quorum not met"), "{refused}");
+    let refused = outcome.err().map(|e| e.to_string()).unwrap_or_default();
+    assert!(
+        refused.contains("write quorum not met"),
+        "a write acked by one of three replicas: {refused:?}"
+    );
     assert_eq!(d.routed.replication_stats().hinted_writes, 2);
     for host in &cut {
         d.cut(host, false);

@@ -6,8 +6,8 @@
 //!   with its exact value after the dust settles,
 //! * quorum reads keep serving *during* the outage (no rebalance, no
 //!   manual intervention required to stay available),
-//! * `fail_member` retires the corpse without a drain and the catch-up
-//!   + hinted-handoff + read-repair machinery re-converges every
+//! * `fail_member` retires the corpse without a drain and the catch-up,
+//!   hinted-handoff and read-repair machinery re-converges every
 //!   surviving replica to byte-identical records,
 //!
 //! for every seed.
@@ -163,7 +163,7 @@ fn provider_kill_round(seed: u64) {
                 i += 1;
                 let key = format!("live-{seed}-{i:06}").into_bytes();
                 let value = format!("val-{seed}-{i}").into_bytes();
-                if i % 7 == 0 {
+                if i.is_multiple_of(7) {
                     // Replicated erase is a versioned tombstone write;
                     // like the rebalance soak, the expectation drops the
                     // key whether or not the erase acked — zero-loss is

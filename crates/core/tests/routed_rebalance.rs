@@ -390,7 +390,7 @@ fn live_rebalance_round(seed: u64, replication_factor: usize) {
                 i += 1;
                 let key = format!("live-{seed}-{i:06}").into_bytes();
                 let value = format!("val-{seed}-{i}").into_bytes();
-                if i % 7 == 0 {
+                if i.is_multiple_of(7) {
                     // Erase a previously acked key. Erase is not
                     // idempotent: on error the server-side effect is
                     // unknown, so the expectation drops the key either

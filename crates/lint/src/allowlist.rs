@@ -2,7 +2,7 @@
 //!
 //! Counting-based: each entry permits up to `count` findings of `kind`
 //! in `(file, function)`. Existing debt is frozen; anything beyond the
-//! recorded count — a *new* `unwrap()` in a handler, one more raw
+//! recorded count — a *new* `serde_json` call in a handler, one more raw
 //! forward — fails the lint. Entries are keyed by function, not line, so
 //! unrelated edits don't invalidate the freeze.
 //!
@@ -26,7 +26,7 @@ pub type Sections = BTreeMap<&'static str, BTreeMap<Key, usize>>;
 #[derive(Debug, Default, Clone)]
 pub struct Allowlist {
     /// Permitted finding counts. What a `kind` encodes is the rule's
-    /// business (`unwrap`, `drop:forward_timeout`, `load:closed`, …): see
+    /// business (`serde_json`, `iforward_raw`, `load:closed`, …): see
     /// [`Finding::kind`] and the rule's module.
     pub sections: Sections,
     /// One-line justifications for allowlist entries, keyed by section
@@ -380,22 +380,22 @@ mod tests {
 
     #[test]
     fn stale_entries_detected_per_section() {
-        let live_key = key("a.rs", "f", "unwrap");
+        let live_key = key("a.rs", "f", "forward_raw");
         let mut allowlist = Allowlist::default();
-        let frozen = allowlist.sections.entry("panic_paths").or_default();
+        let frozen = allowlist.sections.entry("raw_forward").or_default();
         frozen.insert(live_key.clone(), 1);
-        frozen.insert(key("b.rs", "g", "expect"), 2);
+        frozen.insert(key("b.rs", "g", "iforward_raw"), 2);
         let mut actual = Sections::new();
-        actual.entry("panic_paths").or_default().insert(live_key.clone(), 1);
+        actual.entry("raw_forward").or_default().insert(live_key.clone(), 1);
         // The same key live in another section does not keep this one alive.
-        actual.entry("serde_json").or_default().insert(key("b.rs", "g", "expect"), 1);
+        actual.entry("serde_json").or_default().insert(key("b.rs", "g", "iforward_raw"), 1);
         let stale = allowlist.stale_entries(&actual);
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].rule, "MOCHI010");
-        assert_eq!(stale[0].function, "panic_paths", "the section stands in for the function");
-        assert_eq!(stale[0].kind, "b.rs/g/expect");
+        assert_eq!(stale[0].function, "raw_forward", "the section stands in for the function");
+        assert_eq!(stale[0].kind, "b.rs/g/iforward_raw");
         assert!(stale[0].message.contains("count 2"), "{}", stale[0].message);
-        assert_eq!(allowlist.allowance("panic_paths", &live_key), 1);
+        assert_eq!(allowlist.allowance("raw_forward", &live_key), 1);
         assert_eq!(allowlist.allowance("serde_json", &live_key), 0);
     }
 
@@ -407,8 +407,21 @@ mod tests {
 
     #[test]
     fn malformed_document_reports_error() {
-        assert!(Allowlist::from_json("{\"panic_paths\": 3}").is_err());
-        assert!(Allowlist::from_json("{\"panic_paths\": [{\"file\": \"a.rs\"}]}").is_err());
+        assert!(Allowlist::from_json("{\"serde_json\": 3}").is_err());
+        assert!(Allowlist::from_json("{\"serde_json\": [{\"file\": \"a.rs\"}]}").is_err());
         assert!(Allowlist::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn the_retired_panic_paths_section_fails_to_load() {
+        // Panic paths are clippy's (DESIGN.md §11.1): a debt file that
+        // still freezes some is refused, naming the section.
+        let error = Allowlist::from_json(
+            r#"{"version": 1, "panic_paths": [
+                {"file": "crates/raft/src/node.rs", "function": "run_election", "kind": "expect", "count": 1}
+            ]}"#,
+        )
+        .unwrap_err();
+        assert!(error.contains("unknown allowlist section 'panic_paths'"), "{error}");
     }
 }

@@ -1,14 +1,14 @@
 //! `mochi-lint`: workspace-specific static analysis for the mochi-rs
 //! stack, tuned to the failure modes that matter for dynamic HPC data
-//! services (a panicking or deadlocked provider is a dead node, which
-//! defeats the resilience layer; a retried handler that is not idempotent
-//! only fails under load, on a live, reconfigured cluster).
+//! services (a retried handler that is not idempotent only fails under
+//! load, on a live, reconfigured cluster). Panic paths are clippy's, over
+//! every product crate (DESIGN.md §11.1).
 //!
 //! One module per analysis, each documented where it lives and each
 //! returning [`Finding`]s under the rule ids of [`RULES`]:
 //!
-//! * per file, on the sanitized text ([`lexer`], [`source`]): [`panics`],
-//!   [`jsonuse`], [`rawforward`];
+//! * per file, on the sanitized text ([`lexer`], [`source`]): [`jsonuse`],
+//!   [`rawforward`];
 //! * over the workspace call graph ([`callgraph`] — method/trait/free
 //!   edges with receiver typing) entered at the handler registrations of
 //!   the workspace RPC table ([`contracts`]): [`retry`], [`bgerrors`];
@@ -33,7 +33,6 @@ pub mod callgraph;
 pub mod contracts;
 pub mod jsonuse;
 pub mod lexer;
-pub mod panics;
 pub mod rawforward;
 pub mod report;
 pub mod retry;
@@ -62,7 +61,6 @@ pub struct Rule {
 /// section are spelled out. Row order is report order and, for the
 /// sections, `lint-allow.json` order.
 pub const RULES: &[Rule] = &[
-    Rule { id: "MOCHI003", name: "panic-path", section: Some("panic_paths") },
     Rule { id: "MOCHI005", name: "data-plane-json", section: Some("serde_json") },
     Rule { id: "MOCHI010", name: "stale-allowlist", section: None },
     Rule { id: "MOCHI011", name: "raw-forward-in-client", section: Some("raw_forward") },
@@ -92,8 +90,8 @@ pub struct Finding {
     pub file: String,
     /// Enclosing function, `<module>` outside any.
     pub function: String,
-    /// What was found, in the rule's own vocabulary (`unwrap`,
-    /// `drop:forward_timeout`, `load:closed`, …): with file and
+    /// What was found, in the rule's own vocabulary (`serde_json`,
+    /// `let_underscore:send`, `load:closed`, …): with file and
     /// function, the allowlist key.
     pub kind: String,
     pub line: usize,
@@ -173,9 +171,6 @@ pub fn analyze(files: &[SourceFile], allowlist: &Allowlist) -> LintReport {
     let mut findings: Vec<Finding> = Vec::new();
     let mut contract_sites: Vec<RpcSite> = Vec::new();
     for file in files {
-        if panics::in_provider_path(&file.rel_path) {
-            findings.extend(panics::scan(file));
-        }
         if jsonuse::in_data_plane(&file.rel_path) {
             findings.extend(jsonuse::scan(file));
         }

@@ -66,7 +66,7 @@ mod tests {
         let files = vec![
             SourceFile::parse(
                 "crates/yokan/src/provider.rs",
-                "pub mod rpc { pub const PUT: &str = \"yokan_put\"; }\nfn register(m: &M) { m.register_typed(rpc::PUT, 1, None, move |a: PutArgs, _| { let x = maybe.unwrap(); Ok(PutReply { n: x }) }); }",
+                "pub mod rpc { pub const PUT: &str = \"yokan_put\"; }\nfn register(m: &M) { m.register_typed(rpc::PUT, 1, None, move |a: PutArgs, _| { let x = serde_json::to_vec(&a); Ok(PutReply { n: x }) }); }",
             ),
             SourceFile::parse(
                 "crates/yokan/src/client.rs",
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn findings_carry_registered_rule_ids() {
         let report = demo_report();
-        assert!(!report.violations_of("MOCHI003").is_empty(), "{:?}", report.violations);
+        assert!(!report.violations_of("MOCHI005").is_empty(), "{:?}", report.violations);
         for f in &report.violations {
             assert!(crate::rule(f.rule).is_some(), "{} is not in the registry", f.rule);
         }
@@ -88,8 +88,8 @@ mod tests {
     #[test]
     fn stale_entries_render_as_warnings() {
         let mut allowlist = Allowlist::default();
-        allowlist.sections.entry("panic_paths").or_default().insert(
-            ("gone.rs".to_string(), "gone".to_string(), "unwrap".to_string()),
+        allowlist.sections.entry("serde_json").or_default().insert(
+            ("gone.rs".to_string(), "gone".to_string(), "serde_json".to_string()),
             1,
         );
         let report = crate::analyze(&[], &allowlist);

@@ -146,9 +146,9 @@ fn extract_functions(text: &[u8]) -> Vec<Function> {
 }
 
 /// Recursively collects `.rs` files under `root`, skipping build output,
-/// VCS metadata, and test/bench/example trees (those may panic freely) —
-/// the benchmark harness `crates/perf`, dependency stand-ins included,
-/// is of that class.
+/// VCS metadata, and test/bench/example trees (the rules are about
+/// product code) — the benchmark harness `crates/perf`, dependency
+/// stand-ins included, is of that class.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];

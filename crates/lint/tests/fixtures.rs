@@ -10,48 +10,38 @@ fn parse(files: &[(&str, &str)]) -> Vec<SourceFile> {
 }
 
 #[test]
-fn new_unwrap_in_rpc_handler_fails_until_allowlisted() {
+fn new_json_in_rpc_handler_fails_until_allowlisted() {
     let files = parse(&[(
         "crates/yokan/src/provider.rs",
-        "impl P { fn handle_put(&self, ctx: &RpcContext) { let v = ctx.args().unwrap(); } }",
+        "impl P { fn handle_put(&self, ctx: &RpcContext) { let v = serde_json::to_vec(&ctx.args()); } }",
     )]);
 
     // Without an allowance: violation.
     let report = mochi_lint::analyze(&files, &Allowlist::default());
     assert!(!report.is_clean());
-    assert_eq!(report.violations_of("MOCHI003").len(), 1);
-    assert_eq!(report.violations_of("MOCHI003")[0].function, "handle_put");
+    assert_eq!(report.violations_of("MOCHI005").len(), 1);
+    assert_eq!(report.violations_of("MOCHI005")[0].function, "handle_put");
 
     // Frozen in the allowlist: clean, counted as frozen debt.
     let allowlist = Allowlist::from_json(
-        r#"{"version": 1, "panic_paths": [
-            {"file": "crates/yokan/src/provider.rs", "function": "handle_put", "kind": "unwrap", "count": 1}
+        r#"{"version": 1, "serde_json": [
+            {"file": "crates/yokan/src/provider.rs", "function": "handle_put", "kind": "serde_json", "count": 1}
         ]}"#,
     )
     .unwrap();
     let report = mochi_lint::analyze(&files, &allowlist);
     assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.allowed.get("panic_paths"), Some(&1));
+    assert_eq!(report.allowed.get("serde_json"), Some(&1));
 
-    // A *second* unwrap in the same function exceeds the frozen count.
+    // A *second* site in the same function exceeds the frozen count.
     let files = parse(&[(
         "crates/yokan/src/provider.rs",
-        "impl P { fn handle_put(&self, ctx: &RpcContext) { let v = ctx.args().unwrap(); let w = ctx.more().unwrap(); } }",
+        "impl P { fn handle_put(&self, ctx: &RpcContext) { let v = serde_json::to_vec(&ctx.args()); let w = serde_json::to_vec(&ctx.more()); } }",
     )]);
     let report = mochi_lint::analyze(&files, &allowlist);
     assert!(!report.is_clean());
-    assert_eq!(report.violations_of("MOCHI003").len(), 1);
-    assert_eq!(report.allowed.get("panic_paths"), Some(&1));
-}
-
-#[test]
-fn panic_outside_provider_paths_is_not_flagged() {
-    let files = parse(&[(
-        "crates/mercury/src/fabric.rs",
-        "fn internal() { let x = v.unwrap(); }",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.is_clean(), "{}", report.render());
+    assert_eq!(report.violations_of("MOCHI005").len(), 1);
+    assert_eq!(report.allowed.get("serde_json"), Some(&1));
 }
 
 /// The provider side of the posting-form fixtures below.

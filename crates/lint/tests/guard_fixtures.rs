@@ -5,6 +5,9 @@
 use mochi_lint::allowlist::Allowlist;
 use mochi_lint::source::SourceFile;
 
+/// String pairs: (path, source) inputs or (function, kind) findings.
+type Pairs<'a> = &'a [(&'a str, &'a str)];
+
 fn parse(files: &[(&str, &str)]) -> Vec<SourceFile> {
     files.iter().map(|(path, src)| SourceFile::parse(path, src)).collect()
 }
@@ -73,7 +76,7 @@ fn swallowed_bg_error_flags_let_underscore_in_spawn() {
         ),
     ];
     // (input, the findings as (function, kind))
-    let cases: [(&[(&str, &str)], &[(&str, &str)]); 2] = [
+    let cases: [(Pairs<'_>, Pairs<'_>); 2] = [
         (writer, &[("kick", "let_underscore:send")]),
         (
             raft,

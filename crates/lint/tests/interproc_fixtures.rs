@@ -7,6 +7,9 @@
 use mochi_lint::allowlist::Allowlist;
 use mochi_lint::source::SourceFile;
 
+/// String pairs: (path, source) inputs or (function, kind) findings.
+type Pairs<'a> = &'a [(&'a str, &'a str)];
+
 fn parse(files: &[(&str, &str)]) -> Vec<SourceFile> {
     files.iter().map(|(path, src)| SourceFile::parse(path, src)).collect()
 }
@@ -154,7 +157,7 @@ fn relaxed_atomics_flags_decision_load_with_foreign_writer() {
         ),
     ];
     // (input, the findings as (function, kind))
-    let cases: [(&[(&str, &str)], &[(&str, &str)]); 2] = [
+    let cases: [(Pairs<'_>, Pairs<'_>); 2] = [
         (breaker, &[("admit", "load:closed")]),
         (
             mercury,

@@ -33,7 +33,7 @@ thread_local! {
     /// Per-thread frame assembly scratch. `split().freeze()` hands the
     /// filled prefix to the caller; once that `Bytes` is dropped, the next
     /// `reserve` reclaims the allocation instead of growing a fresh one.
-    static SCRATCH: RefCell<BytesMut> = RefCell::new(BytesMut::new());
+    static SCRATCH: RefCell<BytesMut> = const { RefCell::new(BytesMut::new()) };
 }
 
 /// Encodes `header` + `body` into a framed payload.

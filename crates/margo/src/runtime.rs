@@ -1860,12 +1860,14 @@ mod tests {
         client.finalize();
     }
 
-    /// Counts `ForwardStart`s and keeps every `ForwardEnd`'s
-    /// `(ok, error, attempts)`.
+    /// A `ForwardEnd` as `(ok, error, attempts)`.
+    type LoggedEnd = (bool, Option<&'static str>, u32);
+
+    /// Counts `ForwardStart`s and keeps every `ForwardEnd`.
     #[derive(Default)]
     struct ForwardLog {
         starts: AtomicI64,
-        ends: Mutex<Vec<(bool, Option<&'static str>, u32)>>,
+        ends: Mutex<Vec<LoggedEnd>>,
     }
 
     impl Monitor for ForwardLog {
@@ -1937,7 +1939,7 @@ mod tests {
     /// Returns the outcome, how often the handler ran and the logged ends.
     fn post_over_a_dropped_first_send(
         idempotent: bool,
-    ) -> (Result<(), MargoError>, i64, Vec<(bool, Option<&'static str>, u32)>) {
+    ) -> (Result<(), MargoError>, i64, Vec<LoggedEnd>) {
         let fabric = Fabric::new();
         let server = boot(&fabric, "server");
         let client = boot(&fabric, "client");

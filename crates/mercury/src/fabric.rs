@@ -14,6 +14,7 @@
 //! completes the request waiting for it right there.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -184,6 +185,10 @@ impl FabricInner {
         if !state.started {
             state.started = true;
             let inner = Arc::clone(self);
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn failure is unrecoverable resource exhaustion"
+            )]
             std::thread::Builder::new()
                 .name("mercury-delivery".into())
                 .spawn(move || inner.delivery_loop())
@@ -205,12 +210,11 @@ impl FabricInner {
             let now = Instant::now();
             // Deliver everything due.
             let mut due_now = Vec::new();
-            while let Some(Reverse(top)) = state.heap.peek() {
-                if top.due <= now {
-                    due_now.push(state.heap.pop().unwrap().0.envelope);
-                } else {
+            while let Some(top) = state.heap.peek_mut() {
+                if top.0.due > now {
                     break;
                 }
+                due_now.push(PeekMut::pop(top).0.envelope);
             }
             if !due_now.is_empty() {
                 drop(state);
@@ -562,7 +566,7 @@ mod tests {
         let _ea = fabric.register(a.clone());
         let pending = match fabric.inner.endpoints.read().get(&a) {
             Some(Slot::Live { pending, .. }) => Arc::clone(pending),
-            _ => unreachable!("just registered"),
+            _ => panic!("just registered"),
         };
         let held = pending.lock();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -67,7 +67,7 @@ impl LinkScript {
                 if period == 0 {
                     return (false, Duration::ZERO);
                 }
-                (false, if ordinal % period == 0 { spike } else { Duration::ZERO })
+                (false, if ordinal.is_multiple_of(period) { spike } else { Duration::ZERO })
             }
         }
     }

@@ -226,18 +226,13 @@ pub fn plan_rebalance(
     // Keep resources already on surviving nodes in place.
     let mut homeless: Vec<(String, Resource)> = Vec::new();
     for (node, resources) in &current.nodes {
-        if result.nodes.contains_key(node) {
-            result.nodes.get_mut(node).expect("target node").extend(resources.iter().cloned());
+        if let Some(kept) = result.nodes.get_mut(node) {
+            kept.extend(resources.iter().cloned());
         } else {
             for resource in resources {
                 homeless.push((node.clone(), resource.clone()));
             }
         }
-    }
-
-    if target_nodes.is_empty() {
-        let metrics = metrics_for(&result, &incoming, &moves);
-        return RebalancePlan { moves, result, metrics };
     }
 
     let total_load: f64 = current.total_load().max(f64::MIN_POSITIVE);
@@ -260,24 +255,24 @@ pub fn plan_rebalance(
             + weights.data * r.size as f64 / avg_size;
         burden(&b.1).partial_cmp(&burden(&a.1)).unwrap_or(std::cmp::Ordering::Equal)
     });
+    // With no target node there is nowhere to place them: the plan is
+    // empty.
     for (from, resource) in homeless {
-        let best = target_nodes
-            .iter()
-            .min_by(|a, b| {
-                score(&result, &incoming, a, &resource)
-                    .partial_cmp(&score(&result, &incoming, b, &resource))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("nonempty targets")
-            .clone();
-        *incoming.get_mut(&best).expect("target") += resource.size;
+        let Some(best) = target_nodes.iter().min_by(|a, b| {
+            score(&result, &incoming, a, &resource)
+                .partial_cmp(&score(&result, &incoming, b, &resource))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        }) else {
+            break;
+        };
+        *incoming.entry(best.clone()).or_default() += resource.size;
         moves.push(Move {
             resource: resource.id.clone(),
             from,
             to: best.clone(),
             size: resource.size,
         });
-        result.nodes.get_mut(&best).expect("target").push(resource);
+        result.nodes.entry(best.clone()).or_default().push(resource);
     }
 
     // Improvement pass: relieve the most burdened node while the overall
@@ -295,17 +290,15 @@ pub fn plan_rebalance(
     for _ in 0..max_iterations {
         let current_objective = objective(&result, optional_moved);
         // Most burdened node by weighted fullness.
-        let busiest = target_nodes
-            .iter()
-            .max_by(|a, b| {
-                let f = |n: &str| {
-                    weights.load * result.node_load(n) / avg_load.max(f64::MIN_POSITIVE)
-                        + weights.data * result.node_size(n) as f64 / avg_size
-                };
-                f(a).partial_cmp(&f(b)).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("nonempty")
-            .clone();
+        let Some(busiest) = target_nodes.iter().max_by(|a, b| {
+            let f = |n: &str| {
+                weights.load * result.node_load(n) / avg_load.max(f64::MIN_POSITIVE)
+                    + weights.data * result.node_size(n) as f64 / avg_size
+            };
+            f(a).partial_cmp(&f(b)).unwrap_or(std::cmp::Ordering::Equal)
+        }).cloned() else {
+            break;
+        };
         // Try each resource on it against each other node; take the best
         // improving move.
         let mut best: Option<(usize, String, f64)> = None;
@@ -317,8 +310,8 @@ pub fn plan_rebalance(
                 }
                 // Tentatively apply.
                 let mut trial = result.clone();
-                let moved = trial.nodes.get_mut(&busiest).expect("busiest").remove(i);
-                trial.nodes.get_mut(node).expect("target").push(moved);
+                trial.nodes.entry(busiest.clone()).or_default().remove(i);
+                trial.nodes.entry(node.clone()).or_default().push(resource.clone());
                 let trial_objective =
                     objective(&trial, optional_moved + resource.size as f64);
                 if trial_objective < current_objective - 1e-9
@@ -329,16 +322,16 @@ pub fn plan_rebalance(
             }
         }
         let Some((index, to, _)) = best else { break };
-        let resource = result.nodes.get_mut(&busiest).expect("busiest").remove(index);
+        let resource = result.nodes.entry(busiest.clone()).or_default().remove(index);
         optional_moved += resource.size as f64;
-        *incoming.get_mut(&to).expect("target") += resource.size;
+        *incoming.entry(to.clone()).or_default() += resource.size;
         moves.push(Move {
             resource: resource.id.clone(),
             from: busiest,
             to: to.clone(),
             size: resource.size,
         });
-        result.nodes.get_mut(&to).expect("target").push(resource);
+        result.nodes.entry(to).or_default().push(resource);
     }
 
     let metrics = metrics_for(&result, &incoming, &moves);

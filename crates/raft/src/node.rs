@@ -527,6 +527,10 @@ impl RaftNode {
             let args = args.clone();
             let peer = peer.clone();
             let tx = tx.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn failure is unrecoverable resource exhaustion; aborting the election is correct"
+            )]
             std::thread::Builder::new()
                 .name("raft-vote".into())
                 .spawn(move || {
@@ -542,7 +546,6 @@ impl RaftNode {
                             // The collector reached quorum (or timed
                             // out) and dropped the receiver; nothing is
                             // owed to a concluded election.
-                            return;
                         }
                     }
                 })
@@ -576,6 +579,10 @@ impl RaftNode {
 
     fn run_election(&self, proposed: Term, prevote_args: RequestVoteArgs, peers: Vec<Address>) {
         let inner = Arc::clone(&self.inner);
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn failure is unrecoverable resource exhaustion"
+        )]
         std::thread::Builder::new()
             .name("raft-election".into())
             .spawn(move || {
@@ -640,6 +647,10 @@ impl RaftNode {
         for peer in peers {
             if replicators.insert(peer.clone()) {
                 let inner = Arc::clone(&self.inner);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "thread spawn failure is unrecoverable resource exhaustion"
+                )]
                 let handle = std::thread::Builder::new()
                     .name(format!("raft-repl-{peer}"))
                     .spawn(move || Self::replicator_loop(inner, peer))

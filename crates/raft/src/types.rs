@@ -72,6 +72,10 @@ impl StateMachine for LogMachine {
         (self.applied.len() as u64).to_le_bytes().to_vec()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing the in-memory state machine image is infallible"
+    )]
     fn snapshot(&self) -> Vec<u8> {
         serde_json::to_vec(&self.applied).expect("serializes")
     }

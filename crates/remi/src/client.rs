@@ -198,7 +198,8 @@ impl RemiClient {
             }
             let frame = protocol::encode_chunk(header, body).map_err(MargoError::Codec)?;
             while pending.len() >= window {
-                wait_one(pending.pop_front().expect("nonempty window"))?;
+                let Some(oldest) = pending.pop_front() else { break };
+                wait_one(oldest)?;
             }
             let request = self.margo.endpoint().send_request(
                 dest,

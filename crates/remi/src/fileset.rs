@@ -64,7 +64,7 @@ impl FileSet {
                 } else if file_type.is_file() {
                     let rel = path
                         .strip_prefix(&root)
-                        .expect("walked path under root")
+                        .map_err(io::Error::other)?
                         .components()
                         .map(|c| c.as_os_str().to_string_lossy())
                         .collect::<Vec<_>>()

@@ -304,7 +304,7 @@ impl SsgGroup {
                     thread_inner.protocol_round();
                 }
             })
-            .expect("spawn ssg thread");
+            .map_err(|e| MargoError::Spawn(format!("ssg protocol: {e}")))?;
         *group.thread.lock() = Some(handle);
         Ok(group)
     }

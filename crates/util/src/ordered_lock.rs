@@ -174,6 +174,10 @@ pub fn held_ranks() -> Vec<u32> {
 }
 
 #[inline]
+#[expect(
+    clippy::panic,
+    reason = "the rank check is a debug-build assertion: panicking at the acquisition site is the check (DESIGN.md §9.2)"
+)]
 fn check_acquire(acquiring_rank: u32, acquiring_name: &'static str) {
     if cfg!(debug_assertions) {
         HELD.with(|held| {

@@ -9,7 +9,7 @@ use mochi_bedrock::{Module, ProviderContext, ProviderInstance};
 use mochi_remi::FileSet;
 
 use crate::provider::WarabiProvider;
-use crate::target::{create_target, BlobTarget, TargetConfig};
+use crate::target::{blob_file_name, blob_id_of, create_target, BlobTarget, TargetConfig};
 
 /// Library path Warabi conventionally installs under.
 pub const LIBRARY: &str = "libwarabi.so";
@@ -84,11 +84,20 @@ impl ProviderInstance for WarabiInstance {
     fn checkpoint(&self, dir: &Path) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
         // Blob-by-blob copy: works for both backends.
-        for id in self.target.list().map_err(|e| e.to_string())? {
+        let ids = self.target.list().map_err(|e| e.to_string())?;
+        for &id in &ids {
             let size = self.target.size(id).map_err(|e| e.to_string())?;
             let data = self.target.read(id, 0, size).map_err(|e| e.to_string())?;
-            std::fs::write(dir.join(format!("blob-{id}.bin")), data)
-                .map_err(|e| e.to_string())?;
+            std::fs::write(dir.join(blob_file_name(id)), data).map_err(|e| e.to_string())?;
+        }
+        // A blob erased since the last sweep must not come back on restore.
+        for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
+            let entry = entry.map_err(|e| e.to_string())?;
+            if blob_id_of(&entry.file_name().to_string_lossy())
+                .is_some_and(|id| ids.binary_search(&id).is_err())
+            {
+                std::fs::remove_file(entry.path()).map_err(|e| e.to_string())?;
+            }
         }
         Ok(())
     }
@@ -99,12 +108,9 @@ impl ProviderInstance for WarabiInstance {
         }
         for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
             let entry = entry.map_err(|e| e.to_string())?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.strip_prefix("blob-").and_then(|s| s.strip_suffix(".bin")).is_some() {
+            if let Some(id) = blob_id_of(&entry.file_name().to_string_lossy()) {
                 let data = std::fs::read(entry.path()).map_err(|e| e.to_string())?;
-                let id = self.target.create(data.len() as u64).map_err(|e| e.to_string())?;
-                self.target.write(id, 0, &data).map_err(|e| e.to_string())?;
+                self.target.restore_blob(id, &data).map_err(|e| e.to_string())?;
             }
         }
         Ok(())

@@ -56,6 +56,10 @@ pub trait BlobTarget: Send + Sync {
     /// Allocates a zero-filled blob of `size` bytes.
     fn create(&self, size: u64) -> Result<BlobId, WarabiError>;
 
+    /// Stores `data` as blob `id`, replacing any blob of that id: a
+    /// checkpoint restores under the ids its clients hold.
+    fn restore_blob(&self, id: BlobId, data: &[u8]) -> Result<(), WarabiError>;
+
     /// Writes `data` at `offset`.
     fn write(&self, id: BlobId, offset: u64, data: &[u8]) -> Result<(), WarabiError>;
 
@@ -76,6 +80,16 @@ pub trait BlobTarget: Send + Sync {
 
     /// Flush everything (migration quiesce).
     fn flush(&self) -> Result<(), WarabiError>;
+}
+
+/// The file name blob `id` has in a file target and in a checkpoint.
+pub(crate) fn blob_file_name(id: BlobId) -> String {
+    format!("blob-{id}.bin")
+}
+
+/// The blob id a [`blob_file_name`] names.
+pub(crate) fn blob_id_of(file_name: &str) -> Option<BlobId> {
+    file_name.strip_prefix("blob-")?.strip_suffix(".bin")?.parse().ok()
 }
 
 fn check_bounds(id: BlobId, offset: u64, len: u64, size: u64) -> Result<(), WarabiError> {
@@ -109,6 +123,11 @@ impl BlobTarget for MemoryTarget {
         let id = unique_u64();
         self.blobs.write().insert(id, vec![0u8; size as usize]);
         Ok(id)
+    }
+
+    fn restore_blob(&self, id: BlobId, data: &[u8]) -> Result<(), WarabiError> {
+        self.blobs.write().insert(id, data.to_vec());
+        Ok(())
     }
 
     fn write(&self, id: BlobId, offset: u64, data: &[u8]) -> Result<(), WarabiError> {
@@ -163,19 +182,15 @@ impl FileTarget {
         let mut sizes = BTreeMap::new();
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(id) = name.strip_prefix("blob-").and_then(|s| s.strip_suffix(".bin")) {
-                if let Ok(id) = id.parse::<u64>() {
-                    sizes.insert(id, entry.metadata()?.len());
-                }
+            if let Some(id) = blob_id_of(&entry.file_name().to_string_lossy()) {
+                sizes.insert(id, entry.metadata()?.len());
             }
         }
         Ok(Self { dir, sizes: RwLock::new(sizes) })
     }
 
     fn path(&self, id: BlobId) -> PathBuf {
-        self.dir.join(format!("blob-{id}.bin"))
+        self.dir.join(blob_file_name(id))
     }
 
     /// The backing directory (migration support).
@@ -195,6 +210,12 @@ impl BlobTarget for FileTarget {
         file.set_len(size)?;
         self.sizes.write().insert(id, size);
         Ok(id)
+    }
+
+    fn restore_blob(&self, id: BlobId, data: &[u8]) -> Result<(), WarabiError> {
+        std::fs::write(self.path(id), data)?;
+        self.sizes.write().insert(id, data.len() as u64);
+        Ok(())
     }
 
     fn write(&self, id: BlobId, offset: u64, data: &[u8]) -> Result<(), WarabiError> {

@@ -1,6 +1,7 @@
 //! Integration tests for Warabi over the fabric, including the bulk
 //! (RDMA-model) transfer paths and the Bedrock module.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use mochi_bedrock::{BedrockServer, Client, ModuleCatalog, ProcessConfig};
@@ -134,31 +135,44 @@ fn bedrock_managed_warabi_with_file_target_migrates() {
     client_margo.finalize();
 }
 
+/// Boots a Bedrock process serving the Warabi provider "blobs" (id 1)
+/// over a `target` ("memory" or "file") target, a client, a handle to
+/// the blobs and the directory a checkpoint goes to.
+fn bedrock_blobs(
+    fabric: &Fabric,
+    dir: &TempDir,
+    target: &str,
+) -> (BedrockServer, MargoRuntime, TargetHandle, PathBuf) {
+    let mut catalog = ModuleCatalog::new();
+    catalog.install(mochi_warabi::bedrock::LIBRARY, mochi_warabi::bedrock::bedrock_module());
+    let config = ProcessConfig::from_json(&format!(
+        r#"{{ "libraries": {{ "warabi": "libwarabi.so" }},
+             "providers": [ {{ "name": "blobs", "type": "warabi", "provider_id": 1,
+                              "config": {{ "target": "{target}" }} }} ] }}"#
+    ))
+    .unwrap();
+    let host = format!("n1-{target}");
+    let server = BedrockServer::bootstrap(
+        fabric,
+        Address::tcp(&host, 1),
+        &config,
+        catalog,
+        dir.path().join(&host),
+    )
+    .unwrap();
+    let client_margo = boot(fabric, &format!("client-{target}"));
+    let handle = TargetHandle::new(&client_margo, server.address(), 1);
+    (server, client_margo, handle, dir.path().join(format!("pfs-{target}")))
+}
+
 #[test]
 fn bedrock_checkpoint_restore_memory_target() {
     let fabric = Fabric::new();
     let dir = TempDir::new("warabi-ckpt").unwrap();
-    let mut catalog = ModuleCatalog::new();
-    catalog.install(mochi_warabi::bedrock::LIBRARY, mochi_warabi::bedrock::bedrock_module());
-    let config = ProcessConfig::from_json(
-        r#"{ "libraries": { "warabi": "libwarabi.so" },
-             "providers": [ { "name": "blobs", "type": "warabi", "provider_id": 1 } ] }"#,
-    )
-    .unwrap();
-    let server = BedrockServer::bootstrap(
-        &fabric,
-        Address::tcp("n1", 1),
-        &config,
-        catalog,
-        dir.path().join("n1"),
-    )
-    .unwrap();
-    let client_margo = boot(&fabric, "client");
-    let handle = TargetHandle::new(&client_margo, server.address(), 1);
+    let (server, client_margo, handle, pfs) = bedrock_blobs(&fabric, &dir, "memory");
     let id = handle.create(32).unwrap();
     handle.write(id, 0, b"snapshot-me-please-0123456789abc").unwrap();
 
-    let pfs = dir.path().join("pfs");
     let bedrock = Client::new(&client_margo).make_service_handle(server.address(), 0);
     bedrock.checkpoint_provider("blobs", pfs.to_str().unwrap()).unwrap();
     handle.erase(id).unwrap();
@@ -168,4 +182,47 @@ fn bedrock_checkpoint_restore_memory_target() {
     assert_eq!(handle.read(ids[0], 0, 32).unwrap(), b"snapshot-me-please-0123456789abc");
     server.shutdown();
     client_margo.finalize();
+}
+
+#[test]
+fn a_restored_blob_keeps_its_id() {
+    let fabric = Fabric::new();
+    let dir = TempDir::new("warabi-ckpt-id").unwrap();
+    for target in ["memory", "file"] {
+        let (server, client_margo, handle, pfs) = bedrock_blobs(&fabric, &dir, target);
+        let id = handle.create(8).unwrap();
+        handle.write(id, 0, b"kept-id!").unwrap();
+        let bedrock = Client::new(&client_margo).make_service_handle(server.address(), 0);
+        bedrock.checkpoint_provider("blobs", pfs.to_str().unwrap()).unwrap();
+        handle.write(id, 0, b"changed!").unwrap();
+        bedrock.restore_provider("blobs", pfs.to_str().unwrap()).unwrap();
+        // The id the client held before the checkpoint reads the
+        // checkpointed bytes.
+        assert_eq!(handle.read(id, 0, 8).unwrap(), b"kept-id!", "{target} target");
+        assert_eq!(handle.list().unwrap(), vec![id], "{target} target");
+        server.shutdown();
+        client_margo.finalize();
+    }
+}
+
+#[test]
+fn a_blob_erased_between_checkpoints_stays_erased() {
+    let fabric = Fabric::new();
+    let dir = TempDir::new("warabi-ckpt-erase").unwrap();
+    for target in ["memory", "file"] {
+        let (server, client_margo, handle, pfs) = bedrock_blobs(&fabric, &dir, target);
+        let kept = handle.create(4).unwrap();
+        handle.write(kept, 0, b"kept").unwrap();
+        let gone = handle.create(4).unwrap();
+        handle.write(gone, 0, b"gone").unwrap();
+        let bedrock = Client::new(&client_margo).make_service_handle(server.address(), 0);
+        bedrock.checkpoint_provider("blobs", pfs.to_str().unwrap()).unwrap();
+        assert!(handle.erase(gone).unwrap());
+        bedrock.checkpoint_provider("blobs", pfs.to_str().unwrap()).unwrap();
+        bedrock.restore_provider("blobs", pfs.to_str().unwrap()).unwrap();
+        assert_eq!(handle.list().unwrap().len(), 1, "{target} target: the erased blob came back");
+        assert_eq!(handle.read(kept, 0, 4).unwrap(), b"kept", "{target} target");
+        server.shutdown();
+        client_margo.finalize();
+    }
 }

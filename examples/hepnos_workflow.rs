@@ -70,7 +70,7 @@ fn boot_service(
     (server, handles, names, client)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fabric = Fabric::new();
     let dir = TempDir::new("hepnos").unwrap();
     println!(
@@ -85,8 +85,8 @@ fn main() {
     for shards in [1usize, 8] {
         let label = format!("static-{shards}-shard");
         let (server, handles, _names, client) = boot_service(&fabric, &label, shards, &dir);
-        let ingest_s = sharded::ingest(&handles, EVENTS, VALUE_SIZE);
-        let analysis_s = sharded::ordered_analysis(&handles, SCANS, PAGE, EVENTS);
+        let ingest_s = sharded::ingest(&handles, EVENTS, VALUE_SIZE)?;
+        let analysis_s = sharded::ordered_analysis(&handles, SCANS, PAGE, EVENTS)?;
         let makespan = ingest_s + analysis_s;
         println!(
             "{label:<22} {ingest_s:>11.3} {:>11} {analysis_s:>11.3} {makespan:>12.3}",
@@ -99,10 +99,10 @@ fn main() {
 
     // Dynamic: ingest into 8 shards, reconfigure online, analyze 1 shard.
     let (server, handles, names, client) = boot_service(&fabric, "dynamic", 8, &dir);
-    let ingest_s = sharded::ingest(&handles, EVENTS, VALUE_SIZE);
+    let ingest_s = sharded::ingest(&handles, EVENTS, VALUE_SIZE)?;
     let (reshard_s, merged) =
-        sharded::reshard(&server, &client, &handles, &names, "merged", 200);
-    let analysis_s = sharded::ordered_analysis(std::slice::from_ref(&merged), SCANS, PAGE, EVENTS);
+        sharded::reshard(&server, &client, &handles, &names, "merged", 200)?;
+    let analysis_s = sharded::ordered_analysis(std::slice::from_ref(&merged), SCANS, PAGE, EVENTS)?;
     let makespan = ingest_s + reshard_s + analysis_s;
     println!(
         "{:<22} {ingest_s:>11.3} {reshard_s:>11.3} {analysis_s:>11.3} {makespan:>12.3}",
@@ -118,4 +118,5 @@ fn main() {
     );
     println!("(each step has a different optimal shard count; only a dynamic");
     println!(" service — online provider start/stop + data movement — gets both)");
+    Ok(())
 }

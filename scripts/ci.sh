@@ -12,8 +12,10 @@
 #   0  everything green
 #   20 workspace build failed
 #   21 test suite failed (the umbrella package's tests, or mochi-lint's
-#      own — or mochi-lint, or the mochi-yokan / mochi-util libraries,
-#      are no longer clippy-clean)
+#      own), or product code is no longer clippy-clean: the lib and bin
+#      targets of every crate but mochi-perf, the workspace's panic-family
+#      lints included (a new unwrap/expect/panic!/unreachable!/todo!/
+#      unimplemented! site, or an `#[expect]` whose site was fixed)
 #   22 benchmark harness failed to compile
 #   23 chaos soak failed (fault-injection resilience regression)
 #   35 live-rebalance soak failed (zero-acked-write-loss or
@@ -224,15 +226,19 @@ echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || exit 43
 
 # Static analysis, last. The linter's own unit and fixture tests first:
-# they are the oracle for what the seven rules of its registry catch, and
-# no other stage runs them. Where clippy exists, the crates that are
-# clippy-clean stay so: mochi-lint, and the libraries of mochi-yokan and
-# mochi-util. Then scripts/lint.sh: one mochi-lint run over the workspace.
+# they are the oracle for what the six rules of its registry catch, and
+# no other stage runs them. Where clippy exists, product code stays
+# clippy-clean: the lib and bin targets of every crate, under the
+# workspace's lints (Cargo.toml), warnings denied. That is the one gate on
+# panic paths (DESIGN.md §11.1): a site that stays carries an
+# `#[expect(clippy::…, reason = "…")]`, which fails here once it no
+# longer fires. mochi-perf, the benchmark harness, is left out. Then
+# scripts/lint.sh: one mochi-lint run over the workspace.
 echo "==> cargo test -p mochi-lint"
 cargo test -q -p mochi-lint || exit 21
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy -q -p mochi-lint --lib --bins -- -D warnings || exit 21
-    cargo clippy -q -p mochi-yokan -p mochi-util --lib --no-deps -- -D warnings || exit 21
+    echo "==> cargo clippy (product code, warnings are errors)"
+    cargo clippy -q --workspace --lib --bins --exclude mochi-perf -- -D warnings || exit 21
 fi
 
 exec "$root/scripts/lint.sh" "$root"

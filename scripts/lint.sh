@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # Pre-PR gate: workspace-specific static analysis plus (when available)
-# clippy and rustfmt. mochi-lint is the hard gate: a violation of any of
-# the seven rules of its registry (`RULES`, crates/lint/src/lib.rs;
-# DESIGN.md §11) that is not frozen in lint-allow.json fails the build,
-# and so does a frozen entry that no longer matches anything.
+# clippy and rustfmt. mochi-lint gates its six rules (`RULES`,
+# crates/lint/src/lib.rs; DESIGN.md §11): a violation that is not frozen
+# in lint-allow.json fails the build, and so does a frozen entry that no
+# longer matches anything. Panic paths are clippy's: `scripts/ci.sh`
+# (exit 21) denies the workspace's lints over product code, and the
+# all-targets run below (exit 12) covers tests, benches and examples too.
 #
 # Usage: scripts/lint.sh [workspace-root]
 #
