@@ -72,15 +72,15 @@ impl std::fmt::Debug for Ult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use mochi_util::Flag;
 
     #[test]
     fn run_executes_task() {
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = Arc::new(Flag::new(false));
         let f2 = Arc::clone(&flag);
-        let ult = Ult::new("t", move || f2.store(true, Ordering::SeqCst));
+        let ult = Ult::new("t", move || f2.set(true));
         ult.run();
-        assert!(flag.load(Ordering::SeqCst));
+        assert!(flag.get());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Execution streams: OS threads running a scheduler over pools.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use mochi_util::Flag;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{SchedulerKind, XstreamConfig};
@@ -31,7 +32,7 @@ pub struct XstreamStats {
 }
 
 struct Shared {
-    stop: AtomicBool,
+    stop: Flag,
     ults_executed: AtomicU64,
     /// Busy nanoseconds, accumulated.
     busy_nanos: AtomicU64,
@@ -54,7 +55,7 @@ impl ExecutionStream {
     /// guarantees this.
     pub fn spawn(config: XstreamConfig, pools: Vec<Arc<Pool>>) -> Self {
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
+            stop: Flag::new(false),
             ults_executed: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
         });
@@ -111,8 +112,12 @@ impl ExecutionStream {
     /// providers to new ESs lossless).
     pub fn stop(&mut self) {
         let Some(thread) = self.thread.take() else { return };
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.set(true);
         self.parker.unpark();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a scheduler that panicked has reported it through the panic hook; the pools are released either way"
+        )]
         let _ = thread.join();
         for pool in &self.pools {
             pool.remove_server(&self.parker);
@@ -127,7 +132,7 @@ impl Drop for ExecutionStream {
 }
 
 fn scheduler_loop(kind: SchedulerKind, pools: &[Arc<Pool>], shared: &Shared, parker: &Parker) {
-    let stopped = || shared.stop.load(Ordering::SeqCst);
+    let stopped = || shared.stop.get();
     // Strictly increasing with every push to any of the pools.
     let pushes = || pools.iter().fold(0u64, |sum, pool| sum.wrapping_add(pool.pushes()));
     while !stopped() {

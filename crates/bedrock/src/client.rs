@@ -222,15 +222,20 @@ pub fn apply_transaction(
         match result {
             Ok(_) => prepared.push(address.clone()),
             Err(e) => {
+                // A participant whose abort fails stays prepared: name it.
+                let mut reason = format!("prepare failed: {e}");
                 for p in &prepared {
-                    let _: Result<Value, _> = margo.forward(
+                    let aborted: Result<Value, _> = margo.forward(
                         p,
                         proto::TXN_ABORT,
                         bedrock_provider_id,
                         &proto::TxnIdArgs { txn_id: txn_id.clone() },
                     );
+                    if let Err(abort) = aborted {
+                        reason.push_str(&format!("; abort at {p} failed: {abort}"));
+                    }
                 }
-                return Err(BedrockError::TxnConflict(format!("prepare failed: {e}")));
+                return Err(BedrockError::TxnConflict(reason));
             }
         }
     }

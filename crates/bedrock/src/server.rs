@@ -372,15 +372,24 @@ impl BedrockServer {
                     .or_default()
                     .insert(dependent_tag);
             } else {
-                let _: Result<bool, _> = self.inner.margo.forward(
-                    &address,
-                    proto::ADD_DEPENDENT,
-                    self.inner.provider_id,
-                    &proto::DependentArgs {
-                        provider: info.name.clone(),
-                        dependent: dependent_tag,
-                    },
-                );
+                // Without the edge, a stop of the dependency would not see
+                // this dependent: no edge, no start.
+                self.inner
+                    .margo
+                    .forward::<_, bool>(
+                        &address,
+                        proto::ADD_DEPENDENT,
+                        self.inner.provider_id,
+                        &proto::DependentArgs {
+                            provider: info.name.clone(),
+                            dependent: dependent_tag,
+                        },
+                    )
+                    .map_err(|e| BedrockError::DependencyError {
+                        provider: spec.name.clone(),
+                        dependency: dep.clone(),
+                        reason: format!("recording the dependent: {e}"),
+                    })?;
             }
             resolved.insert(
                 logical.clone(),
@@ -422,6 +431,10 @@ impl BedrockServer {
                     }
                 }
             } else {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort, as documented: the dependency's process may be gone, and its edges with it"
+                )]
                 let _: Result<bool, _> = self.inner.margo.forward(
                     &address,
                     proto::REMOVE_DEPENDENT,
@@ -500,6 +513,10 @@ impl BedrockServer {
         if providers.contains_key(&spec.name) {
             // Lost a race; roll back the instance we just created.
             drop(providers);
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the caller is told ProviderExists; how the loser's rollback went changes nothing it can do"
+            )]
             let _ = instance.stop();
             return Err(BedrockError::ProviderExists(spec.name.clone()));
         }
@@ -894,6 +911,10 @@ impl BedrockServer {
             // failures (e.g. arbitrary graphs) by just dropping.
             let record = self.inner.providers.lock().remove(name);
             if let Some(record) = record {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "shutdown stops every provider whatever one of them reports; the runtime finalizes next"
+                )]
                 let _ = record.instance.stop();
             }
         }

@@ -6,11 +6,11 @@
 //! concurrently with a reconfiguration storm suffers no failures and
 //! bounded slowdown.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mochi_bench::{boot, fmt_latency, fmt_rate, fmt_secs, measure, Table};
 use mochi_mercury::Fabric;
+use mochi_util::Flag;
 
 fn main() {
     let fabric = Fabric::new();
@@ -44,9 +44,17 @@ fn main() {
         q += 1;
         server.remove_pool(&format!("p{q}")).unwrap();
     });
-    // Drain warmup leftovers.
+    // Drain warmup leftovers: some of these never existed.
     for i in 201..=210 {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a leftover the warmup never made is already drained"
+        )]
         let _ = server.remove_xstream(&format!("es{i}"));
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a leftover the warmup never made is already drained"
+        )]
         let _ = server.remove_pool(&format!("p{i}"));
     }
 
@@ -66,13 +74,13 @@ fn main() {
         let _: u64 = client.forward(&server_addr, "echo", 0, &1u64).unwrap();
     });
 
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let reconfig_thread = {
         let server = server.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut i = 0u64;
-            while !stop.load(Ordering::SeqCst) {
+            while !stop.get() {
                 i += 1;
                 server.add_pool_from_json(&format!(r#"{{"name": "storm{i}"}}"#)).unwrap();
                 server
@@ -89,7 +97,7 @@ fn main() {
     let during = measure(200, 3000, || {
         let _: u64 = client.forward(&server_addr, "echo", 0, &1u64).unwrap();
     });
-    stop.store(true, Ordering::SeqCst);
+    stop.set(true);
     let cycles = reconfig_thread.join().unwrap();
 
     let mut table = Table::new(&["condition", "echo latency", "mean"]);

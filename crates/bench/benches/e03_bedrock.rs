@@ -56,6 +56,10 @@ fn main() {
         handle.stop_provider(&format!("prov{j}")).unwrap();
     });
     for k in 201..=205 {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a leftover the warmup never started is already stopped"
+        )]
         let _ = handle.stop_provider(&format!("prov{k}"));
     }
     let get_config = measure(5, 200, || {
@@ -121,8 +125,17 @@ fn main() {
             }
             (true, false) => inconsistent += 1, // the forbidden state
         }
-        // Cleanup for the next round.
+        // Cleanup for the next round: a provider the round failed to
+        // start has nothing to stop.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a provider the round failed to start has nothing to stop"
+        )]
         let _ = n1.stop_provider(&p1_name);
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a provider the round failed to start has nothing to stop"
+        )]
         let _ = h2.stop_provider(&p2_name);
     }
     let mut table = Table::new(&["outcome", "count"]);

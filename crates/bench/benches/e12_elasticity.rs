@@ -5,7 +5,7 @@
 //! Claims under test: scale-out/in completes quickly; data is never lost;
 //! client traffic keeps flowing throughout (bounded disruption).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde_json::json;
@@ -16,6 +16,7 @@ use mochi_core::{Cluster, DynamicService, ServiceConfig};
 use mochi_pufferscale::Weights;
 use mochi_remi::Strategy;
 use mochi_util::time::Stopwatch;
+use mochi_util::Flag;
 use mochi_yokan::DatabaseHandle;
 
 const KEYS_PER_SHARD: usize = 300;
@@ -44,7 +45,7 @@ fn main() {
     let total_keys = 4 * KEYS_PER_SHARD as u64;
 
     // Continuous read traffic against shard0, wherever it lives.
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let reads = Arc::new(AtomicU64::new(0));
     let read_errors = Arc::new(AtomicU64::new(0));
     let reader = {
@@ -54,7 +55,7 @@ fn main() {
         let reads = Arc::clone(&reads);
         let read_errors = Arc::clone(&read_errors);
         std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
+            while !stop.get() {
                 let home = service.addresses().into_iter().find(|a| {
                     service
                         .server(a)
@@ -107,7 +108,7 @@ fn main() {
         (plan3.metrics.total_bytes_moved + plan4.metrics.total_bytes_moved).to_string(),
     ]);
 
-    stop.store(true, Ordering::SeqCst);
+    stop.set(true);
     reader.join().unwrap();
 
     // Verify all data survived.

@@ -9,13 +9,14 @@
 //! the coupling the paper warns about to a minimum.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use mochi_mercury::Address;
+use mochi_util::Flag;
 use mochi_ssg::swim::MembershipEvent;
 use mochi_ssg::SsgGroup;
 
@@ -50,7 +51,7 @@ pub struct ResilienceManager {
     service: Arc<DynamicService>,
     config: ResilienceConfig,
     stats: Arc<ResilienceStats>,
-    stopped: AtomicBool,
+    stopped: Flag,
     // leaf: set operations only.
     recovering: Mutex<HashSet<Address>>,
     /// Who has reported each member dead that is not yet recovered.
@@ -68,7 +69,7 @@ impl ResilienceManager {
             service: Arc::clone(service),
             config,
             stats: Arc::new(ResilienceStats::default()),
-            stopped: AtomicBool::new(false),
+            stopped: Flag::new(false),
             recovering: Mutex::new(HashSet::new()),
             deaths: Mutex::new(HashMap::new()),
             threads: Mutex::new(Vec::new()),
@@ -83,9 +84,9 @@ impl ResilienceManager {
             let handle = std::thread::Builder::new()
                 .name("resilience-ckpt".into())
                 .spawn(move || {
-                    while !m.stopped.load(Ordering::SeqCst) {
+                    while !m.stopped.get() {
                         std::thread::sleep(m.config.checkpoint_interval);
-                        if m.stopped.load(Ordering::SeqCst) {
+                        if m.stopped.get() {
                             break;
                         }
                         m.checkpoint_sweep();
@@ -111,7 +112,7 @@ impl ResilienceManager {
         let manager = Arc::clone(self);
         group.on_change(Arc::new(move |event| {
             if let MembershipEvent::Died(dead) = event {
-                if manager.stopped.load(Ordering::SeqCst) {
+                if manager.stopped.get() {
                     return;
                 }
                 let (reporter, dead) = (reporter.clone(), dead.clone());
@@ -178,8 +179,13 @@ impl ResilienceManager {
             let Some(server) = self.service.server(&addr) else { continue };
             for provider in providers {
                 let dir = self.checkpoint_dir(&addr, &provider);
-                let _ = std::fs::create_dir_all(&dir);
-                // Providers without checkpoint support simply error; fine.
+                if std::fs::create_dir_all(&dir).is_err() {
+                    continue; // no directory, no checkpoint: the last one stays
+                }
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a provider without checkpoint support errors by design; one whose checkpoint fails keeps its last good one, which is what recovery restores"
+                )]
                 let _ = server.checkpoint_provider(&provider, &dir.to_string_lossy());
             }
         }
@@ -225,6 +231,10 @@ impl ResilienceManager {
         for provider in server.provider_names() {
             let dir = self.checkpoint_dir(dead, &provider);
             if dir.exists() {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a provider without checkpoint support errors by design; one whose restore fails serves what it holds, as after a death with no checkpoint"
+                )]
                 let _ = server.restore_provider(&provider, &dir.to_string_lossy());
             }
         }
@@ -255,9 +265,13 @@ impl ResilienceManager {
 
     /// Stops the sweeper; in-flight recoveries complete.
     pub fn stop(&self) {
-        self.stopped.store(true, Ordering::SeqCst);
+        self.stopped.set(true);
         let threads = std::mem::take(&mut *self.threads.lock());
         for handle in threads {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a thread that panicked has reported it through the panic hook; shutdown goes on"
+            )]
             let _ = handle.join();
         }
     }
@@ -265,6 +279,6 @@ impl ResilienceManager {
 
 impl Drop for ResilienceManager {
     fn drop(&mut self) {
-        self.stopped.store(true, Ordering::SeqCst);
+        self.stopped.set(true);
     }
 }

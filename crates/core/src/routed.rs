@@ -996,6 +996,10 @@ impl RoutedKv {
         if let Some((queue, _)) = &self.drainer {
             let (done, settled) = sync_channel(1);
             if queue.send(Settle::Fence(done)).is_ok() {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a drainer that exited dropped the fence unanswered, and with it everything it could still deliver"
+                )]
                 let _ = settled.recv();
             }
         }

@@ -350,6 +350,10 @@ impl DynamicService {
         let members = std::mem::take(&mut *self.members.lock());
         for (addr, record) in members.records {
             record.group.stop();
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a member whose process is already gone (NoSuchProcess) is what teardown wants"
+            )]
             let _ = self.cluster.stop(&addr);
             self.cluster.release_node(&record.node);
         }

@@ -13,7 +13,7 @@
 //! for every seed.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,6 +24,7 @@ use mochi_core::{Cluster, DynamicService, FailoverKv, HashRing, ServiceConfig};
 use mochi_margo::{MargoConfig, MargoRuntime};
 use mochi_mercury::{Address, LinkScript};
 use mochi_util::time::wait_until;
+use mochi_util::Flag;
 use mochi_yokan::version::decode_record;
 
 const KEYSPACE: &str = "replicated";
@@ -91,11 +92,11 @@ fn provider_kill_loses_no_acked_write() {
 }
 
 /// Raises the flag when dropped, unwinding included.
-struct StopOnDrop<'a>(&'a AtomicBool);
+struct StopOnDrop<'a>(&'a Flag);
 
 impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
+        self.0.set(true);
     }
 }
 
@@ -151,7 +152,7 @@ fn provider_kill_round(seed: u64) {
         },
     );
 
-    let stop = AtomicBool::new(false);
+    let stop = Flag::new(false);
     let acked_puts = AtomicU64::new(0);
     let acked: std::sync::Mutex<BTreeMap<Vec<u8>, Vec<u8>>> =
         std::sync::Mutex::new(preload.iter().cloned().collect());
@@ -159,7 +160,7 @@ fn provider_kill_round(seed: u64) {
     std::thread::scope(|scope| {
         let writer = scope.spawn(|| {
             let mut i = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            while !stop.get() {
                 i += 1;
                 let key = format!("live-{seed}-{i:06}").into_bytes();
                 let value = format!("val-{seed}-{i}").into_bytes();
@@ -178,6 +179,10 @@ fn provider_kill_round(seed: u64) {
                         .cloned();
                     if let Some(victim) = victim {
                         acked.lock().unwrap().remove(&victim);
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "the checker no longer expects the key, so either outcome of the erase is legal"
+                        )]
                         let _ = routed.erase(&victim);
                     }
                 } else if routed.put(&key, &value).is_ok() {
@@ -261,7 +266,7 @@ fn provider_kill_round(seed: u64) {
             }),
             "seed {seed}: no write acked after fail_member"
         );
-        stop.store(true, Ordering::Release);
+        stop.set(true);
         let ops = writer.join().unwrap();
         assert!(ops > 0);
     });

@@ -6,7 +6,6 @@
 //! and no acked erase undone, at `replication_factor` 1 and 3.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,6 +16,7 @@ use mochi_core::{Cluster, DynamicService, FailoverKv, HashRing, ServiceConfig};
 use mochi_margo::{MargoConfig, MargoError, MargoRuntime};
 use mochi_mercury::{Address, LinkScript, MercuryError};
 use mochi_util::time::wait_until;
+use mochi_util::Flag;
 use mochi_yokan::version::{decode_record, is_record};
 
 const KEYSPACE: &str = "soak";
@@ -330,11 +330,11 @@ fn live_rebalance_soak_loses_no_acked_write() {
 }
 
 /// Raises the flag when dropped, unwinding included.
-struct StopOnDrop<'a>(&'a AtomicBool);
+struct StopOnDrop<'a>(&'a Flag);
 
 impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
+        self.0.set(true);
     }
 }
 
@@ -377,7 +377,7 @@ fn live_rebalance_round(seed: u64, replication_factor: usize) {
         LinkScript::DelaySpike { period: 50, spike: Duration::from_millis(2) },
     );
 
-    let stop = AtomicBool::new(false);
+    let stop = Flag::new(false);
     let acked: std::sync::Mutex<BTreeMap<Vec<u8>, Vec<u8>>> =
         std::sync::Mutex::new(preload.iter().cloned().collect());
     // Keys whose erase was acked (no key is ever written twice).
@@ -386,7 +386,7 @@ fn live_rebalance_round(seed: u64, replication_factor: usize) {
     std::thread::scope(|scope| {
         let writer = scope.spawn(|| {
             let mut i = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            while !stop.get() {
                 i += 1;
                 let key = format!("live-{seed}-{i:06}").into_bytes();
                 let value = format!("val-{seed}-{i}").into_bytes();
@@ -442,7 +442,7 @@ fn live_rebalance_round(seed: u64, replication_factor: usize) {
         assert!(retire.moved_keys > 0, "seed {seed}: retire drained nothing");
         held_through("retire", &before_retire);
 
-        stop.store(true, Ordering::Release);
+        stop.set(true);
         let ops = writer.join().unwrap();
         assert!(ops > 0);
     });

@@ -2,8 +2,8 @@
 //!
 //! Counting-based: each entry permits up to `count` findings of `kind`
 //! in `(file, function)`. Existing debt is frozen; anything beyond the
-//! recorded count — a *new* `serde_json` call in a handler, one more raw
-//! forward — fails the lint. Entries are keyed by function, not line, so
+//! recorded count — one more non-idempotent step behind a retried
+//! handler — fails the lint. Entries are keyed by function, not line, so
 //! unrelated edits don't invalidate the freeze.
 //!
 //! The format is JSON, parsed by the tiny reader below so this crate
@@ -11,7 +11,6 @@
 //! build offline).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::Finding;
 
@@ -26,7 +25,7 @@ pub type Sections = BTreeMap<&'static str, BTreeMap<Key, usize>>;
 #[derive(Debug, Default, Clone)]
 pub struct Allowlist {
     /// Permitted finding counts. What a `kind` encodes is the rule's
-    /// business (`serde_json`, `iforward_raw`, `load:closed`, …): see
+    /// business (`remove:remi_migration_pull`, …): see
     /// [`Finding::kind`] and the rule's module.
     pub sections: Sections,
     /// One-line justifications for allowlist entries, keyed by section
@@ -99,7 +98,7 @@ impl Allowlist {
             } else {
                 format!("\n{}\n  ", entries.join(",\n"))
             };
-            let _ = write!(out, ",\n  \"{section}\": [{body}]");
+            out.push_str(&format!(",\n  \"{section}\": [{body}]"));
         }
         out.push_str("\n}\n");
         out
@@ -150,9 +149,7 @@ fn quote(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -380,23 +377,23 @@ mod tests {
 
     #[test]
     fn stale_entries_detected_per_section() {
-        let live_key = key("a.rs", "f", "forward_raw");
+        let live_key = key("a.rs", "f", "remove:a_put");
         let mut allowlist = Allowlist::default();
-        let frozen = allowlist.sections.entry("raw_forward").or_default();
+        let frozen = allowlist.sections.entry("retry_soundness").or_default();
         frozen.insert(live_key.clone(), 1);
-        frozen.insert(key("b.rs", "g", "iforward_raw"), 2);
+        frozen.insert(key("b.rs", "g", "remove:b_put"), 2);
         let mut actual = Sections::new();
-        actual.entry("raw_forward").or_default().insert(live_key.clone(), 1);
+        actual.entry("retry_soundness").or_default().insert(live_key.clone(), 1);
         // The same key live in another section does not keep this one alive.
-        actual.entry("serde_json").or_default().insert(key("b.rs", "g", "iforward_raw"), 1);
+        actual.entry("other_section").or_default().insert(key("b.rs", "g", "remove:b_put"), 1);
         let stale = allowlist.stale_entries(&actual);
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].rule, "MOCHI010");
-        assert_eq!(stale[0].function, "raw_forward", "the section stands in for the function");
-        assert_eq!(stale[0].kind, "b.rs/g/iforward_raw");
+        assert_eq!(stale[0].function, "retry_soundness", "the section stands in for the function");
+        assert_eq!(stale[0].kind, "b.rs/g/remove:b_put");
         assert!(stale[0].message.contains("count 2"), "{}", stale[0].message);
-        assert_eq!(allowlist.allowance("raw_forward", &live_key), 1);
-        assert_eq!(allowlist.allowance("serde_json", &live_key), 0);
+        assert_eq!(allowlist.allowance("retry_soundness", &live_key), 1);
+        assert_eq!(allowlist.allowance("other_section", &live_key), 0);
     }
 
     #[test]
@@ -407,8 +404,8 @@ mod tests {
 
     #[test]
     fn malformed_document_reports_error() {
-        assert!(Allowlist::from_json("{\"serde_json\": 3}").is_err());
-        assert!(Allowlist::from_json("{\"serde_json\": [{\"file\": \"a.rs\"}]}").is_err());
+        assert!(Allowlist::from_json("{\"retry_soundness\": 3}").is_err());
+        assert!(Allowlist::from_json("{\"retry_soundness\": [{\"file\": \"a.rs\"}]}").is_err());
         assert!(Allowlist::from_json("not json").is_err());
     }
 
@@ -423,5 +420,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(error.contains("unknown allowlist section 'panic_paths'"), "{error}");
+    }
+
+    #[test]
+    fn the_sections_retired_to_clippy_fail_to_load() {
+        // Data-plane JSON, raw forwards, bare atomic flags and discarded
+        // results are the compiler's (DESIGN.md §11.1): a debt file that
+        // still freezes one of them is refused, naming the section.
+        for section in ["serde_json", "raw_forward", "relaxed_atomics", "background_errors"] {
+            let error = Allowlist::from_json(&format!(
+                r#"{{"version": 1, "{section}": [
+                    {{"file": "crates/yokan/src/client.rs", "function": "put", "kind": "k", "count": 1}}
+                ]}}"#
+            ))
+            .unwrap_err();
+            assert!(error.contains(&format!("unknown allowlist section '{section}'")), "{error}");
+        }
     }
 }

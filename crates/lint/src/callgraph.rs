@@ -1,5 +1,5 @@
-//! Workspace-wide call graph for the interprocedural analyses
-//! (MOCHI013/016).
+//! Workspace-wide call graph for the interprocedural analysis
+//! (MOCHI013).
 //!
 //! Nodes are the function bodies [`crate::source::SourceFile`] already
 //! extracts; edges are calls resolved lexically:

@@ -21,7 +21,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{column_of, is_ident_byte, line_of, matching_paren, word_at};
-use crate::rawforward::FORWARD_FAMILY;
 use crate::source::SourceFile;
 
 /// Whether a site registers an RPC or calls one.
@@ -191,6 +190,15 @@ const FIXED_CALLEES: &[Callee] = &[
     Callee { name: "post", role: Role::Call, name_arg: 0, min_args: 2, is_macro: false, requires_resolution: true, allow_free: false },
     Callee { name: "post_raw", role: Role::Call, name_arg: 0, min_args: 2, is_macro: false, requires_resolution: true, allow_free: false },
 ];
+
+/// The forward family on `MargoRuntime` (and `RpcContext`): every method
+/// through which an RPC leaves the process, the blocking forms and the
+/// posting ones (`iforward_*` — the request is on the wire when the call
+/// returns, whoever waits for the reply). `*_raw` forms take a payload,
+/// the others a typed input. The same list is `clippy.toml`'s
+/// `disallowed-methods` for the data-plane files (DESIGN.md §11.1).
+pub const FORWARD_FAMILY: &[&str] =
+    &["forward", "forward_raw", "forward_timeout", "iforward_full", "iforward_raw"];
 
 /// The callee table: [`FIXED_CALLEES`] and one entry per forward-family
 /// method — `(dest, name, provider_id, input | payload, …)`.

@@ -1,18 +1,17 @@
 //! `mochi-lint`: workspace-specific static analysis for the mochi-rs
-//! stack, tuned to the failure modes that matter for dynamic HPC data
-//! services (a retried handler that is not idempotent only fails under
-//! load, on a live, reconfigured cluster). Panic paths are clippy's, over
-//! every product crate (DESIGN.md §11.1).
+//! stack, tuned to the failure mode that matters for dynamic HPC data
+//! services and that no compiler lint can see: a retried handler that is
+//! not idempotent only fails under load, on a live, reconfigured cluster.
+//! The other layer contracts are the compiler's (DESIGN.md §11.1): panic
+//! paths, raw forwards, data-plane JSON, bare atomic flags and discarded
+//! results are clippy configuration in the root `Cargo.toml` and
+//! `clippy.toml`, and `mochi_util::Flag`.
 //!
-//! One module per analysis, each documented where it lives and each
-//! returning [`Finding`]s under the rule ids of [`RULES`]:
-//!
-//! * per file, on the sanitized text ([`lexer`], [`source`]): [`jsonuse`],
-//!   [`rawforward`];
-//! * over the workspace call graph ([`callgraph`] — method/trait/free
-//!   edges with receiver typing) entered at the handler registrations of
-//!   the workspace RPC table ([`contracts`]): [`retry`], [`bgerrors`];
-//!   and [`atomics`], which needs only the files.
+//! The analysis ([`retry`]) walks the workspace call graph
+//! ([`callgraph`] — method/trait/free edges with receiver typing, built
+//! on the sanitized text of [`lexer`] and [`source`]) from the handler
+//! registrations of the workspace RPC table ([`contracts`]), and returns
+//! [`Finding`]s under the rule ids of [`RULES`].
 //!
 //! A finding whose rule has an allowlist section may be frozen in
 //! `lint-allow.json` ([`allowlist`]) by `(file, function, kind)` and
@@ -27,13 +26,9 @@
 //! the tier-1 gate.
 
 pub mod allowlist;
-pub mod atomics;
-pub mod bgerrors;
 pub mod callgraph;
 pub mod contracts;
-pub mod jsonuse;
 pub mod lexer;
-pub mod rawforward;
 pub mod report;
 pub mod retry;
 pub mod source;
@@ -61,12 +56,8 @@ pub struct Rule {
 /// section are spelled out. Row order is report order and, for the
 /// sections, `lint-allow.json` order.
 pub const RULES: &[Rule] = &[
-    Rule { id: "MOCHI005", name: "data-plane-json", section: Some("serde_json") },
     Rule { id: "MOCHI010", name: "stale-allowlist", section: None },
-    Rule { id: "MOCHI011", name: "raw-forward-in-client", section: Some("raw_forward") },
     Rule { id: "MOCHI013", name: "retry-unsound", section: Some("retry_soundness") },
-    Rule { id: "MOCHI014", name: "relaxed-atomic", section: Some("relaxed_atomics") },
-    Rule { id: "MOCHI016", name: "swallowed-bg-error", section: Some("background_errors") },
 ];
 
 /// The registry row of rule `id`.
@@ -171,21 +162,12 @@ pub fn analyze(files: &[SourceFile], allowlist: &Allowlist) -> LintReport {
     let mut findings: Vec<Finding> = Vec::new();
     let mut contract_sites: Vec<RpcSite> = Vec::new();
     for file in files {
-        if jsonuse::in_data_plane(&file.rel_path) {
-            findings.extend(jsonuse::scan(file));
-        }
-        if rawforward::in_client(&file.rel_path) {
-            findings.extend(rawforward::scan(file));
-        }
         contract_sites.extend(contracts::sites(file, &consts));
     }
     contract_sites.sort();
 
-    // The interprocedural layer: one call graph under two analyses.
     let graph = CallGraph::build(files);
     findings.extend(retry::check(files, &graph, &consts, &contract_sites));
-    findings.extend(atomics::check(files));
-    findings.extend(bgerrors::check(files, &graph));
     findings.sort();
 
     // Split into frozen debt and violations: of the sites sharing one

@@ -1,8 +1,6 @@
 //! Reporting layer: the text renderer over a [`LintReport`]. Rule ids
 //! and names come from [`crate::RULES`].
 
-use std::fmt::Write as _;
-
 use crate::{Finding, LintReport};
 
 /// Every finding of the report with its level: the violations (`error`,
@@ -19,27 +17,24 @@ fn rule_name(finding: &Finding) -> &'static str {
 /// Human-readable report.
 pub fn render_text(report: &LintReport) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "mochi-lint: {} files, {} RPC sites ({} named RPCs), {} frozen findings",
+    out.push_str(&format!(
+        "mochi-lint: {} files, {} RPC sites ({} named RPCs), {} frozen findings\n",
         report.files,
         report.contract_sites.len(),
         report.rpc_names().len(),
         report.allowed.values().sum::<usize>(),
-    );
-    let _ = writeln!(
-        out,
-        "call graph: {} nodes, {} edges ({} resolved calls, {} unresolved, {} fallback edges)",
+    ));
+    out.push_str(&format!(
+        "call graph: {} nodes, {} edges ({} resolved calls, {} unresolved, {} fallback edges)\n",
         report.graph_stats.nodes,
         report.graph_stats.edges,
         report.graph_stats.resolved_calls,
         report.graph_stats.unresolved_calls,
         report.graph_stats.fallback_edges,
-    );
+    ));
     for (level, f) in leveled(report) {
-        let _ = writeln!(
-            out,
-            "{} [{} {}] {}:{}:{} (fn {}): {}",
+        out.push_str(&format!(
+            "{} [{} {}] {}:{}:{} (fn {}): {}\n",
             level.to_uppercase(),
             f.rule,
             rule_name(f),
@@ -48,10 +43,10 @@ pub fn render_text(report: &LintReport) -> String {
             f.column,
             f.function,
             f.message
-        );
+        ));
     }
     if report.is_clean() && report.stale_entries.is_empty() {
-        let _ = writeln!(out, "OK: every analysis clean, allowlist has no stale entries");
+        out.push_str("OK: every analysis clean, allowlist has no stale entries\n");
     }
     out
 }
@@ -63,23 +58,25 @@ mod tests {
     use crate::source::SourceFile;
 
     fn demo_report() -> LintReport {
-        let files = vec![
-            SourceFile::parse(
-                "crates/yokan/src/provider.rs",
-                "pub mod rpc { pub const PUT: &str = \"yokan_put\"; }\nfn register(m: &M) { m.register_typed(rpc::PUT, 1, None, move |a: PutArgs, _| { let x = serde_json::to_vec(&a); Ok(PutReply { n: x }) }); }",
-            ),
-            SourceFile::parse(
-                "crates/yokan/src/client.rs",
-                "use crate::provider::rpc;\nfn put(&self) { let _: PutReply = self.margo.forward(&a, rpc::PUT, 1, &PutArgs { n: 1 })?; }",
-            ),
-        ];
+        // A handler declared idempotent whose body removes state: a retry
+        // replays the removal (MOCHI013).
+        let files = vec![SourceFile::parse(
+            "crates/omega/src/provider.rs",
+            "pub fn register_all(margo: &MargoRuntime, state: SharedState) {\n\
+                 margo.declare_idempotent(\"omega_put\");\n\
+                 margo.register_typed(\"omega_put\", 1, None, move |k: Vec<u8>, _ctx| {\n\
+                     state.sessions.lock().remove(&k);\n\
+                     Ok(true)\n\
+                 });\n\
+             }\n",
+        )];
         crate::analyze(&files, &Allowlist::default())
     }
 
     #[test]
     fn findings_carry_registered_rule_ids() {
         let report = demo_report();
-        assert!(!report.violations_of("MOCHI005").is_empty(), "{:?}", report.violations);
+        assert!(!report.violations_of("MOCHI013").is_empty(), "{:?}", report.violations);
         for f in &report.violations {
             assert!(crate::rule(f.rule).is_some(), "{} is not in the registry", f.rule);
         }
@@ -88,8 +85,8 @@ mod tests {
     #[test]
     fn stale_entries_render_as_warnings() {
         let mut allowlist = Allowlist::default();
-        allowlist.sections.entry("serde_json").or_default().insert(
-            ("gone.rs".to_string(), "gone".to_string(), "serde_json".to_string()),
+        allowlist.sections.entry("retry_soundness").or_default().insert(
+            ("gone.rs".to_string(), "gone".to_string(), "remove:gone_put".to_string()),
             1,
         );
         let report = crate::analyze(&[], &allowlist);

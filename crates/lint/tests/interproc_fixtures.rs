@@ -1,14 +1,10 @@
-//! End-to-end fixtures for the interprocedural rules: each of MOCHI013
-//! (retry soundness) and MOCHI014 (relaxed atomics) gets at least one
-//! true-positive and one true-negative case, driven through the full
+//! End-to-end fixtures for the interprocedural rule, MOCHI013 (retry
+//! soundness): true-positive and true-negative cases, driven through the full
 //! `analyze` pipeline the CLI uses so registration discovery, call-graph
 //! construction, and allowlist filtering are all in the loop.
 
 use mochi_lint::allowlist::Allowlist;
 use mochi_lint::source::SourceFile;
-
-/// String pairs: (path, source) inputs or (function, kind) findings.
-type Pairs<'a> = &'a [(&'a str, &'a str)];
 
 fn parse(files: &[(&str, &str)]) -> Vec<SourceFile> {
     files.iter().map(|(path, src)| SourceFile::parse(path, src)).collect()
@@ -96,154 +92,6 @@ fn retry_soundness_resolves_the_const_array_loop_form() {
     let found = report.violations_of("MOCHI013");
     assert_eq!(found.len(), 1, "{found:?}");
     assert_eq!(found[0].kind, "remove:omega_put");
-}
-
-// ---------------------------------------------------------------- MOCHI014
-
-#[test]
-fn relaxed_atomics_flags_decision_load_with_foreign_writer() {
-    // The second input is the bug the rule last caught in this tree
-    // (mercury at `92429ac`): the fabric's and the endpoint's `closed`
-    // flags, published `Relaxed` by `shutdown` and read `Relaxed` by the
-    // send and progress paths that decide on them.
-    let breaker: &[(&str, &str)] = &[(
-        "crates/omega/src/breaker.rs",
-        "pub struct Breaker { closed: AtomicBool }\n\
-         impl Breaker {\n\
-             pub fn admit(&self) -> bool {\n\
-                 if self.closed.load(Ordering::Relaxed) {\n\
-                     return false;\n\
-                 }\n\
-                 true\n\
-             }\n\
-             pub fn trip(&self) {\n\
-                 self.closed.store(true, Ordering::SeqCst);\n\
-             }\n\
-         }\n",
-    )];
-    let mercury: &[(&str, &str)] = &[
-        (
-            "crates/mercury/src/endpoint.rs",
-            "pub struct Endpoint { closed: AtomicBool }\n\
-             impl Endpoint {\n\
-                 fn ensure_open(&self) -> Result<(), MercuryError> {\n\
-                     if self.closed.load(Ordering::Relaxed) {\n\
-                         Err(MercuryError::LocalShutdown)\n\
-                     } else {\n\
-                         Ok(())\n\
-                     }\n\
-                 }\n\
-                 pub fn progress(&self, timeout: Duration) -> Result<Option<Incoming>, MercuryError> {\n\
-                     loop {\n\
-                         if self.closed.load(Ordering::Relaxed) {\n\
-                             return Err(MercuryError::LocalShutdown);\n\
-                         }\n\
-                         if let Some(incoming) = self.poll(timeout) {\n\
-                             return Ok(Some(incoming));\n\
-                         }\n\
-                     }\n\
-                 }\n\
-             }\n",
-        ),
-        (
-            "crates/mercury/src/fabric.rs",
-            "struct FabricInner { closed: AtomicBool }\n\
-             impl Fabric {\n\
-                 pub fn shutdown(&self) {\n\
-                     self.inner.closed.store(true, Ordering::Relaxed);\n\
-                     self.inner.scheduler.lock().heap.clear();\n\
-                 }\n\
-             }\n",
-        ),
-    ];
-    // (input, the findings as (function, kind))
-    let cases: [(Pairs<'_>, Pairs<'_>); 2] = [
-        (breaker, &[("admit", "load:closed")]),
-        (
-            mercury,
-            &[
-                ("ensure_open", "load:closed"),
-                ("progress", "load:closed"),
-                ("shutdown", "store:closed"),
-            ],
-        ),
-    ];
-    for (input, expected) in cases {
-        let report = mochi_lint::analyze(&parse(input), &Allowlist::default());
-        let found: Vec<(&str, &str)> = report
-            .violations_of("MOCHI014")
-            .iter()
-            .map(|f| (f.function.as_str(), f.kind.as_str()))
-            .collect();
-        assert_eq!(found, expected, "{}", report.render());
-        assert!(report.render().contains("MOCHI014"));
-    }
-}
-
-#[test]
-fn relaxed_atomics_flags_relaxed_publish_with_foreign_decider() {
-    let files = parse(&[(
-        "crates/omega/src/breaker.rs",
-        "pub struct Breaker { closed: AtomicBool }\n\
-         impl Breaker {\n\
-             pub fn admit(&self) -> bool {\n\
-                 while self.closed.load(Ordering::Acquire) {\n\
-                     return false;\n\
-                 }\n\
-                 true\n\
-             }\n\
-             pub fn trip(&self) {\n\
-                 self.closed.store(true, Ordering::Relaxed);\n\
-             }\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    let found = report.violations_of("MOCHI014");
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].kind, "store:closed");
-    assert_eq!(found[0].function, "trip");
-}
-
-#[test]
-fn relaxed_atomics_accepts_the_counter_idiom() {
-    // Monotonic stats: relaxed RMW bumps, snapshot loads outside any
-    // condition. This is PR 4's striped-stats shape and must stay clean.
-    let files = parse(&[(
-        "crates/omega/src/stats.rs",
-        "pub struct Stats { hits: AtomicU64 }\n\
-         impl Stats {\n\
-             pub fn bump(&self) {\n\
-                 self.hits.fetch_add(1, Ordering::Relaxed);\n\
-             }\n\
-             pub fn snapshot(&self) -> u64 {\n\
-                 let n = self.hits.load(Ordering::Relaxed);\n\
-                 n\n\
-             }\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.violations_of("MOCHI014").is_empty(), "{}", report.render());
-}
-
-#[test]
-fn relaxed_atomics_accepts_acquire_release_pairing() {
-    let files = parse(&[(
-        "crates/omega/src/breaker.rs",
-        "pub struct Breaker { closed: AtomicBool }\n\
-         impl Breaker {\n\
-             pub fn admit(&self) -> bool {\n\
-                 if self.closed.load(Ordering::Acquire) {\n\
-                     return false;\n\
-                 }\n\
-                 true\n\
-             }\n\
-             pub fn trip(&self) {\n\
-                 self.closed.store(true, Ordering::Release);\n\
-             }\n\
-         }\n",
-    )]);
-    let report = mochi_lint::analyze(&files, &Allowlist::default());
-    assert!(report.violations_of("MOCHI014").is_empty(), "{}", report.render());
 }
 
 // ------------------------------------------------- allowlist interaction

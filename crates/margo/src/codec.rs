@@ -11,6 +11,8 @@
 //! use bulk transfers, which bypass this codec entirely — matching the
 //! original stack, where large transfers never ride the RPC serializer.
 
+#![deny(clippy::disallowed_methods)]
+
 use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -86,6 +88,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`json!` builds its value with `serde_json::to_value`: the test needs a JSON value, not a JSON encoding"
+    )]
     fn json_value_args_round_trip() {
         // Bedrock ships serde_json::Value arguments through this codec;
         // the self-describing wire format must carry them unchanged.

@@ -21,6 +21,8 @@
 //!   [`Bytes`] slice of the incoming frame (`Bytes::slice` is a refcount
 //!   bump), for callers that hold onto bodies.
 
+#![deny(clippy::disallowed_methods)]
+
 use std::cell::RefCell;
 
 use bytes::{BufMut, Bytes, BytesMut};

@@ -1,6 +1,7 @@
 //! RPC identifiers, handler types, and the handler-side context.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+#![deny(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -10,6 +11,7 @@ use serde::Serialize;
 
 use mochi_mercury::{Address, BulkAccess, BulkHandle, RequestInfo, ResponseStatus};
 use mochi_util::crc32;
+use mochi_util::Flag;
 
 use crate::codec;
 use crate::error::MargoError;
@@ -24,8 +26,8 @@ pub fn rpc_id_for_name(name: &str) -> u64 {
 }
 
 /// A registered RPC handler. Runs inside a ULT in the pool chosen at
-/// registration time; must eventually call [`RpcContext::respond`] or
-/// [`RpcContext::respond_err`] (requests a caller waits on), unless the
+/// registration time; must eventually call [`RpcContext::reply`] or
+/// [`RpcContext::reply_bytes`] (requests a caller waits on), unless the
 /// message was one-way.
 pub type RpcHandler = Arc<dyn Fn(RpcContext) + Send + Sync>;
 
@@ -35,7 +37,7 @@ pub struct RpcContext {
     pub(crate) margo: MargoRuntime,
     pub(crate) request: RequestInfo,
     pub(crate) rpc_name: Arc<str>,
-    pub(crate) responded: AtomicBool,
+    pub(crate) responded: Flag,
     pub(crate) oneway: bool,
 }
 
@@ -84,27 +86,32 @@ impl RpcContext {
         &self.margo
     }
 
-    /// Serializes `output` and answers the request. Subsequent calls (and
-    /// calls for one-way messages) are no-ops returning `Ok`.
-    pub fn respond<T: Serialize>(&self, output: &T) -> Result<(), MargoError> {
-        let payload = codec::encode(output)?;
-        self.respond_raw(ResponseStatus::Ok, payload)
+    /// Answers the request with a handler's result: `Ok` serialized by
+    /// the argument codec, `Err` as an application-level error (and so is
+    /// an output that fails to serialize). Subsequent calls (and calls for
+    /// one-way messages) do nothing.
+    pub fn reply<T: Serialize>(&self, result: Result<T, String>) {
+        self.reply_bytes(result.and_then(|output| {
+            codec::encode(&output).map_err(|e| format!("reply encoding failed: {e}"))
+        }));
     }
 
-    /// Answers the request with an application-level error.
-    pub fn respond_err(&self, message: impl Into<String>) -> Result<(), MargoError> {
-        self.respond_raw(ResponseStatus::Error(message.into()), Bytes::new())
-    }
-
-    /// Answers the request with a raw payload (no JSON encoding) — the
-    /// data-plane counterpart of [`RpcContext::respond`], used with
-    /// [`crate::frame`] framing.
-    pub fn respond_bytes(&self, payload: Bytes) -> Result<(), MargoError> {
-        self.respond_raw(ResponseStatus::Ok, payload)
+    /// [`RpcContext::reply`] with a raw payload (no encoding): the
+    /// data-plane form, used with [`crate::frame`] framing.
+    pub fn reply_bytes(&self, result: Result<Bytes, String>) {
+        let (status, payload) = match result {
+            Ok(payload) => (ResponseStatus::Ok, payload),
+            Err(message) => (ResponseStatus::Error(message), Bytes::new()),
+        };
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a reply the endpoint cannot send leaves its caller to the forward's timeout and retry; the handler has no one else to tell"
+        )]
+        let _ = self.respond_raw(status, payload);
     }
 
     fn respond_raw(&self, status: ResponseStatus, payload: Bytes) -> Result<(), MargoError> {
-        if self.oneway || self.responded.swap(true, Ordering::SeqCst) {
+        if self.oneway || self.responded.swap(true) {
             return Ok(());
         }
         let payload_size = payload.len();

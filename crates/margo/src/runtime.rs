@@ -16,7 +16,7 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
@@ -33,6 +33,7 @@ use mochi_mercury::{
 };
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
 use mochi_util::IdMap;
+use mochi_util::Flag;
 use mochi_util::time::monotonic_seconds;
 
 use crate::breaker::{Admission, BreakerRegistry};
@@ -127,8 +128,8 @@ struct Inner {
     in_flight_server: AtomicI64,
     /// A progress ULT is queued in `progress_pool` and has not yet begun
     /// to drain the mailbox (see `arm_progress`).
-    progress_armed: AtomicBool,
-    finalized: AtomicBool,
+    progress_armed: Flag,
+    finalized: Flag,
     threads: OrderedMutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -177,8 +178,8 @@ impl MargoRuntime {
             ),
             in_flight_client: AtomicI64::new(0),
             in_flight_server: AtomicI64::new(0),
-            progress_armed: AtomicBool::new(false),
-            finalized: AtomicBool::new(false),
+            progress_armed: Flag::new(false),
+            finalized: Flag::new(false),
             threads: OrderedMutex::new(rank::MARGO_THREADS, "margo.threads", Vec::new()),
         });
         let runtime = Self { inner };
@@ -203,7 +204,7 @@ impl MargoRuntime {
     /// one progress ULT in `progress_pool` unless one is already waiting
     /// there — N arrivals, one ULT, one xstream woken.
     fn arm_progress(&self) {
-        if self.inner.progress_armed.swap(true, Ordering::SeqCst) {
+        if self.inner.progress_armed.swap(true) {
             return;
         }
         static NAME: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from("__progress__"));
@@ -224,7 +225,7 @@ impl MargoRuntime {
     /// came after this store) and scheduled the next ULT; one queued
     /// earlier is found here (DESIGN.md §9.3).
     fn make_progress(&self) {
-        self.inner.progress_armed.store(false, Ordering::SeqCst);
+        self.inner.progress_armed.set(false);
         while let Ok(Some(incoming)) = self.inner.endpoint.progress(Duration::ZERO) {
             self.dispatch(incoming);
         }
@@ -239,7 +240,7 @@ impl MargoRuntime {
         let handle = std::thread::Builder::new()
             .name(format!("margo-sampler-{}", self.address()))
             .spawn(move || {
-                while !this.inner.finalized.load(Ordering::SeqCst) {
+                while !this.inner.finalized.get() {
                     std::thread::sleep(period);
                     let sample = RuntimeSample {
                         time_s: monotonic_seconds(),
@@ -278,7 +279,7 @@ impl MargoRuntime {
     }
 
     fn ensure_live(&self) -> Result<(), MargoError> {
-        if self.inner.finalized.load(Ordering::SeqCst) {
+        if self.inner.finalized.get() {
             Err(MargoError::Finalized)
         } else {
             Ok(())
@@ -359,19 +360,11 @@ impl MargoRuntime {
         F: Fn(I, &RpcContext) -> Result<O, String> + Send + Sync + 'static,
     {
         let handler: RpcHandler = Arc::new(move |ctx: RpcContext| {
-            match ctx.args::<I>() {
-                Ok(input) => match f(input, &ctx) {
-                    Ok(output) => {
-                        let _ = ctx.respond(&output);
-                    }
-                    Err(message) => {
-                        let _ = ctx.respond_err(message);
-                    }
-                },
-                Err(e) => {
-                    let _ = ctx.respond_err(format!("argument decoding failed: {e}"));
-                }
-            }
+            let result = match ctx.args::<I>() {
+                Ok(input) => f(input, &ctx),
+                Err(e) => Err(format!("argument decoding failed: {e}")),
+            };
+            ctx.reply(result);
         });
         self.register(rpc_name, provider_id, pool, handler)
     }
@@ -425,6 +418,10 @@ impl MargoRuntime {
         };
         let Some(registration) = registration else {
             if !oneway {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a reply the endpoint cannot send leaves its caller to the forward's timeout and retry"
+                )]
                 let _ = self.inner.endpoint.respond(
                     &request,
                     ResponseStatus::NoHandler,
@@ -470,7 +467,7 @@ impl MargoRuntime {
                 margo: this.clone(),
                 request,
                 rpc_name: Arc::clone(&reg.name),
-                responded: AtomicBool::new(false),
+                responded: Flag::new(false),
                 oneway,
             };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1030,7 +1027,7 @@ impl MargoRuntime {
 
     /// Whether the runtime has been finalized.
     pub fn is_finalized(&self) -> bool {
-        self.inner.finalized.load(Ordering::SeqCst)
+        self.inner.finalized.get()
     }
 
     /// Shuts the process down: the endpoint closes (peers see a dead
@@ -1038,12 +1035,16 @@ impl MargoRuntime {
     /// xstreams join, and the final monitoring dump is returned ("outputs
     /// them as JSON when shutting down the service").
     pub fn finalize(&self) -> Option<Value> {
-        if self.inner.finalized.swap(true, Ordering::SeqCst) {
+        if self.inner.finalized.swap(true) {
             return self.monitoring_json();
         }
         self.inner.endpoint.shutdown();
         let threads = std::mem::take(&mut *self.inner.threads.lock());
         for handle in threads {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a thread that panicked has reported it through the panic hook; shutdown goes on"
+            )]
             let _ = handle.join();
         }
         self.inner.abt.shutdown();
@@ -1115,6 +1116,10 @@ impl PendingForward {
 impl Drop for PendingForward {
     fn drop(&mut self) {
         if let Some(call) = self.call.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the call's outcome reaches monitoring and the breaker inside finish_call; whoever dropped the handle wants no reply"
+            )]
             let _ = self.margo.finish_call(call, false);
         }
     }
@@ -1133,7 +1138,7 @@ impl std::fmt::Debug for MargoRuntime {
 /// no-op, and dropping the last handle finalizes implicitly.
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.finalized.store(true, Ordering::SeqCst);
+        self.finalized.set(true);
         self.endpoint.shutdown();
         self.abt.shutdown();
     }
@@ -1339,13 +1344,13 @@ mod tests {
         let server = boot(&fabric, "server");
         let client = boot(&fabric, "client");
         register_echo(&server, 0);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Flag::new(false));
         let client2 = client.clone();
         let server_addr = server.address();
         let stop2 = Arc::clone(&stop);
         let traffic = std::thread::spawn(move || {
             let mut count = 0u64;
-            while !stop2.load(Ordering::SeqCst) {
+            while !stop2.get() {
                 let out: String = client2
                     .forward(&server_addr, "echo", 0, &"live".to_string())
                     .expect("echo during reconfig");
@@ -1368,7 +1373,7 @@ mod tests {
             server.remove_xstream(&es).unwrap();
             server.remove_pool(&pool).unwrap();
         }
-        stop.store(true, Ordering::SeqCst);
+        stop.set(true);
         let count = traffic.join().unwrap();
         assert!(count > 0);
         server.finalize();
@@ -1380,7 +1385,7 @@ mod tests {
         let fabric = Fabric::new();
         let server = boot(&fabric, "server");
         let client = boot(&fabric, "client");
-        let seen = Arc::new(AtomicBool::new(false));
+        let seen = Arc::new(Flag::new(false));
         let seen2 = Arc::clone(&seen);
         server
             .register(
@@ -1390,7 +1395,7 @@ mod tests {
                 Arc::new(move |ctx: RpcContext| {
                     let value: String = ctx.args().unwrap();
                     assert_eq!(value, "fire");
-                    seen2.store(true, Ordering::SeqCst);
+                    seen2.set(true);
                 }),
             )
             .unwrap();
@@ -1398,7 +1403,7 @@ mod tests {
         assert!(mochi_util::time::wait_until(
             Duration::from_secs(5),
             Duration::from_millis(1),
-            || seen.load(Ordering::SeqCst)
+            || seen.get()
         ));
         server.finalize();
         client.finalize();
@@ -1595,13 +1600,15 @@ mod tests {
             })
             .unwrap();
         let client = boot(&fabric, "client");
-        let _ = client.forward_timeout::<String, String>(
-            &relay.address(),
-            "relay",
-            5,
-            &"x".to_string(),
-            Duration::from_millis(100),
-        );
+        client
+            .forward_timeout::<String, String>(
+                &relay.address(),
+                "relay",
+                5,
+                &"x".to_string(),
+                Duration::from_millis(100),
+            )
+            .unwrap_err();
         assert!(mochi_util::time::wait_until(
             Duration::from_secs(5),
             Duration::from_millis(1),
@@ -1674,14 +1681,14 @@ mod tests {
                 if panics {
                     panic!("intentional");
                 }
-                let _ = ctx.respond(&());
+                ctx.reply(Ok(()));
             };
             server.register(name, 0, None, Arc::new(handler)).unwrap();
         }
         let client = boot(&fabric, "client");
         let budget = Duration::from_millis(300);
         client.forward_timeout::<(), ()>(&server.address(), "tidy", 0, &(), budget).unwrap();
-        let _ = client.forward_timeout::<(), ()>(&server.address(), "boom", 0, &(), budget);
+        client.forward_timeout::<(), ()>(&server.address(), "boom", 0, &(), budget).unwrap_err();
         let forwards = log.wait_for(4);
         for (pair, parent) in forwards.chunks(2).zip(["tidy", "boom"]) {
             let (inside, next) = (&pair[0], &pair[1]);
@@ -1767,13 +1774,9 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let _ = client.forward_timeout::<(), ()>(
-            &relay.address(),
-            "late",
-            0,
-            &(),
-            Duration::from_millis(50),
-        );
+        client
+            .forward_timeout::<(), ()>(&relay.address(), "late", 0, &(), Duration::from_millis(50))
+            .unwrap_err();
         assert!(mochi_util::time::wait_until(
             Duration::from_secs(5),
             Duration::from_millis(1),
@@ -2070,14 +2073,14 @@ mod tests {
         // stranded message stays stranded. (Not a `Barrier`: a caller that
         // fails must not leave the others waiting for it.)
         let answered = std::sync::atomic::AtomicU64::new(0);
-        let failed = AtomicBool::new(false);
+        let failed = Flag::new(false);
         std::thread::scope(|scope| {
             for caller in 0..CALLERS {
                 let (client, dest, answered, failed) = (&client, &dest, &answered, &failed);
                 scope.spawn(move || {
                     for call in 0..CALLS {
                         while answered.load(Ordering::SeqCst) < call * CALLERS {
-                            if failed.load(Ordering::SeqCst) {
+                            if failed.get() {
                                 return;
                             }
                             std::thread::yield_now();
@@ -2087,7 +2090,7 @@ mod tests {
                         let echoed: Result<String, _> =
                             client.forward_timeout(dest, "echo", 0, &sent, Duration::from_secs(5));
                         if echoed.as_ref() != Ok(&sent) {
-                            failed.store(true, Ordering::SeqCst);
+                            failed.set(true);
                             panic!("call {sent} got {echoed:?}");
                         }
                         answered.fetch_add(1, Ordering::SeqCst);
@@ -2098,7 +2101,7 @@ mod tests {
         let quiet = || {
             noted.load(Ordering::SeqCst) == (CALLERS * CALLS) as i64
                 && server.in_flight_server() == 0
-                && !server.inner.progress_armed.load(Ordering::SeqCst)
+                && !server.inner.progress_armed.get()
         };
         assert!(
             mochi_util::time::wait_until(Duration::from_secs(10), Duration::from_millis(1), quiet),
@@ -2106,7 +2109,7 @@ mod tests {
             noted.load(Ordering::SeqCst),
             CALLERS * CALLS,
             server.in_flight_server(),
-            server.inner.progress_armed.load(Ordering::SeqCst),
+            server.inner.progress_armed.get(),
         );
         assert!(server.inner.endpoint.progress(Duration::ZERO).unwrap().is_none());
         server.finalize();
@@ -2135,12 +2138,12 @@ mod tests {
         /// dispatched.
         struct SendAnother {
             server: std::sync::OnceLock<MargoRuntime>,
-            sent: AtomicBool,
+            sent: Flag,
         }
         impl Monitor for SendAnother {
             fn observe(&self, event: &MonitoringEvent<'_>) {
                 if matches!(event, MonitoringEvent::RequestReceived { .. })
-                    && !self.sent.swap(true, Ordering::SeqCst)
+                    && !self.sent.swap(true)
                 {
                     let server = self.server.get().unwrap();
                     server.notify(&server.address(), "note", 0, &()).unwrap();
@@ -2162,14 +2165,14 @@ mod tests {
         let noted = register_note(&server);
         let monitor = Arc::new(SendAnother {
             server: std::sync::OnceLock::new(),
-            sent: AtomicBool::new(false),
+            sent: Flag::new(false),
         });
         monitor.server.set(server.clone()).ok().unwrap();
         server.add_monitor(monitor);
 
         // Let `init`'s own arming run out, then occupy the progress xstream.
         let pool = server.find_pool_by_name("progress").unwrap();
-        let armed = || server.inner.progress_armed.load(Ordering::SeqCst);
+        let armed = || server.inner.progress_armed.get();
         assert!(mochi_util::time::wait_until(
             Duration::from_secs(5),
             Duration::from_millis(1),
@@ -2179,6 +2182,10 @@ mod tests {
         let (release, released) = std::sync::mpsc::channel::<()>();
         pool.push(Ult::new("occupy", move || {
             started_tx.send(()).unwrap();
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a send or the sender's drop ends the occupation alike"
+            )]
             let _ = released.recv();
         }));
         started.recv().unwrap();

@@ -13,7 +13,7 @@
 //! as a completion callback runs on whichever thread makes progress.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,6 +23,7 @@ use parking_lot::{Condvar, Mutex};
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedMutexGuard};
 use mochi_util::time::precise_sleep;
 use mochi_util::IdMap;
+use mochi_util::Flag;
 
 use crate::address::Address;
 use crate::bulk::{BulkAccess, BulkHandle};
@@ -314,7 +315,7 @@ pub struct Endpoint {
     fabric: Arc<FabricInner>,
     pending: Arc<PendingMap>,
     next_xid: AtomicU64,
-    closed: AtomicBool,
+    closed: Flag,
 }
 
 impl Endpoint {
@@ -335,7 +336,7 @@ impl Endpoint {
             // response to a predecessor at this address from matching a
             // request of its successor.
             next_xid: AtomicU64::new(uid),
-            closed: AtomicBool::new(false),
+            closed: Flag::new(false),
         }
     }
 
@@ -362,7 +363,7 @@ impl Endpoint {
     }
 
     fn ensure_open(&self) -> Result<(), MercuryError> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.closed.get() {
             Err(MercuryError::LocalShutdown)
         } else {
             Ok(())
@@ -550,7 +551,7 @@ impl Endpoint {
     /// traffic addressed to it — unless a newer endpoint has since been
     /// registered at the same address (a restarted process).
     pub fn shutdown(&self) {
-        if self.closed.swap(true, Ordering::SeqCst) {
+        if self.closed.swap(true) {
             return;
         }
         self.fabric_handle().kill_if_owner(&self.addr, self.uid);
@@ -559,7 +560,7 @@ impl Endpoint {
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        if !self.closed.load(Ordering::Acquire) {
+        if !self.closed.get() {
             self.shutdown();
         }
     }
@@ -726,6 +727,10 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let tx = Mutex::new(tx);
         server.set_arrival_hook(move || {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the test reads the first arrival only: later ones find the receiver gone"
+            )]
             let _ = tx.lock().send(std::thread::current().name().map(str::to_string));
         });
         let _pending = ping(&client, &server);

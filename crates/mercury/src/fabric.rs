@@ -16,7 +16,6 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,6 +23,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
 use mochi_util::SeededRng;
+use mochi_util::Flag;
 
 use crate::address::Address;
 use crate::bulk::BulkRegistry;
@@ -110,7 +110,7 @@ pub(crate) struct FabricInner {
     jitter: Mutex<SeededRng>,
     scheduler: OrderedMutex<SchedulerState>,
     scheduler_cv: Condvar,
-    closed: AtomicBool,
+    closed: Flag,
 }
 
 impl FabricInner {
@@ -148,7 +148,7 @@ impl FabricInner {
 
     /// See [`Fabric::send`].
     pub(crate) fn send(self: &Arc<Self>, envelope: Envelope) -> Result<(), MercuryError> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.closed.get() {
             return Err(MercuryError::LocalShutdown);
         }
         {
@@ -274,7 +274,7 @@ impl Fabric {
                     SchedulerState::default(),
                 ),
                 scheduler_cv: Condvar::new(),
-                closed: AtomicBool::new(false),
+                closed: Flag::new(false),
             }),
         }
     }
@@ -377,7 +377,7 @@ impl Fabric {
     /// Shuts down the fabric: the delivery thread exits and in-flight
     /// delayed messages are discarded. Endpoints read as shut down.
     pub fn shutdown(&self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.inner.closed.set(true);
         {
             let mut state = self.inner.scheduler.lock();
             state.shutdown = true;

@@ -11,7 +11,6 @@
 //! several execution streams to keep a few submissions in flight.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,6 +22,7 @@ use mochi_margo::{MargoError, MargoRuntime};
 use mochi_mercury::Address;
 use mochi_util::ordered_lock::{rank, OrderedMutex};
 use mochi_util::SeededRng;
+use mochi_util::Flag;
 
 use crate::messages::{rpc, *};
 use crate::storage::{Meta, RaftStorage, SnapshotRecord};
@@ -157,6 +157,10 @@ impl Core {
 
     fn fail_all_waiters(&mut self, reason: &str) {
         for (_, waiter) in self.waiters.drain() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a waiter that timed out dropped its receiver; nobody is left to tell"
+            )]
             let _ = waiter.send(Err(reason.to_string()));
         }
     }
@@ -170,7 +174,7 @@ struct NodeInner {
     core: OrderedMutex<Core>,
     /// Wakes replicators when new entries arrive or leadership changes.
     signal: Notifier,
-    stopped: AtomicBool,
+    stopped: Flag,
     threads: OrderedMutex<Vec<std::thread::JoinHandle<()>>>,
     replicators: OrderedMutex<std::collections::HashSet<Address>>,
     rng: OrderedMutex<SeededRng>,
@@ -255,7 +259,7 @@ impl RaftNode {
             storage,
             core: OrderedMutex::new(rank::RAFT_CORE, "raft.core", core),
             signal: Notifier::new(),
-            stopped: AtomicBool::new(false),
+            stopped: Flag::new(false),
             threads: OrderedMutex::new(rank::RAFT_THREADS, "raft.threads", Vec::new()),
             replicators: OrderedMutex::new(
                 rank::RAFT_REPLICATORS,
@@ -322,24 +326,45 @@ impl RaftNode {
     // Role transitions (called with the core lock held)
     // ------------------------------------------------------------------
 
-    fn become_follower(inner: &Arc<NodeInner>, core: &mut Core, term: Term) {
+    /// Writes `meta` and adopts it only once it is on disk: a term or a
+    /// vote this node acts on survives a restart, so it can never ack an
+    /// older leader or vote twice in one term after one. On an error the
+    /// node keeps the meta it had; the caller refuses what it was asked.
+    fn persist_meta(inner: &NodeInner, core: &mut Core, meta: Meta) -> Result<(), String> {
+        inner.storage.save_meta(&meta).map_err(storage_error)?;
+        core.meta = meta;
+        Ok(())
+    }
+
+    /// Steps down, adopting `term` if it is newer. `Err` when the newer
+    /// term could not be persisted: the node is a follower of its old term
+    /// then, and a handler must not answer for the new one.
+    fn become_follower(inner: &Arc<NodeInner>, core: &mut Core, term: Term) -> Result<(), String> {
         let was_leader = core.role == Role::Leader;
         core.role = Role::Follower;
-        if term > core.meta.term {
-            core.meta.term = term;
-            core.meta.voted_for = None;
-            let _ = inner.storage.save_meta(&core.meta);
-        }
         if was_leader {
             core.fail_all_waiters("lost leadership");
+        }
+        if term > core.meta.term {
+            Self::persist_meta(inner, core, Meta { term, voted_for: None })?;
         }
         // Note: the election timer is NOT reset here — only genuine
         // leader contact (AppendEntries/InstallSnapshot) or granting a
         // vote restarts it, which is what keeps a deposed node from
         // being repeatedly silenced by stray higher terms.
+        Ok(())
     }
 
-    fn become_leader(inner: &Arc<NodeInner>, core: &mut Core) {
+    /// Takes leadership once the barrier entry (§5.4.2), which lets
+    /// earlier-term entries commit, is in this node's log on disk: a
+    /// leader counts its own log toward every commit quorum.
+    fn become_leader(inner: &Arc<NodeInner>, core: &mut Core) -> Result<(), String> {
+        let entry = LogEntry {
+            term: core.meta.term,
+            index: core.last_log_index() + 1,
+            command: RaftCommand::Noop,
+        };
+        inner.storage.append_entries(std::slice::from_ref(&entry)).map_err(storage_error)?;
         core.role = Role::Leader;
         core.leader_hint = Some(inner.margo.address());
         let next = core.last_log_index() + 1;
@@ -351,14 +376,8 @@ impl RaftNode {
                 core.match_index.insert(peer, 0);
             }
         }
-        // Barrier entry so earlier-term entries can commit (§5.4.2).
-        let entry = LogEntry {
-            term: core.meta.term,
-            index: core.last_log_index() + 1,
-            command: RaftCommand::Noop,
-        };
-        let _ = inner.storage.append_entries(std::slice::from_ref(&entry));
         core.log.push(entry);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -385,6 +404,10 @@ impl RaftNode {
             };
             core.last_applied = index;
             if let Some(waiter) = core.waiters.remove(&index) {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a waiter that timed out dropped its receiver; nobody is left to tell"
+                )]
                 let _ = waiter.send(Ok(result));
             }
         }
@@ -426,7 +449,7 @@ impl RaftNode {
         let handle = std::thread::Builder::new()
             .name(format!("raft-tick-{}", self.address()))
             .spawn(move || {
-                while !inner.stopped.load(Ordering::SeqCst) {
+                while !inner.stopped.get() {
                     std::thread::sleep(Duration::from_millis(5));
                     node.tick();
                 }
@@ -485,6 +508,10 @@ impl RaftNode {
         core.snap_index = at;
         core.snap_term = term;
         core.snap_membership = record.membership;
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the snapshot is durable: a log file that still holds the entries it covers is a crash between the two writes, and `start` drops those entries"
+        )]
         let _ = inner.storage.rewrite_log(&core.log);
     }
 
@@ -562,9 +589,11 @@ impl RaftNode {
                     received += 1;
                     if !args.pre_vote && reply.term > args.term {
                         let mut core = inner.core.lock();
-                        if reply.term > core.meta.term {
-                            Self::become_follower(inner, &mut core, reply.term);
-                        }
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "stepping down answers no one: a term that did not persist is not adopted, and the next message that carries it tries again"
+                        )]
+                        let _ = Self::become_follower(inner, &mut core, reply.term);
                         return false;
                     }
                     if reply.vote_granted {
@@ -596,18 +625,15 @@ impl RaftNode {
                     if core.meta.term >= proposed || core.role == Role::Leader {
                         return; // the world moved on during the prevote
                     }
-                    core.role = Role::Candidate;
-                    core.meta.term = proposed;
-                    core.meta.voted_for = Some(inner.margo.address());
-                    if inner.storage.save_meta(&core.meta).is_err() {
+                    let meta = Meta { term: proposed, voted_for: Some(inner.margo.address()) };
+                    if Self::persist_meta(&inner, &mut core, meta).is_err() {
                         // A vote we cannot persist is a vote we must not
                         // cast: after a restart this node could vote
                         // again in the same term and elect two leaders.
-                        // Stand down; the in-memory vote keeps us from
-                        // granting anyone else this term meanwhile.
                         core.role = Role::Follower;
                         return;
                     }
+                    core.role = Role::Candidate;
                     core.last_heartbeat = Instant::now();
                     RequestVoteArgs {
                         term: proposed,
@@ -622,7 +648,10 @@ impl RaftNode {
                 }
                 let mut core = inner.core.lock();
                 if core.role == Role::Candidate && core.meta.term == proposed {
-                    Self::become_leader(&inner, &mut core);
+                    if Self::become_leader(&inner, &mut core).is_err() {
+                        core.role = Role::Follower;
+                        return;
+                    }
                     drop(core);
                     inner.signal.notify_all();
                 }
@@ -664,7 +693,7 @@ impl RaftNode {
         let heartbeat = Duration::from_millis(inner.config.heartbeat_ms);
         let rpc_timeout = Duration::from_millis(inner.config.rpc_timeout_ms);
         let mut last_send = Instant::now() - heartbeat;
-        while !inner.stopped.load(Ordering::SeqCst) {
+        while !inner.stopped.get() {
             let generation = inner.signal.generation();
             enum Work {
                 Idle,
@@ -733,7 +762,11 @@ impl RaftNode {
                         Ok(reply) => {
                             let mut core = inner.core.lock();
                             if reply.term > core.meta.term {
-                                Self::become_follower(&inner, &mut core, reply.term);
+                                #[expect(
+                                    clippy::let_underscore_must_use,
+                                    reason = "stepping down answers no one: a term that did not persist is not adopted, and the next message that carries it tries again"
+                                )]
+                                let _ = Self::become_follower(&inner, &mut core, reply.term);
                                 continue;
                             }
                             if core.role != Role::Leader || core.meta.term != args.term {
@@ -775,7 +808,11 @@ impl RaftNode {
                     if let Ok(reply) = reply {
                         let mut core = inner.core.lock();
                         if reply.term > core.meta.term {
-                            Self::become_follower(&inner, &mut core, reply.term);
+                            #[expect(
+                                clippy::let_underscore_must_use,
+                                reason = "stepping down answers no one: a term that did not persist is not adopted, and the next message that carries it tries again"
+                            )]
+                            let _ = Self::become_follower(&inner, &mut core, reply.term);
                         } else if core.role == Role::Leader {
                             core.match_index.insert(peer.clone(), last);
                             core.next_index.insert(peer.clone(), last + 1);
@@ -810,12 +847,16 @@ impl RaftNode {
                 index: core.last_log_index() + 1,
                 command: command.clone(),
             };
+            // The entry counts toward its own commit as soon as it is in
+            // the leader's log, so it enters that log only once on disk.
+            if let Err(e) = inner.storage.append_entries(std::slice::from_ref(&entry)) {
+                return SubmitReply::Failed(storage_error(e));
+            }
             if let RaftCommand::Config(list) = &command {
                 // Configs take effect at append time (§6 of the Raft
                 // paper's single-server change discipline).
                 core.membership = list.clone();
             }
-            let _ = inner.storage.append_entries(std::slice::from_ref(&entry));
             core.waiters.insert(entry.index, tx);
             core.log.push(entry);
             // Single-node cluster: commit immediately.
@@ -841,18 +882,18 @@ impl RaftNode {
 
         let node = self.clone();
         margo.register_typed(rpc::REQUEST_VOTE, id, pool, move |args: RequestVoteArgs, _| {
-            Ok(node.handle_request_vote(args))
+            node.handle_request_vote(args)
         })?;
         let node = self.clone();
         margo.register_typed(rpc::APPEND_ENTRIES, id, pool, move |args: AppendEntriesArgs, _| {
-            Ok(node.handle_append_entries(args))
+            node.handle_append_entries(args)
         })?;
         let node = self.clone();
         margo.register_typed(
             rpc::INSTALL_SNAPSHOT,
             id,
             pool,
-            move |args: InstallSnapshotArgs, _| Ok(node.handle_install_snapshot(args)),
+            move |args: InstallSnapshotArgs, _| node.handle_install_snapshot(args),
         )?;
         let node = self.clone();
         margo.register_typed(rpc::SUBMIT, id, pool, move |args: SubmitArgs, _| {
@@ -895,7 +936,11 @@ impl RaftNode {
         self.append_and_wait(RaftCommand::Config(new_list))
     }
 
-    fn handle_request_vote(&self, args: RequestVoteArgs) -> RequestVoteReply {
+    // A handler that cannot persist what it would acknowledge answers
+    // with an error instead: the caller counts no vote and the leader
+    // retries the entries or the snapshot after a heartbeat.
+
+    fn handle_request_vote(&self, args: RequestVoteArgs) -> Result<RequestVoteReply, String> {
         let inner = &self.inner;
         let mut core = inner.core.lock();
         let up_to_date = args.last_log_term > core.last_log_term()
@@ -910,40 +955,40 @@ impl RaftNode {
         if args.pre_vote {
             let granted =
                 args.term > core.meta.term && up_to_date && !heard_from_leader_recently;
-            return RequestVoteReply { term: core.meta.term, vote_granted: granted };
+            return Ok(RequestVoteReply { term: core.meta.term, vote_granted: granted });
         }
         if heard_from_leader_recently && args.term > core.meta.term {
-            return RequestVoteReply { term: core.meta.term, vote_granted: false };
+            return Ok(RequestVoteReply { term: core.meta.term, vote_granted: false });
         }
         if args.term > core.meta.term {
-            Self::become_follower(inner, &mut core, args.term);
+            Self::become_follower(inner, &mut core, args.term)?;
         }
         let mut granted = false;
         if args.term == core.meta.term {
             let can_vote = core.meta.voted_for.is_none()
                 || core.meta.voted_for.as_ref() == Some(&args.candidate);
             if can_vote && up_to_date {
+                let meta = Meta { term: core.meta.term, voted_for: Some(args.candidate.clone()) };
+                Self::persist_meta(inner, &mut core, meta)?;
                 granted = true;
-                core.meta.voted_for = Some(args.candidate.clone());
-                let _ = inner.storage.save_meta(&core.meta);
                 core.last_heartbeat = Instant::now();
             }
         }
-        RequestVoteReply { term: core.meta.term, vote_granted: granted }
+        Ok(RequestVoteReply { term: core.meta.term, vote_granted: granted })
     }
 
-    fn handle_append_entries(&self, args: AppendEntriesArgs) -> AppendEntriesReply {
+    fn handle_append_entries(&self, args: AppendEntriesArgs) -> Result<AppendEntriesReply, String> {
         let inner = &self.inner;
         let mut core = inner.core.lock();
         if args.term < core.meta.term {
-            return AppendEntriesReply {
+            return Ok(AppendEntriesReply {
                 term: core.meta.term,
                 success: false,
                 conflict_index: core.last_log_index() + 1,
                 match_index: 0,
-            };
+            });
         }
-        Self::become_follower(inner, &mut core, args.term);
+        Self::become_follower(inner, &mut core, args.term)?;
         core.leader_hint = Some(args.leader.clone());
         core.last_heartbeat = Instant::now();
 
@@ -951,12 +996,12 @@ impl RaftNode {
         // definition; clamp prev to the snapshot boundary.
         let prev = args.prev_log_index;
         if prev > core.last_log_index() {
-            return AppendEntriesReply {
+            return Ok(AppendEntriesReply {
                 term: core.meta.term,
                 success: false,
                 conflict_index: core.last_log_index() + 1,
                 match_index: 0,
-            };
+            });
         }
         if prev > core.snap_index {
             let local_term = core.term_at(prev);
@@ -967,44 +1012,45 @@ impl RaftNode {
                 while first > core.snap_index + 1 && core.term_at(first - 1) == Some(bad_term) {
                     first -= 1;
                 }
-                return AppendEntriesReply {
+                return Ok(AppendEntriesReply {
                     term: core.meta.term,
                     success: false,
                     conflict_index: first,
                     match_index: 0,
-                };
+                });
             }
         }
 
-        // Append, truncating on divergence.
-        let mut truncated = false;
+        // The entries this node lacks: those past its log, or, from the
+        // first one whose term differs, the rest of the batch, which
+        // replaces the divergent suffix.
+        let mut divergent_from: Option<usize> = None;
         let mut to_append: Vec<LogEntry> = Vec::new();
-        for entry in &args.entries {
+        for (i, entry) in args.entries.iter().enumerate() {
             if entry.index <= core.snap_index {
                 continue; // already in the snapshot
             }
             match core.term_at(entry.index) {
                 Some(term) if term == entry.term => {} // already have it
                 Some(_) => {
-                    // Divergence: drop this entry and everything after.
-                    let keep = (entry.index - core.snap_index - 1) as usize;
-                    core.log.truncate(keep);
-                    truncated = true;
-                    to_append.push(entry.clone());
+                    divergent_from = Some((entry.index - core.snap_index - 1) as usize);
+                    to_append.extend_from_slice(&args.entries[i..]);
+                    break;
                 }
                 None => to_append.push(entry.clone()),
             }
         }
-        if truncated {
+        // On disk first: success acknowledges entries this node holds
+        // across a restart.
+        if let Some(keep) = divergent_from {
+            let mut log = core.log[..keep].to_vec();
+            log.extend_from_slice(&to_append);
+            inner.storage.rewrite_log(&log).map_err(storage_error)?;
+            core.log = log;
             core.recompute_membership();
-        }
-        if !to_append.is_empty() {
-            core.log.extend(to_append.iter().cloned());
-            if truncated {
-                let _ = inner.storage.rewrite_log(&core.log);
-            } else {
-                let _ = inner.storage.append_entries(&to_append);
-            }
+        } else if !to_append.is_empty() {
+            inner.storage.append_entries(&to_append).map_err(storage_error)?;
+            core.log.extend_from_slice(&to_append);
             if to_append.iter().any(|e| matches!(e.command, RaftCommand::Config(_))) {
                 core.recompute_membership();
             }
@@ -1016,48 +1062,58 @@ impl RaftNode {
             core.commit_index = args.leader_commit.min(match_index);
             Self::apply_committed(inner, &mut core);
         }
-        AppendEntriesReply {
+        Ok(AppendEntriesReply {
             term: core.meta.term,
             success: true,
             conflict_index: 0,
             match_index,
-        }
+        })
     }
 
-    fn handle_install_snapshot(&self, args: InstallSnapshotArgs) -> InstallSnapshotReply {
+    fn handle_install_snapshot(
+        &self,
+        args: InstallSnapshotArgs,
+    ) -> Result<InstallSnapshotReply, String> {
         let inner = &self.inner;
         let mut core = inner.core.lock();
         if args.term < core.meta.term {
-            return InstallSnapshotReply { term: core.meta.term };
+            return Ok(InstallSnapshotReply { term: core.meta.term });
         }
-        Self::become_follower(inner, &mut core, args.term);
+        Self::become_follower(inner, &mut core, args.term)?;
         core.leader_hint = Some(args.leader.clone());
         core.last_heartbeat = Instant::now();
         if args.last_included_index <= core.commit_index {
-            return InstallSnapshotReply { term: core.meta.term }; // stale
+            return Ok(InstallSnapshotReply { term: core.meta.term }); // stale
         }
-        core.sm.restore(&args.data);
-        core.log.retain(|e| e.index > args.last_included_index);
-        core.snap_index = args.last_included_index;
-        core.snap_term = args.last_included_term;
-        core.snap_membership = args.membership.clone();
-        core.commit_index = args.last_included_index;
-        core.last_applied = args.last_included_index;
-        core.recompute_membership();
-        let _ = inner.storage.save_snapshot(&SnapshotRecord {
+        // The leader counts a replied install as replicated: save it
+        // before this node's state moves to it.
+        let record = SnapshotRecord {
             last_included_index: args.last_included_index,
             last_included_term: args.last_included_term,
             membership: args.membership,
             data: args.data,
-        });
+        };
+        inner.storage.save_snapshot(&record).map_err(storage_error)?;
+        core.sm.restore(&record.data);
+        core.log.retain(|e| e.index > record.last_included_index);
+        core.snap_index = record.last_included_index;
+        core.snap_term = record.last_included_term;
+        core.snap_membership = record.membership;
+        core.commit_index = record.last_included_index;
+        core.last_applied = record.last_included_index;
+        core.recompute_membership();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the snapshot is durable: a log file that still holds the entries it covers is a crash between the two writes, and `start` drops those entries"
+        )]
         let _ = inner.storage.rewrite_log(&core.log);
-        InstallSnapshotReply { term: core.meta.term }
+        Ok(InstallSnapshotReply { term: core.meta.term })
     }
 
     /// Stops threads and deregisters RPCs. The durable state remains for
     /// a later restart.
     pub fn shutdown(&self) {
-        if self.inner.stopped.swap(true, Ordering::SeqCst) {
+        if self.inner.stopped.swap(true) {
             return;
         }
         self.inner.signal.notify_all();
@@ -1067,9 +1123,17 @@ impl RaftNode {
         }
         let threads = std::mem::take(&mut *self.inner.threads.lock());
         for handle in threads {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a thread that panicked has reported it through the panic hook; shutdown goes on"
+            )]
             let _ = handle.join();
         }
         for name in rpc::ALL {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a name that is already gone is what deregistering wants"
+            )]
             let _ = self.inner.margo.deregister(name, self.inner.provider_id);
         }
     }
@@ -1077,7 +1141,12 @@ impl RaftNode {
 
 impl Drop for NodeInner {
     fn drop(&mut self) {
-        self.stopped.store(true, Ordering::SeqCst);
+        self.stopped.set(true);
         self.signal.notify_all();
     }
+}
+
+/// A storage error as the reply of a refused request.
+fn storage_error(e: std::io::Error) -> String {
+    format!("raft storage: {e}")
 }

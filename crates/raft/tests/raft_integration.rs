@@ -9,8 +9,13 @@ use parking_lot::Mutex;
 
 use mochi_margo::MargoRuntime;
 use mochi_mercury::{Address, Fabric};
+use mochi_raft::messages::{
+    rpc, AppendEntriesArgs, AppendEntriesReply, RequestVoteArgs, RequestVoteReply, SubmitReply,
+};
 use mochi_raft::types::LogMachine;
-use mochi_raft::{RaftClient, RaftConfig, RaftNode, StateMachine};
+use mochi_raft::{
+    LogEntry, RaftClient, RaftCommand, RaftConfig, RaftNode, RaftStorage, StateMachine,
+};
 use mochi_util::time::wait_until;
 use mochi_util::TempDir;
 
@@ -345,4 +350,144 @@ fn status_reports_consistent_cluster_shape() {
     assert_eq!(status.membership.len(), 3);
     assert!(status.commit_index >= 1);
     cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Persist before acknowledging: a node acks a vote, an entry or a
+// proposal only once it is on disk. A directory at `meta.json` or
+// `log.bin` in the node's data dir makes that write fail.
+// ---------------------------------------------------------------------
+
+/// One node of a three-member cluster whose other two members never
+/// start: it hears from no leader, so it answers a probe's RPCs itself.
+struct LoneNode {
+    _fabric: Fabric,
+    dir: TempDir,
+    margo: MargoRuntime,
+    node: RaftNode,
+    machine: Arc<Mutex<LogMachine>>,
+    probe: MargoRuntime,
+}
+
+type Fallible<T> = Result<T, Box<dyn std::error::Error>>;
+
+impl LoneNode {
+    fn start(members: &[&str]) -> Fallible<Self> {
+        let fabric = Fabric::new();
+        let dir = TempDir::new("raft-lone")?;
+        let addresses: Vec<Address> = members.iter().map(|m| Address::tcp(*m, 1)).collect();
+        let margo = MargoRuntime::init_default(&fabric, addresses[0].clone())?;
+        let machine = Arc::new(Mutex::new(LogMachine::default()));
+        let node = RaftNode::start(
+            &margo,
+            RAFT_PROVIDER,
+            &addresses,
+            Box::new(SharedMachine(Arc::clone(&machine))),
+            dir.path(),
+            RaftConfig::fast(),
+        )?;
+        let probe = MargoRuntime::init_default(&fabric, Address::tcp("probe", 1))?;
+        Ok(Self { _fabric: fabric, dir, margo, node, machine, probe })
+    }
+
+    /// Makes writes of `file` fail (`true`) or succeed again (`false`).
+    fn block(&self, file: &str, blocked: bool) -> std::io::Result<()> {
+        let path = self.dir.path().join(file);
+        if !blocked {
+            return std::fs::remove_dir(&path);
+        }
+        if path.is_file() {
+            std::fs::remove_file(&path)?;
+        }
+        std::fs::create_dir(&path)
+    }
+
+    fn call<I: serde::Serialize, O: serde::de::DeserializeOwned>(
+        &self,
+        rpc_name: &str,
+        args: &I,
+    ) -> Result<O, mochi_margo::MargoError> {
+        let to = self.margo.address();
+        self.probe.forward_timeout(&to, rpc_name, RAFT_PROVIDER, args, Duration::from_secs(2))
+    }
+
+    fn shutdown(self) {
+        self.node.shutdown();
+        self.margo.finalize();
+        self.probe.finalize();
+    }
+}
+
+#[test]
+fn a_vote_that_cannot_be_persisted_is_not_granted() {
+    let lone = LoneNode::start(&["r0", "r1", "r2"]).unwrap();
+    lone.block("meta.json", true).unwrap();
+    let vote = RequestVoteArgs {
+        term: 5,
+        candidate: Address::tcp("r1", 1),
+        last_log_index: 0,
+        last_log_term: 0,
+        pre_vote: false,
+    };
+    let reply: Result<RequestVoteReply, _> = lone.call(rpc::REQUEST_VOTE, &vote);
+    assert!(
+        !matches!(reply, Ok(RequestVoteReply { vote_granted: true, .. })),
+        "granted a vote it could not persist: {reply:?}"
+    );
+
+    // Once the write goes through, the same request is granted, and the
+    // vote is on disk.
+    lone.block("meta.json", false).unwrap();
+    let reply: RequestVoteReply = lone.call(rpc::REQUEST_VOTE, &vote).unwrap();
+    assert!(reply.vote_granted, "{reply:?}");
+    let meta = RaftStorage::open(lone.dir.path()).unwrap().load_meta();
+    assert_eq!((meta.term, meta.voted_for), (5, Some(Address::tcp("r1", 1))));
+    lone.shutdown();
+}
+
+#[test]
+fn entries_that_cannot_be_persisted_are_not_acknowledged() {
+    let lone = LoneNode::start(&["r0", "r1", "r2"]).unwrap();
+    lone.block("log.bin", true).unwrap();
+    let append = AppendEntriesArgs {
+        term: 1,
+        leader: Address::tcp("r1", 1),
+        prev_log_index: 0,
+        prev_log_term: 0,
+        entries: vec![LogEntry { term: 1, index: 1, command: RaftCommand::App(b"a".to_vec()) }],
+        leader_commit: 1,
+    };
+    let reply: Result<AppendEntriesReply, _> = lone.call(rpc::APPEND_ENTRIES, &append);
+    assert!(
+        !matches!(reply, Ok(AppendEntriesReply { success: true, .. })),
+        "acknowledged an entry it could not persist: {reply:?}"
+    );
+    assert!(lone.machine.lock().applied.is_empty(), "applied an entry it does not hold");
+
+    lone.block("log.bin", false).unwrap();
+    let reply: AppendEntriesReply = lone.call(rpc::APPEND_ENTRIES, &append).unwrap();
+    assert!(reply.success, "{reply:?}");
+    assert_eq!(lone.machine.lock().applied, vec![b"a".to_vec()]);
+    assert_eq!(RaftStorage::open(lone.dir.path()).unwrap().load_log().len(), 1);
+    lone.shutdown();
+}
+
+#[test]
+fn a_proposal_that_cannot_be_persisted_is_refused() {
+    // A one-member cluster: its leader commits on its own log alone.
+    let lone = LoneNode::start(&["r0"]).unwrap();
+    assert!(wait_until(Duration::from_secs(10), Duration::from_millis(10), || {
+        lone.node.is_leader()
+    }));
+    lone.block("log.bin", true).unwrap();
+    match lone.node.submit_local(b"lost".to_vec()) {
+        SubmitReply::Failed(reason) => assert!(reason.contains("raft storage"), "{reason}"),
+        other => panic!("accepted a proposal it could not persist: {other:?}"),
+    }
+    assert!(lone.machine.lock().applied.is_empty(), "applied a proposal it does not hold");
+
+    lone.block("log.bin", false).unwrap();
+    assert!(matches!(lone.node.submit_local(b"kept".to_vec()), SubmitReply::Applied(_)));
+    assert_eq!(lone.machine.lock().applied, vec![b"kept".to_vec()]);
+    lone.shutdown();
 }

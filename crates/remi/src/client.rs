@@ -1,5 +1,7 @@
 //! The REMI client: source side of a migration.
 
+#![deny(clippy::disallowed_methods)]
+
 use std::io::Read;
 use std::time::Duration;
 
@@ -69,8 +71,10 @@ impl RemiClient {
 
     /// Single chokepoint for typed RPCs: every forward in this client
     /// routes through here so retry, breaker, and deadline handling apply
-    /// uniformly — `mochi-lint` MOCHI011 enforces this. (The windowed
-    /// chunk pipeline drives the endpoint directly and is exempt.)
+    /// uniformly; `clippy.toml`'s `disallowed-methods` keeps every other
+    /// forward out of this file. (The windowed chunk pipeline drives the
+    /// endpoint directly and is exempt.)
+    #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
     fn call<I: Serialize, O: DeserializeOwned>(
         &self,
         rpc_name: &str,

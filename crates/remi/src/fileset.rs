@@ -115,6 +115,10 @@ impl FileSet {
         dirs.dedup();
         for dir in dirs {
             if dir != self.root {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a directory that still holds other files is not empty and stays: that failure is the point"
+                )]
                 let _ = std::fs::remove_dir(dir);
             }
         }

@@ -7,6 +7,8 @@
 //! not penalized by argument-encoding inflation (real REMI likewise ships
 //! raw buffers).
 
+#![deny(clippy::disallowed_methods)]
+
 use serde::{Deserialize, Serialize};
 
 use mochi_mercury::BulkHandle;
@@ -172,6 +174,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a strategy is also a field of JSON migration options: this checks that form"
+    )]
     fn strategy_serializes() {
         let s = Strategy::chunked_default();
         let json = serde_json::to_string(&s).unwrap();

@@ -1,5 +1,7 @@
 //! The REMI provider: destination side of a migration.
 
+#![deny(clippy::disallowed_methods)]
+
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::os::unix::fs::FileExt;
@@ -213,13 +215,8 @@ impl RemiProvider {
             rpc::CHUNK,
             provider_id,
             pool,
-            Arc::new(move |ctx: RpcContext| match chunk_inner.apply_chunk(ctx.payload()) {
-                Ok(()) => {
-                    let _ = ctx.respond(&true);
-                }
-                Err(message) => {
-                    let _ = ctx.respond_err(message);
-                }
+            Arc::new(move |ctx: RpcContext| {
+                ctx.reply(chunk_inner.apply_chunk(ctx.payload()).map(|()| true))
             }),
         )?;
 

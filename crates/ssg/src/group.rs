@@ -6,7 +6,6 @@
 //! in all the service's processes" (§6). The cluster harness uses the
 //! address-list bootstrap; joining and leaving are online operations.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,6 +16,7 @@ use mochi_margo::{MargoError, MargoRuntime};
 use mochi_mercury::Address;
 use mochi_util::ordered_lock::{rank, OrderedMutex};
 use mochi_util::SeededRng;
+use mochi_util::Flag;
 
 use crate::config::SwimConfig;
 use crate::swim::{MemberSnapshot, MembershipEvent, SwimState, Update};
@@ -87,7 +87,7 @@ struct GroupInner {
     // leaf: cloned out before any callback runs.
     callbacks: Mutex<Vec<MembershipCallback>>,
     rng: OrderedMutex<SeededRng>,
-    stopped: AtomicBool,
+    stopped: Flag,
 }
 
 impl GroupInner {
@@ -274,7 +274,7 @@ impl SsgGroup {
                 "ssg.rng",
                 SeededRng::new(config.seed).child(&margo.address().to_string()),
             ),
-            stopped: AtomicBool::new(false),
+            stopped: Flag::new(false),
         });
         // Seed the dissemination buffer with our own aliveness so pings
         // propagate the join.
@@ -296,9 +296,9 @@ impl SsgGroup {
         let handle = std::thread::Builder::new()
             .name(format!("ssg-{}", margo.address()))
             .spawn(move || {
-                while !thread_inner.stopped.load(Ordering::SeqCst) {
+                while !thread_inner.stopped.get() {
                     std::thread::sleep(thread_inner.config.period());
-                    if thread_inner.stopped.load(Ordering::SeqCst) {
+                    if thread_inner.stopped.get() {
                         break;
                     }
                     thread_inner.protocol_round();
@@ -433,13 +433,21 @@ impl SsgGroup {
     /// Stops the protocol thread and deregisters RPCs (without the
     /// farewell of [`SsgGroup::leave`] — peers will detect us via SWIM).
     pub fn stop(&self) {
-        if self.inner.stopped.swap(true, Ordering::SeqCst) {
+        if self.inner.stopped.swap(true) {
             return;
         }
         if let Some(handle) = self.thread.lock().take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a thread that panicked has reported it through the panic hook; shutdown goes on"
+            )]
             let _ = handle.join();
         }
         for name in rpc::ALL {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a name that is already gone is what deregistering wants"
+            )]
             let _ = self.inner.margo.deregister(name, self.inner.provider_id);
         }
     }

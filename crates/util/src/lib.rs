@@ -23,11 +23,14 @@
 //! * [`striped`] — thread-striped accumulators merged at dump time, the
 //!   contention-free backing store for hot-path statistics,
 //! * [`durable`] — [`atomic_write`], the temp-name, sync and rename that
-//!   replaces a persisted file without ever tearing it.
+//!   replaces a persisted file without ever tearing it,
+//! * [`flag`] — [`Flag`], the cross-thread boolean, every operation
+//!   `SeqCst`.
 
 pub mod bytesize;
 pub mod checksum;
 pub mod durable;
+pub mod flag;
 pub mod hash;
 pub mod histogram;
 pub mod id;
@@ -40,6 +43,7 @@ pub mod time;
 
 pub use checksum::{crc32, crc64};
 pub use durable::atomic_write;
+pub use flag::Flag;
 pub use hash::{fnv1a64, mix64, IdMap};
 pub use histogram::Histogram;
 pub use id::unique_u64;

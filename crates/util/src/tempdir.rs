@@ -47,6 +47,10 @@ impl TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         if !self.keep {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "drop cannot report, and a directory left behind costs only disk space"
+            )]
             let _ = std::fs::remove_dir_all(&self.path);
         }
     }

@@ -1,5 +1,7 @@
 //! Warabi's client library: blob target handles.
 
+#![deny(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,8 +54,9 @@ impl TargetHandle {
 
     /// Single chokepoint for typed RPCs: every forward in this client
     /// routes through here (or [`Self::call_raw`]) so retry, breaker, and
-    /// deadline handling apply uniformly — `mochi-lint` MOCHI011 enforces
-    /// this.
+    /// deadline handling apply uniformly; `clippy.toml`'s
+    /// `disallowed-methods` keeps every other forward out of this file.
+    #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
     fn call<I: Serialize, O: DeserializeOwned>(
         &self,
         rpc_name: &str,
@@ -64,6 +67,7 @@ impl TargetHandle {
 
     /// Raw-payload counterpart of [`Self::call`] for framed data-plane
     /// RPCs.
+    #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
     fn call_raw(&self, rpc_name: &str, payload: Bytes) -> Result<Bytes, MargoError> {
         self.margo.forward_raw(&self.address, rpc_name, self.provider_id, payload, self.timeout)
     }

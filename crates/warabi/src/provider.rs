@@ -2,6 +2,8 @@
 //! inline path for small transfers and a bulk (RDMA-model) path for
 //! large ones.
 
+#![deny(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -82,14 +84,7 @@ impl WarabiProvider {
                         .map_err(|e| e.to_string())?;
                     t.write(header.id, header.offset, &body).map_err(|e| e.to_string())
                 })();
-                match result {
-                    Ok(()) => {
-                        let _ = ctx.respond(&true);
-                    }
-                    Err(message) => {
-                        let _ = ctx.respond_err(message);
-                    }
-                }
+                ctx.reply(result.map(|()| true));
             }),
         )?;
 
@@ -105,14 +100,7 @@ impl WarabiProvider {
                         t.read(args.id, args.offset, args.len).map_err(|e| e.to_string())?;
                     encode_framed(&(data.len() as u64), &data).map_err(|e| e.to_string())
                 })();
-                match result {
-                    Ok(payload) => {
-                        let _ = ctx.respond_bytes(payload);
-                    }
-                    Err(message) => {
-                        let _ = ctx.respond_err(message);
-                    }
-                }
+                ctx.reply_bytes(result);
             }),
         )?;
 

@@ -6,6 +6,8 @@
 //! several providers also come in a posting form (`post_*` returns a
 //! [`PendingCall`] to wait on).
 
+#![deny(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -183,14 +185,16 @@ impl DatabaseHandle {
 
     /// Single chokepoint for typed RPCs: every forward in this client is
     /// posted here (or in [`Self::post_raw`]) so retry, breaker, and
-    /// deadline handling apply uniformly — `mochi-lint` MOCHI011 enforces
-    /// this.
+    /// deadline handling apply uniformly; `clippy.toml`'s
+    /// `disallowed-methods` keeps every other forward out of this file.
+    #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
     fn post<I: Serialize>(&self, rpc_name: &str, input: &I) -> Result<PendingForward, MargoError> {
         self.margo.iforward_full(&self.address, rpc_name, self.provider_id, input, self.timeout)
     }
 
     /// Raw-payload counterpart of [`Self::post`] for framed data-plane
     /// RPCs.
+    #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
     fn post_raw(&self, rpc_name: &str, payload: Bytes) -> PendingForward {
         self.margo.iforward_raw(&self.address, rpc_name, self.provider_id, payload, self.timeout)
     }

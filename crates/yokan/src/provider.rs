@@ -7,6 +7,8 @@
 //! buffer all the way into the backend, and a value read travels from the
 //! store into the reply frame in one copy (`encode_values`).
 
+#![deny(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};
@@ -175,14 +177,7 @@ fn framed_handler(
     handler: impl Fn(&dyn Database, &[u8]) -> Result<Bytes, String> + Send + Sync + 'static,
 ) -> mochi_margo::RpcHandler {
     let db = Arc::clone(db);
-    Arc::new(move |ctx: RpcContext| match handler(&*db, ctx.payload()) {
-        Ok(payload) => {
-            let _ = ctx.respond_bytes(payload);
-        }
-        Err(message) => {
-            let _ = ctx.respond_err(message);
-        }
-    })
+    Arc::new(move |ctx: RpcContext| ctx.reply_bytes(handler(&*db, ctx.payload())))
 }
 
 impl YokanProvider {

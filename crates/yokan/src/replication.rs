@@ -122,16 +122,7 @@ impl VirtualDatabaseProvider {
         type FramedOp = Box<dyn Fn(&Inner, &Bytes) -> Result<Bytes, String> + Send + Sync>;
         let raw = |inner: &Arc<Inner>, f: FramedOp| -> mochi_margo::RpcHandler {
             let inner = Arc::clone(inner);
-            Arc::new(move |ctx: RpcContext| {
-                match f(&inner, ctx.payload_bytes()) {
-                    Ok(payload) => {
-                        let _ = ctx.respond_bytes(payload);
-                    }
-                    Err(message) => {
-                        let _ = ctx.respond_err(message);
-                    }
-                }
-            })
+            Arc::new(move |ctx: RpcContext| ctx.reply_bytes(f(&inner, ctx.payload_bytes())))
         };
 
         // The same header views, and so the same refusals, as a real

@@ -13,9 +13,11 @@
 #   20 workspace build failed
 #   21 test suite failed (the umbrella package's tests, or mochi-lint's
 #      own), or product code is no longer clippy-clean: the lib and bin
-#      targets of every crate but mochi-perf, the workspace's panic-family
-#      lints included (a new unwrap/expect/panic!/unreachable!/todo!/
-#      unimplemented! site, or an `#[expect]` whose site was fixed)
+#      targets of every crate but mochi-perf, under the workspace's lints
+#      and clippy.toml (a new unwrap/expect/panic!/unreachable!/todo!/
+#      unimplemented! site, a discarded `Result`, an `AtomicBool`, a
+#      forward or a JSON codec call in a data-plane file, or an
+#      `#[expect]` whose site was fixed)
 #   22 benchmark harness failed to compile
 #   23 chaos soak failed (fault-injection resilience regression)
 #   35 live-rebalance soak failed (zero-acked-write-loss or
@@ -226,14 +228,15 @@ echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || exit 43
 
 # Static analysis, last. The linter's own unit and fixture tests first:
-# they are the oracle for what the six rules of its registry catch, and
+# they are the oracle for what the two rules of its registry catch, and
 # no other stage runs them. Where clippy exists, product code stays
 # clippy-clean: the lib and bin targets of every crate, under the
-# workspace's lints (Cargo.toml), warnings denied. That is the one gate on
-# panic paths (DESIGN.md §11.1): a site that stays carries an
-# `#[expect(clippy::…, reason = "…")]`, which fails here once it no
-# longer fires. mochi-perf, the benchmark harness, is left out. Then
-# scripts/lint.sh: one mochi-lint run over the workspace.
+# workspace's lints (Cargo.toml) and clippy.toml, warnings denied. That is
+# the one gate on panic paths, discarded results, bare atomic flags, and
+# forwards and JSON on the data plane (DESIGN.md §11.1): a site that stays
+# carries an `#[expect(clippy::…, reason = "…")]`, which fails here once
+# it no longer fires. mochi-perf, the benchmark harness, is left out.
+# Then scripts/lint.sh: one mochi-lint run over the workspace.
 echo "==> cargo test -p mochi-lint"
 cargo test -q -p mochi-lint || exit 21
 if cargo clippy --version >/dev/null 2>&1; then

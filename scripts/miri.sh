@@ -11,8 +11,9 @@
 # for the rationale: miri is a rustup component the pinned offline CI
 # toolchain does not carry, and interpreting the full workspace under it
 # is orders of magnitude slower than the native suite. Run it locally
-# after touching unsafe code or an `Ordering::` argument; MOCHI014
-# covers the lexical atomics shapes in CI, miri covers the semantics.
+# after touching unsafe code or an `Ordering::` argument; in CI a flag is
+# a `mochi_util::Flag` (`SeqCst` throughout, `clippy.toml` bans
+# `AtomicBool`), miri covers the semantics.
 #
 # Usage: scripts/miri.sh [workspace-root]
 #

@@ -183,7 +183,11 @@ fn run_soak(seed: u64) {
     assert!(
         wait_until(Duration::from_secs(5), Duration::from_millis(20), || {
             let Some(view) = service.view() else { return false };
-            let _ = db0.len(); // keep probe traffic flowing
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "only the probe traffic matters: a failed call is one more probe"
+            )]
+            let _ = db0.len();
             client.breakers().all_closed_among(|addr| view.contains(addr))
         }),
         "breakers did not re-close after heal (seed {seed})"
