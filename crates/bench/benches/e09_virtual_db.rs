@@ -11,7 +11,7 @@ use mochi_bench::{boot, fmt_latency, measure, Table};
 use mochi_margo::MargoRuntime;
 use mochi_mercury::{Address, Fabric};
 use mochi_yokan::backend::memory::MemoryDatabase;
-use mochi_yokan::{DatabaseHandle, VirtualDatabaseProvider, YokanProvider};
+use mochi_yokan::{DatabaseHandle, VirtualDatabase, YokanProvider};
 
 fn main() {
     let fabric = Fabric::new();
@@ -31,14 +31,9 @@ fn main() {
         let front = boot(&fabric, &format!("front-{n}"));
         let targets: Vec<(Address, u16)> =
             replicas.iter().map(|(m, _)| (m.address(), 1u16)).collect();
-        let _virtual_provider = VirtualDatabaseProvider::register(
-            &front,
-            9,
-            None,
-            targets,
-            Duration::from_millis(300),
-        )
-        .unwrap();
+        let virtual_db = VirtualDatabase::new(&front, targets, Duration::from_millis(300));
+        let _virtual_provider =
+            YokanProvider::register(&front, 9, None, Arc::new(virtual_db)).unwrap();
         let db = DatabaseHandle::new(&client, front.address(), 9);
 
         let value = vec![0xABu8; 256];

@@ -42,7 +42,8 @@ impl Default for ResilienceConfig {
 pub struct ResilienceStats {
     /// Completed checkpoint sweeps.
     pub checkpoints: AtomicU64,
-    /// Successful recoveries.
+    /// Successful recoveries: the member was rebuilt and every provider
+    /// with a checkpoint restored it.
     pub recoveries: AtomicU64,
 }
 
@@ -227,15 +228,19 @@ impl ResilienceManager {
             return false;
         };
         // Restore provider state from the checkpoints of the dead
-        // incarnation.
+        // incarnation. A provider whose checkpoint does not restore serves
+        // what it holds, as after a death with no checkpoint, but the
+        // member does not count as recovered. (The sweep makes a directory
+        // for every provider; one without checkpoint support leaves it
+        // empty.)
+        let mut restored = true;
         for provider in server.provider_names() {
             let dir = self.checkpoint_dir(dead, &provider);
-            if dir.exists() {
-                #[expect(
-                    clippy::let_underscore_must_use,
-                    reason = "a provider without checkpoint support errors by design; one whose restore fails serves what it holds, as after a death with no checkpoint"
-                )]
-                let _ = server.restore_provider(&provider, &dir.to_string_lossy());
+            let checkpointed =
+                std::fs::read_dir(&dir).is_ok_and(|mut entries| entries.next().is_some());
+            if checkpointed && server.restore_provider(&provider, &dir.to_string_lossy()).is_err()
+            {
+                restored = false;
             }
         }
         // Join the group through any survivor.
@@ -260,7 +265,7 @@ impl ResilienceManager {
         if self.config.auto_recover {
             self.subscribe(address, &group);
         }
-        true
+        restored
     }
 
     /// Stops the sweeper; in-flight recoveries complete.

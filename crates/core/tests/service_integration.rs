@@ -2,13 +2,17 @@
 //! (scale-out/in with Pufferscale + REMI), and top-down resilience
 //! (SWIM-detected death → checkpoint restore on a fresh node).
 
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde_json::json;
 
+use mochi_bedrock::{Module, ProviderContext, ProviderInstance};
+
 use mochi_core::{Cluster, DynamicService, ResilienceConfig, ResilienceManager, ServiceConfig};
 use mochi_margo::MargoRuntime;
-use mochi_mercury::Address;
+use mochi_mercury::{Address, NetworkModel};
 use mochi_pufferscale::Weights;
 use mochi_remi::Strategy;
 use mochi_util::time::wait_until;
@@ -215,6 +219,81 @@ fn resilience_keeps_checkpointing_after_two_deaths() {
         }),
         "checkpoint sweeps stopped after the second recovery (stuck at {})",
         stat(&manager.stats().checkpoints)
+    );
+
+    manager.stop();
+    service.shutdown();
+}
+
+/// A provider whose checkpoint is written but never restores.
+struct Unrestorable;
+
+impl Module for Unrestorable {
+    fn type_name(&self) -> &str {
+        "unrestorable"
+    }
+
+    fn create(&self, _ctx: ProviderContext) -> Result<Box<dyn ProviderInstance>, String> {
+        Ok(Box::new(Unrestorable))
+    }
+}
+
+impl ProviderInstance for Unrestorable {
+    fn type_name(&self) -> &str {
+        "unrestorable"
+    }
+
+    fn stop(&self) -> Result<(), String> {
+        Ok(())
+    }
+
+    fn checkpoint(&self, dir: &Path) -> Result<(), String> {
+        std::fs::write(dir.join("state"), b"checkpointed").map_err(|e| e.to_string())
+    }
+
+    fn restore(&self, _dir: &Path) -> Result<(), String> {
+        Err("checkpoint does not restore".into())
+    }
+}
+
+/// A member rebuilt on a fresh node still joins and serves when a
+/// checkpoint of one of its providers does not restore, but it is not
+/// counted as a recovery: it came back without the state it had.
+#[test]
+fn a_member_whose_checkpoint_does_not_restore_is_not_a_recovery() {
+    let mut catalog = mochi_core::default_catalog();
+    catalog.install("libunrestorable.so", Arc::new(Unrestorable));
+    let cluster = Cluster::with_options(4, catalog, NetworkModel::instant());
+    let mut config = ServiceConfig::default();
+    config.process.libraries.insert("unrestorable".into(), "libunrestorable.so".into());
+    let service = DynamicService::deploy(&cluster, config, 3, |i| {
+        vec![mochi_bedrock::ProviderSpec::new(format!("state{i}"), "unrestorable", 10 + i as u16)]
+    })
+    .unwrap();
+    let manager = ResilienceManager::attach(
+        &service,
+        ResilienceConfig { checkpoint_interval: Duration::from_millis(100), auto_recover: true },
+    );
+    let stat =
+        |counter: &std::sync::atomic::AtomicU64| counter.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(wait_until(Duration::from_secs(10), Duration::from_millis(10), || {
+        stat(&manager.stats().checkpoints) >= 2
+    }));
+
+    let victim = service.addresses()[2].clone();
+    cluster.crash(&victim).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), Duration::from_millis(20), || {
+            !service.addresses().contains(&victim) && service.addresses().len() == 3
+        }),
+        "victim was not replaced"
+    );
+    // The count follows the join by microseconds when it is taken.
+    assert!(
+        !wait_until(Duration::from_secs(1), Duration::from_millis(10), || {
+            stat(&manager.stats().recoveries) > 0
+        }),
+        "a member whose checkpoint did not restore was counted as recovered"
     );
 
     manager.stop();

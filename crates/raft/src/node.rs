@@ -210,7 +210,9 @@ impl RaftNode {
             .map_err(|e| MargoError::Handler(format!("raft storage: {e}")))?;
         let meta = storage.load_meta();
         let snapshot = storage.load_snapshot();
-        let log = storage.load_log();
+        let log = storage
+            .load_log()
+            .map_err(|e| MargoError::Handler(format!("raft storage: {e}")))?;
         let mut core = Core {
             role: Role::Follower,
             meta,

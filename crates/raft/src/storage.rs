@@ -94,8 +94,17 @@ impl RaftStorage {
         }
         let mut file =
             std::fs::OpenOptions::new().create(true).append(true).open(self.log_path())?;
-        file.write_all(&buffer)?;
-        Ok(())
+        let len = file.metadata()?.len();
+        file.write_all(&buffer).inspect_err(|_| {
+            // Best effort: a part-written record left in place would sit
+            // in front of the next append, and the caller acknowledges
+            // nothing of this one anyway.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the write's own error is the one reported"
+            )]
+            let _ = file.set_len(len);
+        })
     }
 
     /// Rewrites the whole log (truncation, compaction).
@@ -107,10 +116,13 @@ impl RaftStorage {
         atomic_write(&self.log_path(), &buffer)
     }
 
-    /// Loads the log, tolerating a torn tail.
-    pub fn load_log(&self) -> Vec<LogEntry> {
-        let Ok(data) = std::fs::read(self.log_path()) else {
-            return Vec::new();
+    /// Loads the log. A torn tail is cut off the file, so the next append
+    /// lands right after the last whole record instead of behind the tear.
+    pub fn load_log(&self) -> std::io::Result<Vec<LogEntry>> {
+        let data = match std::fs::read(self.log_path()) {
+            Ok(data) => data,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e),
         };
         let mut entries = Vec::new();
         // `[u32 len][body][u32 crc]` records; the first one that is short,
@@ -129,7 +141,12 @@ impl RaftStorage {
             }
             rest = after;
         }
-        entries
+        if !rest.is_empty() {
+            let file = std::fs::OpenOptions::new().write(true).open(self.log_path())?;
+            file.set_len((data.len() - rest.len()) as u64)?;
+            file.sync_data()?;
+        }
+        Ok(entries)
     }
 
     /// Persists a snapshot.
@@ -170,7 +187,7 @@ mod tests {
         let storage = RaftStorage::open(dir.path()).unwrap();
         storage.append_entries(&[entry(1, 1), entry(2, 1)]).unwrap();
         storage.append_entries(&[entry(3, 2)]).unwrap();
-        let log = storage.load_log();
+        let log = storage.load_log().unwrap();
         assert_eq!(log.len(), 3);
         assert_eq!(log[2].term, 2);
     }
@@ -181,7 +198,7 @@ mod tests {
         let storage = RaftStorage::open(dir.path()).unwrap();
         storage.append_entries(&[entry(1, 1), entry(2, 1), entry(3, 1)]).unwrap();
         storage.rewrite_log(&[entry(1, 1)]).unwrap();
-        assert_eq!(storage.load_log().len(), 1);
+        assert_eq!(storage.load_log().unwrap().len(), 1);
     }
 
     #[test]
@@ -192,8 +209,22 @@ mod tests {
         let path = dir.path().join("log.bin");
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 2]).unwrap();
-        let log = storage.load_log();
+        let log = storage.load_log().unwrap();
         assert_eq!(log.len(), 1);
+    }
+
+    #[test]
+    fn an_entry_appended_after_a_torn_tail_survives_the_next_load() {
+        let dir = TempDir::new("raft-torn-append").unwrap();
+        let storage = RaftStorage::open(dir.path()).unwrap();
+        storage.append_entries(&[entry(1, 1), entry(2, 1)]).unwrap();
+        let path = dir.path().join("log.bin");
+        let data = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &data[..data.len() - 2]).unwrap();
+        assert_eq!(storage.load_log().unwrap().len(), 1);
+        storage.append_entries(&[entry(2, 2)]).unwrap();
+        let log = storage.load_log().unwrap();
+        assert_eq!(log.iter().map(|e| (e.index, e.term)).collect::<Vec<_>>(), [(1, 1), (2, 2)]);
     }
 
     #[test]

@@ -468,7 +468,7 @@ fn entries_that_cannot_be_persisted_are_not_acknowledged() {
     let reply: AppendEntriesReply = lone.call(rpc::APPEND_ENTRIES, &append).unwrap();
     assert!(reply.success, "{reply:?}");
     assert_eq!(lone.machine.lock().applied, vec![b"a".to_vec()]);
-    assert_eq!(RaftStorage::open(lone.dir.path()).unwrap().load_log().len(), 1);
+    assert_eq!(RaftStorage::open(lone.dir.path()).unwrap().load_log().unwrap().len(), 1);
     lone.shutdown();
 }
 

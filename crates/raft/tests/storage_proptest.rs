@@ -40,7 +40,7 @@ proptest! {
             storage.append_entries(batch).unwrap();
             expected.extend(batch.iter().cloned());
         }
-        prop_assert_eq!(storage.load_log(), expected);
+        prop_assert_eq!(storage.load_log().unwrap(), expected);
     }
 
     #[test]
@@ -55,7 +55,7 @@ proptest! {
         let data = std::fs::read(&path).unwrap();
         let keep = data.len().saturating_sub(cut % data.len().max(1));
         std::fs::write(&path, &data[..keep]).unwrap();
-        let loaded = storage.load_log();
+        let loaded = storage.load_log().unwrap();
         // The loaded log is a strict prefix of what was written.
         prop_assert!(loaded.len() <= entries.len());
         prop_assert_eq!(&entries[..loaded.len()], &loaded[..]);

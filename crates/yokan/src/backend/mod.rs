@@ -8,7 +8,10 @@
 //!   sorts its keys when a listing asks for them,
 //! * [`lsm::LsmDatabase`] (`"lsm"`) — value logs + memtable + merged
 //!   tables of keys and references; its on-disk files are what REMI
-//!   migrates and what makes restarts after a crash meaningful.
+//!   migrates and what makes restarts after a crash meaningful,
+//! * [`crate::replication::VirtualDatabase`] (`"virtual"`) — stores
+//!   nothing itself and forwards to N replica providers. [`create_backend`]
+//!   does not build it; Bedrock's `yokan-virtual` module does.
 
 pub mod lsm;
 pub mod memory;
@@ -56,7 +59,7 @@ impl From<std::io::Error> for YokanError {
 
 /// The abstract database interface served by a Yokan provider.
 pub trait Database: Send + Sync {
-    /// Backend name (`"map"`, `"lsm"`).
+    /// Backend name (`"map"`, `"lsm"`, `"virtual"`).
     fn backend_name(&self) -> &'static str;
 
     /// Stores `value` under `key`, replacing any previous value.

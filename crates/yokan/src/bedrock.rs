@@ -20,7 +20,7 @@ use crate::backend::{
     create_backend, lsm, open_lsm, read_dump, write_dump, BackendConfig, Database,
 };
 use crate::provider::YokanProvider;
-use crate::replication::{VirtualConfig, VirtualDatabaseProvider};
+use crate::replication::{VirtualConfig, VirtualDatabase};
 
 /// Library path Yokan conventionally installs under.
 pub const LIBRARY: &str = "libyokan.so";
@@ -141,7 +141,7 @@ impl ProviderInstance for YokanInstance {
 struct VirtualModule;
 
 struct VirtualInstance {
-    provider: Arc<VirtualDatabaseProvider>,
+    provider: Arc<YokanProvider>,
     config: VirtualConfig,
 }
 
@@ -161,14 +161,10 @@ impl Module for VirtualModule {
             let address: Address = replica.address.parse().map_err(|e| format!("{e}"))?;
             replicas.push((address, replica.provider_id));
         }
-        let provider = VirtualDatabaseProvider::register(
-            &ctx.margo,
-            ctx.provider_id,
-            Some(&ctx.pool),
-            replicas,
-            Duration::from_secs(2),
-        )
-        .map_err(|e| e.to_string())?;
+        let db = VirtualDatabase::new(&ctx.margo, replicas, Duration::from_secs(2));
+        let provider =
+            YokanProvider::register(&ctx.margo, ctx.provider_id, Some(&ctx.pool), Arc::new(db))
+                .map_err(|e| e.to_string())?;
         Ok(Box::new(VirtualInstance { provider, config }))
     }
 }

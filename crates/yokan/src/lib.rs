@@ -12,10 +12,11 @@
 //!
 //! * the [`bedrock`] module wires Yokan providers into Bedrock
 //!   (start/stop/migrate/checkpoint/restore),
-//! * [`replication::VirtualDatabaseProvider`] implements Observation 10's
-//!   *virtual resources*: a provider that holds no data itself and
-//!   transparently forwards to N replica databases — clients cannot tell
-//!   the difference because it serves the ordinary Yokan RPCs.
+//! * [`replication::VirtualDatabase`] implements Observation 10's
+//!   *virtual resources*: a [`Database`] that holds no data itself and
+//!   forwards to N replica databases. The ordinary [`YokanProvider`]
+//!   serves it, so clients cannot tell the difference; Bedrock's
+//!   `yokan-virtual` module builds it ([`create_backend`] does not).
 
 pub mod backend;
 pub mod bedrock;
@@ -29,4 +30,4 @@ pub mod views;
 pub use backend::{create_backend, BackendConfig, Database, YokanError};
 pub use client::DatabaseHandle;
 pub use provider::YokanProvider;
-pub use replication::VirtualDatabaseProvider;
+pub use replication::VirtualDatabase;

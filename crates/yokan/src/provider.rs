@@ -153,7 +153,7 @@ pub struct YokanProvider {
 
 /// Frames a `GET`/`GET_MULTI` reply: the lengths (`-1` for a missing
 /// key), then every value copied straight into the frame.
-pub(crate) fn encode_values(values: &[Option<&[u8]>]) -> Result<Bytes, MargoError> {
+fn encode_values(values: &[Option<&[u8]>]) -> Result<Bytes, MargoError> {
     let lens = Seq(values.iter().map(|value| value.map_or(-1, |value| value.len() as i64)));
     let body: usize = values.iter().flatten().map(|value| value.len()).sum();
     // A length takes a tag and a varint: three bytes up to 16 KiB.

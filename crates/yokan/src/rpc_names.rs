@@ -1,8 +1,8 @@
 //! The Yokan RPC surface: every wire-visible RPC name, in one place.
 //!
-//! Registration sites (`provider.rs`), client call sites (`client.rs`),
-//! and the replication layer (`replication.rs`) all pull names from this
-//! module, so a provider and its clients can never drift apart — and
+//! Registration sites (`provider.rs`) and client call sites
+//! (`client.rs`) both pull names from this module, so a provider and its
+//! clients can never drift apart — and
 //! `mochi-lint`'s contract checker (MOCHI006/007/008) resolves these
 //! constants when it cross-checks register/forward pairs.
 

@@ -1,9 +1,9 @@
 //! Seeded model check: the LSM backend behaves exactly like a model
 //! `BTreeMap` under random operation sequences, including flushes,
-//! compaction-inducing churn, reopens, and one crash per history. The
-//! same model as `lsm_proptest.rs`, driven by `mochi_util::SeededRng` so
-//! that it builds without the `proptest` crate; a failure prints the
-//! `run_seed(seed)` that replays it.
+//! compaction-inducing churn, reopens, and one crash per history, and a
+//! `load` of random pairs `dump`s back the same pairs. Driven by
+//! `mochi_util::SeededRng`; a failure prints the `run_seed(seed)` or
+//! `dump_load_seed(seed)` that replays it.
 //!
 //! Each history arms one random `LsmFailPoint` at a random step. The
 //! first call that fails is a crash: the instance is dropped and the
@@ -31,6 +31,7 @@ const SEEDS: u64 = 200;
 const CHURN_SEEDS: u64 = 100;
 const CLEARING_SEEDS: u64 = 50;
 const ALL_SEEDS: u64 = SEEDS + CHURN_SEEDS + CLEARING_SEEDS;
+const DUMP_SEEDS: u64 = 64;
 const OPS_PER_SEED: usize = 300;
 
 /// Tiers of three (`max_tables + 1`): a table that stands for 9 × 128
@@ -288,4 +289,36 @@ fn lsm_matches_model_over_seeded_histories() {
         "only {third_tier} of {SEEDS} histories reached the third tier"
     );
     assert!(crashed * 2 > ALL_SEEDS, "only {crashed} of {ALL_SEEDS} histories crashed");
+}
+
+/// `load` of up to 40 random pairs — keys of zero to three arbitrary
+/// bytes, values of 0–31 bytes — into tiny memtables, then `dump`, returns
+/// the pairs sorted by key.
+fn dump_load_seed(seed: u64) {
+    let mut rng = SeededRng::new(seed);
+    let bytes = |rng: &mut SeededRng, max: usize| {
+        let mut out = vec![0u8; rng.range(0, max)];
+        rng.fill_bytes(&mut out);
+        out
+    };
+    let mut pairs = BTreeMap::new();
+    for _ in 0..rng.range(0, 41) {
+        let key = bytes(&mut rng, 4);
+        pairs.insert(key, bytes(&mut rng, 32));
+    }
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> = pairs.into_iter().collect();
+    let dir = TempDir::new("lsm-dump").unwrap();
+    let config = LsmConfig { memtable_bytes: 128, max_tables: 2, ..LsmConfig::default() };
+    let db = LsmDatabase::open(dir.path(), config).unwrap();
+    db.load(&pairs).unwrap();
+    assert_eq!(db.dump().unwrap(), pairs);
+}
+
+#[test]
+fn dump_returns_what_load_stored() {
+    for seed in 0..DUMP_SEEDS {
+        if std::panic::catch_unwind(|| dump_load_seed(seed)).is_err() {
+            panic!("dump differs from load: dump_load_seed({seed})");
+        }
+    }
 }

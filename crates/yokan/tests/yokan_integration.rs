@@ -5,15 +5,17 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mochi_bedrock::{BedrockServer, Client, ModuleCatalog, ProcessConfig};
+use mochi_bedrock::{BedrockServer, Client, ModuleCatalog, ProcessConfig, ProviderSpec};
 use mochi_margo::{encode_framed, MargoRuntime};
 use mochi_mercury::{Address, Fabric};
 use mochi_util::TempDir;
 use mochi_yokan::backend::memory::MemoryDatabase;
+use mochi_yokan::client::VersionedBatch;
 use mochi_yokan::provider::{rpc, PutMultiHeader};
+use mochi_yokan::replication::{ReplicaSpec, VirtualConfig};
 use mochi_yokan::version::encode_record;
 use mochi_yokan::views::{key_seq, PutMultiHeaderView, Seq};
-use mochi_yokan::{DatabaseHandle, VirtualDatabaseProvider, YokanProvider};
+use mochi_yokan::{DatabaseHandle, VirtualDatabase, YokanProvider};
 
 fn boot(fabric: &Fabric, host: &str) -> MargoRuntime {
     MargoRuntime::init_default(fabric, Address::tcp(host, 1)).unwrap()
@@ -21,6 +23,16 @@ fn boot(fabric: &Fabric, host: &str) -> MargoRuntime {
 
 fn memory_provider(margo: &MargoRuntime, id: u16) -> Arc<YokanProvider> {
     YokanProvider::register(margo, id, None, Arc::new(MemoryDatabase::new())).unwrap()
+}
+
+/// A provider serving a virtual database over `replicas`.
+fn virtual_provider(
+    margo: &MargoRuntime,
+    id: u16,
+    replicas: Vec<(Address, u16)>,
+) -> Arc<YokanProvider> {
+    let db = VirtualDatabase::new(margo, replicas, Duration::from_millis(500));
+    YokanProvider::register(margo, id, None, Arc::new(db)).unwrap()
 }
 
 #[test]
@@ -113,14 +125,7 @@ fn virtual_database_replicates_transparently() {
     let client = boot(&fabric, "client");
     let p1 = memory_provider(&rep1, 1);
     let p2 = memory_provider(&rep2, 1);
-    let _virtual_db = VirtualDatabaseProvider::register(
-        &front,
-        9,
-        None,
-        vec![(rep1.address(), 1), (rep2.address(), 1)],
-        Duration::from_millis(500),
-    )
-    .unwrap();
+    let _virtual_db = virtual_provider(&front, 9, vec![(rep1.address(), 1), (rep2.address(), 1)]);
 
     // The client talks to the virtual provider with a plain handle — it
     // cannot tell it is not a real database (Observation 10).
@@ -148,9 +153,7 @@ fn virtual_database_deregisters_exactly_what_it_registered() {
     let fabric = Fabric::new();
     let front = boot(&fabric, "front");
     let client = boot(&fabric, "client");
-    let virtual_db =
-        VirtualDatabaseProvider::register(&front, 9, None, vec![], Duration::from_millis(500))
-            .unwrap();
+    let virtual_db = virtual_provider(&front, 9, vec![]);
     assert!(!front.registrations().is_empty());
 
     // No replica to write to is an error reply, not a panic in the handler.
@@ -158,8 +161,9 @@ fn virtual_database_deregisters_exactly_what_it_registered() {
     let error = db.put(b"k", b"v").unwrap_err().to_string();
     assert!(error.contains("no replicas"), "{error}");
 
-    // A virtual database serves part of the yokan surface; stopping it
-    // removes that part and reports success (Bedrock's `stop` relies on it).
+    // A virtual database is served by an ordinary provider; stopping it
+    // removes what it registered and reports success (Bedrock's `stop`
+    // relies on it).
     virtual_db.deregister().expect("deregister what was registered");
     assert_eq!(front.registrations(), vec![], "a registration outlived deregister");
 
@@ -174,16 +178,9 @@ fn virtual_database_multi_and_erase_paths() {
     let rep2 = boot(&fabric, "rep2");
     let front = boot(&fabric, "front");
     let client = boot(&fabric, "client");
-    let _p1 = memory_provider(&rep1, 1);
-    let _p2 = memory_provider(&rep2, 1);
-    let _virtual_db = VirtualDatabaseProvider::register(
-        &front,
-        9,
-        None,
-        vec![(rep1.address(), 1), (rep2.address(), 1)],
-        Duration::from_millis(500),
-    )
-    .unwrap();
+    let p1 = memory_provider(&rep1, 1);
+    let p2 = memory_provider(&rep2, 1);
+    let _virtual_db = virtual_provider(&front, 9, vec![(rep1.address(), 1), (rep2.address(), 1)]);
     let db = DatabaseHandle::new(&client, front.address(), 9);
     db.put_multi(&[(b"a".as_slice(), b"1".as_slice()), (b"b", b"2")]).unwrap();
     let got = db.get_multi(&[b"a", b"b", b"c"]).unwrap();
@@ -192,6 +189,36 @@ fn virtual_database_multi_and_erase_paths() {
     assert!(db.erase(b"a").unwrap());
     assert_eq!(db.len().unwrap(), 1);
     assert_eq!(db.list_keys(b"", None, 10).unwrap(), vec![b"b".to_vec()]);
+    db.put(b"c", b"3").unwrap();
+    assert_eq!(db.erase_multi(&[b"b", b"c", b"absent"]).unwrap(), 2);
+    for replica in [&p1, &p2] {
+        assert!(replica.database().is_empty().unwrap());
+    }
+    rep1.finalize();
+    rep2.finalize();
+    front.finalize();
+    client.finalize();
+}
+
+/// A virtual database stores no versioned records: a put-if-newer sent
+/// to one is refused with its backend's error, and reaches no replica.
+#[test]
+fn a_versioned_put_to_a_virtual_database_is_refused() {
+    let fabric = Fabric::new();
+    let rep1 = boot(&fabric, "rep1");
+    let rep2 = boot(&fabric, "rep2");
+    let front = boot(&fabric, "front");
+    let client = boot(&fabric, "client");
+    let p1 = memory_provider(&rep1, 1);
+    let p2 = memory_provider(&rep2, 1);
+    let _virtual_db = virtual_provider(&front, 9, vec![(rep1.address(), 1), (rep2.address(), 1)]);
+    let db = DatabaseHandle::new(&client, front.address(), 9);
+    let batch = VersionedBatch::encode([(&b"k"[..], 1, Some(&b"v"[..]))].into_iter()).unwrap();
+    let refusal = db.put_versioned(&batch).unwrap_err().to_string();
+    assert!(refusal.contains("stores no versioned records"), "{refusal}");
+    for replica in [&p1, &p2] {
+        assert_eq!(replica.database().get(b"k").unwrap(), None);
+    }
     rep1.finalize();
     rep2.finalize();
     front.finalize();
@@ -209,14 +236,7 @@ fn malformed_put_multi_gets_the_same_error_from_both_providers() {
     let front = boot(&fabric, "front");
     let client = boot(&fabric, "client");
     let real = memory_provider(&rep, 1);
-    let _virtual_db = VirtualDatabaseProvider::register(
-        &front,
-        9,
-        None,
-        vec![(rep.address(), 1)],
-        Duration::from_millis(500),
-    )
-    .unwrap();
+    let _virtual_db = virtual_provider(&front, 9, vec![(rep.address(), 1)]);
     let key = |k: &[u8]| k.to_vec();
     let short_body = PutMultiHeader { keys: vec![key(b"k")], value_lens: vec![100] };
     let lone_key = PutMultiHeader { keys: vec![key(b"a"), key(b"b")], value_lens: vec![5] };
@@ -402,6 +422,54 @@ fn lsm_statistics_are_part_of_the_bedrock_config() {
     assert!(handle.get_config().unwrap()["providers"][0]["state"].get("lsm").is_none());
     server.shutdown();
     client_margo.finalize();
+}
+
+/// Bedrock's `yokan-virtual` module serves a virtual database from its
+/// `VirtualConfig`, and stopping the provider leaves no registration of
+/// it behind.
+#[test]
+fn bedrock_starts_and_stops_a_virtual_database() {
+    let fabric = Fabric::new();
+    let dir = TempDir::new("yokan-bedrock-virtual").unwrap();
+    let rep1 = boot(&fabric, "rep1");
+    let rep2 = boot(&fabric, "rep2");
+    let p1 = memory_provider(&rep1, 1);
+    let p2 = memory_provider(&rep2, 1);
+    let mut process = ProcessConfig::default();
+    process.libraries.insert("yokan-virtual".into(), mochi_yokan::bedrock::VIRTUAL_LIBRARY.into());
+    let server = BedrockServer::bootstrap(
+        &fabric,
+        Address::tcp("front", 1),
+        &process,
+        yokan_catalog(),
+        dir.path().join("front"),
+    )
+    .unwrap();
+    let replica = |margo: &MargoRuntime| ReplicaSpec {
+        address: margo.address().to_string(),
+        provider_id: 1,
+    };
+    let config = VirtualConfig { replicas: vec![replica(&rep1), replica(&rep2)] };
+    let spec = ProviderSpec::new("vdb", "yokan-virtual", 9)
+        .with_config(serde_json::to_value(&config).unwrap());
+    server.start_provider(&spec).unwrap();
+
+    let client = boot(&fabric, "client");
+    let db = DatabaseHandle::new(&client, server.address(), 9);
+    db.put(b"through", b"bedrock").unwrap();
+    for provider in [&p1, &p2] {
+        assert_eq!(provider.database().get(b"through").unwrap(), Some(b"bedrock".to_vec()));
+    }
+
+    server.stop_provider("vdb").unwrap();
+    let left: Vec<_> =
+        server.margo().registrations().into_iter().filter(|(_, id, _)| *id == 9).collect();
+    assert_eq!(left, vec![], "a registration outlived stop_provider");
+
+    server.shutdown();
+    rep1.finalize();
+    rep2.finalize();
+    client.finalize();
 }
 
 #[test]

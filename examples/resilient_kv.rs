@@ -24,7 +24,7 @@ use mochi_rs::mercury::{Address, Fabric};
 use mochi_rs::raft::{RaftClient, RaftConfig, RaftNode, StateMachine};
 use mochi_rs::util::time::wait_until;
 use mochi_rs::yokan::backend::memory::MemoryDatabase;
-use mochi_rs::yokan::{DatabaseHandle, VirtualDatabaseProvider, YokanProvider};
+use mochi_rs::yokan::{DatabaseHandle, VirtualDatabase, YokanProvider};
 
 fn part1_virtual_database(fabric: &Fabric) {
     println!("== part 1: virtual (replicated) database ==");
@@ -34,14 +34,9 @@ fn part1_virtual_database(fabric: &Fabric) {
     let client = MargoRuntime::init_default(fabric, Address::tcp("c1", 1)).unwrap();
     let _p1 = YokanProvider::register(&rep1, 1, None, Arc::new(MemoryDatabase::new())).unwrap();
     let _p2 = YokanProvider::register(&rep2, 1, None, Arc::new(MemoryDatabase::new())).unwrap();
-    let _v = VirtualDatabaseProvider::register(
-        &front,
-        9,
-        None,
-        vec![(rep1.address(), 1), (rep2.address(), 1)],
-        Duration::from_millis(500),
-    )
-    .unwrap();
+    let replicas = vec![(rep1.address(), 1), (rep2.address(), 1)];
+    let virtual_db = VirtualDatabase::new(&front, replicas, Duration::from_millis(500));
+    let _v = YokanProvider::register(&front, 9, None, Arc::new(virtual_db)).unwrap();
 
     // The client cannot tell this is not a plain database.
     let db = DatabaseHandle::new(&client, front.address(), 9);

@@ -42,7 +42,10 @@
 #      park as a hint, or hint replay sent one RPC per hint)
 #   39 LSM backend failed (mochi-util's unit tests — the CRC-32 kernels
 #      against each other — mochi-yokan's own suites — unit, concurrent
-#      consistency, integration, the seeded model check with crashes —
+#      consistency, integration (the virtual database, a backend the
+#      ordinary provider serves, started and stopped through Bedrock
+#      too), the seeded model check with crashes and its dump/load
+#      round trip —
 #      the root crash-recovery suite, whose crash-after-seals case builds
 #      its unmerged ranges with tiers wider than its seals and whose
 #      churn case merges inline on the writers, or a 2 s ingest_rf1_lsm
@@ -149,7 +152,9 @@ fi
 # out of dead logs and hold the directory to a multiple of its live
 # bytes, 50 that clear one step in 20 and must find each stripe all or
 # nothing after a crash inside a clear; a failure prints the
-# run_seed(seed) that replays it). Then the root crash-recovery suite,
+# run_seed(seed) that replays it; and 64 seeded loads of random pairs
+# into tiny memtables that must dump back the same pairs, each failure
+# naming its dump_load_seed(seed)). Then the root crash-recovery suite,
 # which the umbrella `cargo test -q` also runs but under the exit code of
 # the whole tree: a crash after seals that nothing merged (tiers wider
 # than the seals), a crash mid-churn while the writers merge inline, a
