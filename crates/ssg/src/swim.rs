@@ -476,6 +476,14 @@ mod tests {
         // Higher incarnation: rejoins.
         s.apply_update(&Update { subject: addr(1), state: MemberState::Alive, incarnation: 1 });
         assert_eq!(s.state_of(&addr(1)), Some(MemberState::Alive));
+        // A fresher death advances the record: an Alive above the first
+        // death but below the second stays dead.
+        for (state, incarnation) in
+            [(MemberState::Dead, 0), (MemberState::Dead, 3), (MemberState::Alive, 1)]
+        {
+            s.apply_update(&Update { subject: addr(2), state, incarnation });
+        }
+        assert_eq!(s.state_of(&addr(2)), Some(MemberState::Dead));
     }
 
     #[test]

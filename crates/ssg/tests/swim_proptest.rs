@@ -7,127 +7,103 @@
 //! * ticks never resurrect anyone;
 //! * the epoch is monotone;
 //! * the piggyback buffer never replays an update more than its limit.
+//!
+//! Each property runs [`CASES`] cases; case `seed` draws only from
+//! `SeededRng::new(seed)`, and a failure names the property and the seed.
 
-use proptest::prelude::*;
+use std::collections::HashMap;
 
 use mochi_mercury::Address;
 use mochi_ssg::swim::{MemberSnapshot, SwimState, Update};
 use mochi_ssg::MemberState;
+use mochi_util::SeededRng;
 
-fn addr(n: u8) -> Address {
+const CASES: u64 = 256;
+
+fn addr(n: usize) -> Address {
     Address::tcp(format!("m{n}"), 1)
 }
 
-#[derive(Debug, Clone)]
-enum Action {
-    Update(u8, MemberState, u64),
-    SuspectLocally(u8),
-    ConfirmAlive(u8),
-    Tick,
-    TakePiggyback,
-}
-
-fn action_strategy() -> impl Strategy<Value = Action> {
-    prop_oneof![
-        4 => (0u8..6, prop_oneof![
-                Just(MemberState::Alive),
-                Just(MemberState::Suspect),
-                Just(MemberState::Dead),
-            ], 0u64..4)
-            .prop_map(|(m, s, i)| Action::Update(m, s, i)),
-        2 => (1u8..6).prop_map(Action::SuspectLocally),
-        2 => (1u8..6).prop_map(Action::ConfirmAlive),
-        2 => Just(Action::Tick),
-        1 => Just(Action::TakePiggyback),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    #[test]
-    fn swim_invariants_hold(actions in proptest::collection::vec(action_strategy(), 0..80)) {
-        let initial: Vec<MemberSnapshot> = (1..4)
-            .map(|n| MemberSnapshot { address: addr(n), incarnation: 0 })
-            .collect();
+#[test]
+fn swim_invariants_hold() {
+    const STATES: [MemberState; 3] = [MemberState::Alive, MemberState::Suspect, MemberState::Dead];
+    for seed in 0..CASES {
+        let mut rng = SeededRng::new(seed);
+        let initial: Vec<MemberSnapshot> =
+            (1..4).map(|n| MemberSnapshot { address: addr(n), incarnation: 0 }).collect();
         let mut state = SwimState::new(addr(0), &initial, 4, 3);
         let mut last_epoch = state.view().epoch;
         // member -> highest incarnation at which we saw it dead
-        let mut died_at: std::collections::HashMap<Address, u64> = Default::default();
+        let mut died_at: HashMap<Address, u64> = HashMap::new();
 
-        for action in actions {
-            match action {
-                Action::Update(m, s, i) => {
-                    let subject = addr(m);
-                    state.apply_update(&Update { subject: subject.clone(), state: s, incarnation: i });
-                    if s == MemberState::Dead && state.state_of(&subject) == Some(MemberState::Dead) {
+        for step in 0..rng.range(0, 80) {
+            let at = format!("swim_invariants_hold, seed {seed}, step {step}");
+            // Gossip, local suspicion, confirmation, tick, piggyback: 4 : 2 : 2 : 2 : 1.
+            match rng.range(0, 11) {
+                0..=3 => {
+                    let subject = addr(rng.range(0, 6));
+                    let (s, i) = (STATES[rng.range(0, 3)], rng.range_u64(0, 4));
+                    state.apply_update(&Update {
+                        subject: subject.clone(),
+                        state: s,
+                        incarnation: i,
+                    });
+                    if s == MemberState::Dead && state.state_of(&subject) == Some(MemberState::Dead)
+                    {
                         let entry = died_at.entry(subject).or_insert(0);
                         *entry = (*entry).max(i);
                     }
                 }
-                Action::SuspectLocally(m) => state.suspect_locally(&addr(m)),
-                Action::ConfirmAlive(m) => state.confirm_alive(&addr(m)),
-                Action::Tick => {
+                4..=5 => state.suspect_locally(&addr(rng.range(1, 6))),
+                6..=7 => state.confirm_alive(&addr(rng.range(1, 6))),
+                8..=9 => {
                     let before: Vec<Address> = state.view().members;
                     state.tick();
                     let after = state.view();
                     // Ticks only remove (expire suspects), never add.
                     for member in &after.members {
-                        prop_assert!(before.contains(member), "tick resurrected {member}");
+                        assert!(before.contains(member), "{at}: tick resurrected {member}");
                     }
                     // Track deaths caused by expiry.
-                    for member in &before {
-                        if !after.contains(member) {
-                            if let Some(i) = state.incarnation_of(member) {
-                                let entry = died_at.entry(member.clone()).or_insert(0);
-                                *entry = (*entry).max(i);
-                            }
+                    for member in before.iter().filter(|m| !after.contains(m)) {
+                        if let Some(i) = state.incarnation_of(member) {
+                            let entry = died_at.entry(member.clone()).or_insert(0);
+                            *entry = (*entry).max(i);
                         }
                     }
                 }
-                Action::TakePiggyback => {
-                    let updates = state.take_piggyback(16);
-                    prop_assert!(updates.len() <= 16);
-                }
+                _ => assert!(state.take_piggyback(16).len() <= 16, "{at}"),
             }
 
             let view = state.view();
-            // Self is always in the view.
-            prop_assert!(view.contains(&addr(0)), "view lost self");
-            // Epoch is monotone.
-            prop_assert!(view.epoch >= last_epoch, "epoch went backwards");
+            assert!(view.contains(&addr(0)), "{at}: view lost self");
+            assert!(view.epoch >= last_epoch, "{at}: epoch went backwards");
             last_epoch = view.epoch;
             // No one dead at incarnation i is in the view unless they were
             // resurrected at a strictly higher alive incarnation.
             for (member, dead_inc) in &died_at {
                 if view.contains(member) {
                     let current = state.incarnation_of(member).unwrap_or(0);
-                    prop_assert!(
+                    assert!(
                         current > *dead_inc,
-                        "{member} in view at incarnation {current} but died at {dead_inc}"
+                        "{at}: {member} in view at incarnation {current} but died at {dead_inc}"
                     );
                 }
             }
             // Events drain cleanly (no panics, bounded).
-            let _ = state.drain_events();
+            state.drain_events();
         }
     }
+}
 
-    #[test]
-    fn piggyback_send_budget_respected(limit in 1u32..6) {
+#[test]
+fn piggyback_send_budget_respected() {
+    for seed in 0..CASES {
+        let limit = SeededRng::new(seed).range(1, 6) as u32;
         let mut state = SwimState::new(addr(0), &[], limit, 3);
-        state.apply_update(&Update {
-            subject: addr(1),
-            state: MemberState::Alive,
-            incarnation: 0,
-        });
-        let mut sends = 0;
+        state.apply_update(&Update { subject: addr(1), state: MemberState::Alive, incarnation: 0 });
         // One update queued; it may be handed out at most `limit` times.
-        for _ in 0..limit + 3 {
-            if !state.take_piggyback(8).is_empty() {
-                sends += 1;
-            }
-        }
-        prop_assert_eq!(sends, limit);
+        let sends = (0..limit + 3).filter(|_| !state.take_piggyback(8).is_empty()).count();
+        assert_eq!(sends, limit as usize, "piggyback_send_budget_respected, seed {seed}");
     }
 }

@@ -139,8 +139,8 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(round_trip(&true), true);
-        assert_eq!(round_trip(&false), false);
+        assert!(round_trip(&true));
+        assert!(!round_trip(&false));
         assert_eq!(round_trip(&0u8), 0u8);
         assert_eq!(round_trip(&u64::MAX), u64::MAX);
         assert_eq!(round_trip(&-1i32), -1i32);
@@ -307,91 +307,107 @@ mod tests {
         }
     }
 
+    /// Each property runs `CASES` cases; case `seed` draws only from
+    /// `SeededRng::new(seed)`, and a failure names the property and the seed.
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mochi_util::SeededRng;
+        use serde_json::Value;
 
-        fn arb_kind() -> impl Strategy<Value = Kind> {
-            prop_oneof![
-                Just(Kind::Empty),
-                "[a-z]{0,6}".prop_map(Kind::Named),
-                (any::<u32>(), any::<u32>()).prop_map(|(a, b)| Kind::Pair(a, b)),
-                (any::<i64>(), any::<bool>()).prop_map(|(x, ok)| Kind::Full { x, ok }),
-            ]
+        const CASES: u64 = 256;
+
+        const LOWER: (u8, u8) = (b'a', b'z' + 1);
+
+        /// Up to `max_len` chars from the byte range `lo..hi`.
+        fn text(rng: &mut SeededRng, max_len: usize, (lo, hi): (u8, u8)) -> String {
+            let len = rng.range(0, max_len + 1);
+            (0..len).map(|_| char::from(rng.range(lo.into(), hi.into()) as u8)).collect()
         }
 
-        fn arb_blob() -> impl Strategy<Value = Vec<u8>> {
-            prop_oneof![Just(0usize), Just(1), Just(4096)]
-                .prop_flat_map(|len| prop::collection::vec(any::<u8>(), len))
-        }
-
-        fn arb_inner() -> impl Strategy<Value = Inner> {
-            (any::<u64>(), prop::collection::vec("[a-z]{0,5}", 0..4), arb_blob())
-                .prop_map(|(id, tags, blob)| Inner { id, tags, blob })
-        }
-
-        fn arb_outer() -> impl Strategy<Value = Outer> {
-            (
-                "[a-z]{0,8}",
-                prop::option::of(arb_inner()),
-                arb_kind(),
-                prop::collection::btree_map("[a-z]{0,5}", any::<i64>(), 0..5),
-                -1.0e9..1.0e9f64,
-            )
-                .prop_map(|(name, inner, kind, table, ratio)| Outer {
-                    name,
-                    inner,
-                    kind,
-                    table,
-                    ratio,
-                })
-        }
-
-        fn arb_json() -> impl Strategy<Value = serde_json::Value> {
-            let leaf = prop_oneof![
-                Just(serde_json::Value::Null),
-                any::<bool>().prop_map(serde_json::Value::from),
-                any::<u64>().prop_map(serde_json::Value::from),
-                any::<i64>().prop_map(serde_json::Value::from),
-                (-1.0e9..1.0e9f64).prop_map(serde_json::Value::from),
-                "[ -~]{0,8}".prop_map(serde_json::Value::from),
-            ];
-            leaf.prop_recursive(3, 24, 6, |inner| {
-                prop_oneof![
-                    prop::collection::vec(inner.clone(), 0..5)
-                        .prop_map(serde_json::Value::Array),
-                    prop::collection::btree_map("[a-z]{0,5}", inner, 0..5).prop_map(|m| {
-                        serde_json::Value::Object(m.into_iter().collect())
-                    }),
-                ]
-            })
-        }
-
-        proptest! {
-            #[test]
-            fn outer_round_trips(x in arb_outer()) {
-                prop_assert_eq!(round_trip(&x), x);
+        fn kind(rng: &mut SeededRng) -> Kind {
+            match rng.range(0, 4) {
+                0 => Kind::Empty,
+                1 => Kind::Named(text(rng, 6, LOWER)),
+                2 => Kind::Pair(rng.next_u64() as u32, rng.next_u64() as u32),
+                _ => Kind::Full { x: rng.next_u64() as i64, ok: rng.chance(0.5) },
             }
+        }
 
-            #[test]
-            fn wire_and_json_decodes_agree(x in arb_outer()) {
+        fn blob(rng: &mut SeededRng) -> Vec<u8> {
+            let len = [0, 1, 4096][rng.range(0, 3)];
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        }
+
+        fn outer(rng: &mut SeededRng) -> Outer {
+            Outer {
+                name: text(rng, 8, LOWER),
+                inner: rng.chance(0.5).then(|| Inner {
+                    id: rng.next_u64(),
+                    tags: (0..rng.range(0, 4)).map(|_| text(rng, 5, LOWER)).collect(),
+                    blob: blob(rng),
+                }),
+                kind: kind(rng),
+                table: (0..rng.range(0, 5))
+                    .map(|_| (text(rng, 5, LOWER), rng.next_u64() as i64))
+                    .collect(),
+                ratio: rng.next_f64() * 2.0e9 - 1.0e9,
+            }
+        }
+
+        /// A JSON value at most `depth` containers deep.
+        fn json(rng: &mut SeededRng, depth: u32) -> Value {
+            match rng.range(0, if depth == 0 { 6 } else { 8 }) {
+                0 => Value::Null,
+                1 => Value::from(rng.chance(0.5)),
+                2 => Value::from(rng.next_u64()),
+                3 => Value::from(rng.next_u64() as i64),
+                4 => Value::from(rng.next_f64() * 2.0e9 - 1.0e9),
+                5 => Value::from(text(rng, 8, (b' ', b'~' + 1))),
+                6 => Value::Array((0..rng.range(0, 5)).map(|_| json(rng, depth - 1)).collect()),
+                _ => Value::Object(
+                    (0..rng.range(0, 5))
+                        .map(|_| (text(rng, 5, LOWER), json(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+
+        #[test]
+        fn outer_round_trips() {
+            for seed in 0..CASES {
+                let x = outer(&mut SeededRng::new(seed));
+                assert_eq!(round_trip(&x), x, "outer_round_trips, seed {seed}");
+            }
+        }
+
+        #[test]
+        fn wire_and_json_decodes_agree() {
+            for seed in 0..CASES {
+                let x = outer(&mut SeededRng::new(seed));
                 let via_wire: Outer = from_slice(&to_vec(&x).unwrap()).unwrap();
                 let via_json: Outer =
                     serde_json::from_slice(&serde_json::to_vec(&x).unwrap()).unwrap();
-                prop_assert_eq!(via_wire, via_json);
+                assert_eq!(via_wire, via_json, "wire_and_json_decodes_agree, seed {seed}");
             }
+        }
 
-            #[test]
-            fn json_values_round_trip(v in arb_json()) {
-                let back: serde_json::Value = from_slice(&to_vec(&v).unwrap()).unwrap();
-                prop_assert_eq!(back, v);
+        #[test]
+        fn json_values_round_trip() {
+            for seed in 0..CASES {
+                let v = json(&mut SeededRng::new(seed), 3);
+                let back: Value = from_slice(&to_vec(&v).unwrap()).unwrap();
+                assert_eq!(back, v, "json_values_round_trip, seed {seed}");
             }
+        }
 
-            #[test]
-            fn blobs_stay_compact(blob in arb_blob()) {
+        #[test]
+        fn blobs_stay_compact() {
+            for seed in 0..CASES {
+                let at = format!("blobs_stay_compact, seed {seed}");
+                let blob = blob(&mut SeededRng::new(seed));
                 let encoded = to_vec(&blob).unwrap();
-                prop_assert!(encoded.len() <= blob.len() + 16);
-                prop_assert_eq!(from_slice::<Vec<u8>>(&encoded).unwrap(), blob);
+                assert!(encoded.len() <= blob.len() + 16, "{at}");
+                assert_eq!(from_slice::<Vec<u8>>(&encoded).unwrap(), blob, "{at}");
             }
         }
     }

@@ -71,6 +71,17 @@ pub trait Database: Send + Sync {
     /// Removes `key`; returns whether it existed.
     fn erase(&self, key: &[u8]) -> Result<bool, YokanError>;
 
+    /// Removes several keys; returns how many existed.
+    fn erase_multi(&self, keys: &[&[u8]]) -> Result<u64, YokanError> {
+        let mut erased = 0;
+        for key in keys {
+            if self.erase(key)? {
+                erased += 1;
+            }
+        }
+        Ok(erased)
+    }
+
     /// Stores the encoded [`crate::version`] record `record` under `key`
     /// unless what is stored there is at least as fresh
     /// ([`crate::version::record_is_newer`]). Atomic per key: a concurrent

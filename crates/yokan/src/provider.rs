@@ -272,13 +272,8 @@ impl YokanProvider {
             provider_id,
             pool,
             move |keys: Vec<Vec<u8>>, _| {
-                let mut erased = 0u64;
-                for key in &keys {
-                    if erase_multi_db.erase(key).map_err(|e| e.to_string())? {
-                        erased += 1;
-                    }
-                }
-                Ok(erased)
+                let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+                erase_multi_db.erase_multi(&keys).map_err(|e| e.to_string())
             },
         )?;
         // Versioned-record + hint surface (routed keyspaces, DESIGN.md

@@ -115,6 +115,10 @@ impl Database for VirtualDatabase {
         self.write_all(|h| h.erase(key))
     }
 
+    fn erase_multi(&self, keys: &[&[u8]]) -> Result<u64, YokanError> {
+        self.write_all(|h| h.erase_multi(keys))
+    }
+
     fn put_if_newer(&self, _key: &[u8], _record: &[u8]) -> Result<(bool, bool), YokanError> {
         Err(YokanError::Config("a virtual database stores no versioned records".into()))
     }

@@ -35,6 +35,17 @@ fn virtual_provider(
     YokanProvider::register(margo, id, None, Arc::new(db)).unwrap()
 }
 
+/// How many `name` requests `margo`'s handlers have finished, from its
+/// monitoring dump (nested calls included).
+fn handled(margo: &MargoRuntime, name: &str) -> u64 {
+    let stats = margo.monitoring_json().unwrap_or_default();
+    let entries = stats["rpcs"].as_object().into_iter().flat_map(|rpcs| rpcs.values());
+    let targets = entries
+        .filter(|entry| entry["name"] == name)
+        .flat_map(|entry| entry["target"].as_object().into_iter().flat_map(|peers| peers.values()));
+    targets.filter_map(|peer| peer["ult"]["duration"]["num"].as_u64()).sum()
+}
+
 #[test]
 fn put_get_roundtrip_over_fabric() {
     let fabric = Fabric::new();
@@ -193,6 +204,16 @@ fn virtual_database_multi_and_erase_paths() {
     assert_eq!(db.erase_multi(&[b"b", b"c", b"absent"]).unwrap(), 2);
     for replica in [&p1, &p2] {
         assert!(replica.database().is_empty().unwrap());
+    }
+    // Each replica got one `ERASE` (for "a") and one `ERASE_MULTI`. A reply
+    // can beat the replica's own count of its handler, so wait for it.
+    for replica in [&rep1, &rep2] {
+        let count = || (handled(replica, rpc::ERASE_MULTI), handled(replica, rpc::ERASE));
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while count() != (1, 1) && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(count(), (1, 1), "(ERASE_MULTI, ERASE) requests at {}", replica.address());
     }
     rep1.finalize();
     rep2.finalize();

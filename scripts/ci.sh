@@ -24,7 +24,9 @@
 #      erase-resurrection regression while a keyspace member
 #      joins/retires mid-traffic, at rf=1 or rf=3), or a mochi-core
 #      unit test did (ring, write sets, who copies a moved key where,
-#      quorum arithmetic)
+#      quorum arithmetic), or a ring property did (ring_proptest: 256
+#      seeded cases each of minimal movement, distinct successors, and
+#      moved arcs agreeing with the per-key diff)
 #   36 provider-kill chaos failed (replicated keyspace lost an acked
 #      write, stopped serving quorum reads, or failed to re-converge
 #      after a member was crashed mid-traffic at rf=3; or a copy a write
@@ -59,9 +61,13 @@
 #      lock-order panic of the debug-build rank check in any of them; or
 #      a planted inversion no longer panics (DESIGN.md §9.2)
 #   42 a subsystem suite failed that no stage above runs: the libraries
-#      of mochi-bedrock, -raft, -ssg, -warabi, -remi and -pufferscale,
-#      their integration suites (bedrock, raft, ssg, warabi), or
-#      mochi-core's failover_cache and service_integration
+#      of mochi-bedrock, -raft, -ssg, -warabi, -remi, -pufferscale and
+#      -wire, their integration suites (bedrock, raft, ssg, warabi),
+#      mochi-core's failover_cache and service_integration, or a seeded
+#      property suite (256 cases a property, a failure naming its seed):
+#      margo's frame and argument codecs, mercury's addresses and bulk
+#      bounds, the SWIM state machine, raft's log storage, Jx9, Pufferscale
+#      plans, Warabi's blob targets against a model, and wire's codec
 #   43 the API documentation has a warning (`cargo doc` of the
 #      workspace: a doc comment links to an item that is gone or
 #      private, or its link is broken or redundant)
@@ -88,9 +94,11 @@ cargo test -q --test chaos_soak || exit 23
 # 35. The suite covers both replication factors (rf=1 over three seeds,
 # rf=3 over one): they share one data path. mochi-core's unit tests run
 # with it (no other stage does): the ring, the write sets, the copier's
-# pusher designation and the quorum arithmetic the soak relies on.
-echo "==> cargo test -p mochi-core --lib --test routed_rebalance"
-cargo test -q -p mochi-core --lib --test routed_rebalance || exit 35
+# pusher designation and the quorum arithmetic the soak relies on; and so
+# does ring_proptest, the ring's minimal-movement and distinct-successor
+# properties that the copier relies on (256 seeded cases each).
+echo "==> cargo test -p mochi-core --lib --test routed_rebalance --test ring_proptest"
+cargo test -q -p mochi-core --lib --test routed_rebalance --test ring_proptest || exit 35
 
 # Provider-kill chaos (crates/core/tests/replicated_kill.rs, DESIGN.md
 # §18): at replication_factor 3 a member process is crashed abruptly
@@ -190,7 +198,10 @@ cargo test -q -p mochi-core --test alloc_budget || exit 40
 # The subsystem suites (DESIGN.md §8): Bedrock's config, Jx9 and provider
 # lifecycle, Raft's election, replication and membership, SWIM, Warabi's
 # blob targets, REMI's migration, Pufferscale's planner, and the
-# view-driven failover and resilience of the composed service. Each runs
+# view-driven failover and resilience of the composed service, and the
+# seeded property suites of the RPC layers and subsystems (each property
+# runs cases 0..256, every case drawn from `SeededRng::new(seed)` alone,
+# and a failure names the property and the seed that replays it). Each runs
 # once: a failure is reported, never retried. Two are known to flake on a
 # loaded host (ROADMAP.md, "seed-replayable simulated time"):
 # service_integration's resilience_recovers_crashed_member_from_checkpoint
@@ -200,12 +211,15 @@ cargo test -q -p mochi-core --test alloc_budget || exit 40
 # when it reports the next) waits on SWIM twice, like the first; it was
 # red in 0 of 60 runs of the one test on a 2-CPU host.
 # Triages as 42.
-echo "==> subsystem suites (bedrock, raft, ssg, warabi, remi, pufferscale, core failover)"
-cargo test -q -p mochi-bedrock --lib --test bedrock_integration || exit 42
-cargo test -q -p mochi-raft --lib --test raft_integration || exit 42
-cargo test -q -p mochi-ssg --lib --test ssg_integration || exit 42
-cargo test -q -p mochi-warabi --lib --test warabi_integration || exit 42
-cargo test -q -p mochi-remi -p mochi-pufferscale --lib || exit 42
+echo "==> subsystem suites (bedrock, raft, ssg, warabi, remi, pufferscale, core failover, property suites)"
+cargo test -q -p mochi-bedrock --lib --test bedrock_integration --test jx9_proptest || exit 42
+cargo test -q -p mochi-raft --lib --test raft_integration --test storage_proptest || exit 42
+cargo test -q -p mochi-ssg --lib --test ssg_integration --test swim_proptest || exit 42
+cargo test -q -p mochi-warabi --lib --test warabi_integration --test target_proptest || exit 42
+cargo test -q -p mochi-remi -p mochi-pufferscale -p mochi-wire --lib || exit 42
+cargo test -q -p mochi-pufferscale --test plan_proptest || exit 42
+cargo test -q -p mochi-margo --test margo_proptest || exit 42
+cargo test -q -p mochi-mercury --test mercury_proptest || exit 42
 cargo test -q -p mochi-core --test failover_cache --test service_integration || exit 42
 
 echo "==> cargo test"
