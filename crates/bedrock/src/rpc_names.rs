@@ -3,9 +3,7 @@
 //!
 //! The server (`server.rs`) registers these and the client (`client.rs`)
 //! calls them through [`crate::proto`], which re-exports this module, so
-//! both sides share a single definition — and `mochi-lint`'s contract
-//! checker (MOCHI006/007/008) resolves these constants when it
-//! cross-checks register/forward pairs.
+//! both sides share a single definition.
 
 /// `get_config` RPC name.
 pub const GET_CONFIG: &str = "bedrock_get_config";

@@ -809,6 +809,13 @@ impl RoutedKv {
     /// erase is a write of a versioned *tombstone*: it out-versions any
     /// earlier put, survives quorum merges, and cannot be resurrected by
     /// a rebalance copy, a stale replica or a hint.
+    ///
+    /// The tombstone travels as a put-if-newer, which margo re-sends when
+    /// a leg's reply is lost; the re-run finds the tombstone the first run
+    /// stored, so the slot can read `Ok(false)` for a key that existed.
+    /// The key is erased either way (at rf=1, one dropped reply gave
+    /// `Ok(false)`, and then `get` gave `None`): only the returned bool
+    /// can differ, the caveat `FailoverKv::erase` carries too.
     pub fn erase(&self, key: &[u8]) -> Result<bool, MargoError> {
         self.erase_multi(&[key]).pop().unwrap_or_else(|| Err(Self::empty_ring()))
     }
@@ -831,7 +838,8 @@ impl RoutedKv {
     }
 
     /// Removes many keys with per-key slots (`Ok(existed)`), batching
-    /// per destination.
+    /// per destination. A slot whose leg was re-sent can read `Ok(false)`
+    /// for a key that existed (see [`Self::erase`]).
     pub fn erase_multi(&self, keys: &[&[u8]]) -> Vec<Result<bool, MargoError>> {
         self.write(keys.iter().map(|key| (*key, None)))
     }

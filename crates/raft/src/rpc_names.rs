@@ -1,9 +1,7 @@
 //! The Raft RPC surface: every wire-visible RPC name, in one place.
 //!
 //! The node (`node.rs`) registers these and the client (`client.rs`)
-//! calls them, so this module is the single definition both sides share
-//! — and `mochi-lint`'s contract checker (MOCHI006/007/008) resolves
-//! these constants when it cross-checks register/forward pairs.
+//! calls them, so this module is the single definition both sides share.
 
 /// Leader election.
 pub const REQUEST_VOTE: &str = "raft_request_vote";

@@ -24,9 +24,9 @@ struct Transfer {
 struct Inner {
     root: PathBuf,
     transfers: OrderedMutex<HashMap<String, Transfer>>,
-    /// Summaries of finished transfers, so a retried `end`/`pull` (both
-    /// declared idempotent by the client) replays its recorded result
-    /// instead of failing on the already-consumed session.
+    /// Summaries of finished transfers, so a retried `pull` (declared
+    /// idempotent by the client) replays its recorded result instead of
+    /// failing on the already-consumed session; `end` is never re-sent.
     completed: OrderedMutex<HashMap<String, TransferSummary>>,
 }
 
@@ -118,8 +118,8 @@ impl Inner {
     fn verify_and_finish(&self, token: &str) -> Result<TransferSummary, String> {
         let transfer = match self.transfers.lock().remove(token) {
             Some(transfer) => transfer,
-            // A retry of an `end`/`pull` that already finished: replay
-            // the recorded summary.
+            // A retried `pull` that already finished: replay the
+            // recorded summary.
             None => {
                 return self
                     .completed

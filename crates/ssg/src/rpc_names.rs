@@ -1,9 +1,7 @@
 //! The SSG RPC surface: every wire-visible RPC name, in one place.
 //!
 //! The SWIM group (`group.rs`) both registers and calls these, so this
-//! module is the single definition the registration and call sites share
-//! — and `mochi-lint`'s contract checker (MOCHI006/007/008) resolves
-//! these constants when it cross-checks register/forward pairs.
+//! module is the single definition the registration and call sites share.
 
 /// Direct probe carrying piggybacked updates.
 pub const PING: &str = "ssg_ping";

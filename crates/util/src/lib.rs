@@ -18,8 +18,7 @@
 //!   the simulated network model,
 //! * [`bytesize`] — human-readable byte-size formatting for reports,
 //! * [`ordered_lock`] — rank-checked mutex/rwlock wrappers enforcing the
-//!   workspace lock hierarchy in debug builds (see DESIGN.md and the
-//!   `mochi-lint` crate for the static half of the story),
+//!   workspace lock hierarchy in debug builds (DESIGN.md §9.2),
 //! * [`striped`] — thread-striped accumulators merged at dump time, the
 //!   contention-free backing store for hot-path statistics,
 //! * [`durable`] — [`atomic_write`], the temp-name, sync and rename that

@@ -19,10 +19,9 @@ use crate::target::BlobId;
 /// Transfers larger than this use the bulk (RDMA-model) path.
 const BULK_THRESHOLD: u64 = 64 * 1024;
 
-/// RPCs the runtime may safely re-send on transport-class failures:
-/// reads, full-range overwrites at fixed offsets, and metadata queries.
-/// `create` is excluded (each call allocates a fresh blob id) and so is
-/// `erase` (its "did it exist" reply is not stable under retry).
+/// RPCs the runtime may re-send on transport-class failures (each replayed
+/// by `tests/retry_replay.rs`). `create` allocates a fresh blob id per
+/// call and `erase` answers whether the blob existed, so both stay off.
 const IDEMPOTENT_RPCS: &[&str] = &[
     rpc::WRITE,
     rpc::WRITE_BULK,

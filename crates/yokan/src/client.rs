@@ -28,13 +28,10 @@ use crate::provider::{
 use crate::version::{decode_record, encode_record_into, RECORD_OVERHEAD};
 use crate::views::{key_seq, GetMultiHeaderView, Key, KeyHeaderView, PutMultiHeaderView, Seq};
 
-/// RPCs the runtime may safely re-send on transport-class failures.
-/// Yokan's mutations are last-writer-wins over full values, so re-running
-/// a `put` (or `clear`/`flush`) converges to the same state. `erase` is
-/// excluded: its reply ("did the key exist") is not stable under retry.
-/// The versioned surfaces are idempotent by construction (put-if-newer:
-/// a re-send of the same record compares equal and is a no-op), as is
-/// `hint_put` (keep-freshest). `hint_drop` follows the `erase` rule.
+/// RPCs the runtime may re-send on transport-class failures: a re-run
+/// leaves the same state and reply (`tests/retry_replay.rs` replays each).
+/// `erase`, `erase_multi` and `hint_drop` stay off: each reply counts
+/// what was there, and a re-run finds the first run's work done.
 const IDEMPOTENT_RPCS: &[&str] = &[
     rpc::PUT,
     rpc::PUT_MULTI,

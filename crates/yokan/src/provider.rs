@@ -75,8 +75,6 @@ pub struct ListKeysArgs {
 /// whose values are encoded [`crate::version`] records.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct PutVersionedMultiReply {
-    /// How many records won their compare and were stored.
-    pub stored: u64,
     /// Per-key: whether a *live* (non-tombstone) record existed before
     /// the op — an erase's "did the key exist" answer.
     pub existed: Vec<bool>,
@@ -291,15 +289,13 @@ impl YokanProvider {
                 if !pairs.iter().all(|(_, record)| crate::version::is_record(record)) {
                     return Err("value is not a versioned record".into());
                 }
-                let mut stored = 0u64;
                 let mut existed = Vec::with_capacity(pairs.len());
                 for (key, record) in pairs {
-                    let (won, was_live) =
+                    let (_won, was_live) =
                         db.put_if_newer(key, record).map_err(|e| e.to_string())?;
-                    stored += u64::from(won);
                     existed.push(was_live);
                 }
-                encode_framed(&PutVersionedMultiReply { stored, existed }, &[])
+                encode_framed(&PutVersionedMultiReply { existed }, &[])
                     .map_err(|e| e.to_string())
             }),
         )?;

@@ -2,9 +2,7 @@
 //!
 //! Registration sites (`provider.rs`) and client call sites
 //! (`client.rs`) both pull names from this module, so a provider and its
-//! clients can never drift apart — and
-//! `mochi-lint`'s contract checker (MOCHI006/007/008) resolves these
-//! constants when it cross-checks register/forward pairs.
+//! clients can never drift apart.
 
 /// Put one pair (framed: header = key, body = value).
 pub const PUT: &str = "yokan_put";

@@ -11,13 +11,15 @@
 # Exit codes (distinct per stage, for CI triage):
 #   0  everything green
 #   20 workspace build failed
-#   21 test suite failed (the umbrella package's tests, or mochi-lint's
-#      own), or product code is no longer clippy-clean: the lib and bin
-#      targets of every crate but mochi-perf, under the workspace's lints
-#      and clippy.toml (a new unwrap/expect/panic!/unreachable!/todo!/
-#      unimplemented! site, a discarded `Result`, an `AtomicBool`, a
-#      forward or a JSON codec call in a data-plane file, or an
-#      `#[expect]` whose site was fixed)
+#   21 test suite failed (the umbrella package's tests, among them
+#      retry_replay: a declared-idempotent RPC whose re-run, after a lost
+#      reply, changed its reply or its server's state, or one declared
+#      with no replay case), or product code is no longer clippy-clean:
+#      the lib and bin targets of every crate but mochi-perf, under the
+#      workspace's lints and clippy.toml (a new unwrap/expect/panic!/
+#      unreachable!/todo!/unimplemented! site, a discarded `Result`, an
+#      `AtomicBool`, a forward or a JSON codec call in a data-plane file,
+#      or an `#[expect]` whose site was fixed)
 #   22 benchmark harness failed to compile
 #   23 chaos soak failed (fault-injection resilience regression)
 #   35 live-rebalance soak failed (zero-acked-write-loss or
@@ -71,7 +73,7 @@
 #   43 the API documentation has a warning (`cargo doc` of the
 #      workspace: a doc comment links to an item that is gone or
 #      private, or its link is broken or redundant)
-#   10-13, 2 static-analysis failures (see scripts/lint.sh)
+#   12-13 static-analysis failures (see scripts/lint.sh)
 set -u
 
 root="${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}"
@@ -222,6 +224,9 @@ cargo test -q -p mochi-margo --test margo_proptest || exit 42
 cargo test -q -p mochi-mercury --test mercury_proptest || exit 42
 cargo test -q -p mochi-core --test failover_cache --test service_integration || exit 42
 
+# The umbrella package's suites, among them retry_replay (DESIGN.md
+# §11.2): every RPC a client declares idempotent is re-sent after a lost
+# reply and must leave the same reply and the same server state.
 echo "==> cargo test"
 cargo test -q || exit 21
 
@@ -246,18 +251,14 @@ cargo bench -p mochi-bench --no-run || exit 22
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || exit 43
 
-# Static analysis, last. The linter's own unit and fixture tests first:
-# they are the oracle for what the two rules of its registry catch, and
-# no other stage runs them. Where clippy exists, product code stays
+# Static analysis, last. Where clippy exists, product code stays
 # clippy-clean: the lib and bin targets of every crate, under the
 # workspace's lints (Cargo.toml) and clippy.toml, warnings denied. That is
 # the one gate on panic paths, discarded results, bare atomic flags, and
 # forwards and JSON on the data plane (DESIGN.md §11.1): a site that stays
 # carries an `#[expect(clippy::…, reason = "…")]`, which fails here once
 # it no longer fires. mochi-perf, the benchmark harness, is left out.
-# Then scripts/lint.sh: one mochi-lint run over the workspace.
-echo "==> cargo test -p mochi-lint"
-cargo test -q -p mochi-lint || exit 21
+# Then scripts/lint.sh: clippy over every target, and rustfmt.
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy (product code, warnings are errors)"
     cargo clippy -q --workspace --lib --bins --exclude mochi-perf -- -D warnings || exit 21
