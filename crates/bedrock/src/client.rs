@@ -15,7 +15,7 @@
 
 use serde_json::Value;
 
-use mochi_margo::MargoRuntime;
+use mochi_margo::{MargoRuntime, Rpc};
 use mochi_mercury::Address;
 use mochi_remi::Strategy;
 use mochi_util::id::unique_token;
@@ -60,12 +60,10 @@ impl ServiceHandle {
 
     fn call<I: serde::Serialize, O: serde::de::DeserializeOwned>(
         &self,
-        rpc: &str,
+        rpc: Rpc<'static, I, O>,
         args: &I,
     ) -> Result<O, BedrockError> {
-        self.margo
-            .forward(&self.address, rpc, self.provider_id, args)
-            .map_err(BedrockError::Margo)
+        self.margo.forward(&self.address, rpc, self.provider_id, args).map_err(BedrockError::Margo)
     }
 
     /// Fetches the process configuration (Listing 3 shape, live).
@@ -80,47 +78,43 @@ impl ServiceHandle {
 
     /// Adds a pool (`p.addPool(jsonPoolConfig)`).
     pub fn add_pool(&self, pool_config: Value) -> Result<(), BedrockError> {
-        self.call::<_, Value>(proto::ADD_POOL, &pool_config).map(|_| ())
+        self.call(proto::ADD_POOL, &pool_config)
     }
 
     /// Removes a pool (`p.removePool("MyPoolX")`).
     pub fn remove_pool(&self, name: &str) -> Result<(), BedrockError> {
-        self.call::<_, Value>(proto::REMOVE_POOL, &proto::NameArgs { name: name.to_string() })
-            .map(|_| ())
+        self.call(proto::REMOVE_POOL, &proto::NameArgs { name: name.to_string() })
     }
 
     /// Adds an execution stream.
     pub fn add_xstream(&self, xstream_config: Value) -> Result<(), BedrockError> {
-        self.call::<_, Value>(proto::ADD_XSTREAM, &xstream_config).map(|_| ())
+        self.call(proto::ADD_XSTREAM, &xstream_config)
     }
 
     /// Removes an execution stream.
     pub fn remove_xstream(&self, name: &str) -> Result<(), BedrockError> {
-        self.call::<_, Value>(proto::REMOVE_XSTREAM, &proto::NameArgs { name: name.to_string() })
-            .map(|_| ())
+        self.call(proto::REMOVE_XSTREAM, &proto::NameArgs { name: name.to_string() })
     }
 
     /// Loads a module (`p.loadModule("B", "libcomponent_b.so")`).
     pub fn load_module(&self, type_name: &str, library: &str) -> Result<(), BedrockError> {
-        self.call::<_, Value>(
+        self.call(
             proto::LOAD_MODULE,
             &proto::LoadModuleArgs {
                 type_name: type_name.to_string(),
                 library: library.to_string(),
             },
         )
-        .map(|_| ())
     }
 
     /// Starts a provider (`p.startProvider("myProviderB", "B", …)`).
     pub fn start_provider(&self, spec: &ProviderSpec) -> Result<(), BedrockError> {
-        self.call::<_, Value>(proto::START_PROVIDER, spec).map(|_| ())
+        self.call(proto::START_PROVIDER, spec)
     }
 
     /// Stops a provider.
     pub fn stop_provider(&self, name: &str) -> Result<(), BedrockError> {
-        self.call::<_, Value>(proto::STOP_PROVIDER, &proto::NameArgs { name: name.to_string() })
-            .map(|_| ())
+        self.call(proto::STOP_PROVIDER, &proto::NameArgs { name: name.to_string() })
     }
 
     /// Looks up a provider's routing info.
@@ -147,20 +141,18 @@ impl ServiceHandle {
 
     /// Checkpoints a provider to a directory on shared storage.
     pub fn checkpoint_provider(&self, name: &str, path: &str) -> Result<(), BedrockError> {
-        self.call::<_, Value>(
+        self.call(
             proto::CHECKPOINT_PROVIDER,
             &proto::CheckpointArgs { name: name.to_string(), path: path.to_string() },
         )
-        .map(|_| ())
     }
 
     /// Restores a provider from a checkpoint directory.
     pub fn restore_provider(&self, name: &str, path: &str) -> Result<(), BedrockError> {
-        self.call::<_, Value>(
+        self.call(
             proto::RESTORE_PROVIDER,
             &proto::CheckpointArgs { name: name.to_string(), path: path.to_string() },
         )
-        .map(|_| ())
     }
 }
 
@@ -217,15 +209,14 @@ pub fn apply_transaction(
             txn_id: txn_id.clone(),
             ops: grouped[address].clone(),
         };
-        let result: Result<Value, _> =
-            margo.forward(address, proto::TXN_PREPARE, bedrock_provider_id, &args);
+        let result = margo.forward(address, proto::TXN_PREPARE, bedrock_provider_id, &args);
         match result {
             Ok(_) => prepared.push(address.clone()),
             Err(e) => {
                 // A participant whose abort fails stays prepared: name it.
                 let mut reason = format!("prepare failed: {e}");
                 for p in &prepared {
-                    let aborted: Result<Value, _> = margo.forward(
+                    let aborted = margo.forward(
                         p,
                         proto::TXN_ABORT,
                         bedrock_provider_id,
@@ -244,7 +235,7 @@ pub fn apply_transaction(
     // failure (the classic 2PC limitation); report it.
     let mut commit_errors = Vec::new();
     for address in &order {
-        let result: Result<Value, _> = margo.forward(
+        let result = margo.forward(
             address,
             proto::TXN_COMMIT,
             bedrock_provider_id,

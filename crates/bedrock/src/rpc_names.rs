@@ -1,43 +1,57 @@
-//! The Bedrock control-plane RPC surface: every wire-visible RPC name,
-//! in one place.
+//! The Bedrock control-plane RPC surface: every RPC, declared once with
+//! its types and its retry class (`mochi_margo::Rpc`).
 //!
 //! The server (`server.rs`) registers these and the client (`client.rs`)
 //! calls them through [`crate::proto`], which re-exports this module, so
-//! both sides share a single definition.
+//! a handler and its callers cannot disagree on a name or a type. Each is
+//! sent once: a reconfiguration that ran is not run again behind its
+//! caller's back.
 
-/// `get_config` RPC name.
-pub const GET_CONFIG: &str = "bedrock_get_config";
-/// `query` (Jx9) RPC name.
-pub const QUERY: &str = "bedrock_query_config";
-/// `add_pool` RPC name.
-pub const ADD_POOL: &str = "bedrock_add_pool";
-/// `remove_pool` RPC name.
-pub const REMOVE_POOL: &str = "bedrock_remove_pool";
-/// `add_xstream` RPC name.
-pub const ADD_XSTREAM: &str = "bedrock_add_xstream";
-/// `remove_xstream` RPC name.
-pub const REMOVE_XSTREAM: &str = "bedrock_remove_xstream";
-/// `load_module` RPC name.
-pub const LOAD_MODULE: &str = "bedrock_load_module";
-/// `start_provider` RPC name.
-pub const START_PROVIDER: &str = "bedrock_start_provider";
-/// `stop_provider` RPC name.
-pub const STOP_PROVIDER: &str = "bedrock_stop_provider";
-/// `lookup_provider` RPC name.
-pub const LOOKUP_PROVIDER: &str = "bedrock_lookup_provider";
-/// `migrate_provider` RPC name.
-pub const MIGRATE_PROVIDER: &str = "bedrock_migrate_provider";
-/// `checkpoint_provider` RPC name.
-pub const CHECKPOINT_PROVIDER: &str = "bedrock_checkpoint_provider";
-/// `restore_provider` RPC name.
-pub const RESTORE_PROVIDER: &str = "bedrock_restore_provider";
-/// Registers a cross-process dependent of a local provider.
-pub const ADD_DEPENDENT: &str = "bedrock_add_dependent";
-/// Removes a cross-process dependent registration.
-pub const REMOVE_DEPENDENT: &str = "bedrock_remove_dependent";
-/// Transaction prepare RPC name.
-pub const TXN_PREPARE: &str = "bedrock_txn_prepare";
-/// Transaction commit RPC name.
-pub const TXN_COMMIT: &str = "bedrock_txn_commit";
-/// Transaction abort RPC name.
-pub const TXN_ABORT: &str = "bedrock_txn_abort";
+use serde_json::Value;
+
+use mochi_margo::rpc_table;
+
+use crate::config::ProviderSpec;
+use crate::server::proto::{
+    CheckpointArgs, DependentArgs, LoadModuleArgs, MigrateArgs, MigrateReply, NameArgs,
+    ProviderInfo, QueryArgs, TxnIdArgs, TxnPrepareArgs,
+};
+
+rpc_table! {
+    /// The process configuration (Listing 3 shape, live).
+    GET_CONFIG: Rpc<(), Value> = once("bedrock_get_config");
+    /// A Jx9 query against the configuration (Listing 4).
+    QUERY: Rpc<QueryArgs, Value> = once("bedrock_query_config");
+    /// Adds a pool described by a JSON object.
+    ADD_POOL: Rpc<Value, ()> = once("bedrock_add_pool");
+    /// Removes a pool.
+    REMOVE_POOL: Rpc<NameArgs, ()> = once("bedrock_remove_pool");
+    /// Adds an xstream described by a JSON object.
+    ADD_XSTREAM: Rpc<Value, ()> = once("bedrock_add_xstream");
+    /// Removes an xstream.
+    REMOVE_XSTREAM: Rpc<NameArgs, ()> = once("bedrock_remove_xstream");
+    /// Loads a module.
+    LOAD_MODULE: Rpc<LoadModuleArgs, ()> = once("bedrock_load_module");
+    /// Starts a provider.
+    START_PROVIDER: Rpc<ProviderSpec, ()> = once("bedrock_start_provider");
+    /// Stops a provider.
+    STOP_PROVIDER: Rpc<NameArgs, ()> = once("bedrock_stop_provider");
+    /// A provider's routing info.
+    LOOKUP_PROVIDER: Rpc<NameArgs, ProviderInfo> = once("bedrock_lookup_provider");
+    /// Migrates a provider to another Bedrock process.
+    MIGRATE_PROVIDER: Rpc<MigrateArgs, MigrateReply> = once("bedrock_migrate_provider");
+    /// Checkpoints a provider to a directory.
+    CHECKPOINT_PROVIDER: Rpc<CheckpointArgs, ()> = once("bedrock_checkpoint_provider");
+    /// Restores a provider from a checkpoint directory.
+    RESTORE_PROVIDER: Rpc<CheckpointArgs, ()> = once("bedrock_restore_provider");
+    /// Registers a cross-process dependent of a local provider.
+    ADD_DEPENDENT: Rpc<DependentArgs, ()> = once("bedrock_add_dependent");
+    /// Removes a cross-process dependent registration.
+    REMOVE_DEPENDENT: Rpc<DependentArgs, ()> = once("bedrock_remove_dependent");
+    /// Two-phase commit: prepare.
+    TXN_PREPARE: Rpc<TxnPrepareArgs, ()> = once("bedrock_txn_prepare");
+    /// Two-phase commit: commit.
+    TXN_COMMIT: Rpc<TxnIdArgs, ()> = once("bedrock_txn_commit");
+    /// Two-phase commit: abort.
+    TXN_ABORT: Rpc<TxnIdArgs, ()> = once("bedrock_txn_abort");
+}

@@ -20,9 +20,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 use serde_json::{json, Value};
 
-use mochi_margo::{MargoRuntime, MargoError};
+use mochi_margo::{MargoRuntime, Rpc};
 use mochi_mercury::{Address, Fabric};
 use mochi_remi::{MigrationOptions, RemiClient, RemiProvider, Strategy};
 use mochi_util::ordered_lock::{rank, OrderedMutex};
@@ -37,14 +39,14 @@ use crate::txn::{TxnOp, TxnTable};
 /// migration support (the components' "dependency on a REMI provider").
 pub const REMI_PROVIDER_ID: u16 = 65_000;
 
-/// RPC names and argument types of the Bedrock protocol.
+/// RPC declarations and argument types of the Bedrock protocol.
 pub mod proto {
     use serde::{Deserialize, Serialize};
 
     use crate::config::ProviderSpec;
     use crate::txn::TxnOp;
 
-    // The RPC-name constants live in `crate::rpc_names` (shared by the
+    // The RPC declarations live in `crate::rpc_names` (shared by the
     // server registration sites and the client call sites); re-exported
     // here so `proto::GET_CONFIG`-style paths keep working.
     pub use crate::rpc_names::*;
@@ -349,7 +351,7 @@ impl BedrockServer {
             } else {
                 self.inner
                     .margo
-                    .forward::<_, proto::ProviderInfo>(
+                    .forward(
                         &address,
                         proto::LOOKUP_PROVIDER,
                         self.inner.provider_id,
@@ -376,7 +378,7 @@ impl BedrockServer {
                 // this dependent: no edge, no start.
                 self.inner
                     .margo
-                    .forward::<_, bool>(
+                    .forward(
                         &address,
                         proto::ADD_DEPENDENT,
                         self.inner.provider_id,
@@ -435,7 +437,7 @@ impl BedrockServer {
                     clippy::let_underscore_must_use,
                     reason = "best-effort, as documented: the dependency's process may be gone, and its edges with it"
                 )]
-                let _: Result<bool, _> = self.inner.margo.forward(
+                let _: Result<(), _> = self.inner.margo.forward(
                     &address,
                     proto::REMOVE_DEPENDENT,
                     self.inner.provider_id,
@@ -641,8 +643,7 @@ impl BedrockServer {
         // exist on the destination falls back to its default pool.
         let mut spec = record.spec.clone();
         spec.pool = None;
-        let _: bool = self
-            .inner
+        self.inner
             .margo
             .forward(dest, proto::START_PROVIDER, self.inner.provider_id, &spec)
             .map_err(BedrockError::Margo)?;
@@ -771,103 +772,47 @@ impl BedrockServer {
     // ------------------------------------------------------------------
 
     fn register_rpcs(&self) -> Result<(), BedrockError> {
-        let margo = self.inner.margo.clone();
-        let id = self.inner.provider_id;
-        let pool = self.inner.pool.clone();
-        let reg = |name: &str,
-                   handler: Box<dyn Fn(Value) -> Result<Value, String> + Send + Sync>|
-         -> Result<(), MargoError> {
-            margo
-                .register_typed(name, id, Some(&pool), move |args: Value, _| handler(args))
-                .map(|_| ())
-        };
-
-        macro_rules! handler {
-            ($rpc:expr, $args:ty, |$server:ident, $a:ident| $body:expr) => {{
-                let $server = self.clone();
-                reg(
-                    $rpc,
-                    Box::new(move |value: Value| {
-                        let $a: $args = serde_json::from_value(value)
-                            .map_err(|e| format!("bad arguments: {e}"))?;
-                        $body
-                    }),
-                )
-                .map_err(BedrockError::Margo)?;
-            }};
-        }
-
-        handler!(proto::GET_CONFIG, (), |server, _a| Ok(server.get_config()));
-        handler!(proto::QUERY, proto::QueryArgs, |server, a| {
+        self.serve(proto::GET_CONFIG, |server, ()| Ok(server.get_config()))?;
+        self.serve(proto::QUERY, |server, a| {
             server.query(&a.script).map_err(|e| e.to_rpc_string())
-        });
-        handler!(proto::ADD_POOL, Value, |server, a| {
+        })?;
+        self.serve(proto::ADD_POOL, |server, a| {
             let json = serde_json::to_string(&a).map_err(|e| e.to_string())?;
-            server
-                .inner
-                .margo
-                .add_pool_from_json(&json)
-                .map(|_| json!(true))
-                .map_err(|e| e.to_string())
-        });
-        handler!(proto::REMOVE_POOL, proto::NameArgs, |server, a| {
-            server.inner.margo.remove_pool(&a.name).map(|_| json!(true)).map_err(|e| e.to_string())
-        });
-        handler!(proto::ADD_XSTREAM, Value, |server, a| {
+            server.inner.margo.add_pool_from_json(&json).map_err(|e| e.to_string())
+        })?;
+        self.serve(proto::REMOVE_POOL, |server, a| {
+            server.inner.margo.remove_pool(&a.name).map_err(|e| e.to_string())
+        })?;
+        self.serve(proto::ADD_XSTREAM, |server, a| {
             let json = serde_json::to_string(&a).map_err(|e| e.to_string())?;
-            server
-                .inner
-                .margo
-                .add_xstream_from_json(&json)
-                .map(|_| json!(true))
-                .map_err(|e| e.to_string())
-        });
-        handler!(proto::REMOVE_XSTREAM, proto::NameArgs, |server, a| {
-            server
-                .inner
-                .margo
-                .remove_xstream(&a.name)
-                .map(|_| json!(true))
-                .map_err(|e| e.to_string())
-        });
-        handler!(proto::LOAD_MODULE, proto::LoadModuleArgs, |server, a| {
-            server
-                .load_module(&a.type_name, &a.library)
-                .map(|_| json!(true))
-                .map_err(|e| e.to_rpc_string())
-        });
-        handler!(proto::START_PROVIDER, ProviderSpec, |server, a| {
-            server.start_provider(&a).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
-        });
-        handler!(proto::STOP_PROVIDER, proto::NameArgs, |server, a| {
-            server.stop_provider(&a.name).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
-        });
-        handler!(proto::LOOKUP_PROVIDER, proto::NameArgs, |server, a| {
-            server
-                .lookup_provider(&a.name)
-                .map_err(|e| e.to_rpc_string())
-                .and_then(|info| serde_json::to_value(info).map_err(|e| e.to_string()))
-        });
-        handler!(proto::MIGRATE_PROVIDER, proto::MigrateArgs, |server, a| {
+            server.inner.margo.add_xstream_from_json(&json).map_err(|e| e.to_string())
+        })?;
+        self.serve(proto::REMOVE_XSTREAM, |server, a| {
+            server.inner.margo.remove_xstream(&a.name).map_err(|e| e.to_string())
+        })?;
+        self.serve(proto::LOAD_MODULE, |server, a| {
+            server.load_module(&a.type_name, &a.library).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::START_PROVIDER, |server, a| {
+            server.start_provider(&a).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::STOP_PROVIDER, |server, a| {
+            server.stop_provider(&a.name).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::LOOKUP_PROVIDER, |server, a| {
+            server.lookup_provider(&a.name).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::MIGRATE_PROVIDER, |server, a| {
             let dest: Address = a.dest.parse().map_err(|e| format!("{e}"))?;
-            server
-                .migrate_provider(&a.name, &dest, a.strategy)
-                .map_err(|e| e.to_rpc_string())
-                .and_then(|reply| serde_json::to_value(reply).map_err(|e| e.to_string()))
-        });
-        handler!(proto::CHECKPOINT_PROVIDER, proto::CheckpointArgs, |server, a| {
-            server
-                .checkpoint_provider(&a.name, &a.path)
-                .map(|_| json!(true))
-                .map_err(|e| e.to_rpc_string())
-        });
-        handler!(proto::RESTORE_PROVIDER, proto::CheckpointArgs, |server, a| {
-            server
-                .restore_provider(&a.name, &a.path)
-                .map(|_| json!(true))
-                .map_err(|e| e.to_rpc_string())
-        });
-        handler!(proto::ADD_DEPENDENT, proto::DependentArgs, |server, a| {
+            server.migrate_provider(&a.name, &dest, a.strategy).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::CHECKPOINT_PROVIDER, |server, a| {
+            server.checkpoint_provider(&a.name, &a.path).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::RESTORE_PROVIDER, |server, a| {
+            server.restore_provider(&a.name, &a.path).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::ADD_DEPENDENT, |server, a| {
             if !server.inner.providers.lock().contains_key(&a.provider) {
                 return Err(BedrockError::ProviderNotFound(a.provider).to_rpc_string());
             }
@@ -878,9 +823,9 @@ impl BedrockServer {
                 .entry(a.provider)
                 .or_default()
                 .insert(a.dependent);
-            Ok(json!(true))
-        });
-        handler!(proto::REMOVE_DEPENDENT, proto::DependentArgs, |server, a| {
+            Ok(())
+        })?;
+        self.serve(proto::REMOVE_DEPENDENT, |server, a| {
             let mut map = server.inner.remote_dependents.lock();
             if let Some(set) = map.get_mut(&a.provider) {
                 set.remove(&a.dependent);
@@ -888,18 +833,37 @@ impl BedrockServer {
                     map.remove(&a.provider);
                 }
             }
-            Ok(json!(true))
-        });
-        handler!(proto::TXN_PREPARE, proto::TxnPrepareArgs, |server, a| {
-            server.txn_prepare(&a.txn_id, a.ops).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
-        });
-        handler!(proto::TXN_COMMIT, proto::TxnIdArgs, |server, a| {
-            server.txn_commit(&a.txn_id).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
-        });
-        handler!(proto::TXN_ABORT, proto::TxnIdArgs, |server, a| {
-            server.txn_abort(&a.txn_id).map(|_| json!(true)).map_err(|e| e.to_rpc_string())
-        });
+            Ok(())
+        })?;
+        self.serve(proto::TXN_PREPARE, |server, a| {
+            server.txn_prepare(&a.txn_id, a.ops).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::TXN_COMMIT, |server, a| {
+            server.txn_commit(&a.txn_id).map_err(|e| e.to_rpc_string())
+        })?;
+        self.serve(proto::TXN_ABORT, |server, a| {
+            server.txn_abort(&a.txn_id).map_err(|e| e.to_rpc_string())
+        })?;
         Ok(())
+    }
+
+    /// Registers `handler` for `rpc` on this server's provider id and pool.
+    fn serve<I, O>(
+        &self,
+        rpc: Rpc<'static, I, O>,
+        handler: fn(&BedrockServer, I) -> Result<O, String>,
+    ) -> Result<(), BedrockError>
+    where
+        I: DeserializeOwned + 'static,
+        O: Serialize + 'static,
+    {
+        let server = self.clone();
+        let (provider_id, pool) = (self.inner.provider_id, Some(self.inner.pool.as_str()));
+        self.inner
+            .margo
+            .register_typed(rpc, provider_id, pool, move |args, _| handler(&server, args))
+            .map(drop)
+            .map_err(BedrockError::Margo)
     }
 
     /// Stops all providers and finalizes the Margo runtime.

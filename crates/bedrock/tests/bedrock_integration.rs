@@ -343,7 +343,7 @@ fn prepared_transaction_blocks_conflicting_stop() {
         txn_id: "c1".into(),
         ops: vec![TxnOp::KeepProvider { name: "p2".into() }],
     };
-    let _: Value = client_margo
+    client_margo
         .forward(&n2.address(), mochi_bedrock::proto::TXN_PREPARE, 0, &prepare_args)
         .unwrap();
 
@@ -361,7 +361,7 @@ fn prepared_transaction_blocks_conflicting_stop() {
     assert!(err.to_string().contains("transaction"), "{err}");
 
     // Commit c1; afterwards the stop succeeds.
-    let _: Value = client_margo
+    client_margo
         .forward(
             &n2.address(),
             mochi_bedrock::proto::TXN_COMMIT,

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use mochi_argobots::AbtError;
-use mochi_mercury::MercuryError;
+use mochi_mercury::{MercuryError, ResponseStatus};
 
 /// Errors surfaced by Margo operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,6 +95,19 @@ impl From<AbtError> for MargoError {
 }
 
 impl MargoError {
+    /// What a response's `status` says of the call of `rpc` to
+    /// `provider_id`: `Ok` for a reply, else the error its caller sees.
+    pub fn from_status(status: ResponseStatus, rpc: &str, provider_id: u16) -> Result<(), Self> {
+        match status {
+            ResponseStatus::Ok => Ok(()),
+            ResponseStatus::Error(message) => Err(MargoError::Handler(message)),
+            ResponseStatus::NoHandler => {
+                Err(MargoError::NoHandler { rpc: rpc.to_string(), provider_id })
+            }
+            ResponseStatus::Transport(error) => Err(MargoError::Transport(error)),
+        }
+    }
+
     /// True if the failure is a timeout (common check in retry loops).
     pub fn is_timeout(&self) -> bool {
         matches!(self, MargoError::Transport(MercuryError::Timeout))

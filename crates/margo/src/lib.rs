@@ -44,5 +44,5 @@ pub use error::MargoError;
 pub use retry::RetryPolicy;
 pub use monitoring::{Monitor, MonitoringEvent, StatisticsMonitor};
 pub use mochi_mercury::CallContext;
-pub use rpc::{rpc_id_for_name, RpcContext, RpcHandler};
+pub use rpc::{rpc_id_for_name, Raw, RetryClass, Rpc, RpcContext, RpcHandler, Untyped};
 pub use runtime::{MargoRuntime, PendingForward};

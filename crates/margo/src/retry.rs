@@ -7,9 +7,9 @@
 //! destination degrades.
 //!
 //! Retries apply only to calls the runtime knows are safe to repeat:
-//! the RPC must be declared idempotent (see
-//! `MargoRuntime::declare_idempotent`) and the failure must be classified
-//! retryable (`MargoError::is_retryable`). `Handler` errors are
+//! the RPC's declaration must be [`crate::RetryClass::Idempotent`] (see
+//! [`crate::Rpc`]) and the failure must be classified retryable
+//! (`MargoError::is_retryable`). `Handler` errors are
 //! application outcomes and are never retried; budget exhaustion
 //! (`DeadlineExceeded`) and breaker rejections end the attempt loop
 //! immediately.

@@ -15,8 +15,9 @@
 //!   the validity rules the paper describes.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,7 @@ use crate::monitoring::{
     BulkDirection, CompositeMonitor, Monitor, MonitoringEvent, RpcIdentity, RuntimeSample,
     StatisticsMonitor,
 };
-use crate::rpc::{rpc_id_for_name, RpcContext, RpcHandler};
+use crate::rpc::{Raw, RetryClass, Rpc, RpcContext, RpcHandler, Untyped};
 
 /// Interns an RPC name as an `Arc<str>` in a per-thread cache, so the
 /// forward hot path does not allocate a fresh `Arc<str>` for every call of
@@ -120,17 +121,14 @@ struct Inner {
     stats: Option<Arc<StatisticsMonitor>>,
     retry: RetryPolicy,
     breakers: BreakerRegistry,
-    /// RPC ids declared safe to retry (see
-    /// [`MargoRuntime::declare_idempotent`]). Everything else is
-    /// never auto-retried.
-    idempotent: OrderedRwLock<HashSet<u64>>,
     in_flight_client: AtomicI64,
     in_flight_server: AtomicI64,
     /// A progress ULT is queued in `progress_pool` and has not yet begun
     /// to drain the mailbox (see `arm_progress`).
     progress_armed: Flag,
     finalized: Flag,
-    threads: OrderedMutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The sampler thread and the sender whose drop stops it at once.
+    sampler: OrderedMutex<Option<(mpsc::Sender<()>, std::thread::JoinHandle<()>)>>,
 }
 
 /// Handle to a running Margo instance. Cheap to clone; all clones refer
@@ -171,16 +169,11 @@ impl MargoRuntime {
             stats,
             retry: RetryPolicy::new(config.retry.clone()),
             breakers: BreakerRegistry::new(config.breaker.clone()),
-            idempotent: OrderedRwLock::new(
-                rank::MARGO_IDEMPOTENT,
-                "margo.idempotent",
-                HashSet::new(),
-            ),
             in_flight_client: AtomicI64::new(0),
             in_flight_server: AtomicI64::new(0),
             progress_armed: Flag::new(false),
             finalized: Flag::new(false),
-            threads: OrderedMutex::new(rank::MARGO_THREADS, "margo.threads", Vec::new()),
+            sampler: OrderedMutex::new(rank::MARGO_SAMPLER, "margo.sampler", None),
         });
         let runtime = Self { inner };
         // The fabric slot owns the hook, and the hook this runtime: like a
@@ -237,11 +230,12 @@ impl MargoRuntime {
             return Ok(());
         }
         let this = self.clone();
+        // `finalize` drops the sender: the wait ends then, not a period on.
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name(format!("margo-sampler-{}", self.address()))
             .spawn(move || {
-                while !this.inner.finalized.get() {
-                    std::thread::sleep(period);
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
                     let sample = RuntimeSample {
                         time_s: monotonic_seconds(),
                         in_flight_client: this.inner.in_flight_client.load(Ordering::Relaxed),
@@ -252,7 +246,7 @@ impl MargoRuntime {
                 }
             })
             .map_err(|e| MargoError::Spawn(format!("sampler: {e}")))?;
-        self.inner.threads.lock().push(handle);
+        *self.inner.sampler.lock() = Some((stop, handle));
         Ok(())
     }
 
@@ -307,11 +301,11 @@ impl MargoRuntime {
     // Registration
     // ------------------------------------------------------------------
 
-    /// Registers a raw handler for `(rpc_name, provider_id)`, dispatching
+    /// Registers a raw handler for `(rpc, provider_id)`, dispatching
     /// its ULTs into `pool` (or the configured default pool).
-    pub fn register(
+    pub fn register<'n>(
         &self,
-        rpc_name: &str,
+        rpc: impl Into<Rpc<'n, Raw, Raw>>,
         provider_id: u16,
         pool: Option<&str>,
         handler: RpcHandler,
@@ -323,18 +317,16 @@ impl MargoRuntime {
             .abt
             .find_pool(pool_name)
             .ok_or_else(|| MargoError::PoolNotFound(pool_name.to_string()))?;
-        let rpc_id = rpc_id_for_name(rpc_name);
+        let rpc = rpc.into();
+        let rpc_id = rpc.id();
         let mut handlers = self.inner.handlers.write();
         if handlers.contains_key(&(rpc_id, provider_id)) {
-            return Err(MargoError::AlreadyRegistered {
-                rpc: rpc_name.to_string(),
-                provider_id,
-            });
+            return Err(MargoError::AlreadyRegistered { rpc: rpc.name().to_string(), provider_id });
         }
         handlers.insert(
             (rpc_id, provider_id),
             Arc::new(Registration {
-                name: Arc::from(rpc_name),
+                name: Arc::from(rpc.name()),
                 pool_name: Arc::from(pool_name),
                 pool,
                 handler,
@@ -347,9 +339,9 @@ impl MargoRuntime {
     /// `Ok` output is encoded and sent back, `Err` becomes an
     /// application-level error response. This is the shape component
     /// providers use.
-    pub fn register_typed<I, O, F>(
+    pub fn register_typed<'n, I, O, F>(
         &self,
-        rpc_name: &str,
+        rpc: impl Into<Rpc<'n, I, O>>,
         provider_id: u16,
         pool: Option<&str>,
         f: F,
@@ -366,15 +358,20 @@ impl MargoRuntime {
             };
             ctx.reply(result);
         });
-        self.register(rpc_name, provider_id, pool, handler)
+        self.register(rpc.into().retype(), provider_id, pool, handler)
     }
 
-    /// Removes a registration.
-    pub fn deregister(&self, rpc_name: &str, provider_id: u16) -> Result<(), MargoError> {
-        let rpc_id = rpc_id_for_name(rpc_name);
-        match self.inner.handlers.write().remove(&(rpc_id, provider_id)) {
+    /// Removes a registration: an entry of a service's list of its RPCs
+    /// ([`Rpc::untyped`]), or a bare name.
+    pub fn deregister<'n>(
+        &self,
+        rpc: impl Into<Rpc<'n, Untyped, Untyped>>,
+        provider_id: u16,
+    ) -> Result<(), MargoError> {
+        let rpc = rpc.into();
+        match self.inner.handlers.write().remove(&(rpc.id(), provider_id)) {
             Some(_) => Ok(()),
-            None => Err(MargoError::NotRegistered { rpc: rpc_name.to_string(), provider_id }),
+            None => Err(MargoError::NotRegistered { rpc: rpc.name().to_string(), provider_id }),
         }
     }
 
@@ -469,6 +466,7 @@ impl MargoRuntime {
                 rpc_name: Arc::clone(&reg.name),
                 responded: Flag::new(false),
                 oneway,
+                bulk_failure: Mutex::new(None),
             };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _scope = AmbientScope::enter(nested);
@@ -503,63 +501,63 @@ impl MargoRuntime {
         AMBIENT.get()
     }
 
-    /// Calls `(rpc_name, provider_id)` at `dest` with the default timeout.
+    /// Calls `(rpc, provider_id)` at `dest` with the default timeout.
     ///
     /// Every forward carries the calling thread's context: inside a
     /// handler, that handler as parent and its caller's deadline (see
     /// [`MargoRuntime::current_context`]); anywhere else, top level.
-    pub fn forward<I: Serialize, O: DeserializeOwned>(
+    pub fn forward<'n, I: Serialize, O: DeserializeOwned>(
         &self,
         dest: &Address,
-        rpc_name: &str,
+        rpc: impl Into<Rpc<'n, I, O>>,
         provider_id: u16,
         input: &I,
     ) -> Result<O, MargoError> {
-        self.forward_timeout(dest, rpc_name, provider_id, input, self.inner.meta.rpc_timeout)
+        self.forward_timeout(dest, rpc, provider_id, input, self.inner.meta.rpc_timeout)
     }
 
     /// Calls with an explicit timeout.
-    pub fn forward_timeout<I: Serialize, O: DeserializeOwned>(
+    pub fn forward_timeout<'n, I: Serialize, O: DeserializeOwned>(
         &self,
         dest: &Address,
-        rpc_name: &str,
+        rpc: impl Into<Rpc<'n, I, O>>,
         provider_id: u16,
         input: &I,
         timeout: Duration,
     ) -> Result<O, MargoError> {
         let dest = Arc::new(dest.clone());
-        self.iforward_full(&dest, rpc_name, provider_id, input, timeout)?.wait_decoded()
+        self.iforward_full(&dest, rpc, provider_id, input, timeout)?.wait_decoded()
     }
 
     /// Raw-payload forward for data-plane RPCs using [`crate::frame`]
     /// encoding (or any custom encoding): sends `payload` verbatim and
     /// returns the raw response payload. Fully monitored like
     /// [`MargoRuntime::forward`].
-    pub fn forward_raw(
+    pub fn forward_raw<'n>(
         &self,
         dest: &Address,
-        rpc_name: &str,
+        rpc: impl Into<Rpc<'n, Raw, Raw>>,
         provider_id: u16,
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Bytes, MargoError> {
         let dest = Arc::new(dest.clone());
-        self.iforward_raw(&dest, rpc_name, provider_id, payload, timeout).wait()
+        self.iforward_raw(&dest, rpc, provider_id, payload, timeout).wait()
     }
 
     /// Posting form of [`MargoRuntime::forward_timeout`]: encodes `input`
     /// and posts it ([`MargoRuntime::iforward_raw`]);
     /// [`PendingForward::wait_decoded`] yields the typed reply.
-    pub fn iforward_full<I: Serialize>(
+    pub fn iforward_full<'n, I: Serialize, O>(
         &self,
         dest: &Arc<Address>,
-        rpc_name: &str,
+        rpc: impl Into<Rpc<'n, I, O>>,
         provider_id: u16,
         input: &I,
         timeout: Duration,
     ) -> Result<PendingForward, MargoError> {
         let payload = crate::codec::encode(input)?;
-        Ok(self.iforward_raw(dest, rpc_name, provider_id, payload, timeout))
+        Ok(self.iforward_raw(dest, rpc.into().retype(), provider_id, payload, timeout))
     }
 
     /// Posts a forward and returns without waiting for the response
@@ -579,17 +577,17 @@ impl MargoRuntime {
     /// `dest` is shared with the posted call (monitoring events, the
     /// breaker key, re-sends): a client that keeps its peer's address in an
     /// `Arc` posts without copying it.
-    pub fn iforward_raw(
+    pub fn iforward_raw<'n>(
         &self,
         dest: &Arc<Address>,
-        rpc_name: &str,
+        rpc: impl Into<Rpc<'n, Raw, Raw>>,
         provider_id: u16,
         payload: Bytes,
         timeout: Duration,
     ) -> PendingForward {
-        let rpc_id = rpc_id_for_name(rpc_name);
-        let name = cached_rpc_name(rpc_name);
-        let identity = self.identity_for(rpc_id, &name, provider_id, Self::current_context());
+        let rpc = rpc.into();
+        let name = cached_rpc_name(rpc.name());
+        let identity = self.identity_for(rpc.id(), &name, provider_id, Self::current_context());
         self.emit(&MonitoringEvent::ForwardStart {
             identity: &identity,
             dest,
@@ -599,10 +597,10 @@ impl MargoRuntime {
         // One reading: the call starts where its first attempt does.
         let start = Instant::now();
         let first = self.post_attempt(&identity, dest, payload.clone(), timeout, start);
-        let dest = Arc::clone(dest);
+        let (dest, retry) = (Arc::clone(dest), rpc.retry());
         PendingForward {
             margo: self.clone(),
-            call: Some(PostedCall { identity, dest, payload, timeout, start, first }),
+            call: Some(PostedCall { identity, retry, dest, payload, timeout, start, first }),
         }
     }
 
@@ -679,14 +677,8 @@ impl MargoRuntime {
                 // The network round-tripped: the breaker closes whatever
                 // the application-level status says.
                 self.inner.breakers.record_success(dest, identity.provider_id);
-                match response.status {
-                    ResponseStatus::Ok => Ok(response.payload),
-                    ResponseStatus::Error(message) => Err(MargoError::Handler(message)),
-                    ResponseStatus::NoHandler => Err(MargoError::NoHandler {
-                        rpc: identity.rpc_name.to_string(),
-                        provider_id: identity.provider_id,
-                    }),
-                }
+                MargoError::from_status(response.status, &identity.rpc_name, identity.provider_id)
+                    .map(|()| response.payload)
             }
             Err(err) => {
                 let err = MargoError::from(err);
@@ -714,7 +706,7 @@ impl MargoRuntime {
     /// dropped handle takes what is there and leaves), and closes the
     /// books: in-flight gauge, `ForwardEnd`.
     fn finish_call(&self, call: PostedCall, patient: bool) -> Result<Bytes, MargoError> {
-        let PostedCall { identity, dest, payload, timeout, start, first } = call;
+        let PostedCall { identity, retry, dest, payload, timeout, start, first } = call;
         let mut attempts = 1u32;
         let mut outcome =
             first.and_then(|attempt| self.finish_attempt(&identity, &dest, attempt, patient));
@@ -723,14 +715,14 @@ impl MargoRuntime {
                 Ok(response) => break Ok(response),
                 Err(err) => err,
             };
-            // Only idempotent RPCs may be re-sent, and only for failures
-            // where the request may not have executed (transport-class,
-            // or no handler registered yet). Handler errors are
-            // application outcomes; deadline and breaker rejections end
-            // the loop immediately.
+            // Only RPCs declared idempotent may be re-sent, and only for
+            // failures where the request may not have executed
+            // (transport-class, or no handler registered yet). Handler
+            // errors are application outcomes; deadline and breaker
+            // rejections end the loop immediately.
             if !(patient
                 && err.is_retryable()
-                && self.is_idempotent_rpc(identity.rpc_id)
+                && retry == RetryClass::Idempotent
                 && self.inner.retry.admit_retry(attempts))
             {
                 break Err(err);
@@ -759,46 +751,23 @@ impl MargoRuntime {
         result
     }
 
-    /// Declares an RPC idempotent: safe for the runtime to re-send on
-    /// transport-class failures. RPCs never declared are never
-    /// auto-retried — a non-idempotent call observes exactly one
-    /// server-side invocation per forward.
-    pub fn declare_idempotent(&self, rpc_name: &str) {
-        let rpc_id = rpc_id_for_name(rpc_name);
-        // Clients re-declare their surface with every handle they make;
-        // only the first declaration needs the write lock.
-        if !self.is_idempotent_rpc(rpc_id) {
-            self.inner.idempotent.write().insert(rpc_id);
-        }
-    }
-
-    /// Whether `rpc_name` has been declared idempotent.
-    pub fn is_idempotent(&self, rpc_name: &str) -> bool {
-        self.is_idempotent_rpc(rpc_id_for_name(rpc_name))
-    }
-
-    fn is_idempotent_rpc(&self, rpc_id: u64) -> bool {
-        self.inner.idempotent.read().contains(&rpc_id)
-    }
-
     /// The circuit-breaker registry (chaos tests assert convergence on
     /// it; the monitoring JSON embeds its dump as the `breakers` section).
     pub fn breakers(&self) -> &BreakerRegistry {
         &self.inner.breakers
     }
 
-    /// Fire-and-forget notification to `(rpc_name, provider_id)` at `dest`.
-    pub fn notify<I: Serialize>(
+    /// Fire-and-forget notification to `(rpc, provider_id)` at `dest`.
+    pub fn notify<'n, I: Serialize>(
         &self,
         dest: &Address,
-        rpc_name: &str,
+        rpc: impl Into<Rpc<'n, I, ()>>,
         provider_id: u16,
         input: &I,
     ) -> Result<(), MargoError> {
         self.ensure_live()?;
         let payload = crate::codec::encode(input)?;
-        let rpc_id = rpc_id_for_name(rpc_name);
-        self.inner.endpoint.send_oneway(dest, rpc_id, provider_id, payload)?;
+        self.inner.endpoint.send_oneway(dest, rpc.into().id(), provider_id, payload)?;
         Ok(())
     }
 
@@ -1039,8 +1008,9 @@ impl MargoRuntime {
             return self.monitoring_json();
         }
         self.inner.endpoint.shutdown();
-        let threads = std::mem::take(&mut *self.inner.threads.lock());
-        for handle in threads {
+        let sampler = self.inner.sampler.lock().take();
+        if let Some((stop, handle)) = sampler {
+            drop(stop);
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "a thread that panicked has reported it through the panic hook; shutdown goes on"
@@ -1071,6 +1041,8 @@ struct Attempt {
 /// the first attempt and, for an idempotent RPC, to make the next ones.
 struct PostedCall {
     identity: RpcIdentity,
+    /// Whether a transport-class failure may be answered by a re-send.
+    retry: RetryClass,
     dest: Arc<Address>,
     payload: Bytes,
     timeout: Duration,
@@ -1147,6 +1119,7 @@ impl Drop for Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rpc::rpc_id_for_name;
     use mochi_mercury::Fabric;
 
     fn boot(fabric: &Fabric, host: &str) -> MargoRuntime {
@@ -1514,6 +1487,20 @@ mod tests {
     }
 
     #[test]
+    fn finalize_does_not_wait_out_a_sampling_period() {
+        let fabric = Fabric::new();
+        let mut config = MargoConfig::default();
+        config.monitoring.sampling_period_ms = 5_000;
+        let server = MargoRuntime::init(&fabric, Address::tcp("slow-sampler", 1), &config).unwrap();
+        // Long enough for the sampler to be waiting out its first period.
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        server.finalize();
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "finalize took {took:?}");
+    }
+
+    #[test]
     fn nested_calls_inherit_remaining_deadline() {
         let fabric = Fabric::new();
         let dead = boot(&fabric, "dead");
@@ -1798,14 +1785,13 @@ mod tests {
         let client = boot(&fabric, "client");
         let hits = Arc::new(AtomicI64::new(0));
         let hits2 = Arc::clone(&hits);
+        const GET: Rpc<'static, String, String> = Rpc::idempotent("get");
         server
-            .register_typed("get", 0, None, move |k: String, _| {
+            .register_typed(GET, 0, None, move |k: String, _| {
                 hits2.fetch_add(1, Ordering::SeqCst);
                 Ok(k)
             })
             .unwrap();
-        client.declare_idempotent("get");
-        assert!(client.is_idempotent("get"));
         // First two request sends on the client→server link vanish; the
         // third gets through.
         fabric.faults().push_script(
@@ -1814,7 +1800,13 @@ mod tests {
             mochi_mercury::LinkScript::FailFirst(2),
         );
         let out: String = client
-            .forward_timeout(&server.address(), "get", 0, &"k".to_string(), Duration::from_millis(100))
+            .forward_timeout(
+                &server.address(),
+                GET,
+                0,
+                &"k".to_string(),
+                Duration::from_millis(100),
+            )
             .unwrap();
         assert_eq!(out, "k");
         assert_eq!(hits.load(Ordering::SeqCst), 1, "only the delivered attempt executed");
@@ -1893,10 +1885,10 @@ mod tests {
         log
     }
 
-    fn post_unit(
+    fn post_unit<'n>(
         client: &MargoRuntime,
         dest: &Address,
-        rpc: &str,
+        rpc: impl Into<Rpc<'n, (), ()>>,
         timeout: Duration,
     ) -> PendingForward {
         let dest = Arc::new(dest.clone());
@@ -1937,11 +1929,11 @@ mod tests {
         client.finalize();
     }
 
-    /// Posts "get" over a link that drops its first request
+    /// Posts `get` over a link that drops its first request
     /// (`idempotent_rpc_survives_transient_drops`' script) and waits.
     /// Returns the outcome, how often the handler ran and the logged ends.
     fn post_over_a_dropped_first_send(
-        idempotent: bool,
+        get: Rpc<'static, (), ()>,
     ) -> (Result<(), MargoError>, i64, Vec<LoggedEnd>) {
         let fabric = Fabric::new();
         let server = boot(&fabric, "server");
@@ -1949,21 +1941,18 @@ mod tests {
         let hits = Arc::new(AtomicI64::new(0));
         let hits2 = Arc::clone(&hits);
         server
-            .register_typed("get", 0, None, move |_: (), _| {
+            .register_typed(get, 0, None, move |_: (), _| {
                 hits2.fetch_add(1, Ordering::SeqCst);
                 Ok(())
             })
             .unwrap();
-        if idempotent {
-            client.declare_idempotent("get");
-        }
         let log = logged(&client);
         fabric.faults().push_script(
             Some("client"),
             Some("server"),
             mochi_mercury::LinkScript::FailFirst(1),
         );
-        let pending = post_unit(&client, &server.address(), "get", Duration::from_millis(50));
+        let pending = post_unit(&client, &server.address(), get, Duration::from_millis(50));
         let outcome = pending.wait_decoded::<()>();
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(log.starts.load(Ordering::SeqCst), 1);
@@ -1977,7 +1966,7 @@ mod tests {
     fn posted_idempotent_forward_retries_from_wait() {
         // The post's own send is the one that vanishes; the second
         // attempt is made from `wait`.
-        let (outcome, hits, ends) = post_over_a_dropped_first_send(true);
+        let (outcome, hits, ends) = post_over_a_dropped_first_send(Rpc::idempotent("get"));
         outcome.unwrap();
         assert_eq!(hits, 1, "only the delivered attempt executed");
         assert_eq!(ends, vec![(true, None, 2)]);
@@ -1985,7 +1974,7 @@ mod tests {
 
     #[test]
     fn posted_non_idempotent_forward_is_sent_once() {
-        let (outcome, hits, ends) = post_over_a_dropped_first_send(false);
+        let (outcome, hits, ends) = post_over_a_dropped_first_send(Rpc::once("get"));
         assert!(outcome.unwrap_err().is_timeout());
         assert_eq!(hits, 0, "non-idempotent call was silently re-sent");
         assert_eq!(ends, vec![(false, Some("timeout"), 1)]);

@@ -12,6 +12,7 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use crate::address::Address;
+use crate::error::MercuryError;
 
 /// Status of a response as seen by the transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,6 +23,9 @@ pub enum ResponseStatus {
     Error(String),
     /// No handler was registered for the requested RPC id / provider id.
     NoHandler,
+    /// The handler's bulk transfer with the caller's region failed with
+    /// this transport error: the caller sees it as its own.
+    Transport(MercuryError),
 }
 
 /// Body of a request message.

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
-use mochi_margo::{MargoError, MargoRuntime};
+use mochi_margo::{MargoError, MargoRuntime, Rpc};
 use mochi_mercury::Address;
 
 use crate::messages::{rpc, MembershipArgs, StatusReply, SubmitArgs, SubmitReply};
@@ -65,15 +65,24 @@ impl RaftClient {
         list
     }
 
-    fn run<F>(&self, call: F) -> Result<Vec<u8>, MargoError>
-    where
-        F: Fn(&Address) -> Result<SubmitReply, MargoError>,
-    {
+    /// Sends `rpc` to the leader, found by following redirects, until it
+    /// is applied or the operation's deadline passes.
+    fn run<I: serde::Serialize>(
+        &self,
+        rpc: Rpc<'static, I, SubmitReply>,
+        args: &I,
+    ) -> Result<Vec<u8>, MargoError> {
         let deadline = Instant::now() + self.op_timeout;
         let mut last_error: MargoError = MargoError::Handler("no members".into());
         while Instant::now() < deadline {
             for target in self.candidates() {
-                match call(&target) {
+                match self.margo.forward_timeout(
+                    &target,
+                    rpc,
+                    self.provider_id,
+                    args,
+                    self.rpc_timeout,
+                ) {
                     Ok(SubmitReply::Applied(result)) => {
                         *self.leader_hint.write() = Some(target);
                         return Ok(result);
@@ -99,46 +108,17 @@ impl RaftClient {
     /// Submits a command; returns the state machine's response once the
     /// command commits.
     pub fn submit(&self, command: &[u8]) -> Result<Vec<u8>, MargoError> {
-        let args = SubmitArgs { command: command.to_vec() };
-        self.run(|target| {
-            self.margo.forward_timeout(
-                target,
-                rpc::SUBMIT,
-                self.provider_id,
-                &args,
-                self.rpc_timeout,
-            )
-        })
+        self.run(rpc::SUBMIT, &SubmitArgs { command: command.to_vec() })
     }
 
     /// Adds a server to the cluster.
     pub fn add_server(&self, server: &Address) -> Result<(), MargoError> {
-        let args = MembershipArgs { server: server.clone() };
-        self.run(|target| {
-            self.margo.forward_timeout(
-                target,
-                rpc::ADD_SERVER,
-                self.provider_id,
-                &args,
-                self.rpc_timeout,
-            )
-        })
-        .map(|_| ())
+        self.run(rpc::ADD_SERVER, &MembershipArgs { server: server.clone() }).map(drop)
     }
 
     /// Removes a server from the cluster.
     pub fn remove_server(&self, server: &Address) -> Result<(), MargoError> {
-        let args = MembershipArgs { server: server.clone() };
-        self.run(|target| {
-            self.margo.forward_timeout(
-                target,
-                rpc::REMOVE_SERVER,
-                self.provider_id,
-                &args,
-                self.rpc_timeout,
-            )
-        })
-        .map(|_| ())
+        self.run(rpc::REMOVE_SERVER, &MembershipArgs { server: server.clone() }).map(drop)
     }
 
     /// Fetches the status of one node.

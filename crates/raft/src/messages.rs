@@ -1,4 +1,4 @@
-//! Raft RPC names and argument types.
+//! Raft RPC argument and reply types.
 
 use serde::{Deserialize, Serialize};
 
@@ -6,8 +6,8 @@ use mochi_mercury::Address;
 
 use crate::types::{LogEntry, LogIndex, Term};
 
-/// RPC names registered by a Raft node.
-/// The constants themselves live in [`crate::rpc_names`].
+/// RPCs registered by a Raft node.
+/// The declarations themselves live in [`crate::rpc_names`].
 pub use crate::rpc_names as rpc;
 
 /// `RequestVote` arguments (§5.2 of the Raft paper, plus the PreVote

@@ -15,10 +15,11 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
 use mochi_argobots::pool::Notifier;
-use mochi_margo::{MargoError, MargoRuntime};
+use mochi_margo::{MargoError, MargoRuntime, Rpc};
 use mochi_mercury::Address;
 use mochi_util::ordered_lock::{rank, OrderedMutex};
 use mochi_util::SeededRng;
@@ -878,38 +879,29 @@ impl RaftNode {
     // ------------------------------------------------------------------
 
     fn register_rpcs(&self) -> Result<(), MargoError> {
-        let margo = self.inner.margo.clone();
-        let id = self.inner.provider_id;
-        let pool = Some(RAFT_POOL);
+        self.serve(rpc::REQUEST_VOTE, Self::handle_request_vote)?;
+        self.serve(rpc::APPEND_ENTRIES, Self::handle_append_entries)?;
+        self.serve(rpc::INSTALL_SNAPSHOT, Self::handle_install_snapshot)?;
+        self.serve(rpc::SUBMIT, |node, args| Ok(node.submit_local(args.command)))?;
+        self.serve(rpc::STATUS, |node, ()| Ok(node.status()))?;
+        self.serve(rpc::ADD_SERVER, |node, args| Ok(node.change_membership(args.server, true)))?;
+        self.serve(rpc::REMOVE_SERVER, |node, args| Ok(node.change_membership(args.server, false)))
+    }
 
+    /// Registers `handler` for `rpc` on this node's provider id, in its pool.
+    fn serve<I, O>(
+        &self,
+        rpc: Rpc<'static, I, O>,
+        handler: fn(&RaftNode, I) -> Result<O, String>,
+    ) -> Result<(), MargoError>
+    where
+        I: DeserializeOwned + 'static,
+        O: Serialize + 'static,
+    {
         let node = self.clone();
-        margo.register_typed(rpc::REQUEST_VOTE, id, pool, move |args: RequestVoteArgs, _| {
-            node.handle_request_vote(args)
-        })?;
-        let node = self.clone();
-        margo.register_typed(rpc::APPEND_ENTRIES, id, pool, move |args: AppendEntriesArgs, _| {
-            node.handle_append_entries(args)
-        })?;
-        let node = self.clone();
-        margo.register_typed(
-            rpc::INSTALL_SNAPSHOT,
-            id,
-            pool,
-            move |args: InstallSnapshotArgs, _| node.handle_install_snapshot(args),
-        )?;
-        let node = self.clone();
-        margo.register_typed(rpc::SUBMIT, id, pool, move |args: SubmitArgs, _| {
-            Ok(node.submit_local(args.command))
-        })?;
-        let node = self.clone();
-        margo.register_typed(rpc::STATUS, id, pool, move |_: (), _| Ok(node.status()))?;
-        let node = self.clone();
-        margo.register_typed(rpc::ADD_SERVER, id, pool, move |args: MembershipArgs, _| {
-            Ok(node.change_membership(args.server, true))
-        })?;
-        let node = self.clone();
-        margo.register_typed(rpc::REMOVE_SERVER, id, pool, move |args: MembershipArgs, _| {
-            Ok(node.change_membership(args.server, false))
+        let (margo, provider_id) = (&self.inner.margo, self.inner.provider_id);
+        margo.register_typed(rpc, provider_id, Some(RAFT_POOL), move |args, _| {
+            handler(&node, args)
         })?;
         Ok(())
     }
@@ -1131,7 +1123,7 @@ impl RaftNode {
             )]
             let _ = handle.join();
         }
-        for name in rpc::ALL {
+        for &name in rpc::ALL {
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "a name that is already gone is what deregistering wants"

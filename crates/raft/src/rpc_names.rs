@@ -1,30 +1,32 @@
-//! The Raft RPC surface: every wire-visible RPC name, in one place.
+//! The Raft RPC surface: every RPC, declared once with its types and its
+//! retry class (`mochi_margo::Rpc`).
 //!
 //! The node (`node.rs`) registers these and the client (`client.rs`)
-//! calls them, so this module is the single definition both sides share.
+//! calls them, so a handler and its callers cannot disagree on a name or
+//! a type. Each is sent once: raft's own rounds (elections, heartbeats,
+//! the client's leader search) are its retries.
 
-/// Leader election.
-pub const REQUEST_VOTE: &str = "raft_request_vote";
-/// Replication + heartbeat.
-pub const APPEND_ENTRIES: &str = "raft_append_entries";
-/// Snapshot transfer to laggards.
-pub const INSTALL_SNAPSHOT: &str = "raft_install_snapshot";
-/// Client command submission.
-pub const SUBMIT: &str = "raft_submit";
-/// Cluster/status introspection.
-pub const STATUS: &str = "raft_status";
-/// Membership change: add a server.
-pub const ADD_SERVER: &str = "raft_add_server";
-/// Membership change: remove a server.
-pub const REMOVE_SERVER: &str = "raft_remove_server";
+use mochi_margo::rpc_table;
 
-/// All names (deregistration).
-pub const ALL: [&str; 7] = [
-    REQUEST_VOTE,
-    APPEND_ENTRIES,
-    INSTALL_SNAPSHOT,
-    SUBMIT,
-    STATUS,
-    ADD_SERVER,
-    REMOVE_SERVER,
-];
+use crate::messages::{
+    AppendEntriesArgs, AppendEntriesReply, InstallSnapshotArgs, InstallSnapshotReply,
+    MembershipArgs, RequestVoteArgs, RequestVoteReply, StatusReply, SubmitArgs, SubmitReply,
+};
+
+rpc_table! {
+    /// Leader election.
+    REQUEST_VOTE: Rpc<RequestVoteArgs, RequestVoteReply> = once("raft_request_vote");
+    /// Replication + heartbeat.
+    APPEND_ENTRIES: Rpc<AppendEntriesArgs, AppendEntriesReply> = once("raft_append_entries");
+    /// Snapshot transfer to laggards.
+    INSTALL_SNAPSHOT: Rpc<InstallSnapshotArgs, InstallSnapshotReply> =
+        once("raft_install_snapshot");
+    /// Client command submission.
+    SUBMIT: Rpc<SubmitArgs, SubmitReply> = once("raft_submit");
+    /// Cluster/status introspection.
+    STATUS: Rpc<(), StatusReply> = once("raft_status");
+    /// Membership change: add a server.
+    ADD_SERVER: Rpc<MembershipArgs, SubmitReply> = once("raft_add_server");
+    /// Membership change: remove a server.
+    REMOVE_SERVER: Rpc<MembershipArgs, SubmitReply> = once("raft_remove_server");
+}

@@ -404,11 +404,11 @@ impl LoneNode {
 
     fn call<I: serde::Serialize, O: serde::de::DeserializeOwned>(
         &self,
-        rpc_name: &str,
+        rpc: mochi_margo::Rpc<'static, I, O>,
         args: &I,
     ) -> Result<O, mochi_margo::MargoError> {
         let to = self.margo.address();
-        self.probe.forward_timeout(&to, rpc_name, RAFT_PROVIDER, args, Duration::from_secs(2))
+        self.probe.forward_timeout(&to, rpc, RAFT_PROVIDER, args, Duration::from_secs(2))
     }
 
     fn shutdown(self) {

@@ -6,8 +6,8 @@ use std::io::Read;
 use std::time::Duration;
 
 use bytes::Bytes;
-use mochi_margo::{rpc_id_for_name, MargoError, MargoRuntime};
-use mochi_mercury::{Address, BulkAccess, PendingRequest, ResponseStatus};
+use mochi_margo::{MargoError, MargoRuntime, Rpc};
+use mochi_mercury::{Address, BulkAccess, PendingRequest};
 use mochi_util::id::unique_token;
 use mochi_util::time::Stopwatch;
 use serde::de::DeserializeOwned;
@@ -61,11 +61,6 @@ pub struct RemiClient {
 impl RemiClient {
     /// Creates a client on `margo`.
     pub fn new(margo: &MargoRuntime) -> Self {
-        // Restarting a session with the same token and re-pulling the same
-        // exposed regions are safe; `end` and `chunk` are not (`end` tears
-        // the session down, chunks are sequenced) and stay retry-free.
-        margo.declare_idempotent(rpc::START);
-        margo.declare_idempotent(rpc::PULL);
         Self { margo: margo.clone() }
     }
 
@@ -77,13 +72,13 @@ impl RemiClient {
     #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
     fn call<I: Serialize, O: DeserializeOwned>(
         &self,
-        rpc_name: &str,
+        rpc: Rpc<'static, I, O>,
         input: &I,
         dest: &Address,
         provider_id: u16,
         timeout: Duration,
     ) -> Result<O, MargoError> {
-        self.margo.forward_timeout(dest, rpc_name, provider_id, input, timeout)
+        self.margo.forward_timeout(dest, rpc, provider_id, input, timeout)
     }
 
     /// Migrates `fileset` to the REMI provider `(dest, provider_id)`.
@@ -102,7 +97,7 @@ impl RemiClient {
             files: fileset.files.clone(),
             dest_subdir: options.dest_subdir.clone(),
         };
-        let _: bool = self.call(rpc::START, &start, dest, provider_id, options.timeout)?;
+        self.call(rpc::START, &start, dest, provider_id, options.timeout)?;
 
         let (summary, chunks) = match strategy {
             Strategy::Rdma => (self.run_rdma(dest, provider_id, fileset, &token, options)?, 0),
@@ -151,8 +146,7 @@ impl RemiClient {
             handles.push(handle);
         }
         let args = PullArgs { token: token.to_string(), bulk_handles: handles.clone() };
-        let result: Result<TransferSummary, MargoError> =
-            self.call(rpc::PULL, &args, dest, provider_id, options.timeout);
+        let result = self.call(rpc::PULL, &args, dest, provider_id, options.timeout);
         for handle in &handles {
             self.margo.unexpose_bulk(handle);
         }
@@ -170,21 +164,14 @@ impl RemiClient {
         window: usize,
         options: &MigrationOptions,
     ) -> Result<(TransferSummary, u64), MargoError> {
-        let chunk_rpc_id = rpc_id_for_name(rpc::CHUNK);
+        let chunk_rpc_id = rpc::CHUNK.id();
         let mut pending: std::collections::VecDeque<PendingRequest> =
             std::collections::VecDeque::new();
         let mut chunks_sent = 0u64;
 
         let wait_one = |p: PendingRequest| -> Result<(), MargoError> {
             let response = p.wait(options.timeout)?;
-            match response.status {
-                ResponseStatus::Ok => Ok(()),
-                ResponseStatus::Error(message) => Err(MargoError::Handler(message)),
-                ResponseStatus::NoHandler => Err(MargoError::NoHandler {
-                    rpc: rpc::CHUNK.to_string(),
-                    provider_id,
-                }),
-            }
+            MargoError::from_status(response.status, rpc::CHUNK.name(), provider_id)
         };
 
         // Pack segments across file boundaries into chunk_size chunks and
@@ -264,7 +251,7 @@ impl RemiClient {
             wait_one(p)?;
         }
 
-        let summary: TransferSummary = self.call(
+        let summary = self.call(
             rpc::END,
             &EndArgs { token: token.to_string() },
             dest,

@@ -15,8 +15,8 @@ use mochi_mercury::BulkHandle;
 
 use crate::fileset::FileEntry;
 
-/// RPC names registered by a [`crate::provider::RemiProvider`].
-/// The constants themselves live in [`crate::rpc_names`].
+/// RPCs registered by a [`crate::provider::RemiProvider`].
+/// The declarations themselves live in [`crate::rpc_names`].
 pub use crate::rpc_names as rpc;
 
 /// Transfer strategy (paper §6, Observation 4).

@@ -246,8 +246,8 @@ impl RemiProvider {
     /// Unregisters the provider's RPCs (used when a Bedrock process stops
     /// the provider).
     pub fn deregister(&self) -> Result<(), mochi_margo::MargoError> {
-        for name in [rpc::START, rpc::CHUNK, rpc::END, rpc::PULL] {
-            self.margo.deregister(name, self.provider_id)?;
+        for &declared in rpc::ALL {
+            self.margo.deregister(declared, self.provider_id)?;
         }
         Ok(())
     }

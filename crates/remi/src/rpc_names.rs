@@ -1,17 +1,24 @@
-//! The REMI RPC surface: every wire-visible RPC name, in one place.
+//! The REMI RPC surface: every RPC, declared once with its types and its
+//! retry class (`mochi_margo::Rpc`).
 //!
-//! Registration sites (`provider.rs`) and client call sites
-//! (`client.rs`) both pull names from this module, so a provider and its
-//! clients can never drift apart.
+//! The provider (`provider.rs`) registers these and the client
+//! (`client.rs`) calls them, so a handler and its callers cannot disagree
+//! on a name or a type. Restarting a session with the same token and
+//! re-pulling the same exposed regions are safe, so `START` and `PULL`
+//! are idempotent (`tests/retry_replay.rs` replays both); `END` tears the
+//! session down and chunks are sequenced, so both are sent once.
 
-/// Starts a migration (both strategies).
-pub const START: &str = "remi_migration_start";
-/// Carries one packed chunk (chunked strategy).
-pub const CHUNK: &str = "remi_migration_chunk";
-/// Finishes a migration: verify checksums, move into place.
-pub const END: &str = "remi_migration_end";
-/// RDMA strategy: asks the destination to pull the exposed files.
-pub const PULL: &str = "remi_migration_pull";
+use mochi_margo::{rpc_table, Raw};
 
-/// Every name above (used for deregistration).
-pub const ALL: [&str; 4] = [START, CHUNK, END, PULL];
+use crate::protocol::{EndArgs, PullArgs, StartArgs, TransferSummary};
+
+rpc_table! {
+    /// Starts a migration (both strategies).
+    START: Rpc<StartArgs, bool> = idempotent("remi_migration_start");
+    /// Carries one packed chunk (chunked strategy; framed).
+    CHUNK: Rpc<Raw, Raw> = once("remi_migration_chunk");
+    /// Finishes a migration: verify checksums, move into place.
+    END: Rpc<EndArgs, TransferSummary> = once("remi_migration_end");
+    /// RDMA strategy: asks the destination to pull the exposed files.
+    PULL: Rpc<PullArgs, TransferSummary> = idempotent("remi_migration_pull");
+}

@@ -22,8 +22,8 @@ use crate::config::SwimConfig;
 use crate::swim::{MemberSnapshot, MembershipEvent, SwimState, Update};
 use crate::view::{GroupView, MemberState};
 
-/// RPC names registered by a group member.
-/// The constants themselves live in [`crate::rpc_names`].
+/// RPCs registered by a group member.
+/// The declarations themselves live in [`crate::rpc_names`].
 pub use crate::rpc_names as rpc;
 
 /// Ping arguments/reply: piggybacked updates in both directions.
@@ -443,7 +443,7 @@ impl SsgGroup {
             )]
             let _ = handle.join();
         }
-        for name in rpc::ALL {
+        for &name in rpc::ALL {
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "a name that is already gone is what deregistering wants"

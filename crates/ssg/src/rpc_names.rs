@@ -1,16 +1,22 @@
-//! The SSG RPC surface: every wire-visible RPC name, in one place.
+//! The SSG RPC surface: every RPC, declared once with its types and its
+//! retry class (`mochi_margo::Rpc`).
 //!
-//! The SWIM group (`group.rs`) both registers and calls these, so this
-//! module is the single definition the registration and call sites share.
+//! The SWIM group (`group.rs`) both registers and calls these, so a
+//! handler and its callers cannot disagree on a name or a type. Each is
+//! sent once: a lost probe is SWIM's evidence, not a fault to hide.
 
-/// Direct probe carrying piggybacked updates.
-pub const PING: &str = "ssg_ping";
-/// Indirect probe request (SWIM's ping-req).
-pub const PING_REQ: &str = "ssg_ping_req";
-/// View fetch (for client applications).
-pub const GET_VIEW: &str = "ssg_get_view";
-/// Join: returns a membership snapshot.
-pub const JOIN: &str = "ssg_join";
+use mochi_margo::rpc_table;
 
-/// All names (deregistration).
-pub const ALL: [&str; 4] = [PING, PING_REQ, GET_VIEW, JOIN];
+use crate::group::{JoinArgs, JoinReply, PingArgs, PingReply, PingReqArgs, PingReqReply};
+use crate::view::GroupView;
+
+rpc_table! {
+    /// Direct probe carrying piggybacked updates.
+    PING: Rpc<PingArgs, PingReply> = once("ssg_ping");
+    /// Indirect probe request (SWIM's ping-req).
+    PING_REQ: Rpc<PingReqArgs, PingReqReply> = once("ssg_ping_req");
+    /// View fetch (for client applications).
+    GET_VIEW: Rpc<(), GroupView> = once("ssg_get_view");
+    /// Join: returns a membership snapshot.
+    JOIN: Rpc<JoinArgs, JoinReply> = once("ssg_join");
+}

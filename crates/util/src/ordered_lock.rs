@@ -79,8 +79,8 @@ pub mod rank {
     pub const MARGO_HANDLERS: u32 = 210;
     /// `margo::Inner::monitor` — installed monitoring backend.
     pub const MARGO_MONITOR: u32 = 220;
-    /// `margo::Inner::threads` — the sampler's join handle.
-    pub const MARGO_THREADS: u32 = 230;
+    /// `margo::Inner::sampler` — the sampler's stop sender and join handle.
+    pub const MARGO_SAMPLER: u32 = 230;
     /// `margo::monitoring` statistics stripes (`Striped<State>`); a leaf —
     /// stripes share this rank and are never held together (see
     /// `mochi_util::striped`).
@@ -90,8 +90,6 @@ pub mod rank {
     /// `margo::breaker` registry — per-(address, provider) breaker states;
     /// held only for state-machine transitions, never across the network.
     pub const MARGO_BREAKERS: u32 = 260;
-    /// `margo` idempotency registry — rpc ids declared safe to retry.
-    pub const MARGO_IDEMPOTENT: u32 = 270;
     /// `argobots::AbtRuntime::inner` — xstream/pool registry.
     pub const ABT_RUNTIME: u32 = 300;
     /// `argobots::Pool::queue` — the ready queue itself.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use mochi_margo::{decode_framed, encode_framed, MargoError, MargoRuntime};
+use mochi_margo::{decode_framed, encode_framed, MargoError, MargoRuntime, Raw, Rpc};
 use mochi_mercury::{Address, BulkAccess};
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
@@ -18,19 +18,6 @@ use crate::target::BlobId;
 
 /// Transfers larger than this use the bulk (RDMA-model) path.
 const BULK_THRESHOLD: u64 = 64 * 1024;
-
-/// RPCs the runtime may re-send on transport-class failures (each replayed
-/// by `tests/retry_replay.rs`). `create` allocates a fresh blob id per
-/// call and `erase` answers whether the blob existed, so both stay off.
-const IDEMPOTENT_RPCS: &[&str] = &[
-    rpc::WRITE,
-    rpc::WRITE_BULK,
-    rpc::READ,
-    rpc::READ_BULK,
-    rpc::SIZE,
-    rpc::PERSIST,
-    rpc::LIST,
-];
 
 /// Handle to a remote blob target.
 #[derive(Clone)]
@@ -44,9 +31,6 @@ pub struct TargetHandle {
 impl TargetHandle {
     /// Creates a handle to the target served by `(address, provider_id)`.
     pub fn new(margo: &MargoRuntime, address: Address, provider_id: u16) -> Self {
-        for name in IDEMPOTENT_RPCS {
-            margo.declare_idempotent(name);
-        }
         let timeout = margo.rpc_timeout();
         Self { margo: margo.clone(), address, provider_id, timeout }
     }
@@ -58,17 +42,17 @@ impl TargetHandle {
     #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
     fn call<I: Serialize, O: DeserializeOwned>(
         &self,
-        rpc_name: &str,
+        rpc: Rpc<'static, I, O>,
         input: &I,
     ) -> Result<O, MargoError> {
-        self.margo.forward_timeout(&self.address, rpc_name, self.provider_id, input, self.timeout)
+        self.margo.forward_timeout(&self.address, rpc, self.provider_id, input, self.timeout)
     }
 
     /// Raw-payload counterpart of [`Self::call`] for framed data-plane
     /// RPCs.
     #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
-    fn call_raw(&self, rpc_name: &str, payload: Bytes) -> Result<Bytes, MargoError> {
-        self.margo.forward_raw(&self.address, rpc_name, self.provider_id, payload, self.timeout)
+    fn call_raw(&self, rpc: Rpc<'static, Raw, Raw>, payload: Bytes) -> Result<Bytes, MargoError> {
+        self.margo.forward_raw(&self.address, rpc, self.provider_id, payload, self.timeout)
     }
 
     /// Overrides the per-RPC timeout.
@@ -97,7 +81,7 @@ impl TargetHandle {
         // leaf: the fabric copies out of it.
         let buffer = Arc::new(Mutex::new(data.to_vec()));
         let handle = self.margo.expose_bulk(Arc::clone(&buffer), BulkAccess::ReadOnly);
-        let result: Result<bool, MargoError> = self.call(
+        let result = self.call(
             rpc::WRITE_BULK,
             &BulkArgs { id, offset, len: data.len() as u64, handle: handle.clone() },
         );
@@ -124,7 +108,7 @@ impl TargetHandle {
         // leaf: the fabric copies into it.
         let buffer = Arc::new(Mutex::new(vec![0u8; len as usize]));
         let handle = self.margo.expose_bulk(Arc::clone(&buffer), BulkAccess::WriteOnly);
-        let result: Result<bool, MargoError> =
+        let result =
             self.call(rpc::READ_BULK, &BulkArgs { id, offset, len, handle: handle.clone() });
         self.margo.unexpose_bulk(&handle);
         result?;

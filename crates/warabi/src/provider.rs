@@ -15,8 +15,8 @@ use parking_lot::Mutex;
 
 use crate::target::{BlobId, BlobTarget};
 
-/// RPC names registered by a Warabi provider.
-/// The constants themselves live in [`crate::rpc_names`].
+/// RPCs registered by a Warabi provider.
+/// The declarations themselves live in [`crate::rpc_names`].
 pub use crate::rpc_names as rpc;
 
 /// Framed header of inline `WRITE` (body = data).
@@ -162,8 +162,8 @@ impl WarabiProvider {
 
     /// Deregisters all RPCs.
     pub fn deregister(&self) -> Result<(), MargoError> {
-        for name in rpc::ALL {
-            self.margo.deregister(name, self.provider_id)?;
+        for &declared in rpc::ALL {
+            self.margo.deregister(declared, self.provider_id)?;
         }
         Ok(())
     }

@@ -1,28 +1,35 @@
-//! The Warabi RPC surface: every wire-visible RPC name, in one place.
+//! The Warabi RPC surface: every RPC, declared once with its types and
+//! its retry class (`mochi_margo::Rpc`).
 //!
-//! Registration sites (`provider.rs`) and client call sites
-//! (`client.rs`) both pull names from this module, so a provider and its
-//! clients can never drift apart.
+//! The provider (`provider.rs`) registers these and the client
+//! (`client.rs`) calls them, so a handler and its callers cannot disagree
+//! on a name or a type. An idempotent RPC leaves the same state and reply
+//! when it runs twice (`tests/retry_replay.rs` replays each); `CREATE`
+//! allocates a fresh blob id per call and `ERASE` answers whether the
+//! blob existed, so both are sent once.
 
-/// Allocate a blob.
-pub const CREATE: &str = "warabi_create";
-/// Inline write (framed).
-pub const WRITE: &str = "warabi_write";
-/// Inline read (framed response).
-pub const READ: &str = "warabi_read";
-/// Bulk write: server pulls from the client's exposed region.
-pub const WRITE_BULK: &str = "warabi_write_bulk";
-/// Bulk read: server pushes into the client's exposed region.
-pub const READ_BULK: &str = "warabi_read_bulk";
-/// Blob size.
-pub const SIZE: &str = "warabi_size";
-/// Force to durable storage.
-pub const PERSIST: &str = "warabi_persist";
-/// Delete a blob.
-pub const ERASE: &str = "warabi_erase";
-/// List blob ids.
-pub const LIST: &str = "warabi_list";
+use mochi_margo::{rpc_table, Raw};
 
-/// Every name above.
-pub const ALL: [&str; 9] =
-    [CREATE, WRITE, READ, WRITE_BULK, READ_BULK, SIZE, PERSIST, ERASE, LIST];
+use crate::provider::BulkArgs;
+use crate::target::BlobId;
+
+rpc_table! {
+    /// Allocate a blob.
+    CREATE: Rpc<u64, BlobId> = once("warabi_create");
+    /// Inline write (framed).
+    WRITE: Rpc<Raw, Raw> = idempotent("warabi_write");
+    /// Inline read (framed response).
+    READ: Rpc<Raw, Raw> = idempotent("warabi_read");
+    /// Bulk write: server pulls from the client's exposed region.
+    WRITE_BULK: Rpc<BulkArgs, bool> = idempotent("warabi_write_bulk");
+    /// Bulk read: server pushes into the client's exposed region.
+    READ_BULK: Rpc<BulkArgs, bool> = idempotent("warabi_read_bulk");
+    /// Blob size.
+    SIZE: Rpc<BlobId, u64> = idempotent("warabi_size");
+    /// Force to durable storage.
+    PERSIST: Rpc<BlobId, bool> = idempotent("warabi_persist");
+    /// Delete a blob; the reply says whether it existed.
+    ERASE: Rpc<BlobId, bool> = once("warabi_erase");
+    /// List blob ids.
+    LIST: Rpc<(), Vec<BlobId>> = idempotent("warabi_list");
+}

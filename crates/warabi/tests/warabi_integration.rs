@@ -3,13 +3,15 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use mochi_bedrock::{BedrockServer, Client, ModuleCatalog, ProcessConfig};
 use mochi_margo::MargoRuntime;
-use mochi_mercury::{Address, Fabric};
+use mochi_mercury::{Address, Fabric, LinkScript};
+use mochi_util::time::wait_until;
 use mochi_util::{SeededRng, TempDir};
 use mochi_warabi::target::MemoryTarget;
-use mochi_warabi::{TargetHandle, WarabiProvider};
+use mochi_warabi::{rpc_names as rpc, TargetHandle, WarabiProvider};
 
 fn boot(fabric: &Fabric, host: &str) -> MargoRuntime {
     MargoRuntime::init_default(fabric, Address::tcp(host, 1)).unwrap()
@@ -68,6 +70,31 @@ fn explicit_bulk_and_inline_agree() {
     handle.write_bulk(id, 0, &vec![7u8; 5000]).unwrap();
     assert_eq!(handle.read(id, 4990, 10).unwrap(), vec![7u8; 10]);
     assert_eq!(handle.read_bulk(id, 0, 5000).unwrap(), vec![7u8; 5000]);
+    server.finalize();
+    client.finalize();
+}
+
+#[test]
+fn a_bulk_write_whose_pull_is_dropped_is_sent_again() {
+    let fabric = Fabric::new();
+    let (server, client, provider, handle) = setup(&fabric);
+    let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
+    let id = handle.create(data.len() as u64).unwrap();
+    // The server's next message to the client is its pull of the region
+    // the client exposed: it is dropped, the handler fails with the
+    // transport's error, and the idempotent `WRITE_BULK` is sent again.
+    fabric.faults().push_script(Some("server"), Some("client"), LinkScript::FailFirst(1));
+    handle.write_bulk(id, 0, &data).unwrap();
+    assert_eq!(provider.target().read(id, 0, data.len() as u64).unwrap(), data);
+    // Handler runs, from the server's monitoring dump.
+    let key = format!("65535:65535:{}:1", rpc::WRITE_BULK.id());
+    let peer = format!("received from {}", client.address());
+    let runs = || {
+        server.monitoring_json().unwrap()["rpcs"][&key]["target"][&peer]["ult"]["duration"]["num"]
+            .as_u64()
+    };
+    assert!(wait_until(Duration::from_secs(2), Duration::from_millis(5), || runs() >= Some(2)));
+    assert_eq!(runs(), Some(2));
     server.finalize();
     client.finalize();
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 use bytes::{BufMut, Bytes, BytesMut};
 use mochi_margo::{
     decode, decode_framed, decode_framed_borrowed, encode_framed, encode_framed_with, MargoError,
-    MargoRuntime, PendingForward,
+    MargoRuntime, PendingForward, Raw, Rpc,
 };
 use mochi_mercury::Address;
 use serde::de::DeserializeOwned;
@@ -27,25 +27,6 @@ use crate::provider::{
 };
 use crate::version::{decode_record, encode_record_into, RECORD_OVERHEAD};
 use crate::views::{key_seq, GetMultiHeaderView, Key, KeyHeaderView, PutMultiHeaderView, Seq};
-
-/// RPCs the runtime may re-send on transport-class failures: a re-run
-/// leaves the same state and reply (`tests/retry_replay.rs` replays each).
-/// `erase`, `erase_multi` and `hint_drop` stay off: each reply counts
-/// what was there, and a re-run finds the first run's work done.
-const IDEMPOTENT_RPCS: &[&str] = &[
-    rpc::PUT,
-    rpc::PUT_MULTI,
-    rpc::GET,
-    rpc::GET_MULTI,
-    rpc::EXISTS,
-    rpc::LIST_KEYS,
-    rpc::LEN,
-    rpc::FLUSH,
-    rpc::CLEAR,
-    rpc::PUT_VERSIONED_MULTI,
-    rpc::HINT_PUT,
-    rpc::HINT_LIST,
-];
 
 /// One record as returned by [`DatabaseHandle::get_versioned`]:
 /// the decoded version stamp, tombstone flag, and raw value.
@@ -173,9 +154,6 @@ pub struct DatabaseHandle {
 impl DatabaseHandle {
     /// Creates a handle to the database served by `(address, provider_id)`.
     pub fn new(margo: &MargoRuntime, address: Address, provider_id: u16) -> Self {
-        for name in IDEMPOTENT_RPCS {
-            margo.declare_idempotent(name);
-        }
         let timeout = margo.rpc_timeout();
         Self { margo: margo.clone(), address: Arc::new(address), provider_id, timeout }
     }
@@ -185,29 +163,33 @@ impl DatabaseHandle {
     /// deadline handling apply uniformly; `clippy.toml`'s
     /// `disallowed-methods` keeps every other forward out of this file.
     #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
-    fn post<I: Serialize>(&self, rpc_name: &str, input: &I) -> Result<PendingForward, MargoError> {
-        self.margo.iforward_full(&self.address, rpc_name, self.provider_id, input, self.timeout)
+    fn post<I: Serialize, O>(
+        &self,
+        rpc: Rpc<'static, I, O>,
+        input: &I,
+    ) -> Result<PendingForward, MargoError> {
+        self.margo.iforward_full(&self.address, rpc, self.provider_id, input, self.timeout)
     }
 
     /// Raw-payload counterpart of [`Self::post`] for framed data-plane
     /// RPCs.
     #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
-    fn post_raw(&self, rpc_name: &str, payload: Bytes) -> PendingForward {
-        self.margo.iforward_raw(&self.address, rpc_name, self.provider_id, payload, self.timeout)
+    fn post_raw(&self, rpc: Rpc<'static, Raw, Raw>, payload: Bytes) -> PendingForward {
+        self.margo.iforward_raw(&self.address, rpc, self.provider_id, payload, self.timeout)
     }
 
     /// [`Self::post`], waited for on the spot.
     fn call<I: Serialize, O: DeserializeOwned>(
         &self,
-        rpc_name: &str,
+        rpc: Rpc<'static, I, O>,
         input: &I,
     ) -> Result<O, MargoError> {
-        self.post(rpc_name, input)?.wait_decoded()
+        self.post(rpc, input)?.wait_decoded()
     }
 
     /// [`Self::post_raw`], waited for on the spot.
-    fn call_raw(&self, rpc_name: &str, payload: Bytes) -> Result<Bytes, MargoError> {
-        self.post_raw(rpc_name, payload).wait()
+    fn call_raw(&self, rpc: Rpc<'static, Raw, Raw>, payload: Bytes) -> Result<Bytes, MargoError> {
+        self.post_raw(rpc, payload).wait()
     }
 
     /// Overrides the per-RPC timeout.

@@ -24,8 +24,8 @@ use crate::views::{
     DecodedGetMultiHeader, DecodedKeyHeader, DecodedPutMultiHeader, Seq, ValuesHeaderView,
 };
 
-/// RPC names registered by a Yokan provider (one set per provider id).
-/// The constants themselves live in [`crate::rpc_names`].
+/// RPCs registered by a Yokan provider (one set per provider id).
+/// The declarations themselves live in [`crate::rpc_names`].
 pub use crate::rpc_names as rpc;
 
 /// Framed-header of `PUT` and `GET` requests.
@@ -262,8 +262,8 @@ impl YokanProvider {
             clear_db.clear().map(|()| true).map_err(|e| e.to_string())
         })?;
         // Batch erase (a rebalance's post-cutover cleanup). Like `ERASE`
-        // it is not idempotent-declared — the routed client drives it
-        // with explicit round-level retries instead.
+        // it is sent once — the routed client drives it with explicit
+        // round-level retries instead.
         let erase_multi_db = Arc::clone(&db);
         margo.register_typed(
             rpc::ERASE_MULTI,
@@ -369,8 +369,8 @@ impl YokanProvider {
 
     /// Deregisters all RPCs of this provider.
     pub fn deregister(&self) -> Result<(), MargoError> {
-        for name in rpc::ALL {
-            self.margo.deregister(name, self.provider_id)?;
+        for &declared in rpc::ALL {
+            self.margo.deregister(declared, self.provider_id)?;
         }
         Ok(())
     }

@@ -1,61 +1,53 @@
-//! The Yokan RPC surface: every wire-visible RPC name, in one place.
+//! The Yokan RPC surface: every RPC, declared once with its types and
+//! its retry class (`mochi_margo::Rpc`).
 //!
-//! Registration sites (`provider.rs`) and client call sites
-//! (`client.rs`) both pull names from this module, so a provider and its
-//! clients can never drift apart.
+//! The provider (`provider.rs`) registers these and the client
+//! (`client.rs`) calls them, so a handler and its callers cannot disagree
+//! on a name or a type. An idempotent RPC leaves the same state and reply
+//! when it runs twice (`tests/retry_replay.rs` replays each); `ERASE`,
+//! `ERASE_MULTI` and `HINT_DROP` are sent once, because each reply counts
+//! what was there and a re-run finds the first run's work done.
 
-/// Put one pair (framed: header = key, body = value).
-pub const PUT: &str = "yokan_put";
-/// Put many pairs (framed).
-pub const PUT_MULTI: &str = "yokan_put_multi";
-/// Get one value (framed response).
-pub const GET: &str = "yokan_get";
-/// Get many values (framed response).
-pub const GET_MULTI: &str = "yokan_get_multi";
-/// Erase a key.
-pub const ERASE: &str = "yokan_erase";
-/// Existence check.
-pub const EXISTS: &str = "yokan_exists";
-/// Prefix listing with pagination.
-pub const LIST_KEYS: &str = "yokan_list_keys";
-/// Number of keys.
-pub const LEN: &str = "yokan_len";
-/// Persist to disk.
-pub const FLUSH: &str = "yokan_flush";
-/// Remove all keys.
-pub const CLEAR: &str = "yokan_clear";
-/// Erase many keys in one RPC (routing drain cleanup).
-pub const ERASE_MULTI: &str = "yokan_erase_multi";
-/// Put-if-newer of versioned records (framed like `PUT_MULTI`, each
-/// value an encoded record). The routed keyspace's write primitive —
-/// replica fan-out, hint replay, read repair, rebalance and catch-up
-/// copies: the server keeps whichever record is freshest. Reads need no
-/// counterpart: `GET_MULTI` returns records as stored.
-pub const PUT_VERSIONED_MULTI: &str = "yokan_put_versioned_multi";
-/// Park a hinted-handoff record on this provider for a currently
-/// unreachable owner (Dynamo-style sloppy quorum).
-pub const HINT_PUT: &str = "yokan_hint_put";
-/// List parked hints (the background drainer's work queue).
-pub const HINT_LIST: &str = "yokan_hint_list";
-/// Drop replayed hints (version-matched so a newer hint parked during
-/// the replay survives).
-pub const HINT_DROP: &str = "yokan_hint_drop";
+use mochi_margo::{rpc_table, Raw};
 
-/// Every name above (used for deregistration).
-pub const ALL: [&str; 15] = [
-    PUT,
-    PUT_MULTI,
-    GET,
-    GET_MULTI,
-    ERASE,
-    EXISTS,
-    LIST_KEYS,
-    LEN,
-    FLUSH,
-    CLEAR,
-    ERASE_MULTI,
-    PUT_VERSIONED_MULTI,
-    HINT_PUT,
-    HINT_LIST,
-    HINT_DROP,
-];
+use crate::provider::{HintDropArgs, HintEntry, HintListArgs, ListKeysArgs};
+
+rpc_table! {
+    /// Put one pair (framed: header = key, body = value).
+    PUT: Rpc<Raw, Raw> = idempotent("yokan_put");
+    /// Put many pairs (framed).
+    PUT_MULTI: Rpc<Raw, Raw> = idempotent("yokan_put_multi");
+    /// Get one value (framed response).
+    GET: Rpc<Raw, Raw> = idempotent("yokan_get");
+    /// Get many values (framed response).
+    GET_MULTI: Rpc<Raw, Raw> = idempotent("yokan_get_multi");
+    /// Erase a key; the reply says whether it existed.
+    ERASE: Rpc<Vec<u8>, bool> = once("yokan_erase");
+    /// Existence check.
+    EXISTS: Rpc<Vec<u8>, bool> = idempotent("yokan_exists");
+    /// Prefix listing with pagination.
+    LIST_KEYS: Rpc<ListKeysArgs, Vec<Vec<u8>>> = idempotent("yokan_list_keys");
+    /// Number of keys.
+    LEN: Rpc<(), u64> = idempotent("yokan_len");
+    /// Persist to disk.
+    FLUSH: Rpc<(), bool> = idempotent("yokan_flush");
+    /// Remove all keys.
+    CLEAR: Rpc<(), bool> = idempotent("yokan_clear");
+    /// Erase many keys in one RPC (routing drain cleanup); the reply counts
+    /// those that existed.
+    ERASE_MULTI: Rpc<Vec<Vec<u8>>, u64> = once("yokan_erase_multi");
+    /// Put-if-newer of versioned records (framed like `PUT_MULTI`, each
+    /// value an encoded record). The routed keyspace's write primitive —
+    /// replica fan-out, hint replay, read repair, rebalance and catch-up
+    /// copies: the server keeps whichever record is freshest. Reads need no
+    /// counterpart: `GET_MULTI` returns records as stored.
+    PUT_VERSIONED_MULTI: Rpc<Raw, Raw> = idempotent("yokan_put_versioned_multi");
+    /// Park a hinted-handoff record on this provider for a currently
+    /// unreachable owner (Dynamo-style sloppy quorum).
+    HINT_PUT: Rpc<HintEntry, bool> = idempotent("yokan_hint_put");
+    /// List parked hints (the background drainer's work queue).
+    HINT_LIST: Rpc<HintListArgs, Vec<HintEntry>> = idempotent("yokan_hint_list");
+    /// Drop replayed hints (version-matched so a newer hint parked during
+    /// the replay survives); the reply counts those dropped.
+    HINT_DROP: Rpc<HintDropArgs, u64> = once("yokan_hint_drop");
+}

@@ -208,7 +208,8 @@ fn virtual_database_multi_and_erase_paths() {
     // Each replica got one `ERASE` (for "a") and one `ERASE_MULTI`. A reply
     // can beat the replica's own count of its handler, so wait for it.
     for replica in [&rep1, &rep2] {
-        let count = || (handled(replica, rpc::ERASE_MULTI), handled(replica, rpc::ERASE));
+        let count =
+            || (handled(replica, rpc::ERASE_MULTI.name()), handled(replica, rpc::ERASE.name()));
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while count() != (1, 1) && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));

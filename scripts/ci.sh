@@ -12,9 +12,10 @@
 #   0  everything green
 #   20 workspace build failed
 #   21 test suite failed (the umbrella package's tests, among them
-#      retry_replay: a declared-idempotent RPC whose re-run, after a lost
-#      reply, changed its reply or its server's state, or one declared
-#      with no replay case), or product code is no longer clippy-clean:
+#      retry_replay: an RPC declared idempotent whose re-run, after a
+#      lost reply, changed its reply or its server's state, or one
+#      declared so with no replay case; rpc_declarations: two declared
+#      RPCs of one id), or product code is no longer clippy-clean:
 #      the lib and bin targets of every crate but mochi-perf, under the
 #      workspace's lints and clippy.toml (a new unwrap/expect/panic!/
 #      unreachable!/todo!/unimplemented! site, a discarded `Result`, an
@@ -69,7 +70,10 @@
 #      property suite (256 cases a property, a failure naming its seed):
 #      margo's frame and argument codecs, mercury's addresses and bulk
 #      bounds, the SWIM state machine, raft's log storage, Jx9, Pufferscale
-#      plans, Warabi's blob targets against a model, and wire's codec
+#      plans, Warabi's blob targets against a model, and wire's codec;
+#      or margo's doctests, among them the compile_fail ones that a
+#      handler or forward whose types differ from its RPC's declaration
+#      (`mochi_margo::Rpc`) does not compile
 #   43 the API documentation has a warning (`cargo doc` of the
 #      workspace: a doc comment links to an item that is gone or
 #      private, or its link is broken or redundant)
@@ -221,12 +225,14 @@ cargo test -q -p mochi-warabi --lib --test warabi_integration --test target_prop
 cargo test -q -p mochi-remi -p mochi-pufferscale -p mochi-wire --lib || exit 42
 cargo test -q -p mochi-pufferscale --test plan_proptest || exit 42
 cargo test -q -p mochi-margo --test margo_proptest || exit 42
+cargo test -q -p mochi-margo --doc || exit 42
 cargo test -q -p mochi-mercury --test mercury_proptest || exit 42
 cargo test -q -p mochi-core --test failover_cache --test service_integration || exit 42
 
 # The umbrella package's suites, among them retry_replay (DESIGN.md
-# §11.2): every RPC a client declares idempotent is re-sent after a lost
-# reply and must leave the same reply and the same server state.
+# §11.2): every RPC a service's table declares idempotent is re-sent
+# after a lost reply and must leave the same reply and the same server
+# state.
 echo "==> cargo test"
 cargo test -q || exit 21
 

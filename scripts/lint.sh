@@ -5,8 +5,8 @@
 # and the all-targets run below (exit 12) covers tests, benches and
 # examples too. It keeps going past a target that fails, so what it
 # prints does not depend on build order. Retry soundness is not a lint:
-# tests/retry_replay.rs replays every RPC a client declares idempotent
-# (DESIGN.md §11.1).
+# tests/retry_replay.rs replays every RPC a service's table declares
+# idempotent (DESIGN.md §11.1).
 #
 # Usage: scripts/lint.sh [workspace-root]
 #

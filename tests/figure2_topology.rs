@@ -124,7 +124,13 @@ fn blocked_handler_xstream_does_not_delay_reception() {
     let server_address = Arc::new(server.address());
     let post = |provider_id| {
         client
-            .iforward_full(&server_address, "work", provider_id, &(), Duration::from_secs(5))
+            .iforward_full::<(), ()>(
+                &server_address,
+                "work",
+                provider_id,
+                &(),
+                Duration::from_secs(5),
+            )
             .unwrap()
     };
     let blocker = post(1);

@@ -1,16 +1,18 @@
 //! Retry soundness, checked by replaying (DESIGN.md §11.1).
 //!
-//! Margo re-sends a call after a transport-class failure only if its
-//! client declared the RPC idempotent (`declare_idempotent`). This suite
-//! holds every such promise of Yokan's, Warabi's and REMI's clients to
-//! what the runtime does. For each declared RPC and each seed it builds
-//! two identical starting states, issues the call once against the first,
-//! and once against the second with that server's first reply to the
-//! client lost (`LinkScript::FailFirst(1)`), so that margo times the
-//! attempt out and re-sends it. The handler must have run once and twice,
+//! Margo re-sends a call after a transport-class failure only if the
+//! RPC's declaration is idempotent (`mochi_margo::RetryClass`). This
+//! suite holds every such promise of Yokan's, Warabi's and REMI's tables
+//! (their `rpc_names` modules) to what the runtime does. For each
+//! idempotent RPC and each seed it builds two identical starting states,
+//! issues the call once against the first, and once against the second
+//! with that server's first reply to the client lost
+//! (`LinkScript::FailFirst(1)`), so that margo times the attempt out and
+//! re-sends it. The handler must have run once and twice,
 //! both callers must get the same reply, and the two states must end
 //! equal. `the_replayed_rpcs_are_exactly_the_declared_ones` checks that
-//! each service has a replay case for exactly the RPCs its client declares.
+//! each service has a replay case for exactly the RPCs its table declares
+//! idempotent.
 //!
 //! A failure names the RPC, the backend and the seed; to replay one seed
 //! alone, change `0..SEEDS` in `replay_all` to `[seed]`. Helpers return
@@ -24,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use mochi_margo::{MargoConfig, MargoError, MargoRuntime};
+use mochi_margo::{MargoError, MargoRuntime, RetryClass, Rpc, Untyped};
 use mochi_mercury::{Address, BulkAccess, Fabric, LinkScript};
 use mochi_remi::protocol::{PullArgs, StartArgs, TransferSummary};
 use mochi_remi::rpc_names as remi_rpc;
@@ -49,6 +51,9 @@ const FAULTED_TIMEOUT: Duration = Duration::from_millis(300);
 const CLEAN_TIMEOUT: Duration = Duration::from_secs(30);
 /// Host of the calling process.
 const CLIENT: &str = "client";
+
+/// An entry of a service's list of its RPCs.
+type Declared = Rpc<'static, Untyped, Untyped>;
 
 // ---------------------------------------------------------------- harness
 
@@ -93,12 +98,9 @@ impl Net {
         self.procs.lock()[1].clone()
     }
 
-    /// A process on `host`. Its monitor counts handler runs but does not
-    /// sample, so that finalizing it waits for no sampler tick.
+    /// A process on `host`; its monitor counts handler runs.
     fn boot(&self, host: &str) -> Result<MargoRuntime, String> {
-        let mut config = MargoConfig::default();
-        config.monitoring.sampling_period_ms = 0;
-        let margo = MargoRuntime::init(&self.fabric, Address::tcp(host, 1), &config)
+        let margo = MargoRuntime::init_default(&self.fabric, Address::tcp(host, 1))
             .map_err(say("margo init"))?;
         self.procs.lock().push(margo.clone());
         Ok(margo)
@@ -144,12 +146,9 @@ fn settled(margo: &MargoRuntime, rpc: &str, want: u64) -> u64 {
     }
 }
 
-/// The RPCs of `all` that a client, built by `build` on a fresh process,
-/// declares idempotent.
-fn declared(all: &[&'static str], build: fn(&MargoRuntime)) -> Result<Vec<&'static str>, String> {
-    let net = Net::new()?;
-    build(&net.client());
-    Ok(all.iter().copied().filter(|rpc| net.client().is_idempotent(rpc)).collect())
+/// The RPCs of `all` that are declared idempotent.
+fn declared(all: &[Declared]) -> Vec<Declared> {
+    all.iter().copied().filter(|rpc| rpc.retry() == RetryClass::Idempotent).collect()
 }
 
 /// One of a case's two starting states.
@@ -204,22 +203,17 @@ fn replay(
     Err(in_case(why))
 }
 
-/// Replays every RPC of `all` that `client` declares idempotent, on
-/// every kind of backend and from every seed, and returns every broken
+/// Replays every RPC of `all` that is declared idempotent, on every
+/// kind of backend and from every seed, and returns every broken
 /// promise. An RPC's cases run at once, each on its own fabric: a faulted
 /// call spends its time waiting out a timeout.
 fn replay_all<K: Copy + Send>(
-    all: &[&'static str],
-    client: fn(&MargoRuntime),
+    all: &[Declared],
     kinds: &[K],
-    case: fn(K, &'static str, u64) -> Result<(), String>,
+    case: fn(K, Declared, u64) -> Result<(), String>,
 ) -> Vec<String> {
-    let rpcs = match declared(all, client) {
-        Ok(rpcs) => rpcs,
-        Err(e) => return vec![e],
-    };
     let mut broken = Vec::new();
-    for rpc in rpcs {
+    for rpc in declared(all) {
         std::thread::scope(|scope| {
             let spawn =
                 |kind| (0..SEEDS).map(move |seed| scope.spawn(move || case(kind, rpc, seed)));
@@ -251,9 +245,6 @@ enum Backend {
 /// The keys a starting state and a call draw from, so that calls overlap
 /// stored values, versioned records, tombstones and absent keys.
 const KEYS: [&[u8]; 8] = [b"a/0", b"a/1", b"a/2", b"a/3", b"b/0", b"b/1", b"b/2", b"c"];
-
-const YOKAN_CLIENT: fn(&MargoRuntime) =
-    |margo| drop(DatabaseHandle::new(margo, margo.address(), 1));
 
 /// A Yokan provider on `host` over `backend`, holding `seed`'s starting
 /// state: a value, a versioned record, a tombstone or nothing per key,
@@ -309,7 +300,7 @@ fn yokan_side(net: &Net, backend: Backend, host: &str, seed: u64) -> Result<Side
         handle.hint_put(target, key, version, value).map_err(say("seed a hint"))?;
     }
     // The call's handler runs are counted from here on.
-    settled(&server, yokan_rpc::HINT_PUT, 3);
+    settled(&server, yokan_rpc::HINT_PUT.name(), 3);
     let state = move || {
         let mut records = Vec::new();
         for store in &stores {
@@ -326,7 +317,7 @@ fn yokan_side(net: &Net, backend: Backend, host: &str, seed: u64) -> Result<Side
 
 /// The call of `rpc` for `seed`, its arguments drawn from the seed and
 /// issued through the Yokan client; an error for an RPC with no case.
-fn yokan_call(rpc: &str, seed: u64, net: &Net) -> Result<Call, String> {
+fn yokan_call(rpc: Declared, seed: u64, net: &Net) -> Result<Call, String> {
     let mut rng = SeededRng::new(seed).child("call");
     let mut keys = KEYS.to_vec();
     rng.shuffle(&mut keys);
@@ -341,23 +332,24 @@ fn yokan_call(rpc: &str, seed: u64, net: &Net) -> Result<Call, String> {
     let db = move |side: &Side, t| {
         DatabaseHandle::new(&client, side.server.address(), 1).with_timeout(t)
     };
+    use yokan_rpc::*;
     let call: Call = match rpc {
-        yokan_rpc::PUT => Box::new(move |side, t| outcome(db(side, t).put(keys[0], &values[0]))),
-        yokan_rpc::PUT_MULTI => Box::new(move |side, t| {
+        _ if rpc == PUT => Box::new(move |side, t| outcome(db(side, t).put(keys[0], &values[0]))),
+        _ if rpc == PUT_MULTI => Box::new(move |side, t| {
             let pairs: Vec<(&[u8], &[u8])> =
                 keys.iter().zip(&values).map(|(key, value)| (*key, value.as_slice())).collect();
             outcome(db(side, t).put_multi(&pairs))
         }),
-        yokan_rpc::GET => Box::new(move |side, t| outcome(db(side, t).get(keys[0]))),
-        yokan_rpc::GET_MULTI => Box::new(move |side, t| outcome(db(side, t).get_multi(&keys))),
-        yokan_rpc::EXISTS => Box::new(move |side, t| outcome(db(side, t).exists(keys[0]))),
-        yokan_rpc::LIST_KEYS => {
+        _ if rpc == GET => Box::new(move |side, t| outcome(db(side, t).get(keys[0]))),
+        _ if rpc == GET_MULTI => Box::new(move |side, t| outcome(db(side, t).get_multi(&keys))),
+        _ if rpc == EXISTS => Box::new(move |side, t| outcome(db(side, t).exists(keys[0]))),
+        _ if rpc == LIST_KEYS => {
             Box::new(move |side, t| outcome(db(side, t).list_keys(prefix, start_after, max)))
         }
-        yokan_rpc::LEN => Box::new(move |side, t| outcome(db(side, t).len())),
-        yokan_rpc::FLUSH => Box::new(move |side, t| outcome(db(side, t).flush())),
-        yokan_rpc::CLEAR => Box::new(move |side, t| outcome(db(side, t).clear())),
-        yokan_rpc::PUT_VERSIONED_MULTI => Box::new(move |side, t| {
+        _ if rpc == LEN => Box::new(move |side, t| outcome(db(side, t).len())),
+        _ if rpc == FLUSH => Box::new(move |side, t| outcome(db(side, t).flush())),
+        _ if rpc == CLEAR => Box::new(move |side, t| outcome(db(side, t).clear())),
+        _ if rpc == PUT_VERSIONED_MULTI => Box::new(move |side, t| {
             let values = values.iter().zip(&live).map(|(v, live)| live.then_some(v.as_slice()));
             let records = keys.iter().zip(&versions).zip(values).map(|((k, v), x)| (*k, *v, x));
             let batch = VersionedBatch::encode(records).map_err(|e| e.to_string())?;
@@ -367,23 +359,23 @@ fn yokan_call(rpc: &str, seed: u64, net: &Net) -> Result<Call, String> {
             // can read `Ok(false)` for a key it did erase (DESIGN.md §18.1).
             outcome(db(side, t).put_versioned(&batch).map(drop))
         }),
-        yokan_rpc::HINT_PUT => Box::new(move |side, t| {
+        _ if rpc == HINT_PUT => Box::new(move |side, t| {
             let value = live[0].then_some(values[0].as_slice());
             outcome(db(side, t).hint_put(target, keys[0], versions[0], value))
         }),
-        yokan_rpc::HINT_LIST => Box::new(move |side, t| outcome(db(side, t).hint_list(max))),
+        _ if rpc == HINT_LIST => Box::new(move |side, t| outcome(db(side, t).hint_list(max))),
         other => return Err(format!("no Yokan replay case for {other}")),
     };
     Ok(call)
 }
 
-fn yokan_case(backend: Backend, rpc: &'static str, seed: u64) -> Result<(), String> {
+fn yokan_case(backend: Backend, rpc: Declared, seed: u64) -> Result<(), String> {
     // A virtual database stores no versioned records: both callers get
     // the same refusal.
     let refused = matches!(backend, Backend::Virtual) && rpc == yokan_rpc::PUT_VERSIONED_MULTI;
     let side = |net: &Net, host: &str| yokan_side(net, backend, host, seed);
     let case = format!("{rpc} on {backend:?}, seed {seed}");
-    replay(&case, rpc, side, |net| yokan_call(rpc, seed, net), refused)
+    replay(&case, rpc.name(), side, |net| yokan_call(rpc, seed, net), refused)
 }
 
 // ----------------------------------------------------------------- Warabi
@@ -397,8 +389,6 @@ enum Target {
 /// The blobs of a starting state, as `(id, size)`; their bytes are drawn
 /// from the seed.
 const BLOBS: [(u64, u64); 3] = [(1, 40), (2, 96), (3, 160)];
-
-const WARABI_CLIENT: fn(&MargoRuntime) = |margo| drop(TargetHandle::new(margo, margo.address(), 1));
 
 /// A Warabi provider on `host` over a `kind` target holding `seed`'s
 /// blobs. Its state is the blob list, and every blob's size and bytes.
@@ -429,7 +419,7 @@ fn warabi_side(net: &Net, kind: Target, host: &str, seed: u64) -> Result<Side, S
 /// The call of `rpc` for `seed`, on a range of one blob drawn from the
 /// seed. The bulk RPCs are forwarded with their region exposed by the
 /// case's bulk process; the others go through the Warabi client.
-fn warabi_call(rpc: &str, seed: u64, net: &Net) -> Result<Call, String> {
+fn warabi_call(rpc: Declared, seed: u64, net: &Net) -> Result<Call, String> {
     let mut rng = SeededRng::new(seed).child("call");
     let (id, size) = BLOBS[rng.range(0, BLOBS.len())];
     let offset = rng.range_u64(0, size);
@@ -437,8 +427,6 @@ fn warabi_call(rpc: &str, seed: u64, net: &Net) -> Result<Call, String> {
     let mut data = vec![0u8; len as usize];
     rng.fill_bytes(&mut data);
     let (client, bulk) = (net.client(), net.bulk());
-    // The bulk forwards are re-sent because the Warabi client declared them.
-    WARABI_CLIENT(&client);
     let target = {
         let client = client.clone();
         move |side: &Side, t| TargetHandle::new(&client, side.server.address(), 1).with_timeout(t)
@@ -452,29 +440,30 @@ fn warabi_call(rpc: &str, seed: u64, net: &Net) -> Result<Call, String> {
         bulk.unexpose_bulk(&exposed);
         outcome(reply.map(|ok| (ok, region.lock().clone())))
     };
+    use warabi_rpc::*;
     let call: Call = match rpc {
-        warabi_rpc::WRITE => {
+        _ if rpc == WRITE => {
             Box::new(move |side, t| outcome(target(side, t).write(id, offset, &data)))
         }
-        warabi_rpc::WRITE_BULK => Box::new(move |side, t| {
-            bulk_call(side, t, warabi_rpc::WRITE_BULK, data.clone(), BulkAccess::ReadOnly)
+        _ if rpc == WRITE_BULK => Box::new(move |side, t| {
+            bulk_call(side, t, WRITE_BULK, data.clone(), BulkAccess::ReadOnly)
         }),
-        warabi_rpc::READ => Box::new(move |side, t| outcome(target(side, t).read(id, offset, len))),
-        warabi_rpc::READ_BULK => Box::new(move |side, t| {
-            bulk_call(side, t, warabi_rpc::READ_BULK, vec![0; len as usize], BulkAccess::WriteOnly)
+        _ if rpc == READ => Box::new(move |side, t| outcome(target(side, t).read(id, offset, len))),
+        _ if rpc == READ_BULK => Box::new(move |side, t| {
+            bulk_call(side, t, READ_BULK, vec![0; len as usize], BulkAccess::WriteOnly)
         }),
-        warabi_rpc::SIZE => Box::new(move |side, t| outcome(target(side, t).size(id))),
-        warabi_rpc::PERSIST => Box::new(move |side, t| outcome(target(side, t).persist(id))),
-        warabi_rpc::LIST => Box::new(move |side, t| outcome(target(side, t).list())),
+        _ if rpc == SIZE => Box::new(move |side, t| outcome(target(side, t).size(id))),
+        _ if rpc == PERSIST => Box::new(move |side, t| outcome(target(side, t).persist(id))),
+        _ if rpc == LIST => Box::new(move |side, t| outcome(target(side, t).list())),
         other => return Err(format!("no Warabi replay case for {other}")),
     };
     Ok(call)
 }
 
-fn warabi_case(kind: Target, rpc: &'static str, seed: u64) -> Result<(), String> {
+fn warabi_case(kind: Target, rpc: Declared, seed: u64) -> Result<(), String> {
     let side = |net: &Net, host: &str| warabi_side(net, kind, host, seed);
     let case = format!("{rpc} on {kind:?}, seed {seed}");
-    replay(&case, rpc, side, |net| warabi_call(rpc, seed, net), false)
+    replay(&case, rpc.name(), side, |net| warabi_call(rpc, seed, net), false)
 }
 
 // ------------------------------------------------------------------- REMI
@@ -486,8 +475,6 @@ const FILES: [&str; 4] = ["f0.bin", "d/f1.bin", "d/e/f2.bin", "f3.bin"];
 const BYSTANDERS: [&str; 2] = ["keep.txt", "d/old.bin"];
 /// The transfer token of a `PULL` case's session.
 const TOKEN: &str = "replayed-transfer";
-
-const REMI_CLIENT: fn(&MargoRuntime) = |margo| drop(RemiClient::new(margo));
 
 fn write_files(root: &Path, files: &[&str], rng: &mut SeededRng, max: usize) -> Result<(), String> {
     for rel in files {
@@ -530,20 +517,21 @@ fn remi_side(net: &Net, host: &str, seed: u64, started: Option<&FileSet>) -> Res
 /// `strategy`, the reply compared being the migration's report; or `PULL`
 /// on an open session, the files exposed by the case's bulk process.
 fn remi_call(
-    rpc: &'static str,
+    rpc: Declared,
     strategy: Strategy,
     fileset: &FileSet,
     net: &Net,
 ) -> Result<Call, String> {
     let (client, remi) = (net.client(), RemiClient::new(&net.client()));
     let fileset = fileset.clone();
+    use remi_rpc::*;
     let call: Call = match rpc {
-        remi_rpc::START => Box::new(move |side, timeout| {
+        _ if rpc == START => Box::new(move |side, timeout| {
             let options = MigrationOptions { timeout, ..MigrationOptions::default() };
             let report = remi.migrate(&side.server.address(), 1, &fileset, strategy, &options);
             outcome(report.map(|report| (report.files, report.bytes, report.chunks)))
         }),
-        remi_rpc::PULL => {
+        _ if rpc == PULL => {
             let mut exposed = Vec::new();
             for entry in &fileset.files {
                 let (path, size) = (fileset.absolute(entry), entry.size as usize);
@@ -553,7 +541,7 @@ fn remi_call(
             Box::new(move |side, timeout| {
                 let args = PullArgs { token: TOKEN.into(), bulk_handles: exposed.clone() };
                 let summary: Result<TransferSummary, _> =
-                    client.forward_timeout(&side.server.address(), rpc, 1, &args, timeout);
+                    client.forward_timeout(&side.server.address(), PULL, 1, &args, timeout);
                 outcome(summary)
             })
         }
@@ -562,7 +550,7 @@ fn remi_call(
     Ok(call)
 }
 
-fn remi_case(strategy: Strategy, rpc: &'static str, seed: u64) -> Result<(), String> {
+fn remi_case(strategy: Strategy, rpc: Declared, seed: u64) -> Result<(), String> {
     // A pull is the RDMA strategy's transfer: the chunked one has none.
     if rpc == remi_rpc::PULL && strategy != Strategy::Rdma {
         return Ok(());
@@ -573,7 +561,7 @@ fn remi_case(strategy: Strategy, rpc: &'static str, seed: u64) -> Result<(), Str
     let started = (rpc == remi_rpc::PULL).then_some(&fileset);
     let side = |net: &Net, host: &str| remi_side(net, host, seed, started);
     let case = format!("{rpc} under {strategy:?}, seed {seed}");
-    replay(&case, rpc, side, |net| remi_call(rpc, strategy, &fileset, net), false)
+    replay(&case, rpc.name(), side, |net| remi_call(rpc, strategy, &fileset, net), false)
 }
 
 // ------------------------------------------------------------------ tests
@@ -581,40 +569,38 @@ fn remi_case(strategy: Strategy, rpc: &'static str, seed: u64) -> Result<(), Str
 #[test]
 fn yokan_rpcs_replay_on_a_map_an_lsm_and_a_virtual_database() {
     let backends = [Backend::Map, Backend::Lsm, Backend::Virtual];
-    let broken = replay_all(&yokan_rpc::ALL, YOKAN_CLIENT, &backends, yokan_case);
+    let broken = replay_all(yokan_rpc::ALL, &backends, yokan_case);
     assert!(broken.is_empty(), "{}", broken.join("\n"));
 }
 
 #[test]
 fn warabi_rpcs_replay_on_a_memory_and_a_file_target() {
     let targets = [Target::Memory, Target::File];
-    let broken = replay_all(&warabi_rpc::ALL, WARABI_CLIENT, &targets, warabi_case);
+    let broken = replay_all(warabi_rpc::ALL, &targets, warabi_case);
     assert!(broken.is_empty(), "{}", broken.join("\n"));
 }
 
 #[test]
 fn remi_start_replays_under_both_strategies_and_pull_under_rdma() {
     let strategies = [Strategy::Rdma, Strategy::ChunkedRpc { chunk_size: 1024, window: 2 }];
-    let broken = replay_all(&remi_rpc::ALL, REMI_CLIENT, &strategies, remi_case);
+    let broken = replay_all(remi_rpc::ALL, &strategies, remi_case);
     assert!(broken.is_empty(), "{}", broken.join("\n"));
 }
 
-/// Each service has a replay case for exactly the RPCs its client
-/// declares idempotent: a declaration with no case fails here, and so
-/// does a case for an RPC that was never declared.
+/// Each service has a replay case for exactly the RPCs its table
+/// declares idempotent: an idempotent declaration with no case fails
+/// here, and so does a case for an RPC that is sent once.
 #[test]
 fn the_replayed_rpcs_are_exactly_the_declared_ones() {
     let net = Net::new().expect("net");
     let nothing = FileSet { root: PathBuf::new(), files: Vec::new() };
-    let check = |all: &[&'static str], client, has_case: &dyn Fn(&'static str) -> bool| {
-        let declared = declared(all, client).expect("declared RPCs");
+    let check = |all: &[Declared], has_case: &dyn Fn(Declared) -> bool| {
+        let declared = declared(all);
         for &rpc in all {
             assert_eq!(declared.contains(&rpc), has_case(rpc), "{rpc}: declared vs replayed");
         }
     };
-    check(&yokan_rpc::ALL, YOKAN_CLIENT, &|rpc| yokan_call(rpc, 0, &net).is_ok());
-    check(&warabi_rpc::ALL, WARABI_CLIENT, &|rpc| warabi_call(rpc, 0, &net).is_ok());
-    check(&remi_rpc::ALL, REMI_CLIENT, &|rpc| {
-        remi_call(rpc, Strategy::Rdma, &nothing, &net).is_ok()
-    });
+    check(yokan_rpc::ALL, &|rpc| yokan_call(rpc, 0, &net).is_ok());
+    check(warabi_rpc::ALL, &|rpc| warabi_call(rpc, 0, &net).is_ok());
+    check(remi_rpc::ALL, &|rpc| remi_call(rpc, Strategy::Rdma, &nothing, &net).is_ok());
 }
