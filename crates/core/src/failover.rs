@@ -174,26 +174,16 @@ impl FailoverKv {
         &self,
         op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
     ) -> Result<T, MargoError> {
-        self.with_handle_rounds(self.max_rounds, op)
+        self.rounds_from(0, self.max_rounds, None, op)
     }
 
-    /// [`Self::with_handle`] with an explicit round budget. Replicated
-    /// fan-outs drive each leg with a small budget (fail fast, let the
-    /// quorum/hint machinery absorb the loss) while keeping the default
-    /// patient behavior for single-provider callers.
-    pub fn with_handle_rounds<T>(
-        &self,
-        rounds: u32,
-        op: impl Fn(&DatabaseHandle) -> Result<T, MargoError>,
-    ) -> Result<T, MargoError> {
-        self.rounds_from(0, rounds, None, op)
-    }
-
-    /// Posting counterpart of [`Self::with_handle_rounds`]: the first
-    /// round's RPC is posted to the remembered (or freshly resolved)
-    /// location and this returns at once, so a caller with several legs
-    /// posts them all before it waits on any. `post` is a plain function
-    /// of the handle and `request` (a method path does:
+    /// Posting counterpart of [`Self::with_handle`], with an explicit
+    /// round budget (replicated fan-outs drive each leg with a small one
+    /// and let the quorum absorb the loss): the first round's RPC is
+    /// posted to the remembered (or freshly resolved) location and this
+    /// returns at once, so a caller with several legs posts them all
+    /// before it waits on any. `post` is a plain function of the handle
+    /// and `request` (a method path does:
     /// `DatabaseHandle::post_put_versioned`), so the posted operation is a
     /// value with a nameable type that can be handed to another thread.
     /// Rounds after the first are the failure path and run blocking inside
@@ -334,7 +324,7 @@ pub struct PostedOp<R, T> {
 
 impl<R, T> PostedOp<R, T> {
     /// Waits for the posted round; if its location failed underneath it,
-    /// runs the remaining rounds like [`FailoverKv::with_handle_rounds`].
+    /// runs the remaining rounds like [`FailoverKv::with_handle`].
     pub fn wait(self) -> Result<T, MargoError> {
         let Self { leg, rounds, request, post, first } = self;
         let mut last_err = None;

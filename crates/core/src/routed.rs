@@ -21,14 +21,15 @@
 //!   of real copies; an erase is a write of a tombstone. A single-record
 //!   write asks only `W` replicas (the rest if one fails): the other
 //!   replicas are *owed* the record, which ships to each in a per-member
-//!   batch within one drain interval. Owed copies wait in this process's
-//!   memory: if it dies before they ship, the record has only its `W`
-//!   copies, and losing `W` replicas in that window loses it (DESIGN.md
-//!   §18.2). A read asks the read quorum `R` of
-//!   replicas (the rest if one fails), merges freshest-wins and repairs
-//!   stale replicas asynchronously. Both quorums are the majority of the
-//!   serving set, so `R + W > N` by construction; `replication_factor 1`
-//!   (the default) is the replica set of one with `W = R = 1`.
+//!   batch within one drain interval, or stay owed while the replica does
+//!   not answer. Owed copies wait in this process's memory: if it dies
+//!   before they ship, the record has only its `W` copies, and losing `W`
+//!   replicas in that window loses it (DESIGN.md §18.2). A read asks the
+//!   read quorum `R` of replicas (the rest if one fails), merges
+//!   freshest-wins and repairs stale replicas asynchronously. Both
+//!   quorums are the majority of the serving set, so `R + W > N` by
+//!   construction; `replication_factor 1` (the default) is the replica
+//!   set of one with `W = R = 1`.
 //! * **Concurrent fan-out.** Operations split into one batch per
 //!   destination; the caller's thread *posts* every batch
 //!   ([`FailoverKv::post_rounds`], non-blocking down to the fabric) and
@@ -37,21 +38,21 @@
 //!   Failures stay per key: every slot reports its own outcome.
 //! * **Live rebalance, zero acked-write loss.** Membership changes copy
 //!   the minimal moved set (the keys whose owner set gains a member)
-//!   while traffic continues, the way a read repair or a hint replay
+//!   while traffic continues, the way a read repair or an owed copy
 //!   moves a record: a versioned read, then put-if-newer. During the move
 //!   window writes cover the serving replicas *and* the future owners,
 //!   and the compare is atomic per key in the backend, so neither an
 //!   in-flight write nor an erase can lose to the copied snapshot. See
 //!   [`RoutedKv::join`]. (REMI moves a whole provider's files —
 //!   `DynamicService::rebalance` — never records between members.)
-//! * **Hinted handoff and provider death** (replica sets larger than
-//!   one): an unreachable owner's share lands on another member as a
-//!   *hint* that a background drainer replays when the owner returns,
-//!   and a killed member is retired with nothing read from it
+//! * **Owed copies and provider death** (replica sets larger than one):
+//!   a replica a write could not reach is owed the record like one it
+//!   did not ask, and a background drainer ships it when the member
+//!   answers again; a killed member is retired with nothing read from it
 //!   ([`RoutedKv::fail_member`]) — survivors already hold every record,
-//!   and the same copier restores the lost copy from them.
-//!   A set of one has nobody to park a hint for: its owner's failure is
-//!   the write's failure.
+//!   its owed copies go to them, and the same copier restores the lost
+//!   copy from them. A set of one has no other replica to serve from: its
+//!   owner's failure is the write's failure.
 //!
 //! A member's backend therefore holds record envelopes, not raw values:
 //! a plain `DatabaseHandle` pointed at a member sees them. Raw values
@@ -78,15 +79,15 @@ use mochi_mercury::Address;
 use mochi_pufferscale::Weights;
 use mochi_util::ordered_lock::{rank, OrderedMutex, OrderedRwLock};
 use mochi_yokan::client::{DatabaseHandle, KeyBatch, VersionedBatch, VersionedValue};
-use mochi_yokan::provider::{HintDropEntry, ListKeysArgs, PutVersionedMultiReply};
+use mochi_yokan::provider::{ListKeysArgs, PutVersionedMultiReply};
 use mochi_yokan::version::RECORD_OVERHEAD;
 
 use crate::failover::{FailoverKv, PostedOp};
 use crate::ring::HashRing;
 use crate::service::DynamicService;
 
-/// Re-resolution rounds of a leg whose loss the quorum and the hint
-/// machinery absorb: fail fast rather than stall the whole operation.
+/// Re-resolution rounds of a leg whose loss the quorum and the owed copy
+/// absorb: fail fast rather than stall the whole operation.
 const FAIL_FAST_ROUNDS: u32 = 2;
 
 /// Wait between a leg's re-resolution rounds — deliberately shorter than
@@ -100,6 +101,11 @@ const PAGE: usize = 512;
 /// Records an outbox holds before it ships.
 const OUTBOX: usize = 64;
 
+/// Records one member's outbox holds at most: a member that stays
+/// unreachable costs bounded memory, and what it is owed past this is
+/// left to read repair (or, for a future owner, fails the write).
+const OUTBOX_CAP: usize = 8192;
+
 /// Tuning knobs of a [`RoutedKv`].
 #[derive(Debug, Clone, Copy)]
 pub struct RoutedConfig {
@@ -108,10 +114,10 @@ pub struct RoutedConfig {
     /// Re-resolution rounds of each leg (see [`FailoverKv`]). Data-path
     /// legs of a replica set larger than one use two rounds instead.
     pub leg_max_rounds: u32,
-    /// Copies of every key (distinct ring successors). `> 1` adds hinted
-    /// handoff and [`RoutedKv::fail_member`] to the one data path.
+    /// Copies of every key (distinct ring successors). `> 1` adds owed
+    /// copies and [`RoutedKv::fail_member`] to the one data path.
     pub replication_factor: usize,
-    /// How often the background drainer replays parked hints.
+    /// How often the background drainer ships every outbox.
     pub hint_drain_interval: Duration,
 }
 
@@ -160,24 +166,28 @@ pub struct CatchUpReport {
     pub recopied_keys: u64,
     /// Bytes of those records (key + value + version envelope).
     pub recopied_bytes: u64,
-    /// Hints replayed while the member was being failed.
+    /// Copies the failed member was owed, handed to their keys' current
+    /// write sets instead.
     pub replayed_hints: u64,
 }
 
 /// Point-in-time replication counters (see [`RoutedKv::replication_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicationCounters {
-    /// Writes that landed as a hint on a handoff member instead of a
-    /// real owner ack.
+    /// Records a serving replica missed — the write's leg to it failed —
+    /// and is owed: they ship when it answers again.
     pub hinted_writes: u64,
-    /// Hints replayed onto their final owner (background drainer,
-    /// `drain_hints_now`, or `fail_member`).
+    /// Copies owed to a member that left the keyspace (failed or
+    /// retired), handed to their keys' current write sets instead.
     pub hint_replays: u64,
     /// Stale or missing replicas repaired asynchronously after a read.
     pub read_repairs: u64,
-    /// Read-repair attempts that failed (left for the next read to fix).
+    /// Copies owed to a serving replica that its full outbox refused:
+    /// left for the next read to repair.
     pub repair_failures: u64,
-    /// Hint-drain passes that hit an error and will retry next tick.
+    /// Shipments that failed (their records stay owed, and the next
+    /// drainer tick retries them), and a drainer thread that could not
+    /// start or panicked.
     pub drain_errors: u64,
 }
 
@@ -236,9 +246,29 @@ struct Route {
     to_at: Vec<usize>,
     /// Replication factor (`>= 1`).
     rf: usize,
-    /// One outbox per member, in the same order: the records that writes
-    /// which did not ask the member owe it.
-    outboxes: Vec<OrderedMutex<Vec<Record>>>,
+    /// One outbox per member, in the same order.
+    outboxes: Vec<OrderedMutex<Outbox>>,
+}
+
+/// What one member is owed: the records of writes that did not ask it or
+/// did not reach it, of read repairs, and of shipments that failed.
+#[derive(Default)]
+struct Outbox {
+    records: Vec<Record>,
+    /// The member's last shipment failed: writes only append, and the
+    /// drainer tick or a flush retries.
+    failed: bool,
+}
+
+impl Outbox {
+    /// Adds `record`; `false` if the outbox is full ([`OUTBOX_CAP`]).
+    fn push(&mut self, record: Record) -> bool {
+        let room = self.records.len() < OUTBOX_CAP;
+        if room {
+            self.records.push(record);
+        }
+        room
+    }
 }
 
 /// Fills the slots of a write set that has fewer future owners than the
@@ -310,7 +340,7 @@ impl Route {
         let legs = make_legs(&members);
         let outboxes = members
             .iter()
-            .map(|_| OrderedMutex::new(rank::ROUTED_OUTBOX, "routed.outbox", Vec::new()))
+            .map(|_| OrderedMutex::new(rank::ROUTED_OUTBOX, "routed.outbox", Outbox::default()))
             .collect();
         Self { ring, to_ring, members, legs, ring_at, to_at, rf, outboxes }
     }
@@ -367,61 +397,62 @@ impl Route {
     }
 
     /// Whether a replica set holds more than one member: only then is
-    /// there a live replica to serve from while another member holds a
-    /// hint for the one that failed.
-    fn hints(&self) -> bool {
+    /// there a live replica to serve from while another one is owed a
+    /// write it missed.
+    fn replicated(&self) -> bool {
         self.serving() > 1
     }
 
-    /// Re-resolution rounds of a data-path leg. A set of one has no hint
-    /// to fall back on, so its leg waits out relocations and transient
-    /// faults; larger sets fail fast and let the quorum absorb the loss.
+    /// Re-resolution rounds of a data-path leg. A set of one has no other
+    /// replica to fall back on, so its leg waits out relocations and
+    /// transient faults; larger sets fail fast and let the quorum absorb
+    /// the loss.
     fn leg_rounds(&self, config: &RoutedConfig) -> u32 {
-        if self.hints() {
+        if self.replicated() {
             FAIL_FAST_ROUNDS
         } else {
             config.leg_max_rounds
         }
     }
 
-    /// Parks a record on a handoff member as a hint for the unreachable
-    /// `target`. Candidates walk the key's full successor list, skipping
-    /// `target` and every member already observed down this round,
-    /// preferring members *outside* the replica set (they add an extra
-    /// durable copy) before falling back to replicas.
-    fn handoff_hint(
-        &self,
-        stats: &ReplicationStats,
-        target: usize,
-        down: &[usize],
-        (key, version, value): RecordRef<'_>,
-    ) -> bool {
-        let walk = self.ring.owner_indices(key, self.ring.len());
-        let candidates = walk
-            .iter()
-            .skip(self.rf)
-            .chain(walk.iter().take(self.rf))
-            .map(|&member| self.ring_at[member])
-            .filter(|candidate| *candidate != target && !down.contains(candidate));
-        let target = self.members[target].as_str();
-        for candidate in candidates {
-            let parked = self.legs[candidate]
-                .with_handle_rounds(FAIL_FAST_ROUNDS, |h| h.hint_put(target, key, version, value));
-            // A full hint store or a transport failure: try the next
-            // successor.
-            if let Ok(true) = parked {
-                stats.hinted_writes.fetch_add(1, Ordering::AcqRel);
-                return true;
-            }
-        }
-        false
-    }
-
     /// Posts every outbox that holds records as one batch to its member.
     fn ship_outboxes(self: &Arc<Self>) -> Vec<Shipment> {
-        let owed = self.outboxes.iter().map(|outbox| std::mem::take(&mut *outbox.lock()));
+        let owed = self.outboxes.iter().map(|outbox| std::mem::take(&mut outbox.lock().records));
         let owed = owed.enumerate().filter(|(_, records)| !records.is_empty());
         owed.map(|(member, records)| Shipment::post(self, member, records)).collect()
+    }
+
+    /// Hands this route `records`, owed to the member called `name`, and
+    /// whether that member's last shipment `failed`: they go to its
+    /// outbox or, if it is on neither ring, to the outboxes of each key's
+    /// write set. Counts what a full outbox refuses as a failed repair.
+    fn take_owed(&self, name: &str, records: Vec<Record>, failed: bool, stats: &ReplicationStats) {
+        let mut refused = 0;
+        if let Some(member) = self.position(name) {
+            let mut outbox = self.outboxes[member].lock();
+            outbox.failed |= failed;
+            for record in records {
+                refused += u64::from(!outbox.push(record));
+            }
+        } else if !records.is_empty() {
+            stats.hint_replays.fetch_add(records.len() as u64, Ordering::AcqRel);
+            let mut set = vec![NOBODY; self.write_width()];
+            for record in records {
+                self.write_set_into(&record.0, &mut set);
+                for member in named(&set) {
+                    refused += u64::from(!self.outboxes[member].lock().push(record.clone()));
+                }
+            }
+        }
+        stats.repair_failures.fetch_add(refused, Ordering::AcqRel);
+    }
+
+    /// Takes over what `old`, the route this one replaces, is owed.
+    fn inherit(&self, old: &Route, stats: &ReplicationStats) {
+        for (name, outbox) in old.members.iter().zip(&old.outboxes) {
+            let Outbox { records, failed } = std::mem::take(&mut *outbox.lock());
+            self.take_owed(name, records, failed, stats);
+        }
     }
 }
 
@@ -534,21 +565,27 @@ impl Shipment {
         Self { route: Arc::clone(route), member, records, posted }
     }
 
-    /// Waits for the batch; a failed one parks its records as hints for
-    /// the member. Counts the records that could be neither delivered
-    /// nor hinted.
-    fn settle(self, stats: &ReplicationStats) {
+    /// Waits for the batch. A failed one hands its records back to the
+    /// member's outbox in the route current now (`state`), so they follow
+    /// it across membership changes, and marks the member failed there
+    /// until a shipment to it gets through.
+    fn settle(self, state: &OrderedRwLock<Arc<Route>>, stats: &ReplicationStats) {
         let Self { route, member, records, posted } = self;
-        if posted.and_then(PostedOp::wait).is_ok() {
+        let delivered = posted.and_then(PostedOp::wait).is_ok();
+        let current = state.read();
+        let name = route.members[member].as_str();
+        if delivered {
+            if let Some(member) = current.position(name) {
+                current.outboxes[member].lock().failed = false;
+            }
             return;
         }
-        let hinted = |record: &Record| route.handoff_hint(stats, member, &[], record_ref(record));
-        let lost = records.iter().filter(|record| !hinted(record)).count();
-        stats.repair_failures.fetch_add(lost as u64, Ordering::AcqRel);
+        stats.drain_errors.fetch_add(1, Ordering::AcqRel);
+        current.take_owed(name, records, true, stats);
     }
 }
 
-/// What the hint drainer settles between its passes, in queue order.
+/// What the drainer settles between its ticks, in queue order.
 enum Settle {
     Shipment(Box<Shipment>),
     /// Answered once every shipment queued before it is settled.
@@ -556,24 +593,24 @@ enum Settle {
 }
 
 impl Settle {
-    fn settle(self, stats: &ReplicationStats) {
+    fn settle(self, state: &OrderedRwLock<Arc<Route>>, stats: &ReplicationStats) {
         match self {
-            Self::Shipment(shipment) => shipment.settle(stats),
+            Self::Shipment(shipment) => shipment.settle(state, stats),
             Self::Fence(done) => done.send(()).unwrap_or(()),
         }
     }
 }
 
-/// Shipments the hint drainer has not settled yet; a caller that finds
-/// the queue full waits for its own.
+/// Shipments the drainer has not settled yet; a caller that finds the
+/// queue full waits for its own.
 const SETTLE_QUEUE: usize = 1024;
 
 /// Who acked one record of a quorum write.
 #[derive(Default)]
 struct Tally {
-    /// Serving replicas that really acked (a hint is no ack).
+    /// Serving replicas that really acked (an owed copy is no ack).
     real_serving: u32,
-    /// Future owners covered by a real ack or a hint.
+    /// Future owners covered by a real ack or an owed copy.
     covered_future: u32,
     /// Whether a live record existed on some replica before the write.
     existed: bool,
@@ -583,11 +620,11 @@ struct Tally {
 }
 
 impl Tally {
-    /// Counts `member`, one of the record's `serving` replicas or one of
-    /// its future owners.
-    fn credit(&mut self, serving: &[usize], member: usize, real: bool) {
+    /// Counts `member`'s ack: it is one of the record's `serving`
+    /// replicas or one of its future owners.
+    fn credit(&mut self, serving: &[usize], member: usize) {
         if serving.contains(&member) {
-            self.real_serving += u32::from(real);
+            self.real_serving += 1;
         } else {
             self.covered_future += 1;
         }
@@ -599,7 +636,7 @@ pub struct RoutedKv {
     service: Arc<DynamicService>,
     margo: MargoRuntime,
     config: RoutedConfig,
-    /// The current route (shared with the hint drainer thread).
+    /// The current route (shared with the drainer thread).
     state: Arc<OrderedRwLock<Arc<Route>>>,
     /// Write barrier of the move protocol: writes hold it shared across
     /// routing and RPCs; a membership change holds it exclusive to fence
@@ -615,12 +652,12 @@ pub struct RoutedKv {
     clock: AtomicU64,
     /// Reads that asked fewer replicas than serve: rotates their window.
     reads: AtomicU64,
-    /// Replication counters (hints, repairs, drain errors).
+    /// Replication counters (owed copies, repairs, drain errors).
     stats: Arc<ReplicationStats>,
-    /// The hint drainer thread and the queue of posted shipments it
-    /// settles (`replication_factor > 1` only — a replica set of one
-    /// parks no hint, owes no copy and finds no stale one). Dropping the
-    /// queue's sender stops the thread.
+    /// The drainer thread and the queue of posted shipments it settles
+    /// (`replication_factor > 1` only — a replica set of one owes no copy
+    /// and finds no stale one). Dropping the queue's sender stops the
+    /// thread.
     drainer: Option<(SyncSender<Settle>, std::thread::JoinHandle<()>)>,
 }
 
@@ -643,7 +680,7 @@ impl RoutedKv {
         ));
         let stats = Arc::new(ReplicationStats::default());
         let drainer = (config.rf() > 1)
-            .then(|| spawn_hint_drainer(&state, &stats, config.hint_drain_interval))
+            .then(|| spawn_drainer(&state, &stats, config.hint_drain_interval))
             .flatten();
         Self {
             service: Arc::clone(service),
@@ -659,17 +696,19 @@ impl RoutedKv {
         }
     }
 
-    /// Ships every outbox, then runs one synchronous hint-drain pass and
-    /// returns how many hints were replayed. Deterministic alternative to
-    /// waiting for the background drainer (tests, admin tooling).
+    /// Ships every outbox and waits for the batches — a drainer tick on
+    /// the caller's thread, after every shipment already posted has
+    /// settled — and returns how many copies are still owed: those whose
+    /// member did not take them. Deterministic alternative to waiting for
+    /// the background drainer (tests, admin tooling).
     pub fn drain_hints_now(&self) -> u64 {
+        self.flush();
         let route = self.route();
-        self.flush(&route);
-        hint_drain_pass(&route, &self.stats)
+        route.outboxes.iter().map(|outbox| outbox.lock().records.len() as u64).sum()
     }
 
-    /// Current replication counters (hints and their replays stay zero
-    /// at `replication_factor 1`).
+    /// Current replication counters (owed copies and repairs stay zero at
+    /// `replication_factor 1`).
     pub fn replication_stats(&self) -> ReplicationCounters {
         self.stats.snapshot()
     }
@@ -755,11 +794,28 @@ impl RoutedKv {
 
     /// Publishes the route over `ring` (and `to_ring`) and returns it.
     fn publish(&self, ring: HashRing, to_ring: Option<HashRing>) -> Arc<Route> {
-        let route = Arc::new(Route::new(ring, to_ring, self.config.rf(), |members| {
+        self.install(Arc::new(Route::new(ring, to_ring, self.config.rf(), |members| {
             new_legs(&self.service, &self.margo, &self.config, members)
-        }));
-        *self.state.write() = Arc::clone(&route);
+        })))
+    }
+
+    /// Makes `route` the current one and hands it what the route it
+    /// replaces is owed. A write still routing by the old one can owe it
+    /// more: [`Self::fence`] takes that over.
+    fn install(&self, route: Arc<Route>) -> Arc<Route> {
+        let mut current = self.state.write();
+        let old = std::mem::replace(&mut *current, Arc::clone(&route));
+        route.inherit(&old, &self.stats);
         route
+    }
+
+    /// Epoch fence: writes hold the barrier shared across routing and
+    /// RPCs, so one exclusive acquisition waits out every write still
+    /// routing by `old`; what they left owed in it goes to the current
+    /// route.
+    fn fence(&self, old: &Route) {
+        drop(self.barrier.write());
+        self.route().inherit(old, &self.stats);
     }
 
     fn empty_ring() -> MargoError {
@@ -808,7 +864,7 @@ impl RoutedKv {
     /// Removes `key`; returns whether it existed on some replica. An
     /// erase is a write of a versioned *tombstone*: it out-versions any
     /// earlier put, survives quorum merges, and cannot be resurrected by
-    /// a rebalance copy, a stale replica or a hint.
+    /// a rebalance copy, a stale replica or an owed copy.
     ///
     /// The tombstone travels as a put-if-newer, which margo re-sends when
     /// a leg's reply is lost; the re-run finds the tombstone the first run
@@ -854,16 +910,15 @@ impl RoutedKv {
     /// A one-record call whose quorum is not its whole replica set,
     /// outside a move window, asks the record's first `W` replicas and
     /// the others only if that round left it short; the replicas it did
-    /// not ask are owed the record
-    /// ([`Self::owe`]). When replica sets hold more than one member, a
-    /// member that fails with a transport-class error gets its records
-    /// *hinted* onto the next available successor instead.
+    /// not ask are owed the record ([`Self::owe`]). When replica sets hold
+    /// more than one member, a member that fails with a transport-class
+    /// error is owed its records the same way.
     ///
     /// Slot `i` is `Ok(existed)` iff:
-    /// * `W` **serving** replicas really acked — a hint, which no read
-    ///   asks, does not count, so any `R` replicas hold every acked
+    /// * `W` **serving** replicas really acked — an owed copy, which no
+    ///   read finds, does not count, so any `R` replicas hold every acked
     ///   write — and
-    /// * every future owner is covered real-or-hinted (so a cutover in
+    /// * every future owner acked or is owed the record (so a cutover in
     ///   either direction keeps the write).
     fn quorum_write_multi(
         &self,
@@ -882,7 +937,6 @@ impl RoutedKv {
         let owes = w < serving && route.to_ring.is_none() && records.len() == 1;
         let mut asked = owes.then(|| sets.rotated(0, w, |_| true));
         let mut tallies: Vec<Tally> = records.iter().map(|_| Tally::default()).collect();
-        let mut down: Vec<usize> = Vec::new();
         let mut failed: Vec<(usize, Vec<usize>, MargoError)> = Vec::new();
         for first in [true, false] {
             let routes = ByMember::new(route.legs.len(), asked.as_ref().unwrap_or(&sets));
@@ -906,14 +960,13 @@ impl RoutedKv {
                     Ok(acks) => {
                         for (&i, was_there) in indices.iter().zip(acks) {
                             tallies[i].existed |= was_there;
-                            tallies[i].credit(&sets.of(i)[..serving], member, true);
+                            tallies[i].credit(&sets.of(i)[..serving], member);
                         }
                     }
-                    Err(err) if route.hints() && FailoverKv::should_reroute(&err) => {
-                        down.push(member);
+                    Err(err) if route.replicated() && FailoverKv::should_reroute(&err) => {
                         failed.push((member, indices.to_vec(), err));
                     }
-                    // Application-class error, or nobody to hint to.
+                    // Application-class error, or no other replica.
                     Err(err) => {
                         for &i in indices {
                             tallies[i].error.get_or_insert_with(|| Box::new(err.clone()));
@@ -929,14 +982,19 @@ impl RoutedKv {
             }
             asked = Some(sets.rotated(w, serving - w, short));
         }
-        // Hinted handoff: each unreachable member's records park on the
-        // next available successor, keyed by the member they belong to.
+        // An unreachable member is owed its records. A full outbox leaves
+        // a replica to read repair and a future owner uncovered.
         for (member, indices, err) in failed {
             for i in indices {
-                if route.handoff_hint(&self.stats, member, &down, records[i]) {
-                    tallies[i].credit(&sets.of(i)[..serving], member, false);
-                } else {
+                let replica = sets.of(i)[..serving].contains(&member);
+                if !self.owe(route, member, records[i]) {
+                    let failures = &self.stats.repair_failures;
+                    failures.fetch_add(u64::from(replica), Ordering::AcqRel);
                     tallies[i].error.get_or_insert_with(|| Box::new(err.clone()));
+                } else if replica {
+                    self.stats.hinted_writes.fetch_add(1, Ordering::AcqRel);
+                } else {
+                    tallies[i].covered_future += 1;
                 }
             }
         }
@@ -945,7 +1003,8 @@ impl RoutedKv {
         if let Some(last) = asked.filter(|_| owes) {
             for (i, &record) in records.iter().enumerate() {
                 let unasked = sets.of(i)[w..serving].iter().filter(|m| !last.of(i).contains(m));
-                unasked.for_each(|&member| self.owe(route, member, record));
+                let refused = unasked.filter(|&&member| !self.owe(route, member, record)).count();
+                self.stats.repair_failures.fetch_add(refused as u64, Ordering::AcqRel);
             }
         }
         sets.iter()
@@ -967,40 +1026,44 @@ impl RoutedKv {
             .collect()
     }
 
-    /// Adds `record` to what `member` is owed. An outbox that reaches
-    /// [`OUTBOX`] records ships; the hint drainer ships the rest every
-    /// pass, so every serving replica holds the record within one drain
-    /// interval, or a hint for it is parked.
-    fn owe(&self, route: &Arc<Route>, member: usize, (key, version, value): RecordRef<'_>) {
+    /// Adds `record` to what `member` is owed; `false` if its outbox is
+    /// full. An outbox that reaches [`OUTBOX`] records ships, unless the
+    /// member's last shipment failed: then only the drainer tick and
+    /// [`Self::flush`] retry it, so a member that is down costs one failed
+    /// shipment a tick, not one per write. Every serving replica that
+    /// answers holds the record within one drain interval.
+    fn owe(&self, route: &Arc<Route>, member: usize, (key, version, value): RecordRef<'_>) -> bool {
         let full = {
             let mut outbox = route.outboxes[member].lock();
-            outbox.push((key.to_vec(), version, value.map(<[u8]>::to_vec)));
-            (outbox.len() >= OUTBOX)
-                .then(|| std::mem::replace(&mut *outbox, Vec::with_capacity(OUTBOX)))
+            if !outbox.push((key.to_vec(), version, value.map(<[u8]>::to_vec))) {
+                return false;
+            }
+            (outbox.records.len() >= OUTBOX && !outbox.failed)
+                .then(|| std::mem::replace(&mut outbox.records, Vec::with_capacity(OUTBOX)))
         };
         if let Some(records) = full {
             self.ship(Shipment::post(route, member, records));
         }
+        true
     }
 
-    /// Hands a posted shipment to the hint drainer, which waits for it;
-    /// with no drainer, or its queue full, the caller waits.
+    /// Hands a posted shipment to the drainer, which waits for it; with
+    /// no drainer, or its queue full, the caller waits.
     fn ship(&self, shipment: Shipment) {
         let unsent = match &self.drainer {
             Some((queue, _)) => match queue.try_send(Settle::Shipment(Box::new(shipment))) {
                 Ok(()) => return,
                 Err(TrySendError::Full(unsent) | TrySendError::Disconnected(unsent)) => unsent,
             },
-            None => return shipment.settle(&self.stats),
+            None => return shipment.settle(&self.state, &self.stats),
         };
-        unsent.settle(&self.stats);
+        unsent.settle(&self.state, &self.stats);
     }
 
-    /// Ships every outbox of `route` and waits until those batches, and
-    /// every shipment handed to the drainer before them, are delivered or
-    /// hinted.
-    fn flush(&self, route: &Arc<Route>) {
-        route.ship_outboxes().into_iter().for_each(|shipment| shipment.settle(&self.stats));
+    /// Waits until every shipment handed to the drainer is settled, then
+    /// ships every outbox of the current route and waits for those: what
+    /// is owed afterwards is owed to a member that did not take it.
+    fn flush(&self) {
         if let Some((queue, _)) = &self.drainer {
             let (done, settled) = sync_channel(1);
             if queue.send(Settle::Fence(done)).is_ok() {
@@ -1011,6 +1074,8 @@ impl RoutedKv {
                 let _ = settled.recv();
             }
         }
+        let shipments = self.route().ship_outboxes();
+        shipments.into_iter().for_each(|shipment| shipment.settle(&self.state, &self.stats));
     }
 
     /// Reads each key from `R` of its serving replicas — a window that
@@ -1122,8 +1187,9 @@ impl RoutedKv {
 
     /// Ships read-repair records to stale replicas, one batch per member,
     /// the way an outbox ships: the read that found the gap does not
-    /// wait. A failed repair parks a hint; the next read of the key
-    /// repairs again anyway, and put-if-newer makes duplicates harmless.
+    /// wait. A failed repair leaves the records owed to the member; the
+    /// next read of the key repairs again anyway, and put-if-newer makes
+    /// duplicates harmless.
     fn post_repairs(&self, route: &Arc<Route>, mut repairs: Vec<(usize, Record)>) {
         repairs.sort_by_key(|(member, _)| *member);
         let mut repairs = repairs.into_iter().peekable();
@@ -1328,22 +1394,20 @@ impl RoutedKv {
         let steady = self.route();
         // Open the move window (joiners get their legs here).
         let window = self.publish(steady.ring.clone(), Some(to_ring.clone()));
-        // Epoch fence: writes hold the barrier shared across routing and
-        // RPCs, so one exclusive acquisition here waits out every write
-        // still routing under the steady ring — after this, all
-        // in-flight writes cover the future owners too, and the copier's
-        // listings cannot miss a write that reached none of them. What the
-        // steady ring's writes owe its replicas ships before the copier
-        // reads them.
-        drop(self.barrier.write());
-        self.flush(&steady);
+        // After the fence all in-flight writes cover the future owners
+        // too, and the copier's listings cannot miss a write that reached
+        // none of them. What the steady ring's writes owe its replicas
+        // ships before the copier reads them.
+        self.fence(&steady);
+        self.flush();
         let copied = match self.copy_moved(&window, &window.ring, &to_ring, None) {
             Ok(copied) => copied,
             Err(err) => {
                 // Close the window; records already copied to the target
                 // are harmless (reads route by the serving ring) and a
                 // later rebalance's put-if-newer reconciles them.
-                *self.state.write() = steady;
+                self.install(steady);
+                self.fence(&window);
                 return Err(err);
             }
         };
@@ -1365,8 +1429,8 @@ impl RoutedKv {
     /// stores, keeps the keys it is the designated pusher of
     /// ([`designation`]: one per key, so nobody probes and nothing is
     /// copied twice), reads the page's records once and puts them if
-    /// newer on each target — so racing foreground writes and hint
-    /// replays all converge. A lost message is an ordinary retry: both
+    /// newer on each target — so racing foreground writes and owed copies
+    /// all converge. A lost message is an ordinary retry: both
     /// RPCs are declared idempotent, and the legs run their patient
     /// rounds (this is recovery, not a quorum leg).
     fn copy_moved(
@@ -1400,7 +1464,7 @@ impl RoutedKv {
                     continue;
                 }
                 let wanted = KeyBatch::encode(keys.iter().copied())?;
-                let records = leg.with_handle_rounds(rounds, |h| h.get_versioned(&wanted))?;
+                let records = leg.with_handle(|h| h.get_versioned(&wanted))?;
                 let mut by_target: Vec<Vec<Record>> = vec![Vec::new(); route.legs.len()];
                 for ((key, entered), record) in keys.into_iter().zip(targets).zip(records) {
                     // Physically gone since the listing: nothing to copy.
@@ -1466,15 +1530,13 @@ impl RoutedKv {
     /// 2. Epoch-fence on the write barrier: every write still fanning
     ///    under the old ring completes first (its share on the dead
     ///    member either landed — unreadable now, but re-replicated from
-    ///    a survivor below — or was hinted onto a live successor), and
-    ///    the copies the old ring's writes owe its replicas ship (the
-    ///    dead member's park as hints).
+    ///    a survivor below — or is owed to it). Then every owed copy
+    ///    ships: what the dead member was owed goes to each key's current
+    ///    write set.
     /// 3. Copy (`copy_moved`, the copier a rebalance runs, with
     ///    the dead member excluded): each affected key's first surviving
     ///    replica puts the record, if newer, on the members that entered
     ///    its owner set.
-    /// 4. Replay hints: writes parked *for* the dead member while it was
-    ///    flapping re-route to the keys' current owner sets.
     ///
     /// For draining a *live* member out of the keyspace, use
     /// [`Self::retire`].
@@ -1500,15 +1562,16 @@ impl RoutedKv {
                 "cannot fail a member while a rebalance window is open".into(),
             ));
         }
+        let handed_over = self.stats.hint_replays.load(Ordering::Acquire);
         let survivors = self.publish(steady.ring.without_member(member), None);
         // Epoch fence (see step 2 above).
-        drop(self.barrier.write());
-        self.flush(&steady);
+        self.fence(&steady);
+        self.flush();
         let copied = self.copy_moved(&survivors, &steady.ring, &survivors.ring, Some(member))?;
         Ok(CatchUpReport {
             recopied_keys: copied.records,
             recopied_bytes: copied.bytes,
-            replayed_hints: self.drain_hints_now(),
+            replayed_hints: self.stats.hint_replays.load(Ordering::Acquire) - handed_over,
         })
     }
 }
@@ -1535,7 +1598,7 @@ fn designation<'r>(
 
 impl Drop for RoutedKv {
     fn drop(&mut self) {
-        self.flush(&self.route());
+        self.flush();
         if let Some((queue, drainer)) = self.drainer.take() {
             drop(queue);
             if drainer.join().is_err() {
@@ -1545,129 +1608,44 @@ impl Drop for RoutedKv {
     }
 }
 
-/// Spawns the background hint drainer: every `interval` it ships every
-/// outbox, lists parked hints on every member and replays them onto their
-/// target (or, if the target left the ring, onto the keys' current
-/// owners). Replays go through put-if-newer, so re-delivery is harmless.
-/// Between passes it settles the shipments posted to its queue; it exits
-/// when the queue's sender is dropped.
-fn spawn_hint_drainer(
+/// Spawns the background drainer: every `interval` it ships every outbox
+/// of the current route. Between ticks it settles the shipments posted
+/// to its queue; it exits when the queue's sender is dropped.
+fn spawn_drainer(
     state: &Arc<OrderedRwLock<Arc<Route>>>,
     stats: &Arc<ReplicationStats>,
     interval: Duration,
 ) -> Option<(SyncSender<Settle>, std::thread::JoinHandle<()>)> {
     let (shipments, queue) = sync_channel::<Settle>(SETTLE_QUEUE);
     let (state, thread_stats) = (Arc::clone(state), Arc::clone(stats));
-    let spawned = std::thread::Builder::new().name("routed-hint-drainer".into()).spawn(move || {
+    let spawned = std::thread::Builder::new().name("routed-drainer".into()).spawn(move || {
         let stats = thread_stats;
-        let mut next_pass = Instant::now() + interval;
+        let mut next_tick = Instant::now() + interval;
         loop {
-            match queue.recv_timeout(next_pass.saturating_duration_since(Instant::now())) {
-                Ok(posted) => posted.settle(&stats),
+            match queue.recv_timeout(next_tick.saturating_duration_since(Instant::now())) {
+                Ok(posted) => posted.settle(&state, &stats),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
             }
             // Checked after a shipment too: a steady stream of them must
-            // not starve the pass.
-            if Instant::now() >= next_pass {
-                let route = Arc::clone(&state.read());
-                route.ship_outboxes().into_iter().for_each(|shipment| shipment.settle(&stats));
-                hint_drain_pass(&route, &stats);
-                next_pass = Instant::now() + interval;
+            // not starve the tick.
+            if Instant::now() >= next_tick {
+                let shipments = Arc::clone(&state.read()).ship_outboxes();
+                shipments.into_iter().for_each(|shipment| shipment.settle(&state, &stats));
+                next_tick = Instant::now() + interval;
             }
         }
     });
     match spawned {
         Ok(drainer) => Some((shipments, drainer)),
-        // No thread — hints and outboxes still drain via fail_member /
-        // drain_hints_now, and callers wait for their own shipments;
+        // No thread — outboxes still ship when full, in drain_hints_now
+        // and fail_member, and callers wait for their own shipments;
         // record the degradation.
         Err(_) => {
             stats.drain_errors.fetch_add(1, Ordering::AcqRel);
             None
         }
     }
-}
-
-/// One hint-drain pass over every member (shared by the background
-/// drainer thread, [`RoutedKv::drain_hints_now`], and
-/// [`RoutedKv::fail_member`]): replay parked hints onto their target —
-/// or, when the target left the ring, onto each key's current write set
-/// — as one batch per owner per holder, then drop the replayed hints at
-/// the holder. A hint is replayed only if every batch that carried it
-/// was delivered. Replays are put-if-newer, so re-delivery is idempotent;
-/// any error leaves the hint parked for the next pass. Returns the number
-/// of hints replayed.
-fn hint_drain_pass(route: &Route, stats: &ReplicationStats) -> u64 {
-    /// Hints listed per holder per pass (a busy holder drains over
-    /// several passes rather than monopolizing one).
-    const HINT_PAGE: usize = 1024;
-    if route.ring.is_empty() {
-        return 0;
-    }
-    let mut replayed = 0u64;
-    for holder in &route.legs {
-        let hints = match holder.with_handle_rounds(FAIL_FAST_ROUNDS, |h| h.hint_list(HINT_PAGE)) {
-            Ok(hints) if hints.is_empty() => continue,
-            Ok(hints) => hints,
-            Err(_) => {
-                stats.drain_errors.fetch_add(1, Ordering::AcqRel);
-                continue;
-            }
-        };
-        let owners = Sets::new(hints.len(), route.write_width(), |i, set| {
-            let target = &hints[i].target;
-            match route.position(target).filter(|_| route.ring.contains(target)) {
-                // The owner is back (breaker half-open let a probe
-                // through, or the member recovered): deliver directly.
-                Some(owner) => set[0] = owner,
-                // The target died or retired: its records belong to the
-                // key's *current* write set now.
-                None => route.write_set_into(&hints[i].key, set),
-            }
-        });
-        let by_owner = ByMember::new(route.legs.len(), &owners);
-        let record = |i: usize| {
-            let hint = &hints[i];
-            (hint.key.as_slice(), hint.version, (!hint.tombstone).then_some(hint.value.as_slice()))
-        };
-        let posted: Vec<_> = by_owner
-            .iter()
-            .map(|(owner, indices)| {
-                post_vput(&route.legs[owner], indices.iter().map(|&i| record(i)), FAIL_FAST_ROUNDS)
-            })
-            .collect();
-        let mut delivered = vec![true; hints.len()];
-        for ((_, indices), posted) in by_owner.iter().zip(posted) {
-            if posted.and_then(PostedOp::wait).is_err() {
-                indices.iter().for_each(|&i| delivered[i] = false);
-            }
-        }
-        let shipped: Vec<HintDropEntry> = hints
-            .iter()
-            .zip(delivered)
-            .filter(|(_, delivered)| *delivered)
-            .map(|(e, _)| HintDropEntry {
-                target: e.target.clone(),
-                key: e.key.clone(),
-                version: e.version,
-            })
-            .collect();
-        if shipped.len() < hints.len() {
-            stats.drain_errors.fetch_add(1, Ordering::AcqRel);
-        }
-        if shipped.is_empty() {
-            continue;
-        }
-        replayed += shipped.len() as u64;
-        if holder.with_handle_rounds(FAIL_FAST_ROUNDS, |h| h.hint_drop(&shipped)).is_err() {
-            stats.drain_errors.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-    if replayed > 0 {
-        stats.hint_replays.fetch_add(replayed, Ordering::AcqRel);
-    }
-    replayed
 }
 
 /// Applies a provider's declarative `"keyspace"` Bedrock-config object
@@ -1792,15 +1770,56 @@ mod tests {
     fn leg_patience_follows_the_replica_set_size() {
         let config = RoutedConfig::default();
         let one = route(&["db0", "db1", "db2"], None, 1);
-        assert!(!one.hints());
+        assert!(!one.replicated());
         assert_eq!(one.leg_rounds(&config), config.leg_max_rounds);
         let three = route(&["db0", "db1", "db2"], None, 3);
-        assert!(three.hints());
+        assert!(three.replicated());
         assert_eq!(three.leg_rounds(&config), FAIL_FAST_ROUNDS);
         // A ring smaller than the factor clamps the set.
         let lonely = route(&["db0"], None, 3);
-        assert!(!lonely.hints());
+        assert!(!lonely.replicated());
         assert_eq!(lonely.leg_rounds(&config), config.leg_max_rounds);
+    }
+
+    /// What a route is owed moves by member name to the route that
+    /// replaces it, with the mark of a failed shipment; what a member on
+    /// neither ring of the new route is owed goes to each key's write set
+    /// there.
+    #[test]
+    fn owed_copies_follow_the_current_route() {
+        let stats = ReplicationStats::default();
+        let record = |key: &str| (key.as_bytes().to_vec(), 7, Some(b"v".to_vec()));
+        let old = route(&["db0", "db1", "db2"], None, 2);
+        old.take_owed("db1", vec![record("a")], true, &stats);
+        old.take_owed("db2", vec![record("b"), record("c")], false, &stats);
+        // db2 failed and db3 joined.
+        let new = route(&["db0", "db1", "db3"], None, 2);
+        new.inherit(&old, &stats);
+        assert!(old.outboxes.iter().all(|outbox| outbox.lock().records.is_empty()));
+        let owed = |member: usize| -> Vec<Vec<u8>> {
+            new.outboxes[member].lock().records.iter().map(|(key, ..)| key.clone()).collect()
+        };
+        let db1 = new.position("db1").expect("db1 stays");
+        assert!(owed(db1).contains(&b"a".to_vec()));
+        assert!(new.outboxes[db1].lock().failed, "a failed member stays marked");
+        for key in ["b", "c"] {
+            let (serving, _) = write_set(&new, key.as_bytes());
+            assert!(serving.iter().all(|&member| owed(member).contains(&key.as_bytes().to_vec())));
+        }
+        let total: usize = (0..new.members.len()).map(|member| owed(member).len()).sum();
+        assert_eq!(total, 1 + 2 * 2);
+        assert_eq!(stats.hint_replays.load(Ordering::Acquire), 2);
+        assert_eq!(stats.repair_failures.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn a_full_outbox_refuses_and_counts_a_failed_repair() {
+        let stats = ReplicationStats::default();
+        let one = route(&["db0"], None, 1);
+        let records = (0..=OUTBOX_CAP).map(|i| (i.to_be_bytes().to_vec(), 1, None)).collect();
+        one.take_owed("db0", records, false, &stats);
+        assert_eq!(one.outboxes[0].lock().records.len(), OUTBOX_CAP);
+        assert_eq!(stats.repair_failures.load(Ordering::Acquire), 1);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! client's requests; the members themselves stay healthy and in the view.
 //!
 //! The same deployment holds the quorum contract (DESIGN.md §18.2): a
-//! write acks on `W` real copies, hints never count, so the two replicas a
-//! read asks always hold the last acked write; the pair rotates from call
-//! to call, so read repair still reaches every replica, and a replica that
-//! does not answer sends the read to the third. A put asks two replicas
-//! too: the third is owed the record, which ships in a batch per member
-//! (or parks as a hint) by the next drain.
+//! write acks on `W` real copies, owed copies never count, so the two
+//! replicas a read asks always hold the last acked write; the pair rotates
+//! from call to call, so read repair still reaches every replica, and a
+//! replica that does not answer sends the read to the third. A put asks
+//! two replicas too: the third is owed the record, which ships in a batch
+//! per member by the next drain, or stays owed while the member is down.
 
 use std::iter::once;
 use std::ops::Range;
@@ -48,6 +48,13 @@ impl Deployed {
         ring.owners(key, MEMBERS).into_iter().map(str::to_string).collect()
     }
 
+    /// `count` keys whose third replica is `member`: a put of one asks
+    /// the other two and owes `member` the copy.
+    fn owing(&self, member: &str, count: usize) -> Vec<Vec<u8>> {
+        let keys = (0..).map(|i| format!("key-{i:05}").into_bytes());
+        keys.filter(|key| self.replicas(key)[2] == member).take(count).collect()
+    }
+
     /// The host `member` runs on.
     fn host_of(&self, member: &str) -> String {
         let (address, _) = FailoverKv::new(&self.service, &self.client, member).resolve().unwrap();
@@ -57,10 +64,17 @@ impl Deployed {
     /// Put-if-newer RPCs the client has forwarded, from its own
     /// monitoring dump.
     fn versioned_puts(&self) -> u64 {
+        self.versioned_puts_to("")
+    }
+
+    /// Put-if-newer RPCs the client has forwarded to the peers whose
+    /// address contains `to`.
+    fn versioned_puts_to(&self, to: &str) -> u64 {
         let stats = self.client.monitoring_json().expect("monitoring is on by default");
         let rpcs = stats["rpcs"].as_object().into_iter().flatten().map(|(_, rpc)| rpc);
         rpcs.filter(|rpc| rpc["name"] == "yokan_put_versioned_multi")
             .flat_map(|rpc| rpc["origin"].as_object().into_iter().flatten())
+            .filter(|(peer, _)| peer.contains(to))
             .map(|(_, peer)| peer["forward"]["duration"]["num"].as_u64().unwrap_or(0))
             .sum()
     }
@@ -80,7 +94,7 @@ impl Deployed {
 
 /// Three members, one per node, `replication_factor 3`: every key lives
 /// on all of them, so a write or a read has two legs, or three when one of
-/// its first two does not answer. The hint drainer does not run
+/// its first two does not answer. The drainer does not tick
 /// during a test: its passes would add legs to the ones timed and
 /// failures to an unreachable member's breaker.
 fn deploy(leg_timeout: Duration) -> Deployed {
@@ -193,8 +207,8 @@ fn refused_put_with_replicas_cut(positions: Range<usize>, leg_timeout: Duration)
         d.cut(host, true);
     }
     let (outcome, elapsed) = timed(|| d.routed.put(b"key", b"value"));
-    // One real ack is not the write quorum, whatever the two hints parked
-    // on the reachable replica.
+    // One real ack is not the write quorum, whatever the two cut replicas
+    // are owed.
     let refused = outcome.err().map(|e| e.to_string()).unwrap_or_default();
     assert!(
         refused.contains("write quorum not met"),
@@ -211,7 +225,7 @@ fn refused_put_with_replicas_cut(positions: Range<usize>, leg_timeout: Duration)
 #[test]
 fn two_unreachable_legs_time_out_together() {
     // `FAIL_FAST_ROUNDS` of `routed.rs`: a replicated leg gives up after
-    // two resolution rounds and lets the hints absorb the loss.
+    // two resolution rounds and lets the owed copies absorb the loss.
     const ROUNDS: u32 = 2;
     const LEG_TIMEOUT: Duration = Duration::from_millis(200);
     // The two replicas a write asks first: both legs were posted together,
@@ -235,7 +249,7 @@ fn two_unreachable_legs_time_out_together() {
     );
 }
 
-/// A put that reaches one replica (A) parks hints for the other two; a
+/// A put that reaches one replica (A) owes the other two their copies; a
 /// read that then reaches only those two must not return the value the
 /// put replaced. Either the put is refused, or the read sees it.
 #[test]
@@ -258,7 +272,7 @@ fn a_write_acked_by_one_real_replica_is_never_read_stale() {
         Ok(()) => assert_eq!(read.as_deref(), Some(b"new".as_slice()), "an acked write read stale"),
         Err(err) => assert!(err.to_string().contains("write quorum not met"), "{err}"),
     }
-    // Refused or not, the write parked its copy for each unreachable owner.
+    // Refused or not, the write owes each unreachable replica its copy.
     assert_eq!(d.routed.replication_stats().hinted_writes, 2);
     d.shutdown();
 }
@@ -352,20 +366,20 @@ fn a_put_asks_two_replicas_and_the_third_copy_ships_in_a_batch() {
 }
 
 /// The replica a put does not ask is unreachable: the put acks on the two
-/// it asked, the drain parks the owed copy as a hint, and once the member
-/// is back the next drain delivers it.
+/// it asked, the copy stays owed through a drain that cannot deliver it,
+/// and once the member is back the next drain delivers it.
 #[test]
-fn a_copy_owed_to_an_unreachable_replica_parks_as_a_hint() {
+fn a_copy_owed_to_an_unreachable_replica_arrives_once_it_is_back() {
     let d = deploy(Duration::from_millis(100));
     let last = d.replicas(b"key")[2].clone();
     let host = d.host_of(&last);
     d.cut(&host, true);
     d.routed.put(b"key", b"value").unwrap();
-    assert_eq!(d.routed.replication_stats().hinted_writes, 0, "the put asked two live replicas");
-    d.routed.drain_hints_now();
-    assert_eq!(d.routed.replication_stats().hinted_writes, 1);
+    assert_eq!(d.routed.drain_hints_now(), 1, "the copy is still owed");
+    // The member was not asked: it missed no write leg.
+    assert_eq!(d.routed.replication_stats().hinted_writes, 0);
     d.cut(&host, false);
-    assert_eq!(d.routed.drain_hints_now(), 1);
+    assert_eq!(d.routed.drain_hints_now(), 0);
     let wanted = KeyBatch::encode(once(b"key".as_slice())).unwrap();
     let member = FailoverKv::new(&d.service, &d.client, &last);
     let held = member.with_handle(|h| h.get_versioned(&wanted)).unwrap();
@@ -374,31 +388,121 @@ fn a_copy_owed_to_an_unreachable_replica_parks_as_a_hint() {
     d.shutdown();
 }
 
-/// Hints parked for a member that then fails replay onto each key's
-/// current owners: one put RPC per (holder, owner) pair, not one per hint.
+/// An owed copy waits in the coordinator, so the crash of another member
+/// cannot take it: with the key's first replica (the member a handoff
+/// would have parked it on) gone, the copy still reaches the third
+/// replica once it answers, with no read in between to repair it.
 #[test]
-fn hints_for_a_failed_member_replay_in_one_batch_per_owner() {
-    const HINTS: usize = 200;
-    let d = deploy(Duration::from_millis(500));
-    let holders: Vec<FailoverKv> =
-        ["kv0", "kv1"].iter().map(|m| FailoverKv::new(&d.service, &d.client, m)).collect();
-    let pairs = pairs(HINTS);
-    for (i, (key, value)) in pairs.iter().enumerate() {
-        let parked = holders[i % 2].with_handle(|h| h.hint_put("kv2", key, 1, Some(value)));
-        assert!(parked.unwrap(), "hint {i} refused");
+fn an_owed_copy_outlives_the_member_that_would_have_held_its_hint() {
+    let d = deploy(Duration::from_millis(100));
+    let replicas = d.replicas(b"key");
+    let third = d.host_of(&replicas[2]);
+    d.cut(&third, true);
+    d.routed.put(b"key", b"value").unwrap();
+    d.routed.drain_hints_now();
+    let (first, _) = FailoverKv::new(&d.service, &d.client, &replicas[0]).resolve().unwrap();
+    d.cluster.crash(&first).unwrap();
+    d.cut(&third, false);
+    d.routed.drain_hints_now();
+    let wanted = KeyBatch::encode(once(b"key".as_slice())).unwrap();
+    let member = FailoverKv::new(&d.service, &d.client, &replicas[2]);
+    let held = member.with_handle(|h| h.get_versioned(&wanted)).unwrap();
+    assert_eq!(
+        held[0].as_ref().map(|record| record.value.as_slice()),
+        Some(b"value".as_slice()),
+        "{} never got the copy it was owed",
+        replicas[2]
+    );
+    assert_eq!(d.routed.drain_hints_now(), 0);
+    d.shutdown();
+}
+
+/// Once a shipment to an unreachable member has failed, writes only add
+/// to what it is owed: no put sends it a batch, and the next drain sends
+/// it everything in one.
+#[test]
+fn a_member_whose_shipment_failed_is_sent_nothing_until_the_next_drain() {
+    const FIRST: usize = 64;
+    const MORE: usize = 500;
+    let d = deploy(Duration::from_millis(100));
+    let victim = "kv2";
+    let keys = d.owing(victim, FIRST + MORE);
+    let host = d.host_of(victim);
+    let to_victim = format!("//{host}:");
+    d.cut(&host, true);
+    for key in &keys[..FIRST] {
+        d.routed.put(key, b"v").unwrap();
     }
+    // The 64th put shipped the victim's outbox: wait for it to fail.
+    assert!(wait_until(Duration::from_secs(5), Duration::from_millis(5), || {
+        d.versioned_puts_to(&to_victim) == 1 && d.routed.replication_stats().drain_errors == 1
+    }));
+    for key in &keys[FIRST..] {
+        d.routed.put(key, b"v").unwrap();
+    }
+    assert_eq!(d.versioned_puts_to(&to_victim), 1, "a write shipped to a member that is down");
+    // The drain waits for every shipment posted before it: a batch a
+    // write shipped, still in flight above, is counted after it.
+    let owed = d.routed.drain_hints_now();
+    assert_eq!(d.versioned_puts_to(&to_victim), 2, "not one batch from the drain alone");
+    assert_eq!(owed, (FIRST + MORE) as u64);
+    d.cut(&host, false);
+    d.shutdown();
+}
+
+/// A shipment that fails after the route changed hands its records to the
+/// route current then: what it carried for a member that has been failed
+/// meanwhile goes to the survivors.
+#[test]
+fn a_shipment_that_fails_after_a_route_change_follows_the_new_route() {
+    // `OUTBOX` of `routed.rs`: the put that fills an outbox ships it.
+    const OUTBOX: usize = 64;
+    let d = deploy(Duration::from_millis(100));
+    let host = d.host_of("kv2");
+    d.cut(&host, true);
+    for key in d.owing("kv2", OUTBOX) {
+        d.routed.put(&key, b"v").unwrap();
+    }
+    // The last put posted kv2's outbox, which fails a leg timeout later,
+    // while `fail_member` publishes the route without kv2.
+    let report = d.routed.fail_member("kv2").unwrap();
+    assert_eq!(report.replayed_hints, OUTBOX as u64, "copies left behind in the old route");
+    assert_eq!(d.routed.drain_hints_now(), 0);
+    d.cut(&host, false);
+    d.shutdown();
+}
+
+/// Copies owed to a member that then fails go to each key's current
+/// owners: one put RPC per survivor, not one per copy.
+#[test]
+fn copies_owed_to_a_failed_member_go_out_in_one_batch_per_survivor() {
+    const OWED: usize = 200;
+    let d = deploy(Duration::from_millis(100));
+    let host = d.host_of("kv2");
+    d.cut(&host, true);
+    let pairs = pairs(OWED);
+    for (key, value) in &pairs {
+        d.routed.put(key, value).unwrap();
+    }
+    // Every put owes kv2 its copy: as the replica it did not ask, or as
+    // one whose leg failed.
+    assert_eq!(d.routed.drain_hints_now(), OWED as u64);
+    assert!(d.routed.replication_stats().hinted_writes > 0);
     let before = d.versioned_puts();
     let report = d.routed.fail_member("kv2").unwrap();
-    assert_eq!(report.replayed_hints, HINTS as u64);
+    assert_eq!(report.replayed_hints, OWED as u64);
     let sent = d.versioned_puts() - before;
-    // Two holders, and every key's owners are the two survivors.
-    assert!(sent <= 2 * 2, "{HINTS} hints replayed in {sent} put RPCs");
+    // Every key's owners are the two survivors.
+    assert!(sent <= 2, "{OWED} owed copies shipped in {sent} put RPCs");
+    assert_eq!(d.routed.drain_hints_now(), 0);
     let wanted = KeyBatch::encode(pairs.iter().map(|(key, _)| key.as_slice())).unwrap();
-    for holder in &holders {
-        let held = holder.with_handle(|h| h.get_versioned(&wanted)).unwrap();
+    for survivor in ["kv0", "kv1"] {
+        let member = FailoverKv::new(&d.service, &d.client, survivor);
+        let held = member.with_handle(|h| h.get_versioned(&wanted)).unwrap();
         assert!(held.iter().zip(&pairs).all(|(record, (_, value))| {
-            record.as_ref().is_some_and(|record| record.version == 1 && record.value == *value)
+            record.as_ref().is_some_and(|record| record.value == *value)
         }));
     }
+    d.cut(&host, false);
     d.shutdown();
 }

@@ -7,8 +7,8 @@
 //! * quorum reads keep serving *during* the outage (no rebalance, no
 //!   manual intervention required to stay available),
 //! * `fail_member` retires the corpse without a drain and the catch-up,
-//!   hinted-handoff and read-repair machinery re-converges every
-//!   surviving replica to byte-identical records,
+//!   owed-copy and read-repair machinery re-converges every surviving
+//!   replica to byte-identical records,
 //!
 //! for every seed.
 
@@ -230,7 +230,7 @@ fn provider_kill_round(seed: u64) {
             assert_eq!(read.as_deref(), Some(value.as_slice()), "seed {seed}");
         }
 
-        // Writes keep acking during the outage too (quorum + hints).
+        // Writes keep acking during the outage too (quorum + owed copies).
         let during_outage = acked_puts.load(Ordering::Acquire);
         assert!(
             wait_until(Duration::from_secs(10), Duration::from_millis(5), || {
@@ -244,8 +244,8 @@ fn provider_kill_round(seed: u64) {
         let before_fail: Vec<Vec<u8>> = acked.lock().unwrap().keys().cloned().collect();
         let report = routed.fail_member(VICTIM).unwrap();
         // Every put acked before it is held by every survivor, with no
-        // read in between to repair it: the copies the writes owed, and
-        // the hints parked for the corpse, shipped before it returned.
+        // read in between to repair it: the copies the writes owed, the
+        // corpse's included, shipped before it returned.
         let missing = missing_copies(&service, &client, &routed, &before_fail);
         assert!(missing.is_empty(), "seed {seed}: after fail_member, missing {missing:?}");
         assert!(
@@ -293,12 +293,12 @@ fn provider_kill_round(seed: u64) {
         );
     }
 
-    // All parked hints replay now that the fabric is healed.
+    // Every owed copy ships now that the fabric is healed.
     assert!(
         wait_until(Duration::from_secs(10), Duration::from_millis(50), || {
             routed.drain_hints_now() == 0
         }),
-        "seed {seed}: hints never fully drained"
+        "seed {seed}: copies still owed"
     );
 
     // Digest convergence: with 3 members at rf=3 every survivor owns

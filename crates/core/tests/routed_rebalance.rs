@@ -196,11 +196,11 @@ fn join_and_retire_move_minimal_slices() {
     client.finalize();
 }
 
-/// A replica set of one has nobody to park a hint for: when the owner
-/// is unreachable the write fails with the leg's own error, and nothing
-/// is hinted anywhere.
+/// A replica set of one has no other replica to serve from: when the
+/// owner is unreachable the write fails with the leg's own error, and no
+/// copy is left owed.
 #[test]
-fn a_replica_set_of_one_parks_no_hint() {
+fn a_replica_set_of_one_owes_no_copy() {
     let cluster = Cluster::new(4);
     let service =
         DynamicService::deploy(&cluster, ServiceConfig::default(), 3, keyspace_namer).unwrap();
@@ -465,7 +465,7 @@ fn live_rebalance_round(seed: u64, replication_factor: usize) {
             String::from_utf8_lossy(key)
         );
     }
-    // No import, stale copy or hint brought an erased key back.
+    // No import, stale copy or owed copy brought an erased key back.
     let erased = erased.into_inner().unwrap();
     assert!(!erased.is_empty(), "seed {seed}: the soak acked no erase");
     let keys: Vec<&[u8]> = erased.iter().map(Vec::as_slice).collect();

@@ -97,7 +97,11 @@ impl From<AbtError> for MargoError {
 impl MargoError {
     /// What a response's `status` says of the call of `rpc` to
     /// `provider_id`: `Ok` for a reply, else the error its caller sees.
-    pub fn from_status(status: ResponseStatus, rpc: &str, provider_id: u16) -> Result<(), Self> {
+    pub(crate) fn from_status(
+        status: ResponseStatus,
+        rpc: &str,
+        provider_id: u16,
+    ) -> Result<(), Self> {
         match status {
             ResponseStatus::Ok => Ok(()),
             ResponseStatus::Error(message) => Err(MargoError::Handler(message)),

@@ -260,8 +260,9 @@ impl MargoRuntime {
         &self.inner.fabric
     }
 
-    /// The underlying endpoint (advanced uses: raw bulk exposure).
-    pub fn endpoint(&self) -> &Endpoint {
+    /// The underlying endpoint: replies and bulk exposure of the RPC
+    /// layer. Every forward goes through [`MargoRuntime::iforward_raw`].
+    pub(crate) fn endpoint(&self) -> &Endpoint {
         &self.inner.endpoint
     }
 
@@ -495,17 +496,16 @@ impl MargoRuntime {
 
     /// The context a forward made now, on this thread, carries: inside a
     /// handler, that handler as parent and its caller's deadline;
-    /// anywhere else [`CallContext::TOP_LEVEL`]. For callers that send
-    /// through the endpoint directly.
-    pub fn current_context() -> CallContext {
+    /// anywhere else [`CallContext::TOP_LEVEL`].
+    fn current_context() -> CallContext {
         AMBIENT.get()
     }
 
     /// Calls `(rpc, provider_id)` at `dest` with the default timeout.
     ///
     /// Every forward carries the calling thread's context: inside a
-    /// handler, that handler as parent and its caller's deadline (see
-    /// [`MargoRuntime::current_context`]); anywhere else, top level.
+    /// handler, that handler as parent and its caller's deadline;
+    /// anywhere else, top level.
     pub fn forward<'n, I: Serialize, O: DeserializeOwned>(
         &self,
         dest: &Address,
@@ -571,8 +571,8 @@ impl MargoRuntime {
     /// `ForwardStart`/`ForwardEnd` pair per *logical* call, and one
     /// attempt path (retry policy, circuit breakers, deadline
     /// propagation) behind both. It is also the one place a forward
-    /// takes its context: the calling thread's
-    /// ([`MargoRuntime::current_context`]).
+    /// takes its context: the calling thread's (inside a handler, that
+    /// handler as parent and its caller's deadline).
     ///
     /// `dest` is shared with the posted call (monitoring events, the
     /// breaker key, re-sends): a client that keeps its peer's address in an

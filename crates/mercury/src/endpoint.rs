@@ -73,32 +73,6 @@ pub enum Incoming {
     OneWay(OneWayInfo),
 }
 
-impl Incoming {
-    /// RPC id of the incoming message.
-    pub fn rpc_id(&self) -> u64 {
-        match self {
-            Incoming::Request(r) => r.rpc_id,
-            Incoming::OneWay(o) => o.rpc_id,
-        }
-    }
-
-    /// Target provider id.
-    pub fn provider_id(&self) -> u16 {
-        match self {
-            Incoming::Request(r) => r.provider_id,
-            Incoming::OneWay(o) => o.provider_id,
-        }
-    }
-
-    /// Payload bytes.
-    pub fn payload(&self) -> &[u8] {
-        match self {
-            Incoming::Request(r) => &r.payload,
-            Incoming::OneWay(o) => &o.payload,
-        }
-    }
-}
-
 /// A received request plus everything needed to respond to it.
 ///
 /// The source address is `Arc`-shared: the upper layers (Margo dispatch,

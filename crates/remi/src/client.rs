@@ -2,12 +2,14 @@
 
 #![deny(clippy::disallowed_methods)]
 
+use std::collections::VecDeque;
 use std::io::Read;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use mochi_margo::{MargoError, MargoRuntime, Rpc};
-use mochi_mercury::{Address, BulkAccess, PendingRequest};
+use mochi_margo::{MargoError, MargoRuntime, PendingForward, Rpc};
+use mochi_mercury::{Address, BulkAccess};
 use mochi_util::id::unique_token;
 use mochi_util::time::Stopwatch;
 use serde::de::DeserializeOwned;
@@ -58,18 +60,13 @@ pub struct RemiClient {
     margo: MargoRuntime,
 }
 
+/// The client's chokepoint: every forward in this client — a typed call,
+/// or a posted chunk of the windowed pipeline — routes through here, so
+/// retry, breaker, monitoring and deadline handling apply uniformly;
+/// `clippy.toml`'s `disallowed-methods` keeps every other forward out of
+/// this file.
+#[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
 impl RemiClient {
-    /// Creates a client on `margo`.
-    pub fn new(margo: &MargoRuntime) -> Self {
-        Self { margo: margo.clone() }
-    }
-
-    /// Single chokepoint for typed RPCs: every forward in this client
-    /// routes through here so retry, breaker, and deadline handling apply
-    /// uniformly; `clippy.toml`'s `disallowed-methods` keeps every other
-    /// forward out of this file. (The windowed chunk pipeline drives the
-    /// endpoint directly and is exempt.)
-    #[expect(clippy::disallowed_methods, reason = "the client's chokepoint")]
     fn call<I: Serialize, O: DeserializeOwned>(
         &self,
         rpc: Rpc<'static, I, O>,
@@ -79,6 +76,24 @@ impl RemiClient {
         timeout: Duration,
     ) -> Result<O, MargoError> {
         self.margo.forward_timeout(dest, rpc, provider_id, input, timeout)
+    }
+
+    /// Posts one chunk frame without waiting for its reply.
+    fn post_chunk(
+        &self,
+        frame: Bytes,
+        dest: &Arc<Address>,
+        provider_id: u16,
+        timeout: Duration,
+    ) -> PendingForward {
+        self.margo.iforward_raw(dest, rpc::CHUNK, provider_id, frame, timeout)
+    }
+}
+
+impl RemiClient {
+    /// Creates a client on `margo`.
+    pub fn new(margo: &MargoRuntime) -> Self {
+        Self { margo: margo.clone() }
     }
 
     /// Migrates `fileset` to the REMI provider `(dest, provider_id)`.
@@ -164,15 +179,11 @@ impl RemiClient {
         window: usize,
         options: &MigrationOptions,
     ) -> Result<(TransferSummary, u64), MargoError> {
-        let chunk_rpc_id = rpc::CHUNK.id();
-        let mut pending: std::collections::VecDeque<PendingRequest> =
-            std::collections::VecDeque::new();
+        let chunk_dest = Arc::new(dest.clone());
+        let mut pending: VecDeque<PendingForward> = VecDeque::new();
         let mut chunks_sent = 0u64;
 
-        let wait_one = |p: PendingRequest| -> Result<(), MargoError> {
-            let response = p.wait(options.timeout)?;
-            MargoError::from_status(response.status, rpc::CHUNK.name(), provider_id)
-        };
+        let wait_one = |p: PendingForward| p.wait().map(drop);
 
         // Pack segments across file boundaries into chunk_size chunks and
         // keep up to `window` chunk RPCs in flight (the pipelining the
@@ -181,7 +192,7 @@ impl RemiClient {
         let mut body: Vec<u8> = Vec::with_capacity(chunk_size);
         let flush = |header: &mut ChunkHeader,
                          body: &mut Vec<u8>,
-                         pending: &mut std::collections::VecDeque<PendingRequest>,
+                         pending: &mut VecDeque<PendingForward>,
                          chunks_sent: &mut u64|
          -> Result<(), MargoError> {
             if header.segments.is_empty() {
@@ -192,14 +203,9 @@ impl RemiClient {
                 let Some(oldest) = pending.pop_front() else { break };
                 wait_one(oldest)?;
             }
-            let request = self.margo.endpoint().send_request(
-                dest,
-                chunk_rpc_id,
-                provider_id,
-                MargoRuntime::current_context(),
-                Bytes::from(frame),
-            )?;
-            pending.push_back(request);
+            let frame = Bytes::from(frame);
+            let posted = self.post_chunk(frame, &chunk_dest, provider_id, options.timeout);
+            pending.push_back(posted);
             *chunks_sent += 1;
             header.seq += 1;
             header.segments.clear();
@@ -388,6 +394,26 @@ mod tests {
             .unwrap();
         assert_eq!(report.chunks, 10);
         assert_identical(&e.fileset, e.dest_dir.path());
+        e.source.finalize();
+        e.dest.finalize();
+    }
+
+    /// A chunk is a forward like any other: the source's monitoring counts
+    /// one forward of the chunk RPC per chunk.
+    #[test]
+    fn every_chunk_is_a_monitored_forward() {
+        let e = env(&[("one.bin", 10_000)]);
+        let strategy = Strategy::ChunkedRpc { chunk_size: 1024, window: 2 };
+        let options = MigrationOptions::default();
+        let report = e.client.migrate(&e.dest.address(), 1, &e.fileset, strategy, &options).unwrap();
+        let stats = e.source.monitoring_json().expect("monitoring is on by default");
+        let rpcs = stats["rpcs"].as_object().into_iter().flatten().map(|(_, rpc)| rpc);
+        let forwards: u64 = rpcs
+            .filter(|rpc| rpc["name"] == rpc::CHUNK.name())
+            .flat_map(|rpc| rpc["origin"].as_object().into_iter().flatten())
+            .map(|(_, peer)| peer["forward"]["duration"]["num"].as_u64().unwrap_or(0))
+            .sum();
+        assert_eq!(forwards, report.chunks);
         e.source.finalize();
         e.dest.finalize();
     }

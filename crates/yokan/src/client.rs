@@ -21,10 +21,7 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 
 use crate::provider::rpc;
-use crate::provider::{
-    HintDropArgs, HintDropEntry, HintEntry, HintListArgs, ListKeysArgs, PutVersionedMultiReply,
-    ValuesHeader,
-};
+use crate::provider::{ListKeysArgs, PutVersionedMultiReply, ValuesHeader};
 use crate::version::{decode_record, encode_record_into, RECORD_OVERHEAD};
 use crate::views::{key_seq, GetMultiHeaderView, Key, KeyHeaderView, PutMultiHeaderView, Seq};
 
@@ -287,38 +284,6 @@ impl DatabaseHandle {
             posted: Ok(self.post_raw(rpc::GET_MULTI, keys.0.clone())),
             finish: |reply| decode_values(&reply, VersionedValue::from_stored),
         }
-    }
-
-    /// Parks a hinted-handoff record on this provider for the
-    /// unreachable ring member `target`. Returns whether the provider
-    /// accepted it (a full hint store rejects).
-    pub fn hint_put(
-        &self,
-        target: &str,
-        key: &[u8],
-        version: u64,
-        value: Option<&[u8]>,
-    ) -> Result<bool, MargoError> {
-        self.call(
-            rpc::HINT_PUT,
-            &HintEntry {
-                target: target.to_string(),
-                key: key.to_vec(),
-                version,
-                tombstone: value.is_none(),
-                value: value.unwrap_or(&[]).to_vec(),
-            },
-        )
-    }
-
-    /// Lists up to `max` parked hints (the drainer's work queue).
-    pub fn hint_list(&self, max: usize) -> Result<Vec<HintEntry>, MargoError> {
-        self.call(rpc::HINT_LIST, &HintListArgs { max })
-    }
-
-    /// Drops replayed hints (version-matched). Returns how many fell.
-    pub fn hint_drop(&self, entries: &[HintDropEntry]) -> Result<u64, MargoError> {
-        self.call(rpc::HINT_DROP, &HintDropArgs { entries: entries.to_vec() })
     }
 
     /// Whether `key` exists.

@@ -80,68 +80,6 @@ pub struct PutVersionedMultiReply {
     pub existed: Vec<bool>,
 }
 
-/// Arguments of `HINT_LIST`.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct HintListArgs {
-    /// Maximum hints to return (oldest-key order).
-    pub max: usize,
-}
-
-/// One hinted-handoff record (Dynamo-style): the argument of `HINT_PUT`,
-/// which parks it on this provider for its unreachable `target`, and an
-/// element of `HINT_LIST`'s reply.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HintEntry {
-    /// Ring member the record is destined for.
-    pub target: String,
-    /// The key.
-    pub key: Vec<u8>,
-    /// Version stamp.
-    pub version: u64,
-    /// Whether the hinted write is a deletion.
-    pub tombstone: bool,
-    /// Raw value (empty for tombstones).
-    pub value: Vec<u8>,
-}
-
-/// One entry of `HINT_DROP`: dropped only if the parked version is still
-/// `<= version`, so a fresher hint parked mid-replay survives.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HintDropEntry {
-    /// Ring member the record was destined for.
-    pub target: String,
-    /// The key.
-    pub key: Vec<u8>,
-    /// Version the drainer replayed.
-    pub version: u64,
-}
-
-/// Arguments of `HINT_DROP`.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct HintDropArgs {
-    /// Replayed hints to drop.
-    pub entries: Vec<HintDropEntry>,
-}
-
-/// Bound on parked hints per provider. A full store rejects new hints
-/// (the writer counts that as a failed ack), so an extended outage
-/// degrades to quorum failures instead of unbounded memory growth.
-const HINT_CAP: usize = 8192;
-
-struct HintRecord {
-    version: u64,
-    tombstone: bool,
-    value: Vec<u8>,
-}
-
-/// In-memory hint store: deliberately *not* part of the [`Database`]
-/// (hints are transient routing state — they must not pollute
-/// `list_keys`/`len` or ride along a rebalance copy).
-struct HintStore {
-    // leaf: map operations only; nothing is called under it.
-    map: parking_lot::Mutex<std::collections::BTreeMap<(String, Vec<u8>), HintRecord>>,
-}
-
 /// A registered Yokan provider.
 pub struct YokanProvider {
     margo: MargoRuntime,
@@ -274,8 +212,8 @@ impl YokanProvider {
                 erase_multi_db.erase_multi(&keys).map_err(|e| e.to_string())
             },
         )?;
-        // Versioned-record + hint surface (routed keyspaces, DESIGN.md
-        // §18). Records arrive encoded, the backend compares and stores,
+        // Versioned records (routed keyspaces, DESIGN.md §18). Records
+        // arrive encoded, the backend compares and stores,
         // and the plain `GET`/`GET_MULTI` read them back.
         margo.register(
             rpc::PUT_VERSIONED_MULTI,
@@ -299,61 +237,6 @@ impl YokanProvider {
                     .map_err(|e| e.to_string())
             }),
         )?;
-        let hints = Arc::new(HintStore {
-            map: parking_lot::Mutex::new(std::collections::BTreeMap::new()),
-        });
-        let hint_put_store = Arc::clone(&hints);
-        margo.register_typed(rpc::HINT_PUT, provider_id, pool, move |args: HintEntry, _| {
-            let slot = (args.target, args.key);
-            let mut map = hint_put_store.map.lock();
-            if map.len() >= HINT_CAP && !map.contains_key(&slot) {
-                return Ok(false);
-            }
-            // Keep-freshest: `>=` so a transport-level re-send of the
-            // same hint converges instead of being dropped.
-            if map.get(&slot).is_none_or(|parked| args.version >= parked.version) {
-                map.insert(
-                    slot,
-                    HintRecord {
-                        version: args.version,
-                        tombstone: args.tombstone,
-                        value: args.value,
-                    },
-                );
-            }
-            Ok(true)
-        })?;
-        let hint_list_store = Arc::clone(&hints);
-        margo.register_typed(rpc::HINT_LIST, provider_id, pool, move |args: HintListArgs, _| {
-            let map = hint_list_store.map.lock();
-            let entries: Vec<HintEntry> = map
-                .iter()
-                .take(args.max)
-                .map(|((target, key), parked)| HintEntry {
-                    target: target.clone(),
-                    key: key.clone(),
-                    version: parked.version,
-                    tombstone: parked.tombstone,
-                    value: parked.value.clone(),
-                })
-                .collect();
-            Ok(entries)
-        })?;
-        let hint_drop_store = hints;
-        margo.register_typed(rpc::HINT_DROP, provider_id, pool, move |args: HintDropArgs, _| {
-            let mut map = hint_drop_store.map.lock();
-            let mut dropped = 0u64;
-            for entry in &args.entries {
-                let slot = (entry.target.clone(), entry.key.clone());
-                let replayed = map.get(&slot).is_some_and(|parked| parked.version <= entry.version);
-                if replayed {
-                    map.remove(&slot);
-                    dropped += 1;
-                }
-            }
-            Ok(dropped)
-        })?;
-
         Ok(Arc::new(Self { margo: margo.clone(), provider_id, db }))
     }
 

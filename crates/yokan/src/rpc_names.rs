@@ -4,13 +4,13 @@
 //! The provider (`provider.rs`) registers these and the client
 //! (`client.rs`) calls them, so a handler and its callers cannot disagree
 //! on a name or a type. An idempotent RPC leaves the same state and reply
-//! when it runs twice (`tests/retry_replay.rs` replays each); `ERASE`,
-//! `ERASE_MULTI` and `HINT_DROP` are sent once, because each reply counts
-//! what was there and a re-run finds the first run's work done.
+//! when it runs twice (`tests/retry_replay.rs` replays each); `ERASE` and
+//! `ERASE_MULTI` are sent once, because each reply counts what was there
+//! and a re-run finds the first run's work done.
 
 use mochi_margo::{rpc_table, Raw};
 
-use crate::provider::{HintDropArgs, HintEntry, HintListArgs, ListKeysArgs};
+use crate::provider::ListKeysArgs;
 
 rpc_table! {
     /// Put one pair (framed: header = key, body = value).
@@ -38,16 +38,8 @@ rpc_table! {
     ERASE_MULTI: Rpc<Vec<Vec<u8>>, u64> = once("yokan_erase_multi");
     /// Put-if-newer of versioned records (framed like `PUT_MULTI`, each
     /// value an encoded record). The routed keyspace's write primitive —
-    /// replica fan-out, hint replay, read repair, rebalance and catch-up
+    /// replica fan-out, owed copies, read repair, rebalance and catch-up
     /// copies: the server keeps whichever record is freshest. Reads need no
     /// counterpart: `GET_MULTI` returns records as stored.
     PUT_VERSIONED_MULTI: Rpc<Raw, Raw> = idempotent("yokan_put_versioned_multi");
-    /// Park a hinted-handoff record on this provider for a currently
-    /// unreachable owner (Dynamo-style sloppy quorum).
-    HINT_PUT: Rpc<HintEntry, bool> = idempotent("yokan_hint_put");
-    /// List parked hints (the background drainer's work queue).
-    HINT_LIST: Rpc<HintListArgs, Vec<HintEntry>> = idempotent("yokan_hint_list");
-    /// Drop replayed hints (version-matched so a newer hint parked during
-    /// the replay survives); the reply counts those dropped.
-    HINT_DROP: Rpc<HintDropArgs, u64> = once("yokan_hint_drop");
 }

@@ -33,7 +33,8 @@
 #   36 provider-kill chaos failed (replicated keyspace lost an acked
 #      write, stopped serving quorum reads, or failed to re-converge
 #      after a member was crashed mid-traffic at rf=3; or a copy a write
-#      owed a replica had not shipped when fail_member returned)
+#      owed a replica, the crashed member's included, had not shipped to
+#      a survivor when fail_member returned)
 #   37 benchmark smoke failed (mochi-perf's own tests, or a 2 s
 #      point_rf3_map run that read back a wrong value or got an error)
 #   38 leg concurrency failed (posted forwards, or the legs of one
@@ -43,8 +44,11 @@
 #      read asked other than R replicas, its window stopped rotating,
 #      or it read a value older than the last acked write), or the
 #      owed-copy contract did (a put asked more than W replicas, the
-#      copy it owed the others did not ship in one batch per member or
-#      park as a hint, or hint replay sent one RPC per hint)
+#      copy it owed the others did not ship in one batch per member, a
+#      copy owed to a member that was down did not reach it once it was
+#      back — after another member crashed too —, a write shipped to a
+#      member whose last shipment failed, or what a failed member was
+#      owed went out in more than one RPC per survivor)
 #   39 LSM backend failed (mochi-util's unit tests — the CRC-32 kernels
 #      against each other — mochi-yokan's own suites — unit, concurrent
 #      consistency, integration (the virtual database, a backend the
@@ -113,8 +117,9 @@ cargo test -q -p mochi-core --lib --test routed_rebalance --test ring_proptest |
 # and re-converge every surviving replica after fail_member. It also
 # holds the owed-copy contract (DESIGN.md §18.2): every put acked before
 # fail_member is on every survivor when it returns, with no read in
-# between, because the copies a write owed the replicas it did not ask
-# ship after the write-barrier fence. Runs on its own so a replication
+# between, because every copy a write owed — to a replica it did not
+# ask, or to one it could not reach — ships after the write-barrier
+# fence, and what the crashed member was owed goes to the survivors. Runs on its own so a replication
 # regression triages as 36 — on every host: the test takes ~15 s on 2
 # CPUs.
 echo "==> cargo test -p mochi-core --test replicated_kill"
@@ -126,12 +131,15 @@ cargo test -q -p mochi-core --test replicated_kill || exit 36
 # one that overlaps, so the tests that time it — margo's `posted_*` and
 # crates/core/tests/leg_concurrency.rs — run here and triage as 38.
 # leg_concurrency also holds the quorum contract (DESIGN.md §18.2): strict
-# W (hints do not count), R-of-N reads with a second round for a key the
-# first left short, the rotation that lets read repair reach every
+# W (owed copies do not count), R-of-N reads with a second round for a
+# key the first left short, the rotation that lets read repair reach every
 # replica, and the guard against reading older than the last acked write;
 # and the owed-copy contract: a put asks W replicas, the copy it owes the
-# third ships in one batch per member (or parks as a hint) by the next
-# drain, and hints replay in one batch per (holder, owner).
+# third ships in one batch per member by the next drain, or waits in the
+# coordinator while the member is down — whichever other member crashes
+# meanwhile — and a member whose shipment failed is sent nothing until
+# the next drain; what a failed member was owed goes out in one batch per
+# survivor.
 echo "==> leg concurrency (mochi-margo posted_*, mochi-core leg_concurrency)"
 cargo test -q -p mochi-margo --lib posted_ || exit 38
 cargo test -q -p mochi-core --test leg_concurrency || exit 38

@@ -247,9 +247,9 @@ enum Backend {
 const KEYS: [&[u8]; 8] = [b"a/0", b"a/1", b"a/2", b"a/3", b"b/0", b"b/1", b"b/2", b"c"];
 
 /// A Yokan provider on `host` over `backend`, holding `seed`'s starting
-/// state: a value, a versioned record, a tombstone or nothing per key,
-/// and three parked hints. Its state is every stored record (of each
-/// replica, for a virtual database), `len` and the hint list.
+/// state: a value, a versioned record, a tombstone or nothing per key.
+/// Its state is every stored record (of each replica, for a virtual
+/// database) and `len`.
 fn yokan_side(net: &Net, backend: Backend, host: &str, seed: u64) -> Result<Side, String> {
     let server = net.boot(host)?;
     let mut stores = Vec::new();
@@ -293,14 +293,6 @@ fn yokan_side(net: &Net, backend: Backend, host: &str, seed: u64) -> Result<Side
         }
     }
     let handle = DatabaseHandle::new(&net.client(), server.address(), 1);
-    for _ in 0..3 {
-        let (target, key) = (["m0", "m1"][rng.range(0, 2)], KEYS[rng.range(0, KEYS.len())]);
-        let (version, value) = (rng.range_u64(1, 16), random_bytes(&mut rng, 1, 24));
-        let value = (!rng.chance(0.3)).then_some(value.as_slice());
-        handle.hint_put(target, key, version, value).map_err(say("seed a hint"))?;
-    }
-    // The call's handler runs are counted from here on.
-    settled(&server, yokan_rpc::HINT_PUT.name(), 3);
     let state = move || {
         let mut records = Vec::new();
         for store in &stores {
@@ -309,8 +301,7 @@ fn yokan_side(net: &Net, backend: Backend, host: &str, seed: u64) -> Result<Side
             records.push(pairs);
         }
         let len = handle.len().map_err(say("len"))?;
-        let hints = handle.hint_list(usize::MAX).map_err(say("hint_list"))?;
-        Ok(format!("records {records:?}, len {len}, hints {hints:?}"))
+        Ok(format!("records {records:?}, len {len}"))
     };
     Ok(Side { server, state: Box::new(state) })
 }
@@ -327,7 +318,7 @@ fn yokan_call(rpc: Declared, seed: u64, net: &Net) -> Result<Call, String> {
     let live: Vec<bool> = keys.iter().map(|_| rng.chance(0.7)).collect();
     let prefix: &[u8] = [&b""[..], b"a/", b"b/"][rng.range(0, 3)];
     let start_after = rng.chance(0.5).then(|| KEYS[rng.range(0, KEYS.len())]);
-    let (max, target) = (rng.range(1, 7), ["m0", "m1"][rng.range(0, 2)]);
+    let max = rng.range(1, 7);
     let client = net.client();
     let db = move |side: &Side, t| {
         DatabaseHandle::new(&client, side.server.address(), 1).with_timeout(t)
@@ -359,11 +350,6 @@ fn yokan_call(rpc: Declared, seed: u64, net: &Net) -> Result<Call, String> {
             // can read `Ok(false)` for a key it did erase (DESIGN.md §18.1).
             outcome(db(side, t).put_versioned(&batch).map(drop))
         }),
-        _ if rpc == HINT_PUT => Box::new(move |side, t| {
-            let value = live[0].then_some(values[0].as_slice());
-            outcome(db(side, t).hint_put(target, keys[0], versions[0], value))
-        }),
-        _ if rpc == HINT_LIST => Box::new(move |side, t| outcome(db(side, t).hint_list(max))),
         other => return Err(format!("no Yokan replay case for {other}")),
     };
     Ok(call)

@@ -29,5 +29,5 @@ fn declared_names_and_ids_are_distinct_across_services() {
             }
         }
     }
-    assert_eq!(by_id.len(), 15 + 9 + 4 + 7 + 4 + 18, "a table lost or gained an RPC");
+    assert_eq!(by_id.len(), 12 + 9 + 4 + 7 + 4 + 18, "a table lost or gained an RPC");
 }
